@@ -126,22 +126,32 @@ type Config struct {
 	Admission string
 }
 
-// admissionPolicy validates Config.Admission and maps it to the machine's
-// policy plus the FIFO depth bound (0 = unbounded); both backends share it
-// so their vocabularies can never drift.
-func (c Config) admissionPolicy() (machine.AdmissionPolicy, int, error) {
-	switch c.Admission {
+// ParseAdmission validates an admission spec — "" or "queue" (unbounded
+// FIFO), "queue:N" (FIFO bounded at depth N) or "shed" — and is the one
+// parser every backend uses, so their vocabularies can never drift.
+func ParseAdmission(spec string) (shed bool, bound int, err error) {
+	switch spec {
 	case "", "queue":
-		return machine.AdmitQueue, 0, nil
+		return false, 0, nil
 	case "shed":
-		return machine.AdmitShed, 0, nil
+		return true, 0, nil
 	}
 	var n int
-	if cnt, err := fmt.Sscanf(c.Admission, "queue:%d", &n); cnt == 1 && err == nil &&
-		fmt.Sprintf("queue:%d", n) == c.Admission && n > 0 {
-		return machine.AdmitQueue, n, nil
+	if cnt, err := fmt.Sscanf(spec, "queue:%d", &n); cnt == 1 && err == nil &&
+		fmt.Sprintf("queue:%d", n) == spec && n > 0 {
+		return false, n, nil
 	}
-	return 0, 0, fmt.Errorf("core: unknown admission policy %q (queue, queue:N, shed)", c.Admission)
+	return false, 0, fmt.Errorf("core: unknown admission policy %q (queue, queue:N, shed)", spec)
+}
+
+// admissionPolicy maps Config.Admission to the machine's policy plus the
+// FIFO depth bound (0 = unbounded).
+func (c Config) admissionPolicy() (machine.AdmissionPolicy, int, error) {
+	shed, bound, err := ParseAdmission(c.Admission)
+	if shed {
+		return machine.AdmitShed, 0, err
+	}
+	return machine.AdmitQueue, bound, err
 }
 
 // arrival validates Config.Arrival, returning nil when no open-loop

@@ -6,7 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/livenet"
+	_ "repro/internal/livenet" // registers the "live" backend
+	"repro/internal/node"
 )
 
 // This file holds the L-series artifacts: the live-backend experiments that
@@ -110,7 +111,7 @@ func L2LiveFaultSweep(seed int64) (*Table, error) {
 	}
 	// Aim the burst at the middle of the fault-free wall makespan, expressed
 	// in the virtual ticks the live backend scales onto the wall clock.
-	perTick := int64(livenet.DefaultTimescale / time.Microsecond)
+	perTick := int64(node.DefaultTimescale / time.Microsecond)
 	atTicks := base.Makespan / perTick / 2
 	if atTicks < 1 {
 		atTicks = 1

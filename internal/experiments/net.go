@@ -6,7 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/netnode"
+	_ "repro/internal/netnode" // registers the "net" backend
+	"repro/internal/node"
 )
 
 // This file holds L5, the process-backend artifact: the substrate-
@@ -94,7 +95,7 @@ func L5NetParity(seed int64) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("L5 net base stream: %w", err)
 	}
-	perTick := int64(netnode.DefaultTimescale / time.Microsecond)
+	perTick := int64(node.DefaultTimescale / time.Microsecond)
 	atTicks := calib.Span / perTick / 2
 	if atTicks < 1 {
 		atTicks = 1

@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/livenet"
+	"repro/internal/node"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -211,7 +211,7 @@ func L4LiveSaturation(seed int64) (*Table, error) {
 		return nil, fmt.Errorf("L4 probe span %d", probe.Span)
 	}
 	capacity := float64(l4Requests) / float64(probe.Span)
-	perTick := int64(livenet.DefaultTimescale / time.Microsecond)
+	perTick := int64(node.DefaultTimescale / time.Microsecond)
 	t := &Table{
 		ID: "L4",
 		Title: fmt.Sprintf("Live saturation: wall-clock Poisson load vs bounded admission (%d nodes, %d offered, %d in-flight slots, shed policy)",

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/livenet"
+	"repro/internal/node"
 	"repro/internal/topology"
 )
 
@@ -193,7 +193,7 @@ func l3Live(seed int64) (*Table, error) {
 	}
 	// Aim the kills at the middle of the fault-free stream, expressed in the
 	// virtual ticks the live backend scales onto the wall clock.
-	perTick := int64(livenet.DefaultTimescale / time.Microsecond)
+	perTick := int64(node.DefaultTimescale / time.Microsecond)
 	atTicks := base.Span / perTick / 2
 	if atTicks < 1 {
 		atTicks = 1

@@ -81,103 +81,3 @@ func TestAdmissionParitySimLive(t *testing.T) {
 		t.Fatalf("decision vector = %s, want %s", got, want)
 	}
 }
-
-// TestLiveAdmissionQueue: the live queue policy holds overflow submissions
-// until a slot frees, so every request in an over-capacity burst still
-// completes with a verified answer and the queue's high-water mark lands on
-// the close report.
-func TestLiveAdmissionQueue(t *testing.T) {
-	cl, err := core.OpenOn("live", core.Config{Procs: 8, Seed: 9, Recovery: "rollback",
-		MaxInFlight: 1, Admission: "queue"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tickets []*core.Ticket
-	for i := 0; i < 4; i++ {
-		tk, err := cl.SubmitSpec("fib:12")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	for i, tk := range tickets {
-		if _, err := tk.Verify(); err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
-		}
-	}
-	sr, err := cl.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Completed != 4 || sr.Shed != 0 || sr.Failed != 0 {
-		t.Fatalf("completed/shed/failed = %d/%d/%d\n%s", sr.Completed, sr.Shed, sr.Failed, sr.Render())
-	}
-	if sr.QueueDepthMax == 0 {
-		t.Fatalf("queue depth max = 0 for a 4-deep burst behind one slot\n%s", sr.Render())
-	}
-}
-
-// TestLiveSpecValidation: the live backend rejects the same malformed
-// service specs at Open, with the sim's vocabulary — including the
-// malformed forms of the bounded queue:N policy.
-func TestLiveSpecValidation(t *testing.T) {
-	for _, spec := range []string{"drop", "queue:0", "queue:-1", "queue:abc", "queue:08"} {
-		if _, err := core.OpenOn("live", core.Config{Admission: spec}); err == nil ||
-			!strings.Contains(err.Error(), "unknown admission policy") {
-			t.Fatalf("live Open accepted admission %q: %v", spec, err)
-		}
-	}
-}
-
-// TestLiveBoundedQueue: the live queue:N policy queues up to N submissions
-// behind the in-flight bound and sheds the rest at Submit time. One slot
-// plus a depth-2 queue admits three of five; the two queued completions
-// report a positive time in queue, separate from their service latency.
-func TestLiveBoundedQueue(t *testing.T) {
-	cl, err := core.OpenOn("live", core.Config{Procs: 8, Seed: 9, Recovery: "rollback",
-		MaxInFlight: 1, Admission: "queue:2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tickets []*core.Ticket
-	for i := 0; i < 5; i++ {
-		tk, err := cl.SubmitSpec("fib:12")
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	shed, queued := 0, 0
-	for i, tk := range tickets {
-		rep, err := tk.Wait()
-		if errors.Is(err, core.ErrShed) {
-			shed++
-			continue
-		}
-		if err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
-		}
-		if _, err := tk.Verify(); err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
-		}
-		if rep.QueuedFor > 0 {
-			queued++
-		}
-	}
-	if shed != 2 {
-		t.Fatalf("shed = %d, want 2 (five offers, one slot, depth-2 queue)", shed)
-	}
-	if queued != 2 {
-		t.Fatalf("queued completions with positive wait = %d, want 2", queued)
-	}
-	sr, err := cl.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Completed != 3 || sr.Shed != 2 || sr.Failed != 0 {
-		t.Fatalf("completed/shed/failed = %d/%d/%d\n%s", sr.Completed, sr.Shed, sr.Failed, sr.Render())
-	}
-	if sr.QueueWaitP99 <= 0 {
-		t.Fatalf("queue-wait p99 = %d, want > 0\n%s", sr.QueueWaitP99, sr.Render())
-	}
-}

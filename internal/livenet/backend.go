@@ -1,98 +1,29 @@
 package livenet
 
 import (
-	"errors"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/node"
 )
-
-// This file adapts the goroutine cluster to core.Backend, so the same
-// Config/Workload/Plan that drives the discrete-event simulator drives real
-// concurrency. The mapping:
-//
-//   - Config.Procs and Config.Seed carry over directly (seeded placement:
-//     every node draws destinations from an rng derived from the seed).
-//   - Fault plans are scheduled on the wall clock: a fault at virtual tick t
-//     fires t×Timescale after the root is submitted, so Burst/Cascade/
-//     Correlated plans keep their shape as real durations. Both crash kinds
-//     map to Kill — the live network announces deaths to survivors; silent-
-//     crash timeout detection is a simulator-only mechanism. Corrupt faults
-//     are rejected (no voting on the live path).
-//   - Config.Deadline (a virtual-time budget) maps through Timescale to a
-//     wall deadline bounding Wait, so a hung recovery fails fast instead of
-//     timing out CI.
-//   - Config.Topology is ignored for connectivity: the channel interconnect
-//     is a complete graph. Placement must be "random" (the only live policy)
-//     and Recovery "rollback" (per-parent reissue, §3; the default) or
-//     "none" (kills go unannounced and lost work stays lost, so a faulted
-//     run reports non-completion at the deadline, like the simulator's).
-//
-// The returned core.Report is backend-neutral: makespan in wall
-// microseconds, message/spawn/reissue/drain counters from the cluster, and
-// per-node reissue stats. Run itself verifies nothing — exactly like the
-// simulator backend — so the two substrates share one contract; the
-// determinacy check (§2.1, answer == lang.RefEval) is one call away via
-// core.VerifyOn("live", …), which the L-series artifacts, the backend
-// tests, and examples/live all use.
-
-// DefaultTimescale is the wall-clock duration of one virtual tick when
-// mapping fault plans and deadlines: 2µs keeps the paper's fault times
-// (thousands of ticks) landing mid-run for the bundled workloads.
-const DefaultTimescale = 2 * time.Microsecond
-
-// DefaultDeadline bounds Wait when the config sets no virtual-time budget.
-const DefaultDeadline = 30 * time.Second
 
 // Backend runs workloads on the live goroutine cluster. The zero value is
 // the registered "live" backend; construct one directly to override the
-// tick-to-wall Timescale or the Wait Deadline.
-type Backend struct {
-	// Timescale is the wall duration of one virtual tick (0 ⇒ DefaultTimescale).
-	Timescale time.Duration
-	// Deadline bounds Wait when Config.Deadline is zero (0 ⇒ DefaultDeadline).
-	Deadline time.Duration
-}
+// tick-to-wall Timescale or the Wait Deadline. How a core.Config maps onto
+// the wall clock, and which knobs are rejected, is internal/node's session.
+type Backend struct{ node.Clock }
 
 func init() { core.MustRegisterBackend(Backend{}) }
 
 // Name implements core.Backend.
 func (Backend) Name() string { return "live" }
 
-// Run implements core.Backend as the degenerate service stream: Open the
-// persistent node network, Submit the one root, Inject the plan on the wall
-// clock, wait (bounded) for the answer, and Close. The report keeps its
-// historical shape — makespan is submission-to-answer wall µs, counters and
-// per-node reissue stats are the stream totals.
+// Open implements core.SessionBackend: bring the goroutine network up and
+// keep it serving until Close.
+func (b Backend) Open(cfg core.Config) (core.Session, error) {
+	return node.Open("live", cfg, b.Clock, func(spec node.Spec) (node.Machine, error) { return New(spec) })
+}
+
+// Run implements core.Backend as the degenerate service stream.
 func (b Backend) Run(cfg core.Config, w core.Workload, plan *faults.Plan) (*core.Report, error) {
-	if w.Program == nil {
-		return nil, errors.New("livenet: program required")
-	}
-	sess, err := b.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	req, err := sess.Submit(w)
-	if err != nil {
-		_, _ = sess.Close()
-		return nil, err
-	}
-	if _, err := sess.Inject(plan); err != nil {
-		_, _ = sess.Close()
-		return nil, err
-	}
-	rep0, err := req.Wait()
-	if err != nil {
-		_, _ = sess.Close()
-		return nil, err
-	}
-	totals, err := sess.Close()
-	if err != nil {
-		return nil, err
-	}
-	totals.Answer = rep0.Answer
-	totals.Completed = rep0.Completed
-	totals.Makespan = rep0.Makespan
-	return totals, nil
+	return node.Run(b, cfg, w, plan)
 }

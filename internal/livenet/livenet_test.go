@@ -6,26 +6,28 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/node"
 )
 
 func TestFaultFreeLiveRun(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(prog, 4, 1)
+	c, err := New(node.Spec{Procs: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if err := c.Start("fib", []expr.Value{expr.VInt(14)}); err != nil {
+	r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(14)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Wait(30 * time.Second)
+	v, err := r.Wait(30*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v.Equal(expr.VInt(377)) {
 		t.Fatalf("fib(14) = %v, want 377", v)
 	}
-	spawned, reissued, _ := c.Stats()
+	spawned, reissued, _ := c.Root().Stats()
 	if spawned == 0 {
 		t.Error("no tasks spawned")
 	}
@@ -36,12 +38,13 @@ func TestFaultFreeLiveRun(t *testing.T) {
 
 func TestLiveRunSurvivesKill(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(prog, 6, 2)
+	c, err := New(node.Spec{Procs: 6, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if err := c.Start("fib", []expr.Value{expr.VInt(17)}); err != nil {
+	r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(17)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Let the tree unfold a little, then crash a node under real load.
@@ -49,9 +52,9 @@ func TestLiveRunSurvivesKill(t *testing.T) {
 	if err := c.Kill(2); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Wait(60 * time.Second)
+	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
-		spawned, reissued, drained := c.Stats()
+		spawned, reissued, drained := c.Root().Stats()
 		t.Fatalf("no answer after kill: %v (spawned=%d reissued=%d drained=%d)",
 			err, spawned, reissued, drained)
 	}
@@ -62,12 +65,13 @@ func TestLiveRunSurvivesKill(t *testing.T) {
 
 func TestLiveRunSurvivesRootNodeKill(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(prog, 4, 3)
+	c, err := New(node.Spec{Procs: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if err := c.Start("fib", []expr.Value{expr.VInt(15)}); err != nil {
+	r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(15)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Millisecond)
@@ -75,7 +79,7 @@ func TestLiveRunSurvivesRootNodeKill(t *testing.T) {
 	if err := c.Kill(0); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Wait(60 * time.Second)
+	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +90,13 @@ func TestLiveRunSurvivesRootNodeKill(t *testing.T) {
 
 func TestLiveRunSurvivesTwoKills(t *testing.T) {
 	prog := lang.TreeSum(3)
-	c, err := New(prog, 6, 4)
+	c, err := New(node.Spec{Procs: 6, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if err := c.Start("tree", []expr.Value{expr.VInt(7)}); err != nil {
+	r, err := c.Root().Submit(prog, "tree", []expr.Value{expr.VInt(7)})
+	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(3 * time.Millisecond)
@@ -102,7 +107,7 @@ func TestLiveRunSurvivesTwoKills(t *testing.T) {
 	if err := c.Kill(4); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.Wait(60 * time.Second)
+	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +117,7 @@ func TestLiveRunSurvivesTwoKills(t *testing.T) {
 }
 
 func TestKillValidation(t *testing.T) {
-	c, err := New(lang.Fib(), 2, 5)
+	c, err := New(node.Spec{Procs: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +134,15 @@ func TestKillValidation(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(lang.Fib(), 1, 1); err == nil {
+	if _, err := New(node.Spec{Procs: 1, Seed: 1}); err == nil {
 		t.Error("single-node cluster accepted")
 	}
-	c, err := New(lang.Fib(), 2, 1)
+	c, err := New(node.Spec{Procs: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	if err := c.Start("nosuch", nil); err == nil {
+	if _, err := c.Root().Submit(lang.Fib(), "nosuch", nil); err == nil {
 		t.Error("unknown function accepted")
 	}
 }

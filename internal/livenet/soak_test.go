@@ -1,77 +1,41 @@
 package livenet
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/node"
 )
-
-// dump prints each live node's resident tasks with their unfilled holes.
-// It is called only after Wait timed out, when the cluster is quiescent-ish;
-// the data race risk on internal maps is acceptable for a diagnostic.
-func dump(t *testing.T, c *Cluster) {
-	for _, nd := range c.nodes {
-		if !nd.alive.Load() {
-			t.Logf("node %d: DEAD", nd.id)
-			continue
-		}
-		t.Logf("node %d: %d stamps, inbox %d", nd.id, len(nd.tasks), len(nd.inbox))
-		shown := 0
-	outer:
-		for _, list := range nd.tasks {
-			for _, task := range list {
-				if task.unfilled == 0 {
-					continue
-				}
-				desc := ""
-				for id, ck := range task.children {
-					if !ck.filled {
-						desc += fmt.Sprintf(" hole%d->node%d", id, ck.dest)
-					}
-				}
-				t.Logf("  task %v parent=(%d,%v) unfilled=%d%s",
-					task.pkt.stamp, task.pkt.parentNode, task.pkt.parentTask, task.unfilled, desc)
-				shown++
-				if shown > 12 {
-					t.Logf("  ...")
-					break outer
-				}
-			}
-		}
-	}
-}
 
 // TestLiveKillSoak drives the kill/recover cycle across many seeds and kill
 // instants; it exists because the livenet wedge class (orphan-lineage
 // reissues colliding with main-lineage incarnations) only shows under
-// scheduling variety. The dump() diagnostic prints the stuck frontier on
-// failure.
+// scheduling variety.
 func TestLiveKillSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak is slow")
 	}
 	for iter := 0; iter < 12; iter++ {
 		prog := lang.Fib()
-		c, err := New(prog, 6, int64(iter)*31+2)
+		c, err := New(node.Spec{Procs: 6, Seed: int64(iter)*31 + 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Start("fib", []expr.Value{expr.VInt(15)}); err != nil {
+		r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(15)})
+		if err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(time.Duration(iter%7) * time.Millisecond)
 		if err := c.Kill(2); err != nil {
 			t.Fatal(err)
 		}
-		v, err := c.Wait(10 * time.Second)
+		v, err := r.Wait(10*time.Second, nil)
 		if err != nil {
-			t.Logf("iter %d HUNG", iter)
-			dump(t, c)
+			spawned, reissued, drained := c.Root().Stats()
 			c.Shutdown()
-			t.FailNow()
+			t.Fatalf("iter %d hung: %v (spawned=%d reissued=%d drained=%d)", iter, err, spawned, reissued, drained)
 		}
 		if !v.Equal(expr.VInt(610)) {
 			t.Fatalf("iter %d: wrong answer %v", iter, v)

@@ -3,14 +3,13 @@ package netnode
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"sync"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/node"
 	"repro/internal/proto"
 )
 
@@ -19,12 +18,12 @@ import (
 // environment is present the process is a re-exec'd node — ChildMain runs
 // the node loop and never returns. In a normal invocation it is a no-op.
 func ChildMain() {
-	id, procs, seed, network, addr, recov, eval, ok, err := childEnv()
+	id, spec, network, addr, ok, err := childEnv()
 	if !ok {
 		return
 	}
 	if err == nil {
-		err = runChild(id, procs, seed, network, addr, recov, eval)
+		err = runChild(id, spec, network, addr)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apsim node %d: %v\n", id, err)
@@ -39,81 +38,87 @@ func ChildMain() {
 // supervisor's per-node last-seen stamps honest.
 const heartbeatEvery = 100 * time.Millisecond
 
-// ctask is a resident task in a node process — the cross-process analogue
-// of livenet's ltask, keyed by stamp with a list per stamp so recovered
-// incarnations can coexist (determinacy makes any result valid for all).
-type ctask struct {
-	pkt      *proto.TaskPacket
-	progIdx  uint16
-	residual lang.TaskState
-	nextID   int
-	fills    map[int]expr.Value
-	unfilled int
-	// children maps hole id → retained child packet + destination node:
-	// the functional checkpoint (§2.1), held across the process boundary.
-	children map[int]*cckpt
+// childLink is a node process's end of the interconnect: the socket to the
+// hub, which relays every frame. The main loop is single-threaded (one frame
+// at a time); only the heartbeat ticker shares the connection, serialized by
+// wmu.
+type childLink struct {
+	id   proto.ProcID
+	conn net.Conn
+	wmu  sync.Mutex
 }
 
-type cckpt struct {
-	pkt     *proto.TaskPacket
-	progIdx uint16
-	dest    proto.ProcID
-	filled  bool
+// write sends one frame. A failed write means the parent is gone; the read
+// loop sees the same broken connection and exits the process, so senders
+// need not act on the error.
+func (l *childLink) write(f *proto.Frame) error {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	_, err := proto.WriteFrame(l.conn, f)
+	return err
 }
 
-// childNode is the per-process node state. The main loop is single-threaded
-// (one frame at a time, like §4.2's "LOOP CASE received packet OF ...");
-// only the heartbeat ticker shares the connection, serialized by wmu.
-type childNode struct {
-	id    proto.ProcID
-	conn  net.Conn
-	wmu   sync.Mutex
-	eval  lang.Evaluator
-	progs map[uint16]*lang.Program
-	// evals holds each program compiled by eval, built at FrameProgram
-	// receipt so the per-task path never compiles.
-	evals map[uint16]lang.EvalProgram
-	tasks map[proto.TaskKey][]*ctask
-	rng   *rand.Rand
-	live  []bool
-	recov bool
-
-	drained  int64
-	reissues int64
+// Spawn implements node.Link. Reissue frames carry FlagReissue so the hub
+// can count recovery traffic without decoding payloads.
+func (l *childLink) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
+	var flags byte
+	if reissue {
+		flags = proto.FlagReissue
+	}
+	_ = l.write(&proto.Frame{
+		Type: proto.FrameSpawn, Flags: flags, From: l.id, To: to,
+		Payload: spawnPayload(pkt),
+	})
 }
 
-func runChild(id, procs int, seed int64, network, addr string, recov bool, eval string) error {
+// Result implements node.Link; the hub is the addressee of root results.
+func (l *childLink) Result(to proto.ProcID, res *proto.Result) {
+	_ = l.write(&proto.Frame{
+		Type: proto.FrameResult, From: l.id, To: to,
+		Payload: proto.EncodeResult(res),
+	})
+}
+
+func (l *childLink) heartbeat(stop <-chan struct{}) {
+	t := time.NewTicker(heartbeatEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			if l.write(&proto.Frame{Type: proto.FrameHeartbeat, From: l.id, To: proto.HostID}) != nil {
+				return // parent gone; the reader will exit the process
+			}
+		case <-stop:
+			return
+		}
+	}
+}
+
+// runChild dials the hub and feeds its frames to one protocol node until the
+// hub says goodbye or disappears.
+func runChild(id int, spec node.Spec, network, addr string) error {
+	ev, err := spec.Evaluator()
+	if err != nil {
+		return err
+	}
 	conn, err := net.DialTimeout(network, addr, 10*time.Second)
 	if err != nil {
 		return err
 	}
-	ev, err := lang.EvaluatorByName(eval)
-	if err != nil {
-		return err // unreachable: childEnv validated the name
-	}
-	n := &childNode{
-		id:    proto.ProcID(id),
-		conn:  conn,
-		eval:  ev,
-		progs: map[uint16]*lang.Program{},
-		evals: map[uint16]lang.EvalProgram{},
-		tasks: map[proto.TaskKey][]*ctask{},
-		rng:   rand.New(rand.NewSource(seed + int64(id)*7919)),
-		live:  make([]bool, procs),
-		recov: recov,
-	}
-	for i := range n.live {
-		n.live[i] = true
-	}
-	if err := n.write(&proto.Frame{
-		Type: proto.FrameHello, From: n.id, To: proto.HostID,
+	link := &childLink{id: proto.ProcID(id), conn: conn}
+	// evals holds each program compiled at FrameProgram receipt, so the
+	// per-task path never compiles.
+	evals := map[int]lang.EvalProgram{}
+	n := node.New(link.id, spec.Procs, spec.Seed, link, func(idx int) lang.EvalProgram { return evals[idx] })
+	if err := link.write(&proto.Frame{
+		Type: proto.FrameHello, From: link.id, To: proto.HostID,
 		Payload: helloPayload(id, os.Getpid()),
 	}); err != nil {
 		return err
 	}
 	stopBeat := make(chan struct{})
 	defer close(stopBeat)
-	go n.heartbeat(stopBeat)
+	go link.heartbeat(stopBeat)
 	for {
 		f, err := proto.ReadFrame(conn)
 		if err != nil {
@@ -124,245 +129,50 @@ func runChild(id, procs int, seed int64, network, addr string, recov bool, eval 
 			}
 			return err
 		}
-		if err := n.handle(f); err != nil {
-			return err
-		}
-		if f.Type == proto.FrameShutdown {
-			return nil
-		}
-	}
-}
-
-// write sends one frame; wmu serializes the main loop and the heartbeat.
-func (n *childNode) write(f *proto.Frame) error {
-	n.wmu.Lock()
-	defer n.wmu.Unlock()
-	_, err := proto.WriteFrame(n.conn, f)
-	return err
-}
-
-func (n *childNode) heartbeat(stop <-chan struct{}) {
-	t := time.NewTicker(heartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if n.write(&proto.Frame{Type: proto.FrameHeartbeat, From: n.id, To: proto.HostID}) != nil {
-				return // parent gone; the reader will exit the process
+		switch f.Type {
+		case proto.FrameProgram:
+			idx, src, err := parseProgram(f.Payload)
+			if err != nil {
+				return err
 			}
-		case <-stop:
-			return
-		}
-	}
-}
-
-func (n *childNode) handle(f *proto.Frame) error {
-	switch f.Type {
-	case proto.FrameProgram:
-		idx, src, err := parseProgram(f.Payload)
-		if err != nil {
-			return err
-		}
-		prog, err := lang.Parse(src)
-		if err != nil {
-			return fmt.Errorf("netnode: program %d does not parse: %v", idx, err)
-		}
-		ep, err := n.eval.Compile(prog)
-		if err != nil {
-			return fmt.Errorf("netnode: program %d does not compile: %v", idx, err)
-		}
-		n.progs[idx] = prog
-		n.evals[idx] = ep
-	case proto.FrameSpawn:
-		idx, pkt, err := parseSpawn(f.Payload)
-		if err != nil {
-			return err
-		}
-		return n.onSpawn(idx, pkt)
-	case proto.FrameResult:
-		res, err := proto.DecodeResult(f.Payload)
-		if err != nil {
-			return err
-		}
-		n.onResult(res)
-	case proto.FrameNodeDown:
-		dead, err := parseNodeDown(f.Payload)
-		if err != nil {
-			return err
-		}
-		return n.onNodeDown(dead)
-	case proto.FrameShutdown:
-		return n.write(&proto.Frame{
-			Type: proto.FrameStats, From: n.id, To: proto.HostID,
-			Payload: statsPayload(n.drained, n.reissues),
-		})
-	default:
-		return fmt.Errorf("netnode: unexpected %v frame at node %d", f.Type, n.id)
-	}
-	return nil
-}
-
-// onSpawn installs a task and runs its first pass — livenet's duplicate
-// rule verbatim: an equivalent incarnation (same parent address and hole)
-// keeps the incumbent, a different parent address runs alongside.
-func (n *childNode) onSpawn(progIdx uint16, pkt *proto.TaskPacket) error {
-	for _, old := range n.tasks[pkt.Key] {
-		if old.pkt.Parent == pkt.Parent && old.pkt.HoleID == pkt.HoleID {
-			return nil
-		}
-	}
-	prog := n.progs[progIdx]
-	if prog == nil {
-		return fmt.Errorf("netnode: node %d has no program %d", n.id, progIdx)
-	}
-	t := &ctask{
-		pkt:      pkt,
-		progIdx:  progIdx,
-		fills:    map[int]expr.Value{},
-		children: map[int]*cckpt{},
-	}
-	n.tasks[pkt.Key] = append(n.tasks[pkt.Key], t)
-	out, st, err := n.evals[progIdx].Flatten(pkt.Fn, pkt.Args, &t.nextID)
-	if err != nil {
-		return fmt.Errorf("netnode: %v", err) // validated programs cannot fail
-	}
-	return n.apply(t, out, st)
-}
-
-// apply handles a pass outcome: finish, or checkpoint-and-spawn the demands.
-func (n *childNode) apply(t *ctask, out lang.Outcome, st lang.TaskState) error {
-	if out.Done {
-		return n.finish(t, out.Value)
-	}
-	t.residual = st
-	for _, d := range out.Demands {
-		child := &proto.TaskPacket{
-			Key:    proto.TaskKey{Stamp: t.pkt.Key.Stamp.Child(uint32(d.ID))},
-			Fn:     d.Fn,
-			Args:   d.Args,
-			Parent: proto.Addr{Proc: n.id, Task: t.pkt.Key},
-			HoleID: d.ID,
-		}
-		dest := n.pickDest()
-		// Functional checkpoint: retain the packet and remember where it
-		// went (§2.1); this is everything recovery needs.
-		t.children[d.ID] = &cckpt{pkt: child, progIdx: t.progIdx, dest: dest}
-		t.unfilled++
-		if err := n.write(&proto.Frame{
-			Type: proto.FrameSpawn, From: n.id, To: dest,
-			Payload: spawnPayload(t.progIdx, child),
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// finish sends the task's value to its parent — the supervisor for roots —
-// and retires that incarnation.
-func (n *childNode) finish(t *ctask, v expr.Value) error {
-	list := n.tasks[t.pkt.Key]
-	for i, cand := range list {
-		if cand == t {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(n.tasks, t.pkt.Key)
-	} else {
-		n.tasks[t.pkt.Key] = list
-	}
-	res := &proto.Result{
-		Child:      t.pkt.Key,
-		ParentTask: t.pkt.Parent.Task,
-		HoleID:     t.pkt.HoleID,
-		Value:      v,
-	}
-	return n.write(&proto.Frame{
-		Type: proto.FrameResult, From: n.id, To: t.pkt.Parent.Proc,
-		Payload: proto.EncodeResult(res),
-	})
-}
-
-// onResult fills the matching hole of every incarnation of the addressee
-// task; duplicates and orphans drain harmlessly (§3.4).
-func (n *childNode) onResult(r *proto.Result) {
-	list := n.tasks[r.ParentTask]
-	if len(list) == 0 {
-		n.drained++ // late/orphan result: ignored (§4.2 rule of thumb)
-		return
-	}
-	consumed := false
-	// finish() mutates the list; iterate over a snapshot.
-	for _, t := range append([]*ctask(nil), list...) {
-		ck := t.children[r.HoleID]
-		if ck == nil || ck.filled {
-			continue
-		}
-		consumed = true
-		ck.filled = true
-		t.fills[r.HoleID] = r.Value
-		t.unfilled--
-		if t.unfilled > 0 {
-			continue
-		}
-		fills := t.fills
-		t.fills = map[int]expr.Value{}
-		out, st, err := n.evals[t.progIdx].Resume(t.residual, fills, &t.nextID)
-		if err != nil {
-			panic(fmt.Sprintf("netnode: %v", err))
-		}
-		if err := n.apply(t, out, st); err != nil {
-			panic(fmt.Sprintf("netnode: %v", err))
-		}
-	}
-	if !consumed {
-		n.drained++ // duplicate: "the second copy is simply ignored"
-	}
-}
-
-// onNodeDown reissues the retained packets of unfilled children that were
-// placed on the dead node — §3's rollback, per parent incarnation. Reissue
-// frames carry FlagReissue so the supervisor can count recovery traffic
-// without decoding payloads.
-func (n *childNode) onNodeDown(dead int) error {
-	if dead < 0 || dead >= len(n.live) {
-		return fmt.Errorf("netnode: node-down for unknown node %d", dead)
-	}
-	n.live[dead] = false
-	if !n.recov {
-		return nil // "none": lost work stays lost
-	}
-	for _, list := range n.tasks {
-		for _, t := range list {
-			for _, ck := range t.children {
-				if ck.filled || ck.dest != proto.ProcID(dead) {
-					continue
-				}
-				ck.dest = n.pickDest()
-				n.reissues++
-				if err := n.write(&proto.Frame{
-					Type: proto.FrameSpawn, Flags: proto.FlagReissue,
-					From: n.id, To: ck.dest,
-					Payload: spawnPayload(ck.progIdx, ck.pkt),
-				}); err != nil {
-					return err
-				}
+			prog, err := lang.Parse(src)
+			if err != nil {
+				return fmt.Errorf("netnode: program %d does not parse: %v", idx, err)
 			}
+			if evals[idx], err = ev.Compile(prog); err != nil {
+				return fmt.Errorf("netnode: program %d does not compile: %v", idx, err)
+			}
+		case proto.FrameSpawn:
+			pkt, err := parseSpawn(f.Payload)
+			if err != nil {
+				return err
+			}
+			if evals[pkt.Prog] == nil {
+				return fmt.Errorf("netnode: node %d has no program %d", id, pkt.Prog)
+			}
+			n.OnSpawn(pkt)
+		case proto.FrameResult:
+			res, err := proto.DecodeResult(f.Payload)
+			if err != nil {
+				return err
+			}
+			n.OnResult(res)
+		case proto.FrameNodeDown:
+			dead, err := parseNodeDown(f.Payload)
+			if err != nil {
+				return err
+			}
+			if dead < 0 || dead >= spec.Procs {
+				return fmt.Errorf("netnode: node-down for unknown node %d", dead)
+			}
+			n.OnNodeDown(proto.ProcID(dead))
+		case proto.FrameShutdown:
+			return link.write(&proto.Frame{
+				Type: proto.FrameStats, From: link.id, To: proto.HostID,
+				Payload: statsPayload(n.Drained, n.Reissues),
+			})
+		default:
+			return fmt.Errorf("netnode: unexpected %v frame at node %d", f.Type, id)
 		}
 	}
-	return nil
-}
-
-// pickDest chooses a uniformly random live node (possibly itself) from the
-// local liveness view, mirroring livenet's placement exactly.
-func (n *childNode) pickDest() proto.ProcID {
-	for tries := 0; tries < 64; tries++ {
-		d := n.rng.Intn(len(n.live))
-		if n.live[d] {
-			return proto.ProcID(d)
-		}
-	}
-	return n.id
 }

@@ -9,27 +9,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/node"
 	"repro/internal/proto"
-	"repro/internal/registry"
-	"repro/internal/stamp"
 )
-
-// Request is one submitted root application: the cluster retains its root
-// packet (the super-root pre-evaluation checkpoint of §4.3.1) and routes
-// its answer to a private channel.
-type Request struct {
-	id       uint32
-	resultCh chan expr.Value
-	rootPkt  *proto.TaskPacket
-	rootProg uint16
-	rootDest proto.ProcID
-	done     bool
-}
-
-// ID is the request's stream index.
-func (r *Request) ID() int { return int(r.id) }
 
 // sendq is an unbounded FIFO of outbound frames for one child. The router
 // goroutines enqueue without ever blocking: if writes to children were
@@ -98,20 +81,25 @@ type child struct {
 	// child — heartbeat bookkeeping; death detection itself is the broken
 	// connection.
 	lastBeat atomic.Int64
-	// reissues is the per-node recovery-load statistic, counted by the
-	// router from FlagReissue spawn frames (attribution survives a later
-	// SIGKILL of the node, unlike child-local counters).
-	reissues atomic.Int64
 }
 
 // Cluster is a process-per-node machine: N child processes dialed into the
-// parent's socket, the parent routing frames between them and acting as the
+// parent's socket, the parent routing frames between them and hosting the
 // super-root.
+//
+// The super-root's counters are charged by the router: messages count the
+// protocol frames (spawn, result, node-down) it carried, in real frame wire
+// sizes — program broadcasts and supervision traffic (hello, heartbeat,
+// stats, shutdown) are not interconnect load, matching the resident-code
+// model of the other backends — and reissues are attributed from FlagReissue
+// frames, so the attribution survives a later SIGKILL of the reissuing node.
+// Drained counts frames black-holed at dead nodes plus the child-local drains
+// the stats frames report at graceful shutdown (a SIGKILLed node's local
+// drains die with it — honest accounting: nothing a dead processor counted
+// can be read back).
 type Cluster struct {
-	n       int
-	seed    int64
-	recov   bool
-	eval    string
+	root    *node.Root
+	spec    node.Spec
 	network string
 	addr    string
 	dir     string // unix-socket temp dir ("" for tcp)
@@ -119,78 +107,30 @@ type Cluster struct {
 
 	children []*child
 
-	// progMu guards the program table; programs ship once, by index.
-	progMu  sync.Mutex
-	progs   []*lang.Program
-	progIdx map[*lang.Program]uint16
-
-	// reqMu guards the request table and each request's rootDest/done;
-	// deliverRoot and the death handler both take it, so a root reissue can
-	// never race its own completion.
-	reqMu     sync.Mutex
-	reqs      map[uint32]*Request
-	nextReq   uint32
-	onReqDone func()
-
-	// Stream counters. msgs/msgBytes count protocol frames (spawn, result,
-	// node-down) the router carried, in real frame wire sizes — program
-	// broadcasts and supervision traffic (hello, heartbeat, stats, shutdown)
-	// are not interconnect load, matching the resident-code model of the
-	// other backends. Spawned counts non-reissue spawn frames; reissued the
-	// FlagReissue ones. Drained counts frames black-holed at dead nodes plus
-	// the child-local drains the stats frames report at graceful shutdown
-	// (a SIGKILLed node's local drains die with it — honest accounting:
-	// nothing a dead processor counted can be read back).
-	msgs      atomic.Int64
-	msgBytes  atomic.Int64
-	spawned   atomic.Int64
-	reissued  atomic.Int64
-	drained   atomic.Int64
-	killsSeen atomic.Int64
-
 	closing atomic.Bool
-	quit    chan struct{}
 	wg      sync.WaitGroup
 }
 
-// Options configure New beyond the required arguments.
+// Options configure New beyond the machine's shape.
 type Options struct {
 	// TCP switches the interconnect from a unix socket in a temp directory
 	// to a loopback TCP listener.
 	TCP bool
-	// NoRecovery disables rollback reissue (the "none" scheme): deaths are
-	// still announced, survivors just don't reissue, and lost work stays
-	// lost.
-	NoRecovery bool
-	// Eval names the evaluator the node processes run reduction passes
-	// with ("" = lang.DefaultEvaluator); it travels to children in the
-	// environment contract.
-	Eval string
 }
 
-// New brings up a cluster of n node processes. Every child must complete
-// the dial-and-hello handshake before New returns; a child that fails to
-// appear within the setup timeout fails the whole Open, with the already-
-// started processes reaped.
-func New(n int, seed int64, opts Options) (*Cluster, error) {
-	if n < 2 {
-		return nil, errors.New("netnode: need at least 2 nodes")
+// New brings up a cluster of node processes. Every child must complete the
+// dial-and-hello handshake before New returns; a child that fails to appear
+// within the setup timeout fails the whole Open, with the already-started
+// processes reaped.
+func New(spec node.Spec, opts Options) (*Cluster, error) {
+	// A bad evaluator name must fail here, not as N crashed children.
+	if _, err := spec.Evaluator(); err != nil {
+		return nil, err
 	}
-	eval := opts.Eval
-	if eval == "" {
-		eval = lang.DefaultEvaluator
-	}
-	if !lang.KnownEvaluator(eval) {
-		return nil, registry.Unknown("netnode", "evaluator", eval, lang.Evaluators())
-	}
-	c := &Cluster{
-		n:       n,
-		seed:    seed,
-		recov:   !opts.NoRecovery,
-		eval:    eval,
-		reqs:    map[uint32]*Request{},
-		progIdx: map[*lang.Program]uint16{},
-		quit:    make(chan struct{}),
+	c := &Cluster{spec: spec}
+	var err error
+	if c.root, err = node.NewRoot(spec, c); err != nil {
+		return nil, err
 	}
 	if opts.TCP {
 		c.network = "tcp"
@@ -224,6 +164,9 @@ func New(n int, seed int64, opts Options) (*Cluster, error) {
 	return c, nil
 }
 
+// Root implements node.Machine.
+func (c *Cluster) Root() *node.Root { return c.root }
+
 // writer drains one child's outbox onto its socket. Write errors are the
 // same failure signal as read errors: the child is gone.
 func (c *Cluster) writer(ch *child) {
@@ -244,23 +187,24 @@ func (c *Cluster) writer(ch *child) {
 
 // startChildren spawns the n processes and completes the hello handshake.
 func (c *Cluster) startChildren() error {
-	byID := make([]*child, c.n)
-	for i := 0; i < c.n; i++ {
-		proc, err := startNodeProc(i, c.n, c.seed, c.network, c.addr, c.recov, c.eval)
+	n := c.spec.Procs
+	byID := make([]*child, n)
+	for i := 0; i < n; i++ {
+		proc, err := startNodeProc(i, c.spec, c.network, c.addr)
 		if err != nil {
 			return fmt.Errorf("netnode: start node %d: %w", i, err)
 		}
 		byID[i] = &child{id: i, cmd: proc, out: newSendq()}
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	for connected := 0; connected < c.n; connected++ {
+	for connected := 0; connected < n; connected++ {
 		if d, ok := c.ln.(interface{ SetDeadline(time.Time) error }); ok {
 			_ = d.SetDeadline(deadline)
 		}
 		conn, err := c.ln.Accept()
 		if err != nil {
 			c.children = compactChildren(byID)
-			return fmt.Errorf("netnode: waiting for node handshakes (%d/%d): %w", connected, c.n, err)
+			return fmt.Errorf("netnode: waiting for node handshakes (%d/%d): %w", connected, n, err)
 		}
 		_ = conn.SetReadDeadline(deadline)
 		f, err := proto.ReadFrame(conn)
@@ -270,7 +214,7 @@ func (c *Cluster) startChildren() error {
 			return fmt.Errorf("netnode: bad handshake: %v (frame %v)", err, f)
 		}
 		id, pid, err := parseHello(f.Payload)
-		if err != nil || id < 0 || id >= c.n || byID[id].conn != nil {
+		if err != nil || id < 0 || id >= n || byID[id].conn != nil {
 			conn.Close()
 			c.children = compactChildren(byID)
 			return fmt.Errorf("netnode: bad hello (id %d): %v", id, err)
@@ -305,98 +249,53 @@ func (c *Cluster) Pids() []int {
 	return out
 }
 
-// SetRequestDoneHook runs fn after a request's *first* root delivery,
-// outside reqMu (it may re-enter Submit) — the bounded-admission contract
-// shared with livenet.
-func (c *Cluster) SetRequestDoneHook(fn func()) {
-	c.reqMu.Lock()
-	c.onReqDone = fn
-	c.reqMu.Unlock()
-}
-
-// shipProgram assigns the program an index and broadcasts its source to
-// every live node, once. Children that die later simply lose the code with
-// everything else.
-func (c *Cluster) shipProgram(prog *lang.Program) (uint16, error) {
-	c.progMu.Lock()
-	defer c.progMu.Unlock()
-	if idx, ok := c.progIdx[prog]; ok {
-		return idx, nil
+// LoadProgram implements node.Fabric: broadcast the program's source to
+// every live node, once, under its index. Children that die later simply
+// lose the code with everything else.
+func (c *Cluster) LoadProgram(idx int, prog *lang.Program) error {
+	if idx > 0xffff {
+		return errors.New("netnode: program table full")
 	}
-	if len(c.progs) > 0xffff {
-		return 0, errors.New("netnode: program table full")
-	}
-	idx := uint16(len(c.progs))
 	payload := programPayload(idx, lang.Format(prog))
 	for _, ch := range c.children {
-		if !ch.alive.Load() {
-			continue
-		}
 		// A closed outbox means the child died racing this broadcast; the
-		// node that needed the code is gone either way, so the program
-		// still registers.
-		ch.out.push(&proto.Frame{
+		// node that needed the code is gone either way.
+		c.push(ch, &proto.Frame{
 			Type: proto.FrameProgram, From: proto.HostID, To: proto.ProcID(ch.id),
 			Payload: payload,
 		})
 	}
-	c.progs = append(c.progs, prog)
-	c.progIdx[prog] = idx
-	return idx, nil
+	return nil
 }
 
-// Submit enqueues one root application: ship the program if new, retain the
-// root packet as the super-root checkpoint, and spawn it on a live node
-// (round-robin by stream index, like livenet).
-func (c *Cluster) Submit(prog *lang.Program, fn string, args []expr.Value) (*Request, error) {
-	if prog == nil {
-		return nil, errors.New("netnode: program required")
+// Spawn implements node.Fabric: the super-root's own spawn frames. A dead
+// destination black-holes the frame (the dead processor of §3 — the parent's
+// checkpoint is what recovers the work, not the interconnect).
+func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
+	f := &proto.Frame{Type: proto.FrameSpawn, From: proto.HostID, To: to, Payload: spawnPayload(pkt)}
+	if reissue {
+		f.Flags = proto.FlagReissue
 	}
-	if _, ok := prog.Func(fn); !ok {
-		return nil, fmt.Errorf("netnode: unknown function %q", fn)
-	}
-	idx, err := c.shipProgram(prog)
-	if err != nil {
-		return nil, err
-	}
-	c.reqMu.Lock()
-	id := c.nextReq
-	c.nextReq++
-	root := &proto.TaskPacket{
-		Key:    proto.TaskKey{Stamp: stamp.FromPath(id)},
-		Fn:     fn,
-		Args:   args,
-		Parent: proto.Addr{Proc: proto.HostID},
-	}
-	r := &Request{id: id, resultCh: make(chan expr.Value, 1), rootPkt: root, rootProg: idx}
-	r.rootDest = c.pickLiveFrom(int(id) % c.n)
-	c.reqs[id] = r
-	dest := r.rootDest
-	c.reqMu.Unlock()
-	c.spawned.Add(1)
-	c.countFrame(proto.FrameSpawn, len(spawnPayload(idx, root)))
-	c.sendSpawn(dest, idx, root, 0)
-	return r, nil
-}
-
-// sendSpawn writes a spawn frame to a child; a dead destination black-holes
-// it (the dead processor of §3 — the parent's checkpoint is what recovers
-// the work, not the interconnect).
-func (c *Cluster) sendSpawn(dest proto.ProcID, idx uint16, pkt *proto.TaskPacket, flags byte) {
-	ch := c.children[dest]
-	if !ch.alive.Load() || !ch.out.push(&proto.Frame{
-		Type: proto.FrameSpawn, Flags: flags, From: proto.HostID, To: dest,
-		Payload: spawnPayload(idx, pkt),
-	}) {
-		c.drained.Add(1)
+	c.root.CountSpawn(proto.HostID, frameSize(f), reissue)
+	if !c.push(c.children[to], f) {
+		c.root.CountDrained(1)
 	}
 }
 
-// countFrame charges one protocol message at its real frame wire size.
-func (c *Cluster) countFrame(t proto.FrameType, payloadLen int) {
-	c.msgs.Add(1)
-	c.msgBytes.Add(int64(proto.FrameHeaderSize + payloadLen))
+// NodeDown implements node.Fabric: the death announcement to one survivor.
+func (c *Cluster) NodeDown(to, dead proto.ProcID) {
+	f := &proto.Frame{Type: proto.FrameNodeDown, From: proto.HostID, To: to, Payload: nodeDownPayload(int(dead))}
+	c.root.CountMsg(frameSize(f))
+	c.push(c.children[to], f)
 }
+
+// push queues a frame for a child; false means the child is dead.
+func (c *Cluster) push(ch *child, f *proto.Frame) bool {
+	return ch.alive.Load() && ch.out.push(f)
+}
+
+// frameSize is a protocol frame's real wire size.
+func frameSize(f *proto.Frame) int { return proto.FrameHeaderSize + len(f.Payload) }
 
 // route is the per-child reader: count and forward protocol frames, absorb
 // supervision frames, and turn a broken connection into a death. One
@@ -421,23 +320,19 @@ func (c *Cluster) route(ch *child) {
 			if drained, _, err := parseStats(f.Payload); err == nil {
 				// Reissues are already counted from FlagReissue frames;
 				// only the child-local drain count is news.
-				c.drained.Add(drained)
+				c.root.CountDrained(drained)
 			}
 		case proto.FrameResult:
-			c.countFrame(f.Type, len(f.Payload))
-			if f.To == proto.HostID {
-				c.onRootResult(f.Payload)
-				continue
-			}
-			c.forward(f)
-		case proto.FrameSpawn:
-			c.countFrame(f.Type, len(f.Payload))
-			if f.Flags&proto.FlagReissue != 0 {
-				c.reissued.Add(1)
-				ch.reissues.Add(1)
+			c.root.CountMsg(frameSize(f))
+			if f.To != proto.HostID {
+				c.forward(f)
+			} else if res, err := proto.DecodeResult(f.Payload); err == nil {
+				c.root.Deliver(res)
 			} else {
-				c.spawned.Add(1)
+				c.root.CountDrained(1)
 			}
+		case proto.FrameSpawn:
+			c.root.CountSpawn(proto.ProcID(ch.id), frameSize(f), f.Flags&proto.FlagReissue != 0)
 			c.forward(f)
 		default:
 			// A child never originates other frame types; drop quietly
@@ -448,51 +343,15 @@ func (c *Cluster) route(ch *child) {
 
 // forward relays a child-to-child frame; dead destinations black-hole it.
 func (c *Cluster) forward(f *proto.Frame) {
-	if f.To < 0 || int(f.To) >= c.n {
-		c.drained.Add(1)
-		return
-	}
-	dest := c.children[f.To]
-	if !dest.alive.Load() || !dest.out.push(f) {
-		c.drained.Add(1)
-	}
-}
-
-// onRootResult delivers a root answer to its request and frees the
-// admission slot on the first delivery (a reissued root may answer twice;
-// determinacy says the answers match).
-func (c *Cluster) onRootResult(payload []byte) {
-	res, err := proto.DecodeResult(payload)
-	if err != nil {
-		c.drained.Add(1)
-		return
-	}
-	id := res.Child.Stamp.Component(0)
-	c.reqMu.Lock()
-	r := c.reqs[id]
-	first := r != nil && !r.done
-	if r != nil {
-		r.done = true
-	}
-	hook := c.onReqDone
-	c.reqMu.Unlock()
-	if r == nil {
-		c.drained.Add(1)
-		return
-	}
-	select {
-	case r.resultCh <- res.Value:
-	default:
-	}
-	if first && hook != nil {
-		hook()
+	if f.To < 0 || int(f.To) >= len(c.children) || !c.push(c.children[f.To], f) {
+		c.root.CountDrained(1)
 	}
 }
 
 // nodeDied is the supervisor's failure handler — idempotent via the alive
-// CAS. It closes the conn, gossips the death to survivors, and reissues the
-// super-root checkpoints that were resident on the dead node (§4.3.1).
-// Kill SIGKILLs and lets the broken connection land here, so injected
+// CAS. It closes the conn and reports the death to the super-root, which
+// tells the survivors and reissues the roots that were resident on the dead
+// node. Kill SIGKILLs and lets the broken connection land here, so injected
 // faults and spontaneous crashes take the identical path.
 func (c *Cluster) nodeDied(ch *child) {
 	if !ch.alive.CompareAndSwap(true, false) {
@@ -500,89 +359,20 @@ func (c *Cluster) nodeDied(ch *child) {
 	}
 	ch.conn.Close()
 	ch.out.close()
-	if !c.recov {
-		return // "none": no announcement, lost work stays lost
-	}
-	payload := nodeDownPayload(ch.id)
-	for _, other := range c.children {
-		if other == ch || !other.alive.Load() {
-			continue
-		}
-		c.countFrame(proto.FrameNodeDown, len(payload))
-		other.out.push(&proto.Frame{
-			Type: proto.FrameNodeDown, From: proto.HostID, To: proto.ProcID(other.id),
-			Payload: payload,
-		})
-	}
-	// The cluster is every root's parent: reissue each outstanding
-	// request's root that was placed on the dead node.
-	c.reqMu.Lock()
-	type rootReissue struct {
-		dest proto.ProcID
-		idx  uint16
-		pkt  *proto.TaskPacket
-	}
-	var reissues []rootReissue
-	for _, r := range c.reqs {
-		if r.done || r.rootDest != proto.ProcID(ch.id) {
-			continue
-		}
-		r.rootDest = c.pickLiveAvoid(ch.id)
-		reissues = append(reissues, rootReissue{r.rootDest, r.rootProg, r.rootPkt})
-	}
-	c.reqMu.Unlock()
-	for _, ri := range reissues {
-		c.reissued.Add(1)
-		c.countFrame(proto.FrameSpawn, len(spawnPayload(ri.idx, ri.pkt)))
-		c.sendSpawn(ri.dest, ri.idx, ri.pkt, proto.FlagReissue)
-	}
+	c.root.NodeDown(proto.ProcID(ch.id))
 }
 
 // Kill crashes node id with SIGKILL — no cooperative path. Death detection
 // and recovery ride on the broken connection, like any real crash.
 func (c *Cluster) Kill(id int) error {
-	if id < 0 || id >= c.n {
+	if id < 0 || id >= len(c.children) {
 		return fmt.Errorf("netnode: no node %d", id)
 	}
 	ch := c.children[id]
 	if !ch.alive.Load() {
 		return fmt.Errorf("netnode: node %d already dead", id)
 	}
-	c.killsSeen.Add(1)
 	return ch.cmd.Kill()
-}
-
-// pickLiveFrom scans round-robin from start for a live node.
-func (c *Cluster) pickLiveFrom(start int) proto.ProcID {
-	for i := 0; i < c.n; i++ {
-		if d := (start + i) % c.n; c.children[d].alive.Load() {
-			return proto.ProcID(d)
-		}
-	}
-	return proto.ProcID(start)
-}
-
-// pickLiveAvoid chooses any live node other than avoid (falls back to 0).
-func (c *Cluster) pickLiveAvoid(avoid int) proto.ProcID {
-	for i, ch := range c.children {
-		if i != avoid && ch.alive.Load() {
-			return proto.ProcID(i)
-		}
-	}
-	return 0
-}
-
-// WaitRequest blocks until the request's answer arrives or the timeout
-// elapses.
-func (c *Cluster) WaitRequest(r *Request, timeout time.Duration) (expr.Value, error) {
-	select {
-	case v := <-r.resultCh:
-		return v, nil
-	case <-time.After(timeout):
-		return nil, fmt.Errorf("netnode: request %d: no answer after %v", r.id, timeout)
-	case <-c.quit:
-		return nil, errors.New("netnode: cluster shut down")
-	}
 }
 
 // Shutdown tears the cluster down: graceful stats+exit for live children,
@@ -610,7 +400,6 @@ func (c *Cluster) Shutdown() {
 		}
 	}
 	c.teardown()
-	close(c.quit)
 	c.wg.Wait()
 }
 
@@ -631,27 +420,4 @@ func (c *Cluster) teardown() {
 	if c.dir != "" {
 		os.RemoveAll(c.dir)
 	}
-}
-
-// Stats reports the stream counters.
-func (c *Cluster) Stats() (spawned, reissued, drained int64) {
-	return c.spawned.Load(), c.reissued.Load(), c.drained.Load()
-}
-
-// Messages is the number of protocol frames the router carried.
-func (c *Cluster) Messages() int64 { return c.msgs.Load() }
-
-// MsgBytes is the frame wire bytes of Messages.
-func (c *Cluster) MsgBytes() int64 { return c.msgBytes.Load() }
-
-// ReissuesByNode reports how many retained child packets each node re-sent
-// as a parent after peer deaths (router-attributed, so it survives the
-// reporter's own later death). Root reissues belong to the super-root, not
-// to a node.
-func (c *Cluster) ReissuesByNode() []int64 {
-	out := make([]int64, len(c.children))
-	for i, ch := range c.children {
-		out[i] = ch.reissues.Load()
-	}
-	return out
 }

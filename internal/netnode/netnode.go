@@ -6,18 +6,19 @@
 // (§2) needs nothing from a particular substrate, now demonstrated across a
 // process boundary where a crash is a SIGKILL, not a cooperative teardown.
 //
-// Topology is hub-and-spoke: the parent process is the supervisor, the
-// frame router, and the super-root (§4.3.1). Children dial the parent's
-// socket (a unix socket by default, TCP by option), introduce themselves
-// with a hello frame, and then speak the protocol: task packets travel as
-// spawn frames, results as result frames, death announcements as node-down
-// gossip from the supervisor, plus heartbeats and a final stats report on
-// graceful shutdown. Fault injection SIGKILLs the child's PID — the
-// supervisor learns of the death the way a real cluster does, by the
-// connection breaking — and recovery is the per-parent rollback reissue of
-// §3, exactly as on the live goroutine backend: every parent retains the
-// packets of the children it placed (the functional checkpoints) and
-// re-disperses the ones that were resident on the dead node.
+// It is a transport and nothing else: each child runs one internal/node
+// rollback node, the parent hosts that package's super-root (§4.3.1) and
+// serves its session — the same three the goroutine backend runs on.
+//
+// Topology is hub-and-spoke: the parent process is the supervisor and the
+// frame router. Children dial the parent's socket (a unix socket by default,
+// TCP by option), introduce themselves with a hello frame, and then speak
+// the protocol: task packets travel as spawn frames, results as result
+// frames, death announcements as node-down gossip from the supervisor, plus
+// heartbeats and a final stats report on graceful shutdown. Fault injection
+// SIGKILLs the child's PID — the supervisor learns of the death the way a
+// real cluster does, by the connection breaking — and reports it to the
+// super-root like any crash.
 //
 // Program code is resident, not shipped per packet: the parent broadcasts
 // each program's lang.Format source once (a program frame carrying an
@@ -41,7 +42,7 @@ import (
 	"os"
 	"strconv"
 
-	"repro/internal/lang"
+	"repro/internal/node"
 	"repro/internal/proto"
 )
 
@@ -55,12 +56,9 @@ const (
 	NodeEnvAddr = "APSIM_NETNODE_ADDR"
 	// NodeEnvProcs is the node count.
 	NodeEnvProcs = "APSIM_NETNODE_PROCS"
-	// NodeEnvSeed is the cluster seed; node i draws placement from
-	// seed + i*7919, mirroring the live goroutine backend.
+	// NodeEnvSeed is the cluster seed every node derives its placement rng
+	// from.
 	NodeEnvSeed = "APSIM_NETNODE_SEED"
-	// NodeEnvRecover is "1" for rollback reissue, "0" for the "none" scheme
-	// (deaths are still announced; survivors just don't reissue).
-	NodeEnvRecover = "APSIM_NETNODE_RECOVER"
 	// NodeEnvEval is the evaluator name the child runs reduction passes
 	// with ("" = lang.DefaultEvaluator). Children compile each program at
 	// FrameProgram receipt, so tasks never pay compilation.
@@ -78,37 +76,31 @@ const ArgvMarker = "-node"
 const SocketPattern = "apsim-netnode-*"
 
 // childEnv reads the environment contract; ok is false when NodeEnvID is
-// absent (a normal, non-child invocation).
-func childEnv() (id, procs int, seed int64, network, addr string, recover_ bool, eval string, ok bool, err error) {
+// absent (a normal, non-child invocation). The recovery scheme is not part
+// of it: under "none" a node is simply never told of a death.
+func childEnv() (id int, spec node.Spec, network, addr string, ok bool, err error) {
 	idStr := os.Getenv(NodeEnvID)
 	if idStr == "" {
-		return 0, 0, 0, "", "", false, "", false, nil
+		return 0, spec, "", "", false, nil
 	}
-	fail := func(e error) (int, int, int64, string, string, bool, string, bool, error) {
-		return 0, 0, 0, "", "", false, "", true, e
+	fail := func(name string) (int, node.Spec, string, string, bool, error) {
+		return id, spec, "", "", true, fmt.Errorf("netnode: bad %s %q", name, os.Getenv(name))
 	}
 	if id, err = strconv.Atoi(idStr); err != nil {
-		return fail(fmt.Errorf("netnode: bad %s: %v", NodeEnvID, err))
+		return fail(NodeEnvID)
 	}
-	if procs, err = strconv.Atoi(os.Getenv(NodeEnvProcs)); err != nil || procs < 2 {
-		return fail(fmt.Errorf("netnode: bad %s %q", NodeEnvProcs, os.Getenv(NodeEnvProcs)))
+	if spec.Procs, err = strconv.Atoi(os.Getenv(NodeEnvProcs)); err != nil || spec.Procs < 2 {
+		return fail(NodeEnvProcs)
 	}
-	if seed, err = strconv.ParseInt(os.Getenv(NodeEnvSeed), 10, 64); err != nil {
-		return fail(fmt.Errorf("netnode: bad %s %q", NodeEnvSeed, os.Getenv(NodeEnvSeed)))
+	if spec.Seed, err = strconv.ParseInt(os.Getenv(NodeEnvSeed), 10, 64); err != nil {
+		return fail(NodeEnvSeed)
+	}
+	spec.Eval = os.Getenv(NodeEnvEval)
+	if _, err = spec.Evaluator(); err != nil {
+		return fail(NodeEnvEval)
 	}
 	network, addr, err = splitAddr(os.Getenv(NodeEnvAddr))
-	if err != nil {
-		return fail(err)
-	}
-	recover_ = os.Getenv(NodeEnvRecover) != "0"
-	eval = os.Getenv(NodeEnvEval)
-	if eval == "" {
-		eval = lang.DefaultEvaluator
-	}
-	if !lang.KnownEvaluator(eval) {
-		return fail(fmt.Errorf("netnode: bad %s %q", NodeEnvEval, os.Getenv(NodeEnvEval)))
-	}
-	return id, procs, seed, network, addr, recover_, eval, true, nil
+	return id, spec, network, addr, true, err
 }
 
 // splitAddr parses "unix:PATH" / "tcp:HOSTPORT".
@@ -143,29 +135,34 @@ func parseHello(p []byte) (id, pid int, err error) {
 	return int(binary.BigEndian.Uint32(p)), int(binary.BigEndian.Uint32(p[4:])), nil
 }
 
-func programPayload(idx uint16, src string) []byte {
-	buf := binary.BigEndian.AppendUint16(nil, idx)
+func programPayload(idx int, src string) []byte {
+	buf := binary.BigEndian.AppendUint16(nil, uint16(idx))
 	return append(buf, src...)
 }
 
-func parseProgram(p []byte) (idx uint16, src string, err error) {
+func parseProgram(p []byte) (idx int, src string, err error) {
 	if len(p) < 2 {
 		return 0, "", fmt.Errorf("netnode: program payload %d bytes", len(p))
 	}
-	return binary.BigEndian.Uint16(p), string(p[2:]), nil
+	return int(binary.BigEndian.Uint16(p)), string(p[2:]), nil
 }
 
-func spawnPayload(idx uint16, pkt *proto.TaskPacket) []byte {
-	buf := binary.BigEndian.AppendUint16(nil, idx)
+// spawnPayload carries the packet's in-process program tag (which the packet
+// codec leaves out: code is resident, not shipped) ahead of the packet.
+func spawnPayload(pkt *proto.TaskPacket) []byte {
+	buf := binary.BigEndian.AppendUint16(nil, uint16(pkt.Prog))
 	return append(buf, proto.EncodePacket(pkt)...)
 }
 
-func parseSpawn(p []byte) (idx uint16, pkt *proto.TaskPacket, err error) {
+func parseSpawn(p []byte) (*proto.TaskPacket, error) {
 	if len(p) < 2 {
-		return 0, nil, fmt.Errorf("netnode: spawn payload %d bytes", len(p))
+		return nil, fmt.Errorf("netnode: spawn payload %d bytes", len(p))
 	}
-	pkt, err = proto.DecodePacket(p[2:])
-	return binary.BigEndian.Uint16(p), pkt, err
+	pkt, err := proto.DecodePacket(p[2:])
+	if err == nil {
+		pkt.Prog = int(binary.BigEndian.Uint16(p))
+	}
+	return pkt, err
 }
 
 func nodeDownPayload(dead int) []byte {

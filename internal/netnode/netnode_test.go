@@ -9,15 +9,13 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/expr"
-	"repro/internal/faults"
 	"repro/internal/lang"
-	"repro/internal/machine"
+	"repro/internal/node"
 	"repro/internal/proto"
 )
 
@@ -37,7 +35,7 @@ func TestMain(m *testing.M) {
 }
 
 func testParentMain() {
-	c, err := New(3, 1, Options{})
+	c, err := New(node.Spec{Procs: 3, Seed: 1}, Options{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -101,18 +99,18 @@ func TestNetBackendRegistered(t *testing.T) {
 
 func TestClusterFaultFree(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(4, 1, Options{})
+	c, err := New(node.Spec{Procs: 4, Seed: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pids := c.Pids()
 	defer requireAllDead(t, pids)
 	defer c.Shutdown()
-	r, err := c.Submit(prog, "fib", []expr.Value{expr.VInt(12)})
+	r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.WaitRequest(r, 30*time.Second)
+	v, err := r.Wait(30*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,30 +121,30 @@ func TestClusterFaultFree(t *testing.T) {
 	if !v.Equal(want) {
 		t.Fatalf("fib(12) = %v over processes, want %v", v, want)
 	}
-	spawned, reissued, _ := c.Stats()
+	spawned, reissued, _ := c.Root().Stats()
 	if spawned == 0 {
 		t.Error("no tasks spawned")
 	}
 	if reissued != 0 {
 		t.Errorf("fault-free run reissued %d packets", reissued)
 	}
-	if c.Messages() == 0 || c.MsgBytes() <= c.Messages()*proto.FrameHeaderSize/2 {
-		t.Errorf("byte accounting implausible: %d msgs, %d bytes", c.Messages(), c.MsgBytes())
+	if msgs, bytes := c.Root().Messages(); msgs == 0 || bytes <= msgs*proto.FrameHeaderSize/2 {
+		t.Errorf("byte accounting implausible: %d msgs, %d bytes", msgs, bytes)
 	}
 }
 
 func TestClusterTCPTransport(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(3, 2, Options{TCP: true})
+	c, err := New(node.Spec{Procs: 3, Seed: 2}, Options{TCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	r, err := c.Submit(prog, "fib", []expr.Value{expr.VInt(10)})
+	r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.WaitRequest(r, 30*time.Second)
+	v, err := r.Wait(30*time.Second, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +158,14 @@ func TestClusterTCPTransport(t *testing.T) {
 // sequential reference — §2.1 determinacy across real process deaths.
 func TestClusterSurvivesTwoSIGKILLs(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(6, 3, Options{})
+	c, err := New(node.Spec{Procs: 6, Seed: 3}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pids := c.Pids()
 	defer requireAllDead(t, pids)
 	defer c.Shutdown()
-	r, err := c.Submit(prog, "fib", []expr.Value{expr.VInt(16)})
+	r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +177,9 @@ func TestClusterSurvivesTwoSIGKILLs(t *testing.T) {
 	if err := c.Kill(4); err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.WaitRequest(r, 60*time.Second)
+	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
-		spawned, reissued, drained := c.Stats()
+		spawned, reissued, drained := c.Root().Stats()
 		t.Fatalf("no answer after SIGKILLs: %v (spawned=%d reissued=%d drained=%d)",
 			err, spawned, reissued, drained)
 	}
@@ -198,47 +196,8 @@ func TestClusterSurvivesTwoSIGKILLs(t *testing.T) {
 	}
 }
 
-// TestClusterRootReissue kills nodes hosting request roots: the supervisor
-// is every root's parent and must reissue from its retained packets.
-func TestClusterRootReissue(t *testing.T) {
-	prog := lang.Fib()
-	c, err := New(4, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	var reqs []*Request
-	for i := 0; i < 4; i++ {
-		r, err := c.Submit(prog, "fib", []expr.Value{expr.VInt(11)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs = append(reqs, r)
-	}
-	// Roots spread round-robin over 4 nodes: killing 1 and 2 hits some.
-	if err := c.Kill(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Kill(2); err != nil {
-		t.Fatal(err)
-	}
-	want, err := lang.RefEval(prog, "fib", []expr.Value{expr.VInt(11)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range reqs {
-		v, err := c.WaitRequest(r, 60*time.Second)
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if !v.Equal(want) {
-			t.Fatalf("request %d answer %v, want %v", i, v, want)
-		}
-	}
-}
-
 func TestKillValidation(t *testing.T) {
-	c, err := New(2, 7, Options{})
+	c, err := New(node.Spec{Procs: 2, Seed: 7}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,15 +218,20 @@ func TestKillValidation(t *testing.T) {
 	}
 }
 
-// TestNoOrphansAfterClose opens a net session through the public backend,
+// TestNoOrphansAfterClose opens a net session the way Backend.Open does,
 // runs a request, closes — and requires every node process gone.
 func TestNoOrphansAfterClose(t *testing.T) {
-	b := &Backend{Deadline: 20 * time.Second}
-	sess, err := b.Open(core.Config{Procs: 4, Seed: 1})
+	var c *Cluster
+	sess, err := node.Open("net", core.Config{Procs: 4, Seed: 1}, node.Clock{Deadline: 20 * time.Second},
+		func(spec node.Spec) (node.Machine, error) {
+			var err error
+			c, err = New(spec, Options{})
+			return c, err
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pids := sess.(*session).c.Pids()
+	pids := c.Pids()
 	w, err := core.StandardWorkload("fib:10")
 	if err != nil {
 		t.Fatal(err)
@@ -333,156 +297,6 @@ func TestNoOrphansAfterParentSIGKILL(t *testing.T) {
 	requireAllDead(t, pids)
 }
 
-// TestNetServiceStream drives the full core session surface — SubmitSpec
-// tickets, a mid-stream two-node SIGKILL burst, reference verification, and
-// the ServiceReport — through the process backend.
-func TestNetServiceStream(t *testing.T) {
-	const procs, requests = 6, 8
-	cl, err := core.OpenOn("net", core.Config{Procs: procs, Seed: 11, Recovery: "rollback"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []string{"fib:10", "fib:11", "tree:2,4", "tak:7,4,2"}
-	var wg sync.WaitGroup
-	tkCh := make(chan *core.Ticket, requests)
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(spec string) {
-			defer wg.Done()
-			tk, err := cl.SubmitSpec(spec)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			tkCh <- tk
-		}(specs[i%len(specs)])
-	}
-	if err := cl.Inject(faults.Burst(procs, 2, 2000, faults.CrashAnnounced, 7)); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	close(tkCh)
-	for tk := range tkCh {
-		if _, err := tk.Verify(); err != nil {
-			t.Fatalf("request %q: %v", tk.Workload().Spec, err)
-		}
-	}
-	sr, err := cl.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Completed != requests || sr.Failed != 0 {
-		t.Fatalf("completed %d failed %d, want %d/0\n%s", sr.Completed, sr.Failed, requests, sr.Render())
-	}
-	if sr.Backend != "net" || sr.Unit != core.WallMicros {
-		t.Fatalf("backend/unit = %s/%s", sr.Backend, sr.Unit)
-	}
-	if len(sr.FaultStamps) != 2 {
-		t.Fatalf("fault stamps = %v, want 2 kills", sr.FaultStamps)
-	}
-	if sr.Messages == 0 || sr.MsgBytes == 0 {
-		t.Fatalf("message accounting empty: %d msgs, %d bytes", sr.Messages, sr.MsgBytes)
-	}
-}
-
-// TestNetAdmissionQueue bounds concurrency at one slot: queued requests are
-// admitted in order as slots free and all complete.
-func TestNetAdmissionQueue(t *testing.T) {
-	b := &Backend{Deadline: 20 * time.Second}
-	sess, err := b.Open(core.Config{Procs: 3, Seed: 2, MaxInFlight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	w, err := core.StandardWorkload("fib:9")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reqs []core.SessionRequest
-	for i := 0; i < 3; i++ {
-		req, err := sess.Submit(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs = append(reqs, req)
-	}
-	for i, req := range reqs {
-		rep, err := req.Wait()
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if !rep.Completed {
-			t.Fatalf("request %d not completed: %+v", i, rep)
-		}
-	}
-	rep, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.QueueDepthMax < 1 {
-		t.Fatalf("queue depth max = %d, want >= 1", rep.QueueDepthMax)
-	}
-}
-
-// TestNetAdmissionShed drops overload instead of queueing it.
-func TestNetAdmissionShed(t *testing.T) {
-	b := &Backend{Deadline: 20 * time.Second}
-	sess, err := b.Open(core.Config{Procs: 3, Seed: 2, MaxInFlight: 1, Admission: "shed"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	w, err := core.StandardWorkload("fib:12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Submit(w); err != nil {
-		t.Fatal(err)
-	}
-	req2, err := sess.Submit(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := req2.Wait()
-	if err != core.ErrShed {
-		t.Fatalf("overload wait = %v, want core.ErrShed", err)
-	}
-	if !rep.Shed || rep.Completed {
-		t.Fatalf("shed report wrong: %+v", rep)
-	}
-}
-
-func TestNetRejectsUnsupportedConfigs(t *testing.T) {
-	w, err := core.StandardWorkload("fib:8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	short := &Backend{Deadline: 20 * time.Second}
-	cases := []struct {
-		cfg  core.Config
-		plan *faults.Plan
-		want string
-	}{
-		{core.Config{Recovery: "splice"}, nil, "recovery"},
-		{core.Config{Placement: "gradient"}, nil, "placement"},
-		{core.Config{Replication: map[string]int{"work": 3}}, nil, "replication"},
-		{core.Config{DisableCheckpoints: true}, nil, "checkpoints"},
-		{core.Config{Raw: &machine.Config{}}, nil, "Raw"},
-		{core.Config{RecoveryBudget: 2}, nil, "budget"},
-		{core.Config{RecoveryPeriod: 4}, nil, "budget"},
-		{core.Config{Admission: "lifo"}, nil, "admission"},
-		{core.Config{}, &faults.Plan{Faults: []faults.Fault{{At: 1, Proc: 0, Kind: faults.Corrupt}}}, "corruption"},
-		{core.Config{Procs: 2}, faults.Burst(2, 2, 1, faults.CrashAnnounced, 1), "survive"},
-		{core.Config{}, faults.Crash(proto.ProcID(99), 1, true), "out of range"},
-	}
-	for _, tc := range cases {
-		_, err := short.Run(tc.cfg, w, tc.plan)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("cfg %+v: err = %v, want containing %q", tc.cfg, err, tc.want)
-		}
-	}
-}
-
 // TestNetMatchesSimAnswer runs the same workload on the simulator and the
 // process cluster and requires identical answers — the cross-substrate
 // determinacy claim the L5 artifact generalizes.
@@ -499,7 +313,7 @@ func TestNetMatchesSimAnswer(t *testing.T) {
 	if err != nil || !simRep.Completed {
 		t.Fatalf("sim run failed: %v %+v", err, simRep)
 	}
-	netRep, err := (&Backend{Deadline: 20 * time.Second}).Run(core.Config{Procs: 4, Seed: 3}, w, nil)
+	netRep, err := (&Backend{Clock: node.Clock{Deadline: 20 * time.Second}}).Run(core.Config{Procs: 4, Seed: 3}, w, nil)
 	if err != nil || !netRep.Completed {
 		t.Fatalf("net run failed: %v %+v", err, netRep)
 	}

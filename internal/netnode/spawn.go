@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/node"
 )
 
 // managedProc wraps one node process with eager reaping: a goroutine Waits
@@ -23,23 +25,18 @@ type managedProc struct {
 // travels in the environment (the APSIM_NETNODE_* contract ChildMain
 // reads); argv carries only the cosmetic marker so `ps` reads honestly and
 // `pkill -f apsim-netnode` catches strays.
-func startNodeProc(i, procs int, seed int64, network, addr string, recov bool, eval string) (*managedProc, error) {
+func startNodeProc(i int, spec node.Spec, network, addr string) (*managedProc, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
 	cmd := exec.Command(exe, ArgvMarker, fmt.Sprintf("apsim-netnode-%d", i))
-	recovFlag := "1"
-	if !recov {
-		recovFlag = "0"
-	}
 	cmd.Env = append(os.Environ(),
 		NodeEnvID+"="+strconv.Itoa(i),
-		NodeEnvProcs+"="+strconv.Itoa(procs),
-		NodeEnvSeed+"="+strconv.FormatInt(seed, 10),
+		NodeEnvProcs+"="+strconv.Itoa(spec.Procs),
+		NodeEnvSeed+"="+strconv.FormatInt(spec.Seed, 10),
 		NodeEnvAddr+"="+network+":"+addr,
-		NodeEnvRecover+"="+recovFlag,
-		NodeEnvEval+"="+eval,
+		NodeEnvEval+"="+spec.Eval,
 	)
 	// Children must not write the parent's stdout — artifact output is
 	// byte-compared — but their panics should reach the operator.

@@ -1,0 +1,467 @@
+package node
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/proto"
+)
+
+// This file is the one core.Session of the wall-clock backends. The machine
+// stays up across requests, Submit enqueues root applications that the
+// persistent nodes serve concurrently, and Inject replays fault plans on the
+// wall clock against the stream's start — so kills land between and inside
+// requests, the online-recovery regime HEAL-style evaluations measure. The
+// stream clock is wall microseconds since Open; fault stamps, admission and
+// completion stamps all live on it.
+//
+// How a core.Config maps onto real time:
+//
+//   - Procs and Seed carry over directly (seeded placement: every node draws
+//     destinations from an rng derived from the seed).
+//   - A fault at virtual tick t fires t×Timescale after Open, so Burst/
+//     Cascade/Correlated plans keep their shape as real durations. Both crash
+//     kinds map to Machine.Kill — the transport reports the death and the
+//     super-root announces it; silent-crash timeout detection is a
+//     simulator-only mechanism. Corrupt faults are rejected (no voting here).
+//   - Deadline (a virtual-time budget) maps through Timescale to the wall
+//     budget bounding each request's Wait, so a hung recovery fails fast.
+//   - Recovery is "rollback" (per-parent reissue, §3; the default) or "none"
+//     (deaths go unannounced and lost work stays lost, so a faulted run
+//     reports non-completion at the deadline, like the simulator's), and
+//     Placement "random" — the one node protocol this package implements.
+//     Simulator-only knobs that would change what a run measures are
+//     rejected; Topology, AncestorDepth, Trace, ArrivalEvery and Arrival are
+//     inert (the interconnect is complete, per-parent reissue has no
+//     ancestor escalation to tune, there is no event log, and real time
+//     needs no synthetic arrival spacing — load drivers pace their own
+//     Submit calls from the workload.Arrival schedule).
+
+// DefaultTimescale is the wall-clock duration of one virtual tick when
+// mapping fault plans and deadlines: 2µs keeps the paper's fault times
+// (thousands of ticks) landing mid-run for the bundled workloads.
+const DefaultTimescale = 2 * time.Microsecond
+
+// DefaultDeadline bounds a request's Wait when the config sets no
+// virtual-time budget.
+const DefaultDeadline = 30 * time.Second
+
+// Clock is a backend instance's tick-to-wall mapping.
+type Clock struct {
+	// Timescale is the wall duration of one virtual tick (0 ⇒ DefaultTimescale).
+	Timescale time.Duration
+	// Deadline bounds Wait when Config.Deadline is zero (0 ⇒ DefaultDeadline).
+	Deadline time.Duration
+}
+
+// Machine is a booted wall-clock substrate: its super-root, the transport's
+// way of crashing a node, and its teardown.
+type Machine interface {
+	Root() *Root
+	// Kill crashes a node. The transport reports the death to the super-root
+	// the way it would any crash.
+	Kill(id int) error
+	// Shutdown stops every node and folds the drain counts the nodes kept
+	// locally into the super-root's counters. Called exactly once.
+	Shutdown()
+}
+
+// params is the validated shape of a core.Config on a wall-clock backend.
+type params struct {
+	Spec
+	backend     string
+	scheme      string
+	timescale   time.Duration
+	deadline    time.Duration
+	maxInFlight int
+	shed        bool // the "shed" policy, as opposed to "queue"
+	queueBound  int  // "queue:N" FIFO cap; 0 = unbounded
+}
+
+// prepare validates the config and fills defaults, naming the backend in
+// every rejection.
+func prepare(backend string, cfg core.Config, clk Clock) (params, error) {
+	p := params{
+		Spec:        Spec{Procs: cfg.Procs, Seed: cfg.Seed, Eval: cfg.Eval},
+		backend:     backend,
+		scheme:      cfg.Recovery,
+		maxInFlight: cfg.MaxInFlight,
+	}
+	reject := func(format string, args ...any) (params, error) {
+		return p, fmt.Errorf(backend+": "+format, args...)
+	}
+	if p.Procs == 0 {
+		p.Procs = 8
+	}
+	if p.Seed == 0 {
+		p.Seed = 1
+	}
+	if p.scheme == "" {
+		p.scheme = "rollback"
+	}
+	if p.scheme != "rollback" && p.scheme != "none" {
+		return reject("recovery %q not supported (rollback per-parent reissue, or none)", cfg.Recovery)
+	}
+	p.NoRecovery = p.scheme == "none"
+	if p.Eval == "" {
+		p.Eval = core.DefaultEval
+	}
+	if _, err := p.Evaluator(); err != nil {
+		return p, err
+	}
+	if cfg.Placement != "" && cfg.Placement != "random" {
+		return reject("placement %q not supported (random only)", cfg.Placement)
+	}
+	var err error
+	if p.shed, p.queueBound, err = core.ParseAdmission(cfg.Admission); err != nil {
+		return p, err
+	}
+	switch {
+	case cfg.RecoveryBudget != 0 || cfg.RecoveryPeriod != 0:
+		return reject("recovery budget/period pace the incremental scheme, which only the simulator implements")
+	case len(cfg.Replication) > 0:
+		return reject("§5.3 task replication is only implemented on the simulator")
+	case cfg.DisableCheckpoints:
+		return reject("checkpoints cannot be disabled (parents always retain child packets)")
+	case cfg.Raw != nil:
+		return reject("Config.Raw holds simulator machine knobs; this backend takes none of them")
+	}
+	p.timescale = clk.Timescale
+	if p.timescale <= 0 {
+		p.timescale = DefaultTimescale
+	}
+	p.deadline = clk.Deadline
+	if p.deadline <= 0 {
+		p.deadline = DefaultDeadline
+	}
+	if cfg.Deadline > 0 {
+		p.deadline = time.Duration(cfg.Deadline) * p.timescale
+	}
+	return p, nil
+}
+
+// Open validates cfg for the named wall-clock backend, boots the machine,
+// and serves a stream on it until Close.
+func Open(backend string, cfg core.Config, clk Clock, boot func(Spec) (Machine, error)) (core.Session, error) {
+	p, err := prepare(backend, cfg, clk)
+	if err != nil {
+		return nil, err
+	}
+	m, err := boot(p.Spec)
+	if err != nil {
+		return nil, err
+	}
+	s := &session{
+		p:      p,
+		m:      m,
+		start:  time.Now(),
+		stop:   make(chan struct{}),
+		killed: map[proto.ProcID]bool{},
+	}
+	m.Root().OnFirstDelivery(s.onRequestDone)
+	return s, nil
+}
+
+// Run is core.Backend.Run as the degenerate service stream: open, submit the
+// one root, inject the plan on the wall clock, wait (bounded) for the
+// answer, and close. Makespan is submission-to-answer wall µs; the counters
+// are the stream totals. Run verifies nothing — core.VerifyOn adds the
+// determinacy check (§2.1) on every substrate alike.
+func Run(b core.SessionBackend, cfg core.Config, w core.Workload, plan *faults.Plan) (*core.Report, error) {
+	sess, err := b.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var rep0 *core.Report
+	req, err := sess.Submit(w)
+	if err == nil {
+		_, err = sess.Inject(plan)
+	}
+	if err == nil {
+		rep0, err = req.Wait()
+	}
+	totals, closeErr := sess.Close()
+	if err != nil {
+		return nil, err
+	}
+	if closeErr != nil {
+		return nil, closeErr
+	}
+	totals.Answer = rep0.Answer
+	totals.Completed = rep0.Completed
+	totals.Makespan = rep0.Makespan
+	return totals, nil
+}
+
+// session is one open wall-clock service stream.
+type session struct {
+	p     params
+	m     Machine
+	start time.Time
+
+	mu       sync.Mutex
+	stop     chan struct{} // closed by Close: ends fault replay and every Wait
+	wg       sync.WaitGroup
+	killed   map[proto.ProcID]bool
+	closed   bool
+	closeRep *core.Report
+
+	// Bounded-admission state, guarded by mu. A slot is taken at admission
+	// (the Root.Submit) and freed at the request's first root delivery —
+	// symmetric with the simulator's accounting, so every backend makes
+	// identical admit/shed decisions on the same stream order.
+	inflight int
+	queue    []*request
+	queueMax int
+}
+
+// Unit implements core.Session.
+func (s *session) Unit() core.TimeUnit { return core.WallMicros }
+
+// micros is t on the stream clock.
+func (s *session) micros(t time.Time) int64 { return t.Sub(s.start).Microseconds() }
+
+// report is the report skeleton every request and the stream totals share.
+func (s *session) report() *core.Report {
+	return &core.Report{
+		Backend:   s.p.backend,
+		Unit:      core.WallMicros,
+		Procs:     s.p.Procs,
+		Scheme:    s.p.scheme,
+		Placement: "random",
+	}
+}
+
+// Submit implements core.Session: the request is offered immediately — real
+// time is the stream's arrival discipline — and admission control decides at
+// the offer, in Submit order: a free slot (or an unbounded stream) admits to
+// the machine now; a full one sheds or queues per the policy. The mutex is
+// held across the closed check and the root submit so a concurrent Close can
+// never shut the machine down between the two (a spawn into a shut-down
+// machine would silently never complete).
+func (s *session) Submit(w core.Workload) (core.SessionRequest, error) {
+	// Validated at the offer so a queued request cannot fail admission later,
+	// long after the submitter's error path has gone.
+	if err := checkEntry(w.Program, w.Fn); err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errors.New(s.p.backend + ": session closed")
+	}
+	now := time.Now()
+	if s.p.maxInFlight > 0 && s.inflight >= s.p.maxInFlight {
+		if s.p.shed || (s.p.queueBound > 0 && len(s.queue) >= s.p.queueBound) {
+			return &request{s: s, shed: true, offered: now}, nil
+		}
+		r := &request{s: s, w: w, offered: now, admitCh: make(chan struct{})}
+		s.queue = append(s.queue, r)
+		s.queueMax = max(s.queueMax, len(s.queue))
+		return r, nil
+	}
+	q, err := s.m.Root().Submit(w.Program, w.Fn, w.Args)
+	if err != nil {
+		return nil, err
+	}
+	s.inflight++
+	return &request{s: s, q: q, offered: now, arrived: now}, nil
+}
+
+// onRequestDone frees the completed request's admission slot and installs
+// the queue head, if any. It runs outside the root's lock (the hook
+// contract), so taking mu and re-entering Root.Submit is safe.
+func (s *session) onRequestDone() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.inflight--
+	if s.closed || len(s.queue) == 0 ||
+		(s.p.maxInFlight > 0 && s.inflight >= s.p.maxInFlight) {
+		return
+	}
+	r := s.queue[0]
+	s.queue = s.queue[1:]
+	r.q, r.admitErr = s.m.Root().Submit(r.w.Program, r.w.Fn, r.w.Args)
+	if r.admitErr == nil {
+		s.inflight++
+	}
+	r.arrived = time.Now()
+	close(r.admitCh)
+}
+
+// Inject implements core.Session: validate the plan (no corruption, and a
+// cumulative at-least-one-survivor check across every injected plan) and
+// replay it on the wall clock from the stream's start. Returned stamps are
+// the planned wall offsets in µs; faults whose offset already passed fire
+// immediately.
+func (s *session) Inject(plan *faults.Plan) ([]int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errors.New(s.p.backend + ": session closed")
+	}
+	if plan == nil {
+		plan = faults.None()
+	}
+	if err := plan.Validate(s.p.Procs); err != nil {
+		return nil, err
+	}
+	for _, f := range plan.Faults {
+		if f.Kind == faults.Corrupt {
+			return nil, fmt.Errorf("%s: fault %v: value corruption needs §5.3 voting, which only the simulator implements", s.p.backend, f)
+		}
+	}
+	union := map[proto.ProcID]bool{}
+	for q := range s.killed {
+		union[q] = true
+	}
+	for _, q := range plan.Procs() {
+		union[q] = true
+	}
+	if len(union) >= s.p.Procs {
+		return nil, fmt.Errorf("%s: plan kills %d of %d nodes; at least one must survive", s.p.backend, len(union), s.p.Procs)
+	}
+	s.killed = union
+	sorted := plan.Sorted()
+	stamps := make([]int64, 0, len(sorted))
+	for _, f := range sorted {
+		stamps = append(stamps, (time.Duration(f.At) * s.p.timescale).Microseconds())
+	}
+	// One scheduler goroutine per plan walks the time-sorted faults and
+	// kills each node at its wall-scaled instant relative to the stream
+	// start. Kills of already-dead nodes (overlapping merged plans) are
+	// ignored, like the simulator's post-death injections.
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		for _, f := range sorted {
+			if d := time.Duration(f.At)*s.p.timescale - time.Since(s.start); d > 0 {
+				select {
+				case <-time.After(d):
+				case <-s.stop:
+					return
+				}
+			}
+			select {
+			case <-s.stop:
+				return
+			default:
+			}
+			_ = s.m.Kill(int(f.Proc))
+		}
+	}()
+	return stamps, nil
+}
+
+// Close implements core.Session: stop the fault schedulers and every pending
+// Wait, shut the machine down — which folds the nodes' local drain counts
+// into the super-root — and only then report the stream totals. The mutex is
+// released before Shutdown: nodes finishing their last deliveries fire the
+// admission hook, which takes the mutex; holding it across the shutdown
+// barrier would deadlock the teardown.
+func (s *session) Close() (*core.Report, error) {
+	s.mu.Lock()
+	if s.closed {
+		defer s.mu.Unlock()
+		return s.closeRep, nil
+	}
+	s.closed = true
+	close(s.stop)
+	s.mu.Unlock()
+	s.wg.Wait()
+	rep := s.report()
+	rep.Makespan = s.micros(time.Now())
+	s.m.Shutdown()
+	root := s.m.Root()
+	rep.Messages, rep.MsgBytes = root.Messages()
+	rep.Spawned, rep.Reissued, rep.Drained = root.Stats()
+	rep.Recoveries = rep.Reissued
+	rep.ReissuesByNode = root.ReissuesByNode()
+	s.mu.Lock()
+	rep.QueueDepthMax = s.queueMax
+	s.closeRep = rep
+	s.mu.Unlock()
+	return rep, nil
+}
+
+// request implements core.SessionRequest. The offer stamp is set at Submit;
+// a request the admission queue held gets its q and arrived fields when
+// onRequestDone installs it (the admitCh close publishes them), a shed
+// request never gets either.
+type request struct {
+	s       *session
+	q       *Request
+	w       core.Workload
+	offered time.Time
+	arrived time.Time
+
+	shed     bool
+	admitCh  chan struct{} // non-nil iff the request was queued
+	admitErr error
+
+	once sync.Once
+	rep  *core.Report
+	err  error
+}
+
+// Wait implements core.SessionRequest: block for the answer up to the
+// per-request deadline, counted from the request's admission (the documented
+// Config.Deadline contract — so draining a wedged stream of N requests costs
+// one budget, not N; a queued request's budget starts when it gets its slot,
+// and its wait for that slot is bounded by the budget from its offer). Close
+// ends the wait at once. An answer already delivered is accepted even after
+// the budget; a timeout is not an error — the report says Completed false
+// and the stream keeps serving. A shed request reports immediately with the
+// typed core.ErrShed.
+func (r *request) Wait() (*core.Report, error) {
+	r.once.Do(r.wait)
+	return r.rep, r.err
+}
+
+func (r *request) wait() {
+	s := r.s
+	r.rep = s.report()
+	r.rep.Request = -1 // until admitted, no stream index exists
+	r.rep.ArrivedAt = s.micros(r.offered)
+	if r.shed {
+		r.rep.Shed = true
+		r.err = core.ErrShed
+		return
+	}
+	if r.admitCh != nil {
+		budget := time.NewTimer(s.p.deadline - time.Since(r.offered))
+		defer budget.Stop()
+		select {
+		case <-r.admitCh:
+		case <-budget.C:
+		case <-s.stop:
+		}
+		select {
+		case <-r.admitCh:
+		default:
+			// Still queued at the budget (or at Close): a timeout, like any
+			// admitted request that never answered.
+			r.rep.Makespan = s.micros(time.Now()) - r.rep.ArrivedAt
+			return
+		}
+		if r.admitErr != nil {
+			r.rep, r.err = nil, r.admitErr
+			return
+		}
+	}
+	v, err := r.q.Wait(s.p.deadline-time.Since(r.arrived), s.stop)
+	done := s.micros(time.Now())
+	r.rep.Request = r.q.ID()
+	r.rep.ArrivedAt = s.micros(r.arrived)
+	r.rep.QueuedFor = r.arrived.Sub(r.offered).Microseconds()
+	r.rep.Makespan = done - r.rep.ArrivedAt
+	if err == nil {
+		r.rep.Completed = true
+		r.rep.Answer = v
+		r.rep.DoneAt = done
+	}
+}
