@@ -1,499 +1,35 @@
-// Top-level benchmarks: one per reproduced artifact, as indexed in
-// DESIGN.md §4. They exercise exactly the code paths the experiment tables
-// report (same drivers), so `go test -bench=. -benchmem` regenerates the
-// performance shape of every figure and table. Custom metrics report the
-// interesting virtual-time quantities alongside wall-clock ns/op.
+// One table-driven benchmark over the artifact registry: each sub-benchmark
+// regenerates one simulator artifact through the same driver cmd/experiments
+// runs. It is a -cpuprofile entry point, not a gate — speed claims are made
+// and checked with `bash bench/run.sh` under the metric names BENCHMARK.json
+// declares.
+//
+//	go test -run '^$' -bench 'Artifact/S1$' -benchtime 5x -cpuprofile /tmp/s1.prof .
 package main
 
 import (
 	"testing"
 
-	"repro/internal/baseline"
-	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/lang"
-	"repro/internal/machine"
 	"repro/internal/runner"
-	"repro/internal/scenario"
-	"repro/internal/topology"
 )
 
-// mustWorkload resolves a spec or aborts the benchmark.
-func mustWorkload(b *testing.B, spec string) core.Workload {
-	b.Helper()
-	w, err := core.StandardWorkload(spec)
+func BenchmarkArtifact(b *testing.B) {
+	reg := runner.Default()
+	all, err := reg.Resolve("all")
 	if err != nil {
 		b.Fatal(err)
 	}
-	return w
-}
-
-// runOnce executes one configured run and reports virtual-time metrics.
-func runOnce(b *testing.B, cfg core.Config, w core.Workload, plan *faults.Plan) *core.Report {
-	b.Helper()
-	rep, err := cfg.Run(w, plan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if rep.Err != nil {
-		b.Fatal(rep.Err)
-	}
-	return rep
-}
-
-// --- F1/F2: the Figure 1 tree under both recovery schemes ---
-
-func BenchmarkFig1RollbackRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := scenario.RunFig1Rollback()
-		if err != nil {
-			b.Fatal(err)
+	for _, e := range all {
+		if !e.Supports(runner.SimBackend) {
+			continue
 		}
-		if !res.Completed {
-			b.Fatal("figure 1 run did not complete")
-		}
-	}
-}
-
-func BenchmarkFig23SpliceRecovery(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := scenario.RunFig23Splice()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Completed {
-			b.Fatal("figures 2-3 run did not complete")
-		}
-	}
-}
-
-// --- F5/F6: ordering cases and state sweep ---
-
-func BenchmarkFig5EightCases(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for c := 1; c <= 8; c++ {
-			res, err := scenario.RunFig5Case(c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Completed {
-				b.Fatalf("case %d failed", c)
-			}
-		}
-	}
-}
-
-func BenchmarkFig67StateSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, scheme := range []string{"rollback", "splice"} {
-			for st := byte('a'); st <= 'g'; st++ {
-				res, err := scenario.RunFig67State(st, scheme)
-				if err != nil {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := reg.Run([]runner.Experiment{e}, runner.Options{Parallel: 1}); err != nil {
 					b.Fatal(err)
 				}
-				if !res.Completed {
-					b.Fatalf("state %c/%s failed", st, scheme)
-				}
 			}
-		}
+		})
 	}
 }
-
-// --- T1: fault-free overhead ---
-
-func BenchmarkOverheadNoFaultTolerance(b *testing.B) {
-	w := mustWorkload(b, "fib:13")
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, core.Config{Procs: 8, Seed: 1, DisableCheckpoints: true}, w, nil)
-	}
-	b.ReportMetric(float64(last.Makespan), "vticks")
-	b.ReportMetric(float64(last.Sim.Metrics.TotalMessages()), "msgs")
-}
-
-func BenchmarkOverheadFunctionalCkpt(b *testing.B) {
-	w := mustWorkload(b, "fib:13")
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, core.Config{Procs: 8, Seed: 1, Recovery: "rollback"}, w, nil)
-	}
-	b.ReportMetric(float64(last.Makespan), "vticks")
-	b.ReportMetric(float64(last.Sim.Metrics.CheckpointBytes), "ckptB")
-}
-
-func BenchmarkOverheadPeriodicGlobalModel(b *testing.B) {
-	w := mustWorkload(b, "fib:13")
-	cfg := core.Config{Procs: 8, Seed: 1, DisableCheckpoints: true,
-		Raw: &machine.Config{StateProbeEvery: 64}}
-	var pause int64
-	for i := 0; i < b.N; i++ {
-		rep := runOnce(b, cfg, w, nil)
-		out, err := baseline.Model(baseline.DefaultPGCParams(int64(rep.Makespan)/10), rep.Sim)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pause = out.PauseTotal
-	}
-	b.ReportMetric(float64(pause), "pause_vticks")
-}
-
-// --- T2: recovery cost by fault time ---
-
-func benchRecoveryAt(b *testing.B, scheme string, frac int64) {
-	w := mustWorkload(b, "tree:3,6")
-	cfg := core.Config{Procs: 9, Seed: 1, Recovery: scheme}
-	base := runOnce(b, cfg, w, nil)
-	at := int64(base.Makespan) * frac / 100
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, faults.Crash(1, at, true))
-		if !last.Completed {
-			b.Fatal("recovery failed")
-		}
-	}
-	b.ReportMetric(float64(last.Makespan)/float64(base.Makespan), "slowdown")
-	b.ReportMetric(float64(last.Sim.Metrics.StepsExecuted-base.Sim.Metrics.StepsExecuted), "extra_steps")
-}
-
-func BenchmarkRecoveryRollbackEarlyFault(b *testing.B) { benchRecoveryAt(b, "rollback", 20) }
-func BenchmarkRecoveryRollbackLateFault(b *testing.B)  { benchRecoveryAt(b, "rollback", 80) }
-func BenchmarkRecoverySpliceEarlyFault(b *testing.B)   { benchRecoveryAt(b, "splice", 20) }
-func BenchmarkRecoverySpliceLateFault(b *testing.B)    { benchRecoveryAt(b, "splice", 80) }
-
-// --- T3: processor scaling ---
-
-func benchScale(b *testing.B, procs int) {
-	w := mustWorkload(b, "tree:3,6")
-	cfg := core.Config{Procs: procs, Seed: 1, Recovery: "rollback"}
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, nil)
-	}
-	b.ReportMetric(float64(last.Makespan), "vticks")
-}
-
-func BenchmarkScaleProcs4(b *testing.B)  { benchScale(b, 4) }
-func BenchmarkScaleProcs16(b *testing.B) { benchScale(b, 16) }
-func BenchmarkScaleProcs64(b *testing.B) { benchScale(b, 64) }
-
-// --- T4: multiple faults ---
-
-func BenchmarkMultiFaultSpliceSeparateBranches(b *testing.B) {
-	w := mustWorkload(b, "tree:4,5")
-	plan := faults.None().
-		Add(faults.Fault{At: 800, Proc: 1, Kind: faults.CrashAnnounced}).
-		Add(faults.Fault{At: 2000, Proc: 5, Kind: faults.CrashAnnounced})
-	cfg := core.Config{Procs: 9, Seed: 1, Recovery: "splice"}
-	for i := 0; i < b.N; i++ {
-		rep := runOnce(b, cfg, w, plan)
-		if !rep.Completed {
-			b.Fatal("multi-fault recovery failed")
-		}
-	}
-}
-
-// --- T5: replication and voting ---
-
-func benchReplication(b *testing.B, r int) {
-	prog := lang.CriticalSections(12, 400)
-	w := core.Workload{Program: prog, Fn: "main"}
-	plan := &faults.Plan{Faults: []faults.Fault{{At: 0, Proc: 3, Kind: faults.Corrupt}}}
-	cfg := core.Config{Procs: 8, Seed: 1}
-	if r > 1 {
-		cfg.Replication = map[string]int{"work": r}
-	}
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, plan)
-	}
-	b.ReportMetric(float64(last.Sim.Metrics.Votes), "votes")
-	b.ReportMetric(float64(last.Sim.Metrics.MsgTask), "task_msgs")
-}
-
-func BenchmarkReplicationVotingR1(b *testing.B) { benchReplication(b, 1) }
-func BenchmarkReplicationVotingR3(b *testing.B) { benchReplication(b, 3) }
-func BenchmarkReplicationVotingR5(b *testing.B) { benchReplication(b, 5) }
-
-// --- T6: placement policies through a fault ---
-
-func benchPlacement(b *testing.B, placement string) {
-	w := mustWorkload(b, "tree:3,6")
-	cfg := core.Config{Procs: 9, Seed: 1, Recovery: "rollback", Placement: placement}
-	base := runOnce(b, cfg, w, nil)
-	at := int64(base.Makespan) / 2
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, faults.Crash(1, at, true))
-		if !last.Completed {
-			b.Fatal("recovery failed")
-		}
-	}
-	b.ReportMetric(float64(last.Makespan)/float64(base.Makespan), "stretch")
-}
-
-func BenchmarkStaticVsDynamicRecoveryGradient(b *testing.B) { benchPlacement(b, "gradient") }
-func BenchmarkStaticVsDynamicRecoveryRandom(b *testing.B)   { benchPlacement(b, "random") }
-func BenchmarkStaticVsDynamicRecoveryStatic(b *testing.B)   { benchPlacement(b, "static") }
-
-// --- T7: TMR baseline ---
-
-func BenchmarkTMRBaseline(b *testing.B) {
-	w := mustWorkload(b, "fib:10")
-	cfg := core.Config{Procs: 8, Seed: 1,
-		Replication: baseline.ReplicateAll(w.Program.Names(), 3)}
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, nil)
-	}
-	b.ReportMetric(float64(last.Sim.Metrics.StepsExecuted), "steps")
-}
-
-// --- Ablations ---
-
-func BenchmarkAblationEagerAbort(b *testing.B) {
-	w := mustWorkload(b, "tree:3,6")
-	cfg := core.Config{Procs: 9, Seed: 1, Recovery: "rollback"}
-	base := runOnce(b, cfg, w, nil)
-	at := int64(base.Makespan) / 2
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, faults.Crash(1, at, true))
-	}
-	b.ReportMetric(float64(last.Sim.Metrics.StepsWasted), "wasted_steps")
-}
-
-func BenchmarkAblationLazyAbort(b *testing.B) {
-	w := mustWorkload(b, "tree:3,6")
-	cfg := core.Config{Procs: 9, Seed: 1, Recovery: "rollback-lazy"}
-	base := runOnce(b, cfg, w, nil)
-	at := int64(base.Makespan) / 2
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, faults.Crash(1, at, true))
-	}
-	b.ReportMetric(float64(last.Sim.Metrics.StepsWasted), "wasted_steps")
-}
-
-func BenchmarkAblationNoSuppression(b *testing.B) {
-	w := mustWorkload(b, "tree:3,6")
-	cfg := core.Config{Procs: 9, Seed: 1, Recovery: "rollback-nosuppress"}
-	base := runOnce(b, cfg, w, nil)
-	at := int64(base.Makespan) * 2 / 3
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, faults.Crash(1, at, true))
-	}
-	b.ReportMetric(float64(last.Sim.Metrics.Reissues), "reissues")
-}
-
-// --- End-to-end table generation through the runner registry ---
-
-// lookupTable resolves a table driver from the shared registry, so the
-// benchmarks exercise exactly what cmd/experiments runs.
-func lookupTable(b *testing.B, id string) func(int64) (*runner.Result, error) {
-	b.Helper()
-	reg := runner.Default()
-	if _, ok := reg.Lookup(id); !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	return func(seed int64) (*runner.Result, error) {
-		results, err := reg.RunIDs(id, runner.Options{Seeds: []int64{seed}, Parallel: 1})
-		if err != nil {
-			return nil, err
-		}
-		return results[0], nil
-	}
-}
-
-func BenchmarkExperimentT1Table(b *testing.B) {
-	run := lookupTable(b, "T1")
-	for i := 0; i < b.N; i++ {
-		if _, err := run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- S1–S3: stress scenarios (irregular topologies, cascades, density) ---
-
-func BenchmarkStressS1TopologySweep(b *testing.B) {
-	run := lookupTable(b, "S1")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStressS2CascadeRecovery(b *testing.B) {
-	run := lookupTable(b, "S2")
-	for i := 0; i < b.N; i++ {
-		if _, err := run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStressS3FaultDensity(b *testing.B) {
-	run := lookupTable(b, "S3")
-	for i := 0; i < b.N; i++ {
-		if _, err := run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStressS4ShapeDiversity(b *testing.B) {
-	run := lookupTable(b, "S4")
-	for i := 0; i < b.N; i++ {
-		if _, err := run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServiceL3Stream drives the full service-mode stream (32
-// multiplexed requests, mid-stream bursts and cascades, rollback and
-// splice) on the simulator — the profile target for session-kernel work.
-func BenchmarkServiceL3Stream(b *testing.B) {
-	run := lookupTable(b, "L3")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelS1Mesh64 isolates the hottest S1 cell — one fault-free
-// fib:13 run on a 64-processor mesh under rollback checkpointing — without
-// the table scaffolding, so CPU/alloc profiles point straight at the
-// kernel, processor, and evaluator hot paths. This and BenchmarkServiceL3Stream
-// are the two profile targets the BENCH_4 wall-time gate watches.
-func BenchmarkKernelS1Mesh64(b *testing.B) {
-	w := mustWorkload(b, "fib:13")
-	cfg := core.Config{Procs: 64, Seed: 1, Recovery: "rollback", Topology: "mesh"}
-	var last *core.Report
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, nil)
-		if !last.Completed {
-			b.Fatal("S1 mesh cell did not complete")
-		}
-	}
-	b.ReportMetric(float64(last.Makespan), "vticks")
-	b.ReportMetric(float64(last.Sim.Metrics.TotalMessages()), "msgs")
-}
-
-// BenchmarkKernelS1Mesh64Compiled is the same S1 cell under the bytecode
-// evaluator. The virtual metrics must match BenchmarkKernelS1Mesh64 exactly
-// (the compiled evaluator preserves the step-count contract); only ns/op
-// may move, tracking what compilation buys on the reduction hot path.
-func BenchmarkKernelS1Mesh64Compiled(b *testing.B) {
-	w := mustWorkload(b, "fib:13")
-	cfg := core.Config{Procs: 64, Seed: 1, Recovery: "rollback", Topology: "mesh", Eval: "compiled"}
-	var last *core.Report
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, nil)
-		if !last.Completed {
-			b.Fatal("compiled S1 mesh cell did not complete")
-		}
-	}
-	b.ReportMetric(float64(last.Makespan), "vticks")
-	b.ReportMetric(float64(last.Sim.Metrics.TotalMessages()), "msgs")
-}
-
-// BenchmarkKernelS1Mesh64Sharded4 is the same S1 cell on the 4-shard
-// conservative kernel. The virtual metrics must match BenchmarkKernelS1Mesh64
-// exactly (sharding is a pure representation change); only ns/op may move,
-// tracking the cost or payoff of the lockstep windows on this machine.
-func BenchmarkKernelS1Mesh64Sharded4(b *testing.B) {
-	w := mustWorkload(b, "fib:13")
-	cfg := core.Config{Procs: 64, Seed: 1, Recovery: "rollback", Topology: "mesh", Shards: 4}
-	var last *core.Report
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, nil)
-		if !last.Completed {
-			b.Fatal("sharded S1 mesh cell did not complete")
-		}
-	}
-	b.ReportMetric(float64(last.Makespan), "vticks")
-	b.ReportMetric(float64(last.Sim.Metrics.TotalMessages()), "msgs")
-}
-
-// BenchmarkServiceL3StreamSharded4 runs the L3 service stream with every
-// cell on the 4-shard kernel, covering the cross-shard admission path and
-// the per-pair outbox merges under the full protocol workload.
-func BenchmarkServiceL3StreamSharded4(b *testing.B) {
-	run := lookupTable(b, "L3")
-	saved := core.DefaultShards
-	core.DefaultShards = 4
-	defer func() { core.DefaultShards = saved }()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServiceL3StreamCompiled runs the L3 service stream under the
-// bytecode evaluator — the second profile target's compiled series.
-func BenchmarkServiceL3StreamCompiled(b *testing.B) {
-	run := lookupTable(b, "L3")
-	saved := core.DefaultEval
-	core.DefaultEval = "compiled"
-	defer func() { core.DefaultEval = saved }()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCascade64Torus isolates the hot path S2 stresses: one cascade
-// recovery on the 64-processor torus, without the table scaffolding.
-func BenchmarkCascade64Torus(b *testing.B) {
-	w := mustWorkload(b, "tree:3,6")
-	topo, err := topology.ByName("torus", 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := core.Config{Procs: 64, Seed: 1, Recovery: "splice", Topology: "torus"}
-	base := runOnce(b, cfg, w, nil)
-	m0 := int64(base.Makespan)
-	plan := faults.Cascade(topo, 9, m0*3/10, m0/10, 2, 1.0, faults.CrashAnnounced, 1)
-	var last *core.Report
-	for i := 0; i < b.N; i++ {
-		last = runOnce(b, cfg, w, plan)
-		if !last.Completed {
-			b.Fatal("cascade recovery failed")
-		}
-	}
-	b.ReportMetric(float64(last.Makespan)/float64(m0), "slowdown")
-	b.ReportMetric(float64(last.Sim.Metrics.Twins+last.Sim.Metrics.Reissues), "twins_reissues")
-}
-
-// BenchmarkRunnerSeedSweepSequential and ...Parallel measure the engine's
-// fan-out win on a 3-seed T7 sweep (each cell builds its own machine, so
-// the grid parallelizes cleanly).
-func benchSeedSweep(b *testing.B, parallel int) {
-	reg := runner.Default()
-	opt := runner.Options{Seeds: runner.SeedRange(1, 3), Parallel: parallel}
-	for i := 0; i < b.N; i++ {
-		results, err := reg.RunIDs("T7", opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if results[0].Summary == nil {
-			b.Fatal("missing multi-seed aggregate")
-		}
-	}
-}
-
-func BenchmarkRunnerSeedSweepSequential(b *testing.B) { benchSeedSweep(b, 1) }
-func BenchmarkRunnerSeedSweepParallel(b *testing.B)   { benchSeedSweep(b, 3) }

@@ -24,7 +24,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -239,34 +238,17 @@ func serve(backend string, cfg core.Config, w core.Workload, plan *faults.Plan, 
 	if err != nil {
 		fatal(err)
 	}
-	tickets := make([]*core.Ticket, 0, n)
 	for i := 0; i < n; i++ {
-		tickets = append(tickets, cl.Submit(w))
+		cl.Submit(w)
 	}
 	if len(plan.Faults) > 0 {
 		if err := cl.Inject(plan); err != nil {
 			fatal(err)
 		}
 	}
-	verified, timeouts, shed := 0, 0, 0
-	for i, tk := range tickets {
-		rep, err := tk.Wait()
-		if errors.Is(err, core.ErrShed) {
-			// Admission control rejected it: data, not a failure.
-			shed++
-			continue
-		}
-		if err != nil {
-			fatal(fmt.Errorf("request %d: %w", i, err))
-		}
-		if !rep.Completed {
-			timeouts++
-			continue
-		}
-		if _, err := tk.Verify(); err != nil {
-			fatal(fmt.Errorf("request %d: %w", i, err))
-		}
-		verified++
+	verified, timeouts, shed, err := cl.VerifyAll(false)
+	if err != nil {
+		fatal(err)
 	}
 	sr, err := cl.Close()
 	if err != nil {

@@ -39,7 +39,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/lang"
 	"repro/internal/netnode"
 	"repro/internal/runner"
@@ -50,8 +49,8 @@ func main() {
 	netnode.ChildMain()
 	// Batch harness, not a resident service: the simulator's hot loop is
 	// allocation-heavy and on one core every collection steals mutator
-	// time, so trade heap headroom for wall time. Affects only wall-clock
-	// columns (B1); every virtual-time artifact is GC-invariant.
+	// time, so trade heap headroom for wall time. Every virtual-time
+	// artifact is GC-invariant.
 	debug.SetGCPercent(400)
 	var (
 		exp      = flag.String("exp", "all", "artifacts: all, one id (F1/F2/F5/F6/F7, T1..T7, A1..A4, S1..S6, L1..L5, any case; see -list), or a comma-separated list")
@@ -63,7 +62,6 @@ func main() {
 		asJSON   = flag.Bool("json", false, "emit JSON (per-seed tables plus aggregates) instead of markdown")
 		asDoc    = flag.Bool("markdown", false, "emit the self-contained EXPERIMENTS.md document (header + contents + artifacts)")
 		list     = flag.Bool("list", false, "list the registered artifacts and exit")
-		bench    = flag.Int("bench", 0, "with -json: append the B1 wall-time artifact, timing each profile target this many reps (nondeterministic; for BENCH_N.json snapshots, never for EXPERIMENTS.md)")
 		shards   = flag.Int("shards", 1, "simulation kernel shards per cell (0 = GOMAXPROCS); every artifact is byte-identical at every shard count, so this only trades wall-clock time")
 		eval     = flag.String("eval", "", "evaluator for task reduction passes: "+lang.EvaluatorHelp()+" (default interp); every artifact is byte-identical under either, so this only trades wall-clock time")
 	)
@@ -82,10 +80,6 @@ func main() {
 	}
 	if *asJSON && *asDoc {
 		fmt.Fprintln(os.Stderr, "experiments: -json and -markdown are mutually exclusive")
-		os.Exit(2)
-	}
-	if *bench > 0 && !*asJSON {
-		fmt.Fprintln(os.Stderr, "experiments: -bench requires -json (wall times are nondeterministic and must stay out of committed documents)")
 		os.Exit(2)
 	}
 	expSet := false
@@ -123,17 +117,6 @@ func main() {
 	}
 	// A per-artifact failure still renders everything that succeeded (the
 	// failed artifacts carry their error inline) before exiting non-zero.
-	if *bench > 0 {
-		tb, err := experiments.B1WallTime(*bench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		results = append(results, &runner.Result{
-			ID: tb.ID, Title: tb.Title, Kind: runner.KindTable,
-			Tables: []*experiments.Table{tb},
-		})
-	}
 	switch {
 	case *asJSON:
 		out, err := runner.RenderJSON(results)

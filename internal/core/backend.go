@@ -102,23 +102,14 @@ var ErrShed = errors.New("core: request shed by admission control")
 
 // Backend is one execution substrate for the applicative machine: the
 // discrete-event simulator, the live goroutine network, or anything else
-// that can evaluate a workload under a config and a fault plan. The paper's
-// claim — functional checkpointing plus rollback/splice needs nothing from a
-// particular substrate — is exactly this interface.
+// that can serve a request stream under a config with faults injectable
+// against the stream's clock. The paper's claim — functional checkpointing
+// plus rollback/splice needs nothing from a particular substrate — is
+// exactly this interface. A one-shot run is the degenerate stream
+// (Config.RunOn), so a backend implements nothing else.
 type Backend interface {
-	// Name is the registry key ("sim", "live").
+	// Name is the registry key ("sim", "live", "net").
 	Name() string
-	// Run evaluates the workload under the fault plan and reports.
-	Run(cfg Config, w Workload, plan *faults.Plan) (*Report, error)
-}
-
-// SessionBackend is the optional capability of a backend that can keep its
-// network alive across requests: Open returns a long-lived Session serving a
-// request stream, with faults injectable against the stream's clock. Both
-// bundled substrates implement it; a backend without the capability is
-// batch-only and can still Run, but Open/OpenOn reject it.
-type SessionBackend interface {
-	Backend
 	// Open brings the substrate up under the config and keeps it up until
 	// the session is closed.
 	Open(cfg Config) (Session, error)
@@ -191,50 +182,48 @@ func init() { MustRegisterBackend(simBackend{}) }
 // Name implements Backend.
 func (simBackend) Name() string { return "sim" }
 
-// Run implements Backend as the degenerate service stream — open a session,
-// submit the one workload, inject the plan, drain, close — which the
-// machine's session drives through the byte-identical event sequence of the
-// old one-shot path.
-func (simBackend) Run(cfg Config, w Workload, plan *faults.Plan) (*Report, error) {
-	s, err := newSimSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := s.Submit(w)
-	if err != nil {
-		return nil, err
-	}
-	// Surface setup errors in the historical order: start flushes the batch
-	// and returns the machine-build error or the entry-function error (in
-	// that order), then the fault plan validates.
-	if err := s.start(); err != nil {
-		return nil, err
-	}
-	if _, err := s.Inject(plan); err != nil {
-		return nil, err
-	}
-	if _, err := sr.Wait(); err != nil {
-		return nil, err
-	}
-	return s.Close()
-}
-
-// Open implements SessionBackend: a long-lived simulator session serving a
-// request stream on one event kernel. Arrival and admission specs validate
-// here, so a malformed spec fails the Open, not the first request.
+// Open implements Backend: a long-lived simulator session serving a request
+// stream on one event kernel. Arrival and admission specs validate here, so
+// a malformed spec fails the Open, not the first request.
 func (simBackend) Open(cfg Config) (Session, error) {
 	return newSimSession(cfg)
+}
+
+// runOn is the one-shot run as the degenerate service stream: open, submit
+// the one workload, inject the plan, wait for the answer, close. Setup
+// errors surface in a fixed order — substrate bring-up, then the entry
+// function, then the fault plan — and the session is closed on every path
+// (the wall-clock substrates' teardown depends on it). The report is the
+// stream totals with the one request's answer, completion and makespan.
+func runOn(b Backend, cfg Config, w Workload, plan *faults.Plan) (*Report, error) {
+	sess, err := b.Open(cfg)
+	if err != nil {
+		return nil, err
+	}
+	var one *Report
+	req, err := sess.Submit(w)
+	if err == nil {
+		_, err = sess.Inject(plan)
+	}
+	if err == nil {
+		one, err = req.Wait()
+	}
+	totals, closeErr := sess.Close()
+	if err != nil {
+		return nil, err
+	}
+	if closeErr != nil {
+		return nil, closeErr
+	}
+	totals.Answer, totals.Completed, totals.Makespan = one.Answer, one.Completed, one.Makespan
+	return totals, nil
 }
 
 // VerifyOn runs the workload on the named backend and checks the answer
 // against the sequential reference evaluator — the determinacy guarantee of
 // §2.1, now assertable on every substrate.
 func VerifyOn(backend string, cfg Config, w Workload, plan *faults.Plan) (*Report, error) {
-	b, err := ByName(backend)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := b.Run(cfg, w, plan)
+	rep, err := cfg.RunOn(backend, w, plan)
 	if err != nil {
 		return nil, err
 	}

@@ -32,8 +32,7 @@ func Open(cfg Config) (*Cluster, error) {
 	return OpenOn(cfg.Backend, cfg)
 }
 
-// OpenOn starts a service stream on the named backend. The backend must
-// implement the SessionBackend capability; batch-only backends are rejected.
+// OpenOn starts a service stream on the named backend ("" = the simulator).
 func OpenOn(backend string, cfg Config) (*Cluster, error) {
 	if backend == "" {
 		backend = "sim"
@@ -42,11 +41,7 @@ func OpenOn(backend string, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	sb, ok := b.(SessionBackend)
-	if !ok {
-		return nil, fmt.Errorf("core: backend %q is batch-only (no session capability)", backend)
-	}
-	sess, err := sb.Open(cfg)
+	sess, err := b.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -152,6 +147,49 @@ func (c *Cluster) Drain() error {
 		}
 	}
 	return firstErr
+}
+
+// VerifyAll waits for every submitted request in submission order and
+// checks each completed answer against the sequential reference evaluator
+// (§2.1 — a wrong answer fails loudly), returning how many verified, timed
+// out their budget, and were shed by admission control. Shed and timed-out
+// requests are data unless strict, which requires every request to
+// complete. The first failure closes the cluster and is returned naming the
+// request.
+func (c *Cluster) VerifyAll(strict bool) (verified, timedOut, shed int, err error) {
+	c.mu.Lock()
+	tickets := append([]*Ticket(nil), c.tickets...)
+	c.mu.Unlock()
+	for i, t := range tickets {
+		rep, err := t.Wait()
+		done := err == nil && rep.Completed
+		if done {
+			_, err = t.Verify()
+		}
+		switch {
+		case done && err == nil:
+			verified++
+			continue
+		case !strict && errors.Is(err, ErrShed):
+			shed++
+			continue
+		case !strict && !done && err == nil:
+			timedOut++
+			continue
+		}
+		name := fmt.Sprintf("request %d", i)
+		if t.w.Spec != "" {
+			name += " (" + t.w.Spec + ")"
+		}
+		if err == nil {
+			err = fmt.Errorf("%s did not complete within its budget", name)
+		} else {
+			err = fmt.Errorf("%s: %w", name, err)
+		}
+		_, _ = c.Close()
+		return verified, timedOut, shed, err
+	}
+	return verified, timedOut, shed, nil
 }
 
 // Close drains the stream, tears the substrate down, and returns the

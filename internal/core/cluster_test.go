@@ -12,9 +12,10 @@ import (
 	"repro/internal/faults"
 )
 
-// fakeBackend is a registrable stub whose Run returns a canned report or
-// error — the error-path probe for VerifyOn. Names sort after "sim" so the
-// registry-order assertions elsewhere stay valid.
+// fakeBackend is a registrable stub whose Open fails, or whose session hands
+// every request (and the stream totals) a canned report — the error-path
+// probe for VerifyOn. Names sort after "sim" so the registry-order
+// assertions elsewhere stay valid.
 type fakeBackend struct {
 	name string
 	rep  *Report
@@ -22,8 +23,22 @@ type fakeBackend struct {
 }
 
 func (f fakeBackend) Name() string { return f.name }
-func (f fakeBackend) Run(Config, Workload, *faults.Plan) (*Report, error) {
-	return f.rep, f.err
+func (f fakeBackend) Open(Config) (Session, error) {
+	if f.err != nil {
+		return nil, f.err
+	}
+	return fakeSession{f.rep}, nil
+}
+
+type fakeSession struct{ rep *Report }
+
+func (s fakeSession) Submit(Workload) (SessionRequest, error) { return s, nil }
+func (s fakeSession) Inject(*faults.Plan) ([]int64, error)    { return nil, nil }
+func (s fakeSession) Unit() TimeUnit                          { return s.rep.Unit }
+func (s fakeSession) Wait() (*Report, error)                  { return s.rep, nil }
+func (s fakeSession) Close() (*Report, error) {
+	totals := *s.rep
+	return &totals, nil
 }
 
 var fakeOnce sync.Once
@@ -259,19 +274,6 @@ func TestOneShotMatchesDegenerateStream(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsBatchOnlyBackend: the fake backends have no session
-// capability; OpenOn must say so.
-func TestOpenRejectsBatchOnlyBackend(t *testing.T) {
-	registerFakes(t)
-	_, err := OpenOn("zz-err", Config{})
-	if err == nil || !strings.Contains(err.Error(), "batch-only") {
-		t.Fatalf("OpenOn(batch-only) error = %v", err)
-	}
-	if _, err := OpenOn("nosuch", Config{}); err == nil {
-		t.Fatal("unknown backend opened")
-	}
-}
-
 // TestTicketErrorPaths: unknown entry functions and nil programs surface on
 // the ticket, not the stream; the stream keeps serving around them.
 func TestTicketErrorPaths(t *testing.T) {
@@ -300,5 +302,58 @@ func TestTicketErrorPaths(t *testing.T) {
 	}
 	if sr.Completed != 1 || sr.Failed != 1 {
 		t.Fatalf("completed/failed = %d/%d", sr.Completed, sr.Failed)
+	}
+}
+
+// TestVerifyAll: shed and timed-out requests are counted as data unless
+// strict, a strict failure names the request and closes the cluster, and a
+// completed request with the wrong answer always fails.
+func TestVerifyAll(t *testing.T) {
+	registerFakes(t)
+	open := func(backend string, cfg Config, n int) *Cluster {
+		t.Helper()
+		cl, err := OpenOn(backend, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := cl.SubmitSpec("fib:9"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cl
+	}
+	shedding := Config{Procs: 4, Seed: 1, Recovery: "rollback", MaxInFlight: 1, Admission: "shed"}
+	starved := Config{Procs: 4, Seed: 1, Deadline: 10}
+
+	cl := open("sim", shedding, 3)
+	if v, to, shed, err := cl.VerifyAll(false); err != nil || v != 1 || to != 0 || shed != 2 {
+		t.Fatalf("shedding stream: verified/timedOut/shed = %d/%d/%d, err %v; want 1/0/2", v, to, shed, err)
+	}
+	if sr, err := cl.Close(); err != nil || sr.Completed != 1 || sr.Shed != 2 {
+		t.Fatalf("Close after VerifyAll: %+v, %v", sr, err)
+	}
+	cl = open("sim", starved, 2)
+	if v, to, shed, err := cl.VerifyAll(false); err != nil || v != 0 || to != 2 || shed != 0 {
+		t.Fatalf("starved stream: verified/timedOut/shed = %d/%d/%d, err %v; want 0/2/0", v, to, shed, err)
+	}
+
+	for _, c := range []struct {
+		backend string
+		cfg     Config
+		strict  bool
+		want    string
+	}{
+		{"sim", shedding, true, "request 1 (fib:9): " + ErrShed.Error()},
+		{"sim", starved, true, "request 0 (fib:9) did not complete within its budget"},
+		{"zz-wrong", Config{}, false, "request 0 (fib:9): core: answer -1 != reference"},
+	} {
+		cl := open(c.backend, c.cfg, 3)
+		if _, _, _, err := cl.VerifyAll(c.strict); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s strict=%v: error %v, want %q", c.backend, c.strict, err, c.want)
+		}
+		if _, err := cl.Submit(Workload{}).Wait(); err == nil || !strings.Contains(err.Error(), "cluster closed") {
+			t.Errorf("%s strict=%v: cluster still open after a failed VerifyAll (%v)", c.backend, c.strict, err)
+		}
 	}
 }

@@ -384,10 +384,9 @@ func (c Config) Build(prog *lang.Program) (*machine.Machine, error) {
 
 // Run evaluates the workload under the fault plan on the simulator backend
 // and returns the backend-neutral report (simulator detail on Report.Sim).
-// To run on another substrate, resolve it with ByName and call its Run, or
-// use RunOn.
+// To run on another substrate use RunOn.
 func (c Config) Run(w Workload, plan *faults.Plan) (*Report, error) {
-	return simBackend{}.Run(c, w, plan)
+	return runOn(simBackend{}, c, w, plan)
 }
 
 // RunOn evaluates the workload on the named backend.
@@ -396,7 +395,7 @@ func (c Config) RunOn(backend string, w Workload, plan *faults.Plan) (*Report, e
 	if err != nil {
 		return nil, err
 	}
-	return b.Run(c, w, plan)
+	return runOn(b, c, w, plan)
 }
 
 // RunSpec is the one-line entry point: workload spec + config + plan.

@@ -86,6 +86,24 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := (Config{}).Build(nil); err == nil {
 		t.Error("nil program accepted")
 	}
+	// With several things wrong at once a one-shot run reports them in a
+	// fixed order: machine build, then entry function, then fault plan.
+	badFn := w
+	badFn.Fn = "nosuch"
+	badPlan := CrashPlan(99, 10, true)
+	for _, c := range []struct {
+		cfg  Config
+		w    Workload
+		want string
+	}{
+		{Config{Topology: "nosuch"}, badFn, "topology: unknown kind"},
+		{Config{}, badFn, `entry function "nosuch" not in program`},
+		{Config{}, w, "processor 99 out of range"},
+	} {
+		if _, err := c.cfg.Run(c.w, badPlan); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Run error = %v, want %q", err, c.want)
+		}
+	}
 }
 
 func TestVerifyDetectsFailure(t *testing.T) {

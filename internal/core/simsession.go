@@ -146,15 +146,6 @@ func (s *simSession) Inject(plan *faults.Plan) ([]int64, error) {
 	return s.ms.Inject(plan)
 }
 
-// start flushes the pending batch, surfacing the fatal machine-build error
-// if any. The one-shot Run wrapper calls it to report setup errors in the
-// historical order.
-func (s *simSession) start() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flushLocked()
-}
-
 // flushLocked admits the buffered batch: canonical order, machine built from
 // the first submission's program, deferred plans injected, then every
 // request submitted to the machine session. The returned error is fatal

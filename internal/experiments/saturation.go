@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -43,50 +42,6 @@ func s5Specs() []string {
 		out[i] = base[i%len(base)]
 	}
 	return out
-}
-
-// runOffered submits the spec list against a cluster where shedding is an
-// expected outcome: admitted requests must complete and verify against the
-// reference evaluator, shed requests are counted as data, and anything else
-// is an error.
-func runOffered(backend string, cfg core.Config, specs []string, plan *core.FaultPlan) (*core.ServiceReport, error) {
-	cl, err := core.OpenOn(backend, cfg)
-	if err != nil {
-		return nil, err
-	}
-	tickets := make([]*core.Ticket, 0, len(specs))
-	for _, spec := range specs {
-		tk, err := cl.SubmitSpec(spec)
-		if err != nil {
-			_, _ = cl.Close()
-			return nil, err
-		}
-		tickets = append(tickets, tk)
-	}
-	if plan != nil {
-		if err := cl.Inject(plan); err != nil {
-			_, _ = cl.Close()
-			return nil, err
-		}
-	}
-	for i, tk := range tickets {
-		rep, err := tk.Wait()
-		if errors.Is(err, core.ErrShed) {
-			continue // the saturation signal, not a failure
-		}
-		if err != nil {
-			_, _ = cl.Close()
-			return nil, fmt.Errorf("request %d (%s): %w", i, specs[i], err)
-		}
-		if !rep.Completed {
-			continue // timed out under a killing plan: data
-		}
-		if _, err := tk.Verify(); err != nil {
-			_, _ = cl.Close()
-			return nil, fmt.Errorf("request %d (%s): %w", i, specs[i], err)
-		}
-	}
-	return cl.Close()
 }
 
 // S5Saturation sweeps offered load through multiples of the measured
@@ -154,7 +109,7 @@ func S5Saturation(seed int64) (*Table, error) {
 					Recovery: scheme, Deadline: span * 16,
 					Arrival:     fmt.Sprintf("arrive:poisson:%g", rate),
 					MaxInFlight: s5InFlight, Admission: "shed"}
-				sr, err := runOffered("sim", cfg, specs, pl.plan)
+				sr, err := runStream("sim", cfg, specs, pl.plan, false)
 				if err != nil {
 					return nil, fmt.Errorf("S5 %.1fx/%s/%s: %w", mult, pl.label, scheme, err)
 				}
@@ -288,33 +243,17 @@ func l4PacedStream(cfg core.Config, specs []string, offsets []int64, plan *core.
 		}
 	}
 	start := time.Now()
-	tickets := make([]*core.Ticket, 0, len(specs))
 	for i, spec := range specs {
 		if wait := time.Duration(offsets[i])*time.Microsecond - time.Since(start); wait > 0 {
 			time.Sleep(wait)
 		}
-		tk, err := cl.SubmitSpec(spec)
-		if err != nil {
+		if _, err := cl.SubmitSpec(spec); err != nil {
 			_, _ = cl.Close()
 			return nil, err
 		}
-		tickets = append(tickets, tk)
 	}
-	for i, tk := range tickets {
-		rep, err := tk.Wait()
-		if errors.Is(err, core.ErrShed) {
-			continue
-		}
-		if err != nil {
-			_, _ = cl.Close()
-			return nil, fmt.Errorf("request %d: %w", i, err)
-		}
-		if rep.Completed {
-			if _, err := tk.Verify(); err != nil {
-				_, _ = cl.Close()
-				return nil, fmt.Errorf("request %d: %w", i, err)
-			}
-		}
+	if _, _, _, err := cl.VerifyAll(false); err != nil {
+		return nil, err
 	}
 	return cl.Close()
 }

@@ -50,14 +50,11 @@ func runStream(backend string, cfg core.Config, specs []string, plan *core.Fault
 	if err != nil {
 		return nil, err
 	}
-	tickets := make([]*core.Ticket, 0, len(specs))
 	for _, spec := range specs {
-		tk, err := cl.SubmitSpec(spec)
-		if err != nil {
+		if _, err := cl.SubmitSpec(spec); err != nil {
 			_, _ = cl.Close()
 			return nil, err
 		}
-		tickets = append(tickets, tk)
 	}
 	if plan != nil {
 		if err := cl.Inject(plan); err != nil {
@@ -65,23 +62,8 @@ func runStream(backend string, cfg core.Config, specs []string, plan *core.Fault
 			return nil, err
 		}
 	}
-	for i, tk := range tickets {
-		rep, err := tk.Wait()
-		if err != nil {
-			_, _ = cl.Close()
-			return nil, fmt.Errorf("request %d (%s): %w", i, specs[i], err)
-		}
-		if !rep.Completed {
-			if strict {
-				_, _ = cl.Close()
-				return nil, fmt.Errorf("request %d (%s) did not complete within its budget", i, specs[i])
-			}
-			continue
-		}
-		if _, err := tk.Verify(); err != nil {
-			_, _ = cl.Close()
-			return nil, fmt.Errorf("request %d (%s): %w", i, specs[i], err)
-		}
+	if _, _, _, err := cl.VerifyAll(strict); err != nil {
+		return nil, err
 	}
 	return cl.Close()
 }

@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/node"
 )
 
@@ -17,13 +16,8 @@ func init() { core.MustRegisterBackend(Backend{}) }
 // Name implements core.Backend.
 func (Backend) Name() string { return "live" }
 
-// Open implements core.SessionBackend: bring the goroutine network up and
+// Open implements core.Backend: bring the goroutine network up and
 // keep it serving until Close.
 func (b Backend) Open(cfg core.Config) (core.Session, error) {
 	return node.Open("live", cfg, b.Clock, func(spec node.Spec) (node.Machine, error) { return New(spec) })
-}
-
-// Run implements core.Backend as the degenerate service stream.
-func (b Backend) Run(cfg core.Config, w core.Workload, plan *faults.Plan) (*core.Report, error) {
-	return node.Run(b, cfg, w, plan)
 }

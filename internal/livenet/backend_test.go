@@ -7,13 +7,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/lang"
-	"repro/internal/node"
 	"repro/internal/topology"
 )
-
-// short bounds every test run well under the CI timeout: a wedged recovery
-// must fail the test in seconds, not hang the job.
-var short = Backend{Clock: node.Clock{Deadline: 20 * time.Second}}
 
 func TestBackendRegisteredAsLive(t *testing.T) {
 	b, err := core.ByName("live")
@@ -30,7 +25,7 @@ func TestBackendFaultFreeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := short.Run(core.Config{Procs: 4, Seed: 1}, w, nil)
+	rep, err := core.Config{Procs: 4, Seed: 1}.RunOn("live", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +70,7 @@ func TestBackendKillDuringCascade(t *testing.T) {
 		if got := len(plan.Procs()); got != 5 {
 			t.Fatalf("cascade plan kills %d nodes, want 5", got)
 		}
-		rep, err := short.Run(core.Config{Procs: 9, Seed: seed}, w, plan)
+		rep, err := core.Config{Procs: 9, Seed: seed}.RunOn("live", w, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +104,7 @@ func TestBackendDeadlineFailsFast(t *testing.T) {
 	}
 	startAt := time.Now()
 	// Deadline is in virtual ticks: 500 ticks × 2µs = 1ms of wall clock.
-	rep, err := Backend{}.Run(core.Config{Procs: 4, Seed: 1, Deadline: 500}, w, nil)
+	rep, err := core.Config{Procs: 4, Seed: 1, Deadline: 500}.RunOn("live", w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +124,7 @@ func TestBackendNoneScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := short.Run(core.Config{Procs: 4, Seed: 1, Recovery: "none"}, w, nil)
+	rep, err := core.Config{Procs: 4, Seed: 1, Recovery: "none"}.RunOn("live", w, nil)
 	if err != nil || rep.Err != nil || !rep.Completed {
 		t.Fatalf("fault-free none run failed: %v %v %+v", err, rep.Err, rep)
 	}
@@ -138,7 +133,7 @@ func TestBackendNoneScheme(t *testing.T) {
 	}
 	// Deadline 50k ticks × 2µs = 100ms of wall clock; the kill at ~2ms
 	// strands the subtree and nothing may be reissued.
-	rep, err = Backend{}.Run(core.Config{Procs: 4, Seed: 1, Recovery: "none", Deadline: 50_000},
+	rep, err = core.Config{Procs: 4, Seed: 1, Recovery: "none", Deadline: 50_000}.RunOn("live",
 		w, faults.Crash(1, 1000, true))
 	if err != nil {
 		t.Fatal(err)

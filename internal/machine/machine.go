@@ -488,30 +488,6 @@ func (m *Machine) hops(from, to proto.ProcID) int {
 	return int(m.dist[int(from)*m.n+int(to)])
 }
 
-// completeRoot records a host-root task's answer: with a session attached
-// (always, since Run serves through one) completion is per-request; the
-// legacy single-root path is kept as a fallback for direct machine use.
-func (m *Machine) completeRoot(t *task, v expr.Value) {
-	if m.session != nil {
-		m.session.rootDone(t.pkt.Key, v)
-		return
-	}
-	m.complete(v)
-}
-
-// complete records the program's answer arriving at the super-root and
-// stops the run. It runs on the host's shard.
-func (m *Machine) complete(v expr.Value) {
-	if m.done {
-		return
-	}
-	m.done = true
-	m.answer = v
-	m.doneAt = m.host.k.Now()
-	m.log(proto.HostID, trace.KRootDone, "", v.String())
-	m.host.k.Stop()
-}
-
 // failRun aborts the run with a program error (evaluation errors are
 // deterministic program bugs, not recoverable faults). p is the processor
 // whose pass failed; the first error in dispatch order wins at merge.

@@ -75,6 +75,28 @@ func TestFaultFreeFibMatchesReference(t *testing.T) {
 	}
 }
 
+// TestFaultFreeLargeMachinesSuspectNobody pins the failure detector's
+// contract past one heartbeat period of processors: with no fault injected,
+// nobody is ever suspected, so nothing is lost, wasted or left behind.
+func TestFaultFreeLargeMachinesSuspectNobody(t *testing.T) {
+	prog := lang.Fib()
+	args := []expr.Value{expr.VInt(13)}
+	for _, kind := range []string{"torus", "mesh", "hypercube"} {
+		for _, n := range []int{256, 512} {
+			t.Run(fmt.Sprintf("%s-%d", kind, n), func(t *testing.T) {
+				cfg := Config{Topo: mustTopo(t, kind, n), Scheme: recovery.Rollback(), Seed: 1}
+				rep := runMachine(t, cfg, prog, "fib", args, nil)
+				expectAnswer(t, rep, prog, "fib", args)
+				m := rep.Metrics
+				if m.Detections != 0 || m.TasksLeaked != 0 || m.StepsWasted != 0 {
+					t.Errorf("fault-free run: %d detections, %d tasks leaked, %d steps wasted; want 0/0/0",
+						m.Detections, m.TasksLeaked, m.StepsWasted)
+				}
+			})
+		}
+	}
+}
+
 func TestFaultFreeAllProgramsAllTopologies(t *testing.T) {
 	cases := []struct {
 		name string

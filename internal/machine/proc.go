@@ -741,7 +741,7 @@ func (p *proc) finishPass(t *task) {
 			p.m.log(p.id, trace.KComplete, t.pkt.Key.String(), v.String())
 		}
 		if t.isHostRoot {
-			p.m.completeRoot(t, v)
+			p.m.session.rootDone(t.pkt.Key, v)
 			return
 		}
 		p.sendResult(t)

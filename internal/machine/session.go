@@ -250,11 +250,14 @@ func (s *Session) start() {
 	s.pendPlans = nil
 	// Start periodic services with per-processor deterministic stagger;
 	// every tick event is owned by its processor so it lives on the
-	// processor's shard.
+	// processor's shard. The heartbeat stagger stays inside one period:
+	// lastHeard is seeded at 0, so a first tick later than
+	// HeartbeatEvery × HeartbeatMisses would declare every live neighbour
+	// dead before hearing from any of them.
 	for i, p := range m.procs {
 		p := p
 		if m.cfg.HeartbeatEvery > 0 {
-			m.kern.AtOn(m.cfg.HeartbeatEvery+sim.Time(i), int32(i), p.heartbeatTick)
+			m.kern.AtOn(m.cfg.HeartbeatEvery+sim.Time(i)%m.cfg.HeartbeatEvery, int32(i), p.heartbeatTick)
 		}
 		if m.cfg.LoadGossipEvery > 0 {
 			m.kern.AtOn(sim.Time(1+i%int(m.cfg.LoadGossipEvery)), int32(i), p.gossipTick)

@@ -2,7 +2,6 @@ package netnode
 
 import (
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/node"
 )
 
@@ -14,7 +13,7 @@ import (
 // asserts the §2.1 determinacy guarantee across the process boundary.
 
 // Backend runs workloads on process-per-node clusters. Default is the
-// registered instance; mutate it (CLI flags do) before Open/Run.
+// registered instance; mutate it (CLI flags do) before Open.
 type Backend struct {
 	node.Clock
 	// TCP switches the interconnect from unix sockets to loopback TCP.
@@ -30,15 +29,9 @@ func init() { core.MustRegisterBackend(Default) }
 // Name implements core.Backend.
 func (*Backend) Name() string { return "net" }
 
-// Open implements core.SessionBackend: fork the node processes and keep the
+// Open implements core.Backend: fork the node processes and keep the
 // cluster serving until Close.
 func (b *Backend) Open(cfg core.Config) (core.Session, error) {
 	return node.Open("net", cfg, b.Clock,
 		func(spec node.Spec) (node.Machine, error) { return New(spec, Options{TCP: b.TCP}) })
-}
-
-// Run implements core.Backend as the degenerate service stream, exactly
-// like the other two backends.
-func (b *Backend) Run(cfg core.Config, w core.Workload, plan *faults.Plan) (*core.Report, error) {
-	return node.Run(b, cfg, w, plan)
 }

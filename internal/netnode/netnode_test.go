@@ -305,15 +305,11 @@ func TestNetMatchesSimAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := core.ByName("sim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	simRep, err := sim.Run(core.Config{Procs: 4, Seed: 3}, w, nil)
+	simRep, err := core.Config{Procs: 4, Seed: 3}.Run(w, nil)
 	if err != nil || !simRep.Completed {
 		t.Fatalf("sim run failed: %v %+v", err, simRep)
 	}
-	netRep, err := (&Backend{Clock: node.Clock{Deadline: 20 * time.Second}}).Run(core.Config{Procs: 4, Seed: 3}, w, nil)
+	netRep, err := core.Config{Procs: 4, Seed: 3}.RunOn("net", w, nil)
 	if err != nil || !netRep.Completed {
 		t.Fatalf("net run failed: %v %+v", err, netRep)
 	}

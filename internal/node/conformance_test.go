@@ -394,7 +394,7 @@ func TestCloseEndsWait(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := b.(core.SessionBackend).Open(core.Config{Procs: 3, Seed: 1, Recovery: "none"})
+		sess, err := b.Open(core.Config{Procs: 3, Seed: 1, Recovery: "none"})
 		if err != nil {
 			t.Fatal(err)
 		}

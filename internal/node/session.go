@@ -166,37 +166,6 @@ func Open(backend string, cfg core.Config, clk Clock, boot func(Spec) (Machine, 
 	return s, nil
 }
 
-// Run is core.Backend.Run as the degenerate service stream: open, submit the
-// one root, inject the plan on the wall clock, wait (bounded) for the
-// answer, and close. Makespan is submission-to-answer wall µs; the counters
-// are the stream totals. Run verifies nothing — core.VerifyOn adds the
-// determinacy check (§2.1) on every substrate alike.
-func Run(b core.SessionBackend, cfg core.Config, w core.Workload, plan *faults.Plan) (*core.Report, error) {
-	sess, err := b.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var rep0 *core.Report
-	req, err := sess.Submit(w)
-	if err == nil {
-		_, err = sess.Inject(plan)
-	}
-	if err == nil {
-		rep0, err = req.Wait()
-	}
-	totals, closeErr := sess.Close()
-	if err != nil {
-		return nil, err
-	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-	totals.Answer = rep0.Answer
-	totals.Completed = rep0.Completed
-	totals.Makespan = rep0.Makespan
-	return totals, nil
-}
-
 // session is one open wall-clock service stream.
 type session struct {
 	p     params
