@@ -83,7 +83,7 @@ type Config struct {
 	ResultTimeout    sim.Time // result-ack timeout
 	HeartbeatEvery   sim.Time // neighbor heartbeat period (<0 disables)
 	HeartbeatMisses  int      // consecutive misses before declaring failure
-	LoadGossipEvery  sim.Time // gradient gossip period (0 disables)
+	LoadGossipEvery  sim.Time // gossip period under the gradient policy, the only one that gossips (<0 disables)
 	SpawnRetryLimit  int      // placement retries before giving up
 	ResultRetryLimit int      // result retries before undeliverable
 

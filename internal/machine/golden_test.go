@@ -23,8 +23,14 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_traces.tx
 // mesh cell at 64 processors (the profile target) fault-free and under a
 // mid-run burst, plus a splice cell so twin/relay/prefill events are
 // covered. Every hot-path optimisation must leave these traces — event for
-// event, note for note — byte-identical; the committed fingerprints were
-// produced by the pre-optimisation kernel.
+// event, note for note — byte-identical. The hash, events, makespan and
+// completed columns are still the pre-optimisation kernel's. Two columns were
+// regenerated once, when load gossip stopped being armed for policies that
+// never gossip: kernel_events dropped by exactly the no-op gossip ticks, and
+// the fault-free cell's messages went 5022 → 5031, because a run stops at
+// the end of the lockstep window that saw the completion, window starts
+// follow pending event times, and with the gossip ticks gone that last
+// window takes in nine more messages.
 var goldenCells = []struct {
 	name   string
 	scheme string

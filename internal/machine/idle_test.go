@@ -1,0 +1,136 @@
+package machine
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/balance"
+	"repro/internal/lang"
+	"repro/internal/recovery"
+	"repro/internal/sim"
+)
+
+// startIdle starts a fault-free 64-processor rollback machine with no
+// request: only its periodic services are scheduled.
+func startIdle(t testing.TB, kind string, placement balance.Policy) (*Machine, *Session) {
+	t.Helper()
+	cfg := Config{Topo: mustTopo(t, kind, 64), Scheme: recovery.Rollback(), Placement: placement, Seed: 1}
+	m, err := New(cfg, lang.Fib())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.Serve(ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.start()
+	return m, s
+}
+
+// idleMachine lets an idle machine's services run for the given virtual
+// ticks and closes its books.
+func idleMachine(t testing.TB, kind string, placement balance.Policy, ticks sim.Time) (*Machine, *Report) {
+	t.Helper()
+	m, s := startIdle(t, kind, placement)
+	m.kern.RunUntil(ticks, 0)
+	return m, s.Finish()
+}
+
+// TestIdleMachineSchedulesOnlyHeartbeats pins the gating of the gossip
+// service: only the gradient policy reads gossiped load, so under every
+// other placement an idle processor's one periodic event is its heartbeat —
+// every dispatched event is a heartbeat tick, a probe delivery or an ack
+// delivery, counted here from the schedule alone.
+func TestIdleMachineSchedulesOnlyHeartbeats(t *testing.T) {
+	const ticks = 10_000
+	for _, placement := range []balance.Policy{balance.NewRandom(), balance.NewStaticHash(), balance.NewLocal()} {
+		t.Run(placement.Name(), func(t *testing.T) {
+			m, rep := idleMachine(t, "torus", placement, ticks)
+			every := m.cfg.HeartbeatEvery
+			hop := sim.Time(m.cfg.MsgOverhead + m.cfg.HopCost) // neighbours are one hop apart
+			var want uint64
+			for i, p := range m.procs {
+				for at := every + sim.Time(i)%every; at <= ticks; at += every {
+					want++ // the tick
+					for range p.neighbors {
+						if at+hop <= ticks {
+							want++ // probe delivered
+						}
+						if at+2*hop <= ticks {
+							want++ // ack delivered
+						}
+					}
+				}
+			}
+			if rep.Events != want {
+				t.Errorf("idle machine dispatched %d events, want %d (heartbeat ticks + deliveries only)", rep.Events, want)
+			}
+			if rep.Metrics.MsgLoad != 0 {
+				t.Errorf("MsgLoad = %d, want 0", rep.Metrics.MsgLoad)
+			}
+			if rep.Metrics.Detections != 0 {
+				t.Errorf("%d detections on a fault-free idle machine", rep.Metrics.Detections)
+			}
+		})
+	}
+}
+
+// TestIdleGradientMachineUnchanged pins the other side of the gate: under
+// the gradient policy the gossip service runs exactly as it did before it
+// was gated (both numbers were taken on the commit before the gate).
+func TestIdleGradientMachineUnchanged(t *testing.T) {
+	_, rep := idleMachine(t, "torus", balance.NewGradient(0, 0, 0), 10_000)
+	const wantEvents, wantMsgLoad = 54_721, 256
+	if rep.Events != wantEvents || rep.Metrics.MsgLoad != wantMsgLoad {
+		t.Errorf("gradient idle machine: Events=%d MsgLoad=%d, want %d/%d",
+			rep.Events, rep.Metrics.MsgLoad, wantEvents, wantMsgLoad)
+	}
+}
+
+// TestDieWithUnarmedGossipTimerIsInert kills a processor whose gossip timer
+// was never armed (any non-gradient placement): stopping the zero Timer must
+// do nothing, and the rest of the machine keeps probing.
+func TestDieWithUnarmedGossipTimerIsInert(t *testing.T) {
+	m, s := startIdle(t, "torus", balance.NewRandom())
+	m.kern.RunUntil(1_000, 0)
+	p := m.procs[5]
+	if p.gossipTimer.Active() {
+		t.Fatal("gossip timer armed under random placement")
+	}
+	pending := m.kern.Pending()
+	p.die(false)
+	if p.gossipTimer.Active() || p.hbTimer.Active() {
+		t.Error("timers still active after die")
+	}
+	if got := m.kern.Pending(); got != pending-1 {
+		t.Errorf("die removed %d pending events, want 1 (the heartbeat)", pending-got)
+	}
+	m.kern.RunUntil(5_000, 0)
+	rep := s.Finish()
+	if rep.Metrics.MsgLoad != 0 {
+		t.Errorf("MsgLoad = %d, want 0", rep.Metrics.MsgLoad)
+	}
+	if rep.Metrics.Detections == 0 {
+		t.Error("neighbours never detected the silent crash")
+	}
+}
+
+// BenchmarkIdleMachine is the profiling entry point for the background path:
+// 64 processors with nothing to do but probe their neighbours for 100 000
+// virtual ticks, so the event kernel's heap and the heartbeat handlers are
+// the whole cost. Speed claims are made with `bash bench/run.sh`, not here.
+//
+//	go test -run '^$' -bench IdleMachine -benchtime 5x -cpuprofile /tmp/idle.prof ./internal/machine
+func BenchmarkIdleMachine(b *testing.B) {
+	for _, kind := range []string{"torus", "hypercube"} {
+		b.Run(fmt.Sprintf("%s-64", kind), func(b *testing.B) {
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				_, rep := idleMachine(b, kind, balance.NewRandom(), 100_000)
+				events += rep.Events
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
+	}
+}

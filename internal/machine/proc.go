@@ -1321,20 +1321,19 @@ func (p *proc) onHeartbeatAck(msg *proto.Msg) {
 // --- gradient gossip ---
 
 // gossipTick broadcasts the local gradient value when it changes (§3.3's
-// gradient model substrate).
+// gradient model substrate). Session.start arms it only under the gradient
+// policy.
 func (p *proc) gossipTick() {
 	if p.dead {
 		return
 	}
-	if g, ok := p.m.cfg.Placement.(*balance.Gradient); ok {
-		val := g.LocalGradient(p)
-		if val != p.lastSentGrad {
-			p.lastSentGrad = val
-			for _, nb := range p.neighbors {
-				if !p.faulty[nb] {
-					p.sc.metrics.MsgLoad++
-					p.m.send(proto.Msg{Type: proto.MsgLoad, From: p.id, To: nb, LoadVal: val})
-				}
+	val := p.m.cfg.Placement.(*balance.Gradient).LocalGradient(p)
+	if val != p.lastSentGrad {
+		p.lastSentGrad = val
+		for _, nb := range p.neighbors {
+			if !p.faulty[nb] {
+				p.sc.metrics.MsgLoad++
+				p.m.send(proto.Msg{Type: proto.MsgLoad, From: p.id, To: nb, LoadVal: val})
 			}
 		}
 	}

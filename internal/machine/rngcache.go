@@ -69,6 +69,9 @@ func streamFor(seed int64) *seedStream {
 }
 
 // extend guarantees the published prefix covers position pos and returns it.
+// It fills the whole grown buffer, not just up to pos: the prefix doubles per
+// call, so a stream that serves n draws is extended O(log n) times and a
+// light one seeds its source once.
 func (s *seedStream) extend(pos int) []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,7 +99,7 @@ func (s *seedStream) extend(pos int) []int64 {
 	}
 	next := make([]int64, len(cur), grown)
 	copy(next, cur)
-	for len(next) <= pos {
+	for len(next) < grown {
 		next = append(next, src.Int63())
 	}
 	s.buf.Store(&next)

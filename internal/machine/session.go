@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/balance"
 	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/lang"
@@ -253,13 +254,17 @@ func (s *Session) start() {
 	// processor's shard. The heartbeat stagger stays inside one period:
 	// lastHeard is seeded at 0, so a first tick later than
 	// HeartbeatEvery × HeartbeatMisses would declare every live neighbour
-	// dead before hearing from any of them.
+	// dead before hearing from any of them. Load gossip is armed only for
+	// the gradient policy, its one reader: under any other placement the
+	// tick would send nothing and re-arm itself, and an idle processor
+	// schedules only its heartbeat.
+	_, gossips := m.cfg.Placement.(*balance.Gradient)
 	for i, p := range m.procs {
 		p := p
 		if m.cfg.HeartbeatEvery > 0 {
 			m.kern.AtOn(m.cfg.HeartbeatEvery+sim.Time(i)%m.cfg.HeartbeatEvery, int32(i), p.heartbeatTick)
 		}
-		if m.cfg.LoadGossipEvery > 0 {
+		if gossips && m.cfg.LoadGossipEvery > 0 {
 			m.kern.AtOn(sim.Time(1+i%int(m.cfg.LoadGossipEvery)), int32(i), p.gossipTick)
 		}
 		// Seed heartbeat liveness so nobody is declared dead before the
