@@ -69,7 +69,7 @@ func main() {
 		deadline  = flag.Int64("deadline", 0, "virtual-time budget (0 = default); per-request in service mode")
 		shards    = flag.Int("shards", 1, "simulation kernel shards (sim backend; 0 or negative = GOMAXPROCS); results are byte-identical at every count")
 		requests  = flag.Int("requests", 0, "service mode: serve N copies of the workload through one open cluster (0 = one-shot)")
-		every     = flag.Int64("every", 0, "service mode: admit requests this many virtual ticks apart on the sim stream clock (0 = all at once)")
+		every     = flag.Int64("every", 0, "service mode: shorthand for -arrive uniform:N — offer requests N virtual ticks apart on the sim stream clock (0 = all at once)")
 		arrive    = flag.String("arrive", "", `service mode: seeded arrival process on the sim stream clock — poisson:RATE, uniform:GAP or burst:SIZE:GAP (the "arrive:" prefix is optional; overrides -every)`)
 		inflight  = flag.Int("max-inflight", 0, "service mode: bound on concurrently admitted requests (0 = unbounded)")
 		admission = flag.String("admission", "", "service mode: what to do with requests over the -max-inflight bound — queue (default), queue:N (FIFO bounded at depth N) or shed")
@@ -159,13 +159,11 @@ func main() {
 		}
 	}
 	if *requests > 0 {
-		cfg.ArrivalEvery = *every
+		if *every > 0 {
+			cfg.Arrival = fmt.Sprintf("arrive:uniform:%d", *every)
+		}
 		if *arrive != "" {
-			spec := *arrive
-			if !strings.HasPrefix(spec, "arrive:") {
-				spec = "arrive:" + spec
-			}
-			cfg.Arrival = spec
+			cfg.Arrival = "arrive:" + strings.TrimPrefix(*arrive, "arrive:")
 		}
 		cfg.MaxInFlight = *inflight
 		cfg.Admission = *admission

@@ -22,6 +22,29 @@ const (
 	WallMicros TimeUnit = "µs"
 )
 
+// Counters are the quantities every substrate counts about a run or a
+// stream, declared once: Report and ServiceReport embed them, the simulator
+// fills them from its trace.Metrics and the wall-clock backends from one
+// node.Counters snapshot.
+type Counters struct {
+	// Messages counts every message the interconnect carried.
+	Messages int64
+	// MsgBytes is the encoded payload bytes of those messages, measured with
+	// the proto codec's wire sizes on every backend — the one byte figure
+	// that is comparable across sim, live and net.
+	MsgBytes int64
+	// Spawned counts task packets created, including reissues and twins.
+	Spawned int64
+	// Reissued counts checkpointed packets re-sent after a failure.
+	Reissued int64
+	// Drained counts results discarded harmlessly: duplicates, late arrivals,
+	// and (live) messages black-holed at dead nodes — §3.4's "returns from
+	// orphan tasks are theoretically harmless".
+	Drained int64
+	// Recoveries counts recovery events: reissues plus splice twins.
+	Recoveries int64
+}
+
 // Report is the backend-neutral outcome of a run: what every substrate can
 // measure about an applicative evaluation under faults. Substrate-specific
 // detail hangs off Sim (the simulator's full report) and Live (per-node
@@ -41,22 +64,9 @@ type Report struct {
 	Makespan int64
 	// Unit is the makespan's unit: Ticks (sim) or WallMicros (live).
 	Unit TimeUnit
-	// Messages counts every message the interconnect carried.
-	Messages int64
-	// MsgBytes is the encoded payload bytes of those messages, measured with
-	// the proto codec's wire sizes on every backend — the one byte figure
-	// that is comparable across sim, live and net.
-	MsgBytes int64
-	// Spawned counts task packets created, including reissues and twins.
-	Spawned int64
-	// Reissued counts checkpointed packets re-sent after a failure.
-	Reissued int64
-	// Drained counts results discarded harmlessly: duplicates, late arrivals,
-	// and (live) messages black-holed at dead nodes — §3.4's "returns from
-	// orphan tasks are theoretically harmless".
-	Drained int64
-	// Recoveries counts recovery events: reissues plus splice twins.
-	Recoveries int64
+	// Counters are the stream-total counters; zero on per-request reports,
+	// since the substrate is shared across the stream.
+	Counters
 	// Procs is the processor (or node) count.
 	Procs int
 	// Scheme and Placement echo the configuration for reports.
@@ -72,10 +82,8 @@ type Report struct {
 	// request of a service-mode cluster (one-shot reports are request 0).
 	Request int
 	// ArrivedAt and DoneAt are stream-clock stamps in Unit for service-mode
-	// requests: admission and completion (DoneAt 0 when incomplete). The
-	// message and reissue counters of per-request reports are zero — the
-	// substrate is shared, so those totals live on the stream's
-	// ServiceReport — while Makespan is the request's own service latency.
+	// requests: admission and completion (DoneAt 0 when incomplete).
+	// Makespan is the request's own service latency.
 	ArrivedAt, DoneAt int64
 	// Shed marks a per-request report whose request admission control
 	// rejected (Config.MaxInFlight with the "shed" policy, or a "queue:N"
@@ -183,8 +191,9 @@ func init() { MustRegisterBackend(simBackend{}) }
 func (simBackend) Name() string { return "sim" }
 
 // Open implements Backend: a long-lived simulator session serving a request
-// stream on one event kernel. Arrival and admission specs validate here, so
-// a malformed spec fails the Open, not the first request.
+// stream on one event kernel. The machine is built here, so a malformed
+// arrival or admission spec, topology, placement or scheme fails the Open,
+// not the first request.
 func (simBackend) Open(cfg Config) (Session, error) {
 	return newSimSession(cfg)
 }

@@ -233,12 +233,7 @@ func (c *Cluster) buildServiceReportLocked(totals *Report) *ServiceReport {
 		sr.Procs = totals.Procs
 		sr.Scheme = totals.Scheme
 		sr.Placement = totals.Placement
-		sr.Messages = totals.Messages
-		sr.MsgBytes = totals.MsgBytes
-		sr.Spawned = totals.Spawned
-		sr.Reissued = totals.Reissued
-		sr.Drained = totals.Drained
-		sr.Recoveries = totals.Recoveries
+		sr.Counters = totals.Counters
 		sr.QueueDepthMax = totals.QueueDepthMax
 	}
 	sort.Slice(sr.FaultStamps, func(i, j int) bool { return sr.FaultStamps[i] < sr.FaultStamps[j] })
@@ -389,10 +384,8 @@ type ServiceReport struct {
 	DuringRecovery, OutsideRecovery int
 	FaultStamps                     []int64
 
-	// Stream-total counters from the substrate. MsgBytes is the encoded
-	// payload bytes of Messages in proto codec wire sizes — the one byte
-	// figure comparable across sim, live and net.
-	Messages, MsgBytes, Spawned, Reissued, Drained, Recoveries int64
+	// Counters are the stream totals from the substrate.
+	Counters
 
 	// PerRequest holds the per-request reports in stream order; Totals is
 	// the substrate's aggregate report (Sim detail on the simulator).

@@ -98,20 +98,14 @@ type Config struct {
 	// Backend names the substrate Open serves on ("" = "sim"); one-shot Run
 	// always uses the simulator, exactly as before.
 	Backend string
-	// ArrivalEvery spaces successive service-mode request admissions this
-	// many virtual ticks apart on the simulator's stream clock, so faults
-	// land between and inside requests (0 = admit each batch at once). The
-	// live network admits requests when Submit is called — real time needs
-	// no synthetic spacing — so the field is sim-only.
-	ArrivalEvery int64
 	// Arrival names an open-loop arrival process for service mode —
 	// "arrive:poisson:RATE", "arrive:uniform:GAP" or "arrive:burst:SIZE:GAP"
 	// (workload.ParseArrival) — seeded by Seed: request i of the stream is
 	// offered at the schedule's i-th offset on the simulator's stream clock,
-	// overriding ArrivalEvery. Like ArrivalEvery it is sim-only and inert on
-	// the live network, whose arrival discipline is real time; live load
-	// drivers pace their Submit calls from the same workload.Arrival
-	// schedule instead.
+	// so faults land between and inside requests ("" = offer each batch at
+	// once). It is sim-only and inert on the wall-clock backends, whose
+	// arrival discipline is real time; live load drivers pace their Submit
+	// calls from the same workload.Arrival schedule instead.
 	Arrival string
 	// MaxInFlight bounds concurrently admitted service-mode requests on
 	// both backends (0 = unbounded). Offers that find every slot busy
@@ -124,47 +118,6 @@ type Config struct {
 	// Wait returns ErrShed. Queued requests report their time in queue
 	// separately from service latency (ServiceReport's queue-wait row).
 	Admission string
-}
-
-// ParseAdmission validates an admission spec — "" or "queue" (unbounded
-// FIFO), "queue:N" (FIFO bounded at depth N) or "shed" — and is the one
-// parser every backend uses, so their vocabularies can never drift.
-func ParseAdmission(spec string) (shed bool, bound int, err error) {
-	switch spec {
-	case "", "queue":
-		return false, 0, nil
-	case "shed":
-		return true, 0, nil
-	}
-	var n int
-	if cnt, err := fmt.Sscanf(spec, "queue:%d", &n); cnt == 1 && err == nil &&
-		fmt.Sprintf("queue:%d", n) == spec && n > 0 {
-		return false, n, nil
-	}
-	return false, 0, fmt.Errorf("core: unknown admission policy %q (queue, queue:N, shed)", spec)
-}
-
-// admissionPolicy maps Config.Admission to the machine's policy plus the
-// FIFO depth bound (0 = unbounded).
-func (c Config) admissionPolicy() (machine.AdmissionPolicy, int, error) {
-	shed, bound, err := ParseAdmission(c.Admission)
-	if shed {
-		return machine.AdmitShed, 0, err
-	}
-	return machine.AdmitQueue, bound, err
-}
-
-// arrival validates Config.Arrival, returning nil when no open-loop
-// process is configured.
-func (c Config) arrival() (*workload.Arrival, error) {
-	if c.Arrival == "" {
-		return nil, nil
-	}
-	a, err := workload.ParseArrival(c.Arrival)
-	if err != nil {
-		return nil, err
-	}
-	return &a, nil
 }
 
 // DefaultShards is the process-wide shard count used when Config.Shards is
@@ -289,11 +242,22 @@ func scan(spec, format string, args ...any) bool {
 	return fmt.Sprintf(format, vals...) == spec
 }
 
-// Build materializes the machine for the config.
+// Build materializes the machine for the config, with prog as the program a
+// one-shot Machine.Run evaluates.
 func (c Config) Build(prog *lang.Program) (*machine.Machine, error) {
 	if prog == nil {
 		return nil, errors.New("core: program required")
 	}
+	mc, err := c.machineConfig()
+	if err != nil {
+		return nil, err
+	}
+	return machine.New(mc, prog)
+}
+
+// machineConfig resolves the plain values into the machine's configuration;
+// fields set on Raw win over the convenience fields.
+func (c Config) machineConfig() (machine.Config, error) {
 	mc := machine.Config{}
 	if c.Raw != nil {
 		mc = *c.Raw
@@ -309,7 +273,7 @@ func (c Config) Build(prog *lang.Program) (*machine.Machine, error) {
 		}
 		topo, err := topology.ByName(kind, procs)
 		if err != nil {
-			return nil, err
+			return mc, err
 		}
 		mc.Topo = topo
 	}
@@ -320,12 +284,12 @@ func (c Config) Build(prog *lang.Program) (*machine.Machine, error) {
 		}
 		pol, err := balance.ByName(name)
 		if err != nil {
-			return nil, err
+			return mc, err
 		}
 		mc.Placement = pol
 	}
 	if c.RecoveryBudget < 0 || c.RecoveryPeriod < 0 {
-		return nil, fmt.Errorf("core: recovery budget/period must be > 0 (got %d/%d)",
+		return mc, fmt.Errorf("core: recovery budget/period must be > 0 (got %d/%d)",
 			c.RecoveryBudget, c.RecoveryPeriod)
 	}
 	if mc.Scheme == nil {
@@ -335,13 +299,13 @@ func (c Config) Build(prog *lang.Program) (*machine.Machine, error) {
 		}
 		if c.RecoveryBudget != 0 || c.RecoveryPeriod != 0 {
 			if name != "incremental" {
-				return nil, fmt.Errorf("core: recovery budget/period only apply to the incremental scheme, not %q", name)
+				return mc, fmt.Errorf("core: recovery budget/period only apply to the incremental scheme, not %q", name)
 			}
 			mc.Scheme = &recovery.IncrementalScheme{Budget: c.RecoveryBudget, Period: c.RecoveryPeriod}
 		} else {
 			sch, err := recovery.ByName(name)
 			if err != nil {
-				return nil, err
+				return mc, err
 			}
 			mc.Scheme = sch
 		}
@@ -379,7 +343,7 @@ func (c Config) Build(prog *lang.Program) (*machine.Machine, error) {
 	if mc.Deadline == 0 && c.Deadline > 0 {
 		mc.Deadline = sim.Time(c.Deadline)
 	}
-	return machine.New(mc, prog)
+	return mc, nil
 }
 
 // Run evaluates the workload under the fault plan on the simulator backend

@@ -106,6 +106,36 @@ func TestConfigErrors(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsBadMachine: the simulator boots at Open like the wall-clock
+// backends, so a bad topology, placement, scheme or evaluator fails the Open
+// — not the first Wait of a stream that was never going to run.
+func TestOpenRejectsBadMachine(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Topology: "nosuch"}, "topology: unknown kind"},
+		{Config{Placement: "nosuch"}, "nosuch"},
+		{Config{Recovery: "nosuch"}, "nosuch"},
+		{Config{Eval: "nosuch"}, "unknown evaluator"},
+		{Config{Procs: 1}, "needs ≥ 2 nodes"},
+		{Config{RecoveryBudget: 2, Recovery: "rollback"}, "incremental"},
+	} {
+		if cl, err := Open(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Open(%+v) = %v, %v; want an error containing %q", c.cfg, cl, err, c.want)
+		}
+	}
+	// An empty stream is a stream: Close reports the machine that served it.
+	cl, err := Open(Config{Procs: 4, Recovery: "splice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := cl.Close()
+	if err != nil || sr.Procs != 4 || sr.Scheme != "splice" || sr.Requests != 0 {
+		t.Fatalf("empty stream: %v %+v", err, sr)
+	}
+}
+
 func TestVerifyDetectsFailure(t *testing.T) {
 	w, _ := StandardWorkload("fib:10")
 	// A crash with no recovery: Verify must report non-completion.

@@ -18,7 +18,7 @@ import (
 func incrementalStreamRender(t *testing.T, shards int, parallel bool) string {
 	t.Helper()
 	cl, err := Open(Config{Procs: 16, Seed: 7, Recovery: "incremental",
-		ArrivalEvery: 150, Shards: shards})
+		Arrival: "arrive:uniform:150", Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func shardStreamRender(t *testing.T, shards int, parallel bool) string {
 	t.Helper()
 	cl, err := Open(Config{Procs: 32, Topology: "torus", Seed: 11,
-		Recovery: "rollback", ArrivalEvery: 120, Shards: shards})
+		Recovery: "rollback", Arrival: "arrive:uniform:120", Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,12 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/admission"
 	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -35,27 +37,15 @@ import (
 // driver, the CLI), are fully deterministic; only racing Wait calls against
 // over-budget requests can flip a row between timeout and late completion.
 type simSession struct {
-	mu  sync.Mutex
-	cfg Config
-
-	// arrival, admission and queueBound are the validated service knobs
-	// (newSimSession rejects malformed specs before any request exists).
-	arrival    *workload.Arrival
-	admission  machine.AdmissionPolicy
-	queueBound int
-
-	m  *machine.Machine
+	mu sync.Mutex
 	ms *machine.Session
 
-	pend      []*simRequest
-	all       []*simRequest
-	pendPlans []*faults.Plan // injected before the machine exists
-	seq       int
+	pend []*simRequest
+	all  []*simRequest
+	seq  int
 
 	closed   bool
 	closeRep *Report
-	closeErr error
-	broken   error // fatal session error (machine build or deferred inject)
 }
 
 // simRequest implements SessionRequest for the simulator.
@@ -72,24 +62,56 @@ type simRequest struct {
 	ch       chan struct{}
 }
 
+// newSimSession boots the stream the way node.Open boots a wall-clock one:
+// the service specs are parsed, the machine is built and it starts serving,
+// all before the first request exists — programs arrive with the requests.
 func newSimSession(cfg Config) (*simSession, error) {
-	arr, err := cfg.arrival()
+	mc, err := cfg.machineConfig()
 	if err != nil {
 		return nil, err
 	}
-	pol, bound, err := cfg.admissionPolicy()
+	var sc machine.ServeConfig
+	if sc.Admission, err = admission.Parse(cfg.Admission, cfg.MaxInFlight); err != nil {
+		return nil, err
+	}
+	if cfg.Arrival != "" {
+		arr, err := workload.ParseArrival(cfg.Arrival)
+		if err != nil {
+			return nil, err
+		}
+		// The seeded schedule materializes lazily, one offset per stream
+		// index; the machine assigns indices in canonical admission order, so
+		// the schedule is a pure function of (spec, seed) — identical at every
+		// shard count and under any Submit interleaving.
+		next := arr.Next(mc.Seed)
+		var sched []int64
+		sc.NextArrival = func(i int) sim.Time {
+			for len(sched) <= i {
+				sched = append(sched, next())
+			}
+			return sim.Time(sched[i])
+		}
+	}
+	m, err := machine.New(mc, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &simSession{cfg: cfg, arrival: arr, admission: pol, queueBound: bound}, nil
+	ms, err := m.Serve(sc)
+	if err != nil {
+		return nil, err
+	}
+	return &simSession{ms: ms}, nil
 }
 
 // Unit implements Session.
 func (s *simSession) Unit() TimeUnit { return Ticks }
 
-// Submit implements Session: buffer the request for the next admission
-// batch.
+// Submit implements Session: validate the entry at the offer, like the
+// wall-clock session, and buffer the request for the next admission batch.
 func (s *simSession) Submit(w Workload) (SessionRequest, error) {
+	if err := w.Program.CheckEntry(w.Fn); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -102,62 +124,20 @@ func (s *simSession) Submit(w Workload) (SessionRequest, error) {
 	return r, nil
 }
 
-// Inject implements Session. Before the first submission there is no
-// machine yet, so the plan is buffered and scheduled (fault times are
-// absolute stream ticks either way); afterwards it validates and schedules
-// immediately.
+// Inject implements Session: fault times are absolute stream ticks, and the
+// machine buffers plans injected before its first drive.
 func (s *simSession) Inject(plan *faults.Plan) ([]int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, errors.New("core: session closed")
 	}
-	if s.ms == nil && len(s.pend) > 0 {
-		if err := s.flushLocked(); err != nil {
-			return nil, err
-		}
-	}
-	if s.ms == nil {
-		if plan == nil {
-			plan = faults.None()
-		}
-		// No machine yet (Inject before the first Submit): validate against
-		// the config's processor count now — a bad plan must fail this call,
-		// not poison the requests the flush later admits — and buffer the
-		// plan for the first drive.
-		procs := s.cfg.Procs
-		if s.cfg.Raw != nil && s.cfg.Raw.Topo != nil {
-			procs = s.cfg.Raw.Topo.Size()
-		}
-		if procs == 0 {
-			procs = 8
-		}
-		if err := plan.Validate(procs); err != nil {
-			return nil, err
-		}
-		s.pendPlans = append(s.pendPlans, plan)
-		sorted := plan.Sorted()
-		stamps := make([]int64, 0, len(sorted))
-		for _, f := range sorted {
-			stamps = append(stamps, f.At)
-		}
-		return stamps, nil
-	}
 	return s.ms.Inject(plan)
 }
 
-// flushLocked admits the buffered batch: canonical order, machine built from
-// the first submission's program, deferred plans injected, then every
-// request submitted to the machine session. The returned error is fatal
-// (machine build/serve or deferred-plan rejection); per-request submission
-// errors resolve only their own request.
-func (s *simSession) flushLocked() error {
-	if s.broken != nil {
-		return s.broken
-	}
-	if len(s.pend) == 0 {
-		return nil
-	}
+// flushLocked admits the buffered batch in canonical order. A submission the
+// machine rejects (its program does not compile) fails that request alone.
+func (s *simSession) flushLocked() {
 	batch := s.pend
 	s.pend = nil
 	sort.SliceStable(batch, func(i, j int) bool {
@@ -174,108 +154,25 @@ func (s *simSession) flushLocked() error {
 		}
 		return a.seq < b.seq
 	})
-	if s.ms == nil {
-		m, err := s.cfg.Build(batch[0].w.Program)
-		if err != nil {
-			s.broken = err
-			for _, r := range batch {
-				r.fail(err)
-			}
-			return err
-		}
-		ms, err := m.Serve(s.serveConfig())
-		if err != nil {
-			s.broken = err
-			for _, r := range batch {
-				r.fail(err)
-			}
-			return err
-		}
-		s.m, s.ms = m, ms
-		for _, plan := range s.pendPlans {
-			if _, err := ms.Inject(plan); err != nil {
-				s.broken = err
-				for _, r := range batch {
-					r.fail(err)
-				}
-				return err
-			}
-		}
-		s.pendPlans = nil
-	}
-	var firstErr error
 	for _, r := range batch {
 		mr, err := s.ms.Submit(r.w.Program, r.w.Fn, r.w.Args)
 		if err != nil {
-			r.fail(err)
-			if firstErr == nil {
-				firstErr = err
-			}
+			r.resolve(nil, err)
 			continue
 		}
 		r.mr = mr
 	}
-	return firstErr
 }
 
-// serveConfig maps the core config to the machine's service knobs. An
-// Arrival spec materializes its seeded schedule lazily, one offset per
-// stream index; the machine assigns indices in canonical admission order,
-// so the schedule is a pure function of (spec, seed) — identical at every
-// shard count and under any Submit interleaving.
-func (s *simSession) serveConfig() machine.ServeConfig {
-	sc := machine.ServeConfig{
-		ArrivalEvery: sim.Time(s.cfg.ArrivalEvery),
-		MaxInFlight:  s.cfg.MaxInFlight,
-		Admission:    s.admission,
-		QueueBound:   s.queueBound,
-	}
-	if s.arrival != nil {
-		seed := s.cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		next := s.arrival.Next(seed)
-		var sched []int64
-		sc.NextArrival = func(i int) sim.Time {
-			for len(sched) <= i {
-				sched = append(sched, next())
-			}
-			return sim.Time(sched[i])
-		}
-	}
-	return sc
-}
-
-// fail resolves a request with an error.
-func (r *simRequest) fail(err error) {
+// resolve settles a request once: a per-request report, an error, or — for a
+// request admission control rejected — the report carrying the Shed marker
+// together with the typed ErrShed.
+func (r *simRequest) resolve(rep *Report, err error) {
 	if r.resolved {
 		return
 	}
 	r.resolved = true
-	r.err = err
-	close(r.ch)
-}
-
-// succeed resolves a request with its per-request report.
-func (r *simRequest) succeed(rep *Report) {
-	if r.resolved {
-		return
-	}
-	r.resolved = true
-	r.rep = rep
-	close(r.ch)
-}
-
-// shed resolves a request admission control rejected: the per-request
-// report carries the Shed marker and the Wait error is the typed ErrShed.
-func (r *simRequest) shedResolve(rep *Report) {
-	if r.resolved {
-		return
-	}
-	r.resolved = true
-	r.rep = rep
-	r.err = ErrShed
+	r.rep, r.err = rep, err
 	close(r.ch)
 }
 
@@ -288,9 +185,9 @@ func (s *simSession) harvestLocked() {
 		}
 		switch {
 		case r.mr.Done():
-			r.succeed(s.requestReport(r))
+			r.resolve(s.requestReport(r), nil)
 		case r.mr.Shed():
-			r.shedResolve(s.requestReport(r))
+			r.resolve(s.requestReport(r), ErrShed)
 		}
 	}
 }
@@ -350,20 +247,9 @@ func (r *simRequest) waitLocked() {
 	if r.resolved {
 		return
 	}
-	if err := s.flushLocked(); err != nil && r.resolved {
-		return // the flush error was this request's
-	}
+	s.flushLocked()
 	if r.resolved {
-		return
-	}
-	if r.mr == nil {
-		// The batch flushed fatally before this request was admitted.
-		err := s.broken
-		if err == nil {
-			err = errors.New("core: request was never admitted")
-		}
-		r.fail(err)
-		return
+		return // the machine rejected this request's submission
 	}
 	s.ms.Wait(r.mr)
 	s.harvestLocked()
@@ -371,11 +257,11 @@ func (r *simRequest) waitLocked() {
 		return
 	}
 	if err := s.ms.RunErr(); err != nil {
-		r.fail(err)
+		r.resolve(nil, err)
 		return
 	}
 	// Budget exhausted: the request did not complete; the stream survives.
-	r.succeed(s.requestReport(r))
+	r.resolve(s.requestReport(r), nil)
 }
 
 // Close implements Session: resolve every open request, finalize the
@@ -385,24 +271,14 @@ func (s *simSession) Close() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return s.closeRep, s.closeErr
+		return s.closeRep, nil
 	}
 	s.closed = true
-	if err := s.flushLocked(); err != nil && s.ms == nil {
-		s.closeErr = err
-		return nil, err
-	}
 	for _, r := range s.all {
 		r.waitLocked()
 	}
-	if s.ms == nil {
-		// Nothing was ever submitted: an empty stream.
-		s.closeRep = &Report{Backend: "sim", Unit: Ticks}
-		return s.closeRep, nil
-	}
 	queueMax := s.ms.QueueDepthMax()
 	mrep := s.ms.Finish()
-	n := mrep.NeutralCounts()
 	s.closeRep = &Report{
 		Backend:       "sim",
 		Answer:        mrep.Answer,
@@ -410,12 +286,7 @@ func (s *simSession) Close() (*Report, error) {
 		Err:           mrep.Err,
 		Makespan:      int64(mrep.Makespan),
 		Unit:          Ticks,
-		Messages:      n.Messages,
-		MsgBytes:      n.Bytes,
-		Spawned:       n.Spawned,
-		Reissued:      n.Reissued,
-		Drained:       n.Drained,
-		Recoveries:    n.Recoveries,
+		Counters:      countersOf(&mrep.Metrics),
 		Procs:         mrep.Procs,
 		Scheme:        mrep.Scheme,
 		Placement:     mrep.Placement,
@@ -423,6 +294,19 @@ func (s *simSession) Close() (*Report, error) {
 		Sim:           mrep,
 	}
 	return s.closeRep, nil
+}
+
+// countersOf is the simulator's side of Counters: the backend-neutral
+// quantities read off the machine's metrics.
+func countersOf(m *trace.Metrics) Counters {
+	return Counters{
+		Messages:   m.TotalMessages(),
+		MsgBytes:   m.BytesOnWire,
+		Spawned:    m.TasksSpawned,
+		Reissued:   m.Reissues,
+		Drained:    m.DupResults + m.LateResults,
+		Recoveries: m.Reissues + m.Twins,
+	}
 }
 
 // argsKey renders argument values for the canonical admission order.

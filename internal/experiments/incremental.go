@@ -166,7 +166,7 @@ func s6Streams(t *Table, seed int64) error {
 		plan := faults.Burst(l3Procs, cl.kills, span/2, faults.CrashAnnounced, seed)
 		for _, scheme := range s6Schemes {
 			cfg := core.Config{Procs: l3Procs, Seed: seed, Recovery: scheme,
-				ArrivalEvery: every, Deadline: span * 8}
+				Arrival: fmt.Sprintf("arrive:uniform:%d", every), Deadline: span * 8}
 			sr, err := runStream("sim", cfg, specs, plan, false)
 			if err != nil {
 				return fmt.Errorf("S6 %s/%s: %w", cl.label, scheme, err)

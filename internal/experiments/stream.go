@@ -130,7 +130,7 @@ func l3Sim(seed int64) (*Table, error) {
 	for _, pl := range plans {
 		for _, scheme := range []string{"rollback", "splice"} {
 			cfg := core.Config{Procs: l3Procs, Seed: seed, Recovery: scheme,
-				ArrivalEvery: every, Deadline: span * 8}
+				Arrival: fmt.Sprintf("arrive:uniform:%d", every), Deadline: span * 8}
 			sr, err := runStream("sim", cfg, specs, pl.plan, false)
 			if err != nil {
 				return nil, fmt.Errorf("L3 %s/%s: %w", pl.label, scheme, err)

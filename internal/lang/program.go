@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -55,6 +56,19 @@ func MustProgram(defs ...FuncDef) *Program {
 func (p *Program) Func(name string) (FuncDef, bool) {
 	d, ok := p.funcs[name]
 	return d, ok
+}
+
+// CheckEntry validates a root application — the program exists and defines
+// fn — with the one error text every backend's Submit reports. A nil
+// receiver is the missing program.
+func (p *Program) CheckEntry(fn string) error {
+	if p == nil {
+		return errors.New("lang: program required")
+	}
+	if _, ok := p.funcs[fn]; !ok {
+		return fmt.Errorf("lang: entry function %q not in program", fn)
+	}
+	return nil
 }
 
 // Names returns the sorted function names.

@@ -27,12 +27,12 @@ func TestFaultFreeLiveRun(t *testing.T) {
 	if !v.Equal(expr.VInt(377)) {
 		t.Fatalf("fib(14) = %v, want 377", v)
 	}
-	spawned, reissued, _ := c.Root().Stats()
-	if spawned == 0 {
+	got := c.Root().Snapshot()
+	if got.Spawned == 0 {
 		t.Error("no tasks spawned")
 	}
-	if reissued != 0 {
-		t.Errorf("fault-free run reissued %d packets", reissued)
+	if got.Reissued != 0 {
+		t.Errorf("fault-free run reissued %d packets", got.Reissued)
 	}
 }
 
@@ -54,9 +54,7 @@ func TestLiveRunSurvivesKill(t *testing.T) {
 	}
 	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
-		spawned, reissued, drained := c.Root().Stats()
-		t.Fatalf("no answer after kill: %v (spawned=%d reissued=%d drained=%d)",
-			err, spawned, reissued, drained)
+		t.Fatalf("no answer after kill: %v (%+v)", err, c.Root().Snapshot())
 	}
 	if !v.Equal(expr.VInt(1597)) {
 		t.Fatalf("fib(17) = %v, want 1597", v)

@@ -33,9 +33,9 @@ func TestLiveKillSoak(t *testing.T) {
 		}
 		v, err := r.Wait(10*time.Second, nil)
 		if err != nil {
-			spawned, reissued, drained := c.Root().Stats()
+			got := c.Root().Snapshot()
 			c.Shutdown()
-			t.Fatalf("iter %d hung: %v (spawned=%d reissued=%d drained=%d)", iter, err, spawned, reissued, drained)
+			t.Fatalf("iter %d hung: %v (%+v)", iter, err, got)
 		}
 		if !v.Equal(expr.VInt(610)) {
 			t.Fatalf("iter %d: wrong answer %v", iter, v)

@@ -70,26 +70,13 @@ type Config struct {
 	// choice only affects wall time.
 	Eval string
 
-	// Cost model, in virtual ticks.
-	StepCost       int64 // per reduction step
-	SpawnOverhead  int64 // per task packet formed
-	CheckpointCost int64 // per functional checkpoint retained (§2.1)
-	HopCost        int64 // per network hop
-	MsgOverhead    int64 // fixed per message latency
-	ByteCost       int64 // extra latency per 64 payload bytes (bandwidth)
-
-	// Failure detection.
-	AckTimeout       sim.Time // placement-ack timeout (Figure 6 state b)
-	ResultTimeout    sim.Time // result-ack timeout
+	// Failure detection: the two periods an experiment varies. The rest of
+	// the detector and the whole cost model are the constants below.
 	HeartbeatEvery   sim.Time // neighbor heartbeat period (<0 disables)
-	HeartbeatMisses  int      // consecutive misses before declaring failure
-	LoadGossipEvery  sim.Time // gossip period under the gradient policy, the only one that gossips (<0 disables)
-	SpawnRetryLimit  int      // placement retries before giving up
 	ResultRetryLimit int      // result retries before undeliverable
 
-	// Run bounds.
-	Deadline  sim.Time // virtual-time budget (0 = default)
-	MaxEvents uint64   // event budget (0 = default)
+	// Deadline is the virtual-time budget (0 = DefaultDeadline).
+	Deadline sim.Time
 
 	// StateProbeEvery, when positive, samples the machine's resident state
 	// (task count and packet bytes) at this period; the samples feed the
@@ -101,26 +88,28 @@ type Config struct {
 	Trace *trace.Log
 }
 
-// Default cost and protocol constants. They are deliberately round numbers;
-// experiments sweep the ratios that matter.
+// The cost model (virtual ticks) and the protocol constants. They are
+// deliberately round numbers and no caller varies them, so they are constants
+// rather than configuration; DefaultHeartbeatEvery, DefaultResultRetry and
+// DefaultDeadline are the defaults of the three Config fields that stay
+// settable.
 const (
-	DefaultStepCost       = 1
-	DefaultSpawnOverhead  = 2
-	DefaultCheckpointCost = 1
-	DefaultHopCost        = 4
-	DefaultMsgOverhead    = 2
-	DefaultByteCost       = 0
+	DefaultStepCost       = 1 // per reduction step
+	DefaultSpawnOverhead  = 2 // per task packet formed
+	DefaultCheckpointCost = 1 // per functional checkpoint retained (§2.1)
+	DefaultHopCost        = 4 // per network hop
+	DefaultMsgOverhead    = 2 // fixed per message latency
 
-	DefaultAckTimeout      = 600
-	DefaultResultTimeout   = 600
+	DefaultAckTimeout      = 600 // placement-ack timeout (Figure 6 state b)
+	DefaultResultTimeout   = 600 // result-ack timeout
 	DefaultHeartbeatEvery  = 250
-	DefaultHeartbeatMisses = 2
-	DefaultLoadGossipEvery = 20
-	DefaultSpawnRetry      = 16
+	DefaultHeartbeatMisses = 2  // consecutive misses before declaring failure
+	DefaultLoadGossipEvery = 20 // gossip period under the gradient policy, the only one that gossips
+	DefaultSpawnRetry      = 16 // placement retries before giving up
 	DefaultResultRetry     = 3
 
 	DefaultDeadline  = 2_000_000
-	DefaultMaxEvents = 50_000_000
+	DefaultMaxEvents = 50_000_000 // event budget of one drive segment
 )
 
 // normalized fills defaults and validates; it returns a copy.
@@ -169,54 +158,16 @@ func (c Config) normalized() (Config, error) {
 			return c, fmt.Errorf("machine: replication requires the none scheme, have %q", c.Scheme.Name())
 		}
 	}
-	if c.StepCost == 0 {
-		c.StepCost = DefaultStepCost
-	}
-	if c.SpawnOverhead == 0 {
-		c.SpawnOverhead = DefaultSpawnOverhead
-	}
-	if c.CheckpointCost == 0 {
-		c.CheckpointCost = DefaultCheckpointCost
-	}
-	if c.HopCost == 0 {
-		c.HopCost = DefaultHopCost
-	}
-	if c.MsgOverhead == 0 {
-		c.MsgOverhead = DefaultMsgOverhead
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = DefaultAckTimeout
-	}
-	if c.ResultTimeout == 0 {
-		c.ResultTimeout = DefaultResultTimeout
-	}
 	if c.HeartbeatEvery == 0 {
 		c.HeartbeatEvery = DefaultHeartbeatEvery
 	} else if c.HeartbeatEvery < 0 {
 		c.HeartbeatEvery = 0 // negative disables the service
-	}
-	if c.HeartbeatMisses == 0 {
-		c.HeartbeatMisses = DefaultHeartbeatMisses
-	}
-	if c.LoadGossipEvery == 0 {
-		c.LoadGossipEvery = DefaultLoadGossipEvery
-	} else if c.LoadGossipEvery < 0 {
-		c.LoadGossipEvery = 0 // negative disables the service
-	}
-	if c.SpawnRetryLimit == 0 {
-		c.SpawnRetryLimit = DefaultSpawnRetry
 	}
 	if c.ResultRetryLimit == 0 {
 		c.ResultRetryLimit = DefaultResultRetry
 	}
 	if c.Deadline == 0 {
 		c.Deadline = DefaultDeadline
-	}
-	if c.MaxEvents == 0 {
-		c.MaxEvents = DefaultMaxEvents
-	}
-	if c.StepCost < 0 || c.HopCost < 0 || c.MsgOverhead < 0 || c.SpawnOverhead < 0 || c.ByteCost < 0 {
-		return c, errors.New("machine: negative costs are not allowed")
 	}
 	if c.Shards < 0 {
 		c.Shards = runtime.GOMAXPROCS(0)

@@ -47,7 +47,7 @@ func TestIdleMachineSchedulesOnlyHeartbeats(t *testing.T) {
 		t.Run(placement.Name(), func(t *testing.T) {
 			m, rep := idleMachine(t, "torus", placement, ticks)
 			every := m.cfg.HeartbeatEvery
-			hop := sim.Time(m.cfg.MsgOverhead + m.cfg.HopCost) // neighbours are one hop apart
+			const hop = DefaultMsgOverhead + DefaultHopCost // neighbours are one hop apart
 			var want uint64
 			for i, p := range m.procs {
 				for at := every + sim.Time(i)%every; at <= ticks; at += every {

@@ -43,8 +43,8 @@ type Machine struct {
 	segment int
 
 	// progs holds the loaded programs: progs[0] is the program the machine
-	// was built with; service mode (Session) loads one more per distinct
-	// submitted program. Task packets name their program by index (Prog).
+	// was built with, if any; service mode (Session) loads one more per
+	// distinct submitted program. Task packets name their program by index (Prog).
 	// evals is kept parallel: evals[i] is progs[i] compiled by the machine's
 	// evaluator at intern time, so the per-task hot path never compiles.
 	progs []*lang.Program
@@ -179,63 +179,28 @@ type Report struct {
 	StepsByProc []int64
 }
 
-// NeutralCounts are the substrate-independent counters of a run — the
-// quantities any backend (simulated or live) can report, extracted here so
-// the backend-neutral report in internal/core never reaches into Metrics
-// field by field.
-type NeutralCounts struct {
-	// Messages is every message the interconnect carried.
-	Messages int64
-	// Spawned counts task packets created, including reissues and twins.
-	Spawned int64
-	// Reissued counts checkpointed packets re-sent after a failure.
-	Reissued int64
-	// Drained counts harmlessly discarded results (duplicates + late).
-	Drained int64
-	// Recoveries counts recovery events: reissues plus splice twins.
-	Recoveries int64
-	// Bytes is the encoded payload byte total of Messages (the proto codec
-	// wire sizes).
-	Bytes int64
-}
-
-// NeutralCounts extracts the backend-neutral counters from the report.
-func (r *Report) NeutralCounts() NeutralCounts {
-	m := &r.Metrics
-	return NeutralCounts{
-		Messages:   m.TotalMessages(),
-		Spawned:    m.TasksSpawned,
-		Reissued:   m.Reissues,
-		Drained:    m.DupResults + m.LateResults,
-		Recoveries: m.Reissues + m.Twins,
-		Bytes:      m.BytesOnWire,
-	}
-}
-
-// New builds a machine for the given configuration and program.
+// New builds a machine for the given configuration. prog is the program Run
+// evaluates; a machine built to Serve may pass nil, since every request
+// interns its own program.
 func New(cfg Config, prog *lang.Program) (*Machine, error) {
 	norm, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
-	if prog == nil {
-		return nil, errors.New("machine: program is required")
-	}
 	ev, err := lang.EvaluatorByName(norm.Eval)
 	if err != nil {
 		return nil, err // unreachable: normalized() validated the name
 	}
-	ep, err := ev.Compile(prog)
-	if err != nil {
-		return nil, fmt.Errorf("machine: compile: %w", err)
-	}
 	m := &Machine{
-		cfg:   norm,
-		progs: []*lang.Program{prog},
-		evals: []lang.EvalProgram{ep},
-		eval:  ev,
-		n:     norm.Topo.Size(),
-		tlog:  norm.Trace,
+		cfg:  norm,
+		eval: ev,
+		n:    norm.Topo.Size(),
+		tlog: norm.Trace,
+	}
+	if prog != nil {
+		if _, err := m.progIndex(prog); err != nil {
+			return nil, err
+		}
 	}
 	// The lookahead horizon is the minimum latency of any cross-shard
 	// message: one hop (MsgOverhead + HopCost). Host links are one hop and
@@ -243,14 +208,8 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 	// so the bound is the same at every shard count — which it must be, or
 	// window boundaries (and thus Stop/budget observation points) would
 	// depend on the shard count.
-	horizon := sim.Time(norm.MsgOverhead + norm.HopCost)
-	nshards := norm.Shards
-	if nshards > m.n {
-		nshards = m.n
-	}
-	if horizon < 1 {
-		nshards = 1 // degenerate cost model: no safe lookahead, run inline
-	}
+	const horizon = DefaultMsgOverhead + DefaultHopCost
+	nshards := min(norm.Shards, m.n)
 	homes := make([]int32, m.n+1) // procs 0..n-1, then the host at index n
 	if nshards > 1 {
 		part := topology.Partition(norm.Topo, nshards)
@@ -442,15 +401,11 @@ func (m *Machine) send(msg proto.Msg) {
 		return
 	}
 	hops := m.hops(msg.From, msg.To)
-	size := msg.EncodedSize()
-	sc.metrics.BytesOnWire += int64(size)
+	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
 	sc.metrics.HopsOnWire += int64(hops)
 	countMsg(&sc.metrics, msg.Type)
-	latency := m.cfg.MsgOverhead + m.cfg.HopCost*int64(hops) + m.cfg.ByteCost*int64(size/64)
-	if latency < 1 {
-		latency = 1
-	}
-	sc.k.AtMsgTo(sc.k.Now()+sim.Time(latency), m.ownerOf(msg.To), sc.getMsg(msg))
+	latency := sim.Time(DefaultMsgOverhead + DefaultHopCost*hops)
+	sc.k.AtMsgTo(sc.k.Now()+latency, m.ownerOf(msg.To), sc.getMsg(msg))
 }
 
 // countMsg tallies messages that are not already tallied at their call
@@ -517,6 +472,9 @@ func (m *Machine) mergeRunErr() {
 // service stream: it opens a Session, submits the one request, waits, and
 // finalizes — the exact event sequence the pre-session machine produced.
 func (m *Machine) Run(fn string, args []expr.Value, plan *faults.Plan) (*Report, error) {
+	if len(m.progs) == 0 {
+		return nil, errors.New("machine: program is required")
+	}
 	s, err := m.Serve(ServeConfig{})
 	if err != nil {
 		return nil, err

@@ -362,8 +362,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}, lang.Fib()); err == nil {
 		t.Error("nil topology accepted")
 	}
-	if _, err := New(Config{Topo: mustTopo(t, "mesh", 4)}, nil); err == nil {
-		t.Error("nil program accepted")
+	// A machine built without a program serves (requests bring their own)
+	// but cannot Run.
+	if m, err := New(Config{Topo: mustTopo(t, "mesh", 4)}, nil); err != nil {
+		t.Errorf("program-less machine rejected: %v", err)
+	} else if _, err := m.Run("fib", nil, nil); err == nil {
+		t.Error("Run without a program accepted")
 	}
 	cfg := Config{Topo: mustTopo(t, "mesh", 4), AncestorDepth: -1}
 	if _, err := New(cfg, lang.Fib()); err == nil {

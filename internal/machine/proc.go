@@ -517,7 +517,7 @@ func (p *proc) EscalateResult(res *proto.Result) {
 			t.resultTimer.Stop()
 			resCopy := fwd
 			ancProc := anc.Proc
-			t.resultTimer = p.k.After(p.m.cfg.ResultTimeout, func() {
+			t.resultTimer = p.k.After(DefaultResultTimeout, func() {
 				p.onGrandTimeout(res.Child, ancProc, &resCopy)
 			})
 		}
@@ -693,12 +693,12 @@ func (p *proc) runPass(t *task) {
 		p.m.failRun(p, fmt.Errorf("task %v on processor %d: %w", t.pkt.Key, p.id, err))
 		return
 	}
-	cost := int64(out.Steps)*p.m.cfg.StepCost + int64(len(out.Demands))*p.m.cfg.SpawnOverhead
+	cost := int64(out.Steps)*DefaultStepCost + int64(len(out.Demands))*DefaultSpawnOverhead
 	if !p.m.cfg.DisableCheckpoints {
 		// Retaining the packet copies it into the local checkpoint store —
 		// a small but real cost (§2.1's "fully embedded in the evaluation
 		// process").
-		cost += int64(len(out.Demands)) * p.m.cfg.CheckpointCost
+		cost += int64(len(out.Demands)) * DefaultCheckpointCost
 	}
 	if cost < 1 {
 		cost = 1
@@ -865,7 +865,7 @@ func ancestorChain(parentPkt *proto.TaskPacket, depth int) []proto.Addr {
 // effort to pick elsewhere. It returns the chosen (first-hop) destination.
 func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid map[proto.ProcID]bool) proto.ProcID {
 	cr.ackTimer.Stop()
-	cr.ackTimer = p.k.After(p.m.cfg.AckTimeout, func() {
+	cr.ackTimer = p.k.After(DefaultAckTimeout, func() {
 		p.onAckTimeout(parent, pkt, cr)
 	})
 	if cr.retries >= 3 && !p.isHost {
@@ -957,7 +957,7 @@ func (p *proc) onAckTimeout(parent *task, pkt *proto.TaskPacket, cr *childRef) {
 		return
 	}
 	cr.retries++
-	if cr.retries > p.m.cfg.SpawnRetryLimit {
+	if cr.retries > DefaultSpawnRetry {
 		p.m.log(p.id, trace.KAbort, pkt.Key.String(), "placement retries exhausted")
 		return
 	}
@@ -1096,7 +1096,7 @@ func (p *proc) sendResult(t *task) {
 	p.sc.metrics.MsgResult++
 	p.m.send(proto.Msg{Type: proto.MsgResult, From: p.id, To: dest, Result: res})
 	t.resultTimer.Stop()
-	t.resultTimer = p.k.After(p.m.cfg.ResultTimeout, func() { p.onResultTimeout(t) })
+	t.resultTimer = p.k.After(DefaultResultTimeout, func() { p.onResultTimeout(t) })
 }
 
 // onResultTimeout: the parent never acknowledged. Retry a bounded number of
@@ -1293,7 +1293,7 @@ func (p *proc) heartbeatTick() {
 	if p.dead {
 		return
 	}
-	limit := p.m.cfg.HeartbeatEvery * sim.Time(p.m.cfg.HeartbeatMisses)
+	limit := p.m.cfg.HeartbeatEvery * DefaultHeartbeatMisses
 	now := p.k.Now()
 	for _, nb := range p.neighbors {
 		if p.faulty[nb] {
@@ -1337,7 +1337,7 @@ func (p *proc) gossipTick() {
 			}
 		}
 	}
-	p.gossipTimer = p.k.After(p.m.cfg.LoadGossipEvery, p.gossipFn)
+	p.gossipTimer = p.k.After(DefaultLoadGossipEvery, p.gossipFn)
 }
 
 func (p *proc) onLoad(msg *proto.Msg) {

@@ -127,18 +127,6 @@ func TestAncestorDepthOneDisablesEscalation(t *testing.T) {
 	}
 }
 
-// TestByteCostExtendsLatency checks the bandwidth term of the cost model.
-func TestByteCostExtendsLatency(t *testing.T) {
-	prog := lang.Fib()
-	args := []expr.Value{expr.VInt(10)}
-	fast := runMachine(t, Config{Topo: mustTopo(t, "mesh", 8), Seed: 2}, prog, "fib", args, nil)
-	slow := runMachine(t, Config{Topo: mustTopo(t, "mesh", 8), Seed: 2, ByteCost: 8}, prog, "fib", args, nil)
-	expectAnswer(t, slow, prog, "fib", args)
-	if slow.Makespan <= fast.Makespan {
-		t.Fatalf("ByteCost did not slow the run: %d vs %d", slow.Makespan, fast.Makespan)
-	}
-}
-
 // TestStarTopologyRuns exercises the hub-and-spoke extreme.
 func TestStarTopologyRuns(t *testing.T) {
 	prog := lang.TreeSum(3)

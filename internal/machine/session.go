@@ -2,8 +2,8 @@ package machine
 
 import (
 	"errors"
-	"fmt"
 
+	"repro/internal/admission"
 	"repro/internal/balance"
 	"repro/internal/expr"
 	"repro/internal/faults"
@@ -33,8 +33,8 @@ import (
 // scheduled before the periodic services, and an admission at the current
 // tick installs directly instead of through a kernel event.
 type Session struct {
-	m   *Machine
-	cfg ServeConfig
+	m    *Machine
+	next func(i int) sim.Time // ServeConfig.NextArrival
 
 	started  bool
 	finished bool
@@ -47,61 +47,29 @@ type Session struct {
 	byKey map[proto.TaskKey]*Req
 
 	outstanding int
-	lastArrival sim.Time
-	haveArrival bool
 
-	// Admission-control state: in-flight request count, the FIFO of offered
-	// requests waiting for a slot, its high-water mark, and the shed count.
-	// All of it is mutated only on the host's shard (the admission batch
-	// events and rootDone both dispatch there), so the accounting is as
+	// gate is the admission state: slots in use and the FIFO of offers
+	// waiting for one. It is mutated only on the host's shard (the admission
+	// batch events and rootDone both dispatch there), so the accounting is as
 	// deterministic as the event order itself.
-	inflight int
-	queue    []*Req
-	queueMax int
-	shed     int
+	gate admission.Gate[*Req]
 }
 
 // ServeConfig parameterizes the service stream.
 type ServeConfig struct {
-	// ArrivalEvery spaces successive request admissions of one batch this
-	// many virtual ticks apart, turning a batch into a stream with faults
-	// landing between and inside requests. 0 admits the whole batch at the
-	// drive tick.
-	ArrivalEvery sim.Time
-
-	// NextArrival, when set, overrides ArrivalEvery with an explicit arrival
-	// schedule: request i is offered at stream offset NextArrival(i), clamped
-	// to the submitting drive's tick if that offset already passed. This is
-	// how the open-loop arrival generators (workload.Arrival) drive the
-	// stream.
+	// NextArrival, when set, is the arrival schedule: request i is offered at
+	// stream offset NextArrival(i), clamped to the submitting drive's tick if
+	// that offset already passed. This is how the open-loop arrival
+	// generators (workload.Arrival) drive the stream. Nil offers every
+	// request at its drive's tick.
 	NextArrival func(i int) sim.Time
 
-	// MaxInFlight bounds concurrently admitted (installed, un-completed)
-	// requests; 0 is unbounded. Offers beyond the bound follow Admission.
-	MaxInFlight int
-
-	// Admission picks what happens to an offer that finds every slot busy.
-	Admission AdmissionPolicy
-
-	// QueueBound caps the AdmitQueue FIFO: an offer that finds the queue
-	// already holding QueueBound requests is shed exactly like AdmitShed.
-	// 0 leaves the queue unbounded. Ignored under AdmitShed.
-	QueueBound int
+	// Admission bounds the stream: at most MaxInFlight installed,
+	// un-completed requests, with offers beyond that queued (their
+	// per-request budget counts from the eventual install, not the offer) or
+	// shed (marked at the offer tick, never consuming machine resources).
+	Admission admission.Policy
 }
-
-// AdmissionPolicy selects the full-cluster behavior of a bounded stream.
-type AdmissionPolicy int
-
-// The two bounded-admission policies. AdmitQueue is the zero value.
-const (
-	// AdmitQueue holds excess offers in a FIFO; each completion installs the
-	// head. A queued request's per-request budget counts from its eventual
-	// admission, not its offer.
-	AdmitQueue AdmissionPolicy = iota
-	// AdmitShed rejects excess offers outright: the request is marked shed
-	// at its offer tick and never consumes machine resources.
-	AdmitShed
-)
 
 // Req is one submitted request: the session-side record of a super-root
 // evaluation. Fields are stamped by the kernel as the stream progresses.
@@ -158,7 +126,8 @@ func (m *Machine) Serve(cfg ServeConfig) (*Session, error) {
 	if m.session != nil {
 		return nil, errors.New("machine: machine already serving (a machine instance runs once)")
 	}
-	s := &Session{m: m, cfg: cfg, byKey: map[proto.TaskKey]*Req{}}
+	s := &Session{m: m, next: cfg.NextArrival, byKey: map[proto.TaskKey]*Req{},
+		gate: admission.Gate[*Req]{Policy: cfg.Admission}}
 	m.session = s
 	return s, nil
 }
@@ -181,11 +150,8 @@ func (s *Session) Submit(prog *lang.Program, fn string, args []expr.Value) (*Req
 	if s.finished {
 		return nil, errors.New("machine: session already finished")
 	}
-	if prog == nil {
-		return nil, errors.New("machine: program is required")
-	}
-	if _, ok := prog.Func(fn); !ok {
-		return nil, fmt.Errorf("machine: entry function %q not in program", fn)
+	if err := prog.CheckEntry(fn); err != nil {
+		return nil, err
 	}
 	pi, err := s.m.progIndex(prog)
 	if err != nil {
@@ -253,7 +219,7 @@ func (s *Session) start() {
 	// every tick event is owned by its processor so it lives on the
 	// processor's shard. The heartbeat stagger stays inside one period:
 	// lastHeard is seeded at 0, so a first tick later than
-	// HeartbeatEvery × HeartbeatMisses would declare every live neighbour
+	// HeartbeatEvery × DefaultHeartbeatMisses would declare every live neighbour
 	// dead before hearing from any of them. Load gossip is armed only for
 	// the gradient policy, its one reader: under any other placement the
 	// tick would send nothing and re-arm itself, and an idle processor
@@ -264,8 +230,8 @@ func (s *Session) start() {
 		if m.cfg.HeartbeatEvery > 0 {
 			m.kern.AtOn(m.cfg.HeartbeatEvery+sim.Time(i)%m.cfg.HeartbeatEvery, int32(i), p.heartbeatTick)
 		}
-		if gossips && m.cfg.LoadGossipEvery > 0 {
-			m.kern.AtOn(sim.Time(1+i%int(m.cfg.LoadGossipEvery)), int32(i), p.gossipTick)
+		if gossips {
+			m.kern.AtOn(sim.Time(1+i%DefaultLoadGossipEvery), int32(i), p.gossipTick)
 		}
 		// Seed heartbeat liveness so nobody is declared dead before the
 		// first exchange.
@@ -288,9 +254,8 @@ func (s *Session) start() {
 // arrival tick and each same-tick batch becomes one host-owned kernel event
 // that offers the whole batch in submission order — one event instead of N
 // on the one-shot path, and the offer runs on the host's shard where the
-// spawn and admission bookkeeping live. With ArrivalEvery > 0 the batch
-// spreads into a stream, one admission event per distinct arrival tick;
-// with NextArrival set, the explicit schedule places each offer instead.
+// spawn and admission bookkeeping live. A NextArrival schedule spreads the
+// batch into a stream, one admission event per distinct arrival tick.
 func (s *Session) admit() {
 	m := s.m
 	if len(s.pendReqs) == 0 {
@@ -310,16 +275,9 @@ func (s *Session) admit() {
 	}
 	for _, r := range s.pendReqs {
 		arr := now
-		if s.cfg.NextArrival != nil {
-			if at := s.cfg.NextArrival(r.id); at > arr {
-				arr = at
-			}
-		} else if s.haveArrival && s.cfg.ArrivalEvery > 0 {
-			if next := s.lastArrival + s.cfg.ArrivalEvery; next > arr {
-				arr = next
-			}
+		if s.next != nil {
+			arr = max(arr, s.next(r.id))
 		}
-		s.lastArrival, s.haveArrival = arr, true
 		r.arrival = arr
 		s.outstanding++
 		s.byKey[hostKey(r.id)] = r
@@ -335,31 +293,21 @@ func (s *Session) admit() {
 }
 
 // offer runs admission control for one request at its arrival tick, on the
-// host's shard. An open slot (or an unbounded stream) installs immediately;
-// a full cluster queues or sheds per the policy. Shedding stops the kernel
-// like a completion does, so a driver waiting on the shed request observes
-// the decision.
+// host's shard: the gate admits (install now), queues, or sheds. Shedding
+// stops the kernel like a completion does, so a driver waiting on the shed
+// request observes the decision.
 func (s *Session) offer(r *Req) {
-	m := s.m
-	r.offered = m.host.k.Now()
-	if s.cfg.MaxInFlight > 0 && s.inflight >= s.cfg.MaxInFlight {
-		full := s.cfg.Admission == AdmitQueue &&
-			s.cfg.QueueBound > 0 && len(s.queue) >= s.cfg.QueueBound
-		if s.cfg.Admission == AdmitShed || full {
-			r.shed = true
-			r.shedAt = m.host.k.Now()
-			s.shed++
-			s.outstanding--
-			m.host.k.Stop()
-			return
-		}
-		s.queue = append(s.queue, r)
-		if len(s.queue) > s.queueMax {
-			s.queueMax = len(s.queue)
-		}
-		return
+	k := s.m.host.k
+	r.offered = k.Now()
+	switch s.gate.Offer(r) {
+	case admission.Admit:
+		s.install(r)
+	case admission.Shed:
+		r.shed = true
+		r.shedAt = k.Now()
+		s.outstanding--
+		k.Stop()
 	}
-	s.install(r)
 }
 
 // install creates the request's host pseudo-task and demands the root
@@ -369,7 +317,6 @@ func (s *Session) offer(r *Req) {
 // (its per-request budget starts when it actually gets a slot).
 func (s *Session) install(r *Req) {
 	m := s.m
-	s.inflight++
 	r.arrival = m.host.k.Now()
 	r.queuedFor = r.arrival - r.offered
 	hostPkt := &proto.TaskPacket{
@@ -400,7 +347,6 @@ func (s *Session) rootDone(key proto.TaskKey, v expr.Value) {
 	r.doneAt = s.m.host.k.Now()
 	r.answer = v
 	s.outstanding--
-	s.inflight--
 	m := s.m
 	if !m.done {
 		m.done = true
@@ -412,10 +358,7 @@ func (s *Session) rootDone(key proto.TaskKey, v expr.Value) {
 	// on the host's shard inside the completion event, exactly the context
 	// the batch admission events install from, so the dequeue is as
 	// deterministic (and shard-count-invariant) as the completion itself.
-	if len(s.queue) > 0 && (s.cfg.MaxInFlight <= 0 || s.inflight < s.cfg.MaxInFlight) {
-		next := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue = s.queue[:len(s.queue)-1]
+	if next, ok := s.gate.Release(); ok {
 		s.install(next)
 	}
 	m.host.k.Stop()
@@ -423,7 +366,7 @@ func (s *Session) rootDone(key proto.TaskKey, v expr.Value) {
 
 // Wait drives the kernel until r completes, is shed, errors, or exhausts
 // its budget: each request gets Config.Deadline virtual ticks from its
-// arrival and Config.MaxEvents dispatches per drive segment. On return
+// arrival and DefaultMaxEvents dispatches per drive segment. On return
 // r.Done reports completion and r.Shed an admission rejection; both false
 // after Wait means the request timed out (the stream itself continues —
 // later submissions still run).
@@ -445,7 +388,7 @@ func (s *Session) Wait(r *Req) {
 			return
 		}
 		m.segment++
-		res := m.kern.RunUntil(deadline, m.cfg.MaxEvents)
+		res := m.kern.RunUntil(deadline, DefaultMaxEvents)
 		m.mergeRunErr()
 		if res != sim.RunStopped {
 			return // deadline, quiescent, or event budget: r did not make it
@@ -458,11 +401,8 @@ func (s *Session) Wait(r *Req) {
 // Outstanding reports how many admitted requests have not completed.
 func (s *Session) Outstanding() int { return s.outstanding }
 
-// ShedCount reports how many offers admission control rejected.
-func (s *Session) ShedCount() int { return s.shed }
-
 // QueueDepthMax reports the admission queue's high-water mark.
-func (s *Session) QueueDepthMax() int { return s.queueMax }
+func (s *Session) QueueDepthMax() int { return s.gate.DepthMax() }
 
 // Now is the stream clock in virtual ticks.
 func (s *Session) Now() sim.Time { return s.m.kern.Now() }

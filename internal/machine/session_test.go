@@ -29,12 +29,17 @@ func serveMachine(t testing.TB, prog *lang.Program, scheme string, seed int64, s
 	return s
 }
 
+// every is the uniform arrival schedule: request i is offered at tick i×gap.
+func every(gap sim.Time) func(int) sim.Time {
+	return func(i int) sim.Time { return sim.Time(i) * gap }
+}
+
 // TestSessionMultiRoot multiplexes several outstanding requests on one
 // kernel and checks every answer against the reference evaluator, with
 // completion stamps strictly inside the stream.
 func TestSessionMultiRoot(t *testing.T) {
 	prog := lang.Fib()
-	s := serveMachine(t, prog, "rollback", 1, ServeConfig{ArrivalEvery: 500})
+	s := serveMachine(t, prog, "rollback", 1, ServeConfig{NextArrival: every(500)})
 	var reqs []*Req
 	for _, n := range []int64{8, 9, 10, 11} {
 		r, err := s.Submit(prog, "fib", []expr.Value{expr.VInt(n)})

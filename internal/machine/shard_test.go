@@ -140,7 +140,7 @@ func TestShardSweepServiceStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := m.Serve(ServeConfig{ArrivalEvery: 150})
+		s, err := m.Serve(ServeConfig{NextArrival: every(150)})
 		if err != nil {
 			t.Fatal(err)
 		}

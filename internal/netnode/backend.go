@@ -15,7 +15,6 @@ import (
 // Backend runs workloads on process-per-node clusters. Default is the
 // registered instance; mutate it (CLI flags do) before Open.
 type Backend struct {
-	node.Clock
 	// TCP switches the interconnect from unix sockets to loopback TCP.
 	TCP bool
 }
@@ -32,6 +31,6 @@ func (*Backend) Name() string { return "net" }
 // Open implements core.Backend: fork the node processes and keep the
 // cluster serving until Close.
 func (b *Backend) Open(cfg core.Config) (core.Session, error) {
-	return node.Open("net", cfg, b.Clock,
+	return node.Open("net", cfg,
 		func(spec node.Spec) (node.Machine, error) { return New(spec, Options{TCP: b.TCP}) })
 }

@@ -121,15 +121,15 @@ func TestClusterFaultFree(t *testing.T) {
 	if !v.Equal(want) {
 		t.Fatalf("fib(12) = %v over processes, want %v", v, want)
 	}
-	spawned, reissued, _ := c.Root().Stats()
-	if spawned == 0 {
+	got := c.Root().Snapshot()
+	if got.Spawned == 0 {
 		t.Error("no tasks spawned")
 	}
-	if reissued != 0 {
-		t.Errorf("fault-free run reissued %d packets", reissued)
+	if got.Reissued != 0 {
+		t.Errorf("fault-free run reissued %d packets", got.Reissued)
 	}
-	if msgs, bytes := c.Root().Messages(); msgs == 0 || bytes <= msgs*proto.FrameHeaderSize/2 {
-		t.Errorf("byte accounting implausible: %d msgs, %d bytes", msgs, bytes)
+	if got.Messages == 0 || got.MsgBytes <= got.Messages*proto.FrameHeaderSize/2 {
+		t.Errorf("byte accounting implausible: %d msgs, %d bytes", got.Messages, got.MsgBytes)
 	}
 }
 
@@ -179,9 +179,7 @@ func TestClusterSurvivesTwoSIGKILLs(t *testing.T) {
 	}
 	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
-		spawned, reissued, drained := c.Root().Stats()
-		t.Fatalf("no answer after SIGKILLs: %v (spawned=%d reissued=%d drained=%d)",
-			err, spawned, reissued, drained)
+		t.Fatalf("no answer after SIGKILLs: %v (%+v)", err, c.Root().Snapshot())
 	}
 	if !v.Equal(expr.VInt(987)) {
 		t.Fatalf("fib(16) = %v after two SIGKILLs, want 987", v)
@@ -222,7 +220,7 @@ func TestKillValidation(t *testing.T) {
 // runs a request, closes — and requires every node process gone.
 func TestNoOrphansAfterClose(t *testing.T) {
 	var c *Cluster
-	sess, err := node.Open("net", core.Config{Procs: 4, Seed: 1}, node.Clock{Deadline: 20 * time.Second},
+	sess, err := node.Open("net", core.Config{Procs: 4, Seed: 1, Deadline: int64(20 * time.Second / node.DefaultTimescale)},
 		func(spec node.Spec) (node.Machine, error) {
 			var err error
 			c, err = New(spec, Options{})

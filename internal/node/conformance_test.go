@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/expr"
 	"repro/internal/faults"
+	"repro/internal/lang"
 	_ "repro/internal/livenet" // registers "live"
 	"repro/internal/machine"
 	"repro/internal/netnode" // registers "net"
@@ -381,28 +383,63 @@ func TestNoneTimesOutRatherThanWedging(t *testing.T) {
 	})
 }
 
-// TestCloseEndsWait: Close racing a Wait on a request that can never be
-// answered (scheme none, root lost) returns the wait promptly — Completed
-// false, no error — rather than holding it for the 30 s default budget.
-func TestCloseEndsWait(t *testing.T) {
-	w, err := core.StandardWorkload("fib:12")
+// TestBadTicketsFailAlone is one row run on every backend, the simulator
+// included: a good ticket, a ticket with a nil program and a ticket with an
+// unknown entry function share a stream. Each bad ticket's Wait errors, the
+// good one verifies, and Close reports them as one completed and two failed
+// requests — not as a stream error. (The simulator used to build its machine
+// from the first ticket of the batch, so a nil program sorting first failed
+// every ticket and the Close.)
+func TestBadTicketsFailAlone(t *testing.T) {
+	w, err := core.StandardWorkload("fib:9")
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, backend := range append([]string{"sim"}, backends...) {
+		t.Run(backend, func(t *testing.T) {
+			cl := open(t, backend, core.Config{Procs: 4, Seed: 1, Recovery: "rollback"})
+			good := cl.Submit(w)
+			noProg := cl.Submit(core.Workload{Fn: "fib"})
+			noFn := cl.Submit(core.Workload{Program: w.Program, Fn: "nosuch"})
+			if _, err := noProg.Wait(); err == nil || !strings.Contains(err.Error(), "program required") {
+				t.Errorf("nil program: err = %v", err)
+			}
+			if _, err := noFn.Wait(); err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+				t.Errorf("unknown entry function: err = %v", err)
+			}
+			if _, err := good.Verify(); err != nil {
+				t.Errorf("good ticket poisoned by its neighbours: %v", err)
+			}
+			sr, err := cl.Close()
+			if err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if sr.Completed != 1 || sr.Failed != 2 {
+				t.Fatalf("completed/failed = %d/%d, want 1/2\n%s", sr.Completed, sr.Failed, sr.Render())
+			}
+		})
+	}
+}
+
+// TestCloseEndsWait: Close racing a Wait on a request that can never be
+// answered returns the wait promptly — Completed false, no error — rather
+// than holding it for the 30 s default budget. The request is a divergent
+// program (every task demands one more), so no scheduling of the nodes, the
+// waiter or the Close can let an answer through.
+func TestCloseEndsWait(t *testing.T) {
+	spin := core.Workload{Program: lang.MustParse("fn spin(n) = spin(n + 1)"), Fn: "spin",
+		Args: []core.Value{expr.VInt(0)}}
 	each(t, func(t *testing.T, backend string) {
 		b, err := core.ByName(backend)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := b.Open(core.Config{Procs: 3, Seed: 1, Recovery: "none"})
+		sess, err := b.Open(core.Config{Procs: 3, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := sess.Submit(w)
+		req, err := sess.Submit(spin)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Inject(faults.Crash(0, 1, true)); err != nil {
 			t.Fatal(err)
 		}
 		waited := make(chan *core.Report, 1)
@@ -413,7 +450,7 @@ func TestCloseEndsWait(t *testing.T) {
 			}
 			waited <- rep
 		}()
-		time.Sleep(50 * time.Millisecond) // let the kill land and the Wait block
+		time.Sleep(20 * time.Millisecond) // let the Wait block
 		if _, err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}

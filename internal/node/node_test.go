@@ -224,10 +224,10 @@ func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 		}
 	}
 
-	spawned, reissued, _ := w.c.Stats()
-	if want := int64(len(kids)) + n.Reissues; spawned != want || reissued != n.Reissues {
+	got := w.c.Snapshot()
+	if want := int64(len(kids)) + n.Reissues; got.Spawned != want || got.Reissued != n.Reissues {
 		t.Fatalf("counters spawned/reissued = %d/%d, want %d/%d (Spawned includes reissues)",
-			spawned, reissued, want, n.Reissues)
+			got.Spawned, got.Reissued, want, n.Reissues)
 	}
 	if by := w.c.ReissuesByNode(); by[0] != n.Reissues {
 		t.Fatalf("per-node attribution %v, want %d on node 0", by, n.Reissues)
@@ -316,9 +316,8 @@ func TestRootPlacesRoundRobinAndReissuesOnDeath(t *testing.T) {
 	if s := w.take(); len(s) != 2 || s[0].to != 0 || s[1].to != 2 {
 		t.Fatalf("requests 4 and 5 placed by %+v, want processors 0 and 2", s)
 	}
-	spawned, reissued, drained := r.Stats()
-	if spawned != 7 || reissued != 1 || drained != 1 {
-		t.Fatalf("spawned/reissued/drained = %d/%d/%d, want 7/1/1", spawned, reissued, drained)
+	if got := r.Snapshot(); got.Spawned != 7 || got.Reissued != 1 || got.Drained != 1 {
+		t.Fatalf("spawned/reissued/drained = %d/%d/%d, want 7/1/1", got.Spawned, got.Reissued, got.Drained)
 	}
 	if by := r.ReissuesByNode(); by[0]+by[1]+by[2]+by[3] != 0 {
 		t.Fatalf("the super-root's reissue was attributed to a node: %v", by)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/proto"
@@ -61,13 +62,19 @@ func (c *Counters) CountMsg(wire int) {
 // dropped (§3.4).
 func (c *Counters) CountDrained(n int64) { c.drained.Add(n) }
 
-// Stats reports the task-packet and drain totals.
-func (c *Counters) Stats() (spawned, reissued, drained int64) {
-	return c.spawned.Load(), c.reissued.Load(), c.drained.Load()
+// Snapshot reads the totals as the backend-neutral core.Counters; every
+// recovery here is a reissue.
+func (c *Counters) Snapshot() core.Counters {
+	reissued := c.reissued.Load()
+	return core.Counters{
+		Messages:   c.msgs.Load(),
+		MsgBytes:   c.bytes.Load(),
+		Spawned:    c.spawned.Load(),
+		Reissued:   reissued,
+		Drained:    c.drained.Load(),
+		Recoveries: reissued,
+	}
 }
-
-// Messages is the number of protocol messages carried, and their bytes.
-func (c *Counters) Messages() (msgs, bytes int64) { return c.msgs.Load(), c.bytes.Load() }
 
 // ReissuesByNode reports how many retained child packets each node re-sent
 // as a parent after peer deaths.
@@ -192,17 +199,6 @@ func (r *Root) OnFirstDelivery(fn func()) {
 	r.mu.Unlock()
 }
 
-// checkEntry validates a root application.
-func checkEntry(prog *lang.Program, fn string) error {
-	if prog == nil {
-		return errors.New("node: program required")
-	}
-	if _, ok := prog.Func(fn); !ok {
-		return fmt.Errorf("node: unknown function %q", fn)
-	}
-	return nil
-}
-
 // programIndex makes prog resident on first sight and returns its tag.
 func (r *Root) programIndex(prog *lang.Program) (int, error) {
 	r.progMu.Lock()
@@ -223,7 +219,7 @@ func (r *Root) programIndex(prog *lang.Program) (int, error) {
 // task tree is disjoint from every other's; roots are spread round-robin
 // over the processors not known dead (request 0 lands on node 0).
 func (r *Root) Submit(prog *lang.Program, fn string, args []expr.Value) (*Request, error) {
-	if err := checkEntry(prog, fn); err != nil {
+	if err := prog.CheckEntry(fn); err != nil {
 		return nil, err
 	}
 	idx, err := r.programIndex(prog)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/proto"
@@ -23,19 +24,19 @@ import (
 //
 //   - Procs and Seed carry over directly (seeded placement: every node draws
 //     destinations from an rng derived from the seed).
-//   - A fault at virtual tick t fires t×Timescale after Open, so Burst/
+//   - A fault at virtual tick t fires t×DefaultTimescale after Open, so Burst/
 //     Cascade/Correlated plans keep their shape as real durations. Both crash
 //     kinds map to Machine.Kill — the transport reports the death and the
 //     super-root announces it; silent-crash timeout detection is a
 //     simulator-only mechanism. Corrupt faults are rejected (no voting here).
-//   - Deadline (a virtual-time budget) maps through Timescale to the wall
+//   - Deadline (a virtual-time budget) maps through DefaultTimescale to the wall
 //     budget bounding each request's Wait, so a hung recovery fails fast.
 //   - Recovery is "rollback" (per-parent reissue, §3; the default) or "none"
 //     (deaths go unannounced and lost work stays lost, so a faulted run
 //     reports non-completion at the deadline, like the simulator's), and
 //     Placement "random" — the one node protocol this package implements.
 //     Simulator-only knobs that would change what a run measures are
-//     rejected; Topology, AncestorDepth, Trace, ArrivalEvery and Arrival are
+//     rejected; Topology, AncestorDepth, Trace and Arrival are
 //     inert (the interconnect is complete, per-parent reissue has no
 //     ancestor escalation to tune, there is no event log, and real time
 //     needs no synthetic arrival spacing — load drivers pace their own
@@ -46,17 +47,9 @@ import (
 // (thousands of ticks) landing mid-run for the bundled workloads.
 const DefaultTimescale = 2 * time.Microsecond
 
-// DefaultDeadline bounds a request's Wait when the config sets no
+// DefaultDeadline bounds a request's Wait when Config.Deadline sets no
 // virtual-time budget.
 const DefaultDeadline = 30 * time.Second
-
-// Clock is a backend instance's tick-to-wall mapping.
-type Clock struct {
-	// Timescale is the wall duration of one virtual tick (0 ⇒ DefaultTimescale).
-	Timescale time.Duration
-	// Deadline bounds Wait when Config.Deadline is zero (0 ⇒ DefaultDeadline).
-	Deadline time.Duration
-}
 
 // Machine is a booted wall-clock substrate: its super-root, the transport's
 // way of crashing a node, and its teardown.
@@ -73,23 +66,20 @@ type Machine interface {
 // params is the validated shape of a core.Config on a wall-clock backend.
 type params struct {
 	Spec
-	backend     string
-	scheme      string
-	timescale   time.Duration
-	deadline    time.Duration
-	maxInFlight int
-	shed        bool // the "shed" policy, as opposed to "queue"
-	queueBound  int  // "queue:N" FIFO cap; 0 = unbounded
+	backend   string
+	scheme    string
+	deadline  time.Duration
+	admission admission.Policy
 }
 
 // prepare validates the config and fills defaults, naming the backend in
 // every rejection.
-func prepare(backend string, cfg core.Config, clk Clock) (params, error) {
+func prepare(backend string, cfg core.Config) (params, error) {
 	p := params{
-		Spec:        Spec{Procs: cfg.Procs, Seed: cfg.Seed, Eval: cfg.Eval},
-		backend:     backend,
-		scheme:      cfg.Recovery,
-		maxInFlight: cfg.MaxInFlight,
+		Spec:     Spec{Procs: cfg.Procs, Seed: cfg.Seed, Eval: cfg.Eval},
+		backend:  backend,
+		scheme:   cfg.Recovery,
+		deadline: DefaultDeadline,
 	}
 	reject := func(format string, args ...any) (params, error) {
 		return p, fmt.Errorf(backend+": "+format, args...)
@@ -117,7 +107,7 @@ func prepare(backend string, cfg core.Config, clk Clock) (params, error) {
 		return reject("placement %q not supported (random only)", cfg.Placement)
 	}
 	var err error
-	if p.shed, p.queueBound, err = core.ParseAdmission(cfg.Admission); err != nil {
+	if p.admission, err = admission.Parse(cfg.Admission, cfg.MaxInFlight); err != nil {
 		return p, err
 	}
 	switch {
@@ -130,24 +120,16 @@ func prepare(backend string, cfg core.Config, clk Clock) (params, error) {
 	case cfg.Raw != nil:
 		return reject("Config.Raw holds simulator machine knobs; this backend takes none of them")
 	}
-	p.timescale = clk.Timescale
-	if p.timescale <= 0 {
-		p.timescale = DefaultTimescale
-	}
-	p.deadline = clk.Deadline
-	if p.deadline <= 0 {
-		p.deadline = DefaultDeadline
-	}
 	if cfg.Deadline > 0 {
-		p.deadline = time.Duration(cfg.Deadline) * p.timescale
+		p.deadline = time.Duration(cfg.Deadline) * DefaultTimescale
 	}
 	return p, nil
 }
 
 // Open validates cfg for the named wall-clock backend, boots the machine,
 // and serves a stream on it until Close.
-func Open(backend string, cfg core.Config, clk Clock, boot func(Spec) (Machine, error)) (core.Session, error) {
-	p, err := prepare(backend, cfg, clk)
+func Open(backend string, cfg core.Config, boot func(Spec) (Machine, error)) (core.Session, error) {
+	p, err := prepare(backend, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -161,6 +143,7 @@ func Open(backend string, cfg core.Config, clk Clock, boot func(Spec) (Machine, 
 		start:  time.Now(),
 		stop:   make(chan struct{}),
 		killed: map[proto.ProcID]bool{},
+		gate:   admission.Gate[*request]{Policy: p.admission},
 	}
 	m.Root().OnFirstDelivery(s.onRequestDone)
 	return s, nil
@@ -179,13 +162,11 @@ type session struct {
 	closed   bool
 	closeRep *core.Report
 
-	// Bounded-admission state, guarded by mu. A slot is taken at admission
-	// (the Root.Submit) and freed at the request's first root delivery —
-	// symmetric with the simulator's accounting, so every backend makes
-	// identical admit/shed decisions on the same stream order.
-	inflight int
-	queue    []*request
-	queueMax int
+	// gate is the admission state, guarded by mu. A slot is taken at
+	// admission (the Root.Submit) and freed at the request's first root
+	// delivery — the simulator's accounting, made by the same gate, so every
+	// backend makes identical admit/shed decisions on the same stream order.
+	gate admission.Gate[*request]
 }
 
 // Unit implements core.Session.
@@ -215,7 +196,7 @@ func (s *session) report() *core.Report {
 func (s *session) Submit(w core.Workload) (core.SessionRequest, error) {
 	// Validated at the offer so a queued request cannot fail admission later,
 	// long after the submitter's error path has gone.
-	if err := checkEntry(w.Program, w.Fn); err != nil {
+	if err := w.Program.CheckEntry(w.Fn); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -223,22 +204,40 @@ func (s *session) Submit(w core.Workload) (core.SessionRequest, error) {
 	if s.closed {
 		return nil, errors.New(s.p.backend + ": session closed")
 	}
-	now := time.Now()
-	if s.p.maxInFlight > 0 && s.inflight >= s.p.maxInFlight {
-		if s.p.shed || (s.p.queueBound > 0 && len(s.queue) >= s.p.queueBound) {
-			return &request{s: s, shed: true, offered: now}, nil
+	r := &request{s: s, w: w, offered: time.Now()}
+	switch s.gate.Offer(r) {
+	case admission.Shed:
+		r.shed = true
+	case admission.Queue:
+		r.admitCh = make(chan struct{})
+	case admission.Admit:
+		if err := s.install(r, r.offered); err != nil {
+			s.installNext() // the slot goes back
+			return nil, err
 		}
-		r := &request{s: s, w: w, offered: now, admitCh: make(chan struct{})}
-		s.queue = append(s.queue, r)
-		s.queueMax = max(s.queueMax, len(s.queue))
-		return r, nil
 	}
-	q, err := s.m.Root().Submit(w.Program, w.Fn, w.Args)
-	if err != nil {
-		return nil, err
+	return r, nil
+}
+
+// install stamps an admitted request's arrival and submits it to the
+// super-root. The caller holds mu and the request already holds its slot.
+func (s *session) install(r *request, at time.Time) (err error) {
+	r.arrived = at
+	r.q, err = s.m.Root().Submit(r.w.Program, r.w.Fn, r.w.Args)
+	return err
+}
+
+// installNext frees a slot and hands it to the queue head, if any; a head
+// whose install fails gives the slot straight back, so the loop moves on to
+// the next. The caller holds mu.
+func (s *session) installNext() {
+	for r, ok := s.gate.Release(); ok && !s.closed; r, ok = s.gate.Release() {
+		r.admitErr = s.install(r, time.Now())
+		close(r.admitCh)
+		if r.admitErr == nil {
+			return
+		}
 	}
-	s.inflight++
-	return &request{s: s, q: q, offered: now, arrived: now}, nil
 }
 
 // onRequestDone frees the completed request's admission slot and installs
@@ -247,19 +246,7 @@ func (s *session) Submit(w core.Workload) (core.SessionRequest, error) {
 func (s *session) onRequestDone() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.inflight--
-	if s.closed || len(s.queue) == 0 ||
-		(s.p.maxInFlight > 0 && s.inflight >= s.p.maxInFlight) {
-		return
-	}
-	r := s.queue[0]
-	s.queue = s.queue[1:]
-	r.q, r.admitErr = s.m.Root().Submit(r.w.Program, r.w.Fn, r.w.Args)
-	if r.admitErr == nil {
-		s.inflight++
-	}
-	r.arrived = time.Now()
-	close(r.admitCh)
+	s.installNext()
 }
 
 // Inject implements core.Session: validate the plan (no corruption, and a
@@ -298,7 +285,7 @@ func (s *session) Inject(plan *faults.Plan) ([]int64, error) {
 	sorted := plan.Sorted()
 	stamps := make([]int64, 0, len(sorted))
 	for _, f := range sorted {
-		stamps = append(stamps, (time.Duration(f.At) * s.p.timescale).Microseconds())
+		stamps = append(stamps, (time.Duration(f.At) * DefaultTimescale).Microseconds())
 	}
 	// One scheduler goroutine per plan walks the time-sorted faults and
 	// kills each node at its wall-scaled instant relative to the stream
@@ -308,7 +295,7 @@ func (s *session) Inject(plan *faults.Plan) ([]int64, error) {
 	go func() {
 		defer s.wg.Done()
 		for _, f := range sorted {
-			if d := time.Duration(f.At)*s.p.timescale - time.Since(s.start); d > 0 {
+			if d := time.Duration(f.At)*DefaultTimescale - time.Since(s.start); d > 0 {
 				select {
 				case <-time.After(d):
 				case <-s.stop:
@@ -345,13 +332,10 @@ func (s *session) Close() (*core.Report, error) {
 	rep := s.report()
 	rep.Makespan = s.micros(time.Now())
 	s.m.Shutdown()
-	root := s.m.Root()
-	rep.Messages, rep.MsgBytes = root.Messages()
-	rep.Spawned, rep.Reissued, rep.Drained = root.Stats()
-	rep.Recoveries = rep.Reissued
-	rep.ReissuesByNode = root.ReissuesByNode()
+	rep.Counters = s.m.Root().Snapshot()
+	rep.ReissuesByNode = s.m.Root().ReissuesByNode()
 	s.mu.Lock()
-	rep.QueueDepthMax = s.queueMax
+	rep.QueueDepthMax = s.gate.DepthMax()
 	s.closeRep = rep
 	s.mu.Unlock()
 	return rep, nil

@@ -7,6 +7,7 @@ package trace
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 )
@@ -128,146 +129,103 @@ func (l *Log) String() string {
 	return b.String()
 }
 
-// Metrics aggregates counters across a run. All fields are plain integers
-// so Merge and diffing stay trivial.
+// Metrics aggregates counters across a run. All fields are plain int64s and
+// this struct is their one declaration: Add, TotalMessages and Rows walk the
+// fields, a `row` tag is the counter's report name (a field without one is
+// accumulated but not reported), and the "msg." rows are the message
+// counters TotalMessages sums.
 type Metrics struct {
 	// Messages by category.
-	MsgTask      int64 // task packets sent (incl. migration hops)
-	MsgTaskAck   int64 // placement acknowledgements
-	MsgResult    int64 // result packets parent-ward
-	MsgResultAck int64 // result acknowledgements
-	MsgGrand     int64 // orphan results sent to ancestors (splice)
-	MsgAbort     int64 // abort/kill packets
-	MsgFault     int64 // failure announcements
-	MsgHeartbeat int64 // heartbeats + probes
-	MsgLoad      int64 // gradient-model load exchanges
-	MsgControl   int64 // baseline freeze/resume/snapshot control
-	BytesOnWire  int64 // payload bytes of all of the above
-	HopsOnWire   int64 // Σ hop counts of all messages
+	MsgTask      int64 `row:"msg.task"`       // task packets sent (incl. migration hops)
+	MsgTaskAck   int64 `row:"msg.task-ack"`   // placement acknowledgements
+	MsgResult    int64 `row:"msg.result"`     // result packets parent-ward
+	MsgResultAck int64 `row:"msg.result-ack"` // result acknowledgements
+	MsgGrand     int64 `row:"msg.grand"`      // orphan results sent to ancestors (splice)
+	MsgAbort     int64 `row:"msg.abort"`      // abort/kill packets
+	MsgFault     int64 `row:"msg.fault"`      // failure announcements
+	MsgHeartbeat int64 `row:"msg.heartbeat"`  // heartbeats + probes
+	MsgLoad      int64 `row:"msg.load"`       // gradient-model load exchanges
+	MsgControl   int64 `row:"msg.control"`    // baseline freeze/resume/snapshot control
+	BytesOnWire  int64 `row:"bytes.wire"`     // payload bytes of all of the above
+	HopsOnWire   int64 `row:"hops.wire"`      // Σ hop counts of all messages
 
 	// Task lifecycle.
-	TasksSpawned   int64 // packets created, incl. reissues/twins/replicas
-	TasksCompleted int64 // reduced to a value
-	TasksAborted   int64 // orphaned or killed
-	TasksLost      int64 // resident on a processor when it failed
-	TasksLeaked    int64 // still resident at end of run
-	StepsExecuted  int64 // reduction steps performed
-	StepsWasted    int64 // steps by tasks that later aborted or were lost
+	TasksSpawned   int64 `row:"tasks.spawned"`   // packets created, incl. reissues/twins/replicas
+	TasksCompleted int64 `row:"tasks.completed"` // reduced to a value
+	TasksAborted   int64 `row:"tasks.aborted"`   // orphaned or killed
+	TasksLost      int64 `row:"tasks.lost"`      // resident on a processor when it failed
+	TasksLeaked    int64 `row:"tasks.leaked"`    // still resident at end of run
+	StepsExecuted  int64 `row:"steps.executed"`  // reduction steps performed
+	StepsWasted    int64 `row:"steps.wasted"`    // steps by tasks that later aborted or were lost
 
 	// Checkpointing.
-	Checkpoints     int64 // functional checkpoints recorded
-	CheckpointBytes int64 // peak retained checkpoint storage, bytes
-	Reissues        int64 // rollback reissues
-	PacedReissues   int64 // incremental: reissues that went through the paced queue
-	Suppressed      int64 // shadowed checkpoints skipped (topmost rule)
-	Twins           int64 // splice twins created
-	OrphanResults   int64 // orphan results forwarded to ancestors
-	Relayed         int64 // orphan results relayed to twins
-	Prefills        int64 // twin demands satisfied from inherited results
-	Stranded        int64 // orphans with no live ancestor
-	DupResults      int64 // duplicate results ignored
-	LateResults     int64 // results for unknown tasks discarded
+	Checkpoints     int64 `row:"ckpt.count"`             // functional checkpoints recorded
+	CheckpointBytes int64 `row:"ckpt.bytes"`             // peak retained checkpoint storage, bytes
+	Reissues        int64 `row:"recover.reissues"`       // rollback reissues
+	PacedReissues   int64 `row:"recover.paced"`          // incremental: reissues that went through the paced queue
+	Suppressed      int64 `row:"recover.suppressed"`     // shadowed checkpoints skipped (topmost rule)
+	Twins           int64 `row:"recover.twins"`          // splice twins created
+	OrphanResults   int64 `row:"recover.orphan-results"` // orphan results forwarded to ancestors
+	Relayed         int64 `row:"recover.relayed"`        // orphan results relayed to twins
+	Prefills        int64 `row:"recover.prefills"`       // twin demands satisfied from inherited results
+	Stranded        int64 `row:"recover.stranded"`       // orphans with no live ancestor
+	DupResults      int64 `row:"results.dup"`            // duplicate results ignored
+	LateResults     int64 `row:"results.late"`           // results for unknown tasks discarded
 
 	// Redundancy.
-	Votes          int64 // majority votes decided
-	VoteMismatches int64 // corrupt values outvoted
+	Votes          int64 `row:"vote.count"`    // majority votes decided
+	VoteMismatches int64 `row:"vote.mismatch"` // corrupt values outvoted
 
 	// Baseline global checkpointing.
-	Snapshots     int64 // global snapshots taken
-	SnapshotBytes int64 // Σ bytes of snapshots
-	Restores      int64 // global restores performed
+	Snapshots     int64 `row:"global.snapshots"`      // global snapshots taken
+	SnapshotBytes int64 `row:"global.snapshot-bytes"` // Σ bytes of snapshots
+	Restores      int64 `row:"global.restores"`       // global restores performed
 
 	// Failure handling.
-	Failures         int64 // processor failures injected
-	Detections       int64 // distinct (observer, failed) detections
+	Failures         int64 `row:"fault.failures"`   // processor failures injected
+	Detections       int64 `row:"fault.detections"` // distinct (observer, failed) detections
 	DetectLatencySum int64 // Σ (detect time − fail time) over first detections
 	FirstDetections  int64 // number of first detections (for the average)
 }
 
+// metricRows is the row name of each Metrics field, by field index.
+var metricRows = func() []string {
+	t := reflect.TypeOf(Metrics{})
+	rows := make([]string, t.NumField())
+	for i := range rows {
+		rows[i] = t.Field(i).Tag.Get("row")
+	}
+	return rows
+}()
+
 // Add accumulates counters from another Metrics.
 func (m *Metrics) Add(o *Metrics) {
-	m.MsgTask += o.MsgTask
-	m.MsgTaskAck += o.MsgTaskAck
-	m.MsgResult += o.MsgResult
-	m.MsgResultAck += o.MsgResultAck
-	m.MsgGrand += o.MsgGrand
-	m.MsgAbort += o.MsgAbort
-	m.MsgFault += o.MsgFault
-	m.MsgHeartbeat += o.MsgHeartbeat
-	m.MsgLoad += o.MsgLoad
-	m.MsgControl += o.MsgControl
-	m.BytesOnWire += o.BytesOnWire
-	m.HopsOnWire += o.HopsOnWire
-	m.TasksSpawned += o.TasksSpawned
-	m.TasksCompleted += o.TasksCompleted
-	m.TasksAborted += o.TasksAborted
-	m.TasksLost += o.TasksLost
-	m.TasksLeaked += o.TasksLeaked
-	m.StepsExecuted += o.StepsExecuted
-	m.StepsWasted += o.StepsWasted
-	m.Checkpoints += o.Checkpoints
-	m.CheckpointBytes += o.CheckpointBytes
-	m.Reissues += o.Reissues
-	m.PacedReissues += o.PacedReissues
-	m.Suppressed += o.Suppressed
-	m.Twins += o.Twins
-	m.OrphanResults += o.OrphanResults
-	m.Relayed += o.Relayed
-	m.Prefills += o.Prefills
-	m.Stranded += o.Stranded
-	m.DupResults += o.DupResults
-	m.LateResults += o.LateResults
-	m.Votes += o.Votes
-	m.VoteMismatches += o.VoteMismatches
-	m.Snapshots += o.Snapshots
-	m.SnapshotBytes += o.SnapshotBytes
-	m.Restores += o.Restores
-	m.Failures += o.Failures
-	m.Detections += o.Detections
-	m.DetectLatencySum += o.DetectLatencySum
-	m.FirstDetections += o.FirstDetections
+	mv, ov := reflect.ValueOf(m).Elem(), reflect.ValueOf(o).Elem()
+	for i := range metricRows {
+		mv.Field(i).SetInt(mv.Field(i).Int() + ov.Field(i).Int())
+	}
 }
 
 // TotalMessages sums every message counter.
 func (m *Metrics) TotalMessages() int64 {
-	return m.MsgTask + m.MsgTaskAck + m.MsgResult + m.MsgResultAck +
-		m.MsgGrand + m.MsgAbort + m.MsgFault + m.MsgHeartbeat +
-		m.MsgLoad + m.MsgControl
+	var sum int64
+	mv := reflect.ValueOf(m).Elem()
+	for i, row := range metricRows {
+		if strings.HasPrefix(row, "msg.") {
+			sum += mv.Field(i).Int()
+		}
+	}
+	return sum
 }
 
 // Rows renders the metrics as sorted "name value" rows for reports,
 // omitting zero counters to keep tables focused.
 func (m *Metrics) Rows() []string {
-	items := []struct {
-		name string
-		v    int64
-	}{
-		{"msg.task", m.MsgTask}, {"msg.task-ack", m.MsgTaskAck},
-		{"msg.result", m.MsgResult}, {"msg.result-ack", m.MsgResultAck},
-		{"msg.grand", m.MsgGrand}, {"msg.abort", m.MsgAbort},
-		{"msg.fault", m.MsgFault}, {"msg.heartbeat", m.MsgHeartbeat},
-		{"msg.load", m.MsgLoad}, {"msg.control", m.MsgControl},
-		{"bytes.wire", m.BytesOnWire}, {"hops.wire", m.HopsOnWire},
-		{"tasks.spawned", m.TasksSpawned}, {"tasks.completed", m.TasksCompleted},
-		{"tasks.aborted", m.TasksAborted}, {"tasks.lost", m.TasksLost},
-		{"tasks.leaked", m.TasksLeaked},
-		{"steps.executed", m.StepsExecuted}, {"steps.wasted", m.StepsWasted},
-		{"ckpt.count", m.Checkpoints}, {"ckpt.bytes", m.CheckpointBytes},
-		{"recover.reissues", m.Reissues}, {"recover.paced", m.PacedReissues},
-		{"recover.suppressed", m.Suppressed},
-		{"recover.twins", m.Twins}, {"recover.orphan-results", m.OrphanResults},
-		{"recover.relayed", m.Relayed}, {"recover.prefills", m.Prefills},
-		{"recover.stranded", m.Stranded},
-		{"results.dup", m.DupResults}, {"results.late", m.LateResults},
-		{"vote.count", m.Votes}, {"vote.mismatch", m.VoteMismatches},
-		{"global.snapshots", m.Snapshots}, {"global.snapshot-bytes", m.SnapshotBytes},
-		{"global.restores", m.Restores},
-		{"fault.failures", m.Failures}, {"fault.detections", m.Detections},
-	}
 	var out []string
-	for _, it := range items {
-		if it.v != 0 {
-			out = append(out, fmt.Sprintf("%-24s %d", it.name, it.v))
+	mv := reflect.ValueOf(m).Elem()
+	for i, row := range metricRows {
+		if v := mv.Field(i).Int(); row != "" && v != 0 {
+			out = append(out, fmt.Sprintf("%-24s %d", row, v))
 		}
 	}
 	sort.Strings(out)

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -91,27 +93,43 @@ func TestMetricsRowsOmitZeros(t *testing.T) {
 	}
 }
 
-func TestMetricsAddCoversEveryField(t *testing.T) {
-	// Fill every field with 1 and verify Add doubles all of them; this
-	// catches forgotten fields when the struct grows.
-	ones := func() *Metrics {
-		return &Metrics{
-			MsgTask: 1, MsgTaskAck: 1, MsgResult: 1, MsgResultAck: 1,
-			MsgGrand: 1, MsgAbort: 1, MsgFault: 1, MsgHeartbeat: 1,
-			MsgLoad: 1, MsgControl: 1, BytesOnWire: 1, HopsOnWire: 1,
-			TasksSpawned: 1, TasksCompleted: 1, TasksAborted: 1,
-			TasksLost: 1, TasksLeaked: 1, StepsExecuted: 1, StepsWasted: 1,
-			Checkpoints: 1, CheckpointBytes: 1, Reissues: 1, Suppressed: 1,
-			Twins: 1, OrphanResults: 1, Relayed: 1, Prefills: 1, Stranded: 1,
-			DupResults: 1, LateResults: 1, Votes: 1, VoteMismatches: 1,
-			Snapshots: 1, SnapshotBytes: 1, Restores: 1, Failures: 1,
-			Detections: 1, DetectLatencySum: 1, FirstDetections: 1,
+// TestMetricsDerivedFromOneDeclaration pins what Add, TotalMessages and Rows
+// derive from the struct: with field i holding i+1, Add doubles every field
+// (the two untagged ones included), TotalMessages is the ten "msg." rows, and
+// Rows is byte-for-byte the hand-enumerated table this replaced — 38 rows,
+// none for DetectLatencySum or FirstDetections.
+func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
+	var m, sum Metrics
+	v := reflect.ValueOf(&m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	if v.NumField() != 40 || m.TotalMessages() != 55 {
+		t.Fatalf("%d fields, TotalMessages %d; want 40 and 55", v.NumField(), m.TotalMessages())
+	}
+	sum.Add(&m)
+	sum.Add(&m)
+	for i := 0; i < v.NumField(); i++ {
+		if got := reflect.ValueOf(sum).Field(i).Int(); got != int64(2*(i+1)) {
+			t.Errorf("Add: field %s = %d, want %d", v.Type().Field(i).Name, got, 2*(i+1))
 		}
 	}
-	m := ones()
-	m.Add(ones())
-	if m.MsgTask != 2 || m.FirstDetections != 2 || m.DetectLatencySum != 2 ||
-		m.Restores != 2 || m.Stranded != 2 || m.HopsOnWire != 2 {
-		t.Fatalf("Add missed fields: %+v", m)
+	want := []string{
+		"bytes.wire               11", "ckpt.bytes               21", "ckpt.count               20",
+		"fault.detections         38", "fault.failures           37", "global.restores          36",
+		"global.snapshot-bytes    35", "global.snapshots         34", "hops.wire                12",
+		"msg.abort                6", "msg.control              10", "msg.fault                7",
+		"msg.grand                5", "msg.heartbeat            8", "msg.load                 9",
+		"msg.result               3", "msg.result-ack           4", "msg.task                 1",
+		"msg.task-ack             2", "recover.orphan-results   26", "recover.paced            23",
+		"recover.prefills         28", "recover.reissues         22", "recover.relayed          27",
+		"recover.stranded         29", "recover.suppressed       24", "recover.twins            25",
+		"results.dup              30", "results.late             31", "steps.executed           18",
+		"steps.wasted             19", "tasks.aborted            15", "tasks.completed          14",
+		"tasks.leaked             17", "tasks.lost               16", "tasks.spawned            13",
+		"vote.count               32", "vote.mismatch            33",
+	}
+	if got := m.Rows(); !slices.Equal(got, want) {
+		t.Fatalf("Rows = %q\nwant   %q", got, want)
 	}
 }
