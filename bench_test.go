@@ -1,4 +1,4 @@
-// One table-driven benchmark over the artifact registry: each sub-benchmark
+// One table-driven benchmark over the artifact catalog: each sub-benchmark
 // regenerates one simulator artifact through the same driver cmd/experiments
 // runs. It is a -cpuprofile entry point, not a gate — speed claims are made
 // and checked with `bash bench/run.sh` under the metric names BENCHMARK.json
@@ -14,19 +14,14 @@ import (
 )
 
 func BenchmarkArtifact(b *testing.B) {
-	reg := runner.Default()
-	all, err := reg.Resolve("all")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, e := range all {
+	for _, e := range runner.Artifacts {
 		if !e.Supports(runner.SimBackend) {
 			continue
 		}
 		b.Run(e.ID, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := reg.Run([]runner.Experiment{e}, runner.Options{Parallel: 1}); err != nil {
+				if _, err := (runner.Catalog{e}).Run(runner.Options{Parallel: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

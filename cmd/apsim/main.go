@@ -3,7 +3,7 @@
 // (optionally) the full event trace.
 //
 // With -requests N it switches to service mode: one long-lived cluster
-// (core.Open) serves a stream of N copies of the workload, faults from
+// (core.OpenOn) serves a stream of N copies of the workload, faults from
 // -fault land on the *stream's* clock — mid-traffic, between and inside
 // requests — and the report is the stream's throughput, latency
 // percentiles, and per-request outcomes, every answer checked against the
@@ -40,6 +40,7 @@ import (
 	"repro/internal/netnode"   // register the "net" backend
 	"repro/internal/proto"
 	"repro/internal/recovery"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -52,7 +53,7 @@ func main() {
 		entry     = flag.String("entry", "main", "entry function for -program")
 		argSpec   = flag.String("args", "", "comma-separated integer arguments for -program's entry function")
 		procs     = flag.Int("procs", 8, "number of processors")
-		topo      = flag.String("topology", "mesh", "ring|mesh|hypercube|complete|star")
+		topo      = flag.String("topology", "mesh", strings.Join(topology.Kinds(), "|"))
 		placement = flag.String("placement", "random", "random|gradient|static|local")
 		recov     = flag.String("recovery", "none", "recovery scheme: "+strings.Join(recovery.Names(), "|"))
 		eval      = flag.String("eval", "", "evaluator for task reduction passes: "+lang.EvaluatorHelp()+" (default interp; traces are byte-identical either way)")
@@ -61,7 +62,6 @@ func main() {
 		replicate = flag.Int("replicate", 1, "replica count for every function (§5.3; requires -recovery none)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		backend   = flag.String("backend", "sim", "execution backend: sim (virtual time), live (goroutine cluster, wall time) or net (process-per-node over sockets, crash = SIGKILL)")
-		netTCP    = flag.Bool("net-tcp", false, "net backend: use loopback TCP instead of unix sockets")
 		recBudget = flag.Int("recovery-budget", 0, "incremental scheme: reinstalled checkpoints per recovery slice (0 = default 1)")
 		recPeriod = flag.Int64("recovery-period", 0, "incremental scheme: virtual ticks between recovery slices (0 = default 8)")
 		faultSpec = flag.String("fault", "", "fault plan, e.g. 2@3000 or 1@2000s,3@4000c; in service mode times are stream-clock ticks")
@@ -137,7 +137,6 @@ func main() {
 	if *shards == 0 {
 		*shards = -1 // 0 on the CLI means "derive from GOMAXPROCS"
 	}
-	netnode.Default.TCP = *netTCP
 	cfg := core.Config{
 		Procs:          *procs,
 		Topology:       *topo,

@@ -1,8 +1,9 @@
 // Command experiments regenerates every reproduction artifact indexed in
-// DESIGN.md: the figure scenarios F1–F7 and the quantitative tables T1–T7
-// plus ablations A1–A4. Its markdown output is the body of EXPERIMENTS.md.
+// EXPERIMENTS.md: the figure scenarios F1–F7 and the quantitative tables
+// T1–T7 plus ablations A1–A4 and stress scenarios S1–S6. Its markdown output
+// is the body of EXPERIMENTS.md.
 //
-// Artifacts resolve through internal/runner's registry, so this command,
+// Artifacts resolve through internal/runner's catalog, so this command,
 // the benchmarks and the tests all run the same drivers. Tables can be
 // swept across several seeds and scheduled on a worker pool; multi-seed
 // runs report mean/min/max per metric plus effect-size classification.
@@ -17,7 +18,7 @@
 //	experiments -exp T3 -seeds 3 -json   # machine-readable per-seed + aggregate output
 //	experiments -markdown -seeds 5       # self-contained EXPERIMENTS.md document
 //	experiments -backend live -run L1,L3 # live-backend artifacts on real goroutines
-//	experiments -list                    # show the registered artifact ids + backends
+//	experiments -list                    # show the artifact ids + backends
 //
 // Artifacts declare the core backend they need; with -backend sim (the
 // default) the live-only artifacts render a deterministic skip note, and
@@ -61,7 +62,7 @@ func main() {
 		parallel = flag.Int("parallel", 0, "worker goroutines for the (experiment × seed) grid (0 = GOMAXPROCS; -backend live always runs sequentially so wall-clock makespans measure the workload, not pool contention)")
 		asJSON   = flag.Bool("json", false, "emit JSON (per-seed tables plus aggregates) instead of markdown")
 		asDoc    = flag.Bool("markdown", false, "emit the self-contained EXPERIMENTS.md document (header + contents + artifacts)")
-		list     = flag.Bool("list", false, "list the registered artifacts and exit")
+		list     = flag.Bool("list", false, "list the artifacts and exit")
 		shards   = flag.Int("shards", 1, "simulation kernel shards per cell (0 = GOMAXPROCS); every artifact is byte-identical at every shard count, so this only trades wall-clock time")
 		eval     = flag.String("eval", "", "evaluator for task reduction passes: "+lang.EvaluatorHelp()+" (default interp); every artifact is byte-identical under either, so this only trades wall-clock time")
 	)
@@ -97,16 +98,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	reg := runner.Default()
 	if *list {
-		for _, id := range reg.IDs() {
-			e, _ := reg.Lookup(id)
-			fmt.Printf("%-4s %-7s %-8s %s\n", e.ID, e.Kind, strings.Join(e.BackendList(), "|"), e.Title)
+		for _, e := range runner.Artifacts {
+			fmt.Printf("%-4s %-7s %-8s %s\n", e.ID, e.Kind(), strings.Join(e.BackendList(), "|"), e.Title)
 		}
 		return
 	}
 
-	results, runErr := reg.RunIDs(request, runner.Options{
+	results, runErr := runner.Artifacts.RunIDs(request, runner.Options{
 		Seeds:    runner.SeedRange(*seed, *seeds),
 		Parallel: *parallel,
 		Backend:  *backend,

@@ -117,7 +117,7 @@ func TestModelOnRealRun(t *testing.T) {
 	}
 	cfg := core.Config{
 		Procs: 8, Recovery: "none", Seed: 3,
-		Raw: &machine.Config{StateProbeEvery: 50},
+		StateProbeEvery: 50,
 	}
 	rep, err := cfg.Verify(w, nil)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // strictly ordered, and the queue's high-water mark is visible on the
 // report.
 func TestAdmissionQueuePolicy(t *testing.T) {
-	cl, err := Open(Config{Procs: 8, Seed: 3, Recovery: "rollback",
+	cl, err := OpenOn("sim", Config{Procs: 8, Seed: 3, Recovery: "rollback",
 		MaxInFlight: 1, Admission: "queue"})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestAdmissionQueuePolicy(t *testing.T) {
 // batch of three admits exactly one; the other two resolve immediately with
 // the typed ErrShed, carry the Shed marker, and the ledger reconciles.
 func TestAdmissionShedPolicy(t *testing.T) {
-	cl, err := Open(Config{Procs: 8, Seed: 3, Recovery: "rollback",
+	cl, err := OpenOn("sim", Config{Procs: 8, Seed: 3, Recovery: "rollback",
 		MaxInFlight: 1, Admission: "shed"})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestAdmissionShedPolicy(t *testing.T) {
 // error) — gets a PerRequest row, and the printed ledger always reconciles
 // (Offered = Admitted + Shed, Admitted = Completed + Failed).
 func TestServiceReportReconciles(t *testing.T) {
-	cl, err := Open(Config{Procs: 8, Seed: 5, Recovery: "rollback",
+	cl, err := OpenOn("sim", Config{Procs: 8, Seed: 5, Recovery: "rollback",
 		MaxInFlight: 1, Admission: "shed"})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestServiceReportReconciles(t *testing.T) {
 // TestArrivalStreamSchedule: an explicit arrival spec places request i at
 // the schedule's i-th offset on the stream clock.
 func TestArrivalStreamSchedule(t *testing.T) {
-	cl, err := Open(Config{Procs: 8, Seed: 3, Recovery: "rollback",
+	cl, err := OpenOn("sim", Config{Procs: 8, Seed: 3, Recovery: "rollback",
 		Arrival: "arrive:uniform:100"})
 	if err != nil {
 		t.Fatal(err)
@@ -189,11 +189,11 @@ func TestArrivalStreamSchedule(t *testing.T) {
 // TestServiceSpecValidation: malformed arrival and admission specs fail the
 // Open (and the one-shot Run) on both backends, not the first request.
 func TestServiceSpecValidation(t *testing.T) {
-	if _, err := Open(Config{Arrival: "arrive:zipf:2"}); err == nil ||
+	if _, err := OpenOn("sim", Config{Arrival: "arrive:zipf:2"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown arrival kind") {
 		t.Fatalf("sim Open bad arrival: %v", err)
 	}
-	if _, err := Open(Config{Admission: "drop"}); err == nil ||
+	if _, err := OpenOn("sim", Config{Admission: "drop"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown admission policy") {
 		t.Fatalf("sim Open bad admission: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestServiceSpecValidation(t *testing.T) {
 // rendered report pins the admit/shed decisions, stamps, and aggregates.
 func admissionStreamRender(t *testing.T, shards int, parallel bool) string {
 	t.Helper()
-	cl, err := Open(Config{Procs: 32, Topology: "torus", Seed: 11,
+	cl, err := OpenOn("sim", Config{Procs: 32, Topology: "torus", Seed: 11,
 		Recovery: "rollback", Arrival: "arrive:poisson:0.02",
 		MaxInFlight: 3, Admission: "shed", Shards: shards})
 	if err != nil {
@@ -278,7 +278,7 @@ func TestAdmissionShardSweep(t *testing.T) {
 // and the queued request's time in the FIFO lands in QueuedFor and the
 // report's queue-wait percentiles, separate from its service latency.
 func TestAdmissionBoundedQueue(t *testing.T) {
-	cl, err := Open(Config{Procs: 8, Seed: 3, Recovery: "rollback",
+	cl, err := OpenOn("sim", Config{Procs: 8, Seed: 3, Recovery: "rollback",
 		MaxInFlight: 1, Admission: "queue:1"})
 	if err != nil {
 		t.Fatal(err)
@@ -338,12 +338,12 @@ func TestAdmissionBoundedQueue(t *testing.T) {
 // that package's tests).
 func TestBoundedQueueSpecValidation(t *testing.T) {
 	for _, spec := range []string{"queue:0", "queue:-2", "queue:abc", "queue:08", "queue:"} {
-		if _, err := Open(Config{Admission: spec}); err == nil ||
+		if _, err := OpenOn("sim", Config{Admission: spec}); err == nil ||
 			!strings.Contains(err.Error(), "unknown admission policy") {
 			t.Fatalf("sim Open accepted admission %q: %v", spec, err)
 		}
 	}
-	if _, err := Open(Config{Admission: "queue:16"}); err != nil {
+	if _, err := OpenOn("sim", Config{Admission: "queue:16"}); err != nil {
 		t.Fatalf("sim Open rejected a well-formed bound: %v", err)
 	}
 }

@@ -27,11 +27,6 @@ type Cluster struct {
 	closeErr error
 }
 
-// Open starts a service stream on cfg.Backend ("" = the simulator).
-func Open(cfg Config) (*Cluster, error) {
-	return OpenOn(cfg.Backend, cfg)
-}
-
 // OpenOn starts a service stream on the named backend ("" = the simulator).
 func OpenOn(backend string, cfg Config) (*Cluster, error) {
 	if backend == "" {

@@ -121,7 +121,7 @@ func TestClusterServiceStreamSim(t *testing.T) {
 		"fib:10", "fib:11", "tree:2,4", "tak:8,4,2",
 		"shape:uniform:3,3,4", "shape:skew:2,5,3",
 	}
-	cl, err := Open(Config{Procs: 8, Seed: 5, Recovery: "rollback", Arrival: "arrive:uniform:200"})
+	cl, err := OpenOn("sim", Config{Procs: 8, Seed: 5, Recovery: "rollback", Arrival: "arrive:uniform:200"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ var determinismSpecs = []string{
 // eight goroutines), injects the plan, and returns the rendered report.
 func streamRender(t *testing.T, parallel bool) string {
 	t.Helper()
-	cl, err := Open(Config{Procs: 8, Seed: 7, Recovery: "rollback", Arrival: "arrive:uniform:150"})
+	cl, err := OpenOn("sim", Config{Procs: 8, Seed: 7, Recovery: "rollback", Arrival: "arrive:uniform:150"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestOneShotMatchesDegenerateStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := Open(cfg)
+	cl, err := OpenOn("sim", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestOneShotMatchesDegenerateStream(t *testing.T) {
 // TestTicketErrorPaths: unknown entry functions and nil programs surface on
 // the ticket, not the stream; the stream keeps serving around them.
 func TestTicketErrorPaths(t *testing.T) {
-	cl, err := Open(Config{Procs: 4, Seed: 1, Recovery: "rollback"})
+	cl, err := OpenOn("sim", Config{Procs: 4, Seed: 1, Recovery: "rollback"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strings"
@@ -43,8 +44,12 @@ const (
 	Corrupt        = faults.Corrupt
 )
 
-// Config describes a complete experiment setup in plain values; Build turns
-// it into a runnable machine.
+// Config describes a run — machine, recovery scheme, failure detector and
+// service discipline — in plain values that mean the same thing on every
+// backend; which backend serves it is named at the call (RunOn, OpenOn).
+// WithDefaults fills the defaults all backends share; Build turns the config
+// into a simulator machine. Knobs marked sim-only are rejected, not ignored,
+// by the wall-clock backends.
 type Config struct {
 	// Procs is the number of processors (default 8).
 	Procs int
@@ -56,8 +61,11 @@ type Config struct {
 	// (default "random").
 	Placement string
 	// Recovery is any recovery.Names() scheme: "incremental", "none",
-	// "rollback", "rollback-lazy", "rollback-nosuppress" or "splice"
-	// (default "none").
+	// "rollback", "rollback-lazy", "rollback-nosuppress" or "splice". The
+	// default is the one value that differs by backend: an empty Recovery
+	// means "none" on the simulator (the fault-free baseline its overhead
+	// tables measure against) and "rollback" on live and net, which
+	// implement only "rollback" and "none".
 	Recovery string
 	// RecoveryBudget and RecoveryPeriod pace the "incremental" scheme: at
 	// most Budget checkpoint reissues per drain tick, drains Period virtual
@@ -79,25 +87,30 @@ type Config struct {
 	// count from GOMAXPROCS.
 	Shards int
 	// Eval names the evaluator that runs task reduction passes: "interp"
-	// (tree-walking reference) or "compiled" (bytecode VM). 0 uses
+	// (tree-walking reference) or "compiled" (bytecode VM). Empty uses
 	// DefaultEval. Traces are byte-identical either way; only wall time
 	// changes.
 	Eval string
-	// DisableCheckpoints turns functional checkpointing off entirely.
+	// DisableCheckpoints turns functional checkpointing off entirely
+	// (sim-only: the zero-fault-tolerance baseline of T1).
 	DisableCheckpoints bool
+	// HeartbeatEvery is the failure detector's neighbour heartbeat period in
+	// virtual ticks (0 = machine.DefaultHeartbeatEvery, negative disables
+	// the detector). Sim-only: live and net learn of a death from the
+	// transport.
+	HeartbeatEvery int64
+	// StateProbeEvery, when positive, samples the machine's resident state
+	// (tasks and packet bytes) every that many virtual ticks into
+	// Report.Sim.StateSamples — what a coordinated global snapshot would
+	// have to copy at that instant. Sim-only.
+	StateProbeEvery int64
 	// Trace enables event logging when true.
 	Trace bool
 	// Deadline overrides the virtual-time budget (0 = default). In service
 	// mode it is the per-request budget, counted from the request's
 	// admission on the stream clock.
 	Deadline int64
-	// Raw exposes every low-level machine knob; fields set there win over
-	// the convenience fields above.
-	Raw *machine.Config
 
-	// Backend names the substrate Open serves on ("" = "sim"); one-shot Run
-	// always uses the simulator, exactly as before.
-	Backend string
 	// Arrival names an open-loop arrival process for service mode —
 	// "arrive:poisson:RATE", "arrive:uniform:GAP" or "arrive:burst:SIZE:GAP"
 	// (workload.ParseArrival) — seeded by Seed: request i of the stream is
@@ -174,30 +187,24 @@ func standardWorkload(spec string) (Workload, error) {
 		return Workload{}, fmt.Errorf("core: %q is an arrival spec, not a workload — set Config.Arrival (CLI: -arrive)", spec)
 	}
 	var a, b, c int64
-	n, err := fmt.Sscanf(spec, "fib:%d", &a)
-	if n == 1 && err == nil {
+	switch {
+	case scan(spec, "fib:%d", &a):
 		return Workload{Program: lang.Fib(), Fn: "fib", Args: []expr.Value{expr.VInt(a)}}, nil
-	}
-	if n, err = fmt.Sscanf(spec, "tak:%d,%d,%d", &a, &b, &c); n == 3 && err == nil {
+	case scan(spec, "tak:%d,%d,%d", &a, &b, &c):
 		return Workload{Program: lang.Tak(), Fn: "tak", Args: []expr.Value{expr.VInt(a), expr.VInt(b), expr.VInt(c)}}, nil
-	}
-	if n, err = fmt.Sscanf(spec, "nqueens:%d", &a); n == 1 && err == nil {
+	case scan(spec, "nqueens:%d", &a):
 		return Workload{Program: lang.NQueens(), Fn: "nqueens", Args: []expr.Value{expr.VInt(a)}}, nil
-	}
-	if n, err = fmt.Sscanf(spec, "sumrange:%d", &a); n == 1 && err == nil {
+	case scan(spec, "sumrange:%d", &a):
 		return Workload{Program: lang.SumRange(16), Fn: "sumrange", Args: []expr.Value{expr.VInt(0), expr.VInt(a)}}, nil
-	}
-	if n, err = fmt.Sscanf(spec, "msort:%d", &a); n == 1 && err == nil {
+	case scan(spec, "msort:%d", &a):
 		xs := make([]int64, a)
 		for i := range xs {
 			xs[i] = (int64(i)*7919 + 13) % 1000
 		}
 		return Workload{Program: lang.MergeSort(), Fn: "msort", Args: []expr.Value{expr.IntList(xs...)}}, nil
-	}
-	if n, err = fmt.Sscanf(spec, "tree:%d,%d", &a, &b); n == 2 && err == nil {
+	case scan(spec, "tree:%d,%d", &a, &b):
 		return Workload{Program: lang.TreeSum(int(a)), Fn: "tree", Args: []expr.Value{expr.VInt(b)}}, nil
-	}
-	if n, err = fmt.Sscanf(spec, "binom:%d,%d", &a, &b); n == 2 && err == nil {
+	case scan(spec, "binom:%d,%d", &a, &b):
 		return Workload{Program: lang.Binomial(), Fn: "binom", Args: []expr.Value{expr.VInt(a), expr.VInt(b)}}, nil
 	}
 	return Workload{}, fmt.Errorf("core: unknown workload spec %q", spec)
@@ -227,9 +234,9 @@ func shapeWorkload(spec string) (Workload, error) {
 }
 
 // scan is Sscanf with full-match semantics for workload specs: Sscanf alone
-// ignores trailing input ("shape:uniform:3,4,5,99" would parse as the 3-arg
-// form), so the parsed values are re-rendered through the format and must
-// reproduce the spec exactly.
+// ignores trailing input ("fib:12abc" would run fib:12, "tak:1,2,3,4" the
+// 3-arg form), so the parsed values are re-rendered through the format and
+// must reproduce the spec exactly.
 func scan(spec, format string, args ...any) bool {
 	n, err := fmt.Sscanf(spec, format, args...)
 	if err != nil || n != len(args) {
@@ -255,93 +262,63 @@ func (c Config) Build(prog *lang.Program) (*machine.Machine, error) {
 	return machine.New(mc, prog)
 }
 
-// machineConfig resolves the plain values into the machine's configuration;
-// fields set on Raw win over the convenience fields.
+// WithDefaults returns the config with the defaults every backend shares
+// filled in: 8 processors, seed 1, the process-wide evaluator. Everything
+// else keeps its zero value, whose meaning each field documents.
+func (c Config) WithDefaults() Config {
+	if c.Procs == 0 {
+		c.Procs = 8
+	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	if c.Eval == "" {
+		c.Eval = DefaultEval
+	}
+	return c
+}
+
+// machineConfig maps the plain values onto the simulator's configuration.
+// Names resolve here (topology, placement, scheme); the defaults
+// machine.Config applies to its own zero values are left to it.
 func (c Config) machineConfig() (machine.Config, error) {
-	mc := machine.Config{}
-	if c.Raw != nil {
-		mc = *c.Raw
+	c = c.WithDefaults()
+	mc := machine.Config{
+		AncestorDepth:      c.AncestorDepth,
+		Replication:        c.Replication,
+		Seed:               c.Seed,
+		Shards:             cmp.Or(c.Shards, DefaultShards),
+		DisableCheckpoints: c.DisableCheckpoints,
+		Eval:               c.Eval,
+		HeartbeatEvery:     sim.Time(c.HeartbeatEvery),
+		StateProbeEvery:    sim.Time(c.StateProbeEvery),
+		Deadline:           sim.Time(max(c.Deadline, 0)),
 	}
-	if mc.Topo == nil {
-		procs := c.Procs
-		if procs == 0 {
-			procs = 8
-		}
-		kind := c.Topology
-		if kind == "" {
-			kind = "mesh"
-		}
-		topo, err := topology.ByName(kind, procs)
-		if err != nil {
-			return mc, err
-		}
-		mc.Topo = topo
-	}
-	if mc.Placement == nil {
-		name := c.Placement
-		if name == "" {
-			name = "random"
-		}
-		pol, err := balance.ByName(name)
-		if err != nil {
-			return mc, err
-		}
-		mc.Placement = pol
-	}
-	if c.RecoveryBudget < 0 || c.RecoveryPeriod < 0 {
-		return mc, fmt.Errorf("core: recovery budget/period must be > 0 (got %d/%d)",
-			c.RecoveryBudget, c.RecoveryPeriod)
-	}
-	if mc.Scheme == nil {
-		name := c.Recovery
-		if name == "" {
-			name = "none"
-		}
-		if c.RecoveryBudget != 0 || c.RecoveryPeriod != 0 {
-			if name != "incremental" {
-				return mc, fmt.Errorf("core: recovery budget/period only apply to the incremental scheme, not %q", name)
-			}
-			mc.Scheme = &recovery.IncrementalScheme{Budget: c.RecoveryBudget, Period: c.RecoveryPeriod}
-		} else {
-			sch, err := recovery.ByName(name)
-			if err != nil {
-				return mc, err
-			}
-			mc.Scheme = sch
-		}
-	}
-	if mc.AncestorDepth == 0 {
-		mc.AncestorDepth = c.AncestorDepth
-	}
-	if mc.Replication == nil {
-		mc.Replication = c.Replication
-	}
-	if mc.Seed == 0 {
-		mc.Seed = c.Seed
-		if mc.Seed == 0 {
-			mc.Seed = 1
-		}
-	}
-	if c.DisableCheckpoints {
-		mc.DisableCheckpoints = true
-	}
-	if mc.Eval == "" {
-		mc.Eval = c.Eval
-		if mc.Eval == "" {
-			mc.Eval = DefaultEval
-		}
-	}
-	if mc.Shards == 0 {
-		mc.Shards = c.Shards
-		if mc.Shards == 0 {
-			mc.Shards = DefaultShards
-		}
-	}
-	if mc.Trace == nil && c.Trace {
+	if c.Trace {
 		mc.Trace = trace.NewLog(0)
 	}
-	if mc.Deadline == 0 && c.Deadline > 0 {
-		mc.Deadline = sim.Time(c.Deadline)
+	var err error
+	if mc.Topo, err = topology.ByName(cmp.Or(c.Topology, "mesh"), c.Procs); err != nil {
+		return mc, err
+	}
+	if c.Placement != "" {
+		if mc.Placement, err = balance.ByName(c.Placement); err != nil {
+			return mc, err
+		}
+	}
+	switch {
+	case c.RecoveryBudget < 0 || c.RecoveryPeriod < 0:
+		return mc, fmt.Errorf("core: recovery budget/period must be > 0 (got %d/%d)",
+			c.RecoveryBudget, c.RecoveryPeriod)
+	case c.RecoveryBudget != 0 || c.RecoveryPeriod != 0:
+		if c.Recovery != "incremental" {
+			return mc, fmt.Errorf("core: recovery budget/period only apply to the incremental scheme, not %q", cmp.Or(c.Recovery, "none"))
+		}
+		mc.Scheme = &recovery.IncrementalScheme{Budget: c.RecoveryBudget, Period: c.RecoveryPeriod}
+	case c.Recovery != "":
+		if mc.Scheme, err = recovery.ByName(c.Recovery); err != nil {
+			return mc, err
+		}
 	}
 	return mc, nil
 }
@@ -360,15 +337,6 @@ func (c Config) RunOn(backend string, w Workload, plan *faults.Plan) (*Report, e
 		return nil, err
 	}
 	return runOn(b, c, w, plan)
-}
-
-// RunSpec is the one-line entry point: workload spec + config + plan.
-func RunSpec(spec string, c Config, plan *faults.Plan) (*Report, error) {
-	w, err := StandardWorkload(spec)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(w, plan)
 }
 
 // Verify runs the workload and checks the answer against the sequential

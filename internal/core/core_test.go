@@ -3,9 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/expr"
-	"repro/internal/machine"
 )
 
 func TestStandardWorkloads(t *testing.T) {
@@ -34,11 +31,19 @@ func TestStandardWorkloads(t *testing.T) {
 			t.Errorf("%s: nil program", tc.spec)
 		}
 	}
-	if _, err := StandardWorkload("nosuch:1"); err == nil {
-		t.Error("unknown spec accepted")
+	// Every spec the doc comment shows parses.
+	for _, spec := range []string{"shape:uniform:3,4,5", "shape:skew:4,7,10", "shape:random:7,4,7,12"} {
+		if w, err := StandardWorkload(spec); err != nil || w.Program == nil || w.Spec != spec {
+			t.Errorf("%s: %+v, %v", spec, w, err)
+		}
 	}
-	if _, err := StandardWorkload("fib:x"); err == nil {
-		t.Error("malformed spec accepted")
+	// A spec is matched whole: unknown names, malformed numbers and trailing
+	// input (which bare Sscanf ignores) are all the same error.
+	for _, spec := range []string{"nosuch:1", "fib:x", "bogus",
+		"fib:12abc", "tak:1,2,3,4", "tree:3,4,5", "fib:12:13", "nqueens:6 ", "binom:5,2x"} {
+		if w, err := StandardWorkload(spec); err == nil || !strings.Contains(err.Error(), "core: unknown workload spec") {
+			t.Errorf("StandardWorkload(%q) = %s%v, %v; want the unknown-spec error", spec, w.Fn, w.Args, err)
+		}
 	}
 }
 
@@ -121,12 +126,12 @@ func TestOpenRejectsBadMachine(t *testing.T) {
 		{Config{Procs: 1}, "needs ≥ 2 nodes"},
 		{Config{RecoveryBudget: 2, Recovery: "rollback"}, "incremental"},
 	} {
-		if cl, err := Open(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+		if cl, err := OpenOn("sim", c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Open(%+v) = %v, %v; want an error containing %q", c.cfg, cl, err, c.want)
 		}
 	}
 	// An empty stream is a stream: Close reports the machine that served it.
-	cl, err := Open(Config{Procs: 4, Recovery: "splice"})
+	cl, err := OpenOn("sim", Config{Procs: 4, Recovery: "splice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,27 +166,14 @@ func TestVerifyWithRecovery(t *testing.T) {
 	}
 }
 
-func TestRunSpec(t *testing.T) {
-	rep, err := RunSpec("fib:8", Config{Seed: 5}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Completed || !rep.Answer.Equal(expr.VInt(21)) {
-		t.Fatalf("answer = %v", rep.Answer)
-	}
-	if _, err := RunSpec("bogus", Config{}, nil); err == nil {
-		t.Error("bogus spec accepted")
-	}
-}
-
-func TestRawOverrides(t *testing.T) {
+// TestStateProbeEvery: the plain field reaches the machine.
+func TestStateProbeEvery(t *testing.T) {
 	w, _ := StandardWorkload("fib:8")
-	cfg := Config{Raw: &machine.Config{StateProbeEvery: 25}}
-	rep, err := cfg.Verify(w, nil)
+	rep, err := Config{StateProbeEvery: 25}.Verify(w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Sim.StateSamples) == 0 {
-		t.Fatal("raw override did not take effect")
+		t.Fatal("StateProbeEvery did not take effect")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // counters.
 func incrementalStreamRender(t *testing.T, shards int, parallel bool) string {
 	t.Helper()
-	cl, err := Open(Config{Procs: 16, Seed: 7, Recovery: "incremental",
+	cl, err := OpenOn("sim", Config{Procs: 16, Seed: 7, Recovery: "incremental",
 		Arrival: "arrive:uniform:150", Shards: shards})
 	if err != nil {
 		t.Fatal(err)

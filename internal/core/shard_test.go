@@ -11,7 +11,7 @@ import (
 // service report.
 func shardStreamRender(t *testing.T, shards int, parallel bool) string {
 	t.Helper()
-	cl, err := Open(Config{Procs: 32, Topology: "torus", Seed: 11,
+	cl, err := OpenOn("sim", Config{Procs: 32, Topology: "torus", Seed: 11,
 		Recovery: "rollback", Arrival: "arrive:uniform:120", Shards: shards})
 	if err != nil {
 		t.Fatal(err)

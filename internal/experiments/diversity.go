@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/proto"
 	"repro/internal/topology"
 )
@@ -72,8 +71,8 @@ func S4ShapeDiversity(seed int64) (*Table, error) {
 			plan := faults.Correlated(topo, center, 1, m0*3/10, faults.CrashAnnounced).
 				Merge(faults.Burst(procs, 1, m0*3/5, faults.CrashAnnounced, seed))
 			crashSets = append(crashSets, fmt.Sprintf("%v", plan.Procs()))
-			rep := mustRun(core.Config{Seed: seed, Recovery: "splice", Deadline: m0 * 20,
-				Raw: &machine.Config{Topo: topo}}, w, plan)
+			rep := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: "splice",
+				Deadline: m0 * 20}, w, plan)
 			slow := Dash()
 			if rep.Completed {
 				slow = ratio(float64(rep.Makespan) / float64(m0))

@@ -1,5 +1,5 @@
 // Package experiments drives the quantitative reproductions T1–T7, the
-// ablations A1–A4 indexed in DESIGN.md, and the stress scenarios S1–S3
+// ablations A1–A4 indexed in EXPERIMENTS.md, and the stress scenarios S1–S3
 // (stress.go) that push past the paper's grids: a topology sweep across
 // every interconnect kind at 64 processors, rollback-vs-splice under
 // cascading faults, and a fault-density sweep to the recovery breaking
@@ -25,8 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/lang"
-	"repro/internal/machine"
-	"repro/internal/sim"
 )
 
 // Table is one experiment's output. Rows hold typed cells: labels stay
@@ -126,7 +124,7 @@ func T1Overhead(spec string, procs int, seed int64) (*Table, error) {
 		return nil, err
 	}
 	base := mustRun(core.Config{Procs: procs, Seed: seed, DisableCheckpoints: true,
-		Raw: &machine.Config{StateProbeEvery: 64}}, w, nil)
+		StateProbeEvery: 64}, w, nil)
 	if !base.Completed {
 		return nil, fmt.Errorf("experiments: base run incomplete")
 	}
@@ -248,7 +246,7 @@ func T3Scale(spec string, sizes []int, seed int64) (*Table, error) {
 	}
 	for _, n := range sizes {
 		rep := mustRun(core.Config{Procs: n, Seed: seed, Recovery: "rollback",
-			Raw: &machine.Config{StateProbeEvery: 64}}, w, nil)
+			StateProbeEvery: 64}, w, nil)
 		if !rep.Completed {
 			return nil, fmt.Errorf("experiments: %d-processor run incomplete", n)
 		}
@@ -515,8 +513,7 @@ func A3DetectionLatency(seed int64) (*Table, error) {
 	base := mustRun(core.Config{Procs: 8, Seed: seed, Recovery: "rollback"}, w, nil)
 	at := int64(base.Makespan) / 2
 	for _, hb := range []int64{100, 250, 500, 1000} {
-		cfg := core.Config{Procs: 8, Seed: seed, Recovery: "rollback",
-			Raw: &machine.Config{HeartbeatEvery: sim.Time(hb)}}
+		cfg := core.Config{Procs: 8, Seed: seed, Recovery: "rollback", HeartbeatEvery: hb}
 		rep := mustRun(cfg, w, faults.Crash(1, at, false))
 		lat := Dash()
 		if rep.Sim.Metrics.FirstDetections > 0 {

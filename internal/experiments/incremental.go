@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/topology"
 )
 
@@ -102,20 +101,20 @@ func s6OneShot(t *Table, seed int64) error {
 	if err != nil {
 		return err
 	}
-	topo, err := topology.ByName("torus", 64)
+	const procs, kind = 64, "torus"
+	topo, err := topology.ByName(kind, procs)
 	if err != nil {
 		return err
 	}
-	cbase := mustRun(core.Config{Seed: seed, Recovery: "rollback",
-		Raw: &machine.Config{Topo: topo}}, wc, nil)
+	cbase := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: "rollback"}, wc, nil)
 	if !cbase.Completed {
 		return fmt.Errorf("experiments: S6 cascade base run incomplete")
 	}
 	c0 := int64(cbase.Makespan)
 	cascade := faults.Cascade(topo, 9, c0*3/10, c0/10, 1, 1.0, faults.CrashAnnounced, seed)
 	for _, scheme := range s6Schemes {
-		rep := mustRun(core.Config{Seed: seed, Recovery: scheme, Deadline: c0 * 30,
-			Raw: &machine.Config{Topo: topo}}, wc, cascade)
+		rep := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: scheme,
+			Deadline: c0 * 30}, wc, cascade)
 		s6OneShotRow(t, "cascade 1 wave (tree:3,6, torus 64)", scheme, rep, c0)
 	}
 	return nil

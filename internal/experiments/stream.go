@@ -15,9 +15,9 @@ import (
 // paper's real promise (functional checkpointing keeps a *running* system
 // answering while processors die) measured as throughput and latency
 // percentiles rather than single-run makespans. The driver is backend-aware
-// (runner.Experiment.TableOn): the committed document carries the
-// deterministic simulator stream, and `-backend live` measures the same
-// stream shape on the persistent goroutine network.
+// (runner.Experiment.Table hands it the backend name): the committed
+// document carries the deterministic simulator stream, and `-backend live`
+// measures the same stream shape on the persistent goroutine network.
 
 // l3Procs and l3Requests size the stream: 32 concurrent requests
 // multiplexed on a 16-processor mesh (the live stream uses 8 nodes — wall

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/machine"
 	"repro/internal/topology"
 )
 
@@ -62,10 +61,7 @@ func S1TopologySweep(spec string, seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Hand the built topology straight to the machine (Raw.Topo wins
-		// over Config.Topology) so the graph isn't constructed twice.
-		rep := mustRun(core.Config{Seed: seed, Recovery: "rollback",
-			Raw: &machine.Config{Topo: topo}}, w, nil)
+		rep := mustRun(core.Config{Procs: S1Procs, Topology: kind, Seed: seed, Recovery: "rollback"}, w, nil)
 		if !rep.Completed {
 			return nil, fmt.Errorf("experiments: S1 %s run incomplete", kind)
 		}
@@ -110,17 +106,16 @@ var s2Cascades = []struct {
 // rollback — each wave kills processors that just absorbed re-placed
 // recovery work — while splice keeps salvaging partial results.
 func S2CascadeRecovery(seed int64) (*Table, error) {
-	const procs = 64
+	const procs, kind = 64, "torus"
 	w, err := core.StandardWorkload("tree:3,6")
 	if err != nil {
 		return nil, err
 	}
-	topo, err := topology.ByName("torus", procs)
+	topo, err := topology.ByName(kind, procs)
 	if err != nil {
 		return nil, err
 	}
-	base := mustRun(core.Config{Seed: seed, Recovery: "rollback",
-		Raw: &machine.Config{Topo: topo}}, w, nil)
+	base := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: "rollback"}, w, nil)
 	if !base.Completed {
 		return nil, fmt.Errorf("experiments: S2 base run incomplete")
 	}
@@ -139,8 +134,8 @@ func S2CascadeRecovery(seed int64) (*Table, error) {
 		plan := faults.Cascade(topo, 9, m0*3/10, m0/10, cs.waves, cs.spread,
 			faults.CrashAnnounced, seed)
 		for _, scheme := range []string{"rollback", "splice"} {
-			rep := mustRun(core.Config{Seed: seed, Recovery: scheme, Deadline: m0 * 30,
-				Raw: &machine.Config{Topo: topo}}, w, plan)
+			rep := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: scheme,
+				Deadline: m0 * 30}, w, plan)
 			slow := Dash()
 			if rep.Completed {
 				slow = ratio(float64(rep.Makespan) / float64(m0))

@@ -419,8 +419,6 @@ func countMsg(mt *trace.Metrics, t proto.MsgType) {
 		mt.MsgFault++
 	case proto.MsgHeartbeatAck:
 		mt.MsgHeartbeat++
-	case proto.MsgFreeze, proto.MsgFreezeAck, proto.MsgResume:
-		mt.MsgControl++
 	}
 }
 

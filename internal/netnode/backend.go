@@ -12,25 +12,17 @@ import (
 // so every artifact driver runs unchanged and core.VerifyOn("net", …)
 // asserts the §2.1 determinacy guarantee across the process boundary.
 
-// Backend runs workloads on process-per-node clusters. Default is the
-// registered instance; mutate it (CLI flags do) before Open.
-type Backend struct {
-	// TCP switches the interconnect from unix sockets to loopback TCP.
-	TCP bool
-}
+// Backend runs workloads on process-per-node clusters; the zero value is
+// the registered "net" backend.
+type Backend struct{}
 
-// Default is the registered "net" backend instance; cmd wiring mutates its
-// fields (e.g. -net-tcp) before use.
-var Default = &Backend{}
-
-func init() { core.MustRegisterBackend(Default) }
+func init() { core.MustRegisterBackend(Backend{}) }
 
 // Name implements core.Backend.
-func (*Backend) Name() string { return "net" }
+func (Backend) Name() string { return "net" }
 
 // Open implements core.Backend: fork the node processes and keep the
 // cluster serving until Close.
-func (b *Backend) Open(cfg core.Config) (core.Session, error) {
-	return node.Open("net", cfg,
-		func(spec node.Spec) (node.Machine, error) { return New(spec, Options{TCP: b.TCP}) })
+func (Backend) Open(cfg core.Config) (core.Session, error) {
+	return node.Open("net", cfg, func(spec node.Spec) (node.Machine, error) { return New(spec) })
 }

@@ -18,12 +18,12 @@ import (
 // environment is present the process is a re-exec'd node — ChildMain runs
 // the node loop and never returns. In a normal invocation it is a no-op.
 func ChildMain() {
-	id, spec, network, addr, ok, err := childEnv()
+	id, spec, addr, ok, err := childEnv()
 	if !ok {
 		return
 	}
 	if err == nil {
-		err = runChild(id, spec, network, addr)
+		err = runChild(id, spec, addr)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apsim node %d: %v\n", id, err)
@@ -96,12 +96,12 @@ func (l *childLink) heartbeat(stop <-chan struct{}) {
 
 // runChild dials the hub and feeds its frames to one protocol node until the
 // hub says goodbye or disappears.
-func runChild(id int, spec node.Spec, network, addr string) error {
+func runChild(id int, spec node.Spec, addr string) error {
 	ev, err := spec.Evaluator()
 	if err != nil {
 		return err
 	}
-	conn, err := net.DialTimeout(network, addr, 10*time.Second)
+	conn, err := net.DialTimeout("unix", addr, 10*time.Second)
 	if err != nil {
 		return err
 	}

@@ -98,12 +98,11 @@ type child struct {
 // drains die with it — honest accounting: nothing a dead processor counted
 // can be read back).
 type Cluster struct {
-	root    *node.Root
-	spec    node.Spec
-	network string
-	addr    string
-	dir     string // unix-socket temp dir ("" for tcp)
-	ln      net.Listener
+	root *node.Root
+	spec node.Spec
+	dir  string // temp dir holding the hub's unix socket
+	addr string // the socket's path
+	ln   net.Listener
 
 	children []*child
 
@@ -111,18 +110,11 @@ type Cluster struct {
 	wg      sync.WaitGroup
 }
 
-// Options configure New beyond the machine's shape.
-type Options struct {
-	// TCP switches the interconnect from a unix socket in a temp directory
-	// to a loopback TCP listener.
-	TCP bool
-}
-
 // New brings up a cluster of node processes. Every child must complete the
 // dial-and-hello handshake before New returns; a child that fails to appear
 // within the setup timeout fails the whole Open, with the already-started
 // processes reaped.
-func New(spec node.Spec, opts Options) (*Cluster, error) {
+func New(spec node.Spec) (*Cluster, error) {
 	// A bad evaluator name must fail here, not as N crashed children.
 	if _, err := spec.Evaluator(); err != nil {
 		return nil, err
@@ -132,25 +124,13 @@ func New(spec node.Spec, opts Options) (*Cluster, error) {
 	if c.root, err = node.NewRoot(spec, c); err != nil {
 		return nil, err
 	}
-	if opts.TCP {
-		c.network = "tcp"
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		c.ln, c.addr = ln, ln.Addr().String()
-	} else {
-		dir, err := os.MkdirTemp("", SocketPattern)
-		if err != nil {
-			return nil, err
-		}
-		c.network, c.dir, c.addr = "unix", dir, dir+"/hub.sock"
-		ln, err := net.Listen("unix", c.addr)
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, err
-		}
-		c.ln = ln
+	if c.dir, err = os.MkdirTemp("", SocketPattern); err != nil {
+		return nil, err
+	}
+	c.addr = c.dir + "/hub.sock"
+	if c.ln, err = net.Listen("unix", c.addr); err != nil {
+		os.RemoveAll(c.dir)
+		return nil, err
 	}
 	if err := c.startChildren(); err != nil {
 		c.teardown()
@@ -190,7 +170,7 @@ func (c *Cluster) startChildren() error {
 	n := c.spec.Procs
 	byID := make([]*child, n)
 	for i := 0; i < n; i++ {
-		proc, err := startNodeProc(i, c.spec, c.network, c.addr)
+		proc, err := startNodeProc(i, c.spec, c.addr)
 		if err != nil {
 			return fmt.Errorf("netnode: start node %d: %w", i, err)
 		}
@@ -417,7 +397,5 @@ func (c *Cluster) teardown() {
 		_ = ch.cmd.Kill()
 		ch.cmd.WaitTimeout(2 * time.Second)
 	}
-	if c.dir != "" {
-		os.RemoveAll(c.dir)
-	}
+	os.RemoveAll(c.dir)
 }

@@ -11,8 +11,8 @@
 // serves its session — the same three the goroutine backend runs on.
 //
 // Topology is hub-and-spoke: the parent process is the supervisor and the
-// frame router. Children dial the parent's socket (a unix socket by default,
-// TCP by option), introduce themselves with a hello frame, and then speak
+// frame router. Children dial the parent's unix socket, introduce themselves
+// with a hello frame, and then speak
 // the protocol: task packets travel as spawn frames, results as result
 // frames, death announcements as node-down gossip from the supervisor, plus
 // heartbeats and a final stats report on graceful shutdown. Fault injection
@@ -52,7 +52,7 @@ import (
 const (
 	// NodeEnvID is the child's node id (0-based).
 	NodeEnvID = "APSIM_NETNODE_ID"
-	// NodeEnvAddr is the parent's listen address, "unix:PATH" or "tcp:HOSTPORT".
+	// NodeEnvAddr is the path of the parent's unix socket.
 	NodeEnvAddr = "APSIM_NETNODE_ADDR"
 	// NodeEnvProcs is the node count.
 	NodeEnvProcs = "APSIM_NETNODE_PROCS"
@@ -78,13 +78,13 @@ const SocketPattern = "apsim-netnode-*"
 // childEnv reads the environment contract; ok is false when NodeEnvID is
 // absent (a normal, non-child invocation). The recovery scheme is not part
 // of it: under "none" a node is simply never told of a death.
-func childEnv() (id int, spec node.Spec, network, addr string, ok bool, err error) {
+func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 	idStr := os.Getenv(NodeEnvID)
 	if idStr == "" {
-		return 0, spec, "", "", false, nil
+		return 0, spec, "", false, nil
 	}
-	fail := func(name string) (int, node.Spec, string, string, bool, error) {
-		return id, spec, "", "", true, fmt.Errorf("netnode: bad %s %q", name, os.Getenv(name))
+	fail := func(name string) (int, node.Spec, string, bool, error) {
+		return id, spec, "", true, fmt.Errorf("netnode: bad %s %q", name, os.Getenv(name))
 	}
 	if id, err = strconv.Atoi(idStr); err != nil {
 		return fail(NodeEnvID)
@@ -99,18 +99,10 @@ func childEnv() (id int, spec node.Spec, network, addr string, ok bool, err erro
 	if _, err = spec.Evaluator(); err != nil {
 		return fail(NodeEnvEval)
 	}
-	network, addr, err = splitAddr(os.Getenv(NodeEnvAddr))
-	return id, spec, network, addr, true, err
-}
-
-// splitAddr parses "unix:PATH" / "tcp:HOSTPORT".
-func splitAddr(s string) (network, addr string, err error) {
-	for _, n := range []string{"unix", "tcp"} {
-		if len(s) > len(n)+1 && s[:len(n)] == n && s[len(n)] == ':' {
-			return n, s[len(n)+1:], nil
-		}
+	if addr = os.Getenv(NodeEnvAddr); addr == "" {
+		return fail(NodeEnvAddr)
 	}
-	return "", "", fmt.Errorf("netnode: bad %s %q (want unix:PATH or tcp:HOSTPORT)", NodeEnvAddr, s)
+	return id, spec, addr, true, nil
 }
 
 // Payload layouts. Every frame payload is one of:

@@ -35,7 +35,7 @@ func TestMain(m *testing.M) {
 }
 
 func testParentMain() {
-	c, err := New(node.Spec{Procs: 3, Seed: 1}, Options{})
+	c, err := New(node.Spec{Procs: 3, Seed: 1})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -99,7 +99,7 @@ func TestNetBackendRegistered(t *testing.T) {
 
 func TestClusterFaultFree(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(node.Spec{Procs: 4, Seed: 1}, Options{})
+	c, err := New(node.Spec{Procs: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,32 +133,12 @@ func TestClusterFaultFree(t *testing.T) {
 	}
 }
 
-func TestClusterTCPTransport(t *testing.T) {
-	prog := lang.Fib()
-	c, err := New(node.Spec{Procs: 3, Seed: 2}, Options{TCP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Shutdown()
-	r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(10)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := r.Wait(30*time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Equal(expr.VInt(55)) {
-		t.Fatalf("fib(10) = %v over tcp, want 55", v)
-	}
-}
-
 // TestClusterSurvivesTwoSIGKILLs crashes two node processes with SIGKILL
 // while the task tree is mid-flight; the answer must still match the
 // sequential reference — §2.1 determinacy across real process deaths.
 func TestClusterSurvivesTwoSIGKILLs(t *testing.T) {
 	prog := lang.Fib()
-	c, err := New(node.Spec{Procs: 6, Seed: 3}, Options{})
+	c, err := New(node.Spec{Procs: 6, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +175,7 @@ func TestClusterSurvivesTwoSIGKILLs(t *testing.T) {
 }
 
 func TestKillValidation(t *testing.T) {
-	c, err := New(node.Spec{Procs: 2, Seed: 7}, Options{})
+	c, err := New(node.Spec{Procs: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +203,7 @@ func TestNoOrphansAfterClose(t *testing.T) {
 	sess, err := node.Open("net", core.Config{Procs: 4, Seed: 1, Deadline: int64(20 * time.Second / node.DefaultTimescale)},
 		func(spec node.Spec) (node.Machine, error) {
 			var err error
-			c, err = New(spec, Options{})
+			c, err = New(spec)
 			return c, err
 		})
 	if err != nil {

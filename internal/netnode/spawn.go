@@ -25,7 +25,7 @@ type managedProc struct {
 // travels in the environment (the APSIM_NETNODE_* contract ChildMain
 // reads); argv carries only the cosmetic marker so `ps` reads honestly and
 // `pkill -f apsim-netnode` catches strays.
-func startNodeProc(i int, spec node.Spec, network, addr string) (*managedProc, error) {
+func startNodeProc(i int, spec node.Spec, addr string) (*managedProc, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -35,7 +35,7 @@ func startNodeProc(i int, spec node.Spec, network, addr string) (*managedProc, e
 		NodeEnvID+"="+strconv.Itoa(i),
 		NodeEnvProcs+"="+strconv.Itoa(spec.Procs),
 		NodeEnvSeed+"="+strconv.FormatInt(spec.Seed, 10),
-		NodeEnvAddr+"="+network+":"+addr,
+		NodeEnvAddr+"="+addr,
 		NodeEnvEval+"="+spec.Eval,
 	)
 	// Children must not write the parent's stdout — artifact output is

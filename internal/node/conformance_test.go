@@ -13,8 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/lang"
 	_ "repro/internal/livenet" // registers "live"
-	"repro/internal/machine"
-	"repro/internal/netnode" // registers "net"
+	"repro/internal/netnode"   // registers "net"
 	"repro/internal/proto"
 )
 
@@ -172,7 +171,9 @@ func TestRejectedKnobs(t *testing.T) {
 		{core.Config{Placement: "gradient"}, nil, "placement"},
 		{core.Config{Replication: map[string]int{"work": 3}}, nil, "replication"},
 		{core.Config{DisableCheckpoints: true}, nil, "checkpoints"},
-		{core.Config{Raw: &machine.Config{}}, nil, "Raw"},
+		{core.Config{HeartbeatEvery: 100}, nil, "HeartbeatEvery"},
+		{core.Config{HeartbeatEvery: -1}, nil, "HeartbeatEvery"},
+		{core.Config{StateProbeEvery: 64}, nil, "StateProbeEvery"},
 		{core.Config{RecoveryBudget: 2}, nil, "budget"},
 		{core.Config{RecoveryPeriod: 4}, nil, "budget"},
 		{core.Config{Eval: "jit"}, nil, "evaluator"},
@@ -416,6 +417,44 @@ func TestBadTicketsFailAlone(t *testing.T) {
 			}
 			if sr.Completed != 1 || sr.Failed != 2 {
 				t.Fatalf("completed/failed = %d/%d, want 1/2\n%s", sr.Completed, sr.Failed, sr.Render())
+			}
+		})
+	}
+}
+
+// TestZeroConfigDefaults: a zero Config means the same machine on every
+// backend — 8 processors, seed 1 — and differs only in the documented
+// default scheme: "none" on the simulator, "rollback" on the wall clock.
+func TestZeroConfigDefaults(t *testing.T) {
+	if d := (core.Config{}).WithDefaults(); d.Procs != 8 || d.Seed != 1 || d.Eval != core.DefaultEval {
+		t.Fatalf("WithDefaults() = procs %d, seed %d, eval %q", d.Procs, d.Seed, d.Eval)
+	}
+	w, err := core.StandardWorkload("fib:10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for backend, scheme := range map[string]string{"sim": "none", "live": "rollback", "net": "rollback"} {
+		t.Run(backend, func(t *testing.T) {
+			rep, err := core.VerifyOn(backend, core.Config{}, w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Procs != 8 || rep.Scheme != scheme || rep.Placement != "random" {
+				t.Fatalf("zero config ran on procs=%d scheme=%s placement=%s; want 8, %s, random",
+					rep.Procs, rep.Scheme, rep.Placement, scheme)
+			}
+			if backend != "sim" {
+				return
+			}
+			// The simulator is deterministic, so the seed is observable: the
+			// zero config is the spelled-out one, event for event.
+			want, err := core.VerifyOn("sim", core.Config{Procs: 8, Seed: 1, Recovery: "none"}, w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Makespan != want.Makespan || rep.Counters != want.Counters || rep.Sim.Events != want.Sim.Events {
+				t.Fatalf("zero config: makespan %d, %+v; spelled out: makespan %d, %+v",
+					rep.Makespan, rep.Counters, want.Makespan, want.Counters)
 			}
 		})
 	}

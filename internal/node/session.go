@@ -72,9 +72,12 @@ type params struct {
 	admission admission.Policy
 }
 
-// prepare validates the config and fills defaults, naming the backend in
-// every rejection.
+// prepare validates the config, naming the backend in every rejection. It
+// starts from the defaults every backend shares (core.Config.WithDefaults)
+// and adds the one that is this package's own: an empty Recovery is
+// "rollback", the scheme the wall-clock node implements.
 func prepare(backend string, cfg core.Config) (params, error) {
+	cfg = cfg.WithDefaults()
 	p := params{
 		Spec:     Spec{Procs: cfg.Procs, Seed: cfg.Seed, Eval: cfg.Eval},
 		backend:  backend,
@@ -84,12 +87,6 @@ func prepare(backend string, cfg core.Config) (params, error) {
 	reject := func(format string, args ...any) (params, error) {
 		return p, fmt.Errorf(backend+": "+format, args...)
 	}
-	if p.Procs == 0 {
-		p.Procs = 8
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	if p.scheme == "" {
 		p.scheme = "rollback"
 	}
@@ -97,9 +94,6 @@ func prepare(backend string, cfg core.Config) (params, error) {
 		return reject("recovery %q not supported (rollback per-parent reissue, or none)", cfg.Recovery)
 	}
 	p.NoRecovery = p.scheme == "none"
-	if p.Eval == "" {
-		p.Eval = core.DefaultEval
-	}
 	if _, err := p.Evaluator(); err != nil {
 		return p, err
 	}
@@ -117,8 +111,10 @@ func prepare(backend string, cfg core.Config) (params, error) {
 		return reject("§5.3 task replication is only implemented on the simulator")
 	case cfg.DisableCheckpoints:
 		return reject("checkpoints cannot be disabled (parents always retain child packets)")
-	case cfg.Raw != nil:
-		return reject("Config.Raw holds simulator machine knobs; this backend takes none of them")
+	case cfg.HeartbeatEvery != 0:
+		return reject("HeartbeatEvery paces the simulator's failure detector; this backend learns of a death from its transport")
+	case cfg.StateProbeEvery != 0:
+		return reject("StateProbeEvery samples the simulator's resident state; this backend has no probe")
 	}
 	if cfg.Deadline > 0 {
 		p.deadline = time.Duration(cfg.Deadline) * DefaultTimescale

@@ -192,11 +192,6 @@ const (
 	MsgHeartbeatAck
 	// MsgLoad carries gradient-model proximity information to a neighbor.
 	MsgLoad
-	// MsgFreeze, MsgFreezeAck, MsgResume coordinate the periodic global
-	// checkpoint baseline (§2's comparator).
-	MsgFreeze
-	MsgFreezeAck
-	MsgResume
 	// MsgChildAbort tells a parent that a child incarnation it placed was
 	// aborted by recovery garbage collection on a live processor. Without
 	// it, an abort scope that cuts across lineages (a reissue triggered by
@@ -211,8 +206,7 @@ var msgNames = map[MsgType]string{
 	MsgResultAck: "result-ack", MsgGrandResult: "grand-result",
 	MsgAbort: "abort", MsgFaultAnnounce: "fault-announce",
 	MsgHeartbeat: "heartbeat", MsgHeartbeatAck: "heartbeat-ack",
-	MsgLoad: "load", MsgFreeze: "freeze", MsgFreezeAck: "freeze-ack",
-	MsgResume: "resume", MsgChildAbort: "child-abort",
+	MsgLoad: "load", MsgChildAbort: "child-abort",
 }
 
 func (t MsgType) String() string {
@@ -278,8 +272,7 @@ type Msg struct {
 	// genealogical dependents are being garbage-collected (§3.2); receivers
 	// propagate the abort to relatives that are still inside the scope.
 	AbortScope stamp.Stamp
-	LoadVal    int   // MsgLoad: sender's proximity/pressure value
-	Epoch      int64 // MsgFreeze/MsgFreezeAck/MsgResume: snapshot epoch
+	LoadVal    int // MsgLoad: sender's proximity/pressure value
 }
 
 // EncodedSize approximates the message's wire size: a fixed header plus the

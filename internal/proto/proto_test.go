@@ -112,7 +112,7 @@ func TestMsgEncodedSize(t *testing.T) {
 }
 
 func TestMsgTypeStrings(t *testing.T) {
-	for mt := MsgTask; mt <= MsgResume; mt++ {
+	for mt := MsgTask; mt <= MsgChildAbort; mt++ {
 		if strings.HasPrefix(mt.String(), "MsgType(") {
 			t.Errorf("message type %d unnamed", int(mt))
 		}

@@ -7,19 +7,18 @@ import (
 	"repro/internal/experiments"
 )
 
-// twoBackendRegistry holds one sim-only and one live-only artifact.
-func twoBackendRegistry() *Registry {
-	tbl := func(id string) func(int64) (*experiments.Table, error) {
-		return func(seed int64) (*experiments.Table, error) {
+// twoBackendCatalog holds one sim-only and one live-only artifact.
+func twoBackendCatalog() Catalog {
+	tbl := func(id string) func(string, int64) (*experiments.Table, error) {
+		return func(_ string, seed int64) (*experiments.Table, error) {
 			return &experiments.Table{ID: id, Columns: []string{"m"},
 				Rows: [][]experiments.Cell{{experiments.Int(seed)}}}, nil
 		}
 	}
-	reg := NewRegistry()
-	reg.MustRegister(Experiment{ID: "SIMONLY", Kind: KindTable, Table: tbl("SIMONLY")})
-	reg.MustRegister(Experiment{ID: "LIVEONLY", Kind: KindTable, Table: tbl("LIVEONLY"),
-		Backends: []string{"live"}})
-	return reg
+	return Catalog{
+		{ID: "SIMONLY", Table: tbl("SIMONLY")},
+		{ID: "LIVEONLY", Table: tbl("LIVEONLY"), Backends: []string{"live"}},
+	}
 }
 
 func TestExperimentSupports(t *testing.T) {
@@ -34,7 +33,7 @@ func TestExperimentSupports(t *testing.T) {
 }
 
 func TestEngineSkipsUnsupportedBackend(t *testing.T) {
-	reg := twoBackendRegistry()
+	reg := twoBackendCatalog()
 	// Default (sim) backend: the live-only artifact renders a skip note.
 	results, err := reg.RunIDs("all", Options{Seeds: []int64{1}})
 	if err != nil {

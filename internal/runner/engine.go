@@ -19,7 +19,7 @@ type Options struct {
 	Parallel int
 	// Backend selects the execution substrate ("" ⇒ "sim"). Artifacts whose
 	// drivers do not declare the backend are skipped with a deterministic
-	// note instead of run, so one request can span a mixed registry.
+	// note instead of run, so one request can span a mixed catalog.
 	Backend string
 }
 
@@ -113,14 +113,14 @@ type cell struct {
 	seed int // index into Options.Seeds; -1 for figures
 }
 
-// Run executes the experiments across opt.Seeds on a pool of opt.Parallel
-// workers. Each (experiment × seed) cell builds its own simulated machine
-// with its own RNG, so cells are independent; results land in preassigned
-// slots, making the output deterministic for a given seed list no matter
-// how the pool interleaves. The returned slice always has one entry per
-// experiment, in the given order; the error is the first cell failure (the
+// Run executes the catalog's artifacts across opt.Seeds on a pool of
+// opt.Parallel workers. Each (experiment × seed) cell builds its own
+// simulated machine with its own RNG, so cells are independent; results land
+// in preassigned slots, making the output deterministic for a given seed
+// list no matter how the pool interleaves. The returned slice always has one entry per
+// artifact, in catalog order; the error is the first cell failure (the
 // per-artifact detail stays on Result.Err).
-func (r *Registry) Run(exps []Experiment, opt Options) ([]*Result, error) {
+func (exps Catalog) Run(opt Options) ([]*Result, error) {
 	seeds := opt.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{1}
@@ -145,7 +145,7 @@ func (r *Registry) Run(exps []Experiment, opt Options) ([]*Result, error) {
 	errs := make([][]error, len(exps))
 	var cells []cell
 	for i, e := range exps {
-		res := &Result{ID: e.ID, Title: e.Title, Kind: e.Kind}
+		res := &Result{ID: e.ID, Title: e.Title, Kind: e.Kind()}
 		if !e.Supports(backend) {
 			res.Skipped = fmt.Sprintf("Skipped on backend %q: this artifact needs backend %s — run `go run ./cmd/experiments -backend %s -exp %s`.",
 				backend, strings.Join(e.BackendList(), "|"), e.BackendList()[0], e.ID)
@@ -158,7 +158,7 @@ func (r *Registry) Run(exps []Experiment, opt Options) ([]*Result, error) {
 			results[i] = res
 			continue
 		}
-		if e.Kind == KindFigure {
+		if res.Kind == KindFigure {
 			cells = append(cells, cell{exp: i, seed: -1})
 			errs[i] = make([]error, 1)
 		} else {
@@ -186,15 +186,7 @@ func (r *Registry) Run(exps []Experiment, opt Options) ([]*Result, error) {
 					errs[c.exp][0] = err
 					continue
 				}
-				var tb *experiments.Table
-				var err error
-				if e.TableOn != nil {
-					tb, err = e.TableOn(backend, seeds[c.seed])
-				} else {
-					tb, err = e.Table(seeds[c.seed])
-				}
-				results[c.exp].Tables[c.seed] = tb
-				errs[c.exp][c.seed] = err
+				results[c.exp].Tables[c.seed], errs[c.exp][c.seed] = e.Table(backend, seeds[c.seed])
 			}
 		}()
 	}
@@ -235,11 +227,11 @@ func (r *Registry) Run(exps []Experiment, opt Options) ([]*Result, error) {
 	return results, firstErr
 }
 
-// RunIDs resolves a request string (see Registry.Resolve) and runs it.
-func (r *Registry) RunIDs(request string, opt Options) ([]*Result, error) {
-	exps, err := r.Resolve(request)
+// RunIDs resolves a request string (see Resolve) and runs it.
+func (c Catalog) RunIDs(request string, opt Options) ([]*Result, error) {
+	exps, err := c.Resolve(request)
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(exps, opt)
+	return exps.Run(opt)
 }

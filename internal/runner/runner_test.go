@@ -7,10 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
+	_ "repro/internal/livenet" // the backends the catalog's artifacts declare
+	_ "repro/internal/netnode"
 )
 
-// cliIDs is every artifact cmd/experiments accepts; the registry must
+// cliIDs is every artifact cmd/experiments accepts; the catalog must
 // resolve each one, in either case.
 var cliIDs = []string{
 	"F1", "F2", "F5", "F6", "F7",
@@ -21,84 +24,76 @@ var cliIDs = []string{
 }
 
 func TestDefaultRegistryResolvesEveryCLIID(t *testing.T) {
-	reg := Default()
 	for _, id := range cliIDs {
 		for _, variant := range []string{id, strings.ToLower(id), " " + id + " "} {
-			e, ok := reg.Lookup(variant)
-			if !ok {
-				t.Fatalf("Lookup(%q) failed", variant)
-			}
-			if e.ID != id {
-				t.Fatalf("Lookup(%q) = %q", variant, e.ID)
-			}
-			switch e.Kind {
-			case KindFigure:
-				if e.Figure == nil {
-					t.Fatalf("%s: figure driver missing", id)
-				}
-			case KindTable:
-				if e.Table == nil && e.TableOn == nil {
-					t.Fatalf("%s: table driver missing", id)
-				}
+			got, err := Artifacts.Resolve(variant)
+			if err != nil || len(got) != 1 || got[0].ID != id {
+				t.Fatalf("Resolve(%q) = %v, %v", variant, got.IDs(), err)
 			}
 		}
 	}
-	if got := reg.IDs(); len(got) != len(cliIDs) {
-		t.Fatalf("registry has %d artifacts, CLI documents %d: %v", len(got), len(cliIDs), got)
+	if got := Artifacts.IDs(); strings.Join(got, ",") != strings.Join(cliIDs, ",") {
+		t.Fatalf("catalog lists %v, CLI documents %v", got, cliIDs)
 	}
-	all, err := reg.Resolve("all")
+	all, err := Artifacts.Resolve("all")
 	if err != nil || len(all) != len(cliIDs) {
 		t.Fatalf("Resolve(all) = %d experiments, err %v", len(all), err)
 	}
-	subset, err := reg.Resolve("t6, f1 ,A2")
+	subset, err := Artifacts.Resolve("t6, f1 ,A2,t6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs := make([]string, len(subset))
-	for i, e := range subset {
-		gotIDs[i] = e.ID
+	// Report order, not request order, and each artifact once.
+	if got := strings.Join(subset.IDs(), ","); got != "F1,T6,A2" {
+		t.Fatalf("Resolve subset order = %v", got)
 	}
-	// Report order, not request order.
-	if strings.Join(gotIDs, ",") != "F1,T6,A2" {
-		t.Fatalf("Resolve subset order = %v", gotIDs)
+	if _, err := Artifacts.Resolve("T1,T9"); err == nil || !strings.Contains(err.Error(), `"T9" (known: F1, `) {
+		t.Fatalf("Resolve(T1,T9) = %v, want the unknown id and the known list", err)
 	}
-	if _, err := reg.Resolve("T9"); err == nil {
-		t.Fatal("Resolve(T9) should fail")
-	}
-}
-
-func TestRegisterValidation(t *testing.T) {
-	reg := NewRegistry()
-	tbl := func(seed int64) (*experiments.Table, error) { return &experiments.Table{ID: "X"}, nil }
-	fig := func() (string, error) { return "fig", nil }
-	if err := reg.Register(Experiment{ID: "x1", Kind: KindTable, Table: tbl}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(Experiment{ID: "X1", Kind: KindTable, Table: tbl}); err == nil {
-		t.Fatal("duplicate id (case-insensitive) should fail")
-	}
-	if err := reg.Register(Experiment{ID: "", Kind: KindTable, Table: tbl}); err == nil {
-		t.Fatal("empty id should fail")
-	}
-	if err := reg.Register(Experiment{ID: "x2", Kind: KindFigure, Table: tbl}); err == nil {
-		t.Fatal("figure without Figure driver should fail")
-	}
-	if err := reg.Register(Experiment{ID: "x3", Kind: KindTable, Table: tbl, Figure: fig}); err == nil {
-		t.Fatal("table with both drivers should fail")
+	if _, err := Artifacts.Resolve(" , "); err == nil {
+		t.Fatal("Resolve of an empty list should fail")
 	}
 }
 
-// syntheticRegistry builds table drivers whose output depends only on the
+// TestArtifactsWellFormed holds the catalog literal to the rules a
+// registration call used to enforce at run time.
+func TestArtifactsWellFormed(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Artifacts {
+		if e.ID == "" || e.ID != strings.ToUpper(strings.TrimSpace(e.ID)) {
+			t.Errorf("id %q: want non-empty, upper-case, no surrounding space", e.ID)
+		}
+		if seen[e.ID] {
+			t.Errorf("%s: duplicate id", e.ID)
+		}
+		seen[e.ID] = true
+		if (e.Figure == nil) == (e.Table == nil) {
+			t.Errorf("%s: want exactly one of the Figure and Table drivers", e.ID)
+		}
+		if e.Title == "" {
+			t.Errorf("%s: no title", e.ID)
+		}
+		for _, b := range e.BackendList() {
+			if _, err := core.ByName(b); err != nil {
+				t.Errorf("%s: declared backend: %v", e.ID, err)
+			}
+		}
+	}
+	fig := Experiment{ID: "X", Figure: func() (string, error) { return "", nil }}
+	if fig.Kind() != KindFigure || (Experiment{ID: "Y"}).Kind() != KindTable {
+		t.Error("Kind must follow which driver is set")
+	}
+}
+
+// syntheticCatalog builds table drivers whose output depends only on the
 // seed but whose wall-clock duration varies, so a parallel schedule really
 // interleaves completions out of order.
-func syntheticRegistry(t *testing.T, n int) *Registry {
-	t.Helper()
-	reg := NewRegistry()
+func syntheticCatalog(n int) Catalog {
+	var reg Catalog
 	for i := 0; i < n; i++ {
-		i := i
-		reg.MustRegister(Experiment{
-			ID: fmt.Sprintf("S%d", i), Title: "synthetic", Kind: KindTable,
-			Table: func(seed int64) (*experiments.Table, error) {
+		reg = append(reg, Experiment{
+			ID: fmt.Sprintf("S%d", i), Title: "synthetic",
+			Table: func(_ string, seed int64) (*experiments.Table, error) {
 				// Sleep 0–3ms depending on (exp, seed) to scramble the pool.
 				time.Sleep(time.Duration((int64(i)*7+seed*13)%4) * time.Millisecond)
 				return &experiments.Table{
@@ -120,7 +115,7 @@ func syntheticRegistry(t *testing.T, n int) *Registry {
 // -parallel 8 run renders byte-for-byte the same markdown and JSON as the
 // sequential schedule for the same seed list.
 func TestParallelOutputIsByteIdentical(t *testing.T) {
-	reg := syntheticRegistry(t, 6)
+	reg := syntheticCatalog(6)
 	opt := func(par int) Options { return Options{Seeds: SeedRange(1, 8), Parallel: par} }
 	seqRes, err := reg.RunIDs("all", opt(1))
 	if err != nil {
@@ -153,7 +148,7 @@ func TestRealArtifactsDeterministicUnderParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	reg := Default()
+	reg := Artifacts
 	opt := func(par int) Options { return Options{Seeds: SeedRange(1, 3), Parallel: par} }
 	seq, err := reg.RunIDs("F1,T7", opt(1))
 	if err != nil {
@@ -175,21 +170,20 @@ func TestRealArtifactsDeterministicUnderParallelism(t *testing.T) {
 }
 
 func TestEngineErrorPropagation(t *testing.T) {
-	reg := NewRegistry()
 	boom := errors.New("boom")
-	reg.MustRegister(Experiment{ID: "OK", Kind: KindTable,
-		Table: func(seed int64) (*experiments.Table, error) {
+	reg := Catalog{
+		{ID: "OK", Table: func(_ string, seed int64) (*experiments.Table, error) {
 			return &experiments.Table{ID: "OK", Columns: []string{"m"},
 				Rows: [][]experiments.Cell{{experiments.Int(seed)}}}, nil
-		}})
-	reg.MustRegister(Experiment{ID: "BAD", Kind: KindTable,
-		Table: func(seed int64) (*experiments.Table, error) {
+		}},
+		{ID: "BAD", Table: func(_ string, seed int64) (*experiments.Table, error) {
 			if seed == 2 {
 				return nil, boom
 			}
 			return &experiments.Table{ID: "BAD", Columns: []string{"m"},
 				Rows: [][]experiments.Cell{{experiments.Int(seed)}}}, nil
-		}})
+		}},
+	}
 	results, err := reg.RunIDs("all", Options{Seeds: SeedRange(1, 3), Parallel: 4})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("engine error = %v, want boom", err)

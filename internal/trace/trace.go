@@ -39,8 +39,6 @@ const (
 	KStrand                   // splice: orphan had no live ancestor (stranded)
 	KVote                     // redundancy: majority vote decided
 	KVoteMismatch             // redundancy: corrupt value outvoted
-	KSnapshot                 // baseline: global checkpoint taken
-	KRestore                  // baseline: global state restored
 	KRootDone                 // the program's answer reached the super-root
 	KDemandQueue              // incremental: lost checkpoint queued for paced reissue
 )
@@ -53,8 +51,7 @@ var kindNames = map[Kind]string{
 	KReissue: "reissue", KSuppress: "suppress", KAbort: "abort",
 	KTwin: "twin", KOrphanResult: "orphan-result", KRelay: "relay",
 	KPrefill: "prefill", KStrand: "strand", KVote: "vote",
-	KVoteMismatch: "vote-mismatch", KSnapshot: "snapshot",
-	KRestore: "restore", KRootDone: "root-done",
+	KVoteMismatch: "vote-mismatch", KRootDone: "root-done",
 	KDemandQueue: "demand-queue",
 }
 
@@ -145,7 +142,6 @@ type Metrics struct {
 	MsgFault     int64 `row:"msg.fault"`      // failure announcements
 	MsgHeartbeat int64 `row:"msg.heartbeat"`  // heartbeats + probes
 	MsgLoad      int64 `row:"msg.load"`       // gradient-model load exchanges
-	MsgControl   int64 `row:"msg.control"`    // baseline freeze/resume/snapshot control
 	BytesOnWire  int64 `row:"bytes.wire"`     // payload bytes of all of the above
 	HopsOnWire   int64 `row:"hops.wire"`      // Σ hop counts of all messages
 
@@ -175,11 +171,6 @@ type Metrics struct {
 	// Redundancy.
 	Votes          int64 `row:"vote.count"`    // majority votes decided
 	VoteMismatches int64 `row:"vote.mismatch"` // corrupt values outvoted
-
-	// Baseline global checkpointing.
-	Snapshots     int64 `row:"global.snapshots"`      // global snapshots taken
-	SnapshotBytes int64 `row:"global.snapshot-bytes"` // Σ bytes of snapshots
-	Restores      int64 `row:"global.restores"`       // global restores performed
 
 	// Failure handling.
 	Failures         int64 `row:"fault.failures"`   // processor failures injected

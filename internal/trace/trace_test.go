@@ -95,8 +95,8 @@ func TestMetricsRowsOmitZeros(t *testing.T) {
 
 // TestMetricsDerivedFromOneDeclaration pins what Add, TotalMessages and Rows
 // derive from the struct: with field i holding i+1, Add doubles every field
-// (the two untagged ones included), TotalMessages is the ten "msg." rows, and
-// Rows is byte-for-byte the hand-enumerated table this replaced — 38 rows,
+// (the two untagged ones included), TotalMessages is the nine "msg." rows, and
+// Rows is byte-for-byte the hand-enumerated table this replaced — 34 rows,
 // none for DetectLatencySum or FirstDetections.
 func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
 	var m, sum Metrics
@@ -104,8 +104,8 @@ func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
 	for i := 0; i < v.NumField(); i++ {
 		v.Field(i).SetInt(int64(i + 1))
 	}
-	if v.NumField() != 40 || m.TotalMessages() != 55 {
-		t.Fatalf("%d fields, TotalMessages %d; want 40 and 55", v.NumField(), m.TotalMessages())
+	if v.NumField() != 36 || m.TotalMessages() != 45 {
+		t.Fatalf("%d fields, TotalMessages %d; want 36 and 45", v.NumField(), m.TotalMessages())
 	}
 	sum.Add(&m)
 	sum.Add(&m)
@@ -115,19 +115,18 @@ func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
 		}
 	}
 	want := []string{
-		"bytes.wire               11", "ckpt.bytes               21", "ckpt.count               20",
-		"fault.detections         38", "fault.failures           37", "global.restores          36",
-		"global.snapshot-bytes    35", "global.snapshots         34", "hops.wire                12",
-		"msg.abort                6", "msg.control              10", "msg.fault                7",
-		"msg.grand                5", "msg.heartbeat            8", "msg.load                 9",
-		"msg.result               3", "msg.result-ack           4", "msg.task                 1",
-		"msg.task-ack             2", "recover.orphan-results   26", "recover.paced            23",
-		"recover.prefills         28", "recover.reissues         22", "recover.relayed          27",
-		"recover.stranded         29", "recover.suppressed       24", "recover.twins            25",
-		"results.dup              30", "results.late             31", "steps.executed           18",
-		"steps.wasted             19", "tasks.aborted            15", "tasks.completed          14",
-		"tasks.leaked             17", "tasks.lost               16", "tasks.spawned            13",
-		"vote.count               32", "vote.mismatch            33",
+		"bytes.wire               10", "ckpt.bytes               20", "ckpt.count               19",
+		"fault.detections         34", "fault.failures           33", "hops.wire                11",
+		"msg.abort                6", "msg.fault                7", "msg.grand                5",
+		"msg.heartbeat            8", "msg.load                 9", "msg.result               3",
+		"msg.result-ack           4", "msg.task                 1", "msg.task-ack             2",
+		"recover.orphan-results   25", "recover.paced            22", "recover.prefills         27",
+		"recover.reissues         21", "recover.relayed          26", "recover.stranded         28",
+		"recover.suppressed       23", "recover.twins            24", "results.dup              29",
+		"results.late             30", "steps.executed           17", "steps.wasted             18",
+		"tasks.aborted            14", "tasks.completed          13", "tasks.leaked             16",
+		"tasks.lost               15", "tasks.spawned            12", "vote.count               31",
+		"vote.mismatch            32",
 	}
 	if got := m.Rows(); !slices.Equal(got, want) {
 		t.Fatalf("Rows = %q\nwant   %q", got, want)
