@@ -62,8 +62,6 @@ func main() {
 		replicate = flag.Int("replicate", 1, "replica count for every function (§5.3; requires -recovery none)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		backend   = flag.String("backend", "sim", "execution backend: sim (virtual time), live (goroutine cluster, wall time) or net (process-per-node over sockets, crash = SIGKILL)")
-		recBudget = flag.Int("recovery-budget", 0, "incremental scheme: reinstalled checkpoints per recovery slice (0 = default 1)")
-		recPeriod = flag.Int64("recovery-period", 0, "incremental scheme: virtual ticks between recovery slices (0 = default 8)")
 		faultSpec = flag.String("fault", "", "fault plan, e.g. 2@3000 or 1@2000s,3@4000c; in service mode times are stream-clock ticks")
 		showTrace = flag.Bool("trace", false, "print the event trace")
 		deadline  = flag.Int64("deadline", 0, "virtual-time budget (0 = default); per-request in service mode")
@@ -77,6 +75,24 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	flag.Parse()
+
+	// A flag that cannot take effect is a mistake, not a no-op: the stream
+	// flags only mean something in service mode, and a stream report carries
+	// no event trace.
+	if *requests <= 0 {
+		var stray []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "every", "arrive", "max-inflight", "admission":
+				stray = append(stray, "-"+f.Name)
+			}
+		})
+		if len(stray) > 0 {
+			misuse(strings.Join(stray, ", ") + ": service-stream flags need -requests N")
+		}
+	} else if *showTrace {
+		misuse("-trace prints the event trace of a one-shot run: drop it or -requests")
+	}
 
 	if *scheme != "" {
 		*recov = *scheme
@@ -138,18 +154,16 @@ func main() {
 		*shards = -1 // 0 on the CLI means "derive from GOMAXPROCS"
 	}
 	cfg := core.Config{
-		Procs:          *procs,
-		Topology:       *topo,
-		Placement:      *placement,
-		Recovery:       *recov,
-		Eval:           *eval,
-		AncestorDepth:  *ancestors,
-		Seed:           *seed,
-		Shards:         *shards,
-		Trace:          *showTrace,
-		Deadline:       *deadline,
-		RecoveryBudget: *recBudget,
-		RecoveryPeriod: *recPeriod,
+		Procs:         *procs,
+		Topology:      *topo,
+		Placement:     *placement,
+		Recovery:      *recov,
+		Eval:          *eval,
+		AncestorDepth: *ancestors,
+		Seed:          *seed,
+		Shards:        *shards,
+		Trace:         *showTrace,
+		Deadline:      *deadline,
 	}
 	if *replicate > 1 {
 		cfg.Replication = map[string]int{}
@@ -340,6 +354,13 @@ func finishProfiles() {
 		}
 		f.Close()
 	}
+}
+
+// misuse reports a flag combination that cannot mean what was asked, the
+// way the flag package reports a bad flag: exit status 2.
+func misuse(msg string) {
+	fmt.Fprintln(os.Stderr, "apsim:", msg)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -13,7 +13,7 @@
 package checkpoint
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/proto"
 	"repro/internal/stamp"
@@ -160,21 +160,10 @@ func (s *Store) Keys() []proto.TaskKey {
 	for k := range s.entries {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Stamp.Compare(out[j].Stamp); c != 0 {
-			return c < 0
-		}
-		return out[i].Rep < out[j].Rep
-	})
+	slices.SortFunc(out, proto.TaskKey.Compare)
 	return out
 }
 
 func sortEntries(es []*Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i].Packet.Key, es[j].Packet.Key
-		if c := a.Stamp.Compare(b.Stamp); c != 0 {
-			return c < 0
-		}
-		return a.Rep < b.Rep
-	})
+	slices.SortFunc(es, func(a, b *Entry) int { return a.Packet.Key.Compare(b.Packet.Key) })
 }

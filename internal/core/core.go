@@ -10,7 +10,9 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/balance"
 	"repro/internal/expr"
@@ -67,13 +69,6 @@ type Config struct {
 	// tables measure against) and "rollback" on live and net, which
 	// implement only "rollback" and "none".
 	Recovery string
-	// RecoveryBudget and RecoveryPeriod pace the "incremental" scheme: at
-	// most Budget checkpoint reissues per drain tick, drains Period virtual
-	// ticks apart (0 = the scheme defaults, 1 and 8). Build rejects negative
-	// values, and rejects non-zero values under any other scheme rather than
-	// silently ignoring them.
-	RecoveryBudget int
-	RecoveryPeriod int64
 	// AncestorDepth is the §5.2 ancestor-pointer depth K (default 2).
 	AncestorDepth int
 	// Replication maps function names to §5.3 replica counts.
@@ -168,14 +163,30 @@ type Workload struct {
 //	shape:uniform:FANOUT,DEPTH,LEAFCOST
 //	shape:skew:WIDTH,DEPTH,LEAFCOST
 //	shape:random:SEED,MAXFANOUT,DEPTH,MAXLEAFCOST
+//
+// The same spec always yields the same *Program (with a fresh copy of Args):
+// see standardWorkloads.
 func StandardWorkload(spec string) (Workload, error) {
-	w, err := standardWorkload(spec)
-	if err != nil {
-		return w, err
+	v, ok := standardWorkloads.Load(spec)
+	if !ok {
+		w, err := standardWorkload(spec)
+		if err != nil {
+			return w, err
+		}
+		w.Spec = spec
+		v, _ = standardWorkloads.LoadOrStore(spec, w)
 	}
-	w.Spec = spec
+	w := v.(Workload)
+	w.Args = slices.Clone(w.Args)
 	return w, nil
 }
+
+// standardWorkloads memoizes StandardWorkload by spec. Programs are immutable
+// once built, and everything downstream that recognises a program does so by
+// pointer — the machine's program table, compiled code, refAnswers, the net
+// backend's program broadcast — so a stream that submits one spec a thousand
+// times must hand them one program, not a thousand.
+var standardWorkloads sync.Map // spec -> Workload
 
 func standardWorkload(spec string) (Workload, error) {
 	if strings.HasPrefix(spec, "shape:") {
@@ -295,7 +306,7 @@ func (c Config) machineConfig() (machine.Config, error) {
 		Deadline:           sim.Time(max(c.Deadline, 0)),
 	}
 	if c.Trace {
-		mc.Trace = trace.NewLog(0)
+		mc.Trace = trace.NewLog()
 	}
 	var err error
 	if mc.Topo, err = topology.ByName(cmp.Or(c.Topology, "mesh"), c.Procs); err != nil {
@@ -306,16 +317,7 @@ func (c Config) machineConfig() (machine.Config, error) {
 			return mc, err
 		}
 	}
-	switch {
-	case c.RecoveryBudget < 0 || c.RecoveryPeriod < 0:
-		return mc, fmt.Errorf("core: recovery budget/period must be > 0 (got %d/%d)",
-			c.RecoveryBudget, c.RecoveryPeriod)
-	case c.RecoveryBudget != 0 || c.RecoveryPeriod != 0:
-		if c.Recovery != "incremental" {
-			return mc, fmt.Errorf("core: recovery budget/period only apply to the incremental scheme, not %q", cmp.Or(c.Recovery, "none"))
-		}
-		mc.Scheme = &recovery.IncrementalScheme{Budget: c.RecoveryBudget, Period: c.RecoveryPeriod}
-	case c.Recovery != "":
+	if c.Recovery != "" {
 		if mc.Scheme, err = recovery.ByName(c.Recovery); err != nil {
 			return mc, err
 		}

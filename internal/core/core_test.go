@@ -3,6 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/lang"
 )
 
 func TestStandardWorkloads(t *testing.T) {
@@ -44,6 +47,53 @@ func TestStandardWorkloads(t *testing.T) {
 		if w, err := StandardWorkload(spec); err == nil || !strings.Contains(err.Error(), "core: unknown workload spec") {
 			t.Errorf("StandardWorkload(%q) = %s%v, %v; want the unknown-spec error", spec, w.Fn, w.Args, err)
 		}
+	}
+}
+
+// TestSpecStreamSharesPrograms: the same spec is the same *Program, so a
+// stream that names its workloads by spec hands the machine (and every cache
+// keyed on program identity) one program per distinct spec, not one per
+// request.
+func TestSpecStreamSharesPrograms(t *testing.T) {
+	a, _ := StandardWorkload("fib:9")
+	b, _ := StandardWorkload("fib:9")
+	if a.Program != b.Program {
+		t.Fatal("StandardWorkload built two programs for one spec")
+	}
+	a.Args[0] = expr.VInt(1)
+	if c, _ := StandardWorkload("fib:9"); !c.Args[0].Equal(expr.VInt(9)) {
+		t.Fatalf("a caller's write to Args reached the memo: %v", c.Args)
+	}
+
+	refs := func() (n int) {
+		refAnswers.Range(func(_, _ any) bool { n++; return true })
+		return n
+	}
+	before := refs()
+	cl, err := OpenOn("sim", Config{Procs: 16, Recovery: "rollback"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []string{"fib:11", "fib:12", "tree:2,4", "tak:8,4,2"}
+	progs := map[*lang.Program]bool{}
+	for i := 0; i < 32; i++ {
+		tk, err := cl.SubmitSpec(specs[i%len(specs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs[tk.w.Program] = true
+	}
+	if verified, _, _, err := cl.VerifyAll(true); err != nil || verified != 32 {
+		t.Fatalf("verified %d of 32: %v", verified, err)
+	}
+	if _, err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(progs) > len(specs) {
+		t.Errorf("32 requests of %d specs interned %d programs", len(specs), len(progs))
+	}
+	if added := refs() - before; added > len(specs) {
+		t.Errorf("32 requests of %d specs added %d reference answers", len(specs), added)
 	}
 }
 
@@ -124,7 +174,6 @@ func TestOpenRejectsBadMachine(t *testing.T) {
 		{Config{Recovery: "nosuch"}, "nosuch"},
 		{Config{Eval: "nosuch"}, "unknown evaluator"},
 		{Config{Procs: 1}, "needs ≥ 2 nodes"},
-		{Config{RecoveryBudget: 2, Recovery: "rollback"}, "incremental"},
 	} {
 		if cl, err := OpenOn("sim", c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Open(%+v) = %v, %v; want an error containing %q", c.cfg, cl, err, c.want)

@@ -41,16 +41,10 @@ func S4ShapeDiversity(seed int64) (*Table, error) {
 			"slowdown", "twins+reissues", "stranded"},
 	}
 	for _, spec := range s4Specs {
-		w, err := core.StandardWorkload(spec)
-		if err != nil {
-			return nil, err
-		}
+		w := mustWorkload(spec)
 		// Fault-free mesh run anchors the slowdown column for this shape.
-		base := mustRun(core.Config{Procs: procs, Seed: seed, Recovery: "splice"}, w, nil)
-		if !base.Completed {
-			return nil, fmt.Errorf("experiments: S4 %s base run incomplete", spec)
-		}
-		m0 := int64(base.Makespan)
+		base := mustComplete(core.Config{Procs: procs, Seed: seed, Recovery: "splice"}, w)
+		m0 := base.Makespan
 		t.Rows = append(t.Rows, []Cell{
 			Str(spec), Str("mesh"), i64(0), Str("true"),
 			i64(m0), ratio(1.0),
@@ -73,16 +67,12 @@ func S4ShapeDiversity(seed int64) (*Table, error) {
 			crashSets = append(crashSets, fmt.Sprintf("%v", plan.Procs()))
 			rep := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: "splice",
 				Deadline: m0 * 20}, w, plan)
-			slow := Dash()
-			if rep.Completed {
-				slow = ratio(float64(rep.Makespan) / float64(m0))
-			}
 			t.Rows = append(t.Rows, []Cell{
 				Str(spec), Str(topo.Name()),
 				i64(int64(len(plan.Procs()))),
 				Strf("%v", rep.Completed),
-				i64(int64(rep.Makespan)),
-				slow,
+				i64(rep.Makespan),
+				slowdown(rep, m0),
 				i64(rep.Sim.Metrics.Twins + rep.Sim.Metrics.Reissues),
 				i64(rep.Sim.Metrics.Stranded),
 			})

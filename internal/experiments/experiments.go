@@ -56,6 +56,15 @@ func (t *Table) Pair(baseline, candidate int) *Table {
 	return t
 }
 
+// PairAdjacent pairs rows (from, from+1), (from+2, from+3), …: sweeps that
+// interleave a rollback row and a splice row per fault plan classify splice
+// against its rollback counterpart at the equal plan, not against row 0.
+func (t *Table) PairAdjacent(from int) {
+	for ri := from; ri+1 < len(t.Rows); ri += 2 {
+		t.Pair(ri, ri+1)
+	}
+}
+
 // Markdown renders the table for EXPERIMENTS.md.
 func (t *Table) Markdown() string {
 	var b strings.Builder
@@ -101,8 +110,18 @@ func imbalance(steps []int64) float64 {
 	return float64(max) / mean
 }
 
-// run executes one verified configuration, panicking on setup errors
-// (drivers are called with vetted inputs; a failure is a harness bug).
+// mustWorkload builds a bundled workload, panicking on a bad spec (drivers
+// are called with vetted inputs; a failure is a harness bug).
+func mustWorkload(spec string) core.Workload {
+	w, err := core.StandardWorkload(spec)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
+	return w
+}
+
+// mustRun executes one configuration, panicking on setup errors like
+// mustWorkload.
 func mustRun(cfg core.Config, w core.Workload, plan *faults.Plan) *core.Report {
 	rep, err := cfg.Run(w, plan)
 	if err != nil {
@@ -114,20 +133,33 @@ func mustRun(cfg core.Config, w core.Workload, plan *faults.Plan) *core.Report {
 	return rep
 }
 
+// mustComplete is the fault-free run a driver measures everything else
+// against; one that does not finish is a harness bug too.
+func mustComplete(cfg core.Config, w core.Workload) *core.Report {
+	rep := mustRun(cfg, w, nil)
+	if !rep.Completed {
+		panic(fmt.Sprintf("experiments: fault-free %s run incomplete", w.Spec))
+	}
+	return rep
+}
+
+// slowdown is the run's makespan over the fault-free makespan m0, dashed
+// when the run never completed.
+func slowdown(rep *core.Report, m0 int64) Cell {
+	if !rep.Completed {
+		return Dash()
+	}
+	return ratio(float64(rep.Makespan) / float64(m0))
+}
+
 // T1Overhead measures fault-free overhead: no fault tolerance at all,
 // functional checkpointing (under both recovery schemes — identical
 // fault-free behaviour expected), and the periodic-global-checkpointing
 // model at two intervals.
 func T1Overhead(spec string, procs int, seed int64) (*Table, error) {
-	w, err := core.StandardWorkload(spec)
-	if err != nil {
-		return nil, err
-	}
-	base := mustRun(core.Config{Procs: procs, Seed: seed, DisableCheckpoints: true,
-		StateProbeEvery: 64}, w, nil)
-	if !base.Completed {
-		return nil, fmt.Errorf("experiments: base run incomplete")
-	}
+	w := mustWorkload(spec)
+	base := mustComplete(core.Config{Procs: procs, Seed: seed, DisableCheckpoints: true,
+		StateProbeEvery: 64}, w)
 	t := &Table{
 		ID:    "T1",
 		Title: fmt.Sprintf("Fault-free overhead (%s, %d processors)", spec, procs),
@@ -181,15 +213,9 @@ func T1Overhead(spec string, procs int, seed int64) (*Table, error) {
 // strikes: rollback discards everything below the reissue points (cost grows
 // with fault time), splice salvages partial results (flatter).
 func T2FaultSweep(spec string, procs int, seed int64) (*Table, error) {
-	w, err := core.StandardWorkload(spec)
-	if err != nil {
-		return nil, err
-	}
-	base := mustRun(core.Config{Procs: procs, Seed: seed, Recovery: "rollback"}, w, nil)
-	if !base.Completed {
-		return nil, fmt.Errorf("experiments: base run incomplete")
-	}
-	m0 := int64(base.Makespan)
+	w := mustWorkload(spec)
+	base := mustComplete(core.Config{Procs: procs, Seed: seed, Recovery: "rollback"}, w)
+	m0 := base.Makespan
 	steps0 := base.Sim.Metrics.StepsExecuted
 	t := &Table{
 		ID:    "T2",
@@ -204,24 +230,18 @@ func T2FaultSweep(spec string, procs int, seed int64) (*Table, error) {
 		for _, scheme := range []string{"rollback", "splice"} {
 			rep := mustRun(core.Config{Procs: procs, Seed: seed, Recovery: scheme},
 				w, faults.Crash(1, at, true))
-			slow, extra := Dash(), Dash()
+			extra := Dash()
 			if rep.Completed {
-				slow = ratio(float64(rep.Makespan) / float64(m0))
 				extra = i64(rep.Sim.Metrics.StepsExecuted - steps0)
 			}
 			t.Rows = append(t.Rows, []Cell{
 				Strf("%d%%", frac), Str(scheme),
-				i64(int64(rep.Makespan)), slow, extra,
+				i64(rep.Makespan), slowdown(rep, m0), extra,
 				i64(rep.Sim.Metrics.Twins + rep.Sim.Metrics.Reissues),
 			})
 		}
 	}
-	// Each fault time interleaves a rollback row and a splice row: classify
-	// splice against its rollback counterpart at the equal fault plan, not
-	// against the table's first row.
-	for ri := 0; ri+1 < len(t.Rows); ri += 2 {
-		t.Pair(ri, ri+1)
-	}
+	t.PairAdjacent(0)
 	t.Finding = "Rollback's extra re-executed work grows with the fault time while " +
 		"splice's salvage keeps the late-fault penalty flatter; both always finish " +
 		"with the correct answer."
@@ -232,10 +252,7 @@ func T2FaultSweep(spec string, procs int, seed int64) (*Table, error) {
 // checkpointing stays flat per task, while the PGC model's synchronization
 // grows with the machine.
 func T3Scale(spec string, sizes []int, seed int64) (*Table, error) {
-	w, err := core.StandardWorkload(spec)
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload(spec)
 	t := &Table{
 		ID:    "T3",
 		Title: fmt.Sprintf("Scaling processors (%s)", spec),
@@ -245,11 +262,8 @@ func T3Scale(spec string, sizes []int, seed int64) (*Table, error) {
 			"PGC pause share"},
 	}
 	for _, n := range sizes {
-		rep := mustRun(core.Config{Procs: n, Seed: seed, Recovery: "rollback",
-			StateProbeEvery: 64}, w, nil)
-		if !rep.Completed {
-			return nil, fmt.Errorf("experiments: %d-processor run incomplete", n)
-		}
+		rep := mustComplete(core.Config{Procs: n, Seed: seed, Recovery: "rollback",
+			StateProbeEvery: 64}, w)
 		out, err := baseline.Model(baseline.DefaultPGCParams(int64(rep.Makespan)/10), rep.Sim)
 		if err != nil {
 			return nil, err
@@ -272,10 +286,7 @@ func T3Scale(spec string, sizes []int, seed int64) (*Table, error) {
 // in parallel under splice; killing a task's parent and grandparent
 // processors strands orphans unless the ancestor-pointer depth K grows.
 func T4MultiFault(seed int64) (*Table, error) {
-	w, err := core.StandardWorkload("tree:4,5")
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload("tree:4,5")
 	t := &Table{
 		ID:    "T4",
 		Title: "Multiple faults under splice (tree:4,5, 9-processor mesh)",
@@ -285,7 +296,6 @@ func T4MultiFault(seed int64) (*Table, error) {
 		Columns: []string{"fault plan", "ancestor depth K", "completed", "twins", "stranded", "slowdown"},
 	}
 	base := mustRun(core.Config{Procs: 9, Seed: seed, Recovery: "splice"}, w, nil)
-	m0 := float64(base.Makespan)
 	plans := []struct {
 		name string
 		plan *faults.Plan
@@ -301,16 +311,12 @@ func T4MultiFault(seed int64) (*Table, error) {
 		for _, k := range []int{2, 3, 4} {
 			rep := mustRun(core.Config{Procs: 9, Seed: seed, Recovery: "splice", AncestorDepth: k},
 				w, pl.plan)
-			slow := Dash()
-			if rep.Completed {
-				slow = ratio(float64(rep.Makespan) / m0)
-			}
 			t.Rows = append(t.Rows, []Cell{
 				Str(pl.name), i64(int64(k)),
 				Strf("%v", rep.Completed),
 				i64(rep.Sim.Metrics.Twins),
 				i64(rep.Sim.Metrics.Stranded),
-				slow,
+				slowdown(rep, base.Makespan),
 			})
 		}
 	}
@@ -367,10 +373,7 @@ func T5Replication(seed int64) (*Table, error) {
 // T6Placement compares dynamic (gradient, random) and static allocation
 // through a failure (§3.3).
 func T6Placement(seed int64) (*Table, error) {
-	w, err := core.StandardWorkload("tree:3,6")
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload("tree:3,6")
 	t := &Table{
 		ID:    "T6",
 		Title: "Allocation strategy and recovery (tree:3,6, 9-processor mesh, rollback)",
@@ -382,21 +385,13 @@ func T6Placement(seed int64) (*Table, error) {
 	}
 	for _, placement := range []string{"gradient", "random", "static", "local"} {
 		cfg := core.Config{Procs: 9, Seed: seed, Recovery: "rollback", Placement: placement}
-		base := mustRun(cfg, w, nil)
-		if !base.Completed {
-			return nil, fmt.Errorf("experiments: %s base run incomplete", placement)
-		}
-		at := int64(base.Makespan) / 2
-		rep := mustRun(cfg, w, faults.Crash(1, at, true))
-		stretch := Dash()
-		if rep.Completed {
-			stretch = ratio(float64(rep.Makespan) / float64(base.Makespan))
-		}
+		base := mustComplete(cfg, w)
+		rep := mustRun(cfg, w, faults.Crash(1, base.Makespan/2, true))
 		t.Rows = append(t.Rows, []Cell{
 			Str(placement),
-			i64(int64(base.Makespan)),
-			i64(int64(rep.Makespan)),
-			stretch,
+			i64(base.Makespan),
+			i64(rep.Makespan),
+			slowdown(rep, base.Makespan),
 			i64(rep.Sim.Metrics.TotalMessages()),
 			Float("%.2f", imbalance(rep.Sim.StepsByProc)),
 		})
@@ -411,10 +406,7 @@ func T6Placement(seed int64) (*Table, error) {
 // T7TMR compares §5.4's TMR-style full replication against functional
 // checkpointing as a fault-free overhead proposition.
 func T7TMR(seed int64) (*Table, error) {
-	w, err := core.StandardWorkload("fib:10")
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload("fib:10")
 	t := &Table{
 		ID:    "T7",
 		Title: "TMR-style full replication vs functional checkpointing (fib:10, 8 processors)",
@@ -439,10 +431,7 @@ func T7TMR(seed int64) (*Table, error) {
 
 // A1EagerVsLazyAbort quantifies the orphan garbage-collection choice.
 func A1EagerVsLazyAbort(seed int64) (*Table, error) {
-	w, err := core.StandardWorkload("tree:3,6")
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload("tree:3,6")
 	t := &Table{
 		ID:    "A1",
 		Title: "Ablation: eager vs lazy orphan abortion (rollback, tree:3,6)",
@@ -476,14 +465,7 @@ func A2CheckpointStorage(seed int64) (*Table, error) {
 		Columns: []string{"workload", "tasks", "checkpoints", "peak storage (B)", "peak/task (B)"},
 	}
 	for _, spec := range []string{"fib:12", "tak:8,4,2", "nqueens:5", "tree:4,4", "msort:24"} {
-		w, err := core.StandardWorkload(spec)
-		if err != nil {
-			return nil, err
-		}
-		rep := mustRun(core.Config{Procs: 8, Seed: seed, Recovery: "splice"}, w, nil)
-		if !rep.Completed {
-			return nil, fmt.Errorf("experiments: %s incomplete", spec)
-		}
+		rep := mustComplete(core.Config{Procs: 8, Seed: seed, Recovery: "splice"}, mustWorkload(spec))
 		perTask := float64(rep.Sim.Metrics.CheckpointBytes) / float64(rep.Sim.Metrics.TasksSpawned)
 		t.Rows = append(t.Rows, []Cell{
 			Str(spec), i64(rep.Sim.Metrics.TasksSpawned), i64(rep.Sim.Metrics.Checkpoints),
@@ -499,10 +481,7 @@ func A2CheckpointStorage(seed int64) (*Table, error) {
 // A3DetectionLatency sweeps the heartbeat interval against silent-crash
 // recovery time.
 func A3DetectionLatency(seed int64) (*Table, error) {
-	w, err := core.StandardWorkload("fib:12")
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload("fib:12")
 	t := &Table{
 		ID:    "A3",
 		Title: "Ablation: heartbeat period vs silent-crash recovery (fib:12, rollback)",
@@ -519,11 +498,7 @@ func A3DetectionLatency(seed int64) (*Table, error) {
 		if rep.Sim.Metrics.FirstDetections > 0 {
 			lat = i64(rep.Sim.Metrics.DetectLatencySum / rep.Sim.Metrics.FirstDetections)
 		}
-		slow := Dash()
-		if rep.Completed {
-			slow = ratio(float64(rep.Makespan) / float64(base.Makespan))
-		}
-		t.Rows = append(t.Rows, []Cell{i64(hb), lat, i64(int64(rep.Makespan)), slow})
+		t.Rows = append(t.Rows, []Cell{i64(hb), lat, i64(rep.Makespan), slowdown(rep, base.Makespan)})
 	}
 	t.Finding = "Detection latency scales with the heartbeat period and feeds directly " +
 		"into completion time; ack-timeout detection bounds it when traffic to the dead " +
@@ -536,10 +511,7 @@ func A3DetectionLatency(seed int64) (*Table, error) {
 // the same processor onto the same (failed) processor, so the setup uses few
 // processors and a deep tree to make such pairs common.
 func A4TopmostSuppression(seed int64) (*Table, error) {
-	w, err := core.StandardWorkload("tree:2,9")
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload("tree:2,9")
 	t := &Table{
 		ID:    "A4",
 		Title: "Ablation: topmost suppression on/off (rollback, tree:2,9, 4 processors)",
@@ -562,33 +534,4 @@ func A4TopmostSuppression(seed int64) (*Table, error) {
 		"paper's B5 analysis predicts (\"Reactivation of B5 only increases the system " +
 		"overhead\"); the suppressed variant reaches the same answer with fewer packets."
 	return t, nil
-}
-
-// All runs every experiment and returns the tables in report order.
-func All(seed int64) ([]*Table, error) {
-	var out []*Table
-	type gen func() (*Table, error)
-	for _, g := range []gen{
-		func() (*Table, error) { return T1Overhead("fib:13", 8, seed) },
-		func() (*Table, error) { return T2FaultSweep("tree:3,6", 9, seed) },
-		func() (*Table, error) { return T3Scale("tree:3,6", []int{4, 9, 16, 36, 64}, seed) },
-		func() (*Table, error) { return T4MultiFault(seed) },
-		func() (*Table, error) { return T5Replication(seed) },
-		func() (*Table, error) { return T6Placement(seed) },
-		func() (*Table, error) { return T7TMR(seed) },
-		func() (*Table, error) { return A1EagerVsLazyAbort(seed) },
-		func() (*Table, error) { return A2CheckpointStorage(seed) },
-		func() (*Table, error) { return A3DetectionLatency(seed) },
-		func() (*Table, error) { return A4TopmostSuppression(seed) },
-		func() (*Table, error) { return S1TopologySweep("fib:13", seed) },
-		func() (*Table, error) { return S2CascadeRecovery(seed) },
-		func() (*Table, error) { return S3FaultDensity(seed) },
-	} {
-		tb, err := g()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tb)
-	}
-	return out, nil
 }

@@ -74,64 +74,44 @@ func S6IncrementalRecovery(seed int64) (*Table, error) {
 	return t, nil
 }
 
-// s6OneShot runs the S2/S3-style regimes: a 4/16 burst on the mesh and a
-// one-wave cascade on the 64-processor torus, three schemes each.
+// s6OneShot runs the S2/S3-style regimes, three schemes each; the slowdown
+// column is against the regime's fault-free rollback makespan m0.
 func s6OneShot(t *Table, seed int64) error {
-	// Burst regime (S3 shape): fib:13, 16-processor mesh, 4 simultaneous
-	// crashes at 40% of the fault-free makespan.
-	wb, err := core.StandardWorkload("fib:13")
+	torus, err := topology.ByName("torus", 64)
 	if err != nil {
 		return err
 	}
-	base := mustRun(core.Config{Procs: 16, Seed: seed, Recovery: "rollback"}, wb, nil)
-	if !base.Completed {
-		return fmt.Errorf("experiments: S6 burst base run incomplete")
-	}
-	m0 := int64(base.Makespan)
-	burst := faults.Burst(16, 4, m0*2/5, faults.CrashAnnounced, seed)
-	for _, scheme := range s6Schemes {
-		rep := mustRun(core.Config{Procs: 16, Seed: seed, Recovery: scheme,
-			Deadline: m0 * 20}, wb, burst)
-		s6OneShotRow(t, "burst 4/16 (fib:13, mesh 16)", scheme, rep, m0)
-	}
-
-	// Cascade regime (S2 shape): tree:3,6 on the 64-processor torus, one
-	// wave spreading from processor 9.
-	wc, err := core.StandardWorkload("tree:3,6")
-	if err != nil {
-		return err
-	}
-	const procs, kind = 64, "torus"
-	topo, err := topology.ByName(kind, procs)
-	if err != nil {
-		return err
-	}
-	cbase := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: "rollback"}, wc, nil)
-	if !cbase.Completed {
-		return fmt.Errorf("experiments: S6 cascade base run incomplete")
-	}
-	c0 := int64(cbase.Makespan)
-	cascade := faults.Cascade(topo, 9, c0*3/10, c0/10, 1, 1.0, faults.CrashAnnounced, seed)
-	for _, scheme := range s6Schemes {
-		rep := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: scheme,
-			Deadline: c0 * 30}, wc, cascade)
-		s6OneShotRow(t, "cascade 1 wave (tree:3,6, torus 64)", scheme, rep, c0)
+	for _, rg := range []struct {
+		cell, spec string
+		cfg        core.Config // Recovery and Deadline vary per run
+		patience   int64       // deadline, in fault-free makespans
+		plan       func(m0 int64) *faults.Plan
+	}{
+		// Burst regime (S3 shape): 4 simultaneous crashes at 40% of the
+		// fault-free makespan.
+		{"burst 4/16 (fib:13, mesh 16)", "fib:13", core.Config{Procs: 16, Seed: seed}, 20,
+			func(m0 int64) *faults.Plan { return faults.Burst(16, 4, m0*2/5, faults.CrashAnnounced, seed) }},
+		// Cascade regime (S2 shape): one wave spreading from processor 9.
+		{"cascade 1 wave (tree:3,6, torus 64)", "tree:3,6", core.Config{Procs: 64, Topology: "torus", Seed: seed}, 30,
+			func(m0 int64) *faults.Plan {
+				return faults.Cascade(torus, 9, m0*3/10, m0/10, 1, 1.0, faults.CrashAnnounced, seed)
+			}},
+	} {
+		w, cfg := mustWorkload(rg.spec), rg.cfg
+		cfg.Recovery = "rollback"
+		m0 := mustComplete(cfg, w).Makespan
+		plan := rg.plan(m0)
+		for _, scheme := range s6Schemes {
+			cfg.Recovery, cfg.Deadline = scheme, m0*rg.patience
+			rep := mustRun(cfg, w, plan)
+			t.s6Row(rg.cell, scheme,
+				Strf("%v", rep.Completed), Dash(),
+				rep.Makespan, slowdown(rep, m0),
+				rep.Sim.Metrics.Twins+rep.Sim.Metrics.Reissues,
+				rep.Sim.Metrics.PacedReissues, Dash())
+		}
 	}
 	return nil
-}
-
-// s6OneShotRow adds one one-shot row; m0 is the regime's fault-free
-// rollback makespan for the slowdown column.
-func s6OneShotRow(t *Table, cell, scheme string, rep *core.Report, m0 int64) {
-	slow := Dash()
-	if rep.Completed {
-		slow = ratio(float64(rep.Makespan) / float64(m0))
-	}
-	t.s6Row(cell, scheme,
-		Strf("%v", rep.Completed), Dash(),
-		int64(rep.Makespan), slow,
-		rep.Sim.Metrics.Twins+rep.Sim.Metrics.Reissues,
-		rep.Sim.Metrics.PacedReissues, Dash())
 }
 
 // s6Streams runs the L3-shaped service cells: a probe stream calibrates the
@@ -140,19 +120,9 @@ func s6OneShotRow(t *Table, cell, scheme string, rep *core.Report, m0 int64) {
 // requests whose service interval contains a fault stamp — is the artifact's
 // headline metric.
 func s6Streams(t *Table, seed int64) error {
-	specs := l3Specs()
-	probe, err := runStream("sim", core.Config{Procs: l3Procs, Seed: seed,
-		Recovery: "rollback"}, specs, nil, true)
+	specs, span, cfg, err := l3SimStream("S6", seed)
 	if err != nil {
-		return fmt.Errorf("S6 probe: %w", err)
-	}
-	span := probe.Span
-	if span <= 0 {
-		return fmt.Errorf("S6 probe span %d", span)
-	}
-	every := span / int64(2*l3Requests)
-	if every < 1 {
-		every = 1
+		return err
 	}
 	cells := []struct {
 		label string
@@ -164,9 +134,8 @@ func s6Streams(t *Table, seed int64) error {
 	for _, cl := range cells {
 		plan := faults.Burst(l3Procs, cl.kills, span/2, faults.CrashAnnounced, seed)
 		for _, scheme := range s6Schemes {
-			cfg := core.Config{Procs: l3Procs, Seed: seed, Recovery: scheme,
-				Arrival: fmt.Sprintf("arrive:uniform:%d", every), Deadline: span * 8}
-			sr, err := runStream("sim", cfg, specs, plan, false)
+			cfg.Recovery = scheme
+			sr, err := runStream("sim", cfg, specs, plan, false, nil)
 			if err != nil {
 				return fmt.Errorf("S6 %s/%s: %w", cl.label, scheme, err)
 			}

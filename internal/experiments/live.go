@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	_ "repro/internal/livenet" // registers the "live" backend
-	"repro/internal/node"
 )
 
 // This file holds the L-series artifacts: the live-backend experiments that
@@ -46,10 +44,7 @@ func L1Parity(seed int64) (*Table, error) {
 		NoEffects: true,
 	}
 	for _, spec := range l1Specs {
-		w, err := core.StandardWorkload(spec)
-		if err != nil {
-			return nil, err
-		}
+		w := mustWorkload(spec)
 		cfg := core.Config{Procs: 8, Seed: seed, Recovery: "rollback"}
 		reps := map[string]*core.Report{}
 		for _, backend := range []string{"sim", "live"} {
@@ -87,10 +82,7 @@ var l2Kills = []int{1, 2, 3}
 // stats showing which survivors absorbed the recovery load.
 func L2LiveFaultSweep(seed int64) (*Table, error) {
 	const procs = 8
-	w, err := core.StandardWorkload("fib:13")
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload("fib:13")
 	cfg := core.Config{Procs: procs, Seed: seed, Recovery: "rollback"}
 	runLive := func(plan *faults.Plan) (*core.Report, error) {
 		// VerifyOn folds the whole determinacy check — completion within the
@@ -108,13 +100,6 @@ func L2LiveFaultSweep(seed int64) (*Table, error) {
 	base, err := runLive(nil)
 	if err != nil {
 		return nil, err
-	}
-	// Aim the burst at the middle of the fault-free wall makespan, expressed
-	// in the virtual ticks the live backend scales onto the wall clock.
-	perTick := int64(node.DefaultTimescale / time.Microsecond)
-	atTicks := base.Makespan / perTick / 2
-	if atTicks < 1 {
-		atTicks = 1
 	}
 	t := &Table{
 		ID:    "L2",
@@ -140,7 +125,8 @@ func L2LiveFaultSweep(seed int64) (*Table, error) {
 	}
 	addRow(0, base)
 	for _, k := range l2Kills {
-		plan := faults.Burst(procs, k, atTicks, faults.CrashAnnounced, seed+int64(k))
+		// Aim the burst at the middle of the fault-free wall makespan.
+		plan := faults.Burst(procs, k, liveTicks(base.Makespan/2), faults.CrashAnnounced, seed+int64(k))
 		rep, err := runLive(plan)
 		if err != nil {
 			return nil, err

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	_ "repro/internal/netnode" // registers the "net" backend
-	"repro/internal/node"
 )
 
 // This file holds L5, the process-backend artifact: the substrate-
@@ -56,10 +54,7 @@ func L5NetParity(seed int64) (*Table, error) {
 		NoEffects: true,
 	}
 	for _, spec := range l5Specs {
-		w, err := core.StandardWorkload(spec)
-		if err != nil {
-			return nil, err
-		}
+		w := mustWorkload(spec)
 		cfg := core.Config{Procs: 8, Seed: seed, Recovery: "rollback"}
 		reps := map[string]*core.Report{}
 		for _, backend := range []string{"sim", "live", "net"} {
@@ -91,17 +86,13 @@ func L5NetParity(seed int64) (*Table, error) {
 		specs[i] = base[i%len(base)]
 	}
 	cfg := core.Config{Procs: l5Procs, Seed: seed, Recovery: "rollback"}
-	calib, err := runStream("net", cfg, specs, nil, true)
+	calib, err := runStream("net", cfg, specs, nil, true, nil)
 	if err != nil {
 		return nil, fmt.Errorf("L5 net base stream: %w", err)
 	}
-	perTick := int64(node.DefaultTimescale / time.Microsecond)
-	atTicks := calib.Span / perTick / 2
-	if atTicks < 1 {
-		atTicks = 1
-	}
+	atTicks := liveTicks(calib.Span / 2)
 	plan := faults.Burst(l5Procs, l5Kills, atTicks, faults.CrashSilent, seed)
-	sr, err := runStream("net", cfg, specs, plan, true)
+	sr, err := runStream("net", cfg, specs, plan, true, nil)
 	if err != nil {
 		return nil, fmt.Errorf("L5 net SIGKILL stream: %w", err)
 	}

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/node"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -53,15 +51,11 @@ func S5Saturation(seed int64) (*Table, error) {
 	// The probe calibrates capacity under the same in-flight bound the sweep
 	// uses (queue policy, closed loop): the knee should land near 1x of what
 	// the bounded cluster can actually serve, not of an unbounded batch.
-	probe, err := runStream("sim", core.Config{Procs: s5Procs, Topology: "torus",
+	span, err := calibrate("S5", "sim", core.Config{Procs: s5Procs, Topology: "torus",
 		Seed: seed, Recovery: "rollback",
-		MaxInFlight: s5InFlight, Admission: "queue"}, specs, nil, true)
+		MaxInFlight: s5InFlight, Admission: "queue"}, specs)
 	if err != nil {
-		return nil, fmt.Errorf("S5 probe: %w", err)
-	}
-	span := probe.Span
-	if span <= 0 {
-		return nil, fmt.Errorf("S5 probe span %d", span)
+		return nil, err
 	}
 	// Fault-free capacity in requests per vtick; the sweep offers multiples
 	// of it as seeded Poisson processes.
@@ -109,7 +103,7 @@ func S5Saturation(seed int64) (*Table, error) {
 					Recovery: scheme, Deadline: span * 16,
 					Arrival:     fmt.Sprintf("arrive:poisson:%g", rate),
 					MaxInFlight: s5InFlight, Admission: "shed"}
-				sr, err := runStream("sim", cfg, specs, pl.plan, false)
+				sr, err := runStream("sim", cfg, specs, pl.plan, false, nil)
 				if err != nil {
 					return nil, fmt.Errorf("S5 %.1fx/%s/%s: %w", mult, pl.label, scheme, err)
 				}
@@ -140,7 +134,7 @@ func S5Saturation(seed int64) (*Table, error) {
 	return t, nil
 }
 
-// L4LiveSaturation is the live-backend saturation smoke: the driver paces
+// L4LiveSaturation is the live-backend saturation smoke: runStream paces
 // real Submit calls on the wall clock from a seeded workload.Arrival
 // schedule (Config.Arrival is inert on live — real time is the arrival
 // discipline), against bounded admission on the goroutine cluster, with and
@@ -154,19 +148,14 @@ func L4LiveSaturation(seed int64) (*Table, error) {
 	// Probe the closed-loop stream for the service capacity in req/µs under
 	// the same in-flight bound the sweep uses (queue policy holds the
 	// overflow instead of shedding it).
-	cfg := core.Config{Procs: l4Procs, Seed: seed, Recovery: "rollback"}
-	probeCfg := cfg
-	probeCfg.MaxInFlight = l4InFlight
-	probeCfg.Admission = "queue"
-	probe, err := runStream("live", probeCfg, specs, nil, true)
+	cfg := core.Config{Procs: l4Procs, Seed: seed, Recovery: "rollback",
+		MaxInFlight: l4InFlight, Admission: "queue"}
+	span, err := calibrate("L4", "live", cfg, specs)
 	if err != nil {
-		return nil, fmt.Errorf("L4 probe: %w", err)
+		return nil, err
 	}
-	if probe.Span <= 0 {
-		return nil, fmt.Errorf("L4 probe span %d", probe.Span)
-	}
-	capacity := float64(l4Requests) / float64(probe.Span)
-	perTick := int64(node.DefaultTimescale / time.Microsecond)
+	capacity := float64(l4Requests) / float64(span)
+	cfg.Admission = "shed"
 	t := &Table{
 		ID: "L4",
 		Title: fmt.Sprintf("Live saturation: wall-clock Poisson load vs bounded admission (%d nodes, %d offered, %d in-flight slots, shed policy)",
@@ -186,11 +175,7 @@ func L4LiveSaturation(seed int64) (*Table, error) {
 			return nil, err
 		}
 		offsets := arr.Schedule(l4Requests, seed)
-		streamUS := offsets[len(offsets)-1] + 1
-		killAt := streamUS / perTick / 2
-		if killAt < 1 {
-			killAt = 1
-		}
+		killAt := liveTicks((offsets[len(offsets)-1] + 1) / 2)
 		for _, pl := range []struct {
 			label string
 			plan  *core.FaultPlan
@@ -198,7 +183,7 @@ func L4LiveSaturation(seed int64) (*Table, error) {
 			{"no faults", nil},
 			{"burst: 1 kill mid-stream", faults.Burst(l4Procs, 1, killAt, faults.CrashAnnounced, seed)},
 		} {
-			sr, err := l4PacedStream(cfg, specs, offsets, pl.plan)
+			sr, err := runStream("live", cfg, specs, pl.plan, false, offsets)
 			if err != nil {
 				return nil, fmt.Errorf("L4 %.0fx/%s: %w", mult, pl.label, err)
 			}
@@ -224,36 +209,4 @@ func L4LiveSaturation(seed int64) (*Table, error) {
 		"the mid-stream kill trades reissues and latency for the same admission " +
 		"discipline."
 	return t, nil
-}
-
-// l4PacedStream opens a live cluster with bounded admission and submits one
-// request per schedule offset (wall µs from the stream start), sleeping out
-// the gaps — an open-loop load generator on real time.
-func l4PacedStream(cfg core.Config, specs []string, offsets []int64, plan *core.FaultPlan) (*core.ServiceReport, error) {
-	cfg.MaxInFlight = l4InFlight
-	cfg.Admission = "shed"
-	cl, err := core.OpenOn("live", cfg)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		if err := cl.Inject(plan); err != nil {
-			_, _ = cl.Close()
-			return nil, err
-		}
-	}
-	start := time.Now()
-	for i, spec := range specs {
-		if wait := time.Duration(offsets[i])*time.Microsecond - time.Since(start); wait > 0 {
-			time.Sleep(wait)
-		}
-		if _, err := cl.SubmitSpec(spec); err != nil {
-			_, _ = cl.Close()
-			return nil, err
-		}
-	}
-	if _, _, _, err := cl.VerifyAll(false); err != nil {
-		return nil, err
-	}
-	return cl.Close()
 }

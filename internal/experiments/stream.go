@@ -39,25 +39,32 @@ func l3Specs() []string {
 	return out
 }
 
-// runStream opens a cluster, submits every spec, injects the plan, verifies
-// each completed request's answer against the sequential reference
-// evaluator (§2.1 — a wrong answer fails loudly), and returns the stream
-// report. strict additionally requires every request to complete (the live
-// stream's contract; on the simulator a timed-out request under a killing
-// plan is data, not an error).
-func runStream(backend string, cfg core.Config, specs []string, plan *core.FaultPlan, strict bool) (*core.ServiceReport, error) {
+// runStream opens a cluster, injects the plan (fault times count from the
+// stream's start), submits every spec, verifies each completed request's
+// answer against the sequential reference evaluator (§2.1 — a wrong answer
+// fails loudly), and returns the stream report. strict additionally requires
+// every request to complete (the live stream's contract; on the simulator a
+// timed-out request under a killing plan is data, not an error). offsets,
+// when non-nil, makes the driver an open-loop load generator on real time:
+// request i is submitted offsets[i] wall µs after the stream starts, the
+// gaps slept out.
+func runStream(backend string, cfg core.Config, specs []string, plan *core.FaultPlan, strict bool, offsets []int64) (*core.ServiceReport, error) {
 	cl, err := core.OpenOn(backend, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, spec := range specs {
-		if _, err := cl.SubmitSpec(spec); err != nil {
+	if plan != nil {
+		if err := cl.Inject(plan); err != nil {
 			_, _ = cl.Close()
 			return nil, err
 		}
 	}
-	if plan != nil {
-		if err := cl.Inject(plan); err != nil {
+	start := time.Now()
+	for i, spec := range specs {
+		if offsets != nil {
+			time.Sleep(time.Duration(offsets[i])*time.Microsecond - time.Since(start))
+		}
+		if _, err := cl.SubmitSpec(spec); err != nil {
 			_, _ = cl.Close()
 			return nil, err
 		}
@@ -66,6 +73,41 @@ func runStream(backend string, cfg core.Config, specs []string, plan *core.Fault
 		return nil, err
 	}
 	return cl.Close()
+}
+
+// calibrate serves specs closed-loop and fault-free under cfg — the probe a
+// stream driver sizes its arrival rate, deadlines and fault times from — and
+// returns the stream's span.
+func calibrate(id, backend string, cfg core.Config, specs []string) (int64, error) {
+	probe, err := runStream(backend, cfg, specs, nil, true, nil)
+	if err != nil {
+		return 0, fmt.Errorf("%s probe: %w", id, err)
+	}
+	if probe.Span <= 0 {
+		return 0, fmt.Errorf("%s probe span %d", id, probe.Span)
+	}
+	return probe.Span, nil
+}
+
+// liveTicks converts wall µs into the virtual ticks the wall-clock backends
+// scale fault times from (at least one).
+func liveTicks(us int64) int64 {
+	return max(us/int64(node.DefaultTimescale/time.Microsecond), 1)
+}
+
+// l3SimStream calibrates the simulator stream L3 and S6 share: the request
+// mix, the fault-free rollback span, and the config every faulted cell
+// serves under (the caller sets Recovery) — uniform arrivals that stretch
+// the stream to ~1.5× the probe span, eight spans of per-request budget.
+func l3SimStream(id string, seed int64) (specs []string, span int64, cfg core.Config, err error) {
+	specs = l3Specs()
+	cfg = core.Config{Procs: l3Procs, Seed: seed, Recovery: "rollback"}
+	if span, err = calibrate(id, "sim", cfg, specs); err != nil {
+		return nil, 0, cfg, err
+	}
+	cfg.Arrival = fmt.Sprintf("arrive:uniform:%d", max(span/int64(2*l3Requests), 1))
+	cfg.Deadline = span * 8
+	return specs, span, cfg, nil
 }
 
 // L3StreamThroughput is the backend-aware driver (runner passes the
@@ -86,26 +128,15 @@ func L3StreamThroughput(backend string, seed int64) (*Table, error) {
 // faults, a mid-stream burst, and a mid-stream cascade. Every quantity is
 // deterministic per seed.
 func l3Sim(seed int64) (*Table, error) {
-	specs := l3Specs()
-	probe, err := runStream("sim", core.Config{Procs: l3Procs, Seed: seed, Recovery: "rollback"},
-		specs, nil, true)
+	specs, span, cfg, err := l3SimStream("L3", seed)
 	if err != nil {
-		return nil, fmt.Errorf("L3 probe: %w", err)
-	}
-	span := probe.Span
-	if span <= 0 {
-		return nil, fmt.Errorf("L3 probe span %d", span)
-	}
-	every := span / int64(2*l3Requests)
-	if every < 1 {
-		every = 1
+		return nil, err
 	}
 	topo, err := topology.ByName("mesh", l3Procs)
 	if err != nil {
 		return nil, err
 	}
-	// The stream stretches to ~1.5× the probe span under arrival spacing;
-	// place the burst and the cascade origin inside the thick of it.
+	// Place the burst and the cascade origin inside the thick of the stream.
 	plans := []struct {
 		label string
 		plan  *core.FaultPlan
@@ -129,9 +160,8 @@ func l3Sim(seed int64) (*Table, error) {
 	}
 	for _, pl := range plans {
 		for _, scheme := range []string{"rollback", "splice"} {
-			cfg := core.Config{Procs: l3Procs, Seed: seed, Recovery: scheme,
-				Arrival: fmt.Sprintf("arrive:uniform:%d", every), Deadline: span * 8}
-			sr, err := runStream("sim", cfg, specs, pl.plan, false)
+			cfg.Recovery = scheme
+			sr, err := runStream("sim", cfg, specs, pl.plan, false, nil)
 			if err != nil {
 				return nil, fmt.Errorf("L3 %s/%s: %w", pl.label, scheme, err)
 			}
@@ -149,11 +179,7 @@ func l3Sim(seed int64) (*Table, error) {
 			})
 		}
 	}
-	// Rows interleave rollback and splice per plan; classify splice against
-	// rollback under the identical plan and admission schedule.
-	for ri := 0; ri+1 < len(t.Rows); ri += 2 {
-		t.Pair(ri, ri+1)
-	}
+	t.PairAdjacent(0)
 	t.Finding = "One open cluster answers the whole stream: requests whose service " +
 		"interval contains a kill still complete with the reference answer, the " +
 		"during-recovery count matches the faults' stream position, and the p99 " +
@@ -169,16 +195,9 @@ func l3Sim(seed int64) (*Table, error) {
 func l3Live(seed int64) (*Table, error) {
 	specs := l3Specs()
 	cfg := core.Config{Procs: l3LiveProcs, Seed: seed, Recovery: "rollback"}
-	base, err := runStream("live", cfg, specs, nil, true)
+	base, err := runStream("live", cfg, specs, nil, true, nil)
 	if err != nil {
 		return nil, fmt.Errorf("L3 live base: %w", err)
-	}
-	// Aim the kills at the middle of the fault-free stream, expressed in the
-	// virtual ticks the live backend scales onto the wall clock.
-	perTick := int64(node.DefaultTimescale / time.Microsecond)
-	atTicks := base.Span / perTick / 2
-	if atTicks < 1 {
-		atTicks = 1
 	}
 	t := &Table{
 		ID: "L3",
@@ -207,8 +226,9 @@ func l3Live(seed int64) (*Table, error) {
 	}
 	addRow("no faults", base)
 	for _, k := range []int{1, 2} {
-		plan := faults.Burst(l3LiveProcs, k, atTicks, faults.CrashAnnounced, seed+int64(k))
-		sr, err := runStream("live", cfg, specs, plan, true)
+		// Aim the kills at the middle of the fault-free stream.
+		plan := faults.Burst(l3LiveProcs, k, liveTicks(base.Span/2), faults.CrashAnnounced, seed+int64(k))
+		sr, err := runStream("live", cfg, specs, plan, true, nil)
 		if err != nil {
 			return nil, fmt.Errorf("L3 live %d kills: %w", k, err)
 		}

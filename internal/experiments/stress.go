@@ -42,10 +42,7 @@ func diameter(topo topology.Topology) int {
 // bends makespan and message cost while the recovery protocol stays
 // untouched.
 func S1TopologySweep(spec string, seed int64) (*Table, error) {
-	w, err := core.StandardWorkload(spec)
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload(spec)
 	t := &Table{
 		ID:    "S1",
 		Title: fmt.Sprintf("Stress: topology sweep (%s, %d processors, rollback, fault-free)", spec, S1Procs),
@@ -61,10 +58,7 @@ func S1TopologySweep(spec string, seed int64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep := mustRun(core.Config{Procs: S1Procs, Topology: kind, Seed: seed, Recovery: "rollback"}, w, nil)
-		if !rep.Completed {
-			return nil, fmt.Errorf("experiments: S1 %s run incomplete", kind)
-		}
+		rep := mustComplete(core.Config{Procs: S1Procs, Topology: kind, Seed: seed, Recovery: "rollback"}, w)
 		msgs := rep.Sim.Metrics.TotalMessages()
 		hopsPerMsg := 0.0
 		if msgs > 0 {
@@ -73,7 +67,7 @@ func S1TopologySweep(spec string, seed int64) (*Table, error) {
 		t.Rows = append(t.Rows, []Cell{
 			Str(topo.Name()),
 			i64(int64(diameter(topo))),
-			i64(int64(rep.Makespan)),
+			i64(rep.Makespan),
 			i64(msgs),
 			Float("%.2f", hopsPerMsg),
 			i64(rep.Sim.Metrics.BytesOnWire),
@@ -107,19 +101,12 @@ var s2Cascades = []struct {
 // recovery work — while splice keeps salvaging partial results.
 func S2CascadeRecovery(seed int64) (*Table, error) {
 	const procs, kind = 64, "torus"
-	w, err := core.StandardWorkload("tree:3,6")
-	if err != nil {
-		return nil, err
-	}
+	w := mustWorkload("tree:3,6")
 	topo, err := topology.ByName(kind, procs)
 	if err != nil {
 		return nil, err
 	}
-	base := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: "rollback"}, w, nil)
-	if !base.Completed {
-		return nil, fmt.Errorf("experiments: S2 base run incomplete")
-	}
-	m0 := int64(base.Makespan)
+	m0 := mustComplete(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: "rollback"}, w).Makespan
 	t := &Table{
 		ID:    "S2",
 		Title: fmt.Sprintf("Stress: rollback vs splice under cascading faults (tree:3,6, %d-processor torus)", procs),
@@ -136,27 +123,19 @@ func S2CascadeRecovery(seed int64) (*Table, error) {
 		for _, scheme := range []string{"rollback", "splice"} {
 			rep := mustRun(core.Config{Procs: procs, Topology: kind, Seed: seed, Recovery: scheme,
 				Deadline: m0 * 30}, w, plan)
-			slow := Dash()
-			if rep.Completed {
-				slow = ratio(float64(rep.Makespan) / float64(m0))
-			}
 			t.Rows = append(t.Rows, []Cell{
 				Str(cs.label),
 				i64(int64(len(plan.Procs()))),
 				Str(scheme),
 				Strf("%v", rep.Completed),
-				i64(int64(rep.Makespan)),
-				slow,
+				i64(rep.Makespan),
+				slowdown(rep, m0),
 				i64(rep.Sim.Metrics.Twins + rep.Sim.Metrics.Reissues),
 				i64(rep.Sim.Metrics.Stranded),
 			})
 		}
 	}
-	// Rows interleave rollback and splice per cascade plan: classify splice
-	// against the rollback row under the identical plan.
-	for ri := 0; ri+1 < len(t.Rows); ri += 2 {
-		t.Pair(ri, ri+1)
-	}
+	t.PairAdjacent(0)
 	t.Finding = "Both schemes survive cascades that kill a dozen of 64 processors; the " +
 		"slowdown gap widens with each wave because rollback re-executes work the next " +
 		"wave destroys again, while splice's twins inherit whatever the dead wave had " +
@@ -175,15 +154,9 @@ var s3Densities = []int{1, 2, 4, 6, 8, 10, 12}
 // checkpoints retained for them.
 func S3FaultDensity(seed int64) (*Table, error) {
 	const procs = 16
-	w, err := core.StandardWorkload("fib:13")
-	if err != nil {
-		return nil, err
-	}
-	base := mustRun(core.Config{Procs: procs, Seed: seed, Recovery: "rollback"}, w, nil)
-	if !base.Completed {
-		return nil, fmt.Errorf("experiments: S3 base run incomplete")
-	}
-	m0 := int64(base.Makespan)
+	w := mustWorkload("fib:13")
+	base := mustComplete(core.Config{Procs: procs, Seed: seed, Recovery: "rollback"}, w)
+	m0 := base.Makespan
 	t := &Table{
 		ID:    "S3",
 		Title: fmt.Sprintf("Stress: fault density to the breaking point (fib:13, %d-processor mesh)", procs),
@@ -194,18 +167,14 @@ func S3FaultDensity(seed int64) (*Table, error) {
 			"slowdown", "twins+reissues", "stranded"},
 	}
 	addRow := func(k int, scheme string, rep *core.Report) {
-		slow := Dash()
-		if rep.Completed {
-			slow = ratio(float64(rep.Makespan) / float64(m0))
-		}
 		// The crash count is an input parameter, not a measurement; keeping
 		// it a label makes the effect lines read "6/16 splice" not "row".
 		t.Rows = append(t.Rows, []Cell{
 			Strf("%d/%d", k, procs),
 			Str(scheme),
 			Strf("%v", rep.Completed),
-			i64(int64(rep.Makespan)),
-			slow,
+			i64(rep.Makespan),
+			slowdown(rep, m0),
 			i64(rep.Sim.Metrics.Twins + rep.Sim.Metrics.Reissues),
 			i64(rep.Sim.Metrics.Stranded),
 		})
@@ -221,12 +190,8 @@ func S3FaultDensity(seed int64) (*Table, error) {
 			addRow(k, scheme, rep)
 		}
 	}
-	// Row 0 is the fault-free base; the sweep rows interleave rollback and
-	// splice at each density: classify splice against rollback at the equal
-	// crash draw.
-	for ri := 1; ri+1 < len(t.Rows); ri += 2 {
-		t.Pair(ri, ri+1)
-	}
+	// Row 0 is the fault-free base; the interleaved sweep rows follow it.
+	t.PairAdjacent(1)
 	t.Finding = "Slowdown grows smoothly with density until roughly 8–10 of 16 processors " +
 		"die at once, then recovery stops completing (the capped deadline shows as the " +
 		"makespan): the surviving capacity, not the protocol, is what gives out first, " +

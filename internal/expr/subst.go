@@ -60,15 +60,6 @@ func subst(e Expr, name string, v Value) (Expr, bool) {
 	}
 }
 
-// SubstAll applies every binding in env to e. Bindings are independent
-// (values are closed), so application order does not matter.
-func SubstAll(e Expr, env map[string]Value) Expr {
-	for name, v := range env {
-		e = Subst(e, name, v)
-	}
-	return e
-}
-
 // SubstMany replaces free occurrences of names[i] with vals[i] in one tree
 // walk. Because substituted values are closed literals, the result is
 // identical to applying Subst once per name in any order — this is the

@@ -75,7 +75,7 @@ func goldenRun(t *testing.T, scheme string, crash int, eval string) string {
 		}
 		plan = faults.Burst(64, crash, int64(base.Makespan)*2/5, faults.CrashAnnounced, 1)
 	}
-	tl := trace.NewLog(0)
+	tl := trace.NewLog()
 	rep := run(plan, tl)
 	h := fnv.New64a()
 	for _, ev := range tl.Events {

@@ -324,9 +324,6 @@ func (m *Machine) progIndex(p *lang.Program) (int, error) {
 	return len(m.progs) - 1, nil
 }
 
-// progOf resolves a packet's program tag.
-func (m *Machine) progOf(i int) *lang.Program { return m.progs[i] }
-
 // evalOf resolves a packet's program tag to its compiled form.
 func (m *Machine) evalOf(i int) lang.EvalProgram { return m.evals[i] }
 

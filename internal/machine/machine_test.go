@@ -145,7 +145,7 @@ func TestRollbackSurvivesAnnouncedCrash(t *testing.T) {
 	args := []expr.Value{expr.VInt(12)}
 	cfg := Config{
 		Topo: mustTopo(t, "mesh", 8), Scheme: recovery.Rollback(),
-		Seed: 3, Trace: trace.NewLog(0),
+		Seed: 3, Trace: trace.NewLog(),
 	}
 	rep := runMachine(t, cfg, prog, "fib", args, faults.Crash(2, 800, true))
 	expectAnswer(t, rep, prog, "fib", args)
@@ -388,7 +388,7 @@ func TestConfigValidation(t *testing.T) {
 func TestTraceEventsFlow(t *testing.T) {
 	prog := lang.Fib()
 	args := []expr.Value{expr.VInt(6)}
-	tl := trace.NewLog(0)
+	tl := trace.NewLog()
 	cfg := Config{Topo: mustTopo(t, "mesh", 4), Seed: 12, Trace: tl}
 	rep := runMachine(t, cfg, prog, "fib", args, nil)
 	expectAnswer(t, rep, prog, "fib", args)

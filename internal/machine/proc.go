@@ -256,18 +256,7 @@ func (p *proc) ResidentTaskKeys() []proto.TaskKey {
 			out = append(out, k)
 		}
 	}
-	slices.SortFunc(out, func(a, b proto.TaskKey) int {
-		if c := a.Stamp.Compare(b.Stamp); c != 0 {
-			return c
-		}
-		switch {
-		case a.Rep < b.Rep:
-			return -1
-		case a.Rep > b.Rep:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(out, proto.TaskKey.Compare)
 	return out
 }
 
@@ -347,13 +336,7 @@ func (p *proc) Respawn(pkt *proto.TaskPacket) {
 		p.m.log(p.id, trace.KLateResult, pkt.Key.String(), "respawn skipped: hole filled")
 		return
 	}
-	var cr *childRef
-	for _, c := range h.children {
-		if c.key == pkt.Key {
-			cr = c
-			break
-		}
-	}
+	cr := h.child(pkt.Key)
 	if cr == nil {
 		cr = p.newChildRef(pkt.Key)
 		h.children = append(h.children, cr)
@@ -477,13 +460,7 @@ func (p *proc) onChildAbort(msg *proto.Msg) {
 	if h == nil || h.filled {
 		return
 	}
-	var cr *childRef
-	for _, c := range h.children {
-		if c.key == msg.AbortTask {
-			cr = c
-			break
-		}
-	}
+	cr := h.child(msg.AbortTask)
 	if cr == nil || cr.gen != msg.AbortGen {
 		return // stale: a different incarnation is already in flight
 	}
@@ -1158,13 +1135,7 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 		p.ackResult(msg.From, res.Child, true)
 		return
 	}
-	var cr *childRef
-	for _, c := range h.children {
-		if c.key == res.Child {
-			cr = c
-			break
-		}
-	}
+	cr := h.child(res.Child)
 	if cr == nil {
 		// A result from an incarnation we did not spawn (e.g. relayed from
 		// an orphan of the pre-twin generation). Determinacy makes it as

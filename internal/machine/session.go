@@ -85,7 +85,6 @@ type Req struct {
 	doneAt    sim.Time
 	answer    expr.Value
 	shed      bool
-	shedAt    sim.Time
 }
 
 // ID is the request's stream index (0-based, admission order).
@@ -107,9 +106,6 @@ func (r *Req) QueuedFor() sim.Time { return r.queuedFor }
 
 // Shed reports whether admission control rejected the request.
 func (r *Req) Shed() bool { return r.shed }
-
-// ShedAt is the tick the request was shed at (valid when Shed).
-func (r *Req) ShedAt() sim.Time { return r.shedAt }
 
 // Done reports whether the answer reached the super-root.
 func (r *Req) Done() bool { return r.done }
@@ -304,7 +300,6 @@ func (s *Session) offer(r *Req) {
 		s.install(r)
 	case admission.Shed:
 		r.shed = true
-		r.shedAt = k.Now()
 		s.outstanding--
 		k.Stop()
 	}

@@ -52,7 +52,7 @@ func TestShardSweepByteIdentical(t *testing.T) {
 			var refTrace, refReport string
 			for _, eval := range []string{"interp", "compiled"} {
 				for _, shards := range shardSweep {
-					tl := trace.NewLog(0)
+					tl := trace.NewLog()
 					rep := goldenRunSharded(t, c.scheme, c.crash, shards, eval, tl)
 					gotTrace, gotReport := traceDump(tl), reportLine(rep)
 					if eval == "interp" && shards == 1 {
@@ -135,7 +135,7 @@ func TestShardSweepServiceStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tl := trace.NewLog(0)
+		tl := trace.NewLog()
 		m, err := New(Config{Topo: topo, Scheme: recovery.Rollback(), Seed: 3, Trace: tl, Shards: shards, Eval: eval}, lang.Fib())
 		if err != nil {
 			t.Fatal(err)

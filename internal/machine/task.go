@@ -73,6 +73,16 @@ type holeRec struct {
 	value    expr.Value
 }
 
+// child returns the hole's record of the given child, or nil.
+func (h *holeRec) child(key proto.TaskKey) *childRef {
+	for _, c := range h.children {
+		if c.key == key {
+			return c
+		}
+	}
+	return nil
+}
+
 // majority returns the value agreed by more than half of the replicas, if
 // any — the §5.3 asynchronous majority vote. For single-copy holes the first
 // returned value wins immediately.

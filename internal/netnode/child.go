@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/lang"
@@ -32,28 +31,18 @@ func ChildMain() {
 	os.Exit(0)
 }
 
-// heartbeatEvery is the child's liveness-probe cadence. Death detection is
-// the broken connection (SIGKILL closes the socket immediately); heartbeats
-// are the slow-path safety net for a wedged-but-connected child and keep the
-// supervisor's per-node last-seen stamps honest.
-const heartbeatEvery = 100 * time.Millisecond
-
 // childLink is a node process's end of the interconnect: the socket to the
-// hub, which relays every frame. The main loop is single-threaded (one frame
-// at a time); only the heartbeat ticker shares the connection, serialized by
-// wmu.
+// hub, which relays every frame. The node is single-threaded (one frame at a
+// time), so nothing else writes to the connection.
 type childLink struct {
 	id   proto.ProcID
 	conn net.Conn
-	wmu  sync.Mutex
 }
 
 // write sends one frame. A failed write means the parent is gone; the read
 // loop sees the same broken connection and exits the process, so senders
 // need not act on the error.
 func (l *childLink) write(f *proto.Frame) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
 	_, err := proto.WriteFrame(l.conn, f)
 	return err
 }
@@ -79,21 +68,6 @@ func (l *childLink) Result(to proto.ProcID, res *proto.Result) {
 	})
 }
 
-func (l *childLink) heartbeat(stop <-chan struct{}) {
-	t := time.NewTicker(heartbeatEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if l.write(&proto.Frame{Type: proto.FrameHeartbeat, From: l.id, To: proto.HostID}) != nil {
-				return // parent gone; the reader will exit the process
-			}
-		case <-stop:
-			return
-		}
-	}
-}
-
 // runChild dials the hub and feeds its frames to one protocol node until the
 // hub says goodbye or disappears.
 func runChild(id int, spec node.Spec, addr string) error {
@@ -116,9 +90,6 @@ func runChild(id int, spec node.Spec, addr string) error {
 	}); err != nil {
 		return err
 	}
-	stopBeat := make(chan struct{})
-	defer close(stopBeat)
-	go link.heartbeat(stopBeat)
 	for {
 		f, err := proto.ReadFrame(conn)
 		if err != nil {
@@ -169,7 +140,7 @@ func runChild(id int, spec node.Spec, addr string) error {
 		case proto.FrameShutdown:
 			return link.write(&proto.Frame{
 				Type: proto.FrameStats, From: link.id, To: proto.HostID,
-				Payload: statsPayload(n.Drained, n.Reissues),
+				Payload: statsPayload(n.Drained),
 			})
 		default:
 			return fmt.Errorf("netnode: unexpected %v frame at node %d", f.Type, id)

@@ -76,11 +76,6 @@ type child struct {
 	conn  net.Conn
 	alive atomic.Bool
 	out   *sendq // outbound frames, drained by a dedicated writer goroutine
-
-	// lastBeat is the wall stamp (UnixNano) of the last frame seen from the
-	// child — heartbeat bookkeeping; death detection itself is the broken
-	// connection.
-	lastBeat atomic.Int64
 }
 
 // Cluster is a process-per-node machine: N child processes dialed into the
@@ -89,8 +84,8 @@ type child struct {
 //
 // The super-root's counters are charged by the router: messages count the
 // protocol frames (spawn, result, node-down) it carried, in real frame wire
-// sizes — program broadcasts and supervision traffic (hello, heartbeat,
-// stats, shutdown) are not interconnect load, matching the resident-code
+// sizes — program broadcasts and supervision traffic (hello, stats,
+// shutdown) are not interconnect load, matching the resident-code
 // model of the other backends — and reissues are attributed from FlagReissue
 // frames, so the attribution survives a later SIGKILL of the reissuing node.
 // Drained counts frames black-holed at dead nodes plus the child-local drains
@@ -203,7 +198,6 @@ func (c *Cluster) startChildren() error {
 		byID[id].conn = conn
 		byID[id].pid = pid
 		byID[id].alive.Store(true)
-		byID[id].lastBeat.Store(time.Now().UnixNano())
 	}
 	c.children = byID
 	return nil
@@ -292,14 +286,11 @@ func (c *Cluster) route(ch *child) {
 			}
 			return
 		}
-		ch.lastBeat.Store(time.Now().UnixNano())
 		switch f.Type {
-		case proto.FrameHeartbeat:
-			// lastBeat above is the whole point.
 		case proto.FrameStats:
-			if drained, _, err := parseStats(f.Payload); err == nil {
-				// Reissues are already counted from FlagReissue frames;
-				// only the child-local drain count is news.
+			// Reissues are counted from FlagReissue frames as they pass;
+			// only the child-local drain count is news at shutdown.
+			if drained, err := parseStats(f.Payload); err == nil {
 				c.root.CountDrained(drained)
 			}
 		case proto.FrameResult:

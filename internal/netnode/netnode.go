@@ -15,7 +15,7 @@
 // with a hello frame, and then speak
 // the protocol: task packets travel as spawn frames, results as result
 // frames, death announcements as node-down gossip from the supervisor, plus
-// heartbeats and a final stats report on graceful shutdown. Fault injection
+// a final stats report on graceful shutdown. Fault injection
 // SIGKILLs the child's PID — the supervisor learns of the death the way a
 // real cluster does, by the connection breaking — and reports it to the
 // super-root like any crash.
@@ -112,8 +112,8 @@ func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 //	spawn:     uint16 program index, then proto.EncodePacket bytes
 //	result:    proto.EncodeResult bytes
 //	node-down: uint32 dead node id
-//	stats:     uint64 drained, uint64 reissues (child-local counters)
-//	heartbeat, shutdown: empty
+//	stats:     uint64 drained (the child-local counter)
+//	shutdown:  empty
 
 func helloPayload(id, pid int) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, uint32(id))
@@ -168,14 +168,13 @@ func parseNodeDown(p []byte) (int, error) {
 	return int(binary.BigEndian.Uint32(p)), nil
 }
 
-func statsPayload(drained, reissues int64) []byte {
-	buf := binary.BigEndian.AppendUint64(nil, uint64(drained))
-	return binary.BigEndian.AppendUint64(buf, uint64(reissues))
+func statsPayload(drained int64) []byte {
+	return binary.BigEndian.AppendUint64(nil, uint64(drained))
 }
 
-func parseStats(p []byte) (drained, reissues int64, err error) {
-	if len(p) != 16 {
-		return 0, 0, fmt.Errorf("netnode: stats payload %d bytes", len(p))
+func parseStats(p []byte) (drained int64, err error) {
+	if len(p) != 8 {
+		return 0, fmt.Errorf("netnode: stats payload %d bytes", len(p))
 	}
-	return int64(binary.BigEndian.Uint64(p)), int64(binary.BigEndian.Uint64(p[8:])), nil
+	return int64(binary.BigEndian.Uint64(p)), nil
 }

@@ -174,8 +174,6 @@ func TestRejectedKnobs(t *testing.T) {
 		{core.Config{HeartbeatEvery: 100}, nil, "HeartbeatEvery"},
 		{core.Config{HeartbeatEvery: -1}, nil, "HeartbeatEvery"},
 		{core.Config{StateProbeEvery: 64}, nil, "StateProbeEvery"},
-		{core.Config{RecoveryBudget: 2}, nil, "budget"},
-		{core.Config{RecoveryPeriod: 4}, nil, "budget"},
 		{core.Config{Eval: "jit"}, nil, "evaluator"},
 		{core.Config{Admission: "lifo"}, nil, "unknown admission policy"},
 		{core.Config{Admission: "drop"}, nil, "unknown admission policy"},

@@ -3,6 +3,7 @@ package node
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/proto"
@@ -28,6 +29,8 @@ type wire struct {
 	from proto.ProcID
 	c    *Counters
 	log  []sent
+	// loads counts program broadcasts.
+	loads int
 }
 
 func (w *wire) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
@@ -45,7 +48,10 @@ func (w *wire) NodeDown(to, dead proto.ProcID) {
 	w.log = append(w.log, sent{to: to, dead: dead})
 }
 
-func (w *wire) LoadProgram(int, *lang.Program) error { return nil }
+func (w *wire) LoadProgram(int, *lang.Program) error {
+	w.loads++
+	return nil
+}
 
 // take returns the sends logged so far and clears the log.
 func (w *wire) take() []sent {
@@ -340,6 +346,26 @@ func TestRootWithoutRecoveryStaysSilent(t *testing.T) {
 	}
 	if s := w.take(); len(s) != 1 || s[0].to != 2 {
 		t.Fatalf("root placed by %+v, want processor 2", s)
+	}
+}
+
+// TestRootLoadsEachSpecOnce: a stream that names its workloads by spec makes
+// each distinct program resident once — on net that is one source broadcast,
+// parse and compile per node — not once per request.
+func TestRootLoadsEachSpecOnce(t *testing.T) {
+	w, r := newWire(t, proto.HostID, Spec{Procs: 4})
+	specs := []string{"fib:5", "tree:2,2"}
+	for i := 0; i < 8; i++ {
+		wl, err := core.StandardWorkload(specs[i%len(specs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Submit(wl.Program, wl.Fn, wl.Args); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.loads != len(specs) {
+		t.Fatalf("8 requests of %d specs loaded %d programs", len(specs), w.loads)
 	}
 }
 

@@ -105,8 +105,6 @@ func prepare(backend string, cfg core.Config) (params, error) {
 		return p, err
 	}
 	switch {
-	case cfg.RecoveryBudget != 0 || cfg.RecoveryPeriod != 0:
-		return reject("recovery budget/period pace the incremental scheme, which only the simulator implements")
 	case len(cfg.Replication) > 0:
 		return reject("§5.3 task replication is only implemented on the simulator")
 	case cfg.DisableCheckpoints:

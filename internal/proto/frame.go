@@ -50,7 +50,9 @@ const (
 	// FrameNodeDown announces a dead node to a survivor (§4.2's
 	// error-detection message, as gossip from the supervisor).
 	FrameNodeDown
-	// FrameHeartbeat is the child's periodic liveness probe to the supervisor.
+	// FrameHeartbeat is a liveness probe. No backend sends one: the net
+	// backend's failure detector is the broken connection. The type keeps
+	// its number (and the codec its smallest frame).
 	FrameHeartbeat
 	// FrameStats is the child's final counter report during graceful shutdown.
 	FrameStats

@@ -8,6 +8,7 @@
 package proto
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/expr"
@@ -47,6 +48,15 @@ type Rep uint64
 type TaskKey struct {
 	Stamp stamp.Stamp
 	Rep   Rep
+}
+
+// Compare orders keys by stamp preorder, then replica: the deterministic
+// iteration order of every per-processor table.
+func (k TaskKey) Compare(o TaskKey) int {
+	if c := k.Stamp.Compare(o.Stamp); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Rep, o.Rep)
 }
 
 func (k TaskKey) String() string {

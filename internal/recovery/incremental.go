@@ -8,9 +8,9 @@
 //
 // Mechanically each processor keeps a per-recovery work queue of the
 // checkpoints it had settled on failed processors. The queue drains under a
-// reissue budget: Budget checkpoints per drain tick, drains Period virtual
-// ticks apart, the first drain running at detection time so the critical
-// path never waits a full period. At every drain each queued entry is
+// reissue budget: incrementalBudget checkpoints per drain tick, drains
+// incrementalPeriod virtual ticks apart, the first drain running at
+// detection time so the critical path never waits a full period. At every drain each queued entry is
 // re-ranked against the *live* hole state — the demand tracker is the
 // existing hole/abort protocol: results filling holes (MsgResult→fillHole)
 // and scoped aborts retire or reprioritise entries between drains, so the
@@ -50,49 +50,32 @@ import (
 	"sort"
 
 	"repro/internal/proto"
-	"repro/internal/stamp"
 	"repro/internal/trace"
 )
 
-// Defaults for the pacing knobs: one reissue per drain, drains eight virtual
-// ticks apart. With typical checkpoint counts per processor in the single
-// digits this spreads a recovery over a few tens of ticks — long enough to
-// interleave with stream work, short enough to beat ack/result timeouts by
-// orders of magnitude.
+// The pacing: one reissue per drain (moot entries are discarded without
+// consuming it), drains eight virtual ticks apart once a queue is non-empty.
+// With typical checkpoint counts per processor in the single digits this
+// spreads a recovery over a few tens of ticks — long enough to interleave
+// with stream work, short enough to beat ack/result timeouts by orders of
+// magnitude.
 const (
-	DefaultIncrementalBudget = 1
-	DefaultIncrementalPeriod = 8
+	incrementalBudget = 1
+	incrementalPeriod = 8
 )
 
 // IncrementalScheme is the online incremental recovery scheme.
-type IncrementalScheme struct {
-	// Budget is the maximum number of checkpoints reissued per drain tick
-	// (<=0 means DefaultIncrementalBudget). Moot entries are discarded
-	// without consuming budget.
-	Budget int
-	// Period is the number of virtual ticks between drain ticks once a
-	// queue is non-empty (<=0 means DefaultIncrementalPeriod). The first
-	// drain always runs at detection time.
-	Period int64
-}
+type IncrementalScheme struct{}
 
-// Incremental returns the online incremental recovery scheme with the
-// default pacing.
-func Incremental() Scheme { return &IncrementalScheme{} }
+// Incremental returns the online incremental recovery scheme.
+func Incremental() Scheme { return IncrementalScheme{} }
 
 // Name implements Scheme.
-func (*IncrementalScheme) Name() string { return "incremental" }
+func (IncrementalScheme) Name() string { return "incremental" }
 
 // New implements Scheme.
-func (s *IncrementalScheme) New(ops Ops) Policy {
-	budget, period := s.Budget, s.Period
-	if budget <= 0 {
-		budget = DefaultIncrementalBudget
-	}
-	if period <= 0 {
-		period = DefaultIncrementalPeriod
-	}
-	p := &incrementalPolicy{ops: ops, budget: budget, period: period}
+func (IncrementalScheme) New(ops Ops) Policy {
+	p := &incrementalPolicy{rollbackPolicy: rollbackPolicy{ops: ops, eager: true}}
 	p.drainFn = p.drain
 	return p
 }
@@ -105,10 +88,11 @@ type incrWork struct {
 	failed proto.ProcID
 }
 
+// incrementalPolicy is rollback with the detection-time burst replaced by a
+// paced queue: orphan results and the reissue, suppress and scoped-abort
+// steps are rollback's own.
 type incrementalPolicy struct {
-	ops    Ops
-	budget int
-	period int64
+	rollbackPolicy
 
 	// pending is the per-recovery work queue; entries from overlapping
 	// failures merge into one queue so the budget bounds total repair
@@ -128,10 +112,7 @@ type incrementalPolicy struct {
 func (p *incrementalPolicy) OnFailureDetected(failed proto.ProcID) {
 	st := p.ops.Store()
 	top, shadowed := st.TopmostFor(failed)
-	for _, e := range shadowed {
-		p.ops.Metrics().Suppressed++
-		p.ops.Log(trace.KSuppress, e.Packet.Key, fmt.Sprintf("shadowed on %d", failed))
-	}
+	p.suppress(shadowed, failed)
 	for _, e := range top {
 		p.ops.Log(trace.KDemandQueue, e.Packet.Key, fmt.Sprintf("queued: lost on %d", failed))
 		p.pending = append(p.pending, incrWork{key: e.Packet.Key, failed: failed})
@@ -166,9 +147,9 @@ func (p *incrementalPolicy) classify(w incrWork) (int, *proto.TaskPacket) {
 }
 
 // drain runs one paced repair tick: re-rank every queued entry against live
-// demand, discard moot entries, reissue the Budget most-demanded ones (with
-// rollback's scoped dependent abort), and re-arm the timer while work
-// remains.
+// demand, discard moot entries, reissue the incrementalBudget most-demanded
+// ones (with rollback's scoped dependent abort), and re-arm the timer while
+// work remains.
 func (p *incrementalPolicy) drain() {
 	type rankedWork struct {
 		w   incrWork
@@ -188,33 +169,17 @@ func (p *incrementalPolicy) drain() {
 		if a.pri != b.pri {
 			return a.pri < b.pri
 		}
-		if c := a.w.key.Stamp.Compare(b.w.key.Stamp); c != 0 {
-			return c < 0
-		}
-		return a.w.key.Rep < b.w.key.Rep
+		return a.w.key.Compare(b.w.key) < 0
 	})
-	n := p.budget
-	if n > len(live) {
-		n = len(live)
-	}
+	n := min(incrementalBudget, len(live))
 	for _, r := range live[:n] {
-		pkt := r.pkt.Clone()
-		pkt.Reissue = true
-		pkt.Twin = false
 		p.ops.Metrics().PacedReissues++
-		p.ops.Log(trace.KReissue, pkt.Key,
-			fmt.Sprintf("lost on %d (paced, demand %s)", r.w.failed, demandName(r.pri)))
-		p.ops.Respawn(pkt)
+		p.reissue(r.pkt, fmt.Sprintf("lost on %d (paced, demand %s)", r.w.failed, demandName(r.pri)))
 		// The scoped abort rollback performs at detection time happens here
 		// instead, per reissue point at its drain tick: dependents of the
 		// reissue are regenerated by it, so their partial results are
 		// abandoned (§3.2), just later.
-		ts := r.w.key.Stamp
-		for _, key := range p.ops.ResidentTaskKeys() {
-			if ts.IsAncestorOf(key.Stamp) {
-				p.ops.Abort(key, ts, fmt.Sprintf("dependent of reissued %v", ts))
-			}
-		}
+		p.abortDependents(r.w.key.Stamp)
 	}
 	p.pending = p.pending[:0]
 	for _, r := range live[n:] {
@@ -224,7 +189,7 @@ func (p *incrementalPolicy) drain() {
 		p.draining = false
 		return
 	}
-	p.ops.Defer(p.period, p.drainFn)
+	p.ops.Defer(incrementalPeriod, p.drainFn)
 }
 
 func demandName(pri int) string {
@@ -232,22 +197,4 @@ func demandName(pri int) string {
 		return "hot"
 	}
 	return "warm"
-}
-
-// OnResultUndeliverable follows rollback §3.2: the orphan's subtree is
-// regenerated by a (paced) reissue, so its partial result is discarded.
-func (p *incrementalPolicy) OnResultUndeliverable(res *proto.Result) {
-	p.ops.DropResult(res, false)
-	p.ops.Abort(res.Child, stamp.Root(), "orphan: parent processor failed")
-}
-
-// OnResultRejected handles the parent-task-unknown case the same way.
-func (p *incrementalPolicy) OnResultRejected(res *proto.Result) {
-	p.ops.DropResult(res, false)
-	p.ops.Abort(res.Child, stamp.Root(), "orphan: parent task gone")
-}
-
-// OnGrandResult: like rollback, incremental has no grandparent linkage.
-func (p *incrementalPolicy) OnGrandResult(res *proto.Result) {
-	p.ops.DropResult(res, false)
 }

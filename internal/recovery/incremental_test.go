@@ -9,7 +9,7 @@ import (
 
 func TestIncrementalDrainsHotBeforeWarm(t *testing.T) {
 	ops := newMockOps()
-	p := (&IncrementalScheme{Budget: 1, Period: 8}).New(ops)
+	p := Incremental().New(ops)
 
 	// Three topmost checkpoints lost on proc 3. The parents of warmA/warmB
 	// wait on several holes; hot's parent is blocked on that hole alone.
@@ -54,7 +54,7 @@ func TestIncrementalDrainsHotBeforeWarm(t *testing.T) {
 
 func TestIncrementalSuppressesShadowed(t *testing.T) {
 	ops := newMockOps()
-	p := (&IncrementalScheme{Budget: 4, Period: 8}).New(ops)
+	p := Incremental().New(ops)
 	top := ops.seed(stamp.FromPath(0, 1), stamp.FromPath(0), 1, 3, true)
 	ops.seed(stamp.FromPath(0, 1, 0, 0), stamp.FromPath(0, 1, 0), 0, 3, true)
 
@@ -70,7 +70,7 @@ func TestIncrementalSuppressesShadowed(t *testing.T) {
 
 func TestIncrementalDropsMootEntriesWithoutBudget(t *testing.T) {
 	ops := newMockOps()
-	p := (&IncrementalScheme{Budget: 1, Period: 5}).New(ops)
+	p := Incremental().New(ops)
 	gone := ops.seed(stamp.FromPath(0, 1), stamp.FromPath(0), 1, 3, true)
 	keep := ops.seed(stamp.FromPath(0, 2), stamp.FromPath(0), 2, 3, true)
 	ops.unfilled[gone.Parent.Task] = 1 // would be hot — but it dies first
@@ -92,7 +92,7 @@ func TestIncrementalDropsMootEntriesWithoutBudget(t *testing.T) {
 
 func TestIncrementalRevalidatesBetweenDrains(t *testing.T) {
 	ops := newMockOps()
-	p := (&IncrementalScheme{Budget: 1, Period: 5}).New(ops)
+	p := Incremental().New(ops)
 	first := ops.seed(stamp.FromPath(0, 1), stamp.FromPath(0), 1, 3, true)
 	second := ops.seed(stamp.FromPath(0, 2), stamp.FromPath(0), 2, 3, true)
 
@@ -115,7 +115,7 @@ func TestIncrementalRevalidatesBetweenDrains(t *testing.T) {
 
 func TestIncrementalAbortsDependentsAtReissueTime(t *testing.T) {
 	ops := newMockOps()
-	p := (&IncrementalScheme{Budget: 1, Period: 5}).New(ops)
+	p := Incremental().New(ops)
 	top := ops.seed(stamp.FromPath(0, 1), stamp.FromPath(0), 1, 3, true)
 	dep := proto.TaskKey{Stamp: stamp.FromPath(0, 1, 2)}
 	unrelated := proto.TaskKey{Stamp: stamp.FromPath(0, 7)}
@@ -130,7 +130,7 @@ func TestIncrementalAbortsDependentsAtReissueTime(t *testing.T) {
 
 func TestIncrementalMergesOverlappingFailures(t *testing.T) {
 	ops := newMockOps()
-	p := (&IncrementalScheme{Budget: 1, Period: 5}).New(ops)
+	p := Incremental().New(ops)
 	threeA := ops.seed(stamp.FromPath(0, 1), stamp.FromPath(0), 1, 3, true)
 	threeB := ops.seed(stamp.FromPath(0, 3), stamp.FromPath(0), 3, 3, true)
 	onFour := ops.seed(stamp.FromPath(0, 2), stamp.FromPath(0), 2, 4, true)

@@ -205,29 +205,41 @@ func (p *rollbackPolicy) OnFailureDetected(failed proto.ProcID) {
 		top = append(top, shadowed...)
 		shadowed = nil
 	}
+	p.suppress(shadowed, failed)
+	topStamps := make([]stamp.Stamp, 0, len(top))
+	for _, e := range top {
+		topStamps = append(topStamps, e.Packet.Key.Stamp)
+		p.reissue(e.Packet, fmt.Sprintf("lost on %d", failed))
+	}
+	if p.eager {
+		p.abortDependents(topStamps...)
+	}
+}
+
+// suppress accounts for the shadowed checkpoints a topmost reissue
+// regenerates anyway (the B5 case).
+func (p *rollbackPolicy) suppress(shadowed []*checkpoint.Entry, failed proto.ProcID) {
 	for _, e := range shadowed {
 		p.ops.Metrics().Suppressed++
 		p.ops.Log(trace.KSuppress, e.Packet.Key, fmt.Sprintf("shadowed on %d", failed))
 	}
-	topStamps := make([]stamp.Stamp, 0, len(top))
-	for _, e := range top {
-		topStamps = append(topStamps, e.Packet.Key.Stamp)
-	}
-	for _, e := range top {
-		pkt := e.Packet.Clone()
-		pkt.Reissue = true
-		pkt.Twin = false
-		p.ops.Log(trace.KReissue, pkt.Key, fmt.Sprintf("lost on %d", failed))
-		p.ops.Respawn(pkt)
-	}
-	if !p.eager {
-		return
-	}
-	// Abort resident tasks that are genealogical dependents of a reissue
-	// point: their whole subtree will be regenerated by the reissue, so
-	// their partial results are abandoned (§3's stated cost).
+}
+
+// reissue re-injects a copy of a retained packet, marked as a reissue.
+func (p *rollbackPolicy) reissue(retained *proto.TaskPacket, note string) {
+	pkt := retained.Clone()
+	pkt.Reissue = true
+	pkt.Twin = false
+	p.ops.Log(trace.KReissue, pkt.Key, note)
+	p.ops.Respawn(pkt)
+}
+
+// abortDependents aborts the resident tasks that are genealogical
+// dependents of a reissue point: their whole subtree will be regenerated by
+// the reissue, so their partial results are abandoned (§3's stated cost).
+func (p *rollbackPolicy) abortDependents(tops ...stamp.Stamp) {
 	for _, key := range p.ops.ResidentTaskKeys() {
-		for _, ts := range topStamps {
+		for _, ts := range tops {
 			if ts.IsAncestorOf(key.Stamp) {
 				p.ops.Abort(key, ts, fmt.Sprintf("dependent of reissued %v", ts))
 				break

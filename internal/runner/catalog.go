@@ -3,9 +3,9 @@
 // S1–S6, service/live artifacts L1–L5), a worker pool that fans
 // (experiment × seed) cells out across
 // goroutines, and a stats aggregator that folds per-seed tables into
-// mean/min/max summaries with effect-size classification. cmd/experiments,
-// the top-level benchmarks and the examples all resolve drivers here, so
-// there is exactly one statement of what each artifact runs. RenderDocument
+// mean/min/max summaries with effect-size classification. cmd/experiments
+// and the top-level benchmarks both resolve drivers here, so there is
+// exactly one statement of what each artifact runs. RenderDocument
 // turns a full run into the committed EXPERIMENTS.md (self-contained
 // markdown with a provenance header and contents table); CI regenerates
 // that file and fails on drift, so the docs cannot desynchronize from the

@@ -25,7 +25,7 @@ func Fig1Markdown() (string, error) {
 	b.WriteString("A holds B1; C holds B2, B3, B5; D holds B7. Failing B fragments the tree\n")
 	b.WriteString("into three pieces; recovery reissues only the topmost checkpoints and\n")
 	b.WriteString("suppresses B5 (\"Reactivation of B5 only increases the system overhead\").\n\n")
-	fmt.Fprintf(&b, "- fault: announced crash of processor B at t=%d\n", res.FaultTime)
+	fmt.Fprintf(&b, "- fault: announced crash of processor B at t=%d\n", res.FaultAt)
 	fmt.Fprintf(&b, "- completed with correct answer: %v (answer %s)\n", res.Completed, res.Answer)
 	fmt.Fprintf(&b, "- checkpoint holders: %s\n", holderString(res.CheckpointHolders))
 	fmt.Fprintf(&b, "- fragments: %v\n", res.Fragments)
@@ -48,11 +48,11 @@ func Fig23Markdown() (string, error) {
 	b.WriteString("**Paper claim (§4.1).** \"A twin task of B2, say B2', is created by the\n")
 	b.WriteString("parent C1 to inherit tasks D4 and A2\"; orphan results flow through the\n")
 	b.WriteString("grandparent relay to the step-parent.\n\n")
-	fmt.Fprintf(&b, "- fault: announced crash of processor B at t=%d\n", res.FaultTime)
+	fmt.Fprintf(&b, "- fault: announced crash of processor B at t=%d\n", res.FaultAt)
 	fmt.Fprintf(&b, "- completed with correct answer: %v (answer %s)\n", res.Completed, res.Answer)
 	fmt.Fprintf(&b, "- twins created: %s\n", holderString(res.Twinned))
 	fmt.Fprintf(&b, "- orphan results escalated: %d; relayed to twins: %d; inherited without respawn: %d; duplicates ignored: %d\n",
-		res.OrphanResults, res.Relayed, res.Prefills, res.Dups)
+		res.Metrics.OrphanResults, res.Metrics.Relayed, res.Metrics.Prefills, res.Metrics.DupResults)
 	b.WriteString("\n")
 	return b.String(), nil
 }
@@ -72,7 +72,7 @@ func Fig5Markdown() (string, error) {
 			return "", err
 		}
 		fmt.Fprintf(&b, "| %d | %s | %v | %d | %d | %d | %d |\n",
-			c, res.Desc, res.Completed, res.PlacesC, res.Prefills, res.Dups, res.Lates)
+			c, res.Desc, res.Completed, res.PlacesC, res.Metrics.Prefills, res.Metrics.DupResults, res.Metrics.LateResults)
 	}
 	b.WriteString("\n")
 	return b.String(), nil
@@ -117,7 +117,7 @@ func MultiFaultMarkdown() (string, error) {
 			return "", err
 		}
 		fmt.Fprintf(&b, "| %d | %v | %d | %d | %d |\n",
-			k, res.Completed, res.Stranded, res.Relayed, res.PlacesC)
+			k, res.Completed, res.Metrics.Stranded, res.Metrics.Relayed, res.PlacesC)
 	}
 	b.WriteString("\n")
 	b.WriteString("**Measured.** K=2 strands the orphan's result (both named ancestors are\n")

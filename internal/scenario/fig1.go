@@ -2,12 +2,12 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/faults"
-	"repro/internal/lang"
+	"repro/internal/machine"
 	"repro/internal/proto"
-	"repro/internal/stamp"
 	"repro/internal/trace"
 )
 
@@ -66,9 +66,8 @@ func Fig1Tree() (*Tree, error) {
 
 // Fig1Result captures everything the Figure 1 rollback scenario observed.
 type Fig1Result struct {
-	// Completed and correct answer despite the failure of B.
-	Completed bool
-	Answer    string
+	// Outcome: completed with the correct answer despite the failure of B.
+	Outcome
 	// CheckpointHolders maps each B-task to the processor that held its
 	// functional checkpoint when B failed (§2.2's distribution).
 	CheckpointHolders map[string]proto.ProcID
@@ -78,83 +77,59 @@ type Fig1Result struct {
 	Suppressed []string
 	// Fragments are the statically computed broken pieces.
 	Fragments [][]string
-	// FaultTime is the injected failure time.
-	FaultTime int64
-	// Metrics echoes the run counters.
-	Metrics trace.Metrics
 }
 
 // leafCostFig1 keeps leaves computing long enough that every task of the
 // figure is simultaneously resident when B fails.
 const leafCostFig1 = 3000
 
-// RunFig1Rollback executes the Figure 1 scenario under rollback recovery
-// (§3): build the tree, wait until the full tree is resident, fail B, and
-// observe the checkpoint distribution, the topmost reissues, and the B5
-// suppression.
-func RunFig1Rollback() (*Fig1Result, error) {
+// replayFig1 builds the Figure 1 tree, waits until the whole tree is placed
+// and fails processor B (announced) before the first leaf completes.
+func replayFig1(scheme string) (*Tree, Outcome, *machine.Report, error) {
 	tree, err := Fig1Tree()
 	if err != nil {
-		return nil, err
+		return nil, Outcome{}, nil, err
 	}
 	prog, err := tree.Program(leafCostFig1)
 	if err != nil {
-		return nil, err
+		return nil, Outcome{}, nil, err
 	}
-	names := tree.NameOf()
-
-	// Dry run: find when the whole tree is placed and when the first leaf
-	// completes; the fault goes between the two.
-	dryCfg, err := baseConfig(tree, 4, "rollback")
-	if err != nil {
-		return nil, err
-	}
-	dry, err := run(dryCfg, prog, "tA1", nil)
-	if err != nil {
-		return nil, err
-	}
-	lastPlace, firstComplete := int64(-1), int64(1<<62)
-	for _, e := range dry.Log.Events {
-		switch e.Kind {
-		case trace.KPlace:
-			if e.Time > lastPlace {
-				lastPlace = e.Time
+	out, rep, err := replay{
+		prog: prog, entry: "tA1", scheme: scheme,
+		config: func() machine.Config { return tree.config(4) },
+		window: func(dry *machine.Report) (int64, error) {
+			lastPlace, firstComplete := int64(-1), int64(1<<62)
+			for _, e := range dry.Log.Events {
+				switch e.Kind {
+				case trace.KPlace:
+					lastPlace = max(lastPlace, e.Time)
+				case trace.KComplete:
+					firstComplete = min(firstComplete, e.Time)
+				}
 			}
-		case trace.KComplete:
-			if e.Time < firstComplete {
-				firstComplete = e.Time
+			if lastPlace < 0 || lastPlace >= firstComplete {
+				return 0, fmt.Errorf("scenario: no fault window (lastPlace=%d firstComplete=%d)", lastPlace, firstComplete)
 			}
-		}
-	}
-	if lastPlace < 0 || lastPlace >= firstComplete {
-		return nil, fmt.Errorf("scenario: no fault window (lastPlace=%d firstComplete=%d)", lastPlace, firstComplete)
-	}
-	faultAt := (lastPlace + firstComplete) / 2
+			return (lastPlace + firstComplete) / 2, nil
+		},
+		plan: func(at int64) *faults.Plan { return faults.Crash(ProcB, at, true) },
+	}.run()
+	return tree, out, rep, err
+}
 
-	// Real run: announced crash of processor B.
-	cfg, err := baseConfig(tree, 4, "rollback")
+// RunFig1Rollback executes the Figure 1 scenario under rollback recovery
+// (§3) and observes the checkpoint distribution, the topmost reissues, and
+// the B5 suppression.
+func RunFig1Rollback() (*Fig1Result, error) {
+	tree, out, rep, err := replayFig1("rollback")
 	if err != nil {
 		return nil, err
 	}
-	rep, err := run(cfg, prog, "tA1", faults.Crash(ProcB, faultAt, true))
-	if err != nil {
-		return nil, err
-	}
-	want, err := lang.RefEval(prog, "tA1", nil)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &Fig1Result{
-		Completed:         rep.Completed && rep.Answer != nil && rep.Answer.Equal(want),
+		Outcome:           out,
 		CheckpointHolders: map[string]proto.ProcID{},
-		Reissued:          map[string]proto.ProcID{},
+		Reissued:          tree.named(rep.Log, trace.KReissue),
 		Fragments:         tree.Fragments(ProcB),
-		FaultTime:         faultAt,
-		Metrics:           rep.Metrics,
-	}
-	if rep.Answer != nil {
-		res.Answer = rep.Answer.String()
 	}
 	// Checkpoint holders at fault time: for each task pinned on B, the
 	// processor of its parent (who retains the packet).
@@ -163,39 +138,18 @@ func RunFig1Rollback() (*Fig1Result, error) {
 			res.CheckpointHolders[name] = tree.Nodes[n.Parent].Proc
 		}
 	}
-	for _, e := range rep.Log.Events {
-		switch e.Kind {
-		case trace.KReissue:
-			if s, err2 := stamp.Parse(e.Task); err2 == nil {
-				if name, ok := names[s]; ok {
-					res.Reissued[name] = proto.ProcID(e.Proc)
-				}
-			}
-		case trace.KSuppress:
-			if s, err2 := stamp.Parse(e.Task); err2 == nil {
-				if name, ok := names[s]; ok {
-					res.Suppressed = append(res.Suppressed, name)
-				}
-			}
-		}
-	}
-	sort.Strings(res.Suppressed)
+	res.Suppressed = slices.Sorted(maps.Keys(tree.named(rep.Log, trace.KSuppress)))
 	return res, nil
 }
 
-// Fig23Result captures the splice walk-through of Figures 2–3.
+// Fig23Result captures the splice walk-through of Figures 2–3; the orphan
+// results escalated to ancestors, relayed to twins, inherited without
+// respawning and ignored as duplicates are in Metrics.
 type Fig23Result struct {
-	Completed bool
-	Answer    string
+	Outcome
 	// Twinned maps twinned task names to the processor that created the
 	// step-parent (the parent task's processor).
 	Twinned map[string]proto.ProcID
-	// OrphanResults counts orphan results escalated to ancestors, Relayed
-	// the ones forwarded to twins, Prefills the inherited answers consumed
-	// without respawning, Dups the duplicate answers ignored.
-	OrphanResults, Relayed, Prefills, Dups int64
-	FaultTime                              int64
-	Metrics                                trace.Metrics
 }
 
 // RunFig23Splice executes Figures 2–3: the same tree and fault under splice
@@ -203,75 +157,9 @@ type Fig23Result struct {
 // (D4, A2) must be relayed through their grandparent pointers and spliced
 // into the recovered structure.
 func RunFig23Splice() (*Fig23Result, error) {
-	tree, err := Fig1Tree()
+	tree, out, rep, err := replayFig1("splice")
 	if err != nil {
 		return nil, err
 	}
-	prog, err := tree.Program(leafCostFig1)
-	if err != nil {
-		return nil, err
-	}
-	names := tree.NameOf()
-
-	dryCfg, err := baseConfig(tree, 4, "splice")
-	if err != nil {
-		return nil, err
-	}
-	dry, err := run(dryCfg, prog, "tA1", nil)
-	if err != nil {
-		return nil, err
-	}
-	lastPlace, firstComplete := int64(-1), int64(1<<62)
-	for _, e := range dry.Log.Events {
-		switch e.Kind {
-		case trace.KPlace:
-			if e.Time > lastPlace {
-				lastPlace = e.Time
-			}
-		case trace.KComplete:
-			if e.Time < firstComplete {
-				firstComplete = e.Time
-			}
-		}
-	}
-	if lastPlace < 0 || lastPlace >= firstComplete {
-		return nil, fmt.Errorf("scenario: no fault window")
-	}
-	faultAt := (lastPlace + firstComplete) / 2
-
-	cfg, err := baseConfig(tree, 4, "splice")
-	if err != nil {
-		return nil, err
-	}
-	rep, err := run(cfg, prog, "tA1", faults.Crash(ProcB, faultAt, true))
-	if err != nil {
-		return nil, err
-	}
-	want, err := lang.RefEval(prog, "tA1", nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &Fig23Result{
-		Completed:     rep.Completed && rep.Answer != nil && rep.Answer.Equal(want),
-		Twinned:       map[string]proto.ProcID{},
-		OrphanResults: rep.Metrics.OrphanResults,
-		Relayed:       rep.Metrics.Relayed,
-		Prefills:      rep.Metrics.Prefills,
-		Dups:          rep.Metrics.DupResults,
-		FaultTime:     faultAt,
-		Metrics:       rep.Metrics,
-	}
-	if rep.Answer != nil {
-		res.Answer = rep.Answer.String()
-	}
-	for _, e := range rep.Log.Events {
-		if e.Kind == trace.KTwin {
-			if s, err2 := stamp.Parse(e.Task); err2 == nil {
-				if name, ok := names[s]; ok {
-					res.Twinned[name] = proto.ProcID(e.Proc)
-				}
-			}
-		}
-	}
-	return res, nil
+	return &Fig23Result{Outcome: out, Twinned: tree.named(rep.Log, trace.KTwin)}, nil
 }

@@ -142,10 +142,10 @@ func TestRunFig23Splice(t *testing.T) {
 	}
 	// Orphan results (D4's and A2's, at least) must flow through the
 	// grandparent relay into the twins.
-	if res.OrphanResults == 0 {
+	if res.Metrics.OrphanResults == 0 {
 		t.Error("no orphan results escalated")
 	}
-	if res.Relayed == 0 {
+	if res.Metrics.Relayed == 0 {
 		t.Error("no orphan results relayed to twins")
 	}
 	// Splice must not perform rollback reissues or abort survivors.

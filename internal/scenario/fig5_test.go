@@ -28,11 +28,11 @@ func TestFig5Case1NeverInvoked(t *testing.T) {
 	if res.PlacesC != 1 {
 		t.Errorf("C placed %d times, want 1 (only the twin's C')", res.PlacesC)
 	}
-	if res.Twins != 1 {
-		t.Errorf("twins = %d, want 1", res.Twins)
+	if res.Metrics.Twins != 1 {
+		t.Errorf("twins = %d, want 1", res.Metrics.Twins)
 	}
-	if res.Prefills != 0 || res.Orphans != 0 {
-		t.Errorf("case 1 should see no inheritance: prefills=%d orphans=%d", res.Prefills, res.Orphans)
+	if res.Metrics.Prefills != 0 || res.Metrics.OrphanResults != 0 {
+		t.Errorf("case 1 should see no inheritance: prefills=%d orphans=%d", res.Metrics.Prefills, res.Metrics.OrphanResults)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestFig5Case3CompletedBeforeDeath(t *testing.T) {
 	if res.CompletesC != 2 {
 		t.Errorf("C completed %d times, want 2", res.CompletesC)
 	}
-	if res.Prefills != 0 {
-		t.Errorf("case 3 cannot inherit (result was lost): prefills=%d", res.Prefills)
+	if res.Metrics.Prefills != 0 {
+		t.Errorf("case 3 cannot inherit (result was lost): prefills=%d", res.Metrics.Prefills)
 	}
 }
 
@@ -81,14 +81,14 @@ func TestFig5Case4LazyTwinInheritance(t *testing.T) {
 	if res.PlacesC != 1 {
 		t.Errorf("C placed %d times, want 1 (C' never spawned)", res.PlacesC)
 	}
-	if res.Prefills != 1 {
-		t.Errorf("prefills = %d, want 1", res.Prefills)
+	if res.Metrics.Prefills != 1 {
+		t.Errorf("prefills = %d, want 1", res.Metrics.Prefills)
 	}
-	if res.Orphans != 1 {
-		t.Errorf("orphan results = %d, want 1", res.Orphans)
+	if res.Metrics.OrphanResults != 1 {
+		t.Errorf("orphan results = %d, want 1", res.Metrics.OrphanResults)
 	}
-	if res.Twins != 1 {
-		t.Errorf("twins = %d, want 1", res.Twins)
+	if res.Metrics.Twins != 1 {
+		t.Errorf("twins = %d, want 1", res.Metrics.Twins)
 	}
 }
 
@@ -100,11 +100,11 @@ func TestFig5Case5EagerTwinInheritance(t *testing.T) {
 	if res.PlacesC != 1 {
 		t.Errorf("C placed %d times, want 1", res.PlacesC)
 	}
-	if res.Prefills != 1 {
-		t.Errorf("prefills = %d, want 1", res.Prefills)
+	if res.Metrics.Prefills != 1 {
+		t.Errorf("prefills = %d, want 1", res.Metrics.Prefills)
 	}
-	if res.Twins != 1 {
-		t.Errorf("twins = %d, want 1", res.Twins)
+	if res.Metrics.Twins != 1 {
+		t.Errorf("twins = %d, want 1", res.Metrics.Twins)
 	}
 }
 
@@ -118,11 +118,11 @@ func TestFig5Case6DuplicateIgnored(t *testing.T) {
 	if res.PlacesC != 2 {
 		t.Errorf("C placed %d times, want 2", res.PlacesC)
 	}
-	if res.Dups == 0 {
+	if res.Metrics.DupResults == 0 {
 		t.Error("no duplicate result was ignored")
 	}
-	if res.Prefills != 0 {
-		t.Errorf("prefills = %d, want 0 (C' was spawned)", res.Prefills)
+	if res.Metrics.Prefills != 0 {
+		t.Errorf("prefills = %d, want 0 (C' was spawned)", res.Metrics.Prefills)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestFig5Case7LateInvocationWinsRace(t *testing.T) {
 	// The twin's C' (on the spare processor) finishes before the original
 	// (stuck behind the filler): late invocation yields a result faster,
 	// and the original's later duplicate is ignored.
-	if res.Dups == 0 {
+	if res.Metrics.DupResults == 0 {
 		t.Error("the original's late result was not duplicate-ignored")
 	}
 }
@@ -152,7 +152,7 @@ func TestFig5Case8LateResultDiscarded(t *testing.T) {
 	}
 	// "The processor which contained P' may no longer recognize the arrived
 	// answer. The result is discarded."
-	if res.Lates == 0 {
+	if res.Metrics.LateResults == 0 {
 		t.Error("no late result was discarded")
 	}
 	if res.PlacesC != 2 {

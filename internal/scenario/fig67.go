@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -12,32 +11,17 @@ import (
 // §4.3.2's residue-freedom criterion: "A residue-free fault tolerant
 // measure must assure that tasks G and C are not affected by the failure of
 // P from state a through state g" — operationally, the program always
-// finishes with the correct answer.
+// finishes with the correct answer. Orphan suicides (state d: "C commits
+// suicide") are Metrics.TasksAborted.
 type Fig67Result struct {
-	State     byte   // 'a'..'g'
-	Scheme    string // rollback or splice
-	Desc      string
-	Completed bool
-	Answer    string
+	State  byte   // 'a'..'g'
+	Scheme string // rollback or splice
+	Desc   string
+	Outcome
 	// PlacesP / PlacesC count placements of P's and C's stamps.
 	PlacesP, PlacesC int
 	// Recovered counts reissues (rollback) or twins (splice).
 	Recovered int64
-	// Aborted counts orphan suicides (§4.3.2 state d: "C commits suicide").
-	Aborted int64
-	FaultAt int64
-	Metrics trace.Metrics
-}
-
-// fig67Descs names the states per Figure 6.
-var fig67Descs = map[byte]string{
-	'a': "before P is spawned",
-	'b': "P's packet in flight, unacknowledged",
-	'c': "P settled and acknowledged, not yet running",
-	'd': "P running, C's packet in flight",
-	'e': "P running, C settled and computing",
-	'f': "C returned its result into P; P computing its tail",
-	'g': "P completed; its result already delivered to G",
 }
 
 // fig67Spec is the common micro-tree for the state scenarios: G has a
@@ -56,72 +40,44 @@ func fig67Spec(state byte) gpcSpec {
 	return sp
 }
 
+// fig67States names the states per Figure 6 and says where in the
+// fault-free timeline each one is.
+var fig67States = [7]struct {
+	desc   string
+	window func(t *gpcTimes) int64
+}{
+	// During G's pre-pass, before P's packet exists.
+	{"before P is spawned", func(t *gpcTimes) int64 { return max(t.spawnP/2, 1) }},
+	// Between P's spawn (packet sent) and its placement.
+	{"P's packet in flight, unacknowledged", func(t *gpcTimes) int64 { return t.spawnP + 1 }},
+	// P is placed but queued behind the filler.
+	{"P settled and acknowledged, not yet running", func(t *gpcTimes) int64 { return t.placeP + 20 }},
+	// Between C's spawn and C's placement.
+	{"P running, C's packet in flight", func(t *gpcTimes) int64 { return t.spawnC + 1 }},
+	// While C computes remotely and P waits.
+	{"P running, C settled and computing", whileCRuns},
+	// After C's result returned into P, during P's tail pass.
+	{"C returned its result into P; P computing its tail", inPsSecondPass},
+	// After P's result reached G.
+	{"P completed; its result already delivered to G", func(t *gpcTimes) int64 { return t.fillG + 10 }},
+}
+
 // RunFig67State fails P's processor at state ('a'..'g') under the given
 // scheme ("rollback" or "splice") and reports the outcome.
 func RunFig67State(state byte, scheme string) (*Fig67Result, error) {
-	desc, ok := fig67Descs[state]
-	if !ok {
+	if state < 'a' || state > 'g' {
 		return nil, fmt.Errorf("scenario: Figure 6 has states a..g, not %q", state)
 	}
-	sp := fig67Spec(state)
-	t, err := sp.dryTimes(scheme)
-	if err != nil {
-		return nil, err
-	}
-	var faultAt int64
-	switch state {
-	case 'a':
-		// During G's pre-pass, before P's packet exists.
-		faultAt = t.spawnP / 2
-		if faultAt < 1 {
-			faultAt = 1
-		}
-	case 'b':
-		// Between P's spawn (packet sent) and its placement.
-		faultAt = t.spawnP + 1
-	case 'c':
-		// P is placed but queued behind the filler.
-		faultAt = t.placeP + 20
-	case 'd':
-		// Between C's spawn and C's placement.
-		faultAt = t.spawnC + 1
-	case 'e':
-		// While C computes remotely and P waits.
-		faultAt = (t.startC + t.completeC) / 2
-	case 'f':
-		// After C's result returned into P, during P's tail pass.
-		faultAt = (t.startP2 + t.completeP) / 2
-	case 'g':
-		// After P's result reached G.
-		faultAt = t.fillG + 10
-	}
-	rep, err := sp.runWithFault(scheme, true, 0, gpcProcP, faultAt, true)
-	if err != nil {
-		return nil, err
-	}
-	return sp.finish67(state, scheme, desc, rep, faultAt)
-}
-
-func (sp gpcSpec) finish67(state byte, scheme, desc string, rep *machine.Report, faultAt int64) (*Fig67Result, error) {
-	want, err := sp.expect()
+	st, sp := fig67States[state-'a'], fig67Spec(state)
+	out, rep, err := sp.replay(scheme, gpcFault{window: st.window})
 	if err != nil {
 		return nil, err
 	}
 	_, pS, cS, _ := sp.gpcStamps()
-	res := &Fig67Result{
-		State:     state,
-		Scheme:    scheme,
-		Desc:      desc,
-		Completed: rep.Completed && rep.Answer != nil && rep.Answer.Equal(want),
+	return &Fig67Result{
+		State: state, Scheme: scheme, Desc: st.desc, Outcome: out,
 		PlacesP:   countEvents(rep.Log, trace.KPlace, pS),
 		PlacesC:   countEvents(rep.Log, trace.KPlace, cS),
 		Recovered: rep.Metrics.Reissues + rep.Metrics.Twins,
-		Aborted:   rep.Metrics.TasksAborted,
-		FaultAt:   faultAt,
-		Metrics:   rep.Metrics,
-	}
-	if rep.Answer != nil {
-		res.Answer = rep.Answer.String()
-	}
-	return res, nil
+	}, nil
 }

@@ -87,7 +87,7 @@ func TestFig67StateDandE(t *testing.T) {
 		if rb.PlacesC != 2 {
 			t.Errorf("rollback state %c: C placed %d times, want 2 (orphan + recomputed)", state, rb.PlacesC)
 		}
-		if rb.Aborted == 0 {
+		if rb.Metrics.TasksAborted == 0 {
 			t.Errorf("rollback state %c: orphan C did not commit suicide", state)
 		}
 		sp, err := RunFig67State(state, "splice")
@@ -97,8 +97,8 @@ func TestFig67StateDandE(t *testing.T) {
 		if sp.Metrics.OrphanResults == 0 {
 			t.Errorf("splice state %c: orphan result was not escalated", state)
 		}
-		if sp.Aborted != 0 {
-			t.Errorf("splice state %c: %d tasks aborted, want 0 (salvage, not discard)", state, sp.Aborted)
+		if sp.Metrics.TasksAborted != 0 {
+			t.Errorf("splice state %c: %d tasks aborted, want 0 (salvage, not discard)", state, sp.Metrics.TasksAborted)
 		}
 	}
 }

@@ -1,16 +1,12 @@
 package scenario
 
 import (
-	"fmt"
-
 	"repro/internal/balance"
 	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/proto"
-	"repro/internal/recovery"
-	"repro/internal/sim"
 	"repro/internal/stamp"
 	"repro/internal/trace"
 )
@@ -99,49 +95,32 @@ func (sp gpcSpec) program() (*lang.Program, error) {
 	return lang.NewProgram(defs...)
 }
 
-// placement builds the placement policy for the spec.
+// placement scripts where each incarnation of G, P, C and the filler goes:
+// one processor each unless the spec redirects it.
 func (sp gpcSpec) placement() balance.Policy {
 	gS, pS, cS, fS := sp.gpcStamps()
-	if sp.cSeq != nil || sp.pSeq != nil {
-		seq := map[string][]proto.ProcID{
-			gS.Key(): {gpcProcG},
-			pS.Key(): {gpcProcP},
-			cS.Key(): {gpcProcC},
-			fS.Key(): {gpcProcFiller},
-		}
-		if sp.cOnP {
-			seq[cS.Key()] = []proto.ProcID{gpcProcP}
-		}
-		if sp.fillerOnC {
-			seq[fS.Key()] = []proto.ProcID{gpcProcC}
-		}
-		if sp.fillerOnP {
-			seq[fS.Key()] = []proto.ProcID{gpcProcP}
-		}
-		if sp.pSeq != nil {
-			seq[pS.Key()] = sp.pSeq
-		}
-		if sp.cSeq != nil {
-			seq[cS.Key()] = sp.cSeq
-		}
-		return newScripted(seq, balance.NewRandom())
-	}
-	pin := map[string]proto.ProcID{
-		gS.Key(): gpcProcG,
-		pS.Key(): gpcProcP,
-		cS.Key(): gpcProcC,
-		fS.Key(): gpcProcFiller,
+	seq := map[string][]proto.ProcID{
+		gS.Key(): {gpcProcG},
+		pS.Key(): {gpcProcP},
+		cS.Key(): {gpcProcC},
+		fS.Key(): {gpcProcFiller},
 	}
 	if sp.cOnP {
-		pin[cS.Key()] = gpcProcP
+		seq[cS.Key()] = []proto.ProcID{gpcProcP}
 	}
 	if sp.fillerOnC {
-		pin[fS.Key()] = gpcProcC
+		seq[fS.Key()] = []proto.ProcID{gpcProcC}
 	}
 	if sp.fillerOnP {
-		pin[fS.Key()] = gpcProcP
+		seq[fS.Key()] = []proto.ProcID{gpcProcP}
 	}
-	return balance.NewPinned(pin, balance.NewRandom())
+	if sp.pSeq != nil {
+		seq[pS.Key()] = sp.pSeq
+	}
+	if sp.cSeq != nil {
+		seq[cS.Key()] = sp.cSeq
+	}
+	return newScripted(seq, balance.NewRandom())
 }
 
 // scripted is a placement policy that consumes a per-stamp sequence of
@@ -181,106 +160,56 @@ func (s *scripted) Step(v balance.View, hops int) proto.ProcID {
 	return s.fallback.Step(v, hops)
 }
 
-// gpcConfig assembles a machine config for the spec.
-func (sp gpcSpec) config(scheme string, heartbeats bool, resultRetries int) (machine.Config, error) {
-	sch, err := recovery.ByName(scheme)
-	if err != nil {
-		return machine.Config{}, err
-	}
-	cfg := machine.Config{
-		Topo:      completeTopo(gpcProcs),
-		Placement: sp.placement(),
-		Scheme:    sch,
-		Seed:      1,
-		Trace:     trace.NewLog(0),
-	}
-	if !heartbeats {
-		cfg.HeartbeatEvery = -1
-	}
-	if resultRetries > 0 {
-		cfg.ResultRetryLimit = resultRetries
-	}
-	return cfg, nil
-}
-
-// gpcTimes extracts the reference timeline from a dry (fault-free) run.
+// gpcTimes is the reference timeline of a dry (fault-free) run.
 type gpcTimes struct {
-	spawnP, placeP, startP    int64
-	spawnC, placeC, startC    int64
-	completeC, startP2        int64
-	completeP, fillG, doneAll int64
+	spawnP, placeP, startP int64
+	spawnC, placeC, startC int64
+	completeC, startP2     int64
+	completeP, fillG       int64
 }
 
-func (sp gpcSpec) dryTimes(scheme string) (*gpcTimes, error) {
-	cfg, err := sp.config(scheme, true, 0)
-	if err != nil {
-		return nil, err
+func (sp gpcSpec) times(dry *machine.Report) *gpcTimes {
+	gS, pS, cS, _ := sp.gpcStamps()
+	return &gpcTimes{
+		spawnP:    eventTime(dry.Log, trace.KSpawn, pS, 1),
+		placeP:    eventTime(dry.Log, trace.KPlace, pS, 1),
+		startP:    eventTime(dry.Log, trace.KStart, pS, 1),
+		spawnC:    eventTime(dry.Log, trace.KSpawn, cS, 1),
+		placeC:    eventTime(dry.Log, trace.KPlace, cS, 1),
+		startC:    eventTime(dry.Log, trace.KStart, cS, 1),
+		completeC: eventTime(dry.Log, trace.KComplete, cS, 1),
+		startP2:   eventTime(dry.Log, trace.KStart, pS, 2),
+		completeP: eventTime(dry.Log, trace.KComplete, pS, 1),
+		fillG:     eventTime(dry.Log, trace.KResult, gS, 1),
 	}
+}
+
+// gpcFault is one way of failing P's processor: when, read off the
+// fault-free timeline, and how the failure is discovered.
+type gpcFault struct {
+	window func(t *gpcTimes) int64
+	// silent turns heartbeats and the crash announcement off and allows one
+	// result retry, so only C's result timeout discovers the failure (the
+	// fault-free timeline is the same either way).
+	silent bool
+}
+
+// replay fails P's processor as f prescribes under the given scheme.
+func (sp gpcSpec) replay(scheme string, f gpcFault) (Outcome, *machine.Report, error) {
 	prog, err := sp.program()
 	if err != nil {
-		return nil, err
+		return Outcome{}, nil, err
 	}
-	rep, err := run(cfg, prog, "g", nil)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Completed {
-		return nil, fmt.Errorf("scenario: dry run did not complete")
-	}
-	_, pS, cS, _ := sp.gpcStamps()
-	gS := stamp.FromPath(0)
-	t := &gpcTimes{
-		spawnP:    eventTime(rep.Log, trace.KSpawn, pS),
-		placeP:    eventTime(rep.Log, trace.KPlace, pS),
-		startP:    nthEventTime(rep.Log, trace.KStart, pS, 1),
-		spawnC:    eventTime(rep.Log, trace.KSpawn, cS),
-		placeC:    eventTime(rep.Log, trace.KPlace, cS),
-		startC:    nthEventTime(rep.Log, trace.KStart, cS, 1),
-		completeC: eventTime(rep.Log, trace.KComplete, cS),
-		startP2:   nthEventTime(rep.Log, trace.KStart, pS, 2),
-		completeP: eventTime(rep.Log, trace.KComplete, pS),
-		fillG:     eventTime(rep.Log, trace.KResult, gS),
-		doneAll:   int64(rep.Makespan),
-	}
-	return t, nil
-}
-
-// nthEventTime returns the time of the n-th (1-based) event of the given
-// kind for the stamp, or -1.
-func nthEventTime(log *trace.Log, kind trace.Kind, s stamp.Stamp, n int) int64 {
-	label := s.String()
-	seen := 0
-	for _, e := range log.Events {
-		if e.Kind == kind && e.Task == label {
-			seen++
-			if seen == n {
-				return e.Time
+	return replay{
+		prog: prog, entry: "g", scheme: scheme,
+		config: func() machine.Config {
+			cfg := machine.Config{Topo: completeTopo(gpcProcs), Placement: sp.placement(), Deadline: 4_000_000}
+			if f.silent {
+				cfg.HeartbeatEvery, cfg.ResultRetryLimit = -1, 1
 			}
-		}
-	}
-	return -1
-}
-
-// gpcExpect computes the correct final answer for the spec.
-func (sp gpcSpec) expect() (expr.Value, error) {
-	prog, err := sp.program()
-	if err != nil {
-		return nil, err
-	}
-	return lang.RefEval(prog, "g", nil)
-}
-
-// runWithFault executes the spec with a crash of proc at time at.
-func (sp gpcSpec) runWithFault(scheme string, heartbeats bool, resultRetries int,
-	proc proto.ProcID, at int64, announced bool) (*machine.Report, error) {
-	cfg, err := sp.config(scheme, heartbeats, resultRetries)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := sp.program()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Deadline = sim.Time(4_000_000)
-	return run(cfg, prog, "g", faults.Crash(proc, at, announced))
+			return cfg
+		},
+		window: func(dry *machine.Report) (int64, error) { return f.window(sp.times(dry)), nil },
+		plan:   func(at int64) *faults.Plan { return faults.Crash(gpcProcP, at, !f.silent) },
+	}.run()
 }

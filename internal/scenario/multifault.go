@@ -4,27 +4,21 @@ import (
 	"errors"
 
 	"repro/internal/faults"
-	"repro/internal/lang"
+	"repro/internal/machine"
 	"repro/internal/proto"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // MultiFaultResult is the outcome of the §5.2 same-branch double failure:
 // the processors of a task's parent AND grandparent fail while the task
-// computes.
+// computes. Metrics.Stranded counts orphan results with no live ancestor to
+// escalate to, Metrics.Relayed the ones salvaged via an ancestor relay.
 type MultiFaultResult struct {
 	AncestorDepth int
-	Completed     bool
-	Answer        string
-	// Stranded counts orphan results with no live ancestor to escalate to.
-	Stranded int64
-	// Relayed counts orphan results salvaged via an ancestor relay.
-	Relayed int64
+	Outcome
 	// PlacesC counts placements of the bottom task's stamp (1 = the orphan
 	// result was inherited; 2 = the subtree was recomputed).
 	PlacesC int
-	Metrics trace.Metrics
 }
 
 // RunMultiFaultBranch realizes §5.2's hard case with ancestor-pointer depth
@@ -34,15 +28,13 @@ type MultiFaultResult struct {
 // to the great grandparent and beyond."
 //
 // The chain is G → M → P → C on four distinct processors (M is the
-// great-grandparent link target holder; G the root). P's and M's processors
-// fail at the same instant while C computes. With K=2 C's eventual result
-// can only name its dead parent and dead grandparent, so it strands and the
-// twins recompute the subtree; with K=3 the result escalates to G's
-// processor and is spliced in.
+// great-grandparent link target holder; G the root), where C is a slow leaf
+// and the others are pass-through sums. P's and M's processors fail at the
+// same instant while C computes. With K=2 C's eventual result can only name
+// its dead parent and dead grandparent, so it strands and the twins
+// recompute the subtree; with K=3 the result escalates to G's processor and
+// is spliced in.
 func RunMultiFaultBranch(ancestorDepth int) (*MultiFaultResult, error) {
-	// Reuse the G/P/C machinery with an extra middle layer by building a
-	// dedicated tree: G(proc0) → M(proc1) → P(proc2) → C(proc3), where C is
-	// a slow leaf and the others are pass-through sums.
 	tree, err := NewTree([][3]string{
 		{"G", "", ""},
 		{"M", "G", ""},
@@ -58,59 +50,37 @@ func RunMultiFaultBranch(ancestorDepth int) (*MultiFaultResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	stamps := tree.Stamps()
-
-	cfg, err := baseConfig(tree, 4, "splice")
+	stampC := tree.Stamps()["C"]
+	out, rep, err := replay{
+		prog: prog, entry: "tG", scheme: "splice",
+		config: func() machine.Config {
+			cfg := tree.config(4)
+			cfg.AncestorDepth = ancestorDepth
+			cfg.Deadline = 4_000_000
+			return cfg
+		},
+		// Fault while C's spin child is computing (C itself waits).
+		window: func(dry *machine.Report) (int64, error) {
+			start := eventTime(dry.Log, trace.KStart, stampC.Child(0), 1)
+			done := eventTime(dry.Log, trace.KComplete, stampC.Child(0), 1)
+			if start < 0 || done <= start {
+				return 0, errors.New("scenario: no fault window for multi-fault branch")
+			}
+			return (start + done) / 2, nil
+		},
+		// Simultaneous announced crashes of P's and M's processors.
+		plan: func(at int64) *faults.Plan {
+			return faults.None().
+				Add(faults.Fault{At: at, Proc: 1, Kind: faults.CrashAnnounced}).
+				Add(faults.Fault{At: at, Proc: 2, Kind: faults.CrashAnnounced})
+		},
+	}.run()
 	if err != nil {
 		return nil, err
 	}
-	cfg.AncestorDepth = ancestorDepth
-	cfg.Deadline = sim.Time(4_000_000)
-
-	// Dry run: fault while C's spin child is computing (C itself waits).
-	dry, err := run(cfg, prog, "tG", nil)
-	if err != nil {
-		return nil, err
-	}
-	spinStamp := stamps["C"].Child(0)
-	start := eventTime(dry.Log, trace.KStart, spinStamp)
-	done := eventTime(dry.Log, trace.KComplete, spinStamp)
-	if start < 0 || done <= start {
-		return nil, errNoWindow
-	}
-	faultAt := (start + done) / 2
-
-	// Simultaneous announced crashes of P's and M's processors.
-	plan := faults.None().
-		Add(faults.Fault{At: faultAt, Proc: 1, Kind: faults.CrashAnnounced}).
-		Add(faults.Fault{At: faultAt, Proc: 2, Kind: faults.CrashAnnounced})
-
-	cfg2, err := baseConfig(tree, 4, "splice")
-	if err != nil {
-		return nil, err
-	}
-	cfg2.AncestorDepth = ancestorDepth
-	cfg2.Deadline = sim.Time(4_000_000)
-	rep, err := run(cfg2, prog, "tG", plan)
-	if err != nil {
-		return nil, err
-	}
-	want, err := lang.RefEval(prog, "tG", nil)
-	if err != nil {
-		return nil, err
-	}
-	res := &MultiFaultResult{
+	return &MultiFaultResult{
 		AncestorDepth: ancestorDepth,
-		Completed:     rep.Completed && rep.Answer != nil && rep.Answer.Equal(want),
-		Stranded:      rep.Metrics.Stranded,
-		Relayed:       rep.Metrics.Relayed,
-		PlacesC:       countEvents(rep.Log, trace.KPlace, stamps["C"]),
-		Metrics:       rep.Metrics,
-	}
-	if rep.Answer != nil {
-		res.Answer = rep.Answer.String()
-	}
-	return res, nil
+		Outcome:       out,
+		PlacesC:       countEvents(rep.Log, trace.KPlace, stampC),
+	}, nil
 }
-
-var errNoWindow = errors.New("scenario: no fault window for multi-fault branch")

@@ -15,7 +15,7 @@ func TestMultiFaultBranchAncestorDepth(t *testing.T) {
 	if !k2.Completed {
 		t.Fatalf("K=2 did not complete:\n%s", k2.Metrics.String())
 	}
-	if k2.Stranded == 0 {
+	if k2.Metrics.Stranded == 0 {
 		t.Error("K=2: orphan result was not stranded despite both ancestors dying")
 	}
 	k3, err := RunMultiFaultBranch(3)
@@ -25,10 +25,10 @@ func TestMultiFaultBranchAncestorDepth(t *testing.T) {
 	if !k3.Completed {
 		t.Fatalf("K=3 did not complete:\n%s", k3.Metrics.String())
 	}
-	if k3.Stranded != 0 {
-		t.Errorf("K=3 stranded %d results; the great-grandparent pointer should salvage them", k3.Stranded)
+	if k3.Metrics.Stranded != 0 {
+		t.Errorf("K=3 stranded %d results; the great-grandparent pointer should salvage them", k3.Metrics.Stranded)
 	}
-	if k3.Relayed == 0 {
+	if k3.Metrics.Relayed == 0 {
 		t.Error("K=3: no orphan result was relayed through the surviving ancestor")
 	}
 }

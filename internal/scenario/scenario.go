@@ -10,15 +10,17 @@
 //   - Figures 6–7 (§4.3.2): the spawn state diagram a–g and the residue-
 //     freedom of recovery at every state.
 //
-// Each scenario builds a purpose-made program, pins tasks to processors
-// exactly as the figure prescribes, dry-runs to locate precise virtual
-// times, injects the fault, and returns a result struct that both the test
-// suite and cmd/experiments consume.
+// Each scenario builds a purpose-made program and pins tasks to processors
+// exactly as the figure prescribes; the experiment itself is written once
+// (replay): dry-run to locate precise virtual times, inject the fault, and
+// compare the answer with the sequential reference. The result structs —
+// one shared Outcome plus what the figure observes — are consumed by both
+// the test suite and cmd/experiments.
 //
 // Scenarios are the narrative complement to the quantitative drivers in
 // internal/experiments: a figure replay asserts *which* protocol actions
 // happened (B5 suppressed, the twin inherited B2's orphans), while a table
-// measures how much they cost. Both register in internal/runner's registry
+// measures how much they cost. Both are listed in internal/runner's catalog
 // and render into EXPERIMENTS.md through the same pipeline.
 //
 // The service layer has its own narrative counterpart: the admission tests
@@ -235,13 +237,15 @@ func (t *Tree) Fragments(failed proto.ProcID) [][]string {
 	return frags
 }
 
-// eventTime returns the time of the first event of the given kind for the
-// given stamp, or -1.
-func eventTime(log *trace.Log, kind trace.Kind, s stamp.Stamp) int64 {
+// eventTime returns the time of the n-th (1-based) event of the given kind
+// for the given stamp, or -1.
+func eventTime(log *trace.Log, kind trace.Kind, s stamp.Stamp, n int) int64 {
 	label := s.String()
 	for _, e := range log.Events {
 		if e.Kind == kind && e.Task == label {
-			return e.Time
+			if n--; n == 0 {
+				return e.Time
+			}
 		}
 	}
 	return -1
@@ -269,13 +273,78 @@ func completeTopo(n int) topology.Topology {
 	return topo
 }
 
-// run executes one scenario configuration and returns the report.
-func run(cfg machine.Config, prog *lang.Program, entry string, plan *faults.Plan) (*machine.Report, error) {
-	m, err := machine.New(cfg, prog)
+// Outcome is the part of a figure replay every figure reports: whether the
+// faulted run still produced the sequential reference answer (§2.1
+// determinacy), and where the fault went.
+type Outcome struct {
+	Completed bool   // finished, and the answer equals lang.RefEval's
+	Answer    string // observed answer
+	FaultAt   int64  // injected failure time, read off the fault-free trace
+	Metrics   trace.Metrics
+}
+
+// replay is the one experiment every figure is an instance of: run the
+// program fault-free, let window read the fault time off that trace, run
+// again with plan(at) injected, and compare the answer with the sequential
+// reference.
+type replay struct {
+	prog   *lang.Program
+	entry  string
+	scheme string
+	// config supplies topology, placement and any figure-specific knobs. It
+	// is called once per run: placement policies carry state.
+	config func() machine.Config
+	window func(dry *machine.Report) (int64, error)
+	plan   func(at int64) *faults.Plan
+}
+
+// run executes the replay and returns the outcome with the faulted run's
+// report, from whose trace each figure reads its own observations.
+func (r replay) run() (Outcome, *machine.Report, error) {
+	dry, err := r.once(nil)
+	if err != nil {
+		return Outcome{}, nil, err
+	}
+	if !dry.Completed {
+		return Outcome{}, nil, fmt.Errorf("scenario: dry run did not complete")
+	}
+	at, err := r.window(dry)
+	if err != nil {
+		return Outcome{}, nil, err
+	}
+	rep, err := r.once(r.plan(at))
+	if err != nil {
+		return Outcome{}, nil, err
+	}
+	want, err := lang.RefEval(r.prog, r.entry, nil)
+	if err != nil {
+		return Outcome{}, nil, err
+	}
+	out := Outcome{
+		Completed: rep.Completed && rep.Answer != nil && rep.Answer.Equal(want),
+		FaultAt:   at,
+		Metrics:   rep.Metrics,
+	}
+	if rep.Answer != nil {
+		out.Answer = rep.Answer.String()
+	}
+	return out, rep, nil
+}
+
+// once builds a traced, seed-1 machine under the replay's scheme and runs
+// the program with the given plan.
+func (r replay) once(plan *faults.Plan) (*machine.Report, error) {
+	cfg := r.config()
+	var err error
+	if cfg.Scheme, err = recovery.ByName(r.scheme); err != nil {
+		return nil, err
+	}
+	cfg.Seed, cfg.Trace = 1, trace.NewLog()
+	m, err := machine.New(cfg, r.prog)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := m.Run(entry, nil, plan)
+	rep, err := m.Run(r.entry, nil, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -285,19 +354,29 @@ func run(cfg machine.Config, prog *lang.Program, entry string, plan *faults.Plan
 	return rep, nil
 }
 
-// baseConfig is the shared scenario configuration: pinned placement over a
-// complete topology (figure processors first, then one spin processor per
-// leaf), tracing on.
-func baseConfig(t *Tree, figureProcs int, scheme string) (machine.Config, error) {
-	sch, err := recovery.ByName(scheme)
-	if err != nil {
-		return machine.Config{}, err
-	}
+// config pins the tree onto a complete topology: figure processors first,
+// then one spin processor per leaf.
+func (t *Tree) config(figureProcs int) machine.Config {
 	return machine.Config{
 		Topo:      completeTopo(figureProcs + t.LeafCount()),
 		Placement: balance.NewPinned(t.PinMap(proto.ProcID(figureProcs)), balance.NewRandom()),
-		Scheme:    sch,
-		Seed:      1,
-		Trace:     trace.NewLog(0),
-	}, nil
+	}
+}
+
+// named maps the figure names of the tasks that have an event of the given
+// kind in the log to the processor of that event.
+func (t *Tree) named(log *trace.Log, kind trace.Kind) map[string]proto.ProcID {
+	names := t.NameOf()
+	out := map[string]proto.ProcID{}
+	for _, e := range log.Events {
+		if e.Kind != kind {
+			continue
+		}
+		if s, err := stamp.Parse(e.Task); err == nil {
+			if name, ok := names[s]; ok {
+				out[name] = proto.ProcID(e.Proc)
+			}
+		}
+	}
+	return out
 }

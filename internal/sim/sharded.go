@@ -90,18 +90,12 @@ func (s *Sharded) home(owner int32) int {
 	return int(s.homes[owner])
 }
 
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
 // Shard returns shard i's kernel. Handlers owned by shard i may use it
 // freely during dispatch; the driver may touch it only between runs.
 func (s *Sharded) Shard(i int) *Kernel { return s.shards[i] }
 
 // HomeOf returns the shard index owning owner's events.
 func (s *Sharded) HomeOf(owner int32) int { return s.home(owner) }
-
-// Horizon returns the lookahead window width in ticks.
-func (s *Sharded) Horizon() Time { return s.horizon }
 
 // Now returns the coordinator's virtual time: the last barrier or run
 // boundary. Inside a handler, use the shard kernel's Now.

@@ -307,9 +307,7 @@ func TestByNameGeneratedKinds(t *testing.T) {
 		{"torus", 12, 12},
 		{"torus", 64, 64},
 		{"tree", 10, 10},
-		{"btree", 10, 10},
 		{"regular", 12, 12},
-		{"random-regular", 12, 12},
 		{"regular", 3, 3}, // degree capped at n-1
 	}
 	for _, tc := range cases {

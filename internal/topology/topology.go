@@ -273,9 +273,9 @@ func byName(kind string, n int) (Topology, error) {
 			return nil, fmt.Errorf("topology: hypercube size %d is not a power of two", n)
 		}
 		return Hypercube(bits.TrailingZeros(uint(n)))
-	case "tree", "btree":
+	case "tree":
 		return BinaryTree(n)
-	case "regular", "random-regular":
+	case "regular":
 		return RandomRegular(n, DefaultRegularDegree(n), DefaultRegularSeed)
 	case "complete":
 		return Complete(n)

@@ -79,18 +79,14 @@ func (e Event) String() string {
 // machine can run with tracing disabled at zero cost.
 type Log struct {
 	Events []Event
-	limit  int
 }
 
-// NewLog creates a log capped at limit events (0 = unlimited).
-func NewLog(limit int) *Log { return &Log{limit: limit} }
+// NewLog creates an empty log.
+func NewLog() *Log { return &Log{} }
 
-// Add appends an event if the log is non-nil and under its cap.
+// Add appends an event if the log is non-nil.
 func (l *Log) Add(e Event) {
 	if l == nil {
-		return
-	}
-	if l.limit > 0 && len(l.Events) >= l.limit {
 		return
 	}
 	l.Events = append(l.Events, e)

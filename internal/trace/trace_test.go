@@ -22,7 +22,7 @@ func TestNilLogIsSafe(t *testing.T) {
 }
 
 func TestLogAddFilterCount(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	l.Add(Event{Time: 1, Kind: KSpawn, Task: "1"})
 	l.Add(Event{Time: 2, Kind: KFail, Proc: 3})
 	l.Add(Event{Time: 3, Kind: KSpawn, Task: "1.0"})
@@ -32,16 +32,6 @@ func TestLogAddFilterCount(t *testing.T) {
 	sp := l.Filter(KSpawn)
 	if len(sp) != 2 || sp[0].Task != "1" || sp[1].Task != "1.0" {
 		t.Fatalf("Filter = %v", sp)
-	}
-}
-
-func TestLogLimit(t *testing.T) {
-	l := NewLog(2)
-	for i := 0; i < 5; i++ {
-		l.Add(Event{Time: int64(i), Kind: KStart})
-	}
-	if len(l.Events) != 2 {
-		t.Fatalf("limited log has %d events", len(l.Events))
 	}
 }
 
