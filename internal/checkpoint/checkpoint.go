@@ -105,9 +105,6 @@ func (s *Store) Dest(key proto.TaskKey) (proto.ProcID, bool) {
 // Len returns the number of retained checkpoints.
 func (s *Store) Len() int { return len(s.entries) }
 
-// Bytes returns the current retained storage in bytes.
-func (s *Store) Bytes() int64 { return s.bytes }
-
 // PeakBytes returns the high-water retained storage in bytes.
 func (s *Store) PeakBytes() int64 { return s.peak }
 

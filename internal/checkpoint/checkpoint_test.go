@@ -42,8 +42,8 @@ func TestRetainSettleRelease(t *testing.T) {
 	if s.Release(p.Key) {
 		t.Fatal("double Release succeeded")
 	}
-	if s.Len() != 0 || s.Bytes() != 0 {
-		t.Fatalf("after release: len=%d bytes=%d", s.Len(), s.Bytes())
+	if s.Len() != 0 || s.bytes != 0 {
+		t.Fatalf("after release: len=%d bytes=%d", s.Len(), s.bytes)
 	}
 	if s.PeakBytes() <= 0 {
 		t.Fatal("peak bytes not tracked")
@@ -63,20 +63,20 @@ func TestByteAccounting(t *testing.T) {
 	s.Retain(p1)
 	s.Retain(p2)
 	want := int64(p1.EncodedSize() + p2.EncodedSize())
-	if s.Bytes() != want {
-		t.Fatalf("Bytes = %d, want %d", s.Bytes(), want)
+	if s.bytes != want {
+		t.Fatalf("Bytes = %d, want %d", s.bytes, want)
 	}
 	s.Release(p1.Key)
-	if s.Bytes() != int64(p2.EncodedSize()) {
-		t.Fatalf("Bytes after release = %d", s.Bytes())
+	if s.bytes != int64(p2.EncodedSize()) {
+		t.Fatalf("Bytes after release = %d", s.bytes)
 	}
 	if s.PeakBytes() != want {
 		t.Fatalf("PeakBytes = %d, want %d", s.PeakBytes(), want)
 	}
 	// Re-retaining the same key replaces, not doubles.
 	s.Retain(p2)
-	if s.Bytes() != int64(p2.EncodedSize()) {
-		t.Fatalf("Bytes after re-retain = %d", s.Bytes())
+	if s.bytes != int64(p2.EncodedSize()) {
+		t.Fatalf("Bytes after re-retain = %d", s.bytes)
 	}
 }
 

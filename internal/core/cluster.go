@@ -43,12 +43,6 @@ func OpenOn(backend string, cfg Config) (*Cluster, error) {
 	return &Cluster{backend: backend, sess: sess, unit: sess.Unit()}, nil
 }
 
-// Backend names the substrate serving the stream.
-func (c *Cluster) Backend() string { return c.backend }
-
-// Unit is the stream clock's unit.
-func (c *Cluster) Unit() TimeUnit { return c.unit }
-
 // Ticket is the future of one submitted request.
 type Ticket struct {
 	w    Workload

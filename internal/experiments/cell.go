@@ -88,23 +88,3 @@ func (c Cell) MarshalJSON() ([]byte, error) {
 		Text string `json:"text"`
 	}{c.Text})
 }
-
-// UnmarshalJSON accepts both cell forms.
-func (c *Cell) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Text string   `json:"text"`
-		Num  *float64 `json:"num"`
-		Fmt  string   `json:"fmt"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	c.Text = raw.Text
-	c.Fmt = raw.Fmt
-	if raw.Num != nil {
-		c.Num, c.IsNum = *raw.Num, true
-	} else {
-		c.Num, c.IsNum = 0, false
-	}
-	return nil
-}

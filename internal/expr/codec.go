@@ -6,13 +6,14 @@ import (
 	"fmt"
 )
 
-// The wire codec serializes values and expressions into a compact binary
-// form. The simulated machine never actually moves bytes between address
-// spaces — values are immutable and shared — but the codec gives honest
-// per-message and per-checkpoint byte counts for the cost model, and it is
-// exercised round-trip in tests to prove task packets really are
-// self-contained (a requirement for functional checkpoints: §2.1 "The packet
-// contains all necessary information ... to activate the child task").
+// The wire codec serializes values into a compact binary form. The simulated
+// machine never actually moves bytes between address spaces — values are
+// immutable and shared — but the codec gives honest per-message and
+// per-checkpoint byte counts for the cost model, and the net backend really
+// ships it. Values are the only binary format: a task packet is a function
+// name plus argument values (§2.1 "The packet contains all necessary
+// information ... to activate the child task"), and programs travel as source
+// (lang.Format → lang.Parse).
 
 // Value tags.
 const (
@@ -21,17 +22,6 @@ const (
 	tagStr
 	tagUnit
 	tagList
-)
-
-// Expression tags (disjoint from value tags for defensive decoding).
-const (
-	tagLit byte = iota + 32
-	tagVar
-	tagPrim
-	tagIf
-	tagLet
-	tagApply
-	tagHole
 )
 
 // ErrCodec is wrapped by all decoding errors.
@@ -102,148 +92,13 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 	case tagUnit:
 		return VUnit{}, rest, nil
 	case tagList:
-		if len(rest) < 4 {
-			return nil, nil, fmt.Errorf("%w: short list header", ErrCodec)
-		}
-		n := int(binary.BigEndian.Uint32(rest))
-		rest = rest[4:]
-		elems := make([]Value, 0, n)
-		for i := 0; i < n; i++ {
-			var v Value
-			var err error
-			v, rest, err = DecodeValue(rest)
-			if err != nil {
-				return nil, nil, err
-			}
-			elems = append(elems, v)
+		elems, rest, err := DecodeValues(rest)
+		if err != nil {
+			return nil, nil, err
 		}
 		return ListOf(elems...), rest, nil
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown value tag %d", ErrCodec, tag)
-	}
-}
-
-// AppendExpr appends the wire form of e to buf.
-func AppendExpr(buf []byte, e Expr) []byte {
-	switch n := e.(type) {
-	case Lit:
-		buf = append(buf, tagLit)
-		return AppendValue(buf, n.V)
-	case Var:
-		buf = append(buf, tagVar)
-		return appendString(buf, n.Name)
-	case Prim:
-		buf = append(buf, tagPrim)
-		buf = appendString(buf, n.Op)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(n.Args)))
-		for _, a := range n.Args {
-			buf = AppendExpr(buf, a)
-		}
-		return buf
-	case If:
-		buf = append(buf, tagIf)
-		buf = AppendExpr(buf, n.Cond)
-		buf = AppendExpr(buf, n.Then)
-		return AppendExpr(buf, n.Else)
-	case Let:
-		buf = append(buf, tagLet)
-		buf = appendString(buf, n.Name)
-		buf = AppendExpr(buf, n.Bind)
-		return AppendExpr(buf, n.Body)
-	case Apply:
-		buf = append(buf, tagApply)
-		buf = appendString(buf, n.Fn)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(n.Args)))
-		for _, a := range n.Args {
-			buf = AppendExpr(buf, a)
-		}
-		return buf
-	case Hole:
-		buf = append(buf, tagHole)
-		return binary.BigEndian.AppendUint32(buf, uint32(n.ID))
-	default:
-		panic(fmt.Sprintf("expr: cannot encode expression %T", e))
-	}
-}
-
-// EncodeExpr returns the wire form of e.
-func EncodeExpr(e Expr) []byte { return AppendExpr(nil, e) }
-
-// DecodeExpr decodes one expression from buf, returning it and the
-// remaining bytes.
-func DecodeExpr(buf []byte) (Expr, []byte, error) {
-	if len(buf) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty buffer", ErrCodec)
-	}
-	tag, rest := buf[0], buf[1:]
-	switch tag {
-	case tagLit:
-		v, rest, err := DecodeValue(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return Lit{v}, rest, nil
-	case tagVar:
-		s, rest, err := decodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return Var{s}, rest, nil
-	case tagPrim:
-		op, rest, err := decodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		args, rest, err := decodeExprSlice(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return Prim{Op: op, Args: args}, rest, nil
-	case tagIf:
-		c, rest, err := DecodeExpr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		t, rest, err := DecodeExpr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		f, rest, err := DecodeExpr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return If{Cond: c, Then: t, Else: f}, rest, nil
-	case tagLet:
-		name, rest, err := decodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		bind, rest, err := DecodeExpr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		body, rest, err := DecodeExpr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return Let{Name: name, Bind: bind, Body: body}, rest, nil
-	case tagApply:
-		fn, rest, err := decodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		args, rest, err := decodeExprSlice(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		return Apply{Fn: fn, Args: args}, rest, nil
-	case tagHole:
-		if len(rest) < 4 {
-			return nil, nil, fmt.Errorf("%w: short hole", ErrCodec)
-		}
-		return Hole{ID: int(binary.BigEndian.Uint32(rest))}, rest[4:], nil
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown expr tag %d", ErrCodec, tag)
 	}
 }
 
@@ -263,7 +118,9 @@ func DecodeValues(buf []byte) ([]Value, []byte, error) {
 	}
 	n := int(binary.BigEndian.Uint32(buf))
 	rest := buf[4:]
-	out := make([]Value, 0, n)
+	// Every value is at least one byte, so a count beyond the bytes left is
+	// already malformed: size by what is there, never by what a frame claims.
+	out := make([]Value, 0, min(n, len(rest)))
 	for i := 0; i < n; i++ {
 		var v Value
 		var err error
@@ -284,40 +141,4 @@ func ValuesEncodedSize(vals []Value) int {
 		n += v.EncodedSize()
 	}
 	return n
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func decodeString(buf []byte) (string, []byte, error) {
-	if len(buf) < 4 {
-		return "", nil, fmt.Errorf("%w: short string header", ErrCodec)
-	}
-	n := int(binary.BigEndian.Uint32(buf))
-	buf = buf[4:]
-	if len(buf) < n {
-		return "", nil, fmt.Errorf("%w: short string body", ErrCodec)
-	}
-	return string(buf[:n]), buf[n:], nil
-}
-
-func decodeExprSlice(buf []byte) ([]Expr, []byte, error) {
-	if len(buf) < 4 {
-		return nil, nil, fmt.Errorf("%w: short expr slice header", ErrCodec)
-	}
-	n := int(binary.BigEndian.Uint32(buf))
-	rest := buf[4:]
-	out := make([]Expr, 0, n)
-	for i := 0; i < n; i++ {
-		var e Expr
-		var err error
-		e, rest, err = DecodeExpr(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, e)
-	}
-	return out, rest, nil
 }

@@ -142,33 +142,6 @@ func Cond(c, t, e Expr) Expr { return If{Cond: c, Then: t, Else: e} }
 // LetIn builds a let binding.
 func LetIn(name string, bind, body Expr) Expr { return Let{Name: name, Bind: bind, Body: body} }
 
-// CountNodes reports the number of AST nodes in e. It is used by tests and
-// by the cost model sanity checks.
-func CountNodes(e Expr) int {
-	switch n := e.(type) {
-	case Lit, Var, Hole:
-		return 1
-	case Prim:
-		c := 1
-		for _, a := range n.Args {
-			c += CountNodes(a)
-		}
-		return c
-	case If:
-		return 1 + CountNodes(n.Cond) + CountNodes(n.Then) + CountNodes(n.Else)
-	case Let:
-		return 1 + CountNodes(n.Bind) + CountNodes(n.Body)
-	case Apply:
-		c := 1
-		for _, a := range n.Args {
-			c += CountNodes(a)
-		}
-		return c
-	default:
-		panic(fmt.Sprintf("expr: unknown node %T", e))
-	}
-}
-
 // HoleIDs returns the IDs of all holes in e, in left-to-right order,
 // without duplicates.
 func HoleIDs(e Expr) []int {

@@ -112,15 +112,3 @@ func (p *Plan) Validate(n int) error {
 	}
 	return nil
 }
-
-// CrashCount returns how many crash faults (announced or silent) the plan
-// contains.
-func (p *Plan) CrashCount() int {
-	n := 0
-	for _, f := range p.Faults {
-		if f.Kind != Corrupt {
-			n++
-		}
-	}
-	return n
-}

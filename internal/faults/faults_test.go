@@ -56,19 +56,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestCrashCount(t *testing.T) {
-	p := None().
-		Add(Fault{At: 1, Proc: 0, Kind: CrashSilent}).
-		Add(Fault{At: 2, Proc: 1, Kind: CrashAnnounced}).
-		Add(Fault{At: 3, Proc: 2, Kind: Corrupt})
-	if got := p.CrashCount(); got != 2 {
-		t.Fatalf("CrashCount = %d, want 2", got)
-	}
-	if None().CrashCount() != 0 {
-		t.Fatal("empty plan crash count != 0")
-	}
-}
-
 func TestStrings(t *testing.T) {
 	if !strings.Contains(CrashAnnounced.String(), "announced") {
 		t.Error(CrashAnnounced.String())

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -166,11 +165,4 @@ func formatValue(v expr.Value) (string, int) {
 	default:
 		return fmt.Sprintf("/*%T*/", v), precAtom
 	}
-}
-
-// Sorted names helper used by tests comparing programs function-by-function.
-func sortedNames(p *Program) []string {
-	out := p.Names()
-	sort.Strings(out)
-	return out
 }

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,36 +21,6 @@ func normalize(t *testing.T, p *Program) *Program {
 	return q
 }
 
-// bodiesEqual compares two programs structurally via the expression codec.
-func bodiesEqual(t *testing.T, a, b *Program) bool {
-	t.Helper()
-	na, nb := sortedNames(a), sortedNames(b)
-	if len(na) != len(nb) {
-		return false
-	}
-	for i := range na {
-		if na[i] != nb[i] {
-			return false
-		}
-		da, _ := a.Func(na[i])
-		db, _ := b.Func(nb[i])
-		if len(da.Params) != len(db.Params) {
-			return false
-		}
-		for j := range da.Params {
-			if da.Params[j] != db.Params[j] {
-				return false
-			}
-		}
-		ba := string(expr.EncodeExpr(da.Body))
-		bb := string(expr.EncodeExpr(db.Body))
-		if ba != bb {
-			return false
-		}
-	}
-	return true
-}
-
 func TestFormatReparsesToFixpoint(t *testing.T) {
 	programs := map[string]*Program{
 		"fib":      Fib(),
@@ -65,7 +36,7 @@ func TestFormatReparsesToFixpoint(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			once := normalize(t, p)
 			twice := normalize(t, once)
-			if !bodiesEqual(t, once, twice) {
+			if !reflect.DeepEqual(once, twice) {
 				t.Fatalf("format/parse is not a fixpoint:\n%s\nvs\n%s", Format(once), Format(twice))
 			}
 		})
@@ -205,7 +176,7 @@ func TestQuickFormatParseStructuralRoundTrip(t *testing.T) {
 			return false
 		}
 		d, _ := p.Func("f")
-		return string(expr.EncodeExpr(d.Body)) == string(expr.EncodeExpr(body))
+		return reflect.DeepEqual(d.Body, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
 		t.Fatal(err)

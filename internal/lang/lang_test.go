@@ -505,26 +505,3 @@ func TestInstantiateClosesBody(t *testing.T) {
 		t.Error("Instantiate accepted unknown function")
 	}
 }
-
-func BenchmarkFlattenFibBody(b *testing.B) {
-	p := Fib()
-	body, _ := p.Instantiate("fib", []expr.Value{expr.VInt(20)})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		next := 0
-		if _, err := Flatten(p, body, &next); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRefEvalFib15(b *testing.B) {
-	p := Fib()
-	args := []expr.Value{expr.VInt(15)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := RefEval(p, "fib", args); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

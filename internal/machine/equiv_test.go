@@ -11,35 +11,6 @@ import (
 	"repro/internal/topology"
 )
 
-// TestHopCacheMatchesTopology pins the machine's flat hop-distance cache to
-// the topology's BFS tables, on every registered topology kind: for all
-// (from, to) pairs the cached distance must equal a freshly recomputed
-// Topo.Dist, and host links must stay one hop in both directions.
-func TestHopCacheMatchesTopology(t *testing.T) {
-	const n = 16
-	for _, kind := range topology.Kinds() {
-		topo, err := topology.ByName(kind, n)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		m, err := New(Config{Topo: topo, Seed: 1}, lang.Fib())
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		for from := 0; from < n; from++ {
-			for to := 0; to < n; to++ {
-				want := topo.Dist(topology.NodeID(from), topology.NodeID(to))
-				if got := m.hops(proto.ProcID(from), proto.ProcID(to)); got != want {
-					t.Fatalf("%s: hops(%d,%d) = %d, topology BFS says %d", kind, from, to, got, want)
-				}
-			}
-			if m.hops(proto.HostID, proto.ProcID(from)) != 1 || m.hops(proto.ProcID(from), proto.HostID) != 1 {
-				t.Fatalf("%s: host link to %d is not one hop", kind, from)
-			}
-		}
-	}
-}
-
 // TestSliceStateMatchesMapSemantics pins the ProcID-indexed slices that
 // replaced the per-proc maps (faulty, nbGrad, lastHeard) to the map
 // semantics: an id never written behaves like an absent key — not faulty,
@@ -110,16 +81,17 @@ func TestHoleTableMatchesMapSemantics(t *testing.T) {
 	if h := tk.holeAt(-1); h != nil {
 		t.Fatal("negative id reports a hole")
 	}
-	h2 := tk.hole(2)
-	h0 := tk.hole(0)
+	p := &proc{}
+	h2 := p.holeFor(tk, 2)
+	h0 := p.holeFor(tk, 0)
 	if tk.holeAt(2) != h2 || tk.holeAt(0) != h0 {
 		t.Fatal("hole lookup does not return the created record")
 	}
 	if tk.holeAt(1) != nil {
 		t.Fatal("gap id must read absent")
 	}
-	if tk.hole(2) != h2 {
-		t.Fatal("hole() must be idempotent")
+	if p.holeFor(tk, 2) != h2 {
+		t.Fatal("holeFor must be idempotent")
 	}
 	var ids []int
 	for _, h := range tk.holes {

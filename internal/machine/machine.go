@@ -52,10 +52,9 @@ type Machine struct {
 	eval  lang.Evaluator
 	n     int
 
-	// dist caches the topology's hop-distance table as one flat slice
-	// (dist[from*n+to]), so the per-message distance lookup is an indexed
-	// load instead of an interface call. Built once at construction; the
-	// equivalence with Topo.Dist is pinned by TestHopCacheMatchesTopology.
+	// dist is the topology's own hop-distance table (topology.Dists:
+	// dist[from*n+to], read-only), so the per-message distance lookup is an
+	// indexed load instead of an interface call.
 	dist []int32
 
 	// session, when non-nil, owns request bookkeeping: root completions are
@@ -227,12 +226,7 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 		m.shards[i] = sc
 		sc.k.SetSink(func(v any) { m.deliverOn(sc, v) })
 	}
-	m.dist = make([]int32, m.n*m.n)
-	for from := 0; from < m.n; from++ {
-		for to := 0; to < m.n; to++ {
-			m.dist[from*m.n+to] = int32(norm.Topo.Dist(nodeID(from), nodeID(to)))
-		}
-	}
+	m.dist = topology.Dists(norm.Topo)
 	m.procs = make([]*proc, m.n)
 	for i := 0; i < m.n; i++ {
 		p := newProc(proto.ProcID(i), m, false)
@@ -300,10 +294,6 @@ func (m *Machine) deliverOn(sc *shardCtx, v any) {
 	m.deliver(pm)
 	sc.putMsg(pm)
 }
-
-// Kernel exposes the kernel ensemble (tests inspect clocks and event
-// counts with it).
-func (m *Machine) Kernel() *sim.Sharded { return m.kern }
 
 // progIndex interns a program and returns its index; progs[0] is the build
 // program, so one-shot packets keep the zero tag. Interning a new program

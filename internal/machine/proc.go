@@ -138,7 +138,8 @@ func (p *proc) newChildRef(key proto.TaskKey) *childRef {
 	return &p.childSlab[len(p.childSlab)-1]
 }
 
-// holeFor is task.hole with the record drawn from the proc's slab.
+// holeFor returns t's record for id, drawing it from the proc's slab on
+// first use.
 func (p *proc) holeFor(t *task, id int) *holeRec {
 	for id >= len(t.holes) {
 		t.holes = append(t.holes, nil)

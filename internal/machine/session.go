@@ -90,9 +90,6 @@ type Req struct {
 // ID is the request's stream index (0-based, admission order).
 func (r *Req) ID() int { return r.id }
 
-// Fn names the request's entry function.
-func (r *Req) Fn() string { return r.fn }
-
 // Arrival is the virtual tick the request was admitted at: its offer tick
 // on the unbounded path, or the tick the admission queue installed it.
 func (r *Req) Arrival() sim.Time { return r.arrival }

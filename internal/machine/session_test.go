@@ -93,7 +93,7 @@ func TestSessionMixedPrograms(t *testing.T) {
 	for _, r := range []*Req{r1, r2} {
 		s.Wait(r)
 		if !r.Done() {
-			t.Fatalf("request %s did not complete", r.Fn())
+			t.Fatalf("request %s did not complete", r.fn)
 		}
 	}
 	want, err := lang.RefEval(tak, "tak", r2.args)

@@ -176,21 +176,6 @@ func newTask(pkt *proto.TaskPacket) *task {
 	return &task{pkt: pkt, state: taskReady}
 }
 
-// hole returns the record for id, creating it on first use. The machine's
-// hot path uses proc.holeFor (slab-backed) instead; this heap-allocating
-// variant serves tests and callers without a proc at hand.
-func (t *task) hole(id int) *holeRec {
-	for id >= len(t.holes) {
-		t.holes = append(t.holes, nil)
-	}
-	if h := t.holes[id]; h != nil {
-		return h
-	}
-	h := &holeRec{id: id}
-	t.holes[id] = h
-	return h
-}
-
 // holeAt returns the record for id, or nil if the demand was never issued.
 func (t *task) holeAt(id int) *holeRec {
 	if id < 0 || id >= len(t.holes) {

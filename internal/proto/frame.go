@@ -95,9 +95,6 @@ type Frame struct {
 	Payload  []byte
 }
 
-// WireSize is the frame's full encoded size in bytes, header included.
-func (f *Frame) WireSize() int { return FrameHeaderSize + len(f.Payload) }
-
 // AppendFrame appends the frame's wire encoding to buf.
 func AppendFrame(buf []byte, f *Frame) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))

@@ -32,8 +32,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WriteFrame(%v): %v", f.Type, err)
 		}
-		if n != f.WireSize() {
-			t.Fatalf("WriteFrame(%v) wrote %d bytes, WireSize says %d", f.Type, n, f.WireSize())
+		if want := FrameHeaderSize + len(f.Payload); n != want {
+			t.Fatalf("WriteFrame(%v) wrote %d bytes, want %d", f.Type, n, want)
 		}
 		total += n
 	}
@@ -159,4 +159,25 @@ func TestPacketMalformed(t *testing.T) {
 			t.Fatalf("DecodeResult(enc[:%d]) = %v, want ErrPacketCodec", cut, err)
 		}
 	}
+	// A count the buffer cannot hold is malformed, not a size to allocate:
+	// 0x7fffffff values would be 32 GiB (testdata/fuzz/*/huge-count).
+	hugePkt, hugeRes := hugeCounts()
+	if _, err := DecodePacket(hugePkt); !errors.Is(err, ErrPacketCodec) {
+		t.Fatalf("DecodePacket(huge Args count) = %v, want ErrPacketCodec", err)
+	}
+	if _, err := DecodeResult(hugeRes); !errors.Is(err, ErrPacketCodec) {
+		t.Fatalf("DecodeResult(huge list count) = %v, want ErrPacketCodec", err)
+	}
+}
+
+// hugeCounts is a packet whose Args prefix, and a result whose list value,
+// claims 0x7fffffff elements with none following.
+func hugeCounts() (pkt, res []byte) {
+	key := TaskKey{Stamp: stamp.FromPath(1)}
+	huge := []byte{0x7f, 0xff, 0xff, 0xff}
+	pkt = EncodePacket(&TaskPacket{Key: key, Fn: "f"})
+	copy(pkt[len(appendKey(nil, key))+16+2+len("f"):], huge)
+	res = EncodeResult(&Result{Child: key, ParentTask: key, Value: expr.VList{}})
+	copy(res[2*len(appendKey(nil, key))+4+1:], huge)
+	return pkt, res
 }

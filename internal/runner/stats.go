@@ -100,26 +100,6 @@ func (c AggCell) MarshalJSON() ([]byte, error) {
 	}{false, c.Text})
 }
 
-// Fold summarizes raw per-seed values into an AggCell, for callers (like
-// the examples) that aggregate measurements outside a Table. Set Fmt on
-// the result to render in a specific unit.
-func Fold(xs []float64) AggCell {
-	agg := AggCell{IsNum: true, Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		agg.PerSeed = append(agg.PerSeed, x)
-		sum += x
-		agg.Min = math.Min(agg.Min, x)
-		agg.Max = math.Max(agg.Max, x)
-	}
-	if len(xs) > 0 {
-		agg.Mean = sum / float64(len(xs))
-	} else {
-		agg.Min, agg.Max = 0, 0
-	}
-	return agg
-}
-
 // String renders a measurement as "mean [min–max]" (collapsing to the bare
 // mean when all seeds agree) and a label as its text. Values render through
 // the source cells' own format, so a "+6.1%" column aggregates as

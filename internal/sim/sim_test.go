@@ -189,14 +189,3 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkScheduleAndRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := NewKernel(1)
-		for j := 0; j < 100; j++ {
-			k.After(Time(j%17), func() {})
-		}
-		k.Run(0)
-	}
-}

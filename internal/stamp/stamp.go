@@ -16,7 +16,6 @@
 package stamp
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -62,19 +61,6 @@ func (s Stamp) Component(k int) uint32 {
 	return uint32(s.p[o])<<24 | uint32(s.p[o+1])<<16 | uint32(s.p[o+2])<<8 | uint32(s.p[o+3])
 }
 
-// Last returns the final path component, which is the hole (demand) index
-// within the parent task that this task's result fills. It panics on the
-// root stamp.
-func (s Stamp) Last() uint32 { return s.Component(s.Level() - 1) }
-
-// Parent returns the stamp of the parent task. It panics on the root stamp.
-func (s Stamp) Parent() Stamp {
-	if s.IsRoot() {
-		panic("stamp: root has no parent")
-	}
-	return Stamp{p: s.p[:len(s.p)-width]}
-}
-
 // IsAncestorOf reports whether s is a proper ancestor of t: s lies strictly
 // above t on the path from the root. Every stamp is an ancestor of its
 // descendants but not of itself.
@@ -82,30 +68,10 @@ func (s Stamp) IsAncestorOf(t Stamp) bool {
 	return len(s.p) < len(t.p) && strings.HasPrefix(t.p, s.p)
 }
 
-// IsDescendantOf reports whether s is a proper descendant of t.
-func (s Stamp) IsDescendantOf(t Stamp) bool { return t.IsAncestorOf(s) }
-
-// Related reports whether s and t lie on one root-to-leaf path (equal,
-// ancestor, or descendant).
-func (s Stamp) Related(t Stamp) bool {
-	return s == t || s.IsAncestorOf(t) || t.IsAncestorOf(s)
-}
-
 // Compare totally orders stamps: ancestors sort before their descendants and
 // siblings sort by component value, i.e. preorder over the call tree.
 // It returns -1, 0, or +1.
 func (s Stamp) Compare(t Stamp) int { return strings.Compare(s.p, t.p) }
-
-// CommonAncestor returns the deepest stamp that is an ancestor of (or equal
-// to) both s and t.
-func (s Stamp) CommonAncestor(t Stamp) Stamp {
-	n := min(len(s.p), len(t.p))
-	k := 0
-	for k+width <= n && s.p[k:k+width] == t.p[k:k+width] {
-		k += width
-	}
-	return Stamp{p: s.p[:k]}
-}
 
 // String renders the stamp as dot-separated components; the root renders as
 // "ε" to keep logs readable.
@@ -154,15 +120,6 @@ func Parse(text string) (Stamp, error) {
 	return s, nil
 }
 
-// Path returns the components of the stamp as a fresh slice.
-func (s Stamp) Path() []uint32 {
-	out := make([]uint32, s.Level())
-	for k := range out {
-		out[k] = s.Component(k)
-	}
-	return out
-}
-
 // FromPath builds a stamp from explicit path components.
 func FromPath(path ...uint32) Stamp {
 	s := Root()
@@ -171,10 +128,6 @@ func FromPath(path ...uint32) Stamp {
 	}
 	return s
 }
-
-// ErrNotAntichain is reported by VerifyAntichain when two stamps in a set
-// are related.
-var ErrNotAntichain = errors.New("stamp: set contains related stamps")
 
 // Topmost returns the minimal antichain covering the given stamps: every
 // input stamp is either in the result or a descendant of a result element,
@@ -201,20 +154,6 @@ func Topmost(stamps []Stamp) []Stamp {
 	return out
 }
 
-// VerifyAntichain returns ErrNotAntichain if any two stamps in the set are
-// equal or related, and nil otherwise.
-func VerifyAntichain(stamps []Stamp) error {
-	sorted := make([]Stamp, len(stamps))
-	copy(sorted, stamps)
-	sortStamps(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1] == sorted[i] || sorted[i-1].IsAncestorOf(sorted[i]) {
-			return fmt.Errorf("%w: %v and %v", ErrNotAntichain, sorted[i-1], sorted[i])
-		}
-	}
-	return nil
-}
-
 // sortStamps sorts in preorder (lexicographic on the encoded path).
 func sortStamps(stamps []Stamp) {
 	// Insertion sort is fine for the small sets used per destination entry,
@@ -229,6 +168,3 @@ func sortStamps(stamps []Stamp) {
 		}
 	}
 }
-
-// Sort sorts stamps in preorder, in place.
-func Sort(stamps []Stamp) { sortStamps(stamps) }

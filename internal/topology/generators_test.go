@@ -70,8 +70,8 @@ func TestGeneratorsRejectBadSizes(t *testing.T) {
 }
 
 // TestGeneratedInvariants runs the structural invariants every topology
-// must satisfy: no self-edges, sorted symmetric neighbor lists, and NextHop
-// walks that reach every destination in exactly Dist hops.
+// must satisfy: no self-edges, sorted symmetric neighbor lists, and Dist the
+// shortest-path metric of those lists.
 func TestGeneratedInvariants(t *testing.T) {
 	for name, topo := range generatedTopologies(t) {
 		n := topo.Size()
@@ -97,45 +97,8 @@ func TestGeneratedInvariants(t *testing.T) {
 				}
 			}
 		}
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				src, dst := NodeID(s), NodeID(d)
-				if s == d {
-					if topo.NextHop(src, dst) != src || topo.Dist(src, dst) != 0 {
-						t.Fatalf("%s: self route of %d broken", name, s)
-					}
-					continue
-				}
-				if topo.Dist(src, dst) != topo.Dist(dst, src) {
-					t.Fatalf("%s: Dist(%d,%d) asymmetric", name, s, d)
-				}
-				cur, hops := src, 0
-				for cur != dst {
-					nxt := topo.NextHop(cur, dst)
-					if nxt == cur || !isNeighbor(topo, cur, nxt) {
-						t.Fatalf("%s: NextHop(%d,%d) = %d invalid", name, cur, dst, nxt)
-					}
-					cur = nxt
-					hops++
-					if hops > n {
-						t.Fatalf("%s: routing loop %d->%d", name, s, d)
-					}
-				}
-				if hops != topo.Dist(src, dst) {
-					t.Fatalf("%s: path %d->%d took %d hops, Dist says %d", name, s, d, hops, topo.Dist(src, dst))
-				}
-			}
-		}
+		checkDist(t, name, topo)
 	}
-}
-
-func isNeighbor(topo Topology, a, b NodeID) bool {
-	for _, nb := range topo.Neighbors(a) {
-		if nb == b {
-			return true
-		}
-	}
-	return false
 }
 
 func TestTorusStructure(t *testing.T) {
@@ -219,8 +182,8 @@ func TestBinaryTreeStructure(t *testing.T) {
 		t.Errorf("btree Dist(7,14) = %d, want 6", d)
 	}
 	// Every path between the two root subtrees crosses the root.
-	if hop := bt.NextHop(1, 2); hop != 0 {
-		t.Errorf("btree NextHop(1,2) = %d, want 0", hop)
+	if d := bt.Dist(1, 2); d != 2 {
+		t.Errorf("btree Dist(1,2) = %d, want 2", d)
 	}
 }
 

@@ -10,9 +10,9 @@
 // Complete, Star — and generator-backed irregular shapes for the stress
 // scenarios: Torus (wraparound mesh), BinaryTree (every internal node a cut
 // vertex), and RandomRegular (a seeded configuration-model sample, so runs
-// sharing a seed share the graph). All of them precompute BFS next-hop and
-// distance tables at construction; ByName maps CLI spec strings to
-// constructors so every experiment can name any shape.
+// sharing a seed share the graph). All of them precompute one BFS distance
+// table at construction; ByName maps CLI spec strings to constructors so
+// every experiment can name any shape.
 package topology
 
 import (
@@ -31,9 +31,6 @@ type Topology interface {
 	// Neighbors returns the direct neighbors of id in ascending order.
 	// The returned slice must not be modified.
 	Neighbors(id NodeID) []NodeID
-	// NextHop returns the neighbor to forward to on a shortest path from
-	// `from` toward `to`. NextHop(x, x) returns x.
-	NextHop(from, to NodeID) NodeID
 	// Dist returns the shortest-path hop count between two nodes.
 	Dist(from, to NodeID) int
 	// Name returns a short human-readable description.
@@ -41,55 +38,46 @@ type Topology interface {
 }
 
 // table is a generic precomputed-BFS implementation backing every concrete
-// topology. For the machine sizes the simulator targets (≤ a few hundred
-// nodes), O(N²) tables are cheap and make NextHop/Dist O(1).
+// topology. For the machine sizes the simulator targets (≤ a few thousand
+// nodes), one O(N²) table is cheap and makes Dist O(1).
 type table struct {
 	name      string
 	neighbors [][]NodeID
-	next      [][]NodeID // next[from][to]
-	dist      [][]int32
+	dist      []int32 // row-major: dist[from*N+to]
 }
 
 func (t *table) Size() int                    { return len(t.neighbors) }
 func (t *table) Neighbors(id NodeID) []NodeID { return t.neighbors[id] }
 func (t *table) Name() string                 { return t.name }
 
-func (t *table) NextHop(from, to NodeID) NodeID { return t.next[from][to] }
-func (t *table) Dist(from, to NodeID) int       { return int(t.dist[from][to]) }
+func (t *table) Dist(from, to NodeID) int {
+	return int(t.dist[int(from)*len(t.neighbors)+int(to)])
+}
 
-// build precomputes BFS next-hop and distance tables from an adjacency
-// list. It returns an error if the graph is disconnected.
+// Dists returns t's all-pairs hop counts as one row-major Size()×Size()
+// table: Dists(t)[from*t.Size()+to] == t.Dist(from, to). The slice is the
+// topology's own and must not be modified.
+func Dists(t Topology) []int32 { return t.(*table).dist }
+
+// build precomputes the BFS distance table from an adjacency list. It
+// returns an error if the graph is disconnected.
 func build(name string, adj [][]NodeID) (Topology, error) {
 	n := len(adj)
-	t := &table{
-		name:      name,
-		neighbors: adj,
-		next:      make([][]NodeID, n),
-		dist:      make([][]int32, n),
+	t := &table{name: name, neighbors: adj, dist: make([]int32, n*n)}
+	for i := range t.dist {
+		t.dist[i] = -1
 	}
 	queue := make([]NodeID, 0, n)
 	for src := 0; src < n; src++ {
-		next := make([]NodeID, n)
-		dist := make([]int32, n)
-		for i := range dist {
-			dist[i] = -1
-			next[i] = -1
-		}
+		dist := t.dist[src*n : (src+1)*n]
 		dist[src] = 0
-		next[src] = NodeID(src)
-		queue = queue[:0]
-		queue = append(queue, NodeID(src))
+		queue = append(queue[:0], NodeID(src))
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
 			for _, v := range adj[u] {
 				if dist[v] < 0 {
 					dist[v] = dist[u] + 1
-					if u == NodeID(src) {
-						next[v] = v
-					} else {
-						next[v] = next[u]
-					}
 					queue = append(queue, v)
 				}
 			}
@@ -99,8 +87,6 @@ func build(name string, adj [][]NodeID) (Topology, error) {
 				return nil, fmt.Errorf("topology %s: node %d unreachable from %d", name, i, src)
 			}
 		}
-		t.next[src] = next
-		t.dist[src] = dist
 	}
 	return t, nil
 }

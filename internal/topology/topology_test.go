@@ -131,57 +131,44 @@ func TestKnownDistances(t *testing.T) {
 	}
 }
 
-// TestNextHopWalksShortestPath follows NextHop from every source to every
-// destination and checks it arrives in exactly Dist hops.
-func TestNextHopWalksShortestPath(t *testing.T) {
-	for name, topo := range allTopologies(t) {
-		n := topo.Size()
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				src, dst := NodeID(s), NodeID(d)
-				want := topo.Dist(src, dst)
-				cur := src
-				hops := 0
-				for cur != dst {
-					nxt := topo.NextHop(cur, dst)
-					if nxt == cur {
-						t.Fatalf("%s: NextHop(%d,%d) made no progress", name, cur, dst)
-					}
-					// Next hop must be a real neighbor.
-					ok := false
-					for _, nb := range topo.Neighbors(cur) {
-						if nb == nxt {
-							ok = true
-							break
-						}
-					}
-					if !ok {
-						t.Fatalf("%s: NextHop(%d,%d) = %d is not a neighbor", name, cur, dst, nxt)
-					}
-					cur = nxt
-					hops++
-					if hops > n {
-						t.Fatalf("%s: routing loop from %d to %d", name, src, dst)
-					}
+// checkDist checks that Dist is the graph's shortest-path metric — zero on
+// the diagonal, symmetric, and off it exactly one more than the nearest
+// neighbor's, which only BFS distance satisfies — and that Dists is the
+// same table.
+func checkDist(t *testing.T, name string, topo Topology) {
+	t.Helper()
+	n := topo.Size()
+	flat := Dists(topo)
+	if len(flat) != n*n {
+		t.Fatalf("%s: Dists has %d entries, want %d", name, len(flat), n*n)
+	}
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			src, dst := NodeID(s), NodeID(d)
+			got := topo.Dist(src, dst)
+			if int(flat[s*n+d]) != got {
+				t.Fatalf("%s: Dists[%d,%d] = %d, Dist says %d", name, s, d, flat[s*n+d], got)
+			}
+			if got != topo.Dist(dst, src) {
+				t.Fatalf("%s: Dist(%d,%d) asymmetric", name, s, d)
+			}
+			want := 0
+			if s != d {
+				want = n
+				for _, nb := range topo.Neighbors(src) {
+					want = min(want, topo.Dist(nb, dst)+1)
 				}
-				if hops != want {
-					t.Errorf("%s: path %d->%d took %d hops, Dist says %d", name, src, dst, hops, want)
-				}
+			}
+			if got != want {
+				t.Fatalf("%s: Dist(%d,%d) = %d, nearest neighbor says %d", name, s, d, got, want)
 			}
 		}
 	}
 }
 
-func TestNextHopSelf(t *testing.T) {
+func TestDistIsShortestPath(t *testing.T) {
 	for name, topo := range allTopologies(t) {
-		for i := 0; i < topo.Size(); i++ {
-			if got := topo.NextHop(NodeID(i), NodeID(i)); got != NodeID(i) {
-				t.Errorf("%s: NextHop(%d,%d) = %d", name, i, i, got)
-			}
-			if got := topo.Dist(NodeID(i), NodeID(i)); got != 0 {
-				t.Errorf("%s: Dist(%d,%d) = %d", name, i, i, got)
-			}
-		}
+		checkDist(t, name, topo)
 	}
 }
 
@@ -277,15 +264,4 @@ func popcount(x int) int {
 		n++
 	}
 	return n
-}
-
-func BenchmarkNextHopMesh8x8(b *testing.B) {
-	mesh, err := Mesh2D(8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = mesh.NextHop(NodeID(i%64), NodeID((i*31)%64))
-	}
 }

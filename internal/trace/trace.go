@@ -92,22 +92,19 @@ func (l *Log) Add(e Event) {
 	l.Events = append(l.Events, e)
 }
 
-// Filter returns the events of the given kind, in order.
-func (l *Log) Filter(k Kind) []Event {
+// Count returns the number of events of kind k.
+func (l *Log) Count(k Kind) int {
 	if l == nil {
-		return nil
+		return 0
 	}
-	var out []Event
+	n := 0
 	for _, e := range l.Events {
 		if e.Kind == k {
-			out = append(out, e)
+			n++
 		}
 	}
-	return out
+	return n
 }
-
-// Count returns the number of events of kind k.
-func (l *Log) Count(k Kind) int { return len(l.Filter(k)) }
 
 // String renders the whole log, one event per line.
 func (l *Log) String() string {

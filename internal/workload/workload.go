@@ -144,21 +144,3 @@ func Build(s Shape) (*lang.Program, string, error) {
 	}
 	return prog, root, nil
 }
-
-// Nodes counts the nodes the shape unrolls to (the task count of a
-// fault-free run, excluding the super-root).
-func Nodes(s Shape) int {
-	var count func(depth, index int) int
-	count = func(depth, index int) int {
-		fan := 0
-		if depth < s.Depth {
-			fan = s.Fanout(depth, index)
-		}
-		n := 1
-		for c := 0; c < fan; c++ {
-			n += count(depth+1, index*8+c+1)
-		}
-		return n
-	}
-	return count(0, 0)
-}

@@ -23,9 +23,6 @@ func TestUniformShape(t *testing.T) {
 	if !v.Equal(expr.VInt(8)) {
 		t.Fatalf("uniform(2,3) = %v, want 8", v)
 	}
-	if n := workload.Nodes(s); n != 15 {
-		t.Fatalf("workload.Nodes = %d, want 15", n)
-	}
 }
 
 func TestSkewedShape(t *testing.T) {
@@ -44,9 +41,6 @@ func TestSkewedShape(t *testing.T) {
 	vi, ok := v.(expr.VInt)
 	if !ok || vi < 4 {
 		t.Fatalf("skewed sum = %v", v)
-	}
-	if workload.Nodes(s) < 8 {
-		t.Fatalf("workload.Nodes = %d, too small for a depth-4 spine", workload.Nodes(s))
 	}
 }
 
@@ -71,14 +65,6 @@ func TestRandomShapeDeterministic(t *testing.T) {
 	}
 	if !va.Equal(vb) {
 		t.Fatalf("same seed, different trees: %v vs %v", va, vb)
-	}
-	c := workload.Random(100, 3, 4, 40)
-	if workload.Nodes(a) == workload.Nodes(c) && func() bool {
-		pc, rc, _ := workload.Build(c)
-		vc, _ := lang.RefEval(pc, rc, nil)
-		return vc.Equal(va)
-	}() {
-		t.Log("different seeds coincided; acceptable but unusual")
 	}
 }
 
