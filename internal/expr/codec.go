@@ -102,16 +102,8 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 	}
 }
 
-// EncodeValues encodes a value slice with a count prefix.
-func EncodeValues(vals []Value) []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(vals)))
-	for _, v := range vals {
-		buf = AppendValue(buf, v)
-	}
-	return buf
-}
-
-// DecodeValues inverts EncodeValues.
+// DecodeValues decodes a value slice: a uint32 count, then that many values
+// (a list's body, and a task packet's arguments).
 func DecodeValues(buf []byte) ([]Value, []byte, error) {
 	if len(buf) < 4 {
 		return nil, nil, fmt.Errorf("%w: short values header", ErrCodec)

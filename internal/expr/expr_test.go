@@ -242,7 +242,8 @@ func TestQuickSubstRemovesName(t *testing.T) {
 
 func TestValuesSliceCodec(t *testing.T) {
 	vals := []Value{VInt(1), VStr("hi"), IntList(3, 4)}
-	buf := EncodeValues(vals)
+	// A slice travels as a list's body: the count, then each value.
+	buf := AppendValue(nil, ListOf(vals...))[1:]
 	if len(buf) != ValuesEncodedSize(vals) {
 		t.Fatalf("ValuesEncodedSize = %d, want %d", ValuesEncodedSize(vals), len(buf))
 	}

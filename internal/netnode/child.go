@@ -1,6 +1,8 @@
 package netnode
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -21,8 +23,12 @@ func ChildMain() {
 	if !ok {
 		return
 	}
+	var conn net.Conn
 	if err == nil {
-		err = runChild(id, spec, addr)
+		conn, err = net.DialTimeout("unix", addr, 10*time.Second)
+	}
+	if err == nil {
+		err = runChild(id, spec, conn)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apsim node %d: %v\n", id, err)
@@ -31,20 +37,14 @@ func ChildMain() {
 	os.Exit(0)
 }
 
-// childLink is a node process's end of the interconnect: the socket to the
-// hub, which relays every frame. The node is single-threaded (one frame at a
-// time), so nothing else writes to the connection.
+// childLink is a node process's end of the interconnect: the batch of
+// frames bound for the hub, which relays every one. The node is
+// single-threaded (one frame at a time), so nothing else touches the batch;
+// Spawn and Result only append, runChild decides when it is written, and a
+// frame the batch refuses is sticky in the writer until that flush.
 type childLink struct {
-	id   proto.ProcID
-	conn net.Conn
-}
-
-// write sends one frame. A failed write means the parent is gone; the read
-// loop sees the same broken connection and exits the process, so senders
-// need not act on the error.
-func (l *childLink) write(f *proto.Frame) error {
-	_, err := proto.WriteFrame(l.conn, f)
-	return err
+	id  proto.ProcID
+	out *proto.FrameWriter
 }
 
 // Spawn implements node.Link. Reissue frames carry FlagReissue so the hub
@@ -54,51 +54,53 @@ func (l *childLink) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) 
 	if reissue {
 		flags = proto.FlagReissue
 	}
-	_ = l.write(&proto.Frame{
-		Type: proto.FrameSpawn, Flags: flags, From: l.id, To: to,
-		Payload: spawnPayload(pkt),
-	})
+	_ = l.out.End(appendSpawn(l.out.Begin(proto.FrameSpawn, flags, l.id, to), pkt))
 }
 
 // Result implements node.Link; the hub is the addressee of root results.
 func (l *childLink) Result(to proto.ProcID, res *proto.Result) {
-	_ = l.write(&proto.Frame{
-		Type: proto.FrameResult, From: l.id, To: to,
-		Payload: proto.EncodeResult(res),
-	})
+	_ = l.out.End(proto.AppendResult(l.out.Begin(proto.FrameResult, 0, l.id, to), res))
 }
 
-// runChild dials the hub and feeds its frames to one protocol node until the
-// hub says goodbye or disappears.
-func runChild(id int, spec node.Spec, addr string) error {
+// hubGone ends the node on a connection error: a read or a flush that fails
+// means the parent is gone — the orphan watchdog every OS gets — and the exit
+// is silent; garbage on the stream, or a frame the batch refused, is loud.
+func hubGone(err error) error {
+	if errors.Is(err, proto.ErrFrame) {
+		return err
+	}
+	return nil
+}
+
+// runChild feeds the hub's frames to one protocol node until the hub says
+// goodbye or disappears. What the handlers emit is written when the reader
+// has nothing buffered (the next read may block) or the batch is a buffer
+// full, never in between: a wide OnSpawn leaves in one write. (A partial
+// frame in the buffer means the hub is inside the Write that completes it.)
+func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 	ev, err := spec.Evaluator()
 	if err != nil {
 		return err
 	}
-	conn, err := net.DialTimeout("unix", addr, 10*time.Second)
-	if err != nil {
-		return err
-	}
-	link := &childLink{id: proto.ProcID(id), conn: conn}
+	r := bufio.NewReaderSize(conn, connBufSize)
+	link := &childLink{id: proto.ProcID(id), out: proto.NewFrameWriter(conn)}
 	// evals holds each program compiled at FrameProgram receipt, so the
 	// per-task path never compiles.
 	evals := map[int]lang.EvalProgram{}
 	n := node.New(link.id, spec.Procs, spec.Seed, link, func(idx int) lang.EvalProgram { return evals[idx] })
-	if err := link.write(&proto.Frame{
+	_ = link.out.Append(&proto.Frame{
 		Type: proto.FrameHello, From: link.id, To: proto.HostID,
 		Payload: helloPayload(id, os.Getpid()),
-	}); err != nil {
-		return err
-	}
+	})
 	for {
-		f, err := proto.ReadFrame(conn)
-		if err != nil {
-			// The parent is gone (EOF/reset) — the orphan watchdog every
-			// OS gets. Exit silently on a clean break, loudly on garbage.
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil
+		if r.Buffered() == 0 || link.out.Len() >= connBufSize {
+			if err := link.out.Flush(); err != nil {
+				return hubGone(err)
 			}
-			return err
+		}
+		f, err := proto.ReadFrame(r)
+		if err != nil {
+			return hubGone(err)
 		}
 		switch f.Type {
 		case proto.FrameProgram:
@@ -138,10 +140,11 @@ func runChild(id int, spec node.Spec, addr string) error {
 			}
 			n.OnNodeDown(proto.ProcID(dead))
 		case proto.FrameShutdown:
-			return link.write(&proto.Frame{
+			_ = link.out.Append(&proto.Frame{
 				Type: proto.FrameStats, From: link.id, To: proto.HostID,
 				Payload: statsPayload(n.Drained),
 			})
+			return hubGone(link.out.Flush())
 		default:
 			return fmt.Errorf("netnode: unexpected %v frame at node %d", f.Type, id)
 		}

@@ -1,6 +1,7 @@
 package netnode
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -45,19 +46,22 @@ func (s *sendq) push(f *proto.Frame) bool {
 	return true
 }
 
-// pop blocks for the next frame; false means closed and drained.
-func (s *sendq) pop() (*proto.Frame, bool) {
+// popAll blocks until frames are queued and takes every one of them; nil
+// means closed and drained. spare, the caller's previous batch, becomes the
+// queue's backing array, so the two slices swap and neither is reallocated.
+func (s *sendq) popAll(spare []*proto.Frame) []*proto.Frame {
+	clear(spare)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.q) == 0 && !s.closed {
 		s.cond.Wait()
 	}
 	if len(s.q) == 0 {
-		return nil, false
+		return nil
 	}
-	f := s.q[0]
-	s.q = s.q[1:]
-	return f, true
+	batch := s.q
+	s.q = spare[:0]
+	return batch
 }
 
 func (s *sendq) close() {
@@ -74,6 +78,7 @@ type child struct {
 	pid   int
 	cmd   *managedProc
 	conn  net.Conn
+	r     *bufio.Reader // the one reader of conn, from the hello on
 	alive atomic.Bool
 	out   *sendq // outbound frames, drained by a dedicated writer goroutine
 }
@@ -142,16 +147,21 @@ func New(spec node.Spec) (*Cluster, error) {
 // Root implements node.Machine.
 func (c *Cluster) Root() *node.Root { return c.root }
 
-// writer drains one child's outbox onto its socket. Write errors are the
-// same failure signal as read errors: the child is gone.
+// writer drains one child's outbox onto its socket: everything queued since
+// the last wake-up leaves in one Write. Write errors are the same failure
+// signal as read errors: the child is gone.
 func (c *Cluster) writer(ch *child) {
 	defer c.wg.Done()
+	w := proto.NewFrameWriter(ch.conn)
+	var batch []*proto.Frame
 	for {
-		f, ok := ch.out.pop()
-		if !ok {
+		if batch = ch.out.popAll(batch); batch == nil {
 			return
 		}
-		if _, err := proto.WriteFrame(ch.conn, f); err != nil {
+		for _, f := range batch {
+			_ = w.Append(f) // sticky: Flush reports it
+		}
+		if err := w.Flush(); err != nil {
 			if !c.closing.Load() {
 				c.nodeDied(ch)
 			}
@@ -182,7 +192,8 @@ func (c *Cluster) startChildren() error {
 			return fmt.Errorf("netnode: waiting for node handshakes (%d/%d): %w", connected, n, err)
 		}
 		_ = conn.SetReadDeadline(deadline)
-		f, err := proto.ReadFrame(conn)
+		r := bufio.NewReaderSize(conn, connBufSize)
+		f, err := proto.ReadFrame(r)
 		if err != nil || f.Type != proto.FrameHello {
 			conn.Close()
 			c.children = compactChildren(byID)
@@ -195,7 +206,7 @@ func (c *Cluster) startChildren() error {
 			return fmt.Errorf("netnode: bad hello (id %d): %v", id, err)
 		}
 		_ = conn.SetReadDeadline(time.Time{})
-		byID[id].conn = conn
+		byID[id].conn, byID[id].r = conn, r
 		byID[id].pid = pid
 		byID[id].alive.Store(true)
 	}
@@ -246,7 +257,7 @@ func (c *Cluster) LoadProgram(idx int, prog *lang.Program) error {
 // destination black-holes the frame (the dead processor of §3 — the parent's
 // checkpoint is what recovers the work, not the interconnect).
 func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	f := &proto.Frame{Type: proto.FrameSpawn, From: proto.HostID, To: to, Payload: spawnPayload(pkt)}
+	f := &proto.Frame{Type: proto.FrameSpawn, From: proto.HostID, To: to, Payload: appendSpawn(nil, pkt)}
 	if reissue {
 		f.Flags = proto.FlagReissue
 	}
@@ -277,7 +288,7 @@ func frameSize(f *proto.Frame) int { return proto.FrameHeaderSize + len(f.Payloa
 func (c *Cluster) route(ch *child) {
 	defer c.wg.Done()
 	for {
-		f, err := proto.ReadFrame(ch.conn)
+		f, err := proto.ReadFrame(ch.r)
 		if err != nil {
 			// SIGKILL, crash, or shutdown: the connection is the failure
 			// detector. During Close the EOF is the expected goodbye.

@@ -70,6 +70,10 @@ const (
 // honestly and cleanup can `pkill -f apsim-netnode`.
 const ArgvMarker = "-node"
 
+// connBufSize is both a connection's read buffer and the batch size past
+// which a node flushes without waiting for its input to run dry.
+const connBufSize = 64 << 10
+
 // SocketPattern is the temp-directory pattern for unix sockets; it shares
 // the "apsim-netnode" stem with ArgvMarker's help text so one pkill pattern
 // covers both.
@@ -139,11 +143,11 @@ func parseProgram(p []byte) (idx int, src string, err error) {
 	return int(binary.BigEndian.Uint16(p)), string(p[2:]), nil
 }
 
-// spawnPayload carries the packet's in-process program tag (which the packet
-// codec leaves out: code is resident, not shipped) ahead of the packet.
-func spawnPayload(pkt *proto.TaskPacket) []byte {
-	buf := binary.BigEndian.AppendUint16(nil, uint16(pkt.Prog))
-	return append(buf, proto.EncodePacket(pkt)...)
+// appendSpawn appends a spawn payload: the packet's in-process program tag
+// (which the packet codec leaves out: code is resident, not shipped) ahead of
+// the packet.
+func appendSpawn(buf []byte, pkt *proto.TaskPacket) []byte {
+	return proto.AppendPacket(binary.BigEndian.AppendUint16(buf, uint16(pkt.Prog)), pkt)
 }
 
 func parseSpawn(p []byte) (*proto.TaskPacket, error) {

@@ -222,8 +222,17 @@ func TestNoOrphansAfterClose(t *testing.T) {
 	if err != nil || !rep.Completed {
 		t.Fatalf("request failed: %v %+v", err, rep)
 	}
+	// A result for a task node 0 never had is drained there, and only the
+	// node knows: the count comes home in its goodbye, the stats frame the
+	// node must flush before it exits.
+	if !c.push(c.children[0], orphanResult(0)) {
+		t.Fatal("node 0 refused a frame")
+	}
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := c.Root().Snapshot().Drained; got != 1 {
+		t.Errorf("drained = %d after Close, want the 1 node 0 reported at shutdown", got)
 	}
 	requireAllDead(t, pids)
 }

@@ -94,12 +94,18 @@ func decodeString16(buf []byte) (string, []byte, error) {
 }
 
 // EncodePacket serializes a task packet to bytes.
-func EncodePacket(p *TaskPacket) []byte {
-	buf := appendKey(nil, p.Key)
+func EncodePacket(p *TaskPacket) []byte { return AppendPacket(nil, p) }
+
+// AppendPacket appends a task packet's wire form to buf.
+func AppendPacket(buf []byte, p *TaskPacket) []byte {
+	buf = appendKey(buf, p.Key)
 	buf = binary.BigEndian.AppendUint64(buf, p.Gen)
 	buf = binary.BigEndian.AppendUint64(buf, p.ParentGen)
 	buf = appendString16(buf, p.Fn)
-	buf = append(buf, expr.EncodeValues(p.Args)...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(p.Args)))
+	for _, v := range p.Args {
+		buf = expr.AppendValue(buf, v)
+	}
 	buf = appendAddr(buf, p.Parent)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(p.HoleID))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.Ancestors)))
@@ -171,11 +177,14 @@ func DecodePacket(buf []byte) (*TaskPacket, error) {
 }
 
 // EncodeResult serializes a result payload.
-func EncodeResult(r *Result) []byte {
-	buf := appendKey(nil, r.Child)
+func EncodeResult(r *Result) []byte { return AppendResult(nil, r) }
+
+// AppendResult appends a result's wire form to buf.
+func AppendResult(buf []byte, r *Result) []byte {
+	buf = appendKey(buf, r.Child)
 	buf = appendKey(buf, r.ParentTask)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(r.HoleID))
-	buf = append(buf, expr.EncodeValue(r.Value)...)
+	buf = expr.AppendValue(buf, r.Value)
 	buf = appendAddr(buf, r.DeadParent)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Remaining)))
 	for _, a := range r.Remaining {

@@ -104,16 +104,60 @@ func AppendFrame(buf []byte, f *Frame) []byte {
 	return append(buf, f.Payload...)
 }
 
-// WriteFrame writes one frame and returns the bytes written. Callers that
-// share a connection across goroutines serialize writes themselves.
-func WriteFrame(w io.Writer, f *Frame) (int, error) {
-	if len(f.Payload) > MaxFramePayload {
-		return 0, fmt.Errorf("%w: payload %d exceeds %d", ErrFrame, len(f.Payload), MaxFramePayload)
+// FrameWriter batches whole frames for one connection, each encoded once in
+// the buffer that is written, and hands them over in one Write per Flush: a
+// socket costs a system call per wake-up, not per frame. A refused frame and
+// a failed Write are both sticky — nothing more is sent. Callers that share
+// a connection across goroutines serialize themselves.
+type FrameWriter struct {
+	w     io.Writer
+	buf   []byte
+	start int // offset of the frame Begin opened
+	err   error
+}
+
+// NewFrameWriter returns an empty batch in front of w.
+func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
+
+// Begin opens a frame and returns the batch for the caller to append the
+// payload to; End takes the extended buffer back.
+func (w *FrameWriter) Begin(t FrameType, flags byte, from, to ProcID) []byte {
+	w.start = len(w.buf)
+	return AppendFrame(w.buf, &Frame{Type: t, Flags: flags, From: from, To: to})
+}
+
+// End closes the frame Begin opened by back-patching its length. What the
+// read side would reject is refused here and never enters the batch.
+func (w *FrameWriter) End(buf []byte) error {
+	n := len(buf) - w.start - FrameHeaderSize
+	switch t := FrameType(buf[w.start+4]); {
+	case w.err != nil:
+	case n > MaxFramePayload:
+		w.err = fmt.Errorf("%w: payload %d exceeds %d", ErrFrame, n, MaxFramePayload)
+	case t <= 0 || t >= frameTypeEnd:
+		w.err = fmt.Errorf("%w: invalid type %d", ErrFrame, t)
+	default:
+		binary.BigEndian.PutUint32(buf[w.start:], uint32(n))
+		w.buf = buf
 	}
-	if f.Type <= 0 || f.Type >= frameTypeEnd {
-		return 0, fmt.Errorf("%w: invalid type %d", ErrFrame, f.Type)
+	return w.err
+}
+
+// Append adds one already-built frame to the batch.
+func (w *FrameWriter) Append(f *Frame) error {
+	return w.End(append(w.Begin(f.Type, f.Flags, f.From, f.To), f.Payload...))
+}
+
+// Len is the size of the unflushed batch in bytes.
+func (w *FrameWriter) Len() int { return len(w.buf) }
+
+// Flush writes the batch with one Write and empties it.
+func (w *FrameWriter) Flush() error {
+	if w.err == nil && len(w.buf) > 0 {
+		_, w.err = w.w.Write(w.buf)
+		w.buf = w.buf[:0]
 	}
-	return w.Write(AppendFrame(nil, f))
+	return w.err
 }
 
 // ReadFrame reads one frame. A clean EOF at a frame boundary returns io.EOF;
@@ -121,14 +165,8 @@ func WriteFrame(w io.Writer, f *Frame) (int, error) {
 // type or length is invalid returns ErrFrame without reading the payload.
 func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, err // io.EOF at a boundary stays io.EOF
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err // io.EOF only at a boundary, io.ErrUnexpectedEOF inside
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n > MaxFramePayload {

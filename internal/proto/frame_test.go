@@ -26,19 +26,19 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameNodeDown, From: HostID, To: 4, Payload: []byte{0, 0, 0, 2}},
 	}
 	var buf bytes.Buffer
+	w := NewFrameWriter(&buf)
 	total := 0
 	for _, f := range frames {
-		n, err := WriteFrame(&buf, f)
-		if err != nil {
-			t.Fatalf("WriteFrame(%v): %v", f.Type, err)
+		if err := w.Append(f); err != nil {
+			t.Fatalf("Append(%v): %v", f.Type, err)
 		}
-		if want := FrameHeaderSize + len(f.Payload); n != want {
-			t.Fatalf("WriteFrame(%v) wrote %d bytes, want %d", f.Type, n, want)
+		total += FrameHeaderSize + len(f.Payload)
+		if w.Len() != total {
+			t.Fatalf("batch is %d bytes after %v, want %d", w.Len(), f.Type, total)
 		}
-		total += n
 	}
-	if buf.Len() != total {
-		t.Fatalf("stream length %d != sum of writes %d", buf.Len(), total)
+	if err := w.Flush(); err != nil || buf.Len() != total || w.Len() != 0 {
+		t.Fatalf("Flush: %v, stream %d bytes (want %d), %d left in the batch", err, buf.Len(), total, w.Len())
 	}
 	for _, want := range frames {
 		got, err := ReadFrame(&buf)
@@ -68,7 +68,11 @@ func TestFrameSpawnPayloadRoundTrip(t *testing.T) {
 		Reissue:   true,
 	}
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, &Frame{Type: FrameSpawn, From: 1, To: 2, Payload: EncodePacket(pkt)}); err != nil {
+	w := NewFrameWriter(&buf)
+	if err := w.End(AppendPacket(w.Begin(FrameSpawn, 0, 1, 2), pkt)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	f, err := ReadFrame(&buf)
@@ -116,12 +120,101 @@ func TestFrameMalformed(t *testing.T) {
 			}
 		})
 	}
-	// The write side refuses what the read side would reject.
-	if _, err := WriteFrame(io.Discard, &Frame{Type: 0}); !errors.Is(err, ErrFrame) {
-		t.Fatalf("WriteFrame(type 0) = %v, want ErrFrame", err)
+	// The write side refuses what the read side would reject, before any
+	// byte of the frame enters the batch; the refusal is sticky, so the
+	// whole frames already batched are not sent after it either.
+	for name, bad := range map[string]*Frame{
+		"type 0":       {Type: 0},
+		"unknown type": {Type: frameTypeEnd},
+		"oversize":     {Type: FrameSpawn, Payload: make([]byte, MaxFramePayload+1)},
+	} {
+		var out countingWriter
+		w := NewFrameWriter(&out)
+		if err := w.Append(&Frame{Type: FrameHeartbeat}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(bad); !errors.Is(err, ErrFrame) {
+			t.Fatalf("Append(%s) = %v, want ErrFrame", name, err)
+		}
+		if w.Len() != FrameHeaderSize {
+			t.Fatalf("Append(%s) left a %d-byte batch, want the one whole frame (%d)", name, w.Len(), FrameHeaderSize)
+		}
+		if err := w.Flush(); !errors.Is(err, ErrFrame) || out.writes != 0 {
+			t.Fatalf("Flush after Append(%s) = %v with %d writes, want ErrFrame and none", name, err, out.writes)
+		}
 	}
-	if _, err := WriteFrame(io.Discard, &Frame{Type: FrameSpawn, Payload: make([]byte, MaxFramePayload+1)}); !errors.Is(err, ErrFrame) {
-		t.Fatalf("WriteFrame(oversize) = %v, want ErrFrame", err)
+}
+
+// countingWriter records what a FrameWriter hands its connection.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+	fail   error
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.fail != nil {
+		return 0, w.fail
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestFrameWriterBytes pins the wire format across the batched writer: a
+// batch built by Append, and by Begin/AppendPacket/AppendResult/End in
+// place, is byte for byte AppendFrame of the same frames over
+// EncodePacket/EncodeResult payloads, and leaves in one Write per Flush.
+func TestFrameWriterBytes(t *testing.T) {
+	pkt := fuzzSeedPacket()
+	res := &Result{
+		Child:      pkt.Key,
+		ParentTask: pkt.Parent.Task,
+		HoleID:     5,
+		Value:      expr.IntList(8, 13),
+		Remaining:  []Addr{{Proc: 0, Task: TaskKey{Stamp: stamp.Root()}}},
+	}
+	frames := []*Frame{
+		{Type: FrameSpawn, Flags: FlagReissue, From: 2, To: 1, Payload: EncodePacket(pkt)},
+		{Type: FrameResult, From: 1, To: HostID, Payload: EncodeResult(res)},
+		{Type: FrameHeartbeat, From: 1, To: HostID},
+	}
+	var want []byte
+	for _, f := range frames {
+		want = AppendFrame(want, f)
+	}
+	var out countingWriter
+	w := NewFrameWriter(&out)
+	for round := 0; round < 2; round++ { // the second round reuses the buffer
+		out.Reset()
+		if err := w.End(AppendPacket(w.Begin(FrameSpawn, FlagReissue, 2, 1), pkt)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.End(AppendResult(w.Begin(FrameResult, 0, 1, HostID), res)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(frames[2]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if out.writes != round+1 || !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("round %d: %d writes, bytes\n  %x\nwant one per flush and\n  %x", round, out.writes, out.Bytes(), want)
+		}
+		if err := w.Flush(); err != nil || out.writes != round+1 {
+			t.Fatalf("empty Flush = %v, %d writes: an empty batch must not touch the connection", err, out.writes)
+		}
+	}
+	// A failed Write is sticky: the stream may hold a torn frame, so nothing
+	// may follow it.
+	out.fail = io.ErrClosedPipe
+	_ = w.Append(frames[2])
+	if err := w.Flush(); err != io.ErrClosedPipe {
+		t.Fatalf("Flush on a broken connection = %v", err)
+	}
+	out.fail = nil
+	if err := w.Append(frames[2]); err != io.ErrClosedPipe || w.Len() != 0 {
+		t.Fatalf("Append after a failed write = %v, batch %d bytes", err, w.Len())
 	}
 }
 

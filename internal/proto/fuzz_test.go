@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -110,8 +111,12 @@ func FuzzReadFrame(f *testing.F) {
 				return
 			}
 			var buf bytes.Buffer
-			if _, err := WriteFrame(&buf, fr); err != nil {
+			w := NewFrameWriter(&buf)
+			if err := w.Append(fr); err != nil {
 				t.Fatalf("accepted frame does not re-write: %v", err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
 			}
 			back, err := ReadFrame(&buf)
 			if err != nil {
@@ -121,6 +126,110 @@ func FuzzReadFrame(f *testing.F) {
 				back.From != fr.From || back.To != fr.To ||
 				!bytes.Equal(back.Payload, fr.Payload) {
 				t.Fatalf("frame round trip drifted: %+v vs %+v", back, fr)
+			}
+		}
+	})
+}
+
+// fuzzFrames cuts fuzz input into a sequence of valid frames: five bytes of
+// type, flags, from, to and payload length, then that much payload.
+func fuzzFrames(data []byte) []*Frame {
+	var out []*Frame
+	for len(data) >= 5 {
+		n := min(int(data[4]), len(data)-5)
+		out = append(out, &Frame{
+			Type:  1 + FrameType(data[0])%(frameTypeEnd-1),
+			Flags: data[1],
+			From:  ProcID(int8(data[2])), To: ProcID(int8(data[3])),
+			Payload: data[5 : 5+n],
+		})
+		data = data[5+n:]
+	}
+	return out
+}
+
+// fuzzInput inverts fuzzFrames for seeding.
+func fuzzInput(frames ...*Frame) []byte {
+	var out []byte
+	for _, f := range frames {
+		out = append(out, byte(f.Type-1), f.Flags, byte(f.From), byte(f.To), byte(len(f.Payload)))
+		out = append(out, f.Payload...)
+	}
+	return out
+}
+
+// readAll reads frames through a 16-byte buffered reader — smaller than any
+// frame with a payload, so every frame crosses buffer boundaries — until the
+// first error.
+func readAll(stream []byte) ([]*Frame, error) {
+	r := bufio.NewReaderSize(bytes.NewReader(stream), 16)
+	var out []*Frame
+	for {
+		f, err := ReadFrame(r)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, f)
+	}
+}
+
+// FuzzFrameStream is the batch's fail-silent property: a node killed in the
+// middle of a write leaves whole frames followed by a torn one. Any sequence
+// of valid frames batched into one buffer reads back as those frames and
+// io.EOF, and the same buffer cut at every offset yields exactly the whole
+// frames before the cut, then io.ErrUnexpectedEOF (io.EOF on a boundary) —
+// never a wrong frame, never a hang.
+func FuzzFrameStream(f *testing.F) {
+	pkt := &TaskPacket{
+		Key: TaskKey{Stamp: stamp.FromPath(3, 1, 0, 2)}, Gen: 1, Fn: "fib",
+		Args:   []expr.Value{expr.VInt(12)},
+		Parent: Addr{Proc: 2, Task: TaskKey{Stamp: stamp.FromPath(3, 1, 0)}}, HoleID: 2, Replicas: 1,
+	}
+	res := &Result{Child: pkt.Key, ParentTask: pkt.Parent.Task, HoleID: 2, Value: expr.VInt(144)}
+	// The spawn/result/heartbeat triple bench/probes.go times.
+	f.Add(fuzzInput(
+		&Frame{Type: FrameSpawn, From: 2, To: 1, Payload: append([]byte{0, 0}, EncodePacket(pkt)...)},
+		&Frame{Type: FrameResult, From: 1, To: 2, Payload: EncodeResult(res)},
+		&Frame{Type: FrameHeartbeat, From: 1, To: HostID},
+	))
+	f.Add([]byte{})
+	f.Add([]byte{7, 0xff, 0xff, 3, 200, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<10 {
+			return // the cut loop is quadratic
+		}
+		frames := fuzzFrames(data)
+		var stream bytes.Buffer
+		w := NewFrameWriter(&stream)
+		ends := []int{0} // ends[k] is where the first k frames end
+		for _, fr := range frames {
+			if err := w.Append(fr); err != nil {
+				t.Fatalf("valid frame refused: %v", err)
+			}
+			ends = append(ends, w.Len())
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		whole := 0
+		for cut := 0; cut <= stream.Len(); cut++ {
+			if whole+1 < len(ends) && ends[whole+1] <= cut {
+				whole++
+			}
+			want := io.ErrUnexpectedEOF
+			if cut == ends[whole] {
+				want = io.EOF
+			}
+			got, err := readAll(stream.Bytes()[:cut])
+			if err != want || len(got) != whole {
+				t.Fatalf("cut at %d of %d: %d frames then %v, want %d then %v", cut, stream.Len(), len(got), err, whole, want)
+			}
+			for i, g := range got {
+				fr := frames[i]
+				if g.Type != fr.Type || g.Flags != fr.Flags || g.From != fr.From || g.To != fr.To ||
+					!bytes.Equal(g.Payload, fr.Payload) {
+					t.Fatalf("cut at %d: frame %d is %+v, want %+v", cut, i, g, fr)
+				}
 			}
 		}
 	})
