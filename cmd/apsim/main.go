@@ -13,8 +13,8 @@
 //
 //	apsim -workload fib:16 -procs 16 -topology mesh -placement gradient
 //	apsim -workload nqueens:6 -recovery splice -fault 2@3000 -trace
-//	apsim -workload tree:4,6 -scheme incremental -fault 1@2000,5@6000s
-//	apsim -workload fib:12 -requests 32 -every 100 -fault 2@4000,5@6000
+//	apsim -workload tree:4,6 -recovery incremental -fault 1@2000,5@6000s
+//	apsim -workload fib:12 -requests 32 -arrive uniform:100 -fault 2@4000,5@6000
 //	apsim -workload fib:12 -requests 32 -arrive poisson:0.02 -max-inflight 16 -admission queue:8
 //	apsim -workload fib:12 -requests 32 -backend live -fault 2@4000
 //	apsim -workload fib:13 -procs 64 -recovery rollback -cpuprofile cpu.out -memprofile mem.out
@@ -56,8 +56,7 @@ func main() {
 		topo      = flag.String("topology", "mesh", strings.Join(topology.Kinds(), "|"))
 		placement = flag.String("placement", "random", "random|gradient|static|local")
 		recov     = flag.String("recovery", "none", "recovery scheme: "+strings.Join(recovery.Names(), "|"))
-		eval      = flag.String("eval", "", "evaluator for task reduction passes: "+lang.EvaluatorHelp()+" (default interp; traces are byte-identical either way)")
-		scheme    = flag.String("scheme", "", "alias for -recovery: "+strings.Join(recovery.Names(), "|"))
+		eval      = flag.String("eval", "", "evaluator for task reduction passes: "+strings.Join(lang.Evaluators(), "|")+" (default interp; traces are byte-identical either way)")
 		ancestors = flag.Int("ancestors", 2, "ancestor-pointer depth K (§5.2)")
 		replicate = flag.Int("replicate", 1, "replica count for every function (§5.3; requires -recovery none)")
 		seed      = flag.Int64("seed", 1, "random seed")
@@ -67,8 +66,7 @@ func main() {
 		deadline  = flag.Int64("deadline", 0, "virtual-time budget (0 = default); per-request in service mode")
 		shards    = flag.Int("shards", 1, "simulation kernel shards (sim backend; 0 or negative = GOMAXPROCS); results are byte-identical at every count")
 		requests  = flag.Int("requests", 0, "service mode: serve N copies of the workload through one open cluster (0 = one-shot)")
-		every     = flag.Int64("every", 0, "service mode: shorthand for -arrive uniform:N — offer requests N virtual ticks apart on the sim stream clock (0 = all at once)")
-		arrive    = flag.String("arrive", "", `service mode: seeded arrival process on the sim stream clock — poisson:RATE, uniform:GAP or burst:SIZE:GAP (the "arrive:" prefix is optional; overrides -every)`)
+		arrive    = flag.String("arrive", "", `service mode: seeded arrival process on the sim stream clock — poisson:RATE, uniform:GAP or burst:SIZE:GAP (the "arrive:" prefix is optional; default: all requests offered at once)`)
 		inflight  = flag.Int("max-inflight", 0, "service mode: bound on concurrently admitted requests (0 = unbounded)")
 		admission = flag.String("admission", "", "service mode: what to do with requests over the -max-inflight bound — queue (default), queue:N (FIFO bounded at depth N) or shed")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (profile with `go tool pprof`)")
@@ -83,7 +81,7 @@ func main() {
 		var stray []string
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "every", "arrive", "max-inflight", "admission":
+			case "arrive", "max-inflight", "admission":
 				stray = append(stray, "-"+f.Name)
 			}
 		})
@@ -92,24 +90,6 @@ func main() {
 		}
 	} else if *showTrace {
 		misuse("-trace prints the event trace of a one-shot run: drop it or -requests")
-	}
-
-	if *scheme != "" {
-		*recov = *scheme
-	}
-	if *recov != "" {
-		// Validate eagerly so a typo fails here with the registry's name
-		// list, not deep inside the first request of a service stream.
-		if _, err := recovery.ByName(*recov); err != nil {
-			fatal(err)
-		}
-	}
-	if *eval != "" {
-		// Same eager validation: fail with the evaluator registry's name
-		// list before any cluster comes up.
-		if _, err := lang.EvaluatorByName(*eval); err != nil {
-			fatal(err)
-		}
 	}
 
 	if *cpuProf != "" {
@@ -172,9 +152,6 @@ func main() {
 		}
 	}
 	if *requests > 0 {
-		if *every > 0 {
-			cfg.Arrival = fmt.Sprintf("arrive:uniform:%d", *every)
-		}
 		if *arrive != "" {
 			cfg.Arrival = "arrive:" + strings.TrimPrefix(*arrive, "arrive:")
 		}

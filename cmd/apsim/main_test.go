@@ -39,12 +39,34 @@ func TestCommandLine(t *testing.T) {
 			"workload   : nqueens:6", "recover.twins            2"},
 		{"wrong answer", "-workload fib:10 -procs 4 -fault 0@0c,1@0c,2@0c,3@0c", 1,
 			"apsim: answer 232 differs from the sequential reference 55", ""},
-		{"stream flags without -requests", "-workload fib:10 -every 100 -max-inflight 2 -admission shed", 2,
-			"apsim: -admission, -every, -max-inflight: service-stream flags need -requests N", ""},
+		{"stream flags without -requests", "-workload fib:10 -arrive uniform:100 -max-inflight 2 -admission shed", 2,
+			"apsim: -admission, -arrive, -max-inflight: service-stream flags need -requests N", ""},
 		{"-trace on a stream", "-workload fib:10 -requests 4 -trace", 2,
 			"apsim: -trace prints the event trace of a one-shot run: drop it or -requests", ""},
 		{"unknown scheme", "-recovery nosuch", 1,
 			`apsim: recovery: unknown scheme "nosuch" (known: incremental, none, rollback, rollback-lazy, rollback-nosuppress, splice)`, ""},
+		{"unknown scheme on live", "-recovery nosuch -backend live", 1,
+			`apsim: live: recovery "nosuch" not supported (rollback per-parent reissue, or none)`, ""},
+		{"unknown evaluator", "-eval nosuch", 1,
+			`apsim: machine: unknown evaluator "nosuch" (known: compiled, interp)`, ""},
+		{"unknown evaluator on net", "-eval nosuch -backend net", 1,
+			`apsim: lang: unknown evaluator "nosuch" (known: compiled, interp)`, ""},
+		// Workload specs that used to panic, die mid-run or unroll 10⁸
+		// definitions are refused where the spec is read.
+		{"msort of negative length", "-workload msort:-1", 1,
+			"apsim: core: msort:-1: N must be in 0..100000", ""},
+		{"tree of negative fanout", "-workload tree:-1,3", 1,
+			"apsim: core: tree:-1,3: FANOUT must be in 1..64", ""},
+		{"tree of no fanout", "-workload tree:0,3", 1,
+			"apsim: core: tree:0,3: FANOUT must be in 1..64", ""},
+		{"random shape of no fanout", "-workload shape:random:1,0,3,4", 1,
+			"apsim: core: shape:random:1,0,3,4: MAXFANOUT must be in 1..8", ""},
+		{"random shape of no leaf cost", "-workload shape:random:1,3,3,0", 1,
+			"apsim: core: shape:random:1,3,3,0: MAXLEAFCOST must be in 1..10000", ""},
+		{"shape wider than its index encoding", "-workload shape:uniform:9,2,1", 1,
+			"apsim: core: shape:uniform:9,2,1: FANOUT must be in 1..8", ""},
+		{"shape past the node cap", "-workload shape:uniform:8,9,1", 1,
+			"apsim: core: shape:uniform:8,9,1: workload: shape uniform(f=8,d=9) unrolls to more than 100000 nodes", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)

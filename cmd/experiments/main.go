@@ -11,13 +11,12 @@
 //	experiments                          # everything, one seed
 //	experiments -exp f1                  # one artifact (ids are case-insensitive)
 //	experiments -exp T3,T6               # a comma-separated subset
-//	experiments -run T3,T6               # same (-run is an alias for -exp)
 //	experiments -seed 7                  # different base seed
 //	experiments -exp T3 -seeds 3         # seeds 1,2,3 with mean/min/max aggregates
 //	experiments -seeds 3 -parallel 8     # fan the (experiment × seed) grid out
 //	experiments -exp T3 -seeds 3 -json   # machine-readable per-seed + aggregate output
 //	experiments -markdown -seeds 5       # self-contained EXPERIMENTS.md document
-//	experiments -backend live -run L1,L3 # live-backend artifacts on real goroutines
+//	experiments -backend live -exp L1,L3 # live-backend artifacts on real goroutines
 //	experiments -list                    # show the artifact ids + backends
 //
 // Artifacts declare the core backend they need; with -backend sim (the
@@ -55,7 +54,6 @@ func main() {
 	debug.SetGCPercent(400)
 	var (
 		exp      = flag.String("exp", "all", "artifacts: all, one id (F1/F2/F5/F6/F7, T1..T7, A1..A4, S1..S6, L1..L5, any case; see -list), or a comma-separated list")
-		run      = flag.String("run", "", "alias for -exp (takes precedence when set)")
 		backend  = flag.String("backend", "sim", "execution backend: sim (discrete-event simulator), live (goroutine cluster) or net (process-per-node cluster); artifacts not declaring the backend render a skip note")
 		seed     = flag.Int64("seed", 1, "base random seed for the quantitative tables")
 		seeds    = flag.Int("seeds", 1, "number of consecutive seeds to sweep (seed, seed+1, ...)")
@@ -64,7 +62,7 @@ func main() {
 		asDoc    = flag.Bool("markdown", false, "emit the self-contained EXPERIMENTS.md document (header + contents + artifacts)")
 		list     = flag.Bool("list", false, "list the artifacts and exit")
 		shards   = flag.Int("shards", 1, "simulation kernel shards per cell (0 = GOMAXPROCS); every artifact is byte-identical at every shard count, so this only trades wall-clock time")
-		eval     = flag.String("eval", "", "evaluator for task reduction passes: "+lang.EvaluatorHelp()+" (default interp); every artifact is byte-identical under either, so this only trades wall-clock time")
+		eval     = flag.String("eval", "", "evaluator for task reduction passes: "+strings.Join(lang.Evaluators(), "|")+" (default interp); every artifact is byte-identical under either, so this only trades wall-clock time")
 	)
 	flag.Parse()
 	if *shards <= 0 {
@@ -83,16 +81,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -json and -markdown are mutually exclusive")
 		os.Exit(2)
 	}
-	expSet := false
-	flag.Visit(func(f *flag.Flag) { expSet = expSet || f.Name == "exp" })
-	if expSet && *run != "" {
-		fmt.Fprintln(os.Stderr, "experiments: -exp and -run select the same thing; pass only one")
-		os.Exit(2)
-	}
-	request := *exp
-	if *run != "" {
-		request = *run
-	}
 	if _, err := core.ByName(*backend); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
@@ -105,7 +93,7 @@ func main() {
 		return
 	}
 
-	results, runErr := runner.Artifacts.RunIDs(request, runner.Options{
+	results, runErr := runner.Artifacts.RunIDs(*exp, runner.Options{
 		Seeds:    runner.SeedRange(*seed, *seeds),
 		Parallel: *parallel,
 		Backend:  *backend,
@@ -126,7 +114,7 @@ func main() {
 		fmt.Print(out)
 	case *asDoc:
 		fmt.Print(runner.RenderDocument(results, runner.DocumentOptions{
-			Command: runner.DocumentCommand(request, *backend, *seed, *seeds),
+			Command: runner.DocumentCommand(*exp, *backend, *seed, *seeds),
 			Seeds:   runner.SeedRange(*seed, *seeds),
 		}))
 	default:

@@ -151,16 +151,6 @@ func (s *Store) TopmostFor(dest proto.ProcID) (topmost, shadowed []*Entry) {
 	return topmost, shadowed
 }
 
-// Keys returns all retained keys in preorder, for deterministic iteration.
-func (s *Store) Keys() []proto.TaskKey {
-	out := make([]proto.TaskKey, 0, len(s.entries))
-	for k := range s.entries {
-		out = append(out, k)
-	}
-	slices.SortFunc(out, proto.TaskKey.Compare)
-	return out
-}
-
 func sortEntries(es []*Entry) {
 	slices.SortFunc(es, func(a, b *Entry) int { return a.Packet.Key.Compare(b.Packet.Key) })
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -170,6 +171,16 @@ func TestReplicasAreIndependentlyTopmost(t *testing.T) {
 	if len(top) != 2 || len(shadowed) != 0 {
 		t.Fatalf("replica topmost: top=%d shadowed=%d", len(top), len(shadowed))
 	}
+}
+
+// Keys returns all retained keys in preorder.
+func (s *Store) Keys() []proto.TaskKey {
+	out := make([]proto.TaskKey, 0, len(s.entries))
+	for k := range s.entries {
+		out = append(out, k)
+	}
+	slices.SortFunc(out, proto.TaskKey.Compare)
+	return out
 }
 
 func TestKeysDeterministicOrder(t *testing.T) {

@@ -3,13 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/machine"
-	"repro/internal/registry"
 )
 
 // TimeUnit names the unit a backend measures makespan in: the simulator
@@ -155,16 +157,21 @@ type SessionRequest interface {
 	Wait() (*Report, error)
 }
 
-// backends is the backend registry; its error text lists the known
-// backends in exactly the Backends() order, so help strings and error
-// messages can never drift apart.
-var backends = registry.New[Backend]("core", "backend")
+// backends is the set of linked-in backends by name. It is a table filled
+// at start-up rather than a literal because the wall-clock backends import
+// this package: each registers itself in its package init (the simulator
+// here, internal/livenet, internal/netnode), so importing a backend's
+// package is what makes it selectable, and after init the table is only read.
+var backends = map[string]Backend{}
 
-// RegisterBackend adds a backend to the registry. Duplicate or empty names
-// are errors. Backends register themselves in package init (the simulator
-// here, the live network in internal/livenet), so importing a backend's
-// package is what makes it selectable.
-func RegisterBackend(b Backend) error { return backends.Register(b.Name(), b) }
+// RegisterBackend adds a backend; a name already taken is an error.
+func RegisterBackend(b Backend) error {
+	if _, dup := backends[b.Name()]; dup {
+		return fmt.Errorf("core: duplicate backend %q", b.Name())
+	}
+	backends[b.Name()] = b
+	return nil
+}
 
 // MustRegisterBackend is RegisterBackend for init-time wiring.
 func MustRegisterBackend(b Backend) {
@@ -175,12 +182,19 @@ func MustRegisterBackend(b Backend) {
 
 // ByName resolves a registered backend; the error text lists the registered
 // names so callers can surface it verbatim.
-func ByName(name string) (Backend, error) { return backends.Get(name) }
+func ByName(name string) (Backend, error) {
+	if b, ok := backends[name]; ok {
+		return b, nil
+	}
+	return nil, fmt.Errorf("core: unknown backend %q (known: %s)", name, strings.Join(Backends(), ", "))
+}
 
 // Backends lists the registered backend names in the one documented order:
 // sorted alphabetically ("live" before "sim" once internal/livenet is
 // linked in). ByName error text and every CLI help string use this order.
-func Backends() []string { return backends.Names() }
+func Backends() []string {
+	return slices.Sorted(maps.Keys(backends))
+}
 
 // simBackend runs the discrete-event simulator (internal/machine).
 type simBackend struct{}

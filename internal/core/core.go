@@ -164,8 +164,10 @@ type Workload struct {
 //	shape:skew:WIDTH,DEPTH,LEAFCOST
 //	shape:random:SEED,MAXFANOUT,DEPTH,MAXLEAFCOST
 //
-// The same spec always yields the same *Program (with a fresh copy of Args):
-// see standardWorkloads.
+// An argument that sizes what is built here — msort's list, tree's fanout, a
+// shape's fanout, depth and leaf cost — has an accepted range and a spec
+// outside it is an error; the others are plain program inputs. The same spec always
+// yields the same *Program (with a fresh copy of Args): see standardWorkloads.
 func StandardWorkload(spec string) (Workload, error) {
 	v, ok := standardWorkloads.Load(spec)
 	if !ok {
@@ -208,12 +210,20 @@ func standardWorkload(spec string) (Workload, error) {
 	case scan(spec, "sumrange:%d", &a):
 		return Workload{Program: lang.SumRange(16), Fn: "sumrange", Args: []expr.Value{expr.VInt(0), expr.VInt(a)}}, nil
 	case scan(spec, "msort:%d", &a):
+		// The list is built here, before anything can bound it.
+		if err := inRange(spec, arg{"N", a, 0, 100_000}); err != nil {
+			return Workload{}, err
+		}
 		xs := make([]int64, a)
 		for i := range xs {
 			xs[i] = (int64(i)*7919 + 13) % 1000
 		}
 		return Workload{Program: lang.MergeSort(), Fn: "msort", Args: []expr.Value{expr.IntList(xs...)}}, nil
 	case scan(spec, "tree:%d,%d", &a, &b):
+		// One sum node that wide is built here; a sum of no terms has no value.
+		if err := inRange(spec, arg{"FANOUT", a, 1, 64}); err != nil {
+			return Workload{}, err
+		}
 		return Workload{Program: lang.TreeSum(int(a)), Fn: "tree", Args: []expr.Value{expr.VInt(b)}}, nil
 	case scan(spec, "binom:%d,%d", &a, &b):
 		return Workload{Program: lang.Binomial(), Fn: "binom", Args: []expr.Value{expr.VInt(a), expr.VInt(b)}}, nil
@@ -227,21 +237,51 @@ func standardWorkload(spec string) (Workload, error) {
 func shapeWorkload(spec string) (Workload, error) {
 	var s workload.Shape
 	var a, b, c, d int64
+	var err error
 	switch {
 	case scan(spec, "shape:uniform:%d,%d,%d", &a, &b, &c):
+		err = inRange(spec, arg{"FANOUT", a, 1, workload.MaxFanout}, arg{"LEAFCOST", c, 0, maxLeafCost})
 		s = workload.Uniform(int(a), int(b), int(c))
 	case scan(spec, "shape:skew:%d,%d,%d", &a, &b, &c):
+		err = inRange(spec, arg{"WIDTH", a, 1, workload.MaxFanout}, arg{"LEAFCOST", c, 0, maxLeafCost})
 		s = workload.Skewed(int(a), int(b), int(c))
 	case scan(spec, "shape:random:%d,%d,%d,%d", &a, &b, &c, &d):
+		err = inRange(spec, arg{"MAXFANOUT", b, 1, workload.MaxFanout}, arg{"MAXLEAFCOST", d, 1, maxLeafCost})
 		s = workload.Random(a, int(b), int(c), int(d))
 	default:
-		return Workload{}, fmt.Errorf("core: unknown shape spec %q", spec)
+		err = fmt.Errorf("core: unknown shape spec %q", spec)
+	}
+	if err != nil {
+		return Workload{}, err
 	}
 	prog, root, err := workload.Build(s)
 	if err != nil {
 		return Workload{}, fmt.Errorf("core: %s: %w", spec, err)
 	}
 	return Workload{Program: prog, Fn: root}, nil
+}
+
+// maxLeafCost bounds one leaf's chain, which is one expression nested that
+// deep: every recursive walk over it (validate, format, parse, evaluate)
+// stays far inside the goroutine stack limit, which a chain of a million
+// does not.
+const maxLeafCost = 10_000
+
+// arg is one numeric argument of a workload spec with the range the spec
+// accepts for it.
+type arg struct {
+	name      string
+	v, lo, hi int64
+}
+
+// inRange reports the first argument outside its range, naming the spec.
+func inRange(spec string, args ...arg) error {
+	for _, a := range args {
+		if a.v < a.lo || a.v > a.hi {
+			return fmt.Errorf("core: %s: %s must be in %d..%d", spec, a.name, a.lo, a.hi)
+		}
+	}
+	return nil
 }
 
 // scan is Sscanf with full-match semantics for workload specs: Sscanf alone

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/workload"
 )
 
 func TestStandardWorkloads(t *testing.T) {
@@ -48,6 +49,66 @@ func TestStandardWorkloads(t *testing.T) {
 			t.Errorf("StandardWorkload(%q) = %s%v, %v; want the unknown-spec error", spec, w.Fn, w.Args, err)
 		}
 	}
+}
+
+// TestWorkloadSpecRanges: a spec whose numbers cannot be built is refused
+// where it is read, with one line naming the spec and the accepted range —
+// each of these panicked, died mid-run or unrolled 10⁸ definitions before it
+// was checked. The boundary specs beside them still build.
+func TestWorkloadSpecRanges(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"msort:-1", "core: msort:-1: N must be in 0..100000"},
+		{"msort:100001", "core: msort:100001: N must be in 0..100000"},
+		{"tree:-1,3", "core: tree:-1,3: FANOUT must be in 1..64"},
+		{"tree:0,3", "core: tree:0,3: FANOUT must be in 1..64"},
+		{"tree:65,1", "core: tree:65,1: FANOUT must be in 1..64"},
+		{"shape:random:1,0,3,4", "core: shape:random:1,0,3,4: MAXFANOUT must be in 1..8"},
+		{"shape:random:1,3,3,0", "core: shape:random:1,3,3,0: MAXLEAFCOST must be in 1..10000"},
+		{"shape:uniform:9,2,1", "core: shape:uniform:9,2,1: FANOUT must be in 1..8"},
+		{"shape:uniform:3,0,4", "core: shape:uniform:3,0,4: workload: depth 0 outside 1..20"},
+		{"shape:skew:2,21,1", "core: shape:skew:2,21,1: workload: depth 21 outside 1..20"},
+		{"shape:uniform:2,2,-1", "core: shape:uniform:2,2,-1: LEAFCOST must be in 0..10000"},
+		{"shape:uniform:1,1,1000000", "core: shape:uniform:1,1,1000000: LEAFCOST must be in 0..10000"},
+		{"shape:skew:0,3,1", "core: shape:skew:0,3,1: WIDTH must be in 1..8"},
+		{"shape:uniform:8,9,1", "core: shape:uniform:8,9,1: workload: shape uniform(f=8,d=9) unrolls to more than 100000 nodes"},
+		{"shape:uniform:8,5,1000", "core: shape:uniform:8,5,1000: workload: shape uniform(f=8,d=5) unrolls to more than 1000000 leaf-chain links"},
+	} {
+		if w, err := StandardWorkload(tc.spec); err == nil || err.Error() != tc.want {
+			t.Errorf("StandardWorkload(%q) = %s, %v; want %s", tc.spec, w.Fn, err, tc.want)
+		}
+	}
+	for _, spec := range []string{"msort:0", "tree:1,3", "tree:64,0", "tree:2,-1", "shape:uniform:8,2,0",
+		"shape:random:-3,1,2,1", "shape:skew:8,9,10000", "shape:skew:1,20,1", "shape:uniform:4,5,200"} {
+		w, err := StandardWorkload(spec)
+		if err != nil {
+			t.Errorf("StandardWorkload(%q): %v", spec, err)
+		} else if _, err := lang.RefEval(w.Program, w.Fn, w.Args); err != nil {
+			t.Errorf("%s does not evaluate: %v", spec, err)
+		}
+	}
+}
+
+// FuzzStandardWorkload: any spec string is an error or a validated program
+// of at most workload.MaxNodes definitions — never a panic, never an
+// unbounded build. Construction only: nothing is evaluated.
+func FuzzStandardWorkload(f *testing.F) {
+	for _, spec := range []string{"fib:12", "tree:3,4", "msort:24", "shape:skew:4,7,10", "shape:random:7,4,7,12",
+		"msort:-1", "tree:-1,3", "tree:0,3", "shape:random:1,0,3,4", "shape:random:1,3,3,0",
+		"shape:uniform:9,2,1", "shape:uniform:8,9,1", "msort:9223372036854775807", "shape:uniform:2,2,9223372036854775807"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		w, err := standardWorkload(spec) // not the memo: a fuzz run must not retain every program
+		if err != nil {
+			return
+		}
+		if err := w.Program.CheckEntry(w.Fn); err != nil {
+			t.Fatalf("%q: %v", spec, err)
+		}
+		if n := len(w.Program.Names()); n > workload.MaxNodes {
+			t.Fatalf("%q built %d definitions", spec, n)
+		}
+	})
 }
 
 // TestSpecStreamSharesPrograms: the same spec is the same *Program, so a

@@ -13,7 +13,7 @@ import (
 // They resolve through the same registry as everything else but declare the
 // "live" backend, so sim-only documents render them as a deterministic skip
 // note (wall-clock measurements are machine-dependent) while
-// `cmd/experiments -backend live -run L1,L2` runs them for real. Every live
+// `cmd/experiments -backend live -exp L1,L2` runs them for real. Every live
 // run's answer is checked against lang.RefEval — determinacy (§2.1) on a
 // genuinely nondeterministic schedule — and any divergence, hang, or
 // incomplete recovery fails the driver loudly.

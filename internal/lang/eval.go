@@ -1,14 +1,16 @@
 package lang
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/expr"
-	"repro/internal/registry"
 )
 
 // This file is the pluggable evaluation API. The machine (and the live and
 // net backends) no longer call Flatten/Resume on ASTs directly: they pick an
 // Evaluator by name, compile each submitted program once at Open/admission
-// time, and drive the compiled form. Two evaluators register here:
+// time, and drive the compiled form. There are two:
 //
 //	interp   — the tree-walking partial reducer (the reference semantics)
 //	compiled — a register-bytecode VM (compile.go / vm.go)
@@ -30,7 +32,7 @@ type TaskState = any
 // are stateless handles (safe for concurrent use) and may memoize
 // compilation by program identity: programs are immutable once built.
 type Evaluator interface {
-	// Name is the registry key ("interp", "compiled").
+	// Name is the name EvaluatorByName resolves ("interp", "compiled").
 	Name() string
 	// Compile lowers a validated program. It is called once per program at
 	// Open/admission time, never on the per-task hot path.
@@ -60,28 +62,29 @@ type EvalProgram interface {
 // DefaultEvaluator is the evaluator the machine uses when none is named.
 const DefaultEvaluator = "interp"
 
-// evaluators is the evaluator registry, mirroring core.Backends() and
-// recovery.Names(): sorted names, lookup errors that enumerate the
-// registered set, flag help derived from the same list.
-var evaluators = registry.New[Evaluator]("lang", "evaluator")
+// evaluators is the closed set of evaluators, in the sorted order that
+// Evaluators, the -eval help strings and the unknown-name error all show.
+var evaluators = []Evaluator{newVMEvaluator(), interpEvaluator{}}
 
-func init() {
-	evaluators.MustRegister("interp", interpEvaluator{})
-	evaluators.MustRegister("compiled", newVMEvaluator())
+// Evaluators lists the evaluator names in sorted order.
+func Evaluators() []string {
+	names := make([]string, len(evaluators))
+	for i, e := range evaluators {
+		names[i] = e.Name()
+	}
+	return names
 }
 
-// Evaluators lists the registered evaluator names in sorted order.
-func Evaluators() []string { return evaluators.Names() }
-
-// KnownEvaluator reports whether name is a registered evaluator.
-func KnownEvaluator(name string) bool { return evaluators.Known(name) }
-
-// EvaluatorByName resolves a registered evaluator; the error text lists the
-// registered names so callers can surface it verbatim.
-func EvaluatorByName(name string) (Evaluator, error) { return evaluators.Get(name) }
-
-// EvaluatorHelp renders the evaluator vocabulary for CLI flag help.
-func EvaluatorHelp() string { return evaluators.FlagHelp() }
+// EvaluatorByName resolves an evaluator; the error text lists the known
+// names so callers can surface it verbatim.
+func EvaluatorByName(name string) (Evaluator, error) {
+	for _, e := range evaluators {
+		if e.Name() == name {
+			return e, nil
+		}
+	}
+	return nil, fmt.Errorf("lang: unknown evaluator %q (known: %s)", name, strings.Join(Evaluators(), ", "))
+}
 
 // --- interp: the tree-walking reference evaluator ---
 

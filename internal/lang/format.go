@@ -9,9 +9,13 @@ import (
 )
 
 // Format renders a program back into the concrete syntax accepted by Parse.
-// Formatting then parsing yields a semantically identical program (and a
-// structurally identical one after a single normalization pass — list
-// literals desugar to cons chains), which the tests verify. Functions are
+// It is the form programs travel in (the net backend ships this text to its
+// node processes), so parsing it back yields the identical tree for every
+// tree Parse can produce: an operator prints infix only with exactly two
+// operands, and a variadic + * and or node of any other arity prints in call
+// form, +(a, b, c), which Parse reads back n-ary. The two literals only a
+// hand-built AST can hold — a non-empty list and a negative integer — come
+// back desugared (cons chain, neg) with the same meaning. Functions are
 // emitted in sorted-name order.
 func Format(p *Program) string {
 	var b strings.Builder
@@ -31,7 +35,7 @@ func Format(p *Program) string {
 	return b.String()
 }
 
-// Operator precedence levels, loosest binding first; mirrors the parser.
+// Operator precedence levels, loosest binding first.
 const (
 	precExpr = iota // if / let bodies
 	precOr
@@ -44,7 +48,9 @@ const (
 	precAtom
 )
 
-// infixOps maps primitive names to (symbol, precedence, variadic-foldable).
+// infixOps is the one table of the infix operators: primitive name to
+// (token, binding level). Format parenthesises by it and the parser climbs
+// it (parseInfix).
 var infixOps = map[string]struct {
 	sym  string
 	prec int
@@ -105,8 +111,7 @@ func format1(e expr.Expr) (string, int) {
 }
 
 func formatPrim(n expr.Prim) (string, int) {
-	if op, ok := infixOps[n.Op]; ok && len(n.Args) >= 2 {
-		// Left-fold variadic operands: a+b+c reparses identically.
+	if op, ok := infixOps[n.Op]; ok && len(n.Args) == 2 {
 		lmin := op.prec
 		if op.prec == precCmp {
 			// Comparisons are non-associative in the grammar (one per
@@ -114,13 +119,9 @@ func formatPrim(n expr.Prim) (string, int) {
 			// left as well: (a < b) == c, never a < b == c.
 			lmin = op.prec + 1
 		}
-		out := formatPrec(n.Args[0], lmin)
-		for _, a := range n.Args[1:] {
-			// Right operands need one level tighter for left-associative
-			// operators so 10-(3-2) keeps its parentheses.
-			out += " " + op.sym + " " + formatPrec(a, op.prec+1)
-		}
-		return out, op.prec
+		// The right operand binds one level tighter: the operators are
+		// left associative, so 10-(3-2) keeps its parentheses.
+		return formatPrec(n.Args[0], lmin) + " " + op.sym + " " + formatPrec(n.Args[1], op.prec+1), op.prec
 	}
 	switch n.Op {
 	case "neg":

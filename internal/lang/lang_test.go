@@ -147,6 +147,15 @@ func TestRefEvalTreeSum(t *testing.T) {
 	}
 }
 
+// CountCalls returns the number of function applications the reference
+// evaluation of fn(args) performs, including the root call: the size of the
+// call tree the distributed machine will unfold.
+func CountCalls(prog *Program, fn string, args []expr.Value) (int64, error) {
+	var calls int64
+	_, err := refRun(prog, fn, args, func(string) { calls++ })
+	return calls, err
+}
+
 func TestCountCalls(t *testing.T) {
 	p := TreeSum(2)
 	// Perfect binary tree of depth 3: 1+2+4+8 = 15 applications.

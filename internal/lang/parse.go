@@ -28,12 +28,15 @@ import (
 //	unary    := "-" unary | "!" unary | postfix
 //	postfix  := atom { ":" postfix }          (cons, right associative)
 //	atom     := int | "true" | "false" | string | "[" [expr {"," expr}] "]"
-//	          | ident [ "(" [args] ")" ] | "(" expr ")"
+//	          | ident [ "(" [args] ")" ] | ("+"|"*") "(" [args] ")"
+//	          | "(" expr ")"
 //
 // Identifiers applied with parentheses are primitive calls when the name is
 // a known primitive (head, tail, isnil, len, append, abs, min, max, not,
-// cons, unit) and user-function calls otherwise. Comments run from "#" or
-// "//" to end of line.
+// cons, unit, and, or) and user-function calls otherwise. An infix chain is
+// nested binary applications, a + b + c = +(+(a, b), c); the call form of the
+// variadic operators, +(a, b, c), *(a), and(a, b, c), is one n-ary
+// application. Comments run from "#" or "//" to end of line.
 func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -54,7 +57,8 @@ func Parse(src string) (*Program, error) {
 	return NewProgram(defs...)
 }
 
-// MustParse panics on error; for tests and embedded programs.
+// MustParse panics on error; for the bundled programs, whose source is
+// fixed at build time.
 func MustParse(src string) *Program {
 	p, err := Parse(src)
 	if err != nil {
@@ -279,111 +283,46 @@ func (p *parser) parseExpr() (expr.Expr, error) {
 		}
 		return expr.LetIn(name.text, bind, body), nil
 	default:
-		return p.parseOr()
+		return p.parseInfix(precOr)
 	}
 }
 
-func (p *parser) parseOr() (expr.Expr, error) {
-	lhs, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// parseInfix parses one binding level of infixOps and everything tighter:
+// left-associative chains of the level's operators over operands of the
+// next level, except that comparisons do not chain.
+func (p *parser) parseInfix(prec int) (expr.Expr, error) {
+	if prec > precMul {
+		return p.parseUnary()
 	}
-	for p.accept(tkPunct, "||") {
-		rhs, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		lhs = expr.Op("or", lhs, rhs)
-	}
-	return lhs, nil
-}
-
-func (p *parser) parseAnd() (expr.Expr, error) {
-	lhs, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tkPunct, "&&") {
-		rhs, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		lhs = expr.Op("and", lhs, rhs)
-	}
-	return lhs, nil
-}
-
-func (p *parser) parseCmp() (expr.Expr, error) {
-	lhs, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for _, op := range []string{"==", "!=", "<=", ">=", "<", ">"} {
-		if p.accept(tkPunct, op) {
-			rhs, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return expr.Op(op, lhs, rhs), nil
-		}
-	}
-	return lhs, nil
-}
-
-func (p *parser) parseAdd() (expr.Expr, error) {
-	lhs, err := p.parseMul()
+	lhs, err := p.parseInfix(prec + 1)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		switch {
-		case p.accept(tkPunct, "+"):
-			rhs, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			lhs = expr.Op("+", lhs, rhs)
-		case p.accept(tkPunct, "-"):
-			rhs, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			lhs = expr.Op("-", lhs, rhs)
-		default:
+		op, ok := p.acceptInfix(prec)
+		if !ok {
+			return lhs, nil
+		}
+		rhs, err := p.parseInfix(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		lhs = expr.Op(op, lhs, rhs)
+		if prec == precCmp {
 			return lhs, nil
 		}
 	}
 }
 
-func (p *parser) parseMul() (expr.Expr, error) {
-	lhs, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept(tkPunct, "*"):
-			rhs, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			lhs = expr.Op("*", lhs, rhs)
-		case p.accept(tkPunct, "/"):
-			rhs, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			lhs = expr.Op("/", lhs, rhs)
-		case p.accept(tkPunct, "%"):
-			rhs, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			lhs = expr.Op("%", lhs, rhs)
-		default:
-			return lhs, nil
+// acceptInfix consumes an operator of the given level and names its
+// primitive. Tokens are whole operators, so at most one entry matches.
+func (p *parser) acceptInfix(prec int) (string, bool) {
+	for name, op := range infixOps {
+		if op.prec == prec && p.accept(tkPunct, op.sym) {
+			return name, true
 		}
 	}
+	return "", false
 }
 
 func (p *parser) parseUnary() (expr.Expr, error) {
@@ -420,6 +359,25 @@ func (p *parser) parseCons() (expr.Expr, error) {
 	return head, nil
 }
 
+// parseList reads comma-separated expressions up to and including the
+// closing delimiter; the opening one is already consumed.
+func (p *parser) parseList(closing string) ([]expr.Expr, error) {
+	var out []expr.Expr
+	for !p.accept(tkPunct, closing) {
+		if len(out) > 0 {
+			if err := p.expect(tkPunct, ","); err != nil {
+				return nil, err
+			}
+		}
+		e, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
 func (p *parser) parseAtom() (expr.Expr, error) {
 	t := p.peek()
 	switch {
@@ -443,20 +401,23 @@ func (p *parser) parseAtom() (expr.Expr, error) {
 			return nil, err
 		}
 		return e, nil
+	case t.kind == tkPunct && (t.text == "+" || t.text == "*"):
+		// Call form of a variadic operator: + and * never start an operand
+		// otherwise, so this is unambiguous.
+		p.next()
+		if err := p.expect(tkPunct, "("); err != nil {
+			return nil, err
+		}
+		args, err := p.parseList(")")
+		if err != nil {
+			return nil, err
+		}
+		return expr.Op(t.text, args...), nil
 	case t.kind == tkPunct && t.text == "[":
 		p.next()
-		var elems []expr.Expr
-		for !p.accept(tkPunct, "]") {
-			if len(elems) > 0 {
-				if err := p.expect(tkPunct, ","); err != nil {
-					return nil, err
-				}
-			}
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			elems = append(elems, e)
+		elems, err := p.parseList("]")
+		if err != nil {
+			return nil, err
 		}
 		// Desugar [a, b, c] to cons chains ending in nil.
 		out := expr.Nil()
@@ -479,18 +440,9 @@ func (p *parser) parseAtom() (expr.Expr, error) {
 		if !p.accept(tkPunct, "(") {
 			return expr.V(t.text), nil
 		}
-		var args []expr.Expr
-		for !p.accept(tkPunct, ")") {
-			if len(args) > 0 {
-				if err := p.expect(tkPunct, ","); err != nil {
-					return nil, err
-				}
-			}
-			a, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, a)
+		args, err := p.parseList(")")
+		if err != nil {
+			return nil, err
 		}
 		if _, isPrim := LookupPrim(t.text); isPrim {
 			return expr.Op(t.text, args...), nil

@@ -40,8 +40,8 @@ func refRun(prog *Program, fn string, args []expr.Value, onApply func(fn string)
 // overflowing the goroutine stack.
 const maxRefDepth = 1 << 17
 
-// refEvaluator carries the per-run hooks so RefEval and CountCalls share one
-// interpreter instead of two divergent copies.
+// refEvaluator carries the per-run hook so RefEval and the tests' call
+// counter share one interpreter instead of two divergent copies.
 type refEvaluator struct {
 	prog    *Program
 	onApply func(fn string) // nil when nobody is counting
@@ -123,14 +123,4 @@ func (r *refEvaluator) eval(e expr.Expr, env map[string]expr.Value, depth int) (
 	default:
 		return nil, fmt.Errorf("%w: unknown node %T", ErrEval, e)
 	}
-}
-
-// CountCalls returns the number of function applications the reference
-// evaluation of fn(args) performs, including the root call. It sizes the
-// call tree that the distributed machine will unfold, which tests and
-// benchmarks use to reason about expected task counts.
-func CountCalls(prog *Program, fn string, args []expr.Value) (int64, error) {
-	var calls int64
-	_, err := refRun(prog, fn, args, func(string) { calls++ })
-	return calls, err
 }

@@ -1,107 +1,52 @@
 package lang
 
-import "repro/internal/expr"
+import (
+	"fmt"
+
+	"repro/internal/expr"
+)
 
 // Standard programs. These are the workloads the paper's introduction
 // motivates: divide-and-conquer applicative programs whose evaluation
-// unfolds an implicit call tree across the machine (§1). Each builder
-// returns a validated program plus the conventional entry function name.
+// unfolds an implicit call tree across the machine (§1). The fixed ones are
+// source text read by Parse, the form every program reaches a node in; the
+// two whose sums have a generated arity are built as trees. Each builder
+// returns a validated program.
 
 // Fib returns the doubly recursive Fibonacci program — the canonical
 // binary call tree.
-//
-//	fib(n) = if n < 2 then n else fib(n-1) + fib(n-2)
 func Fib() *Program {
-	return MustProgram(FuncDef{
-		Name:   "fib",
-		Params: []string{"n"},
-		Body: expr.Cond(
-			expr.Op("<", expr.V("n"), expr.Int(2)),
-			expr.V("n"),
-			expr.Op("+",
-				expr.Call("fib", expr.Op("-", expr.V("n"), expr.Int(1))),
-				expr.Call("fib", expr.Op("-", expr.V("n"), expr.Int(2))),
-			),
-		),
-	})
+	return MustParse(`fn fib(n) = if n < 2 then n else fib(n - 1) + fib(n - 2)`)
 }
 
 // Tak returns the Takeuchi function, a deeper and more irregular call tree
 // with nested applications as arguments (exercising multi-wave flattening).
-//
-//	tak(x,y,z) = if y < x then tak(tak(x-1,y,z), tak(y-1,z,x), tak(z-1,x,y)) else z
 func Tak() *Program {
-	return MustProgram(FuncDef{
-		Name:   "tak",
-		Params: []string{"x", "y", "z"},
-		Body: expr.Cond(
-			expr.Op("<", expr.V("y"), expr.V("x")),
-			expr.Call("tak",
-				expr.Call("tak", expr.Op("-", expr.V("x"), expr.Int(1)), expr.V("y"), expr.V("z")),
-				expr.Call("tak", expr.Op("-", expr.V("y"), expr.Int(1)), expr.V("z"), expr.V("x")),
-				expr.Call("tak", expr.Op("-", expr.V("z"), expr.Int(1)), expr.V("x"), expr.V("y")),
-			),
-			expr.V("z"),
-		),
-	})
+	return MustParse(`
+		fn tak(x, y, z) =
+			if y < x then tak(tak(x - 1, y, z), tak(y - 1, z, x), tak(z - 1, x, y))
+			else z`)
 }
 
 // SumRange returns a balanced divide-and-conquer range sum: sum of i for
-// lo <= i < hi. Its call tree is a clean balanced binary tree, useful when
-// a predictable shape is wanted.
-//
-//	sumrange(lo,hi) = if hi-lo <= g then serial-sum else
-//	                  sumrange(lo,mid) + sumrange(mid,hi)
+// lo <= i < hi, summed serially below the grain. Its call tree is a clean
+// balanced binary tree, useful when a predictable shape is wanted.
 func SumRange(grain int64) *Program {
-	return MustProgram(
-		FuncDef{
-			Name:   "sumrange",
-			Params: []string{"lo", "hi"},
-			Body: expr.Cond(
-				expr.Op("<=", expr.Op("-", expr.V("hi"), expr.V("lo")), expr.Int(grain)),
-				expr.Call("serial", expr.V("lo"), expr.V("hi")),
-				expr.LetIn("mid",
-					expr.Op("/", expr.Op("+", expr.V("lo"), expr.V("hi")), expr.Int(2)),
-					expr.Op("+",
-						expr.Call("sumrange", expr.V("lo"), expr.V("mid")),
-						expr.Call("sumrange", expr.V("mid"), expr.V("hi")),
-					),
-				),
-			),
-		},
-		FuncDef{
-			Name:   "serial",
-			Params: []string{"lo", "hi"},
-			Body: expr.Cond(
-				expr.Op(">=", expr.V("lo"), expr.V("hi")),
-				expr.Int(0),
-				expr.Op("+", expr.V("lo"),
-					expr.Call("serial", expr.Op("+", expr.V("lo"), expr.Int(1)), expr.V("hi"))),
-			),
-		},
-	)
+	return MustParse(fmt.Sprintf(`
+		fn sumrange(lo, hi) =
+			if hi - lo <= %d then serial(lo, hi)
+			else let mid = (lo + hi) / 2 in sumrange(lo, mid) + sumrange(mid, hi)
+		fn serial(lo, hi) = if lo >= hi then 0 else lo + serial(lo + 1, hi)`, grain))
 }
 
 // Binomial returns the Pascal-triangle binomial coefficient, a DAG-shaped
 // recursion evaluated as a tree (shared subproblems are recomputed, which
 // inflates the call tree and stresses checkpoint tables).
-//
-//	binom(n,k) = if k==0 or k==n then 1 else binom(n-1,k-1)+binom(n-1,k)
 func Binomial() *Program {
-	return MustProgram(FuncDef{
-		Name:   "binom",
-		Params: []string{"n", "k"},
-		Body: expr.Cond(
-			expr.Op("or",
-				expr.Op("==", expr.V("k"), expr.Int(0)),
-				expr.Op("==", expr.V("k"), expr.V("n"))),
-			expr.Int(1),
-			expr.Op("+",
-				expr.Call("binom", expr.Op("-", expr.V("n"), expr.Int(1)), expr.Op("-", expr.V("k"), expr.Int(1))),
-				expr.Call("binom", expr.Op("-", expr.V("n"), expr.Int(1)), expr.V("k")),
-			),
-		),
-	})
+	return MustParse(`
+		fn binom(n, k) =
+			if k == 0 || k == n then 1
+			else binom(n - 1, k - 1) + binom(n - 1, k)`)
 }
 
 // NQueens returns the N-queens counting program, a skewed, data-dependent
@@ -109,125 +54,47 @@ func Binomial() *Program {
 //
 // Entry point: nqueens(n) — the number of solutions on an n×n board.
 func NQueens() *Program {
-	return MustProgram(
-		FuncDef{
-			Name:   "nqueens",
-			Params: []string{"n"},
-			Body:   expr.Call("place", expr.V("n"), expr.Int(0), expr.Nil()),
-		},
-		// place(n, row, board): solutions extending board from row.
-		FuncDef{
-			Name:   "place",
-			Params: []string{"n", "row", "board"},
-			Body: expr.Cond(
-				expr.Op("==", expr.V("row"), expr.V("n")),
-				expr.Int(1),
-				expr.Call("trycols", expr.V("n"), expr.V("row"), expr.Int(0), expr.V("board")),
-			),
-		},
-		// trycols(n, row, col, board): sum over columns col..n-1 of the
-		// solutions obtained by putting a queen at (row, col).
-		FuncDef{
-			Name:   "trycols",
-			Params: []string{"n", "row", "col", "board"},
-			Body: expr.Cond(
-				expr.Op("==", expr.V("col"), expr.V("n")),
-				expr.Int(0),
-				expr.Op("+",
-					expr.Cond(
-						expr.Call("safe", expr.V("col"), expr.Int(1), expr.V("board")),
-						expr.Call("place", expr.V("n"),
-							expr.Op("+", expr.V("row"), expr.Int(1)),
-							expr.Op("cons", expr.V("col"), expr.V("board"))),
-						expr.Int(0),
-					),
-					expr.Call("trycols", expr.V("n"), expr.V("row"),
-						expr.Op("+", expr.V("col"), expr.Int(1)), expr.V("board")),
-				),
-			),
-		},
-		// safe(col, dist, board): no queen on board attacks (row, col),
-		// where dist is the row distance to the head of board.
-		FuncDef{
-			Name:   "safe",
-			Params: []string{"col", "dist", "board"},
-			Body: expr.Cond(
-				expr.Op("isnil", expr.V("board")),
-				expr.Bool(true),
-				expr.LetIn("q", expr.Op("head", expr.V("board")),
-					expr.Cond(
-						expr.Op("or",
-							expr.Op("==", expr.V("q"), expr.V("col")),
-							expr.Op("==",
-								expr.Op("abs", expr.Op("-", expr.V("q"), expr.V("col"))),
-								expr.V("dist"))),
-						expr.Bool(false),
-						expr.Call("safe", expr.V("col"),
-							expr.Op("+", expr.V("dist"), expr.Int(1)),
-							expr.Op("tail", expr.V("board"))),
-					),
-				),
-			),
-		},
-	)
+	return MustParse(`
+		fn nqueens(n) = place(n, 0, [])
+
+		# solutions extending board from row
+		fn place(n, row, board) =
+			if row == n then 1 else trycols(n, row, 0, board)
+
+		# sum over columns col..n-1 of the solutions obtained by putting a
+		# queen at (row, col)
+		fn trycols(n, row, col, board) =
+			if col == n then 0
+			else (if safe(col, 1, board) then place(n, row + 1, col : board) else 0)
+				+ trycols(n, row, col + 1, board)
+
+		# no queen on board attacks (row, col), where dist is the row
+		# distance to the head of board
+		fn safe(col, dist, board) =
+			if isnil(board) then true
+			else let q = head(board) in
+				if q == col || abs(q - col) == dist then false
+				else safe(col, dist + 1, tail(board))`)
 }
 
 // MergeSort returns a list merge sort. Entry point: msort(xs).
 func MergeSort() *Program {
-	return MustProgram(
-		FuncDef{
-			Name:   "msort",
-			Params: []string{"xs"},
-			Body: expr.Cond(
-				expr.Op("<=", expr.Op("len", expr.V("xs")), expr.Int(1)),
-				expr.V("xs"),
-				expr.LetIn("n", expr.Op("/", expr.Op("len", expr.V("xs")), expr.Int(2)),
-					expr.Call("merge",
-						expr.Call("msort", expr.Call("take", expr.V("n"), expr.V("xs"))),
-						expr.Call("msort", expr.Call("drop", expr.V("n"), expr.V("xs"))),
-					),
-				),
-			),
-		},
-		FuncDef{
-			Name:   "take",
-			Params: []string{"n", "xs"},
-			Body: expr.Cond(
-				expr.Op("or", expr.Op("<=", expr.V("n"), expr.Int(0)), expr.Op("isnil", expr.V("xs"))),
-				expr.Nil(),
-				expr.Op("cons", expr.Op("head", expr.V("xs")),
-					expr.Call("take", expr.Op("-", expr.V("n"), expr.Int(1)), expr.Op("tail", expr.V("xs")))),
-			),
-		},
-		FuncDef{
-			Name:   "drop",
-			Params: []string{"n", "xs"},
-			Body: expr.Cond(
-				expr.Op("or", expr.Op("<=", expr.V("n"), expr.Int(0)), expr.Op("isnil", expr.V("xs"))),
-				expr.V("xs"),
-				expr.Call("drop", expr.Op("-", expr.V("n"), expr.Int(1)), expr.Op("tail", expr.V("xs"))),
-			),
-		},
-		FuncDef{
-			Name:   "merge",
-			Params: []string{"a", "b"},
-			Body: expr.Cond(
-				expr.Op("isnil", expr.V("a")),
-				expr.V("b"),
-				expr.Cond(
-					expr.Op("isnil", expr.V("b")),
-					expr.V("a"),
-					expr.Cond(
-						expr.Op("<=", expr.Op("head", expr.V("a")), expr.Op("head", expr.V("b"))),
-						expr.Op("cons", expr.Op("head", expr.V("a")),
-							expr.Call("merge", expr.Op("tail", expr.V("a")), expr.V("b"))),
-						expr.Op("cons", expr.Op("head", expr.V("b")),
-							expr.Call("merge", expr.V("a"), expr.Op("tail", expr.V("b")))),
-					),
-				),
-			),
-		},
-	)
+	return MustParse(`
+		fn msort(xs) =
+			if len(xs) <= 1 then xs
+			else let n = len(xs) / 2 in
+				merge(msort(take(n, xs)), msort(drop(n, xs)))
+		fn take(n, xs) =
+			if n <= 0 || isnil(xs) then []
+			else head(xs) : take(n - 1, tail(xs))
+		fn drop(n, xs) =
+			if n <= 0 || isnil(xs) then xs
+			else drop(n - 1, tail(xs))
+		fn merge(a, b) =
+			if isnil(a) then b
+			else if isnil(b) then a
+			else if head(a) <= head(b) then head(a) : merge(tail(a), b)
+			else head(b) : merge(a, tail(b))`)
 }
 
 // TreeSum returns a synthetic uniform call tree: every internal node spawns

@@ -105,7 +105,7 @@ func putScratch(s []expr.Value) {
 	scratchPool.Put(&s)
 }
 
-// vmEvaluator is the registered "compiled" evaluator. Compilation is
+// vmEvaluator is the "compiled" evaluator. Compilation is
 // memoized by program identity: programs are immutable once built, and
 // Open/admission may compile the same program from several sessions.
 type vmEvaluator struct {

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 
 	"repro/internal/balance"
 	"repro/internal/lang"
@@ -126,20 +125,8 @@ func (c Config) normalized() (Config, error) {
 	if c.Scheme == nil {
 		c.Scheme = recovery.None()
 	}
-	if !recovery.Known(c.Scheme.Name()) {
-		// Keep the error text in lockstep with the recovery registry so the
-		// names users see here are exactly the names ByName accepts.
-		return c, fmt.Errorf("machine: unknown recovery scheme %q (known: %s)",
-			c.Scheme.Name(), strings.Join(recovery.Names(), ", "))
-	}
 	if c.Eval == "" {
 		c.Eval = lang.DefaultEvaluator
-	}
-	if !lang.KnownEvaluator(c.Eval) {
-		// Same lockstep rule as the recovery-scheme error above: the names
-		// shown here are exactly the names lang.EvaluatorByName accepts.
-		return c, fmt.Errorf("machine: unknown evaluator %q (known: %s)",
-			c.Eval, strings.Join(lang.Evaluators(), ", "))
 	}
 	if c.AncestorDepth == 0 {
 		c.AncestorDepth = 2

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/faults"
@@ -188,7 +189,8 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 	}
 	ev, err := lang.EvaluatorByName(norm.Eval)
 	if err != nil {
-		return nil, err // unreachable: normalized() validated the name
+		return nil, fmt.Errorf("machine: unknown evaluator %q (known: %s)",
+			norm.Eval, strings.Join(lang.Evaluators(), ", "))
 	}
 	m := &Machine{
 		cfg:  norm,

@@ -404,9 +404,8 @@ func TestTraceEventsFlow(t *testing.T) {
 }
 
 // TestConfigEvalValidation pins the evaluator knob: the default is interp,
-// both registered evaluators are accepted, and an unknown name fails with
-// the lang registry's names in the machine's error format — the same
-// lockstep rule the recovery-scheme error follows.
+// both evaluators are accepted, and an unknown name fails with lang's
+// names in the machine's error format.
 func TestConfigEvalValidation(t *testing.T) {
 	for _, eval := range []string{"", "interp", "compiled"} {
 		cfg := Config{Topo: mustTopo(t, "mesh", 4), Seed: 1, Eval: eval}

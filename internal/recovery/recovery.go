@@ -24,10 +24,10 @@ package recovery
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/proto"
-	"repro/internal/registry"
 	"repro/internal/stamp"
 	"repro/internal/trace"
 )
@@ -350,33 +350,28 @@ func (p *splicePolicy) OnGrandResult(res *proto.Result) {
 	p.ops.RelayToTwin(res)
 }
 
-// schemes is the single statement of which schemes exist. Config
-// validation, CLI help/error text and ByName all derive from it, so a new
-// scheme registered here is automatically discoverable everywhere.
-var schemes = registry.New[func() Scheme]("recovery", "scheme")
+// schemes is the single statement of which schemes exist, in the sorted
+// order Names, CLI help and the unknown-name error all show; each scheme
+// carries its own name.
+var schemes = []func() Scheme{Incremental, None, Rollback, RollbackLazy, RollbackNoSuppress, Splice}
 
-func init() {
-	schemes.MustRegister("incremental", Incremental)
-	schemes.MustRegister("none", None)
-	schemes.MustRegister("rollback", Rollback)
-	schemes.MustRegister("rollback-lazy", RollbackLazy)
-	schemes.MustRegister("rollback-nosuppress", RollbackNoSuppress)
-	schemes.MustRegister("splice", Splice)
+// Names lists every scheme name in sorted order — the exact strings ByName
+// accepts.
+func Names() []string {
+	names := make([]string, len(schemes))
+	for i, ctor := range schemes {
+		names[i] = ctor().Name()
+	}
+	return names
 }
 
-// Names lists every registered scheme name in sorted order — the exact
-// strings ByName accepts.
-func Names() []string { return schemes.Names() }
-
-// Known reports whether name is a registered scheme name.
-func Known(name string) bool { return schemes.Known(name) }
-
-// ByName returns a scheme from its CLI name. The error text lists the
-// registered names, so callers can surface it verbatim.
+// ByName returns a scheme from its CLI name. The error text lists the known
+// names, so callers can surface it verbatim.
 func ByName(name string) (Scheme, error) {
-	ctor, err := schemes.Get(name)
-	if err != nil {
-		return nil, err
+	for _, ctor := range schemes {
+		if s := ctor(); s.Name() == name {
+			return s, nil
+		}
 	}
-	return ctor(), nil
+	return nil, fmt.Errorf("recovery: unknown scheme %q (known: %s)", name, strings.Join(Names(), ", "))
 }

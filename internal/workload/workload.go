@@ -35,6 +35,23 @@ type Shape struct {
 	LeafCost func(index int) int
 }
 
+// Build's limits. A spec read from outside (core.StandardWorkload) is held
+// to them: a shape past the first two cannot be encoded, one past the others
+// is refused while it unrolls, not after.
+const (
+	// MaxFanout is the widest node: child c of node i is node
+	// i*MaxFanout+c+1, so a wider one would share an index with a cousin.
+	MaxFanout = 8
+	// MaxDepth is the deepest tree whose node indices fit an int64: the
+	// largest index at depth d is about MaxFanout^(d+1)/7, 2^63/7 at 20.
+	MaxDepth = 20
+	// MaxNodes bounds the definitions of one unrolled program.
+	MaxNodes = 100_000
+	// MaxWork bounds the leaf-chain links of one unrolled program (the sum
+	// of its leaf costs).
+	MaxWork = 1_000_000
+)
+
 // Uniform builds a regular tree: every internal node has the same fanout,
 // every leaf the same cost.
 func Uniform(fanout, depth, leafCost int) Shape {
@@ -55,10 +72,10 @@ func Skewed(width, depth, leafCost int) Shape {
 		Name:  fmt.Sprintf("skewed(w=%d,d=%d)", width, depth),
 		Depth: depth,
 		Fanout: func(d, index int) int {
-			// Build encodes child position c of parent i as i*8+c+1, so the
-			// spine (position-0 children, plus the root) recurses and the
-			// rest are leaves.
-			if index == 0 || (index-1)%8 == 0 {
+			// Build encodes child position c of parent i as i*MaxFanout+c+1,
+			// so the spine (position-0 children, plus the root) recurses and
+			// the rest are leaves.
+			if index == 0 || (index-1)%MaxFanout == 0 {
 				return width
 			}
 			return 0
@@ -88,7 +105,7 @@ func Random(seed int64, maxFanout, depth, maxLeafCost int) Shape {
 
 // Build compiles the shape into a program. The program has one function,
 // "node", taking (depth, index); internal nodes sum their children with
-// index = index*maxWidth + childPos so node identities stay distinct.
+// index = index*MaxFanout + childPos + 1 so node identities stay distinct.
 //
 // Because lang is first-order with integer arguments, the shape functions
 // are evaluated at build time into a dispatch expression: a decision tree
@@ -96,16 +113,24 @@ func Random(seed int64, maxFanout, depth, maxLeafCost int) Shape {
 // shapes, so instead Build unrolls the whole tree into one function per
 // node class — acceptable for the tree sizes experiments use (≤ a few
 // thousand nodes) and faithful to "the program is the evaluation
-// structure".
+// structure". Unrolling stops with an error at the first node past MaxNodes
+// or leaf-chain link past MaxWork.
 func Build(s Shape) (*lang.Program, string, error) {
-	if s.Depth < 1 {
-		return nil, "", fmt.Errorf("workload: depth %d < 1", s.Depth)
+	if s.Depth < 1 || s.Depth > MaxDepth {
+		return nil, "", fmt.Errorf("workload: depth %d outside 1..%d", s.Depth, MaxDepth)
 	}
 	var defs []lang.FuncDef
 	var mk func(depth, index int) string
-	nodes := 0
+	var nodes, work int
+	var tooBig error
 	mk = func(depth, index int) string {
-		nodes++
+		if tooBig != nil {
+			return ""
+		}
+		if nodes++; nodes > MaxNodes {
+			tooBig = fmt.Errorf("workload: shape %s unrolls to more than %d nodes", s.Name, MaxNodes)
+			return ""
+		}
 		name := fmt.Sprintf("n_%d_%d", depth, index)
 		fan := 0
 		if depth < s.Depth {
@@ -113,6 +138,10 @@ func Build(s Shape) (*lang.Program, string, error) {
 		}
 		if fan <= 0 {
 			cost := s.LeafCost(index)
+			if work += max(cost, 0); work > MaxWork {
+				tooBig = fmt.Errorf("workload: shape %s unrolls to more than %d leaf-chain links", s.Name, MaxWork)
+				return ""
+			}
 			body := expr.Expr(expr.Int(1))
 			for i := 0; i < cost; i++ {
 				body = expr.Op("+", expr.Int(0), body)
@@ -122,7 +151,7 @@ func Build(s Shape) (*lang.Program, string, error) {
 		}
 		children := make([]expr.Expr, fan)
 		for c := 0; c < fan; c++ {
-			childName := mk(depth+1, index*8+c+1)
+			childName := mk(depth+1, index*MaxFanout+c+1)
 			children[c] = expr.Call(childName)
 		}
 		var body expr.Expr
@@ -135,8 +164,8 @@ func Build(s Shape) (*lang.Program, string, error) {
 		return name
 	}
 	root := mk(0, 0)
-	if nodes > 100_000 {
-		return nil, "", fmt.Errorf("workload: shape %s unrolled to %d nodes", s.Name, nodes)
+	if tooBig != nil {
+		return nil, "", tooBig
 	}
 	prog, err := lang.NewProgram(defs...)
 	if err != nil {

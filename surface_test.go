@@ -49,9 +49,6 @@ var surfaceAllow = map[string]string{
 	"sim.RunResult.String":        "Stringer: kernel test failures print a run result by name",
 	"expr.FreeVars":               "test oracle: instantiated bodies are asserted closed (§2.1) with it",
 	"expr.HoleIDs":                "test oracle: flatten tests enumerate a residual's holes",
-	"lang.CountCalls":             "test oracle: pins the canonical call-tree sizes on the reference evaluator's call hook",
-	"lang.MustParse":              "test seam: the node conformance suite and parser tests build programs from literals",
-	"checkpoint.Store.Keys":       "test oracle: the store's tests list what is retained, in order",
 	"admission.Gate.InFlight":     "test seam: the gate table asserts occupancy between steps",
 	"machine.Session.Outstanding": "test seam: stream tests assert the session emptied",
 	"trace.Log.Count":             "test oracle: machine and admission tests count trace events of a kind",
@@ -113,8 +110,8 @@ func TestSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds five binaries")
 	}
-	if len(surfaceAllow) > 40 {
-		t.Errorf("allowlist has %d entries, at most 40", len(surfaceAllow))
+	if len(surfaceAllow) > 30 {
+		t.Errorf("allowlist has %d entries, at most 30", len(surfaceAllow))
 	}
 	decls, err := surfaceDecls("internal")
 	if err != nil {
