@@ -214,8 +214,8 @@ func main() {
 		}
 	} else {
 		fmt.Printf("makespan   : %d µs wall clock\n", rep.Makespan)
-		fmt.Printf("counters   : %d messages (%d bytes), %d spawned, %d reissued, %d drained\n",
-			rep.Messages, rep.MsgBytes, rep.Spawned, rep.Reissued, rep.Drained)
+		fmt.Printf("counters   : %d messages (%d bytes), %s, %d reissued, %d drained\n",
+			rep.Messages, rep.MsgBytes, rep.SpawnedLabel(), rep.Reissued, rep.Drained)
 		fmt.Printf("reissues   : per node %v\n", rep.ReissuesByNode)
 	}
 	if wrong != nil {

@@ -37,6 +37,8 @@ func TestCommandLine(t *testing.T) {
 			"service stream on sim: 8 procs, none/random", "reference  : 4/4 answers match"},
 		{"splice through a crash", "-workload nqueens:6 -recovery splice -fault 2@3000", 0,
 			"workload   : nqueens:6", "recover.twins            2"},
+		{"live says how much stayed home", "-workload fib:12 -procs 4 -backend live", 0,
+			"workload   : fib:12", "in place), 0 reissued, 0 drained"},
 		{"wrong answer", "-workload fib:10 -procs 4 -fault 0@0c,1@0c,2@0c,3@0c", 1,
 			"apsim: answer 232 differs from the sequential reference 55", ""},
 		{"stream flags without -requests", "-workload fib:10 -arrive uniform:100 -max-inflight 2 -admission shed", 2,

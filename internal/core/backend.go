@@ -37,6 +37,13 @@ type Counters struct {
 	MsgBytes int64
 	// Spawned counts task packets created, including reissues and twins.
 	Spawned int64
+	// InPlace counts the spawned packets a wall-clock node placed on itself:
+	// they ran where they were created and are in Spawned but not in
+	// Messages. Placement is uniform, so this is about Spawned/Procs — the
+	// share of a machine's traffic that never needs its interconnect. (The
+	// simulator charges nothing for them either but does not count them
+	// apart: 0 there.)
+	InPlace int64
 	// Reissued counts checkpointed packets re-sent after a failure.
 	Reissued int64
 	// Drained counts results discarded harmlessly: duplicates, late arrivals,
@@ -45,6 +52,17 @@ type Counters struct {
 	Drained int64
 	// Recoveries counts recovery events: reissues plus splice twins.
 	Recoveries int64
+}
+
+// SpawnedLabel is Spawned as reports print it, with how many of the packets
+// stayed home where a backend counts them — "465 spawned (118 in place)" —
+// the about-1/Procs share that never was a message, so nobody reads a 4-node
+// figure as a 64-node one.
+func (c Counters) SpawnedLabel() string {
+	if c.InPlace == 0 {
+		return fmt.Sprintf("%d spawned", c.Spawned)
+	}
+	return fmt.Sprintf("%d spawned (%d in place)", c.Spawned, c.InPlace)
 }
 
 // Report is the backend-neutral outcome of a run: what every substrate can

@@ -412,8 +412,8 @@ func (sr *ServiceReport) Render() string {
 		sr.QueueWaitMean, sr.QueueWaitP50, sr.QueueWaitP99, sr.Unit)
 	fmt.Fprintf(&b, "recovery   : %d completed during recovery, %d outside (fault stamps %v)\n",
 		sr.DuringRecovery, sr.OutsideRecovery, sr.FaultStamps)
-	fmt.Fprintf(&b, "counters   : %d messages (%d bytes), %d spawned, %d reissued, %d drained, %d recoveries\n",
-		sr.Messages, sr.MsgBytes, sr.Spawned, sr.Reissued, sr.Drained, sr.Recoveries)
+	fmt.Fprintf(&b, "counters   : %d messages (%d bytes), %s, %d reissued, %d drained, %d recoveries\n",
+		sr.Messages, sr.MsgBytes, sr.SpawnedLabel(), sr.Reissued, sr.Drained, sr.Recoveries)
 	for _, rep := range sr.PerRequest {
 		status := "ok " + fmt.Sprint(rep.Answer)
 		switch {

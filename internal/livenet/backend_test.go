@@ -131,10 +131,11 @@ func TestBackendNoneScheme(t *testing.T) {
 	if rep.Scheme != "none" {
 		t.Fatalf("scheme = %q", rep.Scheme)
 	}
-	// Deadline 50k ticks × 2µs = 100ms of wall clock; the kill at ~2ms
-	// strands the subtree and nothing may be reissued.
+	// Deadline 50k ticks × 2µs = 100ms of wall clock; the kill at tick 1 —
+	// before fib:12 can finish, now that a request takes about a millisecond
+	// — strands whatever is placed on node 1 and nothing may be reissued.
 	rep, err = core.Config{Procs: 4, Seed: 1, Recovery: "none", Deadline: 50_000}.RunOn("live",
-		w, faults.Crash(1, 1000, true))
+		w, faults.Crash(1, 1, true))
 	if err != nil {
 		t.Fatal(err)
 	}

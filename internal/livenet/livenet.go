@@ -132,8 +132,8 @@ func (c *Cluster) NodeDown(to, dead proto.ProcID) {
 
 // send charges the message and delivers it to a node's inbox (dead nodes
 // drain theirs). It never blocks the caller: a node that blocked on a full
-// peer inbox — or its own — could deadlock the cluster, so overflow is
-// handed to a goroutine that gives up at shutdown. Causal order is preserved
+// peer inbox could deadlock the cluster, so overflow is handed to a
+// goroutine that gives up at shutdown. Causal order is preserved
 // (a result can only be produced after its spawn was processed); order
 // between independent messages is already arbitrary on a real interconnect.
 func (c *Cluster) send(from, to proto.ProcID, m msg, reissue bool) {
@@ -184,12 +184,14 @@ func (c *Cluster) Kill(id int) error {
 }
 
 // Shutdown implements node.Machine: stop every node goroutine and drainer,
-// then fold the nodes' local drain counts into the stream totals.
+// then fold what only the nodes counted — their drains, and the task packets
+// they placed on themselves, which no send carried — into the stream totals.
 func (c *Cluster) Shutdown() {
 	close(c.quit)
 	c.wg.Wait()
 	for _, p := range c.procs {
 		c.root.CountDrained(p.n.Drained)
+		c.root.CountInPlace(p.id, p.n.InPlace, p.n.InPlaceReissues)
 	}
 }
 

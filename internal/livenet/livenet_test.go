@@ -144,3 +144,38 @@ func TestNewValidation(t *testing.T) {
 		t.Error("unknown function accepted")
 	}
 }
+
+// TestShutdownEndsASoleSurvivorThatNeverFinishes: with one node left every
+// placement draws it, so a program that never ends is one endless in-place
+// run. The node yields to its inbox every few thousand deliveries, which is
+// where the goroutine sees the shutdown; it must not take a finished request
+// to end a machine.
+func TestShutdownEndsASoleSurvivorThatNeverFinishes(t *testing.T) {
+	c, err := New(node.Spec{Procs: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Root().Submit(lang.MustParse("fn spin(n) = spin(n + 1)"), "spin", []expr.Value{expr.VInt(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Wait(50*time.Millisecond, nil); err == nil {
+		t.Fatal("a divergent program answered")
+	}
+	done := make(chan struct{})
+	go func() {
+		c.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown still waiting for node 0's handler after 10s")
+	}
+	if got := c.Root().Snapshot(); got.InPlace == 0 || got.Messages < 3 {
+		t.Fatalf("in place %d, messages %d: the run neither stayed home nor ever yielded", got.InPlace, got.Messages)
+	}
+}

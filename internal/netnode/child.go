@@ -45,11 +45,16 @@ func ChildMain() {
 type childLink struct {
 	id  proto.ProcID
 	out *proto.FrameWriter
+	// n is the node behind the link; told is what n had counted on its own
+	// (in place, reissues in place, drained) as of the last stats frame.
+	n    *node.Node
+	told [3]int64
 }
 
 // Spawn implements node.Link. Reissue frames carry FlagReissue so the hub
 // can count recovery traffic without decoding payloads.
 func (l *childLink) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
+	l.tally()
 	var flags byte
 	if reissue {
 		flags = proto.FlagReissue
@@ -59,7 +64,23 @@ func (l *childLink) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) 
 
 // Result implements node.Link; the hub is the addressee of root results.
 func (l *childLink) Result(to proto.ProcID, res *proto.Result) {
+	l.tally()
 	_ = l.out.End(proto.AppendResult(l.out.Begin(proto.FrameResult, 0, l.id, to), res))
+}
+
+// tally appends a stats frame when the node has counted something on its own
+// since the last one: task packets placed on itself and results drained, as
+// deltas. It runs ahead of every frame that crosses, so the hub has counted
+// whatever a frame it sees causally follows — a packet that ran in place
+// before its result left, say — even when the node dies mid-batch.
+func (l *childLink) tally() {
+	now := [3]int64{l.n.InPlace, l.n.InPlaceReissues, l.n.Drained}
+	if now == l.told {
+		return
+	}
+	buf := l.out.Begin(proto.FrameStats, 0, l.id, proto.HostID)
+	_ = l.out.End(appendStats(buf, now[0]-l.told[0], now[1]-l.told[1], now[2]-l.told[2]))
+	l.told = now
 }
 
 // hubGone ends the node on a connection error: a read or a flush that fails
@@ -87,7 +108,8 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 	// evals holds each program compiled at FrameProgram receipt, so the
 	// per-task path never compiles.
 	evals := map[int]lang.EvalProgram{}
-	n := node.New(link.id, spec.Procs, spec.Seed, link, func(idx int) lang.EvalProgram { return evals[idx] })
+	link.n = node.New(link.id, spec.Procs, spec.Seed, link, func(idx int) lang.EvalProgram { return evals[idx] })
+	n := link.n
 	_ = link.out.Append(&proto.Frame{
 		Type: proto.FrameHello, From: link.id, To: proto.HostID,
 		Payload: helloPayload(id, os.Getpid()),
@@ -140,10 +162,7 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 			}
 			n.OnNodeDown(proto.ProcID(dead))
 		case proto.FrameShutdown:
-			_ = link.out.Append(&proto.Frame{
-				Type: proto.FrameStats, From: link.id, To: proto.HostID,
-				Payload: statsPayload(n.Drained),
-			})
+			link.tally() // the goodbye: what no later frame will carry
 			return hubGone(link.out.Flush())
 		default:
 			return fmt.Errorf("netnode: unexpected %v frame at node %d", f.Type, id)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -15,16 +16,17 @@ import (
 	"repro/internal/proto"
 )
 
-// sendq is an unbounded FIFO of outbound frames for one child. The router
-// goroutines enqueue without ever blocking: if writes to children were
-// synchronous, two mutually-full socket buffers would deadlock the whole
-// mesh (parent blocked writing to a child that is itself blocked writing to
-// the parent). Unbounded is safe here — the queue is bounded in practice by
-// the task tree in flight, and a dead child's queue is dropped wholesale.
+// sendq is one child's outbox: an unbounded batch of encoded frames, in the
+// order they were pushed. The router goroutines append without ever blocking:
+// if writes to children were synchronous, two mutually-full socket buffers
+// would deadlock the whole mesh (parent blocked writing to a child that is
+// itself blocked writing to the parent). Unbounded is safe here — the batch is
+// bounded in practice by the task tree in flight, and a dead child's is
+// dropped wholesale.
 type sendq struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	q      []*proto.Frame
+	buf    []byte
 	closed bool
 }
 
@@ -34,40 +36,44 @@ func newSendq() *sendq {
 	return s
 }
 
-// push enqueues a frame; false means the queue is closed (child dead).
-func (s *sendq) push(f *proto.Frame) bool {
+// push appends whole encoded frames to the batch, copying them; false means
+// the queue is closed (child dead).
+func (s *sendq) push(wire []byte) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
-	s.q = append(s.q, f)
+	s.buf = append(s.buf, wire...)
 	s.cond.Signal()
 	return true
 }
 
-// popAll blocks until frames are queued and takes every one of them; nil
+// popAll blocks until bytes are queued and takes every one of them; nil
 // means closed and drained. spare, the caller's previous batch, becomes the
-// queue's backing array, so the two slices swap and neither is reallocated.
-func (s *sendq) popAll(spare []*proto.Frame) []*proto.Frame {
-	clear(spare)
+// queue's backing array, so the two buffers swap and neither is reallocated
+// — unless a burst grew it past maxSpare, which is not worth pinning.
+func (s *sendq) popAll(spare []byte) []byte {
+	if cap(spare) > maxSpare {
+		spare = nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.q) == 0 && !s.closed {
+	for len(s.buf) == 0 && !s.closed {
 		s.cond.Wait()
 	}
-	if len(s.q) == 0 {
+	if len(s.buf) == 0 {
 		return nil
 	}
-	batch := s.q
-	s.q = spare[:0]
+	batch := s.buf
+	s.buf = spare[:0]
 	return batch
 }
 
 func (s *sendq) close() {
 	s.mu.Lock()
 	s.closed = true
-	s.q = nil
+	s.buf = nil
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -80,7 +86,7 @@ type child struct {
 	conn  net.Conn
 	r     *bufio.Reader // the one reader of conn, from the hello on
 	alive atomic.Bool
-	out   *sendq // outbound frames, drained by a dedicated writer goroutine
+	out   *sendq // outbound bytes, drained by a dedicated writer goroutine
 }
 
 // Cluster is a process-per-node machine: N child processes dialed into the
@@ -93,10 +99,12 @@ type child struct {
 // shutdown) are not interconnect load, matching the resident-code
 // model of the other backends — and reissues are attributed from FlagReissue
 // frames, so the attribution survives a later SIGKILL of the reissuing node.
-// Drained counts frames black-holed at dead nodes plus the child-local drains
-// the stats frames report at graceful shutdown (a SIGKILLed node's local
-// drains die with it — honest accounting: nothing a dead processor counted
-// can be read back).
+// What a node did without the hub — the task packets it placed on itself,
+// the results it drained — it reports in stats frames, each ahead of the
+// next frame it sends: whatever causally precedes a frame the router has
+// seen is counted, and a SIGKILLed node loses only what it never flushed
+// (nothing a dead processor counted can be read back). Drained adds the
+// frames black-holed at dead nodes.
 type Cluster struct {
 	root *node.Root
 	spec node.Spec
@@ -107,7 +115,8 @@ type Cluster struct {
 	children []*child
 
 	closing atomic.Bool
-	wg      sync.WaitGroup
+	routers sync.WaitGroup // the per-child readers: each ends when its child's socket does
+	writers sync.WaitGroup // the per-child writers: each ends when its outbox closes
 }
 
 // New brings up a cluster of node processes. Every child must complete the
@@ -137,7 +146,8 @@ func New(spec node.Spec) (*Cluster, error) {
 		return nil, err
 	}
 	for _, ch := range c.children {
-		c.wg.Add(2)
+		c.routers.Add(1)
+		c.writers.Add(1)
 		go c.route(ch)
 		go c.writer(ch)
 	}
@@ -151,17 +161,13 @@ func (c *Cluster) Root() *node.Root { return c.root }
 // the last wake-up leaves in one Write. Write errors are the same failure
 // signal as read errors: the child is gone.
 func (c *Cluster) writer(ch *child) {
-	defer c.wg.Done()
-	w := proto.NewFrameWriter(ch.conn)
-	var batch []*proto.Frame
+	defer c.writers.Done()
+	var batch []byte
 	for {
 		if batch = ch.out.popAll(batch); batch == nil {
 			return
 		}
-		for _, f := range batch {
-			_ = w.Append(f) // sticky: Flush reports it
-		}
-		if err := w.Flush(); err != nil {
+		if _, err := ch.conn.Write(batch); err != nil {
 			if !c.closing.Load() {
 				c.nodeDied(ch)
 			}
@@ -245,10 +251,7 @@ func (c *Cluster) LoadProgram(idx int, prog *lang.Program) error {
 	for _, ch := range c.children {
 		// A closed outbox means the child died racing this broadcast; the
 		// node that needed the code is gone either way.
-		c.push(ch, &proto.Frame{
-			Type: proto.FrameProgram, From: proto.HostID, To: proto.ProcID(ch.id),
-			Payload: payload,
-		})
+		c.push(ch, hostFrame(proto.FrameProgram, 0, proto.ProcID(ch.id), payload))
 	}
 	return nil
 }
@@ -257,75 +260,113 @@ func (c *Cluster) LoadProgram(idx int, prog *lang.Program) error {
 // destination black-holes the frame (the dead processor of §3 — the parent's
 // checkpoint is what recovers the work, not the interconnect).
 func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	f := &proto.Frame{Type: proto.FrameSpawn, From: proto.HostID, To: to, Payload: appendSpawn(nil, pkt)}
+	var flags byte
 	if reissue {
-		f.Flags = proto.FlagReissue
+		flags = proto.FlagReissue
 	}
-	c.root.CountSpawn(proto.HostID, frameSize(f), reissue)
-	if !c.push(c.children[to], f) {
+	wire := hostFrame(proto.FrameSpawn, flags, to, appendSpawn(nil, pkt))
+	c.root.CountSpawn(proto.HostID, len(wire), reissue)
+	if !c.push(c.children[to], wire) {
 		c.root.CountDrained(1)
 	}
 }
 
 // NodeDown implements node.Fabric: the death announcement to one survivor.
 func (c *Cluster) NodeDown(to, dead proto.ProcID) {
-	f := &proto.Frame{Type: proto.FrameNodeDown, From: proto.HostID, To: to, Payload: nodeDownPayload(int(dead))}
-	c.root.CountMsg(frameSize(f))
-	c.push(c.children[to], f)
+	wire := hostFrame(proto.FrameNodeDown, 0, to, nodeDownPayload(int(dead)))
+	c.root.CountMsg(len(wire))
+	c.push(c.children[to], wire)
 }
 
-// push queues a frame for a child; false means the child is dead.
-func (c *Cluster) push(ch *child, f *proto.Frame) bool {
-	return ch.alive.Load() && ch.out.push(f)
+// hostFrame encodes a frame the supervisor originates.
+func hostFrame(t proto.FrameType, flags byte, to proto.ProcID, payload []byte) []byte {
+	return proto.AppendFrame(nil, &proto.Frame{Type: t, Flags: flags, From: proto.HostID, To: to, Payload: payload})
 }
 
-// frameSize is a protocol frame's real wire size.
-func frameSize(f *proto.Frame) int { return proto.FrameHeaderSize + len(f.Payload) }
+// push queues encoded frames for a child; false means the child is dead.
+func (c *Cluster) push(ch *child, wire []byte) bool {
+	return ch.alive.Load() && ch.out.push(wire)
+}
 
-// route is the per-child reader: count and forward protocol frames, absorb
-// supervision frames, and turn a broken connection into a death. One
-// goroutine per child, so a busy node never stalls another's traffic.
+// route is the per-child reader: relay frames until the connection breaks,
+// and turn that into a death. One goroutine per child, so a busy node never
+// stalls another's traffic.
 func (c *Cluster) route(ch *child) {
-	defer c.wg.Done()
-	for {
-		f, err := proto.ReadFrame(ch.r)
-		if err != nil {
-			// SIGKILL, crash, or shutdown: the connection is the failure
-			// detector. During Close the EOF is the expected goodbye.
-			if !c.closing.Load() {
-				c.nodeDied(ch)
-			}
-			return
+	defer c.routers.Done()
+	for c.relay(ch) == nil {
+	}
+	// SIGKILL, crash, garbage, or shutdown: the connection is the failure
+	// detector. During Close the EOF is the expected goodbye.
+	if !c.closing.Load() {
+		c.nodeDied(ch)
+	}
+}
+
+// relay takes one frame off a child's connection. The hub relays bytes: the
+// header is parsed where it lies in the reader's buffer, and a frame for
+// another node is copied from there into that node's outbox, never decoded
+// and never allocated. A frame too large to lie in the buffer whole is read
+// into a buffer of its own. Any error — a cut inside a frame included — is
+// the dead node's silence: nothing of a frame is forwarded until all of it
+// has arrived.
+func (c *Cluster) relay(ch *child) error {
+	hdr, err := ch.r.Peek(proto.FrameHeaderSize)
+	if err != nil {
+		return err
+	}
+	f, n, err := proto.ParseFrameHeader(hdr)
+	if err != nil {
+		return err
+	}
+	size := proto.FrameHeaderSize + n
+	if size > ch.r.Size() {
+		wire := make([]byte, size)
+		if _, err = io.ReadFull(ch.r, wire); err == nil {
+			c.carry(ch, f, wire)
 		}
-		switch f.Type {
-		case proto.FrameStats:
-			// Reissues are counted from FlagReissue frames as they pass;
-			// only the child-local drain count is news at shutdown.
-			if drained, err := parseStats(f.Payload); err == nil {
-				c.root.CountDrained(drained)
-			}
-		case proto.FrameResult:
-			c.root.CountMsg(frameSize(f))
-			if f.To != proto.HostID {
-				c.forward(f)
-			} else if res, err := proto.DecodeResult(f.Payload); err == nil {
-				c.root.Deliver(res)
-			} else {
-				c.root.CountDrained(1)
-			}
-		case proto.FrameSpawn:
-			c.root.CountSpawn(proto.ProcID(ch.id), frameSize(f), f.Flags&proto.FlagReissue != 0)
-			c.forward(f)
-		default:
-			// A child never originates other frame types; drop quietly
-			// rather than wedge the stream on a protocol slip.
+		return err
+	}
+	wire, err := ch.r.Peek(size)
+	if err == nil {
+		c.carry(ch, f, wire)
+		_, err = ch.r.Discard(size)
+	}
+	return err
+}
+
+// carry counts one whole frame from a child and sends it on its way:
+// protocol frames are charged and forwarded (a root's result is decoded and
+// delivered here), supervision frames absorbed. wire is only valid during
+// the call.
+func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) {
+	payload := wire[proto.FrameHeaderSize:]
+	switch f.Type {
+	case proto.FrameStats:
+		if inPlace, reissues, drained, err := parseStats(payload); err == nil {
+			c.root.CountInPlace(proto.ProcID(ch.id), inPlace, reissues)
+			c.root.CountDrained(drained)
 		}
+	case proto.FrameResult:
+		c.root.CountMsg(len(wire))
+		if f.To != proto.HostID {
+			c.forward(f.To, wire)
+		} else if res, err := proto.DecodeResult(payload); err == nil {
+			c.root.Deliver(res)
+		} else {
+			c.root.CountDrained(1)
+		}
+	case proto.FrameSpawn:
+		c.root.CountSpawn(proto.ProcID(ch.id), len(wire), f.Flags&proto.FlagReissue != 0)
+		c.forward(f.To, wire)
+	default:
+		// A child never originates other frame types; drop quietly
+		// rather than wedge the stream on a protocol slip.
 	}
 }
 
 // forward relays a child-to-child frame; dead destinations black-hole it.
-func (c *Cluster) forward(f *proto.Frame) {
-	if f.To < 0 || int(f.To) >= len(c.children) || !c.push(c.children[f.To], f) {
+func (c *Cluster) forward(to proto.ProcID, wire []byte) {
+	if to < 0 || int(to) >= len(c.children) || !c.push(c.children[to], wire) {
 		c.root.CountDrained(1)
 	}
 }
@@ -368,21 +409,22 @@ func (c *Cluster) Shutdown() {
 		}
 		// FIFO behind any pending protocol frames, so the goodbye arrives
 		// after the work already queued for this child.
-		ch.out.push(&proto.Frame{
-			Type: proto.FrameShutdown, From: proto.HostID, To: proto.ProcID(ch.id),
-		})
+		ch.out.push(hostFrame(proto.FrameShutdown, 0, proto.ProcID(ch.id), nil))
 	}
-	// Graceful children send stats and exit on their own; the router
-	// goroutines fold the stats in and return on EOF. Stragglers (wedged or
-	// never-connected) are killed after a short grace.
+	// Graceful children send their last stats and exit on their own.
+	// Stragglers (wedged or never-connected) are killed after a short grace.
 	for _, ch := range c.children {
 		if !ch.cmd.WaitTimeout(2 * time.Second) {
 			_ = ch.cmd.Kill()
 			ch.cmd.WaitTimeout(2 * time.Second)
 		}
 	}
+	// A dead process's socket ends: every router reads what its child wrote
+	// to the last byte — the goodbye's counts are part of the totals — and
+	// returns on EOF. Only then are the hub's ends closed.
+	c.routers.Wait()
 	c.teardown()
-	c.wg.Wait()
+	c.writers.Wait()
 }
 
 // teardown closes the listener and sockets and reaps every child process

@@ -15,7 +15,7 @@
 // with a hello frame, and then speak
 // the protocol: task packets travel as spawn frames, results as result
 // frames, death announcements as node-down gossip from the supervisor, plus
-// a final stats report on graceful shutdown. Fault injection
+// the stats reports of what a node counted on its own. Fault injection
 // SIGKILLs the child's PID — the supervisor learns of the death the way a
 // real cluster does, by the connection breaking — and reports it to the
 // super-root like any crash.
@@ -74,6 +74,10 @@ const ArgvMarker = "-node"
 // which a node flushes without waiting for its input to run dry.
 const connBufSize = 64 << 10
 
+// maxSpare is the largest drained outbox the hub's writer keeps to swap back
+// in; a burst's megabytes go back to the collector instead.
+const maxSpare = 16 * connBufSize
+
 // SocketPattern is the temp-directory pattern for unix sockets; it shares
 // the "apsim-netnode" stem with ArgvMarker's help text so one pkill pattern
 // covers both.
@@ -116,7 +120,9 @@ func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 //	spawn:     uint16 program index, then proto.EncodePacket bytes
 //	result:    proto.EncodeResult bytes
 //	node-down: uint32 dead node id
-//	stats:     uint64 drained (the child-local counter)
+//	stats:     uint64 × 3, what the node counted since its last report: task
+//	           packets it placed on itself, the reissues among them, and
+//	           results it drained
 //	shutdown:  empty
 
 func helloPayload(id, pid int) []byte {
@@ -172,13 +178,21 @@ func parseNodeDown(p []byte) (int, error) {
 	return int(binary.BigEndian.Uint32(p)), nil
 }
 
-func statsPayload(drained int64) []byte {
-	return binary.BigEndian.AppendUint64(nil, uint64(drained))
+func appendStats(buf []byte, inPlace, reissues, drained int64) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(inPlace))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(reissues))
+	return binary.BigEndian.AppendUint64(buf, uint64(drained))
 }
 
-func parseStats(p []byte) (drained int64, err error) {
-	if len(p) != 8 {
-		return 0, fmt.Errorf("netnode: stats payload %d bytes", len(p))
+func parseStats(p []byte) (inPlace, reissues, drained int64, err error) {
+	if len(p) != 24 {
+		return 0, 0, 0, fmt.Errorf("netnode: stats payload %d bytes", len(p))
 	}
-	return int64(binary.BigEndian.Uint64(p)), nil
+	inPlace = int64(binary.BigEndian.Uint64(p))
+	reissues = int64(binary.BigEndian.Uint64(p[8:]))
+	drained = int64(binary.BigEndian.Uint64(p[16:]))
+	if reissues < 0 || inPlace < reissues || drained < 0 {
+		return 0, 0, 0, fmt.Errorf("netnode: stats report %d/%d/%d", inPlace, reissues, drained)
+	}
+	return inPlace, reissues, drained, nil
 }

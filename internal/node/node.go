@@ -19,6 +19,7 @@ package node
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/lang"
@@ -29,7 +30,11 @@ import (
 // Link is how task packets and results leave a node. Sends must not block
 // the caller and cannot fail: a message to a dead processor vanishes, and
 // the sender's retained checkpoint — not the interconnect — is what recovers
-// the work.
+// the work. A node does not mail itself: only what crosses the interconnect
+// is a message (§2.1's task packet is what a parent sends to another
+// processor), the simulator's rule. The one message a Link is handed with the
+// sender as addressee is a long in-place run yielding (settle); it is carried
+// and charged like any other.
 type Link interface {
 	// Spawn sends a task packet to a processor; reissue marks the re-send of
 	// a retained checkpoint after the original destination died.
@@ -58,26 +63,45 @@ type ckpt struct {
 	filled bool
 }
 
+// local is a spawn or a result a node addressed to itself: exactly one of
+// pkt and res is set, reissue goes with pkt.
+type local struct {
+	pkt     *proto.TaskPacket
+	res     *proto.Result
+	reissue bool
+}
+
+// settleBudget is how many messages one handler call delivers in place before
+// it lets the transport's loop come round again.
+const settleBudget = 1 << 12
+
 // Node is one processor's protocol state. It is single-threaded — the
 // transport's receive loop calls one On* handler at a time, like §4.2's
 // "LOOP CASE received packet OF ..." — and it acts on the world only through
-// its Link. Tasks are keyed by stamp (nothing here replicates, so a key's
-// Rep is always zero), with a list per stamp: after recovery
-// several incarnations of one logical task (spawned by different parent
-// incarnations) can legitimately coexist, and determinacy makes any result
-// valid for all of them.
+// its Link. What it addresses to itself waits on a private FIFO that the
+// handler drains before it returns: delivered later and in order, as the
+// interconnect would have, without being a message (settle has the one
+// exception). Tasks are keyed by stamp
+// (nothing here replicates, so a key's Rep is always zero), with a list per
+// stamp: after recovery several incarnations of one logical task (spawned by
+// different parent incarnations) can legitimately coexist, and determinacy
+// makes any result valid for all of them.
 type Node struct {
 	id      proto.ProcID
 	link    Link
 	program func(idx int) lang.EvalProgram
 	tasks   map[stamp.Stamp][]*task
 	rng     *rand.Rand
-	live    []bool // what this node has been told about its peers (§3)
+	live    []bool  // what this node has been told about its peers (§3)
+	inbox   []local // self-addressed, not yet delivered
 
 	// Drained counts the late, orphan and duplicate results this node
 	// discarded; Reissues the retained packets it re-sent after peer deaths.
-	// Plain fields: read them once the receive loop has stopped.
-	Drained, Reissues int64
+	// InPlace counts the task packets — InPlaceReissues the reissues among
+	// them — that it placed on itself and delivered in place: spawned, but
+	// carried by no transport, so only the node can count them. Plain fields:
+	// read them from the receive loop, or once it has stopped.
+	Drained, Reissues, InPlace, InPlaceReissues int64
 }
 
 // New builds processor id of a procs-node machine. Placement draws from an
@@ -100,13 +124,19 @@ func New(id proto.ProcID, procs int, seed int64, link Link, program func(idx int
 	return n
 }
 
-// OnSpawn installs a task and runs its first pass. A duplicate with the same
+// OnSpawn receives a task packet from the interconnect.
+func (n *Node) OnSpawn(pkt *proto.TaskPacket) {
+	n.install(pkt)
+	n.settle()
+}
+
+// install installs a task and runs its first pass. A duplicate with the same
 // parent address is a harmless re-delivery and keeps the incumbent; a
 // duplicate with a different parent address is another incarnation (spawned
 // by a recovered — or orphaned — parent incarnation) and runs alongside:
 // killing either would wedge whichever lineage needed it, and determinacy
 // keeps coexistence harmless.
-func (n *Node) OnSpawn(pkt *proto.TaskPacket) {
+func (n *Node) install(pkt *proto.TaskPacket) {
 	for _, old := range n.tasks[pkt.Key.Stamp] {
 		if old.pkt.Parent == pkt.Parent && old.pkt.HoleID == pkt.HoleID {
 			return
@@ -148,11 +178,58 @@ func (n *Node) apply(t *task, out lang.Outcome, st lang.TaskState, err error) {
 		dest := n.pickDest()
 		t.children[d.ID] = &ckpt{pkt: child, dest: dest}
 		t.unfilled++
-		n.link.Spawn(dest, child, false)
+		n.spawn(dest, child, false)
 	}
 }
 
-// finish sends the task's value to its parent and retires that incarnation.
+// spawn places a task packet: through the interconnect, or — when placement
+// drew this node — on the private FIFO.
+func (n *Node) spawn(dest proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
+	if dest != n.id {
+		n.link.Spawn(dest, pkt, reissue)
+		return
+	}
+	n.inbox = append(n.inbox, local{pkt: pkt, reissue: reissue})
+}
+
+// settle delivers what the handler addressed to this node, and what those
+// deliveries address to it in turn, oldest first, until nothing is left: a
+// loop, not a recursion, however deep the subtree that stayed home. However
+// long, though, is bounded: a machine down to one processor places everything
+// on it, and a handler that ran a whole request — or a program that never
+// ends — would keep the transport's loop from seeing a kill or a shutdown.
+// Past settleBudget deliveries the node yields: the oldest waiting message
+// goes to itself through the Link, a message like any other that crosses,
+// and its arrival — or any other's — resumes the rest.
+func (n *Node) settle() {
+	i := 0
+	for ; i < len(n.inbox) && i < settleBudget; i++ {
+		if m := n.inbox[i]; m.pkt != nil {
+			n.InPlace++
+			if m.reissue {
+				n.InPlaceReissues++
+			}
+			n.install(m.pkt)
+		} else {
+			n.fill(m.res)
+		}
+	}
+	if i < len(n.inbox) {
+		if m := n.inbox[i]; m.pkt != nil {
+			n.link.Spawn(n.id, m.pkt, m.reissue)
+		} else {
+			n.link.Result(n.id, m.res)
+		}
+		i++
+	}
+	rest := copy(n.inbox, n.inbox[i:])
+	clear(n.inbox[rest:])
+	n.inbox = n.inbox[:rest]
+}
+
+// finish returns the task's value to its parent — over the interconnect, or
+// on the private FIFO when the parent is resident here — and retires that
+// incarnation.
 func (n *Node) finish(t *task, v expr.Value) {
 	key := t.pkt.Key.Stamp
 	list := n.tasks[key]
@@ -167,18 +244,29 @@ func (n *Node) finish(t *task, v expr.Value) {
 	} else {
 		n.tasks[key] = list
 	}
-	n.link.Result(t.pkt.Parent.Proc, &proto.Result{
+	res := &proto.Result{
 		Child:      t.pkt.Key,
 		ParentTask: t.pkt.Parent.Task,
 		HoleID:     t.pkt.HoleID,
 		Value:      v,
-	})
+	}
+	if to := t.pkt.Parent.Proc; to != n.id {
+		n.link.Result(to, res)
+	} else {
+		n.inbox = append(n.inbox, local{res: res})
+	}
 }
 
-// OnResult fills the matching hole of every incarnation of the addressee
-// task — results are determinate, so one child's answer serves them all —
-// and resumes whichever incarnations become complete.
+// OnResult receives a result from the interconnect.
 func (n *Node) OnResult(r *proto.Result) {
+	n.fill(r)
+	n.settle()
+}
+
+// fill fills the matching hole of every incarnation of the addressee task —
+// results are determinate, so one child's answer serves them all — and
+// resumes whichever incarnations become complete.
+func (n *Node) fill(r *proto.Result) {
 	list := n.tasks[r.ParentTask.Stamp]
 	if len(list) == 0 {
 		n.Drained++ // late/orphan result: ignored (§4.2 rule of thumb)
@@ -210,22 +298,29 @@ func (n *Node) OnResult(r *proto.Result) {
 
 // OnNodeDown reissues the retained packets of unfilled children that were
 // placed on the dead processor — the rollback reissue of §3, one parent
-// incarnation at a time. Under the "none" scheme no node is ever told of a
-// death, so lost work stays lost.
+// incarnation at a time, in stamp order so the same state draws the same
+// placements. Under the "none" scheme no node is ever told of a death, so
+// lost work stays lost.
 func (n *Node) OnNodeDown(dead proto.ProcID) {
 	n.live[dead] = false
+	var lost []*ckpt
 	for _, list := range n.tasks {
 		for _, t := range list {
 			for _, ck := range t.children {
-				if ck.filled || ck.dest != dead {
-					continue
+				if !ck.filled && ck.dest == dead {
+					lost = append(lost, ck)
 				}
-				ck.dest = n.pickDest()
-				n.Reissues++
-				n.link.Spawn(ck.dest, ck.pkt, true)
 			}
 		}
 	}
+	// Incarnations of one task retain identical packets: a tie is no choice.
+	slices.SortFunc(lost, func(a, b *ckpt) int { return a.pkt.Key.Compare(b.pkt.Key) })
+	for _, ck := range lost {
+		ck.dest = n.pickDest()
+		n.Reissues++
+		n.spawn(ck.dest, ck.pkt, true)
+	}
+	n.settle()
 }
 
 // pickDest chooses a uniformly random processor (possibly itself) among

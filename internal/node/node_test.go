@@ -173,70 +173,162 @@ func TestLateAndDuplicateResultsDrain(t *testing.T) {
 	}
 }
 
+// TestNodeDownReissuesExactlyTheLostChildren: a death reissues the unfilled
+// children placed on the dead processor and nothing else. What placement
+// draws for this node is reissued in place — counted, not sent — and runs
+// there, so its own fresh spawns ride in the same burst.
 func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 	const procs = 5
 	n, w := fibNode(t, procs, 7)
 	for i := uint32(0); i < 12; i++ {
 		n.OnSpawn(fibPacket(6, proto.HostID, i))
 	}
-	kids := w.take()
+	// Everything that crossed, by destination; nothing is ever sent to self.
 	byDest := map[proto.ProcID][]*proto.TaskPacket{}
-	for _, k := range kids {
-		byDest[k.to] = append(byDest[k.to], k.pkt)
+	crossed, msgs := 0, 0
+	note := func(log []sent) (reissues int) {
+		msgs += len(log)
+		for _, s := range log {
+			if s.pkt == nil {
+				continue // a subtree that ran in place whole answers the host
+			}
+			if s.to == 0 {
+				t.Fatalf("node 0 mailed itself %+v", s)
+			}
+			crossed++
+			byDest[s.to] = append(byDest[s.to], s.pkt)
+			if s.reissue {
+				reissues++
+			}
+		}
+		return reissues
+	}
+	note(w.take())
+	if n.InPlace == 0 {
+		t.Fatal("placement never drew the node itself: nothing ran in place")
 	}
 	const dead, deadNext = proto.ProcID(3), proto.ProcID(1)
 	if len(byDest[dead]) < 2 || len(byDest[deadNext]) < 1 {
 		t.Fatalf("placement %v leaves too little on processors %d and %d to test", byDest, dead, deadNext)
 	}
-	// A child that already answered is not lost work.
-	answered := byDest[dead][0]
+	// A child that already answered is not lost work. Pick one whose sibling
+	// is still out, so its parent stays half-filled and silent.
+	var answered *proto.TaskPacket
+	for _, p := range byDest[dead] {
+		if parent := n.tasks[p.Parent.Task.Stamp]; len(parent) == 1 && parent[0].unfilled == 2 {
+			answered = p
+			break
+		}
+	}
+	if answered == nil {
+		t.Fatalf("no child on processor %d has an unanswered sibling", dead)
+	}
 	n.OnResult(resultFor(answered, 8))
 	if len(w.take()) != 0 {
 		t.Fatal("a half-filled task sent something")
 	}
 
-	n.OnNodeDown(dead)
 	lost := map[*proto.TaskPacket]bool{}
-	for _, p := range byDest[dead][1:] {
-		lost[p] = true
+	for _, p := range byDest[dead] {
+		if p != answered {
+			lost[p] = true
+		}
 	}
+	want := int64(len(lost))
+	n.OnNodeDown(dead)
 	re := w.take()
-	if len(re) != len(lost) || n.Reissues != int64(len(lost)) {
-		t.Fatalf("%d reissues sent, %d counted, want %d", len(re), n.Reissues, len(lost))
+	sentRe := note(re)
+	if int64(sentRe)+n.InPlaceReissues != want || n.Reissues != want {
+		t.Fatalf("%d reissues sent + %d in place, %d counted, want %d", sentRe, n.InPlaceReissues, n.Reissues, want)
 	}
 	for _, s := range re {
-		if !s.reissue || !lost[s.pkt] {
+		if s.pkt == nil {
+			continue
+		}
+		if s.reissue && !lost[s.pkt] {
 			t.Fatalf("reissued %+v: not a retained packet lost on processor %d", s, dead)
 		}
 		if s.to == dead {
-			t.Fatalf("reissued to the dead processor %d", dead)
+			t.Fatalf("sent %+v to the dead processor %d", s, dead)
 		}
 		delete(lost, s.pkt)
-		if s.to == deadNext {
-			byDest[deadNext] = append(byDest[deadNext], s.pkt)
-		}
+	}
+	if int64(len(lost)) != n.InPlaceReissues {
+		t.Fatalf("%d lost packets were not sent again, %d were reissued in place", len(lost), n.InPlaceReissues)
 	}
 
 	// A second death: reissues avoid every processor known dead, and a packet
 	// reissued onto the second victim is reissued again.
+	counted, inPlace := n.Reissues, n.InPlaceReissues
+	want = int64(len(byDest[deadNext]))
 	n.OnNodeDown(deadNext)
 	re = w.take()
-	if len(re) != len(byDest[deadNext]) {
-		t.Fatalf("second death reissued %d packets, want %d", len(re), len(byDest[deadNext]))
+	sentRe = note(re)
+	if got := n.Reissues - counted; got != want || int64(sentRe)+n.InPlaceReissues-inPlace != want {
+		t.Fatalf("second death reissued %d packets (%d sent), want %d", got, sentRe, want)
 	}
 	for _, s := range re {
-		if s.to == dead || s.to == deadNext {
-			t.Fatalf("reissued to processor %d, which this node knows is dead", s.to)
+		if s.pkt != nil && (s.to == dead || s.to == deadNext) {
+			t.Fatalf("sent %+v to a processor this node knows is dead", s)
 		}
 	}
 
+	// The transport brings the in-place counts home; then the totals are the
+	// simulator's: every packet spawned, every reissue, wherever it ran.
+	w.c.CountInPlace(0, n.InPlace, n.InPlaceReissues)
 	got := w.c.Snapshot()
-	if want := int64(len(kids)) + n.Reissues; got.Spawned != want || got.Reissued != n.Reissues {
-		t.Fatalf("counters spawned/reissued = %d/%d, want %d/%d (Spawned includes reissues)",
-			got.Spawned, got.Reissued, want, n.Reissues)
+	if want := int64(crossed) + n.InPlace; got.Spawned != want || got.Reissued != n.Reissues || got.InPlace != n.InPlace {
+		t.Fatalf("counters spawned/reissued/in place = %d/%d/%d, want %d/%d/%d (Spawned includes reissues and in-place packets)",
+			got.Spawned, got.Reissued, got.InPlace, want, n.Reissues, n.InPlace)
+	}
+	if got.Messages != int64(msgs) {
+		t.Fatalf("%d messages charged for the %d that crossed", got.Messages, msgs)
 	}
 	if by := w.c.ReissuesByNode(); by[0] != n.Reissues {
 		t.Fatalf("per-node attribution %v, want %d on node 0", by, n.Reissues)
+	}
+}
+
+// TestLongRunInPlaceYields: the last processor standing places everything on
+// itself, and a request far larger than settleBudget must not run inside one
+// handler call. Every budget's worth of deliveries the node mails itself the
+// oldest waiting message — the only self-addressed traffic there is — and the
+// counts stay exact: each packet is in place or crossed, never both.
+func TestLongRunInPlaceYields(t *testing.T) {
+	n, w := fibNode(t, 2, 1)
+	n.OnNodeDown(1)
+	n.OnSpawn(fibPacket(17, proto.HostID, 0))
+	var answer expr.Value
+	calls, yielded, mailed := 1, 0, int64(0)
+	for log := w.take(); len(log) > 0; log = w.take() {
+		if len(log) != 1 {
+			t.Fatalf("handler call %d sent %d messages, want the one it yields with: %+v", calls, len(log), log)
+		}
+		switch m := log[0]; {
+		case m.to == proto.HostID:
+			answer = m.res.Value
+		case m.to != 0:
+			t.Fatalf("sent %+v to the dead processor", m)
+		case m.pkt != nil:
+			mailed++
+			yielded++
+			n.OnSpawn(m.pkt)
+		default:
+			yielded++
+			n.OnResult(m.res)
+		}
+		calls++
+	}
+	const tasks = 5167 // fib(17)'s tree: 2·fib(18) − 1
+	if answer == nil || !answer.Equal(expr.VInt(1597)) {
+		t.Fatalf("fib(17) = %v after %d handler calls, want 1597", answer, calls)
+	}
+	if want := 2 * (tasks - 1) / settleBudget; yielded != want {
+		t.Fatalf("%d messages in place yielded %d times, want %d (every %d deliveries)", 2*(tasks-1), yielded, want, settleBudget)
+	}
+	if n.InPlace+mailed != tasks-1 || n.Drained != 0 || len(n.tasks) != 0 {
+		t.Fatalf("%d packets in place + %d mailed, want %d in all; %d drained, %d tasks left",
+			n.InPlace, mailed, tasks-1, n.Drained, len(n.tasks))
 	}
 }
 

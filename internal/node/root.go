@@ -30,10 +30,13 @@ type Fabric interface {
 // Counters are the stream totals of a wall-clock machine, defined once for
 // every transport. The transport charges each protocol message as it carries
 // it — at whatever wire size its interconnect really moves — so the counts
-// survive the death of the node that sent the message.
+// survive the death of the node that sent the message. A task packet a node
+// placed on itself is spawned but is no message (the simulator's rule: only
+// what crosses the interconnect is charged); the node counts those and the
+// transport brings the counts home (CountInPlace).
 type Counters struct {
-	spawned, reissued, drained, msgs, bytes atomic.Int64
-	byNode                                  []atomic.Int64
+	spawned, reissued, inPlace, drained, msgs, bytes atomic.Int64
+	byNode                                           []atomic.Int64
 }
 
 // CountSpawn charges one task-packet message sent by processor from
@@ -49,6 +52,16 @@ func (c *Counters) CountSpawn(from proto.ProcID, wire int, reissue bool) {
 			c.byNode[from].Add(1)
 		}
 	}
+}
+
+// CountInPlace adds the task packets processor from reports having placed on
+// itself, reissues of them being reissues: Spawned, Reissued and the per-node
+// attribution count them like any other, Messages and MsgBytes do not.
+func (c *Counters) CountInPlace(from proto.ProcID, spawns, reissues int64) {
+	c.spawned.Add(spawns)
+	c.inPlace.Add(spawns)
+	c.reissued.Add(reissues)
+	c.byNode[from].Add(reissues)
 }
 
 // CountMsg charges one result or node-down message.
@@ -70,6 +83,7 @@ func (c *Counters) Snapshot() core.Counters {
 		Messages:   c.msgs.Load(),
 		MsgBytes:   c.bytes.Load(),
 		Spawned:    c.spawned.Load(),
+		InPlace:    c.inPlace.Load(),
 		Reissued:   reissued,
 		Drained:    c.drained.Load(),
 		Recoveries: reissued,

@@ -160,6 +160,27 @@ func (w *FrameWriter) Flush() error {
 	return w.err
 }
 
+// ParseFrameHeader decodes a frame's fixed header from the first
+// FrameHeaderSize bytes of hdr — where they lie, allocating nothing — into a
+// Frame without its payload, and returns the payload length that follows. A
+// header whose type or length is invalid fails with ErrFrame.
+func ParseFrameHeader(hdr []byte) (f Frame, payload int, err error) {
+	n := binary.BigEndian.Uint32(hdr[:4])
+	if n > MaxFramePayload {
+		return f, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrFrame, n, MaxFramePayload)
+	}
+	t := FrameType(hdr[4])
+	if t <= 0 || t >= frameTypeEnd {
+		return f, 0, fmt.Errorf("%w: invalid type %d", ErrFrame, hdr[4])
+	}
+	return Frame{
+		Type:  t,
+		Flags: hdr[5],
+		From:  ProcID(int32(binary.BigEndian.Uint32(hdr[6:]))),
+		To:    ProcID(int32(binary.BigEndian.Uint32(hdr[10:]))),
+	}, int(n), nil
+}
+
 // ReadFrame reads one frame. A clean EOF at a frame boundary returns io.EOF;
 // a stream cut inside a frame returns io.ErrUnexpectedEOF; a header whose
 // type or length is invalid returns ErrFrame without reading the payload.
@@ -168,19 +189,9 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err // io.EOF only at a boundary, io.ErrUnexpectedEOF inside
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFramePayload {
-		return nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrFrame, n, MaxFramePayload)
-	}
-	t := FrameType(hdr[4])
-	if t <= 0 || t >= frameTypeEnd {
-		return nil, fmt.Errorf("%w: invalid type %d", ErrFrame, hdr[4])
-	}
-	f := &Frame{
-		Type:  t,
-		Flags: hdr[5],
-		From:  ProcID(int32(binary.BigEndian.Uint32(hdr[6:]))),
-		To:    ProcID(int32(binary.BigEndian.Uint32(hdr[10:]))),
+	f, n, err := ParseFrameHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	if n > 0 {
 		f.Payload = make([]byte, n)
@@ -191,5 +202,5 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 			return nil, err
 		}
 	}
-	return f, nil
+	return &f, nil
 }
