@@ -55,7 +55,7 @@ func main() {
 		procs     = flag.Int("procs", 8, "number of processors")
 		topo      = flag.String("topology", "mesh", strings.Join(topology.Kinds(), "|"))
 		placement = flag.String("placement", "random", "random|gradient|static|local")
-		recov     = flag.String("recovery", "none", "recovery scheme: "+strings.Join(recovery.Names(), "|"))
+		recov     = flag.String("recovery", "", "recovery scheme: "+strings.Join(recovery.Names(), "|")+" (default none on sim, rollback on live and net, which implement rollback and none)")
 		eval      = flag.String("eval", "", "evaluator for task reduction passes: "+strings.Join(lang.Evaluators(), "|")+" (default interp; traces are byte-identical either way)")
 		ancestors = flag.Int("ancestors", 2, "ancestor-pointer depth K (§5.2)")
 		replicate = flag.Int("replicate", 1, "replica count for every function (§5.3; requires -recovery none)")
@@ -190,7 +190,7 @@ func main() {
 	if len(plan.Faults) > 0 {
 		fmt.Printf("faults     : %v\n", plan.Faults)
 	}
-	var wrong error // reported after the full report, as exit status 1
+	var wrong error // a wrong or missing answer: exit status 1, after the full report
 	if rep.Completed {
 		fmt.Printf("answer     : %s\n", rep.Answer)
 		// Cross-check against the sequential reference evaluator.
@@ -205,6 +205,7 @@ func main() {
 		}
 	} else {
 		fmt.Printf("answer     : NONE — run did not complete by t=%d\n", rep.Makespan)
+		wrong = fmt.Errorf("run did not complete by t=%d", rep.Makespan)
 	}
 	if rep.Sim != nil {
 		fmt.Printf("makespan   : %d virtual ticks (%d events)\n", rep.Makespan, rep.Sim.Events)

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMain re-executes the test binary as apsim itself when the marker is
@@ -20,9 +23,32 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// apsim runs the test binary as apsim with the given arguments and a time
+// budget, and returns its exit status and what it printed.
+func apsim(t *testing.T, budget time.Duration, args ...string) (exit int, stdout, stderr string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "APSIM_TEST_AS_MAIN=1")
+	var out, errs bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errs
+	err := cmd.Run()
+	var ee *exec.ExitError
+	switch {
+	case ctx.Err() != nil:
+		t.Fatalf("apsim %s: still running after %v\n%s%s", strings.Join(args, " "), budget, &out, &errs)
+	case errors.As(err, &ee):
+		exit = ee.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return exit, out.String(), errs.String()
+}
+
 // TestCommandLine pins, per command line, the exit status and the first
-// line printed (stdout on success, stderr on failure), plus one later line
-// where the first does not show what the run did.
+// line printed (stdout on success, stderr on failure), plus one other line,
+// on either stream, where the first does not show what the run did.
 func TestCommandLine(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -41,6 +67,24 @@ func TestCommandLine(t *testing.T) {
 			"workload   : fib:12", "in place), 0 reissued, 0 drained"},
 		{"wrong answer", "-workload fib:10 -procs 4 -fault 0@0c,1@0c,2@0c,3@0c", 1,
 			"apsim: answer 232 differs from the sequential reference 55", ""},
+		// No answer is exit status 1 too, after the same report.
+		{"no answer", "-workload fib:12 -fault 2@500 -deadline 5000", 1,
+			"apsim: run did not complete by t=5000", "answer     : NONE — run did not complete by t=5000"},
+		// -recovery left alone is each backend's own default (the service
+		// stream above says none on sim), so a kill on the wall clock is
+		// recovered from, not waited out.
+		{"live recovers by default", "-workload fib:14 -procs 6 -backend live -fault 2@500", 0,
+			"workload   : fib:14", "recovery=rollback"},
+		// A validated program that fails at run time fails the request, with
+		// the evaluator's own words, wherever it runs.
+		{"division by zero", "-program testdata/div.ap -args 2", 1,
+			"apsim: task 0.2 on processor 4: lang: eval: division by zero", ""},
+		{"division by zero on live", "-program testdata/div.ap -args 2 -backend live", 1,
+			"apsim: task 0.2 on node 7: lang: eval: division by zero", ""},
+		{"division by zero on net", "-program testdata/div.ap -args 2 -backend net -recovery rollback", 1,
+			"apsim: task 0.2 on node 7: lang: eval: division by zero", ""},
+		{"division by zero in a stream", "-program testdata/div.ap -args 2 -requests 3 -backend live", 1,
+			"apsim: request 0: task 0.2 on node 7: lang: eval: division by zero", ""},
 		{"stream flags without -requests", "-workload fib:10 -arrive uniform:100 -max-inflight 2 -admission shed", 2,
 			"apsim: -admission, -arrive, -max-inflight: service-stream flags need -requests N", ""},
 		{"-trace on a stream", "-workload fib:10 -requests 4 -trace", 2,
@@ -71,30 +115,58 @@ func TestCommandLine(t *testing.T) {
 			"apsim: core: shape:uniform:8,9,1: workload: shape uniform(f=8,d=9) unrolls to more than 100000 nodes", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)
-			cmd.Env = append(os.Environ(), "APSIM_TEST_AS_MAIN=1")
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			err := cmd.Run()
-			exit := 0
-			var ee *exec.ExitError
-			if errors.As(err, &ee) {
-				exit = ee.ExitCode()
-			} else if err != nil {
-				t.Fatal(err)
-			}
-			out := stdout.String()
+			exit, stdout, stderr := apsim(t, time.Minute, strings.Fields(tc.args)...)
+			out := stdout
 			if tc.exit != 0 {
-				out = stderr.String()
+				out = stderr
 			}
 			first, _, _ := strings.Cut(out, "\n")
 			if exit != tc.exit || first != tc.first {
 				t.Fatalf("apsim %s\nexit %d, first line %q\nwant %d, %q\nstderr: %s",
-					tc.args, exit, first, tc.exit, tc.first, stderr.String())
+					tc.args, exit, first, tc.exit, tc.first, stderr)
 			}
-			if !strings.Contains(out, tc.also) {
-				t.Errorf("apsim %s: output lacks %q:\n%s", tc.args, tc.also, out)
+			if !strings.Contains(stdout+stderr, tc.also) {
+				t.Errorf("apsim %s: output lacks %q:\n%s%s", tc.args, tc.also, stdout, stderr)
 			}
 		})
 	}
 }
+
+// TestReadmeCommands runs every `go run ./cmd/apsim …` line inside README.md's
+// fenced blocks: each must finish inside 20 s with exit status 0 and a
+// reference line that reports a match.
+func TestReadmeCommands(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every README command line, the live and net ones included")
+	}
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "go run ./cmd/apsim "
+	fenced, ran := false, 0
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced || !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		args, _, _ := strings.Cut(strings.TrimPrefix(line, prefix), "#")
+		ran++
+		t.Run(strings.TrimSpace(args), func(t *testing.T) {
+			exit, stdout, stderr := apsim(t, 20*time.Second, strings.Fields(args)...)
+			if exit != 0 || !readmeMatch.MatchString(stdout) {
+				t.Fatalf("exit %d, want 0 and a reference line reporting a match\n%s%s", exit, stdout, stderr)
+			}
+		})
+	}
+	if ran == 0 {
+		t.Fatal("README.md has no fenced `go run ./cmd/apsim` line: the test reads nothing")
+	}
+}
+
+// readmeMatch is the reference line of a run whose answers all matched: one
+// answer, or every answer of a stream but those admission control shed.
+var readmeMatch = regexp.MustCompile(`(?m)^reference  : (\S+ \(match\)|[1-9]\d*/\d+ answers match the sequential reference evaluator( \(\d+ shed by admission control\))?)$`)

@@ -189,49 +189,42 @@ func (s *StaticHash) Step(v View, _ int) proto.ProcID { return s.PickDest(v, pro
 // distance toward the nearest idle processor. Overloaded processors push
 // spawned tasks down the gradient, one hop at a time; packets settle when
 // they reach lightly loaded territory or exhaust their hop budget.
-type Gradient struct {
-	// IdleThreshold: queue length at or below which a processor is idle
+type Gradient struct{}
+
+// The gradient model's parameters.
+const (
+	// gradientIdle: queue length at or below which a processor is idle
 	// (gradient 0).
-	IdleThreshold int
-	// SettleThreshold: queue length at or below which an in-transit packet
+	gradientIdle = 0
+	// gradientSettle: queue length at or below which an in-transit packet
 	// settles here instead of forwarding.
-	SettleThreshold int
-	// TTL: maximum hops a packet may travel before settling unconditionally
-	// (prevents livelock when the gradient field is stale).
-	TTL int
-}
+	gradientSettle = 1
+	// gradientTTL: maximum hops a packet may travel before settling
+	// unconditionally (prevents livelock when the gradient field is stale).
+	gradientTTL = 8
+)
 
-// NewGradient returns a gradient policy with the given parameters; zero
-// values select the defaults (idle ≤ 0 queued, settle ≤ 1 queued, TTL 8).
-func NewGradient(idleThreshold, settleThreshold, ttl int) *Gradient {
-	g := &Gradient{IdleThreshold: idleThreshold, SettleThreshold: settleThreshold, TTL: ttl}
-	if g.SettleThreshold <= 0 {
-		g.SettleThreshold = 1
-	}
-	if g.TTL <= 0 {
-		g.TTL = 8
-	}
-	return g
-}
+// NewGradient returns the gradient policy.
+func NewGradient() *Gradient { return &Gradient{} }
 
-func (g *Gradient) Name() string {
-	return fmt.Sprintf("gradient(idle≤%d,settle≤%d,ttl=%d)", g.IdleThreshold, g.SettleThreshold, g.TTL)
+func (*Gradient) Name() string {
+	return fmt.Sprintf("gradient(idle≤%d,settle≤%d,ttl=%d)", gradientIdle, gradientSettle, gradientTTL)
 }
 
 func (*Gradient) Mode() Mode { return HopByHop }
 
 // PickDest in direct mode is unused for gradient; it settles locally.
-func (g *Gradient) PickDest(v View, _ proto.TaskKey) proto.ProcID { return v.Self() }
+func (*Gradient) PickDest(v View, _ proto.TaskKey) proto.ProcID { return v.Self() }
 
 // Step implements the hop-by-hop push: settle if local load is light, the
 // hop budget is spent, or no live neighbor is closer to an idle processor;
 // otherwise forward to the neighbor with the smallest gradient (ties to the
 // lowest id, for determinism).
 func (g *Gradient) Step(v View, hops int) proto.ProcID {
-	if hops >= g.TTL {
+	if hops >= gradientTTL {
 		return v.Self()
 	}
-	if v.QueueLen() <= g.SettleThreshold {
+	if v.QueueLen() <= gradientSettle {
 		return v.Self()
 	}
 	self := v.Self()
@@ -252,8 +245,8 @@ func (g *Gradient) Step(v View, hops int) proto.ProcID {
 // LocalGradient computes this processor's gradient value from its queue and
 // its neighbors' gossiped gradients. The machine gossips the result to
 // neighbors whenever it changes.
-func (g *Gradient) LocalGradient(v View) int {
-	if v.QueueLen() <= g.IdleThreshold {
+func (*Gradient) LocalGradient(v View) int {
+	if v.QueueLen() <= gradientIdle {
 		return 0
 	}
 	minNb := MaxGradient
@@ -314,7 +307,7 @@ func ByName(name string) (Policy, error) {
 	case "static":
 		return NewStaticHash(), nil
 	case "gradient":
-		return NewGradient(0, 0, 0), nil
+		return NewGradient(), nil
 	default:
 		return nil, fmt.Errorf("balance: unknown policy %q", name)
 	}

@@ -148,7 +148,7 @@ func TestStaticHashReplicasSeparate(t *testing.T) {
 }
 
 func TestGradientSettlesWhenLight(t *testing.T) {
-	g := NewGradient(0, 1, 8)
+	g := NewGradient()
 	v := newFake()
 	v.queue = 1 // ≤ settle threshold
 	if got := g.Step(v, 0); got != v.self {
@@ -157,7 +157,7 @@ func TestGradientSettlesWhenLight(t *testing.T) {
 }
 
 func TestGradientForwardsDownhill(t *testing.T) {
-	g := NewGradient(0, 1, 8)
+	g := NewGradient()
 	v := newFake()
 	v.queue = 5
 	v.grads[1] = 3
@@ -173,7 +173,7 @@ func TestGradientForwardsDownhill(t *testing.T) {
 }
 
 func TestGradientAvoidsFaultyNeighbors(t *testing.T) {
-	g := NewGradient(0, 1, 8)
+	g := NewGradient()
 	v := newFake()
 	v.queue = 5
 	v.grads[1] = 0
@@ -185,17 +185,20 @@ func TestGradientAvoidsFaultyNeighbors(t *testing.T) {
 }
 
 func TestGradientTTLSettles(t *testing.T) {
-	g := NewGradient(0, 1, 3)
+	g := NewGradient()
 	v := newFake()
 	v.queue = 10
 	v.grads[1] = 0
-	if got := g.Step(v, 3); got != v.self {
+	if got := g.Step(v, 7); got != 1 {
+		t.Fatalf("one hop inside the budget settled on %d, want forward to 1", got)
+	}
+	if got := g.Step(v, 8); got != v.self {
 		t.Fatalf("TTL exhausted but forwarded to %d", got)
 	}
 }
 
 func TestGradientSettlesAtLocalMinimum(t *testing.T) {
-	g := NewGradient(0, 1, 8)
+	g := NewGradient()
 	v := newFake()
 	v.queue = 5
 	// All neighbors as busy as us or busier: no improvement, stay.
@@ -207,7 +210,7 @@ func TestGradientSettlesAtLocalMinimum(t *testing.T) {
 }
 
 func TestLocalGradientComputation(t *testing.T) {
-	g := NewGradient(0, 1, 8)
+	g := NewGradient()
 	v := newFake()
 	v.queue = 0
 	if got := g.LocalGradient(v); got != 0 {

@@ -58,6 +58,9 @@ func (p *proc) Result(to proto.ProcID, res *proto.Result) {
 	p.c.send(p.id, to, msg{result: res}, false)
 }
 
+// Fail implements node.Link: like a root's result, in-process and no message.
+func (p *proc) Fail(task proto.TaskKey, err error) { p.c.root.Fail(p.id, task, err) }
+
 // Cluster is a live machine.
 type Cluster struct {
 	root  *node.Root

@@ -79,7 +79,7 @@ func TestIdleMachineSchedulesOnlyHeartbeats(t *testing.T) {
 // the gradient policy the gossip service runs exactly as it did before it
 // was gated (both numbers were taken on the commit before the gate).
 func TestIdleGradientMachineUnchanged(t *testing.T) {
-	_, rep := idleMachine(t, "torus", balance.NewGradient(0, 0, 0), 10_000)
+	_, rep := idleMachine(t, "torus", balance.NewGradient(), 10_000)
 	const wantEvents, wantMsgLoad = 54_721, 256
 	if rep.Events != wantEvents || rep.Metrics.MsgLoad != wantMsgLoad {
 		t.Errorf("gradient idle machine: Events=%d MsgLoad=%d, want %d/%d",

@@ -369,9 +369,11 @@ func (m *Machine) noteDetection(p *proc, failed proto.ProcID) {
 	})
 }
 
-// send transmits a message. Local (from == to) deliveries cost one tick and
-// no message accounting; remote ones pay per-hop latency and are counted.
-// Dead processors transmit nothing. The message is taken by value: the
+// send transmits a message, and is the one place a message is accounted: a
+// message is what send puts on the wire, so its count, bytes and hops advance
+// together here and nowhere else (hops.wire >= TotalMessages always). Dead
+// processors transmit nothing and a local (from == to) delivery costs one
+// tick and no wire, so neither counts. The message is taken by value: the
 // machine copies it into a pooled envelope that lives exactly until
 // delivery, so the call sites' composite literals stay on the stack.
 // Everything happens on the sender's shard except the final enqueue, which
@@ -397,17 +399,31 @@ func (m *Machine) send(msg proto.Msg) {
 	sc.k.AtMsgTo(sc.k.Now()+latency, m.ownerOf(msg.To), sc.getMsg(msg))
 }
 
-// countMsg tallies messages that are not already tallied at their call
-// sites. Task, result, and similar messages increment their specific
-// counters where they are built; the generic ones are counted here.
+// countMsg files one transmitted message under its report category. The
+// switch is complete: a message type without a category is a bug, not a
+// message that travels for free.
 func countMsg(mt *trace.Metrics, t proto.MsgType) {
 	switch t {
+	case proto.MsgTask:
+		mt.MsgTask++
+	case proto.MsgTaskAck:
+		mt.MsgTaskAck++
+	case proto.MsgResult:
+		mt.MsgResult++
+	case proto.MsgResultAck:
+		mt.MsgResultAck++
+	case proto.MsgGrandResult:
+		mt.MsgGrand++
 	case proto.MsgAbort, proto.MsgChildAbort:
 		mt.MsgAbort++
 	case proto.MsgFaultAnnounce:
 		mt.MsgFault++
-	case proto.MsgHeartbeatAck:
+	case proto.MsgHeartbeat, proto.MsgHeartbeatAck:
 		mt.MsgHeartbeat++
+	case proto.MsgLoad:
+		mt.MsgLoad++
+	default:
+		panic(fmt.Sprintf("machine: message type %v has no counter", t))
 	}
 }
 

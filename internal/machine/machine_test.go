@@ -61,7 +61,7 @@ func TestFaultFreeFibMatchesReference(t *testing.T) {
 	prog := lang.Fib()
 	args := []expr.Value{expr.VInt(12)}
 	for _, placement := range []balance.Policy{
-		balance.NewRandom(), balance.NewStaticHash(), balance.NewGradient(0, 0, 0), balance.NewLocal(),
+		balance.NewRandom(), balance.NewStaticHash(), balance.NewGradient(), balance.NewLocal(),
 	} {
 		cfg := Config{Topo: mustTopo(t, "mesh", 8), Placement: placement, Seed: 1}
 		rep := runMachine(t, cfg, prog, "fib", args, nil)
@@ -127,7 +127,7 @@ func TestDeterministicReplay(t *testing.T) {
 	prog := lang.Fib()
 	args := []expr.Value{expr.VInt(11)}
 	run := func() *Report {
-		cfg := Config{Topo: mustTopo(t, "mesh", 8), Placement: balance.NewGradient(0, 0, 0), Seed: 42}
+		cfg := Config{Topo: mustTopo(t, "mesh", 8), Placement: balance.NewGradient(), Seed: 42}
 		return runMachine(t, cfg, prog, "fib", args, faults.Crash(3, 900, false))
 	}
 	a, b := run(), run()

@@ -485,7 +485,6 @@ func (p *proc) EscalateResult(res *proto.Result) {
 		fwd := *res
 		fwd.ParentTask = anc.Task
 		fwd.Remaining = rem
-		p.sc.metrics.MsgGrand++ // categorized here; send() counts bytes/hops
 		p.m.send(proto.Msg{Type: proto.MsgGrandResult, From: p.id, To: anc.Proc, Result: &fwd})
 		// Guard the escalation with the completing task's result timer: if
 		// the ancestor is silently dead too, time out and escalate further
@@ -620,7 +619,6 @@ func (p *proc) RelayToTwin(res *proto.Result) {
 	}
 	fwd := *res
 	fwd.ParentTask = key
-	p.sc.metrics.MsgResult++
 	p.m.send(proto.Msg{Type: proto.MsgResult, From: p.id, To: dest, Result: &fwd})
 }
 
@@ -851,9 +849,9 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 		// the policy keeps choosing a destination that drops the packet or
 		// hosts a foreign incarnation of the same stamp (deterministic
 		// policies re-pick it forever). Scatter uniformly among live
-		// processors instead.
-		if dest := p.randomLive(); dest != p.id {
-			p.sc.metrics.MsgTask++
+		// processors instead (balance.Random's draw: one Intn over the live
+		// count, from this processor's private stream).
+		if dest := balance.NewRandom().PickDest(p, pkt.Key); dest != p.id {
 			p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: dest, Task: pkt, Hops: 0})
 			return dest
 		}
@@ -872,13 +870,11 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 		if p.isHost && (dest == p.id || dest == proto.HostID) {
 			dest = 0
 		}
-		p.sc.metrics.MsgTask++
 		p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: dest, Task: pkt, Hops: 0})
 		return dest
 	}
 	// Hop-by-hop (gradient): the host always hands off to processor 0.
 	if p.isHost {
-		p.sc.metrics.MsgTask++
 		p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: 0, Task: pkt, Hops: 0})
 		return 0
 	}
@@ -887,36 +883,8 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 		p.settle(pkt)
 		return next
 	}
-	p.sc.metrics.MsgTask++
 	p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: next, Task: pkt, Hops: 1})
 	return next
-}
-
-// randomLive picks a uniformly random processor not believed faulty
-// (possibly this one). The two-pass count-then-walk keeps the RNG draw —
-// one Intn over the live count — identical to the slice-collecting version
-// while allocating nothing.
-func (p *proc) randomLive() proto.ProcID {
-	live := p.m.n - p.faultyN
-	if live <= 0 {
-		return p.id
-	}
-	// Drawn from the processor's private stream, not the kernel's: the
-	// kernel RNG is per shard, so using it would make relay targets (and
-	// with them whole recovery schedules) depend on the shard count.
-	k := p.rng.Intn(live)
-	if live == p.m.n {
-		return proto.ProcID(k)
-	}
-	for i := 0; i < p.m.n; i++ {
-		if !p.faulty[i] {
-			if k == 0 {
-				return proto.ProcID(i)
-			}
-			k--
-		}
-	}
-	return p.id
 }
 
 // onAckTimeout fires when a spawned packet's placement was never
@@ -965,7 +933,6 @@ func (p *proc) settle(pkt *proto.TaskPacket) {
 		// incumbent here would be unsound — generation order says nothing
 		// about which lineage is the live one.
 		ack.AckGen = existing.pkt.Gen
-		p.sc.metrics.MsgTaskAck++
 		p.m.send(ack)
 		return
 	}
@@ -981,7 +948,6 @@ func (p *proc) settle(pkt *proto.TaskPacket) {
 		}
 		p.m.log(p.id, trace.KPlace, pkt.Key.String(), note)
 	}
-	p.sc.metrics.MsgTaskAck++
 	p.m.send(ack)
 	p.maybeRun()
 }
@@ -995,7 +961,6 @@ func (p *proc) onTaskMsg(msg *proto.Msg) {
 	if p.m.cfg.Placement.Mode() == balance.HopByHop {
 		next := p.m.cfg.Placement.Step(p, msg.Hops)
 		if next != p.id {
-			p.sc.metrics.MsgTask++
 			p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: next, Task: msg.Task, Hops: msg.Hops + 1})
 			return
 		}
@@ -1071,7 +1036,6 @@ func (p *proc) sendResult(t *task) {
 		Child: t.pkt.Key, ParentTask: t.pkt.Parent.Task,
 		HoleID: t.pkt.HoleID, Value: t.value,
 	}
-	p.sc.metrics.MsgResult++
 	p.m.send(proto.Msg{Type: proto.MsgResult, From: p.id, To: dest, Result: res})
 	t.resultTimer.Stop()
 	t.resultTimer = p.k.After(DefaultResultTimeout, func() { p.onResultTimeout(t) })
@@ -1214,7 +1178,6 @@ func (p *proc) fillHole(t *task, h *holeRec, v expr.Value) {
 
 // ackResult acknowledges a result delivery.
 func (p *proc) ackResult(to proto.ProcID, child proto.TaskKey, ok bool) {
-	p.sc.metrics.MsgResultAck++
 	p.m.send(proto.Msg{Type: proto.MsgResultAck, From: p.id, To: to, AckChild: child, ResultOK: ok})
 }
 
@@ -1243,8 +1206,7 @@ func (p *proc) onResultAck(msg *proto.Msg) {
 func (p *proc) onGrandResult(msg *proto.Msg) {
 	// Always acknowledge: grand results are never retried against a live
 	// processor (the rule of thumb: handle or ignore).
-	p.sc.metrics.MsgResultAck++
-	p.m.send(proto.Msg{Type: proto.MsgResultAck, From: p.id, To: msg.From, AckChild: msg.Result.Child, ResultOK: true})
+	p.ackResult(msg.From, msg.Result.Child, true)
 	p.policy.OnGrandResult(msg.Result)
 }
 
@@ -1275,14 +1237,12 @@ func (p *proc) heartbeatTick() {
 			p.declareFaulty(nb)
 			continue
 		}
-		p.sc.metrics.MsgHeartbeat++
 		p.m.send(proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: nb})
 	}
 	p.hbTimer = p.k.After(p.m.cfg.HeartbeatEvery, p.hbFn)
 }
 
 func (p *proc) onHeartbeat(msg *proto.Msg) {
-	p.sc.metrics.MsgHeartbeat++
 	p.m.send(proto.Msg{Type: proto.MsgHeartbeatAck, From: p.id, To: msg.From})
 }
 
@@ -1304,7 +1264,6 @@ func (p *proc) gossipTick() {
 		p.lastSentGrad = val
 		for _, nb := range p.neighbors {
 			if !p.faulty[nb] {
-				p.sc.metrics.MsgLoad++
 				p.m.send(proto.Msg{Type: proto.MsgLoad, From: p.id, To: nb, LoadVal: val})
 			}
 		}
@@ -1372,16 +1331,13 @@ func (p *proc) die(announced bool) {
 	if announced {
 		// The dying gasp (§1: "must voluntarily declare itself faulty").
 		for _, nb := range p.neighbors {
-			p.sc.metrics.MsgFault++
 			p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: nb, Failed: p.id})
 		}
-		if p.id != 0 {
-			p.sc.metrics.MsgFault++
-			p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: 0, Failed: p.id})
-		} else {
-			p.sc.metrics.MsgFault++
-			p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: proto.HostID, Failed: p.id})
+		console := proto.ProcID(0)
+		if p.id == 0 {
+			console = proto.HostID
 		}
+		p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: console, Failed: p.id})
 	}
 	p.dead = true
 	p.busy = false

@@ -27,7 +27,7 @@ func TestPropertyDeterminacyUnderFaults(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
 	schemes := []recovery.Scheme{recovery.Rollback(), recovery.RollbackLazy(), recovery.Splice()}
 	placements := []balance.Policy{
-		balance.NewRandom(), balance.NewStaticHash(), balance.NewGradient(0, 0, 0),
+		balance.NewRandom(), balance.NewStaticHash(), balance.NewGradient(),
 	}
 	topos := []string{"mesh", "ring", "complete", "hypercube"}
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
@@ -66,6 +67,14 @@ func (l *childLink) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) 
 func (l *childLink) Result(to proto.ProcID, res *proto.Result) {
 	l.tally()
 	_ = l.out.End(proto.AppendResult(l.out.Begin(proto.FrameResult, 0, l.id, to), res))
+}
+
+// Fail implements node.Link: a result frame for the hub with FlagFailed,
+// the error's text where the value would be.
+func (l *childLink) Fail(task proto.TaskKey, err error) {
+	l.tally()
+	res := &proto.Result{Child: task, Value: expr.VStr(err.Error())}
+	_ = l.out.End(proto.AppendResult(l.out.Begin(proto.FrameResult, proto.FlagFailed, l.id, proto.HostID), res))
 }
 
 // tally appends a stats frame when the node has counted something on its own

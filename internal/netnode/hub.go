@@ -7,10 +7,12 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
@@ -350,10 +352,12 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) {
 		c.root.CountMsg(len(wire))
 		if f.To != proto.HostID {
 			c.forward(f.To, wire)
-		} else if res, err := proto.DecodeResult(payload); err == nil {
+		} else if res, err := proto.DecodeResult(payload); err != nil {
+			c.root.CountDrained(1)
+		} else if f.Flags&proto.FlagFailed == 0 {
 			c.root.Deliver(res)
 		} else {
-			c.root.CountDrained(1)
+			c.root.Fail(proto.ProcID(ch.id), res.Child, evalError(res.Value))
 		}
 	case proto.FrameSpawn:
 		c.root.CountSpawn(proto.ProcID(ch.id), len(wire), f.Flags&proto.FlagReissue != 0)
@@ -362,6 +366,13 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) {
 		// A child never originates other frame types; drop quietly
 		// rather than wedge the stream on a protocol slip.
 	}
+}
+
+// evalError is the evaluation error a node process reported as text v, typed
+// again on this side of the socket: it wraps lang.ErrEval and reads the same.
+func evalError(v expr.Value) error {
+	text, _ := v.(expr.VStr)
+	return fmt.Errorf("%w: %s", lang.ErrEval, strings.TrimPrefix(string(text), lang.ErrEval.Error()+": "))
 }
 
 // forward relays a child-to-child frame; dead destinations black-hole it.

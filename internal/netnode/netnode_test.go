@@ -3,6 +3,7 @@ package netnode
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -177,6 +178,47 @@ func TestClusterSurvivesTwoSIGKILLs(t *testing.T) {
 				t.Errorf("SIGKILLed node %d (pid %d) still alive", id, pids[id])
 			}
 		}
+	}
+}
+
+// TestEvalErrorKillsNoNodeProcess: a task that divides by zero fails its
+// request at the super-root with the evaluator's typed error, carried as a
+// flagged result frame, and every node process is still running afterwards —
+// under rollback a node that died of it would have had the packet reissued to
+// the next, and that one after it. The cluster then answers another request.
+func TestEvalErrorKillsNoNodeProcess(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("liveness check reads /proc")
+	}
+	prog := lang.MustParse("fn f(x) = 10 / x\nfn main(n) = f(n) + f(n - 1)")
+	c, err := New(node.Spec{Procs: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := c.Pids()
+	defer requireAllDead(t, pids)
+	defer c.Shutdown()
+	bad, err := c.Root().Submit(prog, "main", []expr.Value{expr.VInt(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.Wait(30*time.Second, nil); !errors.Is(err, lang.ErrEval) || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("main(1): err = %v, want lang.ErrEval's division by zero", err)
+	}
+	good, err := c.Root().Submit(prog, "main", []expr.Value{expr.VInt(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := good.Wait(30*time.Second, nil); err != nil || !v.Equal(expr.VInt(4)) {
+		t.Fatalf("main(5) after the failure = %v, %v; want 4", v, err)
+	}
+	for i, pid := range pids {
+		if !procAlive(pid) {
+			t.Errorf("node %d (pid %d) died of an evaluation error", i, pid)
+		}
+	}
+	if got := c.Root().Snapshot(); got.Reissued != 0 {
+		t.Errorf("%d reissues: a node was taken for dead", got.Reissued)
 	}
 }
 

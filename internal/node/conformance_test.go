@@ -3,6 +3,7 @@ package node_test
 import (
 	"errors"
 	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -415,6 +416,50 @@ func TestBadTicketsFailAlone(t *testing.T) {
 			}
 			if sr.Completed != 1 || sr.Failed != 2 {
 				t.Fatalf("completed/failed = %d/%d, want 1/2\n%s", sr.Completed, sr.Failed, sr.Render())
+			}
+		})
+	}
+}
+
+// TestEvalErrorFailsTheRequest is one row run on every backend, the simulator
+// included: a validated program that divides by zero in a subtask. The
+// ticket's Wait returns the evaluator's typed error naming the task and
+// where it ran. On the wall clock that is all that fails: no node dies (a
+// panic in the node used to take the process down, and under rollback each
+// reissue of the packet the next node in turn), the requests on either side
+// of it in the stream verify, and Close counts one failure. The simulator
+// fails the whole run with the error (machine.failRun).
+var evalErrText = regexp.MustCompile(`^task 1\.[0-9.]+ on (processor|node) \d+: lang: eval: division by zero$`)
+
+func TestEvalErrorFailsTheRequest(t *testing.T) {
+	prog := lang.MustParse("fn f(x) = 10 / x\nfn main(n) = f(n) + f(n - 1) + f(n - 2)")
+	call := func(n int64) core.Workload {
+		return core.Workload{Program: prog, Fn: "main", Args: []core.Value{expr.VInt(n)}}
+	}
+	for _, backend := range append([]string{"sim"}, backends...) {
+		t.Run(backend, func(t *testing.T) {
+			cl := open(t, backend, core.Config{Procs: 4, Seed: 1, Recovery: "rollback"})
+			before, bad, after := cl.Submit(call(5)), cl.Submit(call(2)), cl.Submit(call(-1))
+			_, err := bad.Wait()
+			if !errors.Is(err, lang.ErrEval) || !evalErrText.MatchString(err.Error()) {
+				t.Fatalf("main(2): err = %v, want lang.ErrEval reading %s", err, evalErrText)
+			}
+			if backend == "sim" {
+				_, _ = cl.Close()
+				return
+			}
+			for _, tk := range []*core.Ticket{before, after} {
+				if _, err := tk.Verify(); err != nil {
+					t.Errorf("a neighbour of the failed request: %v", err)
+				}
+			}
+			sr, err := cl.Close()
+			if err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if sr.Completed != 2 || sr.Failed != 1 || sr.Reissued != 0 {
+				t.Fatalf("completed/failed/reissued = %d/%d/%d, want 2/1/0 (a reissue means a node died)\n%s",
+					sr.Completed, sr.Failed, sr.Reissued, sr.Render())
 			}
 		})
 	}

@@ -161,6 +161,8 @@ func (l meshLink) Result(to proto.ProcID, res *proto.Result) {
 	}
 }
 
+func (l meshLink) Fail(task proto.TaskKey, err error) { l.m.root.Fail(l.p, task, err) }
+
 func (m *mesh) mailedSelf(p parcel, size int) {
 	if !m.loop {
 		m.t.Fatalf("node %d mailed itself, and these runs are far inside settleBudget: %+v", p.to, p)

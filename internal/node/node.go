@@ -17,7 +17,6 @@
 package node
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 
@@ -42,6 +41,10 @@ type Link interface {
 	// Result returns a finished task's value to the processor holding its
 	// parent (proto.HostID for a root: the super-root).
 	Result(to proto.ProcID, res *proto.Result)
+	// Fail reports to the super-root that a task's evaluation failed with
+	// err (it wraps lang.ErrEval): the request the task belongs to has no
+	// answer.
+	Fail(task proto.TaskKey, err error)
 }
 
 // task is a resident task.
@@ -154,9 +157,16 @@ func (n *Node) install(pkt *proto.TaskPacket) {
 }
 
 // apply handles a pass outcome: finish, or checkpoint and spawn the demands.
+// A validated program can still fail at run time (10 / x at x = 0). The error
+// is as determinate as a value (§2.1) — a reissue would hit it again — so it
+// is no fault to recover from: the task retires, its request fails at the
+// super-root, and the node serves on. The task's ancestors are left waiting,
+// like the parents of any orphan.
 func (n *Node) apply(t *task, out lang.Outcome, st lang.TaskState, err error) {
 	if err != nil {
-		panic(fmt.Sprintf("node %d: %v", n.id, err)) // validated programs cannot fail
+		n.retire(t)
+		n.link.Fail(t.pkt.Key, err)
+		return
 	}
 	if out.Done {
 		n.finish(t, out.Value)
@@ -231,19 +241,7 @@ func (n *Node) settle() {
 // on the private FIFO when the parent is resident here — and retires that
 // incarnation.
 func (n *Node) finish(t *task, v expr.Value) {
-	key := t.pkt.Key.Stamp
-	list := n.tasks[key]
-	for i, cand := range list {
-		if cand == t {
-			list = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(list) == 0 {
-		delete(n.tasks, key)
-	} else {
-		n.tasks[key] = list
-	}
+	n.retire(t)
 	res := &proto.Result{
 		Child:      t.pkt.Key,
 		ParentTask: t.pkt.Parent.Task,
@@ -254,6 +252,20 @@ func (n *Node) finish(t *task, v expr.Value) {
 		n.link.Result(to, res)
 	} else {
 		n.inbox = append(n.inbox, local{res: res})
+	}
+}
+
+// retire removes one incarnation from the resident tasks.
+func (n *Node) retire(t *task) {
+	key := t.pkt.Key.Stamp
+	list := n.tasks[key]
+	if i := slices.Index(list, t); i >= 0 {
+		list = slices.Delete(list, i, i+1)
+	}
+	if len(list) == 0 {
+		delete(n.tasks, key)
+	} else {
+		n.tasks[key] = list
 	}
 }
 

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -21,6 +22,8 @@ type sent struct {
 	res     *proto.Result     // result
 	dead    proto.ProcID      // node-down (pkt and res nil)
 	reissue bool
+	failed  proto.TaskKey // fail, with err
+	err     error
 }
 
 // wire records every send and charges the counters the way a transport
@@ -41,6 +44,10 @@ func (w *wire) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
 func (w *wire) Result(to proto.ProcID, res *proto.Result) {
 	w.c.CountMsg(res.EncodedSize())
 	w.log = append(w.log, sent{to: to, res: res})
+}
+
+func (w *wire) Fail(task proto.TaskKey, err error) {
+	w.log = append(w.log, sent{to: proto.HostID, failed: task, err: err})
 }
 
 func (w *wire) NodeDown(to, dead proto.ProcID) {
@@ -286,6 +293,39 @@ func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 	}
 	if by := w.c.ReissuesByNode(); by[0] != n.Reissues {
 		t.Fatalf("per-node attribution %v, want %d on node 0", by, n.Reissues)
+	}
+}
+
+// TestEvalErrorRetiresTheTaskAndReports: a pass that fails is reported to the
+// super-root under the task's key with the evaluator's typed error, the
+// incarnation is gone, and the node goes on serving — the next packet runs.
+func TestEvalErrorRetiresTheTaskAndReports(t *testing.T) {
+	ev, err := Spec{}.Evaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := ev.Compile(lang.MustParse("fn f(x) = 10 / x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := newWire(t, 0, Spec{Procs: 2})
+	n := New(0, 2, 1, w, func(int) lang.EvalProgram { return ep })
+	f := func(x int64, path ...uint32) *proto.TaskPacket {
+		pkt := fibPacket(x, 1, path...)
+		pkt.Fn = "f"
+		return pkt
+	}
+	n.OnSpawn(f(0, 0, 1))
+	got := w.take()
+	if len(got) != 1 || got[0].failed != f(0, 0, 1).Key || !errors.Is(got[0].err, lang.ErrEval) {
+		t.Fatalf("f(0) sent %+v, want one failure report for task 0.1 wrapping lang.ErrEval", got)
+	}
+	if len(n.tasks) != 0 {
+		t.Fatalf("the failed task is still resident: %v", n.tasks)
+	}
+	n.OnSpawn(f(5, 0, 2))
+	if got := w.take(); len(got) != 1 || got[0].res == nil || !got[0].res.Value.Equal(expr.VInt(2)) {
+		t.Fatalf("f(5) after the failure sent %+v, want the result 2", got)
 	}
 }
 

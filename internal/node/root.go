@@ -105,34 +105,45 @@ func (c *Counters) ReissuesByNode() []int64 {
 // a private channel, so many requests can be in flight at once.
 type Request struct {
 	id     uint32
-	answer chan expr.Value
+	answer chan outcome
 	pkt    *proto.TaskPacket
 	dest   proto.ProcID
 	done   bool
 }
 
+// outcome is how a request ended: its answer, or the evaluation error that
+// means it has none.
+type outcome struct {
+	v   expr.Value
+	err error
+}
+
+// errNoAnswer is Wait's error for a request that has not ended.
+var errNoAnswer = errors.New("no answer")
+
 // ID is the request's stream index.
 func (q *Request) ID() int { return int(q.id) }
 
-// Wait blocks until the answer arrives, the timeout elapses, or stop closes
-// (nil never does). An answer already delivered is accepted even when the
+// Wait blocks until the request ends — with its answer, or with the
+// evaluation error a task of it reported — the timeout elapses, or stop closes
+// (nil never does). An outcome already delivered is accepted even when the
 // timeout is spent or the stream stopped.
 func (q *Request) Wait(timeout time.Duration, stop <-chan struct{}) (expr.Value, error) {
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
 		select {
-		case v := <-q.answer:
-			return v, nil
+		case o := <-q.answer:
+			return o.v, o.err
 		case <-t.C:
 		case <-stop:
 		}
 	}
 	select {
-	case v := <-q.answer:
-		return v, nil
+	case o := <-q.answer:
+		return o.v, o.err
 	default:
-		return nil, fmt.Errorf("node: request %d: no answer", q.id)
+		return nil, fmt.Errorf("node: request %d: %w", q.id, errNoAnswer)
 	}
 }
 
@@ -252,7 +263,7 @@ func (r *Root) Submit(prog *lang.Program, fn string, args []expr.Value) (*Reques
 	}
 	// Seal the memoized wire size before NodeDown can see the packet.
 	pkt.EncodedSize()
-	q := &Request{id: id, answer: make(chan expr.Value, 1), pkt: pkt, dest: r.firstLive(int(id) % len(r.live))}
+	q := &Request{id: id, answer: make(chan outcome, 1), pkt: pkt, dest: r.firstLive(int(id) % len(r.live))}
 	r.reqs[id] = q
 	dest := q.dest
 	r.mu.Unlock()
@@ -271,13 +282,25 @@ func (r *Root) firstLive(start int) proto.ProcID {
 	return proto.ProcID(start)
 }
 
-// Deliver hands a root's result to its request; answers for already-answered
-// (twin) or unknown roots drain harmlessly. Only the first delivery fires the
-// completion hook — a twin's duplicate answer must not free a second
-// admission slot.
+// Deliver hands a root's result to its request.
 func (r *Root) Deliver(res *proto.Result) {
+	r.end(res.Child, outcome{v: res.Value})
+}
+
+// Fail ends the request that task belongs to with the evaluation error
+// processor from hit in it: a program error is determinate (§2.1), so the
+// request has no answer on any processor and nothing is recovered.
+func (r *Root) Fail(from proto.ProcID, task proto.TaskKey, err error) {
+	r.end(task, outcome{err: fmt.Errorf("task %v on node %d: %w", task, from, err)})
+}
+
+// end gives the request that task belongs to its outcome; outcomes for
+// already-ended (a twin's answer, a sibling's failure) or unknown requests
+// drain harmlessly. Only the first fires the completion hook — a duplicate
+// must not free a second admission slot.
+func (r *Root) end(task proto.TaskKey, o outcome) {
 	r.mu.Lock()
-	q := r.reqs[res.Child.Stamp.Component(0)]
+	q := r.reqs[task.Stamp.Component(0)]
 	first := q != nil && !q.done
 	if q != nil {
 		q.done = true
@@ -289,8 +312,8 @@ func (r *Root) Deliver(res *proto.Result) {
 		return
 	}
 	select {
-	case q.answer <- res.Value:
-	default: // a twin already answered; determinacy says it matches
+	case q.answer <- o:
+	default: // already ended; determinacy says the outcomes match
 	}
 	if first && hook != nil {
 		hook()

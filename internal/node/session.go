@@ -406,9 +406,12 @@ func (r *request) wait() {
 	r.rep.ArrivedAt = s.micros(r.arrived)
 	r.rep.QueuedFor = r.arrived.Sub(r.offered).Microseconds()
 	r.rep.Makespan = done - r.rep.ArrivedAt
-	if err == nil {
+	switch {
+	case err == nil:
 		r.rep.Completed = true
 		r.rep.Answer = v
 		r.rep.DoneAt = done
+	case !errors.Is(err, errNoAnswer):
+		r.rep.Err, r.err = err, err
 	}
 }

@@ -82,6 +82,10 @@ const (
 	// after a failure, so the supervisor can count recovery traffic without
 	// decoding payloads.
 	FlagReissue byte = 1 << iota
+	// FlagFailed marks a FrameResult to the supervisor that reports no value
+	// but an evaluation error: Child is the task that failed, Value the
+	// error's text.
+	FlagFailed
 )
 
 // ErrFrame wraps malformed-frame errors.
