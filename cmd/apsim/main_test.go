@@ -65,6 +65,12 @@ func TestCommandLine(t *testing.T) {
 			"workload   : nqueens:6", "recover.twins            2"},
 		{"live says how much stayed home", "-workload fib:12 -procs 4 -backend live", 0,
 			"workload   : fib:12", "in place), 0 reissued, 0 drained"},
+		// Past one heartbeat period of processors, and past the 74 hops a
+		// constant reply timer covers, nobody alive is declared dead.
+		{"hypercube-512", "-procs 512 -topology hypercube -workload fib:14 -recovery rollback -eval compiled", 0,
+			"workload   : fib:14", "reference  : 377 (match)"},
+		{"ring-600", "-procs 600 -topology ring -workload fib:14 -recovery rollback -eval compiled", 0,
+			"workload   : fib:14", "reference  : 377 (match)"},
 		{"wrong answer", "-workload fib:10 -procs 4 -fault 0@0c,1@0c,2@0c,3@0c", 1,
 			"apsim: answer 232 differs from the sequential reference 55", ""},
 		// No answer is exit status 1 too, after the same report.
@@ -127,6 +133,9 @@ func TestCommandLine(t *testing.T) {
 			}
 			if !strings.Contains(stdout+stderr, tc.also) {
 				t.Errorf("apsim %s: output lacks %q:\n%s%s", tc.args, tc.also, stdout, stderr)
+			}
+			if !strings.Contains(tc.args, "-fault") && strings.Contains(stdout, "fault.") {
+				t.Errorf("apsim %s: a fault-free run reports a fault. row:\n%s", tc.args, stdout)
 			}
 		})
 	}

@@ -77,10 +77,10 @@ func S1TopologySweep(spec string, seed int64) (*Table, error) {
 	t.Finding = "Every interconnect completes with the same answer; makespan tracks the " +
 		"diameter (ring worst, complete/star best per hop but serialized at the hub), and " +
 		"the irregular shapes — torus, random 4-regular — land near the hypercube, showing " +
-		"the protocol pays for distance, not regularity. The message count follows the " +
-		"failure detector (degree × makespan: complete(64) sends three times the mesh's), " +
-		"not the workload, and no message travels less than one hop — exactly 1.00 where " +
-		"every pair is adjacent."
+		"the protocol pays for distance, not regularity. The spread in message count is " +
+		"the failure detector's (one beat per directed neighbour pair per period, so degree × " +
+		"makespan: complete(64) sends 2.3 times the mesh's), not the workload's, and no message " +
+		"travels less than one hop — exactly 1.00 where every pair is adjacent."
 	return t, nil
 }
 

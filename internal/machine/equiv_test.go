@@ -12,9 +12,9 @@ import (
 )
 
 // TestSliceStateMatchesMapSemantics pins the ProcID-indexed slices that
-// replaced the per-proc maps (faulty, nbGrad, lastHeard) to the map
-// semantics: an id never written behaves like an absent key — not faulty,
-// MaxGradient, never heard — and out-of-range ids (the host, pending
+// replaced the per-proc maps (faulty, nbGrad, the detector's last-heard
+// table) to the map semantics: an id never written behaves like an absent
+// key — not faulty, MaxGradient — and out-of-range ids (the host, pending
 // placements) are never faulty.
 func TestSliceStateMatchesMapSemantics(t *testing.T) {
 	topo, err := topology.ByName("mesh", 9)
@@ -58,14 +58,15 @@ func TestSliceStateMatchesMapSemantics(t *testing.T) {
 		t.Fatalf("gossiped gradient = %d, want 3", g)
 	}
 
-	// lastHeard: absent (-1) means the silence test is skipped, exactly like
-	// the missing-key branch of the map version; a heartbeat ack arms it.
-	if p.lastHeard[1] != -1 {
-		t.Fatal("fresh proc claims to have heard neighbor 1")
+	// The detector's table: a neighbor starts as heard at its own beat
+	// phase, and a beat — one-way, nothing answers it — overwrites that with
+	// the hearing time.
+	if got := p.det.last[1]; got != 1 {
+		t.Fatalf("neighbor 1 seeded as heard at %d, want its phase 1", got)
 	}
-	p.onHeartbeatAck(&proto.Msg{Type: proto.MsgHeartbeatAck, From: 1, To: 4})
-	if p.lastHeard[1] != m.kern.Now() {
-		t.Fatal("heartbeat ack did not record the hearing time")
+	p.onHeartbeat(&proto.Msg{Type: proto.MsgHeartbeat, From: 1, To: 4})
+	if p.det.last[1] != m.kern.Now() {
+		t.Fatal("heartbeat did not record the hearing time")
 	}
 }
 

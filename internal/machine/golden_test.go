@@ -30,7 +30,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_traces.tx
 // the fault-free cell's messages went 5022 → 5031, because a run stops at
 // the end of the lockstep window that saw the completion, window starts
 // follow pending event times, and with the gossip ticks gone that last
-// window takes in nine more messages.
+// window takes in nine more messages. Both moved again when a message became
+// what send puts on the wire (messages only) and when heartbeats went one-way:
+// the acks, and the kernel events that delivered them, are gone.
 var goldenCells = []struct {
 	name   string
 	scheme string

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/balance"
+	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/recovery"
 	"repro/internal/sim"
@@ -14,13 +15,21 @@ import (
 // request: only its periodic services are scheduled.
 func startIdle(t testing.TB, kind string, placement balance.Policy) (*Machine, *Session) {
 	t.Helper()
-	cfg := Config{Topo: mustTopo(t, kind, 64), Scheme: recovery.Rollback(), Placement: placement, Seed: 1}
+	return startIdleCfg(t, Config{Topo: mustTopo(t, kind, 64), Scheme: recovery.Rollback(), Placement: placement, Seed: 1}, nil)
+}
+
+// startIdleCfg starts a machine with no request under the given fault plan.
+func startIdleCfg(t testing.TB, cfg Config, plan *faults.Plan) (*Machine, *Session) {
+	t.Helper()
 	m, err := New(cfg, lang.Fib())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, err := m.Serve(ServeConfig{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Inject(plan); err != nil {
 		t.Fatal(err)
 	}
 	s.start()
@@ -36,33 +45,35 @@ func idleMachine(t testing.TB, kind string, placement balance.Policy, ticks sim.
 	return m, s.Finish()
 }
 
+// heartbeatEvents counts, from the schedule alone, the kernel events an idle
+// machine's failure detector dispatches in the first `ticks` ticks: each
+// processor's tick, every period from period + its phase, and the delivery of
+// the one beat that tick sends each neighbour, one hop later.
+func heartbeatEvents(m *Machine, ticks sim.Time) uint64 {
+	every := m.cfg.HeartbeatEvery
+	const hop = DefaultMsgOverhead + DefaultHopCost // neighbours are one hop apart
+	var n uint64
+	for _, p := range m.procs {
+		for at := every + beatPhase(p.id, every); at <= ticks; at += every {
+			n++ // the tick
+			if at+hop <= ticks {
+				n += uint64(len(p.neighbors)) // its beats, delivered
+			}
+		}
+	}
+	return n
+}
+
 // TestIdleMachineSchedulesOnlyHeartbeats pins the gating of the gossip
 // service: only the gradient policy reads gossiped load, so under every
 // other placement an idle processor's one periodic event is its heartbeat —
-// every dispatched event is a heartbeat tick, a probe delivery or an ack
-// delivery, counted here from the schedule alone.
+// every dispatched event is a heartbeat tick or a beat's delivery.
 func TestIdleMachineSchedulesOnlyHeartbeats(t *testing.T) {
 	const ticks = 10_000
 	for _, placement := range []balance.Policy{balance.NewRandom(), balance.NewStaticHash(), balance.NewLocal()} {
 		t.Run(placement.Name(), func(t *testing.T) {
 			m, rep := idleMachine(t, "torus", placement, ticks)
-			every := m.cfg.HeartbeatEvery
-			const hop = DefaultMsgOverhead + DefaultHopCost // neighbours are one hop apart
-			var want uint64
-			for i, p := range m.procs {
-				for at := every + sim.Time(i)%every; at <= ticks; at += every {
-					want++ // the tick
-					for range p.neighbors {
-						if at+hop <= ticks {
-							want++ // probe delivered
-						}
-						if at+2*hop <= ticks {
-							want++ // ack delivered
-						}
-					}
-				}
-			}
-			if rep.Events != want {
+			if want := heartbeatEvents(m, ticks); rep.Events != want {
 				t.Errorf("idle machine dispatched %d events, want %d (heartbeat ticks + deliveries only)", rep.Events, want)
 			}
 			if rep.Metrics.MsgLoad != 0 {
@@ -76,11 +87,22 @@ func TestIdleMachineSchedulesOnlyHeartbeats(t *testing.T) {
 }
 
 // TestIdleGradientMachineUnchanged pins the other side of the gate: under
-// the gradient policy the gossip service runs exactly as it did before it
-// was gated (both numbers were taken on the commit before the gate).
+// the gradient policy the gossip service runs beside the detector. An idle
+// processor's gradient never changes after its first gossip tick, so it
+// broadcasts once — one load message per directed neighbour pair, all
+// delivered — and then only ticks, every DefaultLoadGossipEvery from
+// 1 + i mod DefaultLoadGossipEvery.
 func TestIdleGradientMachineUnchanged(t *testing.T) {
-	_, rep := idleMachine(t, "torus", balance.NewGradient(), 10_000)
-	const wantEvents, wantMsgLoad = 54_721, 256
+	const ticks = 10_000
+	m, rep := idleMachine(t, "torus", balance.NewGradient(), ticks)
+	var wantMsgLoad int64
+	wantEvents := heartbeatEvents(m, ticks)
+	for i, p := range m.procs {
+		wantMsgLoad += int64(len(p.neighbors))
+		first := sim.Time(1 + i%DefaultLoadGossipEvery)
+		wantEvents += uint64((ticks-first)/DefaultLoadGossipEvery) + 1 // gossip ticks
+	}
+	wantEvents += uint64(wantMsgLoad) // the one broadcast's deliveries
 	if rep.Events != wantEvents || rep.Metrics.MsgLoad != wantMsgLoad {
 		t.Errorf("gradient idle machine: Events=%d MsgLoad=%d, want %d/%d",
 			rep.Events, rep.Metrics.MsgLoad, wantEvents, wantMsgLoad)
@@ -89,7 +111,7 @@ func TestIdleGradientMachineUnchanged(t *testing.T) {
 
 // TestDieWithUnarmedGossipTimerIsInert kills a processor whose gossip timer
 // was never armed (any non-gradient placement): stopping the zero Timer must
-// do nothing, and the rest of the machine keeps probing.
+// do nothing, and the rest of the machine keeps beating.
 func TestDieWithUnarmedGossipTimerIsInert(t *testing.T) {
 	m, s := startIdle(t, "torus", balance.NewRandom())
 	m.kern.RunUntil(1_000, 0)
@@ -116,7 +138,7 @@ func TestDieWithUnarmedGossipTimerIsInert(t *testing.T) {
 }
 
 // BenchmarkIdleMachine is the profiling entry point for the background path:
-// 64 processors with nothing to do but probe their neighbours for 100 000
+// 64 processors with nothing to do but beat to their neighbours for 100 000
 // virtual ticks, so the event kernel's heap and the heartbeat handlers are
 // the whole cost. Speed claims are made with `bash bench/run.sh`, not here.
 //

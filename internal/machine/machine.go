@@ -395,9 +395,11 @@ func (m *Machine) send(msg proto.Msg) {
 	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
 	sc.metrics.HopsOnWire += int64(hops)
 	countMsg(&sc.metrics, msg.Type)
-	latency := sim.Time(DefaultMsgOverhead + DefaultHopCost*hops)
-	sc.k.AtMsgTo(sc.k.Now()+latency, m.ownerOf(msg.To), sc.getMsg(msg))
+	sc.k.AtMsgTo(sc.k.Now()+flightTime(hops), m.ownerOf(msg.To), sc.getMsg(msg))
 }
+
+// flightTime is the virtual latency of a message that crosses hops links.
+func flightTime(hops int) sim.Time { return sim.Time(DefaultMsgOverhead + DefaultHopCost*hops) }
 
 // countMsg files one transmitted message under its report category. The
 // switch is complete: a message type without a category is a bug, not a
@@ -418,7 +420,7 @@ func countMsg(mt *trace.Metrics, t proto.MsgType) {
 		mt.MsgAbort++
 	case proto.MsgFaultAnnounce:
 		mt.MsgFault++
-	case proto.MsgHeartbeat, proto.MsgHeartbeatAck:
+	case proto.MsgHeartbeat:
 		mt.MsgHeartbeat++
 	case proto.MsgLoad:
 		mt.MsgLoad++
@@ -568,7 +570,8 @@ func (m *Machine) mergeTrace() {
 // mergeDetections computes the first-detection latency metrics from the
 // per-shard detection records: for each processor that actually failed, the
 // first (in dispatch order) detection at or after the failure counts —
-// exactly the record the single-shard run updates online.
+// exactly the record the single-shard run updates online. A detection of a
+// processor that was alive when it was declared is a false suspicion.
 func (m *Machine) mergeDetections() {
 	type firstRec struct {
 		ok  bool
@@ -580,11 +583,9 @@ func (m *Machine) mergeDetections() {
 	for _, sc := range m.shards {
 		for _, d := range sc.detects {
 			p := m.procs[d.failed]
-			if p.failedAt < 0 {
-				continue // suspected but never actually failed
-			}
-			if ordBefore(d.seg, d.key, p.failSeg, p.failKey) {
-				continue // suspicion predates the actual failure
+			if p.failedAt < 0 || ordBefore(d.seg, d.key, p.failSeg, p.failKey) {
+				m.metrics.FalseSuspicions++ // never failed, or not yet
+				continue
 			}
 			f := &firsts[d.failed]
 			if !f.ok || ordBefore(d.seg, d.key, f.seg, f.key) {

@@ -19,11 +19,11 @@ import (
 // proc is one processor of the machine (or the host pseudo-processor).
 // It is single-threaded: all methods run inside kernel events.
 //
-// The per-neighbor and per-peer bookkeeping (faulty, nbGrad, lastHeard) is
+// The per-neighbor and per-peer bookkeeping (faulty, nbGrad) is
 // ProcID-indexed slices rather than maps: processor ids are dense small
 // integers, and these tables sit on the failure-detection and placement hot
 // paths. TestSliceStateMatchesMapSemantics pins the map semantics the
-// slices replace (absent key = not faulty / MaxGradient / never heard).
+// slices replace (absent key = not faulty / MaxGradient).
 type proc struct {
 	id     proto.ProcID
 	m      *Machine
@@ -72,8 +72,8 @@ type proc struct {
 	nbGrad       []int
 	lastSentGrad int
 
-	// Heartbeat bookkeeping: last time each neighbor answered (-1 = never).
-	lastHeard []sim.Time
+	// det watches the neighbors' heartbeats.
+	det detector
 
 	// relayBuf buffers orphan results for twins whose placement is not yet
 	// acknowledged (§4.1 "Having the grandparent relay partial results").
@@ -161,15 +161,11 @@ func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
 		store:        checkpoint.NewStore(),
 		faulty:       make([]bool, m.n),
 		nbGrad:       make([]int, m.n),
-		lastHeard:    make([]sim.Time, m.n),
 		relayBuf:     make(map[proto.TaskKey][]*proto.Result),
 		lastSentGrad: -1,
 	}
 	for i := range p.nbGrad {
 		p.nbGrad[i] = balance.MaxGradient
-	}
-	for i := range p.lastHeard {
-		p.lastHeard[i] = -1
 	}
 	if isHost {
 		p.neighbors = []proto.ProcID{0}
@@ -177,6 +173,7 @@ func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
 		for _, nb := range m.cfg.Topo.Neighbors(toNode(id)) {
 			p.neighbors = append(p.neighbors, proto.ProcID(nb))
 		}
+		p.det = newDetector(p.neighbors, m.n, m.cfg.HeartbeatEvery)
 	}
 	p.hbFn = p.heartbeatTick
 	p.gossipFn = p.gossipTick
@@ -494,7 +491,7 @@ func (p *proc) EscalateResult(res *proto.Result) {
 			t.resultTimer.Stop()
 			resCopy := fwd
 			ancProc := anc.Proc
-			t.resultTimer = p.k.After(DefaultResultTimeout, func() {
+			t.resultTimer = p.k.After(p.replyTimeout(DefaultResultTimeout, ancProc), func() {
 				p.onGrandTimeout(res.Child, ancProc, &resCopy)
 			})
 		}
@@ -839,11 +836,27 @@ func ancestorChain(parentPkt *proto.TaskPacket, depth int) []proto.Addr {
 // timeout (Figure 6 state b: no ack means reissue). avoid lists processors
 // that replicas of the same demand already occupy; route makes a bounded
 // effort to pick elsewhere. It returns the chosen (first-hop) destination.
+// The timeout is sized to that destination: a direct placement settles
+// there, and a hop-by-hop one within the gradient's TTL of it, well inside
+// the constant.
 func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid map[proto.ProcID]bool) proto.ProcID {
+	dest, hops := p.firstHop(pkt, cr, avoid)
 	cr.ackTimer.Stop()
-	cr.ackTimer = p.k.After(DefaultAckTimeout, func() {
+	cr.ackTimer = p.k.After(p.replyTimeout(DefaultAckTimeout, dest), func() {
 		p.onAckTimeout(parent, pkt, cr)
 	})
+	if dest == p.id {
+		p.settle(pkt)
+	} else {
+		p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: dest, Task: pkt, Hops: hops})
+	}
+	return dest
+}
+
+// firstHop picks where route sends the packet — this processor itself means
+// it settles here — and the hop count it leaves with. The host never keeps a
+// packet: the operator console attaches at processor 0's port.
+func (p *proc) firstHop(pkt *proto.TaskPacket, cr *childRef, avoid map[proto.ProcID]bool) (proto.ProcID, int) {
 	if cr.retries >= 3 && !p.isHost {
 		// Placement escape hatch: repeated unacknowledged placements mean
 		// the policy keeps choosing a destination that drops the packet or
@@ -851,40 +864,32 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 		// policies re-pick it forever). Scatter uniformly among live
 		// processors instead (balance.Random's draw: one Intn over the live
 		// count, from this processor's private stream).
-		if dest := balance.NewRandom().PickDest(p, pkt.Key); dest != p.id {
-			p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: dest, Task: pkt, Hops: 0})
-			return dest
-		}
-		p.settle(pkt)
-		return p.id
+		return balance.NewRandom().PickDest(p, pkt.Key), 0
 	}
 	if p.m.cfg.Placement.Mode() == balance.Direct {
 		dest := p.m.cfg.Placement.PickDest(p, pkt.Key)
 		for tries := 0; avoid != nil && avoid[dest] && tries < 8; tries++ {
 			dest = p.m.cfg.Placement.PickDest(p, pkt.Key)
 		}
-		if dest == p.id && !p.isHost {
-			p.settle(pkt)
-			return dest
-		}
-		if p.isHost && (dest == p.id || dest == proto.HostID) {
+		if p.isHost && dest == p.id {
 			dest = 0
 		}
-		p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: dest, Task: pkt, Hops: 0})
-		return dest
+		return dest, 0
 	}
-	// Hop-by-hop (gradient): the host always hands off to processor 0.
+	// Hop-by-hop (gradient): the host always hands off to processor 0; a
+	// packet any other processor forwards arrives having made one hop.
 	if p.isHost {
-		p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: 0, Task: pkt, Hops: 0})
-		return 0
+		return 0, 0
 	}
-	next := p.m.cfg.Placement.Step(p, 0)
-	if next == p.id {
-		p.settle(pkt)
-		return next
-	}
-	p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: next, Task: pkt, Hops: 1})
-	return next
+	return p.m.cfg.Placement.Step(p, 0), 1
+}
+
+// replyTimeout is how long a timer guarding a reply from q waits: the
+// protocol constant, or the round trip to q when that is longer — past 74
+// hops a 600-tick timer fires while a live addressee's reply is still in
+// flight, and the sender would declare it dead.
+func (p *proc) replyTimeout(base sim.Time, q proto.ProcID) sim.Time {
+	return max(base, 2*flightTime(p.m.hops(p.id, q))+1)
 }
 
 // onAckTimeout fires when a spawned packet's placement was never
@@ -1038,7 +1043,7 @@ func (p *proc) sendResult(t *task) {
 	}
 	p.m.send(proto.Msg{Type: proto.MsgResult, From: p.id, To: dest, Result: res})
 	t.resultTimer.Stop()
-	t.resultTimer = p.k.After(DefaultResultTimeout, func() { p.onResultTimeout(t) })
+	t.resultTimer = p.k.After(p.replyTimeout(DefaultResultTimeout, dest), func() { p.onResultTimeout(t) })
 }
 
 // onResultTimeout: the parent never acknowledged. Retry a bounded number of
@@ -1222,32 +1227,27 @@ func (p *proc) onFaultAnnounce(msg *proto.Msg) {
 	p.declareFaulty(msg.Failed)
 }
 
-// heartbeatTick probes neighbors and declares the silent ones.
+// heartbeatTick declares the neighbors the detector reports silent and
+// sends this processor's own beat to the rest.
 func (p *proc) heartbeatTick() {
 	if p.dead {
 		return
 	}
-	limit := p.m.cfg.HeartbeatEvery * DefaultHeartbeatMisses
-	now := p.k.Now()
+	for _, nb := range p.det.tick(p.k.Now()) {
+		p.declareFaulty(nb)
+	}
 	for _, nb := range p.neighbors {
-		if p.faulty[nb] {
-			continue
+		if !p.faulty[nb] {
+			p.m.send(proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: nb})
 		}
-		if last := p.lastHeard[nb]; last >= 0 && now-last > limit {
-			p.declareFaulty(nb)
-			continue
-		}
-		p.m.send(proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: nb})
 	}
 	p.hbTimer = p.k.After(p.m.cfg.HeartbeatEvery, p.hbFn)
 }
 
+// onHeartbeat: a beat is one-way — hearing it is the evidence, nothing
+// answers it.
 func (p *proc) onHeartbeat(msg *proto.Msg) {
-	p.m.send(proto.Msg{Type: proto.MsgHeartbeatAck, From: p.id, To: msg.From})
-}
-
-func (p *proc) onHeartbeatAck(msg *proto.Msg) {
-	p.lastHeard[msg.From] = p.k.Now()
+	p.det.heard(msg.From, p.k.Now())
 }
 
 // --- gradient gossip ---
@@ -1299,8 +1299,6 @@ func (p *proc) handle(msg *proto.Msg) {
 		p.onFaultAnnounce(msg)
 	case proto.MsgHeartbeat:
 		p.onHeartbeat(msg)
-	case proto.MsgHeartbeatAck:
-		p.onHeartbeatAck(msg)
 	case proto.MsgLoad:
 		p.onLoad(msg)
 	default:

@@ -210,10 +210,8 @@ func (s *Session) start() {
 	s.pendPlans = nil
 	// Start periodic services with per-processor deterministic stagger;
 	// every tick event is owned by its processor so it lives on the
-	// processor's shard. The heartbeat stagger stays inside one period:
-	// lastHeard is seeded at 0, so a first tick later than
-	// HeartbeatEvery × DefaultHeartbeatMisses would declare every live neighbour
-	// dead before hearing from any of them. Load gossip is armed only for
+	// processor's shard. The heartbeat stagger is beatPhase, the phase every
+	// neighbour's detector was seeded with. Load gossip is armed only for
 	// the gradient policy, its one reader: under any other placement the
 	// tick would send nothing and re-arm itself, and an idle processor
 	// schedules only its heartbeat.
@@ -221,15 +219,10 @@ func (s *Session) start() {
 	for i, p := range m.procs {
 		p := p
 		if m.cfg.HeartbeatEvery > 0 {
-			m.kern.AtOn(m.cfg.HeartbeatEvery+sim.Time(i)%m.cfg.HeartbeatEvery, int32(i), p.heartbeatTick)
+			m.kern.AtOn(m.cfg.HeartbeatEvery+beatPhase(p.id, m.cfg.HeartbeatEvery), int32(i), p.heartbeatTick)
 		}
 		if gossips {
 			m.kern.AtOn(sim.Time(1+i%DefaultLoadGossipEvery), int32(i), p.gossipTick)
-		}
-		// Seed heartbeat liveness so nobody is declared dead before the
-		// first exchange.
-		for _, nb := range p.neighbors {
-			p.lastHeard[nb] = 0
 		}
 	}
 	if m.cfg.StateProbeEvery > 0 {

@@ -197,9 +197,10 @@ const (
 	// MsgFaultAnnounce floods the identity of a failed processor
 	// ("error-detection" — §4.2).
 	MsgFaultAnnounce
-	// MsgHeartbeat probes a neighbor; MsgHeartbeatAck answers it.
+	// MsgHeartbeat is a processor's periodic beat to a neighbor. It is
+	// one-way: under the fail-silent model (§1) hearing the beat is the
+	// liveness evidence, so nothing answers it.
 	MsgHeartbeat
-	MsgHeartbeatAck
 	// MsgLoad carries gradient-model proximity information to a neighbor.
 	MsgLoad
 	// MsgChildAbort tells a parent that a child incarnation it placed was
@@ -215,8 +216,7 @@ var msgNames = map[MsgType]string{
 	MsgTask: "task", MsgTaskAck: "task-ack", MsgResult: "result",
 	MsgResultAck: "result-ack", MsgGrandResult: "grand-result",
 	MsgAbort: "abort", MsgFaultAnnounce: "fault-announce",
-	MsgHeartbeat: "heartbeat", MsgHeartbeatAck: "heartbeat-ack",
-	MsgLoad: "load", MsgChildAbort: "child-abort",
+	MsgHeartbeat: "heartbeat", MsgLoad: "load", MsgChildAbort: "child-abort",
 }
 
 func (t MsgType) String() string {

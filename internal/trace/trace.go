@@ -133,7 +133,7 @@ type Metrics struct {
 	MsgGrand     int64 `row:"msg.grand"`      // orphan results sent to ancestors (splice)
 	MsgAbort     int64 `row:"msg.abort"`      // abort/kill packets
 	MsgFault     int64 `row:"msg.fault"`      // failure announcements
-	MsgHeartbeat int64 `row:"msg.heartbeat"`  // heartbeats + probes
+	MsgHeartbeat int64 `row:"msg.heartbeat"`  // one-way neighbour heartbeats
 	MsgLoad      int64 `row:"msg.load"`       // gradient-model load exchanges
 	BytesOnWire  int64 `row:"bytes.wire"`     // payload bytes of all of the above
 	HopsOnWire   int64 `row:"hops.wire"`      // Σ hop counts of all messages
@@ -166,8 +166,9 @@ type Metrics struct {
 	VoteMismatches int64 `row:"vote.mismatch"` // corrupt values outvoted
 
 	// Failure handling.
-	Failures         int64 `row:"fault.failures"`   // processor failures injected
-	Detections       int64 `row:"fault.detections"` // distinct (observer, failed) detections
+	Failures         int64 `row:"fault.failures"`         // processor failures injected
+	Detections       int64 `row:"fault.detections"`       // distinct (observer, failed) detections
+	FalseSuspicions  int64 `row:"fault.false_suspicions"` // detections of a processor alive when declared
 	DetectLatencySum int64 // Σ (detect time − fail time) over first detections
 	FirstDetections  int64 // number of first detections (for the average)
 }

@@ -79,16 +79,17 @@ func TestMetricsRowsOmitZeros(t *testing.T) {
 // TestMetricsDerivedFromOneDeclaration pins what Add, TotalMessages and Rows
 // derive from the struct: with field i holding i+1, Add doubles every field
 // (the two untagged ones included), TotalMessages is the nine "msg." rows, and
-// Rows is byte-for-byte the hand-enumerated table this replaced — 34 rows,
-// none for DetectLatencySum or FirstDetections.
+// Rows is byte-for-byte the hand-enumerated table this replaced plus
+// fault.false_suspicions — 35 rows, none for DetectLatencySum or
+// FirstDetections.
 func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
 	var m, sum Metrics
 	v := reflect.ValueOf(&m).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		v.Field(i).SetInt(int64(i + 1))
 	}
-	if v.NumField() != 36 || m.TotalMessages() != 45 {
-		t.Fatalf("%d fields, TotalMessages %d; want 36 and 45", v.NumField(), m.TotalMessages())
+	if v.NumField() != 37 || m.TotalMessages() != 45 {
+		t.Fatalf("%d fields, TotalMessages %d; want 37 and 45", v.NumField(), m.TotalMessages())
 	}
 	sum.Add(&m)
 	sum.Add(&m)
@@ -99,7 +100,8 @@ func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
 	}
 	want := []string{
 		"bytes.wire               10", "ckpt.bytes               20", "ckpt.count               19",
-		"fault.detections         34", "fault.failures           33", "hops.wire                11",
+		"fault.detections         34", "fault.failures           33", "fault.false_suspicions   35",
+		"hops.wire                11",
 		"msg.abort                6", "msg.fault                7", "msg.grand                5",
 		"msg.heartbeat            8", "msg.load                 9", "msg.result               3",
 		"msg.result-ack           4", "msg.task                 1", "msg.task-ack             2",
