@@ -15,9 +15,6 @@ import (
 
 func BenchmarkArtifact(b *testing.B) {
 	for _, e := range runner.Artifacts {
-		if !e.Supports(runner.SimBackend) {
-			continue
-		}
 		b.Run(e.ID, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -1,7 +1,8 @@
 // Command experiments regenerates every reproduction artifact indexed in
-// EXPERIMENTS.md: the figure scenarios F1–F7 and the quantitative tables
-// T1–T7 plus ablations A1–A4 and stress scenarios S1–S6. Its markdown output
-// is the body of EXPERIMENTS.md.
+// EXPERIMENTS.md: the figure scenarios F1–F7, the quantitative tables
+// T1–T7, ablations A1–A4, stress scenarios S1–S6 and the service stream L3,
+// all on the simulator in virtual time. Its markdown output is the body of
+// EXPERIMENTS.md.
 //
 // Artifacts resolve through internal/runner's catalog, so this command,
 // the benchmarks and the tests all run the same drivers. Tables can be
@@ -16,13 +17,11 @@
 //	experiments -seeds 3 -parallel 8     # fan the (experiment × seed) grid out
 //	experiments -exp T3 -seeds 3 -json   # machine-readable per-seed + aggregate output
 //	experiments -markdown -seeds 5       # self-contained EXPERIMENTS.md document
-//	experiments -backend live -exp L1,L3 # live-backend artifacts on real goroutines
-//	experiments -list                    # show the artifact ids + backends
+//	experiments -list                    # show the artifact ids
 //
-// Artifacts declare the core backend they need; with -backend sim (the
-// default) the live-only artifacts render a deterministic skip note, and
-// with -backend live the sim-only ones do, so committed documents stay
-// byte-reproducible while wall-clock measurements stay on demand.
+// The wall-clock backends are not artifacts: `apsim -backend live|net`
+// runs them, `bash bench/run.sh` measures them, and internal/node's
+// conformance suite asserts what the paper's claims owe on them.
 //
 // The bare (flagless) output is the concatenated artifact markdown;
 // -markdown wraps it in the committed EXPERIMENTS.md document — provenance
@@ -40,24 +39,20 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lang"
-	"repro/internal/netnode"
 	"repro/internal/runner"
 )
 
 func main() {
-	// A re-exec'd node process (net backend) enters here and never returns.
-	netnode.ChildMain()
 	// Batch harness, not a resident service: the simulator's hot loop is
 	// allocation-heavy and on one core every collection steals mutator
 	// time, so trade heap headroom for wall time. Every virtual-time
 	// artifact is GC-invariant.
 	debug.SetGCPercent(400)
 	var (
-		exp      = flag.String("exp", "all", "artifacts: all, one id (F1/F2/F5/F6/F7, T1..T7, A1..A4, S1..S6, L1..L5, any case; see -list), or a comma-separated list")
-		backend  = flag.String("backend", "sim", "execution backend: sim (discrete-event simulator), live (goroutine cluster) or net (process-per-node cluster); artifacts not declaring the backend render a skip note")
+		exp      = flag.String("exp", "all", "artifacts: all, one id (F1/F2/F5/F6/F7, T1..T7, A1..A4, S1..S6, L3, any case; see -list), or a comma-separated list")
 		seed     = flag.Int64("seed", 1, "base random seed for the quantitative tables")
 		seeds    = flag.Int("seeds", 1, "number of consecutive seeds to sweep (seed, seed+1, ...)")
-		parallel = flag.Int("parallel", 0, "worker goroutines for the (experiment × seed) grid (0 = GOMAXPROCS; -backend live always runs sequentially so wall-clock makespans measure the workload, not pool contention)")
+		parallel = flag.Int("parallel", 0, "worker goroutines for the (experiment × seed) grid (0 = GOMAXPROCS; the output is identical at every width)")
 		asJSON   = flag.Bool("json", false, "emit JSON (per-seed tables plus aggregates) instead of markdown")
 		asDoc    = flag.Bool("markdown", false, "emit the self-contained EXPERIMENTS.md document (header + contents + artifacts)")
 		list     = flag.Bool("list", false, "list the artifacts and exit")
@@ -81,14 +76,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments: -json and -markdown are mutually exclusive")
 		os.Exit(2)
 	}
-	if _, err := core.ByName(*backend); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, e := range runner.Artifacts {
-			fmt.Printf("%-4s %-7s %-8s %s\n", e.ID, e.Kind(), strings.Join(e.BackendList(), "|"), e.Title)
+			fmt.Printf("%-4s %-7s %s\n", e.ID, e.Kind(), e.Title)
 		}
 		return
 	}
@@ -96,7 +87,6 @@ func main() {
 	results, runErr := runner.Artifacts.RunIDs(*exp, runner.Options{
 		Seeds:    runner.SeedRange(*seed, *seeds),
 		Parallel: *parallel,
-		Backend:  *backend,
 	})
 	if runErr != nil && results == nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", runErr)
@@ -114,7 +104,7 @@ func main() {
 		fmt.Print(out)
 	case *asDoc:
 		fmt.Print(runner.RenderDocument(results, runner.DocumentOptions{
-			Command: runner.DocumentCommand(*exp, *backend, *seed, *seeds),
+			Command: runner.DocumentCommand(*exp, *seed, *seeds),
 			Seeds:   runner.SeedRange(*seed, *seeds),
 		}))
 	default:

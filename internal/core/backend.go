@@ -15,7 +15,8 @@ import (
 )
 
 // TimeUnit names the unit a backend measures makespan in: the simulator
-// counts virtual ticks, the live goroutine network counts wall microseconds.
+// counts virtual ticks, the wall-clock backends (live and net) count wall
+// microseconds.
 type TimeUnit string
 
 // The two units backends report in.
@@ -67,11 +68,13 @@ func (c Counters) SpawnedLabel() string {
 
 // Report is the backend-neutral outcome of a run: what every substrate can
 // measure about an applicative evaluation under faults. Substrate-specific
-// detail hangs off Sim (the simulator's full report) and Live (per-node
-// counters); callers that only need the paper-level quantities — did it
-// finish, with what answer, at what cost — never touch either.
+// detail hangs off Sim (the simulator's full report) and, on the wall-clock
+// backends, ReissuesByNode; callers that only need the paper-level
+// quantities — did it finish, with what answer, at what cost — never touch
+// either.
 type Report struct {
-	// Backend names the substrate that produced the report ("sim", "live").
+	// Backend names the substrate that produced the report ("sim", "live",
+	// "net").
 	Backend string
 	// Answer is the program's result; nil when the run did not complete.
 	Answer expr.Value
@@ -82,7 +85,7 @@ type Report struct {
 	// Makespan is the completion time in Unit (or the time at the deadline
 	// for incomplete runs).
 	Makespan int64
-	// Unit is the makespan's unit: Ticks (sim) or WallMicros (live).
+	// Unit is the makespan's unit: Ticks (sim) or WallMicros (live, net).
 	Unit TimeUnit
 	// Counters are the stream-total counters; zero on per-request reports,
 	// since the substrate is shared across the stream.
@@ -91,7 +94,7 @@ type Report struct {
 	Procs int
 	// Scheme and Placement echo the configuration for reports.
 	Scheme, Placement string
-	// ReissuesByNode is the per-node reissue count (live backend; nil on sim,
+	// ReissuesByNode is the per-node reissue count (live and net; nil on sim,
 	// where reissues are attributed in Sim.Metrics instead).
 	ReissuesByNode []int64
 	// Sim is the simulator's full report (metrics, trace, state samples);
@@ -129,9 +132,9 @@ type Report struct {
 var ErrShed = errors.New("core: request shed by admission control")
 
 // Backend is one execution substrate for the applicative machine: the
-// discrete-event simulator, the live goroutine network, or anything else
-// that can serve a request stream under a config with faults injectable
-// against the stream's clock. The paper's claim — functional checkpointing
+// discrete-event simulator, the live goroutine network, the net process
+// cluster, or anything else that can serve a request stream under a config
+// with faults injectable against the stream's clock. The paper's claim — functional checkpointing
 // plus rollback/splice needs nothing from a particular substrate — is
 // exactly this interface. A one-shot run is the degenerate stream
 // (Config.RunOn), so a backend implements nothing else.
@@ -156,7 +159,7 @@ type Session interface {
 	// returns the stream stamps, in the plan's time order, that the faults
 	// fire at — in the backend's Unit.
 	Inject(plan *faults.Plan) ([]int64, error)
-	// Unit is the stream clock's unit: Ticks (sim) or WallMicros (live).
+	// Unit is the stream clock's unit: Ticks (sim) or WallMicros (live, net).
 	Unit() TimeUnit
 	// Close finishes the stream, resolves any still-open requests, tears the
 	// substrate down, and returns the aggregate report — the same shape a

@@ -112,8 +112,8 @@ type Config struct {
 	// offered at the schedule's i-th offset on the simulator's stream clock,
 	// so faults land between and inside requests ("" = offer each batch at
 	// once). It is sim-only and inert on the wall-clock backends, whose
-	// arrival discipline is real time; live load drivers pace their Submit
-	// calls from the same workload.Arrival schedule instead.
+	// arrival discipline is real time: a request is offered when its Submit
+	// call is made.
 	Arrival string
 	// MaxInFlight bounds concurrently admitted service-mode requests on
 	// both backends (0 = unbounded). Offers that find every slot busy

@@ -10,7 +10,7 @@ import (
 )
 
 // S4 closes the ROADMAP scenario-diversity item: the skewed and random
-// shape:* workload specs finally measured beyond L1's parity check, on mesh
+// shape:* workload specs finally measured beyond a parity check, on mesh
 // vs torus interconnects at equal crash counts, under a composed plan — a
 // Correlated region loss (a board or power domain) merged with a later
 // Burst of scattered kills. Shapes matter here: Skewed concentrates work on

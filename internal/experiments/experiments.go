@@ -1,11 +1,14 @@
 // Package experiments drives the quantitative reproductions T1–T7, the
-// ablations A1–A4 indexed in EXPERIMENTS.md, and the stress scenarios S1–S3
-// (stress.go) that push past the paper's grids: a topology sweep across
-// every interconnect kind at 64 processors, rollback-vs-splice under
-// cascading faults, and a fault-density sweep to the recovery breaking
-// point. Each driver runs the real machine (plus the modeled PGC baseline
-// where the paper's comparator is a modeled scheme) and returns a Table
-// whose rows regenerate the corresponding section of EXPERIMENTS.md.
+// ablations A1–A4 indexed in EXPERIMENTS.md, the stress scenarios S1–S6
+// that push past the paper's grids (a topology sweep across every
+// interconnect kind at 64 processors, rollback-vs-splice under cascading
+// faults, a fault-density sweep to the recovery breaking point, shape
+// diversity, open-loop saturation, incremental recovery) and the service
+// stream L3. Every driver runs the simulated machine (plus the modeled PGC
+// baseline where the paper's comparator is a modeled scheme) in virtual
+// time and returns a Table whose rows regenerate the corresponding section
+// of EXPERIMENTS.md. What the wall-clock backends owe the same claims is
+// asserted by internal/node's conformance suite, not tabulated here.
 // cmd/experiments and the top-level benchmarks call the same drivers, so
 // the documentation, the CLI, and `go test -bench` all report the same
 // numbers.
@@ -43,10 +46,6 @@ type Table struct {
 	// empty, every row is classified against row 0, the conventional
 	// baseline position.
 	Pairs [][2]int `json:"pairs,omitempty"`
-	// NoEffects suppresses effect classification entirely, for tables whose
-	// rows are independent measurements (e.g. L1's per-workload parity rows)
-	// with no baseline/candidate relationship to classify.
-	NoEffects bool `json:"no_effects,omitempty"`
 }
 
 // Pair records an explicit A-vs-B effect comparison: the candidate row is

@@ -135,7 +135,7 @@ func s6Streams(t *Table, seed int64) error {
 		plan := faults.Burst(l3Procs, cl.kills, span/2, faults.CrashAnnounced, seed)
 		for _, scheme := range s6Schemes {
 			cfg.Recovery = scheme
-			sr, err := runStream("sim", cfg, specs, plan, false, nil)
+			sr, err := runStream(cfg, specs, plan, false)
 			if err != nil {
 				return fmt.Errorf("S6 %s/%s: %w", cl.label, scheme, err)
 			}

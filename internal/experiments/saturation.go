@@ -6,15 +6,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
-// This file holds the saturation artifacts S5 (simulator) and L4 (live):
-// open-loop load against bounded admission. Where L3 measures a closed batch
-// — every request submitted up front, the stream as long as it needs to be —
-// S5 and L4 offer load at a controlled rate and let admission control defend
-// the cluster: a probe stream calibrates the fault-free service capacity,
-// then seeded Poisson arrivals sweep the offered rate through multiples of
+// This file holds the saturation artifact S5: open-loop load against
+// bounded admission. Where L3 measures a closed batch — every request
+// submitted up front, the stream as long as it needs to be — S5 offers load
+// at a controlled rate and lets admission control defend the cluster: a
+// probe stream calibrates the fault-free service capacity, then seeded
+// Poisson arrivals sweep the offered rate through multiples of
 // it. Below the knee the cluster completes what is offered; past it the shed
 // counter absorbs the excess and the completion throughput flattens at
 // capacity — the saturation curve — while mid-stream faults shift the knee
@@ -26,9 +25,6 @@ const (
 	s5Procs    = 64
 	s5Requests = 24
 	s5InFlight = 8
-	l4Procs    = 8
-	l4Requests = 12
-	l4InFlight = 2
 )
 
 // s5Specs is the offered mix: small workloads so the knee comes from the
@@ -51,7 +47,7 @@ func S5Saturation(seed int64) (*Table, error) {
 	// The probe calibrates capacity under the same in-flight bound the sweep
 	// uses (queue policy, closed loop): the knee should land near 1x of what
 	// the bounded cluster can actually serve, not of an unbounded batch.
-	span, err := calibrate("S5", "sim", core.Config{Procs: s5Procs, Topology: "torus",
+	span, err := calibrate("S5", core.Config{Procs: s5Procs, Topology: "torus",
 		Seed: seed, Recovery: "rollback",
 		MaxInFlight: s5InFlight, Admission: "queue"}, specs)
 	if err != nil {
@@ -103,7 +99,7 @@ func S5Saturation(seed int64) (*Table, error) {
 					Recovery: scheme, Deadline: span * 16,
 					Arrival:     fmt.Sprintf("arrive:poisson:%g", rate),
 					MaxInFlight: s5InFlight, Admission: "shed"}
-				sr, err := runStream("sim", cfg, specs, pl.plan, false, nil)
+				sr, err := runStream(cfg, specs, pl.plan, false)
 				if err != nil {
 					return nil, fmt.Errorf("S5 %.1fx/%s/%s: %w", mult, pl.label, scheme, err)
 				}
@@ -131,82 +127,5 @@ func S5Saturation(seed int64) (*Table, error) {
 		"the admitted requests per unit time, shifting the knee left; splice tracks " +
 		"rollback within the usual effect band under the identical plan and " +
 		"admission schedule."
-	return t, nil
-}
-
-// L4LiveSaturation is the live-backend saturation smoke: runStream paces
-// real Submit calls on the wall clock from a seeded workload.Arrival
-// schedule (Config.Arrival is inert on live — real time is the arrival
-// discipline), against bounded admission on the goroutine cluster, with and
-// without a mid-stream kill. Wall-clock measurements are machine-dependent
-// and therefore not committed.
-func L4LiveSaturation(seed int64) (*Table, error) {
-	specs := make([]string, l4Requests)
-	for i := range specs {
-		specs[i] = "fib:11"
-	}
-	// Probe the closed-loop stream for the service capacity in req/µs under
-	// the same in-flight bound the sweep uses (queue policy holds the
-	// overflow instead of shedding it).
-	cfg := core.Config{Procs: l4Procs, Seed: seed, Recovery: "rollback",
-		MaxInFlight: l4InFlight, Admission: "queue"}
-	span, err := calibrate("L4", "live", cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	capacity := float64(l4Requests) / float64(span)
-	cfg.Admission = "shed"
-	t := &Table{
-		ID: "L4",
-		Title: fmt.Sprintf("Live saturation: wall-clock Poisson load vs bounded admission (%d nodes, %d offered, %d in-flight slots, shed policy)",
-			l4Procs, l4Requests, l4InFlight),
-		Claim: "The admission contract is backend-independent: pacing real Submit " +
-			"calls from the same seeded arrival generator against the goroutine " +
-			"cluster shows the same shape as S5 — completions track offered load " +
-			"below the knee, sheds absorb it above, and a mid-stream kill steals " +
-			"capacity from service.",
-		Columns: []string{"offered load", "fault plan", "offered", "admitted", "shed",
-			"completed", "throughput (req/s)", "p99 latency (µs)", "reissued"},
-	}
-	for _, mult := range []float64{0.25, 1, 4} {
-		rate := mult * capacity // requests per wall µs
-		arr, err := workload.ParseArrival(fmt.Sprintf("arrive:poisson:%g", rate))
-		if err != nil {
-			return nil, err
-		}
-		offsets := arr.Schedule(l4Requests, seed)
-		killAt := liveTicks((offsets[len(offsets)-1] + 1) / 2)
-		for _, pl := range []struct {
-			label string
-			plan  *core.FaultPlan
-		}{
-			{"no faults", nil},
-			{"burst: 1 kill mid-stream", faults.Burst(l4Procs, 1, killAt, faults.CrashAnnounced, seed)},
-		} {
-			sr, err := runStream("live", cfg, specs, pl.plan, false, offsets)
-			if err != nil {
-				return nil, fmt.Errorf("L4 %.0fx/%s: %w", mult, pl.label, err)
-			}
-			t.Rows = append(t.Rows, []Cell{
-				Strf("%gx capacity", mult),
-				Str(pl.label),
-				i64(int64(sr.Offered)),
-				i64(int64(sr.Admitted)),
-				i64(int64(sr.Shed)),
-				i64(int64(sr.Completed)),
-				Float("%.0f", sr.Throughput),
-				i64(sr.LatencyP99),
-				i64(sr.Reissued),
-			})
-		}
-	}
-	t.NoEffects = true // wall-clock rows are independent measurements
-	t.Finding = "The live knee matches the simulator's shape: well below capacity " +
-		"the paced stream is (nearly) fully admitted; around 1x the two-slot " +
-		"shed system already drops the Poisson bunching (classic loss-system " +
-		"behavior at critical load); at 4x the slots shed most of the arrival " +
-		"excess while completion throughput holds near the probe capacity, and " +
-		"the mid-stream kill trades reissues and latency for the same admission " +
-		"discipline."
 	return t, nil
 }

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/node"
 	"repro/internal/topology"
 )
 
@@ -14,18 +12,15 @@ import (
 // serving a stream of requests while fault plans land mid-stream — the
 // paper's real promise (functional checkpointing keeps a *running* system
 // answering while processors die) measured as throughput and latency
-// percentiles rather than single-run makespans. The driver is backend-aware
-// (runner.Experiment.Table hands it the backend name): the committed
-// document carries the deterministic simulator stream, and `-backend live`
-// measures the same stream shape on the persistent goroutine network.
+// percentiles rather than single-run makespans, in virtual time. The same
+// stream on the wall-clock backends is `apsim -backend live|net -requests N`
+// and the benchmark's live-stream and net-stream workloads.
 
 // l3Procs and l3Requests size the stream: 32 concurrent requests
-// multiplexed on a 16-processor mesh (the live stream uses 8 nodes — wall
-// clock, not capacity, is its constraint).
+// multiplexed on a 16-processor mesh.
 const (
-	l3Procs     = 16
-	l3LiveProcs = 8
-	l3Requests  = 32
+	l3Procs    = 16
+	l3Requests = 32
 )
 
 // l3Specs is the request mix: two sizes of fib, a bushy tree, and tak,
@@ -39,17 +34,14 @@ func l3Specs() []string {
 	return out
 }
 
-// runStream opens a cluster, injects the plan (fault times count from the
-// stream's start), submits every spec, verifies each completed request's
-// answer against the sequential reference evaluator (§2.1 — a wrong answer
-// fails loudly), and returns the stream report. strict additionally requires
-// every request to complete (the live stream's contract; on the simulator a
-// timed-out request under a killing plan is data, not an error). offsets,
-// when non-nil, makes the driver an open-loop load generator on real time:
-// request i is submitted offsets[i] wall µs after the stream starts, the
-// gaps slept out.
-func runStream(backend string, cfg core.Config, specs []string, plan *core.FaultPlan, strict bool, offsets []int64) (*core.ServiceReport, error) {
-	cl, err := core.OpenOn(backend, cfg)
+// runStream opens a simulator cluster, injects the plan (fault times count
+// from the stream's start), submits every spec, verifies each completed
+// request's answer against the sequential reference evaluator (§2.1 — a
+// wrong answer fails loudly), and returns the stream report. strict requires
+// every request to complete (the calibration probe's contract; under a
+// killing plan a timed-out request is data, not an error).
+func runStream(cfg core.Config, specs []string, plan *core.FaultPlan, strict bool) (*core.ServiceReport, error) {
+	cl, err := core.OpenOn("sim", cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -59,11 +51,7 @@ func runStream(backend string, cfg core.Config, specs []string, plan *core.Fault
 			return nil, err
 		}
 	}
-	start := time.Now()
-	for i, spec := range specs {
-		if offsets != nil {
-			time.Sleep(time.Duration(offsets[i])*time.Microsecond - time.Since(start))
-		}
+	for _, spec := range specs {
 		if _, err := cl.SubmitSpec(spec); err != nil {
 			_, _ = cl.Close()
 			return nil, err
@@ -78,8 +66,8 @@ func runStream(backend string, cfg core.Config, specs []string, plan *core.Fault
 // calibrate serves specs closed-loop and fault-free under cfg — the probe a
 // stream driver sizes its arrival rate, deadlines and fault times from — and
 // returns the stream's span.
-func calibrate(id, backend string, cfg core.Config, specs []string) (int64, error) {
-	probe, err := runStream(backend, cfg, specs, nil, true, nil)
+func calibrate(id string, cfg core.Config, specs []string) (int64, error) {
+	probe, err := runStream(cfg, specs, nil, true)
 	if err != nil {
 		return 0, fmt.Errorf("%s probe: %w", id, err)
 	}
@@ -89,12 +77,6 @@ func calibrate(id, backend string, cfg core.Config, specs []string) (int64, erro
 	return probe.Span, nil
 }
 
-// liveTicks converts wall µs into the virtual ticks the wall-clock backends
-// scale fault times from (at least one).
-func liveTicks(us int64) int64 {
-	return max(us/int64(node.DefaultTimescale/time.Microsecond), 1)
-}
-
 // l3SimStream calibrates the simulator stream L3 and S6 share: the request
 // mix, the fault-free rollback span, and the config every faulted cell
 // serves under (the caller sets Recovery) — uniform arrivals that stretch
@@ -102,7 +84,7 @@ func liveTicks(us int64) int64 {
 func l3SimStream(id string, seed int64) (specs []string, span int64, cfg core.Config, err error) {
 	specs = l3Specs()
 	cfg = core.Config{Procs: l3Procs, Seed: seed, Recovery: "rollback"}
-	if span, err = calibrate(id, "sim", cfg, specs); err != nil {
+	if span, err = calibrate(id, cfg, specs); err != nil {
 		return nil, 0, cfg, err
 	}
 	cfg.Arrival = fmt.Sprintf("arrive:uniform:%d", max(span/int64(2*l3Requests), 1))
@@ -110,24 +92,16 @@ func l3SimStream(id string, seed int64) (specs []string, span int64, cfg core.Co
 	return specs, span, cfg, nil
 }
 
-// L3StreamThroughput is the backend-aware driver (runner passes the
-// selected backend).
+// L3StreamThroughput measures the simulator stream: a probe stream
+// calibrates the span, then rollback and splice serve the same admission
+// schedule under no faults, a mid-stream burst, and a mid-stream cascade.
+// Every quantity is deterministic per seed. backend must be "sim" (or "",
+// its default): bench/probes.go still names it, and the argument goes with
+// the next benchmark PR.
 func L3StreamThroughput(backend string, seed int64) (*Table, error) {
-	switch backend {
-	case "", "sim":
-		return l3Sim(seed)
-	case "live":
-		return l3Live(seed)
-	default:
+	if backend != "" && backend != "sim" {
 		return nil, fmt.Errorf("experiments: L3 does not run on backend %q", backend)
 	}
-}
-
-// l3Sim measures the simulator stream: a probe stream calibrates the span,
-// then rollback and splice serve the same admission schedule under no
-// faults, a mid-stream burst, and a mid-stream cascade. Every quantity is
-// deterministic per seed.
-func l3Sim(seed int64) (*Table, error) {
 	specs, span, cfg, err := l3SimStream("L3", seed)
 	if err != nil {
 		return nil, err
@@ -161,7 +135,7 @@ func l3Sim(seed int64) (*Table, error) {
 	for _, pl := range plans {
 		for _, scheme := range []string{"rollback", "splice"} {
 			cfg.Recovery = scheme
-			sr, err := runStream("sim", cfg, specs, pl.plan, false, nil)
+			sr, err := runStream(cfg, specs, pl.plan, false)
 			if err != nil {
 				return nil, fmt.Errorf("L3 %s/%s: %w", pl.label, scheme, err)
 			}
@@ -186,57 +160,5 @@ func l3Sim(seed int64) (*Table, error) {
 		"latency — not the throughput — is where burst and cascade damage shows, " +
 		"because recovery serializes onto the survivors while fresh requests keep " +
 		"being admitted."
-	return t, nil
-}
-
-// l3Live measures the same stream shape on the persistent goroutine
-// network: wall-clock throughput (req/s) and latency percentiles with kills
-// landing mid-stream, every answer checked against the reference.
-func l3Live(seed int64) (*Table, error) {
-	specs := l3Specs()
-	cfg := core.Config{Procs: l3LiveProcs, Seed: seed, Recovery: "rollback"}
-	base, err := runStream("live", cfg, specs, nil, true, nil)
-	if err != nil {
-		return nil, fmt.Errorf("L3 live base: %w", err)
-	}
-	t := &Table{
-		ID: "L3",
-		Title: fmt.Sprintf("Service mode: %d-request stream on the live goroutine cluster (%d nodes, kills mid-stream)",
-			l3Requests, l3LiveProcs),
-		Claim: "HEAL-style online recovery on real concurrency: the persistent node " +
-			"network must keep serving the queue while nodes die, with every completed " +
-			"answer equal to the sequential reference (§2.1).",
-		Columns: []string{"fault plan", "completed", "during recovery",
-			"stream makespan (µs)", "live messages", "throughput (req/s)",
-			"mean latency (µs)", "p50 latency (µs)", "p99 latency (µs)", "reissued"},
-	}
-	addRow := func(label string, sr *core.ServiceReport) {
-		t.Rows = append(t.Rows, []Cell{
-			Str(label),
-			Strf("%d/%d", sr.Completed, sr.Requests),
-			i64(int64(sr.DuringRecovery)),
-			i64(sr.Span),
-			i64(sr.Messages),
-			Float("%.0f", sr.Throughput),
-			i64(sr.LatencyMean),
-			i64(sr.LatencyP50),
-			i64(sr.LatencyP99),
-			i64(sr.Reissued),
-		})
-	}
-	addRow("no faults", base)
-	for _, k := range []int{1, 2} {
-		// Aim the kills at the middle of the fault-free stream.
-		plan := faults.Burst(l3LiveProcs, k, liveTicks(base.Span/2), faults.CrashAnnounced, seed+int64(k))
-		sr, err := runStream("live", cfg, specs, plan, true, nil)
-		if err != nil {
-			return nil, fmt.Errorf("L3 live %d kills: %w", k, err)
-		}
-		addRow(fmt.Sprintf("burst: %d kill(s) mid-stream", k), sr)
-	}
-	t.Finding = "The persistent network serves all requests through the kills: " +
-		"reissue counters and the during-recovery request count rise with the burst " +
-		"size while throughput degrades gracefully — wall-clock measurements are " +
-		"machine-dependent and therefore not committed."
 	return t, nil
 }

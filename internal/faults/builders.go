@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 
@@ -125,18 +124,4 @@ func (p *Plan) Procs() []proto.ProcID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// Describe renders a compact human label for stress tables: the distinct
-// processor count, the time span, and the kind mix.
-func (p *Plan) Describe() string {
-	if len(p.Faults) == 0 {
-		return "no faults"
-	}
-	s := p.Sorted()
-	first, last := s[0].At, s[len(s)-1].At
-	if first == last {
-		return fmt.Sprintf("%d procs @t=%d", len(p.Procs()), first)
-	}
-	return fmt.Sprintf("%d procs @t=%d..%d", len(p.Procs()), first, last)
 }

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -149,7 +148,7 @@ func TestCorrelatedRegion(t *testing.T) {
 	}
 }
 
-func TestMergeAndDescribe(t *testing.T) {
+func TestMerge(t *testing.T) {
 	ring, _ := topology.Ring(8)
 	p := Burst(8, 2, 100, CrashAnnounced, 1).
 		Merge(Correlated(ring, 4, 1, 200, CrashSilent)).
@@ -159,17 +158,6 @@ func TestMergeAndDescribe(t *testing.T) {
 	}
 	if err := p.Validate(8); err != nil {
 		t.Fatalf("merged plan invalid: %v", err)
-	}
-	want := fmt.Sprintf("%d procs @t=100..200", len(p.Procs()))
-	if got := p.Describe(); got != want {
-		t.Errorf("Describe = %q, want %q", got, want)
-	}
-	if None().Describe() != "no faults" {
-		t.Error("empty describe wrong")
-	}
-	one := Crash(3, 50, true)
-	if got := one.Describe(); got != "1 procs @t=50" {
-		t.Errorf("Describe = %q", got)
 	}
 }
 

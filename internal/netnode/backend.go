@@ -8,9 +8,10 @@ import (
 // This file registers the process-per-node cluster as the third substrate,
 // "net". The session is internal/node's — the one livenet serves on — one
 // level further from the simulator: real OS processes instead of goroutines,
-// real sockets instead of channels, SIGKILL instead of cooperative teardown,
-// so every artifact driver runs unchanged and core.VerifyOn("net", …)
-// asserts the §2.1 determinacy guarantee across the process boundary.
+// real sockets instead of channels, SIGKILL instead of cooperative teardown.
+// internal/node's conformance suite runs every row on it, and
+// core.VerifyOn("net", …) asserts the §2.1 determinacy guarantee across the
+// process boundary.
 
 // Backend runs workloads on process-per-node clusters; the zero value is
 // the registered "net" backend.

@@ -334,7 +334,7 @@ func TestNoOrphansAfterParentSIGKILL(t *testing.T) {
 
 // TestNetMatchesSimAnswer runs the same workload on the simulator and the
 // process cluster and requires identical answers — the cross-substrate
-// determinacy claim the L5 artifact generalizes.
+// determinacy claim internal/node's TestSubstrateParity generalizes.
 func TestNetMatchesSimAnswer(t *testing.T) {
 	w, err := core.StandardWorkload("tak:8,5,2")
 	if err != nil {

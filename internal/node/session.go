@@ -39,8 +39,8 @@ import (
 //     rejected; Topology, AncestorDepth, Trace and Arrival are
 //     inert (the interconnect is complete, per-parent reissue has no
 //     ancestor escalation to tune, there is no event log, and real time
-//     needs no synthetic arrival spacing — load drivers pace their own
-//     Submit calls from the workload.Arrival schedule).
+//     needs no synthetic arrival spacing — a request is offered when its
+//     Submit call is made).
 
 // DefaultTimescale is the wall-clock duration of one virtual tick when
 // mapping fault plans and deadlines: 2µs keeps the paper's fault times

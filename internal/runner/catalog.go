@@ -1,9 +1,11 @@
 // Package runner is the experiment engine: the catalog of reproduction
 // artifacts (figures F1–F7, tables T1–T7, ablations A1–A4, stress scenarios
-// S1–S6, service/live artifacts L1–L5), a worker pool that fans
-// (experiment × seed) cells out across
-// goroutines, and a stats aggregator that folds per-seed tables into
-// mean/min/max summaries with effect-size classification. cmd/experiments
+// S1–S6, the service stream L3), a worker pool that fans (experiment × seed)
+// cells out across goroutines, and a stats aggregator that folds per-seed
+// tables into mean/min/max summaries with effect-size classification. Every
+// artifact runs on the simulator, in virtual time, so every byte it renders
+// is a function of the seed; the wall-clock backends' share of the same
+// claims is internal/node's conformance suite. cmd/experiments
 // and the top-level benchmarks both resolve drivers here, so there is
 // exactly one statement of what each artifact runs. RenderDocument
 // turns a full run into the committed EXPERIMENTS.md (self-contained
@@ -56,18 +58,8 @@ type Experiment struct {
 	Title string
 	// Figure renders the scenario narrative as markdown.
 	Figure func() (string, error)
-	// Table runs the measurement at one seed on the engine's selected
-	// backend, which is always one the artifact declares in Backends: L3
-	// measures the sim stream in committed documents and the live stream
-	// under -backend live; drivers with a single substrate ignore the name
-	// (see seeded).
-	Table func(backend string, seed int64) (*experiments.Table, error)
-	// Backends declares which core backends the driver needs (nil ⇒
-	// {"sim"}). An artifact only runs when the engine's selected backend is
-	// listed; otherwise it renders a deterministic skip note, so sim-only
-	// documents stay reproducible while live artifacts (whose wall-clock
-	// measurements are machine-dependent) run on request.
-	Backends []string
+	// Table runs the measurement at one seed.
+	Table func(seed int64) (*experiments.Table, error)
 }
 
 // Kind is KindFigure when the Figure driver is set, KindTable otherwise.
@@ -76,31 +68,6 @@ func (e Experiment) Kind() Kind {
 		return KindFigure
 	}
 	return KindTable
-}
-
-// SimBackend is the default substrate drivers run on.
-const SimBackend = "sim"
-
-// BackendList is the declared backend set with the nil-default applied.
-func (e Experiment) BackendList() []string {
-	if len(e.Backends) == 0 {
-		return []string{SimBackend}
-	}
-	return e.Backends
-}
-
-// Supports reports whether the driver runs under the given backend
-// selection ("" means sim).
-func (e Experiment) Supports(backend string) bool {
-	if backend == "" {
-		backend = SimBackend
-	}
-	for _, b := range e.BackendList() {
-		if b == backend {
-			return true
-		}
-	}
-	return false
 }
 
 // Catalog is a list of artifacts in report order, so "run everything"
@@ -147,16 +114,9 @@ func (c Catalog) Resolve(request string) (Catalog, error) {
 	return out, nil
 }
 
-// seeded adapts a driver that measures one substrate — the simulator, or the
-// single backend its artifact declares — to the Table driver shape.
-func seeded(f func(seed int64) (*experiments.Table, error)) func(string, int64) (*experiments.Table, error) {
-	return func(_ string, seed int64) (*experiments.Table, error) { return f(seed) }
-}
-
 // Artifacts is every artifact EXPERIMENTS.md indexes — the figure scenarios
-// F1–F7, tables T1–T7, ablations A1–A4 and stress scenarios S1–S6 — plus the
-// live/service artifacts L1–L5, with the canonical parameters the report
-// uses.
+// F1–F7, tables T1–T7, ablations A1–A4, stress scenarios S1–S6 and the
+// service stream L3 — with the canonical parameters the report uses.
 var Artifacts = Catalog{
 	{ID: "F1", Title: "Figure 1: rollback recovery on processors A–D", Figure: Fig1Markdown},
 	{ID: "F2", Title: "Figures 2–3: grandparent pointers and twin inheritance", Figure: Fig23Markdown},
@@ -164,39 +124,31 @@ var Artifacts = Catalog{
 	{ID: "F6", Title: "Figures 6–7: spawn states a–g and residue freedom", Figure: Fig67Markdown},
 	{ID: "F7", Title: "§5.2: simultaneous ancestor failure vs depth K", Figure: MultiFaultMarkdown},
 	{ID: "T1", Title: "Fault-free overhead",
-		Table: seeded(func(seed int64) (*experiments.Table, error) { return experiments.T1Overhead("fib:13", 8, seed) })},
+		Table: func(seed int64) (*experiments.Table, error) { return experiments.T1Overhead("fib:13", 8, seed) }},
 	{ID: "T2", Title: "Recovery cost vs fault time",
-		Table: seeded(func(seed int64) (*experiments.Table, error) { return experiments.T2FaultSweep("tree:3,6", 9, seed) })},
+		Table: func(seed int64) (*experiments.Table, error) { return experiments.T2FaultSweep("tree:3,6", 9, seed) }},
 	{ID: "T3", Title: "Scaling processors",
-		Table: seeded(func(seed int64) (*experiments.Table, error) {
+		Table: func(seed int64) (*experiments.Table, error) {
 			return experiments.T3Scale("tree:3,6", []int{4, 9, 16, 36, 64}, seed)
-		})},
-	{ID: "T4", Title: "Multiple faults under splice", Table: seeded(experiments.T4MultiFault)},
-	{ID: "T5", Title: "Replicated critical sections vs corruption", Table: seeded(experiments.T5Replication)},
-	{ID: "T6", Title: "Allocation strategy and recovery", Table: seeded(experiments.T6Placement)},
-	{ID: "T7", Title: "TMR vs functional checkpointing", Table: seeded(experiments.T7TMR)},
-	{ID: "A1", Title: "Ablation: eager vs lazy orphan abortion", Table: seeded(experiments.A1EagerVsLazyAbort)},
-	{ID: "A2", Title: "Ablation: checkpoint storage by workload", Table: seeded(experiments.A2CheckpointStorage)},
-	{ID: "A3", Title: "Ablation: heartbeat period vs recovery", Table: seeded(experiments.A3DetectionLatency)},
-	{ID: "A4", Title: "Ablation: topmost suppression on/off", Table: seeded(experiments.A4TopmostSuppression)},
+		}},
+	{ID: "T4", Title: "Multiple faults under splice", Table: experiments.T4MultiFault},
+	{ID: "T5", Title: "Replicated critical sections vs corruption", Table: experiments.T5Replication},
+	{ID: "T6", Title: "Allocation strategy and recovery", Table: experiments.T6Placement},
+	{ID: "T7", Title: "TMR vs functional checkpointing", Table: experiments.T7TMR},
+	{ID: "A1", Title: "Ablation: eager vs lazy orphan abortion", Table: experiments.A1EagerVsLazyAbort},
+	{ID: "A2", Title: "Ablation: checkpoint storage by workload", Table: experiments.A2CheckpointStorage},
+	{ID: "A3", Title: "Ablation: heartbeat period vs recovery", Table: experiments.A3DetectionLatency},
+	{ID: "A4", Title: "Ablation: topmost suppression on/off", Table: experiments.A4TopmostSuppression},
 	{ID: "S1", Title: "Stress: topology sweep at 64 processors",
-		Table: seeded(func(seed int64) (*experiments.Table, error) { return experiments.S1TopologySweep("fib:13", seed) })},
-	{ID: "S2", Title: "Stress: rollback vs splice under cascading faults", Table: seeded(experiments.S2CascadeRecovery)},
-	{ID: "S3", Title: "Stress: fault density to the breaking point", Table: seeded(experiments.S3FaultDensity)},
+		Table: func(seed int64) (*experiments.Table, error) { return experiments.S1TopologySweep("fib:13", seed) }},
+	{ID: "S2", Title: "Stress: rollback vs splice under cascading faults", Table: experiments.S2CascadeRecovery},
+	{ID: "S3", Title: "Stress: fault density to the breaking point", Table: experiments.S3FaultDensity},
 	{ID: "S4", Title: "Stress: skewed/random shapes, mesh vs torus under region+burst faults",
-		Table: seeded(experiments.S4ShapeDiversity)},
+		Table: experiments.S4ShapeDiversity},
 	{ID: "S5", Title: "Stress: open-loop saturation sweep vs bounded admission",
-		Table: seeded(experiments.S5Saturation)},
+		Table: experiments.S5Saturation},
 	{ID: "S6", Title: "Stress: online incremental recovery vs rollback and splice",
-		Table: seeded(experiments.S6IncrementalRecovery)},
-	{ID: "L1", Title: "Live backend: sim-vs-live parity on the standard workloads",
-		Backends: []string{"live"}, Table: seeded(experiments.L1Parity)},
-	{ID: "L2", Title: "Live backend: burst-kill fault sweep on the goroutine cluster",
-		Backends: []string{"live"}, Table: seeded(experiments.L2LiveFaultSweep)},
+		Table: experiments.S6IncrementalRecovery},
 	{ID: "L3", Title: "Service mode: request-stream throughput with faults injected mid-stream",
-		Backends: []string{"sim", "live"}, Table: experiments.L3StreamThroughput},
-	{ID: "L4", Title: "Live backend: open-loop saturation under bounded admission",
-		Backends: []string{"live"}, Table: seeded(experiments.L4LiveSaturation)},
-	{ID: "L5", Title: "Net backend: process-cluster parity and SIGKILL burst mid-stream",
-		Backends: []string{"net"}, Table: seeded(experiments.L5NetParity)},
+		Table: func(seed int64) (*experiments.Table, error) { return experiments.L3StreamThroughput("sim", seed) }},
 }

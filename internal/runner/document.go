@@ -57,14 +57,11 @@ func RenderDocument(results []*Result, opt DocumentOptions) string {
 // the run parameters, omitting flags at their defaults and the -parallel
 // width (which never changes the output). cmd/experiments records it in the
 // header; keeping the derivation here makes header and CLI agree by
-// construction. Only a full ("all") run on the default sim backend names
-// EXPERIMENTS.md as the redirect target — a partial or non-sim document
-// must not instruct readers to overwrite the committed full report.
-func DocumentCommand(request, backend string, baseSeed int64, seeds int) string {
+// construction. Only a full ("all") run names EXPERIMENTS.md as the
+// redirect target — a partial document must not instruct readers to
+// overwrite the committed full report.
+func DocumentCommand(request string, baseSeed int64, seeds int) string {
 	parts := []string{"go run ./cmd/experiments -markdown"}
-	if backend != "" && backend != SimBackend {
-		parts = append(parts, "-backend "+backend)
-	}
 	full := request == "" || strings.EqualFold(strings.TrimSpace(request), "all")
 	if !full {
 		parts = append(parts, "-exp "+strings.TrimSpace(request))
@@ -76,7 +73,7 @@ func DocumentCommand(request, backend string, baseSeed int64, seeds int) string 
 		parts = append(parts, fmt.Sprintf("-seeds %d", seeds))
 	}
 	cmd := strings.Join(parts, " ")
-	if full && (backend == "" || backend == SimBackend) {
+	if full {
 		cmd += " > EXPERIMENTS.md"
 	}
 	return cmd

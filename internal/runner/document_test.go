@@ -61,24 +61,19 @@ func TestRenderDocumentSingleSeedOmitsSweepNote(t *testing.T) {
 func TestDocumentCommand(t *testing.T) {
 	cases := []struct {
 		request string
-		backend string
 		seed    int64
 		seeds   int
 		want    string
 	}{
-		{"all", "sim", 1, 5, "go run ./cmd/experiments -markdown -seeds 5 > EXPERIMENTS.md"},
-		{"", "", 1, 1, "go run ./cmd/experiments -markdown > EXPERIMENTS.md"},
+		{"all", 1, 5, "go run ./cmd/experiments -markdown -seeds 5 > EXPERIMENTS.md"},
+		{"", 1, 1, "go run ./cmd/experiments -markdown > EXPERIMENTS.md"},
 		// Partial runs must not tell readers to overwrite the committed
 		// full document, so no redirect target is suggested.
-		{"S1,S3", "sim", 7, 3, "go run ./cmd/experiments -markdown -exp S1,S3 -seed 7 -seeds 3"},
-		// Non-sim documents carry the -backend flag (the printed command
-		// must reproduce the document) and never name EXPERIMENTS.md.
-		{"L1,L2", "live", 1, 2, "go run ./cmd/experiments -markdown -backend live -exp L1,L2 -seeds 2"},
-		{"all", "live", 1, 1, "go run ./cmd/experiments -markdown -backend live"},
+		{"S1,S3", 7, 3, "go run ./cmd/experiments -markdown -exp S1,S3 -seed 7 -seeds 3"},
 	}
 	for _, tc := range cases {
-		if got := DocumentCommand(tc.request, tc.backend, tc.seed, tc.seeds); got != tc.want {
-			t.Errorf("DocumentCommand(%q,%q,%d,%d) = %q, want %q", tc.request, tc.backend, tc.seed, tc.seeds, got, tc.want)
+		if got := DocumentCommand(tc.request, tc.seed, tc.seeds); got != tc.want {
+			t.Errorf("DocumentCommand(%q,%d,%d) = %q, want %q", tc.request, tc.seed, tc.seeds, got, tc.want)
 		}
 	}
 }

@@ -17,10 +17,6 @@ type Options struct {
 	// Parallel is the worker-pool width. Default GOMAXPROCS; 1 forces the
 	// strictly sequential schedule (output is identical either way).
 	Parallel int
-	// Backend selects the execution substrate ("" ⇒ "sim"). Artifacts whose
-	// drivers do not declare the backend are skipped with a deterministic
-	// note instead of run, so one request can span a mixed catalog.
-	Backend string
 }
 
 // SeedRange returns n consecutive seeds starting at base — the CLI's
@@ -49,10 +45,6 @@ type Result struct {
 	Tables []*experiments.Table `json:"tables,omitempty"`
 	// Summary is the cross-seed aggregate (present when ≥2 seeds succeeded).
 	Summary *Summary `json:"summary,omitempty"`
-	// Skipped, when non-empty, explains why the artifact did not run (its
-	// driver does not support the selected backend). Skipped results carry
-	// no tables and no error.
-	Skipped string `json:"skipped,omitempty"`
 	// Err is the first failure among the artifact's cells, if any.
 	Err error `json:"-"`
 }
@@ -74,8 +66,6 @@ func (r *Result) MarshalJSON() ([]byte, error) {
 // as the single-seed table or the multi-seed aggregate.
 func (r *Result) Markdown() string {
 	switch {
-	case r.Skipped != "":
-		return fmt.Sprintf("### %s — %s\n\n*%s*\n", r.ID, r.Title, r.Skipped)
 	case r.Err != nil:
 		return fmt.Sprintf("### %s — failed: %v\n", r.ID, r.Err)
 	case r.Kind == KindFigure:
@@ -130,34 +120,11 @@ func (exps Catalog) Run(opt Options) ([]*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	backend := opt.Backend
-	if backend == "" {
-		backend = SimBackend
-	}
-	if backend != SimBackend {
-		// Non-sim cells measure the wall clock; running several goroutine
-		// clusters at once would measure pool contention instead of the
-		// workload, so live runs are always scheduled sequentially.
-		workers = 1
-	}
-
 	results := make([]*Result, len(exps))
 	errs := make([][]error, len(exps))
 	var cells []cell
 	for i, e := range exps {
 		res := &Result{ID: e.ID, Title: e.Title, Kind: e.Kind()}
-		if !e.Supports(backend) {
-			res.Skipped = fmt.Sprintf("Skipped on backend %q: this artifact needs backend %s — run `go run ./cmd/experiments -backend %s -exp %s`.",
-				backend, strings.Join(e.BackendList(), "|"), e.BackendList()[0], e.ID)
-			if !e.Supports(SimBackend) {
-				// Only live-backend measurements are wall-clock; sim-only
-				// artifacts skipped under -backend live are deterministic
-				// and live in the committed report.
-				res.Skipped += " Its measurements are machine-dependent wall-clock values and are not committed."
-			}
-			results[i] = res
-			continue
-		}
 		if res.Kind == KindFigure {
 			cells = append(cells, cell{exp: i, seed: -1})
 			errs[i] = make([]error, 1)
@@ -186,7 +153,7 @@ func (exps Catalog) Run(opt Options) ([]*Result, error) {
 					errs[c.exp][0] = err
 					continue
 				}
-				results[c.exp].Tables[c.seed], errs[c.exp][c.seed] = e.Table(backend, seeds[c.seed])
+				results[c.exp].Tables[c.seed], errs[c.exp][c.seed] = e.Table(seeds[c.seed])
 			}
 		}()
 	}
@@ -198,9 +165,6 @@ func (exps Catalog) Run(opt Options) ([]*Result, error) {
 
 	var firstErr error
 	for i, res := range results {
-		if res.Skipped != "" {
-			continue
-		}
 		for _, err := range errs[i] {
 			if err != nil && res.Err == nil {
 				res.Err = fmt.Errorf("%s: %w", res.ID, err)

@@ -7,10 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	_ "repro/internal/livenet" // the backends the catalog's artifacts declare
-	_ "repro/internal/netnode"
 )
 
 // cliIDs is every artifact cmd/experiments accepts; the catalog must
@@ -20,7 +17,7 @@ var cliIDs = []string{
 	"T1", "T2", "T3", "T4", "T5", "T6", "T7",
 	"A1", "A2", "A3", "A4",
 	"S1", "S2", "S3", "S4", "S5", "S6",
-	"L1", "L2", "L3", "L4", "L5",
+	"L3",
 }
 
 func TestDefaultRegistryResolvesEveryCLIID(t *testing.T) {
@@ -73,11 +70,6 @@ func TestArtifactsWellFormed(t *testing.T) {
 		if e.Title == "" {
 			t.Errorf("%s: no title", e.ID)
 		}
-		for _, b := range e.BackendList() {
-			if _, err := core.ByName(b); err != nil {
-				t.Errorf("%s: declared backend: %v", e.ID, err)
-			}
-		}
 	}
 	fig := Experiment{ID: "X", Figure: func() (string, error) { return "", nil }}
 	if fig.Kind() != KindFigure || (Experiment{ID: "Y"}).Kind() != KindTable {
@@ -93,7 +85,7 @@ func syntheticCatalog(n int) Catalog {
 	for i := 0; i < n; i++ {
 		reg = append(reg, Experiment{
 			ID: fmt.Sprintf("S%d", i), Title: "synthetic",
-			Table: func(_ string, seed int64) (*experiments.Table, error) {
+			Table: func(seed int64) (*experiments.Table, error) {
 				// Sleep 0–3ms depending on (exp, seed) to scramble the pool.
 				time.Sleep(time.Duration((int64(i)*7+seed*13)%4) * time.Millisecond)
 				return &experiments.Table{
@@ -172,11 +164,11 @@ func TestRealArtifactsDeterministicUnderParallelism(t *testing.T) {
 func TestEngineErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
 	reg := Catalog{
-		{ID: "OK", Table: func(_ string, seed int64) (*experiments.Table, error) {
+		{ID: "OK", Table: func(seed int64) (*experiments.Table, error) {
 			return &experiments.Table{ID: "OK", Columns: []string{"m"},
 				Rows: [][]experiments.Cell{{experiments.Int(seed)}}}, nil
 		}},
-		{ID: "BAD", Table: func(_ string, seed int64) (*experiments.Table, error) {
+		{ID: "BAD", Table: func(seed int64) (*experiments.Table, error) {
 			if seed == 2 {
 				return nil, boom
 			}

@@ -177,9 +177,6 @@ func Aggregate(seeds []int64, tables []*experiments.Table) (*Summary, error) {
 		}
 		s.Rows = append(s.Rows, row)
 	}
-	if first.NoEffects {
-		return s, nil
-	}
 	if len(first.Pairs) > 0 {
 		for _, p := range first.Pairs {
 			if p[0] < 0 || p[0] >= len(s.Rows) || p[1] < 0 || p[1] >= len(s.Rows) {

@@ -27,8 +27,8 @@
 // in internal/core pin *which* requests a bounded stream admits, queues,
 // and sheds (ServiceReport.Render byte-compared across shard counts and
 // Submit interleavings), playing the same role for the open-loop load path
-// — seeded arrival schedules from internal/workload, the saturation sweeps
-// S5/L4 in internal/experiments — that the figure replays play for the
+// — seeded arrival schedules from internal/workload, the saturation sweep
+// S5 in internal/experiments — that the figure replays play for the
 // recovery protocol.
 package scenario
 

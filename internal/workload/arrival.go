@@ -139,16 +139,3 @@ func (a Arrival) Next(seed int64) func() int64 {
 		return cur
 	}
 }
-
-// Schedule materializes the first n arrival offsets for the seed. Offsets
-// are non-decreasing and begin at 0: the first request is admitted at the
-// stream's start, so a one-request schedule is the degenerate (closed-loop)
-// stream regardless of the process.
-func (a Arrival) Schedule(n int, seed int64) []int64 {
-	next := a.Next(seed)
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = next()
-	}
-	return out
-}
