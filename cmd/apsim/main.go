@@ -9,6 +9,9 @@
 // percentiles, and per-request outcomes, every answer checked against the
 // sequential reference evaluator.
 //
+// Every report ends with the line that reproduces the run (`run :`), and
+// every failure after the flags parse repeats it on stderr (`apsim: rerun:`).
+//
 // Examples:
 //
 //	apsim -workload fib:16 -procs 16 -topology mesh -placement gradient
@@ -18,17 +21,16 @@
 //	apsim -workload fib:12 -requests 32 -arrive poisson:0.02 -max-inflight 16 -admission queue:8
 //	apsim -workload fib:12 -requests 32 -backend live -fault 2@4000
 //	apsim -workload fib:13 -procs 64 -recovery rollback -cpuprofile cpu.out -memprofile mem.out
-//
-// Fault specs are PROC@TIME (announced crash), PROC@TIMEs (silent crash) or
-// PROC@TIMEc (value corruption from TIME on), comma-separated.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,157 +40,133 @@ import (
 	"repro/internal/lang"
 	_ "repro/internal/livenet" // register the "live" backend
 	"repro/internal/netnode"   // register the "net" backend
-	"repro/internal/proto"
-	"repro/internal/recovery"
-	"repro/internal/topology"
 )
+
+// run is what one apsim command line sets, each flag bound to its field.
+type run struct {
+	cfg                                     core.Config
+	plan                                    faults.Plan
+	workload, program, entry, args, backend string
+	cpuProf, memProf                        string
+	replicate, requests                     int
+	cpuFile                                 *os.File // the CPU profile being written
+}
+
+// bind defines apsim's flags on fs.
+func (r *run) bind(fs *flag.FlagSet) {
+	r.cfg.BindFlags(fs)
+	fs.StringVar(&r.workload, "workload", "fib:14", "workload spec: fib:N tak:X,Y,Z nqueens:N sumrange:N msort:N tree:F,D binom:N,K")
+	fs.StringVar(&r.program, "program", "", "path to a program file (overrides -workload; see internal/lang.Parse for the syntax)")
+	fs.StringVar(&r.entry, "entry", "main", "entry function for -program")
+	fs.StringVar(&r.args, "args", "", "comma-separated integer arguments for -program's entry function")
+	fs.IntVar(&r.replicate, "replicate", 1, "replica count for every function (§5.3; requires -recovery none)")
+	fs.StringVar(&r.backend, "backend", "sim", "execution backend: sim (virtual time), live (goroutine cluster, wall time) or net (process-per-node over sockets, crash = SIGKILL)")
+	fs.Var(&r.plan, "fault", "fault `plan`, e.g. 2@3000 or 1@2000s,3@4000c; in service mode times are stream-clock ticks")
+	fs.IntVar(&r.requests, "requests", 0, "service mode: serve N copies of the workload through one open cluster (0 = one-shot)")
+	fs.StringVar(&r.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file (profile with `go tool pprof`)")
+	fs.StringVar(&r.memProf, "memprofile", "", "write an allocation profile of the run to this file")
+}
+
+// runLine is the command line that reproduces a run: every flag of fs whose
+// value differs from its default, in name order, quoted for a POSIX shell.
+func runLine(fs *flag.FlagSet) string {
+	line := "apsim"
+	fs.VisitAll(func(f *flag.Flag) {
+		if v := f.Value.String(); v != f.DefValue {
+			if strings.ContainsFunc(v, func(c rune) bool { return !strings.ContainsRune(shellSafe, c) }) {
+				v = "'" + strings.ReplaceAll(v, "'", `'\''`) + "'"
+			}
+			line += " -" + f.Name + "=" + v
+		}
+	})
+	return line
+}
+
+// shellSafe is every character a shell word may hold unquoted.
+const shellSafe = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789@%+=:,./_-"
 
 func main() {
 	// A re-exec'd node process enters here and never returns; must run
 	// before flag parsing (the node marker argv is not a flag).
 	netnode.ChildMain()
-	var (
-		workload  = flag.String("workload", "fib:14", "workload spec: fib:N tak:X,Y,Z nqueens:N sumrange:N msort:N tree:F,D binom:N,K")
-		program   = flag.String("program", "", "path to a program file (overrides -workload; see internal/lang.Parse for the syntax)")
-		entry     = flag.String("entry", "main", "entry function for -program")
-		argSpec   = flag.String("args", "", "comma-separated integer arguments for -program's entry function")
-		procs     = flag.Int("procs", 8, "number of processors")
-		topo      = flag.String("topology", "mesh", strings.Join(topology.Kinds(), "|"))
-		placement = flag.String("placement", "random", "random|gradient|static|local")
-		recov     = flag.String("recovery", "", "recovery scheme: "+strings.Join(recovery.Names(), "|")+" (default none on sim, rollback on live and net, which implement rollback and none)")
-		eval      = flag.String("eval", "", "evaluator for task reduction passes: "+strings.Join(lang.Evaluators(), "|")+" (default interp; traces are byte-identical either way)")
-		ancestors = flag.Int("ancestors", 2, "ancestor-pointer depth K (§5.2)")
-		replicate = flag.Int("replicate", 1, "replica count for every function (§5.3; requires -recovery none)")
-		seed      = flag.Int64("seed", 1, "random seed")
-		backend   = flag.String("backend", "sim", "execution backend: sim (virtual time), live (goroutine cluster, wall time) or net (process-per-node over sockets, crash = SIGKILL)")
-		faultSpec = flag.String("fault", "", "fault plan, e.g. 2@3000 or 1@2000s,3@4000c; in service mode times are stream-clock ticks")
-		showTrace = flag.Bool("trace", false, "print the event trace")
-		deadline  = flag.Int64("deadline", 0, "virtual-time budget (0 = default); per-request in service mode")
-		shards    = flag.Int("shards", 1, "simulation kernel shards (sim backend; 0 or negative = GOMAXPROCS); results are byte-identical at every count")
-		requests  = flag.Int("requests", 0, "service mode: serve N copies of the workload through one open cluster (0 = one-shot)")
-		arrive    = flag.String("arrive", "", `service mode: seeded arrival process on the sim stream clock — poisson:RATE, uniform:GAP or burst:SIZE:GAP (the "arrive:" prefix is optional; default: all requests offered at once)`)
-		inflight  = flag.Int("max-inflight", 0, "service mode: bound on concurrently admitted requests (0 = unbounded)")
-		admission = flag.String("admission", "", "service mode: what to do with requests over the -max-inflight bound — queue (default), queue:N (FIFO bounded at depth N) or shed")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (profile with `go tool pprof`)")
-		memProf   = flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	)
+	var r run
+	r.bind(flag.CommandLine)
 	flag.Parse()
 
 	// A flag that cannot take effect is a mistake, not a no-op: the stream
 	// flags only mean something in service mode, and a stream report carries
 	// no event trace.
-	if *requests <= 0 {
+	if r.requests <= 0 {
 		var stray []string
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "arrive", "max-inflight", "admission":
+			if slices.Contains([]string{"arrive", "max-inflight", "admission"}, f.Name) {
 				stray = append(stray, "-"+f.Name)
 			}
 		})
 		if len(stray) > 0 {
-			misuse(strings.Join(stray, ", ") + ": service-stream flags need -requests N")
+			r.fail(2, strings.Join(stray, ", ")+": service-stream flags need -requests N")
 		}
-	} else if *showTrace {
-		misuse("-trace prints the event trace of a one-shot run: drop it or -requests")
+	} else if r.cfg.Trace {
+		r.fail(2, "-trace prints the event trace of a one-shot run: drop it or -requests")
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if r.cpuProf != "" {
+		f, err := os.Create(r.cpuProf)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
 		if err != nil {
-			fatal(err)
+			r.fail(1, err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		cpuProfFile = f
+		r.cpuFile = f
 	}
-	memProfPath = *memProf
-	// fatal() also runs this, so profiles of failing runs — the ones most
-	// worth profiling — are still written out intact.
-	defer finishProfiles()
+	// fail also runs this, so profiles of failing runs — the ones most worth
+	// profiling — are still written out intact.
+	defer r.finishProfiles()
 
-	var w core.Workload
-	var err error
-	if *program != "" {
-		src, rerr := os.ReadFile(*program)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		prog, perr := lang.Parse(string(src))
-		if perr != nil {
-			fatal(perr)
-		}
-		args, aerr := parseArgs(*argSpec)
-		if aerr != nil {
-			fatal(aerr)
-		}
-		w = core.Workload{Program: prog, Fn: *entry, Args: args}
-	} else if w, err = core.StandardWorkload(*workload); err != nil {
-		fatal(err)
-	}
-	plan, err := parseFaults(*faultSpec)
+	w, err := r.load()
 	if err != nil {
-		fatal(err)
+		r.fail(1, err)
 	}
-	if *shards == 0 {
-		*shards = -1 // 0 on the CLI means "derive from GOMAXPROCS"
-	}
-	cfg := core.Config{
-		Procs:         *procs,
-		Topology:      *topo,
-		Placement:     *placement,
-		Recovery:      *recov,
-		Eval:          *eval,
-		AncestorDepth: *ancestors,
-		Seed:          *seed,
-		Shards:        *shards,
-		Trace:         *showTrace,
-		Deadline:      *deadline,
-	}
-	if *replicate > 1 {
-		cfg.Replication = map[string]int{}
+	if r.replicate > 1 {
+		r.cfg.Replication = map[string]int{}
 		for _, fn := range w.Program.Names() {
-			cfg.Replication[fn] = *replicate
+			r.cfg.Replication[fn] = r.replicate
 		}
 	}
-	if *requests > 0 {
-		if *arrive != "" {
-			cfg.Arrival = "arrive:" + strings.TrimPrefix(*arrive, "arrive:")
-		}
-		cfg.MaxInFlight = *inflight
-		cfg.Admission = *admission
-		serve(*backend, cfg, w, plan, *requests)
+	if r.requests > 0 {
+		r.serve(w)
 		return
 	}
-	rep, err := cfg.RunOn(*backend, w, plan)
+	rep, err := r.cfg.RunOn(r.backend, w, &r.plan)
 	if err != nil {
-		fatal(err)
+		r.fail(1, err)
 	}
 	if rep.Err != nil {
-		fatal(rep.Err)
+		r.fail(1, rep.Err)
 	}
-	if *showTrace && rep.Sim != nil && rep.Sim.Log != nil {
+	if r.cfg.Trace && rep.Sim != nil && rep.Sim.Log != nil {
 		fmt.Print(rep.Sim.Log.String())
 		fmt.Println()
 	}
-	label := *workload
-	if *program != "" {
-		label = fmt.Sprintf("%s:%s(%s)", *program, *entry, *argSpec)
+	label := r.workload
+	if r.program != "" {
+		label = fmt.Sprintf("%s:%s(%s)", r.program, r.entry, r.args)
 	}
 	fmt.Printf("workload   : %s\n", label)
 	if rep.Sim != nil {
 		fmt.Printf("machine    : %d processors, %s, placement=%s, recovery=%s, seed=%d\n",
-			rep.Procs, *topo, rep.Placement, rep.Scheme, *seed)
+			rep.Procs, r.cfg.Topology, rep.Placement, rep.Scheme, r.cfg.Seed)
 	} else {
 		kind := "live goroutine nodes"
 		if rep.Backend == "net" {
 			kind = "node processes"
 		}
 		fmt.Printf("machine    : %d %s (backend=%s), placement=%s, recovery=%s, seed=%d\n",
-			rep.Procs, kind, rep.Backend, rep.Placement, rep.Scheme, *seed)
+			rep.Procs, kind, rep.Backend, rep.Placement, rep.Scheme, r.cfg.Seed)
 	}
-	if len(plan.Faults) > 0 {
-		fmt.Printf("faults     : %v\n", plan.Faults)
+	if len(r.plan.Faults) > 0 {
+		fmt.Printf("faults     : %v\n", r.plan.Faults)
 	}
 	var wrong error // a wrong or missing answer: exit status 1, after the full report
 	if rep.Completed {
@@ -219,37 +197,40 @@ func main() {
 			rep.Messages, rep.MsgBytes, rep.SpawnedLabel(), rep.Reissued, rep.Drained)
 		fmt.Printf("reissues   : per node %v\n", rep.ReissuesByNode)
 	}
+	fmt.Println("run        :", runLine(flag.CommandLine))
 	if wrong != nil {
-		fatal(wrong)
+		r.fail(1, wrong)
 	}
 }
 
-// serve runs service mode: open one cluster, stream n copies of the
-// workload through it with the fault plan landing on the stream clock, and
-// print the stream report with every answer checked against the reference.
-func serve(backend string, cfg core.Config, w core.Workload, plan *faults.Plan, n int) {
-	cl, err := core.OpenOn(backend, cfg)
+// serve runs service mode: open one cluster, stream copies of the workload
+// through it with the fault plan landing on the stream clock, and print the
+// stream report with every answer checked against the reference. An
+// admitted request left unanswered exits with status 1 after the full
+// report; a shed one is admission data.
+func (r *run) serve(w core.Workload) {
+	cl, err := core.OpenOn(r.backend, r.cfg)
 	if err != nil {
-		fatal(err)
+		r.fail(1, err)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < r.requests; i++ {
 		cl.Submit(w)
 	}
-	if len(plan.Faults) > 0 {
-		if err := cl.Inject(plan); err != nil {
-			fatal(err)
+	if len(r.plan.Faults) > 0 {
+		if err := cl.Inject(&r.plan); err != nil {
+			r.fail(1, err)
 		}
 	}
 	verified, timeouts, shed, err := cl.VerifyAll(false)
 	if err != nil {
-		fatal(err)
+		r.fail(1, err)
 	}
 	sr, err := cl.Close()
 	if err != nil {
-		fatal(err)
+		r.fail(1, err)
 	}
 	fmt.Print(sr.Render())
-	fmt.Printf("reference  : %d/%d answers match the sequential reference evaluator", verified, n)
+	fmt.Printf("reference  : %d/%d answers match the sequential reference evaluator", verified, r.requests)
 	if timeouts > 0 {
 		fmt.Printf(" (%d timed out)", timeouts)
 	}
@@ -257,97 +238,63 @@ func serve(backend string, cfg core.Config, w core.Workload, plan *faults.Plan, 
 		fmt.Printf(" (%d shed by admission control)", shed)
 	}
 	fmt.Println()
+	fmt.Println("run        :", runLine(flag.CommandLine))
+	if timeouts > 0 {
+		r.fail(1, fmt.Errorf("%d of %d requests timed out", timeouts, r.requests))
+	}
 }
 
-// parseFaults parses "2@3000,1@4000s,5@100c".
-func parseFaults(spec string) (*faults.Plan, error) {
-	plan := faults.None()
-	if spec == "" {
-		return plan, nil
+// load is the workload the run evaluates: a -workload spec, or the -program
+// file's -entry function applied to the comma-separated integers of -args.
+func (r *run) load() (core.Workload, error) {
+	if r.program == "" {
+		return core.StandardWorkload(r.workload)
 	}
-	for _, part := range strings.Split(spec, ",") {
-		kind := faults.CrashAnnounced
-		switch {
-		case strings.HasSuffix(part, "s"):
-			kind = faults.CrashSilent
-			part = strings.TrimSuffix(part, "s")
-		case strings.HasSuffix(part, "c"):
-			kind = faults.Corrupt
-			part = strings.TrimSuffix(part, "c")
-		}
-		bits := strings.SplitN(part, "@", 2)
-		if len(bits) != 2 {
-			return nil, fmt.Errorf("bad fault %q (want PROC@TIME[s|c])", part)
-		}
-		p, err := strconv.Atoi(bits[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad fault processor %q: %v", bits[0], err)
-		}
-		at, err := strconv.ParseInt(bits[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad fault time %q: %v", bits[1], err)
-		}
-		plan.Add(faults.Fault{At: at, Proc: proto.ProcID(p), Kind: kind})
+	src, err := os.ReadFile(r.program)
+	if err != nil {
+		return core.Workload{}, err
 	}
-	return plan, nil
-}
-
-// parseArgs parses "3,5" into integer values.
-func parseArgs(spec string) ([]expr.Value, error) {
-	if spec == "" {
-		return nil, nil
+	w := core.Workload{Fn: r.entry}
+	if w.Program, err = lang.Parse(string(src)); err != nil || r.args == "" {
+		return w, err
 	}
-	var out []expr.Value
-	for _, part := range strings.Split(spec, ",") {
+	for part := range strings.SplitSeq(r.args, ",") {
 		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad argument %q: %v", part, err)
+			return w, fmt.Errorf("bad argument %q: %v", part, err)
 		}
-		out = append(out, expr.VInt(v))
+		w.Args = append(w.Args, expr.VInt(v))
 	}
-	return out, nil
+	return w, nil
 }
-
-// Profile state shared with fatal(): os.Exit skips defers, so error exits
-// flush the profiles explicitly.
-var (
-	cpuProfFile *os.File
-	memProfPath string
-)
 
 // finishProfiles stops the CPU profile and writes the allocation profile.
-// Idempotent: both the normal defer and fatal() call it.
-func finishProfiles() {
-	if cpuProfFile != nil {
+// It runs once: on return from main, or from fail, since os.Exit skips
+// deferred calls.
+func (r *run) finishProfiles() {
+	if r.cpuFile != nil {
 		pprof.StopCPUProfile()
-		cpuProfFile.Close()
-		cpuProfFile = nil
+		r.cpuFile.Close()
 	}
-	if memProfPath != "" {
-		path := memProfPath
-		memProfPath = ""
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "apsim:", err)
-			return
-		}
+	if r.memProf == "" {
+		return
+	}
+	f, err := os.Create(r.memProf)
+	if err == nil {
 		runtime.GC() // settle live heap so the profile reflects retained state
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "apsim:", err)
-		}
-		f.Close()
+		err = errors.Join(pprof.Lookup("allocs").WriteTo(f, 0), f.Close())
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "apsim:", err)
 	}
 }
 
-// misuse reports a flag combination that cannot mean what was asked, the
-// way the flag package reports a bad flag: exit status 2.
-func misuse(msg string) {
-	fmt.Fprintln(os.Stderr, "apsim:", msg)
-	os.Exit(2)
-}
-
-func fatal(err error) {
-	finishProfiles()
-	fmt.Fprintln(os.Stderr, "apsim:", err)
-	os.Exit(1)
+// fail says why the run failed and which command line reproduces it, then
+// exits with the given status: 2 for flags that cannot mean what was asked,
+// as the flag package reports a bad flag, and 1 for a run that failed.
+func (r *run) fail(status int, why any) {
+	r.finishProfiles()
+	fmt.Fprintln(os.Stderr, "apsim:", why)
+	fmt.Fprintln(os.Stderr, "apsim: rerun:", runLine(flag.CommandLine))
+	os.Exit(status)
 }

@@ -4,12 +4,21 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
+	"repro/internal/topology"
 )
 
 // TestMain re-executes the test binary as apsim itself when the marker is
@@ -46,80 +55,96 @@ func apsim(t *testing.T, budget time.Duration, args ...string) (exit int, stdout
 	return exit, out.String(), errs.String()
 }
 
-// TestCommandLine pins, per command line, the exit status and the first
-// line printed (stdout on success, stderr on failure), plus one other line,
-// on either stream, where the first does not show what the run did.
+// commandLines are TestCommandLine's rows: per command line, the exit
+// status and the first line printed (stdout on success, stderr on failure),
+// plus one other line, on either stream, where the first does not show what
+// the run did.
+var commandLines = []struct {
+	name  string
+	args  string
+	exit  int
+	first string
+	also  string
+}{
+	{"one-shot", "-workload fib:10", 0,
+		"workload   : fib:10", "reference  : 55 (match)"},
+	{"service stream", "-workload fib:10 -requests 4 -arrive poisson:0.02", 0,
+		"service stream on sim: 8 procs, none/random", "reference  : 4/4 answers match"},
+	{"splice through a crash", "-workload nqueens:6 -recovery splice -fault 2@3000", 0,
+		"workload   : nqueens:6", "recover.twins            2"},
+	{"live says how much stayed home", "-workload fib:12 -procs 4 -backend live", 0,
+		"workload   : fib:12", "in place), 0 reissued, 0 drained"},
+	// Past one heartbeat period of processors, and past the 74 hops a
+	// constant reply timer covers, nobody alive is declared dead.
+	{"hypercube-512", "-procs 512 -topology hypercube -workload fib:14 -recovery rollback -eval compiled", 0,
+		"workload   : fib:14", "reference  : 377 (match)"},
+	{"ring-600", "-procs 600 -topology ring -workload fib:14 -recovery rollback -eval compiled", 0,
+		"workload   : fib:14", "reference  : 377 (match)"},
+	{"wrong answer", "-workload fib:10 -procs 4 -fault 0@0c,1@0c,2@0c,3@0c", 1,
+		"apsim: answer 232 differs from the sequential reference 55", ""},
+	// No answer is exit status 1 too, after the same report.
+	{"no answer", "-workload fib:12 -fault 2@500 -deadline 5000", 1,
+		"apsim: run did not complete by t=5000", "answer     : NONE — run did not complete by t=5000"},
+	// -recovery left alone is each backend's own default (the service
+	// stream above says none on sim), so a kill on the wall clock is
+	// recovered from, not waited out.
+	{"live recovers by default", "-workload fib:14 -procs 6 -backend live -fault 2@500", 0,
+		"workload   : fib:14", "recovery=rollback"},
+	// A validated program that fails at run time fails the request, with
+	// the evaluator's own words, wherever it runs.
+	{"division by zero", "-program testdata/div.ap -args 2", 1,
+		"apsim: task 0.2 on processor 4: lang: eval: division by zero", ""},
+	{"division by zero on live", "-program testdata/div.ap -args 2 -backend live", 1,
+		"apsim: task 0.2 on node 7: lang: eval: division by zero", ""},
+	{"division by zero on net", "-program testdata/div.ap -args 2 -backend net -recovery rollback", 1,
+		"apsim: task 0.2 on node 7: lang: eval: division by zero", ""},
+	{"division by zero in a stream", "-program testdata/div.ap -args 2 -requests 3 -backend live", 1,
+		"apsim: request 0: task 0.2 on node 7: lang: eval: division by zero", ""},
+	{"stream flags without -requests", "-workload fib:10 -arrive uniform:100 -max-inflight 2 -admission shed", 2,
+		"apsim: -admission, -arrive, -max-inflight: service-stream flags need -requests N", ""},
+	{"-trace on a stream", "-workload fib:10 -requests 4 -trace", 2,
+		"apsim: -trace prints the event trace of a one-shot run: drop it or -requests", ""},
+	{"unknown scheme", "-recovery nosuch", 1,
+		`apsim: recovery: unknown scheme "nosuch" (known: incremental, none, rollback, rollback-lazy, rollback-nosuppress, splice)`, ""},
+	{"unknown scheme on live", "-recovery nosuch -backend live", 1,
+		`apsim: live: recovery "nosuch" not supported (rollback per-parent reissue, or none)`, ""},
+	{"unknown evaluator", "-eval nosuch", 1,
+		`apsim: machine: unknown evaluator "nosuch" (known: compiled, interp)`, ""},
+	{"unknown evaluator on net", "-eval nosuch -backend net", 1,
+		`apsim: lang: unknown evaluator "nosuch" (known: compiled, interp)`, ""},
+	// Workload specs that used to panic, die mid-run or unroll 10⁸
+	// definitions are refused where the spec is read.
+	{"msort of negative length", "-workload msort:-1", 1,
+		"apsim: core: msort:-1: N must be in 0..100000", ""},
+	{"tree of negative fanout", "-workload tree:-1,3", 1,
+		"apsim: core: tree:-1,3: FANOUT must be in 1..64", ""},
+	{"tree of no fanout", "-workload tree:0,3", 1,
+		"apsim: core: tree:0,3: FANOUT must be in 1..64", ""},
+	{"random shape of no fanout", "-workload shape:random:1,0,3,4", 1,
+		"apsim: core: shape:random:1,0,3,4: MAXFANOUT must be in 1..8", ""},
+	{"random shape of no leaf cost", "-workload shape:random:1,3,3,0", 1,
+		"apsim: core: shape:random:1,3,3,0: MAXLEAFCOST must be in 1..10000", ""},
+	{"shape wider than its index encoding", "-workload shape:uniform:9,2,1", 1,
+		"apsim: core: shape:uniform:9,2,1: FANOUT must be in 1..8", ""},
+	{"shape past the node cap", "-workload shape:uniform:8,9,1", 1,
+		"apsim: core: shape:uniform:8,9,1: workload: shape uniform(f=8,d=9) unrolls to more than 100000 nodes", ""},
+	// A stream that leaves an admitted request unanswered fails like a
+	// one-shot run that does not complete: exit status 1 after the report.
+	{"stream with a timeout", "-workload fib:10 -requests 3 -fault 2@100 -deadline 3000", 1,
+		"apsim: 2 of 3 requests timed out", "reference  : 1/3 answers match the sequential reference evaluator (2 timed out)"},
+	// A malformed plan is a malformed flag value.
+	{"fault without @", "-fault 2-3000", 2,
+		`invalid value "2-3000" for flag -fault: bad fault "2-3000" (want PROC@TIME[s|c])`, ""},
+	{"fault on no processor", "-fault x@3000", 2,
+		`invalid value "x@3000" for flag -fault: bad fault processor "x": strconv.Atoi: parsing "x": invalid syntax`, ""},
+	{"fault at no time", "-fault 2@30o0s", 2,
+		`invalid value "2@30o0s" for flag -fault: bad fault time "30o0": strconv.ParseInt: parsing "30o0": invalid syntax`, ""},
+}
+
+// TestCommandLine runs commandLines. Each report ends with the run line, and
+// each failure after the flags parse names it on its second stderr line.
 func TestCommandLine(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		args  string
-		exit  int
-		first string
-		also  string
-	}{
-		{"one-shot", "-workload fib:10", 0,
-			"workload   : fib:10", "reference  : 55 (match)"},
-		{"service stream", "-workload fib:10 -requests 4 -arrive poisson:0.02", 0,
-			"service stream on sim: 8 procs, none/random", "reference  : 4/4 answers match"},
-		{"splice through a crash", "-workload nqueens:6 -recovery splice -fault 2@3000", 0,
-			"workload   : nqueens:6", "recover.twins            2"},
-		{"live says how much stayed home", "-workload fib:12 -procs 4 -backend live", 0,
-			"workload   : fib:12", "in place), 0 reissued, 0 drained"},
-		// Past one heartbeat period of processors, and past the 74 hops a
-		// constant reply timer covers, nobody alive is declared dead.
-		{"hypercube-512", "-procs 512 -topology hypercube -workload fib:14 -recovery rollback -eval compiled", 0,
-			"workload   : fib:14", "reference  : 377 (match)"},
-		{"ring-600", "-procs 600 -topology ring -workload fib:14 -recovery rollback -eval compiled", 0,
-			"workload   : fib:14", "reference  : 377 (match)"},
-		{"wrong answer", "-workload fib:10 -procs 4 -fault 0@0c,1@0c,2@0c,3@0c", 1,
-			"apsim: answer 232 differs from the sequential reference 55", ""},
-		// No answer is exit status 1 too, after the same report.
-		{"no answer", "-workload fib:12 -fault 2@500 -deadline 5000", 1,
-			"apsim: run did not complete by t=5000", "answer     : NONE — run did not complete by t=5000"},
-		// -recovery left alone is each backend's own default (the service
-		// stream above says none on sim), so a kill on the wall clock is
-		// recovered from, not waited out.
-		{"live recovers by default", "-workload fib:14 -procs 6 -backend live -fault 2@500", 0,
-			"workload   : fib:14", "recovery=rollback"},
-		// A validated program that fails at run time fails the request, with
-		// the evaluator's own words, wherever it runs.
-		{"division by zero", "-program testdata/div.ap -args 2", 1,
-			"apsim: task 0.2 on processor 4: lang: eval: division by zero", ""},
-		{"division by zero on live", "-program testdata/div.ap -args 2 -backend live", 1,
-			"apsim: task 0.2 on node 7: lang: eval: division by zero", ""},
-		{"division by zero on net", "-program testdata/div.ap -args 2 -backend net -recovery rollback", 1,
-			"apsim: task 0.2 on node 7: lang: eval: division by zero", ""},
-		{"division by zero in a stream", "-program testdata/div.ap -args 2 -requests 3 -backend live", 1,
-			"apsim: request 0: task 0.2 on node 7: lang: eval: division by zero", ""},
-		{"stream flags without -requests", "-workload fib:10 -arrive uniform:100 -max-inflight 2 -admission shed", 2,
-			"apsim: -admission, -arrive, -max-inflight: service-stream flags need -requests N", ""},
-		{"-trace on a stream", "-workload fib:10 -requests 4 -trace", 2,
-			"apsim: -trace prints the event trace of a one-shot run: drop it or -requests", ""},
-		{"unknown scheme", "-recovery nosuch", 1,
-			`apsim: recovery: unknown scheme "nosuch" (known: incremental, none, rollback, rollback-lazy, rollback-nosuppress, splice)`, ""},
-		{"unknown scheme on live", "-recovery nosuch -backend live", 1,
-			`apsim: live: recovery "nosuch" not supported (rollback per-parent reissue, or none)`, ""},
-		{"unknown evaluator", "-eval nosuch", 1,
-			`apsim: machine: unknown evaluator "nosuch" (known: compiled, interp)`, ""},
-		{"unknown evaluator on net", "-eval nosuch -backend net", 1,
-			`apsim: lang: unknown evaluator "nosuch" (known: compiled, interp)`, ""},
-		// Workload specs that used to panic, die mid-run or unroll 10⁸
-		// definitions are refused where the spec is read.
-		{"msort of negative length", "-workload msort:-1", 1,
-			"apsim: core: msort:-1: N must be in 0..100000", ""},
-		{"tree of negative fanout", "-workload tree:-1,3", 1,
-			"apsim: core: tree:-1,3: FANOUT must be in 1..64", ""},
-		{"tree of no fanout", "-workload tree:0,3", 1,
-			"apsim: core: tree:0,3: FANOUT must be in 1..64", ""},
-		{"random shape of no fanout", "-workload shape:random:1,0,3,4", 1,
-			"apsim: core: shape:random:1,0,3,4: MAXFANOUT must be in 1..8", ""},
-		{"random shape of no leaf cost", "-workload shape:random:1,3,3,0", 1,
-			"apsim: core: shape:random:1,3,3,0: MAXLEAFCOST must be in 1..10000", ""},
-		{"shape wider than its index encoding", "-workload shape:uniform:9,2,1", 1,
-			"apsim: core: shape:uniform:9,2,1: FANOUT must be in 1..8", ""},
-		{"shape past the node cap", "-workload shape:uniform:8,9,1", 1,
-			"apsim: core: shape:uniform:8,9,1: workload: shape uniform(f=8,d=9) unrolls to more than 100000 nodes", ""},
-	} {
+	for _, tc := range commandLines {
 		t.Run(tc.name, func(t *testing.T) {
 			exit, stdout, stderr := apsim(t, time.Minute, strings.Fields(tc.args)...)
 			out := stdout
@@ -137,8 +162,191 @@ func TestCommandLine(t *testing.T) {
 			if !strings.Contains(tc.args, "-fault") && strings.Contains(stdout, "fault.") {
 				t.Errorf("apsim %s: a fault-free run reports a fault. row:\n%s", tc.args, stdout)
 			}
+			if tc.exit == 0 && !strings.HasPrefix(runLineOf(stdout), "apsim") {
+				t.Errorf("apsim %s: the report does not end with its run line:\n%s", tc.args, stdout)
+			}
+			if _, rest, _ := strings.Cut(stderr, "\n"); tc.exit != 0 && strings.HasPrefix(first, "apsim: ") && !strings.HasPrefix(rest, "apsim: rerun: apsim") {
+				t.Errorf("apsim %s: the failure does not name its run line:\n%s", tc.args, stderr)
+			}
 		})
 	}
+}
+
+// runLineOf is the command line a report ends with, "" if it ends otherwise.
+func runLineOf(stdout string) string {
+	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
+	if line, ok := strings.CutPrefix(lines[len(lines)-1], "run        : "); ok {
+		return line
+	}
+	return ""
+}
+
+// TestRunLineReproduces: the run line of every successful simulator row
+// reruns it to byte-identical stdout. The wall-clock rows are left out:
+// their timings differ from run to run.
+func TestRunLineReproduces(t *testing.T) {
+	for _, tc := range commandLines {
+		if tc.exit != 0 || strings.Contains(tc.args, "-backend") {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			_, stdout, _ := apsim(t, time.Minute, strings.Fields(tc.args)...)
+			line, ok := strings.CutPrefix(runLineOf(stdout), "apsim")
+			if !ok {
+				t.Fatalf("apsim %s prints no run line:\n%s", tc.args, stdout)
+			}
+			exit, again, stderr := apsim(t, time.Minute, shellFields(line)...)
+			if exit != 0 || again != stdout {
+				t.Fatalf("apsim %s (from apsim %s): exit %d\n%s%s\nwant\n%s", line, tc.args, exit, again, stderr, stdout)
+			}
+		})
+	}
+}
+
+// TestKnownDefectRows runs the run line of each open defect, under
+// testdata/runs, and asserts that it still fails as recorded: one admitted
+// request times out and apsim exits 1. Each row's -fault is its generator's
+// draw byte for byte, and the row records whether that draw cuts a live
+// processor off. A fix flips its row, which then moves to commandLines as a
+// passing one.
+func TestKnownDefectRows(t *testing.T) {
+	torus, err := topology.ByName("torus", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := topology.ByName("mesh", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		file     string
+		topo     topology.Topology
+		plan     *faults.Plan
+		timeout  string            // the request left unanswered
+		isolated []topology.NodeID // live processors with no live neighbour
+	}{
+		{"torus16-cascade.line", torus, faults.Cascade(torus, 10, 2000, 1000, 2, 0.5, faults.CrashSilent, 141), "req 7 ", nil},
+		{"mesh64-isolated.line", mesh, faults.Burst(64, 12, 3000, faults.CrashSilent, 33), "req 8 ", []topology.NodeID{7}},
+	}
+	if files, _ := filepath.Glob("testdata/runs/*.line"); len(files) != len(rows) {
+		t.Fatalf("testdata/runs holds %d rows, this test knows %d", len(files), len(rows))
+	}
+	for _, tc := range rows {
+		t.Run(tc.file, func(t *testing.T) {
+			line, err := os.ReadFile(filepath.Join("testdata", "runs", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := strings.Fields(string(line))
+			if i := slices.Index(args, "-fault"); i < 0 || i+1 == len(args) || args[i+1] != tc.plan.String() {
+				t.Fatalf("the row's -fault is not its generator's %s", tc.plan)
+			}
+			if got := isolated(tc.topo, tc.plan); !slices.Equal(got, tc.isolated) {
+				t.Fatalf("the plan cuts off %v, want %v", got, tc.isolated)
+			}
+			exit, stdout, stderr := apsim(t, time.Minute, args...)
+			if exit != 1 || !strings.Contains(stdout, "\nreference  : 23/24 answers match the sequential reference evaluator (1 timed out)\n") ||
+				!regexp.MustCompile(`(?m)^  `+tc.timeout+`.* timeout$`).MatchString(stdout) {
+				t.Fatalf("apsim %s\nno longer fails as recorded (exit %d):\n%s%s", line, exit, stdout, stderr)
+			}
+		})
+	}
+}
+
+// isolated lists the processors plan leaves alive with no live neighbour.
+func isolated(topo topology.Topology, plan *faults.Plan) []topology.NodeID {
+	dead := map[topology.NodeID]bool{}
+	for _, p := range plan.Procs() {
+		dead[topology.NodeID(p)] = true
+	}
+	var out []topology.NodeID
+	for v := range topology.NodeID(topo.Size()) {
+		if !dead[v] && !slices.ContainsFunc(topo.Neighbors(v), func(u topology.NodeID) bool { return !dead[u] }) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// FuzzRunLine: whatever a command line sets — every bound Config field, the
+// workload, -requests, -backend and the fault plan — its run line parses
+// back, on a fresh flag set, into the same values, and prints itself.
+func FuzzRunLine(f *testing.F) {
+	rows, _ := filepath.Glob("testdata/runs/*.line")
+	for _, row := range rows {
+		line, err := os.ReadFile(row)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(line))
+	}
+	for _, tc := range commandLines {
+		f.Add(tc.args)
+	}
+	f.Add(`-program 'my dir/it'\''s.ap' -args 3,4 -shards 0 -trace -backend live -arrive burst:4:800 -admission=`)
+	f.Fuzz(func(t *testing.T, line string) {
+		r, fs, err := parseRun(shellFields(line))
+		if err != nil {
+			return
+		}
+		printed := runLine(fs)
+		args, _ := strings.CutPrefix(printed, "apsim")
+		again, fs2, err := parseRun(shellFields(args))
+		if err != nil || !reflect.DeepEqual(again, r) || runLine(fs2) != printed {
+			t.Fatalf("%s\nprints %s\nwhich parses to %+v, %v\nnot %+v", line, printed, again, err, r)
+		}
+	})
+}
+
+// parseRun parses args onto a fresh flag set, as main does.
+func parseRun(args []string) (*run, *flag.FlagSet, error) {
+	var r run
+	fs := flag.NewFlagSet("apsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	r.bind(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, nil, fmt.Errorf("arguments after the flags: %q", fs.Args())
+	}
+	return &r, fs, nil
+}
+
+// shellFields splits a line into words as a POSIX shell does for what
+// runLine prints: blanks separate, single quotes quote, a backslash escapes.
+func shellFields(line string) []string {
+	var words []string
+	var word strings.Builder
+	inWord, quoted := false, false
+	for i := 0; i < len(line); i++ {
+		c := line[i]
+		switch {
+		case quoted && c == '\'':
+			quoted = false
+		case quoted:
+			word.WriteByte(c)
+		case c == '\'':
+			quoted, inWord = true, true
+		case c == '\\' && i+1 < len(line):
+			i++
+			word.WriteByte(line[i])
+			inWord = true
+		case c == ' ' || c == '\t' || c == '\n':
+			if inWord {
+				words = append(words, word.String())
+				word.Reset()
+				inWord = false
+			}
+		default:
+			word.WriteByte(c)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, word.String())
+	}
+	return words
 }
 
 // TestReadmeCommands runs every `go run ./cmd/apsim …` line inside README.md's

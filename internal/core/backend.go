@@ -185,20 +185,13 @@ type SessionRequest interface {
 // package is what makes it selectable, and after init the table is only read.
 var backends = map[string]Backend{}
 
-// RegisterBackend adds a backend; a name already taken is an error.
-func RegisterBackend(b Backend) error {
+// MustRegisterBackend adds a backend at init time; a name already taken
+// panics.
+func MustRegisterBackend(b Backend) {
 	if _, dup := backends[b.Name()]; dup {
-		return fmt.Errorf("core: duplicate backend %q", b.Name())
+		panic(fmt.Sprintf("core: duplicate backend %q", b.Name()))
 	}
 	backends[b.Name()] = b
-	return nil
-}
-
-// MustRegisterBackend is RegisterBackend for init-time wiring.
-func MustRegisterBackend(b Backend) {
-	if err := RegisterBackend(b); err != nil {
-		panic(err)
-	}
 }
 
 // ByName resolves a registered backend; the error text lists the registered

@@ -20,9 +20,12 @@ func TestBackendRegistry(t *testing.T) {
 	if len(names) == 0 || names[0] != "sim" {
 		t.Fatalf("Backends() = %v, want sim first", names)
 	}
-	if err := RegisterBackend(simBackend{}); err == nil {
-		t.Fatal("duplicate backend registration accepted")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("duplicate backend registration accepted")
+		}
+	}()
+	MustRegisterBackend(simBackend{})
 }
 
 func TestSimBackendNeutralReport(t *testing.T) {

@@ -101,7 +101,7 @@ func TestVerifyOnErrorPaths(t *testing.T) {
 	// The real simulator path: a crash under the "none" scheme can never
 	// complete, and verifyReport must say so (with the makespan and unit).
 	plan := CrashPlan(0, 200, true)
-	plan.Add(Fault{At: 200, Proc: 1, Kind: CrashAnnounced})
+	plan.Add(faults.Fault{At: 200, Proc: 1, Kind: faults.CrashAnnounced})
 	_, err = VerifyOn("sim", Config{Procs: 4, Seed: 1, Recovery: "none", Deadline: 20000}, w, plan)
 	if err == nil || !strings.Contains(err.Error(), "did not complete") {
 		t.Fatalf("unrecovered crash verified: %v", err)

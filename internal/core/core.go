@@ -9,8 +9,10 @@ package core
 import (
 	"cmp"
 	"errors"
+	"flag"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -27,24 +29,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Re-exported handles so callers need only import core for common setups.
-type (
-	// FaultPlan schedules processor faults.
-	FaultPlan = faults.Plan
-	// Fault is one scheduled fault.
-	Fault = faults.Fault
-	// Program is a validated applicative program.
-	Program = lang.Program
-	// Value is an applicative value.
-	Value = expr.Value
-)
-
-// Fault kinds, re-exported.
-const (
-	CrashAnnounced = faults.CrashAnnounced
-	CrashSilent    = faults.CrashSilent
-	Corrupt        = faults.Corrupt
-)
+// FaultPlan schedules processor faults, re-exported so callers need only
+// import core for common setups.
+type FaultPlan = faults.Plan
 
 // Config describes a run — machine, recovery scheme, failure detector and
 // service discipline — in plain values that mean the same thing on every
@@ -107,13 +94,13 @@ type Config struct {
 	Deadline int64
 
 	// Arrival names an open-loop arrival process for service mode —
-	// "arrive:poisson:RATE", "arrive:uniform:GAP" or "arrive:burst:SIZE:GAP"
-	// (workload.ParseArrival) — seeded by Seed: request i of the stream is
-	// offered at the schedule's i-th offset on the simulator's stream clock,
-	// so faults land between and inside requests ("" = offer each batch at
-	// once). It is sim-only and inert on the wall-clock backends, whose
-	// arrival discipline is real time: a request is offered when its Submit
-	// call is made.
+	// "arrive:poisson:RATE", "arrive:uniform:GAP" or "arrive:burst:SIZE:GAP",
+	// the prefix optional (workload.ParseArrival) — seeded by Seed: request
+	// i of the stream is offered at the schedule's i-th offset on the
+	// simulator's stream clock, so faults land between and inside requests
+	// ("" = offer each batch at once). It is sim-only and inert on the
+	// wall-clock backends, whose arrival discipline is real time: a request
+	// is offered when its Submit call is made.
 	Arrival string
 	// MaxInFlight bounds concurrently admitted service-mode requests on
 	// both backends (0 = unbounded). Offers that find every slot busy
@@ -126,6 +113,39 @@ type Config struct {
 	// Wait returns ErrShed. Queued requests report their time in queue
 	// separately from service latency (ServiceReport's queue-wait row).
 	Admission string
+}
+
+// BindFlags defines a flag for every field a command line sets, bound to the
+// field itself, and sets those fields to the flags' defaults. A run's
+// configuration is then what the flag set prints: every flag whose value
+// differs from its default.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Procs, "procs", 8, "number of processors")
+	fs.StringVar(&c.Topology, "topology", "mesh", strings.Join(topology.Kinds(), "|"))
+	fs.StringVar(&c.Placement, "placement", "random", "random|gradient|static|local")
+	fs.StringVar(&c.Recovery, "recovery", "", "recovery scheme: "+strings.Join(recovery.Names(), "|")+" (default none on sim, rollback on live and net, which implement rollback and none)")
+	fs.StringVar(&c.Eval, "eval", "", "evaluator for task reduction passes: "+strings.Join(lang.Evaluators(), "|")+" (default interp; traces are byte-identical either way)")
+	fs.IntVar(&c.AncestorDepth, "ancestors", 2, "ancestor-pointer depth K (§5.2)")
+	fs.Int64Var(&c.Seed, "seed", 1, "random seed")
+	c.Shards = 1
+	fs.Var((*shardFlag)(&c.Shards), "shards", "`count` of simulation kernel shards (sim backend; 0 or negative = GOMAXPROCS); results are byte-identical at every count")
+	fs.BoolVar(&c.Trace, "trace", false, "print the event trace")
+	fs.Int64Var(&c.Deadline, "deadline", 0, "virtual-time budget (0 = default); per-request in service mode")
+	fs.StringVar(&c.Arrival, "arrive", "", `service mode: seeded arrival process on the sim stream clock — poisson:RATE, uniform:GAP or burst:SIZE:GAP (the "arrive:" prefix is optional; default: all requests offered at once)`)
+	fs.IntVar(&c.MaxInFlight, "max-inflight", 0, "service mode: bound on concurrently admitted requests (0 = unbounded)")
+	fs.StringVar(&c.Admission, "admission", "", "service mode: what to do with requests over the -max-inflight bound — queue (default), queue:N (FIFO bounded at depth N) or shed")
+}
+
+// shardFlag is Shards on a command line, where 0 asks for what a negative
+// count does, one shard per GOMAXPROCS, and not for DefaultShards.
+type shardFlag int
+
+func (s *shardFlag) String() string { return strconv.Itoa(int(*s)) }
+
+func (s *shardFlag) Set(v string) error {
+	n, err := strconv.ParseInt(v, 0, strconv.IntSize)
+	*s = shardFlag(cmp.Or(n, -1))
+	return err
 }
 
 // DefaultShards is the process-wide shard count used when Config.Shards is
@@ -194,7 +214,7 @@ func standardWorkload(spec string) (Workload, error) {
 	if strings.HasPrefix(spec, "shape:") {
 		return shapeWorkload(spec)
 	}
-	if workload.IsArrivalSpec(spec) {
+	if strings.HasPrefix(spec, "arrive:") {
 		// A common mix-up: arrival specs shape *when* requests arrive, not
 		// what they compute.
 		return Workload{}, fmt.Errorf("core: %q is an arrival spec, not a workload — set Config.Arrival (CLI: -arrive)", spec)

@@ -18,6 +18,8 @@ package faults
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/proto"
 )
@@ -63,9 +65,54 @@ func (f Fault) String() string {
 	return fmt.Sprintf("%v@t=%d:%v", f.Proc, f.At, f.Kind)
 }
 
-// Plan is a set of faults to inject during a run.
+// Plan is a set of faults to inject during a run. *Plan is a flag.Value:
+// Set reads a plan's command-line form and String writes it.
 type Plan struct {
 	Faults []Fault
+}
+
+// Set replaces the plan with the one spec lists, comma-separated:
+// PROC@TIME is an announced crash, PROC@TIMEs a silent one and PROC@TIMEc
+// value corruption from TIME on. The empty spec is the empty plan.
+func (p *Plan) Set(spec string) error {
+	if spec == "" {
+		p.Faults = nil
+		return nil
+	}
+	var plan []Fault
+	for part := range strings.SplitSeq(spec, ",") {
+		kind := CrashAnnounced
+		if rest, ok := strings.CutSuffix(part, "s"); ok {
+			part, kind = rest, CrashSilent
+		} else if rest, ok := strings.CutSuffix(part, "c"); ok {
+			part, kind = rest, Corrupt
+		}
+		procText, atText, ok := strings.Cut(part, "@")
+		if !ok {
+			return fmt.Errorf("bad fault %q (want PROC@TIME[s|c])", part)
+		}
+		proc, err := strconv.Atoi(procText)
+		if err != nil {
+			return fmt.Errorf("bad fault processor %q: %v", procText, err)
+		}
+		at, err := strconv.ParseInt(atText, 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad fault time %q: %v", atText, err)
+		}
+		plan = append(plan, Fault{At: at, Proc: proto.ProcID(proc), Kind: kind})
+	}
+	p.Faults = plan
+	return nil
+}
+
+// String is the spec Set reads back into the same plan: its faults in plan
+// order, so every builder's plan has a command-line form.
+func (p *Plan) String() string {
+	parts := make([]string, len(p.Faults))
+	for i, f := range p.Faults {
+		parts[i] = fmt.Sprintf("%d@%d%s", f.Proc, f.At, map[Kind]string{CrashSilent: "s", Corrupt: "c"}[f.Kind])
+	}
+	return strings.Join(parts, ",")
 }
 
 // None returns an empty plan.

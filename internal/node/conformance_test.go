@@ -508,7 +508,7 @@ var evalErrText = regexp.MustCompile(`^task 1\.[0-9.]+ on (processor|node) \d+: 
 func TestEvalErrorFailsTheRequest(t *testing.T) {
 	prog := lang.MustParse("fn f(x) = 10 / x\nfn main(n) = f(n) + f(n - 1) + f(n - 2)")
 	call := func(n int64) core.Workload {
-		return core.Workload{Program: prog, Fn: "main", Args: []core.Value{expr.VInt(n)}}
+		return core.Workload{Program: prog, Fn: "main", Args: []expr.Value{expr.VInt(n)}}
 	}
 	for _, backend := range append([]string{"sim"}, backends...) {
 		t.Run(backend, func(t *testing.T) {
@@ -584,7 +584,7 @@ func TestZeroConfigDefaults(t *testing.T) {
 // waiter or the Close can let an answer through.
 func TestCloseEndsWait(t *testing.T) {
 	spin := core.Workload{Program: lang.MustParse("fn spin(n) = spin(n + 1)"), Fn: "spin",
-		Args: []core.Value{expr.VInt(0)}}
+		Args: []expr.Value{expr.VInt(0)}}
 	each(t, func(t *testing.T, backend string) {
 		b, err := core.ByName(backend)
 		if err != nil {

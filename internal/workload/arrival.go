@@ -46,7 +46,7 @@ type Arrival struct {
 	Size int
 }
 
-// ParseArrival parses an arrival spec:
+// ParseArrival parses an arrival spec, with or without its "arrive:" prefix:
 //
 //	arrive:poisson:RATE     exponential gaps at RATE req/unit (RATE > 0)
 //	arrive:uniform:GAP      one request every GAP units (GAP > 0)
@@ -54,12 +54,11 @@ type Arrival struct {
 //
 // Every malformed form is an error: wrong field count, non-numeric or
 // non-positive parameters, unknown kinds, and trailing garbage all fail
-// loudly rather than silently shaping the load.
+// loudly rather than silently shaping the load. Errors and Arrival.Spec
+// quote the spec with its prefix.
 func ParseArrival(spec string) (Arrival, error) {
+	spec = "arrive:" + strings.TrimPrefix(spec, "arrive:")
 	fields := strings.Split(spec, ":")
-	if len(fields) < 2 || fields[0] != "arrive" {
-		return Arrival{}, fmt.Errorf("workload: arrival spec %q must start with \"arrive:\"", spec)
-	}
 	a := Arrival{Spec: spec, Kind: ArrivalKind(fields[1])}
 	switch a.Kind {
 	case ArrivePoisson:
@@ -103,12 +102,6 @@ func ParseArrival(spec string) (Arrival, error) {
 		return Arrival{}, fmt.Errorf("workload: unknown arrival kind %q in %q (poisson, uniform, burst)", fields[1], spec)
 	}
 	return a, nil
-}
-
-// IsArrivalSpec reports whether spec names an arrival process (parsed by
-// ParseArrival) rather than a workload shape.
-func IsArrivalSpec(spec string) bool {
-	return strings.HasPrefix(spec, "arrive:")
 }
 
 // Next returns a stateful generator of arrival offsets for the seed: each

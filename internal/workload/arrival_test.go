@@ -20,8 +20,11 @@ func TestParseArrival(t *testing.T) {
 		{spec: "arrive:uniform:150", want: Arrival{Spec: "arrive:uniform:150", Kind: ArriveUniform, Gap: 150}},
 		{spec: "arrive:burst:4:800", want: Arrival{Spec: "arrive:burst:4:800", Kind: ArriveBurst, Size: 4, Gap: 800}},
 
-		{spec: "poisson:0.02", wantErr: `must start with "arrive:"`},
-		{spec: "arrive", wantErr: `must start with "arrive:"`},
+		{spec: "poisson:0.02", want: Arrival{Spec: "arrive:poisson:0.02", Kind: ArrivePoisson, Rate: 0.02}},
+		{spec: "burst:4:800", want: Arrival{Spec: "arrive:burst:4:800", Kind: ArriveBurst, Size: 4, Gap: 800}},
+
+		{spec: "arrive", wantErr: `unknown arrival kind "arrive" in "arrive:arrive"`},
+		{spec: "", wantErr: `unknown arrival kind "" in "arrive:"`},
 		{spec: "arrive:zipf:2", wantErr: "unknown arrival kind"},
 		{spec: "arrive:poisson", wantErr: "wants arrive:poisson:RATE"},
 		{spec: "arrive:poisson:0.02:9", wantErr: "wants arrive:poisson:RATE"},
@@ -55,9 +58,6 @@ func TestParseArrival(t *testing.T) {
 		if got != c.want {
 			t.Errorf("ParseArrival(%q) = %+v, want %+v", c.spec, got, c.want)
 		}
-	}
-	if !IsArrivalSpec("arrive:poisson:1") || IsArrivalSpec("shape:uniform:3,3,4") {
-		t.Error("IsArrivalSpec misclassifies")
 	}
 }
 
