@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/topology"
 )
@@ -139,13 +140,33 @@ var commandLines = []struct {
 		`invalid value "x@3000" for flag -fault: bad fault processor "x": strconv.Atoi: parsing "x": invalid syntax`, ""},
 	{"fault at no time", "-fault 2@30o0s", 2,
 		`invalid value "2@30o0s" for flag -fault: bad fault time "30o0": strconv.ParseInt: parsing "30o0": invalid syntax`, ""},
+	// A two-wave cascade on torus-16 that cuts nobody off. A row named
+	// after a file under testdata/runs runs that file's line, whose -fault
+	// runDraws pins.
+	{"torus16-cascade.line", runsLine("torus16-cascade.line"), 0,
+		"service stream on sim: 16 procs, rollback/random", "reference  : 24/24 answers match"},
+	{"torus16-cascade.line under incremental", runsLine("torus16-cascade.line") + " -recovery incremental", 0,
+		"service stream on sim: 16 procs, incremental/random", "reference  : 24/24 answers match"},
+}
+
+// runsLine is the run line in testdata/runs/file.
+func runsLine(file string) string {
+	line, err := os.ReadFile(filepath.Join("testdata", "runs", file))
+	if err != nil {
+		panic(err)
+	}
+	return strings.TrimSpace(string(line))
 }
 
 // TestCommandLine runs commandLines. Each report ends with the run line, and
 // each failure after the flags parse names it on its second stderr line.
 func TestCommandLine(t *testing.T) {
+	draws := runDraws(t)
 	for _, tc := range commandLines {
 		t.Run(tc.name, func(t *testing.T) {
+			if d, ok := draws[strings.Fields(tc.name)[0]]; ok {
+				d.check(t, strings.Fields(tc.args))
+			}
 			exit, stdout, stderr := apsim(t, time.Minute, strings.Fields(tc.args)...)
 			out := stdout
 			if tc.exit != 0 {
@@ -203,13 +224,17 @@ func TestRunLineReproduces(t *testing.T) {
 	}
 }
 
-// TestKnownDefectRows runs the run line of each open defect, under
-// testdata/runs, and asserts that it still fails as recorded: one admitted
-// request times out and apsim exits 1. Each row's -fault is its generator's
-// draw byte for byte, and the row records whether that draw cuts a live
-// processor off. A fix flips its row, which then moves to commandLines as a
-// passing one.
-func TestKnownDefectRows(t *testing.T) {
+// draw is where a run line's -fault comes from: its generator's plan on the
+// line's topology, and the live processors that plan leaves with no live
+// neighbour.
+type draw struct {
+	topo     topology.Topology
+	plan     *faults.Plan
+	isolated []topology.NodeID
+}
+
+// runDraws is the draw of each run line under testdata/runs, by file name.
+func runDraws(t *testing.T) map[string]draw {
 	torus, err := topology.ByName("torus", 16)
 	if err != nil {
 		t.Fatal(err)
@@ -218,32 +243,45 @@ func TestKnownDefectRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := []struct {
-		file     string
-		topo     topology.Topology
-		plan     *faults.Plan
-		timeout  string            // the request left unanswered
-		isolated []topology.NodeID // live processors with no live neighbour
-	}{
-		{"torus16-cascade.line", torus, faults.Cascade(torus, 10, 2000, 1000, 2, 0.5, faults.CrashSilent, 141), "req 7 ", nil},
-		{"mesh64-isolated.line", mesh, faults.Burst(64, 12, 3000, faults.CrashSilent, 33), "req 8 ", []topology.NodeID{7}},
+	draws := map[string]draw{
+		"torus16-cascade.line": {torus, faults.Cascade(torus, 10, 2000, 1000, 2, 0.5, faults.CrashSilent, 141), nil},
+		"mesh64-isolated.line": {mesh, faults.Burst(64, 12, 3000, faults.CrashSilent, 33), []topology.NodeID{7}},
 	}
-	if files, _ := filepath.Glob("testdata/runs/*.line"); len(files) != len(rows) {
-		t.Fatalf("testdata/runs holds %d rows, this test knows %d", len(files), len(rows))
+	if files, _ := filepath.Glob("testdata/runs/*.line"); len(files) != len(draws) {
+		t.Fatalf("testdata/runs holds %d rows, runDraws knows %d", len(files), len(draws))
+	}
+	return draws
+}
+
+// check fails t unless args' -fault is d's plan byte for byte and that plan
+// cuts off exactly d.isolated.
+func (d draw) check(t *testing.T, args []string) {
+	t.Helper()
+	if i := slices.Index(args, "-fault"); i < 0 || i+1 == len(args) || args[i+1] != d.plan.String() {
+		t.Fatalf("the row's -fault is not its generator's %s", d.plan)
+	}
+	if got := isolated(d.topo, d.plan); !slices.Equal(got, d.isolated) {
+		t.Fatalf("the plan cuts off %v, want %v", got, d.isolated)
+	}
+}
+
+// TestKnownDefectRows runs the run line of each open defect, under
+// testdata/runs, and asserts that it still fails as recorded: one admitted
+// request times out and apsim exits 1. A fix flips its row, which then moves
+// to commandLines as a passing one.
+func TestKnownDefectRows(t *testing.T) {
+	draws := runDraws(t)
+	rows := []struct {
+		file    string
+		timeout string // the request left unanswered
+	}{
+		{"mesh64-isolated.line", "req 8 "},
 	}
 	for _, tc := range rows {
 		t.Run(tc.file, func(t *testing.T) {
-			line, err := os.ReadFile(filepath.Join("testdata", "runs", tc.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			args := strings.Fields(string(line))
-			if i := slices.Index(args, "-fault"); i < 0 || i+1 == len(args) || args[i+1] != tc.plan.String() {
-				t.Fatalf("the row's -fault is not its generator's %s", tc.plan)
-			}
-			if got := isolated(tc.topo, tc.plan); !slices.Equal(got, tc.isolated) {
-				t.Fatalf("the plan cuts off %v, want %v", got, tc.isolated)
-			}
+			line := runsLine(tc.file)
+			args := strings.Fields(line)
+			draws[tc.file].check(t, args)
 			exit, stdout, stderr := apsim(t, time.Minute, args...)
 			if exit != 1 || !strings.Contains(stdout, "\nreference  : 23/24 answers match the sequential reference evaluator (1 timed out)\n") ||
 				!regexp.MustCompile(`(?m)^  `+tc.timeout+`.* timeout$`).MatchString(stdout) {
@@ -266,6 +304,60 @@ func isolated(topo topology.Topology, plan *faults.Plan) []topology.NodeID {
 		}
 	}
 	return out
+}
+
+// TestRecoveryCompletesUnlessIsolated pins the class torus16-cascade.line
+// was drawn from, not the one draw: a two-wave cascade that leaves every
+// survivor a live neighbour is recovered from, every request answered
+// correctly, under each recovering scheme on torus-16 and mesh-16. A seed
+// whose plan isolates a survivor draws the other defect
+// (mesh64-isolated.line), not this class: mesh-16's seeds 2 and 30 do, so
+// mesh-16 runs 8 and 9 in their place.
+func TestRecoveryCompletesUnlessIsolated(t *testing.T) {
+	w, err := core.StandardWorkload("fib:12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topos := range []struct {
+		kind  string
+		seeds []int64
+	}{
+		{"torus", []int64{1, 2, 3, 4, 5, 6, 30}},
+		{"mesh", []int64{1, 3, 4, 5, 6, 8, 9}},
+	} {
+		topo, err := topology.ByName(topos.kind, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range []string{"rollback", "incremental", "splice"} {
+			t.Run(topos.kind+"-16/"+scheme, func(t *testing.T) {
+				t.Parallel()
+				for _, seed := range topos.seeds {
+					plan := faults.Cascade(topo, 10, 2000, 1000, 2, 0.5, faults.CrashSilent, seed)
+					if cut := isolated(topo, plan); cut != nil {
+						t.Fatalf("seed %d: the plan cuts off %v: pick another seed", seed, cut)
+					}
+					cl, err := core.OpenOn("sim", core.Config{Procs: 16, Topology: topos.kind, Recovery: scheme,
+						Arrival: "poisson:0.002", MaxInFlight: 8, Seed: seed})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for range 24 {
+						cl.Submit(w)
+					}
+					if err := cl.Inject(plan); err != nil {
+						t.Fatal(err)
+					}
+					if verified, _, _, err := cl.VerifyAll(true); err != nil || verified != 24 {
+						t.Errorf("seed %d (-fault %s): verified %d of 24: %v", seed, plan, verified, err)
+					}
+					if _, err := cl.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }
 
 // FuzzRunLine: whatever a command line sets — every bound Config field, the

@@ -6,10 +6,11 @@
 //
 // The store keeps *all* pending checkpoints (not just topmost ones) because
 // entries are released as children complete, which can promote a previously
-// shadowed checkpoint to topmost; the topmost antichain is computed on
-// demand at recovery time. The paper's incremental "do nothing if descendant"
-// rule is an optimization of exactly this computation and is validated
-// against it in tests.
+// shadowed checkpoint to topmost; the topmost set is computed on demand at
+// recovery time. A checkpoint settled on the failed processor is shadowed
+// when another one settled there lies strictly above its parent: reissuing
+// that one aborts the parent, so the paper's "do nothing if descendant" rule
+// asks exactly the question rollback's abort asks.
 package checkpoint
 
 import (
@@ -117,40 +118,34 @@ func (s *Store) For(dest proto.ProcID) []*Entry {
 			out = append(out, e)
 		}
 	}
-	sortEntries(out)
+	slices.SortFunc(out, func(a, b *Entry) int { return a.Packet.Key.Compare(b.Packet.Key) })
 	return out
 }
 
-// TopmostFor computes the §3.2 recovery set for a failed destination: the
-// entries settled on dest whose stamps form the minimal covering antichain.
-// Shadowed (descendant) entries are returned separately so recovery can
-// count the paper's "not fruitful" suppressions (the B5 case).
+// TopmostFor computes the §3.2 recovery set for a failed destination, in
+// stamp preorder. An entry settled on dest is shadowed iff another such
+// entry's stamp lies strictly above its parent's stamp: rollback aborts the
+// resident tasks strictly below a reissued stamp, so that reissue aborts the
+// parent and reissuing the entry would not be fruitful (the B5 case). Every
+// other entry is topmost. In particular an entry whose parent shares its
+// stamp with another entry is topmost: the parent is another incarnation,
+// which that reissue does not abort.
 func (s *Store) TopmostFor(dest proto.ProcID) (topmost, shadowed []*Entry) {
-	all := s.For(dest)
-	if len(all) == 0 {
-		return nil, nil
-	}
-	stamps := make([]stamp.Stamp, len(all))
-	for i, e := range all {
-		stamps[i] = e.Packet.Key.Stamp
-	}
-	top := stamp.Topmost(stamps)
-	topSet := make(map[stamp.Stamp]bool, len(top))
-	for _, t := range top {
-		topSet[t] = true
-	}
-	for _, e := range all {
-		// A replica of a topmost stamp is itself topmost: replicas are
-		// independent lineages and each must be reissued.
-		if topSet[e.Packet.Key.Stamp] {
-			topmost = append(topmost, e)
-		} else {
+	// shallowest is the shallowest entry so far at or above the current
+	// stamp: preorder visits a subtree right after its root. A parent's stamp
+	// is its child's minus the last component (§3.1), so some entry lies
+	// strictly above the parent iff shallowest does.
+	var shallowest stamp.Stamp
+	for i, e := range s.For(dest) {
+		st := e.Packet.Key.Stamp
+		if i == 0 || st != shallowest && !shallowest.IsAncestorOf(st) {
+			shallowest = st
+		}
+		if shallowest.IsAncestorOf(e.Packet.Parent.Task.Stamp) {
 			shadowed = append(shadowed, e)
+		} else {
+			topmost = append(topmost, e)
 		}
 	}
 	return topmost, shadowed
-}
-
-func sortEntries(es []*Entry) {
-	slices.SortFunc(es, func(a, b *Entry) int { return a.Packet.Key.Compare(b.Packet.Key) })
 }

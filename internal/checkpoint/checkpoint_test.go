@@ -9,11 +9,14 @@ import (
 	"repro/internal/stamp"
 )
 
+// pkt is the packet of the task at path, spawned by its real parent: the
+// task at path minus its last component.
 func pkt(path ...uint32) *proto.TaskPacket {
 	return &proto.TaskPacket{
-		Key:  proto.TaskKey{Stamp: stamp.FromPath(path...)},
-		Fn:   "f",
-		Args: []expr.Value{expr.VInt(1)},
+		Key:    proto.TaskKey{Stamp: stamp.FromPath(path...)},
+		Parent: proto.Addr{Task: proto.TaskKey{Stamp: stamp.FromPath(path[:len(path)-1]...)}},
+		Fn:     "f",
+		Args:   []expr.Value{expr.VInt(1)},
 	}
 }
 
@@ -106,7 +109,8 @@ func TestForReturnsOnlySettledOnDest(t *testing.T) {
 // described in §3.2: processor C holds checkpoints for B2, B3 and B5 in its
 // entry for processor B, where B5 is a descendant of B2. Recovery must
 // reissue B2 and B3 only, suppressing B5 ("Reactivation of B5 only
-// increases the system overhead").
+// increases the system overhead"): B2 lies strictly above B5's parent, which
+// B2's reissue aborts.
 func TestTopmostForPaperFigure1(t *testing.T) {
 	s := NewStore()
 	b2 := pkt(0, 1)
@@ -127,6 +131,84 @@ func TestTopmostForPaperFigure1(t *testing.T) {
 	if len(shadowed) != 1 || shadowed[0].Packet != b5 {
 		t.Fatalf("shadowed = %v", shadowed)
 	}
+}
+
+// TestTopmostForTwoIncarnations is processor 6's store in the torus-16
+// cascade (cmd/apsim/testdata/runs/torus16-cascade.line): an orphaned
+// incarnation of 7.0.0 checkpointed 7.0.0.0, the live 7.0.0.0 that replaced
+// it checkpointed 7.0.0.0.1, and both settled on processor 7. Reissuing
+// 7.0.0.0 aborts only what lies strictly below it, not the live 7.0.0.0, so
+// its lost child must be reissued too or its hole is never filled.
+func TestTopmostForTwoIncarnations(t *testing.T) {
+	s := NewStore()
+	orphans, lives := pkt(7, 0, 0, 0), pkt(7, 0, 0, 0, 1)
+	for _, p := range []*proto.TaskPacket{orphans, lives} {
+		s.Retain(p)
+		s.Settle(p.Key, 7)
+	}
+	top, shadowed := s.TopmostFor(7)
+	if len(top) != 2 || top[0].Packet != orphans || top[1].Packet != lives || len(shadowed) != 0 {
+		t.Fatalf("top=%v shadowed=%v, want both topmost", keys(top), keys(shadowed))
+	}
+}
+
+// FuzzTopmostFor: for any entry set, TopmostFor partitions each
+// destination's entries, in For's order, exactly as the rule's brute-force
+// statement does: an entry is shadowed iff some entry settled on the same
+// destination has a stamp strictly above the entry's parent stamp. Each
+// entry is a header byte (level 1–5, destination 0–2, replica 0–1) and then
+// one byte per stamp component (0–2); its parent is its path minus the last
+// component, in the same replica.
+func FuzzTopmostFor(f *testing.F) {
+	f.Add([]byte{6, 0, 1, 6, 0, 2, 9, 0, 1, 0, 2, 0}) // Figure 1, on processor 1
+	f.Add([]byte{8, 1, 0, 0, 0, 9, 1, 0, 0, 0, 1})    // two incarnations, on 1
+	f.Add([]byte{5, 2, 20, 2, 22, 2, 1, 0, 11, 2, 1}) // 2, 2#1 and 2.1.0#1 on 1; 2.1 on 2
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewStore()
+		for len(data) > 0 {
+			h := data[0]
+			level := 1 + int(h%5)
+			if len(data) < 1+level {
+				break
+			}
+			path := make([]uint32, level)
+			for i := range path {
+				path[i] = uint32(data[1+i] % 3)
+			}
+			data = data[1+level:]
+			p := pkt(path...)
+			p.Key.Rep = proto.Rep(h / 15 % 2)
+			p.Parent.Task.Rep = p.Key.Rep
+			s.Retain(p)
+			s.Settle(p.Key, proto.ProcID(h/5%3))
+		}
+		for dest := range proto.ProcID(3) {
+			all := s.For(dest)
+			var wantTop, wantShadowed []*Entry
+			for _, e := range all {
+				if slices.ContainsFunc(all, func(a *Entry) bool {
+					return a.Packet.Key.Stamp.IsAncestorOf(e.Packet.Parent.Task.Stamp)
+				}) {
+					wantShadowed = append(wantShadowed, e)
+				} else {
+					wantTop = append(wantTop, e)
+				}
+			}
+			top, shadowed := s.TopmostFor(dest)
+			if !slices.Equal(top, wantTop) || !slices.Equal(shadowed, wantShadowed) {
+				t.Fatalf("dest %d: TopmostFor = %v / %v, want %v / %v", dest, keys(top), keys(shadowed), keys(wantTop), keys(wantShadowed))
+			}
+		}
+	})
+}
+
+// keys is the entries' keys, for failure messages.
+func keys(es []*Entry) []proto.TaskKey {
+	out := make([]proto.TaskKey, len(es))
+	for i, e := range es {
+		out[i] = e.Packet.Key
+	}
+	return out
 }
 
 func TestTopmostForEmptyDest(t *testing.T) {

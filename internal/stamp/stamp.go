@@ -128,43 +128,3 @@ func FromPath(path ...uint32) Stamp {
 	}
 	return s
 }
-
-// Topmost returns the minimal antichain covering the given stamps: every
-// input stamp is either in the result or a descendant of a result element,
-// and no result element is an ancestor of another. This is the "topmost
-// checkpoint" computation of §3.2: recovery redoes only the most ancient
-// ancestors and ignores the rest. The result is sorted in preorder.
-func Topmost(stamps []Stamp) []Stamp {
-	if len(stamps) == 0 {
-		return nil
-	}
-	sorted := make([]Stamp, len(stamps))
-	copy(sorted, stamps)
-	sortStamps(sorted)
-	out := sorted[:0]
-	for _, s := range sorted {
-		if len(out) > 0 {
-			last := out[len(out)-1]
-			if last == s || last.IsAncestorOf(s) {
-				continue
-			}
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// sortStamps sorts in preorder (lexicographic on the encoded path).
-func sortStamps(stamps []Stamp) {
-	// Insertion sort is fine for the small sets used per destination entry,
-	// but use an explicit shell gap sequence to stay linearithmic on the
-	// larger sets produced by failure-time scans.
-	n := len(stamps)
-	for gap := n / 2; gap > 0; gap /= 2 {
-		for i := gap; i < n; i++ {
-			for j := i; j >= gap && stamps[j-gap].Compare(stamps[j]) > 0; j -= gap {
-				stamps[j-gap], stamps[j] = stamps[j], stamps[j-gap]
-			}
-		}
-	}
-}

@@ -152,27 +152,6 @@ func TestPathRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTopmost(t *testing.T) {
-	b2 := FromPath(0, 1)          // "B2"
-	b3 := FromPath(0, 2)          // "B3"
-	b5 := FromPath(0, 1, 0, 2, 0) // descendant of B2: the paper's B5 case
-	got := Topmost([]Stamp{b5, b3, b2})
-	if len(got) != 2 || got[0] != b2 || got[1] != b3 {
-		t.Fatalf("Topmost = %v, want [%v %v]", got, b2, b3)
-	}
-	if !antichain(got) {
-		t.Fatalf("Topmost result %v is not an antichain", got)
-	}
-	if Topmost(nil) != nil {
-		t.Error("Topmost(nil) should be nil")
-	}
-	// Duplicates collapse.
-	got = Topmost([]Stamp{b2, b2})
-	if len(got) != 1 {
-		t.Fatalf("Topmost with duplicates = %v", got)
-	}
-}
-
 // path is s as its components, the oracle the property tests compare with.
 func path(s Stamp) []uint32 {
 	out := make([]uint32, s.Level())
@@ -180,18 +159,6 @@ func path(s Stamp) []uint32 {
 		out[k] = s.Component(k)
 	}
 	return out
-}
-
-// antichain reports whether no two stamps of the set are equal or related.
-func antichain(stamps []Stamp) bool {
-	for i, a := range stamps {
-		for j, b := range stamps {
-			if i != j && (a == b || a.IsAncestorOf(b)) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // randomStamp builds a stamp with level in [0,6] and small components so
@@ -249,59 +216,6 @@ func TestQuickCompareMatchesPathOrder(t *testing.T) {
 		return a.Compare(b) == less(path(a), path(b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickTopmostCovers(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	f := func() bool {
-		n := r.Intn(12)
-		in := make([]Stamp, n)
-		for i := range in {
-			in[i] = randomStamp(r)
-		}
-		top := Topmost(in)
-		if !antichain(top) {
-			return false
-		}
-		// Every input is in top or a descendant of an element of top.
-		for _, s := range in {
-			covered := false
-			for _, a := range top {
-				if a == s || a.IsAncestorOf(s) {
-					covered = true
-					break
-				}
-			}
-			if !covered {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickSortIsTotalOrder(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	f := func() bool {
-		n := 1 + r.Intn(20)
-		in := make([]Stamp, n)
-		for i := range in {
-			in[i] = randomStamp(r)
-		}
-		sortStamps(in)
-		for i := 1; i < n; i++ {
-			if in[i-1].Compare(in[i]) > 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
