@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"math"
+	"sync/atomic"
+
 	"repro/internal/proto"
 	"repro/internal/sim"
 )
@@ -15,10 +18,16 @@ import (
 // reported within DefaultHeartbeatMisses+1 periods and a link latency of the
 // crash — TestDetectorCompleteness) and cost (one message per directed
 // neighbour pair per period — TestHeartbeatCostClosedForm).
+//
+// A beat is never a kernel event. Its send time, flight and the moment its
+// stream stops are all known, so the watcher evaluates each neighbour's
+// stream in closed form at its own tick (beatLink.lastHeard): the sender
+// accounts each beat as a transmitted message and delivers nothing.
 type detector struct {
+	every     sim.Time       // the beat period
 	limit     sim.Time       // silence longer than this is a failure
 	neighbors []proto.ProcID // whom it watches; empty when the service is off
-	last      []sim.Time     // by ProcID: when the neighbour was last heard
+	in        []beatLink     // parallel to neighbors: each one's stream to this watcher
 	silent    []proto.ProcID // tick's result buffer, reused
 }
 
@@ -27,38 +36,83 @@ type detector struct {
 // period instead of bunching them on one tick.
 func beatPhase(id proto.ProcID, every sim.Time) sim.Time { return sim.Time(id) % every }
 
-// newDetector watches neighbors, among n processors that each beat once per
-// every ticks from time 0. Each neighbour starts as if heard at its own
-// phase — one period before its first real beat — because what refreshes a
+// never is a beatLink's until while its sender still beats.
+const never = math.MaxInt64
+
+// beatLink is one directed neighbour pair's heartbeat stream: the sender
+// beats at phase + k·every, k ≥ 1, each beat lands flight ticks later, and
+// the stream stops for good at until — the first due beat the sender does
+// not send (its next tick once it dies, or its first tick after it suspects
+// the watcher). The sender writes until once, from its own shard; a watcher
+// on another shard only ever needs beats sent at least flight ≥ the
+// lookahead horizon before its tick, which the window barrier has already
+// published, so the atomic only keeps the race detector informed.
+type beatLink struct {
+	phase, flight sim.Time
+	// senderFirst: the sender's id is below the watcher's, so a beat landing
+	// at the watcher's tick time dispatches first (the kernel's (time, src,
+	// seq) order) and counts as heard. (A watcher's first tick is scheduled
+	// by the driver and dispatches before every beat, but at that tick even
+	// the seed lies within the limit, so the verdict is the same.)
+	senderFirst bool
+	until       atomic.Int64
+}
+
+// stop ends the stream at the beat due at t, unless it already ended.
+func (l *beatLink) stop(t sim.Time) {
+	if l.until.Load() == never {
+		l.until.Store(int64(t))
+	}
+}
+
+// lastHeard is when a watcher ticking at now last heard the stream: the
+// arrival of the latest beat k ≥ 1 sent before until that lands before now
+// (or at now, if the sender dispatches first), and the phase when there is
+// none — one period before the first real beat, since what refreshes a
 // one-way detector is the neighbour's stagger, not the watcher's: seeded at
 // 0, processor 251 of hypercube-256 reaches its second tick (t = 501) before
 // neighbour 249's first beat (sent at t = 499, heard at 505) and declares a
-// live processor dead. A disabled service (every = 0) watches nobody.
-func newDetector(neighbors []proto.ProcID, n int, every sim.Time) detector {
+// live processor dead.
+func (l *beatLink) lastHeard(every, now sim.Time) sim.Time {
+	latest := now - l.flight // the last send time whose beat has landed
+	if !l.senderFirst {
+		latest--
+	}
+	latest = min(latest, sim.Time(l.until.Load())-1)
+	if latest-l.phase < every {
+		return l.phase
+	}
+	return l.phase + (latest-l.phase)/every*every + l.flight
+}
+
+// newDetector makes processor id watch neighbors, which each beat once per
+// every ticks from time 0, a beat crossing hops(neighbour, id) links. A
+// disabled service (every = 0) watches nobody.
+func newDetector(id proto.ProcID, neighbors []proto.ProcID, every sim.Time, hops func(from, to proto.ProcID) int) detector {
 	if every <= 0 {
 		return detector{}
 	}
 	d := detector{
+		every:     every,
 		limit:     every * DefaultHeartbeatMisses,
 		neighbors: neighbors,
-		last:      make([]sim.Time, n),
+		in:        make([]beatLink, len(neighbors)),
 	}
-	for _, nb := range neighbors {
-		d.last[nb] = beatPhase(nb, every)
+	for i, nb := range neighbors {
+		l := &d.in[i]
+		l.phase, l.flight, l.senderFirst = beatPhase(nb, every), flightTime(hops(nb, id)), nb < id
+		l.until.Store(never)
 	}
 	return d
 }
-
-// heard records a beat from a neighbour.
-func (d *detector) heard(from proto.ProcID, now sim.Time) { d.last[from] = now }
 
 // tick returns the neighbours silent past the limit, in neighbour order; a
 // neighbour is reported at every tick it stays silent. The slice is valid
 // until the next tick.
 func (d *detector) tick(now sim.Time) []proto.ProcID {
 	d.silent = d.silent[:0]
-	for _, nb := range d.neighbors {
-		if now-d.last[nb] > d.limit {
+	for i, nb := range d.neighbors {
+		if now-d.in[i].lastHeard(d.every, now) > d.limit {
 			d.silent = append(d.silent, nb)
 		}
 	}

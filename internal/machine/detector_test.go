@@ -111,3 +111,46 @@ func TestReplyTimersCoverTheRoundTrip(t *testing.T) {
 		t.Errorf("fault-free ring-600: %d detections, %d tasks leaked; want none", got.Detections, got.TasksLeaked)
 	}
 }
+
+// FuzzBeatLink checks the detector's closed form against the schedule it
+// stands for: a watcher ticking at now last heard the latest beat
+// k = 1, 2, … (sent at phase + k·every, sent only before until, landing
+// flight ticks later) that landed before now — or at now when the sender
+// dispatches first — and the seeded phase when none has. The seeds cover a
+// tick before the first beat could land (now − flight − phase < 0, where
+// Go's division truncates toward zero), a stream stopped at or before its
+// first beat, and arrivals tied with the tick on either side of the id order.
+func FuzzBeatLink(f *testing.F) {
+	f.Add(int64(1), int64(6), int64(250), int64(never), int64(257), true)   // tie, sender first: heard
+	f.Add(int64(5), int64(6), int64(250), int64(never), int64(261), false)  // tie, watcher first: not yet
+	f.Add(int64(200), int64(6), int64(250), int64(never), int64(100), true) // now − flight − phase < 0
+	f.Add(int64(1), int64(6), int64(250), int64(251), int64(5_000), true)   // until at the first beat
+	f.Add(int64(1), int64(6), int64(250), int64(-40), int64(5_000), false)  // until before the stream starts
+	f.Add(int64(7), int64(6), int64(100), int64(507), int64(10_000), false) // stopped mid-stream
+	f.Add(int64(0), int64(0), int64(1), int64(never), int64(-3), false)     // negative now
+	f.Fuzz(func(t *testing.T, phase, flight, every, until, now int64, senderFirst bool) {
+		mod := func(x int64, m uint64) sim.Time { return sim.Time(uint64(x) % m) }
+		e := 1 + mod(every, 1_000)
+		ph := mod(phase, uint64(e))
+		fl := mod(flight, 2_000)
+		nw := mod(now, 60_000) - 1_000
+		un := sim.Time(never)
+		if until != never {
+			un = mod(until, 60_000) - 1_000
+		}
+		want := ph
+		for k := sim.Time(1); ; k++ {
+			sent := ph + k*e
+			if sent >= un || sent+fl > nw || (sent+fl == nw && !senderFirst) {
+				break
+			}
+			want = sent + fl
+		}
+		l := beatLink{phase: ph, flight: fl, senderFirst: senderFirst}
+		l.until.Store(int64(un))
+		if got := l.lastHeard(e, nw); got != want {
+			t.Fatalf("lastHeard(phase %d, flight %d, every %d, until %d, now %d, senderFirst %v) = %d, want %d",
+				ph, fl, e, un, nw, senderFirst, got, want)
+		}
+	})
+}

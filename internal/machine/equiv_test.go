@@ -12,10 +12,10 @@ import (
 )
 
 // TestSliceStateMatchesMapSemantics pins the ProcID-indexed slices that
-// replaced the per-proc maps (faulty, nbGrad, the detector's last-heard
-// table) to the map semantics: an id never written behaves like an absent
-// key — not faulty, MaxGradient — and out-of-range ids (the host, pending
-// placements) are never faulty.
+// replaced the per-proc maps (faulty, nbGrad) to the map semantics: an id
+// never written behaves like an absent key — not faulty, MaxGradient — and
+// out-of-range ids (the host, pending placements) are never faulty. It also
+// pins how the detector reads a neighbour's heartbeat stream.
 func TestSliceStateMatchesMapSemantics(t *testing.T) {
 	topo, err := topology.ByName("mesh", 9)
 	if err != nil {
@@ -58,15 +58,31 @@ func TestSliceStateMatchesMapSemantics(t *testing.T) {
 		t.Fatalf("gossiped gradient = %d, want 3", g)
 	}
 
-	// The detector's table: a neighbor starts as heard at its own beat
-	// phase, and a beat — one-way, nothing answers it — overwrites that with
-	// the hearing time.
-	if got := p.det.last[1]; got != 1 {
-		t.Fatalf("neighbor 1 seeded as heard at %d, want its phase 1", got)
+	// The detector's streams: a neighbor starts as heard at its own beat
+	// phase, reads as heard at its first beat's arrival once that beat has
+	// landed, and a beat landing exactly at the watcher's tick counts only
+	// when the sender's id is lower (it dispatches first). Neighbour 1 beats
+	// at 251 and lands at 257; neighbour 5 beats at 255 and lands at 261.
+	every, flight := m.cfg.HeartbeatEvery, flightTime(1)
+	from1, from5 := &p.det.in[0], &p.det.in[2]
+	if p.det.neighbors[0] != 1 || p.det.neighbors[2] != 5 {
+		t.Fatalf("mesh-9 processor 4 watches %v, want [1 3 5 7]", p.det.neighbors)
 	}
-	p.onHeartbeat(&proto.Msg{Type: proto.MsgHeartbeat, From: 1, To: 4})
-	if p.det.last[1] != m.kern.Now() {
-		t.Fatal("heartbeat did not record the hearing time")
+	for _, c := range []struct {
+		link *beatLink
+		now  sim.Time
+		want sim.Time
+	}{
+		{from1, 0, 1},                                   // seeded at its phase
+		{from1, every + 1 + flight - 1, 1},              // first beat still in flight
+		{from1, every + 1 + flight, every + 1 + flight}, // lands at the tick, sender 1 < 4: heard
+		{from1, every + 1 + flight + 1, every + 1 + flight},
+		{from5, every + 5 + flight, 5}, // lands at the tick, sender 5 > 4: not yet
+		{from5, every + 5 + flight + 1, every + 5 + flight},
+	} {
+		if got := c.link.lastHeard(every, c.now); got != c.want {
+			t.Errorf("lastHeard(now=%d) from phase %d = %d, want %d", c.now, c.link.phase, got, c.want)
+		}
 	}
 }
 

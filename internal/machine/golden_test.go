@@ -32,7 +32,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_traces.tx
 // follow pending event times, and with the gossip ticks gone that last
 // window takes in nine more messages. Both moved again when a message became
 // what send puts on the wire (messages only) and when heartbeats went one-way:
-// the acks, and the kernel events that delivered them, are gone.
+// the acks, and the kernel events that delivered them, are gone. kernel_events
+// alone moved when the simulated detector began reading beats off their
+// schedule: a beat is still sent and counted, but no event delivers it.
 var goldenCells = []struct {
 	name   string
 	scheme string

@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -237,7 +238,27 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 	}
 	m.host = newProc(proto.HostID, m, true)
 	m.wireProc(m.host, m.n, homes[m.n])
+	m.linkBeats()
 	return m, nil
+}
+
+// linkBeats hands every processor the heartbeat streams it writes, which its
+// neighbours' detectors hold: topologies are undirected with sorted
+// neighbour lists, so q's watch on neighbour p sits at q's index in p's list.
+func (m *Machine) linkBeats() {
+	for _, q := range m.procs {
+		for i, nb := range q.det.neighbors {
+			p := m.procs[nb]
+			if p.beats == nil {
+				p.beats = make([]*beatLink, len(p.neighbors))
+			}
+			j, ok := slices.BinarySearch(p.neighbors, q.id)
+			if !ok {
+				panic(fmt.Sprintf("machine: %d neighbours %d but not back", q.id, nb))
+			}
+			p.beats[j] = &q.det.in[i]
+		}
+	}
 }
 
 // wireProc pins a processor to its shard and seeds its private determinism
@@ -369,9 +390,9 @@ func (m *Machine) noteDetection(p *proc, failed proto.ProcID) {
 	})
 }
 
-// send transmits a message, and is the one place a message is accounted: a
-// message is what send puts on the wire, so its count, bytes and hops advance
-// together here and nowhere else (hops.wire >= TotalMessages always). Dead
+// send transmits a message. A message is what send (or heartbeatTick, for a
+// beat) puts on the wire, so its count, bytes and hops advance together in
+// account and nowhere else (hops.wire >= TotalMessages always). Dead
 // processors transmit nothing and a local (from == to) delivery costs one
 // tick and no wire, so neither counts. The message is taken by value: the
 // machine copies it into a pooled envelope that lives exactly until
@@ -391,11 +412,20 @@ func (m *Machine) send(msg proto.Msg) {
 		sc.k.AfterMsg(1, sc.getMsg(msg))
 		return
 	}
+	hops := m.account(sc, msg)
+	sc.k.AtMsgTo(sc.k.Now()+flightTime(hops), m.ownerOf(msg.To), sc.getMsg(msg))
+}
+
+// account files one message a live processor puts on the wire between two
+// distinct ends — its category count, bytes and hops together — on the
+// sender's shard sc, and returns the hops. send calls it for every message
+// it enqueues, heartbeatTick for every beat (which is never enqueued).
+func (m *Machine) account(sc *shardCtx, msg proto.Msg) int {
 	hops := m.hops(msg.From, msg.To)
 	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
 	sc.metrics.HopsOnWire += int64(hops)
 	countMsg(&sc.metrics, msg.Type)
-	sc.k.AtMsgTo(sc.k.Now()+flightTime(hops), m.ownerOf(msg.To), sc.getMsg(msg))
+	return hops
 }
 
 // flightTime is the virtual latency of a message that crosses hops links.

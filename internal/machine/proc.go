@@ -72,8 +72,12 @@ type proc struct {
 	nbGrad       []int
 	lastSentGrad int
 
-	// det watches the neighbors' heartbeats.
-	det detector
+	// det watches the neighbors' heartbeats; beats[i] is this processor's
+	// own stream to neighbors[i], which that neighbour's detector reads.
+	// nextBeat is when the next heartbeat tick is due.
+	det      detector
+	beats    []*beatLink
+	nextBeat sim.Time
 
 	// relayBuf buffers orphan results for twins whose placement is not yet
 	// acknowledged (§4.1 "Having the grandparent relay partial results").
@@ -173,7 +177,7 @@ func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
 		for _, nb := range m.cfg.Topo.Neighbors(toNode(id)) {
 			p.neighbors = append(p.neighbors, proto.ProcID(nb))
 		}
-		p.det = newDetector(p.neighbors, m.n, m.cfg.HeartbeatEvery)
+		p.det = newDetector(id, p.neighbors, m.cfg.HeartbeatEvery, m.hops)
 	}
 	p.hbFn = p.heartbeatTick
 	p.gossipFn = p.gossipTick
@@ -1228,26 +1232,26 @@ func (p *proc) onFaultAnnounce(msg *proto.Msg) {
 }
 
 // heartbeatTick declares the neighbors the detector reports silent and
-// sends this processor's own beat to the rest.
+// beats to the rest. A beat is transmitted and accounted like any message
+// but never delivered: its watcher reads it off the stream (beatLink), so
+// suspecting a neighbour ends the stream to it instead.
 func (p *proc) heartbeatTick() {
 	if p.dead {
 		return
 	}
-	for _, nb := range p.det.tick(p.k.Now()) {
+	now := p.k.Now()
+	for _, nb := range p.det.tick(now) {
 		p.declareFaulty(nb)
 	}
-	for _, nb := range p.neighbors {
-		if !p.faulty[nb] {
-			p.m.send(proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: nb})
+	for i, nb := range p.neighbors {
+		if p.faulty[nb] {
+			p.beats[i].stop(now)
+		} else {
+			p.m.account(p.sc, proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: nb})
 		}
 	}
+	p.nextBeat = now + p.m.cfg.HeartbeatEvery
 	p.hbTimer = p.k.After(p.m.cfg.HeartbeatEvery, p.hbFn)
-}
-
-// onHeartbeat: a beat is one-way — hearing it is the evidence, nothing
-// answers it.
-func (p *proc) onHeartbeat(msg *proto.Msg) {
-	p.det.heard(msg.From, p.k.Now())
 }
 
 // --- gradient gossip ---
@@ -1297,8 +1301,6 @@ func (p *proc) handle(msg *proto.Msg) {
 		p.onChildAbort(msg)
 	case proto.MsgFaultAnnounce:
 		p.onFaultAnnounce(msg)
-	case proto.MsgHeartbeat:
-		p.onHeartbeat(msg)
 	case proto.MsgLoad:
 		p.onLoad(msg)
 	default:
@@ -1341,6 +1343,9 @@ func (p *proc) die(announced bool) {
 	p.busy = false
 	p.tasks = make(map[proto.TaskKey]*task)
 	p.readyQ = nil
+	for _, l := range p.beats {
+		l.stop(p.nextBeat)
+	}
 	p.hbTimer.Stop()
 	p.gossipTimer.Stop()
 }

@@ -219,7 +219,8 @@ func (s *Session) start() {
 	for i, p := range m.procs {
 		p := p
 		if m.cfg.HeartbeatEvery > 0 {
-			m.kern.AtOn(m.cfg.HeartbeatEvery+beatPhase(p.id, m.cfg.HeartbeatEvery), int32(i), p.heartbeatTick)
+			p.nextBeat = m.cfg.HeartbeatEvery + beatPhase(p.id, m.cfg.HeartbeatEvery)
+			m.kern.AtOn(p.nextBeat, int32(i), p.heartbeatTick)
 		}
 		if gossips {
 			m.kern.AtOn(sim.Time(1+i%DefaultLoadGossipEvery), int32(i), p.gossipTick)

@@ -199,7 +199,9 @@ const (
 	MsgFaultAnnounce
 	// MsgHeartbeat is a processor's periodic beat to a neighbor. It is
 	// one-way: under the fail-silent model (§1) hearing the beat is the
-	// liveness evidence, so nothing answers it.
+	// liveness evidence, so nothing answers it. On the simulator a beat is
+	// counted on send but never delivered: the watcher reads its arrival off
+	// the sender's fixed schedule.
 	MsgHeartbeat
 	// MsgLoad carries gradient-model proximity information to a neighbor.
 	MsgLoad
