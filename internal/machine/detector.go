@@ -21,8 +21,12 @@ import (
 //
 // A beat is never a kernel event. Its send time, flight and the moment its
 // stream stops are all known, so the watcher evaluates each neighbour's
-// stream in closed form at its own tick (beatLink.lastHeard): the sender
-// accounts each beat as a transmitted message and delivers nothing.
+// stream in closed form at its own tick (beatLink.lastHeard), and the run's
+// beats are counted in closed form when its books close (beatLink.sent). Nor
+// does a watcher tick while every stream into it still flows: no live
+// neighbour is ever reported, so such a tick would declare nobody. Its tick
+// chain starts only once a stream into it stops (proc.silence wakes it) —
+// an idle machine dispatches no event at all.
 type detector struct {
 	every     sim.Time       // the beat period
 	limit     sim.Time       // silence longer than this is a failure
@@ -42,27 +46,40 @@ const never = math.MaxInt64
 // beatLink is one directed neighbour pair's heartbeat stream: the sender
 // beats at phase + k·every, k ≥ 1, each beat lands flight ticks later, and
 // the stream stops for good at until — the first due beat the sender does
-// not send (its next tick once it dies, or its first tick after it suspects
-// the watcher). The sender writes until once, from its own shard; a watcher
-// on another shard only ever needs beats sent at least flight ≥ the
-// lookahead horizon before its tick, which the window barrier has already
-// published, so the atomic only keeps the race detector informed.
+// not send (proc.dueBeat, once it dies or suspects the watcher). The sender
+// writes until once, from its own shard; a watcher on another shard only
+// ever needs beats sent at least flight ≥ the lookahead horizon before its
+// tick, which the window barrier has already published, so the atomic only
+// keeps the race detector informed.
 type beatLink struct {
 	phase, flight sim.Time
 	// senderFirst: the sender's id is below the watcher's, so a beat landing
 	// at the watcher's tick time dispatches first (the kernel's (time, src,
-	// seq) order) and counts as heard. (A watcher's first tick is scheduled
-	// by the driver and dispatches before every beat, but at that tick even
+	// seq) order) and counts as heard. (A tick in the watcher's first period
+	// is a driver event that would dispatch before every beat, but there even
 	// the seed lies within the limit, so the verdict is the same.)
 	senderFirst bool
 	until       atomic.Int64
 }
 
-// stop ends the stream at the beat due at t, unless it already ended.
-func (l *beatLink) stop(t sim.Time) {
-	if l.until.Load() == never {
-		l.until.Store(int64(t))
+// stop ends the stream at the beat due at t, unless it already ended, and
+// reports whether it did.
+func (l *beatLink) stop(t sim.Time) bool {
+	if l.until.Load() != never {
+		return false
 	}
+	l.until.Store(int64(t))
+	return true
+}
+
+// sent counts the beats the stream put on the wire before end: those k ≥ 1
+// sent at phase + k·every < min(until, end).
+func (l *beatLink) sent(every, end sim.Time) int64 {
+	last := min(sim.Time(l.until.Load()), end) - 1 - l.phase
+	if last < every {
+		return 0
+	}
+	return int64(last / every)
 }
 
 // lastHeard is when a watcher ticking at now last heard the stream: the

@@ -154,3 +154,38 @@ func FuzzBeatLink(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBeatCount checks the run's closed-form beat count against the schedule
+// it stands for: a stream sends beat k = 1, 2, … at phase + k·every while
+// that instant lies before both until (the first beat it does not send) and
+// end (the covered bound, past which no tick ran). The seeds cover an end
+// before the first beat, an until at or before the end, and an end landing
+// exactly on a beat.
+func FuzzBeatCount(f *testing.F) {
+	f.Add(int64(1), int64(250), int64(never), int64(200)) // end before the first beat
+	f.Add(int64(1), int64(250), int64(501), int64(2_000)) // until before the end
+	f.Add(int64(1), int64(250), int64(751), int64(751))   // until at the end
+	f.Add(int64(5), int64(250), int64(never), int64(755)) // end exactly on a beat
+	f.Add(int64(5), int64(250), int64(never), int64(756)) // end just past a beat
+	f.Add(int64(0), int64(1), int64(-40), int64(10_000))  // until before the stream starts
+	f.Add(int64(63), int64(100), int64(never), int64(-3)) // negative end
+	f.Fuzz(func(t *testing.T, phase, every, until, end int64) {
+		mod := func(x int64, m uint64) sim.Time { return sim.Time(uint64(x) % m) }
+		e := 1 + mod(every, 1_000)
+		ph := mod(phase, uint64(e))
+		en := mod(end, 60_000) - 1_000
+		un := sim.Time(never)
+		if until != never {
+			un = mod(until, 60_000) - 1_000
+		}
+		var want int64
+		for sent := ph + e; sent < un && sent < en; sent += e {
+			want++
+		}
+		l := beatLink{phase: ph}
+		l.until.Store(int64(un))
+		if got := l.sent(e, en); got != want {
+			t.Fatalf("sent(phase %d, every %d, until %d, end %d) = %d, want %d", ph, e, un, en, got, want)
+		}
+	})
+}

@@ -34,7 +34,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_traces.tx
 // what send puts on the wire (messages only) and when heartbeats went one-way:
 // the acks, and the kernel events that delivered them, are gone. kernel_events
 // alone moved when the simulated detector began reading beats off their
-// schedule: a beat is still sent and counted, but no event delivers it.
+// schedule: a beat is still sent and counted, but no event delivers it. It
+// moved once more when a processor's heartbeat ticks began only once a
+// stream into it stopped: the fault-free cell's ticks are gone, the burst
+// cells keep the ticks of the victims' neighbours.
 var goldenCells = []struct {
 	name   string
 	scheme string

@@ -2,13 +2,16 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/balance"
 	"repro/internal/faults"
 	"repro/internal/lang"
+	"repro/internal/proto"
 	"repro/internal/recovery"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // startIdle starts a fault-free 64-processor rollback machine with no
@@ -45,33 +48,19 @@ func idleMachine(t testing.TB, kind string, placement balance.Policy, ticks sim.
 	return m, s.Finish()
 }
 
-// heartbeatEvents counts, from the schedule alone, the kernel events an idle
-// machine's failure detector dispatches in the first `ticks` ticks: each
-// processor's tick, every period from period + its phase. The beats those
-// ticks send are accounted but never delivered — the watchers read them off
-// their schedule — so they dispatch nothing.
-func heartbeatEvents(m *Machine, ticks sim.Time) uint64 {
-	every := m.cfg.HeartbeatEvery
-	var n uint64
-	for _, p := range m.procs {
-		if first := every + beatPhase(p.id, every); first <= ticks {
-			n += uint64((ticks-first)/every) + 1
-		}
-	}
-	return n
-}
-
-// TestIdleMachineSchedulesOnlyHeartbeats pins the gating of the gossip
-// service: only the gradient policy reads gossiped load, so under every
-// other placement an idle processor's one periodic event is its heartbeat
-// tick — every dispatched event is one (2 497 on torus-64 in 10 000 ticks).
+// TestIdleMachineSchedulesOnlyHeartbeats pins the cost of an idle machine:
+// only the gradient policy reads gossiped load, so under every other
+// placement an idle processor's one periodic service is its heartbeat — and
+// a processor's heartbeat ticks start only once a stream into it stops. So
+// an idle torus-64 dispatches no event at all in 10 000 ticks, while its
+// beats are still sent and counted (TestHeartbeatCostClosedForm).
 func TestIdleMachineSchedulesOnlyHeartbeats(t *testing.T) {
 	const ticks = 10_000
 	for _, placement := range []balance.Policy{balance.NewRandom(), balance.NewStaticHash(), balance.NewLocal()} {
 		t.Run(placement.Name(), func(t *testing.T) {
-			m, rep := idleMachine(t, "torus", placement, ticks)
-			if want := heartbeatEvents(m, ticks); rep.Events != want {
-				t.Errorf("idle machine dispatched %d events, want %d (heartbeat ticks only)", rep.Events, want)
+			_, rep := idleMachine(t, "torus", placement, ticks)
+			if rep.Events != 0 {
+				t.Errorf("idle machine dispatched %d events, want 0", rep.Events)
 			}
 			if rep.Metrics.MsgLoad != 0 {
 				t.Errorf("MsgLoad = %d, want 0", rep.Metrics.MsgLoad)
@@ -93,7 +82,7 @@ func TestIdleGradientMachineUnchanged(t *testing.T) {
 	const ticks = 10_000
 	m, rep := idleMachine(t, "torus", balance.NewGradient(), ticks)
 	var wantMsgLoad int64
-	wantEvents := heartbeatEvents(m, ticks)
+	var wantEvents uint64
 	for i, p := range m.procs {
 		wantMsgLoad += int64(len(p.neighbors))
 		first := sim.Time(1 + i%DefaultLoadGossipEvery)
@@ -108,7 +97,8 @@ func TestIdleGradientMachineUnchanged(t *testing.T) {
 
 // TestDieWithUnarmedGossipTimerIsInert kills a processor whose gossip timer
 // was never armed (any non-gradient placement): stopping the zero Timer must
-// do nothing, and the rest of the machine keeps beating.
+// do nothing, no heartbeat is pending to remove, and the neighbours — woken
+// because the victim's streams into them stopped — still detect the crash.
 func TestDieWithUnarmedGossipTimerIsInert(t *testing.T) {
 	m, s := startIdle(t, "torus", balance.NewRandom())
 	m.kern.RunUntil(1_000, 0)
@@ -121,8 +111,8 @@ func TestDieWithUnarmedGossipTimerIsInert(t *testing.T) {
 	if p.gossipTimer.Active() || p.hbTimer.Active() {
 		t.Error("timers still active after die")
 	}
-	if got := m.kern.Pending(); got != pending-1 {
-		t.Errorf("die removed %d pending events, want 1 (the heartbeat)", pending-got)
+	if got := m.kern.Pending(); got != pending {
+		t.Errorf("die removed %d pending events, want 0 (an idle machine has no heartbeat pending)", pending-got)
 	}
 	m.kern.RunUntil(5_000, 0)
 	rep := s.Finish()
@@ -134,10 +124,107 @@ func TestDieWithUnarmedGossipTimerIsInert(t *testing.T) {
 	}
 }
 
+// armAll starts every processor's heartbeat chain at its first tick, as if
+// every stream had always needed watching: the reference a lazily woken
+// machine must reproduce.
+func armAll(m *Machine) {
+	every := m.cfg.HeartbeatEvery
+	for _, p := range m.procs {
+		p.ticking = true
+		p.nextBeat = every + beatPhase(p.id, every)
+		p.hbTimer = m.kern.AtOn(p.nextBeat, int32(p.idx), p.hbFn)
+	}
+}
+
+// firstDetection is the closed form of a watcher's verdict on one stream:
+// the first tick of watcher q (its phase + k·every) at which the stream from
+// the victim has been silent past the limit.
+func firstDetection(q *proc, l *beatLink) sim.Time {
+	d := &q.det
+	for tick := beatPhase(q.id, d.every) + d.every; ; tick += d.every {
+		if tick-l.lastHeard(d.every, tick) > d.limit {
+			return tick
+		}
+	}
+}
+
+// TestSilentCrashWakesOnlyItsNeighbours is the cost contract under a fault:
+// one silent crash on an idle torus-64 starts the tick chains of exactly the
+// victim's neighbours — the watchers of the streams that stopped — and
+// nobody else's. Their verdicts land on the very ticks a machine that ticks
+// everywhere reaches, traces and reports byte-identical but for the events
+// the idle ticks cost, and the first detection is at the earliest
+// neighbour's closed-form verdict. The crash times cover the seeded phase
+// (before the victim's first beat), its first beat (a driver-scheduled tick
+// tied with the crash), a later beat and a sweep of one period; every shard
+// count wakes the same processors at the same ticks.
+func TestSilentCrashWakesOnlyItsNeighbours(t *testing.T) {
+	const victim = 27
+	topo := mustTopo(t, "torus", 64)
+	every := sim.Time(DefaultHeartbeatEvery)
+	crashes := []sim.Time{100, every + victim, 2*every + victim}
+	for c := 2 * every; c < 3*every; c += every/10 + 1 {
+		crashes = append(crashes, c)
+	}
+	for _, crash := range crashes {
+		plan := faults.Crash(victim, int64(crash), false)
+		until := crash + 5*every
+		run := func(shards int, reference bool) (*Machine, *Report, string) {
+			tl := trace.NewLog()
+			m, s := startIdleCfg(t, Config{Topo: topo, Scheme: recovery.Rollback(), Seed: 1, Shards: shards, Trace: tl}, plan)
+			if reference {
+				armAll(m)
+			}
+			m.kern.RunUntil(until, 0)
+			return m, s.Finish(), traceDump(tl)
+		}
+		refM, ref, refTrace := run(1, true)
+		for _, shards := range []int{1, 2, 4} {
+			m, rep, tr := run(shards, false)
+			nbs := m.procs[victim].neighbors
+			var woken []proto.ProcID
+			for _, p := range m.procs {
+				if p.ticking {
+					woken = append(woken, p.id)
+				}
+			}
+			if !slices.Equal(woken, nbs) {
+				t.Errorf("crash at %d, %d shards: ticking %v, want the victim's neighbours %v", crash, shards, woken, nbs)
+			}
+			if tr != refTrace {
+				t.Errorf("crash at %d, %d shards: trace diverged from ticking everywhere (%s)", crash, shards, firstTraceDiff(refTrace, tr))
+			}
+			if rep.Events >= ref.Events {
+				t.Errorf("crash at %d, %d shards: %d events, not fewer than ticking everywhere (%d)", crash, shards, rep.Events, ref.Events)
+			}
+			rep.Events = ref.Events
+			if got, want := reportLine(rep), reportLine(ref); got != want {
+				t.Errorf("crash at %d, %d shards: report\n got  %s\n want %s", crash, shards, got, want)
+			}
+			first := sim.Time(-1)
+			for i, nb := range nbs {
+				l := &m.procs[nb].det.in[slices.Index(m.procs[nb].neighbors, victim)]
+				at := firstDetection(m.procs[nb], l)
+				if first < 0 || at < first {
+					first = at
+				}
+				if !m.procs[nb].faulty[victim] || !refM.procs[nbs[i]].faulty[victim] {
+					t.Errorf("crash at %d: neighbour %d never declared the victim", crash, nb)
+				}
+			}
+			if got := rep.Metrics; got.FirstDetections != 1 || crash+sim.Time(got.DetectLatencySum) != first {
+				t.Errorf("crash at %d, %d shards: first detection at %d (%d first detections), want %d",
+					crash, shards, crash+sim.Time(got.DetectLatencySum), got.FirstDetections, first)
+			}
+		}
+	}
+}
+
 // BenchmarkIdleMachine is the profiling entry point for the background path:
-// 64 processors with nothing to do but beat to their neighbours for 100 000
-// virtual ticks, so the heartbeat ticks — the detector's closed-form reads
-// and the beats' accounting — and the kernel's heap are the whole cost.
+// 64 processors with nothing to do for 100 000 virtual ticks but watch one
+// silent crash at t = 2 000. Only the victim's neighbours tick — a machine
+// with no crash dispatches nothing — so the detector's closed-form reads,
+// the tick chains and the kernel's heap are the whole cost.
 // Speed claims are made with `bash bench/run.sh`, not here.
 //
 //	go test -run '^$' -bench IdleMachine -benchtime 5x -cpuprofile /tmp/idle.prof ./internal/machine
@@ -146,8 +233,10 @@ func BenchmarkIdleMachine(b *testing.B) {
 		b.Run(fmt.Sprintf("%s-64", kind), func(b *testing.B) {
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				_, rep := idleMachine(b, kind, balance.NewRandom(), 100_000)
-				events += rep.Events
+				cfg := Config{Topo: mustTopo(b, kind, 64), Scheme: recovery.Rollback(), Seed: 1}
+				m, s := startIdleCfg(b, cfg, faults.Crash(27, 2_000, false))
+				m.kern.RunUntil(100_000, 0)
+				events += s.Finish().Events
 			}
 			b.ReportMetric(float64(events)/float64(b.N), "events/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")

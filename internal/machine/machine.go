@@ -390,9 +390,9 @@ func (m *Machine) noteDetection(p *proc, failed proto.ProcID) {
 	})
 }
 
-// send transmits a message. A message is what send (or heartbeatTick, for a
-// beat) puts on the wire, so its count, bytes and hops advance together in
-// account and nowhere else (hops.wire >= TotalMessages always). Dead
+// send transmits a message. A message is what send (or, for a beat, the
+// schedule countBeats reads) puts on the wire, so its count, bytes and hops
+// advance together (hops.wire >= TotalMessages always). Dead
 // processors transmit nothing and a local (from == to) delivery costs one
 // tick and no wire, so neither counts. The message is taken by value: the
 // machine copies it into a pooled envelope that lives exactly until
@@ -412,20 +412,29 @@ func (m *Machine) send(msg proto.Msg) {
 		sc.k.AfterMsg(1, sc.getMsg(msg))
 		return
 	}
-	hops := m.account(sc, msg)
-	sc.k.AtMsgTo(sc.k.Now()+flightTime(hops), m.ownerOf(msg.To), sc.getMsg(msg))
-}
-
-// account files one message a live processor puts on the wire between two
-// distinct ends — its category count, bytes and hops together — on the
-// sender's shard sc, and returns the hops. send calls it for every message
-// it enqueues, heartbeatTick for every beat (which is never enqueued).
-func (m *Machine) account(sc *shardCtx, msg proto.Msg) int {
 	hops := m.hops(msg.From, msg.To)
 	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
 	sc.metrics.HopsOnWire += int64(hops)
 	countMsg(&sc.metrics, msg.Type)
-	return hops
+	sc.k.AtMsgTo(sc.k.Now()+flightTime(hops), m.ownerOf(msg.To), sc.getMsg(msg))
+}
+
+// countBeats files the run's heartbeats, which no event sends: p's beat
+// k ≥ 1 to a neighbour went on the wire at beatPhase(p) + k·every exactly
+// when that instant lies before both the stream's until and the covered
+// bound — when a tick due then would have run. Counts, bytes and hops
+// advance together, as in send.
+func (m *Machine) countBeats() {
+	every, end := m.cfg.HeartbeatEvery, m.kern.Covered()
+	for _, p := range m.procs {
+		for i, l := range p.beats {
+			n := l.sent(every, end)
+			beat := proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: p.neighbors[i]}
+			m.metrics.MsgHeartbeat += n
+			m.metrics.BytesOnWire += n * int64(beat.EncodedSize())
+			m.metrics.HopsOnWire += n * int64(m.hops(p.id, beat.To))
+		}
+	}
 }
 
 // flightTime is the virtual latency of a message that crosses hops links.
@@ -538,6 +547,7 @@ func (m *Machine) finalReport() *Report {
 	for _, sc := range m.shards {
 		m.metrics.Add(&sc.metrics)
 	}
+	m.countBeats()
 	m.mergeDetections()
 	for _, p := range m.procs {
 		for _, t := range p.tasks {

@@ -74,9 +74,11 @@ type proc struct {
 
 	// det watches the neighbors' heartbeats; beats[i] is this processor's
 	// own stream to neighbors[i], which that neighbour's detector reads.
-	// nextBeat is when the next heartbeat tick is due.
+	// ticking is set once a stream into this processor stopped and its tick
+	// chain started (arm); nextBeat is then when the next tick is due.
 	det      detector
 	beats    []*beatLink
+	ticking  bool
 	nextBeat sim.Time
 
 	// relayBuf buffers orphan results for twins whose placement is not yet
@@ -92,9 +94,11 @@ type proc struct {
 	gossipTimer sim.Timer
 
 	// hbFn and gossipFn are the periodic tick closures, built once so
-	// rescheduling a tick does not allocate a fresh closure every period.
+	// rescheduling a tick does not allocate a fresh closure every period;
+	// armFn is the Wake that starts the heartbeat chain.
 	hbFn     func()
 	gossipFn func()
+	armFn    func()
 
 	// stepsDone counts reduction steps executed here (load accounting).
 	stepsDone int64
@@ -181,6 +185,7 @@ func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
 	}
 	p.hbFn = p.heartbeatTick
 	p.gossipFn = p.gossipTick
+	p.armFn = p.arm
 	p.policy = m.cfg.Scheme.New(p)
 	return p
 }
@@ -575,6 +580,9 @@ func (p *proc) declareFaulty(q proto.ProcID) {
 	}
 	p.faulty[q] = true
 	p.faultyN++
+	if i, ok := slices.BinarySearch(p.neighbors, q); ok && p.beats != nil {
+		p.silence(i, p.dueBeat()) // no beat goes to a neighbour believed dead
+	}
 	p.sc.metrics.Detections++
 	p.m.noteDetection(p, q)
 	p.m.log(p.id, trace.KDetect, "", fmt.Sprintf("processor %d failed", q))
@@ -1231,27 +1239,84 @@ func (p *proc) onFaultAnnounce(msg *proto.Msg) {
 	p.declareFaulty(msg.Failed)
 }
 
-// heartbeatTick declares the neighbors the detector reports silent and
-// beats to the rest. A beat is transmitted and accounted like any message
-// but never delivered: its watcher reads it off the stream (beatLink), so
-// suspecting a neighbour ends the stream to it instead.
+// heartbeatTick declares the neighbors the detector reports silent. Beats
+// are not its business: the run counts them in closed form (beatLink.sent),
+// and declareFaulty ends the stream to a neighbour believed dead.
 func (p *proc) heartbeatTick() {
 	if p.dead {
 		return
 	}
-	now := p.k.Now()
-	for _, nb := range p.det.tick(now) {
+	for _, nb := range p.det.tick(p.k.Now()) {
 		p.declareFaulty(nb)
 	}
-	for i, nb := range p.neighbors {
-		if p.faulty[nb] {
-			p.beats[i].stop(now)
+	p.nextBeat += p.m.cfg.HeartbeatEvery
+	p.hbTimer = p.k.At(p.nextBeat, p.hbFn)
+}
+
+// arm starts p's tick chain at its first tick the ensemble has not covered.
+// It runs as a Wake, at the window barrier after a stream into p stopped.
+// Until then every tick of p was a no-op: no stream into it had stopped, and
+// the detector never reports a live neighbour. Nor can arming late miss a
+// detection: a stream that stops at until was last heard no earlier than
+// until − every, so it is reported only at a tick past until + every, while
+// the barrier comes at most one lookahead horizon (one hop, < every) after
+// the stop.
+func (p *proc) arm() {
+	if p.dead || p.ticking {
+		return
+	}
+	p.nextBeat = p.dueBeat()
+	p.ticking = true
+	p.hbTimer = p.k.At(p.nextBeat, p.hbFn)
+}
+
+// dueBeat is when p's first beat not yet sent is due: the next tick of a
+// running chain, and otherwise the first instant of p's schedule
+// (beatPhase + k·every, k ≥ 1) whose tick would not have run yet — not
+// before the covered bound, and not now if the tick due now would already
+// have dispatched by the kernel's (time, source, sequence) order. That tick
+// is a driver event scheduled when the stream started for k = 1, and p's
+// own, scheduled a period earlier, for k ≥ 2.
+func (p *proc) dueBeat() sim.Time {
+	if p.ticking {
+		return p.nextBeat
+	}
+	every := p.m.cfg.HeartbeatEvery
+	first := beatPhase(p.id, every) + every
+	now := p.k.Now()
+	t := first
+	if from := max(now, p.m.kern.Covered()); from > first {
+		t += (from - first + every - 1) / every * every
+	}
+	if t == now {
+		cur := p.k.CurrentKey()
+		var ticked bool
+		if t == first {
+			ticked = cur.Src != sim.DriverSrc || cur.Seq >= p.m.session.startSeq
 		} else {
-			p.m.account(p.sc, proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: nb})
+			// p's own event dispatches first iff it was scheduled before the
+			// previous tick scheduled this one. The own events that declare
+			// are mostly reply timers waiting DefaultResultTimeout, which this
+			// orders exactly; one waiting a longer round trip, or a result p
+			// escalated to itself, that lands on a beat can miscount that
+			// one beat.
+			src := int32(p.idx)
+			ticked = cur.Src > src || cur.Src == src && every >= DefaultResultTimeout
+		}
+		if ticked {
+			t += every
 		}
 	}
-	p.nextBeat = now + p.m.cfg.HeartbeatEvery
-	p.hbTimer = p.k.After(p.m.cfg.HeartbeatEvery, p.hbFn)
+	return t
+}
+
+// silence ends p's stream to neighbour i at the beat due at due and wakes
+// that neighbour's detector, which until then had nothing to detect.
+func (p *proc) silence(i int, due sim.Time) {
+	if p.beats[i].stop(due) {
+		q := p.m.procs[p.neighbors[i]]
+		p.k.Wake(int32(q.idx), q.armFn)
+	}
 }
 
 // --- gradient gossip ---
@@ -1343,8 +1408,11 @@ func (p *proc) die(announced bool) {
 	p.busy = false
 	p.tasks = make(map[proto.TaskKey]*task)
 	p.readyQ = nil
-	for _, l := range p.beats {
-		l.stop(p.nextBeat)
+	if p.beats != nil {
+		due := p.dueBeat()
+		for i := range p.beats {
+			p.silence(i, due)
+		}
 	}
 	p.hbTimer.Stop()
 	p.gossipTimer.Stop()

@@ -38,6 +38,10 @@ type Session struct {
 
 	started  bool
 	finished bool
+	// startSeq is the driver sequence number start reached: a processor's
+	// first heartbeat tick dispatches after every driver event scheduled
+	// before it at the same instant, and before every later one.
+	startSeq uint64
 	final    *Report
 
 	pendPlans []*faults.Plan
@@ -208,24 +212,19 @@ func (s *Session) start() {
 		}
 	}
 	s.pendPlans = nil
-	// Start periodic services with per-processor deterministic stagger;
-	// every tick event is owned by its processor so it lives on the
-	// processor's shard. The heartbeat stagger is beatPhase, the phase every
-	// neighbour's detector was seeded with. Load gossip is armed only for
-	// the gradient policy, its one reader: under any other placement the
-	// tick would send nothing and re-arm itself, and an idle processor
-	// schedules only its heartbeat.
+	// Load gossip is armed only for the gradient policy, its one reader: under
+	// any other placement the tick would send nothing and re-arm itself. Each
+	// tick event is owned by its processor, so it lives on the processor's
+	// shard. No heartbeat tick is scheduled: a processor's chain starts only
+	// once a stream into it stops (proc.arm), so an idle processor under any
+	// other placement schedules nothing.
 	_, gossips := m.cfg.Placement.(*balance.Gradient)
-	for i, p := range m.procs {
-		p := p
-		if m.cfg.HeartbeatEvery > 0 {
-			p.nextBeat = m.cfg.HeartbeatEvery + beatPhase(p.id, m.cfg.HeartbeatEvery)
-			m.kern.AtOn(p.nextBeat, int32(i), p.heartbeatTick)
-		}
-		if gossips {
+	if gossips {
+		for i, p := range m.procs {
 			m.kern.AtOn(sim.Time(1+i%DefaultLoadGossipEvery), int32(i), p.gossipTick)
 		}
 	}
+	s.startSeq = m.kern.DriverSeq()
 	if m.cfg.StateProbeEvery > 0 {
 		// The probe runs as the coordinator's pacer: it fires at a window
 		// barrier every period, where reading all shards is safe, and it

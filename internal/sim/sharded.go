@@ -34,6 +34,10 @@ type Sharded struct {
 	driverSeq uint64
 	processed uint64
 	stopped   bool // driver-requested stop
+	// covered is the exclusive end of the virtual time dispatched so far:
+	// every event before it has run and none at or after it, at the moment a
+	// run returns (a later driver event may still land before it).
+	covered Time
 
 	// pacer runs a coordinator-level callback every pacerEvery ticks at a
 	// window boundary: it observes the state after every event before its
@@ -100,6 +104,18 @@ func (s *Sharded) HomeOf(owner int32) int { return s.home(owner) }
 // Now returns the coordinator's virtual time: the last barrier or run
 // boundary. Inside a handler, use the shard kernel's Now.
 func (s *Sharded) Now() Time { return s.now }
+
+// Covered is the exclusive end of the virtual time the ensemble has
+// dispatched: the end of the last lockstep window, or deadline+1 once a run
+// reached its deadline. Inside a window it is the previous barrier's value.
+func (s *Sharded) Covered() Time { return s.covered }
+
+// cover raises the covered bound to t.
+func (s *Sharded) cover(t Time) { s.covered = max(s.covered, t) }
+
+// DriverSeq is the sequence number the next driver-scheduled event gets:
+// events the driver scheduled earlier dispatch before it at equal times.
+func (s *Sharded) DriverSeq() uint64 { return s.driverSeq }
 
 // Processed returns the number of events dispatched so far across all
 // shards, including pacer fires.
@@ -200,11 +216,20 @@ func (s *Sharded) maxShardNow() Time {
 	return m
 }
 
-// drainOutboxes merges every per-pair queue into the destination heaps.
-// Insertion order cannot affect dispatch order (the heap dispatches in Key
-// order), but iterating shard-major keeps runs bit-reproducible anyway.
+// drainOutboxes merges every per-pair queue into the destination heaps and
+// runs the Wake requests. Insertion order cannot affect dispatch order (the
+// heap dispatches in Key order), but iterating shard-major keeps runs
+// bit-reproducible anyway.
 func (s *Sharded) drainOutboxes() {
 	for _, src := range s.shards {
+		for i, w := range src.wakes {
+			dk := s.shards[s.home(w.owner)]
+			dk.cur = w.owner
+			w.fn()
+			dk.cur = DriverSrc
+			src.wakes[i] = wake{}
+		}
+		src.wakes = src.wakes[:0]
 		for dst, evs := range src.out {
 			if len(evs) == 0 {
 				continue
@@ -229,6 +254,7 @@ func (s *Sharded) RunUntil(deadline Time, maxEvents uint64) RunResult {
 	for _, k := range s.shards {
 		k.stopped = false
 	}
+	s.drainOutboxes() // wakes requested between runs
 	dispatched := uint64(0)
 	for {
 		if s.shardStopped() {
@@ -247,15 +273,15 @@ func (s *Sharded) RunUntil(deadline Time, maxEvents uint64) RunResult {
 					dispatched++
 					continue
 				}
-				s.settle(deadline)
+				s.finish(deadline)
 				return RunDeadline
 			}
-			s.settle(deadline)
+			s.finish(deadline)
 			return RunQuiescent
 		}
 		if s.pacer != nil && s.pacerNext <= m {
 			if s.pacerNext > deadline {
-				s.settle(deadline)
+				s.finish(deadline)
 				return RunDeadline
 			}
 			s.firePacer()
@@ -263,7 +289,7 @@ func (s *Sharded) RunUntil(deadline Time, maxEvents uint64) RunResult {
 			continue
 		}
 		if m > deadline {
-			s.settle(deadline)
+			s.finish(deadline)
 			return RunDeadline
 		}
 		w := m + s.horizon
@@ -274,8 +300,15 @@ func (s *Sharded) RunUntil(deadline Time, maxEvents uint64) RunResult {
 			w = deadline + 1
 		}
 		dispatched += s.runWindow(w)
+		s.cover(w)
 		s.drainOutboxes()
 	}
+}
+
+// finish ends a run that dispatched everything up to deadline.
+func (s *Sharded) finish(deadline Time) {
+	s.settle(deadline)
+	s.cover(deadline + 1)
 }
 
 // Run dispatches until quiescent, stopped, or maxEvents dispatched. With a
@@ -293,6 +326,7 @@ func (s *Sharded) Run(maxEvents uint64) RunResult {
 func (s *Sharded) firePacer() {
 	t := s.pacerNext
 	s.settle(t)
+	s.cover(t)
 	s.processed++
 	s.pacerNext += s.pacerEvery
 	s.pacer(t)

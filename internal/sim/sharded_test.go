@@ -163,3 +163,33 @@ func TestShardedBudgetAtWindowGranularity(t *testing.T) {
 		t.Fatalf("budget cut at different points: 1 shard dispatched %d, 2 shards %d", counts[1], counts[2])
 	}
 }
+
+// TestWakeRunsAtTheBarrierAsOwner pins Wake: a handler on shard 0 asks for
+// owner 1's state to be touched, the request runs only at the window's end —
+// after every event of the window, on no shard's goroutine — and what it
+// schedules is owner 1's own event on owner 1's shard, ordered by owner 1's
+// source. Covered reports each run's dispatched extent. Both hold at one
+// shard and at two.
+func TestWakeRunsAtTheBarrierAsOwner(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		s := NewSharded(1, shards, []int32{0, int32(shards - 1)}, testHorizon)
+		var order []string
+		k1 := s.Shard(s.HomeOf(1))
+		s.AtOn(10, 0, func() {
+			s.Shard(s.HomeOf(0)).Wake(1, func() {
+				order = append(order, fmt.Sprintf("wake covered=%d", s.Covered()))
+				k1.At(20, func() { order = append(order, fmt.Sprintf("woken src=%d", k1.CurrentKey().Src)) })
+			})
+		})
+		s.AtOn(12, 0, func() { order = append(order, "same window") })
+		s.AtOn(20, 1, func() { order = append(order, "driver at 20") })
+		if res := s.RunUntil(100, 0); res != RunQuiescent || s.Covered() != 101 {
+			t.Fatalf("shards=%d: %v with covered %d, want quiescent and 101", shards, res, s.Covered())
+		}
+		want := "same window,wake covered=15,driver at 20,woken src=1"
+		if got := strings.Join(order, ","); got != want {
+			t.Fatalf("shards=%d: order %q, want %q", shards, got, want)
+		}
+		s.Close()
+	}
+}

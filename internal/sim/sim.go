@@ -135,6 +135,13 @@ type Kernel struct {
 	id     int        // this kernel's shard index in ens
 	winEnd Time       // exclusive end of the current lockstep window
 	out    [][]*event // cross-shard events buffered per destination shard
+	wakes  []wake     // Wake requests, run by the coordinator at the barrier
+}
+
+// wake is a Wake request: fn runs at the next window barrier as owner.
+type wake struct {
+	owner int32
+	fn    func()
 }
 
 // NewKernel creates a kernel with the given RNG seed.
@@ -292,6 +299,21 @@ func (k *Kernel) AtMsgTo(t Time, owner int32, msg any) {
 	ev.owner = owner
 	ev.msg = msg
 	k.push(ev)
+}
+
+// Wake asks the ensemble's coordinator to run fn at the end of the current
+// lockstep window (or at the start of the next run, when called between
+// runs) as owner: on owner's shard, with everything fn schedules attributed
+// to owner exactly as if one of owner's own events had scheduled it. It is
+// how a handler reaches another shard's state without a message and without
+// touching that shard's kernel: fn runs single-threaded between windows, and
+// the barrier is a point every shard count shares, so what fn schedules is
+// identical at any shard count. fn must not read the current event's key.
+func (k *Kernel) Wake(owner int32, fn func()) {
+	if k.ens == nil {
+		panic("sim: Wake needs a Sharded ensemble")
+	}
+	k.wakes = append(k.wakes, wake{owner, fn})
 }
 
 // Stop makes Run return after the current event completes. Pending events
