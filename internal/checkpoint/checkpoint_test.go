@@ -82,6 +82,19 @@ func TestByteAccounting(t *testing.T) {
 	if s.bytes != int64(p2.EncodedSize()) {
 		t.Fatalf("Bytes after re-retain = %d", s.bytes)
 	}
+	// A respawn retains a clone whose generations and flags were rewritten
+	// after its size was memoized: the memo is still the wire length, and
+	// Release takes back exactly what Retain charged.
+	re := p2.Clone()
+	re.Gen, re.ParentGen, re.Reissue = 1<<60, 7, true
+	if n := len(proto.EncodePacket(re)); re.EncodedSize() != n {
+		t.Fatalf("respawned packet: EncodedSize %d, wire %d", re.EncodedSize(), n)
+	}
+	s.Retain(re)
+	s.Release(re.Key)
+	if s.bytes != 0 {
+		t.Fatalf("Bytes after respawn and release = %d", s.bytes)
+	}
 }
 
 func TestForReturnsOnlySettledOnDest(t *testing.T) {

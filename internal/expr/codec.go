@@ -4,16 +4,18 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
-// The wire codec serializes values into a compact binary form. The simulated
-// machine never actually moves bytes between address spaces — values are
-// immutable and shared — but the codec gives honest per-message and
-// per-checkpoint byte counts for the cost model, and the net backend really
-// ships it. Values are the only binary format: a task packet is a function
-// name plus argument values (§2.1 "The packet contains all necessary
-// information ... to activate the child task"), and programs travel as source
-// (lang.Format → lang.Parse).
+// The wire codec serializes values into a compact binary form: a tag byte,
+// then integers as zigzag varints and lengths and counts as uvarints. The
+// simulated machine never actually moves bytes between address spaces —
+// values are immutable and shared — but every backend charges a value's
+// bytes as EncodedSize, which is exactly len(EncodeValue(v)), and the net
+// backend really ships it. A task packet is a function name plus argument
+// values (§2.1 "The packet contains all necessary information ... to
+// activate the child task"), and programs travel as source (lang.Format →
+// lang.Parse).
 
 // Value tags.
 const (
@@ -32,8 +34,7 @@ var ErrCodec = errors.New("expr: codec")
 func AppendValue(buf []byte, v Value) []byte {
 	switch x := v.(type) {
 	case VInt:
-		buf = append(buf, tagInt)
-		return binary.BigEndian.AppendUint64(buf, uint64(x))
+		return binary.AppendVarint(append(buf, tagInt), int64(x))
 	case VBool:
 		b := byte(0)
 		if x {
@@ -41,14 +42,12 @@ func AppendValue(buf []byte, v Value) []byte {
 		}
 		return append(buf, tagBool, b)
 	case VStr:
-		buf = append(buf, tagStr)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(x)))
+		buf = binary.AppendUvarint(append(buf, tagStr), uint64(len(x)))
 		return append(buf, x...)
 	case VUnit:
 		return append(buf, tagUnit)
 	case VList:
-		buf = append(buf, tagList)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(x.Len()))
+		buf = binary.AppendUvarint(append(buf, tagList), uint64(x.Len()))
 		for c := x.Cell; c != nil; c = c.Tail.Cell {
 			buf = AppendValue(buf, c.Head)
 		}
@@ -57,6 +56,26 @@ func AppendValue(buf []byte, v Value) []byte {
 		panic(fmt.Sprintf("expr: cannot encode value %T", v))
 	}
 }
+
+// The size walker beside AppendValue: each EncodedSize is the length of what
+// AppendValue writes.
+
+func (v VInt) EncodedSize() int  { return 1 + uvarintLen(uint64(v)<<1^uint64(v>>63)) }
+func (v VBool) EncodedSize() int { return 1 + 1 }
+func (v VStr) EncodedSize() int  { return 1 + uvarintLen(uint64(len(v))) + len(v) }
+func (VUnit) EncodedSize() int   { return 1 }
+
+func (v VList) EncodedSize() int {
+	n, count := 0, 0
+	for c := v.Cell; c != nil; c = c.Tail.Cell {
+		n += c.Head.EncodedSize()
+		count++
+	}
+	return 1 + uvarintLen(uint64(count)) + n
+}
+
+// uvarintLen is the length of x as binary.AppendUvarint writes it.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // EncodeValue returns the wire form of v.
 func EncodeValue(v Value) []byte { return AppendValue(nil, v) }
@@ -70,22 +89,23 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 	tag, rest := buf[0], buf[1:]
 	switch tag {
 	case tagInt:
-		if len(rest) < 8 {
+		x, n := binary.Varint(rest)
+		if n <= 0 {
 			return nil, nil, fmt.Errorf("%w: short int", ErrCodec)
 		}
-		return VInt(binary.BigEndian.Uint64(rest)), rest[8:], nil
+		return VInt(x), rest[n:], nil
 	case tagBool:
 		if len(rest) < 1 {
 			return nil, nil, fmt.Errorf("%w: short bool", ErrCodec)
 		}
 		return VBool(rest[0] != 0), rest[1:], nil
 	case tagStr:
-		if len(rest) < 4 {
+		n, k := binary.Uvarint(rest)
+		if k <= 0 {
 			return nil, nil, fmt.Errorf("%w: short str header", ErrCodec)
 		}
-		n := int(binary.BigEndian.Uint32(rest))
-		rest = rest[4:]
-		if len(rest) < n {
+		rest = rest[k:]
+		if uint64(len(rest)) < n {
 			return nil, nil, fmt.Errorf("%w: short str body", ErrCodec)
 		}
 		return VStr(rest[:n]), rest[n:], nil
@@ -102,18 +122,21 @@ func DecodeValue(buf []byte) (Value, []byte, error) {
 	}
 }
 
-// DecodeValues decodes a value slice: a uint32 count, then that many values
+// DecodeValues decodes a value slice: a uvarint count, then that many values
 // (a list's body, and a task packet's arguments).
 func DecodeValues(buf []byte) ([]Value, []byte, error) {
-	if len(buf) < 4 {
+	n, k := binary.Uvarint(buf)
+	if k <= 0 {
 		return nil, nil, fmt.Errorf("%w: short values header", ErrCodec)
 	}
-	n := int(binary.BigEndian.Uint32(buf))
-	rest := buf[4:]
+	rest := buf[k:]
 	// Every value is at least one byte, so a count beyond the bytes left is
 	// already malformed: size by what is there, never by what a frame claims.
-	out := make([]Value, 0, min(n, len(rest)))
-	for i := 0; i < n; i++ {
+	if n > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("%w: %d values in %d bytes", ErrCodec, n, len(rest))
+	}
+	out := make([]Value, 0, n)
+	for i := uint64(0); i < n; i++ {
 		var v Value
 		var err error
 		v, rest, err = DecodeValue(rest)
@@ -128,7 +151,7 @@ func DecodeValues(buf []byte) ([]Value, []byte, error) {
 // ValuesEncodedSize returns the wire size of a value slice without
 // materializing the encoding.
 func ValuesEncodedSize(vals []Value) int {
-	n := 4
+	n := uvarintLen(uint64(len(vals)))
 	for _, v := range vals {
 		n += v.EncodedSize()
 	}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
@@ -259,12 +260,14 @@ func TestValuesSliceCodec(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	// A count the buffer cannot hold must fail like any short buffer, not be
 	// believed: 0x7fffffff elements would pre-allocate 32 GiB.
-	huge := []byte{0x7f, 0xff, 0xff, 0xff}
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0x07}
 	for name, buf := range map[string][]byte{
 		"empty":          nil,
 		"bad tag":        {250},
-		"short int":      {tagInt, 1},
-		"short list":     {tagList, 0, 0},
+		"short int":      {tagInt, 0x81},
+		"overlong int":   append([]byte{tagInt}, bytes.Repeat([]byte{0xff}, 10)...),
+		"short str":      {tagStr, 3, 'a', 'b'},
+		"short list":     {tagList, 2, tagUnit},
 		"huge list":      append([]byte{tagList}, huge...),
 		"huge list body": append(append([]byte{tagList}, huge...), tagUnit, tagUnit),
 	} {
@@ -273,7 +276,7 @@ func TestDecodeErrors(t *testing.T) {
 		}
 	}
 	for name, buf := range map[string][]byte{
-		"short header": {0, 0},
+		"short header": {0x80},
 		"huge count":   huge,
 	} {
 		if _, _, err := DecodeValues(buf); !errors.Is(err, ErrCodec) {

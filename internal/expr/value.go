@@ -13,8 +13,8 @@ type Value interface {
 	isValue()
 	// String renders the value for traces.
 	String() string
-	// EncodedSize is the number of bytes the value occupies in the wire
-	// codec (see codec.go); the simulator charges message and checkpoint
+	// EncodedSize is exactly the number of bytes AppendValue writes for the
+	// value (see codec.go); every backend charges message and checkpoint
 	// storage costs from it.
 	EncodedSize() int
 	// Equal reports deep structural equality; it is the comparison the
@@ -66,19 +66,6 @@ func (v VList) String() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-func (v VInt) EncodedSize() int  { return 1 + 8 }
-func (v VBool) EncodedSize() int { return 1 + 1 }
-func (v VStr) EncodedSize() int  { return 1 + 4 + len(v) }
-func (VUnit) EncodedSize() int   { return 1 }
-
-func (v VList) EncodedSize() int {
-	n := 1 + 4 // tag + length
-	for c := v.Cell; c != nil; c = c.Tail.Cell {
-		n += c.Head.EncodedSize()
-	}
-	return n
 }
 
 func (v VInt) Equal(o Value) bool  { w, ok := o.(VInt); return ok && v == w }

@@ -26,9 +26,9 @@ type msg struct {
 	down   proto.ProcID // the dead processor's id + 1
 }
 
-// wireSize is the message's proto codec size — the figure the simulator
-// charges per hop, so byte totals compare across backends. Frames are sized,
-// never encoded: a packet travels as a pointer.
+// wireSize is what the simulator charges per hop — the exact payload netnode
+// writes, under a modelled header — so byte totals compare across backends.
+// Frames are sized, never encoded: a packet travels as a pointer.
 func (m msg) wireSize() int {
 	return (&proto.Msg{Task: m.spawn, Result: m.result}).EncodedSize()
 }

@@ -28,6 +28,14 @@ func mustTopo(t testing.TB, kind string, n int) topology.Topology {
 // runMachine builds and runs a machine, failing the test on setup errors.
 func runMachine(t testing.TB, cfg Config, prog *lang.Program, fn string, args []expr.Value, plan *faults.Plan) *Report {
 	t.Helper()
+	_, rep := runKept(t, cfg, prog, fn, args, plan)
+	return rep
+}
+
+// runKept is runMachine that also returns the machine, for tests that read
+// its processors after the run.
+func runKept(t testing.TB, cfg Config, prog *lang.Program, fn string, args []expr.Value, plan *faults.Plan) (*Machine, *Report) {
+	t.Helper()
 	m, err := New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +47,7 @@ func runMachine(t testing.TB, cfg Config, prog *lang.Program, fn string, args []
 	if rep.Err != nil {
 		t.Fatalf("run error: %v", rep.Err)
 	}
-	return rep
+	return m, rep
 }
 
 // expectAnswer checks the report completed with the reference answer.
@@ -77,7 +85,8 @@ func TestFaultFreeFibMatchesReference(t *testing.T) {
 
 // TestFaultFreeLargeMachinesSuspectNobody pins the failure detector's
 // contract past one heartbeat period of processors: with no fault injected,
-// nobody is ever suspected, so nothing is lost, wasted or left behind.
+// nobody is ever suspected, so nothing is lost, wasted or left behind — no
+// checkpoint either.
 func TestFaultFreeLargeMachinesSuspectNobody(t *testing.T) {
 	prog := lang.Fib()
 	args := []expr.Value{expr.VInt(13)}
@@ -85,14 +94,43 @@ func TestFaultFreeLargeMachinesSuspectNobody(t *testing.T) {
 		for _, n := range []int{256, 512} {
 			t.Run(fmt.Sprintf("%s-%d", kind, n), func(t *testing.T) {
 				cfg := Config{Topo: mustTopo(t, kind, n), Scheme: recovery.Rollback(), Seed: 1}
-				rep := runMachine(t, cfg, prog, "fib", args, nil)
+				mach, rep := runKept(t, cfg, prog, "fib", args, nil)
 				expectAnswer(t, rep, prog, "fib", args)
 				m := rep.Metrics
 				if m.Detections != 0 || m.TasksLeaked != 0 || m.StepsWasted != 0 {
 					t.Errorf("fault-free run: %d detections, %d tasks leaked, %d steps wasted; want 0/0/0",
 						m.Detections, m.TasksLeaked, m.StepsWasted)
 				}
+				expectReleased(t, mach)
 			})
+		}
+	}
+}
+
+// TestFaultFreeCheckpointsReleased: a fault-free run ends with every
+// processor's and the host's checkpoint store empty, under every scheme —
+// each retained packet released once its result arrived.
+func TestFaultFreeCheckpointsReleased(t *testing.T) {
+	prog := lang.Fib()
+	args := []expr.Value{expr.VInt(13)}
+	for _, kind := range []string{"torus", "mesh", "hypercube"} {
+		for _, scheme := range []recovery.Scheme{recovery.Rollback(), recovery.Splice(), recovery.Incremental(), recovery.None()} {
+			t.Run(kind+"-64/"+scheme.Name(), func(t *testing.T) {
+				cfg := Config{Topo: mustTopo(t, kind, 64), Scheme: scheme, Seed: 1}
+				mach, rep := runKept(t, cfg, prog, "fib", args, nil)
+				expectAnswer(t, rep, prog, "fib", args)
+				expectReleased(t, mach)
+			})
+		}
+	}
+}
+
+// expectReleased fails unless every checkpoint store of m is empty.
+func expectReleased(t *testing.T, m *Machine) {
+	t.Helper()
+	for _, p := range append(append([]*proc(nil), m.procs...), m.host) {
+		if n := p.store.Len(); n != 0 {
+			t.Errorf("processor %v still holds %d checkpoints", p.id, n)
 		}
 	}
 }

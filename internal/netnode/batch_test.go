@@ -314,7 +314,10 @@ func TestChildFlushFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := make([]int64, proto.MaxFramePayload/9/2+1000) // 9 bytes an element
+	half := make([]int64, proto.MaxFramePayload/11/2+1000) // 11 bytes an element: a tag and a 10-byte varint
+	for i := range half {
+		half[i] = 1 << 62
+	}
 	pkt := &proto.TaskPacket{
 		Key: proto.TaskKey{Stamp: stamp.FromPath(0)}, Fn: "dbl", Args: []expr.Value{expr.IntList(half...)},
 		Parent: proto.Addr{Proc: proto.HostID},
@@ -438,18 +441,27 @@ func TestFramesAcrossBufferBoundaries(t *testing.T) {
 }
 
 // TestNoDeadlockUnderMutualFlood is the scenario the sendq comment describes,
-// now that writes are large: every mid below emits 64 spawns of 9 KB each, of
-// which the half placed on the other node must cross, so a node writes
-// ≈ 288 KB — more than a socket buffer — toward the hub in one call while the
-// hub holds megabytes for it, on both nodes at once. The hub never blocks a
-// reader on a write, so it completes.
+// now that writes are large: every mid below emits 64 spawns of 11 KB each
+// (a thousand ints that each take a 10-byte varint), of which the half placed
+// on the other node must cross, so a node writes ≈ 350 KB — more than a
+// socket buffer — toward the hub in one call while the hub holds megabytes
+// for it, on both nodes at once. The hub never blocks a reader on a write, so
+// it completes.
 func TestNoDeadlockUnderMutualFlood(t *testing.T) {
 	calls := func(fn string, n int) string { return strings.TrimSuffix(strings.Repeat(fn+"(xs) + ", n), " + ") }
 	prog, err := lang.Parse("fn main(xs) = " + calls("mid", 32) + "\nfn mid(xs) = " + calls("leaf", 64) + "\nfn leaf(xs) = len(xs)\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	args := []expr.Value{expr.IntList(make([]int64, 1000)...)}
+	xs := make([]int64, 1000)
+	for i := range xs {
+		xs[i] = 1<<62 + int64(i)
+	}
+	args := []expr.Value{expr.IntList(xs...)}
+	leaf := len(proto.EncodePacket(&proto.TaskPacket{Key: proto.TaskKey{Stamp: stamp.FromPath(0, 0, 0)}, Fn: "leaf", Args: args}))
+	if leaf < 10_000 {
+		t.Fatalf("a leaf packet is %d bytes: too small to flood a socket buffer", leaf)
+	}
 	want, err := lang.RefEval(prog, "main", args)
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +484,7 @@ func TestNoDeadlockUnderMutualFlood(t *testing.T) {
 		t.Fatalf("flood answered %v, want %v", v, want)
 	}
 	// Half of the 32·64 leaf packets, give or take what placement drew.
-	if got := c.Root().Snapshot(); got.MsgBytes < 32*64*9000*4/10 {
+	if got := c.Root().Snapshot(); got.MsgBytes < int64(32*64*leaf*4/10) {
 		t.Errorf("only %d bytes crossed the hub: the flood did not happen", got.MsgBytes)
 	}
 }

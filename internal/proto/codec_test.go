@@ -2,6 +2,7 @@ package proto
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,16 +10,58 @@ import (
 	"repro/internal/stamp"
 )
 
+// randomComponent is mostly a small fan-out index, sometimes one that takes
+// every varint width up to five bytes.
+func randomComponent(r *rand.Rand) uint32 {
+	if r.Intn(4) == 0 {
+		return r.Uint32() >> r.Intn(32)
+	}
+	return uint32(r.Intn(6))
+}
+
 func randomKey(r *rand.Rand) TaskKey {
 	s := stamp.Root()
 	for d := r.Intn(5); d > 0; d-- {
-		s = s.Child(uint32(r.Intn(6)))
+		s = s.Child(randomComponent(r))
 	}
 	return TaskKey{Stamp: s, Rep: Rep(r.Intn(4))}
 }
 
 func randomAddr(r *rand.Rand) Addr {
 	return Addr{Proc: ProcID(r.Intn(10) - 1), Task: randomKey(r)}
+}
+
+// randomValue is an int of any width, a string or a list of both.
+func randomValue(r *rand.Rand) expr.Value {
+	switch r.Intn(4) {
+	case 0:
+		return expr.VStr(strings.Repeat("x", r.Intn(200)))
+	case 1:
+		return expr.ListOf(expr.VInt(r.Int63()), expr.VBool(true), expr.VUnit{}, expr.VInt(-r.Int63n(1000)))
+	default:
+		return expr.VInt(r.Int63() >> r.Intn(64) * int64(1-2*r.Intn(2)))
+	}
+}
+
+// randomResult is a result to its parent, or, half the time, a grand result
+// with a dead parent and the ancestors above it.
+func randomResult(r *rand.Rand) *Result {
+	res := &Result{
+		Child:      randomKey(r),
+		ParentTask: randomKey(r),
+		HoleID:     r.Intn(8),
+		Value:      randomValue(r),
+	}
+	if r.Intn(2) == 0 {
+		res.Child = TaskKey{Stamp: res.ParentTask.Stamp.Child(uint32(res.HoleID)), Rep: res.ParentTask.Rep}
+	}
+	if r.Intn(2) == 0 {
+		res.DeadParent = randomAddr(r)
+	}
+	for i := r.Intn(3); i > 0; i-- {
+		res.Remaining = append(res.Remaining, randomAddr(r))
+	}
+	return res
 }
 
 func randomPacket(r *rand.Rand) *TaskPacket {
@@ -41,6 +84,9 @@ func randomPacket(r *rand.Rand) *TaskPacket {
 	}
 	for i := r.Intn(3); i > 0; i-- {
 		p.Ancestors = append(p.Ancestors, randomAddr(r))
+	}
+	if r.Intn(2) == 0 { // the spawn the machine makes: the parent's child at the hole
+		p.Key = TaskKey{Stamp: p.Parent.Task.Stamp.Child(uint32(p.HoleID)), Rep: p.Parent.Task.Rep}
 	}
 	return p
 }
@@ -90,16 +136,7 @@ func TestQuickPacketRoundTrip(t *testing.T) {
 func TestQuickResultRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	f := func() bool {
-		res := &Result{
-			Child:      randomKey(r),
-			ParentTask: randomKey(r),
-			HoleID:     r.Intn(8),
-			Value:      expr.VInt(r.Int63n(10_000)),
-			DeadParent: randomAddr(r),
-		}
-		for i := r.Intn(3); i > 0; i-- {
-			res.Remaining = append(res.Remaining, randomAddr(r))
-		}
+		res := randomResult(r)
 		buf := EncodeResult(res)
 		back, err := DecodeResult(buf)
 		if err != nil {
@@ -136,17 +173,61 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestEncodedSizeUpperBoundsWireForm pins that the size every backend charges
+// is the codec's: EncodedSize is exactly the encoding's length for packets,
+// results and values.
 func TestEncodedSizeUpperBoundsWireForm(t *testing.T) {
-	// EncodedSize is the cost-model estimate; the real wire form must stay
-	// in the same ballpark (within a small framing factor) so byte-based
-	// metrics are honest.
 	r := rand.New(rand.NewSource(24))
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 2000; i++ {
 		p := randomPacket(r)
-		est := p.EncodedSize()
-		real := len(EncodePacket(p))
-		if real > est*2 || est > real*2 {
-			t.Fatalf("estimate %d vs wire %d diverge too far", est, real)
+		if n, wire := p.EncodedSize(), len(EncodePacket(p)); n != wire {
+			t.Fatalf("packet %+v: EncodedSize %d, wire %d", p, n, wire)
 		}
+		res := randomResult(r)
+		if n, wire := res.EncodedSize(), len(EncodeResult(res)); n != wire {
+			t.Fatalf("result %+v: EncodedSize %d, wire %d", res, n, wire)
+		}
+		v := randomValue(r)
+		if n, wire := v.EncodedSize(), len(expr.EncodeValue(v)); n != wire {
+			t.Fatalf("value %v: EncodedSize %d, wire %d", v, n, wire)
+		}
+	}
+}
+
+// TestDeepStampsRoundTrip is a call tree 20 000 levels deep: no stamp length
+// on the wire is bounded by a fixed-width field.
+func TestDeepStampsRoundTrip(t *testing.T) {
+	const depth = 20_000
+	deep, err := stamp.Decode(strings.Repeat("\x00\x00\x01\x02", depth-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grand, _ := stamp.Decode(deep.Key()[:len(deep.Key())-4])
+	p := &TaskPacket{
+		Key: TaskKey{Stamp: deep.Child(3)}, Fn: "f", Args: []expr.Value{expr.VInt(1)},
+		Parent: Addr{Proc: 5, Task: TaskKey{Stamp: deep}}, HoleID: 3, Replicas: 1,
+		Ancestors: []Addr{{Proc: 1, Task: TaskKey{Stamp: grand}}},
+	}
+	if p.Key.Stamp.Level() != depth {
+		t.Fatalf("packet at level %d, want %d", p.Key.Stamp.Level(), depth)
+	}
+	enc := EncodePacket(p)
+	back, err := DecodePacket(enc)
+	if err != nil || !packetsEqual(p, back) {
+		t.Fatalf("%d-level packet: %v", depth, err)
+	}
+	if p.EncodedSize() != len(enc) {
+		t.Fatalf("%d-level packet: EncodedSize %d, wire %d", depth, p.EncodedSize(), len(enc))
+	}
+	res := &Result{Child: p.Key, ParentTask: p.Parent.Task, HoleID: 3, Value: expr.VInt(8),
+		DeadParent: p.Parent, Remaining: p.Ancestors}
+	encR := EncodeResult(res)
+	backR, err := DecodeResult(encR)
+	if err != nil || backR.Child != res.Child || backR.ParentTask != res.ParentTask ||
+		backR.DeadParent != res.DeadParent || backR.Remaining[0] != res.Remaining[0] {
+		t.Fatalf("%d-level result: %v", depth, err)
+	}
+	if res.EncodedSize() != len(encR) {
+		t.Fatalf("%d-level result: EncodedSize %d, wire %d", depth, res.EncodedSize(), len(encR))
 	}
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"strings"
@@ -267,10 +268,12 @@ func TestPacketMalformed(t *testing.T) {
 // claims 0x7fffffff elements with none following.
 func hugeCounts() (pkt, res []byte) {
 	key := TaskKey{Stamp: stamp.FromPath(1)}
-	huge := []byte{0x7f, 0xff, 0xff, 0xff}
+	huge := binary.AppendUvarint(nil, 0x7fffffff)
+	// A packet ends with the Args count, the ancestor count and Replicas; a
+	// result with a list value, with the list's count and the chain count.
 	pkt = EncodePacket(&TaskPacket{Key: key, Fn: "f"})
-	copy(pkt[len(appendKey(nil, key))+16+2+len("f"):], huge)
+	pkt = append(pkt[:len(pkt)-3], huge...)
 	res = EncodeResult(&Result{Child: key, ParentTask: key, Value: expr.VList{}})
-	copy(res[2*len(appendKey(nil, key))+4+1:], huge)
+	res = append(res[:len(res)-2], huge...)
 	return pkt, res
 }

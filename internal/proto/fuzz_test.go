@@ -5,6 +5,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -48,7 +52,11 @@ func FuzzDecodePacket(f *testing.F) {
 		}
 		// Accepted input must re-encode canonically: a second round trip is
 		// a fixed point (the first may normalize, e.g. unknown flag bits).
+		// What every backend charges is exactly what it encodes to.
 		enc1 := EncodePacket(p)
+		if n := p.EncodedSize(); n != len(enc1) {
+			t.Fatalf("EncodedSize %d, encoding %d bytes", n, len(enc1))
+		}
 		p2, err := DecodePacket(enc1)
 		if err != nil {
 			t.Fatalf("re-decode of accepted packet failed: %v", err)
@@ -80,6 +88,9 @@ func FuzzDecodeResult(f *testing.F) {
 			return
 		}
 		enc1 := EncodeResult(r)
+		if n := r.EncodedSize(); n != len(enc1) {
+			t.Fatalf("EncodedSize %d, encoding %d bytes", n, len(enc1))
+		}
 		r2, err := DecodeResult(enc1)
 		if err != nil {
 			t.Fatalf("re-decode of accepted result failed: %v", err)
@@ -88,6 +99,36 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("encode not a fixed point:\n  enc1 %x\n  enc2 %x", enc1, enc2)
 		}
 	})
+}
+
+// TestOldFormatRejected: the corpus keeps, as v1-*, encodings in the
+// fixed-width format this codec replaced (4-byte stamp components behind a
+// 16-bit length, 8-byte reps and ints). Such a frame is an error, never a
+// packet or a result.
+func TestOldFormatRejected(t *testing.T) {
+	for fuzz, decode := range map[string]func([]byte) error{
+		"FuzzDecodePacket": func(b []byte) error { _, err := DecodePacket(b); return err },
+		"FuzzDecodeResult": func(b []byte) error { _, err := DecodeResult(b); return err },
+	} {
+		files, err := filepath.Glob(filepath.Join("testdata", "fuzz", fuzz, "v1-*"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no v1 seeds (%v)", fuzz, err)
+		}
+		for _, file := range files {
+			raw, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+			data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[len(lines)-1], "[]byte("), ")"))
+			if err != nil {
+				t.Fatalf("%s: %v", file, err)
+			}
+			if err := decode([]byte(data)); !errors.Is(err, ErrPacketCodec) {
+				t.Errorf("%s decoded: %v", file, err)
+			}
+		}
+	}
 }
 
 func FuzzReadFrame(f *testing.F) {

@@ -128,32 +128,10 @@ type TaskPacket struct {
 	// program, which keeps one-shot runs unchanged.
 	Prog int
 
-	// encSize caches EncodedSize: every size-bearing field (stamp, fn,
-	// args, addresses) is fixed at construction — only Gen/ParentGen and
-	// the flags mutate afterwards, and those occupy constant width — so
-	// the first computation holds for the packet's lifetime. 0 = not yet
-	// computed (real sizes are always positive).
+	// encSize memoizes EncodedSize (codec.go says why the memo holds for
+	// the packet's lifetime). 0 = not yet computed (real sizes are always
+	// positive).
 	encSize int
-}
-
-// EncodedSize is the packet's wire size in bytes: stamp, function name,
-// argument values, addresses and flags. Checkpoint storage accounting and
-// message byte counters use it; it is called once per hop and once per
-// checkpoint retention, hence the memoization.
-func (p *TaskPacket) EncodedSize() int {
-	if p.encSize > 0 {
-		return p.encSize
-	}
-	n := p.Key.Stamp.EncodedSize() + 8 + 16 // stamp + rep + gen + parent gen
-	n += 4 + len(p.Fn)
-	n += expr.ValuesEncodedSize(p.Args)
-	n += addrSize(p.Parent) + 4 // parent + hole id
-	for _, a := range p.Ancestors {
-		n += addrSize(a)
-	}
-	n += 3 // twin, reissue, replicas
-	p.encSize = n
-	return n
 }
 
 // Clone returns a deep-enough copy: values are immutable and shared, the
@@ -165,8 +143,6 @@ func (p *TaskPacket) Clone() *TaskPacket {
 	q.Ancestors = append([]Addr(nil), p.Ancestors...)
 	return &q
 }
-
-func addrSize(a Addr) int { return 4 + a.Task.Stamp.EncodedSize() + 8 }
 
 // MsgType enumerates protocol messages.
 type MsgType int
@@ -248,19 +224,6 @@ type Result struct {
 	Remaining []Addr
 }
 
-// EncodedSize is the result's wire size in bytes.
-func (r *Result) EncodedSize() int {
-	n := r.Child.Stamp.EncodedSize() + 8
-	n += r.ParentTask.Stamp.EncodedSize() + 8
-	n += 4
-	n += r.Value.EncodedSize()
-	n += addrSize(r.DeadParent)
-	for _, a := range r.Remaining {
-		n += addrSize(a)
-	}
-	return n
-}
-
 // Msg is one message in flight.
 type Msg struct {
 	Type     MsgType
@@ -287,8 +250,9 @@ type Msg struct {
 	LoadVal    int // MsgLoad: sender's proximity/pressure value
 }
 
-// EncodedSize approximates the message's wire size: a fixed header plus the
-// payload.
+// EncodedSize is the message's size on the simulated wire: a modelled 12-byte
+// header (type, from, to) plus the payload. A task packet or result payload
+// is exactly its codec length; every other payload is a modelled 16 bytes.
 func (m *Msg) EncodedSize() int {
 	const header = 12 // type + from + to
 	n := header

@@ -89,12 +89,10 @@ func (s Stamp) String() string {
 	return b.String()
 }
 
-// Key returns the raw encoded path. It is intended for use as a compact map
-// key or wire field; Decode inverts it.
+// Key returns the raw encoded path: 4 big-endian bytes per component. It is
+// intended for use as a compact map key, and the wire codec reads components
+// off it; Decode inverts it.
 func (s Stamp) Key() string { return s.p }
-
-// EncodedSize returns the number of bytes Key occupies on the wire.
-func (s Stamp) EncodedSize() int { return len(s.p) }
 
 // Decode reconstructs a stamp from the raw form produced by Key.
 func Decode(raw string) (Stamp, error) {

@@ -133,8 +133,8 @@ func TestKeyDecodeRoundTrip(t *testing.T) {
 	if _, err := Decode("abc"); err == nil {
 		t.Error("Decode accepted misaligned raw input")
 	}
-	if s.EncodedSize() != 16 {
-		t.Errorf("EncodedSize = %d, want 16", s.EncodedSize())
+	if len(s.Key()) != 16 {
+		t.Errorf("len(Key) = %d, want 16", len(s.Key()))
 	}
 }
 
