@@ -150,7 +150,7 @@ type Backend interface {
 // concurrent use; Cluster is the ergonomic wrapper callers normally hold.
 type Session interface {
 	// Submit enqueues the workload and returns its request handle. On the
-	// simulator, requests of one admission batch enter the stream in a
+	// simulator, machine.Session admits the requests of one batch in a
 	// canonical order (spec, fn, args, then submission order), which makes
 	// concurrent submission of distinguishable workloads deterministic.
 	Submit(w Workload) (SessionRequest, error)
@@ -161,10 +161,14 @@ type Session interface {
 	Inject(plan *faults.Plan) ([]int64, error)
 	// Unit is the stream clock's unit: Ticks (sim) or WallMicros (live, net).
 	Unit() TimeUnit
-	// Close finishes the stream, resolves any still-open requests, tears the
-	// substrate down, and returns the aggregate report — the same shape a
-	// one-shot Run returns, with stream-total counters (and, on the
-	// simulator, the full Sim detail).
+	// Close finishes the stream, tears the substrate down, and returns the
+	// aggregate report — the same shape a one-shot Run returns, with
+	// stream-total counters (and, on the simulator, the full Sim detail).
+	// Close drives no request. A request nobody waited on reports, on every
+	// backend, what the stream had settled by Close: its answer if it
+	// completed, ErrShed if it was shed, its error if it failed, and
+	// otherwise Completed false with a nil error, like a timeout (Request -1
+	// if it was never admitted).
 	Close() (*Report, error)
 }
 
@@ -174,7 +178,9 @@ type SessionRequest interface {
 	// budget, or the stream fails; the report is the per-request view
 	// (answer, completion, stream stamps, service latency). The error is a
 	// submission or stream failure; an answer that merely timed out reports
-	// Completed false with a nil error.
+	// Completed false with a nil error. Wait is safe from several
+	// goroutines, and every call returns the first call's outcome, the same
+	// *Report.
 	Wait() (*Report, error)
 }
 

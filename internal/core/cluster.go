@@ -45,13 +45,9 @@ func OpenOn(backend string, cfg Config) (*Cluster, error) {
 
 // Ticket is the future of one submitted request.
 type Ticket struct {
-	w    Workload
-	req  SessionRequest
-	err0 error
-
-	once sync.Once
-	rep  *Report
-	err  error
+	w   Workload
+	req SessionRequest
+	err error // the submission's own error; req is nil then
 }
 
 // Workload returns what the ticket was submitted for.
@@ -59,16 +55,13 @@ func (t *Ticket) Workload() Workload { return t.w }
 
 // Wait blocks until the request resolves. The report is the per-request
 // view; a request that timed out its budget reports Completed false with a
-// nil error. Wait is idempotent and safe from several goroutines.
+// nil error. Wait is idempotent and safe from several goroutines: the
+// session's request keeps the one outcome.
 func (t *Ticket) Wait() (*Report, error) {
-	t.once.Do(func() {
-		if t.err0 != nil {
-			t.err = t.err0
-			return
-		}
-		t.rep, t.err = t.req.Wait()
-	})
-	return t.rep, t.err
+	if t.err != nil {
+		return nil, t.err
+	}
+	return t.req.Wait()
 }
 
 // Verify waits for the request and checks its answer against the sequential
@@ -89,11 +82,10 @@ func (c *Cluster) Submit(w Workload) *Ticket {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		t.err0 = errors.New("core: cluster closed")
+		t.err = errors.New("core: cluster closed")
 		return t
 	}
-	req, err := c.sess.Submit(w)
-	t.req, t.err0 = req, err
+	t.req, t.err = c.sess.Submit(w)
 	c.tickets = append(c.tickets, t)
 	return t
 }

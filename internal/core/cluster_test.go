@@ -236,6 +236,100 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 }
 
+// TestConcurrentWaitSharesOneReport: eight goroutines Wait and Verify the
+// same tickets, each starting at a different one, while four more submit
+// further requests. Every goroutine gets the one memoized *Report per
+// ticket, and the stream renders as the sequential one does. Arrivals are
+// spaced wider than any request takes, so a late request arrives at its
+// scheduled tick whichever drive admits it; the late requests are identical
+// workloads, so which ticket gets which stream index does not show.
+func TestConcurrentWaitSharesOneReport(t *testing.T) {
+	const gap, waiters, late = 50_000, 8, 4
+	render := func(parallel bool) string {
+		t.Helper()
+		cl, err := OpenOn("sim", Config{Procs: 8, Seed: 7, Recovery: "rollback",
+			Arrival: fmt.Sprintf("arrive:uniform:%d", gap)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tickets []*Ticket
+		for _, spec := range determinismSpecs {
+			tk, err := cl.SubmitSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tickets = append(tickets, tk)
+		}
+		// The first drive admits exactly this batch.
+		if _, err := tickets[0].Wait(); err != nil {
+			t.Fatal(err)
+		}
+		submitLate := func() {
+			if _, err := cl.SubmitSpec("fib:10"); err != nil {
+				t.Error(err)
+			}
+		}
+		if parallel {
+			got := make([][]*Report, waiters)
+			var wg sync.WaitGroup
+			for g := range got {
+				got[g] = make([]*Report, len(tickets))
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range tickets {
+						k := (g + i) % len(tickets)
+						rep, err := tickets[k].Verify()
+						if err != nil {
+							t.Error(err)
+						}
+						got[g][k] = rep
+					}
+				}()
+			}
+			for range late {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					submitLate()
+				}()
+			}
+			wg.Wait()
+			for g := range got {
+				for k, rep := range got[g] {
+					if want, _ := tickets[k].Wait(); rep != want {
+						t.Errorf("waiter %d got report %p for ticket %d, whose memo is %p", g, rep, k, want)
+					}
+				}
+			}
+		} else {
+			for range late {
+				submitLate()
+			}
+		}
+		sr, err := cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Completed != len(determinismSpecs)+late {
+			t.Fatalf("stream incomplete:\n%s", sr.Render())
+		}
+		for _, rep := range sr.PerRequest {
+			if rep.Makespan >= gap {
+				t.Fatalf("request %d took %d ticks; the test needs every request done inside the %d-tick gap",
+					rep.Request, rep.Makespan, gap)
+			}
+		}
+		return sr.Render()
+	}
+	seq := render(false)
+	for run := 0; run < 3; run++ {
+		if par := render(true); par != seq {
+			t.Fatalf("concurrent Wait diverged (run %d):\n--- sequential ---\n%s--- concurrent ---\n%s", run, seq, par)
+		}
+	}
+}
+
 // TestOneShotMatchesDegenerateStream: Config.Run and an explicit
 // Open→Submit→Inject→Close single-request stream land on the identical
 // simulation (same makespan, messages, event count, answer).

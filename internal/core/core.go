@@ -170,7 +170,7 @@ type Workload struct {
 	// Spec is the StandardWorkload spec the workload was built from, when it
 	// was ("" for hand-built workloads). Reports use it as a label, and the
 	// sim service stream uses it in the canonical admission order, which is
-	// what makes concurrent Submit calls deterministic (see Cluster).
+	// what makes concurrent Submit calls deterministic (see machine.Session).
 	Spec string
 }
 

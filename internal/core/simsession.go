@@ -1,13 +1,9 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/admission"
-	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -17,17 +13,10 @@ import (
 
 // simSession adapts machine.Session to the core Session interface. The
 // machine (and its kernel) is single-threaded, so every operation serializes
-// on mu; whichever waiter holds the lock drives the kernel, and completions
-// it passes on the way are harvested for the other waiters.
-//
-// Determinism contract: submissions buffered between drives form one
-// admission batch, ordered canonically — by workload spec, then entry
-// function, then rendered arguments, then submission order — before they
-// enter the stream. The stream's event sequence is therefore a pure function
-// of the batch multiset, not of Submit call interleaving: submitting the
-// same distinguishable workloads from eight goroutines or from a loop yields
-// byte-identical reports. (Identical workloads are interchangeable, so only
-// their ticket↔slot binding can vary.)
+// on mu, and whichever waiter holds the lock drives the kernel. The machine
+// admits each batch of submissions in its canonical order (machine.Session),
+// so submitting distinguishable workloads from eight goroutines or from a
+// loop yields byte-identical reports.
 //
 // One scoping caveat: a request that completes only *after* its own budget
 // (another waiter drove the kernel past its deadline) is reported Completed
@@ -39,27 +28,15 @@ import (
 type simSession struct {
 	mu sync.Mutex
 	ms *machine.Session
-
-	pend []*simRequest
-	all  []*simRequest
-	seq  int
-
-	closed   bool
-	closeRep *Report
 }
 
-// simRequest implements SessionRequest for the simulator.
+// simRequest implements SessionRequest for the simulator: the machine's
+// record of the request and, once a Wait has returned, its outcome.
 type simRequest struct {
 	s   *simSession
-	w   Workload
-	seq int
-
-	mr *machine.Req
-
-	resolved bool
-	rep      *Report
-	err      error
-	ch       chan struct{}
+	mr  *machine.Req
+	rep *Report
+	err error
 }
 
 // newSimSession boots the stream the way node.Open boots a wall-clock one:
@@ -106,22 +83,17 @@ func newSimSession(cfg Config) (*simSession, error) {
 // Unit implements Session.
 func (s *simSession) Unit() TimeUnit { return Ticks }
 
-// Submit implements Session: validate the entry at the offer, like the
-// wall-clock session, and buffer the request for the next admission batch.
+// Submit implements Session: the machine validates the entry at the offer,
+// like the wall-clock session, and buffers the request, labelled by its
+// spec, for the next drive's admission batch.
 func (s *simSession) Submit(w Workload) (SessionRequest, error) {
-	if err := w.Program.CheckEntry(w.Fn); err != nil {
-		return nil, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("core: session closed")
+	mr, err := s.ms.Submit(w.Spec, w.Program, w.Fn, w.Args)
+	if err != nil {
+		return nil, err
 	}
-	r := &simRequest{s: s, w: w, seq: s.seq, ch: make(chan struct{})}
-	s.seq++
-	s.pend = append(s.pend, r)
-	s.all = append(s.all, r)
-	return r, nil
+	return &simRequest{s: s, mr: mr}, nil
 }
 
 // Inject implements Session: fault times are absolute stream ticks, and the
@@ -129,74 +101,33 @@ func (s *simSession) Submit(w Workload) (SessionRequest, error) {
 func (s *simSession) Inject(plan *faults.Plan) ([]int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New("core: session closed")
-	}
 	return s.ms.Inject(plan)
 }
 
-// flushLocked admits the buffered batch in canonical order. A submission the
-// machine rejects (its program does not compile) fails that request alone.
-func (s *simSession) flushLocked() {
-	batch := s.pend
-	s.pend = nil
-	sort.SliceStable(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		if a.w.Spec != b.w.Spec {
-			return a.w.Spec < b.w.Spec
-		}
-		if a.w.Fn != b.w.Fn {
-			return a.w.Fn < b.w.Fn
-		}
-		ak, bk := argsKey(a.w.Args), argsKey(b.w.Args)
-		if ak != bk {
-			return ak < bk
-		}
-		return a.seq < b.seq
-	})
-	for _, r := range batch {
-		mr, err := s.ms.Submit(r.w.Program, r.w.Fn, r.w.Args)
-		if err != nil {
-			r.resolve(nil, err)
-			continue
-		}
-		r.mr = mr
+// Wait implements SessionRequest: the first call drives the kernel until the
+// request settles and builds its outcome; every call returns that outcome.
+func (r *simRequest) Wait() (*Report, error) {
+	s := r.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r.rep == nil && r.err == nil {
+		s.ms.Wait(r.mr)
+		r.rep, r.err = s.requestReport(r.mr)
 	}
+	return r.rep, r.err
 }
 
-// resolve settles a request once: a per-request report, an error, or — for a
-// request admission control rejected — the report carrying the Shed marker
-// together with the typed ErrShed.
-func (r *simRequest) resolve(rep *Report, err error) {
-	if r.resolved {
-		return
+// requestReport is the per-request outcome: an error alone for a request
+// whose program did not compile or that the stream failed before it settled;
+// the report with the typed ErrShed for a request admission control
+// rejected; otherwise the report, Completed false for a request that ran out
+// of budget (the stream survives). Counters stay zero by design: the
+// substrate is shared across the stream, so totals live on the session's
+// Close report.
+func (s *simSession) requestReport(mr *machine.Req) (*Report, error) {
+	if err := mr.Err(); err != nil {
+		return nil, err
 	}
-	r.resolved = true
-	r.rep, r.err = rep, err
-	close(r.ch)
-}
-
-// harvestLocked resolves every request whose completion (or shed decision)
-// the last drive passed, whoever was driving.
-func (s *simSession) harvestLocked() {
-	for _, r := range s.all {
-		if r.resolved || r.mr == nil {
-			continue
-		}
-		switch {
-		case r.mr.Done():
-			r.resolve(s.requestReport(r), nil)
-		case r.mr.Shed():
-			r.resolve(s.requestReport(r), ErrShed)
-		}
-	}
-}
-
-// requestReport builds the per-request view. Counters stay zero by design:
-// the substrate is shared across the stream, so totals live on the
-// session's Close report.
-func (s *simSession) requestReport(r *simRequest) *Report {
-	mr := r.mr
 	rep := &Report{
 		Backend:   "sim",
 		Request:   mr.ID(),
@@ -214,72 +145,28 @@ func (s *simSession) requestReport(r *simRequest) *Report {
 		rep.DoneAt = int64(mr.DoneAt())
 		rep.Makespan = int64(mr.DoneAt() - mr.Arrival())
 		rep.QueuedFor = int64(mr.QueuedFor())
+		return rep, nil
 	case mr.Shed():
 		// Never admitted: the arrival stamp is the offer tick and no stream
 		// time was spent serving it.
 		rep.Shed = true
-		rep.Makespan = 0
-	default:
-		rep.Makespan = int64(s.ms.Now() - mr.Arrival())
-		rep.QueuedFor = int64(mr.QueuedFor())
+		return rep, ErrShed
+	case rep.Err != nil:
+		return nil, rep.Err
 	}
-	return rep
+	rep.Makespan = int64(s.ms.Now() - mr.Arrival())
+	rep.QueuedFor = int64(mr.QueuedFor())
+	return rep, nil
 }
 
-// Wait implements SessionRequest.
-func (r *simRequest) Wait() (*Report, error) {
-	select {
-	case <-r.ch:
-		return r.rep, r.err
-	default:
-	}
-	s := r.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r.waitLocked()
-	return r.rep, r.err
-}
-
-// waitLocked drives the kernel until this request resolves; the caller
-// holds s.mu.
-func (r *simRequest) waitLocked() {
-	s := r.s
-	if r.resolved {
-		return
-	}
-	s.flushLocked()
-	if r.resolved {
-		return // the machine rejected this request's submission
-	}
-	s.ms.Wait(r.mr)
-	s.harvestLocked()
-	if r.resolved {
-		return
-	}
-	if err := s.ms.RunErr(); err != nil {
-		r.resolve(nil, err)
-		return
-	}
-	// Budget exhausted: the request did not complete; the stream survives.
-	r.resolve(s.requestReport(r), nil)
-}
-
-// Close implements Session: resolve every open request, finalize the
-// machine, and return the aggregate report (one-shot shape, Sim detail
-// attached). Idempotent.
+// Close implements Session: finalize the machine and return the aggregate
+// report (one-shot shape, Sim detail attached). Close drives no request.
+// Idempotent.
 func (s *simSession) Close() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return s.closeRep, nil
-	}
-	s.closed = true
-	for _, r := range s.all {
-		r.waitLocked()
-	}
-	queueMax := s.ms.QueueDepthMax()
 	mrep := s.ms.Finish()
-	s.closeRep = &Report{
+	return &Report{
 		Backend:       "sim",
 		Answer:        mrep.Answer,
 		Completed:     mrep.Completed,
@@ -290,10 +177,9 @@ func (s *simSession) Close() (*Report, error) {
 		Procs:         mrep.Procs,
 		Scheme:        mrep.Scheme,
 		Placement:     mrep.Placement,
-		QueueDepthMax: queueMax,
+		QueueDepthMax: s.ms.QueueDepthMax(),
 		Sim:           mrep,
-	}
-	return s.closeRep, nil
+	}, nil
 }
 
 // countersOf is the simulator's side of Counters: the backend-neutral
@@ -307,9 +193,4 @@ func countersOf(m *trace.Metrics) Counters {
 		Drained:    m.DupResults + m.LateResults,
 		Recoveries: m.Reissues + m.Twins,
 	}
-}
-
-// argsKey renders argument values for the canonical admission order.
-func argsKey(args []expr.Value) string {
-	return fmt.Sprintf("%v", args)
 }

@@ -35,7 +35,7 @@ func TestDetectorAccuracy(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s-%d", kind, n), func(t *testing.T) {
 				m, s := startIdleCfg(t, Config{Topo: mustTopo(t, kind, n), Scheme: recovery.Rollback(), Seed: 1}, nil)
-				req, err := s.Submit(lang.Fib(), "fib", args)
+				req, err := s.Submit("", lang.Fib(), "fib", args)
 				if err != nil {
 					t.Fatal(err)
 				}

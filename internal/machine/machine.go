@@ -529,7 +529,7 @@ func (m *Machine) Run(fn string, args []expr.Value, plan *faults.Plan) (*Report,
 	if err != nil {
 		return nil, err
 	}
-	req, err := s.Submit(m.progs[0], fn, args)
+	req, err := s.Submit("", m.progs[0], fn, args)
 	if err != nil {
 		return nil, err
 	}

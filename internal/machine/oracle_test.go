@@ -85,3 +85,73 @@ func TestEveryStampHasOneValue(t *testing.T) {
 		})
 	}
 }
+
+// TestStreamStampsHaveOneValue is the same oracle over a served stream:
+// three requests on one machine under rollback, a silent crash between the
+// first two and one inside each of the others. Request i roots its tree at
+// stamp [i] in both streams, so every (stamp, hole) pair the faulted stream
+// fills must hold the fault-free stream's value, and it fills no pair the
+// fault-free stream lacks.
+func TestStreamStampsHaveOneValue(t *testing.T) {
+	const gap, inside = 20_000, 300
+	prog := lang.Fib()
+	stream := func(plan *faults.Plan) (*Report, []*Req, map[string]string) {
+		tl := trace.NewLog()
+		m, err := New(Config{Topo: mustTopo(t, "torus", 16), Scheme: recovery.Rollback(), Seed: 1, Trace: tl}, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.Serve(ServeConfig{NextArrival: every(gap)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Inject(plan); err != nil {
+			t.Fatal(err)
+		}
+		var reqs []*Req
+		for _, n := range []int64{10, 11, 12} {
+			r, err := s.Submit("", prog, "fib", []expr.Value{expr.VInt(n)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, r)
+		}
+		for _, r := range reqs {
+			s.Wait(r)
+			want, err := lang.RefEval(prog, "fib", r.args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Done() || !r.Answer().Equal(want) {
+				t.Fatalf("request %d: done=%v answer %v, want %v", r.ID(), r.Done(), r.Answer(), want)
+			}
+		}
+		return s.Finish(), reqs, stampValues(t, tl)
+	}
+	_, _, oracle := stream(faults.None())
+	silent := func(at int64, q proto.ProcID) faults.Fault {
+		return faults.Fault{At: at, Proc: q, Kind: faults.CrashSilent}
+	}
+	plan := faults.None().Add(silent(gap/2, 3)).Add(silent(gap+inside, 9)).Add(silent(2*gap+inside, 5))
+	rep, reqs, got := stream(plan)
+	if int64(reqs[0].DoneAt()) >= gap/2 || int64(reqs[1].Arrival()) <= gap/2 {
+		t.Fatalf("the crash at %d is not between request 0 (done %d) and request 1 (arrived %d)",
+			gap/2, reqs[0].DoneAt(), reqs[1].Arrival())
+	}
+	for i, r := range reqs[1:] {
+		if at := int64(i+1)*gap + inside; at < int64(r.Arrival()) || at > int64(r.DoneAt()) {
+			t.Fatalf("the crash at %d is not inside request %d [%d, %d]", at, r.ID(), r.Arrival(), r.DoneAt())
+		}
+	}
+	if rep.Metrics.Reissues == 0 {
+		t.Fatal("no reissue: the crashes inside requests missed their work")
+	}
+	for pair, v := range got {
+		if want, ok := oracle[pair]; !ok || want != v {
+			t.Errorf("%s := %s; the fault-free stream fills it with %q", pair, v, want)
+		}
+	}
+	if missing := int64(len(oracle) - len(got)); missing > rep.Metrics.Prefills {
+		t.Errorf("%d of %d pairs never filled, %d prefilled", missing, len(oracle), rep.Metrics.Prefills)
+	}
+}

@@ -1,7 +1,11 @@
 package machine
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/admission"
 	"repro/internal/balance"
@@ -22,10 +26,15 @@ import (
 // bookkeeping and the fault history all persist between requests — exactly
 // what a machine that "keeps answering while processors die" needs.
 //
-// A Session is single-threaded like the machine itself: callers (the core
-// cluster adapter) serialize every method. Determinism is preserved because
-// requests are admitted in Submit order at deterministic arrival ticks and
-// every completion stamp is a kernel time.
+// A Session is single-threaded like the machine itself: callers (core's sim
+// adapter, a lock around it) serialize every method. It is the one record of
+// a request and the one place requests are admitted. Determinism is
+// preserved because every completion stamp is a kernel time and the requests
+// submitted between two drives are admitted in canonical order — by label,
+// then entry function, then rendered arguments, then submission order — at
+// deterministic arrival ticks. A stream is therefore a pure function of each
+// batch's multiset, not of how callers interleaved Submit (identical
+// requests are interchangeable, so only which Req gets which id can vary).
 //
 // The one-shot Run is the degenerate session — one Submit, one Wait — and
 // produces the byte-identical event stream of the pre-session machine: the
@@ -47,7 +56,8 @@ type Session struct {
 	pendPlans []*faults.Plan
 	pendReqs  []*Req
 
-	reqs  []*Req
+	// byKey holds the admitted requests by host task key; its size is the
+	// next stream id.
 	byKey map[proto.TaskKey]*Req
 
 	outstanding int
@@ -79,9 +89,13 @@ type ServeConfig struct {
 // evaluation. Fields are stamped by the kernel as the stream progresses.
 type Req struct {
 	id        int
+	label     string
 	fn        string
 	args      []expr.Value
+	argsKey   string        // args rendered, as the canonical order compares them
+	src       *lang.Program // interned into prog at admission
 	prog      int
+	err       error
 	arrival   sim.Time
 	offered   sim.Time
 	queuedFor sim.Time
@@ -91,8 +105,13 @@ type Req struct {
 	shed      bool
 }
 
-// ID is the request's stream index (0-based, admission order).
+// ID is the request's stream index (0-based, canonical admission order); -1
+// until a drive admits it.
 func (r *Req) ID() int { return r.id }
+
+// Err is the admission error of a request whose program did not compile; such
+// a request gets no id and never runs.
+func (r *Req) Err() error { return r.err }
 
 // Arrival is the virtual tick the request was admitted at: its offer tick
 // on the unbounded path, or the tick the admission queue installed it.
@@ -140,22 +159,20 @@ func hostKey(id int) proto.TaskKey {
 	return proto.TaskKey{Stamp: stamp.FromPath(uint32(id))}
 }
 
-// Submit enqueues fn(args) from prog; the request is admitted at the next
-// drive. The program is interned machine-wide: distinct programs coexist,
-// with every task packet tagged by its request's program.
-func (s *Session) Submit(prog *lang.Program, fn string, args []expr.Value) (*Req, error) {
-	if s.finished {
-		return nil, errors.New("machine: session already finished")
-	}
+// Submit buffers fn(args) from prog under the caller's label (core passes the
+// workload's spec); the entry is checked here, at the offer. The next drive
+// admits the buffer in canonical order, and only then is each program
+// interned machine-wide (distinct programs coexist, with every task packet
+// tagged by its request's program) and each request given its stream id. A
+// program that fails to compile fails its own request there (Req.Err).
+func (s *Session) Submit(label string, prog *lang.Program, fn string, args []expr.Value) (*Req, error) {
 	if err := prog.CheckEntry(fn); err != nil {
 		return nil, err
 	}
-	pi, err := s.m.progIndex(prog)
-	if err != nil {
-		return nil, err
+	if s.finished {
+		return nil, errors.New("machine: session already finished")
 	}
-	r := &Req{id: len(s.reqs), fn: fn, args: args, prog: pi}
-	s.reqs = append(s.reqs, r)
+	r := &Req{id: -1, label: label, fn: fn, args: args, argsKey: fmt.Sprint(args), src: prog}
 	s.pendReqs = append(s.pendReqs, r)
 	return r, nil
 }
@@ -164,8 +181,12 @@ func (s *Session) Submit(prog *lang.Program, fn string, args []expr.Value) (*Req
 // fires at stream tick t, or immediately if t already passed. Plans injected
 // before the first drive are buffered and scheduled ahead of the periodic
 // services, preserving the one-shot machine's same-tick dispatch order. It
-// returns the stream stamps the faults will fire at.
+// returns the stream stamps the faults will fire at, and fails once the
+// session is finished.
 func (s *Session) Inject(plan *faults.Plan) ([]int64, error) {
+	if s.finished {
+		return nil, errors.New("machine: session already finished")
+	}
 	if plan == nil {
 		plan = faults.None()
 	}
@@ -236,17 +257,24 @@ func (s *Session) start() {
 	}
 }
 
-// admit offers the pending requests to the stream: offers are grouped by
-// arrival tick and each same-tick batch becomes one host-owned kernel event
-// that offers the whole batch in submission order — one event instead of N
-// on the one-shot path, and the offer runs on the host's shard where the
-// spawn and admission bookkeeping live. A NextArrival schedule spreads the
-// batch into a stream, one admission event per distinct arrival tick.
+// admit offers the pending requests to the stream in canonical order: the
+// buffer is sorted by (label, fn, rendered args), stably so that submission
+// order breaks ties, and each request's program is interned and its stream
+// id assigned in that order. Offers are grouped by arrival tick and each
+// same-tick batch becomes one host-owned kernel event that offers the whole
+// batch — one event instead of N on the one-shot path, and the offer runs on
+// the host's shard where the spawn and admission bookkeeping live. A
+// NextArrival schedule spreads the batch into a stream, one admission event
+// per distinct arrival tick.
 func (s *Session) admit() {
 	m := s.m
 	if len(s.pendReqs) == 0 {
 		return
 	}
+	slices.SortStableFunc(s.pendReqs, func(a, b *Req) int {
+		return cmp.Or(strings.Compare(a.label, b.label), strings.Compare(a.fn, b.fn),
+			strings.Compare(a.argsKey, b.argsKey))
+	})
 	now := m.kern.Now()
 	hostOwner := m.ownerOf(proto.HostID)
 	var batch []*Req
@@ -260,6 +288,10 @@ func (s *Session) admit() {
 		})
 	}
 	for _, r := range s.pendReqs {
+		if r.prog, r.err = m.progIndex(r.src); r.err != nil {
+			continue
+		}
+		r.id = len(s.byKey)
 		arr := now
 		if s.next != nil {
 			arr = max(arr, s.next(r.id))
@@ -274,7 +306,9 @@ func (s *Session) admit() {
 		batchAt = arr
 		batch = append(batch, r)
 	}
-	flush()
+	if len(batch) > 0 {
+		flush()
+	}
 	s.pendReqs = nil
 }
 
@@ -351,21 +385,28 @@ func (s *Session) rootDone(key proto.TaskKey, v expr.Value) {
 
 // Wait drives the kernel until r completes, is shed, errors, or exhausts
 // its budget: each request gets Config.Deadline virtual ticks from its
-// arrival and DefaultMaxEvents dispatches per drive segment. On return
-// r.Done reports completion and r.Shed an admission rejection; both false
-// after Wait means the request timed out (the stream itself continues —
-// later submissions still run).
+// arrival and DefaultMaxEvents dispatches per drive segment. Wait first
+// admits every pending request, so a request whose program did not compile
+// returns at once with Req.Err set. On return r.Done reports completion and
+// r.Shed an admission rejection; neither after Wait means the request timed
+// out (the stream itself continues — later submissions still run) or the
+// session finished before admitting it.
 func (s *Session) Wait(r *Req) {
 	m := s.m
+	settled := func() bool {
+		return r.done || r.shed || r.err != nil || m.runErr != nil || s.finished
+	}
+	// A settled request admits nothing: submissions still pending stay
+	// together for the next drive's canonical batch.
+	if settled() {
+		return
+	}
 	// Admissions are scheduled before start's fault plans, so a same-tick
 	// batch installs ahead of a fault injected at the same tick — the order
 	// the one-shot machine's direct install produced.
 	s.admit()
 	s.start()
-	for {
-		if r.done || r.shed || m.runErr != nil || s.finished {
-			return
-		}
+	for !settled() {
 		// Recomputed each pass: a queued request's arrival moves to its
 		// install tick, and its budget counts from there.
 		deadline := r.arrival + m.cfg.Deadline

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -42,7 +44,7 @@ func TestSessionMultiRoot(t *testing.T) {
 	s := serveMachine(t, prog, "rollback", 1, ServeConfig{NextArrival: every(500)})
 	var reqs []*Req
 	for _, n := range []int64{8, 9, 10, 11} {
-		r, err := s.Submit(prog, "fib", []expr.Value{expr.VInt(n)})
+		r, err := s.Submit("", prog, "fib", []expr.Value{expr.VInt(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +84,11 @@ func TestSessionMultiRoot(t *testing.T) {
 func TestSessionMixedPrograms(t *testing.T) {
 	fib, tak := lang.Fib(), lang.Tak()
 	s := serveMachine(t, fib, "rollback", 2, ServeConfig{})
-	r1, err := s.Submit(fib, "fib", []expr.Value{expr.VInt(9)})
+	r1, err := s.Submit("", fib, "fib", []expr.Value{expr.VInt(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Submit(tak, "tak", []expr.Value{expr.VInt(8), expr.VInt(4), expr.VInt(2)})
+	r2, err := s.Submit("", tak, "tak", []expr.Value{expr.VInt(8), expr.VInt(4), expr.VInt(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestSessionMixedPrograms(t *testing.T) {
 func TestSessionInjectMidStream(t *testing.T) {
 	prog := lang.Fib()
 	s := serveMachine(t, prog, "rollback", 3, ServeConfig{})
-	r1, err := s.Submit(prog, "fib", []expr.Value{expr.VInt(10)})
+	r1, err := s.Submit("", prog, "fib", []expr.Value{expr.VInt(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestSessionInjectMidStream(t *testing.T) {
 	if len(stamps) != 2 || stamps[0] != now+50 || stamps[1] != now+120 {
 		t.Fatalf("stamps = %v, want [%d %d]", stamps, now+50, now+120)
 	}
-	r2, err := s.Submit(prog, "fib", []expr.Value{expr.VInt(11)})
+	r2, err := s.Submit("", prog, "fib", []expr.Value{expr.VInt(11)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestSessionInjectMidStream(t *testing.T) {
 func TestSessionPastFaultClamped(t *testing.T) {
 	prog := lang.Fib()
 	s := serveMachine(t, prog, "rollback", 4, ServeConfig{})
-	r1, err := s.Submit(prog, "fib", []expr.Value{expr.VInt(8)})
+	r1, err := s.Submit("", prog, "fib", []expr.Value{expr.VInt(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestSessionPastFaultClamped(t *testing.T) {
 	if len(stamps) != 1 || stamps[0] != now {
 		t.Fatalf("stamps = %v, want [%d]", stamps, now)
 	}
-	r2, err := s.Submit(prog, "fib", []expr.Value{expr.VInt(9)})
+	r2, err := s.Submit("", prog, "fib", []expr.Value{expr.VInt(9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestServeTwiceRejected(t *testing.T) {
 	if _, err := s.m.Serve(ServeConfig{}); err == nil {
 		t.Fatal("second Serve succeeded")
 	}
-	if _, err := s.Submit(prog, "nope", nil); err == nil {
+	if _, err := s.Submit("", prog, "nope", nil); err == nil {
 		t.Fatal("unknown entry function accepted")
 	}
 }
@@ -210,7 +212,7 @@ func TestSessionRequestDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.Submit(prog, "fib", []expr.Value{expr.VInt(12)})
+	r, err := s.Submit("", prog, "fib", []expr.Value{expr.VInt(12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +234,53 @@ func TestSessionRequestDeadline(t *testing.T) {
 	rep := s.Finish()
 	if rep.Completed {
 		t.Fatal("final report claims completion")
+	}
+}
+
+// TestSessionCanonicalOrder: a batch is admitted in canonical order, not in
+// Submit order. The two programs share their entry's name and arguments and
+// differ only by label, so the label alone orders them, and both
+// permutations of the batch give every request the same id, answer and
+// completion stamp.
+func TestSessionCanonicalOrder(t *testing.T) {
+	inc := lang.MustParse("fn f(x) = x + 1\nfn main(n) = f(n) + f(n + 1)")
+	dbl := lang.MustParse("fn f(x) = x + x\nfn main(n) = f(n) + f(n + 1)")
+	batch := []struct {
+		label string
+		prog  *lang.Program
+		n     int64
+		id    int // "dbl" sorts before "inc", then [3] before [5]
+	}{{"inc", inc, 3, 2}, {"dbl", dbl, 3, 0}, {"inc", inc, 5, 3}, {"dbl", dbl, 5, 1}}
+	run := func(order ...int) string {
+		s := serveMachine(t, lang.Fib(), "rollback", 1, ServeConfig{NextArrival: every(100)})
+		reqs := make([]*Req, len(batch))
+		for _, i := range order {
+			b := batch[i]
+			r, err := s.Submit(b.label, b.prog, "main", []expr.Value{expr.VInt(b.n)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs[i] = r
+		}
+		for _, i := range order {
+			s.Wait(reqs[i])
+		}
+		var lines []string
+		for i, b := range batch {
+			r := reqs[i]
+			want, err := lang.RefEval(b.prog, "main", r.args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Done() || !r.Answer().Equal(want) || r.ID() != b.id {
+				t.Fatalf("order %v: %s(%d) is request %d, done=%v answer %v; want request %d answering %v",
+					order, b.label, b.n, r.ID(), r.Done(), r.Answer(), b.id, want)
+			}
+			lines = append(lines, fmt.Sprintf("%s(%d) id=%d answer=%v done=%d", b.label, b.n, r.ID(), r.Answer(), r.DoneAt()))
+		}
+		return strings.Join(lines, "\n")
+	}
+	if fwd, rev := run(0, 1, 2, 3), run(3, 2, 1, 0); fwd != rev {
+		t.Fatalf("the outcome depends on Submit order:\nforward:\n%s\nreversed:\n%s", fwd, rev)
 	}
 }

@@ -149,7 +149,7 @@ func TestShardSweepServiceStream(t *testing.T) {
 		}
 		var reqs []*Req
 		for i := 0; i < 3; i++ {
-			r, err := s.Submit(lang.Fib(), "fib", []expr.Value{expr.VInt(10 + int64(i))})
+			r, err := s.Submit("", lang.Fib(), "fib", []expr.Value{expr.VInt(10 + int64(i))})
 			if err != nil {
 				t.Fatal(err)
 			}
