@@ -187,14 +187,14 @@ func main() {
 	}
 	if rep.Sim != nil {
 		fmt.Printf("makespan   : %d virtual ticks (%d events)\n", rep.Makespan, rep.Sim.Events)
-		fmt.Println("metrics    :")
-		for _, row := range rep.Sim.Metrics.Rows() {
-			fmt.Printf("  %s\n", row)
-		}
 	} else {
 		fmt.Printf("makespan   : %d µs wall clock\n", rep.Makespan)
-		fmt.Printf("counters   : %d messages (%d bytes), %s, %d reissued, %d drained\n",
-			rep.Messages, rep.MsgBytes, rep.SpawnedLabel(), rep.Reissued, rep.Drained)
+	}
+	fmt.Println("metrics    :")
+	for _, row := range rep.Metrics.Rows() {
+		fmt.Printf("  %s\n", row)
+	}
+	if rep.Sim == nil {
 		fmt.Printf("reissues   : per node %v\n", rep.ReissuesByNode)
 	}
 	fmt.Println("run        :", runLine(flag.CommandLine))

@@ -74,7 +74,7 @@ var commandLines = []struct {
 	{"splice through a crash", "-workload nqueens:6 -recovery splice -fault 2@3000", 0,
 		"workload   : nqueens:6", "recover.twins            2"},
 	{"live says how much stayed home", "-workload fib:12 -procs 4 -backend live", 0,
-		"workload   : fib:12", "in place), 0 reissued, 0 drained"},
+		"workload   : fib:12", "  tasks.in-place  "},
 	// Past one heartbeat period of processors, and past the 74 hops a
 	// constant reply timer covers, nobody alive is declared dead.
 	{"hypercube-512", "-procs 512 -topology hypercube -workload fib:14 -recovery rollback -eval compiled", 0,

@@ -38,7 +38,7 @@ func main() {
 		fmt.Printf("\n%s backend (%d processors):\n", backend, rep.Procs)
 		fmt.Printf("  answer   : %v (verified against the sequential reference)\n", rep.Answer)
 		fmt.Printf("  makespan : %d %s\n", rep.Makespan, rep.Unit)
-		fmt.Printf("  traffic  : %d messages, %d tasks spawned\n", rep.Messages, rep.Spawned)
+		fmt.Printf("  traffic  : %d messages, %d tasks spawned\n", rep.Messages, rep.Metrics.TasksSpawned)
 		fmt.Printf("  recovery : %d reissues, %d drained dead letters\n", rep.Reissued, rep.Drained)
 		if rep.ReissuesByNode != nil {
 			fmt.Printf("  per node : reissues %v\n", rep.ReissuesByNode)

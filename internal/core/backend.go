@@ -12,6 +12,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 // TimeUnit names the unit a backend measures makespan in: the simulator
@@ -25,10 +26,8 @@ const (
 	WallMicros TimeUnit = "µs"
 )
 
-// Counters are the quantities every substrate counts about a run or a
-// stream, declared once: Report and ServiceReport embed them, the simulator
-// fills them from its trace.Metrics and the wall-clock backends from one
-// node.Counters snapshot.
+// Counters are the few figures every caller reads off a run or a stream,
+// derived once from its metrics by CountersOf on every backend.
 type Counters struct {
 	// Messages counts every message the interconnect carried.
 	Messages int64
@@ -36,34 +35,22 @@ type Counters struct {
 	// the proto codec's wire sizes on every backend — the one byte figure
 	// that is comparable across sim, live and net.
 	MsgBytes int64
-	// Spawned counts task packets created, including reissues and twins.
-	Spawned int64
-	// InPlace counts the spawned packets a wall-clock node placed on itself:
-	// they ran where they were created and are in Spawned but not in
-	// Messages. Placement is uniform, so this is about Spawned/Procs — the
-	// share of a machine's traffic that never needs its interconnect. (The
-	// simulator charges nothing for them either but does not count them
-	// apart: 0 there.)
-	InPlace int64
 	// Reissued counts checkpointed packets re-sent after a failure.
 	Reissued int64
-	// Drained counts results discarded harmlessly: duplicates, late arrivals,
-	// and (live) messages black-holed at dead nodes — §3.4's "returns from
-	// orphan tasks are theoretically harmless".
+	// Drained counts messages discarded harmlessly: duplicate and late
+	// results, and (live, net) messages black-holed at dead nodes — §3.4's
+	// "returns from orphan tasks are theoretically harmless".
 	Drained int64
-	// Recoveries counts recovery events: reissues plus splice twins.
-	Recoveries int64
 }
 
-// SpawnedLabel is Spawned as reports print it, with how many of the packets
-// stayed home where a backend counts them — "465 spawned (118 in place)" —
-// the about-1/Procs share that never was a message, so nobody reads a 4-node
-// figure as a 64-node one.
-func (c Counters) SpawnedLabel() string {
-	if c.InPlace == 0 {
-		return fmt.Sprintf("%d spawned", c.Spawned)
+// CountersOf reads the Counters off a run's or a stream's metrics.
+func CountersOf(m *trace.Metrics) Counters {
+	return Counters{
+		Messages: m.TotalMessages(),
+		MsgBytes: m.BytesOnWire,
+		Reissued: m.Reissues,
+		Drained:  m.DupResults + m.LateResults + m.Blackholed,
 	}
-	return fmt.Sprintf("%d spawned (%d in place)", c.Spawned, c.InPlace)
 }
 
 // Report is the backend-neutral outcome of a run: what every substrate can
@@ -87,8 +74,10 @@ type Report struct {
 	Makespan int64
 	// Unit is the makespan's unit: Ticks (sim) or WallMicros (live, net).
 	Unit TimeUnit
-	// Counters are the stream-total counters; zero on per-request reports,
-	// since the substrate is shared across the stream.
+	// Metrics are the stream totals, one trace.Metrics on every backend, and
+	// Counters the figures derived from them; both are zero on per-request
+	// reports, since the substrate is shared across the stream.
+	Metrics trace.Metrics
 	Counters
 	// Procs is the processor (or node) count.
 	Procs int

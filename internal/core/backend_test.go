@@ -48,9 +48,8 @@ func TestSimBackendNeutralReport(t *testing.T) {
 		t.Fatalf("makespan %d != sim %d", rep.Makespan, rep.Sim.Makespan)
 	}
 	m := &rep.Sim.Metrics
-	if rep.Messages != m.TotalMessages() || rep.Spawned != m.TasksSpawned ||
-		rep.Reissued != m.Reissues || rep.Recoveries != m.Reissues+m.Twins ||
-		rep.Drained != m.DupResults+m.LateResults {
+	if rep.Metrics != *m || rep.Messages != m.TotalMessages() || rep.MsgBytes != m.BytesOnWire ||
+		rep.Reissued != m.Reissues || rep.Drained != m.DupResults+m.LateResults {
 		t.Fatalf("neutral counters diverge from metrics: %+v", rep)
 	}
 	if rep.Reissued == 0 {

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/trace"
 )
 
 // Cluster is a long-lived service stream on one substrate: Open brings the
@@ -214,7 +216,7 @@ func (c *Cluster) buildServiceReportLocked(totals *Report) *ServiceReport {
 		sr.Procs = totals.Procs
 		sr.Scheme = totals.Scheme
 		sr.Placement = totals.Placement
-		sr.Counters = totals.Counters
+		sr.Metrics, sr.Counters = totals.Metrics, totals.Counters
 		sr.QueueDepthMax = totals.QueueDepthMax
 	}
 	sort.Slice(sr.FaultStamps, func(i, j int) bool { return sr.FaultStamps[i] < sr.FaultStamps[j] })
@@ -365,7 +367,8 @@ type ServiceReport struct {
 	DuringRecovery, OutsideRecovery int
 	FaultStamps                     []int64
 
-	// Counters are the stream totals from the substrate.
+	// Metrics and Counters are the substrate's stream totals (Report's).
+	Metrics trace.Metrics
 	Counters
 
 	// PerRequest holds the per-request reports in stream order; Totals is
@@ -404,8 +407,12 @@ func (sr *ServiceReport) Render() string {
 		sr.QueueWaitMean, sr.QueueWaitP50, sr.QueueWaitP99, sr.Unit)
 	fmt.Fprintf(&b, "recovery   : %d completed during recovery, %d outside (fault stamps %v)\n",
 		sr.DuringRecovery, sr.OutsideRecovery, sr.FaultStamps)
+	spawned := fmt.Sprintf("%d spawned", sr.Metrics.TasksSpawned)
+	if in := sr.Metrics.TasksInPlace; in != 0 {
+		spawned += fmt.Sprintf(" (%d in place)", in)
+	}
 	fmt.Fprintf(&b, "counters   : %d messages (%d bytes), %s, %d reissued, %d drained, %d recoveries\n",
-		sr.Messages, sr.MsgBytes, sr.SpawnedLabel(), sr.Reissued, sr.Drained, sr.Recoveries)
+		sr.Messages, sr.MsgBytes, spawned, sr.Reissued, sr.Drained, sr.Metrics.Reissues+sr.Metrics.Twins)
 	for _, rep := range sr.PerRequest {
 		status := "ok " + fmt.Sprint(rep.Answer)
 		switch {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/machine"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -121,7 +120,7 @@ func (r *simRequest) Wait() (*Report, error) {
 // whose program did not compile or that the stream failed before it settled;
 // the report with the typed ErrShed for a request admission control
 // rejected; otherwise the report, Completed false for a request that ran out
-// of budget (the stream survives). Counters stay zero by design: the
+// of budget (the stream survives). Metrics stay zero by design: the
 // substrate is shared across the stream, so totals live on the session's
 // Close report.
 func (s *simSession) requestReport(mr *machine.Req) (*Report, error) {
@@ -173,24 +172,12 @@ func (s *simSession) Close() (*Report, error) {
 		Err:           mrep.Err,
 		Makespan:      int64(mrep.Makespan),
 		Unit:          Ticks,
-		Counters:      countersOf(&mrep.Metrics),
+		Metrics:       mrep.Metrics,
+		Counters:      CountersOf(&mrep.Metrics),
 		Procs:         mrep.Procs,
 		Scheme:        mrep.Scheme,
 		Placement:     mrep.Placement,
 		QueueDepthMax: s.ms.QueueDepthMax(),
 		Sim:           mrep,
 	}, nil
-}
-
-// countersOf is the simulator's side of Counters: the backend-neutral
-// quantities read off the machine's metrics.
-func countersOf(m *trace.Metrics) Counters {
-	return Counters{
-		Messages:   m.TotalMessages(),
-		MsgBytes:   m.BytesOnWire,
-		Spawned:    m.TasksSpawned,
-		Reissued:   m.Reissues,
-		Drained:    m.DupResults + m.LateResults,
-		Recoveries: m.Reissues + m.Twins,
-	}
 }

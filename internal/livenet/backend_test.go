@@ -35,7 +35,7 @@ func TestBackendFaultFreeRun(t *testing.T) {
 	if rep.Backend != "live" || rep.Unit != core.WallMicros || rep.Sim != nil {
 		t.Fatalf("report shape wrong: backend=%q unit=%q sim=%v", rep.Backend, rep.Unit, rep.Sim)
 	}
-	if rep.Makespan <= 0 || rep.Messages == 0 || rep.Spawned == 0 {
+	if rep.Makespan <= 0 || rep.Messages == 0 || rep.Metrics.TasksSpawned == 0 {
 		t.Fatalf("counters empty: %+v", rep)
 	}
 	if rep.Reissued != 0 {
@@ -79,7 +79,7 @@ func TestBackendKillDuringCascade(t *testing.T) {
 		}
 		if !rep.Completed {
 			t.Fatalf("seed %d: cascade recovery did not complete within the deadline "+
-				"(spawned=%d reissued=%d drained=%d)", seed, rep.Spawned, rep.Reissued, rep.Drained)
+				"(spawned=%d reissued=%d drained=%d)", seed, rep.Metrics.TasksSpawned, rep.Reissued, rep.Drained)
 		}
 		if !rep.Answer.Equal(want) {
 			t.Fatalf("seed %d: answer %v != reference %v", seed, rep.Answer, want)

@@ -140,10 +140,13 @@ func (c *Cluster) NodeDown(to, dead proto.ProcID) {
 // (a result can only be produced after its spawn was processed); order
 // between independent messages is already arbitrary on a real interconnect.
 func (c *Cluster) send(from, to proto.ProcID, m msg, reissue bool) {
-	if m.spawn != nil {
+	switch {
+	case m.spawn != nil:
 		c.root.CountSpawn(from, m.wireSize(), reissue)
-	} else {
-		c.root.CountMsg(m.wireSize())
+	case m.result != nil:
+		c.root.CountResult(m.wireSize())
+	default:
+		c.root.CountNodeDown(m.wireSize())
 	}
 	inbox := c.procs[to].inbox
 	select {
@@ -176,7 +179,7 @@ func (c *Cluster) Kill(id int) error {
 		for {
 			select {
 			case <-p.inbox:
-				c.root.CountDrained(1)
+				c.root.CountBlackholed()
 			case <-c.quit:
 				return
 			}
@@ -187,14 +190,13 @@ func (c *Cluster) Kill(id int) error {
 }
 
 // Shutdown implements node.Machine: stop every node goroutine and drainer,
-// then fold what only the nodes counted — their drains, and the task packets
+// then fold what only the nodes counted — results drained, and the packets
 // they placed on themselves, which no send carried — into the stream totals.
 func (c *Cluster) Shutdown() {
 	close(c.quit)
 	c.wg.Wait()
 	for _, p := range c.procs {
-		c.root.CountDrained(p.n.Drained)
-		c.root.CountInPlace(p.id, p.n.InPlace, p.n.InPlaceReissues)
+		c.root.Fold(p.id, &p.n.Metrics)
 	}
 }
 

@@ -27,12 +27,12 @@ func TestFaultFreeLiveRun(t *testing.T) {
 	if !v.Equal(expr.VInt(377)) {
 		t.Fatalf("fib(14) = %v, want 377", v)
 	}
-	got := c.Root().Snapshot()
-	if got.Spawned == 0 {
+	got, _ := c.Root().Metrics()
+	if got.TasksSpawned == 0 {
 		t.Error("no tasks spawned")
 	}
-	if got.Reissued != 0 {
-		t.Errorf("fault-free run reissued %d packets", got.Reissued)
+	if got.Reissues != 0 {
+		t.Errorf("fault-free run reissued %d packets", got.Reissues)
 	}
 }
 
@@ -54,7 +54,8 @@ func TestLiveRunSurvivesKill(t *testing.T) {
 	}
 	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
-		t.Fatalf("no answer after kill: %v (%+v)", err, c.Root().Snapshot())
+		got, _ := c.Root().Metrics()
+		t.Fatalf("no answer after kill: %v (%q)", err, got.Rows())
 	}
 	if !v.Equal(expr.VInt(1597)) {
 		t.Fatalf("fib(17) = %v, want 1597", v)
@@ -175,7 +176,7 @@ func TestShutdownEndsASoleSurvivorThatNeverFinishes(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Shutdown still waiting for node 0's handler after 10s")
 	}
-	if got := c.Root().Snapshot(); got.InPlace == 0 || got.Messages < 3 {
-		t.Fatalf("in place %d, messages %d: the run neither stayed home nor ever yielded", got.InPlace, got.Messages)
+	if got, _ := c.Root().Metrics(); got.TasksInPlace == 0 || got.TotalMessages() < 3 {
+		t.Fatalf("in place %d, messages %d: the run neither stayed home nor ever yielded", got.TasksInPlace, got.TotalMessages())
 	}
 }

@@ -33,9 +33,9 @@ func TestLiveKillSoak(t *testing.T) {
 		}
 		v, err := r.Wait(10*time.Second, nil)
 		if err != nil {
-			got := c.Root().Snapshot()
+			got, _ := c.Root().Metrics()
 			c.Shutdown()
-			t.Fatalf("iter %d hung: %v (%+v)", iter, err, got)
+			t.Fatalf("iter %d hung: %v (%q)", iter, err, got.Rows())
 		}
 		if !v.Equal(expr.VInt(610)) {
 			t.Fatalf("iter %d: wrong answer %v", iter, v)

@@ -13,11 +13,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/stamp"
+	"repro/internal/trace"
 )
 
 // The interconnect pays per wake-up, not per frame. These tests count the
@@ -78,6 +80,12 @@ func fakeCluster(t *testing.T, conns ...*scriptConn) *Cluster {
 		c.children = append(c.children, ch)
 	}
 	return c
+}
+
+// totals is what a report derives from the super-root's metrics.
+func totals(c *Cluster) core.Counters {
+	m, _ := c.Root().Metrics()
+	return core.CountersOf(&m)
 }
 
 // frames decodes a byte stream that must hold whole frames only.
@@ -230,8 +238,8 @@ func TestChildOneWritePerHandlerBurst(t *testing.T) {
 	if len(burst) != 1 || burst[0].Type != proto.FrameStats {
 		t.Fatalf("after the last hole: %+v, want the goodbye's stats frame", burst)
 	}
-	if inPlace, reissues, drained, err := parseStats(burst[0].Payload); err != nil || inPlace != home || reissues != 0 || drained != 0 {
-		t.Fatalf("the goodbye counts %d/%d/%d (%v), want %d in place", inPlace, reissues, drained, err, home)
+	if m, err := parseStats(burst[0].Payload); err != nil || m != (trace.Metrics{TasksSpawned: home, TasksInPlace: home}) {
+		t.Fatalf("the goodbye counts %q (%v), want %d in place", m.Rows(), err, home)
 	}
 }
 
@@ -258,8 +266,8 @@ func TestChildCountsGoAheadOfWhatFollows(t *testing.T) {
 	if len(out) != 2 || out[0].Type != proto.FrameStats || out[1].Type != proto.FrameResult || out[1].To != proto.HostID {
 		t.Fatalf("second write = %+v, want a stats frame and then the root's result", out)
 	}
-	if inPlace, reissues, drained, err := parseStats(out[0].Payload); err != nil || inPlace != 14 || reissues != 0 || drained != 0 {
-		t.Fatalf("stats count %d/%d/%d (%v), want fib(5)'s 14 child packets in place", inPlace, reissues, drained, err)
+	if m, err := parseStats(out[0].Payload); err != nil || m != (trace.Metrics{TasksSpawned: 14, TasksInPlace: 14}) {
+		t.Fatalf("stats count %q (%v), want fib(5)'s 14 child packets in place", m.Rows(), err)
 	}
 	if res, err := proto.DecodeResult(out[1].Payload); err != nil || !res.Value.Equal(expr.VInt(5)) {
 		t.Fatalf("the root answered %+v (%v), want 5", res, err)
@@ -295,8 +303,8 @@ func TestChildOneReadPerBufferful(t *testing.T) {
 	if len(bye) != 1 || bye[0].Type != proto.FrameStats {
 		t.Fatalf("last write = %v, want the stats frame", bye)
 	}
-	if inPlace, _, drained, err := parseStats(bye[0].Payload); err != nil || inPlace != 0 || drained != int64(results) {
-		t.Fatalf("stats report %d in place, %d drained (%v), want 0, %d", inPlace, drained, err, results)
+	if m, err := parseStats(bye[0].Payload); err != nil || m != (trace.Metrics{LateResults: int64(results)}) {
+		t.Fatalf("stats report %q (%v), want %d late results and nothing else", m.Rows(), err, results)
 	}
 }
 
@@ -357,17 +365,17 @@ func TestHubTornBatch(t *testing.T) {
 	if _, err := c.Root().Submit(lang.Fib(), "fib", []expr.Value{expr.VInt(10)}); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Root().Snapshot()
+	before, _ := c.Root().Metrics()
 	c.routers.Add(1)
 	c.route(c.children[0]) // returns at the torn frame's io.ErrUnexpectedEOF
 	c.nodeDied(c.children[0])
 
-	got := c.Root().Snapshot()
-	if d := got.Messages - before.Messages; d != 5 { // 3 carried, 1 node-down, 1 reissue
+	got, _ := c.Root().Metrics()
+	if d := got.TotalMessages() - before.TotalMessages(); d != 5 { // 3 carried, 1 node-down, 1 reissue
 		t.Errorf("%d messages counted after the root spawn, want 5", d)
 	}
-	if got.Spawned-before.Spawned != 3 || got.Reissued != 1 || got.Drained != 0 {
-		t.Errorf("spawned +%d reissued %d drained %d, want +3, 1, 0", got.Spawned-before.Spawned, got.Reissued, got.Drained)
+	if drained := totals(c).Drained; got.TasksSpawned-before.TasksSpawned != 3 || got.Reissues != 1 || drained != 0 {
+		t.Errorf("spawned +%d reissued %d drained %d, want +3, 1, 0", got.TasksSpawned-before.TasksSpawned, got.Reissues, drained)
 	}
 	if c.children[0].alive.Load() {
 		t.Error("node 0 still marked alive")
@@ -432,7 +440,7 @@ func TestFramesAcrossBufferBoundaries(t *testing.T) {
 	for i, r := range reqs {
 		v, err := r.Wait(30*time.Second, nil)
 		if err != nil {
-			t.Fatalf("request %d: %v (%+v)", i, err, c.Root().Snapshot())
+			t.Fatalf("request %d: %v (%+v)", i, err, totals(c))
 		}
 		if !v.Equal(list) {
 			t.Fatalf("request %d: the list came back changed (%d elements)", i, v.(expr.VList).Len())
@@ -478,13 +486,13 @@ func TestNoDeadlockUnderMutualFlood(t *testing.T) {
 	}
 	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
-		t.Fatalf("flood did not complete: %v (%+v)", err, c.Root().Snapshot())
+		t.Fatalf("flood did not complete: %v (%+v)", err, totals(c))
 	}
 	if !v.Equal(want) {
 		t.Fatalf("flood answered %v, want %v", v, want)
 	}
 	// Half of the 32·64 leaf packets, give or take what placement drew.
-	if got := c.Root().Snapshot(); got.MsgBytes < int64(32*64*leaf*4/10) {
+	if got := totals(c); got.MsgBytes < int64(32*64*leaf*4/10) {
 		t.Errorf("only %d bytes crossed the hub: the flood did not happen", got.MsgBytes)
 	}
 }

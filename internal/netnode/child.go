@@ -13,6 +13,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
+	"repro/internal/trace"
 )
 
 // ChildMain is the hidden node-process entry point. Call it first thing in
@@ -47,9 +48,9 @@ type childLink struct {
 	id  proto.ProcID
 	out *proto.FrameWriter
 	// n is the node behind the link; told is what n had counted on its own
-	// (in place, reissues in place, drained) as of the last stats frame.
+	// as of the last stats frame.
 	n    *node.Node
-	told [3]int64
+	told trace.Metrics
 }
 
 // Spawn implements node.Link. Reissue frames carry FlagReissue so the hub
@@ -83,13 +84,12 @@ func (l *childLink) Fail(task proto.TaskKey, err error) {
 // whatever a frame it sees causally follows — a packet that ran in place
 // before its result left, say — even when the node dies mid-batch.
 func (l *childLink) tally() {
-	now := [3]int64{l.n.InPlace, l.n.InPlaceReissues, l.n.Drained}
-	if now == l.told {
+	if l.n.Metrics == l.told {
 		return
 	}
 	buf := l.out.Begin(proto.FrameStats, 0, l.id, proto.HostID)
-	_ = l.out.End(appendStats(buf, now[0]-l.told[0], now[1]-l.told[1], now[2]-l.told[2]))
-	l.told = now
+	_ = l.out.End(appendStats(buf, &l.n.Metrics, &l.told))
+	l.told = l.n.Metrics
 }
 
 // hubGone ends the node on a connection error: a read or a flush that fails

@@ -95,18 +95,15 @@ type child struct {
 // parent's socket, the parent routing frames between them and hosting the
 // super-root.
 //
-// The super-root's counters are charged by the router: messages count the
-// protocol frames (spawn, result, node-down) it carried, in real frame wire
-// sizes — program broadcasts and supervision traffic (hello, stats,
-// shutdown) are not interconnect load, matching the resident-code
-// model of the other backends — and reissues are attributed from FlagReissue
-// frames, so the attribution survives a later SIGKILL of the reissuing node.
-// What a node did without the hub — the task packets it placed on itself,
-// the results it drained — it reports in stats frames, each ahead of the
-// next frame it sends: whatever causally precedes a frame the router has
-// seen is counted, and a SIGKILLed node loses only what it never flushed
-// (nothing a dead processor counted can be read back). Drained adds the
-// frames black-holed at dead nodes.
+// The router charges the super-root for the protocol frames (spawn, result,
+// node-down) it carries, in real frame wire sizes — program broadcasts and
+// supervision traffic (hello, stats, shutdown) are not interconnect load,
+// matching the resident-code model of the other backends — and attributes
+// reissues from FlagReissue frames, so the attribution survives a later
+// SIGKILL of the reissuing node. What a node counted on its own it reports in
+// stats frames, each ahead of the next frame it sends: whatever causally
+// precedes a frame the router has seen is counted, and a SIGKILLed node
+// loses only what it never flushed.
 type Cluster struct {
 	root *node.Root
 	spec node.Spec
@@ -269,14 +266,14 @@ func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
 	wire := hostFrame(proto.FrameSpawn, flags, to, appendSpawn(nil, pkt))
 	c.root.CountSpawn(proto.HostID, len(wire), reissue)
 	if !c.push(c.children[to], wire) {
-		c.root.CountDrained(1)
+		c.root.CountBlackholed()
 	}
 }
 
 // NodeDown implements node.Fabric: the death announcement to one survivor.
 func (c *Cluster) NodeDown(to, dead proto.ProcID) {
 	wire := hostFrame(proto.FrameNodeDown, 0, to, nodeDownPayload(int(dead)))
-	c.root.CountMsg(len(wire))
+	c.root.CountNodeDown(len(wire))
 	c.push(c.children[to], wire)
 }
 
@@ -324,13 +321,15 @@ func (c *Cluster) relay(ch *child) error {
 	if size > ch.r.Size() {
 		wire := make([]byte, size)
 		if _, err = io.ReadFull(ch.r, wire); err == nil {
-			c.carry(ch, f, wire)
+			err = c.carry(ch, f, wire)
 		}
 		return err
 	}
 	wire, err := ch.r.Peek(size)
 	if err == nil {
-		c.carry(ch, f, wire)
+		err = c.carry(ch, f, wire)
+	}
+	if err == nil {
 		_, err = ch.r.Discard(size)
 	}
 	return err
@@ -339,21 +338,23 @@ func (c *Cluster) relay(ch *child) error {
 // carry counts one whole frame from a child and sends it on its way:
 // protocol frames are charged and forwarded (a root's result is decoded and
 // delivered here), supervision frames absorbed. wire is only valid during
-// the call.
-func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) {
+// the call. A result or stats frame for the hub that does not decode is its
+// sender's failure, "an invalid message" (§1): the error ends the connection.
+func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 	payload := wire[proto.FrameHeaderSize:]
 	switch f.Type {
 	case proto.FrameStats:
-		if inPlace, reissues, drained, err := parseStats(payload); err == nil {
-			c.root.CountInPlace(proto.ProcID(ch.id), inPlace, reissues)
-			c.root.CountDrained(drained)
+		m, err := parseStats(payload)
+		if err != nil {
+			return err
 		}
+		c.root.Fold(proto.ProcID(ch.id), &m)
 	case proto.FrameResult:
-		c.root.CountMsg(len(wire))
+		c.root.CountResult(len(wire))
 		if f.To != proto.HostID {
 			c.forward(f.To, wire)
 		} else if res, err := proto.DecodeResult(payload); err != nil {
-			c.root.CountDrained(1)
+			return err
 		} else if f.Flags&proto.FlagFailed == 0 {
 			c.root.Deliver(res)
 		} else {
@@ -366,6 +367,7 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) {
 		// A child never originates other frame types; drop quietly
 		// rather than wedge the stream on a protocol slip.
 	}
+	return nil
 }
 
 // evalError is the evaluation error a node process reported as text v, typed
@@ -378,7 +380,7 @@ func evalError(v expr.Value) error {
 // forward relays a child-to-child frame; dead destinations black-hole it.
 func (c *Cluster) forward(to proto.ProcID, wire []byte) {
 	if to < 0 || int(to) >= len(c.children) || !c.push(c.children[to], wire) {
-		c.root.CountDrained(1)
+		c.root.CountBlackholed()
 	}
 }
 

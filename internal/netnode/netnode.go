@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/proto"
+	"repro/internal/trace"
 )
 
 // Environment contract between the parent and its re-exec'd children.
@@ -180,21 +181,24 @@ func parseNodeDown(p []byte) (int, error) {
 	return int(binary.BigEndian.Uint32(p)), nil
 }
 
-func appendStats(buf []byte, inPlace, reissues, drained int64) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, uint64(inPlace))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(reissues))
-	return binary.BigEndian.AppendUint64(buf, uint64(drained))
+// appendStats appends what a node counted on its own between was and now.
+func appendStats(buf []byte, now, was *trace.Metrics) []byte {
+	for _, d := range [...]int64{now.TasksInPlace - was.TasksInPlace, now.Reissues - was.Reissues,
+		now.DupResults - was.DupResults, now.LateResults - was.LateResults} {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(d))
+	}
+	return buf
 }
 
-func parseStats(p []byte) (inPlace, reissues, drained int64, err error) {
-	if len(p) != 24 {
-		return 0, 0, 0, fmt.Errorf("netnode: stats payload %d bytes", len(p))
+func parseStats(p []byte) (m trace.Metrics, err error) {
+	if len(p) != 32 {
+		return m, fmt.Errorf("netnode: stats payload %d bytes", len(p))
 	}
-	inPlace = int64(binary.BigEndian.Uint64(p))
-	reissues = int64(binary.BigEndian.Uint64(p[8:]))
-	drained = int64(binary.BigEndian.Uint64(p[16:]))
-	if reissues < 0 || inPlace < reissues || drained < 0 {
-		return 0, 0, 0, fmt.Errorf("netnode: stats report %d/%d/%d", inPlace, reissues, drained)
+	at := func(i int) int64 { return int64(binary.BigEndian.Uint64(p[8*i:])) }
+	m.TasksInPlace, m.Reissues, m.DupResults, m.LateResults = at(0), at(1), at(2), at(3)
+	m.TasksSpawned = m.TasksInPlace
+	if m.Reissues < 0 || m.TasksInPlace < m.Reissues || m.DupResults < 0 || m.LateResults < 0 {
+		return trace.Metrics{}, fmt.Errorf("netnode: stats report %d/%d/%d/%d", m.TasksInPlace, m.Reissues, m.DupResults, m.LateResults)
 	}
-	return inPlace, reissues, drained, nil
+	return m, nil
 }

@@ -127,10 +127,11 @@ func TestClusterFaultFree(t *testing.T) {
 	// packet placed on its parent's node is spawned and is no message, nor
 	// is its result; every other packet, the root's included, is one frame
 	// through the hub and one frame back.
-	got := c.Root().Snapshot()
-	if got.Spawned != 465 || got.InPlace == 0 || got.Messages != 2*(got.Spawned-got.InPlace) || got.Drained != 0 {
+	m, _ := c.Root().Metrics()
+	got := core.CountersOf(&m)
+	if m.TasksSpawned != 465 || m.TasksInPlace == 0 || got.Messages != 2*(m.TasksSpawned-m.TasksInPlace) || got.Drained != 0 {
 		t.Errorf("spawned %d (%d in place), %d messages, %d drained; want 465 spawned, some in place, and two messages for each of the rest",
-			got.Spawned, got.InPlace, got.Messages, got.Drained)
+			m.TasksSpawned, m.TasksInPlace, got.Messages, got.Drained)
 	}
 	if got.Reissued != 0 {
 		t.Errorf("fault-free run reissued %d packets", got.Reissued)
@@ -166,7 +167,7 @@ func TestClusterSurvivesTwoSIGKILLs(t *testing.T) {
 	}
 	v, err := r.Wait(60*time.Second, nil)
 	if err != nil {
-		t.Fatalf("no answer after SIGKILLs: %v (%+v)", err, c.Root().Snapshot())
+		t.Fatalf("no answer after SIGKILLs: %v (%+v)", err, totals(c))
 	}
 	if !v.Equal(expr.VInt(987)) {
 		t.Fatalf("fib(16) = %v after two SIGKILLs, want 987", v)
@@ -217,7 +218,7 @@ func TestEvalErrorKillsNoNodeProcess(t *testing.T) {
 			t.Errorf("node %d (pid %d) died of an evaluation error", i, pid)
 		}
 	}
-	if got := c.Root().Snapshot(); got.Reissued != 0 {
+	if got := totals(c); got.Reissued != 0 {
 		t.Errorf("%d reissues: a node was taken for dead", got.Reissued)
 	}
 }
@@ -279,7 +280,7 @@ func TestNoOrphansAfterClose(t *testing.T) {
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Root().Snapshot().Drained; got != 1 {
+	if got := totals(c).Drained; got != 1 {
 		t.Errorf("drained = %d after Close, want the 1 node 0 reported at shutdown", got)
 	}
 	requireAllDead(t, pids)

@@ -5,10 +5,12 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/proto"
 	"repro/internal/stamp"
+	"repro/internal/trace"
 )
 
 // The hub relays bytes. These tests pin what that means: a forwarded frame
@@ -74,7 +76,7 @@ func TestRelayForwardsTheBytesThatArrived(t *testing.T) {
 		}
 		t.Fatalf("node 1 was queued %d bytes, node 0 wrote %d; they first differ at byte %d", len(got), len(stream), at)
 	}
-	got := c.Root().Snapshot()
+	got := totals(c)
 	if got.Messages != int64(count)+1 || got.MsgBytes != int64(len(stream))+proto.FrameHeaderSize+4 || got.Drained != 0 {
 		t.Errorf("%d messages, %d bytes, %d drained; want the %d frames of %d bytes and one death announcement",
 			got.Messages, got.MsgBytes, got.Drained, count, len(stream))
@@ -103,7 +105,7 @@ func TestRelayCutAtEveryOffset(t *testing.T) {
 	nowhere.From, nowhere.To = 0, 7
 	parts := []part{
 		{wire: spawn, msgs: 1, spawned: 1, forwarded: true},
-		{wire: proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameStats, From: 0, To: proto.HostID, Payload: appendStats(nil, 5, 2, 3)}),
+		{wire: proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameStats, From: 0, To: proto.HostID, Payload: appendStats(nil, &trace.Metrics{TasksInPlace: 5, Reissues: 2, LateResults: 3}, &trace.Metrics{})}),
 			spawned: 5, inPlace: 5, drains: 3},
 		{wire: proto.AppendFrame(nil, toHost), msgs: 1, drains: 1},
 		{wire: opaque(1, 40, 9), msgs: 1, forwarded: true},
@@ -134,13 +136,14 @@ func TestRelayCutAtEveryOffset(t *testing.T) {
 		if got := routeAll(t, c); !bytes.Equal(got, want) {
 			t.Fatalf("cut at %d of %d: node 1 was queued %d bytes, want the %d of the whole frames before the cut", cut, len(stream), len(got), len(want))
 		}
-		got := c.Root().Snapshot()
-		if got.Messages != msgs+1 || got.Spawned != spawned || got.InPlace != inPlace || got.Drained != drains {
+		m, by := c.Root().Metrics()
+		got := core.CountersOf(&m)
+		if got.Messages != msgs+1 || m.TasksSpawned != spawned || m.TasksInPlace != inPlace || got.Drained != drains {
 			t.Fatalf("cut at %d of %d: messages/spawned/in place/drained = %d/%d/%d/%d, want %d/%d/%d/%d",
-				cut, len(stream), got.Messages, got.Spawned, got.InPlace, got.Drained, msgs+1, spawned, inPlace, drains)
+				cut, len(stream), got.Messages, m.TasksSpawned, m.TasksInPlace, got.Drained, msgs+1, spawned, inPlace, drains)
 		}
-		if want := min(spawned, 1) + min(inPlace, 2); got.Reissued != want || c.Root().ReissuesByNode()[0] != want {
-			t.Fatalf("cut at %d of %d: %d reissued (%v by node), want %d", cut, len(stream), got.Reissued, c.Root().ReissuesByNode(), want)
+		if want := min(spawned, 1) + min(inPlace, 2); got.Reissued != want || by[0] != want {
+			t.Fatalf("cut at %d of %d: %d reissued (%v by node), want %d", cut, len(stream), got.Reissued, by, want)
 		}
 	}
 
@@ -150,6 +153,28 @@ func TestRelayCutAtEveryOffset(t *testing.T) {
 	c := fakeCluster(t, script(bad), script(nil))
 	if got := routeAll(t, c); !bytes.Equal(got, spawn) {
 		t.Fatalf("before an oversized length node 1 was queued %d bytes, want the %d of the frame ahead of it", len(got), len(spawn))
+	}
+}
+
+// TestInvalidHostFrameIsItsSendersFailure: a faulty processor "may answer an
+// inquiry with an invalid message" (§1). A frame for the hub that does not
+// decode — a root's result, or a stats report — ends its sender's connection
+// like a header no frame can have: nothing after it is relayed, and the node
+// is handled as dead, so the super-root reissues what it hosted instead of
+// letting a request whose answer arrived corrupt wait out its deadline.
+func TestInvalidHostFrameIsItsSendersFailure(t *testing.T) {
+	for name, bad := range map[string]*proto.Frame{
+		"undecodable result": {Type: proto.FrameResult, From: 0, To: proto.HostID, Payload: []byte{0xff, 0xff, 0xff}},
+		"3-byte stats":       {Type: proto.FrameStats, From: 0, To: proto.HostID, Payload: []byte{1, 2, 3}},
+	} {
+		if _, err := proto.DecodeResult(bad.Payload); bad.Type == proto.FrameResult && err == nil {
+			t.Fatalf("%s: the payload decodes", name)
+		}
+		stream := append(proto.AppendFrame(nil, bad), opaque(1, 40, 9)...)
+		c := fakeCluster(t, script(stream), script(nil))
+		if got := routeAll(t, c); len(got) != 0 {
+			t.Errorf("%s: %d bytes relayed to node 1 after it, want none", name, len(got))
+		}
 	}
 }
 
@@ -179,7 +204,7 @@ func TestRelayAllocatesNothing(t *testing.T) {
 		})})
 	res := orphanResult(1)
 	res.From, res.To = 0, 1
-	stats := proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameStats, From: 0, To: proto.HostID, Payload: appendStats(nil, 1, 0, 0)})
+	stats := proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameStats, From: 0, To: proto.HostID, Payload: appendStats(nil, &trace.Metrics{TasksInPlace: 1}, &trace.Metrics{})})
 	data := append(append(spawn, proto.AppendFrame(nil, res)...), stats...)
 
 	c := fakeCluster(t, script(nil), script(nil))

@@ -3,7 +3,9 @@ package node_test
 import (
 	"errors"
 	"os"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/netnode"   // registers "net"
 	"repro/internal/node"
 	"repro/internal/proto"
+	"repro/internal/trace"
 )
 
 // The conformance suite: everything a wall-clock backend owes the
@@ -207,8 +210,10 @@ func TestRejectedKnobs(t *testing.T) {
 // fault-free workload, config and API complete with the reference answer on
 // the simulator and on every wall-clock backend, and all of them unfold the
 // identical task tree — the call tree is a pure function of the program, so
-// Spawned agrees exactly. Three counts are pinned: the ones ROADMAP items 4
-// and 5 cite. Every substrate accounts message bytes in the codec's units.
+// tasks.spawned agrees exactly. Three counts are pinned: the ones ROADMAP
+// items 4 and 5 cite. Every substrate accounts message bytes in the codec's
+// units, and reports one metrics block: the rows every substrate counts
+// appear on all three, and live and net print the same declared rows.
 func TestSubstrateParity(t *testing.T) {
 	cases := []struct {
 		spec    string
@@ -227,21 +232,104 @@ func TestSubstrateParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := tc.spawned
+			rows := map[string][]string{}
 			for _, backend := range append([]string{"sim"}, backends...) {
 				rep, err := core.VerifyOn(backend, cfg, w, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", backend, err)
 				}
 				if want == 0 {
-					want = rep.Spawned
+					want = rep.Metrics.TasksSpawned
 				}
-				if rep.Spawned != want {
-					t.Errorf("%s: spawned %d, want %d", backend, rep.Spawned, want)
+				if rep.Metrics.TasksSpawned != want {
+					t.Errorf("%s: spawned %d, want %d", backend, rep.Metrics.TasksSpawned, want)
 				}
 				if rep.MsgBytes <= 0 {
 					t.Errorf("%s: no message bytes accounted", backend)
 				}
+				rows[backend] = rowNames(&rep.Metrics)
+				for _, row := range rows[backend] {
+					if !declaredRows[row] {
+						t.Errorf("%s: row %q is no trace.Metrics row", backend, row)
+					}
+				}
+				for _, row := range []string{"tasks.spawned", "msg.task", "msg.result", "bytes.wire"} {
+					if !slices.Contains(rows[backend], row) {
+						t.Errorf("%s: no %s row in %q", backend, row, rows[backend])
+					}
+				}
 			}
+			if !slices.Equal(rows["live"], rows["net"]) {
+				t.Errorf("fault-free rows differ:\nlive: %q\nnet : %q", rows["live"], rows["net"])
+			}
+		})
+	}
+}
+
+// declaredRows are the row names trace.Metrics declares.
+var declaredRows = func() map[string]bool {
+	rows := map[string]bool{}
+	mt := reflect.TypeOf(trace.Metrics{})
+	for i := range mt.NumField() {
+		if row := mt.Field(i).Tag.Get("row"); row != "" {
+			rows[row] = true
+		}
+	}
+	return rows
+}()
+
+// rowNames are the names of the rows a metrics block prints, in order.
+func rowNames(m *trace.Metrics) []string {
+	var names []string
+	for _, row := range m.Rows() {
+		names = append(names, strings.Fields(row)[0])
+	}
+	return names
+}
+
+// TestWallClockConservation is the packet ledger on the wall clock: every
+// task packet spawned either crossed the interconnect as a msg.task or was
+// placed in place by its parent's node, on every run, faulted or not. A
+// fault-free run spawns exactly the simulator's task tree and drains,
+// black-holes and reissues nothing, and no run credits its nodes with more
+// reissues than its total.
+func TestWallClockConservation(t *testing.T) {
+	cfg := core.Config{Procs: 6, Seed: 3, Recovery: "rollback"}
+	plans := []*faults.Plan{nil, faults.Crash(2, 100, true), faults.Burst(cfg.Procs, 2, 1, faults.CrashAnnounced, 5)}
+	for _, spec := range []string{"fib:14", "tree:3,5"} {
+		t.Run(spec, func(t *testing.T) {
+			w, err := core.StandardWorkload(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := core.VerifyOn("sim", cfg, w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			each(t, func(t *testing.T, backend string) {
+				for _, plan := range plans {
+					rep, err := core.VerifyOn(backend, cfg, w, plan)
+					if err != nil {
+						t.Fatalf("%v: %v", plan, err)
+					}
+					m := &rep.Metrics
+					if m.TasksSpawned != m.MsgTask+m.TasksInPlace {
+						t.Errorf("%v: %d spawned, %d sent + %d in place", plan, m.TasksSpawned, m.MsgTask, m.TasksInPlace)
+					}
+					var byNode int64
+					for _, r := range rep.ReissuesByNode {
+						byNode += r
+					}
+					if byNode > m.Reissues {
+						t.Errorf("%v: nodes credited with %v reissues, %d in all", plan, rep.ReissuesByNode, m.Reissues)
+					}
+					if plan == nil && (m.TasksSpawned != ref.Metrics.TasksSpawned || m.Reissues != 0 ||
+						m.Blackholed != 0 || m.DupResults != 0 || m.LateResults != 0) {
+						t.Errorf("fault-free: %q, want %d spawned and nothing reissued, black-holed or drained",
+							m.Rows(), ref.Metrics.TasksSpawned)
+					}
+				}
+			})
 		})
 	}
 }
@@ -332,10 +420,10 @@ func TestServiceStream(t *testing.T) {
 	})
 }
 
-// TestSpawnedIncludesReissues: Report.Spawned counts every task packet sent,
+// TestSpawnedIncludesReissues: tasks.spawned counts every task packet sent,
 // reissues included, exactly as the simulator's does. A run that completes
 // sends each of the workload's tasks at least once, and every reissue is one
-// more send of a packet already sent — so a faulted run's Spawned is at
+// more send of a packet already sent — so a faulted run's tasks.spawned is at
 // least the fault-free task count plus its reissues.
 func TestSpawnedIncludesReissues(t *testing.T) {
 	w, err := core.StandardWorkload("fib:16")
@@ -362,9 +450,9 @@ func TestSpawnedIncludesReissues(t *testing.T) {
 			if rep.Reissued == 0 {
 				continue
 			}
-			if rep.Spawned < clean.Spawned+rep.Reissued {
-				t.Fatalf("spawned %d < %d fault-free tasks + %d reissues: reissues are missing from Spawned",
-					rep.Spawned, clean.Spawned, rep.Reissued)
+			if rep.Metrics.TasksSpawned < clean.Metrics.TasksSpawned+rep.Reissued {
+				t.Fatalf("spawned %d < %d fault-free tasks + %d reissues: reissues are missing from tasks.spawned",
+					rep.Metrics.TasksSpawned, clean.Metrics.TasksSpawned, rep.Reissued)
 			}
 			var byNode int64
 			for _, r := range rep.ReissuesByNode {

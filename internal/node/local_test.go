@@ -18,7 +18,7 @@ import (
 // transport brought the message back later. The tests here run one request
 // on both and require that nobody outside the node can tell: the same
 // transcript of what crossed the interconnect, the same answer, the same
-// Spawned/Reissued/Drained totals, and Messages differing by exactly the
+// spawned, reissue and drain totals, and messages differing by exactly the
 // messages that no longer exist.
 
 // parcel is one message in flight in a mesh; exactly one of pkt, res, down
@@ -95,7 +95,7 @@ func (m *mesh) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
 
 // NodeDown implements Fabric.
 func (m *mesh) NodeDown(to, dead proto.ProcID) {
-	m.root.CountMsg(16)
+	m.root.CountNodeDown(16)
 	m.cross(proto.HostID, parcel{to: to, down: dead + 1}, false)
 }
 
@@ -155,7 +155,7 @@ func (l meshLink) Result(to proto.ProcID, res *proto.Result) {
 	} else {
 		m.cross(l.p, parcel{to: to, res: res}, false)
 	}
-	m.root.CountMsg(res.EncodedSize())
+	m.root.CountResult(res.EncodedSize())
 	if to == proto.HostID {
 		m.root.Deliver(res)
 	}
@@ -224,7 +224,7 @@ func (m *mesh) run(w core.Workload, kills []kill) expr.Value {
 		m.flight = m.flight[1:]
 		m.delivered++
 		if m.dead[p.to] {
-			m.root.CountDrained(1)
+			m.root.CountBlackholed()
 			continue
 		}
 		m.handled++
@@ -235,12 +235,12 @@ func (m *mesh) run(w core.Workload, kills []kill) expr.Value {
 		}
 	}
 	for i, n := range m.nodes {
-		m.root.CountInPlace(proto.ProcID(i), n.InPlace, n.InPlaceReissues)
-		m.root.CountDrained(n.Drained)
+		m.root.Fold(proto.ProcID(i), &n.Metrics)
 	}
 	v, err := q.Wait(0, nil)
 	if err != nil {
-		m.t.Fatalf("nothing left in flight and no answer: %v (loop %v, %+v)", err, m.loop, m.root.Snapshot())
+		got, _ := m.root.Metrics()
+		m.t.Fatalf("nothing left in flight and no answer: %v (loop %v, %q)", err, m.loop, got.Rows())
 	}
 	return v
 }
@@ -276,29 +276,32 @@ func checkLocalDelivery(t testing.TB, spec string, procs int, seed int64, kills 
 		}
 		t.Fatalf("the loop-back run sent %d messages more", len(wire.crossed)-len(inPlace.crossed))
 	}
-	a, b := inPlace.root.Snapshot(), wire.root.Snapshot()
-	if a.Spawned != b.Spawned || a.Reissued != b.Reissued || a.Drained != b.Drained ||
-		!slices.Equal(inPlace.root.ReissuesByNode(), wire.root.ReissuesByNode()) {
-		t.Fatalf("spawned/reissued/drained/by node = %d/%d/%d/%v in place, %d/%d/%d/%v through the wire",
-			a.Spawned, a.Reissued, a.Drained, inPlace.root.ReissuesByNode(),
-			b.Spawned, b.Reissued, b.Drained, wire.root.ReissuesByNode())
+	ma, byA := inPlace.root.Metrics()
+	mb, byB := wire.root.Metrics()
+	if ma.TasksSpawned != mb.TasksSpawned || ma.Reissues != mb.Reissues || ma.DupResults != mb.DupResults ||
+		ma.LateResults != mb.LateResults || ma.Blackholed != mb.Blackholed || !slices.Equal(byA, byB) {
+		t.Fatalf("spawned/reissued/dup/late/blackholed/by node = %d/%d/%d/%d/%d/%v in place, %d/%d/%d/%d/%d/%v through the wire",
+			ma.TasksSpawned, ma.Reissues, ma.DupResults, ma.LateResults, ma.Blackholed, byA,
+			mb.TasksSpawned, mb.Reissues, mb.DupResults, mb.LateResults, mb.Blackholed, byB)
 	}
-	var reissuesInPlace, reissues int64
+	var reissuesInPlace, byNode int64
 	for i, n := range inPlace.nodes {
-		reissuesInPlace += n.InPlaceReissues
-		reissues += n.Reissues
-		if ref := wire.nodes[i]; n.Reissues != ref.Reissues || n.Drained != ref.Drained || ref.InPlace != 0 {
-			t.Fatalf("node %d: reissues/drained %d/%d in place, %d/%d through the wire (which placed %d in place)",
-				i, n.Reissues, n.Drained, ref.Reissues, ref.Drained, ref.InPlace)
+		reissuesInPlace += n.Metrics.Reissues
+		byNode += byA[i]
+		if ref := wire.nodes[i]; n.Metrics.DupResults != ref.Metrics.DupResults ||
+			n.Metrics.LateResults != ref.Metrics.LateResults || ref.Metrics.TasksInPlace != 0 {
+			t.Fatalf("node %d: dup/late %d/%d in place, %d/%d through the wire (which placed %d in place)", i,
+				n.Metrics.DupResults, n.Metrics.LateResults, ref.Metrics.DupResults, ref.Metrics.LateResults, ref.Metrics.TasksInPlace)
 		}
 	}
-	if a.InPlace != wire.selfSpawns || reissuesInPlace != wire.selfReissues || b.InPlace != 0 {
+	if ma.TasksInPlace != wire.selfSpawns || reissuesInPlace != wire.selfReissues || mb.TasksInPlace != 0 {
 		t.Fatalf("%d packets (%d reissues) ran in place; the loop-back nodes mailed themselves %d (%d)",
-			a.InPlace, reissuesInPlace, wire.selfSpawns, wire.selfReissues)
+			ma.TasksInPlace, reissuesInPlace, wire.selfSpawns, wire.selfReissues)
 	}
-	if a.Reissued < reissues {
-		t.Fatalf("the nodes reissued %d packets, the stream total says %d", reissues, a.Reissued)
+	if byNode > ma.Reissues {
+		t.Fatalf("the nodes are credited %d reissues, the stream total says %d", byNode, ma.Reissues)
 	}
+	a, b := core.CountersOf(&ma), core.CountersOf(&mb)
 	if b.Messages-a.Messages != wire.selfMsgs || b.MsgBytes-a.MsgBytes != wire.selfBytes {
 		t.Fatalf("messages %d (%d bytes) in place, %d (%d) through the wire: the difference is not the %d (%d) self-addressed",
 			a.Messages, a.MsgBytes, b.Messages, b.MsgBytes, wire.selfMsgs, wire.selfBytes)
@@ -324,8 +327,8 @@ func TestLocalDeliveryIsTheWire(t *testing.T) {
 		} {
 			t.Run(fmt.Sprintf("%s/p%d/k%d", spec, tc.procs, len(tc.kills)), func(t *testing.T) {
 				m := checkLocalDelivery(t, spec, tc.procs, tc.seed, tc.kills)
-				if got := m.root.Snapshot(); got.InPlace == 0 || (len(tc.kills) > 0 && got.Reissued == 0) {
-					t.Fatalf("the case exercised nothing: %+v", got)
+				if got, _ := m.root.Metrics(); got.TasksInPlace == 0 || (len(tc.kills) > 0 && got.Reissues == 0) {
+					t.Fatalf("the case exercised nothing: %q", got.Rows())
 				}
 			})
 		}
@@ -343,9 +346,9 @@ func TestWholeRequestInOneHandlerCall(t *testing.T) {
 		if m.handled != 2 {
 			t.Fatalf("%s: node 0's handlers ran %d times, want 2 (the root's packet, the announcement)", spec, m.handled)
 		}
-		got := m.root.Snapshot()
-		if last := m.crossed[len(m.crossed)-1]; got.Reissued == 0 || got.Reissued != m.nodes[0].InPlaceReissues || !strings.HasPrefix(last, "0→-1 result") {
-			t.Fatalf("%s: %d reissued, %d of them in place, last message %q", spec, got.Reissued, m.nodes[0].InPlaceReissues, last)
+		got, _ := m.root.Metrics()
+		if last := m.crossed[len(m.crossed)-1]; got.Reissues == 0 || got.Reissues != m.nodes[0].Metrics.Reissues || !strings.HasPrefix(last, "0→-1 result") {
+			t.Fatalf("%s: %d reissued, %d of them in place, last message %q", spec, got.Reissues, m.nodes[0].Metrics.Reissues, last)
 		}
 	}
 }

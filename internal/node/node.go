@@ -24,6 +24,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/proto"
 	"repro/internal/stamp"
+	"repro/internal/trace"
 )
 
 // Link is how task packets and results leave a node. Sends must not block
@@ -98,13 +99,11 @@ type Node struct {
 	live    []bool  // what this node has been told about its peers (§3)
 	inbox   []local // self-addressed, not yet delivered
 
-	// Drained counts the late, orphan and duplicate results this node
-	// discarded; Reissues the retained packets it re-sent after peer deaths.
-	// InPlace counts the task packets — InPlaceReissues the reissues among
-	// them — that it placed on itself and delivered in place: spawned, but
-	// carried by no transport, so only the node can count them. Plain fields:
-	// read them from the receive loop, or once it has stopped.
-	Drained, Reissues, InPlace, InPlaceReissues int64
+	// Metrics is what only this node sees, so the transport folds it in: the
+	// packets it delivered in place (tasks.spawned, tasks.in-place, and
+	// recover.reissues for the reissues among them) and the results it
+	// drained. Read it from the receive loop, or once it has stopped.
+	Metrics trace.Metrics
 }
 
 // New builds processor id of a procs-node machine. Placement draws from an
@@ -215,9 +214,10 @@ func (n *Node) settle() {
 	i := 0
 	for ; i < len(n.inbox) && i < settleBudget; i++ {
 		if m := n.inbox[i]; m.pkt != nil {
-			n.InPlace++
+			n.Metrics.TasksSpawned++
+			n.Metrics.TasksInPlace++
 			if m.reissue {
-				n.InPlaceReissues++
+				n.Metrics.Reissues++
 			}
 			n.install(m.pkt)
 		} else {
@@ -281,7 +281,7 @@ func (n *Node) OnResult(r *proto.Result) {
 func (n *Node) fill(r *proto.Result) {
 	list := n.tasks[r.ParentTask.Stamp]
 	if len(list) == 0 {
-		n.Drained++ // late/orphan result: ignored (§4.2 rule of thumb)
+		n.Metrics.LateResults++ // late/orphan result: ignored (§4.2 rule of thumb)
 		return
 	}
 	consumed := false
@@ -304,7 +304,7 @@ func (n *Node) fill(r *proto.Result) {
 		n.apply(t, out, st, err)
 	}
 	if !consumed {
-		n.Drained++ // duplicate: "the second copy is simply ignored"
+		n.Metrics.DupResults++ // duplicate: "the second copy is simply ignored"
 	}
 }
 
@@ -329,7 +329,6 @@ func (n *Node) OnNodeDown(dead proto.ProcID) {
 	slices.SortFunc(lost, func(a, b *ckpt) int { return a.pkt.Key.Compare(b.pkt.Key) })
 	for _, ck := range lost {
 		ck.dest = n.pickDest()
-		n.Reissues++
 		n.spawn(ck.dest, ck.pkt, true)
 	}
 	n.settle()

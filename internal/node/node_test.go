@@ -26,23 +26,23 @@ type sent struct {
 	err     error
 }
 
-// wire records every send and charges the counters the way a transport
+// wire records every send and charges the super-root the way a transport
 // must: every message as it is carried.
 type wire struct {
 	from proto.ProcID
-	c    *Counters
+	r    *Root
 	log  []sent
 	// loads counts program broadcasts.
 	loads int
 }
 
 func (w *wire) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	w.c.CountSpawn(w.from, pkt.EncodedSize(), reissue)
+	w.r.CountSpawn(w.from, pkt.EncodedSize(), reissue)
 	w.log = append(w.log, sent{to: to, pkt: pkt, reissue: reissue})
 }
 
 func (w *wire) Result(to proto.ProcID, res *proto.Result) {
-	w.c.CountMsg(res.EncodedSize())
+	w.r.CountResult(res.EncodedSize())
 	w.log = append(w.log, sent{to: to, res: res})
 }
 
@@ -51,7 +51,7 @@ func (w *wire) Fail(task proto.TaskKey, err error) {
 }
 
 func (w *wire) NodeDown(to, dead proto.ProcID) {
-	w.c.CountMsg(16)
+	w.r.CountNodeDown(16)
 	w.log = append(w.log, sent{to: to, dead: dead})
 }
 
@@ -68,7 +68,7 @@ func (w *wire) take() []sent {
 }
 
 // newWire is a recording transport from processor from, charging the
-// counters of a fresh super-root that sends through it.
+// metrics of a fresh super-root that sends through it.
 func newWire(t *testing.T, from proto.ProcID, spec Spec) (*wire, *Root) {
 	t.Helper()
 	w := &wire{from: from}
@@ -76,7 +76,7 @@ func newWire(t *testing.T, from proto.ProcID, spec Spec) (*wire, *Root) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.c = &r.Counters
+	w.r = r
 	return w, r
 }
 
@@ -151,8 +151,8 @@ func TestDuplicateSpawnAndIncarnations(t *testing.T) {
 			t.Fatalf("incarnation answered %v, want 5", d.res.Value)
 		}
 	}
-	if len(n.tasks) != 0 || n.Drained != 0 {
-		t.Fatalf("after completion: %d stamps resident, %d drained", len(n.tasks), n.Drained)
+	if drained := n.Metrics.DupResults + n.Metrics.LateResults; len(n.tasks) != 0 || drained != 0 {
+		t.Fatalf("after completion: %d stamps resident, %d drained", len(n.tasks), drained)
 	}
 }
 
@@ -163,8 +163,8 @@ func TestLateAndDuplicateResultsDrain(t *testing.T) {
 	n.OnResult(resultFor(kids[0].pkt, 2))
 	// The hole is already filled: the second copy is simply ignored.
 	n.OnResult(resultFor(kids[0].pkt, 2))
-	if n.Drained != 1 {
-		t.Fatalf("duplicate result: drained = %d, want 1", n.Drained)
+	if n.Metrics.DupResults != 1 || n.Metrics.LateResults != 0 {
+		t.Fatalf("duplicate result: dup/late = %d/%d, want 1/0", n.Metrics.DupResults, n.Metrics.LateResults)
 	}
 	n.OnResult(resultFor(kids[1].pkt, 1))
 	if done := w.take(); len(done) != 1 || !done[0].res.Value.Equal(expr.VInt(3)) {
@@ -172,8 +172,8 @@ func TestLateAndDuplicateResultsDrain(t *testing.T) {
 	}
 	// The task has retired: a late answer finds no addressee.
 	n.OnResult(resultFor(kids[1].pkt, 1))
-	if n.Drained != 2 {
-		t.Fatalf("late result: drained = %d, want 2", n.Drained)
+	if n.Metrics.DupResults != 1 || n.Metrics.LateResults != 1 {
+		t.Fatalf("late result: dup/late = %d/%d, want 1/1", n.Metrics.DupResults, n.Metrics.LateResults)
 	}
 	if extra := w.take(); len(extra) != 0 {
 		t.Fatalf("drained results caused sends: %+v", extra)
@@ -211,7 +211,7 @@ func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 		return reissues
 	}
 	note(w.take())
-	if n.InPlace == 0 {
+	if n.Metrics.TasksInPlace == 0 {
 		t.Fatal("placement never drew the node itself: nothing ran in place")
 	}
 	const dead, deadNext = proto.ProcID(3), proto.ProcID(1)
@@ -245,9 +245,10 @@ func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 	n.OnNodeDown(dead)
 	re := w.take()
 	sentRe := note(re)
-	if int64(sentRe)+n.InPlaceReissues != want || n.Reissues != want {
-		t.Fatalf("%d reissues sent + %d in place, %d counted, want %d", sentRe, n.InPlaceReissues, n.Reissues, want)
+	if _, by := w.r.Metrics(); int64(sentRe)+n.Metrics.Reissues != want || by[0]+n.Metrics.Reissues != want {
+		t.Fatalf("%d reissues sent (%d charged to node 0) + %d in place, want %d", sentRe, by[0], n.Metrics.Reissues, want)
 	}
+	reissued := want
 	for _, s := range re {
 		if s.pkt == nil {
 			continue
@@ -260,20 +261,23 @@ func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 		}
 		delete(lost, s.pkt)
 	}
-	if int64(len(lost)) != n.InPlaceReissues {
-		t.Fatalf("%d lost packets were not sent again, %d were reissued in place", len(lost), n.InPlaceReissues)
+	if int64(len(lost)) != n.Metrics.Reissues {
+		t.Fatalf("%d lost packets were not sent again, %d were reissued in place", len(lost), n.Metrics.Reissues)
 	}
 
 	// A second death: reissues avoid every processor known dead, and a packet
 	// reissued onto the second victim is reissued again.
-	counted, inPlace := n.Reissues, n.InPlaceReissues
+	_, by := w.r.Metrics()
+	charged, inPlace := by[0], n.Metrics.Reissues
 	want = int64(len(byDest[deadNext]))
 	n.OnNodeDown(deadNext)
 	re = w.take()
 	sentRe = note(re)
-	if got := n.Reissues - counted; got != want || int64(sentRe)+n.InPlaceReissues-inPlace != want {
+	_, by = w.r.Metrics()
+	if got := by[0] - charged + n.Metrics.Reissues - inPlace; got != want || int64(sentRe)+n.Metrics.Reissues-inPlace != want {
 		t.Fatalf("second death reissued %d packets (%d sent), want %d", got, sentRe, want)
 	}
+	reissued += want
 	for _, s := range re {
 		if s.pkt != nil && (s.to == dead || s.to == deadNext) {
 			t.Fatalf("sent %+v to a processor this node knows is dead", s)
@@ -282,17 +286,17 @@ func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 
 	// The transport brings the in-place counts home; then the totals are the
 	// simulator's: every packet spawned, every reissue, wherever it ran.
-	w.c.CountInPlace(0, n.InPlace, n.InPlaceReissues)
-	got := w.c.Snapshot()
-	if want := int64(crossed) + n.InPlace; got.Spawned != want || got.Reissued != n.Reissues || got.InPlace != n.InPlace {
-		t.Fatalf("counters spawned/reissued/in place = %d/%d/%d, want %d/%d/%d (Spawned includes reissues and in-place packets)",
-			got.Spawned, got.Reissued, got.InPlace, want, n.Reissues, n.InPlace)
+	w.r.Fold(0, &n.Metrics)
+	got, by := w.r.Metrics()
+	if want := int64(crossed) + n.Metrics.TasksInPlace; got.TasksSpawned != want || got.Reissues != reissued || got.TasksInPlace != n.Metrics.TasksInPlace {
+		t.Fatalf("spawned/reissued/in place = %d/%d/%d, want %d/%d/%d (tasks.spawned includes reissues and in-place packets)",
+			got.TasksSpawned, got.Reissues, got.TasksInPlace, want, reissued, n.Metrics.TasksInPlace)
 	}
-	if got.Messages != int64(msgs) {
-		t.Fatalf("%d messages charged for the %d that crossed", got.Messages, msgs)
+	if got.TotalMessages() != int64(msgs) {
+		t.Fatalf("%d messages charged for the %d that crossed", got.TotalMessages(), msgs)
 	}
-	if by := w.c.ReissuesByNode(); by[0] != n.Reissues {
-		t.Fatalf("per-node attribution %v, want %d on node 0", by, n.Reissues)
+	if by[0] != reissued {
+		t.Fatalf("per-node attribution %v, want %d on node 0", by, reissued)
 	}
 }
 
@@ -366,9 +370,9 @@ func TestLongRunInPlaceYields(t *testing.T) {
 	if want := 2 * (tasks - 1) / settleBudget; yielded != want {
 		t.Fatalf("%d messages in place yielded %d times, want %d (every %d deliveries)", 2*(tasks-1), yielded, want, settleBudget)
 	}
-	if n.InPlace+mailed != tasks-1 || n.Drained != 0 || len(n.tasks) != 0 {
+	if drained := n.Metrics.DupResults + n.Metrics.LateResults; n.Metrics.TasksInPlace+mailed != tasks-1 || drained != 0 || len(n.tasks) != 0 {
 		t.Fatalf("%d packets in place + %d mailed, want %d in all; %d drained, %d tasks left",
-			n.InPlace, mailed, tasks-1, n.Drained, len(n.tasks))
+			n.Metrics.TasksInPlace, mailed, tasks-1, drained, len(n.tasks))
 	}
 }
 
@@ -454,10 +458,11 @@ func TestRootPlacesRoundRobinAndReissuesOnDeath(t *testing.T) {
 	if s := w.take(); len(s) != 2 || s[0].to != 0 || s[1].to != 2 {
 		t.Fatalf("requests 4 and 5 placed by %+v, want processors 0 and 2", s)
 	}
-	if got := r.Snapshot(); got.Spawned != 7 || got.Reissued != 1 || got.Drained != 1 {
-		t.Fatalf("spawned/reissued/drained = %d/%d/%d, want 7/1/1", got.Spawned, got.Reissued, got.Drained)
+	got, by := r.Metrics()
+	if drained := core.CountersOf(&got).Drained; got.TasksSpawned != 7 || got.Reissues != 1 || got.LateResults != 1 || drained != 1 {
+		t.Fatalf("spawned/reissued/late/drained = %d/%d/%d/%d, want 7/1/1/1", got.TasksSpawned, got.Reissues, got.LateResults, drained)
 	}
-	if by := r.ReissuesByNode(); by[0]+by[1]+by[2]+by[3] != 0 {
+	if by[0]+by[1]+by[2]+by[3] != 0 {
 		t.Fatalf("the super-root's reissue was attributed to a node: %v", by)
 	}
 }

@@ -3,15 +3,15 @@ package node
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/proto"
 	"repro/internal/stamp"
+	"repro/internal/trace"
 )
 
 // Fabric is what the super-root needs from the transport: a way to reach
@@ -25,79 +25,6 @@ type Fabric interface {
 	Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool)
 	// NodeDown tells processor to that processor dead has failed.
 	NodeDown(to, dead proto.ProcID)
-}
-
-// Counters are the stream totals of a wall-clock machine, defined once for
-// every transport. The transport charges each protocol message as it carries
-// it — at whatever wire size its interconnect really moves — so the counts
-// survive the death of the node that sent the message. A task packet a node
-// placed on itself is spawned but is no message (the simulator's rule: only
-// what crosses the interconnect is charged); the node counts those and the
-// transport brings the counts home (CountInPlace).
-type Counters struct {
-	spawned, reissued, inPlace, drained, msgs, bytes atomic.Int64
-	byNode                                           []atomic.Int64
-}
-
-// CountSpawn charges one task-packet message sent by processor from
-// (proto.HostID for the super-root). Reissues are spawns too — Spawned counts
-// every task packet sent, like the simulator's — and are attributed to the
-// reissuing node; the super-root's belong to no node.
-func (c *Counters) CountSpawn(from proto.ProcID, wire int, reissue bool) {
-	c.CountMsg(wire)
-	c.spawned.Add(1)
-	if reissue {
-		c.reissued.Add(1)
-		if from >= 0 {
-			c.byNode[from].Add(1)
-		}
-	}
-}
-
-// CountInPlace adds the task packets processor from reports having placed on
-// itself, reissues of them being reissues: Spawned, Reissued and the per-node
-// attribution count them like any other, Messages and MsgBytes do not.
-func (c *Counters) CountInPlace(from proto.ProcID, spawns, reissues int64) {
-	c.spawned.Add(spawns)
-	c.inPlace.Add(spawns)
-	c.reissued.Add(reissues)
-	c.byNode[from].Add(reissues)
-}
-
-// CountMsg charges one result or node-down message.
-func (c *Counters) CountMsg(wire int) {
-	c.msgs.Add(1)
-	c.bytes.Add(int64(wire))
-}
-
-// CountDrained charges messages discarded harmlessly: black-holed at dead
-// processors, or the late and duplicate results a node reports having
-// dropped (§3.4).
-func (c *Counters) CountDrained(n int64) { c.drained.Add(n) }
-
-// Snapshot reads the totals as the backend-neutral core.Counters; every
-// recovery here is a reissue.
-func (c *Counters) Snapshot() core.Counters {
-	reissued := c.reissued.Load()
-	return core.Counters{
-		Messages:   c.msgs.Load(),
-		MsgBytes:   c.bytes.Load(),
-		Spawned:    c.spawned.Load(),
-		InPlace:    c.inPlace.Load(),
-		Reissued:   reissued,
-		Drained:    c.drained.Load(),
-		Recoveries: reissued,
-	}
-}
-
-// ReissuesByNode reports how many retained child packets each node re-sent
-// as a parent after peer deaths.
-func (c *Counters) ReissuesByNode() []int64 {
-	out := make([]int64, len(c.byNode))
-	for i := range c.byNode {
-		out[i] = c.byNode[i].Load()
-	}
-	return out
 }
 
 // Request is one submitted root application: the super-root retains its root
@@ -152,9 +79,17 @@ func (q *Request) Wait(timeout time.Duration, stop <-chan struct{}) (expr.Value,
 // round-robin, reissues the roots a dead processor was hosting, and — being
 // where deaths are reported — decides whether survivors hear of them.
 type Root struct {
-	Counters
 	fabric  Fabric
 	recover bool
+
+	// cmu guards the stream totals. The transport charges each message as it
+	// carries it, at the wire size its interconnect really moves, so the
+	// counts survive the death of the sender; what only a node sees it folds
+	// in from the node's own Metrics. byNode attributes reissues to the node
+	// that made them; the super-root's belong to no node.
+	cmu     sync.Mutex
+	metrics trace.Metrics
+	byNode  []int64
 
 	// progMu guards the program table; it is held across LoadProgram so no
 	// packet tagged with an index can overtake the program it names.
@@ -207,8 +142,8 @@ func NewRoot(spec Spec, fabric Fabric) (*Root, error) {
 		progs:   map[*lang.Program]int{},
 		live:    make([]bool, spec.Procs),
 		reqs:    map[uint32]*Request{},
+		byNode:  make([]int64, spec.Procs),
 	}
-	r.byNode = make([]atomic.Int64, spec.Procs)
 	for i := range r.live {
 		r.live[i] = true
 	}
@@ -308,7 +243,7 @@ func (r *Root) end(task proto.TaskKey, o outcome) {
 	hook := r.onFirst
 	r.mu.Unlock()
 	if q == nil {
-		r.CountDrained(1)
+		r.count(func(m *trace.Metrics) { m.LateResults++ })
 		return
 	}
 	select {
@@ -354,4 +289,56 @@ func (r *Root) NodeDown(dead proto.ProcID) {
 	for _, l := range lost {
 		r.fabric.Spawn(l.to, l.pkt, true)
 	}
+}
+
+// count runs f on the stream totals under the counter lock, which byNode shares.
+func (r *Root) count(f func(m *trace.Metrics)) {
+	r.cmu.Lock()
+	f(&r.metrics)
+	r.cmu.Unlock()
+}
+
+// CountSpawn charges one task-packet message sent by processor from
+// (proto.HostID for the super-root). A reissue is a spawn too — tasks.spawned
+// counts every task packet, like the simulator's — and is attributed to the
+// reissuing node.
+func (r *Root) CountSpawn(from proto.ProcID, wire int, reissue bool) {
+	r.count(func(m *trace.Metrics) {
+		m.MsgTask++
+		m.TasksSpawned++
+		m.BytesOnWire += int64(wire)
+		if reissue {
+			m.Reissues++
+			if from >= 0 {
+				r.byNode[from]++
+			}
+		}
+	})
+}
+
+// CountResult charges one result message.
+func (r *Root) CountResult(wire int) {
+	r.count(func(m *trace.Metrics) { m.MsgResult++; m.BytesOnWire += int64(wire) })
+}
+
+// CountNodeDown charges one death announcement.
+func (r *Root) CountNodeDown(wire int) {
+	r.count(func(m *trace.Metrics) { m.MsgFault++; m.BytesOnWire += int64(wire) })
+}
+
+// CountBlackholed charges one message a dead processor swallowed: drained
+// harmlessly, since the sender's checkpoint is what recovers the work (§3.4).
+func (r *Root) CountBlackholed() { r.count(func(m *trace.Metrics) { m.Blackholed++ }) }
+
+// Fold adds what processor from counted on its own (its Node.Metrics, or a
+// delta of them); its in-place reissues are attributed to it.
+func (r *Root) Fold(from proto.ProcID, d *trace.Metrics) {
+	r.count(func(m *trace.Metrics) { m.Add(d); r.byNode[from] += d.Reissues })
+}
+
+// Metrics reads the stream totals and how many retained child packets each
+// node re-sent as a parent after peer deaths.
+func (r *Root) Metrics() (m trace.Metrics, byNode []int64) {
+	r.count(func(t *trace.Metrics) { m, byNode = *t, slices.Clone(r.byNode) })
+	return m, byNode
 }

@@ -58,8 +58,8 @@ type Machine interface {
 	// Kill crashes a node. The transport reports the death to the super-root
 	// the way it would any crash.
 	Kill(id int) error
-	// Shutdown stops every node and folds the drain counts the nodes kept
-	// locally into the super-root's counters. Called exactly once.
+	// Shutdown stops every node and folds what the nodes counted locally
+	// into the super-root's metrics (Root.Fold). Called exactly once.
 	Shutdown()
 }
 
@@ -308,8 +308,8 @@ func (s *session) Inject(plan *faults.Plan) ([]int64, error) {
 }
 
 // Close implements core.Session: stop the fault schedulers and every pending
-// Wait, shut the machine down — which folds the nodes' local drain counts
-// into the super-root — and only then report the stream totals. The mutex is
+// Wait, shut the machine down — which folds the nodes' own counts into the
+// super-root — and only then report the stream totals. The mutex is
 // released before Shutdown: nodes finishing their last deliveries fire the
 // admission hook, which takes the mutex; holding it across the shutdown
 // barrier would deadlock the teardown.
@@ -326,8 +326,8 @@ func (s *session) Close() (*core.Report, error) {
 	rep := s.report()
 	rep.Makespan = s.micros(time.Now())
 	s.m.Shutdown()
-	rep.Counters = s.m.Root().Snapshot()
-	rep.ReissuesByNode = s.m.Root().ReissuesByNode()
+	rep.Metrics, rep.ReissuesByNode = s.m.Root().Metrics()
+	rep.Counters = core.CountersOf(&rep.Metrics)
 	s.mu.Lock()
 	rep.QueueDepthMax = s.gate.DepthMax()
 	s.closeRep = rep

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Kind classifies events.
@@ -171,6 +172,10 @@ type Metrics struct {
 	FalseSuspicions  int64 `row:"fault.false_suspicions"` // detections of a processor alive when declared
 	DetectLatencySum int64 // Σ (detect time − fail time) over first detections
 	FirstDetections  int64 // number of first detections (for the average)
+
+	// Wall-clock only: the simulator leaves these zero.
+	TasksInPlace int64 `row:"tasks.in-place"`   // spawned packets a node placed on itself, never a message
+	Blackholed   int64 `row:"fault.blackholed"` // messages a dead node swallowed
 }
 
 // metricRows is the row name of each Metrics field, by field index.
@@ -183,11 +188,13 @@ var metricRows = func() []string {
 	return rows
 }()
 
-// Add accumulates counters from another Metrics.
+// Add accumulates counters from another Metrics, walking both as the array
+// of int64 that their fields lay out.
 func (m *Metrics) Add(o *Metrics) {
-	mv, ov := reflect.ValueOf(m).Elem(), reflect.ValueOf(o).Elem()
-	for i := range metricRows {
-		mv.Field(i).SetInt(mv.Field(i).Int() + ov.Field(i).Int())
+	type counters = [unsafe.Sizeof(Metrics{}) / 8]int64
+	a, b := (*counters)(unsafe.Pointer(m)), (*counters)(unsafe.Pointer(o))
+	for i := range a {
+		a[i] += b[i]
 	}
 }
 

@@ -77,19 +77,23 @@ func TestMetricsRowsOmitZeros(t *testing.T) {
 }
 
 // TestMetricsDerivedFromOneDeclaration pins what Add, TotalMessages and Rows
-// derive from the struct: with field i holding i+1, Add doubles every field
-// (the two untagged ones included), TotalMessages is the nine "msg." rows, and
-// Rows is byte-for-byte the hand-enumerated table this replaced plus
-// fault.false_suspicions — 35 rows, none for DetectLatencySum or
+// derive from the struct, every field an int64: with field i holding i+1,
+// Add doubles every field (the two untagged ones included), TotalMessages is
+// the nine "msg." rows, and Rows is byte-for-byte the hand-enumerated table
+// this replaced plus fault.false_suspicions and the two wall-clock rows
+// appended after FirstDetections — 37 rows, none for DetectLatencySum or
 // FirstDetections.
 func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
 	var m, sum Metrics
 	v := reflect.ValueOf(&m).Elem()
 	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("field %s is %s: Add walks the struct as an array of int64", v.Type().Field(i).Name, v.Field(i).Kind())
+		}
 		v.Field(i).SetInt(int64(i + 1))
 	}
-	if v.NumField() != 37 || m.TotalMessages() != 45 {
-		t.Fatalf("%d fields, TotalMessages %d; want 37 and 45", v.NumField(), m.TotalMessages())
+	if v.NumField() != 39 || m.TotalMessages() != 45 {
+		t.Fatalf("%d fields, TotalMessages %d; want 39 and 45", v.NumField(), m.TotalMessages())
 	}
 	sum.Add(&m)
 	sum.Add(&m)
@@ -100,7 +104,7 @@ func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
 	}
 	want := []string{
 		"bytes.wire               10", "ckpt.bytes               20", "ckpt.count               19",
-		"fault.detections         34", "fault.failures           33", "fault.false_suspicions   35",
+		"fault.blackholed         39", "fault.detections         34", "fault.failures           33", "fault.false_suspicions   35",
 		"hops.wire                11",
 		"msg.abort                6", "msg.fault                7", "msg.grand                5",
 		"msg.heartbeat            8", "msg.load                 9", "msg.result               3",
@@ -109,7 +113,8 @@ func TestMetricsDerivedFromOneDeclaration(t *testing.T) {
 		"recover.reissues         21", "recover.relayed          26", "recover.stranded         28",
 		"recover.suppressed       23", "recover.twins            24", "results.dup              29",
 		"results.late             30", "steps.executed           17", "steps.wasted             18",
-		"tasks.aborted            14", "tasks.completed          13", "tasks.leaked             16",
+		"tasks.aborted            14", "tasks.completed          13", "tasks.in-place           38",
+		"tasks.leaked             16",
 		"tasks.lost               15", "tasks.spawned            12", "vote.count               31",
 		"vote.mismatch            32",
 	}
