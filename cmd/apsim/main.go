@@ -142,9 +142,6 @@ func main() {
 	if err != nil {
 		r.fail(1, err)
 	}
-	if rep.Err != nil {
-		r.fail(1, rep.Err)
-	}
 	if r.cfg.Trace && rep.Sim != nil && rep.Sim.Log != nil {
 		fmt.Print(rep.Sim.Log.String())
 		fmt.Println()

@@ -124,11 +124,11 @@ func TestServiceReportReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A submission error: resolves on the ticket with no report at all — the
-	// case Render used to drop silently.
+	// A submission error: the ticket's record is the never-admitted row with
+	// the error — the case Render used to drop silently.
 	bad := cl.Submit(Workload{Program: w.Program, Fn: "nosuch"})
-	if _, err := bad.Wait(); err == nil {
-		t.Fatal("bad submission succeeded")
+	if rep, err := bad.Wait(); err == nil || rep == nil || rep.Err != err || rep.Request != -1 {
+		t.Fatalf("bad submission: record %+v, error %v", rep, err)
 	}
 	sr, err := cl.Close()
 	if err != nil {
@@ -299,7 +299,7 @@ func TestAdmissionBoundedQueue(t *testing.T) {
 	if sr.QueueDepthMax != 1 {
 		t.Fatalf("queue depth max = %d, want 1 (the bound)\n%s", sr.QueueDepthMax, sr.Render())
 	}
-	var direct, queued *Report
+	var direct, queued *RequestReport
 	for _, rep := range sr.PerRequest {
 		if !rep.Completed {
 			continue

@@ -53,12 +53,12 @@ func CountersOf(m *trace.Metrics) Counters {
 	}
 }
 
-// Report is the backend-neutral outcome of a run: what every substrate can
-// measure about an applicative evaluation under faults. Substrate-specific
-// detail hangs off Sim (the simulator's full report) and, on the wall-clock
-// backends, ReissuesByNode; callers that only need the paper-level
-// quantities — did it finish, with what answer, at what cost — never touch
-// either.
+// Report is the backend-neutral outcome of a run or a stream: what every
+// substrate can measure about an applicative evaluation under faults.
+// Substrate-specific detail hangs off Sim (the simulator's full report) and,
+// on the wall-clock backends, ReissuesByNode; callers that only need the
+// paper-level quantities — did it finish, with what answer, at what cost —
+// never touch either. A request of a stream has its own RequestReport.
 type Report struct {
 	// Backend names the substrate that produced the report ("sim", "live",
 	// "net").
@@ -67,16 +67,17 @@ type Report struct {
 	Answer expr.Value
 	// Completed is true when the answer reached the super-root.
 	Completed bool
-	// Err holds an evaluation or verification error, if one occurred.
+	// Deprecated: Err is always nil. A run's failure is the error RunOn
+	// returns, and a request's the error its Wait returns; the field stays
+	// so that callers written against the older report still build.
 	Err error
 	// Makespan is the completion time in Unit (or the time at the deadline
 	// for incomplete runs).
 	Makespan int64
 	// Unit is the makespan's unit: Ticks (sim) or WallMicros (live, net).
 	Unit TimeUnit
-	// Metrics are the stream totals, one trace.Metrics on every backend, and
-	// Counters the figures derived from them; both are zero on per-request
-	// reports, since the substrate is shared across the stream.
+	// Metrics are the run's or the stream's totals, one trace.Metrics on
+	// every backend, and Counters the figures derived from them.
 	Metrics trace.Metrics
 	Counters
 	// Procs is the processor (or node) count.
@@ -89,32 +90,78 @@ type Report struct {
 	// Sim is the simulator's full report (metrics, trace, state samples);
 	// nil when another backend produced this report.
 	Sim *machine.Report
-
-	// Request is the request's stream index when the report describes one
-	// request of a service-mode cluster (one-shot reports are request 0).
-	Request int
-	// ArrivedAt and DoneAt are stream-clock stamps in Unit for service-mode
-	// requests: admission and completion (DoneAt 0 when incomplete).
-	// Makespan is the request's own service latency.
-	ArrivedAt, DoneAt int64
-	// Shed marks a per-request report whose request admission control
-	// rejected (Config.MaxInFlight with the "shed" policy, or a "queue:N"
-	// FIFO at its bound): never admitted, Completed false, ArrivedAt the
-	// offer stamp. The request's Wait also returns ErrShed.
-	Shed bool
-	// QueuedFor is the time in Unit a service-mode request spent in the
-	// admission FIFO before it got a slot (0 for requests admitted
-	// directly). It is measured separately from the service latency:
-	// ArrivedAt stamps the install, not the offer.
-	QueuedFor int64
 	// QueueDepthMax, on a session's aggregate (Close) report, is the
 	// admission queue's high-water mark over the stream ("queue" policy;
 	// always 0 with "shed" or unbounded admission).
 	QueueDepthMax int
 }
 
-// ErrShed is the typed error SessionRequest.Wait (and Ticket.Wait) return
-// for a request that bounded admission rejected under the "shed" policy.
+// RequestReport is the one record of one request of a stream, built once by
+// Outcome.report from what the request's session knows. Stamps and times
+// are on the stream clock, in the session's Unit.
+type RequestReport struct {
+	// Request is the request's stream index, -1 if it was never admitted.
+	Request int
+	// Answer is the request's result; nil unless Completed.
+	Answer expr.Value
+	// Completed is true when the answer reached the super-root.
+	Completed bool
+	// Err is the request's own error — its submission failed, or a task of
+	// it failed to evaluate — which its Wait also returns.
+	Err error
+	// Shed marks a request admission control rejected (Config.MaxInFlight
+	// with the "shed" policy, or a "queue:N" FIFO at its bound): never
+	// admitted, Completed false, ArrivedAt the offer stamp. Its Wait
+	// returns ErrShed.
+	Shed bool
+	// ArrivedAt stamps the install and DoneAt the completion (0 when
+	// incomplete). Makespan is the service latency, up to the completion,
+	// the failure or the end of the budget.
+	ArrivedAt, DoneAt, Makespan int64
+	// QueuedFor is the time the request spent in the admission FIFO before
+	// it got a slot (0 for requests admitted directly), measured apart from
+	// the service latency.
+	QueuedFor int64
+}
+
+// Outcome is what a session knows about one request when its Wait returns:
+// raw stamps on the stream clock, in the session's Unit, and how the
+// request ended. Everything else in its RequestReport is derived.
+type Outcome struct {
+	// Request is the stream index, -1 if the request was never admitted.
+	Request int
+	// Offered and Installed stamp the offer and the install (the offer
+	// stamp again for a request never installed); Settled stamps the end of
+	// the wait: the answer's or the error's arrival, or the budget's end.
+	Offered, Installed, Settled int64
+	// Answer is the request's result; nil unless it completed.
+	Answer expr.Value
+	// Shed marks a request admission control rejected.
+	Shed bool
+	// Err is the request's own error: its submission or its program was
+	// refused, or a task of it failed to evaluate.
+	Err error
+}
+
+// report builds the request's record and the error its Wait returns:
+// ErrShed for a shed request, else the request's own error. A request that
+// ran out of budget is Completed false with a nil error.
+func (o Outcome) report() (*RequestReport, error) {
+	rep := &RequestReport{Request: o.Request, Answer: o.Answer, Completed: o.Answer != nil,
+		Err: o.Err, Shed: o.Shed, ArrivedAt: o.Installed}
+	if o.Shed {
+		return rep, ErrShed
+	}
+	if rep.Completed {
+		rep.DoneAt = o.Settled
+	}
+	rep.Makespan = o.Settled - o.Installed
+	rep.QueuedFor = o.Installed - o.Offered
+	return rep, o.Err
+}
+
+// ErrShed is the typed error Ticket.Wait returns for a request that bounded
+// admission rejected under the "shed" policy.
 // Shedding is an expected outcome of an overloaded stream, not a substrate
 // failure: Drain does not surface it, and the service report counts shed
 // requests in their own column.
@@ -151,26 +198,23 @@ type Session interface {
 	// Unit is the stream clock's unit: Ticks (sim) or WallMicros (live, net).
 	Unit() TimeUnit
 	// Close finishes the stream, tears the substrate down, and returns the
-	// aggregate report — the same shape a one-shot Run returns, with
-	// stream-total counters (and, on the simulator, the full Sim detail).
-	// Close drives no request. A request nobody waited on reports, on every
-	// backend, what the stream had settled by Close: its answer if it
-	// completed, ErrShed if it was shed, its error if it failed, and
-	// otherwise Completed false with a nil error, like a timeout (Request -1
-	// if it was never admitted).
+	// aggregate report — the same shape a one-shot Run returns, with the
+	// stream's Metrics (and, on the simulator, the full Sim detail); core
+	// derives the Counters. Close drives no request. A request nobody
+	// waited on reports, on every backend, what the stream had settled by
+	// Close: its answer if it completed, shed if it was shed, its error if
+	// it failed, and otherwise no answer and no error, like a timeout
+	// (Request -1 if it was never admitted).
 	Close() (*Report, error)
 }
 
 // SessionRequest is the future of one submitted request.
 type SessionRequest interface {
-	// Wait blocks until the request completes, times out its per-request
-	// budget, or the stream fails; the report is the per-request view
-	// (answer, completion, stream stamps, service latency). The error is a
-	// submission or stream failure; an answer that merely timed out reports
-	// Completed false with a nil error. Wait is safe from several
-	// goroutines, and every call returns the first call's outcome, the same
-	// *Report.
-	Wait() (*Report, error)
+	// Wait blocks until the request completes, fails, is shed or times out
+	// its per-request budget, and reports what the session knows about it.
+	// Core calls it once per request and keeps the record it builds from
+	// the outcome (Ticket.Wait).
+	Wait() Outcome
 }
 
 // backends is the set of linked-in backends by name. It is a table filled
@@ -224,23 +268,24 @@ func (simBackend) Open(cfg Config) (Session, error) {
 // runOn is the one-shot run as the degenerate service stream: open, submit
 // the one workload, inject the plan, wait for the answer, close. Setup
 // errors surface in a fixed order — substrate bring-up, then the entry
-// function, then the fault plan — and the session is closed on every path
-// (the wall-clock substrates' teardown depends on it). The report is the
-// stream totals with the one request's answer, completion and makespan.
+// function, then the fault plan — then the request's own error; the session
+// is closed on every path (the wall-clock substrates' teardown depends on
+// it). The report is the stream totals with the one request's answer,
+// completion and makespan.
 func runOn(b Backend, cfg Config, w Workload, plan *faults.Plan) (*Report, error) {
 	sess, err := b.Open(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var one *Report
+	var one *RequestReport
 	req, err := sess.Submit(w)
 	if err == nil {
 		_, err = sess.Inject(plan)
 	}
 	if err == nil {
-		one, err = req.Wait()
+		one, err = req.Wait().report()
 	}
-	totals, closeErr := sess.Close()
+	totals, closeErr := closeSession(sess)
 	if err != nil {
 		return nil, err
 	}
@@ -251,6 +296,16 @@ func runOn(b Backend, cfg Config, w Workload, plan *faults.Plan) (*Report, error
 	return totals, nil
 }
 
+// closeSession closes the session and derives the totals' Counters from
+// their Metrics.
+func closeSession(sess Session) (*Report, error) {
+	totals, err := sess.Close()
+	if totals != nil {
+		totals.Counters = CountersOf(&totals.Metrics)
+	}
+	return totals, err
+}
+
 // VerifyOn runs the workload on the named backend and checks the answer
 // against the sequential reference evaluator — the determinacy guarantee of
 // §2.1, now assertable on every substrate.
@@ -259,24 +314,21 @@ func VerifyOn(backend string, cfg Config, w Workload, plan *faults.Plan) (*Repor
 	if err != nil {
 		return nil, err
 	}
-	return rep, verifyReport(rep, w)
+	return rep, verify(w, rep.Answer, rep.Makespan, rep.Unit)
 }
 
-// verifyReport checks a backend-neutral report against the reference
-// evaluator; nil means the run completed with the reference answer.
-func verifyReport(rep *Report, w Workload) error {
-	if rep.Err != nil {
-		return rep.Err
-	}
-	if !rep.Completed {
-		return fmt.Errorf("core: run did not complete (makespan %d %s)", rep.Makespan, rep.Unit)
+// verify checks an outcome against the reference evaluator: nil means it
+// completed (answer non-nil) with the reference answer.
+func verify(w Workload, answer expr.Value, makespan int64, unit TimeUnit) error {
+	if answer == nil {
+		return fmt.Errorf("core: run did not complete (makespan %d %s)", makespan, unit)
 	}
 	want, err := refAnswer(w)
 	if err != nil {
 		return err
 	}
-	if !rep.Answer.Equal(want) {
-		return fmt.Errorf("core: answer %v != reference %v", rep.Answer, want)
+	if !answer.Equal(want) {
+		return fmt.Errorf("core: answer %v != reference %v", answer, want)
 	}
 	return nil
 }

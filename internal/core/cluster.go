@@ -45,49 +45,60 @@ func OpenOn(backend string, cfg Config) (*Cluster, error) {
 	return &Cluster{backend: backend, sess: sess, unit: sess.Unit()}, nil
 }
 
-// Ticket is the future of one submitted request.
+// Ticket is the future of one submitted request. It keeps the request's one
+// record, built by its first Wait.
 type Ticket struct {
-	w   Workload
-	req SessionRequest
-	err error // the submission's own error; req is nil then
+	w    Workload
+	unit TimeUnit
+	req  SessionRequest
+	sub  error // the submission's own error; req is nil then
+
+	once sync.Once
+	rep  *RequestReport
+	err  error
 }
 
 // Workload returns what the ticket was submitted for.
 func (t *Ticket) Workload() Workload { return t.w }
 
-// Wait blocks until the request resolves. The report is the per-request
-// view; a request that timed out its budget reports Completed false with a
-// nil error. Wait is idempotent and safe from several goroutines: the
-// session's request keeps the one outcome.
-func (t *Ticket) Wait() (*Report, error) {
-	if t.err != nil {
-		return nil, t.err
-	}
-	return t.req.Wait()
+// Wait blocks until the request resolves and returns its record with the
+// request's error: a submission or evaluation error, or ErrShed; a request
+// that timed out its budget reports Completed false with a nil error. Wait
+// is idempotent and safe from several goroutines: every call returns the
+// first call's record.
+func (t *Ticket) Wait() (*RequestReport, error) {
+	t.once.Do(func() {
+		o := Outcome{Request: -1, Err: t.sub}
+		if t.req != nil {
+			o = t.req.Wait()
+		}
+		t.rep, t.err = o.report()
+	})
+	return t.rep, t.err
 }
 
 // Verify waits for the request and checks its answer against the sequential
 // reference evaluator — the per-request form of VerifyOn's determinacy
 // check (§2.1).
-func (t *Ticket) Verify() (*Report, error) {
+func (t *Ticket) Verify() (*RequestReport, error) {
 	rep, err := t.Wait()
 	if err != nil {
 		return rep, err
 	}
-	return rep, verifyReport(rep, t.w)
+	return rep, verify(t.w, rep.Answer, rep.Makespan, t.unit)
 }
 
 // Submit enqueues a request. Submission never blocks on the stream; errors
 // (closed cluster, unknown entry function) surface on the ticket's Wait.
 func (c *Cluster) Submit(w Workload) *Ticket {
-	t := &Ticket{w: w}
+	t := &Ticket{w: w, unit: c.unit}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		t.err = errors.New("core: cluster closed")
+		t.sub = errors.New("core: cluster closed")
 		return t
 	}
-	t.req, t.err = c.sess.Submit(w)
+	t.req, t.sub = c.sess.Submit(w)
 	c.tickets = append(c.tickets, t)
 	return t
 }
@@ -116,7 +127,7 @@ func (c *Cluster) Inject(plan *FaultPlan) error {
 }
 
 // Drain waits for every submitted request and returns the first submission
-// or stream error. Requests that merely timed out are not errors, and
+// or evaluation error. Requests that merely timed out are not errors, and
 // neither are shed ones — both are expected outcomes of a loaded stream
 // and count in the service report's Failed and Shed columns instead.
 func (c *Cluster) Drain() error {
@@ -177,8 +188,9 @@ func (c *Cluster) VerifyAll(strict bool) (verified, timedOut, shed int, err erro
 
 // Close drains the stream, tears the substrate down, and returns the
 // stream-level service report. Per-request failures (bad submissions,
-// timeouts) are data — the report's Failed count and PerRequest rows — not
-// Close errors; only a substrate-level failure errors. Idempotent.
+// evaluation errors, timeouts) are data — the report's Failed count and
+// PerRequest rows — not Close errors; only a substrate-level failure
+// errors. Idempotent.
 func (c *Cluster) Close() (*ServiceReport, error) {
 	c.mu.Lock()
 	tickets := append([]*Ticket(nil), c.tickets...)
@@ -192,7 +204,7 @@ func (c *Cluster) Close() (*ServiceReport, error) {
 		return c.closeRep, c.closeErr
 	}
 	c.closed = true
-	totals, err := c.sess.Close()
+	totals, err := closeSession(c.sess)
 	if err != nil {
 		c.closeErr = err
 		return nil, err
@@ -223,29 +235,24 @@ func (c *Cluster) buildServiceReportLocked(totals *Report) *ServiceReport {
 	var latencies, queueWaits []int64
 	var first, last int64
 	for _, t := range c.tickets {
-		rep, err := t.Wait()
-		if err == nil && rep != nil && rep.Err == nil && !rep.Shed && rep.Request >= 0 {
+		// Every offered request has a row, so the counters below reconcile
+		// against the rows.
+		rep, _ := t.Wait()
+		sr.PerRequest = append(sr.PerRequest, rep)
+		switch {
+		case rep.Shed:
+			sr.Shed++
+			continue
+		case rep.Request >= 0:
 			// Every admitted request spent a (possibly zero) spell in the
-			// admission FIFO, whether it later completed or timed out; shed
-			// and never-admitted requests have no queue spell to report.
+			// admission FIFO, however it ended; never-admitted requests have
+			// no queue spell to report.
 			queueWaits = append(queueWaits, rep.QueuedFor)
 		}
-		if err != nil || rep == nil || rep.Err != nil || !rep.Completed {
-			// Every offered request gets a row, even the ones that never
-			// produced a report (submission errors): the counters below must
-			// reconcile against the rows.
-			if rep == nil {
-				rep = &Report{Backend: c.backend, Unit: c.unit, Request: -1, Err: err}
-			}
-			sr.PerRequest = append(sr.PerRequest, rep)
-			if errors.Is(err, ErrShed) || rep.Shed {
-				sr.Shed++
-			} else {
-				sr.Failed++
-			}
+		if !rep.Completed {
+			sr.Failed++
 			continue
 		}
-		sr.PerRequest = append(sr.PerRequest, rep)
 		sr.Completed++
 		latencies = append(latencies, rep.Makespan)
 		if sr.Completed == 1 || rep.ArrivedAt < first {
@@ -371,9 +378,9 @@ type ServiceReport struct {
 	Metrics trace.Metrics
 	Counters
 
-	// PerRequest holds the per-request reports in stream order; Totals is
+	// PerRequest holds the per-request records in stream order; Totals is
 	// the substrate's aggregate report (Sim detail on the simulator).
-	PerRequest []*Report
+	PerRequest []*RequestReport
 	Totals     *Report
 }
 

@@ -13,12 +13,11 @@ import (
 )
 
 // fakeBackend is a registrable stub whose Open fails, or whose session hands
-// every request (and the stream totals) a canned report — the error-path
-// probe for VerifyOn. Names sort after "sim" so the registry-order
-// assertions elsewhere stay valid.
+// every request a canned outcome — the error-path probe for VerifyOn. Names
+// sort after "sim" so the registry-order assertions elsewhere stay valid.
 type fakeBackend struct {
 	name string
-	rep  *Report
+	out  Outcome
 	err  error
 }
 
@@ -27,18 +26,17 @@ func (f fakeBackend) Open(Config) (Session, error) {
 	if f.err != nil {
 		return nil, f.err
 	}
-	return fakeSession{f.rep}, nil
+	return fakeSession{f}, nil
 }
 
-type fakeSession struct{ rep *Report }
+type fakeSession struct{ f fakeBackend }
 
 func (s fakeSession) Submit(Workload) (SessionRequest, error) { return s, nil }
 func (s fakeSession) Inject(*faults.Plan) ([]int64, error)    { return nil, nil }
-func (s fakeSession) Unit() TimeUnit                          { return s.rep.Unit }
-func (s fakeSession) Wait() (*Report, error)                  { return s.rep, nil }
+func (s fakeSession) Unit() TimeUnit                          { return Ticks }
+func (s fakeSession) Wait() Outcome                           { return s.f.out }
 func (s fakeSession) Close() (*Report, error) {
-	totals := *s.rep
-	return &totals, nil
+	return &Report{Backend: s.f.name, Unit: Ticks}, nil
 }
 
 var fakeOnce sync.Once
@@ -47,12 +45,9 @@ func registerFakes(t *testing.T) {
 	t.Helper()
 	fakeOnce.Do(func() {
 		MustRegisterBackend(fakeBackend{name: "zz-err", err: errors.New("substrate exploded")})
-		MustRegisterBackend(fakeBackend{name: "zz-incomplete",
-			rep: &Report{Backend: "zz-incomplete", Unit: Ticks, Makespan: 42}})
-		MustRegisterBackend(fakeBackend{name: "zz-wrong",
-			rep: &Report{Backend: "zz-wrong", Unit: Ticks, Completed: true, Answer: expr.VInt(-1)}})
-		MustRegisterBackend(fakeBackend{name: "zz-reperr",
-			rep: &Report{Backend: "zz-reperr", Unit: Ticks, Err: errors.New("evaluation blew up")}})
+		MustRegisterBackend(fakeBackend{name: "zz-incomplete", out: Outcome{Settled: 42}})
+		MustRegisterBackend(fakeBackend{name: "zz-wrong", out: Outcome{Settled: 42, Answer: expr.VInt(-1)}})
+		MustRegisterBackend(fakeBackend{name: "zz-reperr", out: Outcome{Settled: 42, Err: errors.New("evaluation blew up")}})
 	})
 }
 
@@ -75,8 +70,8 @@ func TestBackendsOrderIsDocumentedOrder(t *testing.T) {
 }
 
 // TestVerifyOnErrorPaths covers every way VerifyOn can reject a run:
-// backend error propagation, an incomplete run, a report-level evaluation
-// error, and an answer that disagrees with the reference.
+// backend error propagation, an incomplete run, the request's own
+// evaluation error, and an answer that disagrees with the reference.
 func TestVerifyOnErrorPaths(t *testing.T) {
 	registerFakes(t)
 	w, err := StandardWorkload("fib:8")
@@ -99,7 +94,7 @@ func TestVerifyOnErrorPaths(t *testing.T) {
 		}
 	}
 	// The real simulator path: a crash under the "none" scheme can never
-	// complete, and verifyReport must say so (with the makespan and unit).
+	// complete, and verify must say so (with the makespan and unit).
 	plan := CrashPlan(0, 200, true)
 	plan.Add(faults.Fault{At: 200, Proc: 1, Kind: faults.CrashAnnounced})
 	_, err = VerifyOn("sim", Config{Procs: 4, Seed: 1, Recovery: "none", Deadline: 20000}, w, plan)
@@ -238,8 +233,8 @@ func TestClusterDeterminism(t *testing.T) {
 
 // TestConcurrentWaitSharesOneReport: eight goroutines Wait and Verify the
 // same tickets, each starting at a different one, while four more submit
-// further requests. Every goroutine gets the one memoized *Report per
-// ticket, and the stream renders as the sequential one does. Arrivals are
+// further requests. Every goroutine gets the one memoized *RequestReport
+// per ticket, and the stream renders as the sequential one does. Arrivals are
 // spaced wider than any request takes, so a late request arrives at its
 // scheduled tick whichever drive admits it; the late requests are identical
 // workloads, so which ticket gets which stream index does not show.
@@ -270,10 +265,10 @@ func TestConcurrentWaitSharesOneReport(t *testing.T) {
 			}
 		}
 		if parallel {
-			got := make([][]*Report, waiters)
+			got := make([][]*RequestReport, waiters)
 			var wg sync.WaitGroup
 			for g := range got {
-				got[g] = make([]*Report, len(tickets))
+				got[g] = make([]*RequestReport, len(tickets))
 				wg.Add(1)
 				go func() {
 					defer wg.Done()

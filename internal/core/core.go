@@ -406,11 +406,7 @@ func (c Config) RunOn(backend string, w Workload, plan *faults.Plan) (*Report, e
 // distributed run agreed with the reference (the determinacy guarantee of
 // §2.1).
 func (c Config) Verify(w Workload, plan *faults.Plan) (*Report, error) {
-	rep, err := c.Run(w, plan)
-	if err != nil {
-		return nil, err
-	}
-	return rep, verifyReport(rep, w)
+	return VerifyOn("sim", c, w, plan)
 }
 
 // CrashPlan is a convenience for single-crash plans.

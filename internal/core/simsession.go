@@ -30,12 +30,10 @@ type simSession struct {
 }
 
 // simRequest implements SessionRequest for the simulator: the machine's
-// record of the request and, once a Wait has returned, its outcome.
+// record of the request.
 type simRequest struct {
-	s   *simSession
-	mr  *machine.Req
-	rep *Report
-	err error
+	s  *simSession
+	mr *machine.Req
 }
 
 // newSimSession boots the stream the way node.Open boots a wall-clock one:
@@ -103,59 +101,19 @@ func (s *simSession) Inject(plan *faults.Plan) ([]int64, error) {
 	return s.ms.Inject(plan)
 }
 
-// Wait implements SessionRequest: the first call drives the kernel until the
-// request settles and builds its outcome; every call returns that outcome.
-func (r *simRequest) Wait() (*Report, error) {
-	s := r.s
+// Wait implements SessionRequest: drive the kernel until the request
+// settles, then read the machine's record of it.
+func (r *simRequest) Wait() Outcome {
+	s, mr := r.s, r.mr
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if r.rep == nil && r.err == nil {
-		s.ms.Wait(r.mr)
-		r.rep, r.err = s.requestReport(r.mr)
+	s.ms.Wait(mr)
+	settled := s.ms.Now()
+	if mr.Done() || mr.Err() != nil {
+		settled = mr.DoneAt()
 	}
-	return r.rep, r.err
-}
-
-// requestReport is the per-request outcome: an error alone for a request
-// whose program did not compile or that the stream failed before it settled;
-// the report with the typed ErrShed for a request admission control
-// rejected; otherwise the report, Completed false for a request that ran out
-// of budget (the stream survives). Metrics stay zero by design: the
-// substrate is shared across the stream, so totals live on the session's
-// Close report.
-func (s *simSession) requestReport(mr *machine.Req) (*Report, error) {
-	if err := mr.Err(); err != nil {
-		return nil, err
-	}
-	rep := &Report{
-		Backend:   "sim",
-		Request:   mr.ID(),
-		Unit:      Ticks,
-		Procs:     s.ms.Procs(),
-		Scheme:    s.ms.SchemeName(),
-		Placement: s.ms.PlacementName(),
-		ArrivedAt: int64(mr.Arrival()),
-		Err:       s.ms.RunErr(),
-	}
-	switch {
-	case mr.Done():
-		rep.Completed = true
-		rep.Answer = mr.Answer()
-		rep.DoneAt = int64(mr.DoneAt())
-		rep.Makespan = int64(mr.DoneAt() - mr.Arrival())
-		rep.QueuedFor = int64(mr.QueuedFor())
-		return rep, nil
-	case mr.Shed():
-		// Never admitted: the arrival stamp is the offer tick and no stream
-		// time was spent serving it.
-		rep.Shed = true
-		return rep, ErrShed
-	case rep.Err != nil:
-		return nil, rep.Err
-	}
-	rep.Makespan = int64(s.ms.Now() - mr.Arrival())
-	rep.QueuedFor = int64(mr.QueuedFor())
-	return rep, nil
+	return Outcome{Request: mr.ID(), Offered: int64(mr.Arrival() - mr.QueuedFor()), Installed: int64(mr.Arrival()),
+		Settled: int64(settled), Answer: mr.Answer(), Shed: mr.Shed(), Err: mr.Err()}
 }
 
 // Close implements Session: finalize the machine and return the aggregate
@@ -169,11 +127,9 @@ func (s *simSession) Close() (*Report, error) {
 		Backend:       "sim",
 		Answer:        mrep.Answer,
 		Completed:     mrep.Completed,
-		Err:           mrep.Err,
 		Makespan:      int64(mrep.Makespan),
 		Unit:          Ticks,
 		Metrics:       mrep.Metrics,
-		Counters:      CountersOf(&mrep.Metrics),
 		Procs:         mrep.Procs,
 		Scheme:        mrep.Scheme,
 		Placement:     mrep.Placement,

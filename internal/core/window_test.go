@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/expr"
+)
 
 // This file pins the recovery-window accounting of ServiceReport's
 // DuringRecovery/OutsideRecovery counters against the edge cases a stream
@@ -9,17 +13,16 @@ import "testing"
 // The tickets are synthetic (fakeStreamReq), so each case controls the
 // request intervals and fault stamps exactly.
 
-// fakeStreamReq resolves a ticket with a canned per-request report.
-type fakeStreamReq struct{ rep *Report }
+// fakeStreamReq resolves a ticket with a canned outcome.
+type fakeStreamReq struct{ out Outcome }
 
-func (f fakeStreamReq) Wait() (*Report, error) { return f.rep, nil }
+func (f fakeStreamReq) Wait() Outcome { return f.out }
 
 // completedTicket fabricates a completed request with the given stream
 // interval.
 func completedTicket(req int, arrived, done int64) *Ticket {
-	return &Ticket{req: fakeStreamReq{rep: &Report{
-		Backend: "sim", Unit: Ticks, Request: req, Completed: true,
-		ArrivedAt: arrived, DoneAt: done, Makespan: done - arrived,
+	return &Ticket{req: fakeStreamReq{out: Outcome{
+		Request: req, Offered: arrived, Installed: arrived, Settled: done, Answer: expr.VInt(1),
 	}}}
 }
 

@@ -126,9 +126,6 @@ func mustRun(cfg core.Config, w core.Workload, plan *faults.Plan) *core.Report {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	if rep.Err != nil {
-		panic(fmt.Sprintf("experiments: run error: %v", rep.Err))
-	}
 	return rep
 }
 

@@ -29,8 +29,8 @@ func TestBackendFaultFreeRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Err != nil || !rep.Completed {
-		t.Fatalf("fault-free run failed: completed=%v err=%v", rep.Completed, rep.Err)
+	if !rep.Completed {
+		t.Fatalf("fault-free run failed: %+v", rep)
 	}
 	if rep.Backend != "live" || rep.Unit != core.WallMicros || rep.Sim != nil {
 		t.Fatalf("report shape wrong: backend=%q unit=%q sim=%v", rep.Backend, rep.Unit, rep.Sim)
@@ -73,9 +73,6 @@ func TestBackendKillDuringCascade(t *testing.T) {
 		rep, err := core.Config{Procs: 9, Seed: seed}.RunOn("live", w, plan)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if rep.Err != nil {
-			t.Fatalf("seed %d: %v", seed, rep.Err)
 		}
 		if !rep.Completed {
 			t.Fatalf("seed %d: cascade recovery did not complete within the deadline "+
@@ -125,8 +122,8 @@ func TestBackendNoneScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := core.Config{Procs: 4, Seed: 1, Recovery: "none"}.RunOn("live", w, nil)
-	if err != nil || rep.Err != nil || !rep.Completed {
-		t.Fatalf("fault-free none run failed: %v %v %+v", err, rep.Err, rep)
+	if err != nil || !rep.Completed {
+		t.Fatalf("fault-free none run failed: %v %+v", err, rep)
 	}
 	if rep.Scheme != "none" {
 		t.Fatalf("scheme = %q", rep.Scheme)

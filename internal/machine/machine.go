@@ -82,12 +82,6 @@ type Machine struct {
 	answer expr.Value
 	doneAt sim.Time
 
-	// runErr is the merged first program error (in dispatch order); the
-	// per-shard candidates live on the shard contexts.
-	runErr error
-	errSeg int
-	errKey sim.Key
-
 	stateSamples []StateSample
 }
 
@@ -117,11 +111,6 @@ type shardCtx struct {
 	// "first" detection of a failure is decided at merge time by dispatch
 	// order, exactly as the single-shard run decides it by arrival.
 	detects []detection
-
-	// runErr is the shard's first program error and its dispatch position.
-	runErr error
-	errSeg int
-	errKey sim.Key
 }
 
 // keyedEvent is a trace event tagged with its dispatch position.
@@ -162,8 +151,6 @@ type Report struct {
 	Answer expr.Value
 	// Completed is true when the answer reached the super-root.
 	Completed bool
-	// Err holds a program evaluation error, if one occurred.
-	Err error
 	// Makespan is the virtual time at completion (or at the deadline for
 	// incomplete runs).
 	Makespan sim.Time
@@ -493,34 +480,12 @@ func (m *Machine) hops(from, to proto.ProcID) int {
 	return int(m.dist[int(from)*m.n+int(to)])
 }
 
-// failRun aborts the run with a program error (evaluation errors are
-// deterministic program bugs, not recoverable faults). p is the processor
-// whose pass failed; the first error in dispatch order wins at merge.
-func (m *Machine) failRun(p *proc, err error) {
-	sc := p.sc
-	if sc.runErr == nil {
-		sc.runErr, sc.errSeg, sc.errKey = err, m.segment, p.k.CurrentKey()
-	}
-	p.k.Stop()
-}
-
-// mergeRunErr folds the per-shard error candidates into the machine-level
-// first error (dispatch order decides "first", at any shard count).
-func (m *Machine) mergeRunErr() {
-	for _, sc := range m.shards {
-		if sc.runErr == nil {
-			continue
-		}
-		if m.runErr == nil || ordBefore(sc.errSeg, sc.errKey, m.errSeg, m.errKey) {
-			m.runErr, m.errSeg, m.errKey = sc.runErr, sc.errSeg, sc.errKey
-		}
-	}
-}
-
 // Run evaluates fn(args) on the machine under the given fault plan and
-// returns the report. A machine instance runs once. Run is the degenerate
-// service stream: it opens a Session, submits the one request, waits, and
-// finalizes — the exact event sequence the pre-session machine produced.
+// returns the report, or the request's own error: a task that failed to
+// evaluate fails the run. A machine instance runs once. Run is the
+// degenerate service stream: it opens a Session, submits the one request,
+// waits, and finalizes — the exact event sequence the pre-session machine
+// produced.
 func (m *Machine) Run(fn string, args []expr.Value, plan *faults.Plan) (*Report, error) {
 	if len(m.progs) == 0 {
 		return nil, errors.New("machine: program is required")
@@ -537,18 +502,21 @@ func (m *Machine) Run(fn string, args []expr.Value, plan *faults.Plan) (*Report,
 		return nil, err
 	}
 	s.Wait(req)
-	return s.Finish(), nil
+	rep := s.Finish()
+	if req.err != nil {
+		return nil, req.err
+	}
+	return rep, nil
 }
 
 // finalReport closes the books on the machine: merge the per-shard state
-// (metrics, traces, detections, errors), then leak and checkpoint-storage
+// (metrics, traces, detections), then leak and checkpoint-storage
 // accounting, then the aggregate report. Tasks still returning have finished
 // their work and are merely awaiting result acknowledgements cut off by the
 // stop; only tasks that never produced a value count as leaked. In service
 // mode Answer/Makespan are those of the first completed request; per-request
 // stamps live on the session's Reqs.
 func (m *Machine) finalReport() *Report {
-	m.mergeRunErr()
 	m.mergeTrace()
 	for _, sc := range m.shards {
 		m.metrics.Add(&sc.metrics)
@@ -577,7 +545,6 @@ func (m *Machine) finalReport() *Report {
 	return &Report{
 		Answer:       m.answer,
 		Completed:    m.done,
-		Err:          m.runErr,
 		Makespan:     makespan,
 		Metrics:      m.metrics,
 		Log:          m.tlog,

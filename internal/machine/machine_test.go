@@ -44,9 +44,6 @@ func runKept(t testing.TB, cfg Config, prog *lang.Program, fn string, args []exp
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Err != nil {
-		t.Fatalf("run error: %v", rep.Err)
-	}
 	return m, rep
 }
 

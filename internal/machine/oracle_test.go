@@ -1,6 +1,10 @@
 package machine
 
 import (
+	"cmp"
+	"errors"
+	"maps"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -153,5 +157,92 @@ func TestStreamStampsHaveOneValue(t *testing.T) {
 	}
 	if missing := int64(len(oracle) - len(got)); missing > rep.Metrics.Prefills {
 		t.Errorf("%d of %d pairs never filled, %d prefilled", missing, len(oracle), rep.Metrics.Prefills)
+	}
+}
+
+// evalErrorProg divides and takes a remainder by fib(n) scaled by d and m:
+// main(n, 0, m) fails with division by zero, main(n, d, 0) with modulo by
+// zero, each once fib(n) is known, and main(n, 1, 1) answers.
+var evalErrorProg = lang.MustParse(`
+	fn fib(n) = if n < 2 then n else fib(n - 1) + fib(n - 2)
+	fn quo(x) = 100 / x
+	fn rem(x) = 100 % x
+	fn main(n, d, m) = quo(fib(n) * d) + rem(fib(n) * m)`)
+
+// byRequest splits a stream's stampValues by request, each keyed as its solo
+// run, request 0, keys it: request i > 0 roots its tree at stamp [i] where
+// request 0's host task is ε, so its [i] is ε and its [i, s…] is [s…].
+func byRequest(vals map[string]string) map[int]map[string]string {
+	out := map[int]map[string]string{}
+	for pair, v := range vals {
+		task, hole, _ := strings.Cut(pair, " ")
+		id, solo := 0, task
+		if head, tail, _ := strings.Cut(task, "."); task != "ε" && head != "0" {
+			id, _ = strconv.Atoi(head)
+			solo = cmp.Or(tail, "ε")
+		}
+		if out[id] == nil {
+			out[id] = map[string]string{}
+		}
+		out[id][solo+" "+hole] = v
+	}
+	return out
+}
+
+// TestEvalErrorFailsOnlyItsRequest: a task that fails to evaluate fails its
+// own request and nothing else. Two requests of a stream fail with different
+// errors, all seven admitted at once on one machine; the failing processors
+// free themselves, every good request answers, and each fills exactly the
+// (stamp, hole) pairs its solo run fills, with the solo run's values.
+func TestEvalErrorFailsOnlyItsRequest(t *testing.T) {
+	stream := func(calls ...[]int64) ([]*Req, map[int]map[string]string) {
+		tl := trace.NewLog()
+		m, err := New(Config{Topo: mustTopo(t, "torus", 16), Scheme: recovery.Rollback(), Seed: 1, Trace: tl}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := m.Serve(ServeConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reqs []*Req
+		for _, c := range calls {
+			r, err := s.Submit("", evalErrorProg, "main", []expr.Value{expr.VInt(c[0]), expr.VInt(c[1]), expr.VInt(c[2])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, r)
+		}
+		for _, r := range reqs {
+			s.Wait(r)
+		}
+		s.Finish()
+		if n := s.Outstanding(); n != 0 {
+			t.Fatalf("%d requests outstanding after every Wait", n)
+		}
+		return reqs, byRequest(stampValues(t, tl))
+	}
+	calls := [][]int64{{10, 1, 1}, {11, 0, 1}, {12, 1, 1}, {9, 1, 0}, {13, 1, 1}, {8, 1, 1}, {7, 1, 1}}
+	bad := map[int]string{1: "division by zero", 3: "modulo by zero"}
+	reqs, got := stream(calls...)
+	for i, r := range reqs {
+		if why, ok := bad[i]; ok {
+			if r.Done() || !errors.Is(r.Err(), lang.ErrEval) || !strings.HasSuffix(r.Err().Error(), why) {
+				t.Errorf("main%v: done=%v err=%v, want the %s", calls[i], r.Done(), r.Err(), why)
+			}
+			continue
+		}
+		want, err := lang.RefEval(evalErrorProg, "main", r.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Done() || r.Err() != nil || !r.Answer().Equal(want) {
+			t.Fatalf("main%v: done=%v answer %v err %v, want %v", calls[i], r.Done(), r.Answer(), r.Err(), want)
+		}
+		_, solo := stream(calls[i])
+		if len(solo[0]) == 0 || !maps.Equal(got[r.ID()], solo[0]) {
+			t.Errorf("main%v fills %d pairs beside two failing requests, %d alone, or other values:\n%v\n%v",
+				calls[i], len(got[r.ID()]), len(solo[0]), got[r.ID()], solo[0])
+		}
 	}
 }

@@ -664,20 +664,15 @@ func (p *proc) RelayToTwin(res *proto.Result) {
 
 // --- task execution ---
 
-// maybeRun starts the next ready task if the processor is free.
+// maybeRun starts the next ready task if the processor is free. A pass
+// that fails leaves it free, so the next ready task starts at once.
 func (p *proc) maybeRun() {
-	if p.busy || p.dead {
-		return
-	}
-	for len(p.readyQ) > 0 {
+	for !p.busy && !p.dead && len(p.readyQ) > 0 {
 		key := p.readyQ[0]
 		p.readyQ = p.readyQ[1:]
-		t, ok := p.tasks[key]
-		if !ok || t.state != taskReady {
-			continue
+		if t, ok := p.tasks[key]; ok && t.state == taskReady {
+			p.runPass(t)
 		}
-		p.runPass(t)
-		return
 	}
 }
 
@@ -706,7 +701,7 @@ func (p *proc) runPass(t *task) {
 		clear(fills)
 	}
 	if err != nil {
-		p.m.failRun(p, fmt.Errorf("task %v on processor %d: %w", t.pkt.Key, p.id, err))
+		p.fail(t, err)
 		return
 	}
 	cost := int64(out.Steps)*DefaultStepCost + int64(len(out.Demands))*DefaultSpawnOverhead
@@ -730,6 +725,21 @@ func (p *proc) runPass(t *task) {
 		t.finishFn = func() { p.finishPass(t) }
 	}
 	p.k.After(sim.Time(cost), t.finishFn)
+}
+
+// fail retires a task whose pass hit an evaluation error and frees the
+// processor. The error is as determinate as a value (§2.1) — a reissue would
+// hit it again — so it is no fault to recover from: the host hears of it as
+// a result whose value is the error's text, and fails the task's request.
+// The task's ancestors are left waiting, like the parents of any orphan.
+func (p *proc) fail(t *task, err error) {
+	t.cancelTimers()
+	t.state = taskAborted
+	delete(p.tasks, t.pkt.Key)
+	p.busy = false
+	p.m.send(proto.Msg{Type: proto.MsgResult, From: p.id, To: proto.HostID,
+		Result: &proto.Result{Child: t.pkt.Key, Value: expr.VStr(err.Error())},
+		Err:    fmt.Errorf("task %v on processor %d: %w", t.pkt.Key, p.id, err)})
 }
 
 // finishPass applies the outcome of a reduction pass (parked in the task by
@@ -1173,6 +1183,10 @@ func (p *proc) onResultTimeout(t *task) {
 // "forward result" / rule-of-thumb cases; Figure 5 cases 4–8).
 func (p *proc) onResultMsg(msg *proto.Msg) {
 	res := msg.Result
+	if msg.Err != nil {
+		p.m.session.failed(res.Child, msg.Err)
+		return
+	}
 	t, ok := p.tasks[res.ParentTask]
 	if !ok || t.state == taskAborted {
 		p.sc.metrics.LateResults++

@@ -109,8 +109,9 @@ type Req struct {
 // until a drive admits it.
 func (r *Req) ID() int { return r.id }
 
-// Err is the admission error of a request whose program did not compile; such
-// a request gets no id and never runs.
+// Err is the request's own error: its program did not compile (the request
+// gets no id and never runs), or a task of it failed to evaluate (the host
+// failed it at DoneAt).
 func (r *Req) Err() error { return r.err }
 
 // Arrival is the virtual tick the request was admitted at: its offer tick
@@ -130,10 +131,11 @@ func (r *Req) Shed() bool { return r.shed }
 // Done reports whether the answer reached the super-root.
 func (r *Req) Done() bool { return r.done }
 
-// DoneAt is the completion stamp (valid when Done).
+// DoneAt is the stamp the request settled at: its completion, or the
+// arrival of its evaluation error at the host.
 func (r *Req) DoneAt() sim.Time { return r.doneAt }
 
-// Answer is the request's result (valid when Done).
+// Answer is the request's result; nil unless Done.
 func (r *Req) Answer() expr.Value { return r.answer }
 
 // Serve attaches the service session to the machine. A machine serves (or
@@ -353,19 +355,15 @@ func (s *Session) install(r *Req) {
 	m.host.spawnDemand(hostTask, lang.Demand{ID: 0, Fn: r.fn, Args: r.args})
 }
 
-// rootDone records a request's completion stamp and stops the kernel so any
-// driver waiting on it can observe the state; drivers waiting on other
-// requests simply resume. The machine-level done fields record the first
-// completion (the request itself, in a one-shot run).
+// rootDone records a request's completion. The machine-level done fields
+// record the first completion (the request itself, in a one-shot run).
 func (s *Session) rootDone(key proto.TaskKey, v expr.Value) {
 	r := s.byKey[key]
-	if r == nil || r.done {
-		return // late completion of an already-resolved incarnation
+	if !s.settle(r) {
+		return
 	}
 	r.done = true
-	r.doneAt = s.m.host.k.Now()
 	r.answer = v
-	s.outstanding--
 	m := s.m
 	if !m.done {
 		m.done = true
@@ -373,28 +371,52 @@ func (s *Session) rootDone(key proto.TaskKey, v expr.Value) {
 		m.doneAt = r.doneAt
 	}
 	m.log(proto.HostID, trace.KRootDone, "", v.String())
-	// A freed slot installs the admission queue's head inline: rootDone runs
-	// on the host's shard inside the completion event, exactly the context
+}
+
+// failed fails the request that task belongs to with the evaluation error
+// the task reported: request i's tasks all carry the stamp prefix [i].
+func (s *Session) failed(task proto.TaskKey, err error) {
+	r := s.byKey[hostKey(int(task.Stamp.Component(0)))]
+	if s.settle(r) {
+		r.err = err
+	}
+}
+
+// settle stamps r's outcome, frees its admission slot and stops the kernel
+// so any driver waiting on it can observe the state; drivers waiting on
+// other requests simply resume. Only a request's first outcome settles it:
+// a later one (another incarnation's answer, a sibling's failure) reports
+// false and changes nothing.
+func (s *Session) settle(r *Req) bool {
+	if r == nil || r.done || r.err != nil {
+		return false
+	}
+	k := s.m.host.k
+	r.doneAt = k.Now()
+	s.outstanding--
+	// A freed slot installs the admission queue's head inline: settle runs
+	// on the host's shard inside the delivery event, exactly the context
 	// the batch admission events install from, so the dequeue is as
-	// deterministic (and shard-count-invariant) as the completion itself.
+	// deterministic (and shard-count-invariant) as the outcome itself.
 	if next, ok := s.gate.Release(); ok {
 		s.install(next)
 	}
-	m.host.k.Stop()
+	k.Stop()
+	return true
 }
 
-// Wait drives the kernel until r completes, is shed, errors, or exhausts
+// Wait drives the kernel until r completes, is shed, fails, or exhausts
 // its budget: each request gets Config.Deadline virtual ticks from its
 // arrival and DefaultMaxEvents dispatches per drive segment. Wait first
 // admits every pending request, so a request whose program did not compile
-// returns at once with Req.Err set. On return r.Done reports completion and
-// r.Shed an admission rejection; neither after Wait means the request timed
-// out (the stream itself continues — later submissions still run) or the
-// session finished before admitting it.
+// returns at once with Req.Err set. On return r.Done reports completion,
+// r.Shed an admission rejection and r.Err a failure; none of them after
+// Wait means the request timed out (the stream itself continues — later
+// submissions still run) or the session finished before admitting it.
 func (s *Session) Wait(r *Req) {
 	m := s.m
 	settled := func() bool {
-		return r.done || r.shed || r.err != nil || m.runErr != nil || s.finished
+		return r.done || r.shed || r.err != nil || s.finished
 	}
 	// A settled request admits nothing: submissions still pending stay
 	// together for the next drive's canonical batch.
@@ -414,13 +436,11 @@ func (s *Session) Wait(r *Req) {
 			return
 		}
 		m.segment++
-		res := m.kern.RunUntil(deadline, DefaultMaxEvents)
-		m.mergeRunErr()
-		if res != sim.RunStopped {
+		if m.kern.RunUntil(deadline, DefaultMaxEvents) != sim.RunStopped {
 			return // deadline, quiescent, or event budget: r did not make it
 		}
-		// Stopped: some request completed (possibly r) or the run failed;
-		// loop to re-check and resume the stream otherwise.
+		// Stopped: some request settled (possibly r); loop to re-check and
+		// resume the stream otherwise.
 	}
 }
 
@@ -432,19 +452,6 @@ func (s *Session) QueueDepthMax() int { return s.gate.DepthMax() }
 
 // Now is the stream clock in virtual ticks.
 func (s *Session) Now() sim.Time { return s.m.kern.Now() }
-
-// RunErr reports a program evaluation error, if one occurred; it poisons the
-// whole session (evaluation errors are deterministic program bugs).
-func (s *Session) RunErr() error { return s.m.runErr }
-
-// Procs is the processor count.
-func (s *Session) Procs() int { return s.m.n }
-
-// SchemeName and PlacementName echo the configuration for reports.
-func (s *Session) SchemeName() string { return s.m.cfg.Scheme.Name() }
-
-// PlacementName echoes the placement policy name.
-func (s *Session) PlacementName() string { return s.m.cfg.Placement.Name() }
 
 // Finish closes the stream and returns the machine's aggregate report —
 // the same accounting the one-shot Run performs. Idempotent; the session

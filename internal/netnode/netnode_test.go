@@ -267,9 +267,8 @@ func TestNoOrphansAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := req.Wait()
-	if err != nil || !rep.Completed {
-		t.Fatalf("request failed: %v %+v", err, rep)
+	if o := req.Wait(); o.Err != nil || o.Answer == nil {
+		t.Fatalf("request failed: %+v", o)
 	}
 	// A result for a task node 0 never had is drained there, and only the
 	// node knows: the count comes home in its goodbye, the stats frame the

@@ -586,11 +586,11 @@ func TestBadTicketsFailAlone(t *testing.T) {
 // TestEvalErrorFailsTheRequest is one row run on every backend, the simulator
 // included: a validated program that divides by zero in a subtask. The
 // ticket's Wait returns the evaluator's typed error naming the task and
-// where it ran. On the wall clock that is all that fails: no node dies (a
-// panic in the node used to take the process down, and under rollback each
-// reissue of the packet the next node in turn), the requests on either side
-// of it in the stream verify, and Close counts one failure. The simulator
-// fails the whole run with the error (machine.failRun).
+// where it ran, and that is all that fails: no processor dies (a panic in
+// the node used to take the process down, and under rollback each reissue of
+// the packet the next node in turn; the simulator used to stop the stream),
+// the requests on either side of it in the stream verify, and Close counts
+// one failure.
 var evalErrText = regexp.MustCompile(`^task 1\.[0-9.]+ on (processor|node) \d+: lang: eval: division by zero$`)
 
 func TestEvalErrorFailsTheRequest(t *testing.T) {
@@ -605,10 +605,6 @@ func TestEvalErrorFailsTheRequest(t *testing.T) {
 			_, err := bad.Wait()
 			if !errors.Is(err, lang.ErrEval) || !evalErrText.MatchString(err.Error()) {
 				t.Fatalf("main(2): err = %v, want lang.ErrEval reading %s", err, evalErrText)
-			}
-			if backend == "sim" {
-				_, _ = cl.Close()
-				return
 			}
 			for _, tk := range []*core.Ticket{before, after} {
 				if _, err := tk.Verify(); err != nil {
@@ -686,22 +682,16 @@ func TestCloseEndsWait(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waited := make(chan *core.Report, 1)
-		go func() {
-			rep, err := req.Wait()
-			if err != nil {
-				t.Error(err)
-			}
-			waited <- rep
-		}()
+		waited := make(chan core.Outcome, 1)
+		go func() { waited <- req.Wait() }()
 		time.Sleep(20 * time.Millisecond) // let the Wait block
 		if _, err := sess.Close(); err != nil {
 			t.Fatal(err)
 		}
 		select {
-		case rep := <-waited:
-			if rep == nil || rep.Completed {
-				t.Fatalf("wait after close reported %+v", rep)
+		case o := <-waited:
+			if o.Answer != nil || o.Err != nil {
+				t.Fatalf("wait after close reported %+v", o)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("Wait still blocked 5s after Close")

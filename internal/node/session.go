@@ -169,17 +169,6 @@ func (s *session) Unit() core.TimeUnit { return core.WallMicros }
 // micros is t on the stream clock.
 func (s *session) micros(t time.Time) int64 { return t.Sub(s.start).Microseconds() }
 
-// report is the report skeleton every request and the stream totals share.
-func (s *session) report() *core.Report {
-	return &core.Report{
-		Backend:   s.p.backend,
-		Unit:      core.WallMicros,
-		Procs:     s.p.Procs,
-		Scheme:    s.p.scheme,
-		Placement: "random",
-	}
-}
-
 // Submit implements core.Session: the request is offered immediately — real
 // time is the stream's arrival discipline — and admission control decides at
 // the offer, in Submit order: a free slot (or an unbounded stream) admits to
@@ -247,7 +236,7 @@ func (s *session) onRequestDone() {
 // cumulative at-least-one-survivor check across every injected plan) and
 // replay it on the wall clock from the stream's start. Returned stamps are
 // the planned wall offsets in µs; faults whose offset already passed fire
-// immediately.
+// before Inject returns.
 func (s *session) Inject(plan *faults.Plan) ([]int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,15 +270,25 @@ func (s *session) Inject(plan *faults.Plan) ([]int64, error) {
 	for _, f := range sorted {
 		stamps = append(stamps, (time.Duration(f.At) * DefaultTimescale).Microseconds())
 	}
-	// One scheduler goroutine per plan walks the time-sorted faults and
-	// kills each node at its wall-scaled instant relative to the stream
-	// start. Kills of already-dead nodes (overlapping merged plans) are
-	// ignored, like the simulator's post-death injections.
+	// Faults already due are killed here, in plan order, so a request
+	// submitted before Inject cannot answer ahead of them; Kill never takes
+	// the session's lock. One scheduler goroutine walks the rest and kills
+	// each node at its wall-scaled instant relative to the stream start.
+	// Kills of already-dead nodes (overlapping merged plans) are ignored,
+	// like the simulator's post-death injections.
+	due := func(f faults.Fault) time.Duration { return time.Duration(f.At)*DefaultTimescale - time.Since(s.start) }
+	for len(sorted) > 0 && due(sorted[0]) <= 0 {
+		_ = s.m.Kill(int(sorted[0].Proc))
+		sorted = sorted[1:]
+	}
+	if len(sorted) == 0 {
+		return stamps, nil
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		for _, f := range sorted {
-			if d := time.Duration(f.At)*DefaultTimescale - time.Since(s.start); d > 0 {
+			if d := due(f); d > 0 {
 				select {
 				case <-time.After(d):
 				case <-s.stop:
@@ -323,11 +322,10 @@ func (s *session) Close() (*core.Report, error) {
 	close(s.stop)
 	s.mu.Unlock()
 	s.wg.Wait()
-	rep := s.report()
-	rep.Makespan = s.micros(time.Now())
+	rep := &core.Report{Backend: s.p.backend, Unit: core.WallMicros, Makespan: s.micros(time.Now()),
+		Procs: s.p.Procs, Scheme: s.p.scheme, Placement: "random"}
 	s.m.Shutdown()
 	rep.Metrics, rep.ReissuesByNode = s.m.Root().Metrics()
-	rep.Counters = core.CountersOf(&rep.Metrics)
 	s.mu.Lock()
 	rep.QueueDepthMax = s.gate.DepthMax()
 	s.closeRep = rep
@@ -349,10 +347,6 @@ type request struct {
 	shed     bool
 	admitCh  chan struct{} // non-nil iff the request was queued
 	admitErr error
-
-	once sync.Once
-	rep  *core.Report
-	err  error
 }
 
 // Wait implements core.SessionRequest: block for the answer up to the
@@ -361,23 +355,16 @@ type request struct {
 // one budget, not N; a queued request's budget starts when it gets its slot,
 // and its wait for that slot is bounded by the budget from its offer). Close
 // ends the wait at once. An answer already delivered is accepted even after
-// the budget; a timeout is not an error — the report says Completed false
-// and the stream keeps serving. A shed request reports immediately with the
-// typed core.ErrShed.
-func (r *request) Wait() (*core.Report, error) {
-	r.once.Do(r.wait)
-	return r.rep, r.err
-}
-
-func (r *request) wait() {
+// the budget; a timeout is no error — the stream keeps serving. A shed
+// request reports at once.
+func (r *request) Wait() core.Outcome {
 	s := r.s
-	r.rep = s.report()
-	r.rep.Request = -1 // until admitted, no stream index exists
-	r.rep.ArrivedAt = s.micros(r.offered)
+	// Until installed, a request has no stream index and its install stamp
+	// is its offer.
+	o := core.Outcome{Request: -1, Offered: s.micros(r.offered), Shed: r.shed}
+	o.Installed = o.Offered
 	if r.shed {
-		r.rep.Shed = true
-		r.err = core.ErrShed
-		return
+		return o
 	}
 	if r.admitCh != nil {
 		budget := time.NewTimer(s.p.deadline - time.Since(r.offered))
@@ -392,26 +379,17 @@ func (r *request) wait() {
 		default:
 			// Still queued at the budget (or at Close): a timeout, like any
 			// admitted request that never answered.
-			r.rep.Makespan = s.micros(time.Now()) - r.rep.ArrivedAt
-			return
+			o.Settled = s.micros(time.Now())
+			return o
 		}
 		if r.admitErr != nil {
-			r.rep, r.err = nil, r.admitErr
-			return
+			return core.Outcome{Request: -1, Err: r.admitErr}
 		}
 	}
 	v, err := r.q.Wait(s.p.deadline-time.Since(r.arrived), s.stop)
-	done := s.micros(time.Now())
-	r.rep.Request = r.q.ID()
-	r.rep.ArrivedAt = s.micros(r.arrived)
-	r.rep.QueuedFor = r.arrived.Sub(r.offered).Microseconds()
-	r.rep.Makespan = done - r.rep.ArrivedAt
-	switch {
-	case err == nil:
-		r.rep.Completed = true
-		r.rep.Answer = v
-		r.rep.DoneAt = done
-	case !errors.Is(err, errNoAnswer):
-		r.rep.Err, r.err = err, err
+	o.Request, o.Installed, o.Settled = r.q.ID(), s.micros(r.arrived), s.micros(time.Now())
+	if !errors.Is(err, errNoAnswer) {
+		o.Answer, o.Err = v, err
 	}
+	return o
 }

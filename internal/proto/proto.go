@@ -248,6 +248,11 @@ type Msg struct {
 	// propagate the abort to relatives that are still inside the scope.
 	AbortScope stamp.Stamp
 	LoadVal    int // MsgLoad: sender's proximity/pressure value
+	// Err, on a MsgResult to the host, is the evaluation error that ended
+	// task Result.Child: the request has no answer. Result.Value holds the
+	// error's text, which is what the message is charged for, like the net
+	// backend's FlagFailed frame.
+	Err error
 }
 
 // EncodedSize is the message's size on the simulated wire: a modelled 12-byte

@@ -344,14 +344,7 @@ func (r replay) once(plan *faults.Plan) (*machine.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := m.Run(r.entry, nil, plan)
-	if err != nil {
-		return nil, err
-	}
-	if rep.Err != nil {
-		return nil, rep.Err
-	}
-	return rep, nil
+	return m.Run(r.entry, nil, plan)
 }
 
 // config pins the tree onto a complete topology: figure processors first,
