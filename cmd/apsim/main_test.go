@@ -162,6 +162,13 @@ var commandLines = []struct {
 		"service stream on sim: 64 procs, incremental/random", "reference  : 24/24 answers match"},
 	{"mesh64-isolated.line under splice", runsLine("mesh64-isolated.line") + " -recovery splice", 0,
 		"service stream on sim: 64 procs, splice/random", "reference  : 24/24 answers match"},
+	// A silent crash at t = 6 000, after request 1 settled (at 4 790, so the
+	// host's quiet frame landed at 4 802) and before request 2 arrives at
+	// 8 000. Nobody judges it until request 2's wake frame lands, so request
+	// 2 places work on the dead processor and rollback reissues it. (A
+	// detector that beat through the gap declared it there: 0 reissued.)
+	{"torus16-quiet-gap.line", runsLine("torus16-quiet-gap.line"), 0,
+		"service stream on sim: 16 procs, rollback/random", "3728 spawned, 8 reissued"},
 }
 
 // runsLine is the run line in testdata/runs/file.
@@ -259,8 +266,9 @@ func runDraws(t *testing.T) map[string]draw {
 		t.Fatal(err)
 	}
 	draws := map[string]draw{
-		"torus16-cascade.line": {torus, faults.Cascade(torus, 10, 2000, 1000, 2, 0.5, faults.CrashSilent, 141), nil},
-		"mesh64-isolated.line": {mesh, faults.Burst(64, 12, 3000, faults.CrashSilent, 33), []topology.NodeID{7}},
+		"torus16-cascade.line":   {torus, faults.Cascade(torus, 10, 2000, 1000, 2, 0.5, faults.CrashSilent, 141), nil},
+		"mesh64-isolated.line":   {mesh, faults.Burst(64, 12, 3000, faults.CrashSilent, 33), []topology.NodeID{7}},
+		"torus16-quiet-gap.line": {torus, faults.Crash(9, 6000, false), nil},
 	}
 	if files, _ := filepath.Glob("testdata/runs/*.line"); len(files) != len(draws) {
 		t.Fatalf("testdata/runs holds %d rows, runDraws knows %d", len(files), len(draws))

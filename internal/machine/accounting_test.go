@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/balance"
@@ -119,6 +120,49 @@ func TestHeartbeatCostClosedForm(t *testing.T) {
 			if want := k * pairs; got.MsgHeartbeat != want || got.TotalMessages() != want || got.HopsOnWire != want {
 				t.Errorf("%d idle periods: msg.heartbeat %d, all messages %d, hops %d; want %d·%d = %d each",
 					k, got.MsgHeartbeat, got.TotalMessages(), got.HopsOnWire, k, pairs, want)
+			}
+		})
+	}
+}
+
+// TestQuietGapCostClosedForm is the cost clause across a quiet gap: an idle
+// gap costs exactly n quiet frames, n wake frames and no beat. Two requests
+// with the machine idle between them send, beside their task traffic, those
+// 2n frames and exactly the beats that fall inside the two epochs, walked
+// here from each processor's schedule; the epochs close one hop after the
+// host's quiet frame leaves, a hop after the first request settles, and open
+// one hop after the second is installed. Lengthening the gap by whole periods
+// moves no count.
+func TestQuietGapCostClosedForm(t *testing.T) {
+	const hop = DefaultMsgOverhead + DefaultHopCost
+	for _, kind := range []string{"mesh", "torus", "ring", "star", "complete"} {
+		t.Run(kind, func(t *testing.T) {
+			var counts []int64
+			for _, idle := range []sim.Time{4 * DefaultHeartbeatEvery, 12 * DefaultHeartbeatEvery} {
+				m, s := startIdle(t, kind, balance.NewRandom())
+				every := m.cfg.HeartbeatEvery
+				reqs := serveIdling(t, m, s, 10, 1, idle)
+				reqs = append(reqs, serveIdling(t, m, s, 10, 1, 0)...)
+				want := epochs{0, reqs[0].DoneAt() + 2*hop, reqs[1].Arrival() + hop}
+				if !slices.Equal(m.epochs, want) {
+					t.Fatalf("epochs %v, want %v", m.epochs, want)
+				}
+				var beats int64
+				for _, p := range m.procs {
+					for sent := beatPhase(p.id, every) + every; sent < m.kern.Covered(); sent += every {
+						if sent < want[1] || sent >= want[2] {
+							beats += int64(len(p.neighbors))
+						}
+					}
+				}
+				got := s.Finish().Metrics.MsgHeartbeat
+				if frames := got - beats; frames != 2*int64(m.n) {
+					t.Errorf("idle %d: msg.heartbeat %d = %d beats + %d frames, want %d quiet and wake frames", idle, got, beats, frames, 2*m.n)
+				}
+				counts = append(counts, got)
+			}
+			if counts[0] != counts[1] {
+				t.Errorf("msg.heartbeat %d with a gap of 4 periods, %d with 12", counts[0], counts[1])
 			}
 		})
 	}

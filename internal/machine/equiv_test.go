@@ -80,7 +80,7 @@ func TestSliceStateMatchesMapSemantics(t *testing.T) {
 		{from5, every + 5 + flight, 5}, // lands at the tick, sender 5 > 4: not yet
 		{from5, every + 5 + flight + 1, every + 5 + flight},
 	} {
-		if got := c.link.lastHeard(every, c.now); got != c.want {
+		if got := c.link.lastHeard(every, c.now, 0); got != c.want {
 			t.Errorf("lastHeard(now=%d) from phase %d = %d, want %d", c.now, c.link.phase, got, c.want)
 		}
 	}

@@ -142,7 +142,7 @@ func armAll(m *Machine) {
 func firstDetection(q *proc, l *beatLink) sim.Time {
 	d := &q.det
 	for tick := beatPhase(q.id, d.every) + d.every; ; tick += d.every {
-		if tick-l.lastHeard(d.every, tick) > d.limit {
+		if tick-l.lastHeard(d.every, tick, 0) > d.limit {
 			return tick
 		}
 	}

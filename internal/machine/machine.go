@@ -70,6 +70,9 @@ type Machine struct {
 
 	procs []*proc
 	host  *proc
+	// epochs are the detector's (detector.go), built awake. The host's
+	// frames extend them at a window barrier, so shards read them freely.
+	epochs epochs
 
 	// metrics is the merged view, valid after finalReport; during the run
 	// every counter bump goes to the owning shard's context.
@@ -185,11 +188,12 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 			norm.Eval, strings.Join(lang.Evaluators(), ", "))
 	}
 	m := &Machine{
-		cfg:   norm,
-		acked: norm.acked(),
-		eval:  ev,
-		n:     norm.Topo.Size(),
-		tlog:  norm.Trace,
+		cfg:    norm,
+		acked:  norm.acked(),
+		eval:   ev,
+		n:      norm.Topo.Size(),
+		tlog:   norm.Trace,
+		epochs: epochs{0},
 	}
 	if prog != nil {
 		if _, err := m.progIndex(prog); err != nil {
@@ -414,14 +418,14 @@ func (m *Machine) send(msg proto.Msg) {
 
 // countBeats files the run's heartbeats, which no event sends: p's beat
 // k ≥ 1 to a neighbour went on the wire at beatPhase(p) + k·every exactly
-// when that instant lies before both the stream's until and the covered
-// bound — when a tick due then would have run. Counts, bytes and hops
-// advance together, as in send.
+// when that instant lies inside an epoch and before both the stream's until
+// and the covered bound — when a tick due then would have run. Counts,
+// bytes and hops advance together, as in send.
 func (m *Machine) countBeats() {
 	every, end := m.cfg.HeartbeatEvery, m.kern.Covered()
 	for _, p := range m.procs {
 		for i, l := range p.beats {
-			n := l.sent(every, end)
+			n := l.sent(every, end, m.epochs)
 			beat := proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: p.beatTo[i]}
 			m.metrics.MsgHeartbeat += n
 			m.metrics.BytesOnWire += n * int64(beat.EncodedSize())

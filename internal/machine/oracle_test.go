@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"maps"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/proto"
 	"repro/internal/recovery"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -91,15 +93,18 @@ func TestEveryStampHasOneValue(t *testing.T) {
 }
 
 // TestStreamStampsHaveOneValue is the same oracle over a served stream:
-// three requests on one machine under rollback, a silent crash between the
-// first two and one inside each of the others. Request i roots its tree at
-// stamp [i] in both streams, so every (stamp, hole) pair the faulted stream
-// fills must hold the fault-free stream's value, and it fills no pair the
-// fault-free stream lacks.
+// three requests on one machine under rollback, faulted two ways. In the
+// first plan a silent crash falls between the first two requests and one
+// inside each of the others. In the second, one processor dies in each quiet
+// gap, so nothing is lost until the next request places work on the dead
+// processor, which nobody has judged yet: every reissue is of such work.
+// Request i roots its tree at stamp [i] in both streams, so every
+// (stamp, hole) pair a faulted stream fills must hold the fault-free
+// stream's value, and it fills no pair the fault-free stream lacks.
 func TestStreamStampsHaveOneValue(t *testing.T) {
 	const gap, inside = 20_000, 300
 	prog := lang.Fib()
-	stream := func(plan *faults.Plan) (*Report, []*Req, map[string]string) {
+	stream := func(plan *faults.Plan) (*Machine, *Report, []*Req, map[string]string) {
 		tl := trace.NewLog()
 		m, err := New(Config{Topo: mustTopo(t, "torus", 16), Scheme: recovery.Rollback(), Seed: 1, Trace: tl}, prog)
 		if err != nil {
@@ -130,33 +135,44 @@ func TestStreamStampsHaveOneValue(t *testing.T) {
 				t.Fatalf("request %d: done=%v answer %v, want %v", r.ID(), r.Done(), r.Answer(), want)
 			}
 		}
-		return s.Finish(), reqs, stampValues(t, tl)
+		return m, s.Finish(), reqs, stampValues(t, tl)
 	}
-	_, _, oracle := stream(faults.None())
+	_, _, _, oracle := stream(faults.None())
 	silent := func(at int64, q proto.ProcID) faults.Fault {
 		return faults.Fault{At: at, Proc: q, Kind: faults.CrashSilent}
 	}
-	plan := faults.None().Add(silent(gap/2, 3)).Add(silent(gap+inside, 9)).Add(silent(2*gap+inside, 5))
-	rep, reqs, got := stream(plan)
-	if int64(reqs[0].DoneAt()) >= gap/2 || int64(reqs[1].Arrival()) <= gap/2 {
-		t.Fatalf("the crash at %d is not between request 0 (done %d) and request 1 (arrived %d)",
-			gap/2, reqs[0].DoneAt(), reqs[1].Arrival())
-	}
-	for i, r := range reqs[1:] {
-		if at := int64(i+1)*gap + inside; at < int64(r.Arrival()) || at > int64(r.DoneAt()) {
-			t.Fatalf("the crash at %d is not inside request %d [%d, %d]", at, r.ID(), r.Arrival(), r.DoneAt())
-		}
-	}
-	if rep.Metrics.Reissues == 0 {
-		t.Fatal("no reissue: the crashes inside requests missed their work")
-	}
-	for pair, v := range got {
-		if want, ok := oracle[pair]; !ok || want != v {
-			t.Errorf("%s := %s; the fault-free stream fills it with %q", pair, v, want)
-		}
-	}
-	if missing := int64(len(oracle) - len(got)); missing > rep.Metrics.Prefills {
-		t.Errorf("%d of %d pairs never filled, %d prefilled", missing, len(oracle), rep.Metrics.Prefills)
+	for _, tc := range []struct {
+		name string
+		plan *faults.Plan
+	}{
+		{"between and inside", faults.None().Add(silent(gap/2, 3)).Add(silent(gap+inside, 9)).Add(silent(2*gap+inside, 5))},
+		{"in quiet gaps", faults.None().Add(silent(gap/2, 9)).Add(silent(3*gap/2, 5))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, rep, reqs, got := stream(tc.plan)
+			for _, f := range tc.plan.Faults {
+				i := sort.Search(len(reqs), func(i int) bool { return int64(reqs[i].Arrival()) > f.At })
+				switch _, awake := m.epochs.openAt(sim.Time(f.At)); {
+				case i > 0 && f.At <= int64(reqs[i-1].DoneAt()):
+					if !awake {
+						t.Fatalf("epochs %v: the crash at %d inside request %d fell in a gap", m.epochs, f.At, i-1)
+					}
+				case awake:
+					t.Fatalf("epochs %v: the crash at %d between requests is not in a quiet gap", m.epochs, f.At)
+				}
+			}
+			if rep.Metrics.Reissues == 0 {
+				t.Fatal("no reissue: no request placed work on a dead processor")
+			}
+			for pair, v := range got {
+				if want, ok := oracle[pair]; !ok || want != v {
+					t.Errorf("%s := %s; the fault-free stream fills it with %q", pair, v, want)
+				}
+			}
+			if missing := int64(len(oracle) - len(got)); missing > rep.Metrics.Prefills {
+				t.Errorf("%d of %d pairs never filled, %d prefilled", missing, len(oracle), rep.Metrics.Prefills)
+			}
+		})
 	}
 }
 

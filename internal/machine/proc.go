@@ -1347,7 +1347,7 @@ func (p *proc) heartbeatTick() {
 	if p.dead {
 		return
 	}
-	for _, nb := range p.det.tick(p.k.Now()) {
+	for _, nb := range p.det.tick(p.k.Now(), p.m.epochs) {
 		p.declareFaulty(nb, false)
 	}
 	p.nextBeat += p.m.cfg.HeartbeatEvery
@@ -1395,14 +1395,12 @@ func (p *proc) dueBeat() sim.Time {
 		if t == first {
 			ticked = cur.Src != sim.DriverSrc || cur.Seq >= p.m.session.startSeq
 		} else {
-			// p's own event dispatches first iff it was scheduled before the
-			// previous tick scheduled this one. The own events that declare
-			// are mostly reply timers waiting DefaultResultTimeout, which this
-			// orders exactly; one waiting a longer round trip, or a result p
-			// escalated to itself, that lands on a beat can miscount that
-			// one beat.
-			src := int32(p.idx)
-			ticked = cur.Src > src || cur.Src == src && every >= DefaultResultTimeout
+			// Sources order other events against p's tick. p's own events
+			// that declare are reply timers, which waited more than a period
+			// while it is below DefaultAckTimeout and DefaultResultTimeout:
+			// scheduled before this tick was, they dispatch first. At a
+			// longer period one that lands on a beat miscounts that beat.
+			ticked = cur.Src > int32(p.idx)
 		}
 		if ticked {
 			t += every

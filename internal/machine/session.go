@@ -67,6 +67,10 @@ type Session struct {
 	// batch events and rootDone both dispatch there), so the accounting is as
 	// deterministic as the event order itself.
 	gate admission.Gate[*Req]
+
+	// quiet says the host's last detector frame was a quiet one: no request
+	// has been installed since. Host shard only, like gate.
+	quiet bool
 }
 
 // ServeConfig parameterizes the service stream.
@@ -338,6 +342,10 @@ func (s *Session) offer(r *Req) {
 // (its per-request budget starts when it actually gets a slot).
 func (s *Session) install(r *Req) {
 	m := s.m
+	if s.quiet {
+		s.quiet = false
+		s.detectorFrame()
+	}
 	r.arrival = m.host.k.Now()
 	r.queuedFor = r.arrival - r.offered
 	hostPkt := &proto.TaskPacket{
@@ -401,8 +409,39 @@ func (s *Session) settle(r *Req) bool {
 	if next, ok := s.gate.Release(); ok {
 		s.install(next)
 	}
+	if s.gate.InFlight() == 0 {
+		k.After(flightTime(1), s.goQuiet)
+	}
 	k.Stop()
 	return true
+}
+
+// goQuiet sends every processor the host's quiet frame unless a request was
+// installed since the settle, a hop earlier, that scheduled it: with none
+// installed a crash destroys nothing, so nobody need beat until the next
+// install's wake. The hop puts the event past the settle's lockstep window,
+// so a run that stops there, like a one-shot Run, never goes quiet.
+func (s *Session) goQuiet() {
+	if s.quiet || s.gate.InFlight() > 0 {
+		return
+	}
+	s.quiet = true
+	s.detectorFrame()
+}
+
+// detectorFrame sends every processor a quiet or wake frame, which closes or
+// opens an epoch (epochs) as it lands a hop later. Like a beat it is counted
+// on the wire, sized like one, and dispatches no event; the boundary is
+// published at the window barrier, before any event it affects.
+func (s *Session) detectorFrame() {
+	m, sc := s.m, s.m.host.sc
+	at := sc.k.Now() + flightTime(1)
+	frame := proto.Msg{Type: proto.MsgHeartbeat, From: proto.HostID}
+	n := int64(m.n)
+	sc.metrics.MsgHeartbeat += n
+	sc.metrics.BytesOnWire += n * int64(frame.EncodedSize())
+	sc.metrics.HopsOnWire += n
+	sc.k.Wake(m.ownerOf(proto.HostID), func() { m.epochs = append(m.epochs, at) })
 }
 
 // Wait drives the kernel until r completes, is shed, fails, or exhausts

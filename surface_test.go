@@ -49,7 +49,6 @@ var surfaceAllow = map[string]string{
 	"sim.RunResult.String":        "Stringer: kernel test failures print a run result by name",
 	"expr.FreeVars":               "test oracle: instantiated bodies are asserted closed (§2.1) with it",
 	"expr.HoleIDs":                "test oracle: flatten tests enumerate a residual's holes",
-	"admission.Gate.InFlight":     "test seam: the gate table asserts occupancy between steps",
 	"machine.Session.Outstanding": "test seam: stream tests assert the session emptied",
 	"trace.Log.Count":             "test oracle: machine and admission tests count trace events of a kind",
 	"core.Cluster.Drain":          "test seam: admission tests run a stream to quiescence before Close",
