@@ -26,6 +26,9 @@ type Entry struct {
 	// Dest is the processor the task settled on, or -2 while placement is
 	// unacknowledged (in-flight, Figure 6 states b/d).
 	Dest proto.ProcID
+	// size is the packet's encoded size, charged by Retain and refunded by
+	// Release: a packet is immutable, so it is walked once.
+	size int64
 }
 
 // PendingDest marks checkpoints whose placement is not yet acknowledged.
@@ -33,8 +36,9 @@ const PendingDest proto.ProcID = -2
 
 // Store is one processor's checkpoint table. It is not safe for concurrent
 // use; in the discrete-event machine each processor is single-threaded.
+// Entries are held by value, so retaining a packet allocates no record.
 type Store struct {
-	entries map[proto.TaskKey]*Entry
+	entries map[proto.TaskKey]Entry
 	// bytes tracks current retained storage; peak is the high-water mark
 	// reported to metrics.
 	bytes int64
@@ -43,7 +47,7 @@ type Store struct {
 
 // NewStore creates an empty checkpoint store.
 func NewStore() *Store {
-	return &Store{entries: make(map[proto.TaskKey]*Entry)}
+	return &Store{entries: make(map[proto.TaskKey]Entry)}
 }
 
 // Retain records the functional checkpoint of a freshly spawned packet.
@@ -52,10 +56,11 @@ func NewStore() *Store {
 // supersedes the original).
 func (s *Store) Retain(pkt *proto.TaskPacket) {
 	if old, ok := s.entries[pkt.Key]; ok {
-		s.bytes -= int64(old.Packet.EncodedSize())
+		s.bytes -= old.size
 	}
-	s.entries[pkt.Key] = &Entry{Packet: pkt, Dest: PendingDest}
-	s.bytes += int64(pkt.EncodedSize())
+	e := Entry{Packet: pkt, Dest: PendingDest, size: int64(pkt.EncodedSize())}
+	s.entries[pkt.Key] = e
+	s.bytes += e.size
 	if s.bytes > s.peak {
 		s.peak = s.bytes
 	}
@@ -69,6 +74,7 @@ func (s *Store) Settle(key proto.TaskKey, dest proto.ProcID) bool {
 		return false
 	}
 	e.Dest = dest
+	s.entries[key] = e
 	return true
 }
 
@@ -80,7 +86,7 @@ func (s *Store) Release(key proto.TaskKey) bool {
 	if !ok {
 		return false
 	}
-	s.bytes -= int64(e.Packet.EncodedSize())
+	s.bytes -= e.size
 	delete(s.entries, key)
 	return true
 }
@@ -109,16 +115,16 @@ func (s *Store) Len() int { return len(s.entries) }
 // PeakBytes returns the high-water retained storage in bytes.
 func (s *Store) PeakBytes() int64 { return s.peak }
 
-// For returns all retained checkpoints settled on dest, sorted in stamp
-// preorder (deterministic recovery order).
-func (s *Store) For(dest proto.ProcID) []*Entry {
-	var out []*Entry
+// For returns copies of all retained checkpoints settled on dest, sorted in
+// stamp preorder (deterministic recovery order).
+func (s *Store) For(dest proto.ProcID) []Entry {
+	var out []Entry
 	for _, e := range s.entries {
 		if e.Dest == dest {
 			out = append(out, e)
 		}
 	}
-	slices.SortFunc(out, func(a, b *Entry) int { return a.Packet.Key.Compare(b.Packet.Key) })
+	slices.SortFunc(out, func(a, b Entry) int { return a.Packet.Key.Compare(b.Packet.Key) })
 	return out
 }
 
@@ -130,7 +136,7 @@ func (s *Store) For(dest proto.ProcID) []*Entry {
 // other entry is topmost. In particular an entry whose parent shares its
 // stamp with another entry is topmost: the parent is another incarnation,
 // which that reissue does not abort.
-func (s *Store) TopmostFor(dest proto.ProcID) (topmost, shadowed []*Entry) {
+func (s *Store) TopmostFor(dest proto.ProcID) (topmost, shadowed []Entry) {
 	// shallowest is the shallowest entry so far at or above the current
 	// stamp: preorder visits a subtree right after its root. A parent's stamp
 	// is its child's minus the last component (§3.1), so some entry lies

@@ -49,6 +49,9 @@ type cfunc struct {
 	root   int32        // body node index
 	nslots int          // env size: params first, then one slot per Let
 	slots  []string     // slot -> source name, for error messages
+	// applies counts the cApply nodes: no pass demands more, since a
+	// demand site fires at most once per task.
+	applies int
 }
 
 // cprog is a compiled program: the VM-executable form of a lang.Program.
@@ -156,6 +159,7 @@ func (c *compiler) lower(e expr.Expr) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
+		c.f.applies++
 		return c.emit(cnode{op: cApply, name: n.Fn, kids: kids}), nil
 	case expr.Hole:
 		// Validate rejects holes in source programs; nothing to lower.

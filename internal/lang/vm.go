@@ -84,25 +84,29 @@ type vm struct {
 	// primitive consumes its argument values synchronously, so they live in
 	// one pass-long buffer instead of a fresh slice per node. Demand (Apply)
 	// arguments escape the pass inside Demand records and always get their
-	// own allocation.
+	// own allocation. box is the pool's handle on it.
 	scratch []expr.Value
+	box     *[]expr.Value
 }
 
 // scratchPool recycles scratch stacks across passes: a pass returns its
 // stack (cleared, so no value outlives its pass) on every exit path. Tasks
 // run passes from many goroutines in the live backends, hence a Pool rather
-// than a per-evaluator buffer.
+// than a per-evaluator buffer. The pool holds pointers, and a pass returns
+// the one it took, so recycling a stack allocates nothing.
 var scratchPool = sync.Pool{New: func() any { return new([]expr.Value) }}
 
-func getScratch() []expr.Value {
-	return (*scratchPool.Get().(*[]expr.Value))[:0]
+// acquire takes the pass's stack from the pool.
+func (m *vm) acquire() {
+	m.box = scratchPool.Get().(*[]expr.Value)
+	m.scratch = (*m.box)[:0]
 }
 
-func putScratch(s []expr.Value) {
-	s = s[:cap(s)]
-	clear(s)
-	s = s[:0]
-	scratchPool.Put(&s)
+// release clears the pass's stack and returns it to the pool.
+func (m *vm) release() {
+	clear(m.scratch[:cap(m.scratch)])
+	*m.box = m.scratch[:0]
+	scratchPool.Put(m.box)
 }
 
 // vmEvaluator is the "compiled" evaluator. Compilation is
@@ -147,9 +151,10 @@ func (cp *cprog) Flatten(fn string, args []expr.Value, nextID *int) (Outcome, Ta
 	}
 	env := make([]expr.Value, cf.nslots)
 	copy(env, args)
-	m := &vm{fn: cf, env: env, nextID: nextID, scratch: getScratch()}
+	m := &vm{fn: cf, env: env, nextID: nextID}
+	m.acquire()
 	v, r, err := m.evalNode(cf.root)
-	putScratch(m.scratch)
+	m.release()
 	if err != nil {
 		return Outcome{}, nil, err
 	}
@@ -163,9 +168,10 @@ func (cp *cprog) Flatten(fn string, args []expr.Value, nextID *int) (Outcome, Ta
 // Resume implements EvalProgram: fill holes and re-walk the residual.
 func (cp *cprog) Resume(st TaskState, fills map[int]expr.Value, nextID *int) (Outcome, TaskState, error) {
 	cs := st.(*cstate)
-	m := &vm{fn: cs.fn, env: cs.env, nextID: nextID, scratch: getScratch()}
+	m := &vm{fn: cs.fn, env: cs.env, nextID: nextID}
+	m.acquire()
 	v, r, err := m.rewalk(cs.root, fills)
-	putScratch(m.scratch)
+	m.release()
 	if err != nil {
 		return Outcome{}, nil, err
 	}
@@ -330,6 +336,9 @@ func (m *vm) evalPrimArgs(n *cnode, i int32) (*rnode, error) {
 func (m *vm) demand(n *cnode, vals []expr.Value) *rnode {
 	id := *m.nextID
 	*m.nextID = id + 1
+	if m.demands == nil {
+		m.demands = make([]Demand, 0, m.fn.applies)
+	}
 	m.demands = append(m.demands, Demand{ID: id, Fn: n.name, Args: vals})
 	return &rnode{kind: rHole, id: id}
 }

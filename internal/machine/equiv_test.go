@@ -120,7 +120,7 @@ func TestHoleTableMatchesMapSemantics(t *testing.T) {
 		t.Fatalf("iteration order %v, want ascending [0 2]", ids)
 	}
 
-	// Fill/prefill helpers behave like lazily-created maps.
+	// Prefill behaves like a lazily-created map.
 	if _, ok := tk.takePrefill(5); ok {
 		t.Fatal("empty prefill returned a value")
 	}
@@ -131,9 +131,9 @@ func TestHoleTableMatchesMapSemantics(t *testing.T) {
 	if _, ok := tk.takePrefill(5); ok {
 		t.Fatal("prefill not consumed")
 	}
-	tk.addFill(1, expr.VInt(7))
-	if len(tk.pendingFills) != 1 || !tk.pendingFills[1].Equal(expr.VInt(7)) {
-		t.Fatal("fill not recorded")
+	h2.fill(expr.VInt(7))
+	if !h2.filled || !h2.fresh || !h2.value.Equal(expr.VInt(7)) || h0.fresh {
+		t.Fatal("fill not recorded on its hole alone")
 	}
 }
 

@@ -44,16 +44,18 @@ func stampValues(t *testing.T, log *trace.Log) map[string]string {
 // any scheme and fault plan. A recovered run therefore fills only pairs the
 // fault-free run fills, each with the fault-free value, and all of them. A
 // wrong value the program later discarded, or a twin that inherited a wrong
-// orphan result, fails here even when the answer matches.
+// orphan result, fails here even when the answer matches. Each plan runs
+// under both evaluators against the default evaluator's fault-free run
+// (subtests of the other one are named for it).
 func TestEveryStampHasOneValue(t *testing.T) {
 	prog, args := lang.Fib(), []expr.Value{expr.VInt(12)}
-	traced := func(scheme recovery.Scheme, plan *faults.Plan) (*Report, map[string]string) {
-		cfg := Config{Topo: mustTopo(t, "torus", 16), Scheme: scheme, Seed: 1, Trace: trace.NewLog()}
+	traced := func(eval string, scheme recovery.Scheme, plan *faults.Plan) (*Report, map[string]string) {
+		cfg := Config{Topo: mustTopo(t, "torus", 16), Scheme: scheme, Seed: 1, Eval: eval, Trace: trace.NewLog()}
 		rep := runMachine(t, cfg, prog, "fib", args, plan)
 		expectAnswer(t, rep, prog, "fib", args)
 		return rep, stampValues(t, rep.Log)
 	}
-	_, oracle := traced(recovery.Rollback(), nil)
+	_, oracle := traced(lang.DefaultEvaluator, recovery.Rollback(), nil)
 	silent := func(procs ...int) *faults.Plan {
 		plan := faults.None()
 		for i, q := range procs {
@@ -73,23 +75,34 @@ func TestEveryStampHasOneValue(t *testing.T) {
 		{"rollback/region", recovery.Rollback(), silent(5).Merge(faults.Crash(1, 300, false)).Merge(faults.Crash(4, 300, false)).
 			Merge(faults.Crash(6, 300, false)).Merge(faults.Crash(9, 300, false)).Merge(faults.Crash(13, 300, false))},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rep, got := traced(tc.scheme, tc.plan)
-			if rep.Metrics.Reissues+rep.Metrics.Twins == 0 {
-				t.Fatalf("no recovery: the plan missed the run (makespan %d)", rep.Makespan)
-			}
-			for pair, v := range got {
-				if want, ok := oracle[pair]; !ok || want != v {
-					t.Errorf("%s := %s; the fault-free run fills it with %q", pair, v, want)
+		for _, eval := range lang.Evaluators() {
+			t.Run(evalName(eval, tc.name), func(t *testing.T) {
+				rep, got := traced(eval, tc.scheme, tc.plan)
+				if rep.Metrics.Reissues+rep.Metrics.Twins == 0 {
+					t.Fatalf("no recovery: the plan missed the run (makespan %d)", rep.Makespan)
 				}
-			}
-			// Every pair is filled again, unless an inherited result filled it
-			// before its demand was issued (splice's prefill).
-			if missing := int64(len(oracle) - len(got)); missing > rep.Metrics.Prefills {
-				t.Errorf("%d of %d pairs never filled, %d prefilled", missing, len(oracle), rep.Metrics.Prefills)
-			}
-		})
+				for pair, v := range got {
+					if want, ok := oracle[pair]; !ok || want != v {
+						t.Errorf("%s := %s; the fault-free run fills it with %q", pair, v, want)
+					}
+				}
+				// Every pair is filled again, unless an inherited result filled
+				// it before its demand was issued (splice's prefill).
+				if missing := int64(len(oracle) - len(got)); missing > rep.Metrics.Prefills {
+					t.Errorf("%d of %d pairs never filled, %d prefilled", missing, len(oracle), rep.Metrics.Prefills)
+				}
+			})
+		}
 	}
+}
+
+// evalName names a subtest run under eval: the default evaluator's keeps
+// the case's name, the other's is prefixed with it.
+func evalName(eval, name string) string {
+	if eval == lang.DefaultEvaluator {
+		return name
+	}
+	return eval + "/" + name
 }
 
 // TestStreamStampsHaveOneValue is the same oracle over a served stream:
@@ -100,13 +113,14 @@ func TestEveryStampHasOneValue(t *testing.T) {
 // processor, which nobody has judged yet: every reissue is of such work.
 // Request i roots its tree at stamp [i] in both streams, so every
 // (stamp, hole) pair a faulted stream fills must hold the fault-free
-// stream's value, and it fills no pair the fault-free stream lacks.
+// stream's value, and it fills no pair the fault-free stream lacks. Each
+// plan runs under both evaluators, as in TestEveryStampHasOneValue.
 func TestStreamStampsHaveOneValue(t *testing.T) {
 	const gap, inside = 20_000, 300
 	prog := lang.Fib()
-	stream := func(plan *faults.Plan) (*Machine, *Report, []*Req, map[string]string) {
+	stream := func(eval string, plan *faults.Plan) (*Machine, *Report, []*Req, map[string]string) {
 		tl := trace.NewLog()
-		m, err := New(Config{Topo: mustTopo(t, "torus", 16), Scheme: recovery.Rollback(), Seed: 1, Trace: tl}, prog)
+		m, err := New(Config{Topo: mustTopo(t, "torus", 16), Scheme: recovery.Rollback(), Seed: 1, Eval: eval, Trace: tl}, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +151,7 @@ func TestStreamStampsHaveOneValue(t *testing.T) {
 		}
 		return m, s.Finish(), reqs, stampValues(t, tl)
 	}
-	_, _, _, oracle := stream(faults.None())
+	_, _, _, oracle := stream(lang.DefaultEvaluator, faults.None())
 	silent := func(at int64, q proto.ProcID) faults.Fault {
 		return faults.Fault{At: at, Proc: q, Kind: faults.CrashSilent}
 	}
@@ -148,31 +162,33 @@ func TestStreamStampsHaveOneValue(t *testing.T) {
 		{"between and inside", faults.None().Add(silent(gap/2, 3)).Add(silent(gap+inside, 9)).Add(silent(2*gap+inside, 5))},
 		{"in quiet gaps", faults.None().Add(silent(gap/2, 9)).Add(silent(3*gap/2, 5))},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m, rep, reqs, got := stream(tc.plan)
-			for _, f := range tc.plan.Faults {
-				i := sort.Search(len(reqs), func(i int) bool { return int64(reqs[i].Arrival()) > f.At })
-				switch _, awake := m.epochs.openAt(sim.Time(f.At)); {
-				case i > 0 && f.At <= int64(reqs[i-1].DoneAt()):
-					if !awake {
-						t.Fatalf("epochs %v: the crash at %d inside request %d fell in a gap", m.epochs, f.At, i-1)
+		for _, eval := range lang.Evaluators() {
+			t.Run(evalName(eval, tc.name), func(t *testing.T) {
+				m, rep, reqs, got := stream(eval, tc.plan)
+				for _, f := range tc.plan.Faults {
+					i := sort.Search(len(reqs), func(i int) bool { return int64(reqs[i].Arrival()) > f.At })
+					switch _, awake := m.epochs.openAt(sim.Time(f.At)); {
+					case i > 0 && f.At <= int64(reqs[i-1].DoneAt()):
+						if !awake {
+							t.Fatalf("epochs %v: the crash at %d inside request %d fell in a gap", m.epochs, f.At, i-1)
+						}
+					case awake:
+						t.Fatalf("epochs %v: the crash at %d between requests is not in a quiet gap", m.epochs, f.At)
 					}
-				case awake:
-					t.Fatalf("epochs %v: the crash at %d between requests is not in a quiet gap", m.epochs, f.At)
 				}
-			}
-			if rep.Metrics.Reissues == 0 {
-				t.Fatal("no reissue: no request placed work on a dead processor")
-			}
-			for pair, v := range got {
-				if want, ok := oracle[pair]; !ok || want != v {
-					t.Errorf("%s := %s; the fault-free stream fills it with %q", pair, v, want)
+				if rep.Metrics.Reissues == 0 {
+					t.Fatal("no reissue: no request placed work on a dead processor")
 				}
-			}
-			if missing := int64(len(oracle) - len(got)); missing > rep.Metrics.Prefills {
-				t.Errorf("%d of %d pairs never filled, %d prefilled", missing, len(oracle), rep.Metrics.Prefills)
-			}
-		})
+				for pair, v := range got {
+					if want, ok := oracle[pair]; !ok || want != v {
+						t.Errorf("%s := %s; the fault-free stream fills it with %q", pair, v, want)
+					}
+				}
+				if missing := int64(len(oracle) - len(got)); missing > rep.Metrics.Prefills {
+					t.Errorf("%d of %d pairs never filled, %d prefilled", missing, len(oracle), rep.Metrics.Prefills)
+				}
+			})
+		}
 	}
 }
 

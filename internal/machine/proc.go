@@ -56,9 +56,21 @@ type proc struct {
 	dead    bool
 	corrupt bool
 
-	tasks  map[proto.TaskKey]*task
-	readyQ []proto.TaskKey
-	busy   bool
+	// readyQ[readyHead:] are the tasks queued to run, oldest first. An
+	// entry runs whichever incarnation holds its key when it is popped.
+	tasks     map[proto.TaskKey]*task
+	readyQ    []*task
+	readyHead int
+	busy      bool
+
+	// The pass in flight, parked between runPass and finishPass: its task,
+	// outcome and state (busy guarantees there is at most one), and fills,
+	// the values its Resume consumed. finishFn is finishPass, bound once.
+	passTask *task
+	passOut  lang.Outcome
+	passSt   lang.TaskState
+	fills    map[int]expr.Value
+	finishFn func()
 
 	store  *checkpoint.Store
 	policy recovery.Policy
@@ -149,10 +161,10 @@ func (p *proc) newChildRef(key proto.TaskKey) *childRef {
 }
 
 // holeFor returns t's record for id, drawing it from the proc's slab on
-// first use.
+// first use. The table grows once per pass, to every id issued so far.
 func (p *proc) holeFor(t *task, id int) *holeRec {
-	for id >= len(t.holes) {
-		t.holes = append(t.holes, nil)
+	if id >= len(t.holes) {
+		t.holes = append(t.holes, make([]*holeRec, max(id+1, t.nextID)-len(t.holes))...)
 	}
 	if h := t.holes[id]; h != nil {
 		return h
@@ -172,6 +184,7 @@ func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
 		faulty:       make([]bool, m.n),
 		nbGrad:       make([]int, m.n),
 		relayBuf:     make(map[proto.TaskKey][]*proto.Result),
+		fills:        make(map[int]expr.Value),
 		lastSentGrad: -1,
 	}
 	for i := range p.nbGrad {
@@ -188,6 +201,7 @@ func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
 	p.hbFn = p.heartbeatTick
 	p.gossipFn = p.gossipTick
 	p.armFn = p.arm
+	p.finishFn = p.finishPass
 	p.policy = m.cfg.Scheme.New(p)
 	return p
 }
@@ -202,7 +216,7 @@ func (p *proc) Size() int { return p.m.n }
 
 // QueueLen implements balance.View: ready tasks plus the one running.
 func (p *proc) QueueLen() int {
-	n := len(p.readyQ)
+	n := len(p.readyQ) - p.readyHead
 	if p.busy {
 		n++
 	}
@@ -664,12 +678,27 @@ func (p *proc) RelayToTwin(res *proto.Result) {
 
 // --- task execution ---
 
+// enqueue queues t to run. The queue's slice is reused: a full one first
+// slides its live entries down over the popped ones.
+func (p *proc) enqueue(t *task) {
+	if p.readyHead > 0 && len(p.readyQ) == cap(p.readyQ) {
+		n := copy(p.readyQ, p.readyQ[p.readyHead:])
+		clear(p.readyQ[n:])
+		p.readyQ, p.readyHead = p.readyQ[:n], 0
+	}
+	p.readyQ = append(p.readyQ, t)
+}
+
 // maybeRun starts the next ready task if the processor is free. A pass
 // that fails leaves it free, so the next ready task starts at once.
 func (p *proc) maybeRun() {
-	for !p.busy && !p.dead && len(p.readyQ) > 0 {
-		key := p.readyQ[0]
-		p.readyQ = p.readyQ[1:]
+	for !p.busy && !p.dead && p.readyHead < len(p.readyQ) {
+		key := p.readyQ[p.readyHead].pkt.Key
+		p.readyQ[p.readyHead] = nil
+		p.readyHead++
+		if p.readyHead == len(p.readyQ) {
+			p.readyQ, p.readyHead = p.readyQ[:0], 0
+		}
 		if t, ok := p.tasks[key]; ok && t.state == taskReady {
 			p.runPass(t)
 		}
@@ -692,13 +721,16 @@ func (p *proc) runPass(t *task) {
 	if t.residual == nil {
 		out, st, err = ep.Flatten(t.pkt.Fn, t.pkt.Args, &t.nextID)
 	} else {
-		// The fills map is consumed synchronously by Resume, then cleared
-		// and kept: results arriving after this instant land in the same
-		// (now empty) map, exactly as they landed in the fresh map the
-		// pre-optimisation kernel allocated per pass.
-		fills := t.pendingFills
-		out, st, err = ep.Resume(t.residual, fills, &t.nextID)
-		clear(fills)
+		// Resume consumes the fresh holes synchronously; results arriving
+		// after this instant mark their holes fresh for the next pass.
+		for _, h := range t.holes {
+			if h != nil && h.fresh {
+				p.fills[h.id] = h.value
+				h.fresh = false
+			}
+		}
+		out, st, err = ep.Resume(t.residual, p.fills, &t.nextID)
+		clear(p.fills)
 	}
 	if err != nil {
 		p.fail(t, err)
@@ -714,17 +746,11 @@ func (p *proc) runPass(t *task) {
 	if cost < 1 {
 		cost = 1
 	}
-	// The pass outcome rides in the task and the completion closure is
-	// built once per task: a reduction pass is the machine's most frequent
-	// event, and capturing the Outcome struct in a fresh closure per pass
-	// was a measurable share of its allocation. At most one pass per task
-	// is in flight (ready → running → finish), so the parking slot cannot
-	// be overwritten.
-	t.passOut, t.passSt = out, st
-	if t.finishFn == nil {
-		t.finishFn = func() { p.finishPass(t) }
-	}
-	p.k.After(sim.Time(cost), t.finishFn)
+	// The pass parks in the processor and the completion closure is built
+	// once per processor: a reduction pass is the machine's most frequent
+	// event. busy holds until finishPass, so the slot cannot be overwritten.
+	p.passTask, p.passOut, p.passSt = t, out, st
+	p.k.After(sim.Time(cost), p.finishFn)
 }
 
 // fail retires a task whose pass hit an evaluation error and frees the
@@ -742,11 +768,10 @@ func (p *proc) fail(t *task, err error) {
 		Err:    fmt.Errorf("task %v on processor %d: %w", t.pkt.Key, p.id, err)})
 }
 
-// finishPass applies the outcome of a reduction pass (parked in the task by
-// runPass).
-func (p *proc) finishPass(t *task) {
-	out, st := t.passOut, t.passSt
-	t.passOut, t.passSt = lang.Outcome{}, nil
+// finishPass applies the outcome of the reduction pass runPass parked.
+func (p *proc) finishPass() {
+	t, out, st := p.passTask, p.passOut, p.passSt
+	p.passTask, p.passOut, p.passSt = nil, lang.Outcome{}, nil
 	p.busy = false
 	defer p.maybeRun()
 	if p.dead || t.state != taskRunning {
@@ -784,7 +809,7 @@ func (p *proc) finishPass(t *task) {
 	if t.unfilled == 0 {
 		// Every demand was satisfied from inherited results (§4.1 case 4/5).
 		t.state = taskReady
-		p.readyQ = append(p.readyQ, t.pkt.Key)
+		p.enqueue(t)
 	}
 }
 
@@ -796,10 +821,7 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 	if v, ok := t.takePrefill(d.ID); ok {
 		// The answer is already there (§4.1 case 4/5): consume the
 		// inherited result; do not spawn.
-		h := p.holeFor(t, d.ID)
-		h.filled = true
-		h.value = v
-		t.addFill(d.ID, v)
+		p.holeFor(t, d.ID).fill(v)
 		p.sc.metrics.Prefills++
 		if p.m.tracing() {
 			p.m.log(p.id, trace.KPrefill, t.pkt.Key.String(), fmt.Sprintf("hole %d inherited", d.ID))
@@ -841,7 +863,10 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 			Replicas:  reps,
 			Prog:      t.pkt.Prog,
 		}
-		pkt.Ancestors = ancestorChain(t.pkt, p.m.cfg.AncestorDepth)
+		if t.chain == nil {
+			t.chain = ancestorChain(t.pkt, p.m.cfg.AncestorDepth)
+		}
+		pkt.Ancestors = t.chain
 		cr := p.newChildRef(pkt.Key)
 		cr.gen, cr.dest = pkt.Gen, checkpoint.PendingDest
 		h.children = append(h.children, cr)
@@ -882,7 +907,7 @@ func ancestorChain(parentPkt *proto.TaskPacket, depth int) []proto.Addr {
 		}
 		chain = append(chain, a)
 	}
-	return chain
+	return slices.Clip(chain)
 }
 
 // route sends a packet toward its execution site. avoid lists processors
@@ -1014,7 +1039,7 @@ func (p *proc) settle(pkt *proto.TaskPacket) {
 	}
 	t := newTask(pkt)
 	p.tasks[pkt.Key] = t
-	p.readyQ = append(p.readyQ, pkt.Key)
+	p.enqueue(t)
 	if p.m.tracing() {
 		note := ""
 		if pkt.Twin {
@@ -1271,22 +1296,20 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 // fillHole records the agreed value for a demand slot and wakes the task
 // when its last outstanding result arrives.
 func (p *proc) fillHole(t *task, h *holeRec, v expr.Value) {
-	h.filled = true
-	h.value = v
+	h.fill(v)
 	for _, c := range h.children {
 		c.ackTimer.Stop()
 		if p.store.Release(c.key) && p.m.tracing() {
 			p.m.log(p.id, trace.KCkptRelease, c.key.String(), "")
 		}
 	}
-	t.addFill(h.id, v)
 	t.unfilled--
 	if p.m.tracing() {
 		p.m.log(p.id, trace.KResult, t.pkt.Key.String(), fmt.Sprintf("hole %d := %s", h.id, v))
 	}
 	if t.unfilled == 0 && t.state == taskWaiting {
 		t.state = taskReady
-		p.readyQ = append(p.readyQ, t.pkt.Key)
+		p.enqueue(t)
 		p.maybeRun()
 	}
 }
@@ -1558,7 +1581,7 @@ func (p *proc) die(announced bool) {
 	p.dead = true
 	p.busy = false
 	p.tasks = make(map[proto.TaskKey]*task)
-	p.readyQ = nil
+	p.readyQ, p.readyHead = nil, 0
 	if p.beats != nil {
 		due := p.dueBeat()
 		for i := range p.beats {

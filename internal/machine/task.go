@@ -70,7 +70,14 @@ type holeRec struct {
 	id       int
 	children []*childRef
 	filled   bool
-	value    expr.Value
+	// fresh marks a value the task's next resume pass has not consumed.
+	fresh bool
+	value expr.Value
+}
+
+// fill records the hole's agreed value for the next resume pass.
+func (h *holeRec) fill(v expr.Value) {
+	h.filled, h.fresh, h.value = true, true, v
 }
 
 // child returns the hole's record of the given child, or nil.
@@ -124,23 +131,27 @@ func (h *holeRec) returnedCount() int {
 // demand ids are allocated by the task's own monotone counter (nextID), so
 // they are small, unique, and created in ascending order — indexing the
 // slice is the map lookup, and iterating it is the sorted walk abortGen
-// used to pay a sort.Ints for. The fills and prefill maps are lazy: most
-// tasks are leaves that never receive either.
+// used to pay a sort.Ints for. A fill since the last pass is a hole marked
+// fresh, not a map entry, and the prefill map is lazy: most tasks are
+// leaves that never receive one. A task holds no pass state: the one pass
+// in flight on a processor parks in its proc.
 type task struct {
 	pkt   *proto.TaskPacket
 	state taskState
 
 	// Evaluation state: the evaluator's opaque blocked-task state (nil =
-	// no pass has run yet), demand counter, and the fills accumulated
-	// since the last pass.
-	residual     lang.TaskState
-	nextID       int
-	pendingFills map[int]expr.Value
+	// no pass has run yet) and demand counter.
+	residual lang.TaskState
+	nextID   int
 
 	// holes[id] records the children spawned for demand id (nil = the
 	// demand was never issued here).
 	holes    []*holeRec
 	unfilled int // demanded-but-unfilled hole count
+
+	// chain is the ancestor chain every child's packet carries, built at
+	// the first spawn and shared: packets are immutable.
+	chain []proto.Addr
 
 	// prefill holds inherited orphan results for demands this task has not
 	// issued yet (§4.1 cases 4/5: "the answer is already there"); consumed
@@ -149,13 +160,6 @@ type task struct {
 
 	// stepsSpent accumulates reduction steps, for waste accounting.
 	stepsSpent int64
-
-	// passOut/passSt park the in-flight pass outcome between runPass and
-	// finishPass, and finishFn is the reusable completion closure (see
-	// runPass: one pass per task is in flight at a time).
-	passOut  lang.Outcome
-	passSt   lang.TaskState
-	finishFn func()
 
 	// value is the final result once reduced (taskReturning).
 	value expr.Value
@@ -182,14 +186,6 @@ func (t *task) holeAt(id int) *holeRec {
 		return nil
 	}
 	return t.holes[id]
-}
-
-// addFill records a result value for the next resume pass.
-func (t *task) addFill(id int, v expr.Value) {
-	if t.pendingFills == nil {
-		t.pendingFills = make(map[int]expr.Value)
-	}
-	t.pendingFills[id] = v
 }
 
 // addPrefill buffers an inherited result for a not-yet-issued demand.

@@ -230,7 +230,7 @@ func (p *rollbackPolicy) OnFailureDetected(failed proto.ProcID) {
 
 // suppress accounts for the shadowed checkpoints a topmost reissue
 // regenerates anyway (the B5 case).
-func (p *rollbackPolicy) suppress(shadowed []*checkpoint.Entry, failed proto.ProcID) {
+func (p *rollbackPolicy) suppress(shadowed []checkpoint.Entry, failed proto.ProcID) {
 	for _, e := range shadowed {
 		p.ops.Metrics().Suppressed++
 		p.ops.Log(trace.KSuppress, e.Packet.Key, fmt.Sprintf("shadowed on %d", failed))
