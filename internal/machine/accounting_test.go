@@ -144,8 +144,8 @@ func TestQuietGapCostClosedForm(t *testing.T) {
 				reqs := serveIdling(t, m, s, 10, 1, idle)
 				reqs = append(reqs, serveIdling(t, m, s, 10, 1, 0)...)
 				want := epochs{0, reqs[0].DoneAt() + 2*hop, reqs[1].Arrival() + hop}
-				if !slices.Equal(m.epochs, want) {
-					t.Fatalf("epochs %v, want %v", m.epochs, want)
+				if !slices.Equal(hb(m).epochs, want) {
+					t.Fatalf("epochs %v, want %v", hb(m).epochs, want)
 				}
 				var beats int64
 				for _, p := range m.procs {

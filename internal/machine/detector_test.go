@@ -15,6 +15,9 @@ import (
 	"repro/internal/trace"
 )
 
+// hb is the machine's heartbeat detector.
+func hb(m *Machine) *heartbeats { return m.det.(*heartbeats) }
+
 // TestDetectorAccuracy is the accuracy clause of the failure detector's
 // contract: nobody alive is ever declared. Fault-free, every topology kind
 // from a quarter of a heartbeat period's worth of processors to four — through a
@@ -141,8 +144,8 @@ func TestDetectorAccuracyAcrossQuietGaps(t *testing.T) {
 				m, s := startIdleCfg(t, Config{Topo: mustTopo(t, kind, n), Scheme: recovery.Rollback(), Seed: 1}, nil)
 				armAll(m)
 				serveIdling(t, m, s, 13, 3, 5*m.cfg.HeartbeatEvery)
-				if len(m.epochs) != 6 {
-					t.Fatalf("epochs %v: want two quiet/wake cycles and a last quiet", m.epochs)
+				if len(hb(m).epochs) != 6 {
+					t.Fatalf("epochs %v: want two quiet/wake cycles and a last quiet", hb(m).epochs)
 				}
 				got := s.Finish().Metrics
 				if got.Detections != 0 || got.FalseSuspicions != 0 {
@@ -189,8 +192,8 @@ func TestDetectorCompletenessInAGap(t *testing.T) {
 					s.Wait(waking)
 					wake := waking.Arrival() + hop
 					bound := wake + every*(DefaultHeartbeatMisses+1) + hop
-					if _, awake := m.epochs.openAt(crash); awake || waking.DoneAt() <= bound {
-						t.Fatalf("epochs %v: the crash at %d is not in a gap, or the request (done %d) does not outlast %d", m.epochs, crash, waking.DoneAt(), bound)
+					if _, awake := hb(m).epochs.openAt(crash); awake || waking.DoneAt() <= bound {
+						t.Fatalf("epochs %v: the crash at %d is not in a gap, or the request (done %d) does not outlast %d", hb(m).epochs, crash, waking.DoneAt(), bound)
 					}
 					if !waking.Done() || !waking.Answer().Equal(want) {
 						t.Fatalf("victim %d crashed at %d: done=%v answer %v, want %v", victim, crash, waking.Done(), waking.Answer(), want)
@@ -374,7 +377,7 @@ func FuzzBeatCount(f *testing.F) {
 // neighbour is left to watch: a processor that dies with every neighbour at
 // once, and one that dies after all its neighbours did, are still declared
 // by every survivor, with no live processor suspected. Only a detector that
-// heals over the dead reports them (proc.heal); the machine is idle, so no
+// heals over the dead reports them (beater.heal); the machine is idle, so no
 // reply timer could. Without acks nothing else would tell a parent that the
 // work it placed there is lost.
 func TestDetectorWatchesAcrossTheDead(t *testing.T) {

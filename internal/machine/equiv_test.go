@@ -29,20 +29,20 @@ func TestSliceStateMatchesMapSemantics(t *testing.T) {
 
 	// faulty: absent = false; host and sentinel ids = false; declared = true.
 	for q := 0; q < 9; q++ {
-		if p.isFaulty(proto.ProcID(q)) {
+		if p.IsFaulty(proto.ProcID(q)) {
 			t.Fatalf("fresh proc believes %d faulty", q)
 		}
 	}
 	for _, q := range []proto.ProcID{proto.HostID, -2, 99} {
-		if p.isFaulty(q) {
+		if p.IsFaulty(q) {
 			t.Fatalf("out-of-range id %d reported faulty", q)
 		}
 	}
 	p.declareFaulty(7, false)
-	if !p.isFaulty(7) || !p.IsKnownFaulty(7) {
+	if !p.IsFaulty(7) {
 		t.Fatal("declared failure not recorded")
 	}
-	if p.isFaulty(6) {
+	if p.IsFaulty(6) {
 		t.Fatal("declaration leaked to another processor")
 	}
 
@@ -53,7 +53,7 @@ func TestSliceStateMatchesMapSemantics(t *testing.T) {
 	if g := p.NeighborGradient(proto.HostID); g != balance.MaxGradient {
 		t.Fatal("host gradient must read MaxGradient")
 	}
-	p.onLoad(&proto.Msg{Type: proto.MsgLoad, From: 1, To: 4, LoadVal: 3})
+	p.handle(&proto.Msg{Type: proto.MsgLoad, From: 1, To: 4, LoadVal: 3})
 	if g := p.NeighborGradient(1); g != 3 {
 		t.Fatalf("gossiped gradient = %d, want 3", g)
 	}
@@ -64,9 +64,9 @@ func TestSliceStateMatchesMapSemantics(t *testing.T) {
 	// when the sender's id is lower (it dispatches first). Neighbour 1 beats
 	// at 251 and lands at 257; neighbour 5 beats at 255 and lands at 261.
 	every, flight := m.cfg.HeartbeatEvery, flightTime(1)
-	from1, from5 := &p.det.in[0], &p.det.in[2]
-	if p.det.neighbors[0] != 1 || p.det.neighbors[2] != 5 {
-		t.Fatalf("mesh-9 processor 4 watches %v, want [1 3 5 7]", p.det.neighbors)
+	from1, from5 := &hb(m).at[4].in[0], &hb(m).at[4].in[2]
+	if p.neighbors[0] != 1 || p.neighbors[2] != 5 {
+		t.Fatalf("mesh-9 processor 4 watches %v, want [1 3 5 7]", p.neighbors)
 	}
 	for _, c := range []struct {
 		link *beatLink

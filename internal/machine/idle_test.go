@@ -108,7 +108,7 @@ func TestDieWithUnarmedGossipTimerIsInert(t *testing.T) {
 	}
 	pending := m.kern.Pending()
 	p.die(false)
-	if p.gossipTimer.Active() || p.hbTimer.Active() {
+	if p.gossipTimer.Active() || hb(m).at[5].timer.Active() {
 		t.Error("timers still active after die")
 	}
 	if got := m.kern.Pending(); got != pending {
@@ -128,21 +128,21 @@ func TestDieWithUnarmedGossipTimerIsInert(t *testing.T) {
 // every stream had always needed watching: the reference a lazily woken
 // machine must reproduce.
 func armAll(m *Machine) {
-	every := m.cfg.HeartbeatEvery
-	for _, p := range m.procs {
-		p.ticking = true
-		p.nextBeat = every + beatPhase(p.id, every)
-		p.hbTimer = m.kern.AtOn(p.nextBeat, int32(p.idx), p.hbFn)
+	h := hb(m)
+	for i := range h.at {
+		b := &h.at[i]
+		b.ticking = true
+		b.nextBeat = h.every + beatPhase(b.p.id, h.every)
+		b.timer = m.kern.AtOn(b.nextBeat, int32(b.p.idx), b.tickFn)
 	}
 }
 
 // firstDetection is the closed form of a watcher's verdict on one stream:
 // the first tick of watcher q (its phase + k·every) at which the stream from
 // the victim has been silent past the limit.
-func firstDetection(q *proc, l *beatLink) sim.Time {
-	d := &q.det
-	for tick := beatPhase(q.id, d.every) + d.every; ; tick += d.every {
-		if tick-l.lastHeard(d.every, tick, 0) > d.limit {
+func firstDetection(h *heartbeats, q proto.ProcID, l *beatLink) sim.Time {
+	for tick := beatPhase(q, h.every) + h.every; ; tick += h.every {
+		if tick-l.lastHeard(h.every, tick, 0) > h.limit {
 			return tick
 		}
 	}
@@ -183,9 +183,9 @@ func TestSilentCrashWakesOnlyItsNeighbours(t *testing.T) {
 			m, rep, tr := run(shards, false)
 			nbs := m.procs[victim].neighbors
 			var woken []proto.ProcID
-			for _, p := range m.procs {
-				if p.ticking {
-					woken = append(woken, p.id)
+			for _, b := range hb(m).at {
+				if b.ticking {
+					woken = append(woken, b.p.id)
 				}
 			}
 			if !slices.Equal(woken, nbs) {
@@ -203,8 +203,8 @@ func TestSilentCrashWakesOnlyItsNeighbours(t *testing.T) {
 			}
 			first := sim.Time(-1)
 			for i, nb := range nbs {
-				l := &m.procs[nb].det.in[slices.Index(m.procs[nb].neighbors, victim)]
-				at := firstDetection(m.procs[nb], l)
+				l := &hb(m).at[nb].in[slices.Index(m.procs[nb].neighbors, victim)]
+				at := firstDetection(hb(m), nb, l)
 				if first < 0 || at < first {
 					first = at
 				}

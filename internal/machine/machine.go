@@ -3,10 +3,10 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/balance"
 	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/lang"
@@ -16,18 +16,13 @@ import (
 	"repro/internal/trace"
 )
 
-type nodeID = topology.NodeID
-
 // noProc marks the host pseudo-task's absent parent.
 const noProc proto.ProcID = -3
 
 // Machine is the simulated applicative multiprocessor.
 type Machine struct {
+	*params
 	cfg Config
-	// acked selects the four-message protocol (Config.acked): every placement
-	// and every result is acknowledged and guarded by a reply timer.
-	// Otherwise a task costs two messages, its packet and its result.
-	acked bool
 	// kern is the (possibly sharded) event kernel ensemble. The machine is
 	// partitioned by topology region: every processor is pinned to its
 	// region's shard and all of its events dispatch there; only message
@@ -41,12 +36,6 @@ type Machine struct {
 	// trace buffers), so windows need no locks; the coordinator merges at
 	// Finish in the deterministic dispatch order.
 	shards []*shardCtx
-	single bool // len(shards) == 1: skip tagging, write traces directly
-	// segment counts driver run segments (Wait drives). Order between runs
-	// is driver order, not key order — events of a later segment can carry
-	// smaller keys (a re-admission at the stop tick) — so merge order is
-	// (segment, key).
-	segment int
 
 	// progs holds the loaded programs: progs[0] is the program the machine
 	// was built with, if any; service mode (Session) loads one more per
@@ -56,12 +45,6 @@ type Machine struct {
 	progs []*lang.Program
 	evals []lang.EvalProgram
 	eval  lang.Evaluator
-	n     int
-
-	// dist is the topology's own hop-distance table (topology.Dists:
-	// dist[from*n+to], read-only), so the per-message distance lookup is an
-	// indexed load instead of an interface call.
-	dist []int32
 
 	// session, when non-nil, owns request bookkeeping: root completions are
 	// routed per-request instead of stopping the whole run. Run attaches one
@@ -70,14 +53,13 @@ type Machine struct {
 
 	procs []*proc
 	host  *proc
-	// epochs are the detector's (detector.go), built awake. The host's
-	// frames extend them at a window barrier, so shards read them freely.
-	epochs epochs
+	// det is how processors learn first-hand of a death: the closed-form
+	// heartbeat schedule (heartbeats), unless a test installs another.
+	det Detector
 
 	// metrics is the merged view, valid after finalReport; during the run
 	// every counter bump goes to the owning shard's context.
 	metrics trace.Metrics
-	tlog    *trace.Log
 
 	// Completion state. Written only by host-shard events and read by the
 	// driver between runs.
@@ -86,6 +68,25 @@ type Machine struct {
 	doneAt sim.Time
 
 	stateSamples []StateSample
+}
+
+// params is what the protocol reads of the machine's configuration: set
+// once in New and shared, read-only, by the machine and every processor.
+type params struct {
+	n int
+	// acked selects the four-message protocol (Config.acked): every placement
+	// and every result is acknowledged and guarded by a reply timer.
+	// Otherwise a task costs two messages, its packet and its result.
+	acked       bool
+	placement   balance.Policy
+	depth       int  // Config.AncestorDepth
+	noCkpt      bool // Config.DisableCheckpoints
+	retryLimit  int  // Config.ResultRetryLimit
+	replication map[string]int
+	// dist is the topology's own hop-distance table (topology.Dists:
+	// dist[from*n+to]), so the per-message distance lookup is an indexed
+	// load instead of an interface call.
+	dist []int32
 }
 
 // shardCtx is the state one shard's handlers may touch freely during a
@@ -105,10 +106,17 @@ type shardCtx struct {
 	// lock-free, since each pool is only touched by its own shard.
 	msgFree []*proto.Msg
 
-	// traceBuf buffers trace events tagged with their dispatch position
-	// when more than one shard runs; the single-shard machine writes to the
-	// log directly.
+	// tlog is the event log, nil unless tracing. A single shard writes it
+	// directly; several buffer their events in traceBuf, tagged with their
+	// dispatch position, for the merge at Finish.
+	tlog     *trace.Log
+	single   bool
 	traceBuf []keyedEvent
+	// seg counts driver run segments (Wait drives). Order between runs is
+	// driver order, not key order — events of a later segment can carry
+	// smaller keys (a re-admission at the stop tick) — so merge order is
+	// (segment, key).
+	seg int
 
 	// detects records failure detections for the latency accounting; the
 	// "first" detection of a failure is decided at merge time by dispatch
@@ -116,29 +124,36 @@ type shardCtx struct {
 	detects []detection
 }
 
-// keyedEvent is a trace event tagged with its dispatch position.
-type keyedEvent struct {
+// dispatchPos is an event's place in the run: its driver segment, then its
+// kernel key.
+type dispatchPos struct {
 	seg int
 	key sim.Key
-	ev  trace.Event
+}
+
+// pos is the dispatch position of the event shard sc is running.
+func (sc *shardCtx) pos() dispatchPos { return dispatchPos{sc.seg, sc.k.CurrentKey()} }
+
+// before reports whether a dispatches before b.
+func (a dispatchPos) before(b dispatchPos) bool {
+	if a.seg != b.seg {
+		return a.seg < b.seg
+	}
+	return a.key.Less(b.key)
+}
+
+// keyedEvent is a trace event tagged with its dispatch position.
+type keyedEvent struct {
+	dispatchPos
+	ev trace.Event
 }
 
 // detection is one declareFaulty observation of a (possibly) failed
 // processor, tagged with its dispatch position.
 type detection struct {
+	dispatchPos
 	failed proto.ProcID
 	at     sim.Time
-	seg    int
-	key    sim.Key
-}
-
-// ordBefore reports whether dispatch position (aSeg, aKey) precedes
-// (bSeg, bKey).
-func ordBefore(aSeg int, aKey sim.Key, bSeg int, bKey sim.Key) bool {
-	if aSeg != bSeg {
-		return aSeg < bSeg
-	}
-	return aKey.Less(bKey)
 }
 
 // StateSample is one probe of the machine's resident state.
@@ -188,12 +203,13 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 			norm.Eval, strings.Join(lang.Evaluators(), ", "))
 	}
 	m := &Machine{
-		cfg:    norm,
-		acked:  norm.acked(),
-		eval:   ev,
-		n:      norm.Topo.Size(),
-		tlog:   norm.Trace,
-		epochs: epochs{0},
+		params: &params{
+			n: norm.Topo.Size(), acked: norm.acked(), placement: norm.Placement,
+			depth: norm.AncestorDepth, noCkpt: norm.DisableCheckpoints, retryLimit: norm.ResultRetryLimit,
+			replication: norm.Replication, dist: topology.Dists(norm.Topo),
+		},
+		cfg:  norm,
+		eval: ev,
 	}
 	if prog != nil {
 		if _, err := m.progIndex(prog); err != nil {
@@ -218,57 +234,19 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 		homes[m.n] = part.Region[0]
 	}
 	m.kern = sim.NewSharded(norm.Seed, nshards, homes, horizon)
-	m.single = nshards == 1
 	m.shards = make([]*shardCtx, nshards)
 	for i := range m.shards {
-		sc := &shardCtx{k: m.kern.Shard(i)}
+		sc := &shardCtx{k: m.kern.Shard(i), tlog: norm.Trace, single: nshards == 1}
 		m.shards[i] = sc
 		sc.k.SetSink(func(v any) { m.deliverOn(sc, v) })
 	}
-	m.dist = topology.Dists(norm.Topo)
 	m.procs = make([]*proc, m.n)
-	for i := 0; i < m.n; i++ {
-		p := newProc(proto.ProcID(i), m, false)
-		m.wireProc(p, i, homes[i])
-		m.procs[i] = p
+	for i := range m.procs {
+		m.procs[i] = newProc(proto.ProcID(i), m, i, homes[i])
 	}
-	m.host = newProc(proto.HostID, m, true)
-	m.wireProc(m.host, m.n, homes[m.n])
-	m.linkBeats()
+	m.host = newProc(proto.HostID, m, m.n, homes[m.n])
+	m.det = newHeartbeats(m)
 	return m, nil
-}
-
-// linkBeats hands every processor the heartbeat streams it writes, which its
-// neighbours' detectors hold: topologies are undirected with sorted
-// neighbour lists, so q's watch on neighbour p sits at q's index in p's list.
-func (m *Machine) linkBeats() {
-	for _, q := range m.procs {
-		for i, nb := range q.det.neighbors {
-			p := m.procs[nb]
-			if p.beats == nil {
-				p.beats = make([]*beatLink, len(p.neighbors))
-				p.beatTo = slices.Clip(p.neighbors)
-			}
-			j, ok := slices.BinarySearch(p.neighbors, q.id)
-			if !ok {
-				panic(fmt.Sprintf("machine: %d neighbours %d but not back", q.id, nb))
-			}
-			p.beats[j] = &q.det.in[i]
-		}
-	}
-}
-
-// wireProc pins a processor to its shard and seeds its private determinism
-// streams (RNG, generation/replica counters live on the proc itself). The
-// streams are per-processor rather than per-kernel so their consumption
-// order — and hence every value drawn — is independent of which processors
-// share a shard.
-func (m *Machine) wireProc(p *proc, idx int, home int32) {
-	p.idx = idx
-	p.sc = m.shards[home]
-	p.k = p.sc.k
-	p.rng = cachedRand(mixSeed(m.cfg.Seed, idx))
-	p.failedAt = -1
 }
 
 // mixSeed derives processor idx's RNG seed from the machine seed with a
@@ -278,9 +256,9 @@ func mixSeed(seed int64, idx int) int64 {
 }
 
 // ownerOf maps a processor id to its kernel owner index (host = n).
-func (m *Machine) ownerOf(id proto.ProcID) int32 {
+func (c *params) ownerOf(id proto.ProcID) int32 {
 	if id == proto.HostID {
-		return int32(m.n)
+		return int32(c.n)
 	}
 	return int32(id)
 }
@@ -307,11 +285,15 @@ func (sc *shardCtx) putMsg(pm *proto.Msg) {
 }
 
 // deliverOn is shard sc's payload sink: every message scheduled onto the
-// shard lands here, is handled, and its envelope recycled into sc's pool
-// (the event's owner is the destination, so sc is the destination's shard).
+// shard lands here and is handed to its destination, unless that is dead
+// (the network knows only physical liveness, not suspicion state); then its
+// envelope is recycled into sc's pool (the event's owner is the
+// destination, so sc is the destination's shard).
 func (m *Machine) deliverOn(sc *shardCtx, v any) {
 	pm := v.(*proto.Msg)
-	m.deliver(pm)
+	if dst := m.proc(pm.To); dst != nil && !dst.dead {
+		dst.handle(pm)
+	}
 	sc.putMsg(pm)
 }
 
@@ -334,9 +316,6 @@ func (m *Machine) progIndex(p *lang.Program) (int, error) {
 	return len(m.progs) - 1, nil
 }
 
-// evalOf resolves a packet's program tag to its compiled form.
-func (m *Machine) evalOf(i int) lang.EvalProgram { return m.evals[i] }
-
 // proc resolves a processor id, including the host. Unknown ids return nil.
 func (m *Machine) proc(id proto.ProcID) *proc {
 	if id == proto.HostID {
@@ -348,91 +327,9 @@ func (m *Machine) proc(id proto.ProcID) *proc {
 	return nil
 }
 
-// replicasFor returns the §5.3 replication degree for a function.
-func (m *Machine) replicasFor(fn string) int {
-	if r, ok := m.cfg.Replication[fn]; ok && r > 1 {
-		return r
-	}
-	return 1
-}
-
-// log appends a trace event on behalf of processor id; it must be called
-// from id's shard (which every handler call site is). Under a single shard
-// the event goes straight to the log; otherwise it is buffered with its
-// dispatch position and merged at Finish.
-func (m *Machine) log(id proto.ProcID, kind trace.Kind, task, note string) {
-	if m.tlog == nil {
-		return
-	}
-	sc := m.proc(id).sc
-	ev := trace.Event{
-		Time: int64(sc.k.Now()), Proc: int32(id), Kind: kind, Task: task, Note: note,
-	}
-	if m.single {
-		m.tlog.Add(ev)
-		return
-	}
-	sc.traceBuf = append(sc.traceBuf, keyedEvent{seg: m.segment, key: sc.k.CurrentKey(), ev: ev})
-}
-
-// noteDetection records that observer p declared `failed` faulty; whether
-// it was the first detection (for the latency average) is decided at merge
-// time from the dispatch order.
-func (m *Machine) noteDetection(p *proc, failed proto.ProcID) {
-	if failed < 0 || int(failed) >= m.n {
-		return
-	}
-	p.sc.detects = append(p.sc.detects, detection{
-		failed: failed, at: p.k.Now(), seg: m.segment, key: p.k.CurrentKey(),
-	})
-}
-
-// send transmits a message. A message is what send (or, for a beat, the
-// schedule countBeats reads) puts on the wire, so its count, bytes and hops
-// advance together (hops.wire >= TotalMessages always). Dead
-// processors transmit nothing and a local (from == to) delivery costs one
-// tick and no wire, so neither counts. The message is taken by value: the
-// machine copies it into a pooled envelope that lives exactly until
-// delivery, so the call sites' composite literals stay on the stack.
-// Everything happens on the sender's shard except the final enqueue, which
-// AtMsgTo routes to the destination's shard through the outbox when they
-// differ — sound because remote latency is at least the lookahead horizon.
-func (m *Machine) send(msg proto.Msg) {
-	src := m.proc(msg.From)
-	if src == nil || src.dead {
-		// Dead processors no longer transmit (§1); the announced-crash
-		// "dying gasp" is sent by die() before the flag is set.
-		return
-	}
-	sc := src.sc
-	if msg.From == msg.To {
-		sc.k.AfterMsg(1, sc.getMsg(msg))
-		return
-	}
-	hops := m.hops(msg.From, msg.To)
-	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
-	sc.metrics.HopsOnWire += int64(hops)
-	countMsg(&sc.metrics, msg.Type)
-	sc.k.AtMsgTo(sc.k.Now()+flightTime(hops), m.ownerOf(msg.To), sc.getMsg(msg))
-}
-
-// countBeats files the run's heartbeats, which no event sends: p's beat
-// k ≥ 1 to a neighbour went on the wire at beatPhase(p) + k·every exactly
-// when that instant lies inside an epoch and before both the stream's until
-// and the covered bound — when a tick due then would have run. Counts,
-// bytes and hops advance together, as in send.
-func (m *Machine) countBeats() {
-	every, end := m.cfg.HeartbeatEvery, m.kern.Covered()
-	for _, p := range m.procs {
-		for i, l := range p.beats {
-			n := l.sent(every, end, m.epochs)
-			beat := proto.Msg{Type: proto.MsgHeartbeat, From: p.id, To: p.beatTo[i]}
-			m.metrics.MsgHeartbeat += n
-			m.metrics.BytesOnWire += n * int64(beat.EncodedSize())
-			m.metrics.HopsOnWire += n * int64(m.hops(p.id, beat.To))
-		}
-	}
-}
+// replicasFor returns the §5.3 replication degree for a function: 1 unless
+// Config.Replication names it.
+func (c *params) replicasFor(fn string) int { return max(c.replication[fn], 1) }
 
 // flightTime is the virtual latency of a message that crosses hops links.
 func flightTime(hops int) sim.Time { return sim.Time(DefaultMsgOverhead + DefaultHopCost*hops) }
@@ -465,23 +362,13 @@ func countMsg(mt *trace.Metrics, t proto.MsgType) {
 	}
 }
 
-// deliver hands a message to its destination; dead destinations drop it
-// (the network knows only physical liveness, not suspicion state).
-func (m *Machine) deliver(msg *proto.Msg) {
-	dst := m.proc(msg.To)
-	if dst == nil || dst.dead {
-		return
-	}
-	dst.handle(msg)
-}
-
 // hops is the network distance between two processors. Host links are one
 // hop (the operator console attaches at processor 0's port).
-func (m *Machine) hops(from, to proto.ProcID) int {
+func (c *params) hops(from, to proto.ProcID) int {
 	if from == proto.HostID || to == proto.HostID {
 		return 1
 	}
-	return int(m.dist[int(from)*m.n+int(to)])
+	return int(c.dist[int(from)*c.n+int(to)])
 }
 
 // Run evaluates fn(args) on the machine under the given fault plan and
@@ -525,7 +412,7 @@ func (m *Machine) finalReport() *Report {
 	for _, sc := range m.shards {
 		m.metrics.Add(&sc.metrics)
 	}
-	m.countBeats()
+	m.det.count(&m.metrics)
 	m.mergeDetections()
 	for _, p := range m.procs {
 		for _, t := range p.tasks {
@@ -551,7 +438,7 @@ func (m *Machine) finalReport() *Report {
 		Completed:    m.done,
 		Makespan:     makespan,
 		Metrics:      m.metrics,
-		Log:          m.tlog,
+		Log:          m.cfg.Trace,
 		Scheme:       m.cfg.Scheme.Name(),
 		Placement:    m.cfg.Placement.Name(),
 		Procs:        m.n,
@@ -568,7 +455,7 @@ func (m *Machine) finalReport() *Report {
 // their emission order, so the merged log is byte-identical to the
 // single-shard log.
 func (m *Machine) mergeTrace() {
-	if m.single || m.tlog == nil {
+	if len(m.shards) == 1 || m.cfg.Trace == nil {
 		return
 	}
 	var all []keyedEvent
@@ -577,10 +464,10 @@ func (m *Machine) mergeTrace() {
 		sc.traceBuf = nil
 	}
 	sort.SliceStable(all, func(i, j int) bool {
-		return ordBefore(all[i].seg, all[i].key, all[j].seg, all[j].key)
+		return all[i].before(all[j].dispatchPos)
 	})
 	for _, ke := range all {
-		m.tlog.Add(ke.ev)
+		m.cfg.Trace.Add(ke.ev)
 	}
 }
 
@@ -590,31 +477,25 @@ func (m *Machine) mergeTrace() {
 // exactly the record the single-shard run updates online. A detection of a
 // processor that was alive when it was declared is a false suspicion.
 func (m *Machine) mergeDetections() {
-	type firstRec struct {
-		ok  bool
-		at  sim.Time
-		seg int
-		key sim.Key
-	}
-	firsts := make([]firstRec, m.n)
+	firsts := make([]*detection, m.n)
 	for _, sc := range m.shards {
-		for _, d := range sc.detects {
+		for i := range sc.detects {
+			d := &sc.detects[i]
 			p := m.procs[d.failed]
-			if p.failedAt < 0 || ordBefore(d.seg, d.key, p.failSeg, p.failKey) {
+			if p.failedAt < 0 || d.before(p.failPos) {
 				m.metrics.FalseSuspicions++ // never failed, or not yet
 				continue
 			}
-			f := &firsts[d.failed]
-			if !f.ok || ordBefore(d.seg, d.key, f.seg, f.key) {
-				*f = firstRec{ok: true, at: d.at, seg: d.seg, key: d.key}
+			if f := firsts[d.failed]; f == nil || d.before(f.dispatchPos) {
+				firsts[d.failed] = d
 			}
 		}
 		sc.detects = nil
 	}
-	for i := range firsts {
-		if firsts[i].ok {
+	for i, f := range firsts {
+		if f != nil {
 			m.metrics.FirstDetections++
-			m.metrics.DetectLatencySum += int64(firsts[i].at - m.procs[i].failedAt)
+			m.metrics.DetectLatencySum += int64(f.at - m.procs[i].failedAt)
 		}
 	}
 }
@@ -646,7 +527,7 @@ func (m *Machine) inject(f faults.Fault) {
 	case faults.Corrupt:
 		if !p.dead {
 			p.corrupt = true
-			m.log(f.Proc, trace.KFail, "", "value corruption begins")
+			p.Log(trace.KFail, nil, "value corruption begins")
 		}
 	default:
 		if p.dead {
@@ -654,13 +535,8 @@ func (m *Machine) inject(f faults.Fault) {
 		}
 		p.sc.metrics.Failures++
 		p.failedAt = p.k.Now()
-		p.failSeg = m.segment
-		p.failKey = p.k.CurrentKey()
-		m.log(f.Proc, trace.KFail, "", f.Kind.String())
+		p.failPos = p.sc.pos()
+		p.Log(trace.KFail, nil, f.Kind.String())
 		p.die(f.Kind == faults.CrashAnnounced)
 	}
 }
-
-// tracing reports whether an event log is attached; hot paths use it to
-// skip building log arguments.
-func (m *Machine) tracing() bool { return m.tlog != nil }

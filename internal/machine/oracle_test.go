@@ -56,24 +56,16 @@ func TestEveryStampHasOneValue(t *testing.T) {
 		return rep, stampValues(t, rep.Log)
 	}
 	_, oracle := traced(lang.DefaultEvaluator, recovery.Rollback(), nil)
-	silent := func(procs ...int) *faults.Plan {
-		plan := faults.None()
-		for i, q := range procs {
-			plan = plan.Add(faults.Fault{At: int64(300 + 200*i), Proc: proto.ProcID(q), Kind: faults.CrashSilent})
-		}
-		return plan
-	}
 	for _, tc := range []struct {
 		name   string
 		scheme recovery.Scheme
 		plan   *faults.Plan
 	}{
-		{"rollback", recovery.Rollback(), silent(3, 9)},
-		{"rollback-lazy", recovery.RollbackLazy(), silent(3, 9)},
-		{"incremental", recovery.Incremental(), silent(3, 9, 5)},
-		{"splice", recovery.Splice(), silent(3, 9)},
-		{"rollback/region", recovery.Rollback(), silent(5).Merge(faults.Crash(1, 300, false)).Merge(faults.Crash(4, 300, false)).
-			Merge(faults.Crash(6, 300, false)).Merge(faults.Crash(9, 300, false)).Merge(faults.Crash(13, 300, false))},
+		{"rollback", recovery.Rollback(), silentCrashes(3, 9)},
+		{"rollback-lazy", recovery.RollbackLazy(), silentCrashes(3, 9)},
+		{"incremental", recovery.Incremental(), silentCrashes(3, 9, 5)},
+		{"splice", recovery.Splice(), silentCrashes(3, 9)},
+		{"rollback/region", recovery.Rollback(), deadRegion()},
 	} {
 		for _, eval := range lang.Evaluators() {
 			t.Run(evalName(eval, tc.name), func(t *testing.T) {
@@ -94,6 +86,24 @@ func TestEveryStampHasOneValue(t *testing.T) {
 			})
 		}
 	}
+}
+
+// silentCrashes is a plan of silent crashes of procs on the stamp oracle's
+// fib(12) run, 200 ticks apart from t = 300.
+func silentCrashes(procs ...int) *faults.Plan {
+	plan := faults.None()
+	for i, q := range procs {
+		plan = plan.Add(faults.Fault{At: int64(300 + 200*i), Proc: proto.ProcID(q), Kind: faults.CrashSilent})
+	}
+	return plan
+}
+
+// deadRegion silently kills processors 1, 4, 5, 6, 9 and 13 of torus-16 at
+// t = 300: processor 5 dies with every neighbour, so only a watch across
+// the dead reports it.
+func deadRegion() *faults.Plan {
+	return silentCrashes(5).Merge(faults.Crash(1, 300, false)).Merge(faults.Crash(4, 300, false)).
+		Merge(faults.Crash(6, 300, false)).Merge(faults.Crash(9, 300, false)).Merge(faults.Crash(13, 300, false))
 }
 
 // evalName names a subtest run under eval: the default evaluator's keeps
@@ -167,13 +177,13 @@ func TestStreamStampsHaveOneValue(t *testing.T) {
 				m, rep, reqs, got := stream(eval, tc.plan)
 				for _, f := range tc.plan.Faults {
 					i := sort.Search(len(reqs), func(i int) bool { return int64(reqs[i].Arrival()) > f.At })
-					switch _, awake := m.epochs.openAt(sim.Time(f.At)); {
+					switch _, awake := hb(m).epochs.openAt(sim.Time(f.At)); {
 					case i > 0 && f.At <= int64(reqs[i-1].DoneAt()):
 						if !awake {
-							t.Fatalf("epochs %v: the crash at %d inside request %d fell in a gap", m.epochs, f.At, i-1)
+							t.Fatalf("epochs %v: the crash at %d inside request %d fell in a gap", hb(m).epochs, f.At, i-1)
 						}
 					case awake:
-						t.Fatalf("epochs %v: the crash at %d between requests is not in a quiet gap", m.epochs, f.At)
+						t.Fatalf("epochs %v: the crash at %d between requests is not in a quiet gap", hb(m).epochs, f.At)
 					}
 				}
 				if rep.Metrics.Reissues == 0 {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/stamp"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -25,6 +26,7 @@ import (
 // paths. TestSliceStateMatchesMapSemantics pins the map semantics the
 // slices replace (absent key = not faulty / MaxGradient).
 type proc struct {
+	*params
 	id     proto.ProcID
 	m      *Machine
 	isHost bool
@@ -50,8 +52,7 @@ type proc struct {
 	// failedAt is the injected failure time (-1 = never failed), with the
 	// dispatch position of the injection for the detection-latency merge.
 	failedAt sim.Time
-	failSeg  int
-	failKey  sim.Key
+	failPos  dispatchPos
 
 	dead    bool
 	corrupt bool
@@ -84,17 +85,6 @@ type proc struct {
 	nbGrad       []int
 	lastSentGrad int
 
-	// det watches the neighbors' heartbeats; beats[i] is this processor's
-	// own stream to beatTo[i], which that processor's detector reads: its
-	// neighbours, then those that watch it across dead ones (heal).
-	// ticking is set once a stream into this processor stopped and its tick
-	// chain started (arm); nextBeat is then when the next tick is due.
-	det      detector
-	beats    []*beatLink
-	beatTo   []proto.ProcID
-	ticking  bool
-	nextBeat sim.Time
-
 	// relayBuf buffers orphan results for twins whose placement is not yet
 	// acknowledged (§4.1 "Having the grandparent relay partial results").
 	relayBuf map[proto.TaskKey][]*proto.Result
@@ -104,15 +94,10 @@ type proc struct {
 	// relays each failure at most once.
 	hostRelayed []bool
 
-	hbTimer     sim.Timer
+	// gossipTimer is the pending gossip tick; gossipFn is gossipTick, bound
+	// once so rescheduling it does not allocate a closure every period.
 	gossipTimer sim.Timer
-
-	// hbFn and gossipFn are the periodic tick closures, built once so
-	// rescheduling a tick does not allocate a fresh closure every period;
-	// armFn is the Wake that starts the heartbeat chain.
-	hbFn     func()
-	gossipFn func()
-	armFn    func()
+	gossipFn    func()
 
 	// stepsDone counts reduction steps executed here (load accounting).
 	stepsDone int64
@@ -131,16 +116,7 @@ type proc struct {
 // recSlabChunk sizes the next slab chunk: doubling from 8 up to 64 keeps
 // lightly loaded processors near the footprint of individual allocations
 // while busy ones amortize 64 records per chunk.
-func recSlabChunk(prev int) int {
-	n := prev * 2
-	if n < 8 {
-		n = 8
-	}
-	if n > 64 {
-		n = 64
-	}
-	return n
-}
+func recSlabChunk(prev int) int { return min(max(prev*2, 8), 64) }
 
 // newHole draws a zeroed hole record for id from the proc's slab.
 func (p *proc) newHole(id int) *holeRec {
@@ -174,11 +150,23 @@ func (p *proc) holeFor(t *task, id int) *holeRec {
 	return h
 }
 
-func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
+// newProc builds processor id, or the host when id is proto.HostID, as
+// kernel owner idx pinned to the shard home. Its determinism streams (the
+// RNG here, the generation and replica counters of fresh) are private to
+// it rather than per-kernel, so their consumption order — and hence every
+// value drawn — is independent of which processors share a shard.
+func newProc(id proto.ProcID, m *Machine, idx int, home int32) *proc {
+	sc := m.shards[home]
 	p := &proc{
+		params:       m.params,
 		id:           id,
 		m:            m,
-		isHost:       isHost,
+		isHost:       id == proto.HostID,
+		k:            sc.k,
+		sc:           sc,
+		idx:          idx,
+		rng:          cachedRand(mixSeed(m.cfg.Seed, idx)),
+		failedAt:     -1,
 		tasks:        make(map[proto.TaskKey]*task),
 		store:        checkpoint.NewStore(),
 		faulty:       make([]bool, m.n),
@@ -190,17 +178,14 @@ func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
 	for i := range p.nbGrad {
 		p.nbGrad[i] = balance.MaxGradient
 	}
-	if isHost {
+	if p.isHost {
 		p.neighbors = []proto.ProcID{0}
 	} else {
-		for _, nb := range m.cfg.Topo.Neighbors(toNode(id)) {
+		for _, nb := range m.cfg.Topo.Neighbors(topology.NodeID(id)) {
 			p.neighbors = append(p.neighbors, proto.ProcID(nb))
 		}
-		p.det = newDetector(id, p.neighbors, m.cfg.HeartbeatEvery, m.hops)
 	}
-	p.hbFn = p.heartbeatTick
 	p.gossipFn = p.gossipTick
-	p.armFn = p.arm
 	p.finishFn = p.finishPass
 	p.policy = m.cfg.Scheme.New(p)
 	return p
@@ -212,7 +197,7 @@ func newProc(id proto.ProcID, m *Machine, isHost bool) *proc {
 func (p *proc) Self() proto.ProcID { return p.id }
 
 // Size implements balance.View.
-func (p *proc) Size() int { return p.m.n }
+func (p *proc) Size() int { return p.n }
 
 // QueueLen implements balance.View: ready tasks plus the one running.
 func (p *proc) QueueLen() int {
@@ -234,14 +219,12 @@ func (p *proc) NeighborGradient(q proto.ProcID) int {
 	return balance.MaxGradient
 }
 
-// isFaulty reports whether q is believed failed. Ids outside the processor
-// range (the host, pending placements) are never faulty.
-func (p *proc) isFaulty(q proto.ProcID) bool {
+// IsFaulty implements balance.View and recovery.Ops: whether q is believed
+// failed. Ids outside the processor range (the host, pending placements) are
+// never faulty.
+func (p *proc) IsFaulty(q proto.ProcID) bool {
 	return q >= 0 && int(q) < len(p.faulty) && p.faulty[q]
 }
-
-// IsFaulty implements balance.View and part of recovery.Ops.
-func (p *proc) IsFaulty(q proto.ProcID) bool { return p.isFaulty(q) }
 
 // FaultyCount implements balance's optional liveView extension: the number
 // of processors this one believes failed, kept exactly in sync with the
@@ -251,19 +234,13 @@ func (p *proc) FaultyCount() int { return p.faultyN }
 // Rand implements balance.View.
 func (p *proc) Rand() *rand.Rand { return p.rng }
 
-// freshRep allocates a replica lineage id (never 0; 0 means the original
-// lineage). The stream is private to this processor and strided by its
-// owner index, so ids are machine-unique with no cross-shard counter.
-func (p *proc) freshRep() proto.Rep {
-	p.repSeq++
-	return proto.Rep(p.repSeq*uint64(p.m.n+2) + uint64(p.idx))
-}
-
-// freshGen allocates an incarnation generation (never 0; 0 means "any"),
-// from the same kind of private strided stream as freshRep.
-func (p *proc) freshGen() uint64 {
-	p.genSeq++
-	return p.genSeq*uint64(p.m.n+2) + uint64(p.idx)
+// fresh draws the next id of one of the processor's private streams: a
+// replica lineage id (repSeq; 0 means the original lineage) or an
+// incarnation generation (genSeq; 0 means "any"), never 0. Strided by the
+// owner index, the ids are machine-unique with no cross-shard counter.
+func (p *proc) fresh(seq *uint64) uint64 {
+	*seq++
+	return *seq*uint64(p.n+2) + uint64(p.idx)
 }
 
 // --- recovery.Ops ---
@@ -318,31 +295,72 @@ func (p *proc) Defer(delay int64, fn func()) {
 	})
 }
 
-// IsKnownFaulty implements recovery.Ops.
-func (p *proc) IsKnownFaulty(q proto.ProcID) bool { return p.isFaulty(q) }
-
 // Metrics implements recovery.Ops. The counters are the owning shard's;
 // they merge commutatively at Finish.
 func (p *proc) Metrics() *trace.Metrics { return &p.sc.metrics }
 
-// Log implements recovery.Ops.
+// Log implements recovery.Ops and is the one way anything writes the event
+// log: an event attributed to this processor, at the current tick of its
+// shard. Under a single shard the event goes straight to the log; otherwise
+// it is buffered with its dispatch position and merged at Finish.
 func (p *proc) Log(kind trace.Kind, task fmt.Stringer, note string) {
-	label := ""
-	if task != nil {
-		label = task.String()
+	sc := p.sc
+	if sc.tlog == nil {
+		return
 	}
-	p.m.log(p.id, kind, label, note)
+	ev := trace.Event{Time: int64(sc.k.Now()), Proc: int32(p.id), Kind: kind, Note: note}
+	if task != nil {
+		ev.Task = task.String()
+	}
+	if sc.single {
+		sc.tlog.Add(ev)
+		return
+	}
+	sc.traceBuf = append(sc.traceBuf, keyedEvent{sc.pos(), ev})
+}
+
+// tracing reports whether an event log is attached; hot paths use it to
+// skip building log arguments.
+func (p *proc) tracing() bool { return p.sc.tlog != nil }
+
+// send transmits a message from this processor. A message is what send (or,
+// for a beat, the schedule the detector counts) puts on the wire, so its
+// count, bytes and hops advance together (hops.wire >= TotalMessages
+// always). A dead processor transmits nothing (§1; the announced crash's
+// "dying gasp" is sent by die before the flag is set), and a local
+// (From == To) delivery costs one tick and no wire, so neither counts. The
+// message is taken by value: it is copied into a pooled envelope that lives
+// exactly until delivery, so the call sites' composite literals stay on the
+// stack. Everything happens on this processor's shard except the final
+// enqueue, which AtMsgTo routes to the destination's shard through the
+// outbox when they differ — sound because remote latency is at least the
+// lookahead horizon.
+func (p *proc) send(msg proto.Msg) {
+	if p.dead {
+		return
+	}
+	msg.From = p.id
+	sc := p.sc
+	if msg.To == p.id {
+		sc.k.AfterMsg(1, sc.getMsg(msg))
+		return
+	}
+	hops := p.hops(p.id, msg.To)
+	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
+	sc.metrics.HopsOnWire += int64(hops)
+	countMsg(&sc.metrics, msg.Type)
+	sc.k.AtMsgTo(sc.k.Now()+flightTime(hops), p.ownerOf(msg.To), sc.getMsg(msg))
 }
 
 // DropResult implements recovery.Ops.
 func (p *proc) DropResult(res *proto.Result, stranded bool) {
 	if stranded {
 		p.sc.metrics.Stranded++
-		p.m.log(p.id, trace.KStrand, res.Child.String(), "no live ancestor")
+		p.Log(trace.KStrand, res.Child, "no live ancestor")
 		return
 	}
 	p.sc.metrics.LateResults++
-	p.m.log(p.id, trace.KLateResult, res.Child.String(), "discarded")
+	p.Log(trace.KLateResult, res.Child, "discarded")
 }
 
 // Respawn implements recovery.Ops: re-inject a retained packet (rollback
@@ -351,12 +369,12 @@ func (p *proc) DropResult(res *proto.Result, stranded bool) {
 func (p *proc) Respawn(pkt *proto.TaskPacket) {
 	parent, ok := p.tasks[pkt.Parent.Task]
 	if !ok || parent.state == taskAborted {
-		p.m.log(p.id, trace.KLateResult, pkt.Key.String(), "respawn skipped: parent gone")
+		p.Log(trace.KLateResult, pkt.Key, "respawn skipped: parent gone")
 		return
 	}
 	h := parent.holeAt(pkt.HoleID)
 	if h == nil || h.filled {
-		p.m.log(p.id, trace.KLateResult, pkt.Key.String(), "respawn skipped: hole filled")
+		p.Log(trace.KLateResult, pkt.Key, "respawn skipped: hole filled")
 		return
 	}
 	cr := h.child(pkt.Key)
@@ -365,7 +383,7 @@ func (p *proc) Respawn(pkt *proto.TaskPacket) {
 		h.children = append(h.children, cr)
 	}
 	cr.ackTimer.Stop()
-	pkt.Gen = p.freshGen()
+	pkt.Gen = p.fresh(&p.genSeq)
 	pkt.ParentGen = parent.pkt.Gen
 	cr.gen = pkt.Gen
 	cr.dest = checkpoint.PendingDest
@@ -378,7 +396,7 @@ func (p *proc) Respawn(pkt *proto.TaskPacket) {
 		p.sc.metrics.Reissues++
 	}
 	p.sc.metrics.TasksSpawned++
-	if !p.m.cfg.DisableCheckpoints {
+	if !p.noCkpt {
 		p.store.Retain(pkt)
 	}
 	p.route(parent, pkt, cr, nil)
@@ -413,7 +431,7 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 	delete(p.tasks, key)
 	p.sc.metrics.TasksAborted++
 	p.sc.metrics.StepsWasted += t.stepsSpent
-	p.m.log(p.id, trace.KAbort, key.String(), reason)
+	p.Log(trace.KAbort, key, reason)
 	// Holes are stored dense by demand id, so index order is ascending id
 	// order — the order the sort.Ints pass used to establish.
 	for _, h := range t.holes {
@@ -423,8 +441,8 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 		for _, c := range h.children {
 			p.store.Release(c.key)
 			if c.dest >= 0 && !p.faulty[c.dest] {
-				p.m.send(proto.Msg{
-					Type: proto.MsgAbort, From: p.id, To: c.dest,
+				p.send(proto.Msg{
+					Type: proto.MsgAbort, To: c.dest,
 					AbortTask: c.key, AbortGen: c.gen, AbortScope: scope,
 				})
 			}
@@ -440,8 +458,8 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 		if pp == p.id {
 			p.abortGen(t.pkt.Parent.Task, t.pkt.ParentGen, scope, "dependent of reissued "+scope.String())
 		} else if pp >= 0 && !p.faulty[pp] {
-			p.m.send(proto.Msg{
-				Type: proto.MsgAbort, From: p.id, To: pp,
+			p.send(proto.Msg{
+				Type: proto.MsgAbort, To: pp,
 				AbortTask: t.pkt.Parent.Task, AbortGen: t.pkt.ParentGen, AbortScope: scope,
 			})
 		}
@@ -459,8 +477,8 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 	if pp == noProc || (pp >= 0 && p.faulty[pp]) {
 		return // no parent, or the parent's processor failed (orphan GC)
 	}
-	p.m.send(proto.Msg{
-		Type: proto.MsgChildAbort, From: p.id, To: pp,
+	p.send(proto.Msg{
+		Type: proto.MsgChildAbort, To: pp,
 		AbortTask: t.pkt.Key, AbortGen: t.pkt.Gen,
 	})
 }
@@ -469,7 +487,7 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 // processor placed was aborted remotely. If the hole is still unfilled and
 // the aborted incarnation is the one being tracked, the child is respawned
 // from the retained checkpoint — exactly the reissue path, so placement,
-// acks, and result tracking re-arm as usual.
+// acks, and result tracking restart as usual.
 func (p *proc) onChildAbort(msg *proto.Msg) {
 	pkt, ok := p.store.Get(msg.AbortTask)
 	if !ok {
@@ -490,7 +508,7 @@ func (p *proc) onChildAbort(msg *proto.Msg) {
 	fresh := pkt.Clone()
 	fresh.Reissue = true
 	fresh.Twin = false
-	p.m.log(p.id, trace.KReissue, fresh.Key.String(), fmt.Sprintf("child aborted on %d", msg.From))
+	p.Log(trace.KReissue, fresh.Key, fmt.Sprintf("child aborted on %d", msg.From))
 	p.Respawn(fresh)
 }
 
@@ -507,7 +525,7 @@ func (p *proc) EscalateResult(res *proto.Result) {
 		fwd := *res
 		fwd.ParentTask = anc.Task
 		fwd.Remaining = rem
-		p.m.send(proto.Msg{Type: proto.MsgGrandResult, From: p.id, To: anc.Proc, Result: &fwd})
+		p.send(proto.Msg{Type: proto.MsgGrandResult, To: anc.Proc, Result: &fwd})
 		// Guard the escalation with the completing task's result timer: if
 		// the ancestor is silently dead too, time out and escalate further
 		// (§5.2 multi-fault extension).
@@ -578,12 +596,12 @@ func (p *proc) relaysToHost() bool {
 // exactly the failure that was just declared.
 func (p *proc) relayFailuresToHost() {
 	if p.hostRelayed == nil {
-		p.hostRelayed = make([]bool, p.m.n)
+		p.hostRelayed = make([]bool, p.n)
 	}
-	for q := 0; q < p.m.n; q++ {
+	for q := 0; q < p.n; q++ {
 		if p.faulty[q] && !p.hostRelayed[q] {
 			p.hostRelayed[q] = true
-			p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: proto.HostID, Failed: proto.ProcID(q)})
+			p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: proto.HostID, Failed: proto.ProcID(q)})
 		}
 	}
 }
@@ -593,20 +611,15 @@ func (p *proc) relayFailuresToHost() {
 // news came from another processor's announcement rather than from p's own
 // evidence (its detector, a reply timer, or q's dying gasp).
 func (p *proc) declareFaulty(q proto.ProcID, told bool) {
-	if q == proto.HostID || q == p.id || p.dead || p.isFaulty(q) {
+	if q == proto.HostID || q == p.id || p.dead || p.IsFaulty(q) {
 		return
 	}
 	p.faulty[q] = true
 	p.faultyN++
-	if i := slices.Index(p.beatTo, q); i >= 0 {
-		p.silence(i, p.dueBeat()) // no beat goes to a watcher believed dead
-	}
-	if !p.m.acked && p.beats != nil {
-		p.heal()
-	}
+	p.m.det.suspected(p, q)
 	p.sc.metrics.Detections++
-	p.m.noteDetection(p, q)
-	p.m.log(p.id, trace.KDetect, "", fmt.Sprintf("processor %d failed", q))
+	p.sc.detects = append(p.sc.detects, detection{p.sc.pos(), q, p.k.Now()})
+	p.Log(trace.KDetect, nil, fmt.Sprintf("processor %d failed", q))
 	p.announce(q, told)
 	// Recovery hook.
 	p.policy.OnFailureDetected(q)
@@ -634,10 +647,10 @@ func (p *proc) declareFaulty(q proto.ProcID, told bool) {
 // whoever has the news first hand tells every processor it believes live,
 // and the host, directly; those told pass nothing on.
 func (p *proc) announce(q proto.ProcID, told bool) {
-	if p.m.acked {
+	if p.acked {
 		for _, nb := range p.neighbors {
 			if !p.faulty[nb] {
-				p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: nb, Failed: q})
+				p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: nb, Failed: q})
 			}
 		}
 		if p.relaysToHost() {
@@ -648,13 +661,13 @@ func (p *proc) announce(q proto.ProcID, told bool) {
 	if told {
 		return
 	}
-	for r := range proto.ProcID(p.m.n) {
+	for r := range proto.ProcID(p.n) {
 		if r != p.id && !p.faulty[r] {
-			p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: r, Failed: q})
+			p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: r, Failed: q})
 		}
 	}
 	if !p.isHost {
-		p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: proto.HostID, Failed: q})
+		p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: proto.HostID, Failed: q})
 	}
 }
 
@@ -667,13 +680,13 @@ func (p *proc) RelayToTwin(res *proto.Result) {
 		p.DropResult(res, false)
 		return
 	}
-	if dest == checkpoint.PendingDest || p.isFaulty(dest) {
+	if dest == checkpoint.PendingDest || p.IsFaulty(dest) {
 		p.relayBuf[key] = append(p.relayBuf[key], res)
 		return
 	}
 	fwd := *res
 	fwd.ParentTask = key
-	p.m.send(proto.Msg{Type: proto.MsgResult, From: p.id, To: dest, Result: &fwd})
+	p.send(proto.Msg{Type: proto.MsgResult, To: dest, Result: &fwd})
 }
 
 // --- task execution ---
@@ -710,14 +723,14 @@ func (p *proc) maybeRun() {
 func (p *proc) runPass(t *task) {
 	t.state = taskRunning
 	p.busy = true
-	if p.m.tracing() {
-		p.m.log(p.id, trace.KStart, t.pkt.Key.String(), t.pkt.Fn)
+	if p.tracing() {
+		p.Log(trace.KStart, t.pkt.Key, t.pkt.Fn)
 	}
 
 	var out lang.Outcome
 	var st lang.TaskState
 	var err error
-	ep := p.m.evalOf(t.pkt.Prog)
+	ep := p.m.evals[t.pkt.Prog]
 	if t.residual == nil {
 		out, st, err = ep.Flatten(t.pkt.Fn, t.pkt.Args, &t.nextID)
 	} else {
@@ -737,7 +750,7 @@ func (p *proc) runPass(t *task) {
 		return
 	}
 	cost := int64(out.Steps)*DefaultStepCost + int64(len(out.Demands))*DefaultSpawnOverhead
-	if !p.m.cfg.DisableCheckpoints {
+	if !p.noCkpt {
 		// Retaining the packet copies it into the local checkpoint store —
 		// a small but real cost (§2.1's "fully embedded in the evaluation
 		// process").
@@ -763,7 +776,7 @@ func (p *proc) fail(t *task, err error) {
 	t.state = taskAborted
 	delete(p.tasks, t.pkt.Key)
 	p.busy = false
-	p.m.send(proto.Msg{Type: proto.MsgResult, From: p.id, To: proto.HostID,
+	p.send(proto.Msg{Type: proto.MsgResult, To: proto.HostID,
 		Result: &proto.Result{Child: t.pkt.Key, Value: expr.VStr(err.Error())},
 		Err:    fmt.Errorf("task %v on processor %d: %w", t.pkt.Key, p.id, err)})
 }
@@ -788,8 +801,8 @@ func (p *proc) finishPass() {
 		t.value = v
 		t.state = taskReturning
 		p.sc.metrics.TasksCompleted++
-		if p.m.tracing() {
-			p.m.log(p.id, trace.KComplete, t.pkt.Key.String(), v.String())
+		if p.tracing() {
+			p.Log(trace.KComplete, t.pkt.Key, v.String())
 		}
 		if t.isHostRoot {
 			p.m.session.rootDone(t.pkt.Key, v)
@@ -803,8 +816,8 @@ func (p *proc) finishPass() {
 	for _, d := range out.Demands {
 		p.spawnDemand(t, d)
 	}
-	if p.m.tracing() {
-		p.m.log(p.id, trace.KBlock, t.pkt.Key.String(), fmt.Sprintf("%d outstanding", t.unfilled))
+	if p.tracing() {
+		p.Log(trace.KBlock, t.pkt.Key, fmt.Sprintf("%d outstanding", t.unfilled))
 	}
 	if t.unfilled == 0 {
 		// Every demand was satisfied from inherited results (§4.1 case 4/5).
@@ -823,8 +836,8 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 		// inherited result; do not spawn.
 		p.holeFor(t, d.ID).fill(v)
 		p.sc.metrics.Prefills++
-		if p.m.tracing() {
-			p.m.log(p.id, trace.KPrefill, t.pkt.Key.String(), fmt.Sprintf("hole %d inherited", d.ID))
+		if p.tracing() {
+			p.Log(trace.KPrefill, t.pkt.Key, fmt.Sprintf("hole %d inherited", d.ID))
 		}
 		return
 	}
@@ -835,7 +848,7 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 	// to R^depth copies.
 	reps := 1
 	if t.pkt.Key.Rep == 0 {
-		reps = p.m.replicasFor(d.Fn)
+		reps = p.replicasFor(d.Fn)
 	}
 	h := p.holeFor(t, d.ID)
 	childStamp := t.pkt.Key.Stamp.Child(uint32(d.ID))
@@ -850,11 +863,11 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 	for r := 0; r < reps; r++ {
 		rep := t.pkt.Key.Rep
 		if reps > 1 {
-			rep = p.freshRep()
+			rep = proto.Rep(p.fresh(&p.repSeq))
 		}
 		pkt := &proto.TaskPacket{
 			Key:       proto.TaskKey{Stamp: childStamp, Rep: rep},
-			Gen:       p.freshGen(),
+			Gen:       p.fresh(&p.genSeq),
 			ParentGen: t.pkt.Gen,
 			Fn:        d.Fn,
 			Args:      d.Args,
@@ -864,21 +877,21 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 			Prog:      t.pkt.Prog,
 		}
 		if t.chain == nil {
-			t.chain = ancestorChain(t.pkt, p.m.cfg.AncestorDepth)
+			t.chain = ancestorChain(t.pkt, p.depth)
 		}
 		pkt.Ancestors = t.chain
 		cr := p.newChildRef(pkt.Key)
 		cr.gen, cr.dest = pkt.Gen, checkpoint.PendingDest
 		h.children = append(h.children, cr)
 		p.sc.metrics.TasksSpawned++
-		if p.m.tracing() {
-			p.m.log(p.id, trace.KSpawn, pkt.Key.String(), fmt.Sprintf("%s by %v", d.Fn, t.pkt.Key))
+		if p.tracing() {
+			p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("%s by %v", d.Fn, t.pkt.Key))
 		}
-		if !p.m.cfg.DisableCheckpoints {
+		if !p.noCkpt {
 			p.store.Retain(pkt)
 			p.sc.metrics.Checkpoints++
-			if p.m.tracing() {
-				p.m.log(p.id, trace.KCheckpoint, pkt.Key.String(), "")
+			if p.tracing() {
+				p.Log(trace.KCheckpoint, pkt.Key, "")
 			}
 		}
 		chosen := p.route(t, pkt, cr, avoid)
@@ -923,7 +936,7 @@ func ancestorChain(parentPkt *proto.TaskPacket, depth int) []proto.Addr {
 // detector reports its destination.
 func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid map[proto.ProcID]bool) proto.ProcID {
 	dest, hops := p.firstHop(pkt, cr, avoid)
-	if p.m.acked {
+	if p.acked {
 		cr.ackTimer.Stop()
 		cr.ackTimer = p.k.After(p.replyTimeout(DefaultAckTimeout, dest), func() {
 			p.onAckTimeout(parent, pkt, cr)
@@ -935,7 +948,7 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 	if dest == p.id {
 		p.settle(pkt)
 	} else {
-		p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: dest, Task: pkt, Hops: hops})
+		p.send(proto.Msg{Type: proto.MsgTask, To: dest, Task: pkt, Hops: hops})
 	}
 	return dest
 }
@@ -953,10 +966,10 @@ func (p *proc) firstHop(pkt *proto.TaskPacket, cr *childRef, avoid map[proto.Pro
 		// count, from this processor's private stream).
 		return balance.NewRandom().PickDest(p, pkt.Key), 0
 	}
-	if p.m.cfg.Placement.Mode() == balance.Direct {
-		dest := p.m.cfg.Placement.PickDest(p, pkt.Key)
+	if p.placement.Mode() == balance.Direct {
+		dest := p.placement.PickDest(p, pkt.Key)
 		for tries := 0; avoid != nil && avoid[dest] && tries < 8; tries++ {
-			dest = p.m.cfg.Placement.PickDest(p, pkt.Key)
+			dest = p.placement.PickDest(p, pkt.Key)
 		}
 		if p.isHost && dest == p.id {
 			dest = 0
@@ -968,7 +981,7 @@ func (p *proc) firstHop(pkt *proto.TaskPacket, cr *childRef, avoid map[proto.Pro
 	if p.isHost {
 		return 0, 0
 	}
-	return p.m.cfg.Placement.Step(p, 0), 1
+	return p.placement.Step(p, 0), 1
 }
 
 // replyTimeout is how long a timer guarding a reply from q waits: the
@@ -976,7 +989,7 @@ func (p *proc) firstHop(pkt *proto.TaskPacket, cr *childRef, avoid map[proto.Pro
 // hops a 600-tick timer fires while a live addressee's reply is still in
 // flight, and the sender would declare it dead.
 func (p *proc) replyTimeout(base sim.Time, q proto.ProcID) sim.Time {
-	return max(base, 2*flightTime(p.m.hops(p.id, q))+1)
+	return max(base, 2*flightTime(p.hops(p.id, q))+1)
 }
 
 // onAckTimeout fires when a spawned packet's placement was never
@@ -996,10 +1009,10 @@ func (p *proc) onAckTimeout(parent *task, pkt *proto.TaskPacket, cr *childRef) {
 	}
 	cr.retries++
 	if cr.retries > DefaultSpawnRetry {
-		p.m.log(p.id, trace.KAbort, pkt.Key.String(), "placement retries exhausted")
+		p.Log(trace.KAbort, pkt.Key, "placement retries exhausted")
 		return
 	}
-	p.m.log(p.id, trace.KSpawn, pkt.Key.String(), fmt.Sprintf("placement retry %d", cr.retries))
+	p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("placement retry %d", cr.retries))
 	p.route(parent, pkt, cr, nil)
 }
 
@@ -1012,7 +1025,7 @@ func (p *proc) settle(pkt *proto.TaskPacket) {
 		return
 	}
 	ack := proto.Msg{
-		Type: proto.MsgTaskAck, From: p.id, To: pkt.Parent.Proc,
+		Type: proto.MsgTaskAck, To: pkt.Parent.Proc,
 		AckTask: pkt.Key, AckParent: pkt.Parent.Task, AckGen: pkt.Gen,
 		PlacedOn: p.id, AckHole: pkt.HoleID,
 	}
@@ -1029,28 +1042,28 @@ func (p *proc) settle(pkt *proto.TaskPacket) {
 		// the packet is dropped; any other parent is told at once that its
 		// packet was refused (onRefused), the one task-ack this protocol
 		// sends.
-		if p.m.acked {
+		if p.acked {
 			ack.AckGen = existing.pkt.Gen
 		} else if existing.pkt.Parent == pkt.Parent {
 			return
 		}
-		p.m.send(ack)
+		p.send(ack)
 		return
 	}
 	t := newTask(pkt)
 	p.tasks[pkt.Key] = t
 	p.enqueue(t)
-	if p.m.tracing() {
+	if p.tracing() {
 		note := ""
 		if pkt.Twin {
 			note = "twin"
 		} else if pkt.Reissue {
 			note = "reissue"
 		}
-		p.m.log(p.id, trace.KPlace, pkt.Key.String(), note)
+		p.Log(trace.KPlace, pkt.Key, note)
 	}
-	if p.m.acked {
-		p.m.send(ack)
+	if p.acked {
+		p.send(ack)
 	}
 	p.maybeRun()
 }
@@ -1061,10 +1074,10 @@ func (p *proc) onTaskMsg(msg *proto.Msg) {
 	if p.isHost {
 		return // the host runs no program tasks
 	}
-	if p.m.cfg.Placement.Mode() == balance.HopByHop {
-		next := p.m.cfg.Placement.Step(p, msg.Hops)
+	if p.placement.Mode() == balance.HopByHop {
+		next := p.placement.Step(p, msg.Hops)
 		if next != p.id {
-			p.m.send(proto.Msg{Type: proto.MsgTask, From: p.id, To: next, Task: msg.Task, Hops: msg.Hops + 1})
+			p.send(proto.Msg{Type: proto.MsgTask, To: next, Task: msg.Task, Hops: msg.Hops + 1})
 			return
 		}
 	}
@@ -1074,7 +1087,7 @@ func (p *proc) onTaskMsg(msg *proto.Msg) {
 // onTaskAck records a child's placement: the parent now knows where its
 // functional checkpoint would need to be re-directed and where aborts go.
 func (p *proc) onTaskAck(msg *proto.Msg) {
-	if !p.m.acked {
+	if !p.acked {
 		p.onRefused(msg)
 		return
 	}
@@ -1083,9 +1096,9 @@ func (p *proc) onTaskAck(msg *proto.Msg) {
 		// The parent is gone: the settled child is an orphan; kill exactly
 		// that incarnation (rollback GC). Under splice parents do not
 		// abort, so this is a rollback/none path.
-		if !p.isFaulty(msg.PlacedOn) {
-			p.m.send(proto.Msg{
-				Type: proto.MsgAbort, From: p.id, To: msg.PlacedOn,
+		if !p.IsFaulty(msg.PlacedOn) {
+			p.send(proto.Msg{
+				Type: proto.MsgAbort, To: msg.PlacedOn,
 				AbortTask: msg.AckTask, AbortGen: msg.AckGen,
 			})
 		}
@@ -1168,8 +1181,8 @@ func (p *proc) sendResult(t *task) {
 		Child: t.pkt.Key, ParentTask: t.pkt.Parent.Task,
 		HoleID: t.pkt.HoleID, Value: t.value,
 	}
-	p.m.send(proto.Msg{Type: proto.MsgResult, From: p.id, To: dest, Result: res})
-	if !p.m.acked {
+	p.send(proto.Msg{Type: proto.MsgResult, To: dest, Result: res})
+	if !p.acked {
 		delete(p.tasks, t.pkt.Key)
 		return
 	}
@@ -1188,7 +1201,7 @@ func (p *proc) onResultTimeout(t *task) {
 		return
 	}
 	t.resultTries++
-	if t.resultTries < p.m.cfg.ResultRetryLimit {
+	if t.resultTries < p.retryLimit {
 		p.sendResult(t)
 		return
 	}
@@ -1215,7 +1228,7 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 	t, ok := p.tasks[res.ParentTask]
 	if !ok || t.state == taskAborted {
 		p.sc.metrics.LateResults++
-		p.m.log(p.id, trace.KLateResult, res.Child.String(), "unknown addressee")
+		p.Log(trace.KLateResult, res.Child, "unknown addressee")
 		p.ackResult(msg.From, res.Child, false)
 		return
 	}
@@ -1228,15 +1241,15 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 		// The demand has not been issued yet: this task is a twin running
 		// behind its predecessor; inherit the result (§4.1 case 4/5).
 		t.addPrefill(res.HoleID, res.Value)
-		if p.m.tracing() {
-			p.m.log(p.id, trace.KResult, res.Child.String(), fmt.Sprintf("inherited for hole %d", res.HoleID))
+		if p.tracing() {
+			p.Log(trace.KResult, res.Child, fmt.Sprintf("inherited for hole %d", res.HoleID))
 		}
 		p.ackResult(msg.From, res.Child, true)
 		return
 	}
 	if h.filled {
 		p.sc.metrics.DupResults++
-		p.m.log(p.id, trace.KDupResult, res.Child.String(), "already filled")
+		p.Log(trace.KDupResult, res.Child, "already filled")
 		p.ackResult(msg.From, res.Child, true)
 		return
 	}
@@ -1245,7 +1258,7 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 		// A result from an incarnation we did not spawn (e.g. relayed from
 		// an orphan of the pre-twin generation). Determinacy makes it as
 		// good as our own child's.
-		p.m.log(p.id, trace.KResult, res.Child.String(), "foreign incarnation accepted")
+		p.Log(trace.KResult, res.Child, "foreign incarnation accepted")
 		p.fillHole(t, h, res.Value)
 		p.ackResult(msg.From, res.Child, true)
 		return
@@ -1275,18 +1288,18 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 		}
 		if mismatches > 0 {
 			p.sc.metrics.VoteMismatches += int64(mismatches)
-			p.m.log(p.id, trace.KVoteMismatch, t.pkt.Key.String(),
+			p.Log(trace.KVoteMismatch, t.pkt.Key,
 				fmt.Sprintf("hole %d: %d corrupt outvoted", h.id, mismatches))
 		}
 		p.sc.metrics.Votes++
-		p.m.log(p.id, trace.KVote, t.pkt.Key.String(),
+		p.Log(trace.KVote, t.pkt.Key,
 			fmt.Sprintf("hole %d agreed on %s", h.id, v))
 		p.fillHole(t, h, v)
 	} else if h.returnedCount() == len(h.children) {
 		// All replicas answered without a majority (possible only with
 		// aggressive corruption): take the first answer, flagged loudly.
 		p.sc.metrics.VoteMismatches++
-		p.m.log(p.id, trace.KVoteMismatch, t.pkt.Key.String(),
+		p.Log(trace.KVoteMismatch, t.pkt.Key,
 			fmt.Sprintf("hole %d: no majority, taking first", h.id))
 		p.fillHole(t, h, h.children[0].vote)
 	}
@@ -1299,13 +1312,13 @@ func (p *proc) fillHole(t *task, h *holeRec, v expr.Value) {
 	h.fill(v)
 	for _, c := range h.children {
 		c.ackTimer.Stop()
-		if p.store.Release(c.key) && p.m.tracing() {
-			p.m.log(p.id, trace.KCkptRelease, c.key.String(), "")
+		if p.store.Release(c.key) && p.tracing() {
+			p.Log(trace.KCkptRelease, c.key, "")
 		}
 	}
 	t.unfilled--
-	if p.m.tracing() {
-		p.m.log(p.id, trace.KResult, t.pkt.Key.String(), fmt.Sprintf("hole %d := %s", h.id, v))
+	if p.tracing() {
+		p.Log(trace.KResult, t.pkt.Key, fmt.Sprintf("hole %d := %s", h.id, v))
 	}
 	if t.unfilled == 0 && t.state == taskWaiting {
 		t.state = taskReady
@@ -1316,10 +1329,10 @@ func (p *proc) fillHole(t *task, h *holeRec, v expr.Value) {
 
 // ackResult acknowledges a result delivery, where results are acknowledged.
 func (p *proc) ackResult(to proto.ProcID, child proto.TaskKey, ok bool) {
-	if !p.m.acked {
+	if !p.acked {
 		return
 	}
-	p.m.send(proto.Msg{Type: proto.MsgResultAck, From: p.id, To: to, AckChild: child, ResultOK: ok})
+	p.send(proto.Msg{Type: proto.MsgResultAck, To: to, AckChild: child, ResultOK: ok})
 }
 
 // onResultAck retires the returning task (delivery confirmed) or hands the
@@ -1351,148 +1364,6 @@ func (p *proc) onGrandResult(msg *proto.Msg) {
 	p.policy.OnGrandResult(msg.Result)
 }
 
-// onAbort kills the victim incarnation and cascades.
-func (p *proc) onAbort(msg *proto.Msg) {
-	p.abortGen(msg.AbortTask, msg.AbortGen, msg.AbortScope, "abort cascade")
-}
-
-// --- failure detection ---
-
-// onFaultAnnounce merges flooded failure knowledge.
-func (p *proc) onFaultAnnounce(msg *proto.Msg) {
-	p.declareFaulty(msg.Failed, msg.From != msg.Failed)
-}
-
-// heartbeatTick declares the neighbors the detector reports silent. Beats
-// are not its business: the run counts them in closed form (beatLink.sent),
-// and declareFaulty ends the stream to a neighbour believed dead.
-func (p *proc) heartbeatTick() {
-	if p.dead {
-		return
-	}
-	for _, nb := range p.det.tick(p.k.Now(), p.m.epochs) {
-		p.declareFaulty(nb, false)
-	}
-	p.nextBeat += p.m.cfg.HeartbeatEvery
-	p.hbTimer = p.k.At(p.nextBeat, p.hbFn)
-}
-
-// arm starts p's tick chain at its first tick the ensemble has not covered.
-// It runs as a Wake, at the window barrier after a stream into p stopped.
-// Until then every tick of p was a no-op: no stream into it had stopped, and
-// the detector never reports a live neighbour. Nor can arming late miss a
-// detection: a stream that stops at until was last heard no earlier than
-// until − every, so it is reported only at a tick past until + every, while
-// the barrier comes at most one lookahead horizon (one hop, < every) after
-// the stop.
-func (p *proc) arm() {
-	if p.dead || p.ticking {
-		return
-	}
-	p.nextBeat = p.dueBeat()
-	p.ticking = true
-	p.hbTimer = p.k.At(p.nextBeat, p.hbFn)
-}
-
-// dueBeat is when p's first beat not yet sent is due: the next tick of a
-// running chain, and otherwise the first instant of p's schedule
-// (beatPhase + k·every, k ≥ 1) whose tick would not have run yet — not
-// before the covered bound, and not now if the tick due now would already
-// have dispatched by the kernel's (time, source, sequence) order. That tick
-// is a driver event scheduled when the stream started for k = 1, and p's
-// own, scheduled a period earlier, for k ≥ 2.
-func (p *proc) dueBeat() sim.Time {
-	if p.ticking {
-		return p.nextBeat
-	}
-	every := p.m.cfg.HeartbeatEvery
-	first := beatPhase(p.id, every) + every
-	now := p.k.Now()
-	t := first
-	if from := max(now, p.m.kern.Covered()); from > first {
-		t += (from - first + every - 1) / every * every
-	}
-	if t == now {
-		cur := p.k.CurrentKey()
-		var ticked bool
-		if t == first {
-			ticked = cur.Src != sim.DriverSrc || cur.Seq >= p.m.session.startSeq
-		} else {
-			// Sources order other events against p's tick. p's own events
-			// that declare are reply timers, which waited more than a period
-			// while it is below DefaultAckTimeout and DefaultResultTimeout:
-			// scheduled before this tick was, they dispatch first. At a
-			// longer period one that lands on a beat miscounts that beat.
-			ticked = cur.Src > int32(p.idx)
-		}
-		if ticked {
-			t += every
-		}
-	}
-	return t
-}
-
-// silence ends p's stream to watcher i at the beat due at due and wakes
-// that watcher's detector, which until then had nothing to detect.
-func (p *proc) silence(i int, due sim.Time) {
-	if p.beats[i].stop(due) {
-		q := p.m.procs[p.beatTo[i]]
-		p.k.Wake(int32(q.idx), q.armFn)
-	}
-}
-
-// heal closes p's watch over the dead. A neighbour's beats are what reports
-// its failure, so a processor whose neighbours all died fails unnoticed, and
-// so does one inside a dead region; without acks nothing else would report
-// the work it holds as lost. So p watches every processor it believes live
-// that it reaches through processors it believes dead — its neighbours in
-// the topology with the dead contracted — and that one beats to p from p's
-// next tick, the moment p first needs it (a dead one never beats, and p
-// reports it). Every processor that learns of a failure heals, so the watch
-// is mutual, and it chains: a region that died at once is reported member by
-// member from its live edge inwards. p's own tick chain starts now, since
-// the processor it now watches may already be dead.
-func (p *proc) heal() {
-	seen := make([]bool, p.m.n)
-	seen[p.id] = true
-	every, adopted := p.m.cfg.HeartbeatEvery, false
-	for next := p.neighbors; len(next) > 0; {
-		var beyond []proto.ProcID
-		for _, r := range next {
-			if seen[r] {
-				continue
-			}
-			seen[r] = true
-			if p.faulty[r] {
-				beyond = append(beyond, p.m.procs[r].neighbors...)
-				continue
-			}
-			if slices.Contains(p.det.neighbors, r) || slices.Contains(p.det.adopted, r) {
-				continue
-			}
-			l := &beatLink{phase: beatPhase(r, every), flight: flightTime(p.m.hops(r, p.id)),
-				senderFirst: r < p.id, start: p.k.Now() + 1}
-			l.until.Store(never)
-			p.det.adopted = append(p.det.adopted, r)
-			p.det.adoptedIn = append(p.det.adoptedIn, l)
-			o, watcher := p.m.procs[r], p.id
-			p.k.Wake(int32(o.idx), func() {
-				if o.dead {
-					l.stop(l.start)
-					return
-				}
-				o.beats = append(o.beats, l)
-				o.beatTo = append(o.beatTo, watcher)
-			})
-			adopted = true
-		}
-		next = beyond
-	}
-	if adopted && !p.ticking {
-		p.k.Wake(int32(p.idx), p.armFn)
-	}
-}
-
 // --- gradient gossip ---
 
 // gossipTick broadcasts the local gradient value when it changes (§3.3's
@@ -1502,20 +1373,16 @@ func (p *proc) gossipTick() {
 	if p.dead {
 		return
 	}
-	val := p.m.cfg.Placement.(*balance.Gradient).LocalGradient(p)
+	val := p.placement.(*balance.Gradient).LocalGradient(p)
 	if val != p.lastSentGrad {
 		p.lastSentGrad = val
 		for _, nb := range p.neighbors {
 			if !p.faulty[nb] {
-				p.m.send(proto.Msg{Type: proto.MsgLoad, From: p.id, To: nb, LoadVal: val})
+				p.send(proto.Msg{Type: proto.MsgLoad, To: nb, LoadVal: val})
 			}
 		}
 	}
 	p.gossipTimer = p.k.After(DefaultLoadGossipEvery, p.gossipFn)
-}
-
-func (p *proc) onLoad(msg *proto.Msg) {
-	p.nbGrad[msg.From] = msg.LoadVal
 }
 
 // --- dispatch ---
@@ -1534,14 +1401,14 @@ func (p *proc) handle(msg *proto.Msg) {
 		p.onResultAck(msg)
 	case proto.MsgGrandResult:
 		p.onGrandResult(msg)
-	case proto.MsgAbort:
-		p.onAbort(msg)
+	case proto.MsgAbort: // kill the victim incarnation and cascade
+		p.abortGen(msg.AbortTask, msg.AbortGen, msg.AbortScope, "abort cascade")
 	case proto.MsgChildAbort:
 		p.onChildAbort(msg)
-	case proto.MsgFaultAnnounce:
-		p.onFaultAnnounce(msg)
+	case proto.MsgFaultAnnounce: // first hand when from the dead itself
+		p.declareFaulty(msg.Failed, msg.From != msg.Failed)
 	case proto.MsgLoad:
-		p.onLoad(msg)
+		p.nbGrad[msg.From] = msg.LoadVal
 	default:
 		// §4.2 rule of thumb: "if a processor receives a packet and cannot
 		// find a proper rule to handle it, the processor simply ignores the
@@ -1570,25 +1437,19 @@ func (p *proc) die(announced bool) {
 	if announced {
 		// The dying gasp (§1: "must voluntarily declare itself faulty").
 		for _, nb := range p.neighbors {
-			p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: nb, Failed: p.id})
+			p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: nb, Failed: p.id})
 		}
 		console := proto.ProcID(0)
 		if p.id == 0 {
 			console = proto.HostID
 		}
-		p.m.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: p.id, To: console, Failed: p.id})
+		p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: console, Failed: p.id})
 	}
 	p.dead = true
 	p.busy = false
 	p.tasks = make(map[proto.TaskKey]*task)
 	p.readyQ, p.readyHead = nil, 0
-	if p.beats != nil {
-		due := p.dueBeat()
-		for i := range p.beats {
-			p.silence(i, due)
-		}
-	}
-	p.hbTimer.Stop()
+	p.m.det.died(p)
 	p.gossipTimer.Stop()
 }
 
@@ -1607,5 +1468,3 @@ func perturb(v expr.Value) expr.Value {
 		return v
 	}
 }
-
-func toNode(id proto.ProcID) nodeID { return nodeID(id) }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/recovery"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // TestPropertyDeterminacyUnderFaults is the repository's central theorem in
@@ -19,7 +20,11 @@ import (
 // and fault plans, the distributed machine either produces exactly the
 // sequential reference answer or (with recovery disabled) produces nothing —
 // never a wrong answer. This is §2.1's determinacy carried through §3/§4
-// recovery.
+// recovery, and it holds at stamp granularity too (TestEveryStampHasOneValue's
+// oracle): every trial is traced, and a faulted run fills no (stamp, hole)
+// that the same configuration's fault-free run lacks, each with the
+// fault-free run's value. The sweep covers both the acked and the unacked
+// protocol (gradient placement and splice acknowledge, the rest do not).
 func TestPropertyDeterminacyUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("property sweep is slow")
@@ -86,6 +91,7 @@ func TestPropertyDeterminacyUnderFaults(t *testing.T) {
 				Scheme:    scheme,
 				Seed:      seed,
 				Deadline:  sim.Time(1_500_000),
+				Trace:     trace.NewLog(),
 			}
 			m, err := New(cfg, prog)
 			if err != nil {
@@ -101,6 +107,13 @@ func TestPropertyDeterminacyUnderFaults(t *testing.T) {
 			}
 			if !rep.Answer.Equal(want) {
 				t.Fatalf("answer %v != reference %v (faults %v)", rep.Answer, want, plan.Faults)
+			}
+			cfg.Trace = trace.NewLog()
+			oracle := stampValues(t, runMachine(t, cfg, prog, fn, args, nil).Log)
+			for pair, v := range stampValues(t, rep.Log) {
+				if want, ok := oracle[pair]; !ok || want != v {
+					t.Errorf("%s := %s; the fault-free run fills it with %q (faults %v)", pair, v, want, plan.Faults)
+				}
 			}
 		})
 	}

@@ -243,8 +243,8 @@ func (s *Session) start() {
 	// any other placement the tick would send nothing and re-arm itself. Each
 	// tick event is owned by its processor, so it lives on the processor's
 	// shard. No heartbeat tick is scheduled: a processor's chain starts only
-	// once a stream into it stops (proc.arm), so an idle processor under any
-	// other placement schedules nothing.
+	// once a stream into it stops (beater.arm), so an idle processor under
+	// any other placement schedules nothing.
 	_, gossips := m.cfg.Placement.(*balance.Gradient)
 	if gossips {
 		for i, p := range m.procs {
@@ -357,7 +357,7 @@ func (s *Session) install(r *Req) {
 	hostTask := newTask(hostPkt)
 	hostTask.isHostRoot = true
 	hostTask.state = taskWaiting
-	hostTask.residual = m.evalOf(r.prog).RootState(0)
+	hostTask.residual = m.evals[r.prog].RootState(0)
 	hostTask.nextID = 1
 	m.host.tasks[hostPkt.Key] = hostTask
 	m.host.spawnDemand(hostTask, lang.Demand{ID: 0, Fn: r.fn, Args: r.args})
@@ -378,7 +378,7 @@ func (s *Session) rootDone(key proto.TaskKey, v expr.Value) {
 		m.answer = v
 		m.doneAt = r.doneAt
 	}
-	m.log(proto.HostID, trace.KRootDone, "", v.String())
+	m.host.Log(trace.KRootDone, nil, v.String())
 }
 
 // failed fails the request that task belongs to with the evaluation error
@@ -430,9 +430,10 @@ func (s *Session) goQuiet() {
 }
 
 // detectorFrame sends every processor a quiet or wake frame, which closes or
-// opens an epoch (epochs) as it lands a hop later. Like a beat it is counted
-// on the wire, sized like one, and dispatches no event; the boundary is
-// published at the window barrier, before any event it affects.
+// opens the detector's epoch (Detector.frame) as it lands a hop later. Like
+// a beat it is counted on the wire, sized like one, and dispatches no event;
+// the boundary is published at the window barrier, before any event it
+// affects.
 func (s *Session) detectorFrame() {
 	m, sc := s.m, s.m.host.sc
 	at := sc.k.Now() + flightTime(1)
@@ -441,7 +442,7 @@ func (s *Session) detectorFrame() {
 	sc.metrics.MsgHeartbeat += n
 	sc.metrics.BytesOnWire += n * int64(frame.EncodedSize())
 	sc.metrics.HopsOnWire += n
-	sc.k.Wake(m.ownerOf(proto.HostID), func() { m.epochs = append(m.epochs, at) })
+	sc.k.Wake(m.ownerOf(proto.HostID), func() { m.det.frame(at) })
 }
 
 // Wait drives the kernel until r completes, is shed, fails, or exhausts
@@ -474,7 +475,9 @@ func (s *Session) Wait(r *Req) {
 		if m.kern.Now() >= deadline {
 			return
 		}
-		m.segment++
+		for _, sc := range m.shards {
+			sc.seg++
+		}
 		if m.kern.RunUntil(deadline, DefaultMaxEvents) != sim.RunStopped {
 			return // deadline, quiescent, or event budget: r did not make it
 		}

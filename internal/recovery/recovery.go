@@ -66,8 +66,8 @@ type Ops interface {
 	// DeclareFaulty marks p failed (idempotent), floods the announcement,
 	// and triggers OnFailureDetected locally.
 	DeclareFaulty(p proto.ProcID)
-	// IsKnownFaulty reports whether p is already believed failed.
-	IsKnownFaulty(p proto.ProcID) bool
+	// IsFaulty reports whether p is already believed failed.
+	IsFaulty(p proto.ProcID) bool
 	// DropResult records an abandoned result (late duplicate or stranded).
 	DropResult(res *proto.Result, stranded bool)
 	// Log appends a trace event attributed to this processor.
@@ -351,10 +351,10 @@ func (p *splicePolicy) OnGrandResult(res *proto.Result) {
 	// Learning of the failure through an orphan result may precede the
 	// fault announcement; declaring it triggers OnFailureDetected (which
 	// creates the twin) before we relay.
-	if !p.ops.IsKnownFaulty(res.DeadParent.Proc) {
+	if !p.ops.IsFaulty(res.DeadParent.Proc) {
 		p.ops.DeclareFaulty(res.DeadParent.Proc)
 	}
-	if dest, ok := st.Dest(deadKey); ok && p.ops.IsKnownFaulty(dest) {
+	if dest, ok := st.Dest(deadKey); ok && p.ops.IsFaulty(dest) {
 		// Still settled on a dead processor and OnFailureDetected chose not
 		// to twin (parent hole already filled): the value is extinct.
 		p.ops.DropResult(res, false)

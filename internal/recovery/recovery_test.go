@@ -75,7 +75,7 @@ func (m *mockOps) DeclareFaulty(p proto.ProcID) {
 		m.policy.OnFailureDetected(p)
 	}
 }
-func (m *mockOps) IsKnownFaulty(p proto.ProcID) bool { return m.faulty[p] }
+func (m *mockOps) IsFaulty(p proto.ProcID) bool { return m.faulty[p] }
 func (m *mockOps) Defer(delay int64, fn func()) {
 	m.deferred = append(m.deferred, deferredCall{delay, fn})
 }

@@ -258,7 +258,7 @@ func baselineEffects(s *Summary) []Effect {
 func pairedEffects(s *Summary, pairs [][2]int) []Effect {
 	var out []Effect
 	for _, p := range pairs {
-		context, baseLabel, candLabel := pairLabels(s.Rows[p[0]], s.Rows[p[1]])
+		context, baseLabel, candLabel := pairLabels(s.Columns, s.Rows[p[0]], s.Rows[p[1]])
 		for _, e := range rowEffects(s, p[0], p[1]) {
 			e.Context, e.Baseline, e.Label = context, baseLabel, candLabel
 			out = append(out, e)
@@ -269,8 +269,8 @@ func pairedEffects(s *Summary, pairs [][2]int) []Effect {
 
 // pairLabels splits a pair of rows into the shared context (equal text cells
 // before the first difference) and the per-side labels (the text cells that
-// differ). Rows that differ in no text cell fall back to their positions.
-func pairLabels(base, row []AggCell) (context, baseLabel, candLabel string) {
+// differ). Rows that differ in no text cell fall back to their rowLabel.
+func pairLabels(columns []string, base, row []AggCell) (context, baseLabel, candLabel string) {
 	var ctx, bl, cl []string
 	for i := range row {
 		if row[i].IsNum {
@@ -294,21 +294,22 @@ func pairLabels(base, row []AggCell) (context, baseLabel, candLabel string) {
 	context = strings.Join(ctx, " ")
 	baseLabel, candLabel = strings.Join(bl, " "), strings.Join(cl, " ")
 	if baseLabel == "" {
-		baseLabel = rowLabel(base)
+		baseLabel = rowLabel(columns, base)
 	}
 	if candLabel == "" {
-		candLabel = rowLabel(row)
+		candLabel = rowLabel(columns, row)
 	}
 	return context, baseLabel, candLabel
 }
 
 // rowEffects classifies every numeric column of row candRI against row
-// baseRI, per seed. Columns that are non-numeric in either row, or whose
-// baseline hits zero in any seed, are skipped.
+// baseRI, per seed. The first column names the row (rowLabel), so it is no
+// effect; columns that are non-numeric in either row, or whose baseline hits
+// zero in any seed, are skipped too.
 func rowEffects(s *Summary, baseRI, candRI int) []Effect {
 	base, row := s.Rows[baseRI], s.Rows[candRI]
 	var out []Effect
-	for ci := range row {
+	for ci := 1; ci < len(row); ci++ {
 		if ci >= len(base) || !row[ci].IsNum || !base[ci].IsNum {
 			continue
 		}
@@ -333,8 +334,8 @@ func rowEffects(s *Summary, baseRI, candRI int) []Effect {
 		out = append(out, Effect{
 			Column:   s.Columns[ci],
 			Row:      candRI,
-			Label:    rowLabel(row),
-			Baseline: rowLabel(base),
+			Label:    rowLabel(s.Columns, row),
+			Baseline: rowLabel(s.Columns, base),
 			Deltas:   deltas,
 			Mean:     mean,
 			Class:    Classify(deltas),
@@ -343,9 +344,10 @@ func rowEffects(s *Summary, baseRI, candRI int) []Effect {
 	return out
 }
 
-// rowLabel is the text of the row's leading label cells, or its position
-// when the row starts with data.
-func rowLabel(row []AggCell) string {
+// rowLabel is the text of the row's leading label cells or, when the row
+// starts with data — a sweep's input, such as a processor count — the first
+// column's name and the row's value in it.
+func rowLabel(columns []string, row []AggCell) string {
 	var parts []string
 	for _, c := range row {
 		if c.IsNum {
@@ -354,7 +356,7 @@ func rowLabel(row []AggCell) string {
 		parts = append(parts, c.Text)
 	}
 	if len(parts) == 0 {
-		return "row"
+		return columns[0] + " " + row[0].String()
 	}
 	return strings.Join(parts, " ")
 }

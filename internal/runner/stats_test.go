@@ -266,3 +266,31 @@ func TestUnpairedEffectsUnchanged(t *testing.T) {
 		t.Fatal("unpaired markdown used the paired header")
 	}
 }
+
+// TestSweepRowsNamedByTheirInput pins the label of a row that starts with
+// data, as a sweep's rows do: the first column's name and the row's value,
+// and that column, the sweep's input, is not classified as an effect.
+func TestSweepRowsNamedByTheirInput(t *testing.T) {
+	seeds := []int64{1, 2}
+	var tables []*experiments.Table
+	for range seeds {
+		tables = append(tables, &experiments.Table{
+			ID: "TX", Title: "test", Claim: "claim",
+			Columns: []string{"processors", "makespan"},
+			Rows: [][]experiments.Cell{
+				{experiments.Int(4), experiments.Int(400)},
+				{experiments.Int(16), experiments.Int(100)},
+			},
+		})
+	}
+	s, err := Aggregate(seeds, tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Effects) != 1 {
+		t.Fatalf("effects = %+v, want makespan's alone", s.Effects)
+	}
+	if e := s.Effects[0]; e.Column != "makespan" || e.Label != "processors 16" || e.Baseline != "processors 4" {
+		t.Fatalf("effect = %+v, want processors 16 vs processors 4 on makespan", e)
+	}
+}
