@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/topology"
 )
 
@@ -97,6 +99,23 @@ func TestS3FaultDensityShape(t *testing.T) {
 		if row[2].Text != "true" {
 			t.Errorf("k=1 row incomplete: %v", row)
 		}
+	}
+}
+
+// TestS3SpliceSurvivesTwelveOfSixteen pins S3's 12/16 splice cell at seed
+// 1: processors 0–5, 7, 10–13 and 15 crash at once, leaving 6, 8, 9 and 14.
+// Processor 6, the lowest survivor, has no live neighbour, so news that
+// floods from neighbour to neighbour never reaches it: the host hears of
+// the deaths only because whoever detects one tells the host directly. The
+// run must answer lang.RefEval's value within S3's 20-fold deadline.
+func TestS3SpliceSurvivesTwelveOfSixteen(t *testing.T) {
+	const procs = 16
+	w := mustWorkload("fib:13")
+	m0 := mustComplete(core.Config{Procs: procs, Seed: 1, Recovery: "rollback"}, w).Makespan
+	plan := faults.Burst(procs, 12, m0*2/5, faults.CrashAnnounced, 1)
+	cfg := core.Config{Procs: procs, Seed: 1, Recovery: "splice", Deadline: m0 * 20}
+	if _, err := cfg.Verify(w, plan); err != nil {
+		t.Fatalf("splice, fault %v: %v", plan, err)
 	}
 }
 

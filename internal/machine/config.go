@@ -104,7 +104,7 @@ const (
 	DefaultHeartbeatEvery  = 250
 	DefaultHeartbeatMisses = 2  // consecutive misses before declaring failure
 	DefaultLoadGossipEvery = 20 // gossip period under the gradient policy, the only one that gossips
-	DefaultSpawnRetry      = 16 // placement retries before giving up
+	DefaultSpawnRetry      = 16 // placement retries before a new lineage
 	DefaultResultRetry     = 3
 
 	DefaultDeadline  = 2_000_000

@@ -89,11 +89,6 @@ type proc struct {
 	// acknowledged (§4.1 "Having the grandparent relay partial results").
 	relayBuf map[proto.TaskKey][]*proto.Result
 
-	// hostRelayed marks failures this processor has already announced to
-	// the host console, so inheriting console duty (see relaysToHost)
-	// relays each failure at most once.
-	hostRelayed []bool
-
 	// gossipTimer is the pending gossip tick; gossipFn is gossipTick, bound
 	// once so rescheduling it does not allocate a closure every period.
 	gossipTimer sim.Timer
@@ -568,44 +563,6 @@ func (p *proc) onGrandTimeout(child proto.TaskKey, ancProc proto.ProcID, res *pr
 // DeclareFaulty implements recovery.Ops.
 func (p *proc) DeclareFaulty(q proto.ProcID) { p.declareFaulty(q, false) }
 
-// relaysToHost reports whether this processor currently holds console duty:
-// it is the lowest-numbered processor it does not itself believe failed.
-// With processor 0 alive that is processor 0 — the paper's "operator
-// console attaches at processor 0's port" (§4.3.1) — and when 0 dies the
-// next live processor inherits the duty. Without the inheritance, any crash
-// set containing processor 0 left the host deaf to later announcements, so
-// a root task whose only checkpoint the host held was never reissued and
-// the run stranded until its deadline (the documented ancestor-chain-loss
-// wedge, e.g. killing {0,5} of 6 under rollback).
-func (p *proc) relaysToHost() bool {
-	if p.isHost {
-		return false
-	}
-	for q := proto.ProcID(0); q < p.id; q++ {
-		if !p.faulty[q] {
-			return false
-		}
-	}
-	return true
-}
-
-// relayFailuresToHost forwards every not-yet-relayed known failure to the
-// host, in ascending processor order. A processor that just inherited
-// console duty thereby back-fills announcements it declared before taking
-// over; for processor 0 in a healthy run this degenerates to relaying
-// exactly the failure that was just declared.
-func (p *proc) relayFailuresToHost() {
-	if p.hostRelayed == nil {
-		p.hostRelayed = make([]bool, p.n)
-	}
-	for q := 0; q < p.n; q++ {
-		if p.faulty[q] && !p.hostRelayed[q] {
-			p.hostRelayed[q] = true
-			p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: proto.HostID, Failed: proto.ProcID(q)})
-		}
-	}
-}
-
 // declareFaulty marks q failed, announces it, fails fast any returning
 // results addressed to q, and invokes the recovery policy. told says the
 // news came from another processor's announcement rather than from p's own
@@ -638,14 +595,16 @@ func (p *proc) declareFaulty(q proto.ProcID, told bool) {
 	}
 }
 
-// announce spreads the news that q failed (§4.2 "error-detection"). Under
-// the four-message protocol it floods: every processor tells the neighbours
-// it believes live as it first learns, and the console relay tells the host.
-// Without acks a processor that never learns of a failure never reissues
-// what it placed there, and a flood loses news to a relay that died
-// unnoticed and stops at a dead region that cuts the survivors apart. So
-// whoever has the news first hand tells every processor it believes live,
-// and the host, directly; those told pass nothing on.
+// announce spreads the news that q failed (§4.2 "error-detection").
+// Whoever has the news first hand tells the host directly, under both
+// protocols: the host retains every request's root checkpoint (§4.3.1), so
+// it must hear of any death that strands a root, whichever processors died
+// with it. Among processors, the four-message protocol floods: each tells
+// the neighbours it believes live as it first learns. Without acks a
+// processor that never learns of a failure never reissues what it placed
+// there, and a flood stops at a dead region that cuts the survivors apart;
+// so the first-hand holder also tells every processor it believes live
+// directly, and those told pass nothing on.
 func (p *proc) announce(q proto.ProcID, told bool) {
 	if p.acked {
 		for _, nb := range p.neighbors {
@@ -653,20 +612,14 @@ func (p *proc) announce(q proto.ProcID, told bool) {
 				p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: nb, Failed: q})
 			}
 		}
-		if p.relaysToHost() {
-			p.relayFailuresToHost()
-		}
-		return
-	}
-	if told {
-		return
-	}
-	for r := range proto.ProcID(p.n) {
-		if r != p.id && !p.faulty[r] {
-			p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: r, Failed: q})
+	} else if !told {
+		for r := range proto.ProcID(p.n) {
+			if r != p.id && !p.faulty[r] {
+				p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: r, Failed: q})
+			}
 		}
 	}
-	if !p.isHost {
+	if !told && !p.isHost {
 		p.send(proto.Msg{Type: proto.MsgFaultAnnounce, To: proto.HostID, Failed: q})
 	}
 }
@@ -995,7 +948,9 @@ func (p *proc) replyTimeout(base sim.Time, q proto.ProcID) sim.Time {
 // onAckTimeout fires when a spawned packet's placement was never
 // acknowledged: the packet is presumed lost in a failed processor and is
 // reissued ("processor G times out and reissues a new task P" — §4.3.2
-// state b).
+// state b). A packet whose placement failed DefaultSpawnRetry times — a
+// survivor that hosts an orphan of its stamp refuses it every time — is
+// re-placed under a lineage of its own, which no orphan occupies.
 func (p *proc) onAckTimeout(parent *task, pkt *proto.TaskPacket, cr *childRef) {
 	if p.dead {
 		return
@@ -1009,7 +964,12 @@ func (p *proc) onAckTimeout(parent *task, pkt *proto.TaskPacket, cr *childRef) {
 	}
 	cr.retries++
 	if cr.retries > DefaultSpawnRetry {
-		p.Log(trace.KAbort, pkt.Key, "placement retries exhausted")
+		fresh := pkt.Clone()
+		fresh.Key.Rep = proto.Rep(p.fresh(&p.repSeq))
+		p.store.Release(pkt.Key)
+		cr.key = fresh.Key
+		p.Log(trace.KReissue, fresh.Key, "placement retries exhausted: re-placed under a new lineage")
+		p.Respawn(fresh)
 		return
 	}
 	p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("placement retry %d", cr.retries))

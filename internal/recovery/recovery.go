@@ -63,8 +63,8 @@ type Ops interface {
 	// to the current location of the dead task's twin, buffering while the
 	// twin's placement is still unacknowledged.
 	RelayToTwin(res *proto.Result)
-	// DeclareFaulty marks p failed (idempotent), floods the announcement,
-	// and triggers OnFailureDetected locally.
+	// DeclareFaulty marks p failed (idempotent), announces it as first-hand
+	// news, and triggers OnFailureDetected locally.
 	DeclareFaulty(p proto.ProcID)
 	// IsFaulty reports whether p is already believed failed.
 	IsFaulty(p proto.ProcID) bool
