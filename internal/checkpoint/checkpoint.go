@@ -2,7 +2,9 @@
 // each processor retains a copy of every task packet it spawned, keyed by
 // the destination processor the task settled on — "Each processor maintains
 // a table of linked lists. The Nth entry of the table contains all topmost
-// checkpoints from the host processor to processor N" (§3.2).
+// checkpoints from the host processor to processor N" (§3.2). A checkpoint
+// is retained pending and settled by its placement ack (Retain, Settle), or
+// retained at the destination its sender picked (RetainAt).
 //
 // The store keeps *all* pending checkpoints (not just topmost ones) because
 // entries are released as children complete, which can promote a previously
@@ -54,11 +56,15 @@ func NewStore() *Store {
 // Placement is initially pending; Settle moves it to a destination entry.
 // Retaining an already-present key replaces the entry (a reissued packet
 // supersedes the original).
-func (s *Store) Retain(pkt *proto.TaskPacket) {
+func (s *Store) Retain(pkt *proto.TaskPacket) { s.RetainAt(pkt, PendingDest) }
+
+// RetainAt is Retain then Settle(pkt.Key, dest) in one step: the checkpoint
+// of a packet whose destination is known as it leaves.
+func (s *Store) RetainAt(pkt *proto.TaskPacket, dest proto.ProcID) {
 	if old, ok := s.entries[pkt.Key]; ok {
 		s.bytes -= old.size
 	}
-	e := Entry{Packet: pkt, Dest: PendingDest, size: int64(pkt.EncodedSize())}
+	e := Entry{Packet: pkt, Dest: dest, size: int64(pkt.EncodedSize())}
 	s.entries[pkt.Key] = e
 	s.bytes += e.size
 	if s.bytes > s.peak {

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -295,6 +296,58 @@ func TestKeysDeterministicOrder(t *testing.T) {
 	for i := range want {
 		if keys[i].Stamp != want[i] {
 			t.Fatalf("Keys[%d] = %v, want %v", i, keys[i].Stamp, want[i])
+		}
+	}
+}
+
+// TestRetainAtIsRetainThenSettle drives two stores through one mixed
+// sequence — spawns, releases and replacements of a live key by a larger
+// reissued packet — one retaining each packet at its destination in one
+// step, the other retaining it pending and settling it after. Every
+// observable of the two must agree at every step.
+func TestRetainAtIsRetainThenSettle(t *testing.T) {
+	at, two := NewStore(), NewStore()
+	rng := rand.New(rand.NewSource(1))
+	paths := [][]uint32{{1}, {2}, {1, 1}, {1, 2}, {2, 1}, {1, 1, 3}, {2, 1, 1}, {3}}
+	var keys []proto.TaskKey
+	for _, path := range paths {
+		keys = append(keys, pkt(path...).Key)
+	}
+	for step := range 400 {
+		i := rng.Intn(len(paths))
+		if key := keys[i]; rng.Intn(4) == 0 {
+			if a, b := at.Release(key), two.Release(key); a != b {
+				t.Fatalf("step %d: Release(%v) = %v and %v", step, key, a, b)
+			}
+		} else {
+			p := pkt(paths[i]...)
+			if rng.Intn(3) == 0 { // a replacement carries a larger packet
+				p.Args = append(p.Args, expr.VInt(int64(step)))
+			}
+			dest := proto.ProcID(rng.Intn(3))
+			at.RetainAt(p, dest)
+			two.Retain(p)
+			two.Settle(p.Key, dest)
+		}
+		if at.PeakBytes() != two.PeakBytes() || at.bytes != two.bytes || at.Len() != two.Len() {
+			t.Fatalf("step %d: peak %d/%d, bytes %d/%d, len %d/%d", step,
+				at.PeakBytes(), two.PeakBytes(), at.bytes, two.bytes, at.Len(), two.Len())
+		}
+		for _, key := range keys {
+			pa, oka := at.Get(key)
+			pb, okb := two.Get(key)
+			da, _ := at.Dest(key)
+			db, _ := two.Dest(key)
+			if pa != pb || oka != okb || da != db {
+				t.Fatalf("step %d: key %v reads (%p,%v,%d) and (%p,%v,%d)", step, key, pa, oka, da, pb, okb, db)
+			}
+		}
+		for dest := range proto.ProcID(3) {
+			ta, sa := at.TopmostFor(dest)
+			tb, sb := two.TopmostFor(dest)
+			if !slices.Equal(at.For(dest), two.For(dest)) || !slices.Equal(ta, tb) || !slices.Equal(sa, sb) {
+				t.Fatalf("step %d: the recovery sets for %d differ", step, dest)
+			}
 		}
 	}
 }

@@ -86,6 +86,7 @@ type beater struct {
 	adopted   []proto.ProcID
 	adoptedIn []*beatLink
 	silent    []proto.ProcID // silentAt's result buffer, reused
+	seen      []bool         // heal's visited set, reused
 	// beats[i] is this processor's own stream to beatTo[i], which that
 	// processor's watch reads: its neighbours, then those that watch it
 	// across dead ones.
@@ -413,7 +414,8 @@ func (b *beater) silence(i int, due sim.Time) {
 // the processor it now watches may already be dead.
 func (b *beater) heal() {
 	p, h := b.p, b.h
-	seen := make([]bool, p.n)
+	b.seen = append(b.seen[:0], make([]bool, p.n)...) // zeroed, in place
+	seen := b.seen
 	seen[p.id] = true
 	adopted := false
 	for next := p.neighbors; len(next) > 0; {

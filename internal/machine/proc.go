@@ -58,7 +58,8 @@ type proc struct {
 	corrupt bool
 
 	// readyQ[readyHead:] are the tasks queued to run, oldest first. An
-	// entry runs whichever incarnation holds its key when it is popped.
+	// entry runs whichever incarnation holds its key when it is popped —
+	// its own unless that is aborted or returning, the tasks that leave.
 	tasks     map[proto.TaskKey]*task
 	readyQ    []*task
 	readyHead int
@@ -98,9 +99,9 @@ type proc struct {
 	stepsDone int64
 
 	// holeSlab and childSlab are bump allocators for the per-demand hole
-	// and child records. Both record kinds are proc-private — a task lives
-	// on exactly one processor and recovery reissues build fresh tasks on
-	// the surviving side — so batching them into chunks replaces one small
+	// and extra child records. Both record kinds are proc-private — a task
+	// lives on exactly one processor and recovery reissues build fresh tasks
+	// on the surviving side — so batching them into chunks replaces one small
 	// heap allocation per spawned demand with one per chunk. Appends never
 	// move earlier entries (a full chunk is abandoned, not grown), so
 	// pointers into a slab stay valid for the record's whole life.
@@ -122,13 +123,22 @@ func (p *proc) newHole(id int) *holeRec {
 	return &p.holeSlab[len(p.holeSlab)-1]
 }
 
-// newChildRef draws a zeroed child record from the proc's slab.
-func (p *proc) newChildRef(key proto.TaskKey) *childRef {
-	if len(p.childSlab) == cap(p.childSlab) {
-		p.childSlab = make([]childRef, 0, recSlabChunk(cap(p.childSlab)))
+// addChild records a new child of h: a hole's first in its inline slot,
+// every later one drawn from the proc's slab.
+func (p *proc) addChild(h *holeRec, key proto.TaskKey) *childRef {
+	cr := &h.first
+	if h.children == nil {
+		h.children = h.one[:0]
+		cr.key = key
+	} else {
+		if len(p.childSlab) == cap(p.childSlab) {
+			p.childSlab = make([]childRef, 0, recSlabChunk(cap(p.childSlab)))
+		}
+		p.childSlab = append(p.childSlab, childRef{key: key})
+		cr = &p.childSlab[len(p.childSlab)-1]
 	}
-	p.childSlab = append(p.childSlab, childRef{key: key})
-	return &p.childSlab[len(p.childSlab)-1]
+	h.children = append(h.children, cr)
+	return cr
 }
 
 // holeFor returns t's record for id, drawing it from the proc's slab on
@@ -374,8 +384,7 @@ func (p *proc) Respawn(pkt *proto.TaskPacket) {
 	}
 	cr := h.child(pkt.Key)
 	if cr == nil {
-		cr = p.newChildRef(pkt.Key)
-		h.children = append(h.children, cr)
+		cr = p.addChild(h, pkt.Key)
 	}
 	cr.ackTimer.Stop()
 	pkt.Gen = p.fresh(&p.genSeq)
@@ -391,8 +400,8 @@ func (p *proc) Respawn(pkt *proto.TaskPacket) {
 		p.sc.metrics.Reissues++
 	}
 	p.sc.metrics.TasksSpawned++
-	if !p.noCkpt {
-		p.store.Retain(pkt)
+	if p.acked && !p.noCkpt {
+		p.store.Retain(pkt) // without acks route retains it at its destination
 	}
 	p.route(parent, pkt, cr, nil)
 }
@@ -503,7 +512,9 @@ func (p *proc) onChildAbort(msg *proto.Msg) {
 	fresh := pkt.Clone()
 	fresh.Reissue = true
 	fresh.Twin = false
-	p.Log(trace.KReissue, fresh.Key, fmt.Sprintf("child aborted on %d", msg.From))
+	if p.tracing() {
+		p.Log(trace.KReissue, fresh.Key, fmt.Sprintf("child aborted on %d", msg.From))
+	}
 	p.Respawn(fresh)
 }
 
@@ -576,19 +587,24 @@ func (p *proc) declareFaulty(q proto.ProcID, told bool) {
 	p.m.det.suspected(p, q)
 	p.sc.metrics.Detections++
 	p.sc.detects = append(p.sc.detects, detection{p.sc.pos(), q, p.k.Now()})
-	p.Log(trace.KDetect, nil, fmt.Sprintf("processor %d failed", q))
+	if p.tracing() {
+		p.Log(trace.KDetect, nil, fmt.Sprintf("processor %d failed", q))
+	}
 	p.announce(q, told)
 	// Recovery hook.
 	p.policy.OnFailureDetected(q)
 	// Fail fast: returning tasks whose parent lived on q should not wait
-	// for their result-ack timeout.
-	keys := p.ResidentTaskKeys()
-	for _, k := range keys {
-		t, ok := p.tasks[k]
-		if !ok || t.state != taskReturning || t.escalated {
-			continue
+	// for their result-ack timeout. Recovery can only disqualify a task, so
+	// the ones that qualify now are all the pass visits.
+	var fail []*task
+	for _, t := range p.tasks {
+		if t.state == taskReturning && !t.escalated && t.pkt.Parent.Proc == q {
+			fail = append(fail, t)
 		}
-		if t.pkt.Parent.Proc == q {
+	}
+	slices.SortFunc(fail, func(a, b *task) int { return a.pkt.Key.Compare(b.pkt.Key) })
+	for _, t := range fail {
+		if t.state == taskReturning && !t.escalated {
 			t.resultTimer.Stop()
 			p.policy.OnResultUndeliverable(p.buildResult(t))
 		}
@@ -659,13 +675,16 @@ func (p *proc) enqueue(t *task) {
 // that fails leaves it free, so the next ready task starts at once.
 func (p *proc) maybeRun() {
 	for !p.busy && !p.dead && p.readyHead < len(p.readyQ) {
-		key := p.readyQ[p.readyHead].pkt.Key
+		t := p.readyQ[p.readyHead]
 		p.readyQ[p.readyHead] = nil
 		p.readyHead++
 		if p.readyHead == len(p.readyQ) {
 			p.readyQ, p.readyHead = p.readyQ[:0], 0
 		}
-		if t, ok := p.tasks[key]; ok && t.state == taskReady {
+		if t.state == taskAborted || t.state == taskReturning {
+			t = p.tasks[t.pkt.Key]
+		}
+		if t != nil && t.state == taskReady {
 			p.runPass(t)
 		}
 	}
@@ -833,15 +852,16 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 			t.chain = ancestorChain(t.pkt, p.depth)
 		}
 		pkt.Ancestors = t.chain
-		cr := p.newChildRef(pkt.Key)
+		cr := p.addChild(h, pkt.Key)
 		cr.gen, cr.dest = pkt.Gen, checkpoint.PendingDest
-		h.children = append(h.children, cr)
 		p.sc.metrics.TasksSpawned++
 		if p.tracing() {
 			p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("%s by %v", d.Fn, t.pkt.Key))
 		}
 		if !p.noCkpt {
-			p.store.Retain(pkt)
+			if p.acked {
+				p.store.Retain(pkt)
+			}
 			p.sc.metrics.Checkpoints++
 			if p.tracing() {
 				p.Log(trace.KCheckpoint, pkt.Key, "")
@@ -884,9 +904,9 @@ func ancestorChain(parentPkt *proto.TaskPacket, depth int) []proto.Addr {
 // (Figure 6 state b: no ack means reissue), sized to that destination: a
 // direct placement settles there, and a hop-by-hop one within the gradient's
 // TTL of it, well inside the constant. Otherwise the destination is where
-// the packet settles, recorded as it leaves, so Figure 6's states b and c
-// are one: a packet lost in flight is reissued like a settled one, when the
-// detector reports its destination.
+// the packet settles, and its checkpoint is retained there as it leaves, so
+// Figure 6's states b and c are one: a packet lost in flight is reissued
+// like a settled one, when the detector reports its destination.
 func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid map[proto.ProcID]bool) proto.ProcID {
 	dest, hops := p.firstHop(pkt, cr, avoid)
 	if p.acked {
@@ -896,7 +916,9 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 		})
 	} else {
 		cr.dest = dest
-		p.store.Settle(pkt.Key, dest)
+		if !p.noCkpt {
+			p.store.RetainAt(pkt, dest)
+		}
 	}
 	if dest == p.id {
 		p.settle(pkt)
@@ -972,7 +994,9 @@ func (p *proc) onAckTimeout(parent *task, pkt *proto.TaskPacket, cr *childRef) {
 		p.Respawn(fresh)
 		return
 	}
-	p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("placement retry %d", cr.retries))
+	if p.tracing() {
+		p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("placement retry %d", cr.retries))
+	}
 	p.route(parent, pkt, cr, nil)
 }
 
@@ -1246,21 +1270,22 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 				mismatches++
 			}
 		}
-		if mismatches > 0 {
-			p.sc.metrics.VoteMismatches += int64(mismatches)
-			p.Log(trace.KVoteMismatch, t.pkt.Key,
-				fmt.Sprintf("hole %d: %d corrupt outvoted", h.id, mismatches))
-		}
+		p.sc.metrics.VoteMismatches += int64(mismatches)
 		p.sc.metrics.Votes++
-		p.Log(trace.KVote, t.pkt.Key,
-			fmt.Sprintf("hole %d agreed on %s", h.id, v))
+		if p.tracing() {
+			if mismatches > 0 {
+				p.Log(trace.KVoteMismatch, t.pkt.Key, fmt.Sprintf("hole %d: %d corrupt outvoted", h.id, mismatches))
+			}
+			p.Log(trace.KVote, t.pkt.Key, fmt.Sprintf("hole %d agreed on %s", h.id, v))
+		}
 		p.fillHole(t, h, v)
 	} else if h.returnedCount() == len(h.children) {
 		// All replicas answered without a majority (possible only with
 		// aggressive corruption): take the first answer, flagged loudly.
 		p.sc.metrics.VoteMismatches++
-		p.Log(trace.KVoteMismatch, t.pkt.Key,
-			fmt.Sprintf("hole %d: no majority, taking first", h.id))
+		if p.tracing() {
+			p.Log(trace.KVoteMismatch, t.pkt.Key, fmt.Sprintf("hole %d: no majority, taking first", h.id))
+		}
 		p.fillHole(t, h, h.children[0].vote)
 	}
 	p.ackResult(msg.From, res.Child, true)

@@ -65,10 +65,13 @@ type childRef struct {
 }
 
 // holeRec tracks one demand slot of a task: the children spawned for it
-// (one, or R replicas) and the agreed value once filled.
+// (one, or R replicas) and the agreed value once filled. The first child
+// and the array children starts on are inline (proc.addChild).
 type holeRec struct {
 	id       int
 	children []*childRef
+	first    childRef
+	one      [1]*childRef
 	filled   bool
 	// fresh marks a value the task's next resume pass has not consumed.
 	fresh bool

@@ -5,7 +5,9 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/proto"
 	"repro/internal/recovery"
+	"repro/internal/stamp"
 )
 
 // raceEnabled is set when the tests run under the race detector.
@@ -15,15 +17,15 @@ var raceEnabled bool
 // fault-free cell (binom:16,8 on mesh-64 under rollback, compiled
 // evaluator), built and run, divided by the 25 739 tasks it spawns. A task
 // keeps its packet, its checkpoint and its result; a per-pass or per-task
-// object that holds no state shows here first. The cell reads 11.2 objects
+// object that holds no state shows here first. The cell reads 10.2 objects
 // per task; under interp, whose residual is an expression tree of boxed
-// values, it reads 58.2. Only a run without -race counts the shipped code's
+// values, it reads 57.2. Only a run without -race counts the shipped code's
 // allocations.
 func TestTaskAllocations(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("a count of the shipped code's allocations: runs a 25 739-task cell three times, without -race")
 	}
-	const budget = 14
+	const budget = 11
 	cfg := Config{Topo: mustTopo(t, "mesh", 64), Scheme: recovery.Rollback(), Seed: 1, Eval: "compiled"}
 	prog, args := lang.Binomial(), []expr.Value{expr.VInt(16), expr.VInt(8)}
 	var rep *Report
@@ -85,5 +87,59 @@ func TestDenseCellsEndClean(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestReadyQueueRunsTheLiveIncarnation pins which task a popped ready-queue
+// entry runs: its own while that is ready, and otherwise whichever
+// incarnation holds its key. An aborted or retired (returning) incarnation
+// leaves its entry behind; a reissue settled on the same processor under the
+// same key must run from that entry, not wait behind it.
+func TestReadyQueueRunsTheLiveIncarnation(t *testing.T) {
+	m, _ := startIdleCfg(t, Config{Topo: mustTopo(t, "complete", 4), Scheme: recovery.Rollback(), Seed: 1}, nil)
+	pkt := func(gen uint64) *proto.TaskPacket {
+		return &proto.TaskPacket{
+			Key: proto.TaskKey{Stamp: stamp.Root().Child(0)}, Gen: gen, Fn: "fib",
+			Args: []expr.Value{expr.VInt(5)}, Parent: proto.Addr{Proc: proto.HostID},
+		}
+	}
+	install := func(p *proc, tk *task) {
+		p.tasks[tk.pkt.Key] = tk
+		p.enqueue(tk)
+	}
+	for i, c := range []struct {
+		name  string
+		leave func(p *proc, old *task) // how the first incarnation goes
+	}{
+		{"live", nil},
+		{"aborted", func(p *proc, old *task) { p.Abort(old.pkt.Key, stamp.Root(), "test") }},
+		{"returning", func(p *proc, old *task) {
+			old.state, old.value = taskReturning, expr.VInt(5)
+			p.sendResult(old)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := m.procs[1+i]
+			old := newTask(pkt(1))
+			p.busy = true // hold the queue while it is set up
+			install(p, old)
+			want := old
+			if c.leave != nil {
+				c.leave(p, old)
+				if _, ok := p.tasks[old.pkt.Key]; ok {
+					t.Fatalf("the %s incarnation still holds its key", c.name)
+				}
+				want = newTask(pkt(2))
+				install(p, want)
+			}
+			p.busy = false
+			p.maybeRun()
+			if p.passTask != want || want.state != taskRunning {
+				t.Fatalf("ran %p, want the incarnation holding the key (%p)", p.passTask, want)
+			}
+			if want != old && p.readyHead == len(p.readyQ) {
+				t.Fatal("the reissue ran from its own entry, not from the one its predecessor left")
+			}
+		})
 	}
 }
