@@ -28,9 +28,6 @@ type Entry struct {
 	// Dest is the processor the task settled on, or -2 while placement is
 	// unacknowledged (in-flight, Figure 6 states b/d).
 	Dest proto.ProcID
-	// size is the packet's encoded size, charged by Retain and refunded by
-	// Release: a packet is immutable, so it is walked once.
-	size int64
 }
 
 // PendingDest marks checkpoints whose placement is not yet acknowledged.
@@ -41,8 +38,9 @@ const PendingDest proto.ProcID = -2
 // Entries are held by value, so retaining a packet allocates no record.
 type Store struct {
 	entries map[proto.TaskKey]Entry
-	// bytes tracks current retained storage; peak is the high-water mark
-	// reported to metrics.
+	// bytes tracks current retained storage, the sum of the packets'
+	// EncodedSize (memoized, so Release refunds what Retain charged); peak
+	// is the high-water mark reported to metrics.
 	bytes int64
 	peak  int64
 }
@@ -62,11 +60,10 @@ func (s *Store) Retain(pkt *proto.TaskPacket) { s.RetainAt(pkt, PendingDest) }
 // of a packet whose destination is known as it leaves.
 func (s *Store) RetainAt(pkt *proto.TaskPacket, dest proto.ProcID) {
 	if old, ok := s.entries[pkt.Key]; ok {
-		s.bytes -= old.size
+		s.bytes -= int64(old.Packet.EncodedSize())
 	}
-	e := Entry{Packet: pkt, Dest: dest, size: int64(pkt.EncodedSize())}
-	s.entries[pkt.Key] = e
-	s.bytes += e.size
+	s.entries[pkt.Key] = Entry{Packet: pkt, Dest: dest}
+	s.bytes += int64(pkt.EncodedSize())
 	if s.bytes > s.peak {
 		s.peak = s.bytes
 	}
@@ -92,7 +89,7 @@ func (s *Store) Release(key proto.TaskKey) bool {
 	if !ok {
 		return false
 	}
-	s.bytes -= e.size
+	s.bytes -= int64(e.Packet.EncodedSize())
 	delete(s.entries, key)
 	return true
 }

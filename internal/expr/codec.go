@@ -4,18 +4,17 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // The wire codec serializes values into a compact binary form: a tag byte,
 // then integers as zigzag varints and lengths and counts as uvarints. The
 // simulated machine never actually moves bytes between address spaces —
 // values are immutable and shared — but every backend charges a value's
-// bytes as EncodedSize, which is exactly len(EncodeValue(v)), and the net
-// backend really ships it. A task packet is a function name plus argument
-// values (§2.1 "The packet contains all necessary information ... to
-// activate the child task"), and programs travel as source (lang.Format →
-// lang.Parse).
+// bytes as the length AppendValue writes for it (proto sizes a packet or a
+// result by encoding it), and the net backend really ships them. A task
+// packet is a function name plus argument values (§2.1 "The packet contains
+// all necessary information ... to activate the child task"), and programs
+// travel as source (lang.Format → lang.Parse).
 
 // Value tags.
 const (
@@ -56,26 +55,6 @@ func AppendValue(buf []byte, v Value) []byte {
 		panic(fmt.Sprintf("expr: cannot encode value %T", v))
 	}
 }
-
-// The size walker beside AppendValue: each EncodedSize is the length of what
-// AppendValue writes.
-
-func (v VInt) EncodedSize() int  { return 1 + uvarintLen(uint64(v)<<1^uint64(v>>63)) }
-func (v VBool) EncodedSize() int { return 1 + 1 }
-func (v VStr) EncodedSize() int  { return 1 + uvarintLen(uint64(len(v))) + len(v) }
-func (VUnit) EncodedSize() int   { return 1 }
-
-func (v VList) EncodedSize() int {
-	n, count := 0, 0
-	for c := v.Cell; c != nil; c = c.Tail.Cell {
-		n += c.Head.EncodedSize()
-		count++
-	}
-	return 1 + uvarintLen(uint64(count)) + n
-}
-
-// uvarintLen is the length of x as binary.AppendUvarint writes it.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // EncodeValue returns the wire form of v.
 func EncodeValue(v Value) []byte { return AppendValue(nil, v) }
@@ -146,14 +125,4 @@ func DecodeValues(buf []byte) ([]Value, []byte, error) {
 		out = append(out, v)
 	}
 	return out, rest, nil
-}
-
-// ValuesEncodedSize returns the wire size of a value slice without
-// materializing the encoding.
-func ValuesEncodedSize(vals []Value) int {
-	n := uvarintLen(uint64(len(vals)))
-	for _, v := range vals {
-		n += v.EncodedSize()
-	}
-	return n
 }

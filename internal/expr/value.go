@@ -8,15 +8,13 @@ import (
 
 // Value is a fully evaluated, immutable value of the applicative language.
 // Values are the payloads of result packets and the arguments captured in
-// task packets (functional checkpoints).
+// task packets (functional checkpoints). A value's size is the length
+// AppendValue writes for it (see codec.go); every backend charges message
+// and checkpoint storage costs by that length.
 type Value interface {
 	isValue()
 	// String renders the value for traces.
 	String() string
-	// EncodedSize is exactly the number of bytes AppendValue writes for the
-	// value (see codec.go); every backend charges message and checkpoint
-	// storage costs from it.
-	EncodedSize() int
 	// Equal reports deep structural equality; it is the comparison the
 	// §5.3 majority voter uses.
 	Equal(Value) bool

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/expr"
 	"repro/internal/stamp"
@@ -13,13 +12,13 @@ import (
 
 // Binary codec for task packets and results, and the only definition of
 // their size. The net backend ships these bytes; the simulator, the live
-// backend and the checkpoint store charge EncodedSize, which is exactly the
-// length of the encoding (a size walker beside each Append), so every
-// backend counts the bytes netnode writes. The round trip is also §2.1's
-// claim made executable: "the packet contains all necessary information,
-// either directly or indirectly accessible, to activate the child task" — a
-// packet survives it with nothing external, which is what storing it on a
-// peer processor (§2) requires.
+// backend and the checkpoint store charge EncodedSize, which is the length
+// the encoder writes into a stack array, so every backend counts the bytes
+// netnode writes. The round trip is also §2.1's claim made executable: "the
+// packet contains all necessary information, either directly or indirectly
+// accessible, to activate the child task" — a packet survives it with
+// nothing external, which is what storing it on a peer processor (§2)
+// requires.
 //
 // The form is compact. Lengths, counts, replicas and hole ids are uvarints;
 // processor ids are zigzag varints (values follow expr's codec); generations
@@ -80,12 +79,6 @@ func shared(a, b string) int {
 	return i - i%width
 }
 
-// uvarintLen is the length of x as binary.AppendUvarint writes it.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// varintLen is the length of x as binary.AppendVarint writes it.
-func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
-
 // appendPath writes the components of raw from byte offset o on: their
 // count, then each.
 func appendPath(buf []byte, raw string, o int) []byte {
@@ -96,21 +89,11 @@ func appendPath(buf []byte, raw string, o int) []byte {
 	return buf
 }
 
-func pathSize(raw string, o int) int {
-	n := uvarintLen(uint64((len(raw) - o) / width))
-	for ; o < len(raw); o += width {
-		n += uvarintLen(uint64(component(raw, o)))
-	}
-	return n
-}
-
 // appendKey writes a key absolutely: its stamp's path, then its replica.
 func appendKey(buf []byte, k TaskKey) []byte {
 	buf = appendPath(buf, k.Stamp.Key(), 0)
 	return binary.AppendUvarint(buf, uint64(k.Rep))
 }
-
-func keySize(k TaskKey) int { return pathSize(k.Stamp.Key(), 0) + uvarintLen(uint64(k.Rep)) }
 
 // appendRelKey writes a key relative to ref: how many of ref's trailing
 // components to drop, the path past what both share, then the replica.
@@ -120,12 +103,6 @@ func appendRelKey(buf []byte, k TaskKey, ref stamp.Stamp) []byte {
 	buf = binary.AppendUvarint(buf, uint64((len(rs)-c)/width))
 	buf = appendPath(buf, ks, c)
 	return binary.AppendUvarint(buf, uint64(k.Rep))
-}
-
-func relKeySize(k TaskKey, ref stamp.Stamp) int {
-	ks, rs := k.Stamp.Key(), ref.Key()
-	c := shared(ks, rs)
-	return uvarintLen(uint64((len(rs)-c)/width)) + pathSize(ks, c) + uvarintLen(uint64(k.Rep))
 }
 
 // appendChain writes an address chain: a count, then each address — its
@@ -138,15 +115,6 @@ func appendChain(buf []byte, chain []Addr, ref stamp.Stamp) []byte {
 		ref = a.Task.Stamp
 	}
 	return buf
-}
-
-func chainSize(chain []Addr, ref stamp.Stamp) int {
-	n := uvarintLen(uint64(len(chain)))
-	for _, a := range chain {
-		n += varintLen(int64(a.Proc)) + relKeySize(a.Task, ref)
-		ref = a.Task.Stamp
-	}
-	return n
 }
 
 func (p *TaskPacket) flags() byte {
@@ -188,30 +156,20 @@ func AppendPacket(buf []byte, p *TaskPacket) []byte {
 	return binary.AppendUvarint(buf, uint64(p.Replicas))
 }
 
-// EncodedSize is exactly len(EncodePacket(p)). Checkpoint storage and every
-// backend's message bytes are charged from it, once per hop and once per
-// retention, hence the memo. The memo is never dropped: a packet's size
-// depends only on fields fixed at construction (key, parent, hole, function,
-// arguments, ancestors, replicas), while what Respawn and the recovery
-// schemes rewrite afterwards — Gen, ParentGen and the twin/reissue flags —
-// has a fixed width. So a store subtracts at Release the size it added at
-// Retain, and a Clone may carry the memo over.
+// EncodedSize is len(EncodePacket(p)), encoded into a stack array. Checkpoint
+// storage and every backend's message bytes are charged from it, once per
+// hop and once per retention, hence the memo. The memo is never dropped: a
+// packet's size depends only on fields fixed at construction (key, parent,
+// hole, function, arguments, ancestors, replicas), while what Respawn and the
+// recovery schemes rewrite afterwards — Gen, ParentGen and the twin/reissue
+// flags — has a fixed width. So the checkpoint store refunds at Release the
+// size it charged at Retain, and a Clone may carry the memo over.
 func (p *TaskPacket) EncodedSize() int {
-	if p.encSize > 0 {
-		return p.encSize
+	if p.encSize == 0 {
+		var buf [256]byte // a packet that fits is sized without allocating
+		p.encSize = len(AppendPacket(buf[:0], p))
 	}
-	n := 1 + 8 + 8 // flags, generations
-	n += varintLen(int64(p.Parent.Proc)) + keySize(p.Parent.Task)
-	n += uvarintLen(uint64(p.HoleID))
-	if !holeChild(p.Key, p.Parent.Task, p.HoleID) {
-		n += relKeySize(p.Key, p.Parent.Task.Stamp)
-	}
-	n += uvarintLen(uint64(len(p.Fn))) + len(p.Fn)
-	n += expr.ValuesEncodedSize(p.Args)
-	n += chainSize(p.Ancestors, p.Parent.Task.Stamp)
-	n += uvarintLen(uint64(p.Replicas))
-	p.encSize = n
-	return n
+	return p.encSize
 }
 
 // DecodePacket inverts EncodePacket.
@@ -274,20 +232,10 @@ func AppendResult(buf []byte, r *Result) []byte {
 	return appendChain(buf, r.Remaining, ref)
 }
 
-// EncodedSize is exactly len(EncodeResult(r)).
+// EncodedSize is len(EncodeResult(r)), encoded into a stack array.
 func (r *Result) EncodedSize() int {
-	flags := r.flags()
-	n := 1 + keySize(r.ParentTask) + uvarintLen(uint64(r.HoleID))
-	if flags&flagHoleChild == 0 {
-		n += relKeySize(r.Child, r.ParentTask.Stamp)
-	}
-	n += r.Value.EncodedSize()
-	ref := r.Child.Stamp
-	if flags&flagDeadParent != 0 {
-		n += varintLen(int64(r.DeadParent.Proc)) + relKeySize(r.DeadParent.Task, ref)
-		ref = r.DeadParent.Task.Stamp
-	}
-	return n + chainSize(r.Remaining, ref)
+	var buf [256]byte
+	return len(AppendResult(buf[:0], r))
 }
 
 // DecodeResult inverts EncodeResult.
