@@ -28,18 +28,14 @@ func TestRetainSettleRelease(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if d, ok := s.Dest(p.Key); !ok || d != PendingDest {
-		t.Fatalf("Dest = %v,%v want pending", d, ok)
+	if e, ok := lookup(s, p.Key); !ok || e.Dest != PendingDest {
+		t.Fatalf("Dest = %v,%v want pending", e.Dest, ok)
 	}
 	if !s.Settle(p.Key, 3) {
 		t.Fatal("Settle failed")
 	}
-	if d, _ := s.Dest(p.Key); d != 3 {
-		t.Fatalf("Dest after settle = %d", d)
-	}
-	got, ok := s.Get(p.Key)
-	if !ok || got != p {
-		t.Fatal("Get did not return the retained packet")
+	if e, ok := lookup(s, p.Key); !ok || e.Dest != 3 || e.Packet != p {
+		t.Fatalf("after settle: %+v, %v", e, ok)
 	}
 	if !s.Release(p.Key) {
 		t.Fatal("Release failed")
@@ -198,9 +194,9 @@ func FuzzTopmostFor(f *testing.F) {
 		}
 		for dest := range proto.ProcID(3) {
 			all := s.For(dest)
-			var wantTop, wantShadowed []Entry
+			var wantTop, wantShadowed []*Slot
 			for _, e := range all {
-				if slices.ContainsFunc(all, func(a Entry) bool {
+				if slices.ContainsFunc(all, func(a *Slot) bool {
 					return a.Packet.Key.Stamp.IsAncestorOf(e.Packet.Parent.Task.Stamp)
 				}) {
 					wantShadowed = append(wantShadowed, e)
@@ -219,7 +215,7 @@ func FuzzTopmostFor(f *testing.F) {
 }
 
 // keys is the entries' keys, in order.
-func keys(es []Entry) []proto.TaskKey {
+func keys(es []*Slot) []proto.TaskKey {
 	out := make([]proto.TaskKey, len(es))
 	for i, e := range es {
 		out[i] = e.Packet.Key
@@ -273,11 +269,28 @@ func TestReplicasAreIndependentlyTopmost(t *testing.T) {
 
 // Keys returns all retained keys in preorder.
 func (s *Store) Keys() []proto.TaskKey {
-	out := make([]proto.TaskKey, 0, len(s.entries))
-	for k := range s.entries {
-		out = append(out, k)
+	var out []proto.TaskKey
+	for _, head := range s.heads {
+		for sl := head; sl != nil; sl = sl.next {
+			out = append(out, sl.Packet.Key)
+		}
 	}
 	slices.SortFunc(out, proto.TaskKey.Compare)
+	return out
+}
+
+// lookup is key's entry and whether it is held, walking the table.
+func lookup(s *Store, key proto.TaskKey) (Entry, bool) {
+	sl := s.find(key)
+	return sl.Entry, sl.Packet != nil
+}
+
+// entries is the slots' entries, in order.
+func entries(sls []*Slot) []Entry {
+	out := make([]Entry, len(sls))
+	for i, sl := range sls {
+		out[i] = sl.Entry
+	}
 	return out
 }
 
@@ -302,11 +315,12 @@ func TestKeysDeterministicOrder(t *testing.T) {
 
 // TestRetainAtIsRetainThenSettle drives two stores through one mixed
 // sequence — spawns, releases and replacements of a live key by a larger
-// reissued packet — one retaining each packet at its destination in one
-// step, the other retaining it pending and settling it after. Every
-// observable of the two must agree at every step.
+// reissued packet — one holding each packet in its slot at its destination
+// in one step, the other retaining it pending by key and settling it after.
+// Every observable of the two must agree at every step.
 func TestRetainAtIsRetainThenSettle(t *testing.T) {
 	at, two := NewStore(), NewStore()
+	slots := make([]Slot, 8)
 	rng := rand.New(rand.NewSource(1))
 	paths := [][]uint32{{1}, {2}, {1, 1}, {1, 2}, {2, 1}, {1, 1, 3}, {2, 1, 1}, {3}}
 	var keys []proto.TaskKey
@@ -316,7 +330,7 @@ func TestRetainAtIsRetainThenSettle(t *testing.T) {
 	for step := range 400 {
 		i := rng.Intn(len(paths))
 		if key := keys[i]; rng.Intn(4) == 0 {
-			if a, b := at.Release(key), two.Release(key); a != b {
+			if a, b := at.Drop(&slots[i]), two.Release(key); a != b {
 				t.Fatalf("step %d: Release(%v) = %v and %v", step, key, a, b)
 			}
 		} else {
@@ -325,7 +339,7 @@ func TestRetainAtIsRetainThenSettle(t *testing.T) {
 				p.Args = append(p.Args, expr.VInt(int64(step)))
 			}
 			dest := proto.ProcID(rng.Intn(3))
-			at.RetainAt(p, dest)
+			at.Hold(&slots[i], p, dest)
 			two.Retain(p)
 			two.Settle(p.Key, dest)
 		}
@@ -334,19 +348,94 @@ func TestRetainAtIsRetainThenSettle(t *testing.T) {
 				at.PeakBytes(), two.PeakBytes(), at.bytes, two.bytes, at.Len(), two.Len())
 		}
 		for _, key := range keys {
-			pa, oka := at.Get(key)
-			pb, okb := two.Get(key)
-			da, _ := at.Dest(key)
-			db, _ := two.Dest(key)
-			if pa != pb || oka != okb || da != db {
-				t.Fatalf("step %d: key %v reads (%p,%v,%d) and (%p,%v,%d)", step, key, pa, oka, da, pb, okb, db)
+			a, oka := lookup(at, key)
+			b, okb := lookup(two, key)
+			if a != b || oka != okb {
+				t.Fatalf("step %d: key %v reads (%p,%v,%d) and (%p,%v,%d)", step, key, a.Packet, oka, a.Dest, b.Packet, okb, b.Dest)
 			}
 		}
 		for dest := range proto.ProcID(3) {
 			ta, sa := at.TopmostFor(dest)
 			tb, sb := two.TopmostFor(dest)
-			if !slices.Equal(at.For(dest), two.For(dest)) || !slices.Equal(ta, tb) || !slices.Equal(sa, sb) {
+			if !slices.Equal(entries(at.For(dest)), entries(two.For(dest))) ||
+				!slices.Equal(entries(ta), entries(tb)) || !slices.Equal(entries(sa), entries(sb)) {
 				t.Fatalf("step %d: the recovery sets for %d differ", step, dest)
+			}
+		}
+	}
+}
+
+// TestListsMatchMapModel drives slots through 400 seeded holds, moves,
+// drops and replacements of a held slot by a larger reissued packet, and
+// keeps beside them the table as a map from key to entry. At every step the
+// store's count, bytes and peak, and every destination's For and
+// TopmostFor, equal the model's: For is the model's entries on that
+// destination in preorder, and TopmostFor partitions them by the rule's
+// brute-force statement (FuzzTopmostFor's).
+func TestListsMatchMapModel(t *testing.T) {
+	s := NewStore()
+	model := map[proto.TaskKey]Entry{}
+	var bytes, peak int64
+	rng := rand.New(rand.NewSource(2))
+	paths := [][]uint32{{1}, {2}, {1, 1}, {1, 2}, {2, 1}, {1, 1, 3}, {2, 1, 1}, {3}, {1, 1, 3, 0}}
+	slots := make([]Slot, len(paths))
+	dests := []proto.ProcID{PendingDest, 0, 1, 2}
+	for step := range 400 {
+		i := rng.Intn(len(paths))
+		sl, key := &slots[i], pkt(paths[i]...).Key
+		old, held := model[key]
+		dest := dests[rng.Intn(len(dests))]
+		switch op := rng.Intn(4); {
+		case op == 0:
+			if got := s.Drop(sl); got != held {
+				t.Fatalf("step %d: Drop = %v, model holds %v", step, got, held)
+			}
+			if held {
+				bytes -= int64(old.Packet.EncodedSize())
+				delete(model, key)
+			}
+		case op == 1 && held:
+			s.Move(sl, dest)
+			model[key] = Entry{Packet: old.Packet, Dest: dest}
+		default:
+			p := pkt(paths[i]...)
+			if held && rng.Intn(2) == 0 { // a replacement carries a larger packet
+				p.Args = append(p.Args, expr.VInt(int64(step)))
+			}
+			s.Hold(sl, p, dest)
+			if held {
+				bytes -= int64(old.Packet.EncodedSize())
+			}
+			model[key] = Entry{Packet: p, Dest: dest}
+			bytes += int64(p.EncodedSize())
+			peak = max(peak, bytes)
+		}
+		if s.Len() != len(model) || s.bytes != bytes || s.PeakBytes() != peak {
+			t.Fatalf("step %d: len %d, bytes %d, peak %d; model %d, %d, %d", step, s.Len(), s.bytes, s.PeakBytes(), len(model), bytes, peak)
+		}
+		for _, dest := range dests {
+			var want, wantTop, wantShadowed []Entry
+			for _, e := range model {
+				if e.Dest == dest {
+					want = append(want, e)
+				}
+			}
+			slices.SortFunc(want, func(a, b Entry) int { return a.Packet.Key.Compare(b.Packet.Key) })
+			for _, e := range want {
+				if slices.ContainsFunc(want, func(a Entry) bool {
+					return a.Packet.Key.Stamp.IsAncestorOf(e.Packet.Parent.Task.Stamp)
+				}) {
+					wantShadowed = append(wantShadowed, e)
+				} else {
+					wantTop = append(wantTop, e)
+				}
+			}
+			top, shadowed := s.TopmostFor(dest)
+			if got := entries(s.For(dest)); !slices.Equal(got, want) {
+				t.Fatalf("step %d: For(%d) = %v, model %v", step, dest, got, want)
+			}
+			if !slices.Equal(entries(top), wantTop) || !slices.Equal(entries(shadowed), wantShadowed) {
+				t.Fatalf("step %d: TopmostFor(%d) = %v / %v, model %v / %v", step, dest, keys(top), keys(shadowed), wantTop, wantShadowed)
 			}
 		}
 	}

@@ -132,6 +132,31 @@ func expectReleased(t *testing.T, m *Machine) {
 	}
 }
 
+// expectSlotsOwned fails unless every live processor's store holds exactly
+// the checkpoints under its resident, unaborted tasks' unfilled holes: each
+// checkpoint is released, or its owner dead.
+func expectSlotsOwned(t *testing.T, m *Machine) {
+	t.Helper()
+	for _, p := range append(append([]*proc(nil), m.procs...), m.host) {
+		held := 0
+		for _, tk := range p.tasks {
+			for _, h := range tk.holes {
+				if tk.state == taskAborted || h == nil || h.filled {
+					continue
+				}
+				for _, c := range h.children {
+					if c.Packet != nil {
+						held++
+					}
+				}
+			}
+		}
+		if n := p.store.Len(); !p.dead && n != held {
+			t.Errorf("processor %v holds %d checkpoints, %d of them under its open holes", p.id, n, held)
+		}
+	}
+}
+
 func TestFaultFreeAllProgramsAllTopologies(t *testing.T) {
 	cases := []struct {
 		name string

@@ -46,13 +46,15 @@ func stampValues(t *testing.T, log *trace.Log) map[string]string {
 // wrong value the program later discarded, or a twin that inherited a wrong
 // orphan result, fails here even when the answer matches. Each plan runs
 // under both evaluators against the default evaluator's fault-free run
-// (subtests of the other one are named for it).
+// (subtests of the other one are named for it), and ends with every
+// checkpoint released or its owner dead (expectSlotsOwned).
 func TestEveryStampHasOneValue(t *testing.T) {
 	prog, args := lang.Fib(), []expr.Value{expr.VInt(12)}
 	traced := func(eval string, scheme recovery.Scheme, plan *faults.Plan) (*Report, map[string]string) {
 		cfg := Config{Topo: mustTopo(t, "torus", 16), Scheme: scheme, Seed: 1, Eval: eval, Trace: trace.NewLog()}
-		rep := runMachine(t, cfg, prog, "fib", args, plan)
+		m, rep := runKept(t, cfg, prog, "fib", args, plan)
 		expectAnswer(t, rep, prog, "fib", args)
+		expectSlotsOwned(t, m)
 		return rep, stampValues(t, rep.Log)
 	}
 	_, oracle := traced(lang.DefaultEvaluator, recovery.Rollback(), nil)

@@ -129,12 +129,12 @@ func (p *proc) addChild(h *holeRec, key proto.TaskKey) *childRef {
 	cr := &h.first
 	if h.children == nil {
 		h.children = h.one[:0]
-		cr.key = key
+		cr.rep = key.Rep
 	} else {
 		if len(p.childSlab) == cap(p.childSlab) {
 			p.childSlab = make([]childRef, 0, recSlabChunk(cap(p.childSlab)))
 		}
-		p.childSlab = append(p.childSlab, childRef{key: key})
+		p.childSlab = append(p.childSlab, childRef{rep: key.Rep})
 		cr = &p.childSlab[len(p.childSlab)-1]
 	}
 	h.children = append(h.children, cr)
@@ -265,16 +265,6 @@ func (p *proc) ResidentTaskKeys() []proto.TaskKey {
 	return out
 }
 
-// TaskWaitingOnHole implements recovery.Ops.
-func (p *proc) TaskWaitingOnHole(key proto.TaskKey, holeID int) bool {
-	t, ok := p.tasks[key]
-	if !ok || t.state == taskAborted {
-		return false
-	}
-	h := t.holeAt(holeID)
-	return h != nil && !h.filled
-}
-
 // UnfilledHoles implements recovery.Ops.
 func (p *proc) UnfilledHoles(key proto.TaskKey) int {
 	t, ok := p.tasks[key]
@@ -390,7 +380,7 @@ func (p *proc) Respawn(pkt *proto.TaskPacket) {
 	pkt.Gen = p.fresh(&p.genSeq)
 	pkt.ParentGen = parent.pkt.Gen
 	cr.gen = pkt.Gen
-	cr.dest = checkpoint.PendingDest
+	p.store.Move(&cr.Slot, checkpoint.PendingDest)
 	cr.retries = 0
 	cr.returned = false
 	cr.vote = nil
@@ -401,7 +391,7 @@ func (p *proc) Respawn(pkt *proto.TaskPacket) {
 	}
 	p.sc.metrics.TasksSpawned++
 	if p.acked && !p.noCkpt {
-		p.store.Retain(pkt) // without acks route retains it at its destination
+		p.store.Hold(&cr.Slot, pkt, checkpoint.PendingDest) // without acks route holds it at its destination
 	}
 	p.route(parent, pkt, cr, nil)
 }
@@ -443,11 +433,11 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 			continue
 		}
 		for _, c := range h.children {
-			p.store.Release(c.key)
-			if c.dest >= 0 && !p.faulty[c.dest] {
+			p.store.Drop(&c.Slot)
+			if c.Dest >= 0 && !p.faulty[c.Dest] {
 				p.send(proto.Msg{
-					Type: proto.MsgAbort, To: c.dest,
-					AbortTask: c.key, AbortGen: c.gen, AbortScope: scope,
+					Type: proto.MsgAbort, To: c.Dest, AbortGen: c.gen, AbortScope: scope,
+					AbortTask: proto.TaskKey{Stamp: key.Stamp.Child(uint32(h.id)), Rep: c.rep},
 				})
 			}
 		}
@@ -491,25 +481,17 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 // processor placed was aborted remotely. If the hole is still unfilled and
 // the aborted incarnation is the one being tracked, the child is respawned
 // from the retained checkpoint — exactly the reissue path, so placement,
-// acks, and result tracking restart as usual.
+// acks, and result tracking restart as usual. Its checkpoint is settled on
+// the sender, or still pending.
 func (p *proc) onChildAbort(msg *proto.Msg) {
-	pkt, ok := p.store.Get(msg.AbortTask)
-	if !ok {
-		return // hole already filled (checkpoint released) or never ours
+	sl := p.store.Find(msg.From, msg.AbortTask)
+	if sl == nil {
+		sl = p.store.Find(checkpoint.PendingDest, msg.AbortTask)
 	}
-	parent, ok := p.tasks[pkt.Parent.Task]
-	if !ok || parent.state == taskAborted {
-		return
+	if sl == nil || sl.Packet.Gen != msg.AbortGen {
+		return // hole already filled, never ours, or a later incarnation is in flight
 	}
-	h := parent.holeAt(pkt.HoleID)
-	if h == nil || h.filled {
-		return
-	}
-	cr := h.child(msg.AbortTask)
-	if cr == nil || cr.gen != msg.AbortGen {
-		return // stale: a different incarnation is already in flight
-	}
-	fresh := pkt.Clone()
+	fresh := sl.Packet.Clone()
 	fresh.Reissue = true
 	fresh.Twin = false
 	if p.tracing() {
@@ -644,18 +626,37 @@ func (p *proc) announce(q proto.ProcID, told bool) {
 // task's twin, buffering until the twin's placement is acknowledged.
 func (p *proc) RelayToTwin(res *proto.Result) {
 	key := res.DeadParent.Task
-	dest, ok := p.store.Dest(key)
-	if !ok {
+	sl := p.Retained(res.ParentTask, key)
+	if sl == nil {
 		p.DropResult(res, false)
 		return
 	}
-	if dest == checkpoint.PendingDest || p.IsFaulty(dest) {
+	if sl.Dest == checkpoint.PendingDest || p.IsFaulty(sl.Dest) {
 		p.relayBuf[key] = append(p.relayBuf[key], res)
 		return
 	}
 	fwd := *res
 	fwd.ParentTask = key
-	p.send(proto.Msg{Type: proto.MsgResult, To: dest, Result: &fwd})
+	p.send(proto.Msg{Type: proto.MsgResult, To: sl.Dest, Result: &fwd})
+}
+
+// Retained implements recovery.Ops. Child's parent holds the checkpoint in
+// the hole that child's last stamp component names (§3.1). The parent is
+// the task a result names, unless the result was escalated past a dead
+// grandparent (§5.2): then it is a twin placed here, in child's lineage or
+// the original one.
+func (p *proc) Retained(parent, child proto.TaskKey) *checkpoint.Slot {
+	up, hole := child.Stamp.Parent(), child.Stamp.Component(child.Stamp.Level()-1)
+	for _, k := range [...]proto.TaskKey{parent, {Stamp: up, Rep: child.Rep}, {Stamp: up}} {
+		if t := p.tasks[k]; t != nil && t.state != taskAborted && k.Stamp == up {
+			if h := t.holeAt(int(hole)); h != nil {
+				if c := h.child(child); c != nil && c.Packet != nil {
+					return &c.Slot
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // --- task execution ---
@@ -853,14 +854,14 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 		}
 		pkt.Ancestors = t.chain
 		cr := p.addChild(h, pkt.Key)
-		cr.gen, cr.dest = pkt.Gen, checkpoint.PendingDest
+		cr.gen, cr.Dest = pkt.Gen, checkpoint.PendingDest
 		p.sc.metrics.TasksSpawned++
 		if p.tracing() {
 			p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("%s by %v", d.Fn, t.pkt.Key))
 		}
 		if !p.noCkpt {
 			if p.acked {
-				p.store.Retain(pkt)
+				p.store.Hold(&cr.Slot, pkt, checkpoint.PendingDest)
 			}
 			p.sc.metrics.Checkpoints++
 			if p.tracing() {
@@ -914,11 +915,10 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 		cr.ackTimer = p.k.After(p.replyTimeout(DefaultAckTimeout, dest), func() {
 			p.onAckTimeout(parent, pkt, cr)
 		})
+	} else if p.noCkpt {
+		cr.Dest = dest
 	} else {
-		cr.dest = dest
-		if !p.noCkpt {
-			p.store.RetainAt(pkt, dest)
-		}
+		p.store.Hold(&cr.Slot, pkt, dest)
 	}
 	if dest == p.id {
 		p.settle(pkt)
@@ -981,15 +981,15 @@ func (p *proc) onAckTimeout(parent *task, pkt *proto.TaskPacket, cr *childRef) {
 		return
 	}
 	h := parent.holeAt(pkt.HoleID)
-	if h == nil || h.filled || cr.dest != checkpoint.PendingDest {
+	if h == nil || h.filled || cr.Dest != checkpoint.PendingDest {
 		return
 	}
 	cr.retries++
 	if cr.retries > DefaultSpawnRetry {
 		fresh := pkt.Clone()
 		fresh.Key.Rep = proto.Rep(p.fresh(&p.repSeq))
-		p.store.Release(pkt.Key)
-		cr.key = fresh.Key
+		p.store.Drop(&cr.Slot)
+		cr.rep = fresh.Key.Rep
 		p.Log(trace.KReissue, fresh.Key, "placement retries exhausted: re-placed under a new lineage")
 		p.Respawn(fresh)
 		return
@@ -1092,20 +1092,16 @@ func (p *proc) onTaskAck(msg *proto.Msg) {
 	if h == nil {
 		return
 	}
-	for _, cr := range h.children {
-		if cr.key == msg.AckTask {
-			if cr.gen != msg.AckGen {
-				// A stale incarnation settled somewhere; our current spawn
-				// is still in flight. Ignore — determinacy means the stale
-				// copy's result would be just as good if it arrives first.
-				return
-			}
-			cr.ackTimer.Stop()
-			cr.dest = msg.PlacedOn
-			break
+	if cr := h.child(msg.AckTask); cr != nil {
+		if cr.gen != msg.AckGen {
+			// A stale incarnation settled somewhere; our current spawn is
+			// still in flight. Ignore — determinacy means the stale copy's
+			// result would be just as good if it arrives first.
+			return
 		}
+		cr.ackTimer.Stop()
+		p.store.Move(&cr.Slot, msg.PlacedOn)
 	}
-	p.store.Settle(msg.AckTask, msg.PlacedOn)
 	// Flush any orphan results buffered for a twin that just settled.
 	if buf, ok := p.relayBuf[msg.AckTask]; ok {
 		delete(p.relayBuf, msg.AckTask)
@@ -1129,12 +1125,11 @@ func (p *proc) onRefused(msg *proto.Msg) {
 		return
 	}
 	cr := h.child(msg.AckTask)
-	pkt, kept := p.store.Get(msg.AckTask)
-	if cr == nil || cr.gen != msg.AckGen || !kept {
+	if cr == nil || cr.gen != msg.AckGen || cr.Packet == nil {
 		return // a later incarnation is already placed, or nothing to resend
 	}
-	cr.dest = checkpoint.PendingDest // the packet is unplaced again
-	p.onAckTimeout(t, pkt, cr)
+	p.store.Move(&cr.Slot, checkpoint.PendingDest) // the packet is unplaced again
+	p.onAckTimeout(t, cr.Packet, cr)
 }
 
 // buildResult constructs the result record for a returning task.
@@ -1297,8 +1292,8 @@ func (p *proc) fillHole(t *task, h *holeRec, v expr.Value) {
 	h.fill(v)
 	for _, c := range h.children {
 		c.ackTimer.Stop()
-		if p.store.Release(c.key) && p.tracing() {
-			p.Log(trace.KCkptRelease, c.key, "")
+		if pkt := c.Packet; p.store.Drop(&c.Slot) && p.tracing() {
+			p.Log(trace.KCkptRelease, pkt.Key, "")
 		}
 	}
 	t.unfilled--

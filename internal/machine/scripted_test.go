@@ -76,8 +76,9 @@ func (s *scripted) tell(p, w *proc, victim proto.ProcID, at sim.Time) {
 // first-hand, and when. Rollback and incremental place directly without
 // acks, so the detector is their only loss signal. Every run reissues,
 // answers lang.RefEval's value, fills each (stamp, hole) only with the
-// fault-free run's value and fills all of them, detects every crash and
-// suspects nobody alive.
+// fault-free run's value and fills all of them, detects every crash,
+// suspects nobody alive and ends with every checkpoint released or its
+// owner dead.
 func TestRecoveryUnderScriptedDetection(t *testing.T) {
 	prog, args := lang.Fib(), []expr.Value{expr.VInt(12)}
 	run := func(t *testing.T, scheme recovery.Scheme, plan *faults.Plan, script int64) (*Report, map[string]string) {
@@ -93,6 +94,7 @@ func TestRecoveryUnderScriptedDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 		expectAnswer(t, rep, prog, "fib", args)
+		expectSlotsOwned(t, m)
 		return rep, stampValues(t, rep.Log)
 	}
 	_, oracle := run(t, recovery.Rollback(), nil, 0)

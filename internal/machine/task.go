@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"repro/internal/checkpoint"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/proto"
@@ -46,17 +47,18 @@ func (s taskState) String() string {
 
 // childRef tracks one spawned child (one replica of one demand).
 type childRef struct {
-	key proto.TaskKey
+	// Slot is the child's checkpoint while the parent holds it, and Dest
+	// where the child settled (checkpoint.PendingDest: Figure 6 states b/d).
+	checkpoint.Slot
+	// rep is the child's replica lineage; its stamp is the hole's (§3.1).
+	rep proto.Rep
 	// gen is the generation of the incarnation currently expected; stale
 	// placement acks (older generations) are ignored.
 	gen uint64
-	// dest is where the child settled; checkpoint.PendingDest while the
-	// placement ack is outstanding (Figure 6 states b/d).
-	dest proto.ProcID
 	// ackTimer fires if no placement ack arrives (state-b reissue).
 	ackTimer sim.Timer
 	// retries counts placement attempts.
-	retries int
+	retries int32
 	// returned marks that this replica's result has been received (vote
 	// bookkeeping; duplicates are ignored).
 	returned bool
@@ -83,10 +85,11 @@ func (h *holeRec) fill(v expr.Value) {
 	h.filled, h.fresh, h.value = true, true, v
 }
 
-// child returns the hole's record of the given child, or nil.
+// child returns the hole's record of the given child, or nil. The hole's
+// children share their stamp, so the lineage tells them apart.
 func (h *holeRec) child(key proto.TaskKey) *childRef {
 	for _, c := range h.children {
-		if c.key == key {
+		if c.rep == key.Rep {
 			return c
 		}
 	}

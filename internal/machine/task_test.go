@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/expr"
@@ -18,24 +19,31 @@ var raceEnabled bool
 // evaluator), built and run, divided by the 25 739 tasks it spawns. A task
 // keeps its packet, its checkpoint and its result; a per-pass or per-task
 // object that holds no state shows here first. The cell reads 10.2 objects
-// per task; under interp, whose residual is an expression tree of boxed
-// values, it reads 57.2. Only a run without -race counts the shipped code's
-// allocations.
+// and 1 062 B per task; under interp, whose residual is an expression tree
+// of boxed values, it reads 57.2 objects. Only a run without -race counts
+// the shipped code's allocations.
 func TestTaskAllocations(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("a count of the shipped code's allocations: runs a 25 739-task cell three times, without -race")
+		t.Skip("a count of the shipped code's allocations: runs a 25 739-task cell four times, without -race")
 	}
-	const budget = 11
+	const budget, byteBudget = 11, 1100
 	cfg := Config{Topo: mustTopo(t, "mesh", 64), Scheme: recovery.Rollback(), Seed: 1, Eval: "compiled"}
 	prog, args := lang.Binomial(), []expr.Value{expr.VInt(16), expr.VInt(8)}
 	var rep *Report
 	allocs := testing.AllocsPerRun(2, func() { rep = runMachine(t, cfg, prog, "binom", args, nil) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep = runMachine(t, cfg, prog, "binom", args, nil)
+	runtime.ReadMemStats(&after)
 	expectAnswer(t, rep, prog, "binom", args)
-	spawned := rep.Metrics.TasksSpawned
-	perTask := allocs / float64(spawned)
-	t.Logf("%.0f objects over %d spawned tasks: %.2f per task", allocs, spawned, perTask)
+	spawned := float64(rep.Metrics.TasksSpawned)
+	perTask, bytesPerTask := allocs/spawned, float64(after.TotalAlloc-before.TotalAlloc)/spawned
+	t.Logf("%.0f objects over %.0f spawned tasks: %.2f and %.0f B per task", allocs, spawned, perTask, bytesPerTask)
 	if perTask > budget {
 		t.Errorf("%.2f heap objects per spawned task, budget %d", perTask, budget)
+	}
+	if bytesPerTask > byteBudget {
+		t.Errorf("%.0f heap bytes per spawned task, budget %d", bytesPerTask, byteBudget)
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/checkpoint"
 	"repro/internal/proto"
 	"repro/internal/trace"
 )
@@ -87,7 +88,7 @@ func (IncrementalScheme) SalvagesOrphans() bool { return false }
 // processor now known faulty. Entries are snapshotted at detection time and
 // re-validated against live state at every drain.
 type incrWork struct {
-	key    proto.TaskKey
+	slot   *checkpoint.Slot
 	failed proto.ProcID
 }
 
@@ -118,7 +119,7 @@ func (p *incrementalPolicy) OnFailureDetected(failed proto.ProcID) {
 	p.suppress(shadowed, failed)
 	for _, e := range top {
 		p.ops.Log(trace.KDemandQueue, e.Packet.Key, fmt.Sprintf("queued: lost on %d", failed))
-		p.pending = append(p.pending, incrWork{key: e.Packet.Key, failed: failed})
+		p.pending = append(p.pending, incrWork{slot: e, failed: failed})
 	}
 	if len(p.pending) == 0 || p.draining {
 		return
@@ -132,16 +133,9 @@ func (p *incrementalPolicy) OnFailureDetected(failed proto.ProcID) {
 // parent waits on other children too, moot (-1, nil packet) when nothing
 // needs reissuing anymore.
 func (p *incrementalPolicy) classify(w incrWork) (int, *proto.TaskPacket) {
-	st := p.ops.Store()
-	pkt, ok := st.Get(w.key)
-	if !ok {
-		return -1, nil // released: the hole was filled some other way
-	}
-	if dest, settled := st.Dest(w.key); !settled || dest != w.failed {
-		return -1, nil // re-dispersed already by another protocol path
-	}
-	if !p.ops.TaskWaitingOnHole(pkt.Parent.Task, pkt.HoleID) {
-		return -1, nil // parent gone: an orphan subtree, nothing demands it
+	pkt := w.slot.Packet
+	if pkt == nil || w.slot.Dest != w.failed {
+		return -1, nil // released (the hole was filled some other way) or re-dispersed
 	}
 	if p.ops.UnfilledHoles(pkt.Parent.Task) == 1 {
 		return 0, pkt
@@ -172,7 +166,7 @@ func (p *incrementalPolicy) drain() {
 		if a.pri != b.pri {
 			return a.pri < b.pri
 		}
-		return a.w.key.Compare(b.w.key) < 0
+		return a.pkt.Key.Compare(b.pkt.Key) < 0
 	})
 	n := min(incrementalBudget, len(live))
 	for _, r := range live[:n] {
@@ -182,7 +176,7 @@ func (p *incrementalPolicy) drain() {
 		// instead, per reissue point at its drain tick: dependents of the
 		// reissue are regenerated by it, so their partial results are
 		// abandoned (§3.2), just later.
-		p.abortDependents(r.w.key.Stamp)
+		p.abortDependents(r.pkt.Key.Stamp)
 	}
 	p.pending = p.pending[:0]
 	for _, r := range live[n:] {

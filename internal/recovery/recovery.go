@@ -37,14 +37,14 @@ import (
 type Ops interface {
 	// Self is this processor's id.
 	Self() proto.ProcID
-	// Store is the processor's functional-checkpoint table (§3.2).
+	// Store is the processor's functional-checkpoint table (§3.2). Each
+	// checkpoint in it is held by a resident parent waiting on its hole.
 	Store() *checkpoint.Store
+	// Retained is the checkpoint of child its parent holds here, or nil.
+	Retained(parent, child proto.TaskKey) *checkpoint.Slot
 	// ResidentTaskKeys lists live resident tasks in deterministic
 	// (stamp-preorder) order.
 	ResidentTaskKeys() []proto.TaskKey
-	// TaskWaitingOnHole reports whether task is resident with the given
-	// demand slot still unfilled.
-	TaskWaitingOnHole(task proto.TaskKey, holeID int) bool
 	// Respawn re-injects a retained task packet: the packet is checkpointed
 	// again, re-placed by the load balancer, and its parent's hole record is
 	// re-armed. The packet must carry Reissue or Twin as appropriate.
@@ -230,7 +230,7 @@ func (p *rollbackPolicy) OnFailureDetected(failed proto.ProcID) {
 
 // suppress accounts for the shadowed checkpoints a topmost reissue
 // regenerates anyway (the B5 case).
-func (p *rollbackPolicy) suppress(shadowed []checkpoint.Entry, failed proto.ProcID) {
+func (p *rollbackPolicy) suppress(shadowed []*checkpoint.Slot, failed proto.ProcID) {
 	for _, e := range shadowed {
 		p.ops.Metrics().Suppressed++
 		p.ops.Log(trace.KSuppress, e.Packet.Key, fmt.Sprintf("shadowed on %d", failed))
@@ -302,17 +302,11 @@ type splicePolicy struct{ ops Ops }
 // OnFailureDetected implements the eager half of §4.1: "processor C may
 // start recouping the loss of B2 as soon as C realizes that node B is dead"
 // — every resident parent with an unfilled hole whose child settled on the
-// failed processor regenerates a twin of that child.
+// failed processor regenerates a twin of that child. A parent that already
+// has the value (case 3 never needs a twin) released the checkpoint.
 func (p *splicePolicy) OnFailureDetected(failed proto.ProcID) {
-	st := p.ops.Store()
-	for _, e := range st.For(failed) {
-		pkt := e.Packet
-		if !p.ops.TaskWaitingOnHole(pkt.Parent.Task, pkt.HoleID) {
-			// Parent already has the value (case 3 never needs a twin) or
-			// the parent is gone; nothing to recoup from here.
-			continue
-		}
-		twin := pkt.Clone()
+	for _, e := range p.ops.Store().For(failed) {
+		twin := e.Packet.Clone()
 		twin.Twin = true
 		twin.Reissue = false
 		p.ops.Log(trace.KTwin, twin.Key, fmt.Sprintf("step-parent for task lost on %d", failed))
@@ -340,8 +334,7 @@ func (p *splicePolicy) OnResultRejected(res *proto.Result) {
 // result to its step-parent."
 func (p *splicePolicy) OnGrandResult(res *proto.Result) {
 	deadKey := res.DeadParent.Task
-	st := p.ops.Store()
-	if _, ok := st.Get(deadKey); !ok {
+	if p.ops.Retained(res.ParentTask, deadKey) == nil {
 		// No retained checkpoint: the dead task's value already reached us
 		// (and the checkpoint was released) or the relay point itself has
 		// retired. Either way the orphan value is redundant.
@@ -354,7 +347,7 @@ func (p *splicePolicy) OnGrandResult(res *proto.Result) {
 	if !p.ops.IsFaulty(res.DeadParent.Proc) {
 		p.ops.DeclareFaulty(res.DeadParent.Proc)
 	}
-	if dest, ok := st.Dest(deadKey); ok && p.ops.IsFaulty(dest) {
+	if sl := p.ops.Retained(res.ParentTask, deadKey); sl != nil && p.ops.IsFaulty(sl.Dest) {
 		// Still settled on a dead processor and OnFailureDetected chose not
 		// to twin (parent hole already filled): the value is extinct.
 		p.ops.DropResult(res, false)

@@ -16,6 +16,7 @@ import (
 type mockOps struct {
 	self    proto.ProcID
 	store   *checkpoint.Store
+	slots   map[proto.TaskKey]*checkpoint.Slot // seed's, by child key
 	keys    []proto.TaskKey
 	waiting map[string]bool // "stamp/hole" → unfilled
 	faulty  map[proto.ProcID]bool
@@ -45,18 +46,22 @@ func newMockOps() *mockOps {
 	return &mockOps{
 		self:     0,
 		store:    checkpoint.NewStore(),
+		slots:    map[proto.TaskKey]*checkpoint.Slot{},
 		waiting:  map[string]bool{},
 		unfilled: map[proto.TaskKey]int{},
 		faulty:   map[proto.ProcID]bool{},
 	}
 }
 
-func (m *mockOps) Self() proto.ProcID                { return m.self }
-func (m *mockOps) Store() *checkpoint.Store          { return m.store }
-func (m *mockOps) ResidentTaskKeys() []proto.TaskKey { return m.keys }
-func (m *mockOps) TaskWaitingOnHole(k proto.TaskKey, h int) bool {
-	return m.waiting[fmt.Sprintf("%v/%d", k, h)]
+func (m *mockOps) Self() proto.ProcID       { return m.self }
+func (m *mockOps) Store() *checkpoint.Store { return m.store }
+func (m *mockOps) Retained(parent, child proto.TaskKey) *checkpoint.Slot {
+	if sl := m.slots[child]; sl != nil && sl.Packet != nil && sl.Packet.Parent.Task == parent {
+		return sl
+	}
+	return nil
 }
+func (m *mockOps) ResidentTaskKeys() []proto.TaskKey { return m.keys }
 func (m *mockOps) Respawn(pkt *proto.TaskPacket) {
 	m.respawned = append(m.respawned, pkt)
 	// Mirror the machine: the respawned packet is re-retained, which resets
@@ -120,8 +125,8 @@ func (m *mockOps) seed(child stamp.Stamp, parentStamp stamp.Stamp, hole int, des
 		Parent: proto.Addr{Proc: m.self, Task: proto.TaskKey{Stamp: parentStamp}},
 		HoleID: hole,
 	}
-	m.store.Retain(pkt)
-	m.store.Settle(pkt.Key, dest)
+	m.slots[pkt.Key] = new(checkpoint.Slot)
+	m.store.Hold(m.slots[pkt.Key], pkt, dest)
 	m.waiting[fmt.Sprintf("%v/%d", pkt.Parent.Task, hole)] = parentWaiting
 	return pkt
 }
@@ -256,9 +261,10 @@ func TestRollbackOrphanHandling(t *testing.T) {
 func TestSpliceTwinsDeadChildren(t *testing.T) {
 	ops := newMockOps()
 	p := Splice().New(ops)
-	// Parent waiting: twin expected. Parent already has the value: no twin.
+	// Parent waiting: twin expected. Parent already has the value, so its
+	// checkpoint is released: no twin.
 	waiting := ops.seed(stamp.FromPath(0, 1), stamp.FromPath(0), 1, 3, true)
-	ops.seed(stamp.FromPath(0, 2), stamp.FromPath(0), 2, 3, false)
+	ops.store.Release(ops.seed(stamp.FromPath(0, 2), stamp.FromPath(0), 2, 3, false).Key)
 	// Different destination: untouched.
 	ops.seed(stamp.FromPath(0, 3), stamp.FromPath(0), 3, 5, true)
 
@@ -349,6 +355,7 @@ func TestSpliceGrandResultExtinctValue(t *testing.T) {
 	ops.faulty[3] = true
 	res := &proto.Result{
 		Child:      proto.TaskKey{Stamp: stamp.FromPath(0, 1, 0)},
+		ParentTask: proto.TaskKey{Stamp: stamp.FromPath(0)},
 		DeadParent: proto.Addr{Proc: 3, Task: dead.Key},
 	}
 	p.OnGrandResult(res)

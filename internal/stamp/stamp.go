@@ -45,6 +45,9 @@ func (s Stamp) Child(i uint32) Stamp {
 	return Stamp{p: s.p + string(b[:])}
 }
 
+// Parent returns the stamp of the task's parent; the root's is the root.
+func (s Stamp) Parent() Stamp { return Stamp{p: s.p[:max(len(s.p)-width, 0)]} }
+
 // Level reports the depth of the task in the call tree; the root is level 0.
 func (s Stamp) Level() int { return len(s.p) / width }
 
