@@ -48,23 +48,28 @@ type Link interface {
 	Fail(task proto.TaskKey, err error)
 }
 
-// task is a resident task.
+// task is a resident task: one incarnation, linked to the next incarnation
+// of its stamp.
 type task struct {
 	pkt      *proto.TaskPacket
 	ep       lang.EvalProgram
 	residual lang.TaskState
 	nextID   int
-	fills    map[int]expr.Value
 	unfilled int
-	// children maps hole id → retained child packet + destination: the
-	// functional checkpoint (§2.1), everything recovery needs.
-	children map[int]*ckpt
+	// holes is indexed by demand id and grown once per pass to nextID: the
+	// retained child packets and their destinations are the functional
+	// checkpoint (§2.1), everything recovery needs.
+	holes []hole
+	next  *task
 }
 
-type ckpt struct {
+// hole is one demand's record. pkt is nil if the demand was never issued
+// here; value is a filled hole's answer until the next Resume consumes it.
+type hole struct {
 	pkt    *proto.TaskPacket
 	dest   proto.ProcID
 	filled bool
+	value  expr.Value
 }
 
 // local is a spawn or a result a node addressed to itself: exactly one of
@@ -86,15 +91,16 @@ const settleBudget = 1 << 12
 // handler drains before it returns: delivered later and in order, as the
 // interconnect would have, without being a message (settle has the one
 // exception). Tasks are keyed by stamp
-// (nothing here replicates, so a key's Rep is always zero), with a list per
-// stamp: after recovery several incarnations of one logical task (spawned by
-// different parent incarnations) can legitimately coexist, and determinacy
-// makes any result valid for all of them.
+// (nothing here replicates, so a key's Rep is always zero), each stamp the
+// head of a list of incarnations: after recovery several incarnations of one
+// logical task (spawned by different parent incarnations) can legitimately
+// coexist, and determinacy makes any result valid for all of them.
 type Node struct {
 	id      proto.ProcID
 	link    Link
 	program func(idx int) lang.EvalProgram
-	tasks   map[stamp.Stamp][]*task
+	tasks   map[stamp.Stamp]*task
+	fills   map[int]expr.Value // what the Resume in flight consumes
 	rng     *rand.Rand
 	live    []bool  // what this node has been told about its peers (§3)
 	inbox   []local // self-addressed, not yet delivered
@@ -116,7 +122,8 @@ func New(id proto.ProcID, procs int, seed int64, link Link, program func(idx int
 		id:      id,
 		link:    link,
 		program: program,
-		tasks:   map[stamp.Stamp][]*task{},
+		tasks:   map[stamp.Stamp]*task{},
+		fills:   map[int]expr.Value{},
 		rng:     rand.New(rand.NewSource(seed + int64(id)*7919)),
 		live:    make([]bool, procs),
 	}
@@ -139,18 +146,19 @@ func (n *Node) OnSpawn(pkt *proto.TaskPacket) {
 // killing either would wedge whichever lineage needed it, and determinacy
 // keeps coexistence harmless.
 func (n *Node) install(pkt *proto.TaskPacket) {
-	for _, old := range n.tasks[pkt.Key.Stamp] {
+	last := n.tasks[pkt.Key.Stamp]
+	for old := last; old != nil; old = old.next {
 		if old.pkt.Parent == pkt.Parent && old.pkt.HoleID == pkt.HoleID {
 			return
 		}
+		last = old
 	}
-	t := &task{
-		pkt:      pkt,
-		ep:       n.program(pkt.Prog),
-		fills:    map[int]expr.Value{},
-		children: map[int]*ckpt{},
+	t := &task{pkt: pkt, ep: n.program(pkt.Prog)}
+	if last == nil {
+		n.tasks[pkt.Key.Stamp] = t
+	} else {
+		last.next = t
 	}
-	n.tasks[pkt.Key.Stamp] = append(n.tasks[pkt.Key.Stamp], t)
 	out, st, err := t.ep.Flatten(pkt.Fn, pkt.Args, &t.nextID)
 	n.apply(t, out, st, err)
 }
@@ -172,6 +180,9 @@ func (n *Node) apply(t *task, out lang.Outcome, st lang.TaskState, err error) {
 		return
 	}
 	t.residual = st
+	if len(out.Demands) > 0 {
+		t.holes = append(t.holes, make([]hole, t.nextID-len(t.holes))...)
+	}
 	for _, d := range out.Demands {
 		child := &proto.TaskPacket{
 			Key:    proto.TaskKey{Stamp: t.pkt.Key.Stamp.Child(uint32(d.ID))},
@@ -185,7 +196,7 @@ func (n *Node) apply(t *task, out lang.Outcome, st lang.TaskState, err error) {
 		// resend the retained pointer while receivers still hold it.
 		child.EncodedSize()
 		dest := n.pickDest()
-		t.children[d.ID] = &ckpt{pkt: child, dest: dest}
+		t.holes[d.ID] = hole{pkt: child, dest: dest}
 		t.unfilled++
 		n.spawn(dest, child, false)
 	}
@@ -255,17 +266,21 @@ func (n *Node) finish(t *task, v expr.Value) {
 	}
 }
 
-// retire removes one incarnation from the resident tasks.
+// retire unlinks one incarnation from the resident tasks.
 func (n *Node) retire(t *task) {
 	key := t.pkt.Key.Stamp
-	list := n.tasks[key]
-	if i := slices.Index(list, t); i >= 0 {
-		list = slices.Delete(list, i, i+1)
-	}
-	if len(list) == 0 {
+	switch head := n.tasks[key]; {
+	case head != t:
+		for p := head; p != nil; p = p.next {
+			if p.next == t {
+				p.next = t.next
+				break
+			}
+		}
+	case t.next == nil:
 		delete(n.tasks, key)
-	} else {
-		n.tasks[key] = list
+	default:
+		n.tasks[key] = t.next
 	}
 }
 
@@ -277,30 +292,38 @@ func (n *Node) OnResult(r *proto.Result) {
 
 // fill fills the matching hole of every incarnation of the addressee task —
 // results are determinate, so one child's answer serves them all — and
-// resumes whichever incarnations become complete.
+// resumes whichever incarnations become complete. A hole id the table does
+// not hold (a decoded frame can name any) is a hole never issued here.
 func (n *Node) fill(r *proto.Result) {
-	list := n.tasks[r.ParentTask.Stamp]
-	if len(list) == 0 {
+	t := n.tasks[r.ParentTask.Stamp]
+	if t == nil {
 		n.Metrics.LateResults++ // late/orphan result: ignored (§4.2 rule of thumb)
 		return
 	}
 	consumed := false
-	// finish() mutates the list; iterate over a snapshot.
-	for _, t := range append([]*task(nil), list...) {
-		ck := t.children[r.HoleID]
-		if ck == nil || ck.filled {
+	// A resume retires at most its own incarnation: next is read before it.
+	var next *task
+	for ; t != nil; t = next {
+		next = t.next
+		if r.HoleID < 0 || r.HoleID >= len(t.holes) {
+			continue
+		}
+		h := &t.holes[r.HoleID]
+		if h.pkt == nil || h.filled {
 			continue
 		}
 		consumed = true
-		ck.filled = true
-		t.fills[r.HoleID] = r.Value
-		t.unfilled--
-		if t.unfilled > 0 {
+		h.filled, h.value = true, r.Value
+		if t.unfilled--; t.unfilled > 0 {
 			continue
 		}
-		fills := t.fills
-		t.fills = map[int]expr.Value{}
-		out, st, err := t.ep.Resume(t.residual, fills, &t.nextID)
+		for id := range t.holes {
+			if h := &t.holes[id]; h.value != nil {
+				n.fills[id], h.value = h.value, nil
+			}
+		}
+		out, st, err := t.ep.Resume(t.residual, n.fills, &t.nextID)
+		clear(n.fills)
 		n.apply(t, out, st, err)
 	}
 	if !consumed {
@@ -315,21 +338,21 @@ func (n *Node) fill(r *proto.Result) {
 // lost work stays lost.
 func (n *Node) OnNodeDown(dead proto.ProcID) {
 	n.live[dead] = false
-	var lost []*ckpt
-	for _, list := range n.tasks {
-		for _, t := range list {
-			for _, ck := range t.children {
-				if !ck.filled && ck.dest == dead {
-					lost = append(lost, ck)
+	var lost []*hole
+	for _, head := range n.tasks {
+		for t := head; t != nil; t = t.next {
+			for id := range t.holes {
+				if h := &t.holes[id]; h.pkt != nil && !h.filled && h.dest == dead {
+					lost = append(lost, h)
 				}
 			}
 		}
 	}
 	// Incarnations of one task retain identical packets: a tie is no choice.
-	slices.SortFunc(lost, func(a, b *ckpt) int { return a.pkt.Key.Compare(b.pkt.Key) })
-	for _, ck := range lost {
-		ck.dest = n.pickDest()
-		n.spawn(ck.dest, ck.pkt, true)
+	slices.SortFunc(lost, func(a, b *hole) int { return a.pkt.Key.Compare(b.pkt.Key) })
+	for _, h := range lost {
+		h.dest = n.pickDest()
+		n.spawn(h.dest, h.pkt, true)
 	}
 	n.settle()
 }

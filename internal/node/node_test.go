@@ -2,6 +2,8 @@ package node
 
 import (
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -105,6 +107,16 @@ func fibPacket(n int64, parent proto.ProcID, path ...uint32) *proto.TaskPacket {
 	}
 }
 
+// incarnations returns the resident incarnations of the task at s, oldest
+// first.
+func (n *Node) incarnations(s stamp.Stamp) []*task {
+	var out []*task
+	for t := n.tasks[s]; t != nil; t = t.next {
+		out = append(out, t)
+	}
+	return out
+}
+
 func resultFor(child *proto.TaskPacket, v int64) *proto.Result {
 	return &proto.Result{Child: child.Key, ParentTask: child.Parent.Task, HoleID: child.HoleID, Value: expr.VInt(v)}
 }
@@ -126,7 +138,7 @@ func TestDuplicateSpawnAndIncarnations(t *testing.T) {
 	if twin := w.take(); len(twin) != 2 {
 		t.Fatalf("different-parent incarnation sent %+v, want its own two spawns", twin)
 	}
-	if got := len(n.tasks[first[0].pkt.Parent.Task.Stamp]); got != 2 {
+	if got := len(n.incarnations(first[0].pkt.Parent.Task.Stamp)); got != 2 {
 		t.Fatalf("%d incarnations resident, want 2", got)
 	}
 
@@ -180,6 +192,37 @@ func TestLateAndDuplicateResultsDrain(t *testing.T) {
 	}
 }
 
+// TestBadHoleIDDrains: a result can name any hole id — a decoded frame
+// carries whatever it was sent with — and one that names no issued, unfilled
+// hole of its addressee drains like a duplicate: nothing is sent, and the
+// task keeps waiting for the answer it is owed.
+func TestBadHoleIDDrains(t *testing.T) {
+	n, w := fibNode(t, 4, 1)
+	n.OnSpawn(fibPacket(4, proto.HostID, 0))
+	kids := w.take()
+	n.OnResult(resultFor(kids[0].pkt, 2))
+	parent := kids[0].pkt.Parent.Task.Stamp
+	holes := len(n.incarnations(parent)[0].holes)
+	for i, id := range []int{-1, holes, math.MaxInt, kids[0].pkt.HoleID} {
+		res := resultFor(kids[1].pkt, 1)
+		res.HoleID = id
+		n.OnResult(res)
+		if drained := n.Metrics.DupResults + n.Metrics.LateResults; drained != int64(i+1) {
+			t.Fatalf("hole %d: %d results drained, want %d", id, drained, i+1)
+		}
+		if sent := w.take(); len(sent) != 0 {
+			t.Fatalf("hole %d: sent %+v", id, sent)
+		}
+		if inc := n.incarnations(parent); len(inc) != 1 || inc[0].unfilled != 1 {
+			t.Fatalf("hole %d: the task is no longer waiting on its one open hole", id)
+		}
+	}
+	n.OnResult(resultFor(kids[1].pkt, 1))
+	if done := w.take(); len(done) != 1 || done[0].res == nil || !done[0].res.Value.Equal(expr.VInt(3)) {
+		t.Fatalf("fib(4) completion sent %+v, want the result 3", done)
+	}
+}
+
 // TestNodeDownReissuesExactlyTheLostChildren: a death reissues the unfilled
 // children placed on the dead processor and nothing else. What placement
 // draws for this node is reissued in place — counted, not sent — and runs
@@ -222,7 +265,7 @@ func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 	// is still out, so its parent stays half-filled and silent.
 	var answered *proto.TaskPacket
 	for _, p := range byDest[dead] {
-		if parent := n.tasks[p.Parent.Task.Stamp]; len(parent) == 1 && parent[0].unfilled == 2 {
+		if parent := n.incarnations(p.Parent.Task.Stamp); len(parent) == 1 && parent[0].unfilled == 2 {
 			answered = p
 			break
 		}
@@ -373,6 +416,67 @@ func TestLongRunInPlaceYields(t *testing.T) {
 	if drained := n.Metrics.DupResults + n.Metrics.LateResults; n.Metrics.TasksInPlace+mailed != tasks-1 || drained != 0 || len(n.tasks) != 0 {
 		t.Fatalf("%d packets in place + %d mailed, want %d in all; %d drained, %d tasks left",
 			n.Metrics.TasksInPlace, mailed, tasks-1, drained, len(n.tasks))
+	}
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// TestNodeTaskAllocations bounds what a resident task costs the heap: one
+// node whose only peer is dead runs compiled fib(17) in place — the 5 167
+// tasks of TestLongRunInPlaceYields — through the recording transport, and
+// the run's objects and bytes are divided by its tasks. A task keeps its
+// packet, its hole table and its result; a per-task or per-pass object that
+// holds no state shows here first. The run reads 9.5 objects and 828 B per
+// task (15.5 and 1 140 B while a task kept a map of fills and a map of
+// children). Only a run without -race counts the shipped code's allocations.
+func TestNodeTaskAllocations(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("a count of the shipped code's allocations: runs a 5 167-task request four times, without -race")
+	}
+	const tasks, budget, byteBudget = 5167, 10, 900
+	ev, err := lang.EvaluatorByName("compiled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := ev.Compile(lang.Fib())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answer expr.Value
+	run := func() {
+		w, _ := newWire(t, 0, Spec{Procs: 2})
+		n := New(0, 2, 1, w, func(int) lang.EvalProgram { return ep })
+		n.OnNodeDown(1)
+		n.OnSpawn(fibPacket(17, proto.HostID, 0))
+		for log := w.take(); len(log) > 0; log = w.take() {
+			for _, m := range log {
+				switch {
+				case m.to == proto.HostID:
+					answer = m.res.Value
+				case m.pkt != nil:
+					n.OnSpawn(m.pkt)
+				default:
+					n.OnResult(m.res)
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(2, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	if answer == nil || !answer.Equal(expr.VInt(1597)) {
+		t.Fatalf("fib(17) = %v, want 1597", answer)
+	}
+	perTask, bytesPerTask := allocs/tasks, float64(after.TotalAlloc-before.TotalAlloc)/tasks
+	t.Logf("%.0f objects over %d tasks: %.2f and %.0f B per task", allocs, tasks, perTask, bytesPerTask)
+	if perTask > budget {
+		t.Errorf("%.2f heap objects per task, budget %d", perTask, budget)
+	}
+	if bytesPerTask > byteBudget {
+		t.Errorf("%.0f heap bytes per task, budget %d", bytesPerTask, byteBudget)
 	}
 }
 
