@@ -15,12 +15,13 @@ func TestFaultFreeLiveRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Shutdown()
 	r, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(14)})
 	if err != nil {
+		c.Shutdown()
 		t.Fatal(err)
 	}
 	v, err := r.Wait(30*time.Second, nil)
+	c.Shutdown() // what the nodes sent is folded into the totals here
 	if err != nil {
 		t.Fatal(err)
 	}

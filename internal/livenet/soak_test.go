@@ -33,8 +33,8 @@ func TestLiveKillSoak(t *testing.T) {
 		}
 		v, err := r.Wait(10*time.Second, nil)
 		if err != nil {
-			got, _ := c.Root().Metrics()
 			c.Shutdown()
+			got, _ := c.Root().Metrics()
 			t.Fatalf("iter %d hung: %v (%q)", iter, err, got.Rows())
 		}
 		if !v.Equal(expr.VInt(610)) {

@@ -479,12 +479,13 @@ func TestNoDeadlockUnderMutualFlood(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer requireAllDead(t, c.Pids())
-	defer c.Shutdown()
 	r, err := c.Root().Submit(prog, "main", args)
 	if err != nil {
+		c.Shutdown()
 		t.Fatal(err)
 	}
 	v, err := r.Wait(60*time.Second, nil)
+	c.Shutdown() // the routers' tallies are folded in as they end
 	if err != nil {
 		t.Fatalf("flood did not complete: %v (%+v)", err, totals(c))
 	}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
+	"repro/internal/trace"
 )
 
 // sendq is one child's outbox: an unbounded batch of encoded frames, in the
@@ -88,22 +89,23 @@ type child struct {
 	conn  net.Conn
 	r     *bufio.Reader // the one reader of conn, from the hello on
 	alive atomic.Bool
-	out   *sendq // outbound bytes, drained by a dedicated writer goroutine
+	out   *sendq        // outbound bytes, drained by a dedicated writer goroutine
+	sent  trace.Metrics // what its frames charged, tallied by its router
 }
 
 // Cluster is a process-per-node machine: N child processes dialed into the
 // parent's socket, the parent routing frames between them and hosting the
 // super-root.
 //
-// The router charges the super-root for the protocol frames (spawn, result,
-// node-down) it carries, in real frame wire sizes — program broadcasts and
-// supervision traffic (hello, stats, shutdown) are not interconnect load,
-// matching the resident-code model of the other backends — and attributes
-// reissues from FlagReissue frames, so the attribution survives a later
-// SIGKILL of the reissuing node. What a node counted on its own it reports in
-// stats frames, each ahead of the next frame it sends: whatever causally
-// precedes a frame the router has seen is counted, and a SIGKILLed node
-// loses only what it never flushed.
+// The hub charges the protocol frames (spawn, result, node-down) it carries,
+// in real frame wire sizes — program broadcasts and supervision traffic
+// (hello, stats, shutdown) are not interconnect load, matching the
+// resident-code model of the other backends — and attributes reissues from
+// FlagReissue frames, in a tally per child that its router folds in when it
+// ends, so the counts survive the child's SIGKILL. What a node counted on its
+// own it reports in stats frames, each ahead of the next frame it sends:
+// whatever causally precedes a frame the router has seen is counted, and a
+// SIGKILLed node loses only what it never flushed.
 type Cluster struct {
 	root *node.Root
 	spec node.Spec
@@ -264,7 +266,7 @@ func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
 		flags = proto.FlagReissue
 	}
 	wire := hostFrame(proto.FrameSpawn, flags, to, appendSpawn(nil, pkt))
-	c.root.CountSpawn(proto.HostID, len(wire), reissue)
+	c.root.CountSpawn(len(wire), reissue)
 	if !c.push(c.children[to], wire) {
 		c.root.CountBlackholed()
 	}
@@ -294,6 +296,7 @@ func (c *Cluster) route(ch *child) {
 	defer c.routers.Done()
 	for c.relay(ch) == nil {
 	}
+	c.root.Fold(proto.ProcID(ch.id), &ch.sent)
 	// SIGKILL, crash, garbage, or shutdown: the connection is the failure
 	// detector. During Close the EOF is the expected goodbye.
 	if !c.closing.Load() {
@@ -350,7 +353,7 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 		}
 		c.root.Fold(proto.ProcID(ch.id), &m)
 	case proto.FrameResult:
-		c.root.CountResult(len(wire))
+		node.CountSent(&ch.sent, false, false, len(wire))
 		if f.To != proto.HostID {
 			c.forward(f.To, wire)
 		} else if res, err := proto.DecodeResult(payload); err != nil {
@@ -361,7 +364,7 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 			c.root.Fail(proto.ProcID(ch.id), res.Child, evalError(res.Value))
 		}
 	case proto.FrameSpawn:
-		c.root.CountSpawn(proto.ProcID(ch.id), len(wire), f.Flags&proto.FlagReissue != 0)
+		node.CountSent(&ch.sent, true, f.Flags&proto.FlagReissue != 0, len(wire))
 		c.forward(f.To, wire)
 	default:
 		// A child never originates other frame types; drop quietly

@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -198,7 +199,8 @@ func TestEvalErrorKillsNoNodeProcess(t *testing.T) {
 	}
 	pids := c.Pids()
 	defer requireAllDead(t, pids)
-	defer c.Shutdown()
+	shutdown := sync.OnceFunc(c.Shutdown)
+	defer shutdown()
 	bad, err := c.Root().Submit(prog, "main", []expr.Value{expr.VInt(1)})
 	if err != nil {
 		t.Fatal(err)
@@ -218,6 +220,7 @@ func TestEvalErrorKillsNoNodeProcess(t *testing.T) {
 			t.Errorf("node %d (pid %d) died of an evaluation error", i, pid)
 		}
 	}
+	shutdown() // the routers' tallies are folded in as they end
 	if got := totals(c); got.Reissued != 0 {
 		t.Errorf("%d reissues: a node was taken for dead", got.Reissued)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/proto"
+	"repro/internal/trace"
 )
 
 // Local delivery is observationally the wire. A node that draws itself as a
@@ -89,7 +90,7 @@ func (m *mesh) LoadProgram(_ int, prog *lang.Program) error {
 
 // Spawn implements Fabric.
 func (m *mesh) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	m.root.CountSpawn(proto.HostID, pkt.EncodedSize(), reissue)
+	m.root.CountSpawn(pkt.EncodedSize(), reissue)
 	m.cross(proto.HostID, parcel{to: to, pkt: pkt}, reissue)
 }
 
@@ -145,7 +146,9 @@ func (l meshLink) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
 	} else {
 		m.cross(l.p, parcel{to: to, pkt: pkt}, reissue)
 	}
-	m.root.CountSpawn(l.p, pkt.EncodedSize(), reissue)
+	var d trace.Metrics
+	CountSent(&d, true, reissue, pkt.EncodedSize())
+	m.root.Fold(l.p, &d)
 }
 
 func (l meshLink) Result(to proto.ProcID, res *proto.Result) {
@@ -155,7 +158,9 @@ func (l meshLink) Result(to proto.ProcID, res *proto.Result) {
 	} else {
 		m.cross(l.p, parcel{to: to, res: res}, false)
 	}
-	m.root.CountResult(res.EncodedSize())
+	var d trace.Metrics
+	CountSent(&d, false, false, res.EncodedSize())
+	m.root.Fold(l.p, &d)
 	if to == proto.HostID {
 		m.root.Deliver(res)
 	}

@@ -6,7 +6,7 @@
 // packets can regenerate them on any processor after a crash, and
 // determinacy (§2.1) makes the regenerated run converge to the same answer
 // — so a backend supplies only a transport: internal/livenet moves the
-// messages over channels between goroutines, internal/netnode over sockets
+// messages through mailboxes between goroutines, internal/netnode over sockets
 // between OS processes, and everything they do with a message is here.
 //
 // The recovery style is rollback in its simplest form: every parent reissues
@@ -192,9 +192,6 @@ func (n *Node) apply(t *task, out lang.Outcome, st lang.TaskState, err error) {
 			HoleID: d.ID,
 			Prog:   t.pkt.Prog,
 		}
-		// Seal the memoized wire size before the packet is shared: reissues
-		// resend the retained pointer while receivers still hold it.
-		child.EncodedSize()
 		dest := n.pickDest()
 		t.holes[d.ID] = hole{pkt: child, dest: dest}
 		t.unfilled++

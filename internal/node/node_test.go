@@ -11,6 +11,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/proto"
 	"repro/internal/stamp"
+	"repro/internal/trace"
 )
 
 // These tests drive the protocol with no goroutines and no sockets: a
@@ -39,12 +40,20 @@ type wire struct {
 }
 
 func (w *wire) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	w.r.CountSpawn(w.from, pkt.EncodedSize(), reissue)
+	if w.from == proto.HostID {
+		w.r.CountSpawn(pkt.EncodedSize(), reissue)
+	} else {
+		var d trace.Metrics
+		CountSent(&d, true, reissue, pkt.EncodedSize())
+		w.r.Fold(w.from, &d)
+	}
 	w.log = append(w.log, sent{to: to, pkt: pkt, reissue: reissue})
 }
 
 func (w *wire) Result(to proto.ProcID, res *proto.Result) {
-	w.r.CountResult(res.EncodedSize())
+	var d trace.Metrics
+	CountSent(&d, false, false, res.EncodedSize())
+	w.r.Fold(w.from, &d)
 	w.log = append(w.log, sent{to: to, res: res})
 }
 

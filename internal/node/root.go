@@ -83,10 +83,10 @@ type Root struct {
 	recover bool
 
 	// cmu guards the stream totals. The transport charges each message as it
-	// carries it, at the wire size its interconnect really moves, so the
-	// counts survive the death of the sender; what only a node sees it folds
-	// in from the node's own Metrics. byNode attributes reissues to the node
-	// that made them; the super-root's belong to no node.
+	// carries it, at the wire size its interconnect really moves, in a tally
+	// that survives the death of the sender; it folds that in, and what only
+	// a node sees from the node's own Metrics. byNode attributes reissues to
+	// the node that made them; the super-root's belong to no node.
 	cmu     sync.Mutex
 	metrics trace.Metrics
 	byNode  []int64
@@ -298,27 +298,27 @@ func (r *Root) count(f func(m *trace.Metrics)) {
 	r.cmu.Unlock()
 }
 
-// CountSpawn charges one task-packet message sent by processor from
-// (proto.HostID for the super-root). A reissue is a spawn too — tasks.spawned
-// counts every task packet, like the simulator's — and is attributed to the
-// reissuing node.
-func (r *Root) CountSpawn(from proto.ProcID, wire int, reissue bool) {
-	r.count(func(m *trace.Metrics) {
+// CountSent charges a message of wire bytes to m: a task packet if spawn (a
+// reissue is a spawn too, as tasks.spawned is on the simulator), else a result.
+// A transport keeps such a tally per node and Folds it in, crediting reissues.
+func CountSent(m *trace.Metrics, spawn, reissue bool, wire int) {
+	m.BytesOnWire += int64(wire)
+	switch {
+	case !spawn:
+		m.MsgResult++
+	case reissue:
+		m.Reissues++
+		fallthrough
+	default:
 		m.MsgTask++
 		m.TasksSpawned++
-		m.BytesOnWire += int64(wire)
-		if reissue {
-			m.Reissues++
-			if from >= 0 {
-				r.byNode[from]++
-			}
-		}
-	})
+	}
 }
 
-// CountResult charges one result message.
-func (r *Root) CountResult(wire int) {
-	r.count(func(m *trace.Metrics) { m.MsgResult++; m.BytesOnWire += int64(wire) })
+// CountSpawn charges one task-packet message the super-root sent; its
+// reissues belong to no node.
+func (r *Root) CountSpawn(wire int, reissue bool) {
+	r.count(func(m *trace.Metrics) { CountSent(m, true, reissue, wire) })
 }
 
 // CountNodeDown charges one death announcement.
@@ -337,7 +337,9 @@ func (r *Root) Fold(from proto.ProcID, d *trace.Metrics) {
 }
 
 // Metrics reads the stream totals and how many retained child packets each
-// node re-sent as a parent after peer deaths.
+// node re-sent as a parent after peer deaths. They are complete only after the
+// machine's Shutdown: until then what a node sent, placed in place or drained
+// may still sit in a tally of its own.
 func (r *Root) Metrics() (m trace.Metrics, byNode []int64) {
 	r.count(func(t *trace.Metrics) { m, byNode = *t, slices.Clone(r.byNode) })
 	return m, byNode
