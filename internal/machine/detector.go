@@ -77,8 +77,9 @@ type heartbeats struct {
 // beater is one processor's share of the schedule: its watch over the
 // streams into it, its own streams out, and its tick chain.
 type beater struct {
-	h *heartbeats
-	p *proc
+	h  *heartbeats
+	p  *proc
+	sc *shardCtx // p's shard, where its ticks run
 	// in[i] is the stream to this watcher from its neighbour i (p.neighbors,
 	// empty when the service is off); adoptedIn[i] is adopted[i]'s, a
 	// processor it watches across dead ones (heal).
@@ -213,7 +214,7 @@ func newHeartbeats(m *Machine) *heartbeats {
 	h := &heartbeats{m: m, every: every, limit: every * DefaultHeartbeatMisses, epochs: epochs{0}, at: make([]beater, m.n)}
 	for i, p := range m.procs {
 		b := &h.at[i]
-		b.h, b.p = h, p
+		b.h, b.p, b.sc = h, p, m.shardOf(p)
 		b.tickFn, b.armFn = b.tick, b.arm
 		if every <= 0 {
 			continue
@@ -305,11 +306,11 @@ func (b *beater) tick() {
 	if p.dead {
 		return
 	}
-	for _, q := range b.silentAt(p.k.Now()) {
+	for _, q := range b.silentAt(b.sc.Now()) {
 		p.declareFaulty(q, false)
 	}
 	b.nextBeat += b.h.every
-	b.timer = p.k.At(b.nextBeat, b.tickFn)
+	b.timer = b.sc.At(b.nextBeat, b.tickFn)
 }
 
 // silentAt returns the processors watched whose streams have been silent
@@ -350,7 +351,7 @@ func (b *beater) arm() {
 	}
 	b.nextBeat = b.dueBeat()
 	b.ticking = true
-	b.timer = b.p.k.At(b.nextBeat, b.tickFn)
+	b.timer = b.sc.At(b.nextBeat, b.tickFn)
 }
 
 // dueBeat is when the processor's first beat not yet sent is due: the next
@@ -366,13 +367,13 @@ func (b *beater) dueBeat() sim.Time {
 	}
 	p, every := b.p, b.h.every
 	first := beatPhase(p.id, every) + every
-	now := p.k.Now()
+	now := b.sc.Now()
 	t := first
 	if from := max(now, b.h.m.kern.Covered()); from > first {
 		t += (from - first + every - 1) / every * every
 	}
 	if t == now {
-		cur := p.k.CurrentKey()
+		cur := b.sc.CurrentKey()
 		var ticked bool
 		if t == first {
 			ticked = cur.Src != sim.DriverSrc || cur.Seq >= b.h.m.session.startSeq
@@ -397,7 +398,7 @@ func (b *beater) dueBeat() sim.Time {
 func (b *beater) silence(i int, due sim.Time) {
 	if b.beats[i].stop(due) {
 		q := &b.h.at[b.beatTo[i]]
-		b.p.k.Wake(int32(q.p.idx), q.armFn)
+		b.sc.Wake(int32(q.p.idx), q.armFn)
 	}
 }
 
@@ -433,11 +434,11 @@ func (b *beater) heal() {
 				continue
 			}
 			l := new(beatLink)
-			h.link(l, r, p.id, p.k.Now()+1)
+			h.link(l, r, p.id, b.sc.Now()+1)
 			b.adopted = append(b.adopted, r)
 			b.adoptedIn = append(b.adoptedIn, l)
 			o, watcher := &h.at[r], p.id
-			p.k.Wake(int32(o.p.idx), func() {
+			b.sc.Wake(int32(o.p.idx), func() {
 				if o.p.dead {
 					l.stop(l.start)
 					return
@@ -450,6 +451,6 @@ func (b *beater) heal() {
 		next = beyond
 	}
 	if adopted && !b.ticking {
-		p.k.Wake(int32(p.idx), b.armFn)
+		b.sc.Wake(int32(p.idx), b.armFn)
 	}
 }

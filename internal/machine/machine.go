@@ -90,11 +90,12 @@ type params struct {
 }
 
 // shardCtx is the state one shard's handlers may touch freely during a
-// lockstep window. Nothing here is shared between shards until the
-// coordinator merges it (metrics by commutative addition, traces and
-// detections by dispatch order).
+// lockstep window, and the env of its processors. Nothing here is shared
+// between shards until the coordinator merges it (metrics by commutative
+// addition, traces and detections by dispatch order).
 type shardCtx struct {
-	k       *sim.Kernel
+	*sim.Kernel
+	m       *Machine
 	metrics trace.Metrics
 
 	// msgFree recycles delivered protocol messages: a Msg is alive only
@@ -132,7 +133,7 @@ type dispatchPos struct {
 }
 
 // pos is the dispatch position of the event shard sc is running.
-func (sc *shardCtx) pos() dispatchPos { return dispatchPos{sc.seg, sc.k.CurrentKey()} }
+func (sc *shardCtx) pos() dispatchPos { return dispatchPos{sc.seg, sc.CurrentKey()} }
 
 // before reports whether a dispatches before b.
 func (a dispatchPos) before(b dispatchPos) bool {
@@ -202,15 +203,7 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 		return nil, fmt.Errorf("machine: unknown evaluator %q (known: %s)",
 			norm.Eval, strings.Join(lang.Evaluators(), ", "))
 	}
-	m := &Machine{
-		params: &params{
-			n: norm.Topo.Size(), acked: norm.acked(), placement: norm.Placement,
-			depth: norm.AncestorDepth, noCkpt: norm.DisableCheckpoints, retryLimit: norm.ResultRetryLimit,
-			replication: norm.Replication, dist: topology.Dists(norm.Topo),
-		},
-		cfg:  norm,
-		eval: ev,
-	}
+	m := &Machine{params: newParams(norm), cfg: norm, eval: ev}
 	if prog != nil {
 		if _, err := m.progIndex(prog); err != nil {
 			return nil, err
@@ -236,17 +229,28 @@ func New(cfg Config, prog *lang.Program) (*Machine, error) {
 	m.kern = sim.NewSharded(norm.Seed, nshards, homes, horizon)
 	m.shards = make([]*shardCtx, nshards)
 	for i := range m.shards {
-		sc := &shardCtx{k: m.kern.Shard(i), tlog: norm.Trace, single: nshards == 1}
+		sc := &shardCtx{Kernel: m.kern.Shard(i), m: m, tlog: norm.Trace, single: nshards == 1}
 		m.shards[i] = sc
-		sc.k.SetSink(func(v any) { m.deliverOn(sc, v) })
+		sc.SetSink(func(v any) { m.deliverOn(sc, v) })
 	}
 	m.procs = make([]*proc, m.n)
 	for i := range m.procs {
-		m.procs[i] = newProc(proto.ProcID(i), m, i, homes[i])
+		sc := m.shards[homes[i]]
+		m.procs[i] = newProc(proto.ProcID(i), i, m.params, &m.cfg, sc, &sc.metrics)
 	}
-	m.host = newProc(proto.HostID, m, m.n, homes[m.n])
+	sc := m.shards[homes[m.n]]
+	m.host = newProc(proto.HostID, m.n, m.params, &m.cfg, sc, &sc.metrics)
 	m.det = newHeartbeats(m)
 	return m, nil
+}
+
+// newParams is what the protocol reads of a normalized configuration.
+func newParams(c Config) *params {
+	return &params{
+		n: c.Topo.Size(), acked: c.acked(), placement: c.Placement,
+		depth: c.AncestorDepth, noCkpt: c.DisableCheckpoints, retryLimit: c.ResultRetryLimit,
+		replication: c.Replication, dist: topology.Dists(c.Topo),
+	}
 }
 
 // mixSeed derives processor idx's RNG seed from the machine seed with a
@@ -283,6 +287,48 @@ func (sc *shardCtx) putMsg(pm *proto.Msg) {
 	*pm = proto.Msg{}
 	sc.msgFree = append(sc.msgFree, pm)
 }
+
+// transmit is the simulator's wire: a message's count, bytes and hops
+// advance together (hops.wire >= TotalMessages), but a local (From == To)
+// delivery costs one tick and no wire. The message rides a pooled envelope
+// until delivery; AtMsgTo routes it to the destination's shard, sound
+// because remote latency is at least the lookahead horizon.
+func (sc *shardCtx) transmit(msg proto.Msg) {
+	if msg.To == msg.From {
+		sc.AfterMsg(1, sc.getMsg(msg))
+		return
+	}
+	hops := sc.m.hops(msg.From, msg.To)
+	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
+	sc.metrics.HopsOnWire += int64(hops)
+	countMsg(&sc.metrics, msg.Type)
+	sc.AtMsgTo(sc.Now()+flightTime(hops), sc.m.ownerOf(msg.To), sc.getMsg(msg))
+}
+
+// log adds ev to the event log: directly under a single shard, otherwise
+// buffered with its dispatch position for the merge at Finish.
+func (sc *shardCtx) log(ev trace.Event) {
+	if sc.single {
+		sc.tlog.Add(ev)
+		return
+	}
+	sc.traceBuf = append(sc.traceBuf, keyedEvent{sc.pos(), ev})
+}
+
+// suspected records p's detection of q for the latency merge and tells the detector.
+func (sc *shardCtx) suspected(p *proc, q proto.ProcID) {
+	sc.detects = append(sc.detects, detection{sc.pos(), q, sc.Now()})
+	sc.m.det.suspected(p, q)
+}
+
+func (sc *shardCtx) tracing() bool                            { return sc.tlog != nil }
+func (sc *shardCtx) died(p *proc)                             { sc.m.det.died(p) }
+func (sc *shardCtx) program(i int) lang.EvalProgram           { return sc.m.evals[i] }
+func (sc *shardCtx) rootDone(key proto.TaskKey, v expr.Value) { sc.m.session.rootDone(key, v) }
+func (sc *shardCtx) failed(key proto.TaskKey, err error)      { sc.m.session.failed(key, err) }
+
+// shardOf is p's shard: its env, and where machine-side code schedules p's events.
+func (m *Machine) shardOf(p *proc) *shardCtx { return m.shards[m.kern.HomeOf(int32(p.idx))] }
 
 // deliverOn is shard sc's payload sink: every message scheduled onto the
 // shard lands here and is handed to its destination, unless that is dead
@@ -533,9 +579,10 @@ func (m *Machine) inject(f faults.Fault) {
 		if p.dead {
 			return
 		}
-		p.sc.metrics.Failures++
-		p.failedAt = p.k.Now()
-		p.failPos = p.sc.pos()
+		sc := m.shardOf(p)
+		sc.metrics.Failures++
+		p.failedAt = sc.Now()
+		p.failPos = sc.pos()
 		p.Log(trace.KFail, nil, f.Kind.String())
 		p.die(f.Kind == faults.CrashAnnounced)
 	}

@@ -17,8 +17,25 @@ import (
 	"repro/internal/trace"
 )
 
+// env is everything a processor touches outside itself. A processor holds
+// no kernel, shard or machine: the simulator's shard (shardCtx) is its env in
+// production, and a FIFO world with no machine is one in tests.
+type env interface {
+	Now() sim.Time
+	After(d sim.Time, fn func()) sim.Timer
+	transmit(msg proto.Msg) // msg, From set, onto the wire; lost if To is dead on arrival
+	tracing() bool          // whether log keeps events
+	log(ev trace.Event)
+	suspected(p *proc, q proto.ProcID) // p now believes q failed
+	died(p *proc)
+	program(i int) lang.EvalProgram // what packets tagged Prog = i run
+	rootDone(key proto.TaskKey, v expr.Value)
+	failed(key proto.TaskKey, err error)
+}
+
 // proc is one processor of the machine (or the host pseudo-processor).
-// It is single-threaded: all methods run inside kernel events.
+// It is single-threaded: all methods run inside events of its env, one
+// at a time.
 //
 // The per-neighbor and per-peer bookkeeping (faulty, nbGrad) is
 // ProcID-indexed slices rather than maps: processor ids are dense small
@@ -28,14 +45,12 @@ import (
 type proc struct {
 	*params
 	id     proto.ProcID
-	m      *Machine
 	isHost bool
 
-	// Shard pinning: every event this processor owns dispatches on shard
-	// sc, through kernel k. idx is the kernel owner index (id, or n for the
-	// host).
-	k   *sim.Kernel
-	sc  *shardCtx
+	// env is the processor's world and mt the counters it bumps (its
+	// shard's). idx is its owner index (id, or n for the host).
+	env env
+	mt  *trace.Metrics
 	idx int
 
 	// rng is the processor's private randomness stream: per-processor
@@ -156,26 +171,25 @@ func (p *proc) holeFor(t *task, id int) *holeRec {
 }
 
 // newProc builds processor id, or the host when id is proto.HostID, as
-// kernel owner idx pinned to the shard home. Its determinism streams (the
-// RNG here, the generation and replica counters of fresh) are private to
-// it rather than per-kernel, so their consumption order — and hence every
-// value drawn — is independent of which processors share a shard.
-func newProc(id proto.ProcID, m *Machine, idx int, home int32) *proc {
-	sc := m.shards[home]
+// owner idx of env, with the machine's parameters and configuration. Its
+// determinism streams (the RNG here, the generation and replica counters of
+// fresh) are private to it rather than per-kernel, so their consumption
+// order — and hence every value drawn — is independent of which processors
+// share a shard.
+func newProc(id proto.ProcID, idx int, pr *params, cfg *Config, e env, mt *trace.Metrics) *proc {
 	p := &proc{
-		params:       m.params,
+		params:       pr,
 		id:           id,
-		m:            m,
 		isHost:       id == proto.HostID,
-		k:            sc.k,
-		sc:           sc,
+		env:          e,
+		mt:           mt,
 		idx:          idx,
-		rng:          cachedRand(mixSeed(m.cfg.Seed, idx)),
+		rng:          cachedRand(mixSeed(cfg.Seed, idx)),
 		failedAt:     -1,
 		tasks:        make(map[proto.TaskKey]*task),
 		store:        checkpoint.NewStore(),
-		faulty:       make([]bool, m.n),
-		nbGrad:       make([]int, m.n),
+		faulty:       make([]bool, pr.n),
+		nbGrad:       make([]int, pr.n),
 		relayBuf:     make(map[proto.TaskKey][]*proto.Result),
 		fills:        make(map[int]expr.Value),
 		lastSentGrad: -1,
@@ -186,13 +200,13 @@ func newProc(id proto.ProcID, m *Machine, idx int, home int32) *proc {
 	if p.isHost {
 		p.neighbors = []proto.ProcID{0}
 	} else {
-		for _, nb := range m.cfg.Topo.Neighbors(topology.NodeID(id)) {
+		for _, nb := range cfg.Topo.Neighbors(topology.NodeID(id)) {
 			p.neighbors = append(p.neighbors, proto.ProcID(nb))
 		}
 	}
 	p.gossipFn = p.gossipTick
 	p.finishFn = p.finishPass
-	p.policy = m.cfg.Scheme.New(p)
+	p.policy = cfg.Scheme.New(p)
 	return p
 }
 
@@ -274,15 +288,15 @@ func (p *proc) UnfilledHoles(key proto.TaskKey) int {
 	return t.unfilled
 }
 
-// Defer implements recovery.Ops: fn runs on this processor's own shard
-// kernel after delay ticks, which keeps paced recovery decisions on the
-// owning shard. A processor that dies before the timer fires does nothing —
+// Defer implements recovery.Ops: fn runs on this processor's own clock
+// after delay ticks, which keeps paced recovery decisions on the owning
+// shard. A processor that dies before the timer fires does nothing —
 // its checkpoints are somebody else's problem by then.
 func (p *proc) Defer(delay int64, fn func()) {
 	if delay < 1 {
 		delay = 1
 	}
-	p.k.After(sim.Time(delay), func() {
+	p.env.After(sim.Time(delay), func() {
 		if p.dead {
 			return
 		}
@@ -290,71 +304,40 @@ func (p *proc) Defer(delay int64, fn func()) {
 	})
 }
 
-// Metrics implements recovery.Ops. The counters are the owning shard's;
-// they merge commutatively at Finish.
-func (p *proc) Metrics() *trace.Metrics { return &p.sc.metrics }
+// Metrics implements recovery.Ops.
+func (p *proc) Metrics() *trace.Metrics { return p.mt }
 
 // Log implements recovery.Ops and is the one way anything writes the event
-// log: an event attributed to this processor, at the current tick of its
-// shard. Under a single shard the event goes straight to the log; otherwise
-// it is buffered with its dispatch position and merged at Finish.
+// log: an event attributed to this processor, at the current tick.
 func (p *proc) Log(kind trace.Kind, task fmt.Stringer, note string) {
-	sc := p.sc
-	if sc.tlog == nil {
+	if !p.env.tracing() {
 		return
 	}
-	ev := trace.Event{Time: int64(sc.k.Now()), Proc: int32(p.id), Kind: kind, Note: note}
+	ev := trace.Event{Time: int64(p.env.Now()), Proc: int32(p.id), Kind: kind, Note: note}
 	if task != nil {
 		ev.Task = task.String()
 	}
-	if sc.single {
-		sc.tlog.Add(ev)
-		return
-	}
-	sc.traceBuf = append(sc.traceBuf, keyedEvent{sc.pos(), ev})
+	p.env.log(ev)
 }
 
-// tracing reports whether an event log is attached; hot paths use it to
-// skip building log arguments.
-func (p *proc) tracing() bool { return p.sc.tlog != nil }
-
-// send transmits a message from this processor. A message is what send (or,
-// for a beat, the schedule the detector counts) puts on the wire, so its
-// count, bytes and hops advance together (hops.wire >= TotalMessages
-// always). A dead processor transmits nothing (§1; the announced crash's
-// "dying gasp" is sent by die before the flag is set), and a local
-// (From == To) delivery costs one tick and no wire, so neither counts. The
-// message is taken by value: it is copied into a pooled envelope that lives
-// exactly until delivery, so the call sites' composite literals stay on the
-// stack. Everything happens on this processor's shard except the final
-// enqueue, which AtMsgTo routes to the destination's shard through the
-// outbox when they differ — sound because remote latency is at least the
-// lookahead horizon.
+// send transmits a message from this processor, unless it is dead (§1; the
+// announced crash's "dying gasp" is sent by die before the flag is set).
 func (p *proc) send(msg proto.Msg) {
 	if p.dead {
 		return
 	}
 	msg.From = p.id
-	sc := p.sc
-	if msg.To == p.id {
-		sc.k.AfterMsg(1, sc.getMsg(msg))
-		return
-	}
-	hops := p.hops(p.id, msg.To)
-	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
-	sc.metrics.HopsOnWire += int64(hops)
-	countMsg(&sc.metrics, msg.Type)
-	sc.k.AtMsgTo(sc.k.Now()+flightTime(hops), p.ownerOf(msg.To), sc.getMsg(msg))
+	p.env.transmit(msg)
 }
 
 // DropResult implements recovery.Ops.
 func (p *proc) DropResult(res *proto.Result, stranded bool) {
 	if stranded {
-		p.sc.metrics.Stranded++
+		p.mt.Stranded++
 		p.Log(trace.KStrand, res.Child, "no live ancestor")
 		return
 	}
-	p.sc.metrics.LateResults++
+	p.mt.LateResults++
 	p.Log(trace.KLateResult, res.Child, "discarded")
 }
 
@@ -385,11 +368,11 @@ func (p *proc) Respawn(pkt *proto.TaskPacket) {
 	cr.returned = false
 	cr.vote = nil
 	if pkt.Twin {
-		p.sc.metrics.Twins++
+		p.mt.Twins++
 	} else if pkt.Reissue {
-		p.sc.metrics.Reissues++
+		p.mt.Reissues++
 	}
-	p.sc.metrics.TasksSpawned++
+	p.mt.TasksSpawned++
 	if p.acked && !p.noCkpt {
 		p.store.Hold(&cr.Slot, pkt, checkpoint.PendingDest) // without acks route holds it at its destination
 	}
@@ -423,8 +406,8 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 	t.cancelTimers()
 	t.state = taskAborted
 	delete(p.tasks, key)
-	p.sc.metrics.TasksAborted++
-	p.sc.metrics.StepsWasted += t.stepsSpent
+	p.mt.TasksAborted++
+	p.mt.StepsWasted += t.stepsSpent
 	p.Log(trace.KAbort, key, reason)
 	// Holes are stored dense by demand id, so index order is ascending id
 	// order — the order the sort.Ints pass used to establish.
@@ -494,7 +477,7 @@ func (p *proc) onChildAbort(msg *proto.Msg) {
 	fresh := sl.Packet.Clone()
 	fresh.Reissue = true
 	fresh.Twin = false
-	if p.tracing() {
+	if p.env.tracing() {
 		p.Log(trace.KReissue, fresh.Key, fmt.Sprintf("child aborted on %d", msg.From))
 	}
 	p.Respawn(fresh)
@@ -522,7 +505,7 @@ func (p *proc) EscalateResult(res *proto.Result) {
 			t.resultTimer.Stop()
 			resCopy := fwd
 			ancProc := anc.Proc
-			t.resultTimer = p.k.After(p.replyTimeout(DefaultResultTimeout, ancProc), func() {
+			t.resultTimer = p.env.After(p.replyTimeout(DefaultResultTimeout, ancProc), func() {
 				p.onGrandTimeout(res.Child, ancProc, &resCopy)
 			})
 		}
@@ -534,8 +517,8 @@ func (p *proc) EscalateResult(res *proto.Result) {
 		t.cancelTimers()
 		t.state = taskAborted
 		delete(p.tasks, res.Child)
-		p.sc.metrics.TasksAborted++
-		p.sc.metrics.StepsWasted += t.stepsSpent
+		p.mt.TasksAborted++
+		p.mt.StepsWasted += t.stepsSpent
 	}
 }
 
@@ -566,10 +549,9 @@ func (p *proc) declareFaulty(q proto.ProcID, told bool) {
 	}
 	p.faulty[q] = true
 	p.faultyN++
-	p.m.det.suspected(p, q)
-	p.sc.metrics.Detections++
-	p.sc.detects = append(p.sc.detects, detection{p.sc.pos(), q, p.k.Now()})
-	if p.tracing() {
+	p.mt.Detections++
+	p.env.suspected(p, q)
+	if p.env.tracing() {
 		p.Log(trace.KDetect, nil, fmt.Sprintf("processor %d failed", q))
 	}
 	p.announce(q, told)
@@ -696,14 +678,14 @@ func (p *proc) maybeRun() {
 func (p *proc) runPass(t *task) {
 	t.state = taskRunning
 	p.busy = true
-	if p.tracing() {
+	if p.env.tracing() {
 		p.Log(trace.KStart, t.pkt.Key, t.pkt.Fn)
 	}
 
 	var out lang.Outcome
 	var st lang.TaskState
 	var err error
-	ep := p.m.evals[t.pkt.Prog]
+	ep := p.env.program(t.pkt.Prog)
 	if t.residual == nil {
 		out, st, err = ep.Flatten(t.pkt.Fn, t.pkt.Args, &t.nextID)
 	} else {
@@ -736,7 +718,7 @@ func (p *proc) runPass(t *task) {
 	// once per processor: a reduction pass is the machine's most frequent
 	// event. busy holds until finishPass, so the slot cannot be overwritten.
 	p.passTask, p.passOut, p.passSt = t, out, st
-	p.k.After(sim.Time(cost), p.finishFn)
+	p.env.After(sim.Time(cost), p.finishFn)
 }
 
 // fail retires a task whose pass hit an evaluation error and frees the
@@ -764,7 +746,7 @@ func (p *proc) finishPass() {
 		return // died or aborted mid-pass; outcome discarded
 	}
 	t.stepsSpent += int64(out.Steps)
-	p.sc.metrics.StepsExecuted += int64(out.Steps)
+	p.mt.StepsExecuted += int64(out.Steps)
 	p.stepsDone += int64(out.Steps)
 	if out.Done {
 		v := out.Value
@@ -773,12 +755,12 @@ func (p *proc) finishPass() {
 		}
 		t.value = v
 		t.state = taskReturning
-		p.sc.metrics.TasksCompleted++
-		if p.tracing() {
+		p.mt.TasksCompleted++
+		if p.env.tracing() {
 			p.Log(trace.KComplete, t.pkt.Key, v.String())
 		}
 		if t.isHostRoot {
-			p.m.session.rootDone(t.pkt.Key, v)
+			p.env.rootDone(t.pkt.Key, v)
 			return
 		}
 		p.sendResult(t)
@@ -789,7 +771,7 @@ func (p *proc) finishPass() {
 	for _, d := range out.Demands {
 		p.spawnDemand(t, d)
 	}
-	if p.tracing() {
+	if p.env.tracing() {
 		p.Log(trace.KBlock, t.pkt.Key, fmt.Sprintf("%d outstanding", t.unfilled))
 	}
 	if t.unfilled == 0 {
@@ -797,6 +779,18 @@ func (p *proc) finishPass() {
 		t.state = taskReady
 		p.enqueue(t)
 	}
+}
+
+// installRoot makes the host pseudo-task key for fn(args) of program prog and
+// demands the root application: the super-root retains its packet (§4.3.1).
+func (p *proc) installRoot(key proto.TaskKey, prog int, fn string, args []expr.Value) {
+	t := newTask(&proto.TaskPacket{Key: key, Fn: fn, Parent: proto.Addr{Proc: noProc}, Prog: prog})
+	t.isHostRoot = true
+	t.state = taskWaiting
+	t.residual = p.env.program(prog).RootState(0)
+	t.nextID = 1
+	p.tasks[key] = t
+	p.spawnDemand(t, lang.Demand{ID: 0, Fn: fn, Args: args})
 }
 
 // spawnDemand creates the child task(s) for one demand: DEMAND_IT of §4.2 —
@@ -808,8 +802,8 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 		// The answer is already there (§4.1 case 4/5): consume the
 		// inherited result; do not spawn.
 		p.holeFor(t, d.ID).fill(v)
-		p.sc.metrics.Prefills++
-		if p.tracing() {
+		p.mt.Prefills++
+		if p.env.tracing() {
 			p.Log(trace.KPrefill, t.pkt.Key, fmt.Sprintf("hole %d inherited", d.ID))
 		}
 		return
@@ -855,16 +849,16 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 		pkt.Ancestors = t.chain
 		cr := p.addChild(h, pkt.Key)
 		cr.gen, cr.Dest = pkt.Gen, checkpoint.PendingDest
-		p.sc.metrics.TasksSpawned++
-		if p.tracing() {
+		p.mt.TasksSpawned++
+		if p.env.tracing() {
 			p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("%s by %v", d.Fn, t.pkt.Key))
 		}
 		if !p.noCkpt {
 			if p.acked {
 				p.store.Hold(&cr.Slot, pkt, checkpoint.PendingDest)
 			}
-			p.sc.metrics.Checkpoints++
-			if p.tracing() {
+			p.mt.Checkpoints++
+			if p.env.tracing() {
 				p.Log(trace.KCheckpoint, pkt.Key, "")
 			}
 		}
@@ -912,7 +906,7 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 	dest, hops := p.firstHop(pkt, cr, avoid)
 	if p.acked {
 		cr.ackTimer.Stop()
-		cr.ackTimer = p.k.After(p.replyTimeout(DefaultAckTimeout, dest), func() {
+		cr.ackTimer = p.env.After(p.replyTimeout(DefaultAckTimeout, dest), func() {
 			p.onAckTimeout(parent, pkt, cr)
 		})
 	} else if p.noCkpt {
@@ -994,7 +988,7 @@ func (p *proc) onAckTimeout(parent *task, pkt *proto.TaskPacket, cr *childRef) {
 		p.Respawn(fresh)
 		return
 	}
-	if p.tracing() {
+	if p.env.tracing() {
 		p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("placement retry %d", cr.retries))
 	}
 	p.route(parent, pkt, cr, nil)
@@ -1037,7 +1031,7 @@ func (p *proc) settle(pkt *proto.TaskPacket) {
 	t := newTask(pkt)
 	p.tasks[pkt.Key] = t
 	p.enqueue(t)
-	if p.tracing() {
+	if p.env.tracing() {
 		note := ""
 		if pkt.Twin {
 			note = "twin"
@@ -1166,7 +1160,7 @@ func (p *proc) sendResult(t *task) {
 		return
 	}
 	t.resultTimer.Stop()
-	t.resultTimer = p.k.After(p.replyTimeout(DefaultResultTimeout, dest), func() { p.onResultTimeout(t) })
+	t.resultTimer = p.env.After(p.replyTimeout(DefaultResultTimeout, dest), func() { p.onResultTimeout(t) })
 }
 
 // onResultTimeout: the parent never acknowledged. Retry a bounded number of
@@ -1201,12 +1195,12 @@ func (p *proc) onResultTimeout(t *task) {
 func (p *proc) onResultMsg(msg *proto.Msg) {
 	res := msg.Result
 	if msg.Err != nil {
-		p.m.session.failed(res.Child, msg.Err)
+		p.env.failed(res.Child, msg.Err)
 		return
 	}
 	t, ok := p.tasks[res.ParentTask]
 	if !ok || t.state == taskAborted {
-		p.sc.metrics.LateResults++
+		p.mt.LateResults++
 		p.Log(trace.KLateResult, res.Child, "unknown addressee")
 		p.ackResult(msg.From, res.Child, false)
 		return
@@ -1220,14 +1214,14 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 		// The demand has not been issued yet: this task is a twin running
 		// behind its predecessor; inherit the result (§4.1 case 4/5).
 		t.addPrefill(res.HoleID, res.Value)
-		if p.tracing() {
+		if p.env.tracing() {
 			p.Log(trace.KResult, res.Child, fmt.Sprintf("inherited for hole %d", res.HoleID))
 		}
 		p.ackResult(msg.From, res.Child, true)
 		return
 	}
 	if h.filled {
-		p.sc.metrics.DupResults++
+		p.mt.DupResults++
 		p.Log(trace.KDupResult, res.Child, "already filled")
 		p.ackResult(msg.From, res.Child, true)
 		return
@@ -1243,7 +1237,7 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 		return
 	}
 	if cr.returned {
-		p.sc.metrics.DupResults++
+		p.mt.DupResults++
 		p.ackResult(msg.From, res.Child, true)
 		return
 	}
@@ -1265,9 +1259,9 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 				mismatches++
 			}
 		}
-		p.sc.metrics.VoteMismatches += int64(mismatches)
-		p.sc.metrics.Votes++
-		if p.tracing() {
+		p.mt.VoteMismatches += int64(mismatches)
+		p.mt.Votes++
+		if p.env.tracing() {
 			if mismatches > 0 {
 				p.Log(trace.KVoteMismatch, t.pkt.Key, fmt.Sprintf("hole %d: %d corrupt outvoted", h.id, mismatches))
 			}
@@ -1277,8 +1271,8 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 	} else if h.returnedCount() == len(h.children) {
 		// All replicas answered without a majority (possible only with
 		// aggressive corruption): take the first answer, flagged loudly.
-		p.sc.metrics.VoteMismatches++
-		if p.tracing() {
+		p.mt.VoteMismatches++
+		if p.env.tracing() {
 			p.Log(trace.KVoteMismatch, t.pkt.Key, fmt.Sprintf("hole %d: no majority, taking first", h.id))
 		}
 		p.fillHole(t, h, h.children[0].vote)
@@ -1292,12 +1286,12 @@ func (p *proc) fillHole(t *task, h *holeRec, v expr.Value) {
 	h.fill(v)
 	for _, c := range h.children {
 		c.ackTimer.Stop()
-		if pkt := c.Packet; p.store.Drop(&c.Slot) && p.tracing() {
+		if pkt := c.Packet; p.store.Drop(&c.Slot) && p.env.tracing() {
 			p.Log(trace.KCkptRelease, pkt.Key, "")
 		}
 	}
 	t.unfilled--
-	if p.tracing() {
+	if p.env.tracing() {
 		p.Log(trace.KResult, t.pkt.Key, fmt.Sprintf("hole %d := %s", h.id, v))
 	}
 	if t.unfilled == 0 && t.state == taskWaiting {
@@ -1362,7 +1356,7 @@ func (p *proc) gossipTick() {
 			}
 		}
 	}
-	p.gossipTimer = p.k.After(DefaultLoadGossipEvery, p.gossipFn)
+	p.gossipTimer = p.env.After(DefaultLoadGossipEvery, p.gossipFn)
 }
 
 // --- dispatch ---
@@ -1410,8 +1404,8 @@ func (p *proc) die(announced bool) {
 		if t.state == taskAborted {
 			continue
 		}
-		p.sc.metrics.TasksLost++
-		p.sc.metrics.StepsWasted += t.stepsSpent
+		p.mt.TasksLost++
+		p.mt.StepsWasted += t.stepsSpent
 		t.cancelTimers()
 	}
 	if announced {
@@ -1429,7 +1423,7 @@ func (p *proc) die(announced bool) {
 	p.busy = false
 	p.tasks = make(map[proto.TaskKey]*task)
 	p.readyQ, p.readyHead = nil, 0
-	p.m.det.died(p)
+	p.env.died(p)
 	p.gossipTimer.Stop()
 }
 

@@ -323,20 +323,19 @@ func (s *Session) admit() {
 // stops the kernel like a completion does, so a driver waiting on the shed
 // request observes the decision.
 func (s *Session) offer(r *Req) {
-	k := s.m.host.k
-	r.offered = k.Now()
+	sc := s.m.shardOf(s.m.host)
+	r.offered = sc.Now()
 	switch s.gate.Offer(r) {
 	case admission.Admit:
 		s.install(r)
 	case admission.Shed:
 		r.shed = true
 		s.outstanding--
-		k.Stop()
+		sc.Stop()
 	}
 }
 
-// install creates the request's host pseudo-task and demands the root
-// application — the super-root retains the root task packet (§4.3.1). The
+// install creates the request's host pseudo-task (proc.installRoot). The
 // arrival stamp is the install tick: identical to the offer tick on the
 // direct path, and the dequeue tick for a request the admission queue held
 // (its per-request budget starts when it actually gets a slot).
@@ -346,21 +345,9 @@ func (s *Session) install(r *Req) {
 		s.quiet = false
 		s.detectorFrame()
 	}
-	r.arrival = m.host.k.Now()
+	r.arrival = m.shardOf(m.host).Now()
 	r.queuedFor = r.arrival - r.offered
-	hostPkt := &proto.TaskPacket{
-		Key:    hostKey(r.id),
-		Fn:     r.fn,
-		Parent: proto.Addr{Proc: noProc},
-		Prog:   r.prog,
-	}
-	hostTask := newTask(hostPkt)
-	hostTask.isHostRoot = true
-	hostTask.state = taskWaiting
-	hostTask.residual = m.evals[r.prog].RootState(0)
-	hostTask.nextID = 1
-	m.host.tasks[hostPkt.Key] = hostTask
-	m.host.spawnDemand(hostTask, lang.Demand{ID: 0, Fn: r.fn, Args: r.args})
+	m.host.installRoot(hostKey(r.id), r.prog, r.fn, r.args)
 }
 
 // rootDone records a request's completion. The machine-level done fields
@@ -399,8 +386,8 @@ func (s *Session) settle(r *Req) bool {
 	if r == nil || r.done || r.err != nil {
 		return false
 	}
-	k := s.m.host.k
-	r.doneAt = k.Now()
+	sc := s.m.shardOf(s.m.host)
+	r.doneAt = sc.Now()
 	s.outstanding--
 	// A freed slot installs the admission queue's head inline: settle runs
 	// on the host's shard inside the delivery event, exactly the context
@@ -410,9 +397,9 @@ func (s *Session) settle(r *Req) bool {
 		s.install(next)
 	}
 	if s.gate.InFlight() == 0 {
-		k.After(flightTime(1), s.goQuiet)
+		sc.After(flightTime(1), s.goQuiet)
 	}
-	k.Stop()
+	sc.Stop()
 	return true
 }
 
@@ -435,14 +422,14 @@ func (s *Session) goQuiet() {
 // the boundary is published at the window barrier, before any event it
 // affects.
 func (s *Session) detectorFrame() {
-	m, sc := s.m, s.m.host.sc
-	at := sc.k.Now() + flightTime(1)
+	m, sc := s.m, s.m.shardOf(s.m.host)
+	at := sc.Now() + flightTime(1)
 	frame := proto.Msg{Type: proto.MsgHeartbeat, From: proto.HostID}
 	n := int64(m.n)
 	sc.metrics.MsgHeartbeat += n
 	sc.metrics.BytesOnWire += n * int64(frame.EncodedSize())
 	sc.metrics.HopsOnWire += n
-	sc.k.Wake(m.ownerOf(proto.HostID), func() { m.det.frame(at) })
+	sc.Wake(m.ownerOf(proto.HostID), func() { m.det.frame(at) })
 }
 
 // Wait drives the kernel until r completes, is shed, fails, or exhausts
