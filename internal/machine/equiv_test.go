@@ -91,14 +91,14 @@ func TestSliceStateMatchesMapSemantics(t *testing.T) {
 // read as absent, and iteration order (slice index) is ascending id order —
 // what abortGen's sorted walk relied on.
 func TestHoleTableMatchesMapSemantics(t *testing.T) {
-	tk := newTask(&proto.TaskPacket{Fn: "f"})
+	p := &proc{}
+	tk := p.newTask(&proto.TaskPacket{Fn: "f"})
 	if h := tk.holeAt(0); h != nil {
 		t.Fatal("fresh task reports a hole")
 	}
 	if h := tk.holeAt(-1); h != nil {
 		t.Fatal("negative id reports a hole")
 	}
-	p := &proc{}
 	h2 := p.holeFor(tk, 2)
 	h0 := p.holeFor(tk, 0)
 	if tk.holeAt(2) != h2 || tk.holeAt(0) != h0 {

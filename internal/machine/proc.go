@@ -113,51 +113,60 @@ type proc struct {
 	// stepsDone counts reduction steps executed here (load accounting).
 	stepsDone int64
 
-	// holeSlab and childSlab are bump allocators for the per-demand hole
-	// and extra child records. Both record kinds are proc-private — a task
-	// lives on exactly one processor and recovery reissues build fresh tasks
-	// on the surviving side — so batching them into chunks replaces one small
-	// heap allocation per spawned demand with one per chunk. Appends never
-	// move earlier entries (a full chunk is abandoned, not grown), so
-	// pointers into a slab stay valid for the record's whole life.
-	holeSlab  []holeRec
-	childSlab []childRef
+	// Free lists of what the protocol says dies (retire, onResultMsg): a
+	// result goes back on its consumer's list, a packet on its drawer's.
+	taskFree freeList[task]
+	holeFree freeList[holeRec]
+	pktFree  freeList[packet]
+	resFree  freeList[proto.Result]
 }
 
-// recSlabChunk sizes the next slab chunk: doubling from 8 up to 64 keeps
-// lightly loaded processors near the footprint of individual allocations
-// while busy ones amortize 64 records per chunk.
-func recSlabChunk(prev int) int { return min(max(prev*2, 8), 64) }
-
-// newHole draws a zeroed hole record for id from the proc's slab.
-func (p *proc) newHole(id int) *holeRec {
-	if len(p.holeSlab) == cap(p.holeSlab) {
-		p.holeSlab = make([]holeRec, 0, recSlabChunk(cap(p.holeSlab)))
+// newTask draws a task for pkt from the processor's free list.
+func (p *proc) newTask(pkt *proto.TaskPacket) *task {
+	t := p.taskFree.get()
+	t.pkt, t.state = pkt, taskReady
+	if t.holes == nil {
+		t.holes = t.holesBuf[:0]
 	}
-	p.holeSlab = append(p.holeSlab, holeRec{id: id})
-	return &p.holeSlab[len(p.holeSlab)-1]
+	return t
+}
+
+// retire removes a task whose value has left (§4.2) and puts it and its hole
+// records back on the free lists: every hole filled, so every checkpoint
+// under it was dropped and every timer over it stopped. A task a ready-queue
+// entry still names is left to the collector, since maybeRun will read it.
+func (p *proc) retire(t *task) {
+	delete(p.tasks, t.pkt.Key)
+	if t.queued > 0 {
+		return
+	}
+	for _, h := range t.holes {
+		if h != nil {
+			p.holeFree.put(h)
+		}
+	}
+	clear(t.holes)
+	*t = task{holes: t.holes[:0]}
+	p.taskFree.put(t)
 }
 
 // addChild records a new child of h: a hole's first in its inline slot,
-// every later one drawn from the proc's slab.
+// every later one (a replica, a re-placement under a new lineage) on the
+// heap.
 func (p *proc) addChild(h *holeRec, key proto.TaskKey) *childRef {
 	cr := &h.first
 	if h.children == nil {
 		h.children = h.one[:0]
 		cr.rep = key.Rep
 	} else {
-		if len(p.childSlab) == cap(p.childSlab) {
-			p.childSlab = make([]childRef, 0, recSlabChunk(cap(p.childSlab)))
-		}
-		p.childSlab = append(p.childSlab, childRef{rep: key.Rep})
-		cr = &p.childSlab[len(p.childSlab)-1]
+		cr = &childRef{rep: key.Rep}
 	}
 	h.children = append(h.children, cr)
 	return cr
 }
 
-// holeFor returns t's record for id, drawing it from the proc's slab on
-// first use. The table grows once per pass, to every id issued so far.
+// holeFor returns t's record for id, drawing it from the free list on first
+// use. The table grows once per pass, to every id issued so far.
 func (p *proc) holeFor(t *task, id int) *holeRec {
 	if id >= len(t.holes) {
 		t.holes = append(t.holes, make([]*holeRec, max(id+1, t.nextID)-len(t.holes))...)
@@ -165,7 +174,8 @@ func (p *proc) holeFor(t *task, id int) *holeRec {
 	if h := t.holes[id]; h != nil {
 		return h
 	}
-	h := p.newHole(id)
+	h := p.holeFree.get()
+	*h = holeRec{id: id}
 	t.holes[id] = h
 	return h
 }
@@ -652,6 +662,7 @@ func (p *proc) enqueue(t *task) {
 		p.readyQ, p.readyHead = p.readyQ[:n], 0
 	}
 	p.readyQ = append(p.readyQ, t)
+	t.queued++
 }
 
 // maybeRun starts the next ready task if the processor is free. A pass
@@ -664,6 +675,7 @@ func (p *proc) maybeRun() {
 		if p.readyHead == len(p.readyQ) {
 			p.readyQ, p.readyHead = p.readyQ[:0], 0
 		}
+		t.queued--
 		if t.state == taskAborted || t.state == taskReturning {
 			t = p.tasks[t.pkt.Key]
 		}
@@ -784,7 +796,7 @@ func (p *proc) finishPass() {
 // installRoot makes the host pseudo-task key for fn(args) of program prog and
 // demands the root application: the super-root retains its packet (§4.3.1).
 func (p *proc) installRoot(key proto.TaskKey, prog int, fn string, args []expr.Value) {
-	t := newTask(&proto.TaskPacket{Key: key, Fn: fn, Parent: proto.Addr{Proc: noProc}, Prog: prog})
+	t := p.newTask(&proto.TaskPacket{Key: key, Fn: fn, Parent: proto.Addr{Proc: noProc}, Prog: prog})
 	t.isHostRoot = true
 	t.state = taskWaiting
 	t.residual = p.env.program(prog).RootState(0)
@@ -832,7 +844,8 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 		if reps > 1 {
 			rep = proto.Rep(p.fresh(&p.repSeq))
 		}
-		pkt := &proto.TaskPacket{
+		rec := p.pktFree.get()
+		rec.TaskPacket = proto.TaskPacket{
 			Key:       proto.TaskKey{Stamp: childStamp, Rep: rep},
 			Gen:       p.fresh(&p.genSeq),
 			ParentGen: t.pkt.Gen,
@@ -840,15 +853,13 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 			Args:      d.Args,
 			Parent:    proto.Addr{Proc: p.id, Task: t.pkt.Key},
 			HoleID:    d.ID,
+			Ancestors: ancestorChain(rec.chain[:0], t.pkt, p.depth),
 			Replicas:  reps,
 			Prog:      t.pkt.Prog,
 		}
-		if t.chain == nil {
-			t.chain = ancestorChain(t.pkt, p.depth)
-		}
-		pkt.Ancestors = t.chain
+		pkt := &rec.TaskPacket
 		cr := p.addChild(h, pkt.Key)
-		cr.gen, cr.Dest = pkt.Gen, checkpoint.PendingDest
+		cr.gen, cr.Dest, cr.rec = pkt.Gen, checkpoint.PendingDest, rec
 		p.mt.TasksSpawned++
 		if p.env.tracing() {
 			p.Log(trace.KSpawn, pkt.Key, fmt.Sprintf("%s by %v", d.Fn, t.pkt.Key))
@@ -871,14 +882,14 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 }
 
 // ancestorChain derives a child's ancestor addresses from its parent's
-// packet: [parent's parent, parent's grandparent, ...], truncated to
-// depth-1 entries (§5.2).
-func ancestorChain(parentPkt *proto.TaskPacket, depth int) []proto.Addr {
+// packet into buf, or onto the heap when buf is too short: [parent's parent,
+// parent's grandparent, ...], truncated to depth-1 entries (§5.2).
+func ancestorChain(buf []proto.Addr, parentPkt *proto.TaskPacket, depth int) []proto.Addr {
 	keep := depth - 1
 	if keep <= 0 {
 		return nil
 	}
-	chain := make([]proto.Addr, 0, keep)
+	chain := slices.Grow(buf[:0], keep)
 	if parentPkt.Parent.Proc != noProc {
 		chain = append(chain, parentPkt.Parent)
 	}
@@ -1028,7 +1039,7 @@ func (p *proc) settle(pkt *proto.TaskPacket) {
 		p.send(ack)
 		return
 	}
-	t := newTask(pkt)
+	t := p.newTask(pkt)
 	p.tasks[pkt.Key] = t
 	p.enqueue(t)
 	if p.env.tracing() {
@@ -1142,7 +1153,10 @@ func (p *proc) buildResult(t *task) *proto.Result {
 // delivery with the result-ack timeout under the four-message protocol.
 // Otherwise nothing comes back, so the task retires as its value leaves: a
 // parent that died with the result in flight is reissued by its own parent,
-// and the value was worthless (§3.4).
+// and the value was worthless (§3.4). A retiring task hands its packet back
+// with the result, unless a ready-queue entry will still read it (retire):
+// AckGen, its generation, tells the parent that the packet its slot holds
+// has no other holder.
 func (p *proc) sendResult(t *task) {
 	dest := t.pkt.Parent.Proc
 	if dest != proto.HostID && p.faulty[dest] {
@@ -1150,13 +1164,18 @@ func (p *proc) sendResult(t *task) {
 		p.policy.OnResultUndeliverable(p.buildResult(t))
 		return
 	}
-	res := &proto.Result{
+	res := p.resFree.get()
+	*res = proto.Result{
 		Child: t.pkt.Key, ParentTask: t.pkt.Parent.Task,
 		HoleID: t.pkt.HoleID, Value: t.value,
 	}
-	p.send(proto.Msg{Type: proto.MsgResult, To: dest, Result: res})
+	var handBack uint64
+	if !p.acked && t.queued == 0 {
+		handBack = t.pkt.Gen
+	}
+	p.send(proto.Msg{Type: proto.MsgResult, To: dest, Result: res, AckGen: handBack})
 	if !p.acked {
-		delete(p.tasks, t.pkt.Key)
+		p.retire(t)
 		return
 	}
 	t.resultTimer.Stop()
@@ -1174,7 +1193,7 @@ func (p *proc) onResultTimeout(t *task) {
 		return
 	}
 	t.resultTries++
-	if t.resultTries < p.retryLimit {
+	if int(t.resultTries) < p.retryLimit {
 		p.sendResult(t)
 		return
 	}
@@ -1198,6 +1217,7 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 		p.env.failed(res.Child, msg.Err)
 		return
 	}
+	defer p.resFree.put(res) // every path below copies out what it keeps
 	t, ok := p.tasks[res.ParentTask]
 	if !ok || t.state == taskAborted {
 		p.mt.LateResults++
@@ -1246,6 +1266,10 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 	cr.ackTimer.Stop()
 	if len(h.children) == 1 {
 		p.fillHole(t, h, res.Value)
+		if rec := cr.rec; rec != nil && msg.AckGen == rec.Gen {
+			cr.rec = nil
+			p.pktFree.put(rec) // handed back by its only other holder (sendResult)
+		}
 		p.ackResult(msg.From, res.Child, true)
 		return
 	}
@@ -1318,7 +1342,7 @@ func (p *proc) onResultAck(msg *proto.Msg) {
 	}
 	t.resultTimer.Stop()
 	if msg.ResultOK {
-		delete(p.tasks, msg.AckChild)
+		p.retire(t)
 		return
 	}
 	p.policy.OnResultRejected(p.buildResult(t))

@@ -3,16 +3,22 @@ package machine
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/admission"
 	"repro/internal/expr"
 	"repro/internal/faults"
 	"repro/internal/lang"
 	"repro/internal/proto"
 	"repro/internal/recovery"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // scripted is a Detector that stands for any the detector's contract
@@ -154,4 +160,160 @@ func prefilled(log *trace.Log) map[string]bool {
 		}
 	}
 	return out
+}
+
+// FuzzDetectionOrder is the detector's contract as an adversary:
+// a stream of requests — program × topology × scheme × fault plan × arrival
+// × machine seed — runs under a scripted Detector drawn from the script
+// seed, so processors learn of each crash in any order the contract allows.
+// Every request answers lang.RefEval's value or ends typed: an evaluation
+// error, or unanswered at its deadline, which recovery does not promise
+// when the dead cut survivors off. No (stamp, hole) is filled with a value
+// the fault-free run does not give it, and every checkpoint is released or
+// its owner dead. Every path that hands a task, a hole record, a packet or
+// a result back to a free list runs under it. The corpus holds apsim's
+// pinned fault draws (cmd/apsim/testdata/runs) and S2's two-wave cascade at
+// seed 4 under rollback and splice.
+//
+//	go test -run '^$' -fuzz FuzzDetectionOrder -fuzztime 10s ./internal/machine
+func FuzzDetectionOrder(f *testing.F) {
+	lines, err := filepath.Glob("../../cmd/apsim/testdata/runs/*.line")
+	if err != nil || len(lines) == 0 {
+		f.Fatalf("no pinned runs: %v", err)
+	}
+	for _, file := range lines {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		flags := map[string]string{"-seed": "1", "-max-inflight": "0"}
+		for kv := strings.Fields(string(b)); len(kv) >= 2; kv = kv[2:] {
+			flags[kv[0]] = kv[1]
+		}
+		num := func(name string) int64 {
+			v, err := strconv.ParseInt(flags[name], 10, 64)
+			if err != nil {
+				f.Fatalf("%s: %s %q: %v", file, name, flags[name], err)
+			}
+			return v
+		}
+		f.Add(flags["-topology"], uint8(num("-procs")), flags["-workload"], flags["-recovery"], flags["-fault"],
+			uint8(num("-requests")), flags["-arrive"], uint8(num("-max-inflight")), num("-seed"), int64(1))
+	}
+	// S2's two-wave cascade at seed 4: tree:3,6 on torus-64, the wave from
+	// processor 9 at 3/10 of the fault-free makespan, the next a tenth later.
+	torus := mustTopo(f, "torus", 64)
+	m0 := runMachine(f, Config{Topo: torus, Scheme: recovery.Rollback(), Seed: 4}, lang.TreeSum(3), "tree", []expr.Value{expr.VInt(6)}, nil).Makespan
+	cascade := faults.Cascade(torus, 9, int64(m0)*3/10, int64(m0)/10, 2, 1.0, faults.CrashAnnounced, 4).String()
+	for _, scheme := range []string{"rollback", "splice"} {
+		f.Add("torus", uint8(64), "tree:3,6", scheme, cascade, uint8(1), "uniform:1", uint8(0), int64(4), int64(4))
+	}
+	f.Fuzz(func(t *testing.T, kind string, procs uint8, work, scheme, spec string, requests uint8, arrive string, inflight uint8, seed, script int64) {
+		topo, terr := topology.ByName(kind, int(procs))
+		prog, fn, args, tasks := fuzzWorkload(work)
+		sch, serr := recovery.ByName(scheme)
+		arr, aerr := workload.ParseArrival(arrive)
+		var plan faults.Plan
+		if procs < 2 || procs > 64 || requests == 0 || tasks == 0 || int(requests)*tasks > 12_000 || terr != nil || serr != nil || aerr != nil ||
+			plan.Set(spec) != nil || plan.Validate(int(procs)) != nil || len(plan.Faults) >= int(procs) {
+			t.Skip("outside the fuzzed space")
+		}
+		for _, ft := range plan.Faults {
+			if ft.Kind == faults.Corrupt || ft.At > 100_000 {
+				t.Skip("a corrupt fault's claim is the majority value, not the reference")
+			}
+		}
+		want, err := lang.RefEval(prog, fn, args)
+		if err != nil {
+			t.Skip("the program itself fails")
+		}
+		run := func(plan *faults.Plan) (*Machine, []*Req, map[string]string) {
+			tl := trace.NewLog()
+			m, err := New(Config{Topo: topo, Scheme: sch, Seed: seed, Trace: tl, Deadline: 400_000}, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.det = &scripted{m: m, rng: rand.New(rand.NewSource(script))}
+			next := arr.Next(seed)
+			var sched []sim.Time
+			s, err := m.Serve(ServeConfig{Admission: admission.Policy{MaxInFlight: int(inflight)}, NextArrival: func(i int) sim.Time {
+				for len(sched) <= i {
+					sched = append(sched, sim.Time(next()))
+				}
+				return sched[i]
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Inject(plan); err != nil {
+				t.Fatal(err)
+			}
+			reqs := make([]*Req, requests)
+			for i := range reqs {
+				if reqs[i], err = s.Submit(work, prog, fn, args); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, r := range reqs {
+				s.Wait(r)
+			}
+			s.Finish()
+			return m, reqs, stampValues(t, tl)
+		}
+		_, _, oracle := run(faults.None())
+		m, reqs, got := run(&plan)
+		for _, r := range reqs {
+			if r.Done() && !r.Answer().Equal(want) {
+				t.Errorf("request %d answered %v, want %v", r.ID(), r.Answer(), want)
+			}
+		}
+		for pair, v := range got {
+			if w, ok := oracle[pair]; !ok || w != v {
+				t.Errorf("%s := %s; the fault-free run fills it with %q", pair, v, w)
+			}
+		}
+		expectSlotsOwned(t, m)
+	})
+}
+
+// fuzzWorkload reads apsim's fib:N and tree:F,D specs, up to fib:16 and
+// tree:4,6, and counts the tasks one request spawns; 0 rejects the spec.
+func fuzzWorkload(spec string) (*lang.Program, string, []expr.Value, int) {
+	var a, b int64
+	switch {
+	case fuzzScan(spec, "fib:%d", &a) && a <= 16:
+		f, g := 1, 1 // fib(n) spawns 2·fib(n+1) − 1 tasks
+		for range a {
+			f, g = g, f+g
+		}
+		return lang.Fib(), "fib", []expr.Value{expr.VInt(a)}, 2*f - 1
+	case fuzzScan(spec, "tree:%d,%d", &a, &b) && a >= 1 && a <= 4 && b <= 6:
+		tasks, level := 1, 1
+		for range b {
+			level *= int(a)
+			tasks += level
+		}
+		return lang.TreeSum(int(a)), "tree", []expr.Value{expr.VInt(b)}, tasks
+	}
+	return nil, "", nil, 0
+}
+
+// fuzzScan is fmt.Sscanf that also rejects trailing input and negative
+// values.
+func fuzzScan(spec, format string, vals ...*int64) bool {
+	args := make([]any, len(vals))
+	for i, v := range vals {
+		args[i] = v
+	}
+	if n, err := fmt.Sscanf(spec, format, args...); n != len(vals) || err != nil {
+		return false
+	}
+	rendered := make([]any, len(vals))
+	for i, v := range vals {
+		if *v < 0 {
+			return false
+		}
+		rendered[i] = *v
+	}
+	return fmt.Sprintf(format, rendered...) == spec
 }

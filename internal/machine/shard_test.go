@@ -108,6 +108,20 @@ func goldenRunSharded(t *testing.T, scheme string, crash, shards int, eval strin
 	return run(plan, tl)
 }
 
+// expectStampValues fails t if the run traced in tl fills a (stamp, hole)
+// the fault-free oracle does not, or with another value.
+func expectStampValues(t *testing.T, oracle map[string]string, tl *trace.Log, run string) {
+	t.Helper()
+	if len(oracle) == 0 {
+		t.Fatal("the fault-free oracle run filled no hole")
+	}
+	for pair, v := range stampValues(t, tl) {
+		if want, ok := oracle[pair]; !ok || want != v {
+			t.Errorf("%s: %s := %s; the fault-free run fills it with %q", run, pair, v, want)
+		}
+	}
+}
+
 // firstTraceDiff locates the first diverging line of two trace dumps.
 func firstTraceDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
@@ -128,8 +142,11 @@ func firstTraceDiff(a, b string) string {
 // — at every shard count and requires byte-identical traces and identical
 // per-request completion stamps. This covers the cross-shard admission path
 // (Submit lands on the host's shard via a driver event) that one-shot runs
-// never exercise.
+// never exercise. Every run fills each (stamp, hole) with the fault-free
+// single-shard run's value (the stamp oracle), whichever shard hands a
+// packet or a result back to its free list.
 func TestShardSweepServiceStream(t *testing.T) {
+	var oracle map[string]string
 	run := func(shards int, eval string) (string, string) {
 		topo, err := topology.ByName("mesh", 16)
 		if err != nil {
@@ -144,8 +161,10 @@ func TestShardSweepServiceStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Inject(faults.Crash(5, 300, true)); err != nil {
-			t.Fatal(err)
+		if oracle != nil {
+			if _, err := s.Inject(faults.Crash(5, 300, true)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var reqs []*Req
 		for i := 0; i < 3; i++ {
@@ -162,8 +181,14 @@ func TestShardSweepServiceStream(t *testing.T) {
 		}
 		rep := s.Finish()
 		lines = append(lines, reportLine(rep))
+		if oracle == nil {
+			oracle = stampValues(t, tl)
+		} else {
+			expectStampValues(t, oracle, tl, fmt.Sprintf("eval=%s shards=%d", eval, shards))
+		}
 		return strings.Join(lines, "\n"), traceDump(tl)
 	}
+	run(1, "interp") // fault-free: the oracle
 	refLines, refTrace := run(1, "interp")
 	for _, eval := range []string{"interp", "compiled"} {
 		for _, shards := range shardSweep {
@@ -183,14 +208,17 @@ func TestShardSweepServiceStream(t *testing.T) {
 
 // TestShardSweepS3FaultDensity covers the S3-style regime: escalating
 // multi-crash bursts on a torus under splice, where recovery traffic (twins,
-// relays, escalations) dominates. Identical reports at every shard count.
+// relays, escalations) dominates. Identical reports at every shard count,
+// and every (stamp, hole) filled with the fault-free single-shard value.
 func TestShardSweepS3FaultDensity(t *testing.T) {
+	var oracle map[string]string
 	run := func(shards, kills int) string {
 		topo, err := topology.ByName("torus", 36)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := New(Config{Topo: topo, Scheme: recovery.Splice(), Seed: 7, Shards: shards}, lang.TreeSum(3))
+		tl := trace.NewLog()
+		m, err := New(Config{Topo: topo, Scheme: recovery.Splice(), Seed: 7, Shards: shards, Trace: tl}, lang.TreeSum(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +227,14 @@ func TestShardSweepS3FaultDensity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if kills == 0 {
+			oracle = stampValues(t, tl)
+		} else {
+			expectStampValues(t, oracle, tl, fmt.Sprintf("kills=%d shards=%d", kills, shards))
+		}
 		return reportLine(rep)
 	}
+	run(1, 0) // fault-free: the oracle
 	for _, kills := range []int{2, 5} {
 		ref := run(1, kills)
 		for _, shards := range shardSweep[1:] {

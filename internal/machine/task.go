@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"fmt"
-
 	"repro/internal/checkpoint"
 	"repro/internal/expr"
 	"repro/internal/lang"
@@ -11,7 +9,7 @@ import (
 )
 
 // taskState is the lifecycle of a resident task.
-type taskState int
+type taskState int32
 
 const (
 	// taskReady: queued for execution.
@@ -28,28 +26,14 @@ const (
 	taskAborted
 )
 
-func (s taskState) String() string {
-	switch s {
-	case taskReady:
-		return "ready"
-	case taskRunning:
-		return "running"
-	case taskWaiting:
-		return "waiting"
-	case taskReturning:
-		return "returning"
-	case taskAborted:
-		return "aborted"
-	default:
-		return fmt.Sprintf("taskState(%d)", int(s))
-	}
-}
-
 // childRef tracks one spawned child (one replica of one demand).
 type childRef struct {
 	// Slot is the child's checkpoint while the parent holds it, and Dest
 	// where the child settled (checkpoint.PendingDest: Figure 6 states b/d).
 	checkpoint.Slot
+	// rec is the packet this processor drew for the child: the slot and the
+	// child's task share it until the child hands it back (onResultMsg).
+	rec *packet
 	// rep is the child's replica lineage; its stamp is the hole's (§3.1).
 	rep proto.Rep
 	// gen is the generation of the incarnation currently expected; stale
@@ -144,6 +128,9 @@ func (h *holeRec) returnedCount() int {
 type task struct {
 	pkt   *proto.TaskPacket
 	state taskState
+	// queued counts the ready-queue entries that name the task: one that
+	// retires while an entry still names it is left to the collector.
+	queued int32
 
 	// Evaluation state: the evaluator's opaque blocked-task state (nil =
 	// no pass has run yet) and demand counter.
@@ -153,11 +140,8 @@ type task struct {
 	// holes[id] records the children spawned for demand id (nil = the
 	// demand was never issued here).
 	holes    []*holeRec
-	unfilled int // demanded-but-unfilled hole count
-
-	// chain is the ancestor chain every child's packet carries, built at
-	// the first spawn and shared: packets are immutable.
-	chain []proto.Addr
+	holesBuf [2]*holeRec // holes' backing until a third demand
+	unfilled int         // demanded-but-unfilled hole count
 
 	// prefill holds inherited orphan results for demands this task has not
 	// issued yet (§4.1 cases 4/5: "the answer is already there"); consumed
@@ -171,7 +155,7 @@ type task struct {
 	value expr.Value
 	// resultTimer guards the result ack; resultTries counts retries.
 	resultTimer sim.Timer
-	resultTries int
+	resultTries int32
 	// escalated marks that the result has been handed to the recovery
 	// policy (orphan escalation); the declare-time fail-fast pass must not
 	// hand it over again.
@@ -182,9 +166,35 @@ type task struct {
 	isHostRoot bool
 }
 
-func newTask(pkt *proto.TaskPacket) *task {
-	return &task{pkt: pkt, state: taskReady}
+// packet is a task packet with its ancestor chain inline: K = 2 carries
+// one address, a deeper K spills to the heap.
+type packet struct {
+	proto.TaskPacket
+	chain [1]proto.Addr
 }
+
+// freeList is a processor's stock of one kind of object whose death the
+// protocol names (proc.retire, onResultMsg). An empty list allocates a chunk
+// of them, 4 growing to 16; made counts the objects it allocated.
+type freeList[T any] struct {
+	free []*T
+	made int
+}
+
+func (l *freeList[T]) get() *T {
+	if len(l.free) == 0 {
+		chunk := make([]T, min(max(l.made, 4), 16))
+		l.made += len(chunk)
+		for i := range chunk {
+			l.free = append(l.free, &chunk[i])
+		}
+	}
+	x := l.free[len(l.free)-1]
+	l.free = l.free[:len(l.free)-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) { l.free = append(l.free, x) }
 
 // holeAt returns the record for id, or nil if the demand was never issued.
 func (t *task) holeAt(id int) *holeRec {

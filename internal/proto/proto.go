@@ -235,7 +235,7 @@ type Msg struct {
 	Result    *Result
 	AckTask   TaskKey // MsgTaskAck: which task settled (To learns placement)
 	AckParent TaskKey // MsgTaskAck: the parent task that spawned it
-	AckGen    uint64  // MsgTaskAck: generation of the settled incarnation
+	AckGen    uint64  // MsgTaskAck: generation of the settled incarnation; MsgResult: the sender's, if it let go of its packet
 	PlacedOn  ProcID  // MsgTaskAck: where it settled
 	AckHole   int     // MsgTaskAck: parent hole
 	ResultOK  bool    // MsgResultAck: addressee known?

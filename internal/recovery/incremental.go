@@ -86,9 +86,13 @@ func (IncrementalScheme) SalvagesOrphans() bool { return false }
 
 // incrWork is one queued repair: a checkpoint that was settled on a
 // processor now known faulty. Entries are snapshotted at detection time and
-// re-validated against live state at every drain.
+// re-validated against live state at every drain. The key and generation
+// name the packet queued: an owner may reuse a released slot for a later
+// child's checkpoint.
 type incrWork struct {
 	slot   *checkpoint.Slot
+	key    proto.TaskKey
+	gen    uint64
 	failed proto.ProcID
 }
 
@@ -119,7 +123,7 @@ func (p *incrementalPolicy) OnFailureDetected(failed proto.ProcID) {
 	p.suppress(shadowed, failed)
 	for _, e := range top {
 		p.ops.Log(trace.KDemandQueue, e.Packet.Key, fmt.Sprintf("queued: lost on %d", failed))
-		p.pending = append(p.pending, incrWork{slot: e, failed: failed})
+		p.pending = append(p.pending, incrWork{slot: e, key: e.Packet.Key, gen: e.Packet.Gen, failed: failed})
 	}
 	if len(p.pending) == 0 || p.draining {
 		return
@@ -134,8 +138,8 @@ func (p *incrementalPolicy) OnFailureDetected(failed proto.ProcID) {
 // needs reissuing anymore.
 func (p *incrementalPolicy) classify(w incrWork) (int, *proto.TaskPacket) {
 	pkt := w.slot.Packet
-	if pkt == nil || w.slot.Dest != w.failed {
-		return -1, nil // released (the hole was filled some other way) or re-dispersed
+	if pkt == nil || pkt.Key != w.key || pkt.Gen != w.gen || w.slot.Dest != w.failed {
+		return -1, nil // released (the hole was filled some other way), reused, or re-dispersed
 	}
 	if p.ops.UnfilledHoles(pkt.Parent.Task) == 1 {
 		return 0, pkt

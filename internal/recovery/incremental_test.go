@@ -156,3 +156,35 @@ func TestIncrementalMergesOverlappingFailures(t *testing.T) {
 			ops.respawned[1:], onFour.Key, threeB.Key)
 	}
 }
+
+// TestIncrementalReusedSlotIsMoot: an owner may reuse a released slot for a
+// later child's checkpoint (the machine recycles hole records). A queued
+// entry whose slot now holds another packet, even one settled on the same
+// failed processor, is moot: reissuing it would respawn a child nobody lost.
+func TestIncrementalReusedSlotIsMoot(t *testing.T) {
+	ops := newMockOps()
+	p := Incremental().New(ops)
+	first := ops.seed(stamp.FromPath(0, 1), stamp.FromPath(0), 1, 3, true)
+	second := ops.seed(stamp.FromPath(0, 2), stamp.FromPath(0), 2, 3, true)
+
+	p.OnFailureDetected(3)
+	if len(ops.respawned) != 1 || ops.respawned[0].Key != first.Key {
+		t.Fatalf("first drain respawned %v, want %v", ops.respawned, first.Key)
+	}
+
+	// Between drains second's hole fills, its owner recycles the slot, and
+	// a later child's checkpoint — settled on 3 before the owner learned of
+	// the failure — lands in it.
+	sl := ops.slots[second.Key]
+	ops.store.Drop(sl)
+	later := &proto.TaskPacket{
+		Key: proto.TaskKey{Stamp: stamp.FromPath(5, 0)}, Gen: 9, Fn: "f",
+		Parent: proto.Addr{Proc: ops.self, Task: proto.TaskKey{Stamp: stamp.FromPath(5)}},
+	}
+	ops.store.Hold(sl, later, 3)
+	ops.unfilled[later.Parent.Task] = 1
+	ops.fireDeferred(t)
+	if len(ops.respawned) != 1 {
+		t.Fatalf("reissued %v from a reused slot", ops.respawned[1].Key)
+	}
+}
