@@ -1,58 +1,82 @@
 // Package livenet runs the applicative machine on real concurrency: one
 // goroutine per node, per-node mailboxes as the interconnect, actual
 // asynchrony instead of the discrete-event kernel's virtual time. It is a
-// transport and nothing else — the rollback node, the super-root and the
-// service session are internal/node's, shared with the process-per-node
-// backend — so what it demonstrates is the paper's point: functional
-// checkpointing (§2) needs nothing from the substrate, and determinacy (§2.1)
-// makes the regenerated run converge to the same answer despite wildly
-// nondeterministic interleavings.
+// transport and nothing else — each node is internal/machine's WallProc, the
+// simulator's protocol, and the super-root and the service session are
+// internal/node's, shared with the process-per-node backend — so what it
+// demonstrates is the paper's point: functional checkpointing (§2) needs
+// nothing from the substrate, and determinacy (§2.1) makes the regenerated
+// run converge to the same answer despite wildly nondeterministic
+// interleavings.
 package livenet
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/lang"
+	"repro/internal/machine"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/trace"
 )
 
-// msg is anything a node can receive; exactly one field is set.
-type msg struct {
-	spawn  *proto.TaskPacket
+// mail is a message in a mailbox: a task packet, or a result with the
+// generation of the packet its sender handed back, by pointer; or — rarely —
+// any other message whole. Nearly every message is one of the first two, and
+// a whole proto.Msg is five times the size to copy into the queue and out.
+type mail struct {
+	typ    proto.MsgType
+	from   proto.ProcID
+	task   *proto.TaskPacket
 	result *proto.Result
-	down   proto.ProcID // the dead processor's id + 1
+	gen    uint64
+	other  *proto.Msg
 }
 
-// wireSize is what the simulator charges per hop — the exact payload netnode
-// writes, under a modelled header — so byte totals compare across backends.
-// Frames are sized, never encoded: a packet travels as a pointer.
-func (m msg) wireSize() int {
-	return (&proto.Msg{Task: m.spawn, Result: m.result}).EncodedSize()
-}
-
-// proc is one goroutine-backed processor: a protocol node; its mailbox, an
+// proc is one goroutine-backed processor: a wall processor; its mailbox, an
 // unbounded queue, FIFO per sender, that the node's goroutine takes whole;
 // the flag a cooperative kill clears, read under the mailbox's lock; and what
 // the node's own sends charged, folded into the stream totals at Shutdown.
 type proc struct {
 	id    proto.ProcID
 	c     *Cluster
-	n     *node.Node
+	w     *machine.WallProc
 	mu    sync.Mutex
-	queue []msg
+	queue []mail
 	wake  sync.Cond // on mu: the queue became non-empty, or the machine stops
 	alive atomic.Bool
 	sent  trace.Metrics
 }
 
+// post queues m for its addressee: false means it is dead and m is
+// swallowed.
+func (c *Cluster) post(m *proto.Msg) bool {
+	ml := mail{typ: m.Type, from: m.From, task: m.Task, result: m.Result, gen: m.AckGen}
+	if m.Type != proto.MsgTask && m.Type != proto.MsgResult {
+		whole := *m
+		ml = mail{other: &whole}
+	}
+	return c.procs[m.To].push(ml)
+}
+
+// open returns the message ml carries: in, filled from ml, unless the
+// message rode whole. A handler keeps a message's payload, never the
+// message, so one in serves every delivery.
+func (p *proc) open(ml *mail, in *proto.Msg) *proto.Msg {
+	if ml.other != nil {
+		return ml.other
+	}
+	in.Type, in.From, in.To, in.Task, in.Result, in.AckGen = ml.typ, ml.from, p.id, ml.task, ml.result, ml.gen
+	return in
+}
+
 // push queues m; false means the node is dead and m is swallowed. It never
 // blocks beyond the lock: a node that blocked on a busy peer could deadlock
 // the cluster.
-func (p *proc) push(m msg) bool {
+func (p *proc) push(m mail) bool {
 	p.mu.Lock()
 	ok := p.alive.Load()
 	if ok {
@@ -64,20 +88,28 @@ func (p *proc) push(m msg) bool {
 	return ok
 }
 
-// take waits for the queue to be non-empty and returns everything in it, in
-// order; empty means the machine is stopping. spare — the caller's handled
-// batch, cleared — becomes the queue's backing array, so the two swap and
-// neither is reallocated.
-func (p *proc) take(spare []msg) []msg {
+// take returns everything in the queue, in order, waiting for it to be
+// non-empty if wait; false means the machine is stopping. spare — the
+// caller's handled batch, cleared — becomes the queue's backing array, so the
+// two swap and neither is reallocated. A node that finds its mailbox empty
+// yields its processor once before it waits: the peer it just woke often
+// answers within that turn, and a wait costs a wake-up on the request's
+// critical path.
+func (p *proc) take(spare []mail, wait bool) ([]mail, bool) {
 	clear(spare)
 	p.mu.Lock()
-	for len(p.queue) == 0 && !p.c.stopping.Load() {
+	if wait && len(p.queue) == 0 {
+		p.mu.Unlock()
+		runtime.Gosched()
+		p.mu.Lock()
+	}
+	for wait && len(p.queue) == 0 && !p.c.stopping.Load() {
 		p.wake.Wait()
 	}
 	batch := p.queue
 	p.queue = spare[:0]
 	p.mu.Unlock()
-	return batch
+	return batch, !p.c.stopping.Load()
 }
 
 // kill marks the node dead — false if it was already — and returns how many
@@ -89,34 +121,27 @@ func (p *proc) kill() (swallowed int, ok bool) {
 	return swallowed, p.alive.CompareAndSwap(true, false)
 }
 
-// Spawn implements node.Link.
-func (p *proc) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	p.send(to, msg{spawn: pkt}, reissue)
-}
-
-// Result implements node.Link. A root's result is handed to the super-root
-// in-process, not through the interconnect, so it is not a message.
-func (p *proc) Result(to proto.ProcID, res *proto.Result) {
-	if to == proto.HostID {
-		p.c.root.Deliver(res)
-		return
-	}
-	p.send(to, msg{result: res}, false)
-}
-
-// send charges a node's message to its own tally and pushes it; a dead
-// addressee swallows it. Sizing before the push seals a packet's memoized
-// wire size before it is shared: reissues resend the retained pointer while
-// receivers still hold it.
-func (p *proc) send(to proto.ProcID, m msg, reissue bool) {
-	node.CountSent(&p.sent, m.spawn != nil, reissue, m.wireSize())
-	if !p.c.procs[to].push(m) {
-		p.sent.Blackholed++
+// Send implements machine.Transport: it charges the message to the node's
+// own tally and pushes it; a dead addressee swallows it. A message for the
+// super-root is handed over in-process. A packet's wire size was sealed by
+// its sender's checkpoint store before it was shared.
+func (p *proc) Send(m proto.Msg) {
+	node.CountSent(&p.sent, m.Type, m.Type == proto.MsgTask && m.Task.Reissue, m.EncodedSize())
+	switch {
+	case m.To != proto.HostID:
+		if !p.c.post(&m) {
+			p.sent.Blackholed++
+		}
+	case m.Type != proto.MsgResult:
+	case m.Err != nil:
+		p.c.root.Fail(p.id, m.Result)
+	default:
+		p.c.root.Deliver(m.Result)
 	}
 }
 
-// Fail implements node.Link: like a root's result, in-process and no message.
-func (p *proc) Fail(task proto.TaskKey, err error) { p.c.root.Fail(p.id, task, err) }
+// Program implements machine.Transport.
+func (p *proc) Program(i int) lang.EvalProgram { return p.c.program(i) }
 
 // Cluster is a live machine.
 type Cluster struct {
@@ -148,7 +173,9 @@ func New(spec node.Spec) (*Cluster, error) {
 	for i := 0; i < spec.Procs; i++ {
 		p := &proc{id: proto.ProcID(i), c: c}
 		p.wake.L = &p.mu
-		p.n = node.New(p.id, spec.Procs, spec.Seed, p, c.program)
+		if p.w, err = machine.NewWallProc(p.id, spec.Procs, spec.Seed, p); err != nil {
+			return nil, err
+		}
 		p.alive.Store(true)
 		c.procs = append(c.procs, p)
 	}
@@ -179,23 +206,19 @@ func (c *Cluster) program(idx int) lang.EvalProgram { return (*c.progs.Load())[i
 
 // Spawn implements node.Fabric.
 func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	c.send(to, msg{spawn: pkt}, reissue)
+	c.send(proto.Msg{Type: proto.MsgTask, From: proto.HostID, To: to, Task: pkt}, reissue)
 }
 
 // NodeDown implements node.Fabric.
 func (c *Cluster) NodeDown(to, dead proto.ProcID) {
-	c.send(to, msg{down: dead + 1}, false)
+	c.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: proto.HostID, To: to, Failed: dead}, false)
 }
 
-// send is proc.send for the super-root's messages, charged to the stream
+// send is proc.Send for the super-root's messages, charged to the stream
 // totals.
-func (c *Cluster) send(to proto.ProcID, m msg, reissue bool) {
-	if m.spawn != nil {
-		c.root.CountSpawn(m.wireSize(), reissue)
-	} else {
-		c.root.CountNodeDown(m.wireSize())
-	}
-	if !c.procs[to].push(m) {
+func (c *Cluster) send(m proto.Msg, reissue bool) {
+	c.root.Charge(m.Type, reissue, m.EncodedSize())
+	if !c.post(&m) {
 		c.root.CountBlackholed()
 	}
 }
@@ -220,8 +243,8 @@ func (c *Cluster) Kill(id int) error {
 }
 
 // Shutdown implements node.Machine: stop every node goroutine, then fold
-// what the nodes counted — what they sent, results drained, and the packets
-// they placed on themselves, which no send carried — into the stream totals.
+// what the nodes counted — what they sent, and what their processors counted
+// that no send carried — into the stream totals.
 func (c *Cluster) Shutdown() {
 	c.stopping.Store(true)
 	for _, p := range c.procs {
@@ -231,35 +254,41 @@ func (c *Cluster) Shutdown() {
 	}
 	c.wg.Wait()
 	for _, p := range c.procs {
-		p.sent.Add(&p.n.Metrics)
+		local := p.w.Local()
+		p.sent.Add(&local)
 		c.root.Fold(p.id, &p.sent)
 	}
 }
 
 // run is the node's goroutine loop: the live analogue of §4.2's protocol
 // loop ("LOOP CASE received packet OF ..."). It takes the whole mailbox at
-// once and waits only when it finds it empty.
+// once, hands the processor one message at a time and runs what each one
+// set going, a budget of events at a time. It waits only when the mailbox is
+// empty and nothing is pending; otherwise it looks at the mailbox between
+// budgets, which is where a long in-place run sees a kill or a shutdown.
 func (p *proc) run() {
 	defer p.c.wg.Done()
-	for batch := p.take(nil); len(batch) > 0; batch = p.take(batch) {
-		for i, m := range batch {
+	var batch []mail
+	var in proto.Msg
+	for pending, ok := false, true; ; {
+		if batch, ok = p.take(batch, !pending); !ok {
+			return
+		}
+		for i := range batch {
 			if !p.alive.Load() {
 				// Crashed mid-batch: what it took and never handled is
 				// swallowed like the queue Kill emptied.
 				p.sent.Blackholed += int64(len(batch) - i)
 				return
 			}
-			if p.c.stopping.Load() {
+			p.w.Deliver(p.open(&batch[i], &in))
+			pending = p.w.Run()
+		}
+		if len(batch) == 0 {
+			if !p.alive.Load() {
 				return
 			}
-			switch {
-			case m.spawn != nil:
-				p.n.OnSpawn(m.spawn)
-			case m.result != nil:
-				p.n.OnResult(m.result)
-			default:
-				p.n.OnNodeDown(m.down - 1)
-			}
+			pending = p.w.Run()
 		}
 	}
 }

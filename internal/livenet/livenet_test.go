@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/node"
@@ -149,9 +150,10 @@ func TestNewValidation(t *testing.T) {
 
 // TestShutdownEndsASoleSurvivorThatNeverFinishes: with one node left every
 // placement draws it, so a program that never ends is one endless in-place
-// run. The node yields to its inbox every few thousand deliveries, which is
-// where the goroutine sees the shutdown; it must not take a finished request
-// to end a machine.
+// run. The node's goroutine looks at its mailbox between budgets of 4 096
+// events, which is where it sees the shutdown; it must not take a finished
+// request to end a machine. Every pass of the spin is one event and spawns
+// one packet in place, so the node ran at least one whole budget.
 func TestShutdownEndsASoleSurvivorThatNeverFinishes(t *testing.T) {
 	c, err := New(node.Spec{Procs: 2, Seed: 1})
 	if err != nil {
@@ -177,7 +179,59 @@ func TestShutdownEndsASoleSurvivorThatNeverFinishes(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Shutdown still waiting for node 0's handler after 10s")
 	}
-	if got, _ := c.Root().Metrics(); got.TasksInPlace == 0 || got.TotalMessages() < 3 {
-		t.Fatalf("in place %d, messages %d: the run neither stayed home nor ever yielded", got.TasksInPlace, got.TotalMessages())
+	if got, _ := c.Root().Metrics(); got.TasksInPlace < 1<<12 {
+		t.Fatalf("in place %d: the run never stayed home for a whole budget", got.TasksInPlace)
+	}
+}
+
+// TestStreamEndsClean: after a fault-free stream has shut down, every
+// processor holds no resident task and no checkpoint, and nothing its free
+// lists made was left to the collector. Tasks and hole records are back on
+// the list of the processor that made them, and packets, which a child hands
+// back with its result, on their parent's. A result goes back on the list of
+// the processor that consumed it, so results balance across the machine, but
+// for the one per request the super-root took.
+func TestStreamEndsClean(t *testing.T) {
+	c, err := New(node.Spec{Procs: 6, Seed: 3, Eval: "compiled"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []string{"fib:14", "tree:3,5", "tak:9,5,2"}
+	var reqs []*node.Request
+	for i := range 24 {
+		w, err := core.StandardWorkload(specs[i%len(specs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Root().Submit(w.Program, w.Fn, w.Args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, r)
+	}
+	for i, r := range reqs {
+		if _, err := r.Wait(30*time.Second, nil); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	c.Shutdown()
+	var made, free [4]int
+	for _, p := range c.procs {
+		h := p.w.Held()
+		if h.Tasks != 0 || h.Checkpoints != 0 {
+			t.Errorf("processor %d: %d tasks resident, %d checkpoints retained", p.id, h.Tasks, h.Checkpoints)
+		}
+		for i := range made {
+			made[i], free[i] = made[i]+h.Made[i], free[i]+h.Free[i]
+		}
+		if h.Made[0] != h.Free[0] || h.Made[1] != h.Free[1] || h.Made[2] != h.Free[2] {
+			t.Errorf("processor %d: of tasks, hole records and packets made %v, back %v", p.id, h.Made[:3], h.Free[:3])
+		}
+	}
+	if made[3] != free[3]+len(reqs) {
+		t.Errorf("%d results made, %d back: want all but the %d the super-root took", made[3], free[3], len(reqs))
+	}
+	if made[0] == 0 || made[2] == 0 {
+		t.Errorf("free lists made %v: the stream ran nothing", made)
 	}
 }

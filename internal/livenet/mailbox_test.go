@@ -24,10 +24,10 @@ func TestMailbox(t *testing.T) {
 	p := &proc{c: c}
 	p.wake.L = &p.mu
 	p.alive.Store(true)
-	got := make(chan msg, 64)
+	got := make(chan mail, 64)
 	go func() {
 		defer close(got)
-		for batch := p.take(nil); len(batch) > 0; batch = p.take(batch) {
+		for batch, ok := p.take(nil, true); ok; batch, ok = p.take(batch, true) {
 			for _, m := range batch {
 				got <- m
 			}
@@ -36,7 +36,7 @@ func TestMailbox(t *testing.T) {
 	recv := func() int {
 		select {
 		case m := <-got:
-			return int(m.down)
+			return int(m.from)
 		case <-time.After(10 * time.Second):
 			t.Fatal("no message for 10s with one queued: a lost wakeup")
 			return 0
@@ -49,8 +49,8 @@ func TestMailbox(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				// down carries the sender and its sequence number.
-				if !p.push(msg{down: proto.ProcID(s*each + i)}) {
+				// from carries the sender and its sequence number.
+				if !p.push(mail{from: proto.ProcID(s*each + i)}) {
 					t.Error("a live mailbox refused a push")
 					return
 				}
@@ -67,7 +67,7 @@ func TestMailbox(t *testing.T) {
 	}
 	wg.Wait()
 	for i := range 1000 { // one at a time, so a push mostly finds the receiver waiting
-		p.push(msg{down: proto.ProcID(i)})
+		p.push(mail{from: proto.ProcID(i)})
 		if m := recv(); m != i {
 			t.Fatalf("lone message %d arrived as %d", i, m)
 		}
@@ -77,22 +77,22 @@ func TestMailbox(t *testing.T) {
 	p.wake.Signal()
 	p.mu.Unlock()
 	for m := range got {
-		t.Fatalf("message %d arrived beyond those sent", m.down)
+		t.Fatalf("message %d arrived beyond those sent", m.from)
 	}
 
 	for range 3 {
-		p.push(msg{down: 1})
+		p.push(mail{from: 1})
 	}
 	if n, ok := p.kill(); n != 3 || !ok {
 		t.Errorf("kill swallowed %d queued messages (%v), want 3 (true)", n, ok)
 	}
-	if p.push(msg{down: 1}) {
+	if p.push(mail{from: 1}) {
 		t.Error("a dead mailbox accepted a push")
 	}
 	if n, ok := p.kill(); n != 0 || ok {
 		t.Errorf("a second kill swallowed %d (%v), want 0 (false)", n, ok)
 	}
-	if batch := p.take(nil); len(batch) != 0 {
+	if batch, _ := p.take(nil, true); len(batch) != 0 {
 		t.Errorf("a dead mailbox handed out %d messages", len(batch))
 	}
 }

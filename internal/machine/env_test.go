@@ -91,6 +91,7 @@ func (w *fifoWorld) transmit(msg proto.Msg) {
 	w.After(fifoDelay, w.deliver)
 }
 
+func (w *fifoWorld) placedHere(*proto.TaskPacket)           {}
 func (w *fifoWorld) tracing() bool                          { return w.tlog != nil }
 func (w *fifoWorld) log(ev trace.Event)                     { w.tlog.Add(ev) }
 func (w *fifoWorld) suspected(*proc, proto.ProcID)          {}

@@ -301,7 +301,7 @@ func (sc *shardCtx) transmit(msg proto.Msg) {
 	hops := sc.m.hops(msg.From, msg.To)
 	sc.metrics.BytesOnWire += int64(msg.EncodedSize())
 	sc.metrics.HopsOnWire += int64(hops)
-	countMsg(&sc.metrics, msg.Type)
+	CountMsg(&sc.metrics, msg.Type)
 	sc.AtMsgTo(sc.Now()+flightTime(hops), sc.m.ownerOf(msg.To), sc.getMsg(msg))
 }
 
@@ -321,6 +321,7 @@ func (sc *shardCtx) suspected(p *proc, q proto.ProcID) {
 	sc.m.det.suspected(p, q)
 }
 
+func (sc *shardCtx) placedHere(*proto.TaskPacket)             {}
 func (sc *shardCtx) tracing() bool                            { return sc.tlog != nil }
 func (sc *shardCtx) died(p *proc)                             { sc.m.det.died(p) }
 func (sc *shardCtx) program(i int) lang.EvalProgram           { return sc.m.evals[i] }
@@ -380,10 +381,10 @@ func (c *params) replicasFor(fn string) int { return max(c.replication[fn], 1) }
 // flightTime is the virtual latency of a message that crosses hops links.
 func flightTime(hops int) sim.Time { return sim.Time(DefaultMsgOverhead + DefaultHopCost*hops) }
 
-// countMsg files one transmitted message under its report category. The
+// CountMsg files one transmitted message under its report category. The
 // switch is complete: a message type without a category is a bug, not a
 // message that travels for free.
-func countMsg(mt *trace.Metrics, t proto.MsgType) {
+func CountMsg(mt *trace.Metrics, t proto.MsgType) {
 	switch t {
 	case proto.MsgTask:
 		mt.MsgTask++

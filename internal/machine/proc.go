@@ -23,8 +23,9 @@ import (
 type env interface {
 	Now() sim.Time
 	After(d sim.Time, fn func()) sim.Timer
-	transmit(msg proto.Msg) // msg, From set, onto the wire; lost if To is dead on arrival
-	tracing() bool          // whether log keeps events
+	transmit(msg proto.Msg)           // msg, From set, onto the wire; lost if To is dead on arrival
+	placedHere(pkt *proto.TaskPacket) // route kept pkt, which is no message
+	tracing() bool                    // whether log keeps events
 	log(ev trace.Event)
 	suspected(p *proc, q proto.ProcID) // p now believes q failed
 	died(p *proc)
@@ -926,6 +927,7 @@ func (p *proc) route(parent *task, pkt *proto.TaskPacket, cr *childRef, avoid ma
 		p.store.Hold(&cr.Slot, pkt, dest)
 	}
 	if dest == p.id {
+		p.env.placedHere(pkt)
 		p.settle(pkt)
 	} else {
 		p.send(proto.Msg{Type: proto.MsgTask, To: dest, Task: pkt, Hops: hops})
@@ -1156,7 +1158,8 @@ func (p *proc) buildResult(t *task) *proto.Result {
 // and the value was worthless (§3.4). A retiring task hands its packet back
 // with the result, unless a ready-queue entry will still read it (retire):
 // AckGen, its generation, tells the parent that the packet its slot holds
-// has no other holder.
+// has no other holder. It retires before the result leaves, so nothing here
+// reads the packet once the parent may reuse it.
 func (p *proc) sendResult(t *task) {
 	dest := t.pkt.Parent.Proc
 	if dest != proto.HostID && p.faulty[dest] {
@@ -1164,20 +1167,20 @@ func (p *proc) sendResult(t *task) {
 		p.policy.OnResultUndeliverable(p.buildResult(t))
 		return
 	}
+	// Field by field: a literal would be built aside and copied in.
 	res := p.resFree.get()
-	*res = proto.Result{
-		Child: t.pkt.Key, ParentTask: t.pkt.Parent.Task,
-		HoleID: t.pkt.HoleID, Value: t.value,
-	}
-	var handBack uint64
-	if !p.acked && t.queued == 0 {
-		handBack = t.pkt.Gen
-	}
-	p.send(proto.Msg{Type: proto.MsgResult, To: dest, Result: res, AckGen: handBack})
+	res.Child, res.ParentTask, res.HoleID, res.Value = t.pkt.Key, t.pkt.Parent.Task, t.pkt.HoleID, t.value
+	res.DeadParent, res.Remaining = proto.Addr{}, nil
+	msg := proto.Msg{Type: proto.MsgResult, To: dest, Result: res}
 	if !p.acked {
+		if t.queued == 0 {
+			msg.AckGen = t.pkt.Gen
+		}
 		p.retire(t)
+		p.send(msg)
 		return
 	}
+	p.send(msg)
 	t.resultTimer.Stop()
 	t.resultTimer = p.env.After(p.replyTimeout(DefaultResultTimeout, dest), func() { p.onResultTimeout(t) })
 }

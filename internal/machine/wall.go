@@ -1,0 +1,163 @@
+package machine
+
+import (
+	"fmt"
+
+	"repro/internal/expr"
+	"repro/internal/lang"
+	"repro/internal/proto"
+	"repro/internal/recovery"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/trace"
+)
+
+// The wall clock runs this package's processor, the one implementation of
+// §4.2's protocol loop, over wallEnv: internal/livenet between goroutines,
+// internal/netnode between OS processes. The machine a wall processor
+// believes in is fixed: a complete interconnect, random placement, §3's
+// rollback, the failure detector's default period and ancestor depth 1. So
+// no message is acknowledged (Config.acked) and the only timer a processor
+// arms is its pass's completion, which a logical clock orders as well as
+// real time would. A processor learns of a death from the super-root's
+// announcement, and under the "none" scheme the super-root announces
+// nothing, so no policy ever runs.
+
+// Transport is a wall processor's way out.
+type Transport interface {
+	// Send carries msg, From set, to another processor or to proto.HostID,
+	// the super-root. It does not block and cannot fail: a message to a
+	// dead processor vanishes, and the sender's checkpoint recovers the work.
+	Send(msg proto.Msg)
+	// Program is the compiled form of the program packets tagged i run.
+	Program(i int) lang.EvalProgram
+}
+
+// wallBudget is how many events Run dispatches before the transport looks
+// at its mailbox again, however long an in-place run is.
+const wallBudget = 1 << 12
+
+// WallProc is one processor of a wall-clock machine. It is single-threaded:
+// its transport calls Deliver and Run from one goroutine.
+type WallProc struct{ env *wallEnv }
+
+// NewWallProc builds processor id of a procs-processor wall-clock machine.
+// Its placement draws from the stream seed and id derive, as on the
+// simulator, so the same seed gives the same draws on every transport.
+func NewWallProc(id proto.ProcID, procs int, seed int64, tr Transport) (*WallProc, error) {
+	topo, err := topology.Complete(procs)
+	if err != nil {
+		return nil, err
+	}
+	cfg, err := Config{Topo: topo, Scheme: recovery.Rollback(), Seed: seed, AncestorDepth: 1}.normalized()
+	if err != nil {
+		return nil, err
+	}
+	if id < 0 || int(id) >= procs {
+		return nil, fmt.Errorf("machine: no processor %d of %d", id, procs)
+	}
+	e := &wallEnv{Kernel: sim.NewKernel(seed), tr: tr}
+	e.p = newProc(id, int(id), newParams(cfg), &cfg, e, &e.metrics)
+	e.deliverFn = e.deliverLocal
+	return &WallProc{e}, nil
+}
+
+// Deliver hands the processor one message from the interconnect.
+func (w *WallProc) Deliver(msg *proto.Msg) { w.env.p.handle(msg) }
+
+// Run dispatches at most wallBudget of the events the processor has
+// pending — passes completing, messages it sent itself — and reports
+// whether any are left.
+func (w *WallProc) Run() bool { return w.env.Run(wallBudget) == sim.RunBudgetExhausted }
+
+// Local is what the processor counted that no message it sent carries: the
+// packets it spawned and placed on itself (tasks.spawned, tasks.in-place and
+// the reissues among them) and the results it drained. What it sent, its
+// transport counts.
+func (w *WallProc) Local() trace.Metrics {
+	e := w.env
+	return trace.Metrics{TasksSpawned: e.inPlace, TasksInPlace: e.inPlace, Reissues: e.inPlaceReissues,
+		DupResults: e.metrics.DupResults, LateResults: e.metrics.LateResults}
+}
+
+// wallEnv is a wall processor's env. Its kernel is the processor's work
+// clock: a pass's modelled cost orders its completion and takes no wall
+// time. A message the processor sends itself is a local event a tick later,
+// as on the simulator; everything else goes to the transport.
+type wallEnv struct {
+	*sim.Kernel
+	tr      Transport
+	p       *proc
+	metrics trace.Metrics
+
+	// local[head:] are the messages the processor sent itself, oldest first;
+	// each is delivered by one deliverFn event.
+	local     []proto.Msg
+	head      int
+	deliverFn func()
+
+	// inPlace and inPlaceReissues count the packets the processor placed on
+	// itself, and the reissues among them.
+	inPlace, inPlaceReissues int64
+}
+
+func (e *wallEnv) transmit(msg proto.Msg) {
+	if msg.To == msg.From {
+		if e.head > 0 && len(e.local) == cap(e.local) {
+			n := copy(e.local, e.local[e.head:])
+			clear(e.local[n:])
+			e.local, e.head = e.local[:n], 0
+		}
+		e.local = append(e.local, msg)
+		e.After(1, e.deliverFn)
+		return
+	}
+	e.tr.Send(msg)
+}
+
+func (e *wallEnv) placedHere(pkt *proto.TaskPacket) {
+	e.inPlace++
+	if pkt.Reissue {
+		e.inPlaceReissues++
+	}
+}
+
+// deliverLocal delivers the oldest message the processor sent itself: every
+// one is due a tick after it was sent, so they fall due in send order.
+func (e *wallEnv) deliverLocal() {
+	msg := e.local[e.head]
+	e.local[e.head] = proto.Msg{}
+	if e.head++; e.head == len(e.local) {
+		e.local, e.head = e.local[:0], 0
+	}
+	e.p.handle(&msg)
+}
+
+func (e *wallEnv) program(i int) lang.EvalProgram { return e.tr.Program(i) }
+func (*wallEnv) tracing() bool                    { return false }
+func (*wallEnv) log(trace.Event)                  {}
+func (*wallEnv) suspected(*proc, proto.ProcID)    {}
+func (*wallEnv) died(*proc)                       {}
+
+// The super-root is the transport's, so no host task lives here.
+func (*wallEnv) rootDone(proto.TaskKey, expr.Value) {
+	panic("machine: a wall processor has no host task")
+}
+func (*wallEnv) failed(proto.TaskKey, error) { panic("machine: a wall processor has no host task") }
+
+// Held is what a processor still holds: its resident tasks, its retained
+// checkpoints and, for each of its free lists — tasks, hole records,
+// packets, results — how many objects the list made and how many are back.
+type Held struct {
+	Tasks, Checkpoints int
+	Made, Free         [4]int
+}
+
+// Held reads what the processor holds. Read it from the transport's
+// goroutine, or once that has stopped.
+func (w *WallProc) Held() Held {
+	p := w.env.p
+	return Held{Tasks: len(p.tasks), Checkpoints: p.store.Len(),
+		Made: [4]int{p.taskFree.made, p.holeFree.made, p.pktFree.made, p.resFree.made},
+		Free: [4]int{len(p.taskFree.free), len(p.holeFree.free), len(p.pktFree.free), len(p.resFree.free)}}
+}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"strings"
 	"syscall"
@@ -208,23 +207,18 @@ func TestChildOneWritePerHandlerBurst(t *testing.T) {
 	if hello := frames(t, conn.writes[0]); len(hello) != 1 || hello[0].Type != proto.FrameHello {
 		t.Fatalf("first write = %v, want the hello alone", hello)
 	}
-	// Node 0's placement draws, from the seed the way node.New derives them.
-	rng := rand.New(rand.NewSource(seed))
-	burst, home := frames(t, conn.writes[1]), int64(0)
-	for i := 0; i < k; i++ {
-		if rng.Intn(2) == 0 {
-			home++ // hole i was placed on node 0: no frame
-			continue
-		}
-		if len(burst) == 0 {
-			t.Fatalf("the burst ends before hole %d", i)
-		}
+	// The burst is one spawn frame per hole placement sent to node 1, in
+	// hole order; the holes missing from it were placed on node 0.
+	burst, home := frames(t, conn.writes[1]), int64(k)
+	for i := 0; len(burst) > 0 && burst[0].Type == proto.FrameSpawn; i++ {
 		f := burst[0]
 		burst = burst[1:]
 		pkt, err := parseSpawn(f.Payload)
-		if f.Type != proto.FrameSpawn || f.To != 1 || err != nil || pkt.Fn != "tree" || pkt.HoleID != i {
-			t.Fatalf("frame for hole %d = %+v (%v, %v)", i, f, pkt, err)
+		if f.To != 1 || err != nil || pkt.Fn != "tree" || pkt.HoleID < i || pkt.HoleID >= k {
+			t.Fatalf("spawn frame %d = %+v (%v, %v)", i, f, pkt, err)
 		}
+		i = pkt.HoleID
+		home--
 		// Byte-identical to the unbatched encoding: header, program tag, packet.
 		want := proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameSpawn, From: 0, To: 1,
 			Payload: append([]byte{0, 0}, proto.EncodePacket(pkt)...)})
@@ -254,7 +248,7 @@ func TestChildCountsGoAheadOfWhatFollows(t *testing.T) {
 		Parent: proto.Addr{Proc: proto.HostID},
 	}
 	conn := script(hubInput(lang.Fib(),
-		&proto.Frame{Type: proto.FrameNodeDown, From: proto.HostID, Payload: nodeDownPayload(1)},
+		&proto.Frame{Type: proto.FrameControl, From: proto.HostID, Payload: proto.AppendControl(nil, &proto.Msg{Type: proto.MsgFaultAnnounce, Failed: 1})},
 		&proto.Frame{Type: proto.FrameSpawn, From: proto.HostID, Payload: appendSpawn(nil, root)}))
 	if err := runChild(0, node.Spec{Procs: 2, Seed: 1}, conn); err != nil {
 		t.Fatal(err)
@@ -381,7 +375,7 @@ func TestHubTornBatch(t *testing.T) {
 		t.Error("node 0 still marked alive")
 	}
 	q := frames(t, c.children[1].out.buf)
-	want := []proto.FrameType{proto.FrameProgram, proto.FrameSpawn, proto.FrameSpawn, proto.FrameResult, proto.FrameNodeDown, proto.FrameSpawn}
+	want := []proto.FrameType{proto.FrameProgram, proto.FrameSpawn, proto.FrameSpawn, proto.FrameResult, proto.FrameControl, proto.FrameSpawn}
 	if len(q) != len(want) {
 		t.Fatalf("node 1 was queued %d frames, want %d", len(q), len(want))
 	}
@@ -495,5 +489,25 @@ func TestNoDeadlockUnderMutualFlood(t *testing.T) {
 	// Half of the 32·64 leaf packets, give or take what placement drew.
 	if got := totals(c); got.MsgBytes < int64(32*64*leaf*4/10) {
 		t.Errorf("only %d bytes crossed the hub: the flood did not happen", got.MsgBytes)
+	}
+}
+
+// TestChildRejectsUnknownNodes: a frame is input from outside the node. A
+// packet owed to a processor the machine does not have, or the death of one,
+// ends the node with an error instead of reaching the protocol, which indexes
+// its tables by processor.
+func TestChildRejectsUnknownNodes(t *testing.T) {
+	stray := &proto.TaskPacket{
+		Key: proto.TaskKey{Stamp: stamp.FromPath(0)}, Fn: "fib", Args: []expr.Value{expr.VInt(3)},
+		Parent: proto.Addr{Proc: 9},
+	}
+	for name, f := range map[string]*proto.Frame{
+		"packet": {Type: proto.FrameSpawn, From: proto.HostID, Payload: appendSpawn(nil, stray)},
+		"death": {Type: proto.FrameControl, From: proto.HostID,
+			Payload: proto.AppendControl(nil, &proto.Msg{Type: proto.MsgFaultAnnounce, Failed: 9})},
+	} {
+		if err := runChild(0, node.Spec{Procs: 2, Seed: 1}, script(hubInput(lang.Fib(), f))); err == nil || !strings.Contains(err.Error(), "unknown node 9") {
+			t.Errorf("%s naming node 9 of 2: runChild = %v", name, err)
+		}
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/machine"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -41,42 +41,47 @@ func ChildMain() {
 
 // childLink is a node process's end of the interconnect: the batch of
 // frames bound for the hub, which relays every one. The node is
-// single-threaded (one frame at a time), so nothing else touches the batch;
-// Spawn and Result only append, runChild decides when it is written, and a
-// frame the batch refuses is sticky in the writer until that flush.
+// single-threaded, so nothing else touches the batch; Send only appends,
+// runChild decides when it is written, and a frame the batch refuses is
+// sticky in the writer until that flush.
 type childLink struct {
 	id  proto.ProcID
 	out *proto.FrameWriter
-	// n is the node behind the link; told is what n had counted on its own
-	// as of the last stats frame.
-	n    *node.Node
-	told trace.Metrics
+	// w is the processor behind the link; told is what w had counted on its
+	// own as of the last stats frame. evals holds each program compiled at
+	// FrameProgram receipt, so the per-task path never compiles.
+	w     *machine.WallProc
+	told  trace.Metrics
+	evals map[int]lang.EvalProgram
 }
 
-// Spawn implements node.Link. Reissue frames carry FlagReissue so the hub
-// can count recovery traffic without decoding payloads.
-func (l *childLink) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
+// Send implements machine.Transport. A task packet is a spawn frame, with
+// FlagReissue on a reissue so the hub can count recovery traffic without
+// decoding payloads; a result is a result frame, with FlagFailed on an
+// evaluation error for the hub, whose text is the value; anything else is a
+// control frame.
+func (l *childLink) Send(m proto.Msg) {
 	l.tally()
-	var flags byte
-	if reissue {
-		flags = proto.FlagReissue
+	switch {
+	case m.Type == proto.MsgTask:
+		var flags byte
+		if m.Task.Reissue {
+			flags = proto.FlagReissue
+		}
+		_ = l.out.End(appendSpawn(l.out.Begin(proto.FrameSpawn, flags, l.id, m.To), m.Task))
+	case m.Type == proto.MsgResult:
+		var flags byte
+		if m.Err != nil {
+			flags = proto.FlagFailed
+		}
+		_ = l.out.End(proto.AppendResult(l.out.Begin(proto.FrameResult, flags, l.id, m.To), m.Result))
+	default:
+		_ = l.out.End(proto.AppendControl(l.out.Begin(proto.FrameControl, 0, l.id, m.To), &m))
 	}
-	_ = l.out.End(appendSpawn(l.out.Begin(proto.FrameSpawn, flags, l.id, to), pkt))
 }
 
-// Result implements node.Link; the hub is the addressee of root results.
-func (l *childLink) Result(to proto.ProcID, res *proto.Result) {
-	l.tally()
-	_ = l.out.End(proto.AppendResult(l.out.Begin(proto.FrameResult, 0, l.id, to), res))
-}
-
-// Fail implements node.Link: a result frame for the hub with FlagFailed,
-// the error's text where the value would be.
-func (l *childLink) Fail(task proto.TaskKey, err error) {
-	l.tally()
-	res := &proto.Result{Child: task, Value: expr.VStr(err.Error())}
-	_ = l.out.End(proto.AppendResult(l.out.Begin(proto.FrameResult, proto.FlagFailed, l.id, proto.HostID), res))
-}
+// Program implements machine.Transport.
+func (l *childLink) Program(i int) lang.EvalProgram { return l.evals[i] }
 
 // tally appends a stats frame when the node has counted something on its own
 // since the last one: task packets placed on itself and results drained, as
@@ -84,12 +89,13 @@ func (l *childLink) Fail(task proto.TaskKey, err error) {
 // whatever a frame it sees causally follows — a packet that ran in place
 // before its result left, say — even when the node dies mid-batch.
 func (l *childLink) tally() {
-	if l.n.Metrics == l.told {
+	now := l.w.Local()
+	if now == l.told {
 		return
 	}
 	buf := l.out.Begin(proto.FrameStats, 0, l.id, proto.HostID)
-	_ = l.out.End(appendStats(buf, &l.n.Metrics, &l.told))
-	l.told = l.n.Metrics
+	_ = l.out.End(appendStats(buf, &now, &l.told))
+	l.told = now
 }
 
 // hubGone ends the node on a connection error: a read or a flush that fails
@@ -102,10 +108,29 @@ func hubGone(err error) error {
 	return nil
 }
 
-// runChild feeds the hub's frames to one protocol node until the hub says
-// goodbye or disappears. What the handlers emit is written when the reader
-// has nothing buffered (the next read may block) or the batch is a buffer
-// full, never in between: a wide OnSpawn leaves in one write. (A partial
+// pollWait is how long a node with work pending waits for a frame before it
+// runs its next budget of events.
+const pollWait = 50 * time.Microsecond
+
+// arrived reports whether the hub has sent something, waiting at most
+// pollWait; a connection that cannot time out always reads.
+func arrived(conn io.Reader, r *bufio.Reader) bool {
+	d, ok := conn.(interface{ SetReadDeadline(time.Time) error })
+	if !ok {
+		return true
+	}
+	_ = d.SetReadDeadline(time.Now().Add(pollWait))
+	_, err := r.Peek(1)
+	_ = d.SetReadDeadline(time.Time{})
+	return !errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// runChild feeds the hub's frames to one wall processor until the hub says
+// goodbye or disappears. After each frame the processor runs a budget of what
+// it set going; while events are still pending the node only polls the
+// socket between budgets. What the processor emits is written when the
+// reader has nothing buffered (the next read may block) or the batch is a
+// buffer full, never in between: a wide pass leaves in one write. (A partial
 // frame in the buffer means the hub is inside the Write that completes it.)
 func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 	ev, err := spec.Evaluator()
@@ -113,26 +138,29 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 		return err
 	}
 	r := bufio.NewReaderSize(conn, connBufSize)
-	link := &childLink{id: proto.ProcID(id), out: proto.NewFrameWriter(conn)}
-	// evals holds each program compiled at FrameProgram receipt, so the
-	// per-task path never compiles.
-	evals := map[int]lang.EvalProgram{}
-	link.n = node.New(link.id, spec.Procs, spec.Seed, link, func(idx int) lang.EvalProgram { return evals[idx] })
-	n := link.n
+	link := &childLink{id: proto.ProcID(id), out: proto.NewFrameWriter(conn), evals: map[int]lang.EvalProgram{}}
+	if link.w, err = machine.NewWallProc(link.id, spec.Procs, spec.Seed, link); err != nil {
+		return err
+	}
 	_ = link.out.Append(&proto.Frame{
 		Type: proto.FrameHello, From: link.id, To: proto.HostID,
 		Payload: helloPayload(id, os.Getpid()),
 	})
 	for {
+		pending := link.w.Run()
 		if r.Buffered() == 0 || link.out.Len() >= connBufSize {
 			if err := link.out.Flush(); err != nil {
 				return hubGone(err)
 			}
 		}
+		if pending && r.Buffered() == 0 && !arrived(conn, r) {
+			continue
+		}
 		f, err := proto.ReadFrame(r)
 		if err != nil {
 			return hubGone(err)
 		}
+		m := proto.Msg{From: f.From, To: link.id}
 		switch f.Type {
 		case proto.FrameProgram:
 			idx, src, err := parseProgram(f.Payload)
@@ -143,38 +171,42 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 			if err != nil {
 				return fmt.Errorf("netnode: program %d does not parse: %v", idx, err)
 			}
-			if evals[idx], err = ev.Compile(prog); err != nil {
+			if link.evals[idx], err = ev.Compile(prog); err != nil {
 				return fmt.Errorf("netnode: program %d does not compile: %v", idx, err)
 			}
+			continue
 		case proto.FrameSpawn:
-			pkt, err := parseSpawn(f.Payload)
-			if err != nil {
+			if m.Task, err = parseSpawn(f.Payload); err != nil {
 				return err
 			}
-			if evals[pkt.Prog] == nil {
-				return fmt.Errorf("netnode: node %d has no program %d", id, pkt.Prog)
+			if link.evals[m.Task.Prog] == nil {
+				return fmt.Errorf("netnode: node %d has no program %d", id, m.Task.Prog)
 			}
-			n.OnSpawn(pkt)
+			if pp := m.Task.Parent.Proc; pp != proto.HostID && (pp < 0 || int(pp) >= spec.Procs) {
+				return fmt.Errorf("netnode: packet owed to unknown node %d", pp)
+			}
+			m.Type = proto.MsgTask
 		case proto.FrameResult:
-			res, err := proto.DecodeResult(f.Payload)
+			if m.Result, err = proto.DecodeResult(f.Payload); err != nil {
+				return err
+			}
+			m.Type = proto.MsgResult
+		case proto.FrameControl:
+			c, err := proto.DecodeControl(f.Payload)
 			if err != nil {
 				return err
 			}
-			n.OnResult(res)
-		case proto.FrameNodeDown:
-			dead, err := parseNodeDown(f.Payload)
-			if err != nil {
-				return err
+			if c.Type == proto.MsgFaultAnnounce && (c.Failed < 0 || int(c.Failed) >= spec.Procs) {
+				return fmt.Errorf("netnode: death of unknown node %d", c.Failed)
 			}
-			if dead < 0 || dead >= spec.Procs {
-				return fmt.Errorf("netnode: node-down for unknown node %d", dead)
-			}
-			n.OnNodeDown(proto.ProcID(dead))
+			c.From, c.To = m.From, m.To
+			m = *c
 		case proto.FrameShutdown:
 			link.tally() // the goodbye: what no later frame will carry
 			return hubGone(link.out.Flush())
 		default:
 			return fmt.Errorf("netnode: unexpected %v frame at node %d", f.Type, id)
 		}
+		link.w.Deliver(&m)
 	}
 }

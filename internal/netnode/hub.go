@@ -7,12 +7,10 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
@@ -97,7 +95,7 @@ type child struct {
 // parent's socket, the parent routing frames between them and hosting the
 // super-root.
 //
-// The hub charges the protocol frames (spawn, result, node-down) it carries,
+// The hub charges the protocol frames (spawn, result, control) it carries,
 // in real frame wire sizes — program broadcasts and supervision traffic
 // (hello, stats, shutdown) are not interconnect load, matching the
 // resident-code model of the other backends — and attributes reissues from
@@ -266,7 +264,7 @@ func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
 		flags = proto.FlagReissue
 	}
 	wire := hostFrame(proto.FrameSpawn, flags, to, appendSpawn(nil, pkt))
-	c.root.CountSpawn(len(wire), reissue)
+	c.root.Charge(proto.MsgTask, reissue, len(wire))
 	if !c.push(c.children[to], wire) {
 		c.root.CountBlackholed()
 	}
@@ -274,9 +272,14 @@ func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
 
 // NodeDown implements node.Fabric: the death announcement to one survivor.
 func (c *Cluster) NodeDown(to, dead proto.ProcID) {
-	wire := hostFrame(proto.FrameNodeDown, 0, to, nodeDownPayload(int(dead)))
-	c.root.CountNodeDown(len(wire))
+	wire := announcement(to, dead)
+	c.root.Charge(proto.MsgFaultAnnounce, false, len(wire))
 	c.push(c.children[to], wire)
+}
+
+// announcement is the control frame that tells processor to of dead's death.
+func announcement(to, dead proto.ProcID) []byte {
+	return hostFrame(proto.FrameControl, 0, to, proto.AppendControl(nil, &proto.Msg{Type: proto.MsgFaultAnnounce, Failed: dead}))
 }
 
 // hostFrame encodes a frame the supervisor originates.
@@ -341,8 +344,9 @@ func (c *Cluster) relay(ch *child) error {
 // carry counts one whole frame from a child and sends it on its way:
 // protocol frames are charged and forwarded (a root's result is decoded and
 // delivered here), supervision frames absorbed. wire is only valid during
-// the call. A result or stats frame for the hub that does not decode is its
-// sender's failure, "an invalid message" (§1): the error ends the connection.
+// the call. A result or stats frame for the hub, or a control frame, that
+// does not decode is its sender's failure, "an invalid message" (§1): the
+// error ends the connection. The super-root takes only results.
 func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 	payload := wire[proto.FrameHeaderSize:]
 	switch f.Type {
@@ -353,7 +357,7 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 		}
 		c.root.Fold(proto.ProcID(ch.id), &m)
 	case proto.FrameResult:
-		node.CountSent(&ch.sent, false, false, len(wire))
+		node.CountSent(&ch.sent, proto.MsgResult, false, len(wire))
 		if f.To != proto.HostID {
 			c.forward(f.To, wire)
 		} else if res, err := proto.DecodeResult(payload); err != nil {
@@ -361,23 +365,25 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 		} else if f.Flags&proto.FlagFailed == 0 {
 			c.root.Deliver(res)
 		} else {
-			c.root.Fail(proto.ProcID(ch.id), res.Child, evalError(res.Value))
+			c.root.Fail(proto.ProcID(ch.id), res)
 		}
 	case proto.FrameSpawn:
-		node.CountSent(&ch.sent, true, f.Flags&proto.FlagReissue != 0, len(wire))
+		node.CountSent(&ch.sent, proto.MsgTask, f.Flags&proto.FlagReissue != 0, len(wire))
 		c.forward(f.To, wire)
+	case proto.FrameControl:
+		m, err := proto.DecodeControl(payload)
+		if err != nil {
+			return err
+		}
+		node.CountSent(&ch.sent, m.Type, false, len(wire))
+		if f.To != proto.HostID {
+			c.forward(f.To, wire)
+		}
 	default:
 		// A child never originates other frame types; drop quietly
 		// rather than wedge the stream on a protocol slip.
 	}
 	return nil
-}
-
-// evalError is the evaluation error a node process reported as text v, typed
-// again on this side of the socket: it wraps lang.ErrEval and reads the same.
-func evalError(v expr.Value) error {
-	text, _ := v.(expr.VStr)
-	return fmt.Errorf("%w: %s", lang.ErrEval, strings.TrimPrefix(string(text), lang.ErrEval.Error()+": "))
 }
 
 // forward relays a child-to-child frame; dead destinations black-hole it.

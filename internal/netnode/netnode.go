@@ -6,19 +6,20 @@
 // (§2) needs nothing from a particular substrate, now demonstrated across a
 // process boundary where a crash is a SIGKILL, not a cooperative teardown.
 //
-// It is a transport and nothing else: each child runs one internal/node
-// rollback node, the parent hosts that package's super-root (§4.3.1) and
-// serves its session — the same three the goroutine backend runs on.
+// It is a transport and nothing else: each child runs one
+// internal/machine WallProc, the simulator's protocol over a wall-clock env,
+// and the parent hosts internal/node's super-root (§4.3.1) and serves its
+// session — the same three the goroutine backend runs on.
 //
 // Topology is hub-and-spoke: the parent process is the supervisor and the
 // frame router. Children dial the parent's unix socket, introduce themselves
-// with a hello frame, and then speak
-// the protocol: task packets travel as spawn frames, results as result
-// frames, death announcements as node-down gossip from the supervisor, plus
-// the stats reports of what a node counted on its own. Fault injection
-// SIGKILLs the child's PID — the supervisor learns of the death the way a
-// real cluster does, by the connection breaking — and reports it to the
-// super-root like any crash.
+// with a hello frame, and then speak the protocol: task packets travel as
+// spawn frames, results as result frames, and the rest of what the protocol
+// sends — aborts, child aborts, refused placements and the supervisor's death
+// announcements — as control frames, plus the stats reports of what a node
+// counted on its own. Fault injection SIGKILLs the child's PID — the
+// supervisor learns of the death the way a real cluster does, by the
+// connection breaking — and reports it to the super-root like any crash.
 //
 // Program code is resident, not shipped per packet: the parent broadcasts
 // each program's lang.Format source once (a program frame carrying an
@@ -86,7 +87,8 @@ const SocketPattern = "apsim-netnode-*"
 
 // childEnv reads the environment contract; ok is false when NodeEnvID is
 // absent (a normal, non-child invocation). The recovery scheme is not part
-// of it: under "none" a node is simply never told of a death.
+// of it: under "none" a node is simply never told of a death, so its
+// rollback policy never runs.
 func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 	idStr := os.Getenv(NodeEnvID)
 	if idStr == "" {
@@ -122,10 +124,10 @@ func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 //	           the packet's EncodedSize, which sim and live charge too
 //	result:    proto.EncodeResult bytes (with FlagFailed: the failed task as
 //	           Child, the evaluation error's text as a string Value)
-//	node-down: uint32 dead node id
-//	stats:     uint64 × 3, what the node counted since its last report: task
+//	control:   proto.AppendControl bytes
+//	stats:     uint64 × 4, what the node counted since its last report: task
 //	           packets it placed on itself, the reissues among them, and
-//	           results it drained
+//	           the duplicate and the late results it drained
 //	shutdown:  empty
 
 func helloPayload(id, pid int) []byte {
@@ -168,17 +170,6 @@ func parseSpawn(p []byte) (*proto.TaskPacket, error) {
 		pkt.Prog = int(binary.BigEndian.Uint16(p))
 	}
 	return pkt, err
-}
-
-func nodeDownPayload(dead int) []byte {
-	return binary.BigEndian.AppendUint32(nil, uint32(dead))
-}
-
-func parseNodeDown(p []byte) (int, error) {
-	if len(p) != 4 {
-		return 0, fmt.Errorf("netnode: node-down payload %d bytes", len(p))
-	}
-	return int(binary.BigEndian.Uint32(p)), nil
 }
 
 // appendStats appends what a node counted on its own between was and now.

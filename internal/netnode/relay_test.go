@@ -40,7 +40,7 @@ func routeAll(t *testing.T, c *Cluster) (relayed []byte) {
 		t.Fatal("node 0 still marked alive after its connection ended")
 	}
 	out := c.children[1].out.buf
-	down := hostFrame(proto.FrameNodeDown, 0, 1, nodeDownPayload(0))
+	down := announcement(1, 0)
 	if !bytes.HasSuffix(out, down) {
 		t.Fatalf("node 1's outbox does not end with node 0's death announcement (%d bytes queued)", len(out))
 	}
@@ -77,7 +77,7 @@ func TestRelayForwardsTheBytesThatArrived(t *testing.T) {
 		t.Fatalf("node 1 was queued %d bytes, node 0 wrote %d; they first differ at byte %d", len(got), len(stream), at)
 	}
 	got := totals(c)
-	if got.Messages != int64(count)+1 || got.MsgBytes != int64(len(stream))+proto.FrameHeaderSize+4 || got.Drained != 0 {
+	if got.Messages != int64(count)+1 || got.MsgBytes != int64(len(stream)+len(announcement(1, 0))) || got.Drained != 0 {
 		t.Errorf("%d messages, %d bytes, %d drained; want the %d frames of %d bytes and one death announcement",
 			got.Messages, got.MsgBytes, got.Drained, count, len(stream))
 	}

@@ -467,6 +467,37 @@ func TestSpawnedIncludesReissues(t *testing.T) {
 	})
 }
 
+// TestMidTreeKillAborts is §3.2's scoped abort on the wall clock: a node
+// killed while it holds tasks in the middle of the tree makes the survivors
+// reissue the topmost checkpoints they placed on it and abort the dependents
+// those reissues regenerate — abort and child-abort messages, on net through
+// the control frame — and the request still answers the reference value.
+func TestMidTreeKillAborts(t *testing.T) {
+	w, err := core.StandardWorkload("fib:16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	each(t, func(t *testing.T, backend string) {
+		cfg := core.Config{Procs: 6, Seed: 3, Recovery: "rollback", Deadline: 10_000_000}
+		clean, err := core.VerifyOn(backend, cfg, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Makespan is wall µs and a tick is 2 of them: the instants are a
+		// quarter, an eighth and a sixteenth of the way in.
+		for _, at := range []int64{clean.Makespan/8 + 1, clean.Makespan/16 + 1, clean.Makespan/32 + 1} {
+			rep, err := core.VerifyOn(backend, cfg, w, faults.Crash(2, at, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Reissued > 0 && rep.Metrics.MsgAbort > 0 {
+				return
+			}
+		}
+		t.Fatal("no kill instant cost a reissue and an abort")
+	})
+}
+
 // TestRootReissue kills the nodes hosting two requests' roots: the
 // super-root is every root's parent and must reissue them from its retained
 // packets.

@@ -1,0 +1,233 @@
+package node
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/expr"
+	"repro/internal/lang"
+	"repro/internal/machine"
+	"repro/internal/proto"
+	"repro/internal/trace"
+)
+
+// mesh is a whole wall-clock machine in one goroutine: the real super-root,
+// procs wall processors and one FIFO of messages in flight, delivered one at
+// a time and each run until nothing is pending — so a run is a pure function
+// of (program, procs, seed, kills). It charges every message as a transport
+// must, and folds what each processor counted on its own at the end.
+type mesh struct {
+	t      testing.TB
+	root   *Root
+	ep     lang.EvalProgram
+	procs  []*machine.WallProc
+	sent   []trace.Metrics
+	dead   []bool
+	flight []proto.Msg
+
+	delivered int // messages taken off flight, the kill schedule's clock
+}
+
+func newMesh(t testing.TB, procs int, seed int64) *mesh {
+	m := &mesh{t: t, sent: make([]trace.Metrics, procs), dead: make([]bool, procs)}
+	var err error
+	if m.root, err = NewRoot(Spec{Procs: procs, Seed: seed}, m); err != nil {
+		t.Fatal(err)
+	}
+	for p := range procs {
+		wp, err := machine.NewWallProc(proto.ProcID(p), procs, seed, meshLink{m, p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.procs = append(m.procs, wp)
+	}
+	return m
+}
+
+// LoadProgram implements Fabric; a mesh runs one program.
+func (m *mesh) LoadProgram(_ int, prog *lang.Program) error {
+	ev, err := Spec{}.Evaluator()
+	if err == nil {
+		m.ep, err = ev.Compile(prog)
+	}
+	return err
+}
+
+// Spawn implements Fabric.
+func (m *mesh) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
+	m.root.Charge(proto.MsgTask, reissue, pkt.EncodedSize())
+	m.flight = append(m.flight, proto.Msg{Type: proto.MsgTask, From: proto.HostID, To: to, Task: pkt})
+}
+
+// NodeDown implements Fabric.
+func (m *mesh) NodeDown(to, dead proto.ProcID) {
+	msg := proto.Msg{Type: proto.MsgFaultAnnounce, From: proto.HostID, To: to, Failed: dead}
+	m.root.Charge(msg.Type, false, msg.EncodedSize())
+	m.flight = append(m.flight, msg)
+}
+
+// meshLink is processor p's transport.
+type meshLink struct {
+	m *mesh
+	p int
+}
+
+func (l meshLink) Send(msg proto.Msg) {
+	CountSent(&l.m.sent[l.p], msg.Type, msg.Type == proto.MsgTask && msg.Task.Reissue, msg.EncodedSize())
+	switch {
+	case msg.To != proto.HostID:
+		l.m.flight = append(l.m.flight, msg)
+	case msg.Type != proto.MsgResult:
+	case msg.Err != nil:
+		l.m.root.Fail(msg.From, msg.Result)
+	default:
+		l.m.root.Deliver(msg.Result)
+	}
+}
+
+func (l meshLink) Program(int) lang.EvalProgram { return l.m.ep }
+
+// kill is one entry of a kill schedule: processor proc dies once after
+// messages have been delivered.
+type kill struct {
+	after int
+	proc  proto.ProcID
+}
+
+func (m *mesh) kill(p proto.ProcID) {
+	alive := 0
+	for _, d := range m.dead {
+		if !d {
+			alive++
+		}
+	}
+	if m.dead[p] || alive == 1 {
+		return // the schedule may name a victim twice; one processor must survive
+	}
+	m.dead[p] = true
+	m.root.NodeDown(p)
+}
+
+// run serves one request to completion under a kill schedule (sorted by
+// after) and returns its answer, with what the processors counted folded
+// into the super-root's totals.
+func (m *mesh) run(w core.Workload, kills []kill) expr.Value {
+	q, err := m.root.Submit(w.Program, w.Fn, w.Args)
+	if err != nil {
+		m.t.Fatal(err)
+	}
+	for {
+		for len(kills) > 0 && kills[0].after <= m.delivered {
+			m.kill(kills[0].proc)
+			kills = kills[1:]
+		}
+		if len(m.flight) == 0 {
+			break
+		}
+		msg := m.flight[0]
+		m.flight = m.flight[1:]
+		m.delivered++
+		if m.dead[msg.To] {
+			m.root.CountBlackholed()
+			continue
+		}
+		wp := m.procs[msg.To]
+		wp.Deliver(&msg)
+		for wp.Run() {
+		}
+	}
+	for p, wp := range m.procs {
+		local := wp.Local()
+		m.sent[p].Add(&local)
+		m.root.Fold(proto.ProcID(p), &m.sent[p])
+	}
+	v, err := q.Wait(0, nil)
+	if err != nil {
+		got, _ := m.root.Metrics()
+		m.t.Fatalf("nothing left in flight and no answer: %v (%q)", err, got.Rows())
+	}
+	return v
+}
+
+// meshProgs are the programs the mesh runs: two-way and three-way
+// recursion, and a wide shallow tree.
+var meshProgs = []string{"fib:9", "tak:6,3,1", "tree:4,3"}
+
+// checkMesh serves one (program, procs, seed, kills) on a mesh and requires
+// the reference answer and the packet ledger every wall-clock run keeps:
+// every packet spawned crossed as a msg.task or was placed in place, and the
+// processors are credited with no more reissues than the total.
+func checkMesh(t testing.TB, spec string, procs int, seed int64, kills []kill) trace.Metrics {
+	t.Helper()
+	w, err := core.StandardWorkload(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := lang.RefEval(w.Program, w.Fn, w.Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMesh(t, procs, seed)
+	if got := m.run(w, kills); !got.Equal(want) {
+		t.Fatalf("answer %v, want %v", got, want)
+	}
+	got, byNode := m.root.Metrics()
+	var credited int64
+	for _, r := range byNode {
+		credited += r
+	}
+	if got.TasksSpawned != got.MsgTask+got.TasksInPlace || credited > got.Reissues {
+		t.Fatalf("%d spawned, %d sent + %d in place; %d reissues, %v credited", got.TasksSpawned,
+			got.MsgTask, got.TasksInPlace, got.Reissues, byNode)
+	}
+	return got
+}
+
+// TestWallMeshUnderKills: wall processors over a deterministic wire answer
+// fault-free and through kill schedules — two deaths mid-run, a cascade that
+// takes the root's host first, a machine left with one survivor.
+func TestWallMeshUnderKills(t *testing.T) {
+	for _, spec := range meshProgs {
+		for _, tc := range []struct {
+			procs int
+			seed  int64
+			kills []kill
+		}{
+			{4, 1, nil},
+			{8, 7, nil},
+			{5, 3, []kill{{40, 3}, {90, 1}}},
+			{6, 11, []kill{{1, 0}, {1, 1}, {1, 2}}},
+			{3, 13, []kill{{25, 1}, {26, 2}}},
+		} {
+			t.Run(fmt.Sprintf("%s/p%d/k%d", spec, tc.procs, len(tc.kills)), func(t *testing.T) {
+				if got := checkMesh(t, spec, tc.procs, tc.seed, tc.kills); got.TasksInPlace == 0 || (len(tc.kills) > 0 && got.Reissues == 0) {
+					t.Fatalf("the case exercised nothing: %q", got.Rows())
+				}
+			})
+		}
+	}
+}
+
+// FuzzWallMesh is checkMesh over program × procs 2–8 × seed × kill points:
+// kills is read as (delay, victim) byte pairs, each delay counted in
+// delivered messages from the previous kill.
+func FuzzWallMesh(f *testing.F) {
+	f.Add(uint8(0), uint8(4), int64(1), []byte{})
+	f.Add(uint8(0), uint8(2), int64(3), []byte{0, 1}) // one survivor from the start
+	f.Add(uint8(1), uint8(5), int64(7), []byte{40, 3, 50, 1})
+	f.Add(uint8(2), uint8(8), int64(11), []byte{1, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6})
+	f.Add(uint8(1), uint8(3), int64(13), []byte{25, 1, 1, 2})
+	f.Add(uint8(2), uint8(6), int64(-5), []byte{200, 2, 200, 2, 255, 0})
+	f.Fuzz(func(t *testing.T, prog, procs uint8, seed int64, schedule []byte) {
+		if len(schedule) > 32 {
+			return
+		}
+		var kills []kill
+		for at := 0; len(schedule) >= 2; schedule = schedule[2:] {
+			at += int(schedule[0])
+			kills = append(kills, kill{at, proto.ProcID(int(schedule[1]) % (2 + int(procs)%7))})
+		}
+		checkMesh(t, meshProgs[int(prog)%len(meshProgs)], 2+int(procs)%7, seed, kills)
+	})
+}

@@ -4,427 +4,356 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/machine"
 	"repro/internal/proto"
 	"repro/internal/stamp"
-	"repro/internal/trace"
 )
 
-// These tests drive the protocol with no goroutines and no sockets: a
-// recording transport stands in for the interconnect, and the test delivers
-// each message by hand.
+// These tests drive one wall processor, internal/machine's WallProc, the way
+// a transport does, with no goroutines and no sockets: a recording transport
+// stands in for the interconnect, and the test delivers each message by hand
+// and runs the processor until nothing is pending. The super-root's tests
+// drive it over a recording Fabric.
 
-// sent is one message the recording transport was handed.
-type sent struct {
-	to      proto.ProcID
-	pkt     *proto.TaskPacket // spawn
-	res     *proto.Result     // result
-	dead    proto.ProcID      // node-down (pkt and res nil)
-	reissue bool
-	failed  proto.TaskKey // fail, with err
-	err     error
-}
-
-// wire records every send and charges the super-root the way a transport
-// must: every message as it is carried.
+// wire records every message a wall processor sends.
 type wire struct {
-	from proto.ProcID
-	r    *Root
-	log  []sent
-	// loads counts program broadcasts.
-	loads int
+	ep  lang.EvalProgram
+	log []proto.Msg
 }
 
-func (w *wire) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	if w.from == proto.HostID {
-		w.r.CountSpawn(pkt.EncodedSize(), reissue)
-	} else {
-		var d trace.Metrics
-		CountSent(&d, true, reissue, pkt.EncodedSize())
-		w.r.Fold(w.from, &d)
-	}
-	w.log = append(w.log, sent{to: to, pkt: pkt, reissue: reissue})
-}
+func (w *wire) Send(m proto.Msg)             { w.log = append(w.log, m) }
+func (w *wire) Program(int) lang.EvalProgram { return w.ep }
 
-func (w *wire) Result(to proto.ProcID, res *proto.Result) {
-	var d trace.Metrics
-	CountSent(&d, false, false, res.EncodedSize())
-	w.r.Fold(w.from, &d)
-	w.log = append(w.log, sent{to: to, res: res})
-}
-
-func (w *wire) Fail(task proto.TaskKey, err error) {
-	w.log = append(w.log, sent{to: proto.HostID, failed: task, err: err})
-}
-
-func (w *wire) NodeDown(to, dead proto.ProcID) {
-	w.r.CountNodeDown(16)
-	w.log = append(w.log, sent{to: to, dead: dead})
-}
-
-func (w *wire) LoadProgram(int, *lang.Program) error {
-	w.loads++
-	return nil
-}
-
-// take returns the sends logged so far and clears the log.
-func (w *wire) take() []sent {
+// take returns the messages sent so far and clears the log.
+func (w *wire) take() []proto.Msg {
 	out := w.log
 	w.log = nil
 	return out
 }
 
-// newWire is a recording transport from processor from, charging the
-// metrics of a fresh super-root that sends through it.
-func newWire(t *testing.T, from proto.ProcID, spec Spec) (*wire, *Root) {
+// wallNode is processor 0 of a procs-processor machine running prog under
+// the named evaluator ("" for the default).
+func wallNode(t testing.TB, prog *lang.Program, eval string, procs int, seed int64) (*machine.WallProc, *wire) {
 	t.Helper()
-	w := &wire{from: from}
-	r, err := NewRoot(spec, w)
+	ev, err := Spec{Eval: eval}.Evaluator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.r = r
-	return w, r
+	w := &wire{}
+	if w.ep, err = ev.Compile(prog); err != nil {
+		t.Fatal(err)
+	}
+	wp, err := machine.NewWallProc(0, procs, seed, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wp, w
 }
 
-// fibNode is processor 0 of a procs-node machine running lang.Fib.
-func fibNode(t *testing.T, procs int, seed int64) (*Node, *wire) {
-	t.Helper()
-	ev, err := Spec{}.Evaluator()
-	if err != nil {
-		t.Fatal(err)
+// deliver hands processor 0 one message and runs it until nothing is
+// pending; yields counts the budgets that ended with work left.
+func deliver(wp *machine.WallProc, m proto.Msg) (yields int) {
+	m.To = 0
+	wp.Deliver(&m)
+	for wp.Run() {
+		yields++
 	}
-	ep, err := ev.Compile(lang.Fib())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _ := newWire(t, 0, Spec{Procs: procs})
-	return New(0, procs, seed, w, func(int) lang.EvalProgram { return ep }), w
+	return yields
 }
 
-// fibPacket is the task fib(n) under the given stamp path, owed to parent.
-func fibPacket(n int64, parent proto.ProcID, path ...uint32) *proto.TaskPacket {
+// fibPacket is the task fib(n) under the given stamp path, owed to parent's
+// hole at the path's last component.
+func fibPacket(n int64, parent proto.Addr, path ...uint32) *proto.TaskPacket {
 	return &proto.TaskPacket{
 		Key:    proto.TaskKey{Stamp: stamp.FromPath(path...)},
 		Fn:     "fib",
 		Args:   []expr.Value{expr.VInt(n)},
-		Parent: proto.Addr{Proc: parent},
+		Parent: parent,
+		HoleID: int(path[len(path)-1]),
 	}
 }
 
-// incarnations returns the resident incarnations of the task at s, oldest
-// first.
-func (n *Node) incarnations(s stamp.Stamp) []*task {
-	var out []*task
-	for t := n.tasks[s]; t != nil; t = t.next {
-		out = append(out, t)
+var host = proto.Addr{Proc: proto.HostID}
+
+func spawn(pkt *proto.TaskPacket) proto.Msg {
+	return proto.Msg{Type: proto.MsgTask, From: pkt.Parent.Proc, Task: pkt}
+}
+
+func announce(dead proto.ProcID) proto.Msg {
+	return proto.Msg{Type: proto.MsgFaultAnnounce, From: proto.HostID, Failed: dead}
+}
+
+// resultFor is child's answer v, from the processor it was sent to.
+func resultFor(child proto.Msg, v int64) proto.Msg {
+	pkt := child.Task
+	return proto.Msg{Type: proto.MsgResult, From: child.To, Result: &proto.Result{
+		Child: pkt.Key, ParentTask: pkt.Parent.Task, HoleID: pkt.HoleID, Value: expr.VInt(v)}}
+}
+
+// fib is the reference value of fib(n).
+func fib(n int64) int64 {
+	if n < 2 {
+		return n
+	}
+	return fib(n-1) + fib(n-2)
+}
+
+// answerAll answers every task packet in sent, and every one the answers
+// make processor 0 send, with its reference value, and returns the rest of
+// what it sent.
+func answerAll(wp *machine.WallProc, w *wire, sent []proto.Msg) (rest []proto.Msg) {
+	for len(sent) > 0 {
+		for _, m := range sent {
+			if m.Type != proto.MsgTask {
+				rest = append(rest, m)
+				continue
+			}
+			deliver(wp, resultFor(m, fib(int64(m.Task.Args[0].(expr.VInt)))))
+		}
+		sent = w.take()
+	}
+	return rest
+}
+
+// tasksTo are the task packets in sent, which must all cross.
+func tasksTo(t *testing.T, sent []proto.Msg) []proto.Msg {
+	t.Helper()
+	var out []proto.Msg
+	for _, m := range sent {
+		if m.Type == proto.MsgTask {
+			out = append(out, m)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("nothing crossed: %+v", sent)
 	}
 	return out
 }
 
-func resultFor(child *proto.TaskPacket, v int64) *proto.Result {
-	return &proto.Result{Child: child.Key, ParentTask: child.Parent.Task, HoleID: child.HoleID, Value: expr.VInt(v)}
-}
-
-func TestDuplicateSpawnAndIncarnations(t *testing.T) {
-	n, w := fibNode(t, 4, 1)
-	n.OnSpawn(fibPacket(5, proto.HostID, 0))
+// TestDuplicateSpawnDroppedOrRefused: a packet whose stamp is resident is a
+// re-delivery when it names the incumbent's parent, and is dropped; from any
+// other parent it is refused at once, with the one task-ack the protocol
+// sends, and the parent places it elsewhere. The incumbent runs on.
+func TestDuplicateSpawnDroppedOrRefused(t *testing.T) {
+	wp, w := wallNode(t, lang.Fib(), "", 64, 1)
+	deliver(wp, spawn(fibPacket(5, host, 0)))
 	first := w.take()
-	if len(first) != 2 || first[0].pkt == nil || first[1].pkt == nil {
-		t.Fatalf("fib(5) first pass sent %+v, want two child spawns", first)
-	}
-	// The same packet again (a re-delivery): the incumbent stays, nothing runs.
-	n.OnSpawn(fibPacket(5, proto.HostID, 0))
+	deliver(wp, spawn(fibPacket(5, host, 0)))
 	if again := w.take(); len(again) != 0 {
-		t.Fatalf("same-parent duplicate ran a second incarnation: %+v", again)
+		t.Fatalf("a re-delivery sent %+v", again)
 	}
-	// The same stamp from another parent incarnation runs alongside.
-	n.OnSpawn(fibPacket(5, 2, 0))
-	if twin := w.take(); len(twin) != 2 {
-		t.Fatalf("different-parent incarnation sent %+v, want its own two spawns", twin)
+	other := fibPacket(5, proto.Addr{Proc: 2, Task: proto.TaskKey{Stamp: stamp.FromPath(9)}}, 0)
+	other.Gen = 77
+	deliver(wp, spawn(other))
+	refused := w.take()
+	if len(refused) != 1 || refused[0].Type != proto.MsgTaskAck || refused[0].To != 2 ||
+		refused[0].AckTask != other.Key || refused[0].AckParent != other.Parent.Task || refused[0].AckGen != 77 {
+		t.Fatalf("another parent's packet drew %+v, want one refusal to processor 2", refused)
 	}
-	if got := len(n.incarnations(first[0].pkt.Parent.Task.Stamp)); got != 2 {
-		t.Fatalf("%d incarnations resident, want 2", got)
-	}
-
-	// One child's answer fills that hole in both incarnations; neither is
-	// complete yet, so nothing is sent.
-	n.OnResult(resultFor(first[0].pkt, 3))
-	if early := w.take(); len(early) != 0 {
-		t.Fatalf("half-filled incarnations sent %+v", early)
-	}
-	// The second answer completes both: each returns fib(5) to its own parent.
-	n.OnResult(resultFor(first[1].pkt, 2))
-	done := w.take()
-	if len(done) != 2 || done[0].res == nil || done[1].res == nil {
-		t.Fatalf("completion sent %+v, want two results", done)
-	}
-	parents := map[proto.ProcID]bool{done[0].to: true, done[1].to: true}
-	if !parents[proto.HostID] || !parents[2] {
-		t.Fatalf("results went to %v, want the host and processor 2", parents)
-	}
-	for _, d := range done {
-		if !d.res.Value.Equal(expr.VInt(5)) {
-			t.Fatalf("incarnation answered %v, want 5", d.res.Value)
-		}
-	}
-	if drained := n.Metrics.DupResults + n.Metrics.LateResults; len(n.tasks) != 0 || drained != 0 {
-		t.Fatalf("after completion: %d stamps resident, %d drained", len(n.tasks), drained)
+	done := answerAll(wp, w, first)
+	if len(done) != 1 || done[0].To != proto.HostID || !done[0].Result.Value.Equal(expr.VInt(5)) {
+		t.Fatalf("completion sent %+v, want fib(5) = 5 to the host", done)
 	}
 }
 
 func TestLateAndDuplicateResultsDrain(t *testing.T) {
-	n, w := fibNode(t, 4, 1)
-	n.OnSpawn(fibPacket(4, proto.HostID, 0))
-	kids := w.take()
-	n.OnResult(resultFor(kids[0].pkt, 2))
-	// The hole is already filled: the second copy is simply ignored.
-	n.OnResult(resultFor(kids[0].pkt, 2))
-	if n.Metrics.DupResults != 1 || n.Metrics.LateResults != 0 {
-		t.Fatalf("duplicate result: dup/late = %d/%d, want 1/0", n.Metrics.DupResults, n.Metrics.LateResults)
+	wp, w := wallNode(t, lang.Fib(), "", 64, 1)
+	deliver(wp, spawn(fibPacket(4, host, 0)))
+	kids := tasksTo(t, w.take())
+	if len(kids) != 2 {
+		t.Fatalf("fib(4) sent %+v, want its two children", kids)
 	}
-	n.OnResult(resultFor(kids[1].pkt, 1))
-	if done := w.take(); len(done) != 1 || !done[0].res.Value.Equal(expr.VInt(3)) {
+	deliver(wp, resultFor(kids[0], 2))
+	// The hole is already filled: the second copy is simply ignored.
+	deliver(wp, resultFor(kids[0], 2))
+	if m := wp.Local(); m.DupResults != 1 || m.LateResults != 0 {
+		t.Fatalf("duplicate result: dup/late = %d/%d, want 1/0", m.DupResults, m.LateResults)
+	}
+	deliver(wp, resultFor(kids[1], 1))
+	if done := w.take(); len(done) != 1 || !done[0].Result.Value.Equal(expr.VInt(3)) {
 		t.Fatalf("fib(4) completion sent %+v", done)
 	}
 	// The task has retired: a late answer finds no addressee.
-	n.OnResult(resultFor(kids[1].pkt, 1))
-	if n.Metrics.DupResults != 1 || n.Metrics.LateResults != 1 {
-		t.Fatalf("late result: dup/late = %d/%d, want 1/1", n.Metrics.DupResults, n.Metrics.LateResults)
+	deliver(wp, resultFor(kids[1], 1))
+	if m := wp.Local(); m.DupResults != 1 || m.LateResults != 1 {
+		t.Fatalf("late result: dup/late = %d/%d, want 1/1", m.DupResults, m.LateResults)
 	}
 	if extra := w.take(); len(extra) != 0 {
 		t.Fatalf("drained results caused sends: %+v", extra)
 	}
 }
 
-// TestBadHoleIDDrains: a result can name any hole id — a decoded frame
-// carries whatever it was sent with — and one that names no issued, unfilled
-// hole of its addressee drains like a duplicate: nothing is sent, and the
-// task keeps waiting for the answer it is owed.
-func TestBadHoleIDDrains(t *testing.T) {
-	n, w := fibNode(t, 4, 1)
-	n.OnSpawn(fibPacket(4, proto.HostID, 0))
-	kids := w.take()
-	n.OnResult(resultFor(kids[0].pkt, 2))
-	parent := kids[0].pkt.Parent.Task.Stamp
-	holes := len(n.incarnations(parent)[0].holes)
-	for i, id := range []int{-1, holes, math.MaxInt, kids[0].pkt.HoleID} {
-		res := resultFor(kids[1].pkt, 1)
-		res.HoleID = id
-		n.OnResult(res)
-		if drained := n.Metrics.DupResults + n.Metrics.LateResults; drained != int64(i+1) {
-			t.Fatalf("hole %d: %d results drained, want %d", id, drained, i+1)
-		}
+// TestBadHoleIDHeld: a result can name any hole id — a decoded frame
+// carries whatever it was sent with. One that names a filled hole drains as
+// a duplicate; one that names a hole its addressee has not issued is held as
+// an inherited result (§4.1), which only a demand of that id would take.
+// Either way nothing is sent, and the task keeps waiting for the answer it is
+// owed, then answers correctly.
+func TestBadHoleIDHeld(t *testing.T) {
+	wp, w := wallNode(t, lang.Fib(), "", 64, 1)
+	deliver(wp, spawn(fibPacket(4, host, 0)))
+	kids := tasksTo(t, w.take())
+	deliver(wp, resultFor(kids[0], 2))
+	for i, id := range []int{-1, 2, math.MaxInt, kids[0].Task.HoleID} {
+		bad := resultFor(kids[1], 1)
+		bad.Result.HoleID = id
+		deliver(wp, bad)
 		if sent := w.take(); len(sent) != 0 {
 			t.Fatalf("hole %d: sent %+v", id, sent)
 		}
-		if inc := n.incarnations(parent); len(inc) != 1 || inc[0].unfilled != 1 {
-			t.Fatalf("hole %d: the task is no longer waiting on its one open hole", id)
+		if m := wp.Local(); m.DupResults != int64(i/3) || m.LateResults != 0 {
+			t.Fatalf("hole %d: dup/late = %d/%d", id, m.DupResults, m.LateResults)
 		}
 	}
-	n.OnResult(resultFor(kids[1].pkt, 1))
-	if done := w.take(); len(done) != 1 || done[0].res == nil || !done[0].res.Value.Equal(expr.VInt(3)) {
+	deliver(wp, resultFor(kids[1], 1))
+	if done := w.take(); len(done) != 1 || !done[0].Result.Value.Equal(expr.VInt(3)) {
 		t.Fatalf("fib(4) completion sent %+v, want the result 3", done)
 	}
 }
 
 // TestNodeDownReissuesExactlyTheLostChildren: a death reissues the unfilled
-// children placed on the dead processor and nothing else. What placement
-// draws for this node is reissued in place — counted, not sent — and runs
-// there, so its own fresh spawns ride in the same burst.
+// children placed on the dead processor that no other of them is an
+// ancestor of (§3.2's topmost table; here that is all of them, since no
+// descendant of the dead processor's tasks lives on this one), and nothing
+// else. What placement draws for this processor is reissued in place —
+// counted, not sent. A second death reissues what the first placed on it.
 func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 	const procs = 5
-	n, w := fibNode(t, procs, 7)
+	wp, w := wallNode(t, lang.Fib(), "", procs, 7)
 	for i := uint32(0); i < 12; i++ {
-		n.OnSpawn(fibPacket(6, proto.HostID, i))
+		deliver(wp, spawn(fibPacket(6, host, i)))
 	}
-	// Everything that crossed, by destination; nothing is ever sent to self.
-	byDest := map[proto.ProcID][]*proto.TaskPacket{}
-	crossed, msgs := 0, 0
-	note := func(log []sent) (reissues int) {
-		msgs += len(log)
-		for _, s := range log {
-			if s.pkt == nil {
-				continue // a subtree that ran in place whole answers the host
+	// Where each unanswered packet went, by key; nothing is sent to self.
+	at := map[proto.TaskKey]proto.Msg{}
+	note := func(sent []proto.Msg) (reissues int64) {
+		for _, m := range sent {
+			if m.To == 0 || m.Type != proto.MsgTask && m.Type != proto.MsgResult {
+				t.Fatalf("processor 0 sent %+v", m)
 			}
-			if s.to == 0 {
-				t.Fatalf("node 0 mailed itself %+v", s)
-			}
-			crossed++
-			byDest[s.to] = append(byDest[s.to], s.pkt)
-			if s.reissue {
-				reissues++
+			if m.Type == proto.MsgTask {
+				at[m.Task.Key] = m
+				if m.Task.Reissue {
+					reissues++
+				}
 			}
 		}
 		return reissues
 	}
 	note(w.take())
-	if n.Metrics.TasksInPlace == 0 {
-		t.Fatal("placement never drew the node itself: nothing ran in place")
+	if wp.Local().TasksInPlace == 0 {
+		t.Fatal("placement never drew the processor itself: nothing ran in place")
+	}
+	on := func(dead proto.ProcID) (lost []proto.Msg) {
+		for _, m := range at {
+			if m.To == dead {
+				lost = append(lost, m)
+			}
+		}
+		slices.SortFunc(lost, func(a, b proto.Msg) int { return a.Task.Key.Compare(b.Task.Key) })
+		return lost
 	}
 	const dead, deadNext = proto.ProcID(3), proto.ProcID(1)
-	if len(byDest[dead]) < 2 || len(byDest[deadNext]) < 1 {
-		t.Fatalf("placement %v leaves too little on processors %d and %d to test", byDest, dead, deadNext)
+	lost := on(dead)
+	if len(lost) < 2 || len(on(deadNext)) < 1 {
+		t.Fatalf("placement leaves too little on processors %d and %d to test", dead, deadNext)
 	}
-	// A child that already answered is not lost work. Pick one whose sibling
-	// is still out, so its parent stays half-filled and silent.
-	var answered *proto.TaskPacket
-	for _, p := range byDest[dead] {
-		if parent := n.incarnations(p.Parent.Task.Stamp); len(parent) == 1 && parent[0].unfilled == 2 {
-			answered = p
-			break
+	// A child that already answered is not lost work, and its parent stays
+	// half-filled and silent.
+	deliver(wp, resultFor(lost[0], fib(int64(lost[0].Task.Args[0].(expr.VInt)))))
+	if sent := w.take(); len(sent) != 0 {
+		t.Fatalf("a half-filled task sent %+v", sent)
+	}
+	delete(at, lost[0].Task.Key)
+	for i, d := range []proto.ProcID{dead, deadNext} {
+		want := on(d)
+		inPlace := wp.Local().Reissues
+		deliver(wp, announce(d))
+		re := w.take()
+		sent := note(re)
+		if got := sent + wp.Local().Reissues - inPlace; got != int64(len(want)) {
+			t.Fatalf("death %d: %d reissues sent + %d in place, want the %d lost", i, sent, wp.Local().Reissues-inPlace, len(want))
+		}
+		for _, m := range re {
+			if m.To == dead || m.To == deadNext && i > 0 {
+				t.Fatalf("death %d: sent %+v to a processor known dead", i, m)
+			}
+		}
+		for _, m := range want {
+			if now := at[m.Task.Key]; now.To == d {
+				delete(at, m.Task.Key) // reissued in place
+			} else if !now.Task.Reissue {
+				t.Fatalf("death %d: %v left on processor %d, not reissued", i, m.Task.Key, d)
+			}
 		}
 	}
-	if answered == nil {
-		t.Fatalf("no child on processor %d has an unanswered sibling", dead)
+	// Every lost packet was reissued exactly once per death it met: the
+	// requests still answer.
+	var rest []proto.Msg
+	for _, m := range at {
+		rest = append(rest, m)
 	}
-	n.OnResult(resultFor(answered, 8))
-	if len(w.take()) != 0 {
-		t.Fatal("a half-filled task sent something")
-	}
-
-	lost := map[*proto.TaskPacket]bool{}
-	for _, p := range byDest[dead] {
-		if p != answered {
-			lost[p] = true
-		}
-	}
-	want := int64(len(lost))
-	n.OnNodeDown(dead)
-	re := w.take()
-	sentRe := note(re)
-	if _, by := w.r.Metrics(); int64(sentRe)+n.Metrics.Reissues != want || by[0]+n.Metrics.Reissues != want {
-		t.Fatalf("%d reissues sent (%d charged to node 0) + %d in place, want %d", sentRe, by[0], n.Metrics.Reissues, want)
-	}
-	reissued := want
-	for _, s := range re {
-		if s.pkt == nil {
-			continue
-		}
-		if s.reissue && !lost[s.pkt] {
-			t.Fatalf("reissued %+v: not a retained packet lost on processor %d", s, dead)
-		}
-		if s.to == dead {
-			t.Fatalf("sent %+v to the dead processor %d", s, dead)
-		}
-		delete(lost, s.pkt)
-	}
-	if int64(len(lost)) != n.Metrics.Reissues {
-		t.Fatalf("%d lost packets were not sent again, %d were reissued in place", len(lost), n.Metrics.Reissues)
-	}
-
-	// A second death: reissues avoid every processor known dead, and a packet
-	// reissued onto the second victim is reissued again.
-	_, by := w.r.Metrics()
-	charged, inPlace := by[0], n.Metrics.Reissues
-	want = int64(len(byDest[deadNext]))
-	n.OnNodeDown(deadNext)
-	re = w.take()
-	sentRe = note(re)
-	_, by = w.r.Metrics()
-	if got := by[0] - charged + n.Metrics.Reissues - inPlace; got != want || int64(sentRe)+n.Metrics.Reissues-inPlace != want {
-		t.Fatalf("second death reissued %d packets (%d sent), want %d", got, sentRe, want)
-	}
-	reissued += want
-	for _, s := range re {
-		if s.pkt != nil && (s.to == dead || s.to == deadNext) {
-			t.Fatalf("sent %+v to a processor this node knows is dead", s)
-		}
-	}
-
-	// The transport brings the in-place counts home; then the totals are the
-	// simulator's: every packet spawned, every reissue, wherever it ran.
-	w.r.Fold(0, &n.Metrics)
-	got, by := w.r.Metrics()
-	if want := int64(crossed) + n.Metrics.TasksInPlace; got.TasksSpawned != want || got.Reissues != reissued || got.TasksInPlace != n.Metrics.TasksInPlace {
-		t.Fatalf("spawned/reissued/in place = %d/%d/%d, want %d/%d/%d (tasks.spawned includes reissues and in-place packets)",
-			got.TasksSpawned, got.Reissues, got.TasksInPlace, want, reissued, n.Metrics.TasksInPlace)
-	}
-	if got.TotalMessages() != int64(msgs) {
-		t.Fatalf("%d messages charged for the %d that crossed", got.TotalMessages(), msgs)
-	}
-	if by[0] != reissued {
-		t.Fatalf("per-node attribution %v, want %d on node 0", by, reissued)
+	if done := answerAll(wp, w, rest); len(done) != 12 {
+		t.Fatalf("%d of 12 requests answered after two deaths", len(done))
 	}
 }
 
 // TestEvalErrorRetiresTheTaskAndReports: a pass that fails is reported to the
 // super-root under the task's key with the evaluator's typed error, the
-// incarnation is gone, and the node goes on serving — the next packet runs.
+// incarnation is gone — the same packet again runs again — and the
+// processor goes on serving: the next packet runs.
 func TestEvalErrorRetiresTheTaskAndReports(t *testing.T) {
-	ev, err := Spec{}.Evaluator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := ev.Compile(lang.MustParse("fn f(x) = 10 / x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _ := newWire(t, 0, Spec{Procs: 2})
-	n := New(0, 2, 1, w, func(int) lang.EvalProgram { return ep })
-	f := func(x int64, path ...uint32) *proto.TaskPacket {
-		pkt := fibPacket(x, 1, path...)
+	wp, w := wallNode(t, lang.MustParse("fn f(x) = 10 / x"), "", 2, 1)
+	parent := proto.Addr{Proc: 1, Task: proto.TaskKey{Stamp: stamp.FromPath(0)}}
+	f := func(x int64, hole uint32) *proto.TaskPacket {
+		pkt := fibPacket(x, parent, 0, hole)
 		pkt.Fn = "f"
 		return pkt
 	}
-	n.OnSpawn(f(0, 0, 1))
-	got := w.take()
-	if len(got) != 1 || got[0].failed != f(0, 0, 1).Key || !errors.Is(got[0].err, lang.ErrEval) {
-		t.Fatalf("f(0) sent %+v, want one failure report for task 0.1 wrapping lang.ErrEval", got)
+	for range 2 {
+		deliver(wp, spawn(f(0, 1)))
+		got := w.take()
+		if len(got) != 1 || got[0].To != proto.HostID || got[0].Result.Child != f(0, 1).Key || !errors.Is(got[0].Err, lang.ErrEval) {
+			t.Fatalf("f(0) sent %+v, want one failure report for task 0.1 wrapping lang.ErrEval", got)
+		}
 	}
-	if len(n.tasks) != 0 {
-		t.Fatalf("the failed task is still resident: %v", n.tasks)
-	}
-	n.OnSpawn(f(5, 0, 2))
-	if got := w.take(); len(got) != 1 || got[0].res == nil || !got[0].res.Value.Equal(expr.VInt(2)) {
+	deliver(wp, spawn(f(5, 2)))
+	if got := w.take(); len(got) != 1 || got[0].To != 1 || !got[0].Result.Value.Equal(expr.VInt(2)) {
 		t.Fatalf("f(5) after the failure sent %+v, want the result 2", got)
 	}
 }
 
+// runAlone runs fib(n) on processor 0 of two, told first that processor 1 is
+// dead, so every packet stays home: it returns what was sent and how many
+// budgets ended with work left.
+func runAlone(t testing.TB, eval string, n int64) (*machine.WallProc, []proto.Msg, int) {
+	wp, w := wallNode(t, lang.Fib(), eval, 2, 1)
+	deliver(wp, announce(1))
+	yields := deliver(wp, spawn(fibPacket(n, host, 0)))
+	return wp, w.take(), yields
+}
+
 // TestLongRunInPlaceYields: the last processor standing places everything on
-// itself, and a request far larger than settleBudget must not run inside one
-// handler call. Every budget's worth of deliveries the node mails itself the
-// oldest waiting message — the only self-addressed traffic there is — and the
-// counts stay exact: each packet is in place or crossed, never both.
+// itself, and a request far larger than a budget of events must not run
+// inside one Run: the transport looks at its mailbox between budgets. The
+// counts stay exact: every packet was placed in place, none crossed, and the
+// answer is the one message sent.
 func TestLongRunInPlaceYields(t *testing.T) {
-	n, w := fibNode(t, 2, 1)
-	n.OnNodeDown(1)
-	n.OnSpawn(fibPacket(17, proto.HostID, 0))
-	var answer expr.Value
-	calls, yielded, mailed := 1, 0, int64(0)
-	for log := w.take(); len(log) > 0; log = w.take() {
-		if len(log) != 1 {
-			t.Fatalf("handler call %d sent %d messages, want the one it yields with: %+v", calls, len(log), log)
-		}
-		switch m := log[0]; {
-		case m.to == proto.HostID:
-			answer = m.res.Value
-		case m.to != 0:
-			t.Fatalf("sent %+v to the dead processor", m)
-		case m.pkt != nil:
-			mailed++
-			yielded++
-			n.OnSpawn(m.pkt)
-		default:
-			yielded++
-			n.OnResult(m.res)
-		}
-		calls++
-	}
 	const tasks = 5167 // fib(17)'s tree: 2·fib(18) − 1
-	if answer == nil || !answer.Equal(expr.VInt(1597)) {
-		t.Fatalf("fib(17) = %v after %d handler calls, want 1597", answer, calls)
+	wp, sent, yields := runAlone(t, "", 17)
+	if len(sent) != 1 || sent[0].To != proto.HostID || !sent[0].Result.Value.Equal(expr.VInt(1597)) {
+		t.Fatalf("fib(17) sent %+v, want its answer 1597 alone", sent)
 	}
-	if want := 2 * (tasks - 1) / settleBudget; yielded != want {
-		t.Fatalf("%d messages in place yielded %d times, want %d (every %d deliveries)", 2*(tasks-1), yielded, want, settleBudget)
+	if yields < 2 {
+		t.Fatalf("%d tasks ran in %d budgets", tasks, yields+1)
 	}
-	if drained := n.Metrics.DupResults + n.Metrics.LateResults; n.Metrics.TasksInPlace+mailed != tasks-1 || drained != 0 || len(n.tasks) != 0 {
-		t.Fatalf("%d packets in place + %d mailed, want %d in all; %d drained, %d tasks left",
-			n.Metrics.TasksInPlace, mailed, tasks-1, drained, len(n.tasks))
+	if m := wp.Local(); m.TasksInPlace != tasks-1 || m.DupResults+m.LateResults != 0 {
+		t.Fatalf("%d packets in place, want %d; %d drained", m.TasksInPlace, tasks-1, m.DupResults+m.LateResults)
 	}
 }
 
@@ -432,52 +361,26 @@ func TestLongRunInPlaceYields(t *testing.T) {
 var raceEnabled bool
 
 // TestNodeTaskAllocations bounds what a resident task costs the heap: one
-// node whose only peer is dead runs compiled fib(17) in place — the 5 167
-// tasks of TestLongRunInPlaceYields — through the recording transport, and
-// the run's objects and bytes are divided by its tasks. A task keeps its
-// packet, its hole table and its result; a per-task or per-pass object that
-// holds no state shows here first. The run reads 9.5 objects and 828 B per
-// task (15.5 and 1 140 B while a task kept a map of fills and a map of
-// children). Only a run without -race counts the shipped code's allocations.
+// wall processor whose only peer is dead runs compiled fib(17) in place —
+// the 5 167 tasks of TestLongRunInPlaceYields — and the run's objects and
+// bytes are divided by its tasks. Tasks, hole records, packets and results
+// come from the processor's free lists; a per-task or per-pass object that
+// holds no state shows here first. Only a run without -race counts the
+// shipped code's allocations.
 func TestNodeTaskAllocations(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("a count of the shipped code's allocations: runs a 5 167-task request four times, without -race")
 	}
-	const tasks, budget, byteBudget = 5167, 10, 900
-	ev, err := lang.EvaluatorByName("compiled")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := ev.Compile(lang.Fib())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var answer expr.Value
-	run := func() {
-		w, _ := newWire(t, 0, Spec{Procs: 2})
-		n := New(0, 2, 1, w, func(int) lang.EvalProgram { return ep })
-		n.OnNodeDown(1)
-		n.OnSpawn(fibPacket(17, proto.HostID, 0))
-		for log := w.take(); len(log) > 0; log = w.take() {
-			for _, m := range log {
-				switch {
-				case m.to == proto.HostID:
-					answer = m.res.Value
-				case m.pkt != nil:
-					n.OnSpawn(m.pkt)
-				default:
-					n.OnResult(m.res)
-				}
-			}
-		}
-	}
+	const tasks, budget, byteBudget = 5167, 7, 900
+	var sent []proto.Msg
+	run := func() { _, sent, _ = runAlone(t, "compiled", 17) }
 	allocs := testing.AllocsPerRun(2, run)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	if answer == nil || !answer.Equal(expr.VInt(1597)) {
-		t.Fatalf("fib(17) = %v, want 1597", answer)
+	if len(sent) != 1 || !sent[0].Result.Value.Equal(expr.VInt(1597)) {
+		t.Fatalf("fib(17) sent %+v, want 1597", sent)
 	}
 	perTask, bytesPerTask := allocs/tasks, float64(after.TotalAlloc-before.TotalAlloc)/tasks
 	t.Logf("%.0f objects over %d tasks: %.2f and %.0f B per task", allocs, tasks, perTask, bytesPerTask)
@@ -491,26 +394,74 @@ func TestNodeTaskAllocations(t *testing.T) {
 
 func TestSameSeedSamePlacement(t *testing.T) {
 	place := func(seed int64) []proto.ProcID {
-		n, w := fibNode(t, 8, seed)
+		wp, w := wallNode(t, lang.Fib(), "", 8, seed)
 		for i := uint32(0); i < 6; i++ {
-			n.OnSpawn(fibPacket(7, proto.HostID, i))
+			deliver(wp, spawn(fibPacket(7, host, i)))
 		}
 		var dests []proto.ProcID
-		for _, s := range w.take() {
-			dests = append(dests, s.to)
+		for _, m := range w.take() {
+			dests = append(dests, m.To)
 		}
 		return dests
 	}
-	a, b := place(42), place(42)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seed 42 placed differently on two runs:\n%v\n%v", a, b)
-		}
+	if a, b := place(42), place(42); !slices.Equal(a, b) {
+		t.Fatalf("seed 42 placed differently on two runs:\n%v\n%v", a, b)
 	}
 }
 
+// fabric records what the super-root sends and charges it the way a
+// transport must: every message as it is carried.
+type fabric struct {
+	r     *Root
+	log   []sent
+	loads int
+}
+
+// sent is one message the super-root sent: a root packet, or (pkt nil) the
+// announcement of dead's death.
+type sent struct {
+	to      proto.ProcID
+	pkt     *proto.TaskPacket
+	dead    proto.ProcID
+	reissue bool
+}
+
+func (f *fabric) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
+	f.r.Charge(proto.MsgTask, reissue, pkt.EncodedSize())
+	f.log = append(f.log, sent{to: to, pkt: pkt, reissue: reissue})
+}
+
+func (f *fabric) NodeDown(to, dead proto.ProcID) {
+	f.r.Charge(proto.MsgFaultAnnounce, false, 28)
+	f.log = append(f.log, sent{to: to, dead: dead})
+}
+
+func (f *fabric) LoadProgram(int, *lang.Program) error {
+	f.loads++
+	return nil
+}
+
+// take returns the sends logged so far and clears the log.
+func (f *fabric) take() []sent {
+	out := f.log
+	f.log = nil
+	return out
+}
+
+// newFabric is a super-root over a recording fabric.
+func newFabric(t *testing.T, spec Spec) (*fabric, *Root) {
+	t.Helper()
+	f := &fabric{}
+	r, err := NewRoot(spec, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.r = r
+	return f, r
+}
+
 func TestRootPlacesRoundRobinAndReissuesOnDeath(t *testing.T) {
-	w, r := newWire(t, proto.HostID, Spec{Procs: 4})
+	w, r := newFabric(t, Spec{Procs: 4})
 	firsts := 0
 	r.OnFirstDelivery(func() { firsts++ })
 	prog := lang.Fib()
@@ -581,7 +532,7 @@ func TestRootPlacesRoundRobinAndReissuesOnDeath(t *testing.T) {
 }
 
 func TestRootWithoutRecoveryStaysSilent(t *testing.T) {
-	w, r := newWire(t, proto.HostID, Spec{Procs: 3, NoRecovery: true})
+	w, r := newFabric(t, Spec{Procs: 3, NoRecovery: true})
 	if _, err := r.Submit(lang.Fib(), "fib", []expr.Value{expr.VInt(3)}); err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +554,7 @@ func TestRootWithoutRecoveryStaysSilent(t *testing.T) {
 // each distinct program resident once — on net that is one source broadcast,
 // parse and compile per node — not once per request.
 func TestRootLoadsEachSpecOnce(t *testing.T) {
-	w, r := newWire(t, proto.HostID, Spec{Procs: 4})
+	w, r := newFabric(t, Spec{Procs: 4})
 	specs := []string{"fib:5", "tree:2,2"}
 	for i := 0; i < 8; i++ {
 		wl, err := core.StandardWorkload(specs[i%len(specs)])
@@ -620,7 +571,7 @@ func TestRootLoadsEachSpecOnce(t *testing.T) {
 }
 
 func TestSubmitRejectsBadEntries(t *testing.T) {
-	r, err := NewRoot(Spec{Procs: 2}, &wire{})
+	r, err := NewRoot(Spec{Procs: 2}, &fabric{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +581,7 @@ func TestSubmitRejectsBadEntries(t *testing.T) {
 	if _, err := r.Submit(lang.Fib(), "nosuch", nil); err == nil {
 		t.Error("unknown function accepted")
 	}
-	if _, err := NewRoot(Spec{Procs: 1}, &wire{}); err == nil {
+	if _, err := NewRoot(Spec{Procs: 1}, &fabric{}); err == nil {
 		t.Error("single-node machine accepted")
 	}
 }

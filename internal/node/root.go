@@ -1,21 +1,34 @@
+// Package node is what the wall-clock backends share beyond the processor:
+// the super-root that is every request's parent (§4.3.1) and the
+// core.Session that serves a request stream on it. Each processor runs
+// internal/machine's WallProc, the simulator's protocol over a wall-clock
+// env, so a backend supplies only a transport: internal/livenet moves the
+// messages through mailboxes between goroutines, internal/netnode over
+// sockets between OS processes. Functional checkpointing (§2) needs nothing
+// more from the interconnect — a parent that retains its children's task
+// packets can regenerate them on any processor after a crash, and
+// determinacy (§2.1) makes the regenerated run converge to the same answer.
 package node
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/machine"
 	"repro/internal/proto"
 	"repro/internal/stamp"
 	"repro/internal/trace"
 )
 
 // Fabric is what the super-root needs from the transport: a way to reach
-// every processor. Like Link, its sends neither block nor fail.
+// every processor. Its sends neither block nor fail: a message to a dead
+// processor vanishes.
 type Fabric interface {
 	// LoadProgram makes prog resident on every node under index idx. The
 	// root calls it once per program, with consecutive indices from 0, before
@@ -23,7 +36,8 @@ type Fabric interface {
 	LoadProgram(idx int, prog *lang.Program) error
 	// Spawn sends a root packet to a processor.
 	Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool)
-	// NodeDown tells processor to that processor dead has failed.
+	// NodeDown tells processor to that processor dead has failed: a
+	// proto.MsgFaultAnnounce from proto.HostID.
 	NodeDown(to, dead proto.ProcID)
 }
 
@@ -222,11 +236,14 @@ func (r *Root) Deliver(res *proto.Result) {
 	r.end(res.Child, outcome{v: res.Value})
 }
 
-// Fail ends the request that task belongs to with the evaluation error
-// processor from hit in it: a program error is determinate (§2.1), so the
-// request has no answer on any processor and nothing is recovered.
-func (r *Root) Fail(from proto.ProcID, task proto.TaskKey, err error) {
-	r.end(task, outcome{err: fmt.Errorf("task %v on node %d: %w", task, from, err)})
+// Fail ends the request res.Child belongs to with the evaluation error
+// processor from hit in it, res.Value being the error's text: a program
+// error is determinate (§2.1), so the request has no answer on any processor
+// and nothing is recovered.
+func (r *Root) Fail(from proto.ProcID, res *proto.Result) {
+	text, _ := res.Value.(expr.VStr)
+	err := fmt.Errorf("%w: %s", lang.ErrEval, strings.TrimPrefix(string(text), lang.ErrEval.Error()+": "))
+	r.end(res.Child, outcome{err: fmt.Errorf("task %v on node %d: %w", res.Child, from, err)})
 }
 
 // end gives the request that task belongs to its outcome; outcomes for
@@ -298,40 +315,34 @@ func (r *Root) count(f func(m *trace.Metrics)) {
 	r.cmu.Unlock()
 }
 
-// CountSent charges a message of wire bytes to m: a task packet if spawn (a
-// reissue is a spawn too, as tasks.spawned is on the simulator), else a result.
-// A transport keeps such a tally per node and Folds it in, crediting reissues.
-func CountSent(m *trace.Metrics, spawn, reissue bool, wire int) {
+// CountSent charges a message of type t and wire bytes to m; a task packet
+// is a spawn too (a reissue, if reissue), as tasks.spawned is on the
+// simulator. A transport keeps such a tally per node and Folds it in,
+// crediting reissues.
+func CountSent(m *trace.Metrics, t proto.MsgType, reissue bool, wire int) {
 	m.BytesOnWire += int64(wire)
-	switch {
-	case !spawn:
-		m.MsgResult++
-	case reissue:
-		m.Reissues++
-		fallthrough
-	default:
-		m.MsgTask++
+	machine.CountMsg(m, t)
+	if t == proto.MsgTask {
 		m.TasksSpawned++
+		if reissue {
+			m.Reissues++
+		}
 	}
 }
 
-// CountSpawn charges one task-packet message the super-root sent; its
-// reissues belong to no node.
-func (r *Root) CountSpawn(wire int, reissue bool) {
-	r.count(func(m *trace.Metrics) { CountSent(m, true, reissue, wire) })
-}
-
-// CountNodeDown charges one death announcement.
-func (r *Root) CountNodeDown(wire int) {
-	r.count(func(m *trace.Metrics) { m.MsgFault++; m.BytesOnWire += int64(wire) })
+// Charge charges one message the super-root sent; its reissues belong to no
+// node.
+func (r *Root) Charge(t proto.MsgType, reissue bool, wire int) {
+	r.count(func(m *trace.Metrics) { CountSent(m, t, reissue, wire) })
 }
 
 // CountBlackholed charges one message a dead processor swallowed: drained
 // harmlessly, since the sender's checkpoint is what recovers the work (§3.4).
 func (r *Root) CountBlackholed() { r.count(func(m *trace.Metrics) { m.Blackholed++ }) }
 
-// Fold adds what processor from counted on its own (its Node.Metrics, or a
-// delta of them); its in-place reissues are attributed to it.
+// Fold adds what processor from counted (what it sent, and its
+// machine.WallProc's Local counts, or a delta of them); its reissues are
+// attributed to it.
 func (r *Root) Fold(from proto.ProcID, d *trace.Metrics) {
 	r.count(func(m *trace.Metrics) { m.Add(d); r.byNode[from] += d.Reissues })
 }

@@ -22,8 +22,8 @@ import (
 //
 // How a core.Config maps onto real time:
 //
-//   - Procs and Seed carry over directly (seeded placement: every node draws
-//     destinations from an rng derived from the seed).
+//   - Procs and Seed carry over directly (seeded placement: every processor
+//     draws destinations from an rng derived from the seed).
 //   - A fault at virtual tick t fires t×DefaultTimescale after Open, so Burst/
 //     Cascade/Correlated plans keep their shape as real durations. Both crash
 //     kinds map to Machine.Kill — the transport reports the death and the
@@ -31,16 +31,15 @@ import (
 //     simulator-only mechanism. Corrupt faults are rejected (no voting here).
 //   - Deadline (a virtual-time budget) maps through DefaultTimescale to the wall
 //     budget bounding each request's Wait, so a hung recovery fails fast.
-//   - Recovery is "rollback" (per-parent reissue, §3; the default) or "none"
-//     (deaths go unannounced and lost work stays lost, so a faulted run
-//     reports non-completion at the deadline, like the simulator's), and
-//     Placement "random" — the one node protocol this package implements.
-//     Simulator-only knobs that would change what a run measures are
-//     rejected; Topology, AncestorDepth, Trace and Arrival are
-//     inert (the interconnect is complete, per-parent reissue has no
-//     ancestor escalation to tune, there is no event log, and real time
-//     needs no synthetic arrival spacing — a request is offered when its
-//     Submit call is made).
+//   - Recovery is "rollback" (§3; the default) or "none" (deaths go
+//     unannounced and lost work stays lost, so a faulted run reports
+//     non-completion at the deadline, like the simulator's), and Placement
+//     "random": what machine.WallProc runs without reply timers on the wall
+//     clock. Simulator-only knobs that would change what a run measures are
+//     rejected; Topology, AncestorDepth, Trace and Arrival are inert (the
+//     interconnect is complete, rollback has no ancestor escalation to tune,
+//     there is no event log, and real time needs no synthetic arrival
+//     spacing — a request is offered when its Submit call is made).
 
 // DefaultTimescale is the wall-clock duration of one virtual tick when
 // mapping fault plans and deadlines: 2µs keeps the paper's fault times

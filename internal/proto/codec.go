@@ -417,3 +417,62 @@ func (d *decoder) chain(ref stamp.Stamp) []Addr {
 	}
 	return chain
 }
+
+// AppendControl appends the wire form of a message that is neither a task
+// packet nor a result: its type, then
+//
+//	abort:          AbortTask (absolute), AbortGen, AbortScope (absolute)
+//	child-abort:    AbortTask (absolute), AbortGen
+//	task-ack:       AckParent (absolute), AckHole, AckTask (relative to
+//	                AckParent), AckGen, PlacedOn
+//	fault-announce: Failed
+//
+// From and To travel in the frame header.
+func AppendControl(buf []byte, m *Msg) []byte {
+	buf = append(buf, byte(m.Type))
+	switch m.Type {
+	case MsgAbort, MsgChildAbort:
+		buf = appendKey(buf, m.AbortTask)
+		buf = binary.BigEndian.AppendUint64(buf, m.AbortGen)
+		if m.Type == MsgAbort {
+			buf = appendPath(buf, m.AbortScope.Key(), 0)
+		}
+	case MsgTaskAck:
+		buf = appendKey(buf, m.AckParent)
+		buf = binary.AppendUvarint(buf, uint64(m.AckHole))
+		buf = appendRelKey(buf, m.AckTask, m.AckParent.Stamp)
+		buf = binary.BigEndian.AppendUint64(buf, m.AckGen)
+		buf = binary.AppendVarint(buf, int64(m.PlacedOn))
+	case MsgFaultAnnounce:
+		buf = binary.AppendVarint(buf, int64(m.Failed))
+	}
+	return buf
+}
+
+// DecodeControl inverts AppendControl; any other message type is malformed.
+func DecodeControl(buf []byte) (*Msg, error) {
+	d := decoder{buf: buf}
+	m := &Msg{Type: MsgType(d.byte("message type"))}
+	switch m.Type {
+	case MsgAbort, MsgChildAbort:
+		m.AbortTask = d.key()
+		m.AbortGen = d.fixed64("abort generation")
+		if m.Type == MsgAbort {
+			m.AbortScope = d.path("")
+		}
+	case MsgTaskAck:
+		m.AckParent = d.key()
+		m.AckHole = int(d.uvarint("hole id"))
+		m.AckTask = d.relKey(m.AckParent.Stamp)
+		m.AckGen = d.fixed64("ack generation")
+		m.PlacedOn = d.proc()
+	case MsgFaultAnnounce:
+		m.Failed = d.proc()
+	default:
+		d.fail("message type")
+	}
+	if err := d.end(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}

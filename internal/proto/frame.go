@@ -47,9 +47,11 @@ const (
 	// FrameResult carries a Result (EncodeResult bytes) back to the parent
 	// task's node, or to the supervisor for super-root results.
 	FrameResult
-	// FrameNodeDown announces a dead node to a survivor (§4.2's
-	// error-detection message, as gossip from the supervisor).
-	FrameNodeDown
+	// FrameControl carries the rest of what the protocol sends
+	// (AppendControl bytes): an abort, a child abort, a refused placement,
+	// or the supervisor's announcement of a dead node (§4.2's
+	// error-detection message).
+	FrameControl
 	// FrameHeartbeat is a liveness probe. No backend sends one: the net
 	// backend's failure detector is the broken connection. The type keeps
 	// its number (and the codec its smallest frame).
@@ -65,7 +67,7 @@ const (
 
 var frameNames = map[FrameType]string{
 	FrameHello: "hello", FrameProgram: "program", FrameSpawn: "spawn",
-	FrameResult: "result", FrameNodeDown: "node-down",
+	FrameResult: "result", FrameControl: "control",
 	FrameHeartbeat: "heartbeat", FrameStats: "stats", FrameShutdown: "shutdown",
 }
 

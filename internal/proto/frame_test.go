@@ -24,7 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Type: FrameHello, From: 3, To: HostID, Payload: []byte{0, 0, 0, 3}},
 		{Type: FrameSpawn, Flags: FlagReissue, From: 1, To: 5, Payload: EncodePacket(pkt)},
 		{Type: FrameHeartbeat, From: 0, To: HostID},
-		{Type: FrameNodeDown, From: HostID, To: 4, Payload: []byte{0, 0, 0, 2}},
+		{Type: FrameControl, From: HostID, To: 4, Payload: AppendControl(nil, &Msg{Type: MsgFaultAnnounce, Failed: 2})},
 	}
 	var buf bytes.Buffer
 	w := NewFrameWriter(&buf)

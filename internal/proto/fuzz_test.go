@@ -101,6 +101,41 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
+// FuzzDecodeControl: arbitrary bytes through the control-message decoder
+// give an error or a message whose encoding is a fixed point, from the
+// first re-encoding on.
+func FuzzDecodeControl(f *testing.F) {
+	for _, m := range []*Msg{
+		{Type: MsgAbort, AbortTask: TaskKey{Stamp: stamp.FromPath(1, 2, 3)}, AbortGen: 77, AbortScope: stamp.FromPath(1, 2)},
+		{Type: MsgChildAbort, AbortTask: TaskKey{Stamp: stamp.FromPath(4, 0), Rep: 5}, AbortGen: 9},
+		{Type: MsgTaskAck, AckParent: TaskKey{Stamp: stamp.FromPath(2)}, AckTask: TaskKey{Stamp: stamp.FromPath(2, 1)},
+			AckHole: 1, AckGen: 3, PlacedOn: 6},
+		{Type: MsgFaultAnnounce, Failed: 3},
+	} {
+		enc := AppendControl(nil, m)
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+	}
+	f.Add([]byte{byte(MsgTask)})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeControl(data)
+		if err != nil {
+			if !errors.Is(err, ErrPacketCodec) {
+				t.Fatalf("DecodeControl error not wrapped in ErrPacketCodec: %v", err)
+			}
+			return
+		}
+		enc1 := AppendControl(nil, m)
+		m2, err := DecodeControl(enc1)
+		if err != nil {
+			t.Fatalf("re-decode of accepted %v failed: %v", m.Type, err)
+		}
+		if enc2 := AppendControl(nil, m2); !bytes.Equal(enc1, enc2) {
+			t.Fatalf("encode not a fixed point:\n  enc1 %x\n  enc2 %x", enc1, enc2)
+		}
+	})
+}
+
 // TestOldFormatRejected: the corpus keeps, as v1-*, encodings in the
 // fixed-width format this codec replaced (4-byte stamp components behind a
 // 16-bit length, 8-byte reps and ints). Such a frame is an error, never a

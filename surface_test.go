@@ -53,6 +53,7 @@ var surfaceAllow = map[string]string{
 	"trace.Log.Count":             "test oracle: machine and admission tests count trace events of a kind",
 	"core.Cluster.Drain":          "test seam: admission tests run a stream to quiescence before Close",
 	"netnode.Cluster.Pids":        "test seam: the orphan-process tests check every child was reaped",
+	"machine.WallProc.Held":       "test seam: the live stream's end-state check reads every processor's tasks, checkpoints and free lists",
 	"netnode.managedProc.Pid":     "called only by Cluster.Pids",
 }
 
