@@ -1,9 +1,10 @@
 // Package livenet runs the applicative machine on real concurrency: one
 // goroutine per node, per-node mailboxes as the interconnect, actual
 // asynchrony instead of the discrete-event kernel's virtual time. It is a
-// transport and nothing else — each node is internal/machine's WallProc, the
-// simulator's protocol, and the super-root and the service session are
-// internal/node's, shared with the process-per-node backend — so what it
+// transport and nothing else — each node, and the super-root's processor,
+// is internal/machine's WallProc, the simulator's protocol, and the
+// super-root and the service session are internal/node's, shared with the
+// process-per-node backend — so what it
 // demonstrates is the paper's point: functional checkpointing (§2) needs
 // nothing from the substrate, and determinacy (§2.1) makes the regenerated
 // run converge to the same answer despite wildly nondeterministic
@@ -123,25 +124,19 @@ func (p *proc) kill() (swallowed int, ok bool) {
 
 // Send implements machine.Transport: it charges the message to the node's
 // own tally and pushes it; a dead addressee swallows it. A message for the
-// super-root is handed over in-process. A packet's wire size was sealed by
-// its sender's checkpoint store before it was shared.
+// super-root is handed to its processor in-process. A packet's wire size was
+// sealed by its sender's checkpoint store before it was shared.
 func (p *proc) Send(m proto.Msg) {
 	node.CountSent(&p.sent, m.Type, m.Type == proto.MsgTask && m.Task.Reissue, m.EncodedSize())
-	switch {
-	case m.To != proto.HostID:
-		if !p.c.post(&m) {
-			p.sent.Blackholed++
-		}
-	case m.Type != proto.MsgResult:
-	case m.Err != nil:
-		p.c.root.Fail(p.id, m.Result)
-	default:
-		p.c.root.Deliver(m.Result)
+	if m.To == proto.HostID {
+		p.c.root.Deliver(&m)
+	} else if !p.c.post(&m) {
+		p.sent.Blackholed++
 	}
 }
 
 // Program implements machine.Transport.
-func (p *proc) Program(i int) lang.EvalProgram { return p.c.program(i) }
+func (p *proc) Program(i int) lang.EvalProgram { return p.c.Program(i) }
 
 // Cluster is a live machine.
 type Cluster struct {
@@ -166,14 +161,14 @@ func New(spec node.Spec) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{eval: ev}
+	c.progs.Store(new([]lang.EvalProgram))
 	if c.root, err = node.NewRoot(spec, c); err != nil {
 		return nil, err
 	}
-	c.progs.Store(new([]lang.EvalProgram))
 	for i := 0; i < spec.Procs; i++ {
 		p := &proc{id: proto.ProcID(i), c: c}
 		p.wake.L = &p.mu
-		if p.w, err = machine.NewWallProc(p.id, spec.Procs, spec.Seed, p); err != nil {
+		if p.w, err = machine.NewWallProc(p.id, spec.Procs, spec.Seed, spec.Scheme(), p); err != nil {
 			return nil, err
 		}
 		p.alive.Store(true)
@@ -190,7 +185,8 @@ func New(spec node.Spec) (*Cluster, error) {
 func (c *Cluster) Root() *node.Root { return c.root }
 
 // LoadProgram implements node.Fabric: code is resident in-process, so
-// loading is compiling and publishing. The root serializes calls.
+// loading is compiling and publishing, for the nodes and the super-root
+// alike. The root serializes calls.
 func (c *Cluster) LoadProgram(idx int, prog *lang.Program) error {
 	ep, err := c.eval.Compile(prog)
 	if err != nil {
@@ -202,22 +198,13 @@ func (c *Cluster) LoadProgram(idx int, prog *lang.Program) error {
 	return nil
 }
 
-func (c *Cluster) program(idx int) lang.EvalProgram { return (*c.progs.Load())[idx] }
+// Program implements machine.Transport, for every processor.
+func (c *Cluster) Program(idx int) lang.EvalProgram { return (*c.progs.Load())[idx] }
 
-// Spawn implements node.Fabric.
-func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	c.send(proto.Msg{Type: proto.MsgTask, From: proto.HostID, To: to, Task: pkt}, reissue)
-}
-
-// NodeDown implements node.Fabric.
-func (c *Cluster) NodeDown(to, dead proto.ProcID) {
-	c.send(proto.Msg{Type: proto.MsgFaultAnnounce, From: proto.HostID, To: to, Failed: dead}, false)
-}
-
-// send is proc.Send for the super-root's messages, charged to the stream
-// totals.
-func (c *Cluster) send(m proto.Msg, reissue bool) {
-	c.root.Charge(m.Type, reissue, m.EncodedSize())
+// Send implements machine.Transport for the super-root's processor: what it
+// sends is charged to the stream totals.
+func (c *Cluster) Send(m proto.Msg) {
+	c.root.Charge(m.Type, m.Type == proto.MsgTask && m.Task.Reissue, m.EncodedSize())
 	if !c.post(&m) {
 		c.root.CountBlackholed()
 	}

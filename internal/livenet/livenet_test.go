@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -188,50 +189,99 @@ func TestShutdownEndsASoleSurvivorThatNeverFinishes(t *testing.T) {
 // processor holds no resident task and no checkpoint, and nothing its free
 // lists made was left to the collector. Tasks and hole records are back on
 // the list of the processor that made them, and packets, which a child hands
-// back with its result, on their parent's. A result goes back on the list of
-// the processor that consumed it, so results balance across the machine, but
-// for the one per request the super-root took.
+// back with its result, on their parent's — the super-root's processor
+// included, whose root packets come back with the roots' answers. A result
+// goes back on the list of the processor that consumed it, so results
+// balance across the machine, but for the one per request the super-root
+// took. A stream with an evaluation error and a kill in it ends with the
+// super-root as clean: no request record, no pseudo-task, no checkpoint, and
+// no root packet missing but those a dead node or the failed request's tree
+// may still hold.
 func TestStreamEndsClean(t *testing.T) {
-	c, err := New(node.Spec{Procs: 6, Seed: 3, Eval: "compiled"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	specs := []string{"fib:14", "tree:3,5", "tak:9,5,2"}
-	var reqs []*node.Request
-	for i := range 24 {
-		w, err := core.StandardWorkload(specs[i%len(specs)])
+	stream := func(t *testing.T, fail, kill bool) (c *Cluster, failed int) {
+		c, err := New(node.Spec{Procs: 6, Seed: 3, Eval: "compiled"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := c.Root().Submit(w.Program, w.Fn, w.Args)
-		if err != nil {
-			t.Fatal(err)
+		div := lang.MustParse("fn f(x) = 10 / x\nfn main(n) = f(n) + f(n - 1) + f(n - 2)")
+		var reqs []*node.Request
+		for i := range 24 {
+			w, err := core.StandardWorkload(specs[i%len(specs)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fail && i == 5 {
+				w = core.Workload{Program: div, Fn: "main", Args: []expr.Value{expr.VInt(2)}}
+			}
+			r, err := c.Root().Submit(w.Program, w.Fn, w.Args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, r)
+			if kill && i == 11 {
+				if err := c.Kill(1); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		reqs = append(reqs, r)
+		for i, r := range reqs {
+			if _, err := r.Wait(30*time.Second, nil); errors.Is(err, lang.ErrEval) && fail && i == 5 {
+				failed++
+			} else if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+		}
+		if fail && failed != 1 {
+			t.Fatalf("the request that divides by zero answered")
+		}
+		c.Shutdown()
+		return c, failed
 	}
-	for i, r := range reqs {
-		if _, err := r.Wait(30*time.Second, nil); err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	// superRoot checks the super-root's end state; at most lost root packets
+	// may be missing from its list.
+	superRoot := func(t *testing.T, c *Cluster, lost int64) {
+		n, h := c.Root().Held()
+		if n != 0 || h.Tasks != 0 || h.Checkpoints != 0 {
+			t.Errorf("super-root: %d requests recorded, %d tasks resident, %d checkpoints retained", n, h.Tasks, h.Checkpoints)
+		}
+		if h.Made[0] != h.Free[0] || h.Made[1] != h.Free[1] || h.Made[2] < h.Free[2] || int64(h.Made[2]-h.Free[2]) > lost {
+			t.Errorf("super-root: of tasks, hole records and packets made %v, back %v; at most %d packets may be out", h.Made[:3], h.Free[:3], lost)
+		}
+		if h.Made[0] == 0 || h.Made[2] == 0 {
+			t.Errorf("super-root: free lists made %v: it installed nothing", h.Made)
 		}
 	}
-	c.Shutdown()
-	var made, free [4]int
-	for _, p := range c.procs {
-		h := p.w.Held()
-		if h.Tasks != 0 || h.Checkpoints != 0 {
-			t.Errorf("processor %d: %d tasks resident, %d checkpoints retained", p.id, h.Tasks, h.Checkpoints)
+	t.Run("fault-free", func(t *testing.T) {
+		c, _ := stream(t, false, false)
+		var made, free [4]int
+		for _, p := range c.procs {
+			h := p.w.Held()
+			if h.Tasks != 0 || h.Checkpoints != 0 {
+				t.Errorf("processor %d: %d tasks resident, %d checkpoints retained", p.id, h.Tasks, h.Checkpoints)
+			}
+			for i := range made {
+				made[i], free[i] = made[i]+h.Made[i], free[i]+h.Free[i]
+			}
+			if h.Made[0] != h.Free[0] || h.Made[1] != h.Free[1] || h.Made[2] != h.Free[2] {
+				t.Errorf("processor %d: of tasks, hole records and packets made %v, back %v", p.id, h.Made[:3], h.Free[:3])
+			}
 		}
-		for i := range made {
-			made[i], free[i] = made[i]+h.Made[i], free[i]+h.Free[i]
+		if made[3] != free[3]+24 {
+			t.Errorf("%d results made, %d back: want all but the 24 the super-root took", made[3], free[3])
 		}
-		if h.Made[0] != h.Free[0] || h.Made[1] != h.Free[1] || h.Made[2] != h.Free[2] {
-			t.Errorf("processor %d: of tasks, hole records and packets made %v, back %v", p.id, h.Made[:3], h.Free[:3])
+		if made[0] == 0 || made[2] == 0 {
+			t.Errorf("free lists made %v: the stream ran nothing", made)
 		}
-	}
-	if made[3] != free[3]+len(reqs) {
-		t.Errorf("%d results made, %d back: want all but the %d the super-root took", made[3], free[3], len(reqs))
-	}
-	if made[0] == 0 || made[2] == 0 {
-		t.Errorf("free lists made %v: the stream ran nothing", made)
-	}
+		superRoot(t, c, 0)
+	})
+	t.Run("eval-error-and-kill", func(t *testing.T) {
+		c, failed := stream(t, true, true)
+		m, byNode := c.Root().Metrics()
+		own := m.Reissues
+		for _, r := range byNode {
+			own -= r
+		}
+		superRoot(t, c, own+int64(failed))
+	})
 }

@@ -122,8 +122,8 @@ func TestKillCountsWhatTheDeadSwallowed(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			c.Spawn(1, &proto.TaskPacket{Key: proto.TaskKey{Stamp: stamp.FromPath(0, uint32(i))},
-				Fn: "leaf", Args: []expr.Value{expr.VInt(int64(i))}, Parent: parent, HoleID: i}, false)
+			c.Send(proto.Msg{Type: proto.MsgTask, From: proto.HostID, To: 1, Task: &proto.TaskPacket{Key: proto.TaskKey{Stamp: stamp.FromPath(0, uint32(i))},
+				Fn: "leaf", Args: []expr.Value{expr.VInt(int64(i))}, Parent: parent, HoleID: i}})
 		}
 		c.Shutdown()
 		m, _ := c.Root().Metrics()

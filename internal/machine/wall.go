@@ -16,12 +16,13 @@ import (
 // §4.2's protocol loop, over wallEnv: internal/livenet between goroutines,
 // internal/netnode between OS processes. The machine a wall processor
 // believes in is fixed: a complete interconnect, random placement, §3's
-// rollback, the failure detector's default period and ancestor depth 1. So
-// no message is acknowledged (Config.acked) and the only timer a processor
-// arms is its pass's completion, which a logical clock orders as well as
-// real time would. A processor learns of a death from the super-root's
-// announcement, and under the "none" scheme the super-root announces
-// nothing, so no policy ever runs.
+// rollback or none, the failure detector's default period and ancestor
+// depth 1. So no message is acknowledged (Config.acked) and the only timer a
+// processor arms is its pass's completion, which a logical clock orders as
+// well as real time would. The super-root is the simulator's host processor
+// over the same env: it retains every root packet, places it, and learns of
+// a death first hand from its transport, which it announces to every
+// processor it believes live, as the simulator's host does.
 
 // Transport is a wall processor's way out.
 type Transport interface {
@@ -37,27 +38,37 @@ type Transport interface {
 // at its mailbox again, however long an in-place run is.
 const wallBudget = 1 << 12
 
-// WallProc is one processor of a wall-clock machine. It is single-threaded:
-// its transport calls Deliver and Run from one goroutine.
+// WallProc is one processor of a wall-clock machine, or its super-root. It
+// is single-threaded: its transport, or the super-root's lock, serializes
+// every call.
 type WallProc struct{ env *wallEnv }
 
-// NewWallProc builds processor id of a procs-processor wall-clock machine.
-// Its placement draws from the stream seed and id derive, as on the
-// simulator, so the same seed gives the same draws on every transport.
-func NewWallProc(id proto.ProcID, procs int, seed int64, tr Transport) (*WallProc, error) {
+// NewWallProc builds processor id of a procs-processor wall-clock machine,
+// or its super-root when id is proto.HostID, under the recovery scheme named
+// "rollback" or "none". Its placement draws from the stream seed and its
+// owner index derive, as on the simulator, so the same seed gives the same
+// draws on every transport.
+func NewWallProc(id proto.ProcID, procs int, seed int64, scheme string, tr Transport) (*WallProc, error) {
 	topo, err := topology.Complete(procs)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := Config{Topo: topo, Scheme: recovery.Rollback(), Seed: seed, AncestorDepth: 1}.normalized()
+	sch := map[string]recovery.Scheme{"rollback": recovery.Rollback(), "none": recovery.None()}[scheme]
+	if sch == nil {
+		return nil, fmt.Errorf("machine: a wall processor runs rollback or none, not %q", scheme)
+	}
+	cfg, err := Config{Topo: topo, Scheme: sch, Seed: seed, AncestorDepth: 1}.normalized()
 	if err != nil {
 		return nil, err
 	}
-	if id < 0 || int(id) >= procs {
+	idx := int(id)
+	if id == proto.HostID {
+		idx = procs
+	} else if id < 0 || idx >= procs {
 		return nil, fmt.Errorf("machine: no processor %d of %d", id, procs)
 	}
 	e := &wallEnv{Kernel: sim.NewKernel(seed), tr: tr}
-	e.p = newProc(id, int(id), newParams(cfg), &cfg, e, &e.metrics)
+	e.p = newProc(id, idx, newParams(cfg), &cfg, e, &e.metrics)
 	e.deliverFn = e.deliverLocal
 	return &WallProc{e}, nil
 }
@@ -99,6 +110,9 @@ type wallEnv struct {
 	// inPlace and inPlaceReissues count the packets the processor placed on
 	// itself, and the reissues among them.
 	inPlace, inPlaceReissues int64
+
+	// ended are the super-root's outcomes Ended has not taken.
+	ended []Outcome
 }
 
 func (e *wallEnv) transmit(msg proto.Msg) {
@@ -139,11 +153,60 @@ func (*wallEnv) log(trace.Event)                  {}
 func (*wallEnv) suspected(*proc, proto.ProcID)    {}
 func (*wallEnv) died(*proc)                       {}
 
-// The super-root is the transport's, so no host task lives here.
-func (*wallEnv) rootDone(proto.TaskKey, expr.Value) {
-	panic("machine: a wall processor has no host task")
+func (e *wallEnv) rootDone(key proto.TaskKey, v expr.Value) { e.end(key, Outcome{Value: v}) }
+func (e *wallEnv) failed(task proto.TaskKey, err error) {
+	e.end(hostKey(reqOf(task)), Outcome{Err: err})
 }
-func (*wallEnv) failed(proto.TaskKey, error) { panic("machine: a wall processor has no host task") }
+
+// end retires request key's host pseudo-task at its first outcome, with its
+// checkpoints, and records the outcome; a later one finds no pseudo-task.
+// (The simulator's host keeps them: its run ends.) A failed request's root
+// packet, which its tree may hold, and the results the host took, which it
+// never sends, go to the collector.
+func (e *wallEnv) end(key proto.TaskKey, o Outcome) {
+	p := e.p
+	t := p.tasks[key]
+	if t == nil {
+		return
+	}
+	for _, c := range t.holeAt(0).children { // installRoot's one demand
+		p.store.Drop(&c.Slot)
+	}
+	p.retire(t)
+	p.resFree.free = nil
+	o.Req = reqOf(key)
+	e.ended = append(e.ended, o)
+}
+
+// reqOf is the request of a task or pseudo-task (hostKey).
+func reqOf(key proto.TaskKey) int {
+	if key.Stamp.IsRoot() {
+		return 0
+	}
+	return int(key.Stamp.Component(0))
+}
+
+// Outcome is how a request the super-root installed ended: its answer, or
+// the evaluation error that means it has none.
+type Outcome struct {
+	Req   int
+	Value expr.Value
+	Err   error
+}
+
+// Install makes the super-root's pseudo-task of request id, under the
+// simulator's key (hostKey), and places fn(args), retaining its packet
+// (§4.3.1).
+func (w *WallProc) Install(id, prog int, fn string, args []expr.Value) {
+	w.env.p.installRoot(hostKey(id), prog, fn, args)
+}
+
+// Ended takes the outcomes of the requests that ended since the last call,
+// in the order they ended.
+func (w *WallProc) Ended() (out []Outcome) {
+	out, w.env.ended = w.env.ended, nil
+	return out
+}
 
 // Held is what a processor still holds: its resident tasks, its retained
 // checkpoints and, for each of its free lists — tasks, hole records,

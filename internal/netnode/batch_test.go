@@ -68,8 +68,11 @@ func (c *scriptConn) Close() error { return nil }
 func fakeCluster(t *testing.T, conns ...*scriptConn) *Cluster {
 	t.Helper()
 	spec := node.Spec{Procs: len(conns), Seed: 1}
-	c := &Cluster{spec: spec}
-	var err error
+	ev, err := spec.Evaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Cluster{spec: spec, eval: ev}
 	if c.root, err = node.NewRoot(spec, c); err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +339,8 @@ func TestChildFlushFailure(t *testing.T) {
 // TestHubTornBatch is the fail-silent property at the hub: a node killed
 // mid-write leaves whole frames and a torn one. The whole ones are counted
 // and forwarded, the torn one is the dead node's silence, and the death is
-// handled once — survivors told, the root on the dead node reissued.
+// handled once — survivors told, and every root the super-root had placed on
+// the dead node reissued from its retained packet, as the super-root's own.
 func TestHubTornBatch(t *testing.T) {
 	spawn := func(i int) *proto.Frame {
 		return &proto.Frame{Type: proto.FrameSpawn, From: 0, To: 1, Payload: appendSpawn(nil, &proto.TaskPacket{
@@ -355,27 +359,60 @@ func TestHubTornBatch(t *testing.T) {
 	stream = append(stream, torn[:len(torn)/2]...)
 
 	c := fakeCluster(t, script(stream), script(nil))
-	// Request 0's root lands on node 0: the packet the super-root must reissue.
-	if _, err := c.Root().Submit(lang.Fib(), "fib", []expr.Value{expr.VInt(10)}); err != nil {
-		t.Fatal(err)
+	prog := lang.Fib()
+	for range 4 {
+		if _, err := c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(10)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Where the super-root placed each root: the spawn frames it queued.
+	var lost, kept []*proto.TaskPacket
+	for i, ch := range c.children {
+		for _, f := range frames(t, ch.out.buf) {
+			if f.Type != proto.FrameSpawn {
+				continue
+			}
+			pkt, err := parseSpawn(f.Payload)
+			if err != nil || f.From != proto.HostID || f.Flags != 0 {
+				t.Fatalf("node %d was queued %+v (%v), want a fresh root from the super-root", i, f, err)
+			}
+			if i == 0 {
+				lost = append(lost, pkt)
+			} else {
+				kept = append(kept, pkt)
+			}
+		}
+	}
+	if len(lost) == 0 || len(lost)+len(kept) != 4 {
+		t.Fatalf("roots placed %d on node 0 and %d on node 1: the case exercises no reissue", len(lost), len(kept))
 	}
 	before, _ := c.Root().Metrics()
 	c.routers.Add(1)
 	c.route(c.children[0]) // returns at the torn frame's io.ErrUnexpectedEOF
 	c.nodeDied(c.children[0])
 
-	got, _ := c.Root().Metrics()
-	if d := got.TotalMessages() - before.TotalMessages(); d != 5 { // 3 carried, 1 node-down, 1 reissue
-		t.Errorf("%d messages counted after the root spawn, want 5", d)
+	got, by := c.Root().Metrics()
+	if d := got.TotalMessages() - before.TotalMessages(); d != int64(4+len(lost)) { // 3 carried, 1 death announced, the reissues
+		t.Errorf("%d messages counted after the roots, want %d", d, 4+len(lost))
 	}
-	if drained := totals(c).Drained; got.TasksSpawned-before.TasksSpawned != 3 || got.Reissues != 1 || drained != 0 {
-		t.Errorf("spawned +%d reissued %d drained %d, want +3, 1, 0", got.TasksSpawned-before.TasksSpawned, got.Reissues, drained)
+	if drained := totals(c).Drained; got.TasksSpawned-before.TasksSpawned != int64(2+len(lost)) || got.Reissues != int64(len(lost)) || drained != 0 {
+		t.Errorf("spawned +%d reissued %d drained %d, want +%d, %d, 0", got.TasksSpawned-before.TasksSpawned, got.Reissues, drained, 2+len(lost), len(lost))
+	}
+	if by[0] != 0 || by[1] != 0 {
+		t.Errorf("the super-root's reissues were credited to nodes: %v", by)
 	}
 	if c.children[0].alive.Load() {
 		t.Error("node 0 still marked alive")
 	}
 	q := frames(t, c.children[1].out.buf)
-	want := []proto.FrameType{proto.FrameProgram, proto.FrameSpawn, proto.FrameSpawn, proto.FrameResult, proto.FrameControl, proto.FrameSpawn}
+	want := []proto.FrameType{proto.FrameProgram}
+	for range kept {
+		want = append(want, proto.FrameSpawn)
+	}
+	want = append(want, proto.FrameSpawn, proto.FrameSpawn, proto.FrameResult, proto.FrameControl)
+	for range lost {
+		want = append(want, proto.FrameSpawn)
+	}
 	if len(q) != len(want) {
 		t.Fatalf("node 1 was queued %d frames, want %d", len(q), len(want))
 	}
@@ -384,13 +421,20 @@ func TestHubTornBatch(t *testing.T) {
 			t.Fatalf("node 1's frame %d is %v, want %v", i, f.Type, want[i])
 		}
 	}
+	relayed := q[1+len(kept):]
 	for i, f := range sent {
-		if !bytes.Equal(proto.AppendFrame(nil, q[1+i]), proto.AppendFrame(nil, f)) {
+		if !bytes.Equal(proto.AppendFrame(nil, relayed[i]), proto.AppendFrame(nil, f)) {
 			t.Errorf("forwarded frame %d differs from what node 0 wrote", i)
 		}
 	}
-	if q[5].Flags&proto.FlagReissue == 0 || q[5].From != proto.HostID {
-		t.Errorf("last frame %+v is not the super-root's reissue", q[5])
+	if !bytes.Equal(proto.AppendFrame(nil, relayed[3]), announcement(1, 0)) {
+		t.Errorf("frame %+v is not node 0's death announcement", relayed[3])
+	}
+	for i, f := range relayed[4:] {
+		pkt, err := parseSpawn(f.Payload)
+		if err != nil || f.Flags&proto.FlagReissue == 0 || f.From != proto.HostID || pkt.Key != lost[i].Key || !pkt.Reissue {
+			t.Errorf("frame %+v is not the super-root's reissue of root %v", f, lost[i].Key)
+		}
 	}
 }
 

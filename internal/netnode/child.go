@@ -55,29 +55,11 @@ type childLink struct {
 	evals map[int]lang.EvalProgram
 }
 
-// Send implements machine.Transport. A task packet is a spawn frame, with
-// FlagReissue on a reissue so the hub can count recovery traffic without
-// decoding payloads; a result is a result frame, with FlagFailed on an
-// evaluation error for the hub, whose text is the value; anything else is a
-// control frame.
+// Send implements machine.Transport: the stats of what the node counted on
+// its own, then the message's frame (appendMsg).
 func (l *childLink) Send(m proto.Msg) {
 	l.tally()
-	switch {
-	case m.Type == proto.MsgTask:
-		var flags byte
-		if m.Task.Reissue {
-			flags = proto.FlagReissue
-		}
-		_ = l.out.End(appendSpawn(l.out.Begin(proto.FrameSpawn, flags, l.id, m.To), m.Task))
-	case m.Type == proto.MsgResult:
-		var flags byte
-		if m.Err != nil {
-			flags = proto.FlagFailed
-		}
-		_ = l.out.End(proto.AppendResult(l.out.Begin(proto.FrameResult, flags, l.id, m.To), m.Result))
-	default:
-		_ = l.out.End(proto.AppendControl(l.out.Begin(proto.FrameControl, 0, l.id, m.To), &m))
-	}
+	_ = appendMsg(l.out, l.id, &m)
 }
 
 // Program implements machine.Transport.
@@ -139,7 +121,7 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 	}
 	r := bufio.NewReaderSize(conn, connBufSize)
 	link := &childLink{id: proto.ProcID(id), out: proto.NewFrameWriter(conn), evals: map[int]lang.EvalProgram{}}
-	if link.w, err = machine.NewWallProc(link.id, spec.Procs, spec.Seed, link); err != nil {
+	if link.w, err = machine.NewWallProc(link.id, spec.Procs, spec.Seed, spec.Scheme(), link); err != nil {
 		return err
 	}
 	_ = link.out.Append(&proto.Frame{
@@ -160,7 +142,6 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 		if err != nil {
 			return hubGone(err)
 		}
-		m := proto.Msg{From: f.From, To: link.id}
 		switch f.Type {
 		case proto.FrameProgram:
 			idx, src, err := parseProgram(f.Payload)
@@ -175,38 +156,22 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 				return fmt.Errorf("netnode: program %d does not compile: %v", idx, err)
 			}
 			continue
-		case proto.FrameSpawn:
-			if m.Task, err = parseSpawn(f.Payload); err != nil {
-				return err
-			}
-			if link.evals[m.Task.Prog] == nil {
-				return fmt.Errorf("netnode: node %d has no program %d", id, m.Task.Prog)
-			}
-			if pp := m.Task.Parent.Proc; pp != proto.HostID && (pp < 0 || int(pp) >= spec.Procs) {
-				return fmt.Errorf("netnode: packet owed to unknown node %d", pp)
-			}
-			m.Type = proto.MsgTask
-		case proto.FrameResult:
-			if m.Result, err = proto.DecodeResult(f.Payload); err != nil {
-				return err
-			}
-			m.Type = proto.MsgResult
-		case proto.FrameControl:
-			c, err := proto.DecodeControl(f.Payload)
-			if err != nil {
-				return err
-			}
-			if c.Type == proto.MsgFaultAnnounce && (c.Failed < 0 || int(c.Failed) >= spec.Procs) {
-				return fmt.Errorf("netnode: death of unknown node %d", c.Failed)
-			}
-			c.From, c.To = m.From, m.To
-			m = *c
 		case proto.FrameShutdown:
 			link.tally() // the goodbye: what no later frame will carry
 			return hubGone(link.out.Flush())
-		default:
-			return fmt.Errorf("netnode: unexpected %v frame at node %d", f.Type, id)
 		}
+		m, err := msgOf(f)
+		switch {
+		case err != nil:
+			return err
+		case m.Type == proto.MsgTask && link.evals[m.Task.Prog] == nil:
+			return fmt.Errorf("netnode: node %d has no program %d", id, m.Task.Prog)
+		case m.Type == proto.MsgTask && m.Task.Parent.Proc != proto.HostID && (m.Task.Parent.Proc < 0 || int(m.Task.Parent.Proc) >= spec.Procs):
+			return fmt.Errorf("netnode: packet owed to unknown node %d", m.Task.Parent.Proc)
+		case m.Type == proto.MsgFaultAnnounce && (m.Failed < 0 || int(m.Failed) >= spec.Procs):
+			return fmt.Errorf("netnode: death of unknown node %d", m.Failed)
+		}
+		m.To = link.id
 		link.w.Deliver(&m)
 	}
 }

@@ -2,6 +2,7 @@ package netnode
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -111,6 +112,11 @@ type Cluster struct {
 	addr string // the socket's path
 	ln   net.Listener
 
+	// evals holds each program eval compiled at LoadProgram, for the
+	// super-root's processor. The root's lock guards it.
+	eval  lang.Evaluator
+	evals []lang.EvalProgram
+
 	children []*child
 
 	closing atomic.Bool
@@ -124,11 +130,11 @@ type Cluster struct {
 // processes reaped.
 func New(spec node.Spec) (*Cluster, error) {
 	// A bad evaluator name must fail here, not as N crashed children.
-	if _, err := spec.Evaluator(); err != nil {
+	ev, err := spec.Evaluator()
+	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{spec: spec}
-	var err error
+	c := &Cluster{spec: spec, eval: ev}
 	if c.root, err = node.NewRoot(spec, c); err != nil {
 		return nil, err
 	}
@@ -239,13 +245,18 @@ func (c *Cluster) Pids() []int {
 	return out
 }
 
-// LoadProgram implements node.Fabric: broadcast the program's source to
-// every live node, once, under its index. Children that die later simply
-// lose the code with everything else.
+// LoadProgram implements node.Fabric: compile the program for the
+// super-root and broadcast its source to every live node, once, under its
+// index. Children that die later simply lose the code with everything else.
 func (c *Cluster) LoadProgram(idx int, prog *lang.Program) error {
 	if idx > 0xffff {
 		return errors.New("netnode: program table full")
 	}
+	ep, err := c.eval.Compile(prog)
+	if err != nil {
+		return fmt.Errorf("netnode: compile: %w", err)
+	}
+	c.evals = append(c.evals, ep)
 	payload := programPayload(idx, lang.Format(prog))
 	for _, ch := range c.children {
 		// A closed outbox means the child died racing this broadcast; the
@@ -255,31 +266,22 @@ func (c *Cluster) LoadProgram(idx int, prog *lang.Program) error {
 	return nil
 }
 
-// Spawn implements node.Fabric: the super-root's own spawn frames. A dead
-// destination black-holes the frame (the dead processor of §3 — the parent's
-// checkpoint is what recovers the work, not the interconnect).
-func (c *Cluster) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	var flags byte
-	if reissue {
-		flags = proto.FlagReissue
+// Program implements machine.Transport for the super-root's processor.
+func (c *Cluster) Program(i int) lang.EvalProgram { return c.evals[i] }
+
+// Send implements machine.Transport for the super-root's processor: its
+// message is framed as a node's (appendMsg), charged to the stream totals,
+// and queued; a dead addressee black-holes it (§3).
+func (c *Cluster) Send(m proto.Msg) {
+	var wire bytes.Buffer
+	w := proto.NewFrameWriter(&wire)
+	if appendMsg(w, proto.HostID, &m) != nil || w.Flush() != nil {
+		return // refused, as a node's frame would be: it never leaves
 	}
-	wire := hostFrame(proto.FrameSpawn, flags, to, appendSpawn(nil, pkt))
-	c.root.Charge(proto.MsgTask, reissue, len(wire))
-	if !c.push(c.children[to], wire) {
+	c.root.Charge(m.Type, m.Type == proto.MsgTask && m.Task.Reissue, wire.Len())
+	if !c.push(c.children[m.To], wire.Bytes()) {
 		c.root.CountBlackholed()
 	}
-}
-
-// NodeDown implements node.Fabric: the death announcement to one survivor.
-func (c *Cluster) NodeDown(to, dead proto.ProcID) {
-	wire := announcement(to, dead)
-	c.root.Charge(proto.MsgFaultAnnounce, false, len(wire))
-	c.push(c.children[to], wire)
-}
-
-// announcement is the control frame that tells processor to of dead's death.
-func announcement(to, dead proto.ProcID) []byte {
-	return hostFrame(proto.FrameControl, 0, to, proto.AppendControl(nil, &proto.Msg{Type: proto.MsgFaultAnnounce, Failed: dead}))
 }
 
 // hostFrame encodes a frame the supervisor originates.
@@ -342,11 +344,11 @@ func (c *Cluster) relay(ch *child) error {
 }
 
 // carry counts one whole frame from a child and sends it on its way:
-// protocol frames are charged and forwarded (a root's result is decoded and
-// delivered here), supervision frames absorbed. wire is only valid during
-// the call. A result or stats frame for the hub, or a control frame, that
-// does not decode is its sender's failure, "an invalid message" (§1): the
-// error ends the connection. The super-root takes only results.
+// protocol frames are charged and forwarded (one for the super-root is
+// decoded and delivered here), supervision frames absorbed. wire is only
+// valid during the call. A frame for the hub, or a control frame, that does
+// not decode is its sender's failure, "an invalid message" (§1): the error
+// ends the connection.
 func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 	payload := wire[proto.FrameHeaderSize:]
 	switch f.Type {
@@ -356,27 +358,22 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 			return err
 		}
 		c.root.Fold(proto.ProcID(ch.id), &m)
-	case proto.FrameResult:
-		node.CountSent(&ch.sent, proto.MsgResult, false, len(wire))
-		if f.To != proto.HostID {
-			c.forward(f.To, wire)
-		} else if res, err := proto.DecodeResult(payload); err != nil {
-			return err
-		} else if f.Flags&proto.FlagFailed == 0 {
-			c.root.Deliver(res)
+	case proto.FrameResult, proto.FrameSpawn, proto.FrameControl:
+		f.From, f.Payload = proto.ProcID(ch.id), payload
+		m := proto.Msg{Type: proto.MsgResult}
+		if f.Type == proto.FrameSpawn {
+			m.Type = proto.MsgTask
+		}
+		if f.Type == proto.FrameControl || f.To == proto.HostID {
+			var err error
+			if m, err = msgOf(&f); err != nil {
+				return err
+			}
+		}
+		node.CountSent(&ch.sent, m.Type, f.Flags&proto.FlagReissue != 0, len(wire))
+		if f.To == proto.HostID {
+			c.root.Deliver(&m)
 		} else {
-			c.root.Fail(proto.ProcID(ch.id), res)
-		}
-	case proto.FrameSpawn:
-		node.CountSent(&ch.sent, proto.MsgTask, f.Flags&proto.FlagReissue != 0, len(wire))
-		c.forward(f.To, wire)
-	case proto.FrameControl:
-		m, err := proto.DecodeControl(payload)
-		if err != nil {
-			return err
-		}
-		node.CountSent(&ch.sent, m.Type, false, len(wire))
-		if f.To != proto.HostID {
 			c.forward(f.To, wire)
 		}
 	default:
@@ -394,9 +391,9 @@ func (c *Cluster) forward(to proto.ProcID, wire []byte) {
 }
 
 // nodeDied is the supervisor's failure handler — idempotent via the alive
-// CAS. It closes the conn and reports the death to the super-root, which
-// tells the survivors and reissues the roots that were resident on the dead
-// node. Kill SIGKILLs and lets the broken connection land here, so injected
+// CAS. It closes the conn and reports the death to the super-root, whose
+// processor tells the survivors and reissues the roots it had placed on the
+// dead node. Kill SIGKILLs and lets the broken connection land here, so injected
 // faults and spontaneous crashes take the identical path.
 func (c *Cluster) nodeDied(ch *child) {
 	if !ch.alive.CompareAndSwap(true, false) {

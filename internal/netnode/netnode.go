@@ -8,8 +8,9 @@
 //
 // It is a transport and nothing else: each child runs one
 // internal/machine WallProc, the simulator's protocol over a wall-clock env,
-// and the parent hosts internal/node's super-root (§4.3.1) and serves its
-// session — the same three the goroutine backend runs on.
+// and the parent hosts internal/node's super-root (§4.3.1), a WallProc of
+// its own, and serves its session — the same three the goroutine backend
+// runs on.
 //
 // Topology is hub-and-spoke: the parent process is the supervisor and the
 // frame router. Children dial the parent's unix socket, introduce themselves
@@ -43,6 +44,7 @@ import (
 	"os"
 	"strconv"
 
+	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -65,6 +67,8 @@ const (
 	// with ("" = lang.DefaultEvaluator). Children compile each program at
 	// FrameProgram receipt, so tasks never pay compilation.
 	NodeEnvEval = "APSIM_NETNODE_EVAL"
+	// NodeEnvScheme is the child's recovery scheme (node.Spec.Scheme).
+	NodeEnvScheme = "APSIM_NETNODE_SCHEME"
 )
 
 // ArgvMarker is the cosmetic argv tag children run under. Configuration
@@ -86,9 +90,7 @@ const maxSpare = 16 * connBufSize
 const SocketPattern = "apsim-netnode-*"
 
 // childEnv reads the environment contract; ok is false when NodeEnvID is
-// absent (a normal, non-child invocation). The recovery scheme is not part
-// of it: under "none" a node is simply never told of a death, so its
-// rollback policy never runs.
+// absent (a normal, non-child invocation).
 func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 	idStr := os.Getenv(NodeEnvID)
 	if idStr == "" {
@@ -109,6 +111,9 @@ func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 	spec.Eval = os.Getenv(NodeEnvEval)
 	if _, err = spec.Evaluator(); err != nil {
 		return fail(NodeEnvEval)
+	}
+	if spec.NoRecovery = os.Getenv(NodeEnvScheme) == "none"; spec.Scheme() != os.Getenv(NodeEnvScheme) {
+		return fail(NodeEnvScheme)
 	}
 	if addr = os.Getenv(NodeEnvAddr); addr == "" {
 		return fail(NodeEnvAddr)
@@ -152,6 +157,55 @@ func parseProgram(p []byte) (idx int, src string, err error) {
 		return 0, "", fmt.Errorf("netnode: program payload %d bytes", len(p))
 	}
 	return int(binary.BigEndian.Uint16(p)), string(p[2:]), nil
+}
+
+// appendMsg batches m, from processor from, in its frame: a spawn frame,
+// with FlagReissue so the hub counts reissues without decoding; a result
+// frame, with FlagFailed on an evaluation error, whose text is the value; or
+// a control frame.
+func appendMsg(w *proto.FrameWriter, from proto.ProcID, m *proto.Msg) error {
+	switch m.Type {
+	case proto.MsgTask:
+		var flags byte
+		if m.Task.Reissue {
+			flags = proto.FlagReissue
+		}
+		return w.End(appendSpawn(w.Begin(proto.FrameSpawn, flags, from, m.To), m.Task))
+	case proto.MsgResult:
+		var flags byte
+		if m.Err != nil {
+			flags = proto.FlagFailed
+		}
+		return w.End(proto.AppendResult(w.Begin(proto.FrameResult, flags, from, m.To), m.Result))
+	default:
+		return w.End(proto.AppendControl(w.Begin(proto.FrameControl, 0, from, m.To), m))
+	}
+}
+
+// msgOf decodes the message appendMsg framed; an evaluation error arrives
+// as lang.ErrEval.
+func msgOf(f *proto.Frame) (proto.Msg, error) {
+	m := proto.Msg{From: f.From, To: f.To}
+	var err error
+	switch f.Type {
+	case proto.FrameSpawn:
+		m.Type = proto.MsgTask
+		m.Task, err = parseSpawn(f.Payload)
+	case proto.FrameResult:
+		m.Type = proto.MsgResult
+		if m.Result, err = proto.DecodeResult(f.Payload); f.Flags&proto.FlagFailed != 0 {
+			m.Err = lang.ErrEval
+		}
+	case proto.FrameControl:
+		var c *proto.Msg
+		if c, err = proto.DecodeControl(f.Payload); err == nil {
+			c.From, c.To = f.From, f.To
+			m = *c
+		}
+	default:
+		err = fmt.Errorf("netnode: unexpected %v frame from %d", f.Type, f.From)
+	}
+	return m, err
 }
 
 // appendSpawn appends a spawn payload: the packet's in-process program tag

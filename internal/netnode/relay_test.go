@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
+	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/stamp"
 	"repro/internal/trace"
@@ -27,6 +28,12 @@ func opaque(to proto.ProcID, size int, seed byte) []byte {
 		payload[i] = seed + byte(i*7)
 	}
 	return proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameResult, From: 0, To: to, Payload: payload})
+}
+
+// announcement is the control frame the super-root sends to tell processor
+// to of dead's death.
+func announcement(to, dead proto.ProcID) []byte {
+	return hostFrame(proto.FrameControl, 0, to, proto.AppendControl(nil, &proto.Msg{Type: proto.MsgFaultAnnounce, Failed: dead}))
 }
 
 // routeAll runs node 0's router over a scripted stream until the connection
@@ -234,30 +241,37 @@ func TestRelayAllocatesNothing(t *testing.T) {
 // TestHostResultOwnsItsMemory: a root's result is decoded from bytes the
 // router was only peeking at. The value the request receives, and the stamps
 // of the Result it came in, must not point into the reader's buffer — which
-// the frames that follow overwrite.
+// the frames that follow overwrite. Request 0 is answered first, so that
+// request 1's root at stamp (1, 0), owed to its pseudo-task at (1), is the
+// one whose answer crosses the reused buffer.
 func TestHostResultOwnsItsMemory(t *testing.T) {
 	answer := expr.ListOf(expr.VStr("determinacy"), expr.ListOf(expr.VStr("is"), expr.VInt(21)), expr.VStr("why"))
+	first := &proto.Result{Child: proto.TaskKey{Stamp: stamp.FromPath(0)}, Value: expr.VInt(2)}
 	res := &proto.Result{
-		Child:      proto.TaskKey{Stamp: stamp.FromPath(0)},
-		ParentTask: proto.TaskKey{Stamp: stamp.FromPath(6, 5, 4)},
-		HoleID:     3,
+		Child:      proto.TaskKey{Stamp: stamp.FromPath(1, 0)},
+		ParentTask: proto.TaskKey{Stamp: stamp.FromPath(1)},
 		Value:      answer,
 	}
 	wire := proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameResult, From: 0, To: proto.HostID, Payload: proto.EncodeResult(res)})
 
-	stream := append([]byte(nil), wire...)
+	stream := proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameResult, From: 0, To: proto.HostID, Payload: proto.EncodeResult(first)})
+	stream = append(stream, wire...)
 	for len(stream) < 2*connBufSize {
 		stream = append(stream, proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameResult, From: 0, To: 1,
 			Payload: bytes.Repeat([]byte{0xff}, 1000)})...)
 	}
 	c := fakeCluster(t, script(stream), script(nil))
-	q, err := c.Root().Submit(lang.Fib(), "fib", []expr.Value{expr.VInt(3)}) // request 0: stamp (0)
-	if err != nil {
-		t.Fatal(err)
+	var q *node.Request
+	prog := lang.Fib()
+	for range 2 {
+		var err error
+		if q, err = c.Root().Submit(prog, "fib", []expr.Value{expr.VInt(3)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	routeAll(t, c)
 	if got, err := q.Wait(0, nil); err != nil || !got.Equal(answer) {
-		t.Fatalf("request 0 was answered %v (%v) once the buffer had been reused, want %v", got, err, answer)
+		t.Fatalf("request 1 was answered %v (%v) once the buffer had been reused, want %v", got, err, answer)
 	}
 
 	got, err := proto.DecodeResult(wire[proto.FrameHeaderSize:])
@@ -267,7 +281,7 @@ func TestHostResultOwnsItsMemory(t *testing.T) {
 	for i := range wire {
 		wire[i] = 0xff
 	}
-	if got.Child != res.Child || got.ParentTask != res.ParentTask || got.HoleID != 3 || !got.Value.Equal(answer) {
+	if got.Child != res.Child || got.ParentTask != res.ParentTask || got.HoleID != res.HoleID || !got.Value.Equal(answer) {
 		t.Fatalf("decoded result changed with the bytes it was decoded from: %+v", got)
 	}
 }

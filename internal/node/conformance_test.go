@@ -498,31 +498,107 @@ func TestMidTreeKillAborts(t *testing.T) {
 	})
 }
 
-// TestRootReissue kills the nodes hosting two requests' roots: the
-// super-root is every root's parent and must reissue them from its retained
-// packets.
-func TestRootReissue(t *testing.T) {
-	each(t, func(t *testing.T, backend string) {
-		cl := open(t, backend, core.Config{Procs: 4, Seed: 5, Recovery: "rollback"})
-		// Roots spread round-robin over the 4 nodes: requests 1 and 2 are
-		// rooted on the nodes the plan kills at once.
-		tickets := submitN(t, cl, "fib:13", 4)
-		plan := core.CrashPlan(1, 1, true)
-		plan.Add(faults.Fault{At: 1, Proc: 2, Kind: faults.CrashSilent})
-		if err := cl.Inject(plan); err != nil {
+// recorder is a super-root's fabric that only records where its processor
+// sent each root.
+type recorder struct {
+	ep lang.EvalProgram
+	to []proto.ProcID
+}
+
+func (r *recorder) Send(m proto.Msg) {
+	if m.Type == proto.MsgTask {
+		r.to = append(r.to, m.To)
+	}
+}
+
+func (r *recorder) Program(int) lang.EvalProgram { return r.ep }
+
+func (r *recorder) LoadProgram(_ int, prog *lang.Program) error {
+	ev, err := node.Spec{}.Evaluator()
+	if err == nil {
+		r.ep, err = ev.Compile(prog)
+	}
+	return err
+}
+
+// rootHosts is where the super-root of a procs-node machine seeded seed
+// places the roots of n requests of w submitted in turn, before any death:
+// what a second super-root with the same seed sends, since its placement
+// draws are the seed's alone.
+func rootHosts(t *testing.T, procs int, seed int64, w core.Workload, n int) []proto.ProcID {
+	t.Helper()
+	rec := &recorder{}
+	r, err := node.NewRoot(node.Spec{Procs: procs, Seed: seed}, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range n {
+		if _, err := r.Submit(w.Program, w.Fn, w.Args); err != nil {
 			t.Fatal(err)
 		}
-		for i, tk := range tickets {
-			if _, err := tk.Verify(); err != nil {
-				t.Fatalf("request %d: %v", i, err)
-			}
+	}
+	return rec.to
+}
+
+// TestRootReissue kills the nodes hosting two requests' roots: the
+// super-root is every root's parent and must reissue them from its retained
+// packets, as reissues of its own rather than of any node.
+func TestRootReissue(t *testing.T) {
+	w, err := core.StandardWorkload("fib:13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := rootHosts(t, 4, 5, w, 4)
+	plan := faults.Crash(hosts[1], 1, true)
+	if hosts[2] != hosts[1] {
+		plan.Add(faults.Fault{At: 1, Proc: hosts[2], Kind: faults.CrashSilent})
+	}
+	lost := 0
+	for _, h := range hosts {
+		if h == hosts[1] || h == hosts[2] {
+			lost++
 		}
-		sr, err := cl.Close()
+	}
+	want, err := lang.RefEval(w.Program, w.Fn, w.Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each(t, func(t *testing.T, backend string) {
+		b, err := core.ByName(backend)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sr.Reissued < 2 {
-			t.Fatalf("reissued %d, want at least the two lost roots\n%s", sr.Reissued, sr.Render())
+		sess, err := b.Open(core.Config{Procs: 4, Seed: 5, Recovery: "rollback"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reqs []core.SessionRequest
+		for range hosts {
+			q, err := sess.Submit(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs = append(reqs, q)
+		}
+		if _, err := sess.Inject(plan); err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range reqs {
+			if o := q.Wait(); o.Err != nil || o.Answer == nil || !o.Answer.Equal(want) {
+				t.Errorf("request %d: %v, %v", i, o.Answer, o.Err)
+			}
+		}
+		rep, err := sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var byNodes int64
+		for _, n := range rep.ReissuesByNode {
+			byNodes += n
+		}
+		if rep.Metrics.Reissues-byNodes < int64(lost) {
+			t.Fatalf("roots on %v, nodes %d and %d killed: the super-root reissued %d (of %d, %v by node), want at least the %d lost roots",
+				hosts, hosts[1], hosts[2], rep.Metrics.Reissues-byNodes, rep.Metrics.Reissues, rep.ReissuesByNode, lost)
 		}
 	})
 }
@@ -555,15 +631,17 @@ func TestNoneTimesOutRatherThanWedging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	root := rootHosts(t, 4, 1, w, 1)[0]
 	each(t, func(t *testing.T, backend string) {
 		rep, err := core.VerifyOn(backend, core.Config{Procs: 4, Seed: 1, Recovery: "none"}, w, nil)
 		if err != nil || rep.Scheme != "none" {
 			t.Fatalf("fault-free none run: %v %+v", err, rep)
 		}
-		// 100k ticks × 2µs = 200ms of wall clock; request 0 is rooted on node 0.
+		// 100k ticks × 2µs = 200ms of wall clock; the kill takes request
+		// 0's root.
 		start := time.Now()
 		rep, err = core.Config{Procs: 4, Seed: 1, Recovery: "none", Deadline: 100_000}.
-			RunOn(backend, w, faults.Crash(0, 1, true))
+			RunOn(backend, w, faults.Crash(root, 1, true))
 		if err != nil {
 			t.Fatal(err)
 		}

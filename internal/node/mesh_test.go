@@ -16,7 +16,8 @@ import (
 // procs wall processors and one FIFO of messages in flight, delivered one at
 // a time and each run until nothing is pending — so a run is a pure function
 // of (program, procs, seed, kills). It charges every message as a transport
-// must, and folds what each processor counted on its own at the end.
+// must, and folds what each processor counted on its own at the end. The
+// mesh itself is the super-root's fabric.
 type mesh struct {
 	t      testing.TB
 	root   *Root
@@ -36,7 +37,7 @@ func newMesh(t testing.TB, procs int, seed int64) *mesh {
 		t.Fatal(err)
 	}
 	for p := range procs {
-		wp, err := machine.NewWallProc(proto.ProcID(p), procs, seed, meshLink{m, p})
+		wp, err := machine.NewWallProc(proto.ProcID(p), procs, seed, "rollback", meshLink{m, p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,18 +55,14 @@ func (m *mesh) LoadProgram(_ int, prog *lang.Program) error {
 	return err
 }
 
-// Spawn implements Fabric.
-func (m *mesh) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	m.root.Charge(proto.MsgTask, reissue, pkt.EncodedSize())
-	m.flight = append(m.flight, proto.Msg{Type: proto.MsgTask, From: proto.HostID, To: to, Task: pkt})
-}
-
-// NodeDown implements Fabric.
-func (m *mesh) NodeDown(to, dead proto.ProcID) {
-	msg := proto.Msg{Type: proto.MsgFaultAnnounce, From: proto.HostID, To: to, Failed: dead}
-	m.root.Charge(msg.Type, false, msg.EncodedSize())
+// Send implements Fabric for the super-root's processor.
+func (m *mesh) Send(msg proto.Msg) {
+	m.root.Charge(msg.Type, msg.Type == proto.MsgTask && msg.Task.Reissue, msg.EncodedSize())
 	m.flight = append(m.flight, msg)
 }
+
+// Program implements Fabric.
+func (m *mesh) Program(int) lang.EvalProgram { return m.ep }
 
 // meshLink is processor p's transport.
 type meshLink struct {
@@ -75,14 +72,10 @@ type meshLink struct {
 
 func (l meshLink) Send(msg proto.Msg) {
 	CountSent(&l.m.sent[l.p], msg.Type, msg.Type == proto.MsgTask && msg.Task.Reissue, msg.EncodedSize())
-	switch {
-	case msg.To != proto.HostID:
+	if msg.To == proto.HostID {
+		l.m.root.Deliver(&msg)
+	} else {
 		l.m.flight = append(l.m.flight, msg)
-	case msg.Type != proto.MsgResult:
-	case msg.Err != nil:
-		l.m.root.Fail(msg.From, msg.Result)
-	default:
-		l.m.root.Deliver(msg.Result)
 	}
 }
 
@@ -157,8 +150,10 @@ var meshProgs = []string{"fib:9", "tak:6,3,1", "tree:4,3"}
 // checkMesh serves one (program, procs, seed, kills) on a mesh and requires
 // the reference answer and the packet ledger every wall-clock run keeps:
 // every packet spawned crossed as a msg.task or was placed in place, and the
-// processors are credited with no more reissues than the total.
-func checkMesh(t testing.TB, spec string, procs int, seed int64, kills []kill) trace.Metrics {
+// processors are credited with no more reissues than the total. It returns
+// the totals and the reissues no processor is credited with: the
+// super-root's.
+func checkMesh(t testing.TB, spec string, procs int, seed int64, kills []kill) (trace.Metrics, int64) {
 	t.Helper()
 	w, err := core.StandardWorkload(spec)
 	if err != nil {
@@ -181,28 +176,47 @@ func checkMesh(t testing.TB, spec string, procs int, seed int64, kills []kill) t
 		t.Fatalf("%d spawned, %d sent + %d in place; %d reissues, %v credited", got.TasksSpawned,
 			got.MsgTask, got.TasksInPlace, got.Reissues, byNode)
 	}
-	return got
+	return got, got.Reissues - credited
+}
+
+// rootHost is the processor a mesh's super-root places request 0's root on.
+func rootHost(t testing.TB, procs int, seed int64) proto.ProcID {
+	m := newMesh(t, procs, seed)
+	if _, err := m.root.Submit(lang.Fib(), "fib", []expr.Value{expr.VInt(1)}); err != nil {
+		t.Fatal(err)
+	}
+	return m.flight[0].To
 }
 
 // TestWallMeshUnderKills: wall processors over a deterministic wire answer
-// fault-free and through kill schedules — two deaths mid-run, a cascade that
-// takes the root's host first, a machine left with one survivor.
+// fault-free and through kill schedules — two deaths mid-run, a cascade of
+// three, a machine left with one survivor — and through the death of the
+// root's host right after the root is placed, which the super-root
+// reissues from its retained packet.
 func TestWallMeshUnderKills(t *testing.T) {
 	for _, spec := range meshProgs {
 		for _, tc := range []struct {
-			procs int
-			seed  int64
-			kills []kill
+			procs    int
+			seed     int64
+			kills    []kill
+			rootKill bool // kills[0] takes the root's host
 		}{
-			{4, 1, nil},
-			{8, 7, nil},
-			{5, 3, []kill{{40, 3}, {90, 1}}},
-			{6, 11, []kill{{1, 0}, {1, 1}, {1, 2}}},
-			{3, 13, []kill{{25, 1}, {26, 2}}},
+			{4, 1, nil, false},
+			{8, 7, nil, false},
+			{5, 3, []kill{{40, 3}, {90, 1}}, false},
+			{6, 11, []kill{{1, 0}, {1, 1}, {1, 2}}, false},
+			{3, 13, []kill{{25, 1}, {26, 2}}, false},
+			{5, 17, []kill{{1, -1}}, true},
 		} {
-			t.Run(fmt.Sprintf("%s/p%d/k%d", spec, tc.procs, len(tc.kills)), func(t *testing.T) {
-				if got := checkMesh(t, spec, tc.procs, tc.seed, tc.kills); got.TasksInPlace == 0 || (len(tc.kills) > 0 && got.Reissues == 0) {
-					t.Fatalf("the case exercised nothing: %q", got.Rows())
+			name := fmt.Sprintf("%s/p%d/k%d", spec, tc.procs, len(tc.kills))
+			if tc.rootKill {
+				name += "/root"
+				tc.kills[0].proc = rootHost(t, tc.procs, tc.seed)
+			}
+			t.Run(name, func(t *testing.T) {
+				got, host := checkMesh(t, spec, tc.procs, tc.seed, tc.kills)
+				if got.TasksInPlace == 0 || (len(tc.kills) > 0 && got.Reissues == 0) || (tc.rootKill && host != 1) {
+					t.Fatalf("the case exercised nothing: %d reissued by the super-root, %q", host, got.Rows())
 				}
 			})
 		}
@@ -219,6 +233,7 @@ func FuzzWallMesh(f *testing.F) {
 	f.Add(uint8(2), uint8(8), int64(11), []byte{1, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6})
 	f.Add(uint8(1), uint8(3), int64(13), []byte{25, 1, 1, 2})
 	f.Add(uint8(2), uint8(6), int64(-5), []byte{200, 2, 200, 2, 255, 0})
+	f.Add(uint8(0), uint8(3), int64(17), []byte{1, 2}) // request 0's root lands on node 2: killed once placed
 	f.Fuzz(func(t *testing.T, prog, procs uint8, seed int64, schedule []byte) {
 		if len(schedule) > 32 {
 			return

@@ -49,7 +49,7 @@ func wallNode(t testing.TB, prog *lang.Program, eval string, procs int, seed int
 	if w.ep, err = ev.Compile(prog); err != nil {
 		t.Fatal(err)
 	}
-	wp, err := machine.NewWallProc(0, procs, seed, w)
+	wp, err := machine.NewWallProc(0, procs, seed, "rollback", w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,40 +409,33 @@ func TestSameSeedSamePlacement(t *testing.T) {
 	}
 }
 
-// fabric records what the super-root sends and charges it the way a
-// transport must: every message as it is carried.
+// fabric records what the super-root's processor sends and charges it the
+// way a transport must: every message as it is carried.
 type fabric struct {
-	r     *Root
-	log   []sent
-	loads int
+	r   *Root
+	eps []lang.EvalProgram
+	log []proto.Msg
 }
 
-// sent is one message the super-root sent: a root packet, or (pkt nil) the
-// announcement of dead's death.
-type sent struct {
-	to      proto.ProcID
-	pkt     *proto.TaskPacket
-	dead    proto.ProcID
-	reissue bool
+func (f *fabric) Send(m proto.Msg) {
+	f.r.Charge(m.Type, m.Type == proto.MsgTask && m.Task.Reissue, m.EncodedSize())
+	f.log = append(f.log, m)
 }
 
-func (f *fabric) Spawn(to proto.ProcID, pkt *proto.TaskPacket, reissue bool) {
-	f.r.Charge(proto.MsgTask, reissue, pkt.EncodedSize())
-	f.log = append(f.log, sent{to: to, pkt: pkt, reissue: reissue})
+func (f *fabric) Program(i int) lang.EvalProgram { return f.eps[i] }
+
+func (f *fabric) LoadProgram(_ int, prog *lang.Program) error {
+	ev, err := Spec{}.Evaluator()
+	if err != nil {
+		return err
+	}
+	ep, err := ev.Compile(prog)
+	f.eps = append(f.eps, ep)
+	return err
 }
 
-func (f *fabric) NodeDown(to, dead proto.ProcID) {
-	f.r.Charge(proto.MsgFaultAnnounce, false, 28)
-	f.log = append(f.log, sent{to: to, dead: dead})
-}
-
-func (f *fabric) LoadProgram(int, *lang.Program) error {
-	f.loads++
-	return nil
-}
-
-// take returns the sends logged so far and clears the log.
-func (f *fabric) take() []sent {
+// take returns the messages sent so far and clears the log.
+func (f *fabric) take() []proto.Msg {
 	out := f.log
 	f.log = nil
 	return out
@@ -460,93 +453,167 @@ func newFabric(t *testing.T, spec Spec) (*fabric, *Root) {
 	return f, r
 }
 
-func TestRootPlacesRoundRobinAndReissuesOnDeath(t *testing.T) {
+// rootAnswer is the result a root packet's processor returns to the
+// super-root.
+func rootAnswer(root proto.Msg, v expr.Value) *proto.Msg {
+	pkt := root.Task
+	return &proto.Msg{Type: proto.MsgResult, From: root.To, To: proto.HostID, Result: &proto.Result{
+		Child: pkt.Key, ParentTask: pkt.Parent.Task, HoleID: pkt.HoleID, Value: v}}
+}
+
+// split sorts what the super-root sent into root packets and the processors
+// it told of a death.
+func split(t *testing.T, sent []proto.Msg) (roots []proto.Msg, told []proto.ProcID) {
+	t.Helper()
+	for _, m := range sent {
+		switch m.Type {
+		case proto.MsgTask:
+			roots = append(roots, m)
+		case proto.MsgFaultAnnounce:
+			told = append(told, m.To)
+		default:
+			t.Fatalf("the super-root sent %+v", m)
+		}
+	}
+	return roots, told
+}
+
+// TestRootPlacesAndReissuesOnDeath: the super-root places each root on a
+// processor and retains its packet. Told of a death, it announces it to
+// every survivor and reissues, from the retained packets, exactly the roots
+// it had placed on the dead processor that have not answered — as its own
+// reissues, not a node's — and it places no later root there.
+func TestRootPlacesAndReissuesOnDeath(t *testing.T) {
 	w, r := newFabric(t, Spec{Procs: 4})
 	firsts := 0
 	r.OnFirstDelivery(func() { firsts++ })
 	prog := lang.Fib()
 	var reqs []*Request
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		q, err := r.Submit(prog, "fib", []expr.Value{expr.VInt(3)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		reqs = append(reqs, q)
 	}
-	for i, s := range w.take() {
-		if s.pkt == nil || s.reissue || s.to != proto.ProcID(i) || s.pkt.Parent.Proc != proto.HostID {
-			t.Fatalf("root %d sent %+v, want a fresh spawn on processor %d", i, s, i)
+	roots, told := split(t, w.take())
+	if len(roots) != 8 || len(told) != 0 {
+		t.Fatalf("8 requests sent %d roots and %d announcements", len(roots), len(told))
+	}
+	on := map[proto.ProcID][]int{} // the requests rooted on each processor
+	for i, m := range roots {
+		if m.Task.Reissue || m.Task.Parent.Proc != proto.HostID || m.Task.Key.Stamp.Component(0) != uint32(i) {
+			t.Fatalf("root %d sent %+v, want a fresh spawn of request %d owed to the super-root", i, m, i)
+		}
+		on[m.To] = append(on[m.To], i)
+	}
+	// The processor hosting the most roots dies, after the first of them
+	// has answered: that one is no lost work.
+	dead := roots[0].To
+	for p, ids := range on {
+		if len(ids) > len(on[dead]) {
+			dead = p
+		}
+	}
+	if len(on[dead]) < 2 {
+		t.Fatalf("placement %v leaves no processor with two roots", on)
+	}
+	answered := on[dead][0]
+	r.Deliver(rootAnswer(roots[answered], expr.VInt(2)))
+	if v, err := reqs[answered].Wait(0, nil); err != nil || !v.Equal(expr.VInt(2)) || firsts != 1 {
+		t.Fatalf("request %d answer = %v, %v (hook ran %d times)", answered, v, err, firsts)
+	}
+
+	r.NodeDown(dead)
+	re, told := split(t, w.take())
+	if len(told) != 3 || slices.Contains(told, dead) {
+		t.Fatalf("death of %d announced to %v, want the three survivors", dead, told)
+	}
+	if len(re) != len(on[dead])-1 {
+		t.Fatalf("%d roots reissued, want the %d unanswered on processor %d", len(re), len(on[dead])-1, dead)
+	}
+	for i, m := range re {
+		lost := roots[on[dead][i+1]].Task
+		if !m.Task.Reissue || m.To == dead || m.Task.Key != lost.Key || m.Task.Fn != lost.Fn || !slices.Equal(m.Task.Args, lost.Args) {
+			t.Fatalf("reissue %+v, want root %v's retained packet on a live processor", m, lost.Key)
 		}
 	}
 
-	r.NodeDown(1)
-	var told []proto.ProcID
-	var re []sent
-	for _, s := range w.take() {
-		if s.pkt == nil {
-			told = append(told, s.to)
-		} else {
-			re = append(re, s)
+	// The original and the reissued root both answer: one completion, and
+	// the second drains.
+	lost := on[dead][1]
+	r.Deliver(rootAnswer(roots[lost], expr.VInt(2)))
+	r.Deliver(rootAnswer(re[0], expr.VInt(2)))
+	if v, err := reqs[lost].Wait(0, nil); err != nil || !v.Equal(expr.VInt(2)) {
+		t.Fatalf("request %d answer = %v, %v", lost, v, err)
+	}
+	if firsts != 2 {
+		t.Fatalf("first-delivery hook ran %d times for two requests, want 2", firsts)
+	}
+	for i, q := range reqs {
+		if i != answered && i != lost {
+			if _, err := q.Wait(0, nil); err == nil {
+				t.Fatalf("unanswered request %d reported an answer", i)
+			}
 		}
 	}
-	if len(told) != 3 || told[0] != 0 || told[1] != 2 || told[2] != 3 {
-		t.Fatalf("death announced to %v, want the three survivors", told)
-	}
-	if len(re) != 1 || !re[0].reissue || re[0].pkt != reqs[1].pkt || re[0].to == 1 {
-		t.Fatalf("root reissue %+v, want request 1's retained packet on a live processor", re)
-	}
 
-	// The original and the reissued root both answer: one completion.
-	for i := 0; i < 2; i++ {
-		r.Deliver(&proto.Result{Child: reqs[1].pkt.Key, Value: expr.VInt(2)})
-	}
-	if v, err := reqs[1].Wait(0, nil); err != nil || !v.Equal(expr.VInt(2)) {
-		t.Fatalf("request 1 answer = %v, %v", v, err)
-	}
-	if firsts != 1 {
-		t.Fatalf("first-delivery hook ran %d times for a twin-answered request, want 1", firsts)
-	}
-	if _, err := reqs[0].Wait(0, nil); err == nil {
-		t.Fatal("an unanswered request reported an answer")
-	}
-	// An answer for a request that never existed drains.
-	r.Deliver(&proto.Result{Child: proto.TaskKey{Stamp: stamp.FromPath(99)}, Value: expr.VInt(0)})
-
-	// Round-robin skips the processor the root was told is dead: request 5
-	// would land on processor 1.
-	for i := 0; i < 2; i++ {
+	// No later root lands on the processor the super-root was told is dead.
+	for i := 0; i < 16; i++ {
 		if _, err := r.Submit(prog, "fib", []expr.Value{expr.VInt(3)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := w.take(); len(s) != 2 || s[0].to != 0 || s[1].to != 2 {
-		t.Fatalf("requests 4 and 5 placed by %+v, want processors 0 and 2", s)
+	later, _ := split(t, w.take())
+	for _, m := range later {
+		if m.To == dead {
+			t.Fatalf("a root was placed on dead processor %d: %+v", dead, m)
+		}
 	}
 	got, by := r.Metrics()
-	if drained := core.CountersOf(&got).Drained; got.TasksSpawned != 7 || got.Reissues != 1 || got.LateResults != 1 || drained != 1 {
-		t.Fatalf("spawned/reissued/late/drained = %d/%d/%d/%d, want 7/1/1/1", got.TasksSpawned, got.Reissues, got.LateResults, drained)
+	nre := int64(len(re))
+	if drained := core.CountersOf(&got).Drained; got.TasksSpawned != 24+nre || got.Reissues != nre || got.LateResults != 1 || drained != 1 {
+		t.Fatalf("spawned/reissued/late/drained = %d/%d/%d/%d, want %d/%d/1/1", got.TasksSpawned, got.Reissues, got.LateResults, drained, 24+nre, nre)
 	}
 	if by[0]+by[1]+by[2]+by[3] != 0 {
 		t.Fatalf("the super-root's reissue was attributed to a node: %v", by)
 	}
+	if n, h := r.Held(); n != 22 || h.Tasks != 22 || h.Checkpoints != 22 {
+		t.Fatalf("super-root holds %d requests, %d tasks, %d checkpoints; want the 22 unanswered", n, h.Tasks, h.Checkpoints)
+	}
 }
 
-func TestRootWithoutRecoveryStaysSilent(t *testing.T) {
+// TestRootWithoutRecoveryOnlyAnnounces: under "none" the super-root is told
+// of a death and announces it, like the simulator's host, but reissues
+// nothing — and still places no later root on the dead processor.
+func TestRootWithoutRecoveryOnlyAnnounces(t *testing.T) {
 	w, r := newFabric(t, Spec{Procs: 3, NoRecovery: true})
-	if _, err := r.Submit(lang.Fib(), "fib", []expr.Value{expr.VInt(3)}); err != nil {
-		t.Fatal(err)
+	prog := lang.Fib()
+	for i := 0; i < 4; i++ {
+		if _, err := r.Submit(prog, "fib", []expr.Value{expr.VInt(3)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	w.take()
-	r.NodeDown(1)
-	if s := w.take(); len(s) != 0 {
-		t.Fatalf("the none scheme announced or reissued: %+v", s)
+	roots, _ := split(t, w.take())
+	dead := roots[0].To
+	r.NodeDown(dead)
+	re, told := split(t, w.take())
+	if len(re) != 0 || len(told) != 2 || slices.Contains(told, dead) {
+		t.Fatalf("the none scheme reissued %+v and told %v, want nothing and the two survivors", re, told)
 	}
-	// Placement still uses what the root was told: request 1 skips processor 1.
-	if _, err := r.Submit(lang.Fib(), "fib", []expr.Value{expr.VInt(3)}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 8; i++ {
+		if _, err := r.Submit(prog, "fib", []expr.Value{expr.VInt(3)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s := w.take(); len(s) != 1 || s[0].to != 2 {
-		t.Fatalf("root placed by %+v, want processor 2", s)
+	later, _ := split(t, w.take())
+	for _, m := range later {
+		if m.To == dead {
+			t.Fatalf("a root was placed on dead processor %d: %+v", dead, m)
+		}
+	}
+	if got, _ := r.Metrics(); got.Reissues != 0 || got.MsgFault != 2 {
+		t.Fatalf("reissued %d, announced %d times; want 0 and 2", got.Reissues, got.MsgFault)
 	}
 }
 
@@ -565,8 +632,8 @@ func TestRootLoadsEachSpecOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.loads != len(specs) {
-		t.Fatalf("8 requests of %d specs loaded %d programs", len(specs), w.loads)
+	if len(w.eps) != len(specs) {
+		t.Fatalf("8 requests of %d specs loaded %d programs", len(specs), len(w.eps))
 	}
 }
 

@@ -31,8 +31,8 @@ import (
 //     simulator-only mechanism. Corrupt faults are rejected (no voting here).
 //   - Deadline (a virtual-time budget) maps through DefaultTimescale to the wall
 //     budget bounding each request's Wait, so a hung recovery fails fast.
-//   - Recovery is "rollback" (§3; the default) or "none" (deaths go
-//     unannounced and lost work stays lost, so a faulted run reports
+//   - Recovery is "rollback" (§3; the default) or "none" (deaths are
+//     announced and lost work stays lost, so a faulted run reports
 //     non-completion at the deadline, like the simulator's), and Placement
 //     "random": what machine.WallProc runs without reply timers on the wall
 //     clock. Simulator-only knobs that would change what a run measures are
@@ -66,7 +66,6 @@ type Machine interface {
 type params struct {
 	Spec
 	backend   string
-	scheme    string
 	deadline  time.Duration
 	admission admission.Policy
 }
@@ -80,19 +79,18 @@ func prepare(backend string, cfg core.Config) (params, error) {
 	p := params{
 		Spec:     Spec{Procs: cfg.Procs, Seed: cfg.Seed, Eval: cfg.Eval},
 		backend:  backend,
-		scheme:   cfg.Recovery,
 		deadline: DefaultDeadline,
 	}
 	reject := func(format string, args ...any) (params, error) {
 		return p, fmt.Errorf(backend+": "+format, args...)
 	}
-	if p.scheme == "" {
-		p.scheme = "rollback"
-	}
-	if p.scheme != "rollback" && p.scheme != "none" {
+	switch cfg.Recovery {
+	case "", "rollback":
+	case "none":
+		p.NoRecovery = true
+	default:
 		return reject("recovery %q not supported (rollback per-parent reissue, or none)", cfg.Recovery)
 	}
-	p.NoRecovery = p.scheme == "none"
 	if _, err := p.Evaluator(); err != nil {
 		return p, err
 	}
@@ -156,8 +154,8 @@ type session struct {
 	closeRep *core.Report
 
 	// gate is the admission state, guarded by mu. A slot is taken at
-	// admission (the Root.Submit) and freed at the request's first root
-	// delivery — the simulator's accounting, made by the same gate, so every
+	// admission (the Root.Submit) and freed when the request ends — the
+	// simulator's accounting, made by the same gate, so every
 	// backend makes identical admit/shed decisions on the same stream order.
 	gate admission.Gate[*request]
 }
@@ -322,7 +320,7 @@ func (s *session) Close() (*core.Report, error) {
 	s.mu.Unlock()
 	s.wg.Wait()
 	rep := &core.Report{Backend: s.p.backend, Unit: core.WallMicros, Makespan: s.micros(time.Now()),
-		Procs: s.p.Procs, Scheme: s.p.scheme, Placement: "random"}
+		Procs: s.p.Procs, Scheme: s.p.Scheme(), Placement: "random"}
 	s.m.Shutdown()
 	rep.Metrics, rep.ReissuesByNode = s.m.Root().Metrics()
 	s.mu.Lock()

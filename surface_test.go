@@ -54,6 +54,7 @@ var surfaceAllow = map[string]string{
 	"core.Cluster.Drain":          "test seam: admission tests run a stream to quiescence before Close",
 	"netnode.Cluster.Pids":        "test seam: the orphan-process tests check every child was reaped",
 	"machine.WallProc.Held":       "test seam: the live stream's end-state check reads every processor's tasks, checkpoints and free lists",
+	"node.Root.Held":              "test seam: the same check reads the super-root's request records and its processor's",
 	"netnode.managedProc.Pid":     "called only by Cluster.Pids",
 }
 
