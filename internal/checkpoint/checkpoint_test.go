@@ -80,17 +80,38 @@ func TestByteAccounting(t *testing.T) {
 		t.Fatalf("Bytes after re-retain = %d", s.bytes)
 	}
 	// A respawn retains a clone whose generations and flags were rewritten
-	// after its size was memoized: the memo is still the wire length, and
-	// Release takes back exactly what Retain charged.
-	re := p2.Clone()
-	re.Gen, re.ParentGen, re.Reissue = 1<<60, 7, true
-	if n := len(proto.EncodePacket(re)); re.EncodedSize() != n {
-		t.Fatalf("respawned packet: EncodedSize %d, wire %d", re.EncodedSize(), n)
+	// after the original's size was memoized, at generations on both sides
+	// of every uvarint width: the clone is sized afresh, its size is the wire
+	// length, and Release takes back exactly what Retain charged.
+	for _, gen := range []uint64{0, 127, 128, 16383, 16384, 1 << 60, 1 << 63} {
+		re := p2.Clone()
+		re.Gen, re.ParentGen, re.Reissue = gen, gen/2, true
+		if n := len(proto.EncodePacket(re)); re.EncodedSize() != n {
+			t.Fatalf("respawned packet, generation %d: EncodedSize %d, wire %d", gen, re.EncodedSize(), n)
+		}
+		s.Retain(re)
+		s.Release(re.Key)
+		if s.bytes != 0 {
+			t.Fatalf("Bytes after respawn at generation %d and release = %d", gen, s.bytes)
+		}
 	}
-	s.Retain(re)
-	s.Release(re.Key)
+	// A packet re-placed under a lineage of its own is a clone whose replica
+	// changed: it is no longer its parent's hole child, so its encoding
+	// grows, and it is charged and refunded at its new size.
+	s.Retain(p2)
+	s.Release(p2.Key)
+	lin := p2.Clone()
+	lin.Key.Rep = 1 << 20
+	if n := len(proto.EncodePacket(lin)); lin.EncodedSize() != n || n <= p2.EncodedSize() {
+		t.Fatalf("re-placed packet: EncodedSize %d, wire %d, original %d", lin.EncodedSize(), n, p2.EncodedSize())
+	}
+	s.Retain(lin)
+	if s.bytes != int64(lin.EncodedSize()) {
+		t.Fatalf("Bytes after re-placed retain = %d, want %d", s.bytes, lin.EncodedSize())
+	}
+	s.Release(lin.Key)
 	if s.bytes != 0 {
-		t.Fatalf("Bytes after respawn and release = %d", s.bytes)
+		t.Fatalf("Bytes after re-placed release = %d", s.bytes)
 	}
 }
 

@@ -125,8 +125,10 @@ func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 //
 //	hello:     uint32 node id, uint32 pid
 //	program:   uint16 program index, then lang.Format source bytes
-//	spawn:     uint16 program index, then proto.EncodePacket bytes — exactly
-//	           the packet's EncodedSize, which sim and live charge too
+//	spawn:     uint16 program index, then proto.EncodePacket bytes (varint
+//	           generations; a chain and a replica count only behind their
+//	           flag bits) — exactly the packet's EncodedSize, which sim and
+//	           live charge too
 //	result:    proto.EncodeResult bytes (with FlagFailed: the failed task as
 //	           Child, the evaluation error's text as a string Value)
 //	control:   proto.AppendControl bytes

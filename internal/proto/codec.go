@@ -20,22 +20,28 @@ import (
 // nothing external, which is what storing it on a peer processor (§2)
 // requires.
 //
-// The form is compact. Lengths, counts, replicas and hole ids are uvarints;
-// processor ids are zigzag varints (values follow expr's codec); generations
-// are fixed 8-byte fields. One stamp per frame is written in full — a
-// packet's parent, a result's addressee — and every other stamp relative to
-// one the frame already carried: the number of that stamp's trailing
-// components to drop, then the components to append (§3.1: a child is
-// stamped by appending one component to its parent's stamp). A task that is
-// its parent's child at its hole, the normal case, costs one flag bit.
+// The form is compact. Lengths, counts, replicas, hole ids and generations
+// are uvarints; processor ids are zigzag varints (values follow expr's
+// codec). One stamp per frame is written in full — a packet's parent, a
+// result's addressee — and every other stamp relative to one the frame
+// already carried: the number of that stamp's trailing components to drop,
+// then the components to append (§3.1: a child is stamped by appending one
+// component to its parent's stamp). A task that is its parent's child at its
+// hole, the normal case, costs one flag bit, and so do the fields a frame
+// almost never carries: a non-empty address chain and a replica count other
+// than 1 are written only behind their flag bit.
 //
 //	packet: flags, Gen, ParentGen, Parent (absolute), HoleID, Key (unless
-//	        flagHoleChild; relative to Parent), Fn, Args, Ancestors (a count,
-//	        each relative to the address before it), Replicas
+//	        flagHoleChild; relative to Parent), Fn, Args, Ancestors (if
+//	        flagChain: a count, each relative to the address before it),
+//	        Replicas (if flagReplicated)
 //	result: flags, ParentTask (absolute), HoleID, Child (unless
 //	        flagHoleChild; relative to ParentTask), Value, DeadParent (if
-//	        flagDeadParent; relative to Child), Remaining (a count, each
-//	        relative to the address before it)
+//	        flagDeadParent; relative to Child), Remaining (if flagChain: a
+//	        count, each relative to the address before it)
+//
+// A flag bit the frame's kind does not define, an empty chain behind
+// flagChain and a replica count of 1 behind flagReplicated are malformed.
 //
 // An address is its processor, its stamp and its replica.
 
@@ -48,6 +54,14 @@ const (
 	flagReissue                // packet: Reissue
 	flagHoleChild              // the key is the parent's child at HoleID, same replica, and is not written
 	flagDeadParent             // result: DeadParent is set
+	flagChain                  // packet: Ancestors, result: Remaining is non-empty
+	flagReplicated             // packet: Replicas is not 1
+)
+
+// The flag bits each frame kind defines.
+const (
+	packetFlags = flagTwin | flagReissue | flagHoleChild | flagChain | flagReplicated
+	resultFlags = flagHoleChild | flagDeadParent | flagChain
 )
 
 // width is the byte width of one component in a stamp's Key.
@@ -105,9 +119,13 @@ func appendRelKey(buf []byte, k TaskKey, ref stamp.Stamp) []byte {
 	return binary.AppendUvarint(buf, uint64(k.Rep))
 }
 
-// appendChain writes an address chain: a count, then each address — its
-// processor and its key relative to the stamp before it, ref for the first.
+// appendChain writes a non-empty address chain: a count, then each address —
+// its processor and its key relative to the stamp before it, ref for the
+// first. An empty chain is the absence of flagChain and is not written.
 func appendChain(buf []byte, chain []Addr, ref stamp.Stamp) []byte {
+	if len(chain) == 0 {
+		return buf
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(chain)))
 	for _, a := range chain {
 		buf = binary.AppendVarint(buf, int64(a.Proc))
@@ -128,6 +146,12 @@ func (p *TaskPacket) flags() byte {
 	if holeChild(p.Key, p.Parent.Task, p.HoleID) {
 		f |= flagHoleChild
 	}
+	if len(p.Ancestors) != 0 {
+		f |= flagChain
+	}
+	if p.Replicas != 1 {
+		f |= flagReplicated
+	}
 	return f
 }
 
@@ -138,8 +162,8 @@ func EncodePacket(p *TaskPacket) []byte { return AppendPacket(nil, p) }
 func AppendPacket(buf []byte, p *TaskPacket) []byte {
 	flags := p.flags()
 	buf = append(buf, flags)
-	buf = binary.BigEndian.AppendUint64(buf, p.Gen)
-	buf = binary.BigEndian.AppendUint64(buf, p.ParentGen)
+	buf = binary.AppendUvarint(buf, p.Gen)
+	buf = binary.AppendUvarint(buf, p.ParentGen)
 	buf = binary.AppendVarint(buf, int64(p.Parent.Proc))
 	buf = appendKey(buf, p.Parent.Task)
 	buf = binary.AppendUvarint(buf, uint64(p.HoleID))
@@ -153,17 +177,20 @@ func AppendPacket(buf []byte, p *TaskPacket) []byte {
 		buf = expr.AppendValue(buf, v)
 	}
 	buf = appendChain(buf, p.Ancestors, p.Parent.Task.Stamp)
-	return binary.AppendUvarint(buf, uint64(p.Replicas))
+	if flags&flagReplicated != 0 {
+		buf = binary.AppendUvarint(buf, uint64(p.Replicas))
+	}
+	return buf
 }
 
 // EncodedSize is len(EncodePacket(p)), encoded into a stack array. Checkpoint
 // storage and every backend's message bytes are charged from it, once per
-// hop and once per retention, hence the memo. The memo is never dropped: a
-// packet's size depends only on fields fixed at construction (key, parent,
-// hole, function, arguments, ancestors, replicas), while what Respawn and the
-// recovery schemes rewrite afterwards — Gen, ParentGen and the twin/reissue
-// flags — has a fixed width. So the checkpoint store refunds at Release the
-// size it charged at Retain, and a Clone may carry the memo over.
+// hop and once per retention, hence the memo, under one rule: a packet is
+// sized after its last write. A spawn builds its packet whole; a respawn
+// rewrites generations, flags or the lineage only on a fresh Clone, which
+// carries no memo, before the clone is first sized. So every charge is the
+// wire length, and the checkpoint store refunds at Release the size it
+// charged at Retain.
 func (p *TaskPacket) EncodedSize() int {
 	if p.encSize == 0 {
 		var buf [256]byte // a packet that fits is sized without allocating
@@ -176,10 +203,10 @@ func (p *TaskPacket) EncodedSize() int {
 func DecodePacket(buf []byte) (*TaskPacket, error) {
 	d := decoder{buf: buf}
 	p := &TaskPacket{}
-	flags := d.byte("flags")
+	flags := d.flags(packetFlags)
 	p.Twin, p.Reissue = flags&flagTwin != 0, flags&flagReissue != 0
-	p.Gen = d.fixed64("generation")
-	p.ParentGen = d.fixed64("parent generation")
+	p.Gen = d.uvarint("generation")
+	p.ParentGen = d.uvarint("parent generation")
 	p.Parent.Proc = d.proc()
 	p.Parent.Task = d.key()
 	p.HoleID = int(d.uvarint("hole id"))
@@ -191,8 +218,13 @@ func DecodePacket(buf []byte) (*TaskPacket, error) {
 			d.err = fmt.Errorf("%w: %v", ErrPacketCodec, err)
 		}
 	}
-	p.Ancestors = d.chain(p.Parent.Task.Stamp)
-	p.Replicas = int(d.uvarint("replicas"))
+	p.Ancestors = d.chain(flags, p.Parent.Task.Stamp)
+	p.Replicas = 1
+	if flags&flagReplicated != 0 {
+		if p.Replicas = int(d.uvarint("replicas")); p.Replicas == 1 {
+			d.fail("replicas")
+		}
+	}
 	if err := d.end(); err != nil {
 		return nil, err
 	}
@@ -209,6 +241,9 @@ func (r *Result) flags() byte {
 	}
 	if r.DeadParent != (Addr{}) {
 		f |= flagDeadParent
+	}
+	if len(r.Remaining) != 0 {
+		f |= flagChain
 	}
 	return f
 }
@@ -242,7 +277,7 @@ func (r *Result) EncodedSize() int {
 func DecodeResult(buf []byte) (*Result, error) {
 	d := decoder{buf: buf}
 	r := &Result{}
-	flags := d.byte("flags")
+	flags := d.flags(resultFlags)
 	r.ParentTask = d.key()
 	r.HoleID = int(d.uvarint("hole id"))
 	r.Child = d.childKey(flags, r.ParentTask, r.HoleID)
@@ -258,7 +293,7 @@ func DecodeResult(buf []byte) (*Result, error) {
 		r.DeadParent.Task = d.relKey(ref)
 		ref = r.DeadParent.Task.Stamp
 	}
-	r.Remaining = d.chain(ref)
+	r.Remaining = d.chain(flags, ref)
 	if err := d.end(); err != nil {
 		return nil, err
 	}
@@ -296,6 +331,15 @@ func (d *decoder) byte(what string) byte {
 	b := d.buf[0]
 	d.buf = d.buf[1:]
 	return b
+}
+
+// flags reads a frame's flags byte; a bit outside known is malformed.
+func (d *decoder) flags(known byte) byte {
+	f := d.byte("flags")
+	if f&^known != 0 {
+		d.fail("flags")
+	}
+	return f
 }
 
 func (d *decoder) fixed64(what string) uint64 {
@@ -407,9 +451,18 @@ func (d *decoder) childKey(flags byte, parent TaskKey, hole int) TaskKey {
 	return TaskKey{Stamp: parent.Stamp.Child(uint32(hole)), Rep: parent.Rep}
 }
 
-func (d *decoder) chain(ref stamp.Stamp) []Addr {
+// chain reads the address chain behind flagChain, which holds at least one
+// address; without the flag the chain is empty.
+func (d *decoder) chain(flags byte, ref stamp.Stamp) []Addr {
+	if flags&flagChain == 0 {
+		return nil
+	}
+	n := d.count("address count")
+	if n == 0 {
+		d.fail("address count")
+	}
 	var chain []Addr
-	for n := d.count("address count"); n > 0 && d.err == nil; n-- {
+	for ; n > 0 && d.err == nil; n-- {
 		a := Addr{Proc: d.proc()}
 		a.Task = d.relKey(ref)
 		chain = append(chain, a)

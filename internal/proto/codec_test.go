@@ -2,6 +2,7 @@ package proto
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,20 +98,12 @@ func packetsEqual(a, b *TaskPacket) bool {
 		a.Twin != b.Twin || a.Reissue != b.Reissue || a.Replicas != b.Replicas {
 		return false
 	}
-	if len(a.Args) != len(b.Args) || len(a.Ancestors) != len(b.Ancestors) {
-		return false
-	}
-	for i := range a.Args {
-		if !a.Args[i].Equal(b.Args[i]) {
-			return false
-		}
-	}
-	for i := range a.Ancestors {
-		if a.Ancestors[i] != b.Ancestors[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a.Args, b.Args, expr.Value.Equal) && slices.Equal(a.Ancestors, b.Ancestors)
+}
+
+func resultsEqual(a, b *Result) bool {
+	return a.Child == b.Child && a.ParentTask == b.ParentTask && a.HoleID == b.HoleID &&
+		a.Value.Equal(b.Value) && a.DeadParent == b.DeadParent && slices.Equal(a.Remaining, b.Remaining)
 }
 
 // TestQuickPacketRoundTrip proves the packet is self-contained: it survives
@@ -139,20 +132,7 @@ func TestQuickResultRoundTrip(t *testing.T) {
 		res := randomResult(r)
 		buf := EncodeResult(res)
 		back, err := DecodeResult(buf)
-		if err != nil {
-			return false
-		}
-		if back.Child != res.Child || back.ParentTask != res.ParentTask ||
-			back.HoleID != res.HoleID || !back.Value.Equal(res.Value) ||
-			back.DeadParent != res.DeadParent || len(back.Remaining) != len(res.Remaining) {
-			return false
-		}
-		for i := range res.Remaining {
-			if back.Remaining[i] != res.Remaining[i] {
-				return false
-			}
-		}
-		return true
+		return err == nil && resultsEqual(res, back)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,8 @@ func FuzzDecodePacket(f *testing.F) {
 			return
 		}
 		// Accepted input must re-encode canonically: a second round trip is
-		// a fixed point (the first may normalize, e.g. unknown flag bits).
+		// a fixed point (the first may normalize, e.g. a non-minimal varint
+		// or a hole child written out in full).
 		// What every backend charges is exactly what it encodes to.
 		enc1 := EncodePacket(p)
 		if n := p.EncodedSize(); n != len(enc1) {
@@ -136,18 +137,23 @@ func FuzzDecodeControl(f *testing.F) {
 	})
 }
 
-// TestOldFormatRejected: the corpus keeps, as v1-*, encodings in the
-// fixed-width format this codec replaced (4-byte stamp components behind a
-// 16-bit length, 8-byte reps and ints). Such a frame is an error, never a
-// packet or a result.
+// TestOldFormatRejected: the corpus keeps encodings in the formats this codec
+// replaced: as v1-*, the fixed-width format (4-byte stamp components behind a
+// 16-bit length, 8-byte reps and ints); as v2-*, the compact format with
+// fixed 8-byte generations and an always-written chain count and replica
+// count. Such a frame is an error, never a packet or a result.
 func TestOldFormatRejected(t *testing.T) {
 	for fuzz, decode := range map[string]func([]byte) error{
 		"FuzzDecodePacket": func(b []byte) error { _, err := DecodePacket(b); return err },
 		"FuzzDecodeResult": func(b []byte) error { _, err := DecodeResult(b); return err },
 	} {
-		files, err := filepath.Glob(filepath.Join("testdata", "fuzz", fuzz, "v1-*"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("%s: no v1 seeds (%v)", fuzz, err)
+		var files []string
+		for _, v := range []string{"v1-*", "v2-*"} {
+			got, err := filepath.Glob(filepath.Join("testdata", "fuzz", fuzz, v))
+			if err != nil || len(got) == 0 {
+				t.Fatalf("%s: no %s seeds (%v)", fuzz, v, err)
+			}
+			files = append(files, got...)
 		}
 		for _, file := range files {
 			raw, err := os.ReadFile(file)

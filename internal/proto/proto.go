@@ -128,19 +128,22 @@ type TaskPacket struct {
 	// program, which keeps one-shot runs unchanged.
 	Prog int
 
-	// encSize memoizes EncodedSize (codec.go says why the memo holds for
-	// the packet's lifetime). 0 = not yet computed (real sizes are always
+	// encSize memoizes EncodedSize (codec.go states the rule that keeps it
+	// the wire length). 0 = not yet computed (real sizes are always
 	// positive).
 	encSize int
 }
 
 // Clone returns a deep-enough copy: values are immutable and shared, the
 // slices are fresh. Reissuing or twinning a packet must never alias the
-// original's mutable slices.
+// original's mutable slices. The copy carries no size memo: a respawn
+// rewrites its generations, flags or lineage, and those change the encoding,
+// so the clone is sized afresh after its last write.
 func (p *TaskPacket) Clone() *TaskPacket {
 	q := *p
 	q.Args = append([]expr.Value(nil), p.Args...)
 	q.Ancestors = append([]Addr(nil), p.Ancestors...)
+	q.encSize = 0
 	return &q
 }
 
