@@ -94,19 +94,19 @@ var commandLines = []struct {
 	// A validated program that fails at run time fails the request, with
 	// the evaluator's own words, wherever it runs — and, the super-root
 	// being the simulator's host on every backend, the failing task runs on
-	// the same processor on all three.
+	// the same processor on all three, and the host words the error alike.
 	{"division by zero", "-program testdata/div.ap -args 2", 1,
 		"apsim: task 0.2 on processor 4: lang: eval: division by zero", ""},
 	{"division by zero on live", "-program testdata/div.ap -args 2 -backend live", 1,
-		"apsim: task 0.2 on node 4: lang: eval: division by zero", ""},
+		"apsim: task 0.2 on processor 4: lang: eval: division by zero", ""},
 	{"division by zero on net", "-program testdata/div.ap -args 2 -backend net -recovery rollback", 1,
-		"apsim: task 0.2 on node 4: lang: eval: division by zero", ""},
+		"apsim: task 0.2 on processor 4: lang: eval: division by zero", ""},
 	{"division by zero in a stream", "-program testdata/div.ap -args 2 -requests 3 -backend live", 1,
-		"apsim: request 0: task 0.2 on node 4: lang: eval: division by zero", ""},
+		"apsim: request 0: task 0.2 on processor 4: lang: eval: division by zero", ""},
 	{"division by zero in a stream on sim", "-program testdata/div.ap -args 2 -requests 3", 1,
 		"apsim: request 0: task 0.2 on processor 4: lang: eval: division by zero", ""},
 	{"division by zero in a stream on net", "-program testdata/div.ap -args 2 -requests 3 -backend net -recovery rollback", 1,
-		"apsim: request 0: task 0.2 on node 4: lang: eval: division by zero", ""},
+		"apsim: request 0: task 0.2 on processor 4: lang: eval: division by zero", ""},
 	{"stream flags without -requests", "-workload fib:10 -arrive uniform:100 -max-inflight 2 -admission shed", 2,
 		"apsim: -admission, -arrive, -max-inflight: service-stream flags need -requests N", ""},
 	{"-trace on a stream", "-workload fib:10 -requests 4 -trace", 2,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/node"
+	"repro/internal/proto"
 )
 
 func TestFaultFreeLiveRun(t *testing.T) {
@@ -193,10 +194,11 @@ func TestShutdownEndsASoleSurvivorThatNeverFinishes(t *testing.T) {
 // included, whose root packets come back with the roots' answers. A result
 // goes back on the list of the processor that consumed it, so results
 // balance across the machine, but for the one per request the super-root
-// took. A stream with an evaluation error and a kill in it ends with the
-// super-root as clean: no request record, no pseudo-task, no checkpoint, and
-// no root packet missing but those a dead node or the failed request's tree
-// may still hold.
+// took. A stream with an evaluation error in it, with or without a kill,
+// ends with every surviving processor holding no task and no checkpoint —
+// the failed request's tree was torn down — and the super-root as clean: no
+// request record, no pseudo-task, no checkpoint, and no root packet missing
+// but those a dead node or the failed request's tree may still hold.
 func TestStreamEndsClean(t *testing.T) {
 	specs := []string{"fib:14", "tree:3,5", "tak:9,5,2"}
 	stream := func(t *testing.T, fail, kill bool) (c *Cluster, failed int) {
@@ -252,14 +254,21 @@ func TestStreamEndsClean(t *testing.T) {
 			t.Errorf("super-root: free lists made %v: it installed nothing", h.Made)
 		}
 	}
+	// survivors checks that every processor but dead holds no task and no
+	// checkpoint.
+	survivors := func(t *testing.T, c *Cluster, dead proto.ProcID) {
+		for _, p := range c.procs {
+			if h := p.w.Held(); p.id != dead && (h.Tasks != 0 || h.Checkpoints != 0) {
+				t.Errorf("processor %d: %d tasks resident, %d checkpoints retained", p.id, h.Tasks, h.Checkpoints)
+			}
+		}
+	}
 	t.Run("fault-free", func(t *testing.T) {
 		c, _ := stream(t, false, false)
+		survivors(t, c, -1)
 		var made, free [4]int
 		for _, p := range c.procs {
 			h := p.w.Held()
-			if h.Tasks != 0 || h.Checkpoints != 0 {
-				t.Errorf("processor %d: %d tasks resident, %d checkpoints retained", p.id, h.Tasks, h.Checkpoints)
-			}
 			for i := range made {
 				made[i], free[i] = made[i]+h.Made[i], free[i]+h.Free[i]
 			}
@@ -275,8 +284,14 @@ func TestStreamEndsClean(t *testing.T) {
 		}
 		superRoot(t, c, 0)
 	})
+	t.Run("eval-error", func(t *testing.T) {
+		c, failed := stream(t, true, false)
+		survivors(t, c, -1)
+		superRoot(t, c, int64(failed))
+	})
 	t.Run("eval-error-and-kill", func(t *testing.T) {
 		c, failed := stream(t, true, true)
+		survivors(t, c, 1)
 		m, byNode := c.Root().Metrics()
 		own := m.Reissues
 		for _, r := range byNode {

@@ -23,7 +23,7 @@ import (
 // and drops one whose addressee is dead when it lands. Its detector tells
 // the lowest-numbered live processor of a death fifoNotice ticks after it,
 // and the announcement path does the rest, as scripted does. It records the
-// host's rootDone and failed, and stops the kernel at either.
+// host's one outcome, and stops the kernel at it.
 type fifoWorld struct {
 	*sim.Kernel
 	procs   []*proc // processors 0..n-1, then the host
@@ -91,13 +91,12 @@ func (w *fifoWorld) transmit(msg proto.Msg) {
 	w.After(fifoDelay, w.deliver)
 }
 
-func (w *fifoWorld) placedHere(*proto.TaskPacket)           {}
-func (w *fifoWorld) tracing() bool                          { return w.tlog != nil }
-func (w *fifoWorld) log(ev trace.Event)                     { w.tlog.Add(ev) }
-func (w *fifoWorld) suspected(*proc, proto.ProcID)          {}
-func (w *fifoWorld) program(i int) lang.EvalProgram         { return w.evals[i] }
-func (w *fifoWorld) rootDone(_ proto.TaskKey, v expr.Value) { w.answer = v; w.Stop() }
-func (w *fifoWorld) failed(_ proto.TaskKey, err error)      { w.err = err; w.Stop() }
+func (w *fifoWorld) placedHere(*proto.TaskPacket)   {}
+func (w *fifoWorld) tracing() bool                  { return w.tlog != nil }
+func (w *fifoWorld) log(ev trace.Event)             { w.tlog.Add(ev) }
+func (w *fifoWorld) suspected(*proc, proto.ProcID)  {}
+func (w *fifoWorld) program(i int) lang.EvalProgram { return w.evals[i] }
+func (w *fifoWorld) ended(o Outcome)                { w.answer, w.err = o.Value, o.Err; w.Stop() }
 
 func (w *fifoWorld) died(p *proc) {
 	w.After(fifoNotice, func() {

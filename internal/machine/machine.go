@@ -321,12 +321,11 @@ func (sc *shardCtx) suspected(p *proc, q proto.ProcID) {
 	sc.m.det.suspected(p, q)
 }
 
-func (sc *shardCtx) placedHere(*proto.TaskPacket)             {}
-func (sc *shardCtx) tracing() bool                            { return sc.tlog != nil }
-func (sc *shardCtx) died(p *proc)                             { sc.m.det.died(p) }
-func (sc *shardCtx) program(i int) lang.EvalProgram           { return sc.m.evals[i] }
-func (sc *shardCtx) rootDone(key proto.TaskKey, v expr.Value) { sc.m.session.rootDone(key, v) }
-func (sc *shardCtx) failed(key proto.TaskKey, err error)      { sc.m.session.failed(key, err) }
+func (sc *shardCtx) placedHere(*proto.TaskPacket)   {}
+func (sc *shardCtx) tracing() bool                  { return sc.tlog != nil }
+func (sc *shardCtx) died(p *proc)                   { sc.m.det.died(p) }
+func (sc *shardCtx) program(i int) lang.EvalProgram { return sc.m.evals[i] }
+func (sc *shardCtx) ended(o Outcome)                { sc.m.session.ended(o) }
 
 // shardOf is p's shard: its env, and where machine-side code schedules p's events.
 func (m *Machine) shardOf(p *proc) *shardCtx { return m.shards[m.kern.HomeOf(int32(p.idx))] }

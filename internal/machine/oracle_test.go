@@ -237,7 +237,10 @@ func byRequest(vals map[string]string) map[int]map[string]string {
 // own request and nothing else. Two requests of a stream fail with different
 // errors, all seven admitted at once on one machine; the failing processors
 // free themselves, every good request answers, and each fills exactly the
-// (stamp, hole) pairs its solo run fills, with the solo run's values.
+// (stamp, hole) pairs its solo run fills, with the solo run's values. A
+// failed request's tree is torn down: once the stream is finished no task
+// has leaked and no processor, the host included, holds a task or a
+// checkpoint.
 func TestEvalErrorFailsOnlyItsRequest(t *testing.T) {
 	stream := func(calls ...[]int64) ([]*Req, map[int]map[string]string) {
 		tl := trace.NewLog()
@@ -260,9 +263,17 @@ func TestEvalErrorFailsOnlyItsRequest(t *testing.T) {
 		for _, r := range reqs {
 			s.Wait(r)
 		}
-		s.Finish()
+		rep := s.Finish()
 		if n := s.Outstanding(); n != 0 {
 			t.Fatalf("%d requests outstanding after every Wait", n)
+		}
+		if n := rep.Metrics.TasksLeaked; n != 0 {
+			t.Errorf("%d tasks leaked", n)
+		}
+		for _, p := range append(m.procs, m.host) {
+			if len(p.tasks) != 0 || p.store.Len() != 0 {
+				t.Errorf("processor %d: %d tasks resident, %d checkpoints retained", p.id, len(p.tasks), p.store.Len())
+			}
 		}
 		return reqs, byRequest(stampValues(t, tl))
 	}

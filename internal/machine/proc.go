@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 
 	"repro/internal/balance"
 	"repro/internal/checkpoint"
@@ -30,8 +31,7 @@ type env interface {
 	suspected(p *proc, q proto.ProcID) // p now believes q failed
 	died(p *proc)
 	program(i int) lang.EvalProgram // what packets tagged Prog = i run
-	rootDone(key proto.TaskKey, v expr.Value)
-	failed(key proto.TaskKey, err error)
+	ended(o Outcome)                // the host's request o.Req ended (end)
 }
 
 // proc is one processor of the machine (or the host pseudo-processor).
@@ -420,22 +420,7 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 	p.mt.TasksAborted++
 	p.mt.StepsWasted += t.stepsSpent
 	p.Log(trace.KAbort, key, reason)
-	// Holes are stored dense by demand id, so index order is ascending id
-	// order — the order the sort.Ints pass used to establish.
-	for _, h := range t.holes {
-		if h == nil || h.filled {
-			continue
-		}
-		for _, c := range h.children {
-			p.store.Drop(&c.Slot)
-			if c.Dest >= 0 && !p.faulty[c.Dest] {
-				p.send(proto.Msg{
-					Type: proto.MsgAbort, To: c.Dest, AbortGen: c.gen, AbortScope: scope,
-					AbortTask: proto.TaskKey{Stamp: key.Stamp.Child(uint32(h.id)), Rep: c.rep},
-				})
-			}
-		}
-	}
+	p.abortChildren(t, scope)
 	// Upward propagation within the scope: the parent's arguments can no
 	// longer be obtained ("a processor is required to abort a task if new
 	// arguments of the task cannot be obtained" — §3.2). The parent is
@@ -469,6 +454,26 @@ func (p *proc) abortGen(key proto.TaskKey, gen uint64, scope stamp.Stamp, reason
 		Type: proto.MsgChildAbort, To: pp,
 		AbortTask: t.pkt.Key, AbortGen: t.pkt.Gen,
 	})
+}
+
+// abortChildren drops the checkpoints of t's children still owed a value
+// and aborts each child's current incarnation under scope. Holes are stored
+// dense by demand id, so index order is ascending id order.
+func (p *proc) abortChildren(t *task, scope stamp.Stamp) {
+	for _, h := range t.holes {
+		if h == nil || h.filled {
+			continue
+		}
+		for _, c := range h.children {
+			p.store.Drop(&c.Slot)
+			if c.Dest >= 0 && !p.faulty[c.Dest] {
+				p.send(proto.Msg{
+					Type: proto.MsgAbort, To: c.Dest, AbortGen: c.gen, AbortScope: scope,
+					AbortTask: proto.TaskKey{Stamp: t.pkt.Key.Stamp.Child(uint32(h.id)), Rep: c.rep},
+				})
+			}
+		}
+	}
 }
 
 // onChildAbort handles a notification that a child incarnation this
@@ -737,16 +742,15 @@ func (p *proc) runPass(t *task) {
 // fail retires a task whose pass hit an evaluation error and frees the
 // processor. The error is as determinate as a value (§2.1) — a reissue would
 // hit it again — so it is no fault to recover from: the host hears of it as
-// a result whose value is the error's text, and fails the task's request.
-// The task's ancestors are left waiting, like the parents of any orphan.
+// a result whose value is the error's text, flagged EvalErr, and ends the
+// task's request, which tears down the rest of its tree (end).
 func (p *proc) fail(t *task, err error) {
 	t.cancelTimers()
 	t.state = taskAborted
 	delete(p.tasks, t.pkt.Key)
 	p.busy = false
-	p.send(proto.Msg{Type: proto.MsgResult, To: proto.HostID,
-		Result: &proto.Result{Child: t.pkt.Key, Value: expr.VStr(err.Error())},
-		Err:    fmt.Errorf("task %v on processor %d: %w", t.pkt.Key, p.id, err)})
+	p.send(proto.Msg{Type: proto.MsgResult, To: proto.HostID, EvalErr: true,
+		Result: &proto.Result{Child: t.pkt.Key, Value: expr.VStr(err.Error())}})
 }
 
 // finishPass applies the outcome of the reduction pass runPass parked.
@@ -773,7 +777,7 @@ func (p *proc) finishPass() {
 			p.Log(trace.KComplete, t.pkt.Key, v.String())
 		}
 		if t.isHostRoot {
-			p.env.rootDone(t.pkt.Key, v)
+			p.end(t.pkt.Key, Outcome{Value: v})
 			return
 		}
 		p.sendResult(t)
@@ -804,6 +808,27 @@ func (p *proc) installRoot(key proto.TaskKey, prog int, fn string, args []expr.V
 	t.nextID = 1
 	p.tasks[key] = t
 	p.spawnDemand(t, lang.Demand{ID: 0, Fn: fn, Args: args})
+}
+
+// end ends the host's request key at its first outcome, on every backend:
+// its pseudo-task retires, and a root that never answered is aborted with
+// its whole tree, whose checkpoints drop as it goes (§3.2) — an evaluation
+// error is as determinate as a value (§2.1), so the rest of the tree is
+// unproductive. A root whose placement is not yet acknowledged is collected
+// when the ack finds no parent (onTaskAck). A later outcome finds no
+// pseudo-task. The root packet, which the tree may hold, and the results the
+// host took, which it never sends, go to the collector.
+func (p *proc) end(key proto.TaskKey, o Outcome) {
+	t := p.tasks[key]
+	if t == nil {
+		return
+	}
+	t.cancelTimers()
+	p.abortChildren(t, stamp.Root())
+	p.retire(t)
+	p.resFree.free = nil
+	o.Req = reqOf(key)
+	p.env.ended(o)
 }
 
 // spawnDemand creates the child task(s) for one demand: DEMAND_IT of §4.2 —
@@ -1216,8 +1241,10 @@ func (p *proc) onResultTimeout(t *task) {
 // "forward result" / rule-of-thumb cases; Figure 5 cases 4–8).
 func (p *proc) onResultMsg(msg *proto.Msg) {
 	res := msg.Result
-	if msg.Err != nil {
-		p.env.failed(res.Child, msg.Err)
+	if msg.EvalErr {
+		text, _ := res.Value.(expr.VStr)
+		p.end(hostKey(reqOf(res.Child)), Outcome{Err: fmt.Errorf("task %v on processor %d: %w: %s",
+			res.Child, msg.From, lang.ErrEval, strings.TrimPrefix(string(text), lang.ErrEval.Error()+": "))})
 		return
 	}
 	defer p.resFree.put(res) // every path below copies out what it keeps
@@ -1226,10 +1253,6 @@ func (p *proc) onResultMsg(msg *proto.Msg) {
 		p.mt.LateResults++
 		p.Log(trace.KLateResult, res.Child, "unknown addressee")
 		p.ackResult(msg.From, res.Child, false)
-		return
-	}
-	if t.isHostRoot && t.state != taskWaiting && t.state != taskReady && t.state != taskRunning {
-		p.ackResult(msg.From, res.Child, true)
 		return
 	}
 	h := t.holeAt(res.HoleID)

@@ -56,15 +56,14 @@ type Session struct {
 	pendPlans []*faults.Plan
 	pendReqs  []*Req
 
-	// byKey holds the admitted requests by host task key; its size is the
-	// next stream id.
-	byKey map[proto.TaskKey]*Req
+	// reqs holds the admitted requests by stream id; its length is the next.
+	reqs []*Req
 
 	outstanding int
 
 	// gate is the admission state: slots in use and the FIFO of offers
 	// waiting for one. It is mutated only on the host's shard (the admission
-	// batch events and rootDone both dispatch there), so the accounting is as
+	// batch events and ended both dispatch there), so the accounting is as
 	// deterministic as the event order itself.
 	gate admission.Gate[*Req]
 
@@ -148,8 +147,7 @@ func (m *Machine) Serve(cfg ServeConfig) (*Session, error) {
 	if m.session != nil {
 		return nil, errors.New("machine: machine already serving (a machine instance runs once)")
 	}
-	s := &Session{m: m, next: cfg.NextArrival, byKey: map[proto.TaskKey]*Req{},
-		gate: admission.Gate[*Req]{Policy: cfg.Admission}}
+	s := &Session{m: m, next: cfg.NextArrival, gate: admission.Gate[*Req]{Policy: cfg.Admission}}
 	m.session = s
 	return s, nil
 }
@@ -163,6 +161,22 @@ func hostKey(id int) proto.TaskKey {
 		return proto.TaskKey{}
 	}
 	return proto.TaskKey{Stamp: stamp.FromPath(uint32(id))}
+}
+
+// reqOf is the request of a task or pseudo-task (hostKey).
+func reqOf(key proto.TaskKey) int {
+	if key.Stamp.IsRoot() {
+		return 0
+	}
+	return int(key.Stamp.Component(0))
+}
+
+// Outcome is how a request the host installed ended: its answer, or the
+// evaluation error that means it has none.
+type Outcome struct {
+	Req   int
+	Value expr.Value
+	Err   error
 }
 
 // Submit buffers fn(args) from prog under the caller's label (core passes the
@@ -297,14 +311,14 @@ func (s *Session) admit() {
 		if r.prog, r.err = m.progIndex(r.src); r.err != nil {
 			continue
 		}
-		r.id = len(s.byKey)
+		r.id = len(s.reqs)
 		arr := now
 		if s.next != nil {
 			arr = max(arr, s.next(r.id))
 		}
 		r.arrival = arr
 		s.outstanding++
-		s.byKey[hostKey(r.id)] = r
+		s.reqs = append(s.reqs, r)
 		if len(batch) > 0 && arr != batchAt {
 			flush()
 			batch = nil
@@ -350,48 +364,18 @@ func (s *Session) install(r *Req) {
 	m.host.installRoot(hostKey(r.id), r.prog, r.fn, r.args)
 }
 
-// rootDone records a request's completion. The machine-level done fields
-// record the first completion (the request itself, in a one-shot run).
-func (s *Session) rootDone(key proto.TaskKey, v expr.Value) {
-	r := s.byKey[key]
-	if !s.settle(r) {
-		return
-	}
-	r.done = true
-	r.answer = v
-	m := s.m
-	if !m.done {
-		m.done = true
-		m.answer = v
-		m.doneAt = r.doneAt
-	}
-	m.host.Log(trace.KRootDone, nil, v.String())
-}
-
-// failed fails the request that task belongs to with the evaluation error
-// the task reported: request i's tasks all carry the stamp prefix [i].
-func (s *Session) failed(task proto.TaskKey, err error) {
-	r := s.byKey[hostKey(int(task.Stamp.Component(0)))]
-	if s.settle(r) {
-		r.err = err
-	}
-}
-
-// settle stamps r's outcome, frees its admission slot and stops the kernel
-// so any driver waiting on it can observe the state; drivers waiting on
-// other requests simply resume. Only a request's first outcome settles it:
-// a later one (another incarnation's answer, a sibling's failure) reports
-// false and changes nothing.
-func (s *Session) settle(r *Req) bool {
-	if r == nil || r.done || r.err != nil {
-		return false
-	}
-	sc := s.m.shardOf(s.m.host)
+// ended settles request o.Req at its first outcome, the only one the host
+// reports (proc.end): it stamps the outcome, frees the admission slot and
+// stops the kernel so any driver waiting on the request can observe it;
+// drivers waiting on other requests simply resume. The machine-level done
+// fields record the first completion (the request itself, in a one-shot run).
+func (s *Session) ended(o Outcome) {
+	r, sc := s.reqs[o.Req], s.m.shardOf(s.m.host)
 	r.doneAt = sc.Now()
 	s.outstanding--
-	// A freed slot installs the admission queue's head inline: settle runs
-	// on the host's shard inside the delivery event, exactly the context
-	// the batch admission events install from, so the dequeue is as
+	// A freed slot installs the admission queue's head inline: this runs on
+	// the host's shard inside the delivery event, exactly the context the
+	// batch admission events install from, so the dequeue is as
 	// deterministic (and shard-count-invariant) as the outcome itself.
 	if next, ok := s.gate.Release(); ok {
 		s.install(next)
@@ -400,7 +384,17 @@ func (s *Session) settle(r *Req) bool {
 		sc.After(flightTime(1), s.goQuiet)
 	}
 	sc.Stop()
-	return true
+	if r.err = o.Err; r.err != nil {
+		return
+	}
+	r.done, r.answer = true, o.Value
+	m := s.m
+	if !m.done {
+		m.done = true
+		m.answer = o.Value
+		m.doneAt = r.doneAt
+	}
+	m.host.Log(trace.KRootDone, nil, o.Value.String())
 }
 
 // goQuiet sends every processor the host's quiet frame unless a request was

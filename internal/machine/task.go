@@ -162,7 +162,7 @@ type task struct {
 	escalated bool
 
 	// isHostRoot marks the host pseudo-task that owns the program
-	// invocation: completing it ends the run.
+	// invocation: completing it ends its request (proc.end).
 	isHostRoot bool
 }
 

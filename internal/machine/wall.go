@@ -20,9 +20,10 @@ import (
 // depth 1. So no message is acknowledged (Config.acked) and the only timer a
 // processor arms is its pass's completion, which a logical clock orders as
 // well as real time would. The super-root is the simulator's host processor
-// over the same env: it retains every root packet, places it, and learns of
-// a death first hand from its transport, which it announces to every
-// processor it believes live, as the simulator's host does.
+// over the same env: it retains every root packet, places it, learns of a
+// death first hand from its transport, which it announces to every
+// processor it believes live, and ends each request at its first outcome
+// (proc.end), all as the simulator's host does.
 
 // Transport is a wall processor's way out.
 type Transport interface {
@@ -111,8 +112,8 @@ type wallEnv struct {
 	// itself, and the reissues among them.
 	inPlace, inPlaceReissues int64
 
-	// ended are the super-root's outcomes Ended has not taken.
-	ended []Outcome
+	// outcomes are the super-root's request ends Ended has not taken.
+	outcomes []Outcome
 }
 
 func (e *wallEnv) transmit(msg proto.Msg) {
@@ -152,47 +153,7 @@ func (*wallEnv) tracing() bool                    { return false }
 func (*wallEnv) log(trace.Event)                  {}
 func (*wallEnv) suspected(*proc, proto.ProcID)    {}
 func (*wallEnv) died(*proc)                       {}
-
-func (e *wallEnv) rootDone(key proto.TaskKey, v expr.Value) { e.end(key, Outcome{Value: v}) }
-func (e *wallEnv) failed(task proto.TaskKey, err error) {
-	e.end(hostKey(reqOf(task)), Outcome{Err: err})
-}
-
-// end retires request key's host pseudo-task at its first outcome, with its
-// checkpoints, and records the outcome; a later one finds no pseudo-task.
-// (The simulator's host keeps them: its run ends.) A failed request's root
-// packet, which its tree may hold, and the results the host took, which it
-// never sends, go to the collector.
-func (e *wallEnv) end(key proto.TaskKey, o Outcome) {
-	p := e.p
-	t := p.tasks[key]
-	if t == nil {
-		return
-	}
-	for _, c := range t.holeAt(0).children { // installRoot's one demand
-		p.store.Drop(&c.Slot)
-	}
-	p.retire(t)
-	p.resFree.free = nil
-	o.Req = reqOf(key)
-	e.ended = append(e.ended, o)
-}
-
-// reqOf is the request of a task or pseudo-task (hostKey).
-func reqOf(key proto.TaskKey) int {
-	if key.Stamp.IsRoot() {
-		return 0
-	}
-	return int(key.Stamp.Component(0))
-}
-
-// Outcome is how a request the super-root installed ended: its answer, or
-// the evaluation error that means it has none.
-type Outcome struct {
-	Req   int
-	Value expr.Value
-	Err   error
-}
+func (e *wallEnv) ended(o Outcome)                { e.outcomes = append(e.outcomes, o) }
 
 // Install makes the super-root's pseudo-task of request id, under the
 // simulator's key (hostKey), and places fn(args), retaining its packet
@@ -204,7 +165,7 @@ func (w *WallProc) Install(id, prog int, fn string, args []expr.Value) {
 // Ended takes the outcomes of the requests that ended since the last call,
 // in the order they ended.
 func (w *WallProc) Ended() (out []Outcome) {
-	out, w.env.ended = w.env.ended, nil
+	out, w.env.outcomes = w.env.outcomes, nil
 	return out
 }
 

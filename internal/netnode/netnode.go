@@ -44,7 +44,6 @@ import (
 	"os"
 	"strconv"
 
-	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -163,8 +162,8 @@ func parseProgram(p []byte) (idx int, src string, err error) {
 
 // appendMsg batches m, from processor from, in its frame: a spawn frame,
 // with FlagReissue so the hub counts reissues without decoding; a result
-// frame, with FlagFailed on an evaluation error, whose text is the value; or
-// a control frame.
+// frame, with FlagFailed for Msg.EvalErr, the error's text being the value;
+// or a control frame.
 func appendMsg(w *proto.FrameWriter, from proto.ProcID, m *proto.Msg) error {
 	switch m.Type {
 	case proto.MsgTask:
@@ -175,7 +174,7 @@ func appendMsg(w *proto.FrameWriter, from proto.ProcID, m *proto.Msg) error {
 		return w.End(appendSpawn(w.Begin(proto.FrameSpawn, flags, from, m.To), m.Task))
 	case proto.MsgResult:
 		var flags byte
-		if m.Err != nil {
+		if m.EvalErr {
 			flags = proto.FlagFailed
 		}
 		return w.End(proto.AppendResult(w.Begin(proto.FrameResult, flags, from, m.To), m.Result))
@@ -184,8 +183,7 @@ func appendMsg(w *proto.FrameWriter, from proto.ProcID, m *proto.Msg) error {
 	}
 }
 
-// msgOf decodes the message appendMsg framed; an evaluation error arrives
-// as lang.ErrEval.
+// msgOf decodes the message appendMsg framed, FlagFailed as Msg.EvalErr.
 func msgOf(f *proto.Frame) (proto.Msg, error) {
 	m := proto.Msg{From: f.From, To: f.To}
 	var err error
@@ -195,9 +193,8 @@ func msgOf(f *proto.Frame) (proto.Msg, error) {
 		m.Task, err = parseSpawn(f.Payload)
 	case proto.FrameResult:
 		m.Type = proto.MsgResult
-		if m.Result, err = proto.DecodeResult(f.Payload); f.Flags&proto.FlagFailed != 0 {
-			m.Err = lang.ErrEval
-		}
+		m.Result, err = proto.DecodeResult(f.Payload)
+		m.EvalErr = f.Flags&proto.FlagFailed != 0
 	case proto.FrameControl:
 		var c *proto.Msg
 		if c, err = proto.DecodeControl(f.Payload); err == nil {

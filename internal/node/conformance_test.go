@@ -700,7 +700,7 @@ func TestBadTicketsFailAlone(t *testing.T) {
 // the packet the next node in turn; the simulator used to stop the stream),
 // the requests on either side of it in the stream verify, and Close counts
 // one failure.
-var evalErrText = regexp.MustCompile(`^task 1\.[0-9.]+ on (processor|node) \d+: lang: eval: division by zero$`)
+var evalErrText = regexp.MustCompile(`^task 1\.[0-9.]+ on processor \d+: lang: eval: division by zero$`)
 
 func TestEvalErrorFailsTheRequest(t *testing.T) {
 	prog := lang.MustParse("fn f(x) = 10 / x\nfn main(n) = f(n) + f(n - 1) + f(n - 2)")

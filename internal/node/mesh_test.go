@@ -1,7 +1,9 @@
 package node
 
 import (
+	"errors"
 	"fmt"
+	"regexp"
 	"testing"
 
 	"repro/internal/core"
@@ -102,10 +104,10 @@ func (m *mesh) kill(p proto.ProcID) {
 	m.root.NodeDown(p)
 }
 
-// run serves one request to completion under a kill schedule (sorted by
-// after) and returns its answer, with what the processors counted folded
-// into the super-root's totals.
-func (m *mesh) run(w core.Workload, kills []kill) expr.Value {
+// run serves one request until nothing is left in flight under a kill
+// schedule (sorted by after) and returns its outcome, with what the
+// processors counted folded into the super-root's totals.
+func (m *mesh) run(w core.Workload, kills []kill) (expr.Value, error) {
 	q, err := m.root.Submit(w.Program, w.Fn, w.Args)
 	if err != nil {
 		m.t.Fatal(err)
@@ -135,37 +137,56 @@ func (m *mesh) run(w core.Workload, kills []kill) expr.Value {
 		m.sent[p].Add(&local)
 		m.root.Fold(proto.ProcID(p), &m.sent[p])
 	}
-	v, err := q.Wait(0, nil)
-	if err != nil {
-		got, _ := m.root.Metrics()
-		m.t.Fatalf("nothing left in flight and no answer: %v (%q)", err, got.Rows())
-	}
-	return v
+	return q.Wait(0, nil)
 }
 
 // meshProgs are the programs the mesh runs: two-way and three-way
-// recursion, and a wide shallow tree.
+// recursion, and a wide shallow tree. meshDiv is a request that fails: the
+// third of its three subtasks divides by zero.
 var meshProgs = []string{"fib:9", "tak:6,3,1", "tree:4,3"}
 
+const meshDiv = "div"
+
 // checkMesh serves one (program, procs, seed, kills) on a mesh and requires
-// the reference answer and the packet ledger every wall-clock run keeps:
-// every packet spawned crossed as a msg.task or was placed in place, and the
-// processors are credited with no more reissues than the total. It returns
-// the totals and the reissues no processor is credited with: the
-// super-root's.
+// the reference outcome — the answer, or the evaluator's error naming the
+// task and processor that hit it — and the end state and packet ledger every
+// wall-clock run keeps: at quiescence no surviving processor, the
+// super-root's included, holds a task or a checkpoint, every packet spawned
+// crossed as a msg.task or was placed in place, and the processors are
+// credited with no more reissues than the total. It returns the totals and
+// the reissues no processor is credited with: the super-root's.
 func checkMesh(t testing.TB, spec string, procs int, seed int64, kills []kill) (trace.Metrics, int64) {
 	t.Helper()
-	w, err := core.StandardWorkload(spec)
-	if err != nil {
-		t.Fatal(err)
+	w := core.Workload{Program: lang.MustParse("fn f(x) = 10 / x\nfn main(n) = f(n) + f(n - 1) + f(n - 2)"),
+		Fn: "main", Args: []expr.Value{expr.VInt(2)}}
+	if spec != meshDiv {
+		var err error
+		if w, err = core.StandardWorkload(spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	want, err := lang.RefEval(w.Program, w.Fn, w.Args)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantErr := lang.RefEval(w.Program, w.Fn, w.Args)
 	m := newMesh(t, procs, seed)
-	if got := m.run(w, kills); !got.Equal(want) {
-		t.Fatalf("answer %v, want %v", got, want)
+	switch v, err := m.run(w, kills); {
+	case wantErr != nil:
+		text := regexp.MustCompile(`^task [0-9.]+ on processor \d+: ` + regexp.QuoteMeta(wantErr.Error()) + `$`)
+		if !errors.Is(err, lang.ErrEval) || !text.MatchString(err.Error()) {
+			t.Fatalf("error %v, want the task's %v", err, wantErr)
+		}
+	case err != nil:
+		got, _ := m.root.Metrics()
+		t.Fatalf("nothing left in flight and no answer: %v (%q)", err, got.Rows())
+	case !v.Equal(want):
+		t.Fatalf("answer %v, want %v", v, want)
+	}
+	reqs, h := m.root.Held()
+	if reqs != 0 || h.Tasks != 0 || h.Checkpoints != 0 {
+		t.Errorf("super-root: %d requests recorded, %d tasks resident, %d checkpoints retained", reqs, h.Tasks, h.Checkpoints)
+	}
+	for p, wp := range m.procs {
+		if h := wp.Held(); !m.dead[p] && (h.Tasks != 0 || h.Checkpoints != 0) {
+			t.Errorf("processor %d: %d tasks resident, %d checkpoints retained", p, h.Tasks, h.Checkpoints)
+		}
 	}
 	got, byNode := m.root.Metrics()
 	var credited int64
@@ -192,9 +213,11 @@ func rootHost(t testing.TB, procs int, seed int64) proto.ProcID {
 // fault-free and through kill schedules — two deaths mid-run, a cascade of
 // three, a machine left with one survivor — and through the death of the
 // root's host right after the root is placed, which the super-root
-// reissues from its retained packet.
+// reissues from its retained packet. A request that fails does so typed,
+// fault-free and through its root's host's death, and leaves every survivor
+// clean.
 func TestWallMeshUnderKills(t *testing.T) {
-	for _, spec := range meshProgs {
+	for _, spec := range append(meshProgs, meshDiv) {
 		for _, tc := range []struct {
 			procs    int
 			seed     int64
@@ -208,6 +231,9 @@ func TestWallMeshUnderKills(t *testing.T) {
 			{3, 13, []kill{{25, 1}, {26, 2}}, false},
 			{5, 17, []kill{{1, -1}}, true},
 		} {
+			if spec == meshDiv && len(tc.kills) > 0 && !tc.rootKill {
+				continue
+			}
 			name := fmt.Sprintf("%s/p%d/k%d", spec, tc.procs, len(tc.kills))
 			if tc.rootKill {
 				name += "/root"
@@ -215,7 +241,8 @@ func TestWallMeshUnderKills(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				got, host := checkMesh(t, spec, tc.procs, tc.seed, tc.kills)
-				if got.TasksInPlace == 0 || (len(tc.kills) > 0 && got.Reissues == 0) || (tc.rootKill && host != 1) {
+				idle := spec != meshDiv && (got.TasksInPlace == 0 || (len(tc.kills) > 0 && got.Reissues == 0))
+				if idle || (tc.rootKill && host != 1) {
 					t.Fatalf("the case exercised nothing: %d reissued by the super-root, %q", host, got.Rows())
 				}
 			})
@@ -223,9 +250,10 @@ func TestWallMeshUnderKills(t *testing.T) {
 	}
 }
 
-// FuzzWallMesh is checkMesh over program × procs 2–8 × seed × kill points:
-// kills is read as (delay, victim) byte pairs, each delay counted in
-// delivered messages from the previous kill.
+// FuzzWallMesh is checkMesh over program × procs 2–8 × seed × kill points,
+// the failing request among the programs: kills is read as (delay, victim)
+// byte pairs, each delay counted in delivered messages from the previous
+// kill.
 func FuzzWallMesh(f *testing.F) {
 	f.Add(uint8(0), uint8(4), int64(1), []byte{})
 	f.Add(uint8(0), uint8(2), int64(3), []byte{0, 1}) // one survivor from the start
@@ -234,6 +262,8 @@ func FuzzWallMesh(f *testing.F) {
 	f.Add(uint8(1), uint8(3), int64(13), []byte{25, 1, 1, 2})
 	f.Add(uint8(2), uint8(6), int64(-5), []byte{200, 2, 200, 2, 255, 0})
 	f.Add(uint8(0), uint8(3), int64(17), []byte{1, 2}) // request 0's root lands on node 2: killed once placed
+	f.Add(uint8(3), uint8(4), int64(5), []byte{3, 1})  // the request fails while node 1 dies
+	progs := append(meshProgs, meshDiv)
 	f.Fuzz(func(t *testing.T, prog, procs uint8, seed int64, schedule []byte) {
 		if len(schedule) > 32 {
 			return
@@ -243,6 +273,6 @@ func FuzzWallMesh(f *testing.F) {
 			at += int(schedule[0])
 			kills = append(kills, kill{at, proto.ProcID(int(schedule[1]) % (2 + int(procs)%7))})
 		}
-		checkMesh(t, meshProgs[int(prog)%len(meshProgs)], 2+int(procs)%7, seed, kills)
+		checkMesh(t, progs[int(prog)%len(progs)], 2+int(procs)%7, seed, kills)
 	})
 }

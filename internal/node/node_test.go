@@ -1,7 +1,6 @@
 package node
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"slices"
@@ -304,7 +303,8 @@ func TestNodeDownReissuesExactlyTheLostChildren(t *testing.T) {
 }
 
 // TestEvalErrorRetiresTheTaskAndReports: a pass that fails is reported to the
-// super-root under the task's key with the evaluator's typed error, the
+// super-root under the task's key, flagged EvalErr, with the evaluator's
+// error text as its value, the
 // incarnation is gone — the same packet again runs again — and the
 // processor goes on serving: the next packet runs.
 func TestEvalErrorRetiresTheTaskAndReports(t *testing.T) {
@@ -318,8 +318,9 @@ func TestEvalErrorRetiresTheTaskAndReports(t *testing.T) {
 	for range 2 {
 		deliver(wp, spawn(f(0, 1)))
 		got := w.take()
-		if len(got) != 1 || got[0].To != proto.HostID || got[0].Result.Child != f(0, 1).Key || !errors.Is(got[0].Err, lang.ErrEval) {
-			t.Fatalf("f(0) sent %+v, want one failure report for task 0.1 wrapping lang.ErrEval", got)
+		if len(got) != 1 || got[0].To != proto.HostID || got[0].Result.Child != f(0, 1).Key || !got[0].EvalErr ||
+			!got[0].Result.Value.Equal(expr.VStr("lang: eval: division by zero")) {
+			t.Fatalf("f(0) sent %+v, want one failure report for task 0.1 reading the evaluator's error", got)
 		}
 	}
 	deliver(wp, spawn(f(5, 2)))

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -178,15 +177,8 @@ func (r *Root) Submit(prog *lang.Program, fn string, args []expr.Value) (*Reques
 }
 
 // Deliver hands the super-root's processor a message a node sent it: a
-// root's result, or — Err set, the result's value being its text — the
-// evaluation error a task hit. A program error is determinate (§2.1), so
-// that request has no answer on any processor and nothing is recovered.
+// root's result, an evaluation error a task hit (EvalErr), or a death.
 func (r *Root) Deliver(m *proto.Msg) {
-	if m.Err != nil {
-		text, _ := m.Result.Value.(expr.VStr)
-		err := fmt.Errorf("%w: %s", lang.ErrEval, strings.TrimPrefix(string(text), lang.ErrEval.Error()+": "))
-		m.Err = fmt.Errorf("task %v on node %d: %w", m.Result.Child, m.From, err)
-	}
 	r.mu.Lock()
 	r.host.Deliver(m)
 	r.unlock()

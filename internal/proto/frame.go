@@ -85,8 +85,8 @@ const (
 	// decoding payloads.
 	FlagReissue byte = 1 << iota
 	// FlagFailed marks a FrameResult to the supervisor that reports no value
-	// but an evaluation error: Child is the task that failed, Value the
-	// error's text.
+	// but an evaluation error (Msg.EvalErr): Child is the task that failed,
+	// Value the error's text.
 	FlagFailed
 )
 

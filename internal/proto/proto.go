@@ -242,6 +242,10 @@ type Msg struct {
 	PlacedOn  ProcID  // MsgTaskAck: where it settled
 	AckHole   int     // MsgTaskAck: parent hole
 	ResultOK  bool    // MsgResultAck: addressee known?
+	// EvalErr, on a MsgResult to the host, says task Result.Child hit an
+	// evaluation error, whose text Result.Value holds: the request has no
+	// answer. It is the net backend's FlagFailed bit.
+	EvalErr   bool
 	AckChild  TaskKey // MsgResultAck: child acknowledged
 	Failed    ProcID  // MsgFaultAnnounce: who failed
 	AbortTask TaskKey // MsgAbort: victim
@@ -251,11 +255,6 @@ type Msg struct {
 	// propagate the abort to relatives that are still inside the scope.
 	AbortScope stamp.Stamp
 	LoadVal    int // MsgLoad: sender's proximity/pressure value
-	// Err, on a MsgResult to the host, is the evaluation error that ended
-	// task Result.Child: the request has no answer. Result.Value holds the
-	// error's text, which is what the message is charged for, like the net
-	// backend's FlagFailed frame.
-	Err error
 }
 
 // EncodedSize is the message's size on the simulated wire: a modelled 12-byte
