@@ -31,9 +31,10 @@ const (
 type Counters struct {
 	// Messages counts every message the interconnect carried.
 	Messages int64
-	// MsgBytes is the encoded payload bytes of those messages, measured with
-	// the proto codec's wire sizes on every backend — the one byte figure
-	// that is comparable across sim, live and net.
+	// MsgBytes is the bytes of those messages: on every backend each is
+	// charged the frame net writes for it (proto.Msg.EncodedSize, header
+	// included) — the one byte figure that is comparable across sim, live
+	// and net.
 	MsgBytes int64
 	// Reissued counts checkpointed packets re-sent after a failure.
 	Reissued int64

@@ -411,3 +411,50 @@ func TestDetectorWatchesAcrossTheDead(t *testing.T) {
 		}
 	}
 }
+
+// frameLen is the length of the frame net would write for a heartbeat from
+// from to to: a header and the modelled 16-byte payload.
+func frameLen(from, to proto.ProcID) int64 {
+	return int64(len(proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameHeartbeat, From: from, To: to, Payload: make([]byte, 16)})))
+}
+
+// TestClosedFormBeatsSizedPerAddressee: the detector's beats and the host's
+// quiet and wake frames are charged in closed form, never sent, and each is
+// charged the frame its sender and addressee make — ids from 64 on take two
+// bytes — not one size for all. On a 100-processor machine served with quiet
+// gaps, the beats count charges each stream's beats their own frame length,
+// and a quiet frame charges the sum over all 100 addressees.
+func TestClosedFormBeatsSizedPerAddressee(t *testing.T) {
+	m, s := startIdleCfg(t, Config{Topo: mustTopo(t, "torus", 100), Scheme: recovery.Rollback(), Seed: 1}, nil)
+	serveIdling(t, m, s, 10, 2, 5*m.cfg.HeartbeatEvery)
+	h := hb(m)
+	var mt trace.Metrics
+	h.count(&mt)
+	var beats, bytes int64
+	wide := false
+	end := m.kern.Covered()
+	for i := range h.at {
+		b := &h.at[i]
+		for j, l := range b.beats {
+			n := l.sent(h.every, end, h.epochs)
+			beats += n
+			bytes += n * frameLen(b.p.id, b.beatTo[j])
+			wide = wide || n > 0 && (b.p.id >= 64 || b.beatTo[j] >= 64)
+		}
+	}
+	if !wide || mt.MsgHeartbeat != beats || mt.BytesOnWire != bytes {
+		t.Errorf("%d beats charged %d bytes, want %d beats in %d bytes, some to or from a processor past 63 (%v)",
+			mt.MsgHeartbeat, mt.BytesOnWire, beats, bytes, wide)
+	}
+
+	sc := m.shardOf(m.host)
+	was := sc.metrics.BytesOnWire
+	s.detectorFrame()
+	var want int64
+	for to := range proto.ProcID(100) {
+		want += frameLen(proto.HostID, to)
+	}
+	if got := sc.metrics.BytesOnWire - was; got != want || want != 100*20+36 {
+		t.Errorf("a quiet frame to all 100 processors charged %d bytes, want %d: 100 of 20 bytes and 36 two-byte ids", got, want)
+	}
+}

@@ -412,16 +412,17 @@ func (s *Session) goQuiet() {
 
 // detectorFrame sends every processor a quiet or wake frame, which closes or
 // opens the detector's epoch (Detector.frame) as it lands a hop later. Like
-// a beat it is counted on the wire, sized like one, and dispatches no event;
-// the boundary is published at the window barrier, before any event it
-// affects.
+// a beat it is counted on the wire, sized like one to its addressee, and
+// dispatches no event; the boundary is published at the window barrier,
+// before any event it affects.
 func (s *Session) detectorFrame() {
 	m, sc := s.m, s.m.shardOf(s.m.host)
 	at := sc.Now() + flightTime(1)
-	frame := proto.Msg{Type: proto.MsgHeartbeat, From: proto.HostID}
+	for to := range proto.ProcID(m.n) {
+		sc.metrics.BytesOnWire += int64((&proto.Msg{Type: proto.MsgHeartbeat, From: proto.HostID, To: to}).EncodedSize())
+	}
 	n := int64(m.n)
 	sc.metrics.MsgHeartbeat += n
-	sc.metrics.BytesOnWire += n * int64(frame.EncodedSize())
 	sc.metrics.HopsOnWire += n
 	sc.Wake(m.ownerOf(proto.HostID), func() { m.det.frame(at) })
 }

@@ -84,12 +84,13 @@ func (w *WallProc) Run() bool { return w.env.Run(wallBudget) == sim.RunBudgetExh
 
 // Local is what the processor counted that no message it sent carries: the
 // packets it spawned and placed on itself (tasks.spawned, tasks.in-place and
-// the reissues among them) and the results it drained. What it sent, its
-// transport counts.
+// the reissues among them), the results it drained, the tasks it completed
+// and aborted and the steps it executed. What it sent, its transport counts.
 func (w *WallProc) Local() trace.Metrics {
-	e := w.env
+	e, m := w.env, &w.env.metrics
 	return trace.Metrics{TasksSpawned: e.inPlace, TasksInPlace: e.inPlace, Reissues: e.inPlaceReissues,
-		DupResults: e.metrics.DupResults, LateResults: e.metrics.LateResults}
+		DupResults: m.DupResults, LateResults: m.LateResults,
+		TasksCompleted: m.TasksCompleted, TasksAborted: m.TasksAborted, StepsExecuted: m.StepsExecuted}
 }
 
 // wallEnv is a wall processor's env. Its kernel is the processor's work

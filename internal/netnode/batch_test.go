@@ -223,8 +223,10 @@ func TestChildOneWritePerHandlerBurst(t *testing.T) {
 		i = pkt.HoleID
 		home--
 		// Byte-identical to the unbatched encoding: header, program tag, packet.
-		want := proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameSpawn, From: 0, To: 1,
-			Payload: append([]byte{0, 0}, proto.EncodePacket(pkt)...)})
+		// The header is four bytes: the length, spawn (3), from 0 and to 1
+		// (zigzag 0 and 2); the tag is one.
+		enc := proto.EncodePacket(pkt)
+		want := append([]byte{byte(1 + len(enc)), 0x03, 0x00, 0x02, 0x00}, enc...)
 		if got := proto.AppendFrame(nil, f); !bytes.Equal(got, want) {
 			t.Fatalf("frame for hole %d bytes\n  %x\nwant\n  %x", i, got, want)
 		}
@@ -235,8 +237,13 @@ func TestChildOneWritePerHandlerBurst(t *testing.T) {
 	if len(burst) != 1 || burst[0].Type != proto.FrameStats {
 		t.Fatalf("after the last hole: %+v, want the goodbye's stats frame", burst)
 	}
-	if m, err := parseStats(burst[0].Payload); err != nil || m != (trace.Metrics{TasksSpawned: home, TasksInPlace: home}) {
-		t.Fatalf("the goodbye counts %q (%v), want %d in place", m.Rows(), err, home)
+	// The goodbye carries every count the node keeps: the packets it placed
+	// at home, each of which completed there, and the steps they took.
+	m, err := parseStats(burst[0].Payload)
+	steps := m.StepsExecuted
+	m.StepsExecuted = 0
+	if err != nil || steps == 0 || m != (trace.Metrics{TasksSpawned: home, TasksInPlace: home, TasksCompleted: home}) {
+		t.Fatalf("the goodbye counts %q and %d steps (%v), want %d in place and completed", m.Rows(), steps, err, home)
 	}
 }
 
@@ -263,8 +270,12 @@ func TestChildCountsGoAheadOfWhatFollows(t *testing.T) {
 	if len(out) != 2 || out[0].Type != proto.FrameStats || out[1].Type != proto.FrameResult || out[1].To != proto.HostID {
 		t.Fatalf("second write = %+v, want a stats frame and then the root's result", out)
 	}
-	if m, err := parseStats(out[0].Payload); err != nil || m != (trace.Metrics{TasksSpawned: 14, TasksInPlace: 14}) {
-		t.Fatalf("stats count %q (%v), want fib(5)'s 14 child packets in place", m.Rows(), err)
+	// Completions and steps ride along: the root and its 14 children.
+	m, err := parseStats(out[0].Payload)
+	steps := m.StepsExecuted
+	m.StepsExecuted = 0
+	if err != nil || steps == 0 || m != (trace.Metrics{TasksSpawned: 14, TasksInPlace: 14, TasksCompleted: 15}) {
+		t.Fatalf("stats count %q and %d steps (%v), want fib(5)'s 14 child packets in place and 15 tasks completed", m.Rows(), steps, err)
 	}
 	if res, err := proto.DecodeResult(out[1].Payload); err != nil || !res.Value.Equal(expr.VInt(5)) {
 		t.Fatalf("the root answered %+v (%v), want 5", res, err)

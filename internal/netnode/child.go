@@ -58,21 +58,26 @@ type childLink struct {
 // Send implements machine.Transport: the stats of what the node counted on
 // its own, then the message's frame (appendMsg).
 func (l *childLink) Send(m proto.Msg) {
-	l.tally()
+	l.tally(false)
 	_ = appendMsg(l.out, l.id, &m)
 }
 
 // Program implements machine.Transport.
 func (l *childLink) Program(i int) lang.EvalProgram { return l.evals[i] }
 
-// tally appends a stats frame when the node has counted something on its own
-// since the last one: task packets placed on itself and results drained, as
-// deltas. It runs ahead of every frame that crosses, so the hub has counted
-// whatever a frame it sees causally follows — a packet that ran in place
-// before its result left, say — even when the node dies mid-batch.
-func (l *childLink) tally() {
-	now := l.w.Local()
-	if now == l.told {
+// tally appends a stats frame of deltas of every count the node keeps on its
+// own when it has placed a task packet on itself or drained a result since
+// the last one, or at the goodbye. It runs ahead of every frame that crosses,
+// so the hub has counted whatever a frame it sees causally follows — a
+// packet that ran in place before its result left, say — even when the node
+// dies mid-batch. Completions, aborts and steps only ride along: nearly every
+// result follows one.
+func (l *childLink) tally(goodbye bool) {
+	now, was := l.w.Local(), l.told
+	if !goodbye {
+		was.TasksCompleted, was.TasksAborted, was.StepsExecuted = now.TasksCompleted, now.TasksAborted, now.StepsExecuted
+	}
+	if now == was {
 		return
 	}
 	buf := l.out.Begin(proto.FrameStats, 0, l.id, proto.HostID)
@@ -157,7 +162,7 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 			}
 			continue
 		case proto.FrameShutdown:
-			link.tally() // the goodbye: what no later frame will carry
+			link.tally(true) // the goodbye: what no later frame will carry
 			return hubGone(link.out.Flush())
 		}
 		m, err := msgOf(f)

@@ -310,56 +310,58 @@ func (c *Cluster) route(ch *child) {
 }
 
 // relay takes one frame off a child's connection. The hub relays bytes: the
-// header is parsed where it lies in the reader's buffer, and a frame for
-// another node is copied from there into that node's outbox, never decoded
-// and never allocated. A frame too large to lie in the buffer whole is read
-// into a buffer of its own. Any error — a cut inside a frame included — is
-// the dead node's silence: nothing of a frame is forwarded until all of it
-// has arrived.
+// header is parsed where it lies in the reader's buffer, waiting only for
+// header bytes still to arrive, and a frame for another node is copied from
+// there into that node's outbox, never decoded and never allocated. A frame
+// too large to lie in the buffer whole is read into a buffer of its own. Any
+// error — a cut inside a frame, its header included — is the dead node's
+// silence: nothing of a frame is forwarded until all of it has arrived.
 func (c *Cluster) relay(ch *child) error {
-	hdr, err := ch.r.Peek(proto.FrameHeaderSize)
-	if err != nil {
-		return err
-	}
-	f, n, err := proto.ParseFrameHeader(hdr)
-	if err != nil {
-		return err
-	}
-	size := proto.FrameHeaderSize + n
-	if size > ch.r.Size() {
-		wire := make([]byte, size)
-		if _, err = io.ReadFull(ch.r, wire); err == nil {
-			err = c.carry(ch, f, wire)
+	var f proto.Frame
+	var hdr, n int
+	err := io.ErrUnexpectedEOF
+	for want := 1; err == io.ErrUnexpectedEOF; {
+		b, perr := ch.r.Peek(max(want, ch.r.Buffered()))
+		if perr != nil {
+			return perr
 		}
-		return err
+		f, hdr, n, err = proto.ParseFrameHeader(b)
+		want = len(b) + 1
 	}
-	wire, err := ch.r.Peek(size)
+	size := hdr + n
+	var wire []byte
+	if err == nil && size > ch.r.Size() {
+		wire = make([]byte, size)
+		_, err = io.ReadFull(ch.r, wire)
+	} else if err == nil {
+		wire, err = ch.r.Peek(size)
+	}
 	if err == nil {
+		f.Payload = wire[hdr:]
 		err = c.carry(ch, f, wire)
 	}
-	if err == nil {
+	if err == nil && size <= ch.r.Size() {
 		_, err = ch.r.Discard(size)
 	}
 	return err
 }
 
-// carry counts one whole frame from a child and sends it on its way:
-// protocol frames are charged and forwarded (one for the super-root is
-// decoded and delivered here), supervision frames absorbed. wire is only
-// valid during the call. A frame for the hub, or a control frame, that does
-// not decode is its sender's failure, "an invalid message" (§1): the error
-// ends the connection.
+// carry counts one whole frame from a child, f with its payload, and sends
+// it on its way: protocol frames are charged and forwarded (one for the
+// super-root is decoded and delivered here), supervision frames absorbed.
+// wire, the frame's bytes, is only valid during the call. A frame for the
+// hub, or a control frame, that does not decode is its sender's failure, "an
+// invalid message" (§1): the error ends the connection.
 func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
-	payload := wire[proto.FrameHeaderSize:]
 	switch f.Type {
 	case proto.FrameStats:
-		m, err := parseStats(payload)
+		m, err := parseStats(f.Payload)
 		if err != nil {
 			return err
 		}
 		c.root.Fold(proto.ProcID(ch.id), &m)
 	case proto.FrameResult, proto.FrameSpawn, proto.FrameControl:
-		f.From, f.Payload = proto.ProcID(ch.id), payload
+		f.From = proto.ProcID(ch.id)
 		m := proto.Msg{Type: proto.MsgResult}
 		if f.Type == proto.FrameSpawn {
 			m.Type = proto.MsgTask

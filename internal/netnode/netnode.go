@@ -124,16 +124,16 @@ func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 //
 //	hello:     uint32 node id, uint32 pid
 //	program:   uint16 program index, then lang.Format source bytes
-//	spawn:     uint16 program index, then proto.EncodePacket bytes (varint
-//	           generations; a chain and a replica count only behind their
-//	           flag bits) — exactly the packet's EncodedSize, which sim and
-//	           live charge too
+//	spawn:     uvarint program index, then proto.EncodePacket bytes; with
+//	           its header exactly the proto.Msg.EncodedSize sim and live
+//	           charge, as a result or control frame is
 //	result:    proto.EncodeResult bytes (with FlagFailed: the failed task as
 //	           Child, the evaluation error's text as a string Value)
 //	control:   proto.AppendControl bytes
-//	stats:     uint64 × 4, what the node counted since its last report: task
-//	           packets it placed on itself, the reissues among them, and
-//	           the duplicate and the late results it drained
+//	stats:     uvarint × 7, what the node counted since its last report: task
+//	           packets it placed on itself, the reissues among them, the
+//	           duplicate and the late results it drained, the tasks it
+//	           completed and aborted, and the reduction steps it executed
 //	shutdown:  empty
 
 func helloPayload(id, pid int) []byte {
@@ -208,41 +208,50 @@ func msgOf(f *proto.Frame) (proto.Msg, error) {
 }
 
 // appendSpawn appends a spawn payload: the packet's in-process program tag
-// (which the packet codec leaves out: code is resident, not shipped) ahead of
-// the packet.
+// as a uvarint (the packet codec leaves it out: code is resident, not
+// shipped) ahead of the packet.
 func appendSpawn(buf []byte, pkt *proto.TaskPacket) []byte {
-	return proto.AppendPacket(binary.BigEndian.AppendUint16(buf, uint16(pkt.Prog)), pkt)
+	return proto.AppendPacket(binary.AppendUvarint(buf, uint64(pkt.Prog)), pkt)
 }
 
 func parseSpawn(p []byte) (*proto.TaskPacket, error) {
-	if len(p) < 2 {
-		return nil, fmt.Errorf("netnode: spawn payload %d bytes", len(p))
+	prog, n := binary.Uvarint(p)
+	if n <= 0 || prog > 0xffff {
+		return nil, fmt.Errorf("netnode: spawn payload without a program tag")
 	}
-	pkt, err := proto.DecodePacket(p[2:])
+	pkt, err := proto.DecodePacket(p[n:])
 	if err == nil {
-		pkt.Prog = int(binary.BigEndian.Uint16(p))
+		pkt.Prog = int(prog)
 	}
 	return pkt, err
 }
 
+// statsRows are the counts a stats frame carries, in its order.
+func statsRows(m *trace.Metrics) [7]*int64 {
+	return [...]*int64{&m.TasksInPlace, &m.Reissues, &m.DupResults, &m.LateResults,
+		&m.TasksCompleted, &m.TasksAborted, &m.StepsExecuted}
+}
+
 // appendStats appends what a node counted on its own between was and now.
 func appendStats(buf []byte, now, was *trace.Metrics) []byte {
-	for _, d := range [...]int64{now.TasksInPlace - was.TasksInPlace, now.Reissues - was.Reissues,
-		now.DupResults - was.DupResults, now.LateResults - was.LateResults} {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(d))
+	prev := statsRows(was)
+	for i, v := range statsRows(now) {
+		buf = binary.AppendUvarint(buf, uint64(*v-*prev[i]))
 	}
 	return buf
 }
 
 func parseStats(p []byte) (m trace.Metrics, err error) {
-	if len(p) != 32 {
-		return m, fmt.Errorf("netnode: stats payload %d bytes", len(p))
+	for _, v := range statsRows(&m) {
+		u, n := binary.Uvarint(p)
+		if n <= 0 || int64(u) < 0 {
+			return trace.Metrics{}, fmt.Errorf("netnode: stats payload malformed")
+		}
+		*v, p = int64(u), p[n:]
 	}
-	at := func(i int) int64 { return int64(binary.BigEndian.Uint64(p[8*i:])) }
-	m.TasksInPlace, m.Reissues, m.DupResults, m.LateResults = at(0), at(1), at(2), at(3)
+	if len(p) != 0 || m.TasksInPlace < m.Reissues {
+		return trace.Metrics{}, fmt.Errorf("netnode: stats report of %d in place, %d reissued, %d trailing bytes", m.TasksInPlace, m.Reissues, len(p))
+	}
 	m.TasksSpawned = m.TasksInPlace
-	if m.Reissues < 0 || m.TasksInPlace < m.Reissues || m.DupResults < 0 || m.LateResults < 0 {
-		return trace.Metrics{}, fmt.Errorf("netnode: stats report %d/%d/%d/%d", m.TasksInPlace, m.Reissues, m.DupResults, m.LateResults)
-	}
 	return m, nil
 }

@@ -137,7 +137,7 @@ func TestClusterFaultFree(t *testing.T) {
 	if got.Reissued != 0 {
 		t.Errorf("fault-free run reissued %d packets", got.Reissued)
 	}
-	if got.Messages == 0 || got.MsgBytes <= got.Messages*proto.FrameHeaderSize/2 {
+	if got.Messages == 0 || got.MsgBytes <= got.Messages*7 {
 		t.Errorf("byte accounting implausible: %d msgs, %d bytes", got.Messages, got.MsgBytes)
 	}
 }

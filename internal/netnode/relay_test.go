@@ -19,15 +19,25 @@ import (
 // frame is forwarded whole or not at all; relaying allocates nothing; and
 // the one thing the hub does decode — a root's result — owns its memory.
 
-// opaque is a result-typed frame from node 0 to node to of exactly size
-// bytes on the wire. The hub never decodes what it forwards, so the payload
-// is a pattern that makes a misplaced byte visible.
-func opaque(to proto.ProcID, size int, seed byte) []byte {
-	payload := make([]byte, size-proto.FrameHeaderSize)
+// opaque is a result-typed frame from node 0 to node to with an n-byte
+// payload. The hub never decodes what it forwards, so the payload is a
+// pattern that makes a misplaced byte visible.
+func opaque(to proto.ProcID, n int, seed byte) []byte {
+	payload := make([]byte, n)
 	for i := range payload {
 		payload[i] = seed + byte(i*7)
 	}
 	return proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameResult, From: 0, To: to, Payload: payload})
+}
+
+// sized is an opaque frame to node 1 of exactly size bytes, 16 KiB to 2 MiB:
+// its length takes three bytes, so its header six.
+func sized(t *testing.T, size int, seed byte) []byte {
+	f := opaque(1, size-6, seed)
+	if len(f) != size {
+		t.Fatalf("a %d-byte frame came out %d bytes", size, len(f))
+	}
+	return f
 }
 
 // announcement is the control frame the super-root sends to tell processor
@@ -63,16 +73,18 @@ func routeAll(t *testing.T, c *Cluster) (relayed []byte) {
 func TestRelayForwardsTheBytesThatArrived(t *testing.T) {
 	var stream []byte
 	count := 0
-	add := func(size int) {
-		stream = append(stream, opaque(1, size, byte(count))...)
+	add := func(frame []byte) {
+		stream = append(stream, frame...)
 		count++
 	}
 	for i := 0; len(stream) < 3*connBufSize; i++ {
-		add(proto.FrameHeaderSize + i%211)
+		add(opaque(1, i%211, byte(count)))
 	}
-	for _, size := range []int{connBufSize - 1, connBufSize, connBufSize + 1, 3*connBufSize + 5, proto.FrameHeaderSize, 100} {
-		add(size)
+	for _, size := range []int{connBufSize - 1, connBufSize, connBufSize + 1, 3*connBufSize + 5} {
+		add(sized(t, size, byte(count)))
 	}
+	add(opaque(1, 0, 0))
+	add(opaque(1, 96, 1))
 	conn := script(stream)
 	conn.chunk = 997
 	c := fakeCluster(t, conn, script(nil))
@@ -91,8 +103,9 @@ func TestRelayForwardsTheBytesThatArrived(t *testing.T) {
 }
 
 // TestRelayCutAtEveryOffset is FuzzFrameStream's shape against the router: a
-// connection cut anywhere — inside a header, inside a payload the router was
-// peeking at, inside a frame too big to peek — is the dead node's silence.
+// connection cut anywhere — inside a header, a multi-byte length or id
+// included, inside a payload the router was peeking at, inside a frame too
+// big to peek — is the dead node's silence.
 // Exactly the whole frames before the cut are counted and forwarded, nothing
 // of the torn one, and the death is handled once.
 func TestRelayCutAtEveryOffset(t *testing.T) {
@@ -118,15 +131,18 @@ func TestRelayCutAtEveryOffset(t *testing.T) {
 		{wire: opaque(1, 40, 9), msgs: 1, forwarded: true},
 		{wire: proto.AppendFrame(nil, nowhere), msgs: 1, drains: 1},
 		{wire: proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameHeartbeat, From: 0, To: proto.HostID})},
-		{wire: opaque(1, connBufSize+100, 1), msgs: 1, forwarded: true},
-		{wire: opaque(1, 14, 0), msgs: 1, forwarded: true},
+		{wire: opaque(1, 200, 3), msgs: 1, forwarded: true}, // a two-byte length
+		{wire: proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameResult, From: 0, To: 1000, Payload: make([]byte, 300)}), msgs: 1, drains: 1},
+		{wire: sized(t, connBufSize+100, 1), msgs: 1, forwarded: true}, // a three-byte length
+		{wire: opaque(1, 10, 0), msgs: 1, forwarded: true},
 	}
 	var stream []byte
 	for _, p := range parts {
 		stream = append(stream, p.wire...)
 	}
+	big := len(stream) - len(parts[len(parts)-1].wire) - connBufSize - 100 // where the big frame starts
 	for cut := 0; cut <= len(stream); cut++ {
-		if big := len(stream) - connBufSize - 100; cut > big+20 && cut < len(stream)-40 && cut%1009 != 0 {
+		if cut > big+20 && cut < big+connBufSize+60 && cut%1009 != 0 {
 			continue // inside the big frame's payload every offset is the same case
 		}
 		c := fakeCluster(t, script(stream[:cut]), script(nil))
@@ -274,7 +290,11 @@ func TestHostResultOwnsItsMemory(t *testing.T) {
 		t.Fatalf("request 1 was answered %v (%v) once the buffer had been reused, want %v", got, err, answer)
 	}
 
-	got, err := proto.DecodeResult(wire[proto.FrameHeaderSize:])
+	_, hdr, _, err := proto.ParseFrameHeader(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := proto.DecodeResult(wire[hdr:])
 	if err != nil {
 		t.Fatal(err)
 	}

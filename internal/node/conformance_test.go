@@ -420,6 +420,28 @@ func TestServiceStream(t *testing.T) {
 	})
 }
 
+// TestStreamReportsWhatNodesCounted: what a node counts on its own — the
+// tasks it completed and aborted, the reduction steps it executed — reaches
+// the stream's report on the wall clock, as it does on the simulator. A
+// fault-free stream completes at least every request's root and aborts
+// nothing; one kill half-way through makes the survivors reissue what they
+// had placed on the dead node and abort the dependents of what they reissue.
+func TestStreamReportsWhatNodesCounted(t *testing.T) {
+	each(t, func(t *testing.T, backend string) {
+		probe := serveStream(t, backend, nil)
+		if m := &probe.Metrics; m.TasksCompleted < streamRequests || m.StepsExecuted == 0 || m.TasksAborted != 0 {
+			t.Fatalf("fault-free: %d completed, %d aborted, %d steps; want at least %d completed, none aborted",
+				m.TasksCompleted, m.TasksAborted, m.StepsExecuted, streamRequests)
+		}
+		at := max(probe.Span/2/int64(node.DefaultTimescale/time.Microsecond), 1)
+		sr := serveStream(t, backend, faults.Crash(2, at, true))
+		if m := &sr.Metrics; sr.Reissued == 0 || m.TasksAborted == 0 || m.TasksCompleted < streamRequests || m.StepsExecuted == 0 {
+			t.Fatalf("one kill at tick %d: %d reissued, %d completed, %d aborted, %d steps; want reissues, aborts and at least %d completed\n%s",
+				at, sr.Reissued, m.TasksCompleted, m.TasksAborted, m.StepsExecuted, streamRequests, sr.Render())
+		}
+	})
+}
+
 // TestSpawnedIncludesReissues: tasks.spawned counts every task packet sent,
 // reissues included, exactly as the simulator's does. A run that completes
 // sends each of the workload's tasks at least once, and every reissue is one

@@ -342,16 +342,6 @@ func (d *decoder) flags(known byte) byte {
 	return f
 }
 
-func (d *decoder) fixed64(what string) uint64 {
-	if len(d.buf) < 8 {
-		d.fail(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
 // uvarint reads a uvarint; the one-byte case, nearly every field, inlines.
 func (d *decoder) uvarint(what string) uint64 {
 	if len(d.buf) > 0 && d.buf[0] < 0x80 {
@@ -472,7 +462,7 @@ func (d *decoder) chain(flags byte, ref stamp.Stamp) []Addr {
 }
 
 // AppendControl appends the wire form of a message that is neither a task
-// packet nor a result: its type, then
+// packet nor a result: its type, then (generations as uvarints)
 //
 //	abort:          AbortTask (absolute), AbortGen, AbortScope (absolute)
 //	child-abort:    AbortTask (absolute), AbortGen
@@ -486,7 +476,7 @@ func AppendControl(buf []byte, m *Msg) []byte {
 	switch m.Type {
 	case MsgAbort, MsgChildAbort:
 		buf = appendKey(buf, m.AbortTask)
-		buf = binary.BigEndian.AppendUint64(buf, m.AbortGen)
+		buf = binary.AppendUvarint(buf, m.AbortGen)
 		if m.Type == MsgAbort {
 			buf = appendPath(buf, m.AbortScope.Key(), 0)
 		}
@@ -494,7 +484,7 @@ func AppendControl(buf []byte, m *Msg) []byte {
 		buf = appendKey(buf, m.AckParent)
 		buf = binary.AppendUvarint(buf, uint64(m.AckHole))
 		buf = appendRelKey(buf, m.AckTask, m.AckParent.Stamp)
-		buf = binary.BigEndian.AppendUint64(buf, m.AckGen)
+		buf = binary.AppendUvarint(buf, m.AckGen)
 		buf = binary.AppendVarint(buf, int64(m.PlacedOn))
 	case MsgFaultAnnounce:
 		buf = binary.AppendVarint(buf, int64(m.Failed))
@@ -509,7 +499,7 @@ func DecodeControl(buf []byte) (*Msg, error) {
 	switch m.Type {
 	case MsgAbort, MsgChildAbort:
 		m.AbortTask = d.key()
-		m.AbortGen = d.fixed64("abort generation")
+		m.AbortGen = d.uvarint("abort generation")
 		if m.Type == MsgAbort {
 			m.AbortScope = d.path("")
 		}
@@ -517,7 +507,7 @@ func DecodeControl(buf []byte) (*Msg, error) {
 		m.AckParent = d.key()
 		m.AckHole = int(d.uvarint("hole id"))
 		m.AckTask = d.relKey(m.AckParent.Stamp)
-		m.AckGen = d.fixed64("ack generation")
+		m.AckGen = d.uvarint("ack generation")
 		m.PlacedOn = d.proc()
 	case MsgFaultAnnounce:
 		m.Failed = d.proc()

@@ -5,24 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Length-prefixed framing for the net backend, where the packet/result codec
 // becomes an actual wire format between OS processes. A frame is:
 //
-//	uint32  payload length (big-endian, excludes the header)
-//	byte    frame type
-//	byte    flags
-//	int32   from (ProcID; HostID = -1 is the parent supervisor)
-//	int32   to
-//	[]byte  payload (length bytes)
+//	uvarint  payload length (excludes the header)
+//	byte     frame type (low nibble) | flags << 4
+//	varint   from (zigzag, as the codec writes processor ids; HostID = -1
+//	         is the parent supervisor)
+//	varint   to
+//	[]byte   payload (length bytes)
 //
-// The header is fixed-width so a reader can reject a malformed stream before
-// allocating: unknown types and oversized lengths fail with ErrFrame, and a
-// stream cut mid-frame fails with io.ErrUnexpectedEOF rather than hanging.
+// Between processors below 64, a payload under 128 bytes has a 4-byte
+// header. A reader rejects a malformed header before allocating (ErrFrame:
+// unknown types, undefined flag bits, oversized lengths, ids past int32),
+// and a stream cut mid-frame fails with io.ErrUnexpectedEOF, never hangs.
 
-// FrameHeaderSize is the fixed wire size of a frame header.
-const FrameHeaderSize = 4 + 1 + 1 + 4 + 4
+// maxFrameHeader is one byte past the longest header, three varints of
+// MaxVarintLen64 bytes and the type byte: one not ended by then is malformed.
+const maxFrameHeader = 3*binary.MaxVarintLen64 + 2
 
 // MaxFramePayload bounds a single frame. Task packets are small (a stamp,
 // a function name, scalar arguments); program listings are a few KiB. A
@@ -88,6 +91,8 @@ const (
 	// but an evaluation error (Msg.EvalErr): Child is the task that failed,
 	// Value the error's text.
 	FlagFailed
+
+	frameFlags = FlagReissue | FlagFailed // the bits a frame may set
 )
 
 // ErrFrame wraps malformed-frame errors.
@@ -101,12 +106,17 @@ type Frame struct {
 	Payload  []byte
 }
 
+// appendHeader appends a frame header announcing a payload of n bytes.
+func appendHeader(buf []byte, n int, t FrameType, flags byte, from, to ProcID) []byte {
+	buf = binary.AppendUvarint(buf, uint64(n))
+	buf = append(buf, byte(t)|flags<<4)
+	buf = binary.AppendVarint(buf, int64(from))
+	return binary.AppendVarint(buf, int64(to))
+}
+
 // AppendFrame appends the frame's wire encoding to buf.
 func AppendFrame(buf []byte, f *Frame) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
-	buf = append(buf, byte(f.Type), f.Flags)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(f.From))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(f.To))
+	buf = appendHeader(buf, len(f.Payload), f.Type, f.Flags, f.From, f.To)
 	return append(buf, f.Payload...)
 }
 
@@ -119,6 +129,7 @@ type FrameWriter struct {
 	w     io.Writer
 	buf   []byte
 	start int // offset of the frame Begin opened
+	body  int // offset of its payload
 	err   error
 }
 
@@ -126,24 +137,31 @@ type FrameWriter struct {
 func NewFrameWriter(w io.Writer) *FrameWriter { return &FrameWriter{w: w} }
 
 // Begin opens a frame and returns the batch for the caller to append the
-// payload to; End takes the extended buffer back.
+// payload to; End takes the extended buffer back. A type or flags the read
+// side would reject are refused, and the frame never enters the batch.
 func (w *FrameWriter) Begin(t FrameType, flags byte, from, to ProcID) []byte {
+	if w.err == nil && (t <= 0 || t >= frameTypeEnd || flags&^frameFlags != 0) {
+		w.err = fmt.Errorf("%w: invalid type %d or flags %#x", ErrFrame, t, flags)
+	}
 	w.start = len(w.buf)
-	return AppendFrame(w.buf, &Frame{Type: t, Flags: flags, From: from, To: to})
+	buf := appendHeader(w.buf, 0, t, flags, from, to) // a one-byte length for End to patch
+	w.body = len(buf)
+	return buf
 }
 
-// End closes the frame Begin opened by back-patching its length. What the
-// read side would reject is refused here and never enters the batch.
+// End closes the frame Begin opened by back-patching its length, moving the
+// payload up when the length takes more than the one byte Begin reserved.
 func (w *FrameWriter) End(buf []byte) error {
-	n := len(buf) - w.start - FrameHeaderSize
-	switch t := FrameType(buf[w.start+4]); {
+	n := len(buf) - w.body
+	switch {
 	case w.err != nil:
 	case n > MaxFramePayload:
 		w.err = fmt.Errorf("%w: payload %d exceeds %d", ErrFrame, n, MaxFramePayload)
-	case t <= 0 || t >= frameTypeEnd:
-		w.err = fmt.Errorf("%w: invalid type %d", ErrFrame, t)
 	default:
-		binary.BigEndian.PutUint32(buf[w.start:], uint32(n))
+		var l [binary.MaxVarintLen32]byte
+		length := binary.AppendUvarint(l[:0], uint64(n))
+		buf = slices.Insert(buf, w.start+1, length[1:]...) // nothing, unless n > 127
+		copy(buf[w.start:], length)
 		w.buf = buf
 	}
 	return w.err
@@ -166,47 +184,73 @@ func (w *FrameWriter) Flush() error {
 	return w.err
 }
 
-// ParseFrameHeader decodes a frame's fixed header from the first
-// FrameHeaderSize bytes of hdr — where they lie, allocating nothing — into a
-// Frame without its payload, and returns the payload length that follows. A
-// header whose type or length is invalid fails with ErrFrame.
-func ParseFrameHeader(hdr []byte) (f Frame, payload int, err error) {
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFramePayload {
-		return f, 0, fmt.Errorf("%w: payload length %d exceeds %d", ErrFrame, n, MaxFramePayload)
+// ParseFrameHeader decodes the frame header that b starts with — where it
+// lies, allocating nothing — into a Frame without its payload, and returns
+// the header's length and the payload length that follows. A b that ends
+// inside a header valid so far fails with io.ErrUnexpectedEOF; a header whose
+// length, type, flags or ids are invalid fails with ErrFrame.
+func ParseFrameHeader(b []byte) (f Frame, hdr, payload int, err error) {
+	n, k := binary.Uvarint(b)
+	switch {
+	case k < 0 || n > MaxFramePayload:
+		return f, 0, 0, fmt.Errorf("%w: payload length exceeds %d", ErrFrame, MaxFramePayload)
+	case k == 0 || k == len(b):
+		return f, 0, 0, io.ErrUnexpectedEOF
 	}
-	t := FrameType(hdr[4])
-	if t <= 0 || t >= frameTypeEnd {
-		return f, 0, fmt.Errorf("%w: invalid type %d", ErrFrame, hdr[4])
+	f.Type, f.Flags = FrameType(b[k]&0xf), b[k]>>4
+	if f.Type <= 0 || f.Type >= frameTypeEnd || f.Flags&^frameFlags != 0 {
+		return f, 0, 0, fmt.Errorf("%w: invalid type %d or flags %#x", ErrFrame, f.Type, f.Flags)
 	}
-	return Frame{
-		Type:  t,
-		Flags: hdr[5],
-		From:  ProcID(int32(binary.BigEndian.Uint32(hdr[6:]))),
-		To:    ProcID(int32(binary.BigEndian.Uint32(hdr[10:]))),
-	}, int(n), nil
+	k++
+	for _, id := range [...]*ProcID{&f.From, &f.To} {
+		v, w := binary.Varint(b[k:])
+		switch {
+		case w < 0 || v != int64(int32(v)):
+			return f, 0, 0, fmt.Errorf("%w: processor id overflows int32", ErrFrame)
+		case w == 0:
+			return f, 0, 0, io.ErrUnexpectedEOF
+		}
+		*id, k = ProcID(v), k+w
+	}
+	return f, k, int(n), nil
 }
 
-// ReadFrame reads one frame. A clean EOF at a frame boundary returns io.EOF;
-// a stream cut inside a frame returns io.ErrUnexpectedEOF; a header whose
-// type or length is invalid returns ErrFrame without reading the payload.
+// ReadFrame reads one frame from r, which must also be an io.ByteReader (a
+// bufio.Reader, a bytes.Reader or Buffer): the header is read a byte at a
+// time, so no byte past the frame is consumed. A clean EOF at a frame
+// boundary returns io.EOF; a stream cut inside a frame returns
+// io.ErrUnexpectedEOF; an invalid header returns ErrFrame without reading the
+// payload.
 func ReadFrame(r io.Reader) (*Frame, error) {
-	var hdr [FrameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err // io.EOF only at a boundary, io.ErrUnexpectedEOF inside
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		return nil, errors.New("proto: ReadFrame reads an io.ByteReader")
 	}
-	f, n, err := ParseFrameHeader(hdr[:])
+	// Four fields: the length, the type byte and two ids, each but the type
+	// byte ending at a byte below 0x80 (or overflowing before hdr is full).
+	var hdr [maxFrameHeader]byte
+	n := 0
+	for field := 0; field < 4 && n < len(hdr); n++ {
+		c, err := br.ReadByte()
+		if err == io.EOF && n > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err // io.EOF only at a boundary
+		}
+		if hdr[n] = c; field == 1 || c < 0x80 {
+			field++
+		}
+	}
+	f, _, size, err := ParseFrameHeader(hdr[:n])
+	if err == nil && size > 0 {
+		f.Payload = make([]byte, size)
+		if _, err = io.ReadFull(r, f.Payload); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
 	if err != nil {
 		return nil, err
-	}
-	if n > 0 {
-		f.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, f.Payload); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
 	}
 	return &f, nil
 }

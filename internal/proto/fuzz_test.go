@@ -3,6 +3,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -179,8 +180,10 @@ func FuzzReadFrame(f *testing.F) {
 		Payload: EncodePacket(fuzzSeedPacket()),
 	})
 	f.Add(two)
-	f.Add(one[:FrameHeaderSize-2])
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(one[:2])
+	f.Add(append(binary.AppendUvarint(nil, MaxFramePayload+1), byte(FrameHello), 0, 0))
+	f.Add(appendOldFrame(nil, &Frame{Type: FrameHeartbeat, From: 2, To: HostID}))
+	f.Add(AppendFrame(nil, &Frame{Type: FrameResult, Flags: FlagFailed, From: 64, To: 1000, Payload: make([]byte, 200)}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -214,14 +217,15 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // fuzzFrames cuts fuzz input into a sequence of valid frames: five bytes of
-// type, flags, from, to and payload length, then that much payload.
+// type, flags (the defined bits of the byte), from, to and payload length,
+// then that much payload.
 func fuzzFrames(data []byte) []*Frame {
 	var out []*Frame
 	for len(data) >= 5 {
 		n := min(int(data[4]), len(data)-5)
 		out = append(out, &Frame{
 			Type:  1 + FrameType(data[0])%(frameTypeEnd-1),
-			Flags: data[1],
+			Flags: data[1] & frameFlags,
 			From:  ProcID(int8(data[2])), To: ProcID(int8(data[3])),
 			Payload: data[5 : 5+n],
 		})
@@ -268,11 +272,18 @@ func FuzzFrameStream(f *testing.F) {
 		Parent: Addr{Proc: 2, Task: TaskKey{Stamp: stamp.FromPath(3, 1, 0)}}, HoleID: 2, Replicas: 1,
 	}
 	res := &Result{Child: pkt.Key, ParentTask: pkt.Parent.Task, HoleID: 2, Value: expr.VInt(144)}
-	// The spawn/result/heartbeat triple bench/probes.go times.
+	// The spawn/result/heartbeat triple bench/probes.go times, the spawn
+	// behind the one-byte program tag net writes.
 	f.Add(fuzzInput(
-		&Frame{Type: FrameSpawn, From: 2, To: 1, Payload: append([]byte{0, 0}, EncodePacket(pkt)...)},
+		&Frame{Type: FrameSpawn, From: 2, To: 1, Payload: append([]byte{0}, EncodePacket(pkt)...)},
 		&Frame{Type: FrameResult, From: 1, To: 2, Payload: EncodeResult(res)},
 		&Frame{Type: FrameHeartbeat, From: 1, To: HostID},
+	))
+	// Frames whose length and ids take two bytes each, around a small one.
+	f.Add(fuzzInput(
+		&Frame{Type: FrameResult, Flags: FlagFailed, From: 64, To: -65, Payload: bytes.Repeat([]byte{0x80}, 200)},
+		&Frame{Type: FrameControl, From: HostID, To: 63, Payload: []byte{6, 4}},
+		&Frame{Type: FrameSpawn, Flags: FlagReissue, From: 127, To: -128, Payload: bytes.Repeat([]byte{7}, 128)},
 	))
 	f.Add([]byte{})
 	f.Add([]byte{7, 0xff, 0xff, 3, 200, 1, 2, 3})

@@ -9,6 +9,7 @@ package proto
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/expr"
@@ -123,8 +124,9 @@ type TaskPacket struct {
 	// programs may define clashing function names, so every packet is tagged
 	// with its request's program index (children inherit their parent's).
 	// Program code is resident on every node of the machine — the tag names
-	// a code segment rather than shipping one — so it has no wire size and
-	// is not part of the packet codec. Zero is the machine's first-loaded
+	// a code segment rather than shipping one — so it is not part of the
+	// packet codec: a spawn frame carries it as a uvarint ahead of the packet,
+	// and Msg.EncodedSize charges it there. Zero is the machine's first-loaded
 	// program, which keeps one-shot runs unchanged.
 	Prog int
 
@@ -257,19 +259,24 @@ type Msg struct {
 	LoadVal    int // MsgLoad: sender's proximity/pressure value
 }
 
-// EncodedSize is the message's size on the simulated wire: a modelled 12-byte
-// header (type, from, to) plus the payload. A task packet or result payload
-// is exactly its codec length; every other payload is a modelled 16 bytes.
+// EncodedSize is the length of the frame the net backend writes for the
+// message, which every backend charges: the frame header, then a task packet
+// behind its uvarint program tag, a result, or AppendControl's bytes for the
+// control kinds net carries (abort, child-abort, task-ack, fault-announce).
+// A kind only the simulator sends has no frame of its own; its payload is a
+// modelled 16 bytes.
 func (m *Msg) EncodedSize() int {
-	const header = 12 // type + from + to
-	n := header
+	var buf [256]byte // sized on the stack, like a packet
+	var n int
 	switch {
 	case m.Task != nil:
-		n += m.Task.EncodedSize()
+		n = len(binary.AppendUvarint(buf[:0], uint64(m.Task.Prog))) + m.Task.EncodedSize()
 	case m.Result != nil:
-		n += m.Result.EncodedSize()
+		n = m.Result.EncodedSize()
+	case m.Type == MsgAbort || m.Type == MsgChildAbort || m.Type == MsgTaskAck || m.Type == MsgFaultAnnounce:
+		n = len(AppendControl(buf[:0], m))
 	default:
-		n += 16 // small fixed payloads
+		n = 16
 	}
-	return n
+	return n + len(appendHeader(buf[:0], n, 0, 0, m.From, m.To))
 }

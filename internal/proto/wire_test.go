@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -209,5 +210,142 @@ func TestDecodeRejectsAbsentFields(t *testing.T) {
 	}
 	if _, err := DecodeResult(res); err != nil {
 		t.Fatalf("the unaltered result: %v", err)
+	}
+}
+
+const frameGolden = "frame_golden.txt"
+
+// frameCase is one line the frame golden file pins: a frame header, or the
+// AppendControl payload of a control message.
+type frameCase struct {
+	name string
+	hdr  *Frame // Payload unset; n is its length
+	n    int
+	ctl  *Msg
+}
+
+func (c frameCase) encode() []byte {
+	if c.ctl != nil {
+		return AppendControl(nil, c.ctl)
+	}
+	return appendHeader(nil, c.n, c.hdr.Type, c.hdr.Flags, c.hdr.From, c.hdr.To)
+}
+
+// frameCases is a header for every frame type, for each flag, for ids and
+// payload lengths at every varint width boundary, and every control message
+// net carries with its generations at the same boundaries.
+func frameCases() []frameCase {
+	var cases []frameCase
+	add := func(t FrameType, flags byte, from, to ProcID, n int) {
+		cases = append(cases, frameCase{
+			name: fmt.Sprintf("header %v flags=%d from=%d to=%d len=%d", t, flags, from, to, n),
+			hdr:  &Frame{Type: t, Flags: flags, From: from, To: to}, n: n,
+		})
+	}
+	for t := FrameHello; t < frameTypeEnd; t++ {
+		add(t, 0, 0, 1, 0)
+	}
+	add(FrameSpawn, FlagReissue, 0, 1, 20)
+	add(FrameResult, FlagFailed, 1, HostID, 20)
+	add(FrameResult, FlagReissue|FlagFailed, 1, HostID, 20)
+	for _, id := range []ProcID{HostID, 0, 63, 64, -65, 1000, 1<<31 - 1, -1 << 31} {
+		add(FrameControl, 0, id, 1, 3)
+		add(FrameControl, 0, HostID, id, 3)
+	}
+	for _, n := range []int{127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, MaxFramePayload} {
+		add(FrameProgram, 0, HostID, 2, n)
+	}
+	parent, child := TaskKey{Stamp: stamp.FromPath(2, 0)}, TaskKey{Stamp: stamp.FromPath(2, 0, 5), Rep: 1}
+	for _, g := range []uint64{0, 127, 128, 16383, 16384, 1 << 63} {
+		for _, m := range []*Msg{
+			{Type: MsgAbort, AbortTask: child, AbortGen: g, AbortScope: parent.Stamp},
+			{Type: MsgChildAbort, AbortTask: child, AbortGen: g},
+			{Type: MsgTaskAck, AckParent: parent, AckHole: 5, AckTask: child, AckGen: g, PlacedOn: 64},
+		} {
+			cases = append(cases, frameCase{name: fmt.Sprintf("control %v gen=%d", m.Type, g), ctl: m})
+		}
+	}
+	for _, p := range []ProcID{0, 63, 64} {
+		cases = append(cases, frameCase{name: fmt.Sprintf("control fault-announce failed=%d", p), ctl: &Msg{Type: MsgFaultAnnounce, Failed: p}})
+	}
+	return cases
+}
+
+// TestFrameFormatGolden pins the bytes of the frame header and the control
+// payloads: every case's encoding is its line in testdata/frame_golden.txt,
+// and each line parses back to its case. Regenerate with
+// `go test ./internal/proto -run FrameFormatGolden -update` — a deliberate
+// format change, which also moves every backend's byte counts.
+func TestFrameFormatGolden(t *testing.T) {
+	cases := frameCases()
+	path := filepath.Join("testdata", frameGolden)
+	if *updateWire {
+		var b strings.Builder
+		b.WriteString("# case\tencoding (hex); go test ./internal/proto -run FrameFormatGolden -update rewrites this file\n")
+		for _, c := range cases {
+			fmt.Fprintf(&b, "%s\t%x\n", c.name, c.encode())
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			name, enc, _ := strings.Cut(line, "\t")
+			golden[name] = enc
+		}
+	}
+	if len(golden) != len(cases) {
+		t.Errorf("%s holds %d cases, the table %d", frameGolden, len(golden), len(cases))
+	}
+	for _, c := range cases {
+		want, ok := golden[c.name]
+		if !ok {
+			t.Errorf("%s: not in %s", c.name, frameGolden)
+			continue
+		}
+		if got := hex.EncodeToString(c.encode()); got != want {
+			t.Errorf("%s: encodes to %s, golden %s", c.name, got, want)
+		}
+		b, err := hex.DecodeString(want)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.ctl != nil {
+			if back, err := DecodeControl(b); err != nil || *back != *c.ctl {
+				t.Errorf("%s: golden decodes to %+v, %v", c.name, back, err)
+			}
+		} else if f, hdr, n, err := ParseFrameHeader(b); err != nil || f.Type != c.hdr.Type || f.Flags != c.hdr.Flags || f.From != c.hdr.From || f.To != c.hdr.To || hdr != len(b) || n != c.n {
+			t.Errorf("%s: golden parses to %+v, %d-byte header, %d-byte payload, %v", c.name, f, hdr, n, err)
+		}
+	}
+}
+
+// TestControlGenerationOverflow: a control message's generations are
+// uvarints, and one that overflows 64 bits is malformed, not truncated.
+func TestControlGenerationOverflow(t *testing.T) {
+	key := TaskKey{Stamp: stamp.FromPath(2, 0, 5), Rep: 1}
+	over := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02} // 2^64 and more
+	for _, m := range []*Msg{
+		{Type: MsgChildAbort, AbortTask: key, AbortGen: 1},
+		{Type: MsgTaskAck, AckParent: TaskKey{Stamp: stamp.FromPath(2, 0)}, AckHole: 5, AckTask: key, AckGen: 1},
+	} {
+		enc := AppendControl(nil, m)
+		at := bytes.LastIndexByte(enc, 1) // the generation: the last 1 in either encoding
+		if m.Type == MsgTaskAck {
+			at = len(enc) - 2 // ahead of PlacedOn's one byte
+		}
+		bad := append(append(append([]byte(nil), enc[:at]...), over...), enc[at+1:]...)
+		if _, err := DecodeControl(bad); !errors.Is(err, ErrPacketCodec) {
+			t.Errorf("%v with a generation past 64 bits: %v", m.Type, err)
+		}
+		if back, err := DecodeControl(enc); err != nil || *back != *m {
+			t.Errorf("%v: %+v, %v", m.Type, back, err)
+		}
 	}
 }
