@@ -111,6 +111,8 @@ var commandLines = []struct {
 		"apsim: -admission, -arrive, -max-inflight: service-stream flags need -requests N", ""},
 	{"-trace on a stream", "-workload fib:10 -requests 4 -trace", 2,
 		"apsim: -trace prints the event trace of a one-shot run: drop it or -requests", ""},
+	{"-trace on live", "-workload fib:8 -backend live -trace", 1,
+		"apsim: live: Trace prints the simulator's event log; this backend keeps none", ""},
 	{"unknown scheme", "-recovery nosuch", 1,
 		`apsim: recovery: unknown scheme "nosuch" (known: incremental, none, rollback, rollback-lazy, rollback-nosuppress, splice)`, ""},
 	{"unknown scheme on live", "-recovery nosuch -backend live", 1,

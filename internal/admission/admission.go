@@ -2,8 +2,8 @@
 // stated once for every backend: a stream admits at most MaxInFlight requests
 // at a time, and an offer that finds every slot busy is queued (FIFO,
 // optionally bounded) or shed. The simulator's session calls the gate from
-// kernel events and the wall-clock session under its mutex; what each does
-// with a verdict — install a host task, submit to the super-root — is theirs.
+// kernel events and the wall-clock super-root under its lock; each installs
+// a root on its own host when the gate admits one.
 package admission
 
 import "fmt"

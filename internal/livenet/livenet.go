@@ -168,7 +168,7 @@ func New(spec node.Spec) (*Cluster, error) {
 	for i := 0; i < spec.Procs; i++ {
 		p := &proc{id: proto.ProcID(i), c: c}
 		p.wake.L = &p.mu
-		if p.w, err = machine.NewWallProc(p.id, spec.Procs, spec.Seed, spec.Scheme(), p); err != nil {
+		if p.w, err = machine.NewWallProc(p.id, spec.Procs, spec.Seed, spec.Scheme, p); err != nil {
 			return nil, err
 		}
 		p.alive.Store(true)

@@ -46,7 +46,7 @@ type WallProc struct{ env *wallEnv }
 
 // NewWallProc builds processor id of a procs-processor wall-clock machine,
 // or its super-root when id is proto.HostID, under the recovery scheme named
-// "rollback" or "none". Its placement draws from the stream seed and its
+// "rollback" (or "", its default) or "none". Its placement draws from the stream seed and its
 // owner index derive, as on the simulator, so the same seed gives the same
 // draws on every transport.
 func NewWallProc(id proto.ProcID, procs int, seed int64, scheme string, tr Transport) (*WallProc, error) {
@@ -54,7 +54,7 @@ func NewWallProc(id proto.ProcID, procs int, seed int64, scheme string, tr Trans
 	if err != nil {
 		return nil, err
 	}
-	sch := map[string]recovery.Scheme{"rollback": recovery.Rollback(), "none": recovery.None()}[scheme]
+	sch := map[string]recovery.Scheme{"": recovery.Rollback(), "rollback": recovery.Rollback(), "none": recovery.None()}[scheme]
 	if sch == nil {
 		return nil, fmt.Errorf("machine: a wall processor runs rollback or none, not %q", scheme)
 	}

@@ -126,7 +126,7 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 	}
 	r := bufio.NewReaderSize(conn, connBufSize)
 	link := &childLink{id: proto.ProcID(id), out: proto.NewFrameWriter(conn), evals: map[int]lang.EvalProgram{}}
-	if link.w, err = machine.NewWallProc(link.id, spec.Procs, spec.Seed, spec.Scheme(), link); err != nil {
+	if link.w, err = machine.NewWallProc(link.id, spec.Procs, spec.Seed, spec.Scheme, link); err != nil {
 		return err
 	}
 	_ = link.out.Append(&proto.Frame{

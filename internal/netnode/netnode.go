@@ -111,9 +111,7 @@ func childEnv() (id int, spec node.Spec, addr string, ok bool, err error) {
 	if _, err = spec.Evaluator(); err != nil {
 		return fail(NodeEnvEval)
 	}
-	if spec.NoRecovery = os.Getenv(NodeEnvScheme) == "none"; spec.Scheme() != os.Getenv(NodeEnvScheme) {
-		return fail(NodeEnvScheme)
-	}
+	spec.Scheme = os.Getenv(NodeEnvScheme)
 	if addr = os.Getenv(NodeEnvAddr); addr == "" {
 		return fail(NodeEnvAddr)
 	}

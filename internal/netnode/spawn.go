@@ -37,7 +37,7 @@ func startNodeProc(i int, spec node.Spec, addr string) (*managedProc, error) {
 		NodeEnvSeed+"="+strconv.FormatInt(spec.Seed, 10),
 		NodeEnvAddr+"="+addr,
 		NodeEnvEval+"="+spec.Eval,
-		NodeEnvScheme+"="+spec.Scheme(),
+		NodeEnvScheme+"="+spec.Scheme,
 	)
 	// Children must not write the parent's stdout — artifact output is
 	// byte-compared — but their panics should reach the operator.

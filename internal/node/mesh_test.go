@@ -18,22 +18,24 @@ import (
 // procs wall processors and one FIFO of messages in flight, delivered one at
 // a time and each run until nothing is pending — so a run is a pure function
 // of (program, procs, seed, kills). It charges every message as a transport
-// must, and folds what each processor counted on its own at the end. The
-// mesh itself is the super-root's fabric.
+// must, folds what each processor counted on its own at the end, and
+// records the value of every result it carries. The mesh itself is the
+// super-root's fabric.
 type mesh struct {
-	t      testing.TB
-	root   *Root
-	ep     lang.EvalProgram
-	procs  []*machine.WallProc
-	sent   []trace.Metrics
-	dead   []bool
-	flight []proto.Msg
+	t       testing.TB
+	root    *Root
+	ep      lang.EvalProgram
+	procs   []*machine.WallProc
+	sent    []trace.Metrics
+	dead    []bool
+	flight  []proto.Msg
+	results map[resultKey]string
 
 	delivered int // messages taken off flight, the kill schedule's clock
 }
 
 func newMesh(t testing.TB, procs int, seed int64) *mesh {
-	m := &mesh{t: t, sent: make([]trace.Metrics, procs), dead: make([]bool, procs)}
+	m := &mesh{t: t, sent: make([]trace.Metrics, procs), dead: make([]bool, procs), results: map[resultKey]string{}}
 	var err error
 	if m.root, err = NewRoot(Spec{Procs: procs, Seed: seed}, m); err != nil {
 		t.Fatal(err)
@@ -74,6 +76,9 @@ type meshLink struct {
 
 func (l meshLink) Send(msg proto.Msg) {
 	CountSent(&l.m.sent[l.p], msg.Type, msg.Type == proto.MsgTask && msg.Task.Reissue, msg.EncodedSize())
+	if msg.Type == proto.MsgResult {
+		l.m.carry(&msg)
+	}
 	if msg.To == proto.HostID {
 		l.m.root.Deliver(&msg)
 	} else {
@@ -82,6 +87,29 @@ func (l meshLink) Send(msg proto.Msg) {
 }
 
 func (l meshLink) Program(int) lang.EvalProgram { return l.m.ep }
+
+// resultKey is where a result belongs: its child's stamp and the hole.
+type resultKey struct {
+	stamp string
+	hole  int
+}
+
+// carry records a result's value under its child's stamp and hole — an
+// evaluation error's as its text — and fails the run if that key has
+// carried another value: every incarnation of a task, its reissues
+// included, computes the same value (§2.1), whether the result reaches its
+// parent or a dead processor swallows it.
+func (m *mesh) carry(msg *proto.Msg) {
+	r := msg.Result
+	k, v := resultKey{r.Child.Stamp.Key(), r.HoleID}, r.Value.String()
+	if msg.EvalErr {
+		v = "error " + v
+	}
+	if was, ok := m.results[k]; ok && was != v {
+		m.t.Fatalf("stamp %v hole %d carried %s, then %s", r.Child.Stamp, r.HoleID, was, v)
+	}
+	m.results[k] = v
+}
 
 // kill is one entry of a kill schedule: processor proc dies once after
 // messages have been delivered.
@@ -149,7 +177,8 @@ const meshDiv = "div"
 
 // checkMesh serves one (program, procs, seed, kills) on a mesh and requires
 // the reference outcome — the answer, or the evaluator's error naming the
-// task and processor that hit it — and the end state and packet ledger every
+// task and processor that hit it — one value for every stamp and hole the
+// mesh carried a result for, and the end state and packet ledger every
 // wall-clock run keeps: at quiescence no surviving processor, the
 // super-root's included, holds a task or a checkpoint, every packet spawned
 // crossed as a msg.task or was placed in place, and the processors are
@@ -261,8 +290,11 @@ func FuzzWallMesh(f *testing.F) {
 	f.Add(uint8(2), uint8(8), int64(11), []byte{1, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6})
 	f.Add(uint8(1), uint8(3), int64(13), []byte{25, 1, 1, 2})
 	f.Add(uint8(2), uint8(6), int64(-5), []byte{200, 2, 200, 2, 255, 0})
-	f.Add(uint8(0), uint8(3), int64(17), []byte{1, 2}) // request 0's root lands on node 2: killed once placed
-	f.Add(uint8(3), uint8(4), int64(5), []byte{3, 1})  // the request fails while node 1 dies
+	// Request 0's root lands on node 2, killed once placed: the root the
+	// super-root reissues answers, and its result is carried and checked
+	// (TestWallMeshUnderKills's root row is this run).
+	f.Add(uint8(0), uint8(3), int64(17), []byte{1, 2})
+	f.Add(uint8(3), uint8(4), int64(5), []byte{3, 1}) // the request fails while node 1 dies
 	progs := append(meshProgs, meshDiv)
 	f.Fuzz(func(t *testing.T, prog, procs uint8, seed int64, schedule []byte) {
 		if len(schedule) > 32 {

@@ -1,11 +1,14 @@
 package node
 
 import (
+	"errors"
 	"math"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/lang"
@@ -486,8 +489,6 @@ func split(t *testing.T, sent []proto.Msg) (roots []proto.Msg, told []proto.Proc
 // reissues, not a node's — and it places no later root there.
 func TestRootPlacesAndReissuesOnDeath(t *testing.T) {
 	w, r := newFabric(t, Spec{Procs: 4})
-	firsts := 0
-	r.OnFirstDelivery(func() { firsts++ })
 	prog := lang.Fib()
 	var reqs []*Request
 	for i := 0; i < 8; i++ {
@@ -521,8 +522,8 @@ func TestRootPlacesAndReissuesOnDeath(t *testing.T) {
 	}
 	answered := on[dead][0]
 	r.Deliver(rootAnswer(roots[answered], expr.VInt(2)))
-	if v, err := reqs[answered].Wait(0, nil); err != nil || !v.Equal(expr.VInt(2)) || firsts != 1 {
-		t.Fatalf("request %d answer = %v, %v (hook ran %d times)", answered, v, err, firsts)
+	if v, err := reqs[answered].Wait(0, nil); err != nil || !v.Equal(expr.VInt(2)) {
+		t.Fatalf("request %d answer = %v, %v", answered, v, err)
 	}
 
 	r.NodeDown(dead)
@@ -547,9 +548,6 @@ func TestRootPlacesAndReissuesOnDeath(t *testing.T) {
 	r.Deliver(rootAnswer(re[0], expr.VInt(2)))
 	if v, err := reqs[lost].Wait(0, nil); err != nil || !v.Equal(expr.VInt(2)) {
 		t.Fatalf("request %d answer = %v, %v", lost, v, err)
-	}
-	if firsts != 2 {
-		t.Fatalf("first-delivery hook ran %d times for two requests, want 2", firsts)
 	}
 	for i, q := range reqs {
 		if i != answered && i != lost {
@@ -584,11 +582,59 @@ func TestRootPlacesAndReissuesOnDeath(t *testing.T) {
 	}
 }
 
+// TestRootAdmitsAndAnswersUnderOneLock: the super-root's gate at one slot
+// and a queue one deep. The queued request's root packet leaves in the same
+// Deliver that answers its predecessor, under its own stream index; a
+// request shed at the offer loads nothing — its program is resident — and
+// sends nothing; and once every admitted request has answered, the
+// super-root holds no request, task or checkpoint.
+func TestRootAdmitsAndAnswersUnderOneLock(t *testing.T) {
+	w, r := newFabric(t, Spec{Procs: 4, Admission: admission.Policy{MaxInFlight: 1, QueueBound: 1}})
+	prog := lang.Fib()
+	var reqs []*Request
+	for range 3 {
+		q, err := r.Submit(prog, "fib", []expr.Value{expr.VInt(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, q)
+	}
+	roots, _ := split(t, w.take())
+	if len(roots) != 1 || len(w.eps) != 1 {
+		t.Fatalf("one slot sent %d roots and loaded %d programs, want 1 and 1", len(roots), len(w.eps))
+	}
+	if shed := reqs[2]; !shed.shed || shed.id != -1 {
+		t.Fatalf("the offer past the queue's bound: shed %v, stream index %d", shed.shed, shed.id)
+	}
+	if _, err := reqs[2].Wait(time.Hour, nil); !errors.Is(err, errNoAnswer) {
+		t.Fatalf("shed request waited to %v", err)
+	}
+
+	r.Deliver(rootAnswer(roots[0], expr.VInt(2)))
+	next, _ := split(t, w.take())
+	if len(next) != 1 || next[0].Task.Key.Stamp.Component(0) != 1 || next[0].Task.Reissue {
+		t.Fatalf("answering request 0 sent %+v, want the queued request's root as request 1", next)
+	}
+	if v, err := reqs[0].Wait(0, nil); err != nil || !v.Equal(expr.VInt(2)) {
+		t.Fatalf("request 0 answer = %v, %v", v, err)
+	}
+	if id, at := reqs[1].stamps(); id != 1 || !at.After(reqs[1].offered) {
+		t.Fatalf("queued request installed as %d at %v, offered at %v", id, at, reqs[1].offered)
+	}
+	r.Deliver(rootAnswer(next[0], expr.VInt(2)))
+	if v, err := reqs[1].Wait(0, nil); err != nil || !v.Equal(expr.VInt(2)) {
+		t.Fatalf("request 1 answer = %v, %v", v, err)
+	}
+	if n, h := r.Held(); n != 0 || h.Tasks != 0 || h.Checkpoints != 0 || len(w.take()) != 0 {
+		t.Fatalf("after both answers the super-root holds %d requests, %d tasks, %d checkpoints", n, h.Tasks, h.Checkpoints)
+	}
+}
+
 // TestRootWithoutRecoveryOnlyAnnounces: under "none" the super-root is told
 // of a death and announces it, like the simulator's host, but reissues
 // nothing — and still places no later root on the dead processor.
 func TestRootWithoutRecoveryOnlyAnnounces(t *testing.T) {
-	w, r := newFabric(t, Spec{Procs: 3, NoRecovery: true})
+	w, r := newFabric(t, Spec{Procs: 3, Scheme: "none"})
 	prog := lang.Fib()
 	for i := 0; i < 4; i++ {
 		if _, err := r.Submit(prog, "fib", []expr.Value{expr.VInt(3)}); err != nil {

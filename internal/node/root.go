@@ -13,11 +13,11 @@ package node
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/expr"
 	"repro/internal/lang"
 	"repro/internal/machine"
@@ -34,47 +34,71 @@ type Fabric interface {
 	LoadProgram(idx int, prog *lang.Program) error
 }
 
-// Request is one submitted root application: the super-root retains its root
-// packet (the pre-evaluation checkpoint of §4.3.1) and routes its outcome to
-// a private channel, so many requests can be in flight at once.
+// Request is one submitted root application. Admission decides it at the
+// offer: it is installed at once, queued until a request ends, or shed.
+// Once installed, the super-root retains its root packet (the
+// pre-evaluation checkpoint of §4.3.1) and routes its outcome to a private
+// channel, so many requests can be in flight at once.
 type Request struct {
-	id     int
-	answer chan machine.Outcome
+	root    *Root
+	prog    int
+	fn      string
+	args    []expr.Value
+	offered time.Time
+	shed    bool
+	answer  chan machine.Outcome
+
+	// id and installed are set at the install, under the root's lock: the
+	// stream index (-1 before) and the install stamp (the offer's before).
+	id        int
+	installed time.Time
 }
 
 // errNoAnswer is Wait's error for a request that has not ended.
-var errNoAnswer = errors.New("no answer")
+var errNoAnswer = errors.New("node: no answer")
 
-// ID is the request's stream index.
-func (q *Request) ID() int { return q.id }
+// stamps reads the request's stream index and install stamp.
+func (q *Request) stamps() (id int, installed time.Time) {
+	q.root.mu.Lock()
+	defer q.root.mu.Unlock()
+	return q.id, q.installed
+}
 
 // Wait blocks until the request ends — with its answer, or with the
-// evaluation error a task of it reported — the timeout elapses, or stop closes
-// (nil never does). An outcome already delivered is accepted even when the
-// timeout is spent or the stream stopped.
-func (q *Request) Wait(timeout time.Duration, stop <-chan struct{}) (expr.Value, error) {
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
+// evaluation error a task of it reported — its budget runs out, or stop
+// closes (nil never does). The budget counts from the offer while the
+// request is queued, and from its install once it is installed. An outcome
+// already delivered is accepted even when the budget is spent or the stream
+// stopped; a request that was shed, or has not ended, reports errNoAnswer.
+func (q *Request) Wait(budget time.Duration, stop <-chan struct{}) (expr.Value, error) {
+	for from := q.offered; !q.shed; {
+		t := time.NewTimer(time.Until(from.Add(budget)))
 		select {
 		case o := <-q.answer:
+			t.Stop()
 			return o.Value, o.Err
 		case <-t.C:
+			if _, at := q.stamps(); at.After(from) {
+				from = at // installed from the queue since: a budget of its own
+				continue
+			}
 		case <-stop:
+			t.Stop()
 		}
+		break
 	}
 	select {
 	case o := <-q.answer:
 		return o.Value, o.Err
 	default:
-		return nil, fmt.Errorf("node: request %d: %w", q.id, errNoAnswer)
+		return nil, errNoAnswer
 	}
 }
 
 // Root is the super-root of §4.3.1, the reliable parent of every user
 // program: it serializes its processor — the simulator's host, which
 // retains, places and reissues every root and announces every death — and
-// hands each request its outcome.
+// the admission gate, and hands each request its outcome.
 type Root struct {
 	fabric Fabric
 
@@ -87,14 +111,19 @@ type Root struct {
 	metrics trace.Metrics
 	byNode  []int64
 
-	// mu guards the processor, the program table and the requests that
-	// have not ended.
+	// mu guards the processor, the program table, the admission gate and
+	// the installed requests that have not ended. A slot is taken at the
+	// offer and freed when the request ends — the simulator's accounting,
+	// made by the same gate, so every backend makes identical admit, queue
+	// and shed decisions on the same stream order. Once closed, Submit
+	// refuses with that error and no queued request is installed.
 	mu      sync.Mutex
 	host    *machine.WallProc
 	progs   map[*lang.Program]int
+	gate    admission.Gate[*Request]
 	reqs    map[int]*Request
 	nextReq int
-	onFirst func()
+	closed  error
 }
 
 // Spec is the validated shape of a wall-clock machine — what a transport's
@@ -104,21 +133,17 @@ type Spec struct {
 	Procs int
 	// Seed derives every node's placement rng.
 	Seed int64
-	// NoRecovery is the "none" scheme: deaths are announced and nothing is
-	// recovered, so lost work stays lost — the simulator's "none", under
+	// Scheme is the recovery scheme every processor runs: "rollback" (or
+	// "", its default), or "none" — deaths are announced and nothing is
+	// recovered, so lost work stays lost, the simulator's "none", under
 	// which a faulted run simply never finishes.
-	NoRecovery bool
+	Scheme string
 	// Eval names the evaluator that runs reduction passes
 	// ("" = lang.DefaultEvaluator).
 	Eval string
-}
-
-// Scheme names the recovery scheme every processor runs.
-func (s Spec) Scheme() string {
-	if s.NoRecovery {
-		return "none"
-	}
-	return "rollback"
+	// Admission bounds the requests the super-root has installed at once;
+	// the zero value admits everything.
+	Admission admission.Policy
 }
 
 // Evaluator resolves Spec.Eval.
@@ -135,45 +160,62 @@ func NewRoot(spec Spec, fabric Fabric) (*Root, error) {
 	if spec.Procs < 2 {
 		return nil, errors.New("node: need at least 2 nodes")
 	}
-	host, err := machine.NewWallProc(proto.HostID, spec.Procs, spec.Seed, spec.Scheme(), fabric)
+	host, err := machine.NewWallProc(proto.HostID, spec.Procs, spec.Seed, spec.Scheme, fabric)
 	if err != nil {
 		return nil, err
 	}
 	return &Root{fabric: fabric, host: host, progs: map[*lang.Program]int{}, reqs: map[int]*Request{},
-		byNode: make([]int64, spec.Procs)}, nil
+		gate: admission.Gate[*Request]{Policy: spec.Admission}, byNode: make([]int64, spec.Procs)}, nil
 }
 
-// OnFirstDelivery installs fn to run once for each request that ends,
-// outside the root's lock (it may re-enter Submit). Install before
-// submitting traffic.
-func (r *Root) OnFirstDelivery(fn func()) {
-	r.mu.Lock()
-	r.onFirst = fn
-	r.mu.Unlock()
-}
-
-// Submit makes prog resident on first sight and installs one root
-// application. Request i's tasks all carry the stamp prefix i.
+// Submit offers one root application. Its program is made resident on
+// first sight, before the offer, as the simulator interns it, so no install
+// can fail; then the gate installs it at once, queues it or sheds it.
+// Request i's tasks all carry the stamp prefix i.
 func (r *Root) Submit(prog *lang.Program, fn string, args []expr.Value) (*Request, error) {
 	if err := prog.CheckEntry(fn); err != nil {
 		return nil, err
 	}
 	r.mu.Lock()
-	idx, ok := r.progs[prog]
-	if !ok {
-		idx = len(r.progs)
-		if err := r.fabric.LoadProgram(idx, prog); err != nil {
-			r.mu.Unlock()
+	defer r.unlock()
+	if r.closed != nil {
+		return nil, r.closed
+	}
+	now := time.Now()
+	q := &Request{root: r, fn: fn, args: args, offered: now, answer: make(chan machine.Outcome, 1), id: -1, installed: now}
+	var ok bool
+	if q.prog, ok = r.progs[prog]; !ok {
+		q.prog = len(r.progs)
+		if err := r.fabric.LoadProgram(q.prog, prog); err != nil {
 			return nil, err
 		}
-		r.progs[prog] = idx
+		r.progs[prog] = q.prog
 	}
-	q := &Request{id: r.nextReq, answer: make(chan machine.Outcome, 1)}
+	switch r.gate.Offer(q) {
+	case admission.Admit:
+		r.install(q, q.offered)
+	case admission.Shed:
+		q.shed = true
+	}
+	return q, nil
+}
+
+// install gives an admitted request its stream index and install stamp and
+// installs its root. The caller holds mu.
+func (r *Root) install(q *Request, at time.Time) {
+	q.id, q.installed = r.nextReq, at
 	r.nextReq++
 	r.reqs[q.id] = q
-	r.host.Install(q.id, idx, fn, args)
-	r.unlock()
-	return q, nil
+	r.host.Install(q.id, q.prog, q.fn, q.args)
+}
+
+// close stops admission for good, Submit failing with err from then on,
+// and returns the queue's high-water mark.
+func (r *Root) close(err error) (depthMax int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = err
+	return r.gate.DepthMax()
 }
 
 // Deliver hands the super-root's processor a message a node sent it: a
@@ -191,30 +233,32 @@ func (r *Root) NodeDown(dead proto.ProcID) {
 	r.Deliver(&proto.Msg{Type: proto.MsgFaultAnnounce, From: dead, To: proto.HostID, Failed: dead})
 }
 
-// unlock runs the processor until nothing is pending and drops the requests
-// that ended; only once the lock is released does it answer them and run
-// the hook, which may re-enter Submit.
+// unlock runs the processor until nothing is pending. Each request that
+// ended is answered — its channel has room for the one outcome — and gives
+// its slot back, and the queue head the slot goes to is installed, all
+// before the lock is released.
 func (r *Root) unlock() {
-	for r.host.Run() {
+	for r.host.Run() || r.settle() {
 	}
-	ended := r.host.Ended()
-	qs := make([]*Request, len(ended))
-	for i, o := range ended {
-		qs[i] = r.reqs[o.Req]
-		delete(r.reqs, o.Req)
-	}
-	hook := r.onFirst
 	r.mu.Unlock()
-	for i, o := range ended {
-		qs[i].answer <- o
-		if hook != nil {
-			hook()
-		}
-	}
 }
 
-// Held is what the super-root still holds: the requests that have not ended,
-// and what its processor holds.
+// settle answers the requests that ended and reports whether a queued one
+// was installed in their place.
+func (r *Root) settle() (installed bool) {
+	for _, o := range r.host.Ended() {
+		r.reqs[o.Req].answer <- o
+		delete(r.reqs, o.Req)
+		if next, ok := r.gate.Release(); ok && r.closed == nil {
+			r.install(next, time.Now())
+			installed = true
+		}
+	}
+	return installed
+}
+
+// Held is what the super-root still holds: the installed requests that have
+// not ended, and what its processor holds.
 func (r *Root) Held() (requests int, host machine.Held) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

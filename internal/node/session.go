@@ -36,10 +36,11 @@ import (
 //     non-completion at the deadline, like the simulator's), and Placement
 //     "random": what machine.WallProc runs without reply timers on the wall
 //     clock. Simulator-only knobs that would change what a run measures are
-//     rejected; Topology, AncestorDepth, Trace and Arrival are inert (the
-//     interconnect is complete, rollback has no ancestor escalation to tune,
-//     there is no event log, and real time needs no synthetic arrival
-//     spacing — a request is offered when its Submit call is made).
+//     rejected, and so is Trace, since no event log is kept here; Topology,
+//     AncestorDepth and Arrival are inert (the interconnect is complete,
+//     rollback has no ancestor escalation to tune, and real time needs no
+//     synthetic arrival spacing — a request is offered when its Submit call
+//     is made).
 
 // DefaultTimescale is the wall-clock duration of one virtual tick when
 // mapping fault plans and deadlines: 2µs keeps the paper's fault times
@@ -65,9 +66,8 @@ type Machine interface {
 // params is the validated shape of a core.Config on a wall-clock backend.
 type params struct {
 	Spec
-	backend   string
-	deadline  time.Duration
-	admission admission.Policy
+	backend  string
+	deadline time.Duration
 }
 
 // prepare validates the config, naming the backend in every rejection. It
@@ -77,7 +77,7 @@ type params struct {
 func prepare(backend string, cfg core.Config) (params, error) {
 	cfg = cfg.WithDefaults()
 	p := params{
-		Spec:     Spec{Procs: cfg.Procs, Seed: cfg.Seed, Eval: cfg.Eval},
+		Spec:     Spec{Procs: cfg.Procs, Seed: cfg.Seed, Scheme: "rollback", Eval: cfg.Eval},
 		backend:  backend,
 		deadline: DefaultDeadline,
 	}
@@ -87,7 +87,7 @@ func prepare(backend string, cfg core.Config) (params, error) {
 	switch cfg.Recovery {
 	case "", "rollback":
 	case "none":
-		p.NoRecovery = true
+		p.Scheme = "none"
 	default:
 		return reject("recovery %q not supported (rollback per-parent reissue, or none)", cfg.Recovery)
 	}
@@ -98,7 +98,7 @@ func prepare(backend string, cfg core.Config) (params, error) {
 		return reject("placement %q not supported (random only)", cfg.Placement)
 	}
 	var err error
-	if p.admission, err = admission.Parse(cfg.Admission, cfg.MaxInFlight); err != nil {
+	if p.Admission, err = admission.Parse(cfg.Admission, cfg.MaxInFlight); err != nil {
 		return p, err
 	}
 	switch {
@@ -110,6 +110,8 @@ func prepare(backend string, cfg core.Config) (params, error) {
 		return reject("HeartbeatEvery paces the simulator's failure detector; this backend learns of a death from its transport")
 	case cfg.StateProbeEvery != 0:
 		return reject("StateProbeEvery samples the simulator's resident state; this backend has no probe")
+	case cfg.Trace:
+		return reject("Trace prints the simulator's event log; this backend keeps none")
 	}
 	if cfg.Deadline > 0 {
 		p.deadline = time.Duration(cfg.Deadline) * DefaultTimescale
@@ -128,36 +130,25 @@ func Open(backend string, cfg core.Config, boot func(Spec) (Machine, error)) (co
 	if err != nil {
 		return nil, err
 	}
-	s := &session{
-		p:      p,
-		m:      m,
-		start:  time.Now(),
-		stop:   make(chan struct{}),
-		killed: map[proto.ProcID]bool{},
-		gate:   admission.Gate[*request]{Policy: p.admission},
-	}
-	m.Root().OnFirstDelivery(s.onRequestDone)
-	return s, nil
+	return &session{p: p, m: m, start: time.Now(), stop: make(chan struct{}), killed: map[proto.ProcID]bool{}}, nil
 }
 
-// session is one open wall-clock service stream.
+// session is one open wall-clock service stream: the super-root admits,
+// installs and answers its requests, and the session keeps the stream's own
+// state — its config and clock, fault replay and its report.
 type session struct {
 	p     params
 	m     Machine
 	start time.Time
+	stop  chan struct{} // closed by Close: ends fault replay and every Wait
 
+	// mu guards fault replay — the survivor check's union of every plan's
+	// victims and the scheduler goroutines — and Close, whose report is set
+	// once the stream is closed.
 	mu       sync.Mutex
-	stop     chan struct{} // closed by Close: ends fault replay and every Wait
 	wg       sync.WaitGroup
 	killed   map[proto.ProcID]bool
-	closed   bool
 	closeRep *core.Report
-
-	// gate is the admission state, guarded by mu. A slot is taken at
-	// admission (the Root.Submit) and freed when the request ends — the
-	// simulator's accounting, made by the same gate, so every
-	// backend makes identical admit/shed decisions on the same stream order.
-	gate admission.Gate[*request]
 }
 
 // Unit implements core.Session.
@@ -166,67 +157,17 @@ func (s *session) Unit() core.TimeUnit { return core.WallMicros }
 // micros is t on the stream clock.
 func (s *session) micros(t time.Time) int64 { return t.Sub(s.start).Microseconds() }
 
-// Submit implements core.Session: the request is offered immediately — real
-// time is the stream's arrival discipline — and admission control decides at
-// the offer, in Submit order: a free slot (or an unbounded stream) admits to
-// the machine now; a full one sheds or queues per the policy. The mutex is
-// held across the closed check and the root submit so a concurrent Close can
-// never shut the machine down between the two (a spawn into a shut-down
-// machine would silently never complete).
+// Submit implements core.Session: the request is offered to the super-root
+// immediately — real time is the stream's arrival discipline — and
+// admission control decides there, in Submit order, under the lock that
+// also serializes its installs and Close: a free slot (or an unbounded
+// stream) installs it now; a full one sheds or queues per the policy.
 func (s *session) Submit(w core.Workload) (core.SessionRequest, error) {
-	// Validated at the offer so a queued request cannot fail admission later,
-	// long after the submitter's error path has gone.
-	if err := w.Program.CheckEntry(w.Fn); err != nil {
+	q, err := s.m.Root().Submit(w.Program, w.Fn, w.Args)
+	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errors.New(s.p.backend + ": session closed")
-	}
-	r := &request{s: s, w: w, offered: time.Now()}
-	switch s.gate.Offer(r) {
-	case admission.Shed:
-		r.shed = true
-	case admission.Queue:
-		r.admitCh = make(chan struct{})
-	case admission.Admit:
-		if err := s.install(r, r.offered); err != nil {
-			s.installNext() // the slot goes back
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// install stamps an admitted request's arrival and submits it to the
-// super-root. The caller holds mu and the request already holds its slot.
-func (s *session) install(r *request, at time.Time) (err error) {
-	r.arrived = at
-	r.q, err = s.m.Root().Submit(r.w.Program, r.w.Fn, r.w.Args)
-	return err
-}
-
-// installNext frees a slot and hands it to the queue head, if any; a head
-// whose install fails gives the slot straight back, so the loop moves on to
-// the next. The caller holds mu.
-func (s *session) installNext() {
-	for r, ok := s.gate.Release(); ok && !s.closed; r, ok = s.gate.Release() {
-		r.admitErr = s.install(r, time.Now())
-		close(r.admitCh)
-		if r.admitErr == nil {
-			return
-		}
-	}
-}
-
-// onRequestDone frees the completed request's admission slot and installs
-// the queue head, if any. It runs outside the root's lock (the hook
-// contract), so taking mu and re-entering Root.Submit is safe.
-func (s *session) onRequestDone() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.installNext()
+	return ticket{s, q}, nil
 }
 
 // Inject implements core.Session: validate the plan (no corruption, and a
@@ -237,7 +178,7 @@ func (s *session) onRequestDone() {
 func (s *session) Inject(plan *faults.Plan) ([]int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closeRep != nil {
 		return nil, errors.New(s.p.backend + ": session closed")
 	}
 	if plan == nil {
@@ -303,90 +244,51 @@ func (s *session) Inject(plan *faults.Plan) ([]int64, error) {
 	return stamps, nil
 }
 
-// Close implements core.Session: stop the fault schedulers and every pending
-// Wait, shut the machine down — which folds the nodes' own counts into the
-// super-root — and only then report the stream totals. The mutex is
-// released before Shutdown: nodes finishing their last deliveries fire the
-// admission hook, which takes the mutex; holding it across the shutdown
-// barrier would deadlock the teardown.
+// Close implements core.Session: stop admission, the fault schedulers and
+// every pending Wait, shut the machine down — which folds the nodes' own
+// counts into the super-root — and only then report the stream totals. A
+// second Close returns the first one's report.
 func (s *session) Close() (*core.Report, error) {
 	s.mu.Lock()
-	if s.closed {
-		defer s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closeRep != nil {
 		return s.closeRep, nil
 	}
-	s.closed = true
 	close(s.stop)
-	s.mu.Unlock()
+	depthMax := s.m.Root().close(errors.New(s.p.backend + ": session closed"))
 	s.wg.Wait()
 	rep := &core.Report{Backend: s.p.backend, Unit: core.WallMicros, Makespan: s.micros(time.Now()),
-		Procs: s.p.Procs, Scheme: s.p.Scheme(), Placement: "random"}
+		Procs: s.p.Procs, Scheme: s.p.Scheme, Placement: "random", QueueDepthMax: depthMax}
 	s.m.Shutdown()
 	rep.Metrics, rep.ReissuesByNode = s.m.Root().Metrics()
-	s.mu.Lock()
-	rep.QueueDepthMax = s.gate.DepthMax()
 	s.closeRep = rep
-	s.mu.Unlock()
 	return rep, nil
 }
 
-// request implements core.SessionRequest. The offer stamp is set at Submit;
-// a request the admission queue held gets its q and arrived fields when
-// onRequestDone installs it (the admitCh close publishes them), a shed
-// request never gets either.
-type request struct {
-	s       *session
-	q       *Request
-	w       core.Workload
-	offered time.Time
-	arrived time.Time
-
-	shed     bool
-	admitCh  chan struct{} // non-nil iff the request was queued
-	admitErr error
+// ticket is a stream's request: core.SessionRequest over the super-root's.
+type ticket struct {
+	s *session
+	q *Request
 }
 
-// Wait implements core.SessionRequest: block for the answer up to the
-// per-request deadline, counted from the request's admission (the documented
-// Config.Deadline contract — so draining a wedged stream of N requests costs
-// one budget, not N; a queued request's budget starts when it gets its slot,
-// and its wait for that slot is bounded by the budget from its offer). Close
-// ends the wait at once. An answer already delivered is accepted even after
-// the budget; a timeout is no error — the stream keeps serving. A shed
-// request reports at once.
-func (r *request) Wait() core.Outcome {
-	s := r.s
-	// Until installed, a request has no stream index and its install stamp
-	// is its offer.
-	o := core.Outcome{Request: -1, Offered: s.micros(r.offered), Shed: r.shed}
-	o.Installed = o.Offered
-	if r.shed {
+// Wait implements core.SessionRequest: the request's Wait, under the
+// per-request budget (the documented Config.Deadline contract, counted from
+// the install — so draining a wedged stream of N requests costs one budget,
+// not N — and, while queued, from the offer), ended at once by Close. A
+// timeout is no error: the stream keeps serving. Until installed, a request
+// has no stream index and its install stamp is its offer.
+func (t ticket) Wait() core.Outcome {
+	q, s := t.q, t.s
+	v, err := q.Wait(s.p.deadline, s.stop)
+	if errors.Is(err, errNoAnswer) {
+		id, installed := q.stamps() // an install may race the timeout
+		o := core.Outcome{Request: id, Offered: s.micros(q.offered), Installed: s.micros(installed), Shed: q.shed}
+		if !q.shed {
+			o.Settled = s.micros(time.Now())
+		}
 		return o
 	}
-	if r.admitCh != nil {
-		budget := time.NewTimer(s.p.deadline - time.Since(r.offered))
-		defer budget.Stop()
-		select {
-		case <-r.admitCh:
-		case <-budget.C:
-		case <-s.stop:
-		}
-		select {
-		case <-r.admitCh:
-		default:
-			// Still queued at the budget (or at Close): a timeout, like any
-			// admitted request that never answered.
-			o.Settled = s.micros(time.Now())
-			return o
-		}
-		if r.admitErr != nil {
-			return core.Outcome{Request: -1, Err: r.admitErr}
-		}
-	}
-	v, err := r.q.Wait(s.p.deadline-time.Since(r.arrived), s.stop)
-	o.Request, o.Installed, o.Settled = r.q.ID(), s.micros(r.arrived), s.micros(time.Now())
-	if !errors.Is(err, errNoAnswer) {
-		o.Answer, o.Err = v, err
-	}
-	return o
+	// The answer was sent after the install, under the super-root's lock.
+	return core.Outcome{Request: q.id, Offered: s.micros(q.offered), Installed: s.micros(q.installed),
+		Settled: s.micros(time.Now()), Answer: v, Err: err}
 }
