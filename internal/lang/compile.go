@@ -34,7 +34,7 @@ const (
 // cnode is one compiled expression node.
 type cnode struct {
 	op   cop
-	arg  int32     // cLit: consts index; cVar/cLet: env slot; else unused
+	arg  int32     // cLit: consts index; cVar/cLet: env slot; cApply: callee's function index; else unused
 	name string    // cVar: source name (errors); cApply: target function
 	prim Primitive // cPrim: the resolved operator (Fn nil = unknown op)
 	kids []int32   // child node indices, in source order
@@ -65,7 +65,7 @@ func compileProgram(p *Program) (*cprog, error) {
 	cp := &cprog{prog: p, funcs: make(map[string]*cfunc, len(p.Names()))}
 	for _, name := range p.Names() {
 		d, _ := p.Func(name)
-		cf, err := compileFunc(d)
+		cf, err := compileFunc(p, d)
 		if err != nil {
 			return nil, err
 		}
@@ -82,6 +82,7 @@ type scopeEntry struct {
 
 // compiler lowers one function body.
 type compiler struct {
+	prog  *Program // resolves call targets to function indices
 	f     *cfunc
 	scope []scopeEntry // innermost binding last; shadowing = later entry wins
 }
@@ -90,8 +91,8 @@ type compiler struct {
 // Let binder gets its own fresh slot (never reused), so one persistent
 // per-task env array works across passes: a slot is written at most once per
 // task, exactly when the tree-walker would have substituted the value.
-func compileFunc(d FuncDef) (*cfunc, error) {
-	c := &compiler{f: &cfunc{name: d.Name, params: len(d.Params)}}
+func compileFunc(p *Program, d FuncDef) (*cfunc, error) {
+	c := &compiler{prog: p, f: &cfunc{name: d.Name, params: len(d.Params)}}
 	for i, p := range d.Params {
 		c.scope = append(c.scope, scopeEntry{name: p, slot: int32(i)})
 		c.f.slots = append(c.f.slots, p)
@@ -159,8 +160,12 @@ func (c *compiler) lower(e expr.Expr) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
+		idx, ok := c.prog.FuncIndex(n.Fn)
+		if !ok {
+			return 0, fmt.Errorf("%w: undefined function %q", ErrEval, n.Fn)
+		}
 		c.f.applies++
-		return c.emit(cnode{op: cApply, name: n.Fn, kids: kids}), nil
+		return c.emit(cnode{op: cApply, arg: int32(idx), name: n.Fn, kids: kids}), nil
 	case expr.Hole:
 		// Validate rejects holes in source programs; nothing to lower.
 		return 0, fmt.Errorf("%w: hole in source program", ErrEval)

@@ -57,6 +57,8 @@ type EvalProgram interface {
 	// — the super-root that demands a submitted request's root application
 	// and resumes when its answer arrives.
 	RootState(holeID int) TaskState
+	// Source is the program this was compiled from.
+	Source() *Program
 }
 
 // DefaultEvaluator is the evaluator the machine uses when none is named.
@@ -126,6 +128,9 @@ func (ip interpProgram) Resume(st TaskState, fills map[int]expr.Value, nextID *i
 	}
 	return out, out.Residual, nil
 }
+
+// Source implements EvalProgram.
+func (ip interpProgram) Source() *Program { return ip.prog }
 
 // RootState implements EvalProgram: a bare hole expression.
 func (ip interpProgram) RootState(holeID int) TaskState { return expr.Hole{ID: holeID} }

@@ -103,7 +103,7 @@ func compareOutcomes(t testing.TB, fn, phase string, iOut, cOut Outcome, iNext, 
 	}
 	for i := range iOut.Demands {
 		di, dc := iOut.Demands[i], cOut.Demands[i]
-		if di.ID != dc.ID || di.Fn != dc.Fn || len(di.Args) != len(dc.Args) {
+		if di.ID != dc.ID || di.Fn != dc.Fn || di.Index != dc.Index || len(di.Args) != len(dc.Args) {
 			t.Fatalf("%s %s: demand %d divergence: interp=%+v compiled=%+v", fn, phase, i, di, dc)
 		}
 		for j := range di.Args {

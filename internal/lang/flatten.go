@@ -13,9 +13,12 @@ import (
 type Demand struct {
 	// ID is the hole the child's result fills; it doubles as the level-stamp
 	// component appended for the child (§3.1).
-	ID   int
-	Fn   string
-	Args []expr.Value
+	ID int
+	Fn string
+	// Index is Fn's index in the program's function table
+	// (Program.FuncIndex), the form a task packet carries it in.
+	Index int
+	Args  []expr.Value
 }
 
 // Outcome is the result of one Flatten pass over a task's expression.
@@ -161,9 +164,13 @@ func (f *flattener) reduce(e expr.Expr) (expr.Expr, bool, error) {
 		for i, a := range args {
 			vals[i] = a.(expr.Lit).V
 		}
+		idx, ok := f.prog.FuncIndex(n.Fn)
+		if !ok {
+			return nil, false, fmt.Errorf("%w: undefined function %q", ErrEval, n.Fn)
+		}
 		id := *f.nextID
 		*f.nextID = id + 1
-		f.demands = append(f.demands, Demand{ID: id, Fn: n.Fn, Args: vals})
+		f.demands = append(f.demands, Demand{ID: id, Fn: n.Fn, Index: idx, Args: vals})
 		return expr.Hole{ID: id}, true, nil
 	default:
 		return nil, false, fmt.Errorf("%w: unknown node %T", ErrEval, e)

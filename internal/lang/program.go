@@ -3,7 +3,8 @@ package lang
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/expr"
 )
@@ -19,22 +20,28 @@ type FuncDef struct {
 // A Program is immutable after Validate succeeds and is shared read-only by
 // every simulated processor, the way program code would be resident on every
 // node of the machine.
+//
+// Its function table is the definitions in name order, so every node that
+// holds the program's source derives the same index for each function
+// (FuncIndex): a task packet names its function by that index.
 type Program struct {
-	funcs map[string]FuncDef
+	defs  []FuncDef
+	index map[string]int
 }
 
 // NewProgram builds a program from definitions. Duplicate names are
 // rejected.
 func NewProgram(defs ...FuncDef) (*Program, error) {
-	p := &Program{funcs: make(map[string]FuncDef, len(defs))}
-	for _, d := range defs {
-		if _, dup := p.funcs[d.Name]; dup {
+	p := &Program{defs: slices.Clone(defs), index: make(map[string]int, len(defs))}
+	slices.SortFunc(p.defs, func(a, b FuncDef) int { return strings.Compare(a.Name, b.Name) })
+	for i, d := range p.defs {
+		if i > 0 && p.defs[i-1].Name == d.Name {
 			return nil, fmt.Errorf("lang: duplicate function %q", d.Name)
 		}
 		if d.Body == nil {
 			return nil, fmt.Errorf("lang: function %q has no body", d.Name)
 		}
-		p.funcs[d.Name] = d
+		p.index[d.Name] = i
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -54,8 +61,25 @@ func MustProgram(defs ...FuncDef) *Program {
 
 // Func returns the definition of the named function.
 func (p *Program) Func(name string) (FuncDef, bool) {
-	d, ok := p.funcs[name]
-	return d, ok
+	i, ok := p.index[name]
+	if !ok {
+		return FuncDef{}, false
+	}
+	return p.defs[i], true
+}
+
+// FuncIndex returns the named function's index in the function table.
+func (p *Program) FuncIndex(name string) (int, bool) {
+	i, ok := p.index[name]
+	return i, ok
+}
+
+// FuncName returns the name of the function at index i, if the table has one.
+func (p *Program) FuncName(i int) (string, bool) {
+	if i < 0 || i >= len(p.defs) {
+		return "", false
+	}
+	return p.defs[i].Name, true
 }
 
 // CheckEntry validates a root application — the program exists and defines
@@ -65,7 +89,7 @@ func (p *Program) CheckEntry(fn string) error {
 	if p == nil {
 		return errors.New("lang: program required")
 	}
-	if _, ok := p.funcs[fn]; !ok {
+	if _, ok := p.index[fn]; !ok {
 		return fmt.Errorf("lang: entry function %q not in program", fn)
 	}
 	return nil
@@ -73,11 +97,10 @@ func (p *Program) CheckEntry(fn string) error {
 
 // Names returns the sorted function names.
 func (p *Program) Names() []string {
-	out := make([]string, 0, len(p.funcs))
-	for n := range p.funcs {
-		out = append(out, n)
+	out := make([]string, len(p.defs))
+	for i, d := range p.defs {
+		out[i] = d.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -85,8 +108,8 @@ func (p *Program) Names() []string {
 // the right argument count, every Var is bound by a parameter or enclosing
 // Let, primitives exist with plausible arity, and no Holes appear in source.
 func (p *Program) Validate() error {
-	for _, name := range p.Names() {
-		d := p.funcs[name]
+	for _, d := range p.defs {
+		name := d.Name
 		bound := map[string]bool{}
 		for _, param := range d.Params {
 			if bound[param] {
@@ -146,7 +169,7 @@ func (p *Program) check(fn string, e expr.Expr, bound map[string]bool) error {
 		}
 		return err
 	case expr.Apply:
-		callee, ok := p.funcs[n.Fn]
+		callee, ok := p.Func(n.Fn)
 		if !ok {
 			return fmt.Errorf("lang: function %q: call to undefined function %q", fn, n.Fn)
 		}
@@ -169,7 +192,7 @@ func (p *Program) check(fn string, e expr.Expr, bound map[string]bool) error {
 // parameters: the starting expression of a task executing the application
 // fn(args). The result is closed (no free variables).
 func (p *Program) Instantiate(fn string, args []expr.Value) (expr.Expr, error) {
-	d, ok := p.funcs[fn]
+	d, ok := p.Func(fn)
 	if !ok {
 		return nil, fmt.Errorf("%w: undefined function %q", ErrEval, fn)
 	}

@@ -182,6 +182,9 @@ func (cp *cprog) Resume(st TaskState, fills map[int]expr.Value, nextID *int) (Ou
 	return Outcome{Demands: m.demands, Steps: m.steps}, cs, nil
 }
 
+// Source implements EvalProgram.
+func (cp *cprog) Source() *Program { return cp.prog }
+
 // RootState implements EvalProgram: a pseudo-task blocked on one bare hole.
 // Resuming it costs one step and completes — identical to the tree-walker
 // flattening a filled Hole expression.
@@ -339,7 +342,7 @@ func (m *vm) demand(n *cnode, vals []expr.Value) *rnode {
 	if m.demands == nil {
 		m.demands = make([]Demand, 0, m.fn.applies)
 	}
-	m.demands = append(m.demands, Demand{ID: id, Fn: n.name, Args: vals})
+	m.demands = append(m.demands, Demand{ID: id, Fn: n.name, Index: int(n.arg), Args: vals})
 	return &rnode{kind: rHole, id: id}
 }
 

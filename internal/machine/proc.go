@@ -801,13 +801,15 @@ func (p *proc) finishPass() {
 // installRoot makes the host pseudo-task key for fn(args) of program prog and
 // demands the root application: the super-root retains its packet (§4.3.1).
 func (p *proc) installRoot(key proto.TaskKey, prog int, fn string, args []expr.Value) {
-	t := p.newTask(&proto.TaskPacket{Key: key, Fn: fn, Parent: proto.Addr{Proc: noProc}, Prog: prog})
+	ep := p.env.program(prog)
+	idx, _ := ep.Source().FuncIndex(fn)
+	t := p.newTask(&proto.TaskPacket{Key: key, Fn: fn, FnIndex: idx, Parent: proto.Addr{Proc: noProc}, Prog: prog})
 	t.isHostRoot = true
 	t.state = taskWaiting
-	t.residual = p.env.program(prog).RootState(0)
+	t.residual = ep.RootState(0)
 	t.nextID = 1
 	p.tasks[key] = t
-	p.spawnDemand(t, lang.Demand{ID: 0, Fn: fn, Args: args})
+	p.spawnDemand(t, lang.Demand{ID: 0, Fn: fn, Index: idx, Args: args})
 }
 
 // end ends the host's request key at its first outcome, on every backend:
@@ -876,6 +878,7 @@ func (p *proc) spawnDemand(t *task, d lang.Demand) {
 			Gen:       p.fresh(&p.genSeq),
 			ParentGen: t.pkt.Gen,
 			Fn:        d.Fn,
+			FnIndex:   d.Index,
 			Args:      d.Args,
 			Parent:    proto.Addr{Proc: p.id, Task: t.pkt.Key},
 			HoleID:    d.ID,

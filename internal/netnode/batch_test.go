@@ -185,6 +185,25 @@ func hubInput(prog *lang.Program, fs ...*proto.Frame) []byte {
 	return in
 }
 
+// resident is a node's program table holding prog alone, under index 0.
+func resident(t testing.TB, prog *lang.Program) func(int) lang.EvalProgram {
+	t.Helper()
+	ep, err := lang.EvaluatorByName(lang.DefaultEvaluator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := ep.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(i int) lang.EvalProgram {
+		if i != 0 {
+			return nil
+		}
+		return cp
+	}
+}
+
 // TestChildOneWritePerHandlerBurst: a handler that emits k spawns produces
 // one write, not k — and the input that caused it arrived in one Read. The
 // burst holds the spawns placement did not draw for the node itself: those
@@ -216,7 +235,7 @@ func TestChildOneWritePerHandlerBurst(t *testing.T) {
 	for i := 0; len(burst) > 0 && burst[0].Type == proto.FrameSpawn; i++ {
 		f := burst[0]
 		burst = burst[1:]
-		pkt, err := parseSpawn(f.Payload)
+		pkt, err := parseSpawn(f.Payload, resident(t, lang.TreeSum(k)))
 		if f.To != 1 || err != nil || pkt.Fn != "tree" || pkt.HoleID < i || pkt.HoleID >= k {
 			t.Fatalf("spawn frame %d = %+v (%v, %v)", i, f, pkt, err)
 		}
@@ -383,7 +402,7 @@ func TestHubTornBatch(t *testing.T) {
 			if f.Type != proto.FrameSpawn {
 				continue
 			}
-			pkt, err := parseSpawn(f.Payload)
+			pkt, err := parseSpawn(f.Payload, c.Program)
 			if err != nil || f.From != proto.HostID || f.Flags != 0 {
 				t.Fatalf("node %d was queued %+v (%v), want a fresh root from the super-root", i, f, err)
 			}
@@ -442,7 +461,7 @@ func TestHubTornBatch(t *testing.T) {
 		t.Errorf("frame %+v is not node 0's death announcement", relayed[3])
 	}
 	for i, f := range relayed[4:] {
-		pkt, err := parseSpawn(f.Payload)
+		pkt, err := parseSpawn(f.Payload, c.Program)
 		if err != nil || f.Flags&proto.FlagReissue == 0 || f.From != proto.HostID || pkt.Key != lost[i].Key || !pkt.Reissue {
 			t.Errorf("frame %+v is not the super-root's reissue of root %v", f, lost[i].Key)
 		}
@@ -564,5 +583,86 @@ func TestChildRejectsUnknownNodes(t *testing.T) {
 		if err := runChild(0, node.Spec{Procs: 2, Seed: 1}, script(hubInput(lang.Fib(), f))); err == nil || !strings.Contains(err.Error(), "unknown node 9") {
 			t.Errorf("%s naming node 9 of 2: runChild = %v", name, err)
 		}
+	}
+}
+
+// TestDecodedMessagesOwnTheirBytes: a node reads every frame into one
+// reused buffer, so what it decodes must copy what it keeps. Scribbling over
+// the buffer after each decode leaves every packet, result and control
+// message as it was sent.
+func TestDecodedMessagesOwnTheirBytes(t *testing.T) {
+	progs := resident(t, lang.MustParse("fn echo(s, xs) = s"))
+	parent := proto.Addr{Proc: 1, Task: proto.TaskKey{Stamp: stamp.FromPath(3, 9), Rep: 2}}
+	child := proto.TaskKey{Stamp: stamp.FromPath(3, 9, 12), Rep: 2}
+	sent := []proto.Msg{
+		{Type: proto.MsgTask, From: 1, To: 0, Task: &proto.TaskPacket{Key: child, Gen: 4, ParentGen: 3, Fn: "echo",
+			Args: []expr.Value{expr.VStr("a string argument"), expr.IntList(1, 2, 3)}, Parent: parent, HoleID: 12,
+			Ancestors: []proto.Addr{{Proc: 0, Task: proto.TaskKey{Stamp: stamp.FromPath(3)}}}, Replicas: 1}},
+		{Type: proto.MsgResult, From: 0, To: 1, Result: &proto.Result{Child: child, ParentTask: parent.Task, HoleID: 12,
+			Value: expr.ListOf(expr.VStr("a string answer"), expr.VInt(7))}},
+		{Type: proto.MsgAbort, From: 1, To: 0, AbortTask: child, AbortGen: 4, AbortScope: parent.Task.Stamp},
+	}
+	frame := func(m *proto.Msg) []byte {
+		var b bytes.Buffer
+		w := proto.NewFrameWriter(&b)
+		if err := appendMsg(w, m.From, m); err != nil || w.Flush() != nil {
+			t.Fatalf("%v does not frame: %v", m.Type, err)
+		}
+		return b.Bytes()
+	}
+	var stream []byte
+	for i := range sent {
+		stream = append(stream, frame(&sent[i])...)
+	}
+	r := bufio.NewReader(bytes.NewReader(stream))
+	var f proto.Frame
+	var got []proto.Msg
+	for range sent {
+		if err := proto.ReadFrameInto(r, &f); err != nil {
+			t.Fatal(err)
+		}
+		m, err := msgOf(&f, progs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m)
+		buf := f.Payload[:cap(f.Payload)]
+		for i := range buf {
+			buf[i] = 0xff
+		}
+	}
+	for i := range sent {
+		if g, w := frame(&got[i]), frame(&sent[i]); !bytes.Equal(g, w) {
+			t.Errorf("%v after the buffer changed frames as %x, sent as %x", sent[i].Type, g, w)
+		}
+	}
+	if got[0].Task.Fn != "echo" {
+		t.Errorf("the packet names its function %q, want echo", got[0].Task.Fn)
+	}
+}
+
+// TestSpawnOfAnAbsentFunctionIsInvalid: a spawn frame names its function by
+// index in a program the node holds; an index past the program's table, like
+// a program the node does not hold, is an invalid message (§1).
+func TestSpawnOfAnAbsentFunctionIsInvalid(t *testing.T) {
+	progs := resident(t, lang.Fib())
+	pkt := &proto.TaskPacket{Key: proto.TaskKey{Stamp: stamp.FromPath(0)}, Fn: "fib", Args: []expr.Value{expr.VInt(3)},
+		Parent: proto.Addr{Proc: proto.HostID}, Replicas: 1}
+	if got, err := parseSpawn(appendSpawn(nil, pkt), progs); err != nil || got.Fn != "fib" {
+		t.Fatalf("fib's spawn parses to %+v, %v", got, err)
+	}
+	for _, bad := range []*proto.TaskPacket{
+		{Key: pkt.Key, FnIndex: 1, Args: pkt.Args, Parent: pkt.Parent, Replicas: 1},
+		{Key: pkt.Key, FnIndex: 1 << 20, Args: pkt.Args, Parent: pkt.Parent, Replicas: 1},
+		{Key: pkt.Key, Args: pkt.Args, Parent: pkt.Parent, Replicas: 1, Prog: 1},
+	} {
+		if got, err := parseSpawn(appendSpawn(nil, bad), progs); err == nil {
+			t.Errorf("function %d of program %d parsed to %+v", bad.FnIndex, bad.Prog, got)
+		}
+	}
+	spawn := proto.AppendFrame(nil, &proto.Frame{Type: proto.FrameSpawn, From: proto.HostID,
+		Payload: appendSpawn(nil, &proto.TaskPacket{Key: pkt.Key, FnIndex: 1, Args: pkt.Args, Parent: pkt.Parent, Replicas: 1})})
+	if err := runChild(0, node.Spec{Procs: 2, Seed: 1}, script(append(hubInput(lang.Fib()), spawn...))); err == nil {
+		t.Error("a node ran a spawn of a function its program lacks")
 	}
 }

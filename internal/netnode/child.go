@@ -119,6 +119,8 @@ func arrived(conn io.Reader, r *bufio.Reader) bool {
 // reader has nothing buffered (the next read may block) or the batch is a
 // buffer full, never in between: a wide pass leaves in one write. (A partial
 // frame in the buffer means the hub is inside the Write that completes it.)
+// Every frame is read into the one Frame the loop keeps, and decoded before
+// the next read: what is decoded copies what it keeps.
 func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 	ev, err := spec.Evaluator()
 	if err != nil {
@@ -133,6 +135,7 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 		Type: proto.FrameHello, From: link.id, To: proto.HostID,
 		Payload: helloPayload(id, os.Getpid()),
 	})
+	var f proto.Frame
 	for {
 		pending := link.w.Run()
 		if r.Buffered() == 0 || link.out.Len() >= connBufSize {
@@ -143,8 +146,7 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 		if pending && r.Buffered() == 0 && !arrived(conn, r) {
 			continue
 		}
-		f, err := proto.ReadFrame(r)
-		if err != nil {
+		if err := proto.ReadFrameInto(r, &f); err != nil {
 			return hubGone(err)
 		}
 		switch f.Type {
@@ -165,12 +167,10 @@ func runChild(id int, spec node.Spec, conn io.ReadWriter) error {
 			link.tally(true) // the goodbye: what no later frame will carry
 			return hubGone(link.out.Flush())
 		}
-		m, err := msgOf(f)
+		m, err := msgOf(&f, link.Program)
 		switch {
 		case err != nil:
 			return err
-		case m.Type == proto.MsgTask && link.evals[m.Task.Prog] == nil:
-			return fmt.Errorf("netnode: node %d has no program %d", id, m.Task.Prog)
 		case m.Type == proto.MsgTask && m.Task.Parent.Proc != proto.HostID && (m.Task.Parent.Proc < 0 || int(m.Task.Parent.Proc) >= spec.Procs):
 			return fmt.Errorf("netnode: packet owed to unknown node %d", m.Task.Parent.Proc)
 		case m.Type == proto.MsgFaultAnnounce && (m.Failed < 0 || int(m.Failed) >= spec.Procs):

@@ -368,7 +368,7 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 		}
 		if f.Type == proto.FrameControl || f.To == proto.HostID {
 			var err error
-			if m, err = msgOf(&f); err != nil {
+			if m, err = msgOf(&f, noPrograms); err != nil {
 				return err
 			}
 		}
@@ -384,6 +384,10 @@ func (c *Cluster) carry(ch *child, f proto.Frame, wire []byte) error {
 	}
 	return nil
 }
+
+// noPrograms is the hub's program table for a frame addressed to it: the
+// super-root runs no task, so a spawn frame for it is an invalid message.
+func noPrograms(int) lang.EvalProgram { return nil }
 
 // forward relays a child-to-child frame; dead destinations black-hole it.
 func (c *Cluster) forward(to proto.ProcID, wire []byte) {

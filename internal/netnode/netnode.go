@@ -44,6 +44,7 @@ import (
 	"os"
 	"strconv"
 
+	"repro/internal/lang"
 	"repro/internal/node"
 	"repro/internal/proto"
 	"repro/internal/trace"
@@ -181,14 +182,15 @@ func appendMsg(w *proto.FrameWriter, from proto.ProcID, m *proto.Msg) error {
 	}
 }
 
-// msgOf decodes the message appendMsg framed, FlagFailed as Msg.EvalErr.
-func msgOf(f *proto.Frame) (proto.Msg, error) {
+// msgOf decodes the message appendMsg framed, FlagFailed as Msg.EvalErr; a
+// task packet resolves its function in progs (parseSpawn).
+func msgOf(f *proto.Frame, progs func(int) lang.EvalProgram) (proto.Msg, error) {
 	m := proto.Msg{From: f.From, To: f.To}
 	var err error
 	switch f.Type {
 	case proto.FrameSpawn:
 		m.Type = proto.MsgTask
-		m.Task, err = parseSpawn(f.Payload)
+		m.Task, err = parseSpawn(f.Payload, progs)
 	case proto.FrameResult:
 		m.Type = proto.MsgResult
 		m.Result, err = proto.DecodeResult(f.Payload)
@@ -212,16 +214,28 @@ func appendSpawn(buf []byte, pkt *proto.TaskPacket) []byte {
 	return proto.AppendPacket(binary.AppendUvarint(buf, uint64(pkt.Prog)), pkt)
 }
 
-func parseSpawn(p []byte) (*proto.TaskPacket, error) {
+// parseSpawn decodes a spawn payload and names the packet's function from
+// its index in the program progs holds under the packet's tag. A program or
+// a function the node does not hold makes the frame an invalid message (§1).
+func parseSpawn(p []byte, progs func(int) lang.EvalProgram) (*proto.TaskPacket, error) {
 	prog, n := binary.Uvarint(p)
 	if n <= 0 || prog > 0xffff {
 		return nil, fmt.Errorf("netnode: spawn payload without a program tag")
 	}
 	pkt, err := proto.DecodePacket(p[n:])
-	if err == nil {
-		pkt.Prog = int(prog)
+	if err != nil {
+		return nil, err
 	}
-	return pkt, err
+	pkt.Prog = int(prog)
+	ep := progs(pkt.Prog)
+	if ep == nil {
+		return nil, fmt.Errorf("netnode: no program %d", prog)
+	}
+	var ok bool
+	if pkt.Fn, ok = ep.Source().FuncName(pkt.FnIndex); !ok {
+		return nil, fmt.Errorf("netnode: program %d has no function %d", prog, pkt.FnIndex)
+	}
+	return pkt, nil
 }
 
 // statsRows are the counts a stats frame carries, in its order.

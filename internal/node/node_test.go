@@ -582,13 +582,15 @@ func TestRootPlacesAndReissuesOnDeath(t *testing.T) {
 	}
 }
 
-// TestRootAdmitsAndAnswersUnderOneLock: the super-root's gate at one slot
+// TestRootAnswersAndInstallsInOneDeliver: the super-root's gate at one slot
 // and a queue one deep. The queued request's root packet leaves in the same
-// Deliver that answers its predecessor, under its own stream index; a
+// Deliver that answers its predecessor — installed under the lock that freed
+// the slot, the answer handed over once it is released — under its own
+// stream index; a
 // request shed at the offer loads nothing — its program is resident — and
 // sends nothing; and once every admitted request has answered, the
 // super-root holds no request, task or checkpoint.
-func TestRootAdmitsAndAnswersUnderOneLock(t *testing.T) {
+func TestRootAnswersAndInstallsInOneDeliver(t *testing.T) {
 	w, r := newFabric(t, Spec{Procs: 4, Admission: admission.Policy{MaxInFlight: 1, QueueBound: 1}})
 	prog := lang.Fib()
 	var reqs []*Request

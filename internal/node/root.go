@@ -233,21 +233,33 @@ func (r *Root) NodeDown(dead proto.ProcID) {
 	r.Deliver(&proto.Msg{Type: proto.MsgFaultAnnounce, From: dead, To: proto.HostID, Failed: dead})
 }
 
-// unlock runs the processor until nothing is pending. Each request that
-// ended is answered — its channel has room for the one outcome — and gives
-// its slot back, and the queue head the slot goes to is installed, all
-// before the lock is released.
-func (r *Root) unlock() {
-	for r.host.Run() || r.settle() {
-	}
-	r.mu.Unlock()
+// reply is an ended request's outcome, to hand over once the lock is gone.
+type reply struct {
+	q *Request
+	o machine.Outcome
 }
 
-// settle answers the requests that ended and reports whether a queued one
-// was installed in their place.
-func (r *Root) settle() (installed bool) {
+// unlock runs the processor until nothing is pending. Each request that
+// ended gives its slot back and the queue head the slot goes to is
+// installed before the lock is released; the requests are answered after —
+// each channel has room for its one outcome — so a waiter never wakes into
+// a held lock.
+func (r *Root) unlock() {
+	var ended []reply
+	for r.host.Run() || r.settle(&ended) {
+	}
+	r.mu.Unlock()
+	for _, e := range ended {
+		e.q.answer <- e.o
+	}
+}
+
+// settle takes the requests that ended off the books, appending their
+// replies to ended, and reports whether a queued one was installed in their
+// place.
+func (r *Root) settle(ended *[]reply) (installed bool) {
 	for _, o := range r.host.Ended() {
-		r.reqs[o.Req].answer <- o
+		*ended = append(*ended, reply{r.reqs[o.Req], o})
 		delete(r.reqs, o.Req)
 		if next, ok := r.gate.Release(); ok && r.closed == nil {
 			r.install(next, time.Now())

@@ -17,22 +17,33 @@ import (
 // netnode writes. The round trip is also §2.1's claim made executable: "the
 // packet contains all necessary information, either directly or indirectly
 // accessible, to activate the child task" — a packet survives it with
-// nothing external, which is what storing it on a peer processor (§2)
-// requires.
+// nothing external but the program code every node holds, which is what
+// storing it on a peer processor (§2) requires.
 //
-// The form is compact. Lengths, counts, replicas, hole ids and generations
-// are uvarints; processor ids are zigzag varints (values follow expr's
-// codec). One stamp per frame is written in full — a packet's parent, a
-// result's addressee — and every other stamp relative to one the frame
-// already carried: the number of that stamp's trailing components to drop,
-// then the components to append (§3.1: a child is stamped by appending one
-// component to its parent's stamp). A task that is its parent's child at its
-// hole, the normal case, costs one flag bit, and so do the fields a frame
-// almost never carries: a non-empty address chain and a replica count other
-// than 1 are written only behind their flag bit.
+// The form is compact: a packet carries only what resident code cannot
+// supply. Lengths, counts, replicas, hole ids, function indices and
+// generations are uvarints; processor ids are zigzag varints (values follow
+// expr's codec). The function travels as its index in the packet's program
+// (FnIndex), not as its name. A path — a stamp's components from some point
+// on — is a uvarint header, its component count shifted left past a bare
+// bit, then the components packed in nibbles: three value bits and a
+// continuation bit each, the low bits first, two nibbles a byte, high nibble
+// first, a zero nibble padding the last byte. A component below 8, nearly
+// every hole index, costs half a byte. The bare bit is set when nothing
+// follows the path: a bare stamp, or a key whose replica is 0. A key's other
+// replicas follow its path as a uvarint, so replica 0 costs nothing.
+//
+// One stamp per frame is written in full — a packet's parent, a result's
+// addressee — and every other stamp relative to one the frame already
+// carried: the number of that stamp's trailing components to drop, then the
+// path to append (§3.1: a child is stamped by appending one component to its
+// parent's stamp). A task that is its parent's child at its hole, the normal
+// case, costs one flag bit, and so do the fields a frame almost never
+// carries: a non-empty address chain and a replica count other than 1 are
+// written only behind their flag bit.
 //
 //	packet: flags, Gen, ParentGen, Parent (absolute), HoleID, Key (unless
-//	        flagHoleChild; relative to Parent), Fn, Args, Ancestors (if
+//	        flagHoleChild; relative to Parent), FnIndex, Args, Ancestors (if
 //	        flagChain: a count, each relative to the address before it),
 //	        Replicas (if flagReplicated)
 //	result: flags, ParentTask (absolute), HoleID, Child (unless
@@ -41,7 +52,11 @@ import (
 //	        count, each relative to the address before it)
 //
 // A flag bit the frame's kind does not define, an empty chain behind
-// flagChain and a replica count of 1 behind flagReplicated are malformed.
+// flagChain, a replica count of 1 behind flagReplicated, a replica of 0
+// written out, a stamp that is not bare, a component longer than it needs
+// and a pad nibble other than 0 are malformed. A decoded packet's Fn is
+// empty: the receiver resolves it from FnIndex in the program it holds, and
+// an index the program lacks is its to refuse.
 //
 // An address is its processor, its stamp and its replica.
 
@@ -93,30 +108,68 @@ func shared(a, b string) int {
 	return i - i%width
 }
 
-// appendPath writes the components of raw from byte offset o on: their
-// count, then each.
-func appendPath(buf []byte, raw string, o int) []byte {
-	buf = binary.AppendUvarint(buf, uint64((len(raw)-o)/width))
+// appendPath writes the path of raw's components from byte offset o on: the
+// header, their count shifted past the bare bit, then the components in
+// nibbles.
+func appendPath(buf []byte, raw string, o int, bare bool) []byte {
+	h := uint64((len(raw)-o)/width) << 1
+	if bare {
+		h |= 1
+	}
+	buf = binary.AppendUvarint(buf, h)
+	var hi byte   // a byte's high nibble, waiting for its low one
+	half := false // hi holds a nibble
 	for ; o < len(raw); o += width {
-		buf = binary.AppendUvarint(buf, uint64(component(raw, o)))
+		c := component(raw, o)
+		if c < 8 { // one nibble: nearly every component
+			if half {
+				buf = append(buf, hi|byte(c))
+			} else {
+				hi = byte(c) << 4
+			}
+			half = !half
+			continue
+		}
+		for more := true; more; {
+			nib := byte(c & 7)
+			if c >>= 3; c != 0 {
+				nib |= 8
+			}
+			more = c != 0
+			if half {
+				buf = append(buf, hi|nib)
+			} else {
+				hi = nib << 4
+			}
+			half = !half
+		}
+	}
+	if half {
+		buf = append(buf, hi)
 	}
 	return buf
 }
 
-// appendKey writes a key absolutely: its stamp's path, then its replica.
-func appendKey(buf []byte, k TaskKey) []byte {
-	buf = appendPath(buf, k.Stamp.Key(), 0)
-	return binary.AppendUvarint(buf, uint64(k.Rep))
+// appendKeyPath writes k's path from byte offset o of its stamp on, then its
+// replica unless it is 0 and the path is bare.
+func appendKeyPath(buf []byte, k TaskKey, o int) []byte {
+	buf = appendPath(buf, k.Stamp.Key(), o, k.Rep == 0)
+	if k.Rep != 0 {
+		buf = binary.AppendUvarint(buf, uint64(k.Rep))
+	}
+	return buf
 }
 
+// appendKey writes a key absolutely.
+func appendKey(buf []byte, k TaskKey) []byte { return appendKeyPath(buf, k, 0) }
+
 // appendRelKey writes a key relative to ref: how many of ref's trailing
-// components to drop, the path past what both share, then the replica.
+// components to drop, then the key's path past what both share.
 func appendRelKey(buf []byte, k TaskKey, ref stamp.Stamp) []byte {
 	ks, rs := k.Stamp.Key(), ref.Key()
 	c := shared(ks, rs)
 	buf = binary.AppendUvarint(buf, uint64((len(rs)-c)/width))
-	buf = appendPath(buf, ks, c)
-	return binary.AppendUvarint(buf, uint64(k.Rep))
+	return appendKeyPath(buf, k, c)
 }
 
 // appendChain writes a non-empty address chain: a count, then each address —
@@ -170,8 +223,7 @@ func AppendPacket(buf []byte, p *TaskPacket) []byte {
 	if flags&flagHoleChild == 0 {
 		buf = appendRelKey(buf, p.Key, p.Parent.Task.Stamp)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Fn)))
-	buf = append(buf, p.Fn...)
+	buf = binary.AppendUvarint(buf, uint64(p.FnIndex))
 	buf = binary.AppendUvarint(buf, uint64(len(p.Args)))
 	for _, v := range p.Args {
 		buf = expr.AppendValue(buf, v)
@@ -211,7 +263,9 @@ func DecodePacket(buf []byte) (*TaskPacket, error) {
 	p.Parent.Task = d.key()
 	p.HoleID = int(d.uvarint("hole id"))
 	p.Key = d.childKey(flags, p.Parent.Task, p.HoleID)
-	p.Fn = d.string("function name")
+	if p.FnIndex = int(d.uvarint("function index")); p.FnIndex > math.MaxInt32 {
+		d.fail("function index")
+	}
 	if d.err == nil {
 		var err error
 		if p.Args, d.buf, err = expr.DecodeValues(d.buf); err != nil {
@@ -383,26 +437,29 @@ func (d *decoder) proc() ProcID {
 	return ProcID(v)
 }
 
-func (d *decoder) string(what string) string {
-	n := d.count(what)
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-// path reads a component count and that many components, and returns the
-// stamp they extend prefix (a stamp's Key) by.
-func (d *decoder) path(prefix string) stamp.Stamp {
+// path reads a path and returns the stamp it extends prefix (a stamp's Key)
+// by, and its header's bare bit.
+func (d *decoder) path(prefix string) (stamp.Stamp, bool) {
+	h := d.uvarint("stamp length")
+	n := h >> 1
+	if n > 2*uint64(len(d.buf)) { // a component takes at least a nibble
+		d.fail("stamp length")
+		n = 0
+	}
 	raw := prefix
-	if n := d.count("stamp length"); n > 0 {
+	if n > 0 {
 		var scratch [64]byte // a stamp 16 levels deep builds on the stack
 		b := append(scratch[:0], prefix...)
+		half := false // the next nibble is d.buf[0]'s low one
 		for ; n > 0 && d.err == nil; n-- {
-			c := d.uvarint("stamp component")
-			if c > math.MaxUint32 {
-				d.fail("stamp component")
+			b = binary.BigEndian.AppendUint32(b, d.component(&half))
+		}
+		if half && d.err == nil {
+			if d.buf[0]&0xf != 0 {
+				d.fail("stamp padding")
+			} else {
+				d.buf = d.buf[1:]
 			}
-			b = binary.BigEndian.AppendUint32(b, uint32(c))
 		}
 		raw = string(b)
 	}
@@ -410,13 +467,46 @@ func (d *decoder) path(prefix string) stamp.Stamp {
 	if err != nil {
 		d.fail("stamp")
 	}
-	return s
+	return s, h&1 != 0
 }
 
-func (d *decoder) key() TaskKey {
-	s := d.path("")
-	return TaskKey{Stamp: s, Rep: Rep(d.uvarint("rep"))}
+// component reads one nibble-packed component; half says its first nibble
+// is the low one of d.buf[0], and is left saying the same of the next.
+func (d *decoder) component(half *bool) uint32 {
+	var c uint64
+	for shift := 0; shift <= 30 && len(d.buf) > 0; shift += 3 {
+		nib := d.buf[0] >> 4
+		if *half {
+			nib = d.buf[0] & 0xf
+			d.buf = d.buf[1:]
+		}
+		*half = !*half
+		c |= uint64(nib&7) << shift
+		if nib&8 == 0 {
+			if (nib == 0 && shift > 0) || c > math.MaxUint32 {
+				break // longer than it needs, or past 32 bits
+			}
+			return uint32(c)
+		}
+	}
+	d.fail("stamp component")
+	return 0
 }
+
+// keyFrom reads a key whose path extends prefix, and its replica unless the
+// path is bare.
+func (d *decoder) keyFrom(prefix string) TaskKey {
+	s, bare := d.path(prefix)
+	k := TaskKey{Stamp: s}
+	if !bare {
+		if k.Rep = Rep(d.uvarint("rep")); k.Rep == 0 {
+			d.fail("rep")
+		}
+	}
+	return k
+}
+
+func (d *decoder) key() TaskKey { return d.keyFrom("") }
 
 func (d *decoder) relKey(ref stamp.Stamp) TaskKey {
 	drop := d.uvarint("stamp drop")
@@ -424,8 +514,7 @@ func (d *decoder) relKey(ref stamp.Stamp) TaskKey {
 		d.fail("stamp drop")
 		return TaskKey{}
 	}
-	s := d.path(ref.Key()[:(ref.Level()-int(drop))*width])
-	return TaskKey{Stamp: s, Rep: Rep(d.uvarint("rep"))}
+	return d.keyFrom(ref.Key()[:(ref.Level()-int(drop))*width])
 }
 
 // childKey derives the key a frame leaves out when flagHoleChild is set, and
@@ -478,7 +567,7 @@ func AppendControl(buf []byte, m *Msg) []byte {
 		buf = appendKey(buf, m.AbortTask)
 		buf = binary.AppendUvarint(buf, m.AbortGen)
 		if m.Type == MsgAbort {
-			buf = appendPath(buf, m.AbortScope.Key(), 0)
+			buf = appendPath(buf, m.AbortScope.Key(), 0, true)
 		}
 	case MsgTaskAck:
 		buf = appendKey(buf, m.AckParent)
@@ -501,7 +590,10 @@ func DecodeControl(buf []byte) (*Msg, error) {
 		m.AbortTask = d.key()
 		m.AbortGen = d.uvarint("abort generation")
 		if m.Type == MsgAbort {
-			m.AbortScope = d.path("")
+			var bare bool
+			if m.AbortScope, bare = d.path(""); !bare {
+				d.fail("abort scope")
+			}
 		}
 	case MsgTaskAck:
 		m.AckParent = d.key()

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -70,7 +72,7 @@ func randomPacket(r *rand.Rand) *TaskPacket {
 		Key:       randomKey(r),
 		Gen:       r.Uint64(),
 		ParentGen: r.Uint64(),
-		Fn:        []string{"fib", "work", "n_3_17"}[r.Intn(3)],
+		FnIndex:   []int{0, 3, 200}[r.Intn(3)],
 		Parent:    randomAddr(r),
 		HoleID:    r.Intn(16),
 		Twin:      r.Intn(2) == 0,
@@ -94,7 +96,7 @@ func randomPacket(r *rand.Rand) *TaskPacket {
 
 func packetsEqual(a, b *TaskPacket) bool {
 	if a.Key != b.Key || a.Gen != b.Gen || a.ParentGen != b.ParentGen ||
-		a.Fn != b.Fn || a.Parent != b.Parent || a.HoleID != b.HoleID ||
+		a.FnIndex != b.FnIndex || a.Parent != b.Parent || a.HoleID != b.HoleID ||
 		a.Twin != b.Twin || a.Reissue != b.Reissue || a.Replicas != b.Replicas {
 		return false
 	}
@@ -180,7 +182,7 @@ func TestDeepStampsRoundTrip(t *testing.T) {
 	}
 	grand, _ := stamp.Decode(deep.Key()[:len(deep.Key())-4])
 	p := &TaskPacket{
-		Key: TaskKey{Stamp: deep.Child(3)}, Fn: "f", Args: []expr.Value{expr.VInt(1)},
+		Key: TaskKey{Stamp: deep.Child(3)}, FnIndex: 1, Args: []expr.Value{expr.VInt(1)},
 		Parent: Addr{Proc: 5, Task: TaskKey{Stamp: deep}}, HoleID: 3, Replicas: 1,
 		Ancestors: []Addr{{Proc: 1, Task: TaskKey{Stamp: grand}}},
 	}
@@ -205,5 +207,99 @@ func TestDeepStampsRoundTrip(t *testing.T) {
 	}
 	if res.EncodedSize() != len(encR) {
 		t.Fatalf("%d-level result: EncodedSize %d, wire %d", depth, res.EncodedSize(), len(encR))
+	}
+}
+
+// TestKeysRoundTrip: every key a frame carries — a packet's parent, key and
+// ancestors, a result's addressee, child, dead parent and remaining chain,
+// a control message's — survives the round trip at the nibble widths'
+// edges (components 7, 8, 63, 64 and 2³²−1), with replica 0 and without,
+// absolute, relative to a deeper, a shallower and a sibling stamp.
+func TestKeysRoundTrip(t *testing.T) {
+	keys := []TaskKey{
+		{Stamp: stamp.Root()},
+		{Stamp: stamp.FromPath(7), Rep: 1},
+		{Stamp: stamp.FromPath(8, 0)},
+		{Stamp: stamp.FromPath(8, 63, 64), Rep: 300},
+		{Stamp: stamp.FromPath(1<<32 - 1)},
+		{Stamp: stamp.FromPath(5, 1<<32-1, 0, 3), Rep: 1<<64 - 1},
+		{Stamp: stamp.FromPath(8, 63, 65, 2)},
+	}
+	for _, a := range keys {
+		for _, b := range keys {
+			p := &TaskPacket{Key: b, Gen: 1, FnIndex: 9, Args: []expr.Value{expr.VInt(1)},
+				Parent: Addr{Proc: 3, Task: a}, HoleID: 8, Replicas: 2,
+				Ancestors: []Addr{{Proc: 1, Task: b}, {Proc: HostID, Task: a}}}
+			if back, err := DecodePacket(EncodePacket(p)); err != nil || !packetsEqual(p, back) {
+				t.Errorf("packet %v under %v: %+v, %v", b, a, back, err)
+			}
+			if n := p.EncodedSize(); n != len(EncodePacket(p)) {
+				t.Errorf("packet %v under %v: EncodedSize %d, wire %d", b, a, n, len(EncodePacket(p)))
+			}
+			r := &Result{ParentTask: a, Child: b, HoleID: 64, Value: expr.VInt(2),
+				DeadParent: Addr{Proc: 2, Task: a}, Remaining: []Addr{{Proc: 4, Task: b}}}
+			if back, err := DecodeResult(EncodeResult(r)); err != nil || !resultsEqual(r, back) {
+				t.Errorf("result %v to %v: %+v, %v", b, a, back, err)
+			}
+			for _, m := range []*Msg{
+				{Type: MsgAbort, AbortTask: a, AbortGen: 3, AbortScope: b.Stamp},
+				{Type: MsgTaskAck, AckParent: a, AckHole: 8, AckTask: b, AckGen: 5, PlacedOn: 1},
+			} {
+				if back, err := DecodeControl(AppendControl(nil, m)); err != nil || *back != *m {
+					t.Errorf("%v of %v and %v: %+v, %v", m.Type, a, b, back, err)
+				}
+			}
+		}
+	}
+}
+
+// TestMalformedPaths: a path is canonical or an error — no pad nibble other
+// than 0, no component longer than it needs or past 32 bits, no replica 0
+// written out, no replica behind a bare stamp, no count the bytes cannot
+// hold — and a function index past int32 is malformed too.
+func TestMalformedPaths(t *testing.T) {
+	// A result to the hole child of task (1): flags, ParentTask, hole 3, and
+	// the value 1.
+	result := func(key ...byte) []byte {
+		return append(append([]byte{flagHoleChild}, key...), 3, 1, 2)
+	}
+	for _, ok := range [][]byte{
+		result(0x03, 0x10),                               // (1)
+		result(0x02, 0x10, 0x05),                         // (1)#5
+		result(0x03, 0xff, 0xff, 0xff, 0xff, 0xff, 0x30), // (2³²−1)
+		result(0x05, 0x12),                               // (1, 2)
+		result(0x01),                                     // the root
+	} {
+		if _, err := DecodeResult(ok); err != nil {
+			t.Errorf("%x: %v", ok, err)
+		}
+	}
+	for name, bad := range map[string][]byte{
+		"pad nibble":          result(0x03, 0x11),
+		"non-minimal":         result(0x03, 0x80),
+		"past 32 bits":        result(0x03, 0xff, 0xff, 0xff, 0xff, 0xff, 0x70),
+		"twelve nibbles":      result(0x03, 0xff, 0xff, 0xff, 0xff, 0xff, 0xf8, 0x00),
+		"replica 0 written":   result(0x02, 0x10, 0x00),
+		"count past the end":  result(0x7f, 0x10),
+		"path cut in a value": result(0x03, 0x8f),
+	} {
+		if _, err := DecodeResult(bad); !errors.Is(err, ErrPacketCodec) {
+			t.Errorf("%s (%x): %v", name, bad, err)
+		}
+	}
+	abort := []byte{byte(MsgAbort), 0x01, 0x00} // the root task, generation 0
+	if _, err := DecodeControl(append(abort, 0x03, 0x10)); err != nil {
+		t.Errorf("abort scope (1): %v", err)
+	}
+	if _, err := DecodeControl(append(abort, 0x02, 0x10)); !errors.Is(err, ErrPacketCodec) {
+		t.Errorf("abort scope with a replica bit: %v", err)
+	}
+	pkt := &TaskPacket{Key: TaskKey{Stamp: stamp.FromPath(0)}, FnIndex: math.MaxInt32, Replicas: 1}
+	if back, err := DecodePacket(EncodePacket(pkt)); err != nil || back.FnIndex != math.MaxInt32 {
+		t.Errorf("function %d: %+v, %v", pkt.FnIndex, back, err)
+	}
+	pkt.FnIndex++
+	if _, err := DecodePacket(EncodePacket(pkt)); !errors.Is(err, ErrPacketCodec) {
+		t.Errorf("function %d: %v", pkt.FnIndex, err)
 	}
 }

@@ -106,8 +106,20 @@ type Frame struct {
 	Payload  []byte
 }
 
-// appendHeader appends a frame header announcing a payload of n bytes.
+// oneByte reports whether a processor id's zigzag varint is one byte.
+func oneByte(id ProcID) bool { return uint32(id+64) < 128 }
+
+// zigzag is a one-byte processor id's varint; unzigzag inverts it.
+func zigzag(id ProcID) byte  { return byte(id<<1 ^ id>>31) }
+func unzigzag(b byte) ProcID { return ProcID(b>>1) ^ -ProcID(b&1) }
+
+// appendHeader appends a frame header announcing a payload of n bytes. A
+// payload under 128 bytes between processors below 64, nearly every frame,
+// is a header of four single bytes, written straight.
 func appendHeader(buf []byte, n int, t FrameType, flags byte, from, to ProcID) []byte {
+	if uint(n) < 0x80 && oneByte(from) && oneByte(to) {
+		return append(buf, byte(n), byte(t)|flags<<4, zigzag(from), zigzag(to))
+	}
 	buf = binary.AppendUvarint(buf, uint64(n))
 	buf = append(buf, byte(t)|flags<<4)
 	buf = binary.AppendVarint(buf, int64(from))
@@ -190,6 +202,10 @@ func (w *FrameWriter) Flush() error {
 // inside a header valid so far fails with io.ErrUnexpectedEOF; a header whose
 // length, type, flags or ids are invalid fails with ErrFrame.
 func ParseFrameHeader(b []byte) (f Frame, hdr, payload int, err error) {
+	if len(b) >= 4 && b[0] < 0x80 && b[2] < 0x80 && b[3] < 0x80 { // four single bytes
+		f.From, f.To = unzigzag(b[2]), unzigzag(b[3])
+		return f, 4, int(b[0]), f.kind(b[1])
+	}
 	n, k := binary.Uvarint(b)
 	switch {
 	case k < 0 || n > MaxFramePayload:
@@ -197,9 +213,8 @@ func ParseFrameHeader(b []byte) (f Frame, hdr, payload int, err error) {
 	case k == 0 || k == len(b):
 		return f, 0, 0, io.ErrUnexpectedEOF
 	}
-	f.Type, f.Flags = FrameType(b[k]&0xf), b[k]>>4
-	if f.Type <= 0 || f.Type >= frameTypeEnd || f.Flags&^frameFlags != 0 {
-		return f, 0, 0, fmt.Errorf("%w: invalid type %d or flags %#x", ErrFrame, f.Type, f.Flags)
+	if err := f.kind(b[k]); err != nil {
+		return f, 0, 0, err
 	}
 	k++
 	for _, id := range [...]*ProcID{&f.From, &f.To} {
@@ -215,6 +230,16 @@ func ParseFrameHeader(b []byte) (f Frame, hdr, payload int, err error) {
 	return f, k, int(n), nil
 }
 
+// kind sets the frame's type and flags from a header's type byte, refusing
+// a type or a flag no frame has.
+func (f *Frame) kind(c byte) error {
+	f.Type, f.Flags = FrameType(c&0xf), c>>4
+	if f.Type <= 0 || f.Type >= frameTypeEnd || f.Flags&^frameFlags != 0 {
+		return fmt.Errorf("%w: invalid type %d or flags %#x", ErrFrame, f.Type, f.Flags)
+	}
+	return nil
+}
+
 // ReadFrame reads one frame from r, which must also be an io.ByteReader (a
 // bufio.Reader, a bytes.Reader or Buffer): the header is read a byte at a
 // time, so no byte past the frame is consumed. A clean EOF at a frame
@@ -222,9 +247,20 @@ func ParseFrameHeader(b []byte) (f Frame, hdr, payload int, err error) {
 // io.ErrUnexpectedEOF; an invalid header returns ErrFrame without reading the
 // payload.
 func ReadFrame(r io.Reader) (*Frame, error) {
+	f := new(Frame)
+	if err := ReadFrameInto(r, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// ReadFrameInto is ReadFrame into f, whose Payload array is reused when it
+// has room: a reader that decodes each frame before the next read allocates
+// nothing per frame. After an error f holds nothing of use.
+func ReadFrameInto(r io.Reader, f *Frame) error {
 	br, ok := r.(io.ByteReader)
 	if !ok {
-		return nil, errors.New("proto: ReadFrame reads an io.ByteReader")
+		return errors.New("proto: ReadFrame reads an io.ByteReader")
 	}
 	// Four fields: the length, the type byte and two ids, each but the type
 	// byte ending at a byte below 0x80 (or overflowing before hdr is full).
@@ -236,21 +272,23 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
-			return nil, err // io.EOF only at a boundary
+			return err // io.EOF only at a boundary
 		}
 		if hdr[n] = c; field == 1 || c < 0x80 {
 			field++
 		}
 	}
-	f, _, size, err := ParseFrameHeader(hdr[:n])
-	if err == nil && size > 0 {
-		f.Payload = make([]byte, size)
-		if _, err = io.ReadFull(r, f.Payload); err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-	}
+	g, _, size, err := ParseFrameHeader(hdr[:n])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &f, nil
+	if g.Payload = f.Payload[:0]; cap(g.Payload) < size {
+		g.Payload = make([]byte, size)
+	}
+	g.Payload = g.Payload[:size]
+	if _, err = io.ReadFull(r, g.Payload); err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	*f = g
+	return err
 }

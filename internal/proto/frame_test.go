@@ -15,11 +15,11 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	pkt := &TaskPacket{
-		Key:    TaskKey{Stamp: stamp.FromPath(3, 1)},
-		Fn:     "fib",
-		Args:   []expr.Value{expr.VInt(12)},
-		Parent: Addr{Proc: 2, Task: TaskKey{Stamp: stamp.FromPath(3)}},
-		HoleID: 1,
+		Key:     TaskKey{Stamp: stamp.FromPath(3, 1)},
+		FnIndex: 0,
+		Args:    []expr.Value{expr.VInt(12)},
+		Parent:  Addr{Proc: 2, Task: TaskKey{Stamp: stamp.FromPath(3)}},
+		HoleID:  1,
 	}
 	// Each frame with its header: the uvarint length, type | flags<<4, and
 	// the zigzag ids (HostID is 01, 3 is 06).
@@ -28,7 +28,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		header string
 	}{
 		{&Frame{Type: FrameHello, From: 3, To: HostID, Payload: []byte{0, 0, 0, 3}}, "04010601"},
-		{&Frame{Type: FrameSpawn, Flags: FlagReissue, From: 1, To: 5, Payload: EncodePacket(pkt)}, "1013020a"},
+		{&Frame{Type: FrameSpawn, Flags: FlagReissue, From: 1, To: 5, Payload: EncodePacket(pkt)}, "0c13020a"},
 		{&Frame{Type: FrameHeartbeat, From: 0, To: HostID}, "00060001"},
 		{&Frame{Type: FrameControl, From: HostID, To: 4, Payload: AppendControl(nil, &Msg{Type: MsgFaultAnnounce, Failed: 2})}, "02050108"},
 		{&Frame{Type: FrameResult, Flags: FlagFailed, From: 64, To: 1000, Payload: make([]byte, 200)}, "c801248001d00f"},
@@ -72,7 +72,7 @@ func TestFrameSpawnPayloadRoundTrip(t *testing.T) {
 		Key:       TaskKey{Stamp: stamp.FromPath(0, 2, 7)},
 		Gen:       3,
 		ParentGen: 1,
-		Fn:        "tak",
+		FnIndex:   2,
 		Args:      []expr.Value{expr.VInt(8), expr.VInt(4), expr.VInt(2)},
 		Parent:    Addr{Proc: 1, Task: TaskKey{Stamp: stamp.FromPath(0, 2)}},
 		HoleID:    7,
@@ -94,7 +94,7 @@ func TestFrameSpawnPayloadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Key != pkt.Key || got.Fn != pkt.Fn || got.HoleID != pkt.HoleID || !got.Reissue {
+	if got.Key != pkt.Key || got.FnIndex != pkt.FnIndex || got.HoleID != pkt.HoleID || !got.Reissue {
 		t.Fatalf("packet through a frame: got %+v, want %+v", got, pkt)
 	}
 }
@@ -328,7 +328,7 @@ func TestFrameWriterPatchesLongLengths(t *testing.T) {
 func TestPacketMalformed(t *testing.T) {
 	pkt := &TaskPacket{
 		Key:       TaskKey{Stamp: stamp.FromPath(1, 2)},
-		Fn:        "f",
+		FnIndex:   1,
 		Args:      []expr.Value{expr.VInt(7), expr.IntList(1, 2)},
 		Parent:    Addr{Proc: 3, Task: TaskKey{Stamp: stamp.FromPath(1)}},
 		HoleID:    2,
@@ -375,7 +375,7 @@ func hugeCounts() (pkt, res []byte) {
 	huge := binary.AppendUvarint(nil, 0x7fffffff)
 	// A packet ends with the Args count, the ancestor count and Replicas; a
 	// result with a list value, with the list's count and the chain count.
-	pkt = EncodePacket(&TaskPacket{Key: key, Fn: "f"})
+	pkt = EncodePacket(&TaskPacket{Key: key, FnIndex: 1})
 	pkt = append(pkt[:len(pkt)-3], huge...)
 	res = EncodeResult(&Result{Child: key, ParentTask: key, Value: expr.VList{}})
 	res = append(res[:len(res)-2], huge...)

@@ -27,7 +27,7 @@ func fuzzSeedPacket() *TaskPacket {
 		Key:       TaskKey{Stamp: stamp.FromPath(2, 0, 5), Rep: 1},
 		Gen:       4,
 		ParentGen: 2,
-		Fn:        "fib",
+		FnIndex:   0,
 		Args:      []expr.Value{expr.VInt(17), expr.IntList(3, 1, 4)},
 		Parent:    Addr{Proc: 6, Task: TaskKey{Stamp: stamp.FromPath(2, 0)}},
 		HoleID:    5,
@@ -142,14 +142,16 @@ func FuzzDecodeControl(f *testing.F) {
 // replaced: as v1-*, the fixed-width format (4-byte stamp components behind a
 // 16-bit length, 8-byte reps and ints); as v2-*, the compact format with
 // fixed 8-byte generations and an always-written chain count and replica
-// count. Such a frame is an error, never a packet or a result.
+// count; as v3-*, the format with the function's name as text, a uvarint per
+// stamp component and a replica after every key. Such a frame is an error,
+// never a packet or a result.
 func TestOldFormatRejected(t *testing.T) {
 	for fuzz, decode := range map[string]func([]byte) error{
 		"FuzzDecodePacket": func(b []byte) error { _, err := DecodePacket(b); return err },
 		"FuzzDecodeResult": func(b []byte) error { _, err := DecodeResult(b); return err },
 	} {
 		var files []string
-		for _, v := range []string{"v1-*", "v2-*"} {
+		for _, v := range []string{"v1-*", "v2-*", "v3-*"} {
 			got, err := filepath.Glob(filepath.Join("testdata", "fuzz", fuzz, v))
 			if err != nil || len(got) == 0 {
 				t.Fatalf("%s: no %s seeds (%v)", fuzz, v, err)
@@ -267,7 +269,7 @@ func readAll(stream []byte) ([]*Frame, error) {
 // never a wrong frame, never a hang.
 func FuzzFrameStream(f *testing.F) {
 	pkt := &TaskPacket{
-		Key: TaskKey{Stamp: stamp.FromPath(3, 1, 0, 2)}, Gen: 1, Fn: "fib",
+		Key: TaskKey{Stamp: stamp.FromPath(3, 1, 0, 2)}, Gen: 1, FnIndex: 0,
 		Args:   []expr.Value{expr.VInt(12)},
 		Parent: Addr{Proc: 2, Task: TaskKey{Stamp: stamp.FromPath(3, 1, 0)}}, HoleID: 2, Replicas: 1,
 	}

@@ -96,6 +96,10 @@ type TaskPacket struct {
 	ParentGen uint64
 	Fn        string       // function to apply
 	Args      []expr.Value // fully evaluated arguments
+	// FnIndex is Fn's index in the function table of program Prog
+	// (lang.Program.FuncIndex). Code is resident on every node, so the wire
+	// carries the index and the receiver resolves the name from it.
+	FnIndex int
 
 	// Parent is where the result must be returned; HoleID is the demand
 	// slot in the parent the result fills.

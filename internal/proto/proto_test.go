@@ -31,7 +31,7 @@ func samplePacket() *TaskPacket {
 		Key:       TaskKey{Stamp: stamp.FromPath(0, 1)},
 		Gen:       5,
 		ParentGen: 4,
-		Fn:        "fib",
+		FnIndex:   0,
 		Args:      []expr.Value{expr.VInt(10), expr.IntList(1, 2)},
 		Parent:    Addr{Proc: 2, Task: TaskKey{Stamp: stamp.FromPath(0)}},
 		HoleID:    1,

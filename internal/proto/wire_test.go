@@ -44,7 +44,7 @@ func wireCases() []wireCase {
 	lineage := TaskKey{Stamp: parent.Task.Stamp.Child(5), Rep: 4} // a re-placed or replicated child: not the hole child
 	basePacket := func() *TaskPacket {
 		return &TaskPacket{
-			Key: parent.Task, Gen: 5, ParentGen: 3, Fn: "fib", Args: []expr.Value{expr.VInt(17)},
+			Key: parent.Task, Gen: 5, ParentGen: 3, FnIndex: 2, Args: []expr.Value{expr.VInt(17)},
 			Parent: parent, HoleID: 5, Replicas: 1,
 		}
 	}
@@ -178,7 +178,7 @@ func TestCloneIsSizedAfresh(t *testing.T) {
 // malformed.
 func TestDecodeRejectsAbsentFields(t *testing.T) {
 	parent := TaskKey{Stamp: stamp.FromPath(2, 0)}
-	pkt := EncodePacket(&TaskPacket{Key: TaskKey{Stamp: parent.Stamp.Child(5)}, Gen: 5, ParentGen: 3, Fn: "fib",
+	pkt := EncodePacket(&TaskPacket{Key: TaskKey{Stamp: parent.Stamp.Child(5)}, Gen: 5, ParentGen: 3, FnIndex: 0,
 		Args: []expr.Value{expr.VInt(17)}, Parent: Addr{Proc: 6, Task: parent}, HoleID: 5, Replicas: 1})
 	res := EncodeResult(&Result{ParentTask: parent, HoleID: 5, Child: TaskKey{Stamp: parent.Stamp.Child(5)}, Value: expr.VInt(8)})
 	with := func(frame []byte, flag byte, tail ...byte) []byte {
