@@ -160,10 +160,7 @@ func (c *compiler) lower(e expr.Expr) (int32, error) {
 		if err != nil {
 			return 0, err
 		}
-		idx, ok := c.prog.FuncIndex(n.Fn)
-		if !ok {
-			return 0, fmt.Errorf("%w: undefined function %q", ErrEval, n.Fn)
-		}
+		idx, _ := c.prog.FuncIndex(n.Fn) // Validate saw every callee defined
 		c.f.applies++
 		return c.emit(cnode{op: cApply, arg: int32(idx), name: n.Fn, kids: kids}), nil
 	case expr.Hole:

@@ -305,3 +305,44 @@ func TestCountCallsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestFuncIndexIsNameOrder: a program's function table is its definitions
+// in name order, whatever order the source gives them in, so every node
+// that parses the source agrees on each index; and each evaluator's demands
+// carry the index of the function they name.
+func TestFuncIndexIsNameOrder(t *testing.T) {
+	p := MustParse("fn mid(x) = leaf(x) + leaf(x + 1)\nfn main(n) = mid(n)\nfn leaf(x) = x")
+	for _, prog := range []*Program{p, MustParse(Format(p))} {
+		for i, name := range []string{"leaf", "main", "mid"} {
+			if got, ok := prog.FuncIndex(name); !ok || got != i {
+				t.Errorf("FuncIndex(%q) = %d, %v; want %d", name, got, ok, i)
+			}
+			if got, ok := prog.FuncName(i); !ok || got != name {
+				t.Errorf("FuncName(%d) = %q, %v; want %q", i, got, ok, name)
+			}
+		}
+		for _, i := range []int{-1, 3} {
+			if got, ok := prog.FuncName(i); ok {
+				t.Errorf("FuncName(%d) = %q, past the table", i, got)
+			}
+		}
+	}
+	for _, ev := range Evaluators() {
+		ep := mustCompile(t, ev, p)
+		if ep.Source() != p {
+			t.Errorf("%s: Source is not the compiled program", ev)
+		}
+		for fn, want := range map[string]int{"main": 2, "mid": 0} {
+			next := 0
+			out, _, err := ep.Flatten(fn, []expr.Value{expr.VInt(1)}, &next)
+			if err != nil || len(out.Demands) == 0 {
+				t.Fatalf("%s: %s: %+v, %v", ev, fn, out, err)
+			}
+			for _, d := range out.Demands {
+				if d.Index != want || p.Names()[d.Index] != d.Fn {
+					t.Errorf("%s: %s demands %s as function %d, want %d", ev, fn, d.Fn, d.Index, want)
+				}
+			}
+		}
+	}
+}

@@ -120,28 +120,19 @@ func appendPath(buf []byte, raw string, o int, bare bool) []byte {
 	var hi byte   // a byte's high nibble, waiting for its low one
 	half := false // hi holds a nibble
 	for ; o < len(raw); o += width {
-		c := component(raw, o)
-		if c < 8 { // one nibble: nearly every component
-			if half {
-				buf = append(buf, hi|byte(c))
-			} else {
-				hi = byte(c) << 4
-			}
-			half = !half
-			continue
-		}
-		for more := true; more; {
+		for c := component(raw, o); ; c >>= 3 {
 			nib := byte(c & 7)
-			if c >>= 3; c != 0 {
+			if c >= 8 {
 				nib |= 8
 			}
-			more = c != 0
 			if half {
 				buf = append(buf, hi|nib)
 			} else {
 				hi = nib << 4
 			}
-			half = !half
+			if half = !half; c < 8 {
+				break
+			}
 		}
 	}
 	if half {

@@ -203,8 +203,11 @@ func (w *FrameWriter) Flush() error {
 // length, type, flags or ids are invalid fails with ErrFrame.
 func ParseFrameHeader(b []byte) (f Frame, hdr, payload int, err error) {
 	if len(b) >= 4 && b[0] < 0x80 && b[2] < 0x80 && b[3] < 0x80 { // four single bytes
+		if err := f.kind(b[1]); err != nil {
+			return f, 0, 0, err
+		}
 		f.From, f.To = unzigzag(b[2]), unzigzag(b[3])
-		return f, 4, int(b[0]), f.kind(b[1])
+		return f, 4, int(b[0]), nil
 	}
 	n, k := binary.Uvarint(b)
 	switch {

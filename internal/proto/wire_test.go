@@ -36,8 +36,9 @@ func (c wireCase) encode() []byte {
 }
 
 // wireCases is a packet for every combination of the packet's flag bits, a
-// result for every combination of the result's, and a packet at each
-// generation where a uvarint changes width.
+// result for every combination of the result's, a packet at each
+// generation where a uvarint changes width, and one under a parent whose
+// last component, and one whose replica, is at each width of its field.
 func wireCases() []wireCase {
 	parent := Addr{Proc: 6, Task: TaskKey{Stamp: stamp.FromPath(2, 0)}}
 	chain := []Addr{{Proc: 2, Task: TaskKey{Stamp: stamp.FromPath(2)}}, {Proc: HostID, Task: TaskKey{Stamp: stamp.Root()}}}
@@ -88,6 +89,18 @@ func wireCases() []wireCase {
 		p.Key = TaskKey{Stamp: parent.Task.Stamp.Child(5)}
 		p.Gen, p.ParentGen = g, g
 		cases = append(cases, wireCase{name: fmt.Sprintf("packet gen=%d", g), pkt: p})
+	}
+	for _, c := range []uint32{7, 8, 63, 64, 1<<32 - 1} {
+		p := basePacket()
+		p.Parent.Task = TaskKey{Stamp: stamp.FromPath(2, c)}
+		p.Key = TaskKey{Stamp: p.Parent.Task.Stamp.Child(5)}
+		cases = append(cases, wireCase{name: fmt.Sprintf("packet parent component=%d", c), pkt: p})
+	}
+	for _, rep := range []Rep{1, 127, 128} {
+		p := basePacket()
+		p.Parent.Task.Rep = rep
+		p.Key = TaskKey{Stamp: p.Parent.Task.Stamp.Child(5), Rep: rep}
+		cases = append(cases, wireCase{name: fmt.Sprintf("packet replica=%d", rep), pkt: p})
 	}
 	return cases
 }
