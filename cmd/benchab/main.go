@@ -84,13 +84,12 @@ func run(args []string, out io.Writer) error {
 	workloads := fs.String("workloads", "net-stream", "comma-separated bench workloads")
 	seeds := fs.String("seeds", "1", "comma-separated seeds")
 	pairs := fs.Int("pairs", 10, "alternating pairs per workload and seed")
-	seconds := fs.Float64("seconds", 0, "measured seconds per run (0: the benchmark's own)")
 	outFile := fs.String("out", "", "append the run, its report and raw pairs, to this JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 || *pairs < 1 {
-		return fmt.Errorf("usage: benchab [-base REV] [-new REV] [-workloads W,…] [-seeds S,…] [-pairs N] [-seconds S] [-out FILE]")
+		return fmt.Errorf("usage: benchab [-base REV] [-new REV] [-workloads W,…] [-seeds S,…] [-pairs N] [-out FILE]")
 	}
 	var seedList []int64
 	for _, s := range strings.Split(*seeds, ",") {
@@ -124,7 +123,7 @@ func run(args []string, out io.Writer) error {
 				}
 				var res [2]*result
 				for i, dir := range dirs {
-					if res[i], err = bench(dir, w, s, *seconds); err != nil {
+					if res[i], err = bench(dir, w, s); err != nil {
 						return err
 					}
 				}
@@ -151,10 +150,9 @@ func run(args []string, out io.Writer) error {
 	}
 	this, err := json.Marshal(struct {
 		Base, New string
-		Seconds   float64
 		Summary   []summary
 		Pairs     []pair
-	}{*base, or(*newRev, "working tree"), *seconds, sums, all})
+	}{*base, or(*newRev, "working tree"), sums, all})
 	if err != nil {
 		return err
 	}
@@ -217,12 +215,10 @@ func extract(rev string) (string, error) {
 	return dir, nil
 }
 
-// bench runs one workload at one seed in tree dir and reads its result line.
-func bench(dir, workload string, seed int64, seconds float64) (*result, error) {
+// bench runs one workload at one seed in tree dir, for the benchmark's own
+// run length, and reads its result line.
+func bench(dir, workload string, seed int64) (*result, error) {
 	args := []string{"bench/run.sh", "-workload", workload, "-seed", strconv.FormatInt(seed, 10)}
-	if seconds > 0 {
-		args = append(args, "-seconds", strconv.FormatFloat(seconds, 'g', -1, 64))
-	}
 	cmd := exec.Command("bash", args...)
 	cmd.Dir = dir
 	cmd.Stderr = os.Stderr

@@ -332,7 +332,7 @@ func TestFuncIndexIsNameOrder(t *testing.T) {
 		if ep.Source() != p {
 			t.Errorf("%s: Source is not the compiled program", ev)
 		}
-		for fn, want := range map[string]int{"main": 2, "mid": 0} {
+		for fn, want := range map[string]int32{"main": 2, "mid": 0} {
 			next := 0
 			out, _, err := ep.Flatten(fn, []expr.Value{expr.VInt(1)}, &next)
 			if err != nil || len(out.Demands) == 0 {

@@ -17,7 +17,7 @@ type Demand struct {
 	Fn string
 	// Index is Fn's index in the program's function table
 	// (Program.FuncIndex), the form a task packet carries it in.
-	Index int
+	Index int32
 	Args  []expr.Value
 }
 
@@ -170,7 +170,7 @@ func (f *flattener) reduce(e expr.Expr) (expr.Expr, bool, error) {
 		}
 		id := *f.nextID
 		*f.nextID = id + 1
-		f.demands = append(f.demands, Demand{ID: id, Fn: n.Fn, Index: idx, Args: vals})
+		f.demands = append(f.demands, Demand{ID: id, Fn: n.Fn, Index: int32(idx), Args: vals})
 		return expr.Hole{ID: id}, true, nil
 	default:
 		return nil, false, fmt.Errorf("%w: unknown node %T", ErrEval, e)

@@ -342,7 +342,7 @@ func (m *vm) demand(n *cnode, vals []expr.Value) *rnode {
 	if m.demands == nil {
 		m.demands = make([]Demand, 0, m.fn.applies)
 	}
-	m.demands = append(m.demands, Demand{ID: id, Fn: n.name, Index: int(n.arg), Args: vals})
+	m.demands = append(m.demands, Demand{ID: id, Fn: n.name, Index: n.arg, Args: vals})
 	return &rnode{kind: rHole, id: id}
 }
 

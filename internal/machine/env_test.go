@@ -31,6 +31,7 @@ type fifoWorld struct {
 	tlog    *trace.Log
 	metrics trace.Metrics
 	wire    []proto.Msg // in flight, oldest first
+	sent    func(*proto.Msg)
 	deliver func()
 	answer  expr.Value
 	err     error
@@ -87,6 +88,9 @@ func (w *fifoWorld) proc(id proto.ProcID) *proc {
 }
 
 func (w *fifoWorld) transmit(msg proto.Msg) {
+	if w.sent != nil {
+		w.sent(&msg)
+	}
 	w.wire = append(w.wire, msg)
 	w.After(fifoDelay, w.deliver)
 }
@@ -181,6 +185,32 @@ func TestProcOverFIFOWorld(t *testing.T) {
 						len(got), len(oracle), len(pre), len(diff), diff)
 				}
 			})
+		}
+	}
+}
+
+// TestSpawnedPacketsNameTheirIndex: a packet names its function twice — by
+// name, which the simulator and live run, and by index, which net's wire
+// carries — and every packet sent, the host's root packet included, carries
+// the index of the name, under each evaluator, on a program whose
+// definitions are not in name order.
+func TestSpawnedPacketsNameTheirIndex(t *testing.T) {
+	prog := lang.MustParse("fn mid(x) = leaf(x) + leaf(x + 1)\nfn main(n) = mid(n)\nfn leaf(x) = x")
+	for _, ev := range lang.Evaluators() {
+		w := newFifoWorld(t, Config{Topo: mustTopo(t, "torus", 4), Scheme: recovery.Rollback(), Seed: 1, Eval: ev, Trace: trace.NewLog()}, prog)
+		seen := map[int32]bool{}
+		w.sent = func(m *proto.Msg) {
+			if m.Type != proto.MsgTask {
+				return
+			}
+			if name, ok := prog.FuncName(int(m.Task.FnIndex)); !ok || name != m.Task.Fn {
+				t.Errorf("%s: %v spawns %s as function %d, which is %q", ev, m.Task.Key, m.Task.Fn, m.Task.FnIndex, name)
+			}
+			seen[m.Task.FnIndex] = true
+		}
+		w.serve(t, "main", []expr.Value{expr.VInt(3)}, faults.None())
+		if !w.answer.Equal(expr.VInt(7)) || len(seen) != 3 {
+			t.Errorf("%s: answer %v with functions %v spawned, want 7 and all three", ev, w.answer, seen)
 		}
 	}
 }

@@ -802,7 +802,8 @@ func (p *proc) finishPass() {
 // demands the root application: the super-root retains its packet (§4.3.1).
 func (p *proc) installRoot(key proto.TaskKey, prog int, fn string, args []expr.Value) {
 	ep := p.env.program(prog)
-	idx, _ := ep.Source().FuncIndex(fn)
+	i, _ := ep.Source().FuncIndex(fn)
+	idx := int32(i)
 	t := p.newTask(&proto.TaskPacket{Key: key, Fn: fn, FnIndex: idx, Parent: proto.Addr{Proc: noProc}, Prog: prog})
 	t.isHostRoot = true
 	t.state = taskWaiting

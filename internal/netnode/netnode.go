@@ -232,7 +232,7 @@ func parseSpawn(p []byte, progs func(int) lang.EvalProgram) (*proto.TaskPacket, 
 		return nil, fmt.Errorf("netnode: no program %d", prog)
 	}
 	var ok bool
-	if pkt.Fn, ok = ep.Source().FuncName(pkt.FnIndex); !ok {
+	if pkt.Fn, ok = ep.Source().FuncName(int(pkt.FnIndex)); !ok {
 		return nil, fmt.Errorf("netnode: program %d has no function %d", prog, pkt.FnIndex)
 	}
 	return pkt, nil

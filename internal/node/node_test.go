@@ -586,10 +586,9 @@ func TestRootPlacesAndReissuesOnDeath(t *testing.T) {
 // and a queue one deep. The queued request's root packet leaves in the same
 // Deliver that answers its predecessor — installed under the lock that freed
 // the slot, the answer handed over once it is released — under its own
-// stream index; a
-// request shed at the offer loads nothing — its program is resident — and
-// sends nothing; and once every admitted request has answered, the
-// super-root holds no request, task or checkpoint.
+// stream index; a request shed at the offer loads nothing — its program is
+// resident — and sends nothing; and once every admitted request has
+// answered, the super-root holds no request, task or checkpoint.
 func TestRootAnswersAndInstallsInOneDeliver(t *testing.T) {
 	w, r := newFabric(t, Spec{Procs: 4, Admission: admission.Policy{MaxInFlight: 1, QueueBound: 1}})
 	prog := lang.Fib()
@@ -629,6 +628,26 @@ func TestRootAnswersAndInstallsInOneDeliver(t *testing.T) {
 	}
 	if n, h := r.Held(); n != 0 || h.Tasks != 0 || h.Checkpoints != 0 || len(w.take()) != 0 {
 		t.Fatalf("after both answers the super-root holds %d requests, %d tasks, %d checkpoints", n, h.Tasks, h.Checkpoints)
+	}
+}
+
+// TestWaitAwaitsAnEndedRequestsReply: the super-root marks a request ended
+// under its lock and hands the outcome over after releasing it, so a Wait
+// whose budget runs out in between awaits that outcome; a request that has
+// not ended reports errNoAnswer.
+func TestWaitAwaitsAnEndedRequestsReply(t *testing.T) {
+	r := &Root{}
+	ended := &Request{root: r, offered: time.Now(), answer: make(chan machine.Outcome, 1), done: true}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		ended.answer <- machine.Outcome{Value: expr.VInt(7)}
+	}()
+	if v, err := ended.Wait(0, nil); err != nil || !v.Equal(expr.VInt(7)) {
+		t.Fatalf("ended request answered %v, %v; want 7", v, err)
+	}
+	open := &Request{root: r, offered: time.Now(), answer: make(chan machine.Outcome, 1)}
+	if _, err := open.Wait(0, nil); !errors.Is(err, errNoAnswer) {
+		t.Fatalf("request that has not ended waited to %v", err)
 	}
 }
 

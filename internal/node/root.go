@@ -52,6 +52,9 @@ type Request struct {
 	// stream index (-1 before) and the install stamp (the offer's before).
 	id        int
 	installed time.Time
+	// done is set when the request ends, under the root's lock; its outcome
+	// is sent once the lock is released.
+	done bool
 }
 
 // errNoAnswer is Wait's error for a request that has not ended.
@@ -64,12 +67,21 @@ func (q *Request) stamps() (id int, installed time.Time) {
 	return q.id, q.installed
 }
 
+// ended reports whether the request has ended: its outcome is in its
+// channel, or on its way there.
+func (q *Request) ended() bool {
+	q.root.mu.Lock()
+	defer q.root.mu.Unlock()
+	return q.done
+}
+
 // Wait blocks until the request ends — with its answer, or with the
 // evaluation error a task of it reported — its budget runs out, or stop
 // closes (nil never does). The budget counts from the offer while the
-// request is queued, and from its install once it is installed. An outcome
-// already delivered is accepted even when the budget is spent or the stream
-// stopped; a request that was shed, or has not ended, reports errNoAnswer.
+// request is queued, and from its install once it is installed. A request
+// that has ended is answered even when the budget is spent or the stream
+// stopped, its outcome awaited if the root has not yet handed it over; a
+// request that was shed, or has not ended, reports errNoAnswer.
 func (q *Request) Wait(budget time.Duration, stop <-chan struct{}) (expr.Value, error) {
 	for from := q.offered; !q.shed; {
 		t := time.NewTimer(time.Until(from.Add(budget)))
@@ -87,12 +99,11 @@ func (q *Request) Wait(budget time.Duration, stop <-chan struct{}) (expr.Value, 
 		}
 		break
 	}
-	select {
-	case o := <-q.answer:
+	if q.ended() {
+		o := <-q.answer
 		return o.Value, o.Err
-	default:
-		return nil, errNoAnswer
 	}
+	return nil, errNoAnswer
 }
 
 // Root is the super-root of §4.3.1, the reliable parent of every user
@@ -259,7 +270,9 @@ func (r *Root) unlock() {
 // place.
 func (r *Root) settle(ended *[]reply) (installed bool) {
 	for _, o := range r.host.Ended() {
-		*ended = append(*ended, reply{r.reqs[o.Req], o})
+		q := r.reqs[o.Req]
+		q.done = true
+		*ended = append(*ended, reply{q, o})
 		delete(r.reqs, o.Req)
 		if next, ok := r.gate.Release(); ok && r.closed == nil {
 			r.install(next, time.Now())

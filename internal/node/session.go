@@ -288,7 +288,8 @@ func (t ticket) Wait() core.Outcome {
 		}
 		return o
 	}
-	// The answer was sent after the install, under the super-root's lock.
+	// The answer was sent after the install, once the super-root's lock was
+	// released.
 	return core.Outcome{Request: q.id, Offered: s.micros(q.offered), Installed: s.micros(q.installed),
 		Settled: s.micros(time.Now()), Answer: v, Err: err}
 }

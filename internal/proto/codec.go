@@ -254,7 +254,9 @@ func DecodePacket(buf []byte) (*TaskPacket, error) {
 	p.Parent.Task = d.key()
 	p.HoleID = int(d.uvarint("hole id"))
 	p.Key = d.childKey(flags, p.Parent.Task, p.HoleID)
-	if p.FnIndex = int(d.uvarint("function index")); p.FnIndex > math.MaxInt32 {
+	if i := d.uvarint("function index"); i <= math.MaxInt32 {
+		p.FnIndex = int32(i)
+	} else {
 		d.fail("function index")
 	}
 	if d.err == nil {

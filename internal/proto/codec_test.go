@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -72,7 +74,7 @@ func randomPacket(r *rand.Rand) *TaskPacket {
 		Key:       randomKey(r),
 		Gen:       r.Uint64(),
 		ParentGen: r.Uint64(),
-		FnIndex:   []int{0, 3, 200}[r.Intn(3)],
+		FnIndex:   []int32{0, 3, 200}[r.Intn(3)],
 		Parent:    randomAddr(r),
 		HoleID:    r.Intn(16),
 		Twin:      r.Intn(2) == 0,
@@ -295,11 +297,15 @@ func TestMalformedPaths(t *testing.T) {
 		t.Errorf("abort scope with a replica bit: %v", err)
 	}
 	pkt := &TaskPacket{Key: TaskKey{Stamp: stamp.FromPath(0)}, FnIndex: math.MaxInt32, Replicas: 1}
-	if back, err := DecodePacket(EncodePacket(pkt)); err != nil || back.FnIndex != math.MaxInt32 {
+	enc := EncodePacket(pkt)
+	if back, err := DecodePacket(enc); err != nil || back.FnIndex != math.MaxInt32 {
 		t.Errorf("function %d: %+v, %v", pkt.FnIndex, back, err)
 	}
-	pkt.FnIndex++
-	if _, err := DecodePacket(EncodePacket(pkt)); !errors.Is(err, ErrPacketCodec) {
-		t.Errorf("function %d: %v", pkt.FnIndex, err)
+	// One past the largest index, in the same five bytes.
+	last, past := binary.AppendUvarint(nil, math.MaxInt32), binary.AppendUvarint(nil, math.MaxInt32+1)
+	if i := bytes.Index(enc, last); i < 0 || len(past) != len(last) {
+		t.Fatalf("no function index %x in %x", last, enc)
+	} else if _, err := DecodePacket(append(enc[:i:i], append(past, enc[i+len(last):]...)...)); !errors.Is(err, ErrPacketCodec) {
+		t.Errorf("function %d: %v", int64(math.MaxInt32)+1, err)
 	}
 }

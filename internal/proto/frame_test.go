@@ -358,26 +358,36 @@ func TestPacketMalformed(t *testing.T) {
 		}
 	}
 	// A count the buffer cannot hold is malformed, not a size to allocate:
-	// 0x7fffffff values would be 32 GiB (testdata/fuzz/*/huge-count).
-	hugePkt, hugeRes := hugeCounts()
-	if _, err := DecodePacket(hugePkt); !errors.Is(err, ErrPacketCodec) {
-		t.Fatalf("DecodePacket(huge Args count) = %v, want ErrPacketCodec", err)
+	// 0x7fffffff values would be 32 GiB (testdata/fuzz/*/huge-count). The
+	// error names the count, so the guard refused it, not a short read; the
+	// same bytes with a zero count decode.
+	hugePkt, hugeRes, cut := hugeCounts()
+	const guard = "2147483647 values in 0 bytes"
+	if _, err := DecodePacket(hugePkt); !errors.Is(err, ErrPacketCodec) || !strings.Contains(err.Error(), guard) {
+		t.Fatalf("DecodePacket(huge Args count) = %v, want ErrPacketCodec naming %q", err, guard)
 	}
-	if _, err := DecodeResult(hugeRes); !errors.Is(err, ErrPacketCodec) {
-		t.Fatalf("DecodeResult(huge list count) = %v, want ErrPacketCodec", err)
+	if _, err := DecodeResult(hugeRes); !errors.Is(err, ErrPacketCodec) || !strings.Contains(err.Error(), guard) {
+		t.Fatalf("DecodeResult(huge list count) = %v, want ErrPacketCodec naming %q", err, guard)
+	}
+	zero := binary.AppendUvarint(nil, 0)
+	if _, err := DecodePacket(append(hugePkt[:cut[0]:cut[0]], zero...)); err != nil {
+		t.Fatalf("DecodePacket(zero Args count) = %v", err)
+	}
+	if _, err := DecodeResult(append(hugeRes[:cut[1]:cut[1]], zero...)); err != nil {
+		t.Fatalf("DecodeResult(zero list count) = %v", err)
 	}
 }
 
-// hugeCounts is a packet whose Args prefix, and a result whose list value,
-// claims 0x7fffffff elements with none following.
-func hugeCounts() (pkt, res []byte) {
+// hugeCounts is a packet whose Args count, and a result whose list value's
+// count, claims 0x7fffffff elements with none following; cut is where each
+// count begins.
+func hugeCounts() (pkt, res []byte, cut [2]int) {
 	key := TaskKey{Stamp: stamp.FromPath(1)}
 	huge := binary.AppendUvarint(nil, 0x7fffffff)
-	// A packet ends with the Args count, the ancestor count and Replicas; a
-	// result with a list value, with the list's count and the chain count.
-	pkt = EncodePacket(&TaskPacket{Key: key, FnIndex: 1})
-	pkt = append(pkt[:len(pkt)-3], huge...)
+	// An unreplicated packet without ancestors ends with its Args count, and
+	// a result without a chain with its value: here an empty list's count.
+	pkt = EncodePacket(&TaskPacket{Key: key, FnIndex: 1, Replicas: 1})
 	res = EncodeResult(&Result{Child: key, ParentTask: key, Value: expr.VList{}})
-	res = append(res[:len(res)-2], huge...)
-	return pkt, res
+	cut = [2]int{len(pkt) - 1, len(res) - 1}
+	return append(pkt[:cut[0]], huge...), append(res[:cut[1]], huge...), cut
 }

@@ -94,12 +94,8 @@ type TaskPacket struct {
 	// this packet; upward abort propagation targets exactly that
 	// incarnation.
 	ParentGen uint64
-	Fn        string       // function to apply
+	Fn        string       // function to apply; FnIndex below names it on the wire
 	Args      []expr.Value // fully evaluated arguments
-	// FnIndex is Fn's index in the function table of program Prog
-	// (lang.Program.FuncIndex). Code is resident on every node, so the wire
-	// carries the index and the receiver resolves the name from it.
-	FnIndex int
 
 	// Parent is where the result must be returned; HoleID is the demand
 	// slot in the parent the result fills.
@@ -118,6 +114,12 @@ type TaskPacket struct {
 
 	// Reissue marks a rollback re-execution of a checkpointed packet (§3.2).
 	Reissue bool
+
+	// FnIndex is Fn's index in the function table of program Prog
+	// (lang.Program.FuncIndex), set wherever Fn is. Code is resident on
+	// every node, so the wire carries the index and the receiver resolves
+	// the name from it. It fits in the padding after the flags.
+	FnIndex int32
 
 	// Replicas is the number of copies the parent spawned for this logical
 	// task (1 = not replicated). Used by the §5.3 voter.
